@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race verify lint vet chaos migrate-chaos soak bench bench-batch bench-scale bench-scale-smoke bench-sched bench-sched-smoke fuzz pool repro figures experiments clean help
+.PHONY: all build test race verify lint vet chaos migrate-chaos soak bench bench-batch bench-scale bench-scale-smoke bench-sched bench-sched-smoke bench-wall bench-wall-smoke fuzz pool repro figures experiments clean help
 
 all: build test
 
@@ -24,6 +24,8 @@ help:
 	@echo "  bench-scale-smoke  CI freshness check: re-run the <=10^4 scale scenarios"
 	@echo "  bench-sched  run the WFQ-vs-FIFO starvation bench, refresh BENCH_sched.json"
 	@echo "  bench-sched-smoke  CI freshness check: re-run the scheduler scenarios"
+	@echo "  bench-wall   wall-clock benchmark of the remoting stack (BENCHMARK.json, ~90 s)"
+	@echo "  bench-wall-smoke  CI correctness check: one second of the batched inference workload"
 	@echo "  fuzz         short fuzzing pass over the wire-protocol decoders"
 	@echo "  pool         broker demo: 3 local daemons, one killed mid-batch"
 	@echo "  repro        regenerate every table and figure of the paper on stdout"
@@ -119,6 +121,20 @@ bench-sched:
 # time, fast on the wall clock) and fail if BENCH_sched.json is stale.
 bench-sched-smoke:
 	$(GO) run ./cmd/rcuda-bench-sched -check -out BENCH_sched.json
+
+# Wall-clock benchmark of the remoting stack (bench/README.md): the eight
+# BENCHMARK.json workloads over a real loopback socket, end-to-end metrics
+# normalised to stdlib-only reference loops. Numbers are machine-dependent;
+# nothing is committed from this target.
+bench-wall:
+	bash bench/run.sh
+
+# CI correctness check on the launch fast path: one second of batched
+# inference requests, every output compared bit for bit with the local
+# runtime. The harness exits non-zero on any wrong output or broken
+# invariant; timings on a CI runner are not judged.
+bench-wall-smoke:
+	bash bench/run.sh --workload infer_batched --seed 1 --seconds 1 --trace 0
 
 # Short fuzzing pass over the wire-protocol decoders.
 fuzz:

@@ -1,8 +1,10 @@
 package blas
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -181,4 +183,133 @@ func BenchmarkSgemm256(b *testing.B) {
 		}
 	}
 	b.SetBytes(int64(3 * 4 * n * n))
+}
+
+// BenchmarkSgemmFanOut is the measurement behind parallelMinWork: the same
+// square product run inline and fanned out, either side of the threshold.
+func BenchmarkSgemmFanOut(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	for _, n := range []int{16, 24, 32, 40, 48, 64, 96, 128} {
+		a := randMatrix(rng, n*n)
+		bm := randMatrix(rng, n*n)
+		c := make([]float32, n*n)
+		b.Run(fmt.Sprintf("inline/%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				clear(c)
+				sgemmBand(0, n, n, n, a, bm, c)
+			}
+		})
+		b.Run(fmt.Sprintf("parallel/%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				clear(c)
+				sgemmParallel(runtime.GOMAXPROCS(0), n, n, n, a, bm, c)
+			}
+		})
+	}
+}
+
+// sgemmBandSaxpy is the band loop as it stood before the register-tiled
+// rewrite, kept here as the bit-exactness reference: a row-at-a-time saxpy
+// in ascending k that skips exact zeros of A.
+func sgemmBandSaxpy(lo, hi, n, k int, a, b, c []float32) {
+	for kk := 0; kk < k; kk += blockSize {
+		kmax := min(kk+blockSize, k)
+		for jj := 0; jj < n; jj += blockSize {
+			jmax := min(jj+blockSize, n)
+			for i := lo; i < hi; i++ {
+				arow := a[i*k : i*k+k]
+				crow := c[i*n : i*n+n]
+				for kx := kk; kx < kmax; kx++ {
+					aik := arow[kx]
+					if aik == 0 {
+						continue
+					}
+					brow := b[kx*n : kx*n+n]
+					for j := jj; j < jmax; j++ {
+						crow[j] += aik * brow[j]
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameBits reports the first index at which two float32 slices differ in
+// representation — signed zeros and infinities included — or -1. NaNs
+// compare equal to each other whatever their sign and payload: IEEE 754
+// lets an addition of two NaNs return either operand's, x86 returns the
+// destination register's, and which operand the compiler puts there
+// differs between two spellings of the same loop (and between builds, e.g.
+// under -race). Where a NaN appears is deterministic; which NaN is not a
+// property of the source.
+func sameBits(a, b []float32) int {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) && !(a[i] != a[i] && b[i] != b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestSgemmPathsBitExact is the seeded property behind the fan-out
+// threshold: for shapes straddling it — non-square, with zero rows, exact
+// zeros, infinities and NaNs in the operands — the inline band, the
+// parallel fan-out, Sgemm's own choice between them, and the pre-change
+// loop all produce identical bits.
+func TestSgemmPathsBitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260927))
+	special := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	fill := func(n, stride int) []float32 {
+		m := randMatrix(rng, n)
+		for i := range m {
+			switch r := rng.Intn(40); {
+			case r < 4:
+				m[i] = 0
+			case r == 4:
+				m[i] = special[rng.Intn(len(special))]
+			}
+		}
+		if stride > 0 && n >= stride { // one whole row of exact zeros
+			row := rng.Intn(n / stride)
+			clear(m[row*stride : (row+1)*stride])
+		}
+		return m
+	}
+	shapes := [][3]int{{1, 1, 1}, {16, 16, 16}, {63, 65, 64}, {64, 64, 64}, {65, 64, 63}, {130, 7, 129}, {2, 130, 130}, {130, 130, 1}}
+	for len(shapes) < 60 {
+		shapes = append(shapes, [3]int{1 + rng.Intn(130), 1 + rng.Intn(130), 1 + rng.Intn(130)})
+	}
+	below, above := 0, 0
+	for _, s := range shapes {
+		m, n, k := s[0], s[1], s[2]
+		if m*n*k < parallelMinWork {
+			below++
+		} else {
+			above++
+		}
+		a, b := fill(m*k, k), fill(k*n, 0)
+		want := make([]float32, m*n)
+		sgemmBandSaxpy(0, m, n, k, a, b, want)
+
+		inline := make([]float32, m*n)
+		sgemmBand(0, m, n, k, a, b, inline)
+		parallel := make([]float32, m*n)
+		sgemmParallel(min(m, 4), m, n, k, a, b, parallel)
+		chosen := make([]float32, m*n)
+		for i := range chosen {
+			chosen[i] = 7 // Sgemm must overwrite, not accumulate
+		}
+		if err := Sgemm(m, n, k, a, b, chosen); err != nil {
+			t.Fatal(err)
+		}
+		for name, got := range map[string][]float32{"inline": inline, "parallel": parallel, "Sgemm": chosen} {
+			if i := sameBits(got, want); i >= 0 {
+				t.Fatalf("%dx%dx%d: %s path differs from the reference loop at element %d: %x vs %x",
+					m, n, k, name, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+			}
+		}
+	}
+	if below == 0 || above == 0 {
+		t.Fatalf("shapes do not straddle the threshold: %d below, %d above", below, above)
+	}
 }

@@ -26,7 +26,7 @@ func pipelineModule(name string) *gpu.Module {
 				if err != nil {
 					return err
 				}
-				mem, err := ec.Mem(ptr, n*4)
+				mem, err := ec.Mem(ptr, uint64(n)*4)
 				if err != nil {
 					return err
 				}

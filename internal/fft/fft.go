@@ -105,9 +105,20 @@ func (p *plan) run(dir Direction, x []complex64) {
 	}
 }
 
+// parallelMinBatch is the batch size, in 512-point transforms (other sizes
+// scale by points: batch·n ≥ parallelMinBatch·Points), from which
+// TransformBatch fans out to one goroutine per CPU; smaller batches run
+// inline on the caller. Measured with BenchmarkBatchFanOut on the 2-vCPU
+// benchmark machine (go1.24, Xeon 2.1 GHz), inline vs fanned out: batch 1
+// 14.6 vs 18.9 µs, 2 29 vs 38 µs, 4 58 vs 59 µs, 8 115 vs 92 µs, 16 150 vs
+// 138 µs. Fan-out loses below four transforms and wins from eight.
+const parallelMinBatch = 8
+
 // TransformBatch computes batch independent in-place n-point transforms over
-// a contiguous buffer of batch·n complex points, parallelized across CPUs —
-// the shape of the paper's "different numbers of parallel FFT operations".
+// a contiguous buffer of batch·n complex points — the shape of the paper's
+// "different numbers of parallel FFT operations". Large batches parallelize
+// across CPUs; batches below parallelMinBatch run inline. Transforms are
+// independent, so the split changes no result bit.
 func TransformBatch(dir Direction, x []complex64, n int) error {
 	p, err := planFor(n)
 	if err != nil {
@@ -117,13 +128,28 @@ func TransformBatch(dir Direction, x []complex64, n int) error {
 		return fmt.Errorf("fft: buffer of %d points is not a multiple of transform size %d", len(x), n)
 	}
 	batch := len(x) / n
-	if batch == 0 {
-		return nil
-	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > batch {
 		workers = batch
 	}
+	if workers <= 1 || len(x) < parallelMinBatch*Points {
+		p.runRange(dir, x, 0, batch)
+		return nil
+	}
+	p.runParallel(dir, x, workers)
+	return nil
+}
+
+// runRange transforms the batch entries [lo, hi) of x.
+func (p *plan) runRange(dir Direction, x []complex64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		p.run(dir, x[i*p.n:(i+1)*p.n])
+	}
+}
+
+// runParallel splits the batch into one contiguous range per worker.
+func (p *plan) runParallel(dir Direction, x []complex64, workers int) {
+	batch := len(x) / p.n
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo := w * batch / workers
@@ -134,13 +160,10 @@ func TransformBatch(dir Direction, x []complex64, n int) error {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				p.run(dir, x[i*n:(i+1)*n])
-			}
+			p.runRange(dir, x, lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()
-	return nil
 }
 
 // DFT computes the naive O(n²) reference transform of x into a new slice,

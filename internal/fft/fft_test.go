@@ -1,9 +1,11 @@
 package fft
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -252,4 +254,29 @@ func BenchmarkTransformBatch2048x512(b *testing.B) {
 		}
 	}
 	b.SetBytes(2048 * BytesPerTransform)
+}
+
+// BenchmarkBatchFanOut is the measurement behind parallelMinBatch: the same
+// batch of 512-point transforms run inline and fanned out (directions
+// alternate so the signal stays finite).
+func BenchmarkBatchFanOut(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	p, err := planFor(Points)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, batch := range []int{1, 2, 3, 4, 8, 16} {
+		x := randSignal(rng, batch*Points)
+		b.Run(fmt.Sprintf("inline/%d", batch), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				p.runRange(Direction(i&1), x, 0, batch)
+			}
+		})
+		b.Run(fmt.Sprintf("parallel/%d", batch), func(b *testing.B) {
+			workers := min(runtime.GOMAXPROCS(0), batch)
+			for i := 0; i < b.N; i++ {
+				p.runParallel(Direction(i&1), x, workers)
+			}
+		})
+	}
 }

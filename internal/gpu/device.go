@@ -13,6 +13,8 @@ package gpu
 import (
 	"errors"
 	"fmt"
+	"math"
+	"sort"
 	"sync"
 	"time"
 
@@ -331,7 +333,9 @@ func (c *Context) OwnedCount() int {
 	return len(c.owned)
 }
 
-// ExecContext is what a kernel sees when it runs.
+// ExecContext is what a kernel sees when it runs. It is valid only for the
+// duration of the call it is passed to: the launch path reuses it, so a
+// kernel must not retain it or its Params.
 type ExecContext struct {
 	ctx    *Context
 	Grid   Dim3
@@ -344,11 +348,18 @@ type ExecContext struct {
 func (ec *ExecContext) Device() *Device { return ec.ctx.dev }
 
 // Mem resolves a device pointer range to its backing bytes for the duration
-// of the kernel. Kernels use this to read inputs and write outputs.
-func (ec *ExecContext) Mem(addr, size uint32) ([]byte, error) {
+// of the kernel. Kernels use this to read inputs and write outputs. The
+// size is 64-bit so a kernel can pass a product of launch parameters
+// without it wrapping; anything past the 32-bit device address space is
+// the same invalid-pointer error as any other overrun.
+func (ec *ExecContext) Mem(addr uint32, size uint64) ([]byte, error) {
+	if size > math.MaxUint32 {
+		return nil, fmt.Errorf("%w: [%#x,+%d) overruns the device address space",
+			ErrInvalidDevPtr, addr, size)
+	}
 	ec.ctx.dev.mu.Lock()
 	defer ec.ctx.dev.mu.Unlock()
-	return ec.ctx.dev.alloc.region(addr, size)
+	return ec.ctx.dev.alloc.region(addr, uint32(size))
 }
 
 // ErrUnknownKernel is returned when launching a kernel no loaded module
@@ -395,36 +406,69 @@ func (c *Context) Launch(name string, grid, block Dim3, shared uint32, params []
 	if err := c.Synchronize(); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	if err := c.check(); err != nil {
-		c.mu.Unlock()
+	k, err := c.kernel(name)
+	if err != nil {
 		return err
 	}
-	k, ok := c.kernels[name]
-	c.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %q (loaded modules: %v)", ErrUnknownKernel, name, c.loadedModules())
-	}
-	ec := &ExecContext{ctx: c, Grid: grid, Block: block, Shared: shared, Params: NewParamReader(params)}
-	if err := k.Run(ec); err != nil {
-		return fmt.Errorf("gpu: kernel %q: %w", name, err)
+	cost, err := c.execute(k, grid, block, shared, params)
+	if err != nil {
+		return err
 	}
 	if k.Cost != nil {
-		// Cost models must see the same parameter view Run did.
-		ec.Params = NewParamReader(params)
-		c.dev.sleep(k.Cost(ec))
+		c.dev.sleep(cost)
 	}
 	return nil
 }
 
-func (c *Context) loadedModules() []string {
+// kernel resolves a kernel name against the loaded modules.
+func (c *Context) kernel(name string) (*Kernel, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	names := make([]string, 0, len(c.modules))
-	for n := range c.modules {
-		names = append(names, n)
+	if err := c.check(); err != nil {
+		return nil, err
 	}
-	return names
+	k, ok := c.kernels[name]
+	if !ok {
+		names := make([]string, 0, len(c.modules))
+		for n := range c.modules {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		return nil, fmt.Errorf("%w: %q (loaded modules: %v)", ErrUnknownKernel, name, names)
+	}
+	return k, nil
+}
+
+// launchFrame is the state one kernel execution needs: the ExecContext the
+// kernel sees and the parameter reader it points at. Frames are pooled, so
+// a steady-state launch allocates nothing on its way to the kernel.
+type launchFrame struct {
+	ec     ExecContext
+	params ParamReader
+}
+
+var launchFrames = sync.Pool{New: func() any { return new(launchFrame) }}
+
+// execute runs k against device memory and returns its modeled cost (zero
+// for a kernel without a cost model). params is only read, and only until
+// execute returns, so it may alias a buffer the caller reuses afterwards.
+func (c *Context) execute(k *Kernel, grid, block Dim3, shared uint32, params []byte) (time.Duration, error) {
+	f := launchFrames.Get().(*launchFrame)
+	defer func() {
+		*f = launchFrame{} // do not pin params or the context from the pool
+		launchFrames.Put(f)
+	}()
+	f.params = ParamReader{buf: params}
+	f.ec = ExecContext{ctx: c, Grid: grid, Block: block, Shared: shared, Params: &f.params}
+	if err := k.Run(&f.ec); err != nil {
+		return 0, fmt.Errorf("gpu: kernel %q: %w", k.Name, err)
+	}
+	if k.Cost == nil {
+		return 0, nil
+	}
+	// Cost models must see the same parameter view Run did.
+	f.params.off = 0
+	return k.Cost(&f.ec), nil
 }
 
 // Destroy releases the context and frees every allocation it owns.

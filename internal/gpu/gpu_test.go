@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -298,7 +299,7 @@ func doublerKernel() *Kernel {
 			if err != nil {
 				return err
 			}
-			mem, err := ec.Mem(ptr, n*4)
+			mem, err := ec.Mem(ptr, uint64(n)*4)
 			if err != nil {
 				return err
 			}
@@ -353,12 +354,59 @@ func TestLaunchExecutesAndCharges(t *testing.T) {
 	}
 }
 
+// An unknown kernel is the same failure on the synchronous and the stream
+// path and must read the same: ErrUnknownKernel naming the kernel and the
+// loaded modules, in a stable order.
 func TestLaunchUnknownKernel(t *testing.T) {
 	d, _ := newTestDevice()
 	ctx := d.NewContextPreinitialized()
-	err := ctx.Launch("nope", Dim3{}, Dim3{}, 0, nil)
-	if !errors.Is(err, ErrUnknownKernel) {
-		t.Fatalf("got %v, want ErrUnknownKernel", err)
+	for _, name := range []string{"unknown_b_mod", "unknown_a_mod"} {
+		if err := ctx.LoadModule(testModule(name, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stream, err := ctx.StreamCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	syncErr := ctx.Launch("nope", Dim3{}, Dim3{}, 0, nil)
+	asyncErr := ctx.LaunchAsync("nope", Dim3{}, Dim3{}, 0, nil, stream)
+	for _, err := range []error{syncErr, asyncErr} {
+		if !errors.Is(err, ErrUnknownKernel) {
+			t.Fatalf("got %v, want ErrUnknownKernel", err)
+		}
+		if !strings.Contains(err.Error(), `"nope" (loaded modules: [unknown_a_mod unknown_b_mod])`) {
+			t.Fatalf("error %q does not list the loaded modules in order", err)
+		}
+	}
+	if syncErr.Error() != asyncErr.Error() {
+		t.Fatalf("Launch reports %q, LaunchAsync %q", syncErr, asyncErr)
+	}
+}
+
+// The ExecContext handed to Cost must read the parameter block from the
+// start again, exactly as Run saw it, on both launch paths.
+func TestCostSeesRewoundParams(t *testing.T) {
+	d, clk := newTestDevice()
+	ctx := d.NewContextPreinitialized()
+	if err := ctx.LoadModule(testModule("rewind_mod", 128, doublerKernel())); err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	ptr, _ := ctx.Malloc(n * 4)
+	stream, err := ctx.StreamCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctx.LaunchAsync("doubler", Dim3{X: 1}, Dim3{X: n}, 0, PackParams(ptr, n), stream); err != nil {
+		t.Fatal(err)
+	}
+	before := clk.Now()
+	if err := ctx.StreamSynchronize(stream); err != nil {
+		t.Fatal(err)
+	}
+	if got := clk.Now() - before; got != n*time.Microsecond {
+		t.Fatalf("stream launch booked %v, want %v", got, n*time.Microsecond)
 	}
 }
 

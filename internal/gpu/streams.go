@@ -239,30 +239,17 @@ func (c *Context) LaunchAsync(name string, grid, block Dim3, shared uint32, para
 	if err := validateLaunch(grid, block); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	if err := c.check(); err != nil {
-		c.mu.Unlock()
+	k, err := c.kernel(name)
+	if err != nil {
 		return err
 	}
-	k, ok := c.kernels[name]
-	if !ok {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrUnknownKernel, name)
-	}
-	c.mu.Unlock()
-
-	ec := &ExecContext{ctx: c, Grid: grid, Block: block, Shared: shared, Params: NewParamReader(params)}
-	if err := k.Run(ec); err != nil {
-		return fmt.Errorf("gpu: kernel %q: %w", name, err)
-	}
-	var cost time.Duration
-	if k.Cost != nil {
-		ec.Params = NewParamReader(params)
-		cost = k.Cost(ec)
+	cost, err := c.execute(k, grid, block, shared, params)
+	if err != nil {
+		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, err := c.schedule(execEngine, stream, cost)
+	_, err = c.schedule(execEngine, stream, cost)
 	return err
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"rcuda/internal/cudart"
 	"rcuda/internal/gpu"
 )
 
@@ -52,18 +51,21 @@ func jacobiKernel() *gpu.Kernel {
 			if err != nil {
 				return err
 			}
-			bytes := 4 * w * h
-			srcMem, err := ec.Mem(src, bytes)
+			size := operandBytes(4, w, h)
+			srcMem, err := ec.Mem(src, size)
 			if err != nil {
 				return fmt.Errorf("src: %w", err)
 			}
-			dstMem, err := ec.Mem(dst, bytes)
+			dstMem, err := ec.Mem(dst, size)
 			if err != nil {
 				return fmt.Errorf("dst: %w", err)
 			}
-			in := cudart.BytesFloat32(srcMem)
-			out := make([]float32, len(in))
+			st := stagingPool.Get().(*staging)
+			defer stagingPool.Put(st)
 			W, H := int(w), int(h)
+			buf := scratch(&st.f32, 2*W*H)
+			in, out := buf[:W*H], buf[W*H:]
+			loadFloat32(in, srcMem)
 			for i := 0; i < H; i++ {
 				for j := 0; j < W; j++ {
 					idx := i*W + j
@@ -74,7 +76,7 @@ func jacobiKernel() *gpu.Kernel {
 					out[idx] = 0.25 * (in[idx-W] + in[idx+W] + in[idx-1] + in[idx+1])
 				}
 			}
-			copy(dstMem, cudart.Float32Bytes(out))
+			storeFloat32(dstMem, out)
 			return nil
 		},
 		Cost: func(ec *gpu.ExecContext) time.Duration {

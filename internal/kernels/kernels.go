@@ -12,12 +12,15 @@
 package kernels
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
+	"sync"
 	"time"
 
 	"rcuda/internal/blas"
 	"rcuda/internal/calib"
-	"rcuda/internal/cudart"
 	"rcuda/internal/fft"
 	"rcuda/internal/gpu"
 )
@@ -59,6 +62,72 @@ func ModuleFor(cs calib.CaseStudy) (*gpu.Module, error) {
 	return gpu.LookupModule(FFTModule)
 }
 
+// staging is the operand scratch of one kernel execution. Device memory is
+// little-endian bytes and the math packages compute on float32/complex64,
+// so a kernel decodes its inputs into a staging area, computes there, and
+// encodes the result straight into device memory. Every input is staged
+// before any output byte is written, so operands that alias or overlap the
+// output behave as if the kernel had snapshotted them. Staging areas are
+// pooled: Run borrows one and returns it before it returns, and nothing
+// outside that call ever sees it, so steady-state launches allocate nothing
+// and concurrent launches never share one.
+type staging struct {
+	f32 []float32
+	c64 []complex64
+}
+
+var stagingPool = sync.Pool{New: func() any { return new(staging) }}
+
+// scratch returns n elements of *buf with unspecified contents, growing the
+// buffer the staging area keeps when it is too small.
+func scratch[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
+}
+
+// operandBytes returns elemSize·x·y, the byte size of a kernel operand,
+// saturated at the top of uint64. Launch parameters arrive off the wire; a
+// product left to wrap could come out small enough to pass every bounds
+// check (4·32768² is 0 in 32 bits), so sizes are computed here and handed
+// to ExecContext.Mem, which rejects whatever the allocation cannot hold
+// before the kernel stages anything.
+func operandBytes(elemSize, x, y uint32) uint64 {
+	hi, lo := bits.Mul64(uint64(x)*uint64(y), uint64(elemSize))
+	if hi != 0 {
+		return math.MaxUint64
+	}
+	return lo
+}
+
+// loadFloat32 decodes len(dst) little-endian float32 values from src, two
+// per 8-byte read while both remain.
+func loadFloat32(dst []float32, src []byte) {
+	for len(dst) >= 2 && len(src) >= 8 {
+		v := binary.LittleEndian.Uint64(src)
+		dst[0] = math.Float32frombits(uint32(v))
+		dst[1] = math.Float32frombits(uint32(v >> 32))
+		dst, src = dst[2:], src[8:]
+	}
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	}
+}
+
+// storeFloat32 encodes src into dst as little-endian float32 values, two
+// per 8-byte write while both remain.
+func storeFloat32(dst []byte, src []float32) {
+	for len(src) >= 2 && len(dst) >= 8 {
+		v := uint64(math.Float32bits(src[0])) | uint64(math.Float32bits(src[1]))<<32
+		binary.LittleEndian.PutUint64(dst, v)
+		dst, src = dst[8:], src[2:]
+	}
+	for i, v := range src {
+		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
+	}
+}
+
 func sgemmKernel() *gpu.Kernel {
 	return &gpu.Kernel{
 		Name: SgemmKernel,
@@ -67,26 +136,30 @@ func sgemmKernel() *gpu.Kernel {
 			if err != nil {
 				return err
 			}
-			bytes := 4 * m * m
-			aMem, err := ec.Mem(aPtr, bytes)
+			size := operandBytes(4, m, m)
+			aMem, err := ec.Mem(aPtr, size)
 			if err != nil {
 				return fmt.Errorf("A: %w", err)
 			}
-			bMem, err := ec.Mem(bPtr, bytes)
+			bMem, err := ec.Mem(bPtr, size)
 			if err != nil {
 				return fmt.Errorf("B: %w", err)
 			}
-			cMem, err := ec.Mem(cPtr, bytes)
+			cMem, err := ec.Mem(cPtr, size)
 			if err != nil {
 				return fmt.Errorf("C: %w", err)
 			}
-			a := cudart.BytesFloat32(aMem)
-			b := cudart.BytesFloat32(bMem)
-			c := make([]float32, int(m)*int(m))
+			st := stagingPool.Get().(*staging)
+			defer stagingPool.Put(st)
+			n := int(m) * int(m)
+			buf := scratch(&st.f32, 3*n)
+			a, b, c := buf[:n], buf[n:2*n], buf[2*n:]
+			loadFloat32(a, aMem)
+			loadFloat32(b, bMem)
 			if err := blas.Sgemm(int(m), int(m), int(m), a, b, c); err != nil {
 				return err
 			}
-			copy(cMem, cudart.Float32Bytes(c))
+			storeFloat32(cMem, c)
 			return nil
 		},
 		Cost: func(ec *gpu.ExecContext) time.Duration {
@@ -122,11 +195,18 @@ func fftKernel() *gpu.Kernel {
 			if err != nil {
 				return err
 			}
-			mem, err := ec.Mem(ptr, batch*fft.BytesPerTransform)
+			mem, err := ec.Mem(ptr, operandBytes(fft.BytesPerTransform, batch, 1))
 			if err != nil {
 				return err
 			}
-			signal := cudart.BytesComplex64(mem)
+			st := stagingPool.Get().(*staging)
+			defer stagingPool.Put(st)
+			signal := scratch(&st.c64, int(batch)*fft.Points)
+			// One point is an interleaved little-endian (re, im) float32 pair.
+			for i := range signal {
+				v := binary.LittleEndian.Uint64(mem[8*i:])
+				signal[i] = complex(math.Float32frombits(uint32(v)), math.Float32frombits(uint32(v>>32)))
+			}
 			d := fft.Forward
 			if dir == 1 {
 				d = fft.Inverse
@@ -134,7 +214,10 @@ func fftKernel() *gpu.Kernel {
 			if err := fft.TransformBatch(d, signal, fft.Points); err != nil {
 				return err
 			}
-			copy(mem, cudart.Complex64Bytes(signal))
+			for i, p := range signal {
+				v := uint64(math.Float32bits(real(p))) | uint64(math.Float32bits(imag(p)))<<32
+				binary.LittleEndian.PutUint64(mem[8*i:], v)
+			}
 			return nil
 		},
 		Cost: func(ec *gpu.ExecContext) time.Duration {

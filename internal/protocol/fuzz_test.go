@@ -59,6 +59,19 @@ func FuzzDecodeRequest(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	// Launch frames with the parameters offset at both ends of its range
+	// and one step past each: decoded Params alias the frame from that
+	// offset on, so the slice bounds are exactly what must never be wrong.
+	lowEnd := (&LaunchRequest{Name: "", Params: []byte{1, 2, 3, 4}}).Encode(nil) // offset 1: empty name
+	highEnd := (&LaunchRequest{Name: "sgemmNN"}).Encode(nil)                     // offset len(region): no params
+	for _, frame := range [][]byte{lowEnd, highEnd} {
+		f.Add(frame)
+		for _, delta := range []int{-1, 1} {
+			bad := append([]byte(nil), frame...)
+			bad[8] = byte(int(bad[8]) + delta)
+			f.Add(bad)
+		}
+	}
 	// Op-space sweep: a bare header for every op code the protocol has ever
 	// declared — plus one past the end for the unknown-op path — and a
 	// padded variant of each, so every dispatch branch of DecodeRequest is

@@ -371,7 +371,8 @@ func DecodeMemcpyToHostResponseInto(b, dst []byte) (code uint32, err error) {
 // Kernel name (x) = x+44 bytes. The variable region x holds the
 // NUL-terminated kernel name followed by the packed parameter block;
 // ParamsOffset locates the parameters within the region, exactly what the
-// "Parameters offset" field is for.
+// "Parameters offset" field is for. The Params of a decoded request alias
+// the frame it was decoded from, like MemcpyToDeviceRequest.Data.
 type LaunchRequest struct {
 	TextureOffset uint32
 	NumTextures   uint32
@@ -608,7 +609,9 @@ func decodeLaunch(b []byte) (*LaunchRequest, error) {
 		return nil, errNoNUL
 	}
 	m.Name = string(blob[:paramsOff-1])
-	m.Params = make([]byte, len(blob)-paramsOff)
-	copy(m.Params, blob[paramsOff:])
+	// Params aliases b under the same contract as a memcpy payload: the
+	// caller owns b until the request has been consumed, and the launch
+	// path only reads the block while the kernel runs.
+	m.Params = blob[paramsOff:]
 	return m, nil
 }

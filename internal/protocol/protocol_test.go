@@ -372,3 +372,69 @@ func TestFrameSequenceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDecodedLaunchAliasesFrame pins the lifetime rule launch now shares
+// with memcpy: Params is a view of the frame, not a copy, at both ends of
+// the parameters-offset range; the name is copied out and survives the
+// frame's reuse.
+func TestDecodedLaunchAliasesFrame(t *testing.T) {
+	for _, in := range []*LaunchRequest{
+		{Name: "sgemmNN", Params: []byte{1, 2, 3, 4}, Stream: 3},
+		{Name: "", Params: []byte{9}},
+		{Name: "fft512"},
+	} {
+		frame := in.Encode(nil)
+		req, err := DecodeRequest(frame)
+		if err != nil {
+			t.Fatalf("%+v: %v", in, err)
+		}
+		got := req.(*LaunchRequest)
+		if got.Name != in.Name || !bytes.Equal(got.Params, in.Params) || got.Stream != in.Stream {
+			t.Fatalf("decoded %+v, want %+v", got, in)
+		}
+		for i := range frame {
+			frame[i] = 0xFF
+		}
+		if got.Name != in.Name {
+			t.Fatalf("name %q changed with the frame", got.Name)
+		}
+		for _, b := range got.Params {
+			if b != 0xFF {
+				t.Fatalf("Params %x is a copy; it must alias the frame", got.Params)
+			}
+		}
+	}
+}
+
+// TestLaunchDecodeAllocationGate: decoding a launch costs the request
+// struct and the kernel-name string, nothing per parameter byte. Decoding a
+// batch costs that per launch plus the batch's own three objects.
+func TestLaunchDecodeAllocationGate(t *testing.T) {
+	launch := &LaunchRequest{
+		BlockDim: [3]uint32{16, 16, 0}, GridDim: [2]uint32{1, 1}, Stream: 1,
+		Name: "sgemmNN", Params: make([]byte, 16),
+	}
+	wire := launch.Encode(nil)
+	var derr error
+	decode := func(b []byte) func() {
+		return func() {
+			if _, err := DecodeRequest(b); err != nil {
+				derr = err
+			}
+		}
+	}
+	if got := testing.AllocsPerRun(200, decode(wire)); got > 2 {
+		t.Errorf("DecodeRequest of a launch allocates %.0f times, want <= 2", got)
+	}
+	const launches = 24
+	batch := &BatchRequest{Seq: 1}
+	for i := 0; i < launches; i++ {
+		batch.Subs = append(batch.Subs, wire)
+	}
+	if got := testing.AllocsPerRun(200, decode(batch.Encode(nil))); got > 2*launches+3 {
+		t.Errorf("DecodeRequest of a %d-launch batch allocates %.0f times, want <= %d", launches, got, 2*launches+3)
+	}
+	if derr != nil {
+		t.Fatal(derr)
+	}
+}

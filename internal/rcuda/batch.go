@@ -67,7 +67,10 @@ func WithBatching(maxOps, maxBytes int) ClientOption {
 // enqueue coalesces one fire-and-forget request into the pending batch,
 // flushing when a threshold is reached. The request is encoded immediately,
 // so the caller's buffers (an async copy's source) are free to reuse on
-// return, exactly as with an unbatched send.
+// return, exactly as with an unbatched send. Sub-ops are encoded back to
+// back into one pending buffer sized for a full batch, so a call costs no
+// allocation of its own; if an oversized sub-op makes the buffer grow,
+// earlier sub-ops simply stay in the array they were written to.
 func (c *Client) enqueue(req protocol.Request) error {
 	if c.closed.Load() {
 		return cudart.ErrorInitialization
@@ -75,7 +78,12 @@ func (c *Client) enqueue(req protocol.Request) error {
 	if c.lost {
 		return fmt.Errorf("rcuda: %v: %w", req.Op(), ErrSessionLost)
 	}
-	raw := req.Encode(nil)
+	if c.pendBuf == nil {
+		c.pendBuf = make([]byte, 0, c.batchMaxBytes)
+	}
+	start := len(c.pendBuf)
+	c.pendBuf = req.Encode(c.pendBuf)
+	raw := c.pendBuf[start:len(c.pendBuf):len(c.pendBuf)]
 	c.pendSubs = append(c.pendSubs, raw)
 	c.pendBytes += 4 + len(raw)
 	c.cstats.opsCoalesced.Add(1)
@@ -97,10 +105,13 @@ func (c *Client) flushBatch() error {
 	// The sequence is fixed before the first attempt so a retry re-sends
 	// the identical frame and the server's dedup can recognize it.
 	c.batchSeq++
-	req := &protocol.BatchRequest{Seq: c.batchSeq, Subs: c.pendSubs}
-	n := len(c.pendSubs)
-	c.pendSubs = nil
-	c.pendBytes = 0
+	subs, buf := c.pendSubs, c.pendBuf
+	req := &protocol.BatchRequest{Seq: c.batchSeq, Subs: subs}
+	n := len(subs)
+	// The queue is detached before the exchange: a reconnect inside the
+	// retry loop runs its own exchanges, and their sync points must find
+	// nothing pending.
+	c.pendSubs, c.pendBuf, c.pendBytes = nil, nil, 0
 	var payload []byte
 	err := c.runRetry(protocol.OpBatch, func() error {
 		if err := c.conn.Send(req); err != nil {
@@ -113,6 +124,14 @@ func (c *Client) flushBatch() error {
 		payload = p
 		return nil
 	})
+	// The exchange, retries included, is over and Send keeps nothing, so
+	// the next batch reuses the queue's storage — unless one huge async
+	// copy grew the buffer, which an idle client should not hold on to.
+	clear(subs)
+	c.pendSubs = subs[:0]
+	if cap(buf) <= 2*c.batchMaxBytes {
+		c.pendBuf = buf[:0]
+	}
 	if err != nil {
 		return err
 	}

@@ -49,12 +49,13 @@ type Client struct {
 	lost         bool
 	cstats       clientCounters
 	// Batching state (see batch.go). pendSubs holds the encoded sub-ops of
-	// the open batch; deferredErr is the oldest unreported batched-call
-	// failure, surfaced at the next sync point.
+	// the open batch, each a slice of pendBuf; deferredErr is the oldest
+	// unreported batched-call failure, surfaced at the next sync point.
 	batching      bool
 	batchMaxOps   int
 	batchMaxBytes int
 	pendSubs      [][]byte
+	pendBuf       []byte
 	pendBytes     int
 	batchSeq      uint64
 	deferredErr   error

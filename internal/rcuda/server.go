@@ -946,10 +946,13 @@ func code(err error) uint32 {
 }
 
 func mapToCudaError(err error) error {
+	// The nil case returns before ce is declared: errors.As makes &ce
+	// escape, and a successful op must not pay a heap allocation for it.
+	if err == nil {
+		return nil
+	}
 	var ce cudart.Error
 	switch {
-	case err == nil:
-		return nil
 	case errors.As(err, &ce):
 		return ce
 	case errors.Is(err, gpu.ErrOutOfMemory):

@@ -1,6 +1,10 @@
 package transport
 
-import "testing"
+import (
+	"testing"
+
+	"rcuda/internal/raceflag"
+)
 
 func TestPoolClassBuckets(t *testing.T) {
 	cases := []struct {
@@ -33,7 +37,7 @@ func TestGetBufferCapacityAndReuse(t *testing.T) {
 	}
 	PutBuffer(buf)
 	again, hit := GetBuffer(70)
-	if !hit && !raceDetectorEnabled {
+	if !hit && !raceflag.Enabled {
 		t.Fatal("a just-recycled buffer of the same class must be a pool hit")
 	}
 	if cap(again) != 128 {

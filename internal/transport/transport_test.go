@@ -11,6 +11,7 @@ import (
 
 	"rcuda/internal/netsim"
 	"rcuda/internal/protocol"
+	"rcuda/internal/raceflag"
 	"rcuda/internal/vclock"
 )
 
@@ -392,7 +393,7 @@ func TestTCPPoolStats(t *testing.T) {
 	}
 	// The race detector's sync.Pool drops Puts at random, so only assert
 	// strict steady-state recycling in a normal build.
-	if !raceDetectorEnabled && st.PoolHits < rounds-1 {
+	if !raceflag.Enabled && st.PoolHits < rounds-1 {
 		t.Fatalf("steady state must recycle: %+v", st)
 	}
 }
