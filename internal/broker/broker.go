@@ -63,6 +63,9 @@ type endpointState struct {
 	// so a burst of placements between probes does not stampede the
 	// currently least-loaded server.
 	placed int64
+	// full marks an endpoint that refused admission (NoteSpill) until a
+	// probe or a released session (NoteRelease) says it may have room.
+	full bool
 	// probeMu guards the persistent probe-connection slot (Pool only). It
 	// is held only while checking the connection in or out of the slot —
 	// never across the wire exchange itself, so one endpoint stalled on
@@ -330,6 +333,14 @@ type Session struct {
 	route    *route
 }
 
+// Close finalizes the session and tells the placer its endpoint has one
+// session fewer, so a full mark does not outlive the capacity it reported.
+func (s *Session) Close() error {
+	err := s.Client.Close()
+	s.route.p.pl.NoteRelease(s.idx)
+	return err
+}
+
 // route is the mutable redial target behind a session's reconnect policy.
 // The pool hands the client rt.dial instead of a fixed endpoint dialer, so
 // placement can be re-pointed after the session is opened: a live migration
@@ -392,13 +403,18 @@ func (r *route) dial() (transport.Conn, error) {
 // fails outright is marked down and likewise skipped. Open fails with
 // ErrNoServers only after every endpoint was tried.
 func (p *Pool) Open(module []byte, spec JobSpec) (*Session, error) {
-	return p.open(module, spec, make(map[int]bool))
+	var r Ranking
+	p.pl.Rank(spec, &r)
+	return p.open(module, spec, &r)
 }
 
-func (p *Pool) open(module []byte, spec JobSpec, exclude map[int]bool) (*Session, error) {
+// open walks r from where it stands until an endpoint takes the session.
+// The order was fixed under the placer mutex by Rank; the dials happen here,
+// outside it.
+func (p *Pool) open(module []byte, spec JobSpec, r *Ranking) (*Session, error) {
 	var lastErr error
 	for {
-		idx, ok := p.pl.Pick(spec, exclude)
+		idx, ok := r.Next()
 		if !ok {
 			if lastErr != nil {
 				return nil, fmt.Errorf("%w (last error: %v)", ErrNoServers, lastErr)
@@ -409,11 +425,10 @@ func (p *Pool) open(module []byte, spec JobSpec, exclude map[int]bool) (*Session
 		if err == nil {
 			return sess, nil
 		}
-		exclude[idx] = true
 		lastErr = err
 		if errors.Is(err, rcuda.ErrServerBusy) {
 			// Admission refusal: the server is healthy, just full. Spill.
-			p.pl.NoteSpill()
+			p.pl.NoteSpill(idx)
 			continue
 		}
 		// Connection-level failure: mark the endpoint down until a probe
@@ -496,6 +511,7 @@ func (p *Pool) MigrateTo(s *Session, src Migrator, destIdx int) error {
 		return fmt.Errorf("broker: migrate session %d to %s: %w", id, dest.Name, err)
 	}
 	p.pl.NoteMigration(destIdx, n)
+	p.pl.NoteRelease(s.idx)
 	if s.route != nil {
 		s.route.repoint(destIdx)
 	}
@@ -507,15 +523,17 @@ func (p *Pool) MigrateTo(s *Session, src Migrator, destIdx int) error {
 // Run executes job in a pool-placed session with failover: the session is
 // opened on the best endpoint, and if the job is interrupted by a lost
 // session — the server died and the client's own reattach could not revive
-// it — the whole job is replayed from a clean session on another endpoint.
+// it — the whole job is replayed from a clean session on the next endpoint
+// of the order ranked at submission, so no endpoint is tried twice.
 // The job closure must therefore be restartable from scratch: it sees a
 // fresh runtime each attempt and must not keep device state across calls.
 // CUDA errors and other non-connection failures are returned as-is, without
 // failover — they would fail identically anywhere.
 func (p *Pool) Run(module []byte, spec JobSpec, job func(cudart.Runtime) error) error {
-	exclude := make(map[int]bool)
+	var r Ranking
+	p.pl.Rank(spec, &r)
 	for {
-		sess, err := p.open(module, spec, exclude)
+		sess, err := p.open(module, spec, &r)
 		if err != nil {
 			return err
 		}
@@ -534,7 +552,6 @@ func (p *Pool) Run(module []byte, spec JobSpec, job func(cudart.Runtime) error) 
 		}
 		p.pl.NoteFailover()
 		p.pl.NoteFailure(sess.idx, jobErr)
-		exclude[sess.idx] = true
 	}
 }
 

@@ -2,6 +2,7 @@ package broker
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"rcuda/internal/calib"
@@ -102,17 +103,25 @@ func SimulateLive(link *netsim.Link, nServers int, jobs []SimJob, policy Policy)
 	// Live pool over in-process servers, one Sim clock per server.
 	clocks := make([]*vclock.Sim, nServers)
 	servers := make([]*rcuda.Server, nServers)
+	// handlers[i] counts server i's session handlers still running. A
+	// handler keeps charging its server's clock after the client's Close
+	// returns — it tears the session down asynchronously — so the harness
+	// waits for it to exit before it reads or compares that clock again.
+	handlers := make([]sync.WaitGroup, nServers)
 	eps := make([]Endpoint, nServers)
 	for i := range clocks {
 		clk := vclock.NewSim()
 		srv := rcuda.NewServer(gpu.New(gpu.Config{Clock: clk}))
 		clocks[i], servers[i] = clk, srv
+		running := &handlers[i]
 		eps[i] = Endpoint{
 			Name: fmt.Sprintf("sim-%d", i),
 			Link: link,
 			Dial: func() (transport.Conn, error) {
 				cliEnd, srvEnd := transport.Pipe(link, clk, nil)
+				running.Add(1)
 				go func() {
+					defer running.Done()
 					_ = srv.ServeConn(srvEnd)
 					_ = srvEnd.Close()
 				}()
@@ -137,20 +146,6 @@ func SimulateLive(link *netsim.Link, nServers int, jobs []SimJob, policy Policy)
 	defer pool.Close()
 
 	res := LiveResult{Predicted: pred.Makespan, Placements: make([]int, 0, len(jobs))}
-
-	// waitDetached blocks until the server's session gauge has drained: the
-	// handler decrements it after the connection closes, asynchronously to
-	// the client's Close, and a probe racing that decrement would feed the
-	// next placement a stale gauge and make the schedule nondeterministic.
-	waitDetached := func(idx int) {
-		for {
-			pool.Refresh()
-			if pool.Endpoints()[idx].SessionsLive == 0 {
-				return
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
 
 	// pred.Jobs is the schedule in ready order with Ready filled in.
 	for _, cj := range pred.Jobs {
@@ -183,7 +178,11 @@ func SimulateLive(link *netsim.Link, nServers int, jobs []SimJob, policy Policy)
 		if err := sess.Close(); err != nil {
 			return LiveResult{}, err
 		}
-		waitDetached(sess.idx)
+		// The handler exits after it has dropped the session gauge and
+		// released the session; only then is the server's clock quiescent,
+		// so neither the next probe's gauges nor the next job's
+		// max(Ready, free) can race a teardown charge.
+		handlers[sess.idx].Wait()
 		res.Placements = append(res.Placements, sess.idx)
 	}
 

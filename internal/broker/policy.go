@@ -71,35 +71,6 @@ func ParsePolicy(s string) (Policy, error) {
 	}
 }
 
-// loadKey is the lexicographic load ranking of one endpoint.
-type loadKey struct {
-	sessions int64
-	busy     uint64
-	bytes    uint64
-}
-
-func (st *endpointState) loadKey() loadKey {
-	k := loadKey{sessions: st.placed}
-	if st.load != nil {
-		k.sessions += int64(st.load.SessionsLive)
-		for _, d := range st.load.Devices {
-			k.busy += d.BusyNanos
-			k.bytes += d.BytesInUse
-		}
-	}
-	return k
-}
-
-func lighterLoad(a, b loadKey) bool {
-	if a.sessions != b.sessions {
-		return a.sessions < b.sessions
-	}
-	if a.busy != b.busy {
-		return a.busy < b.busy
-	}
-	return a.bytes < b.bytes
-}
-
 // transferEstimate is the network-aware policy's score: how long moving the
 // job's declared data over this endpoint's link would take. ok is false
 // when the endpoint declares no link or the spec declares no volume.
@@ -132,82 +103,153 @@ func classLoadOf(st *endpointState, class uint32) (protocol.ClassLoad, bool) {
 	return st.load.Classes[class-1], true
 }
 
-// pickAmong ranks the candidate endpoints under the policy. The caller
-// holds the placer mutex (see placerState.pick for the up/down preference
-// pass that drives the candidate predicate).
-func (s *placerState) pickAmong(spec JobSpec, candidate func(int) bool) (int, bool) {
+// candidate is one endpoint of a placement's order. Candidates compare by
+// tier — endpoints marked full after every unmarked one, then marked-up
+// before marked-down — then by key, then by endpoint index. Both marks are
+// advisory: a marked endpoint ranks late but is still handed out when
+// nothing better is left, because the alternative is refusing outright on
+// possibly stale data.
+type candidate struct {
+	idx  int
+	tier uint8
+	// key holds the lexicographic terms, most significant first. 0-2 are
+	// the policy's own: NetworkAware {unranked, transfer estimate},
+	// ClassAware {blind, class p99 wait, class sessions}, RoundRobin
+	// {position in the rotation}, LeastLoaded none. 3-5 are the load every
+	// policy but RoundRobin falls back on: attached sessions plus those
+	// placed since the probe, cumulative device busy time, memory in use.
+	key [6]uint64
+}
+
+const (
+	tierDown uint8 = 1 << iota
+	tierFull
+)
+
+// before is the strict total order candidates are handed out in.
+func (a *candidate) before(b *candidate) bool {
+	if a.tier != b.tier {
+		return a.tier < b.tier
+	}
+	for i := range a.key {
+		if a.key[i] != b.key[i] {
+			return a.key[i] < b.key[i]
+		}
+	}
+	return a.idx < b.idx
+}
+
+// keyed fills c with endpoint i's tier and key for spec under the policy.
+// The caller holds the placer mutex.
+func (s *placerState) keyed(c *candidate, i int, spec JobSpec) {
+	st := s.eps[i]
+	*c = candidate{idx: i}
+	if !st.up {
+		c.tier |= tierDown
+	}
+	if st.full {
+		c.tier |= tierFull
+	}
+	k := &c.key
 	switch s.policy {
 	case RoundRobin:
-		for k := 0; k < len(s.eps); k++ {
-			i := (s.rr + k) % len(s.eps)
-			if candidate(i) {
-				s.rr = i + 1
-				return i, true
-			}
-		}
-		return 0, false
+		// Distance ahead of the cursor; load plays no part.
+		n := len(s.eps)
+		k[0] = uint64((i - s.rr%n + n) % n)
+		return
 	case NetworkAware:
-		best, found := 0, false
-		var bestEst time.Duration
-		var bestHas bool
-		for i, st := range s.eps {
-			if !candidate(i) {
-				continue
-			}
-			est, has := transferEstimate(st, spec)
-			better := false
-			switch {
-			case !found:
-				better = true
-			case has != bestHas:
-				better = has // a linked endpoint beats an unranked one
-			case has && est != bestEst:
-				better = est < bestEst
-			default:
-				better = lighterLoad(st.loadKey(), s.eps[best].loadKey())
-			}
-			if better {
-				best, found, bestEst, bestHas = i, true, est, has
-			}
+		if est, ok := transferEstimate(st, spec); ok {
+			k[1] = uint64(est)
+		} else {
+			k[0] = 1 // a linked endpoint beats an unranked one
 		}
-		return best, found
 	case ClassAware:
-		best, found := 0, false
-		var bestCL protocol.ClassLoad
-		var bestHas bool
-		for i, st := range s.eps {
-			if !candidate(i) {
-				continue
-			}
-			cl, has := classLoadOf(st, spec.Class)
-			better := false
-			switch {
-			case !found:
-				better = true
-			case has != bestHas:
-				better = has // a scheduler-reporting endpoint beats a blind one
-			case has && cl.P99WaitNanos != bestCL.P99WaitNanos:
-				better = cl.P99WaitNanos < bestCL.P99WaitNanos
-			case has && cl.Sessions != bestCL.Sessions:
-				better = cl.Sessions < bestCL.Sessions
-			default:
-				better = lighterLoad(st.loadKey(), s.eps[best].loadKey())
-			}
-			if better {
-				best, found, bestCL, bestHas = i, true, cl, has
-			}
+		if cl, ok := classLoadOf(st, spec.Class); ok {
+			k[1], k[2] = cl.P99WaitNanos, uint64(cl.Sessions)
+		} else {
+			k[0] = 1 // a scheduler-reporting endpoint beats a blind one
 		}
-		return best, found
-	default: // LeastLoaded
-		best, found := 0, false
-		for i, st := range s.eps {
-			if !candidate(i) {
-				continue
-			}
-			if !found || lighterLoad(st.loadKey(), s.eps[best].loadKey()) {
-				best, found = i, true
-			}
+	}
+	k[3] = uint64(st.placed)
+	if st.load != nil {
+		k[3] += uint64(st.load.SessionsLive)
+		for _, d := range st.load.Devices {
+			k[4] += d.BusyNanos
+			k[5] += d.BytesInUse
 		}
-		return best, found
+	}
+}
+
+// pick returns the first candidate of the order among the non-retired
+// endpoints not in exclude, moving the round-robin cursor past it.
+func (s *placerState) pick(spec JobSpec, exclude map[int]bool) (int, bool) {
+	var c, best candidate
+	found := false
+	for i, st := range s.eps {
+		if st.retired || len(exclude) > 0 && exclude[i] {
+			continue
+		}
+		s.keyed(&c, i, spec)
+		if !found || c.before(&best) {
+			best, found = c, true
+		}
+	}
+	if found && s.policy == RoundRobin {
+		s.rr = best.idx + 1
+	}
+	return best.idx, found
+}
+
+// rank fills r with every non-retired endpoint, keyed once, the best
+// candidate in front.
+func (s *placerState) rank(spec JobSpec, r *Ranking) {
+	r.cands, r.next, r.sorted, r.cursor = r.cands[:0], 0, false, -1
+	if cap(r.cands) < len(s.eps) {
+		r.cands = make([]candidate, 0, len(s.eps)) // one allocation, not a doubling run
+	}
+	for i, st := range s.eps {
+		if !st.retired {
+			r.cands = append(r.cands, candidate{})
+			s.keyed(&r.cands[len(r.cands)-1], i, spec)
+		}
+	}
+	if s.policy == RoundRobin {
+		r.cursor = 0
+		s.orderRoundRobin(r.cands)
+	}
+	selectFirst(r.cands)
+}
+
+// orderRoundRobin turns the cyclic positions keyed computed into the
+// order a loop of picks visits: each pick leaves the cursor just past the
+// endpoint it returned, so once the up endpoints are used up the cursor
+// sits after the last of them and the down endpoints follow cyclically
+// from there. Positions become absolute — ups 0..n-1, downs n..2n-1 — so
+// Next can tell how far round a handed-out candidate lies.
+func (s *placerState) orderRoundRobin(cands []candidate) {
+	n := len(s.eps)
+	start, far := s.rr, uint64(0)
+	for _, c := range cands {
+		if c.tier&tierDown == 0 && c.key[0] >= far {
+			start, far = c.idx+1, c.key[0]
+		}
+	}
+	for i := range cands {
+		if c := &cands[i]; c.tier&tierDown != 0 {
+			c.key[0] = uint64(n + (c.idx-start%n+n)%n)
+		}
+	}
+}
+
+// selectFirst swaps the first candidate of the order to the front.
+func selectFirst(cands []candidate) {
+	m := 0
+	for j := 1; j < len(cands); j++ {
+		if cands[j].before(&cands[m]) {
+			m = j
+		}
+	}
+	if m != 0 {
+		cands[0], cands[m] = cands[m], cands[0]
 	}
 }

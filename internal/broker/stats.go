@@ -75,6 +75,9 @@ type EndpointStatus struct {
 	// PlacedSinceProbe counts sessions this pool placed since the gauges
 	// were last refreshed.
 	PlacedSinceProbe int64
+	// Full reports the advisory full mark: the endpoint refused admission
+	// and neither a probe nor a released session has cleared the mark yet.
+	Full bool
 }
 
 // Endpoints reports every endpoint's health and last-probed load, in

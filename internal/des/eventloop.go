@@ -1,7 +1,6 @@
 package des
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -19,7 +18,7 @@ import (
 // timelines.
 type EventLoop struct {
 	now     time.Duration
-	events  timerHeap
+	events  []timer // binary min-heap on (at, seq)
 	seq     int64
 	running bool
 	stopped bool
@@ -44,7 +43,8 @@ func (l *EventLoop) At(delay time.Duration, fn func()) {
 		delay = 0
 	}
 	l.seq++
-	heap.Push(&l.events, timer{at: l.now + delay, seq: l.seq, fn: fn})
+	l.events = append(l.events, timer{at: l.now + delay, seq: l.seq, fn: fn})
+	l.siftUp(len(l.events) - 1)
 }
 
 // Stop makes Run return before firing the next callback. Pending events
@@ -61,7 +61,7 @@ func (l *EventLoop) Run() time.Duration {
 	l.stopped = false
 	defer func() { l.running = false }()
 	for len(l.events) > 0 && !l.stopped {
-		e := heap.Pop(&l.events).(timer)
+		e := l.pop()
 		if e.at < l.now {
 			panic(fmt.Sprintf("des: event loop time went backwards: %v -> %v", l.now, e.at))
 		}
@@ -78,21 +78,59 @@ type timer struct {
 	fn  func()
 }
 
-type timerHeap []timer
-
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a *timer) before(b *timer) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h timerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x any)   { *h = append(*h, x.(timer)) }
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+// The heap is sifted in place on the typed slice: container/heap would box
+// every timer into an interface on the way in and again on the way out —
+// two allocations per event.
+
+func (l *EventLoop) siftUp(i int) {
+	h := l.events
+	e := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = e
+}
+
+// pop removes and returns the earliest timer. The vacated tail slot is
+// zeroed so the fired callback's closure is not kept reachable.
+func (l *EventLoop) pop() timer {
+	h := l.events
+	top := h[0]
+	n := len(h) - 1
+	e := h[n]
+	h[n] = timer{}
+	h = h[:n]
+	l.events = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && h[r].before(&h[child]) {
+			child = r
+		}
+		if !h[child].before(&e) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = e
+	return top
 }

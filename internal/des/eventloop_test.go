@@ -1,8 +1,12 @@
 package des
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
+
+	"rcuda/internal/raceflag"
 )
 
 func TestEventLoopOrderAndTies(t *testing.T) {
@@ -70,4 +74,100 @@ func TestEventLoopNegativeDelayClamps(t *testing.T) {
 	if at != time.Millisecond {
 		t.Fatalf("clamped event fired at %v, want 1ms", at)
 	}
+}
+
+// TestEventLoopHeapOrder checks the hand-sifted heap against a sort: random
+// delays with many ties, some scheduled from inside callbacks, must fire in
+// (time, schedule order), and every fired slot must be dropped from the
+// heap's backing array so the callback it held can be collected.
+func TestEventLoopHeapOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	l := NewEventLoop()
+	type stamp struct {
+		at  time.Duration
+		seq int
+	}
+	var want, got []stamp
+	seq := 0
+	var schedule func(depth int)
+	schedule = func(depth int) {
+		at := l.Now() + time.Duration(rng.Intn(50))*time.Millisecond
+		s := stamp{at, seq}
+		seq++
+		want = append(want, s)
+		l.At(at-l.Now(), func() {
+			got = append(got, s)
+			if depth < 3 && rng.Intn(2) == 0 {
+				schedule(depth + 1)
+			}
+		})
+	}
+	for i := 0; i < 2000; i++ {
+		schedule(0)
+	}
+	l.Run()
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].at != want[j].at {
+			return want[i].at < want[j].at
+		}
+		return want[i].seq < want[j].seq
+	})
+	if len(got) != len(want) {
+		t.Fatalf("fired %d of %d timers", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d fired as %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	for i, e := range l.events[:cap(l.events)] {
+		if e.fn != nil {
+			t.Fatalf("popped slot %d still holds its callback", i)
+		}
+	}
+}
+
+// TestEventLoopAllocations gates the typed heap: scheduling and firing a
+// pre-built callback at a steady heap size costs no allocation.
+func TestEventLoopAllocations(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	l := NewEventLoop()
+	fn := func() {}
+	for i := 0; i < 1024; i++ {
+		l.At(time.Duration(i)*time.Microsecond, fn)
+	}
+	l.Run() // sizes the heap's backing array
+	n := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 1024; i++ {
+			l.At(time.Duration(i%37)*time.Microsecond, fn)
+		}
+		l.Run()
+	})
+	if n != 0 {
+		t.Errorf("%v allocs per 1024 events at steady heap size, want 0", n)
+	}
+}
+
+// BenchmarkEventLoop schedules 10^6 timers at pseudo-random instants within
+// one virtual second and fires them all — the shape of bench/'s
+// des.eventloop_ns_per_event.
+func BenchmarkEventLoop(b *testing.B) {
+	const timers = 1_000_000
+	fired := 0
+	fn := func() { fired++ }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		loop := NewEventLoop()
+		x := uint64(i) + 1
+		for j := 0; j < timers; j++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			loop.At(time.Duration(x%uint64(time.Second)), fn)
+		}
+		loop.Run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/timers, "ns/event")
 }

@@ -300,11 +300,20 @@ type sim struct {
 	alive   int
 	peak    int
 
-	sessions []*session
+	sessions []session
 	// pending is the arrival FIFO, retry the failover FIFO (drained
 	// first); both use head cursors instead of reslicing.
 	pending, retry         []int
 	pendingHead, retryHead int
+	// blocked is set when the head-of-line session found no daemon with
+	// room; drain does not try again until capacity changes (release,
+	// spawnDaemon), because the same walk would meet the same refusals.
+	blocked bool
+	// ranking is the one candidate buffer every placement reuses.
+	ranking broker.Ranking
+	// arriveFn is s.arrive bound once: a method value allocates each time
+	// it is taken, and arrivals reschedule themselves once per session.
+	arriveFn func()
 
 	created        int
 	placed         int64
@@ -356,6 +365,9 @@ func Run(cfg Config) (*Result, error) {
 		holdRNG:  rand.New(rand.NewSource(cfg.Seed + 2)),
 		phaseRNG: rand.New(rand.NewSource(cfg.Seed + 3)),
 		burstOn:  true,
+		// Both grow to exactly cfg.Sessions; sized once, neither re-copies.
+		sessions: make([]session, 0, cfg.Sessions),
+		pending:  make([]int, 0, cfg.Sessions),
 	}
 	for _, cl := range cfg.Classes {
 		s.totalWeight += cl.Weight
@@ -378,7 +390,8 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Arrival == BurstyOnOff {
 		s.loop.At(s.expDur(s.phaseRNG, cfg.BurstOnMean), s.togglePhase)
 	}
-	s.loop.At(s.interarrival(), s.arrive)
+	s.arriveFn = s.arrive
+	s.loop.At(s.interarrival(), s.arriveFn)
 	s.loop.At(cfg.ProbeEvery, s.probeTick)
 	s.loop.At(cfg.SampleEvery, s.sampleTick)
 
@@ -396,6 +409,7 @@ func (s *sim) spawnDaemon() *daemon {
 	}
 	d.idx = s.pl.Add(broker.Endpoint{Name: fmt.Sprintf("sim-%d", len(s.daemons))})
 	s.daemons = append(s.daemons, d)
+	s.blocked = false
 	s.alive++
 	if s.alive > s.peak {
 		s.peak = s.alive
@@ -469,20 +483,18 @@ func (s *sim) arrive() {
 	}
 	ci := s.pickClass()
 	cl := s.cfg.Classes[ci]
-	sess := &session{
+	s.pending = append(s.pending, len(s.sessions))
+	s.sessions = append(s.sessions, session{
 		class:    ci,
 		durable:  cl.Durable,
 		enqueued: s.loop.Now(),
 		hold:     s.expDur(s.holdRNG, cl.HoldMean),
 		daemon:   -1,
-	}
-	id := len(s.sessions)
-	s.sessions = append(s.sessions, sess)
-	s.pending = append(s.pending, id)
+	})
 	s.created++
 	s.classN[ci]++
 	if s.created < s.cfg.Sessions {
-		s.loop.At(s.interarrival(), s.arrive)
+		s.loop.At(s.interarrival(), s.arriveFn)
 	}
 	s.drain()
 }
@@ -508,9 +520,11 @@ func (s *sim) nextQueued() (int, bool) {
 }
 
 // drain places queued sessions until the queue empties or no daemon can
-// take the head-of-line session.
+// take the head-of-line session. A failed head blocks the queue until
+// capacity changes: admission is class-blind, so whichever session is at
+// the head then would walk the same full fleet to the same end.
 func (s *sim) drain() {
-	for s.queued() > 0 {
+	for !s.blocked && s.queued() > 0 {
 		// Peek, don't pop: a session that cannot place stays at the head.
 		var id int
 		if s.retryHead < len(s.retry) {
@@ -519,15 +533,13 @@ func (s *sim) drain() {
 			id = s.pending[s.pendingHead]
 		}
 		if !s.place(id) {
+			s.blocked = true
 			return
 		}
 		s.nextQueued()
 	}
 }
 
-// place attempts one placement through the Placer, mirroring Pool.open:
-// full daemons spill to the next-best, dead daemons are marked down and
-// skipped. It reports whether the session landed.
 // classIndex maps a wire scheduling-class code to its gauge row, folding
 // unspecified into batch the way a scheduler-enabled daemon does.
 func classIndex(class uint32) int {
@@ -537,12 +549,20 @@ func classIndex(class uint32) int {
 	return int(class - 1)
 }
 
+// place attempts one placement the way Pool.open does: the Placer ranks
+// the fleet once and the session walks that order — a full daemon spills
+// (and is marked full, so later placements try it last until a release or
+// a probe clears the mark), a dead one is marked down, either way the walk
+// moves to the next candidate. It reports whether the session landed; when
+// it did not, drain leaves the session at the head of the queue and does
+// not call place again until a completion, a kill, a migration or a spawn
+// has changed the fleet's capacity.
 func (s *sim) place(id int) bool {
-	sess := s.sessions[id]
+	sess := &s.sessions[id]
 	spec := broker.JobSpec{Class: s.cfg.Classes[sess.class].SchedClass}
-	var exclude map[int]bool
+	s.pl.Rank(spec, &s.ranking)
 	for {
-		idx, ok := s.pl.Pick(spec, exclude)
+		idx, ok := s.ranking.Next()
 		if !ok {
 			return false
 		}
@@ -551,7 +571,7 @@ func (s *sim) place(id int) bool {
 		case !d.alive:
 			s.pl.NoteFailure(idx, errDaemonDown)
 		case d.live >= d.capacity:
-			s.pl.NoteSpill()
+			s.pl.NoteSpill(idx)
 		default:
 			d.live++
 			d.classLive[classIndex(spec.Class)]++
@@ -568,11 +588,14 @@ func (s *sim) place(id int) bool {
 			s.loop.At(sess.hold, func() { s.complete(id, epoch) })
 			return true
 		}
-		if exclude == nil {
-			exclude = make(map[int]bool)
-		}
-		exclude[idx] = true
 	}
+}
+
+// release tells the placer a session left the daemon at idx and unblocks
+// the queue. Every path that lowers a daemon's occupancy goes through it.
+func (s *sim) release(idx int) {
+	s.pl.NoteRelease(idx)
+	s.blocked = false
 }
 
 // complete finishes a session's hold, unless a failover made this event
@@ -581,7 +604,7 @@ func (s *sim) complete(id, epoch int) {
 	if s.stopped {
 		return
 	}
-	sess := s.sessions[id]
+	sess := &s.sessions[id]
 	if sess.epoch != epoch || sess.daemon < 0 {
 		return
 	}
@@ -589,6 +612,7 @@ func (s *sim) complete(id, epoch int) {
 	d.live--
 	d.classLive[classIndex(s.cfg.Classes[sess.class].SchedClass)]--
 	delete(d.sessions, id)
+	s.release(d.idx)
 	sess.daemon = -1
 	sess.epoch++
 	s.live--
@@ -612,7 +636,7 @@ func (s *sim) kill(d *daemon) {
 	}
 	sort.Ints(ids) // map order is not deterministic; replay order must be
 	for _, id := range ids {
-		sess := s.sessions[id]
+		sess := &s.sessions[id]
 		sess.daemon = -1
 		sess.epoch++
 		s.live--
@@ -627,6 +651,7 @@ func (s *sim) kill(d *daemon) {
 	d.live = 0
 	d.classLive = [protocol.SchedClassBestEffort]int{}
 	d.sessions = make(map[int]struct{})
+	s.release(d.idx)
 }
 
 // workRemains reports whether the run still has arrivals, live sessions,
@@ -803,6 +828,7 @@ func (s *sim) drainByMigration(src *daemon) bool {
 		delete(src.sessions, id)
 		src.live--
 		src.classLive[ci]--
+		s.release(src.idx)
 		dest.sessions[id] = struct{}{}
 		dest.live++
 		dest.classLive[ci]++

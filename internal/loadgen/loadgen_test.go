@@ -9,6 +9,7 @@ import (
 	"rcuda/internal/broker"
 	"rcuda/internal/faults"
 	"rcuda/internal/protocol"
+	"rcuda/internal/raceflag"
 )
 
 func TestRunRejectsBadClasses(t *testing.T) {
@@ -376,5 +377,98 @@ func TestMaxDurationBoundsOverload(t *testing.T) {
 	}
 	if r.Pool.Spills == 0 {
 		t.Fatal("saturated daemon never spilled")
+	}
+}
+
+// TestBlockedHeadDoesNotRetry pins the blocked-head rule on the smallest
+// saturated fleet: one single-slot daemon, arrivals a hundred times faster
+// than service. Each session is refused at most once — when it first
+// reaches the head of the queue behind a busy daemon — and is then placed
+// by the completion that frees the slot; arrivals and probe ticks in
+// between do not walk the fleet again. Without the rule every arrival
+// behind a blocked head costs one more refusal: ~N²/2 spills.
+func TestBlockedHeadDoesNotRetry(t *testing.T) {
+	const n = 400
+	res, err := Run(Config{
+		Seed: 3, Sessions: n, Rate: 10_000,
+		Classes:        []Class{{Name: "x", Weight: 1, HoldMean: 10 * time.Millisecond, Durable: true}},
+		InitialDaemons: 1, DaemonCapacity: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != n || res.Unplaced != 0 {
+		t.Fatalf("completed %d of %d, %d unplaced", res.Completed, n, res.Unplaced)
+	}
+	if res.Pool.Spills == 0 || res.Pool.Spills > n {
+		t.Fatalf("spills = %d, want in (0, %d]: at most one refusal per session", res.Pool.Spills, n)
+	}
+}
+
+// TestRunAllocations gates the per-session allocation budget: the session
+// table and queue are sized once, sessions live by value, the placement
+// buffer and the arrival callback are reused, and the event heap is typed —
+// what is left is the completion closure and amortized map growth.
+func TestRunAllocations(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const sessions = 10_000
+	cfg := Config{
+		Seed: 1, Sessions: sessions, Arrival: BurstyOnOff, Rate: 6_000, BurstFactor: 6,
+		Classes:        schedMix(),
+		Policy:         broker.ClassAware,
+		InitialDaemons: 2, DaemonCapacity: 32,
+		Autoscale: &broker.AutoscalerConfig{Min: 2, Max: 48, DaemonCapacity: 32, Cooldown: 100 * time.Millisecond},
+	}
+	perRun := testing.AllocsPerRun(3, func() {
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perSession := perRun / sessions; perSession > 4 {
+		t.Errorf("%.2f allocations per session (%.0f per run), want <= 4", perSession, perRun)
+	} else {
+		t.Logf("%.2f allocations per session", perSession)
+	}
+}
+
+// TestQueueWaitIsClassAndPolicyBlind explains a number that looks like a
+// bug: the class-aware scenarios report the same p50/p99 placement wait for
+// every class. The fleet queue is one FIFO and a session is placed the
+// instant any daemon has room, so the class — and the policy — only decide
+// *which* daemon, never *when*. Re-running a class mix under least-loaded
+// must therefore reproduce every wait statistic to the nanosecond, and the
+// per-class histograms must be distinct objects (means differ by sampling)
+// whose log-bucketed percentiles coincide.
+func TestQueueWaitIsClassAndPolicyBlind(t *testing.T) {
+	run := func(policy broker.Policy) *Result {
+		res, err := Run(Config{
+			Seed: 6, Sessions: 20_000, Rate: 40_000,
+			Classes: schedMix(), Policy: policy,
+			InitialDaemons: 4, DaemonCapacity: 64,
+			Autoscale: &broker.AutoscalerConfig{Min: 4, Max: 64, DaemonCapacity: 64, Cooldown: 250 * time.Millisecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	aware, blind := run(broker.ClassAware), run(broker.LeastLoaded)
+	if aware.QueueWaitP99 == 0 {
+		t.Fatal("scenario never queued; it cannot tell the classes apart")
+	}
+	means := map[time.Duration]bool{}
+	for i, c := range aware.Classes {
+		if c.WaitP50 != aware.QueueWaitP50 || c.WaitP99 != aware.QueueWaitP99 {
+			t.Errorf("class %s waits p50 %v p99 %v, fleet p50 %v p99 %v", c.Name, c.WaitP50, c.WaitP99, aware.QueueWaitP50, aware.QueueWaitP99)
+		}
+		if b := blind.Classes[i]; c.WaitP50 != b.WaitP50 || c.WaitP99 != b.WaitP99 || c.WaitMax != b.WaitMax || c.WaitMean != b.WaitMean {
+			t.Errorf("class %s waits differ between policies: %+v vs %+v", c.Name, c, b)
+		}
+		means[c.WaitMean] = true
+	}
+	if len(means) != len(aware.Classes) {
+		t.Errorf("per-class mean waits coincide exactly (%v): the classes share a histogram", means)
 	}
 }

@@ -527,6 +527,7 @@ func (s *Server) serveSession(conn transport.Conn, withinConnCap bool) error {
 		s.releaseSession(sess, finalized)
 	}()
 
+	stamper, _ := conn.(transport.SendStamper)
 	for {
 		payload, err := conn.Recv()
 		if err != nil {
@@ -562,7 +563,16 @@ func (s *Server) serveSession(conn transport.Conn, withinConnCap bool) error {
 		}
 		t0 := clk.Now()
 		done, err := s.dispatch(conn, sess, req)
-		busy := clk.Now() - t0
+		end := clk.Now()
+		if stamper != nil {
+			// The client may already be charging its next request to a
+			// shared simulated clock; the reply's departure is the last
+			// instant that is this request's alone.
+			if at, ok := stamper.LastSendOn(clk); ok && at >= t0 {
+				end = at
+			}
+		}
+		busy := end - t0
 		if fl != nil {
 			s.queues[dev].Release(fl, busy)
 			s.costs[dev].Observe(kind, busy)

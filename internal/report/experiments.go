@@ -133,6 +133,74 @@ Failed ops: 0 on every run of either side.
 ` + "```" + `
 context {"cpu":"Intel(R) Xeon(R) Processor @ 2.10GHz","nproc":2,"gomaxprocs":2,"kernel":"6.18.44-fc-v42","go":"go1.24.0","seconds":10,"path":"loopback, in-process server, Sim-clock device","load":"closed loop, one client, one generating process"}
 ` + "```" + `
+
+### PR 14 — placement fast path (DESIGN.md §17)
+
+Parent 550c857 vs the change, alternating pairs of 10 s runs, seeds 1–10,
+median [quartiles]. One ` + "`fleet_place`" + ` op is two loadgen fleet simulations
+(10⁴ bursty sessions with drain-by-migration, 10⁵ class-aware sessions);
+` + "`op_over_ref`" + ` is its time in units of a fixed stdlib CPU loop measured in
+the same slices.
+
+| workload | metric | parent | change | pairs won |
+|---|---|---|---|---|
+| fleet_place | op_over_ref | 11.92 [11.39, 12.27] | 1.82 [1.77, 1.85] | 10/10 |
+| fleet_place | allocs_per_op | 1 075 180 | 114 090 | 10/10 |
+| fleet_place | alloc_bytes_per_op | 90 386 000 | 10 670 800 | 10/10 |
+| fleet_place | rss_mb | 26.66 | 26.00 | 7/10 — unchanged |
+| fleet_place | setup_s | 0.1411 | 0.1345 | 7/10 — unchanged |
+| session_churn | op_over_ref | 3.27 [3.20, 3.38] | 3.31 [3.26, 3.35] | 5/10 — unchanged |
+| session_churn | allocs_per_op | 89.83 | 90.82 | 0/10 — one more |
+| session_churn | alloc_bytes_per_op | 189 925 | 190 078 | 1/10 |
+| session_churn | rss_mb | 11.03 | 11.38 | 5/10 — unchanged |
+| session_churn | setup_s | 0.0227 | 0.0214 | 6/10 — unchanged |
+
+` + "`session_churn`" + ` is the live pool's ` + "`Open`" + `, which now walks a ranking over its
+two daemons. Its one extra allocation per op (of 90) is the ranking's
+candidate buffer: the parent's exclude map never escaped ` + "`Open`" + ` and was
+never written on the path where the first daemon accepts, so it cost
+nothing. The other six workloads execute none of the changed placement
+code (3 pairs each): ` + "`op_over_ref`" + ` change/parent 0.996 rtt_small, 0.982
+memcpy_bulk, 0.986 memcpy_chunked, 1.002 infer_unbatched, 0.984
+infer_batched, 1.017 sim_memcpy; allocations and bytes per op equal to the
+third digit; widest other movement ` + "`rss_mb`" + ` +8 % on memcpy_bulk (bimodal
+183/199 MiB on both sides) and ` + "`setup_s`" + ` +11 % on infer_batched (27.5 vs
+30.6 ms over three pairs), both inside the BENCHMARK.json bounds. Failed
+ops: 0 of 305 and 251 552 on the two paired workloads, 0 on every other
+run of either side.
+
+Per-layer metrics, traced runs of ` + "`fleet_place`" + ` and ` + "`session_churn`" + ` (seed 1)
+and the two in-package benchmarks:
+
+| metric | parent | change |
+|---|---|---|
+| broker.spills_per_session | 100.09 | 40.55 |
+| loadgen.scale_down_migrate_ms | 1 041 | 61–83 (two runs) |
+| loadgen.classes_100k_ms | 276 | 103–151 (two runs) |
+| loadgen.sessions_per_s_host | 83 540 | 469 000–669 000 |
+| des.eventloop_ns_per_event | 885 | 490–500 |
+| broker.open_ns | 246 512 | 238 717 |
+| broker.pick_64_ns | 775 | 765 — unchanged |
+| ` + "`BenchmarkPickSaturated`" + ` (48 daemons, all refusing) | 56 466 ns, 9 allocs | 4 461 ns, 0 allocs |
+| ` + "`BenchmarkEventLoop`" + ` (10⁶ timers) | 839 ns/event, 2 000 039 allocs | 491–515 ns/event, 38 allocs |
+
+The saving sits where the issue put it. A refused placement no longer
+re-keys the fleet per refusal (` + "`BenchmarkPickSaturated`" + `: 12.7× on a walk to
+the end of 48 daemons), and a blocked head is no longer re-walked per
+arrival: the scale-down shape, which spends most of its time saturated,
+fell 12–17×, and its spill count — now one real refusal each — from 100 to
+41 per session. The class-aware shape rarely saturates; its 1.8–2.7× comes
+from ranking once per placement and from the typed heap (1.7–1.8× per
+event, no boxing). A single ` + "`Pick`" + ` over 64 endpoints did not get faster:
+the traced figure swings between 440 and 980 ns on either side on this
+machine, and 15 alternations of the two builds at ` + "`-cpu 1`" + ` give the medians
+in the table. The issue expected it to fall; it keys each endpoint once
+where the parent keyed it twice through two closures, but compares six
+words instead of three.
+
+` + "```" + `
+context {"cpu":"Intel(R) Xeon(R) Processor @ 2.10GHz","nproc":2,"gomaxprocs":2,"kernel":"6.18.44-fc-v42","go":"go1.24.0","seconds":10,"path":"loopback, in-process server, Sim-clock device","load":"closed loop, one client, one generating process"}
+` + "```" + `
 `
 
 func (c Config) expExtensions(sb *strings.Builder) error {
@@ -331,6 +399,10 @@ func (c Config) expExtensions(sb *strings.Builder) error {
 	if scale.LostDurable != 0 {
 		return fmt.Errorf("report: scale run lost %d durable sessions", scale.LostDurable)
 	}
+	scaleDown, classes, err := placementAccountingRuns()
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(sb, `- **Million-session scale harness + elastic autoscaling (internal/loadgen,
   `+"`make bench-scale`"+`)**: a goroutine-free event loop (des.EventLoop) drives
   simulated client sessions through the broker's real Placer — the same
@@ -347,10 +419,29 @@ func (c Config) expExtensions(sb *strings.Builder) error {
   10^5–10^6 scale in CI and the nightly run.
   A million-session run completes in ~2 s of wall time and is
   byte-reproducible from its seed (BENCH_loadscale.json).
+  BENCH_loadscale.json's `+"`scale-down-migrate`"+` row reported 908143 spills for
+  10000 sessions while every refused attempt, and every arrival behind a
+  blocked head, re-walked the full fleet; with one ranking per placement,
+  full marks and a blocked head (DESIGN.md §17) the same run reports %d
+  with every other number unchanged, and that remainder is real: under
+  saturation each completion frees one slot and the next session in line
+  walks the still-full fleet once before blocking, the ranking runs on
+  gauges up to one 50 ms probe period old, and every probe clears the
+  marks.
+  Its `+"`scale-100k-classes`"+` row reports the same p50/p99 placement wait for
+  all three classes (%.1f / %.1f ms here) because that wait is class-blind
+  by construction — the fleet queue is one FIFO and a session is placed
+  the instant any daemon has room, so the class and the policy only choose
+  which daemon: the same run under least-loaded reproduces every class's
+  wait distribution to the nanosecond (checked on every regeneration;
+  per-class means %.1f / %.1f / %.1f µs differ by sampling only).
 
 `, scale.Sessions, scale.PlacedPerSec, float64(scale.QueueWaitP99.Microseconds())/1000,
 		minDaemons(scale), scale.PeakDaemons, scale.Pool.Retirements,
-		scale.Faults, scale.Pool.Failovers, scale.LostNonDurable)
+		scale.Faults, scale.Pool.Failovers, scale.LostNonDurable,
+		scaleDown.Pool.Spills,
+		simMS(classes.QueueWaitP50), simMS(classes.QueueWaitP99),
+		simUS(classes.Classes[0].WaitMean), simUS(classes.Classes[1].WaitMean), simUS(classes.Classes[2].WaitMean))
 
 	// Per-device WFQ scheduler: the starvation scenario re-run live (the
 	// same mix BENCH_sched.json commits), so the document can only print
@@ -379,6 +470,61 @@ func (c Config) expExtensions(sb *strings.Builder) error {
 		float64(fifoP99)/float64(wfqP99),
 		throughputDeltaPct(fifoRes, wfqRes), fifoRes.TotalServed, wfqRes.TotalServed)
 	return nil
+}
+
+// placementAccountingRuns re-runs the two BENCH_loadscale.json scenarios
+// whose numbers needed explaining — scale-down-migrate's spill count and
+// scale-100k-classes' identical per-class waits — and verifies the
+// explanation the document gives for the second: per-class percentiles
+// equal the fleet's, and the same run under least-loaded has the same
+// waits exactly.
+func placementAccountingRuns() (scaleDown, classes *loadgen.Result, err error) {
+	scaleDown, err = loadgen.Run(loadgen.Config{
+		Seed: 5, Sessions: 10_000, Arrival: loadgen.BurstyOnOff, Rate: 6_000,
+		BurstOnMean: 400 * time.Millisecond, BurstOffMean: 400 * time.Millisecond,
+		BurstFactor:    6,
+		Classes:        []loadgen.Class{{Name: "train", Weight: 1, HoldMean: 120 * time.Millisecond, Durable: true}},
+		InitialDaemons: 2, DaemonCapacity: 32,
+		Autoscale: &broker.AutoscalerConfig{
+			Min: 2, Max: 48, DaemonCapacity: 32, Cooldown: 100 * time.Millisecond,
+			DownThreshold: 0.6,
+		},
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	classMix := func(policy broker.Policy) (*loadgen.Result, error) {
+		return loadgen.Run(loadgen.Config{
+			Seed: 6, Sessions: 100_000, Arrival: loadgen.Poisson, Rate: 40_000,
+			Classes: []loadgen.Class{
+				{Name: "rt", Weight: 1, HoldMean: 5 * time.Millisecond, Durable: true, SchedClass: protocol.SchedClassRealtime},
+				{Name: "batch", Weight: 2, HoldMean: 40 * time.Millisecond, Durable: true, SchedClass: protocol.SchedClassBatch},
+				{Name: "scavenge", Weight: 1, HoldMean: 20 * time.Millisecond, Durable: false, SchedClass: protocol.SchedClassBestEffort},
+			},
+			Policy:         policy,
+			InitialDaemons: 4, DaemonCapacity: 64,
+			Autoscale: &broker.AutoscalerConfig{
+				Min: 4, Max: 64, DaemonCapacity: 64, Cooldown: 250 * time.Millisecond,
+			},
+		})
+	}
+	classes, err = classMix(broker.ClassAware)
+	if err != nil {
+		return nil, nil, err
+	}
+	blind, err := classMix(broker.LeastLoaded)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, c := range classes.Classes {
+		if c.WaitP50 != classes.QueueWaitP50 || c.WaitP99 != classes.QueueWaitP99 {
+			return nil, nil, fmt.Errorf("report: class %s placement wait differs from the fleet's: the queue is no longer class-blind", c.Name)
+		}
+		if b := blind.Classes[i]; c.WaitP99 != b.WaitP99 || c.WaitMax != b.WaitMax || c.WaitMean != b.WaitMean {
+			return nil, nil, fmt.Errorf("report: class %s placement wait depends on the policy (%v vs %v)", c.Name, c.WaitMean, b.WaitMean)
+		}
+	}
+	return scaleDown, classes, nil
 }
 
 // starvationRuns executes the headline scheduler scenario under both
@@ -567,6 +713,8 @@ func retrySimOverhead() (plain, retrying time.Duration, err error) {
 }
 
 func simMS(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+
+func simUS(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1000 }
 
 // chunkedMemcpyTimes measures one 64 MiB MemcpyToDevice through the full
 // client/server middleware over the given simulated link, first with the

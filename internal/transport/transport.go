@@ -76,6 +76,19 @@ type ScheduledSender interface {
 	SendAt(m protocol.Message, notBefore time.Duration) error
 }
 
+// SendStamper is implemented by connections that record when each message
+// left on the connection's clock. On a simulated pipe that clock is shared
+// with the peer, which may start charging its next message the moment it
+// has received this one; the departure stamp is the last reading of the
+// clock that is the sender's alone, so the server ends a request's busy
+// interval there rather than at a clock read that races the client.
+type SendStamper interface {
+	// LastSendOn returns the instant on clock c at which the most recent
+	// Send put its message on the wire. ok is false when c is not the
+	// connection's clock or nothing has been sent yet.
+	LastSendOn(c vclock.Clock) (at time.Duration, ok bool)
+}
+
 // Stats counts a connection's traffic in Table I payload bytes, plus the
 // frame-buffer pool's effectiveness on this connection.
 type Stats struct {
@@ -362,14 +375,22 @@ type PipeEnd struct {
 	peer      *PipeEnd
 	lastRecv  []byte       // previous Recv's pooled payload, recycled on the next Recv
 	opTimeout atomic.Int64 // nanoseconds; 0 disables deadlines
+	sentAt    atomic.Int64 // departure stamp of the last Send; -1 before the first
 }
 
 var (
 	_ Conn            = (*PipeEnd)(nil)
 	_ TimedReceiver   = (*PipeEnd)(nil)
 	_ ScheduledSender = (*PipeEnd)(nil)
+	_ SendStamper     = (*PipeEnd)(nil)
 	_ DeadlineCapable = (*PipeEnd)(nil)
 )
+
+// LastSendOn implements SendStamper.
+func (p *PipeEnd) LastSendOn(c vclock.Clock) (time.Duration, bool) {
+	at := p.sentAt.Load()
+	return time.Duration(at), at >= 0 && c == p.clock
+}
 
 // SetOpTimeout implements DeadlineCapable. The simulated clock only
 // advances while a peer is actively sending, so a stalled peer would block
@@ -406,6 +427,8 @@ func Pipe(link *netsim.Link, clock vclock.Clock, noise *netsim.Noise) (client, s
 	a := &PipeEnd{link: link, clock: clock, noise: noise, out: ab, in: ba, done: done, closeOnce: once}
 	b := &PipeEnd{link: link, clock: clock, noise: noise, out: ba, in: ab, done: done, closeOnce: once}
 	a.peer, b.peer = b, a
+	a.sentAt.Store(-1)
+	b.sentAt.Store(-1)
 	return a, b
 }
 
@@ -433,8 +456,10 @@ func (p *PipeEnd) Send(m protocol.Message) error {
 	if timer != nil {
 		defer timer.Stop()
 	}
+	at := p.clock.Now()
+	p.sentAt.Store(int64(at))
 	select {
-	case p.out <- pipeMsg{payload: payload, at: p.clock.Now()}:
+	case p.out <- pipeMsg{payload: payload, at: at}:
 		p.onSend(len(payload))
 		return nil
 	case <-p.done:

@@ -116,6 +116,38 @@ func TestPipeChargesWireTime(t *testing.T) {
 	}
 }
 
+// TestPipeStampsDeparture pins SendStamper: the stamp is the clock reading
+// right after the sender's own wire charge — the arrival instant the peer
+// sees — it does not move when the peer charges the shared clock
+// afterwards, and it is only reported for the pipe's own clock.
+func TestPipeStampsDeparture(t *testing.T) {
+	clk := vclock.NewSim()
+	cli, srv := Pipe(netsim.IB40G(), clk, nil)
+	defer cli.Close()
+
+	if _, ok := srv.LastSendOn(clk); ok {
+		t.Fatal("stamp reported before anything was sent")
+	}
+	if err := srv.Send(&protocol.MallocRequest{Size: 64}); err != nil {
+		t.Fatal(err)
+	}
+	_, arrived, err := cli.RecvTimed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The peer answers at once, charging the same clock.
+	if err := cli.Send(&protocol.MallocRequest{Size: 64}); err != nil {
+		t.Fatal(err)
+	}
+	at, ok := srv.LastSendOn(clk)
+	if !ok || at != arrived || at >= clk.Now() {
+		t.Fatalf("stamp %v (ok %v), want the arrival instant %v, before now %v", at, ok, arrived, clk.Now())
+	}
+	if _, ok := srv.LastSendOn(vclock.NewSim()); ok {
+		t.Fatal("stamp reported on a clock that is not the pipe's")
+	}
+}
+
 func TestPipeBulkPayloadTiming(t *testing.T) {
 	clk := vclock.NewSim()
 	link := netsim.GigaE()
