@@ -25,7 +25,7 @@ help:
 	@echo "  bench-sched  run the WFQ-vs-FIFO starvation bench, refresh BENCH_sched.json"
 	@echo "  bench-sched-smoke  CI freshness check: re-run the scheduler scenarios"
 	@echo "  bench-wall   wall-clock benchmark of the remoting stack (BENCHMARK.json, ~90 s)"
-	@echo "  bench-wall-smoke  CI correctness check: one second each of the batched inference and fleet placement workloads"
+	@echo "  bench-wall-smoke  CI correctness check: one second each of the batched inference, fleet placement and the two bulk-copy workloads"
 	@echo "  fuzz         short fuzzing pass over the wire-protocol decoders"
 	@echo "  pool         broker demo: 3 local daemons, one killed mid-batch"
 	@echo "  repro        regenerate every table and figure of the paper on stdout"
@@ -133,11 +133,16 @@ bench-wall:
 # inference requests, every output compared bit for bit with the local
 # runtime, and one second of fleet placement, every loadgen run checked
 # for its invariants (all completed, none lost or unplaced) and for
-# same-seed determinism. The harness exits non-zero on any wrong output or
-# broken invariant; timings on a CI runner are not judged.
+# same-seed determinism; then one second each of 16 MiB copies both ways in
+# single frames and as a chunk pipeline — the landed data path over a real
+# socket — every copy compared byte for byte. The harness exits non-zero on
+# any wrong output or broken invariant; timings on a CI runner are not
+# judged.
 bench-wall-smoke:
 	bash bench/run.sh --workload infer_batched --seed 1 --seconds 1 --trace 0
 	bash bench/run.sh --workload fleet_place --seed 1 --seconds 1 --trace 0
+	bash bench/run.sh --workload memcpy_bulk --seed 1 --seconds 1 --trace 0
+	bash bench/run.sh --workload memcpy_chunked --seed 1 --seconds 1 --trace 0
 
 # Short fuzzing pass over the wire-protocol decoders.
 fuzz:

@@ -110,20 +110,21 @@ func (a *allocator) find(addr uint32) int {
 }
 
 // region resolves [addr, addr+size) to the slice of backing store it maps
-// to. The range must lie within a single allocation, as in CUDA, where
-// arithmetic past an allocation is undefined.
-func (a *allocator) region(addr, size uint32) ([]byte, error) {
+// to, and the address of the allocation holding it. The range must lie
+// within a single allocation, as in CUDA, where arithmetic past an
+// allocation is undefined.
+func (a *allocator) region(addr, size uint32) (base uint32, region []byte, err error) {
 	i := a.find(addr)
 	if i < 0 {
-		return nil, fmt.Errorf("%w: %#x", ErrInvalidDevPtr, addr)
+		return 0, nil, fmt.Errorf("%w: %#x", ErrInvalidDevPtr, addr)
 	}
 	b := a.blocks[i]
 	off := addr - b.addr
 	if uint64(off)+uint64(size) > uint64(b.size) {
-		return nil, fmt.Errorf("%w: [%#x,+%d) overruns allocation of %d bytes at %#x",
+		return 0, nil, fmt.Errorf("%w: [%#x,+%d) overruns allocation of %d bytes at %#x",
 			ErrInvalidDevPtr, addr, size, b.size, b.addr)
 	}
-	return b.data[off : uint64(off)+uint64(size)], nil
+	return b.addr, b.data[off : uint64(off)+uint64(size)], nil
 }
 
 // inUse reports allocated bytes (rounded to granularity).

@@ -102,7 +102,7 @@ func (c *Context) ExportState() (*ContextState, error) {
 	c.dev.mu.Lock()
 	for _, addr := range addrs {
 		size := c.owned[addr]
-		region, err := c.dev.alloc.region(addr, size)
+		_, region, err := c.dev.alloc.region(addr, size)
 		if err != nil {
 			c.dev.mu.Unlock()
 			return nil, fmt.Errorf("gpu: export: %w", err)
@@ -162,7 +162,7 @@ func (c *Context) RestoreState(st *ContextState) error {
 			c.dev.mu.Unlock()
 			return err
 		}
-		region, _ := c.dev.alloc.region(al.Addr, al.Size)
+		_, region, _ := c.dev.alloc.region(al.Addr, al.Size)
 		copy(region, al.Data)
 		c.owned[al.Addr] = al.Size
 	}

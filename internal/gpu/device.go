@@ -266,6 +266,48 @@ func (c *Context) Free(addr uint32) error {
 	return nil
 }
 
+// region resolves [addr, addr+size) to the backing bytes of an allocation
+// this context owns. Every memory access a context makes — host copies in
+// either direction, memset, device-to-device copies, kernel operands, the
+// view a transport lands a payload in — resolves here, so on a shared
+// device a session reaches only what it allocated (or restored): another
+// context's block is as invalid a pointer as unallocated memory. The caller
+// holds c.mu.
+func (c *Context) region(addr, size uint32) ([]byte, error) {
+	if err := c.check(); err != nil {
+		return nil, err
+	}
+	c.dev.mu.Lock()
+	base, region, err := c.dev.alloc.region(addr, size)
+	c.dev.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := c.owned[base]; !ok {
+		return nil, fmt.Errorf("%w: %#x not owned by this context", ErrInvalidDevPtr, addr)
+	}
+	return region, nil
+}
+
+// Region returns device memory [addr, addr+size) of this context as host
+// bytes, without touching them or the clock: the view a transport lands an
+// arriving payload in before CopyToDevice charges for it. The view is valid
+// until the allocation is freed.
+func (c *Context) Region(addr, size uint32) ([]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.region(addr, size)
+}
+
+// place puts data in region. A transport that landed the payload in the
+// region's view (see Region) hands the same memory back as data; there is
+// then nothing to move, and what remains of the copy is its modeled time.
+func place(region, data []byte) {
+	if len(data) > 0 && &region[0] != &data[0] {
+		copy(region, data)
+	}
+}
+
 // CopyToDevice writes host data into device memory, advancing the clock by
 // the modeled PCIe transfer time. Like a default-stream cudaMemcpy, it
 // first waits out any pending asynchronous work.
@@ -275,41 +317,44 @@ func (c *Context) CopyToDevice(dst uint32, data []byte) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.check(); err != nil {
-		return err
-	}
-	c.dev.mu.Lock()
-	region, err := c.dev.alloc.region(dst, uint32(len(data)))
-	c.dev.mu.Unlock()
+	region, err := c.region(dst, uint32(len(data)))
 	if err != nil {
 		return err
 	}
-	copy(region, data)
+	place(region, data)
 	c.dev.sleep(c.dev.PCIeTime(int64(len(data))))
 	return nil
+}
+
+// HostView is the device half of a device-to-host copy whose bytes the
+// caller moves itself: it waits out pending asynchronous work, advances the
+// clock by the modeled PCIe transfer time, and returns the device memory
+// to read from. The rCUDA server sends the view straight to the socket. It
+// is valid until the allocation is freed and must not be written.
+func (c *Context) HostView(src, size uint32) ([]byte, error) {
+	if err := c.Synchronize(); err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	region, err := c.region(src, size)
+	if err != nil {
+		return nil, err
+	}
+	c.dev.sleep(c.dev.PCIeTime(int64(size)))
+	return region, nil
 }
 
 // CopyToHost reads device memory into a fresh host buffer, advancing the
 // clock by the modeled PCIe transfer time. Like a default-stream
 // cudaMemcpy, it first waits out any pending asynchronous work.
 func (c *Context) CopyToHost(src uint32, size uint32) ([]byte, error) {
-	if err := c.Synchronize(); err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.check(); err != nil {
-		return nil, err
-	}
-	c.dev.mu.Lock()
-	region, err := c.dev.alloc.region(src, size)
-	c.dev.mu.Unlock()
+	region, err := c.HostView(src, size)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]byte, size)
 	copy(out, region)
-	c.dev.sleep(c.dev.PCIeTime(int64(size)))
 	return out, nil
 }
 
@@ -357,9 +402,9 @@ func (ec *ExecContext) Mem(addr uint32, size uint64) ([]byte, error) {
 		return nil, fmt.Errorf("%w: [%#x,+%d) overruns the device address space",
 			ErrInvalidDevPtr, addr, size)
 	}
-	ec.ctx.dev.mu.Lock()
-	defer ec.ctx.dev.mu.Unlock()
-	return ec.ctx.dev.alloc.region(addr, uint32(size))
+	ec.ctx.mu.Lock()
+	defer ec.ctx.mu.Unlock()
+	return ec.ctx.region(addr, uint32(size))
 }
 
 // ErrUnknownKernel is returned when launching a kernel no loaded module

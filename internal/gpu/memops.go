@@ -32,12 +32,7 @@ func (c *Context) Memset(ptr uint32, value byte, size uint32) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.check(); err != nil {
-		return err
-	}
-	c.dev.mu.Lock()
-	region, err := c.dev.alloc.region(ptr, size)
-	c.dev.mu.Unlock()
+	region, err := c.region(ptr, size)
 	if err != nil {
 		return err
 	}
@@ -50,32 +45,24 @@ func (c *Context) Memset(ptr uint32, value byte, size uint32) error {
 
 // CopyDeviceToDevice copies size bytes between two device regions
 // (cudaMemcpy with cudaMemcpyDeviceToDevice), never crossing the PCIe bus.
-// Overlapping ranges copy as if through an intermediate buffer, matching
-// cudaMemcpy's undefined-overlap guarantee conservatively.
+// Overlapping ranges copy as if through an intermediate buffer (Go's copy
+// is memmove), matching cudaMemcpy's undefined-overlap guarantee
+// conservatively.
 func (c *Context) CopyDeviceToDevice(dst, src, size uint32) error {
 	if err := c.Synchronize(); err != nil {
 		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.check(); err != nil {
-		return err
-	}
-	c.dev.mu.Lock()
-	srcRegion, err := c.dev.alloc.region(src, size)
+	srcRegion, err := c.region(src, size)
 	if err != nil {
-		c.dev.mu.Unlock()
 		return err
 	}
-	dstRegion, err := c.dev.alloc.region(dst, size)
+	dstRegion, err := c.region(dst, size)
 	if err != nil {
-		c.dev.mu.Unlock()
 		return err
 	}
-	tmp := make([]byte, size)
-	copy(tmp, srcRegion)
-	copy(dstRegion, tmp)
-	c.dev.mu.Unlock()
+	copy(dstRegion, srcRegion)
 	c.dev.sleep(c.dev.DeviceCopyTime(int64(size)))
 	return nil
 }

@@ -150,3 +150,67 @@ func TestMemoryBandwidthTimes(t *testing.T) {
 	}
 	_ = time.Nanosecond
 }
+
+// copyThroughTemp is CopyDeviceToDevice's data movement as it was before it
+// became a single copy: source to a temporary buffer, temporary to
+// destination. It is the reference the table below holds the one-copy body
+// to.
+func copyThroughTemp(mem []byte, dst, src, size int) {
+	tmp := make([]byte, size)
+	copy(tmp, mem[src:src+size])
+	copy(mem[dst:dst+size], tmp)
+}
+
+// TestDeviceToDeviceMatchesCopyThroughTemp covers every way two ranges of
+// one allocation can relate.
+func TestDeviceToDeviceMatchesCopyThroughTemp(t *testing.T) {
+	const n = 64
+	for _, tc := range []struct {
+		name           string
+		dst, src, size int
+	}{
+		{"disjoint, destination above", 40, 0, 20},
+		{"disjoint, destination below", 0, 40, 20},
+		{"adjacent", 20, 0, 20},
+		{"forward overlap", 8, 0, 40},
+		{"forward overlap by one byte", 39, 0, 25},
+		{"backward overlap", 0, 8, 40},
+		{"backward overlap by one byte", 0, 24, 25},
+		{"identical ranges", 16, 16, 32},
+		{"whole allocation onto itself", 0, 0, n},
+		{"nothing", 5, 9, 0},
+	} {
+		dev := New(Config{Clock: vclock.NewSim()})
+		ctx := dev.NewContextPreinitialized()
+		want := make([]byte, n)
+		for i := range want {
+			want[i] = byte(i + 1)
+		}
+		buf, _ := ctx.Malloc(n)
+		if err := ctx.CopyToDevice(buf, want); err != nil {
+			t.Fatal(err)
+		}
+		copyThroughTemp(want, tc.dst, tc.src, tc.size)
+		if err := ctx.CopyDeviceToDevice(buf+uint32(tc.dst), buf+uint32(tc.src), uint32(tc.size)); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got, _ := ctx.CopyToHost(buf, n); !bytes.Equal(got, want) {
+			t.Errorf("%s:\n got  %v\n want %v", tc.name, got, want)
+		}
+	}
+}
+
+// TestDeviceToDeviceDoesNotAllocate: the copy moves bytes inside device
+// memory and needs no host buffer to do it.
+func TestDeviceToDeviceDoesNotAllocate(t *testing.T) {
+	dev := New(Config{Clock: vclock.NewSim()})
+	ctx := dev.NewContextPreinitialized()
+	buf, _ := ctx.Malloc(1 << 20)
+	if n := testing.AllocsPerRun(20, func() {
+		if err := ctx.CopyDeviceToDevice(buf+(512<<10), buf, 512<<10); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("CopyDeviceToDevice allocates %v times per call", n)
+	}
+}

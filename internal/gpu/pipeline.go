@@ -3,33 +3,21 @@ package gpu
 import "time"
 
 // This file is the device half of the chunked-memcpy pipeline (see
-// internal/protocol/chunked.go). The server books each chunk's PCIe push
-// at the instant the chunk arrived from the network rather than at the
-// instant it got around to dispatching it, so the copy engine drains
-// chunk k while chunk k+1 is still on the wire. All entry points fall back
-// to the synchronous path on the default stream or on a clock that cannot
-// jump (wall time), where overlap cannot be modeled.
-
-// ValidRegion reports whether [addr, addr+size) lies within a single live
-// device allocation, without touching the bytes. The chunked server
-// validates a whole transfer before acknowledging the Begin message.
-func (c *Context) ValidRegion(addr, size uint32) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.check(); err != nil {
-		return err
-	}
-	c.dev.mu.Lock()
-	_, err := c.dev.alloc.region(addr, size)
-	c.dev.mu.Unlock()
-	return err
-}
+// internal/protocol/chunked.go). The server validates a whole transfer by
+// resolving its Region before acknowledging the Begin message, lands the
+// chunks in that view, and books each chunk's PCIe push at the instant the
+// chunk arrived from the network rather than at the instant it got around
+// to dispatching it, so the copy engine drains chunk k while chunk k+1 is
+// still on the wire. All entry points fall back to the synchronous path on
+// the default stream or on a clock that cannot jump (wall time), where
+// overlap cannot be modeled.
 
 // CopyToDeviceAsyncAt writes host data into device memory now and books
 // its PCIe time on the copy engine and the stream, with the transfer
 // starting no earlier than notBefore on the device clock. It returns the
 // modeled completion instant. On the default stream or a non-advancing
-// clock it degrades to the synchronous CopyToDevice.
+// clock it degrades to the synchronous CopyToDevice. Like CopyToDevice it
+// moves nothing when data is the destination's own view (see Region).
 func (c *Context) CopyToDeviceAsyncAt(dst uint32, data []byte, stream uint32, notBefore time.Duration) (time.Duration, error) {
 	if stream == DefaultStream || !c.asyncCapable() {
 		if err := c.CopyToDevice(dst, data); err != nil {
@@ -39,66 +27,31 @@ func (c *Context) CopyToDeviceAsyncAt(dst uint32, data []byte, stream uint32, no
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.check(); err != nil {
-		return 0, err
-	}
-	c.dev.mu.Lock()
-	region, err := c.dev.alloc.region(dst, uint32(len(data)))
-	c.dev.mu.Unlock()
+	region, err := c.region(dst, uint32(len(data)))
 	if err != nil {
 		return 0, err
 	}
-	copy(region, data)
+	place(region, data)
 	return c.scheduleAt(copyEngine, stream, c.dev.PCIeTime(int64(len(data))), notBefore)
 }
 
-// CopyToHostAsyncAt reads device memory into the caller's buffer now and
-// books the transfer on the copy engine and the stream, starting no
-// earlier than notBefore. It returns the modeled completion instant — the
-// earliest moment the bytes may be put on the network. On the default
-// stream or a non-advancing clock it degrades to the synchronous
-// CopyToHostInto.
-func (c *Context) CopyToHostAsyncAt(dst []byte, src uint32, stream uint32, notBefore time.Duration) (time.Duration, error) {
+// HostViewAsyncAt is HostView for one chunk of a pipelined device-to-host
+// read: it books the transfer on the copy engine and the stream, starting
+// no earlier than notBefore, and returns the device memory to send with the
+// modeled completion instant — the earliest moment the bytes may be put on
+// the network. On the default stream or a non-advancing clock it degrades
+// to the synchronous HostView.
+func (c *Context) HostViewAsyncAt(src, size, stream uint32, notBefore time.Duration) ([]byte, time.Duration, error) {
 	if stream == DefaultStream || !c.asyncCapable() {
-		if err := c.CopyToHostInto(dst, src); err != nil {
-			return 0, err
-		}
-		return c.dev.cfg.Clock.Now(), nil
+		region, err := c.HostView(src, size)
+		return region, c.dev.cfg.Clock.Now(), err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.check(); err != nil {
-		return 0, err
-	}
-	c.dev.mu.Lock()
-	region, err := c.dev.alloc.region(src, uint32(len(dst)))
-	c.dev.mu.Unlock()
+	region, err := c.region(src, size)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	copy(dst, region)
-	return c.scheduleAt(copyEngine, stream, c.dev.PCIeTime(int64(len(dst))), notBefore)
-}
-
-// CopyToHostInto is CopyToHost reading into the caller's buffer instead of
-// a fresh allocation; the buffer's length selects the transfer size. It
-// lets the server serve device-to-host reads from pooled memory.
-func (c *Context) CopyToHostInto(dst []byte, src uint32) error {
-	if err := c.Synchronize(); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.check(); err != nil {
-		return err
-	}
-	c.dev.mu.Lock()
-	region, err := c.dev.alloc.region(src, uint32(len(dst)))
-	c.dev.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	copy(dst, region)
-	c.dev.sleep(c.dev.PCIeTime(int64(len(dst))))
-	return nil
+	ready, err := c.scheduleAt(copyEngine, stream, c.dev.PCIeTime(int64(size)), notBefore)
+	return region, ready, err
 }

@@ -189,12 +189,7 @@ func (c *Context) CopyToDeviceAsync(dst uint32, data []byte, stream uint32) erro
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.check(); err != nil {
-		return err
-	}
-	c.dev.mu.Lock()
-	region, err := c.dev.alloc.region(dst, uint32(len(data)))
-	c.dev.mu.Unlock()
+	region, err := c.region(dst, uint32(len(data)))
 	if err != nil {
 		return err
 	}
@@ -212,12 +207,7 @@ func (c *Context) CopyToHostAsync(src uint32, size uint32, stream uint32) ([]byt
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.check(); err != nil {
-		return nil, err
-	}
-	c.dev.mu.Lock()
-	region, err := c.dev.alloc.region(src, size)
-	c.dev.mu.Unlock()
+	region, err := c.region(src, size)
 	if err != nil {
 		return nil, err
 	}

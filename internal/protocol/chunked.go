@@ -230,16 +230,36 @@ func decodeChunkedRequest(op Op, b []byte) (Request, error) {
 
 // --- Reassembly --------------------------------------------------------------
 
+// chunkHeadSize is the fixed part of a MemcpyStreamChunk that precedes its
+// data.
+const chunkHeadSize = 12
+
+// peekChunk reads the head of a frame of frameLen bytes whose leading bytes
+// are peek. ok reports a well-formed stream chunk whose declared size
+// accounts for exactly the rest of the frame.
+func peekChunk(frameLen int, peek []byte) (seq uint32, size int, ok bool) {
+	if len(peek) < chunkHeadSize || Op(getU32(peek, 0)) != OpMemcpyStreamChunk {
+		return 0, 0, false
+	}
+	size = int(getU32(peek, 8))
+	return getU32(peek, 4), size, frameLen == chunkHeadSize+size
+}
+
 // ChunkAssembler validates the chunk sequence of one transfer and, when
-// given a destination buffer, reassembles the payload into it with no
-// intermediate copy. A nil destination validates only (the server's
-// host-to-device path pushes each chunk straight to device memory).
+// given the transfer's destination — the application's buffer on the
+// client, the device region on the server — puts every chunk in place
+// there. A transport that lands payloads (the assembler is its Lander)
+// reads a chunk's bytes straight into their slot; a chunk received whole is
+// copied in by Add. A nil destination validates only.
 type ChunkAssembler struct {
 	dst       []byte
 	total     int
 	chunkSize int
 	next      uint32
 	off       int
+	// failed is the first chunk rejection: a transfer that has gone wrong
+	// takes no further bytes, landed or copied.
+	failed error
 }
 
 // NewChunkAssembler prepares reassembly of a transfer of total bytes in
@@ -257,31 +277,80 @@ func NewChunkAssembler(total, chunkSize uint32, dst []byte) (*ChunkAssembler, er
 	return &ChunkAssembler{dst: dst, total: int(total), chunkSize: int(chunkSize)}, nil
 }
 
-// Add validates the next chunk and copies it into place when the assembler
-// owns a buffer. It returns the byte offset the chunk belongs at. Every
-// chunk must be exactly chunkSize bytes except the final one, which
-// carries the remainder.
-func (a *ChunkAssembler) Add(c *MemcpyStreamChunk) (off int, err error) {
-	if c.Seq != a.next {
-		return 0, fmt.Errorf("protocol: stream chunk %d out of order, want %d", c.Seq, a.next)
+// expect checks that a chunk numbered seq carrying size bytes is the one
+// the transfer needs next: every chunk must be exactly chunkSize bytes
+// except the final one, which carries the remainder.
+func (a *ChunkAssembler) expect(seq uint32, size int) error {
+	if a.failed != nil {
+		return a.failed
+	}
+	if seq != a.next {
+		return fmt.Errorf("protocol: stream chunk %d out of order, want %d", seq, a.next)
 	}
 	want := a.total - a.off
 	if want > a.chunkSize {
 		want = a.chunkSize
 	}
 	if want <= 0 {
-		return 0, fmt.Errorf("protocol: stream chunk %d past declared total %d", c.Seq, a.total)
+		return fmt.Errorf("protocol: stream chunk %d past declared total %d", seq, a.total)
 	}
-	if len(c.Data) != want {
-		return 0, fmt.Errorf("protocol: stream chunk %d carries %d bytes, want %d", c.Seq, len(c.Data), want)
+	if size != want {
+		return fmt.Errorf("protocol: stream chunk %d carries %d bytes, want %d", seq, size, want)
 	}
+	return nil
+}
+
+// advance accounts for the expected chunk of size bytes having been put in
+// place, returning the byte offset it belongs at.
+func (a *ChunkAssembler) advance(size int) (off int) {
 	off = a.off
-	if a.dst != nil {
-		copy(a.dst[off:], c.Data)
-	}
-	a.off += len(c.Data)
+	a.off += size
 	a.next++
-	return off, nil
+	return off
+}
+
+// Add validates the next chunk and copies it into place when the assembler
+// owns a destination. It returns the byte offset the chunk belongs at.
+func (a *ChunkAssembler) Add(c *MemcpyStreamChunk) (off int, err error) {
+	if err := a.expect(c.Seq, len(c.Data)); err != nil {
+		a.failed = err
+		return 0, err
+	}
+	if a.dst != nil {
+		copy(a.dst[a.off:], c.Data)
+	}
+	return a.advance(len(c.Data)), nil
+}
+
+// Land implements transport.Lander for the frames of the transfer: an
+// arriving frame that is exactly the chunk expected next is given its slot
+// of the destination to be read into. Anything else — another message, a
+// chunk out of order, short, long or past the total — is declined and
+// arrives whole, for Add or the caller to reject as it always has. Land
+// changes nothing: a landed chunk counts once AddLanded sees it.
+func (a *ChunkAssembler) Land(frameLen int, peek []byte) (head int, dst []byte) {
+	seq, size, ok := peekChunk(frameLen, peek)
+	if !ok || a.dst == nil || a.expect(seq, size) != nil {
+		return 0, nil
+	}
+	return chunkHeadSize, a.dst[a.off : a.off+size]
+}
+
+// AddLanded is Add for a chunk a transport landed through Land: head is
+// what was received of the frame itself, landed the memory Land gave out,
+// now holding the chunk's data. It returns the byte offset of the chunk.
+func (a *ChunkAssembler) AddLanded(head, landed []byte) (off int, err error) {
+	seq, size, ok := peekChunk(len(head)+len(landed), head)
+	if !ok || len(head) != chunkHeadSize {
+		return 0, fmt.Errorf("protocol: %d bytes landed behind a %d-byte head that is no stream chunk", len(landed), len(head))
+	}
+	if err := a.expect(seq, size); err != nil {
+		return 0, err
+	}
+	if a.dst == nil || &landed[0] != &a.dst[a.off] {
+		return 0, fmt.Errorf("protocol: stream chunk %d landed outside its transfer", seq)
+	}
+	return a.advance(size), nil
 }
 
 // Complete reports whether every declared byte has arrived.

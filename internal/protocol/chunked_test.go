@@ -143,6 +143,78 @@ func TestChunkAssemblerReassembles(t *testing.T) {
 	}
 }
 
+// TestChunkAssemblerLandsWhatItWouldAdd plays one transfer through both
+// routes — every chunk landed in its slot, every chunk added whole — and
+// holds the landing route to the other's offsets, progress and result; then
+// checks the frames Land must decline.
+func TestChunkAssemblerLandsWhatItWouldAdd(t *testing.T) {
+	src := []byte("the quick brown fox jumps over the lazy dog")
+	total, chunkSize := uint32(len(src)), uint32(10)
+	landedDst, addedDst := make([]byte, total), make([]byte, total)
+	landing, _ := NewChunkAssembler(total, chunkSize, landedDst)
+	adding, _ := NewChunkAssembler(total, chunkSize, addedDst)
+	for seq, off := uint32(0), 0; off < len(src); seq, off = seq+1, off+int(chunkSize) {
+		c := &MemcpyStreamChunk{Seq: seq, Data: src[off:min(off+int(chunkSize), len(src))]}
+		frame := c.Encode(nil)
+		if head, slot := landing.Land(len(frame), frame[:chunkHeadSize]); head != chunkHeadSize || len(slot) != len(c.Data) {
+			t.Fatalf("chunk %d: Land = head %d, %d bytes", seq, head, len(slot))
+		} else if _, again := landing.Land(len(frame), frame[:chunkHeadSize]); &again[0] != &slot[0] {
+			t.Fatalf("chunk %d: Land moved the transfer on", seq)
+		} else {
+			copy(slot, frame[head:])
+			gotOff, err := landing.AddLanded(frame[:head], slot)
+			wantOff, addErr := adding.Add(c)
+			if err != nil || addErr != nil || gotOff != wantOff {
+				t.Fatalf("chunk %d: landed at %d (%v), added at %d (%v)", seq, gotOff, err, wantOff, addErr)
+			}
+		}
+	}
+	if !landing.Complete() || !bytes.Equal(landedDst, src) || !bytes.Equal(addedDst, src) {
+		t.Fatalf("landed %q, added %q", landedDst, addedDst)
+	}
+	if err := landing.Finish(&MemcpyStreamEndRequest{Chunks: Chunks(total, chunkSize)}); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := func(dst []byte) *ChunkAssembler {
+		a, _ := NewChunkAssembler(20, 8, dst)
+		return a
+	}
+	frame := func(seq, declared uint32, payload int) []byte {
+		return append(putU32(putU32(putU32(nil, uint32(OpMemcpyStreamChunk)), seq), declared), make([]byte, payload)...)
+	}
+	for name, f := range map[string][]byte{
+		"out of order":          frame(1, 8, 8),
+		"short chunk":           frame(0, 4, 4),
+		"long chunk":            frame(0, 9, 9),
+		"size short of frame":   frame(0, 7, 8),
+		"size past frame":       frame(0, 9, 8),
+		"another message":       (&MemcpyToDeviceRequest{Dst: 1, Data: make([]byte, 8)}).Encode(nil),
+		"head shorter than one": frame(0, 8, 8)[:8],
+	} {
+		if _, slot := fresh(make([]byte, 20)).Land(len(f), f[:min(len(f), chunkHeadSize)]); slot != nil {
+			t.Errorf("%s: Land handed out %d bytes", name, len(slot))
+		}
+	}
+	good := frame(0, 8, 8)
+	if _, slot := fresh(nil).Land(len(good), good); slot != nil {
+		t.Error("an assembler without a destination landed a chunk")
+	}
+	// A transfer that rejected a chunk lands nothing more.
+	a := fresh(make([]byte, 20))
+	if _, err := a.Add(&MemcpyStreamChunk{Seq: 1, Data: make([]byte, 8)}); err == nil {
+		t.Fatal("out-of-order chunk accepted")
+	}
+	if _, slot := a.Land(len(good), good); slot != nil {
+		t.Error("a rejected transfer landed a chunk")
+	}
+	// AddLanded takes only the memory Land gave out.
+	a = fresh(make([]byte, 20))
+	if _, err := a.AddLanded(good[:chunkHeadSize], make([]byte, 8)); err == nil {
+		t.Error("AddLanded accepted memory outside the transfer")
+	}
+}
+
 func TestChunkAssemblerRejectsProtocolViolations(t *testing.T) {
 	mk := func() *ChunkAssembler {
 		a, err := NewChunkAssembler(20, 8, nil)
@@ -173,10 +245,19 @@ func TestChunkAssemblerRejectsProtocolViolations(t *testing.T) {
 	if _, err := a.Add(&MemcpyStreamChunk{Seq: 2, Data: full}); err == nil {
 		t.Fatal("oversized final chunk must fail")
 	}
+	// A rejected transfer is over: the chunk that would have been next is
+	// refused too, so nothing more is placed in its destination.
+	if _, err := a.Add(&MemcpyStreamChunk{Seq: 2, Data: full[:4]}); err == nil {
+		t.Fatal("a transfer that rejected a chunk must stay rejected")
+	}
+	a = mk()
+	a.Add(&MemcpyStreamChunk{Seq: 0, Data: full})
+	a.Add(&MemcpyStreamChunk{Seq: 1, Data: full})
 	if _, err := a.Add(&MemcpyStreamChunk{Seq: 2, Data: full[:4]}); err != nil {
 		t.Fatal(err)
 	}
-	// A chunk past the declared total must fail.
+	// A chunk past the declared total must fail; it does not undo the
+	// complete transfer the End below closes.
 	if _, err := a.Add(&MemcpyStreamChunk{Seq: 3, Data: full}); err == nil {
 		t.Fatal("chunk past declared total must fail")
 	}

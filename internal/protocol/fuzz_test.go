@@ -72,6 +72,19 @@ func FuzzDecodeRequest(f *testing.F) {
 			f.Add(bad)
 		}
 	}
+	// Heads a landing transport must refuse memory (see PeekMemcpyToDevice,
+	// ChunkAssembler.Land): a declared size on either side of what the frame
+	// carries, the wrong kind, a null destination, a chunk whose size field
+	// disagrees with its frame.
+	h2d := func(dst, declared, kind uint32, payload int) []byte {
+		b := putU32(putU32(putU32(putU32(putU32(nil, uint32(OpMemcpyToDevice)), dst), 0), declared), kind)
+		return append(b, make([]byte, payload)...)
+	}
+	f.Add(h2d(0x100, 7, KindHostToDevice, 8))
+	f.Add(h2d(0x100, 9, KindHostToDevice, 8))
+	f.Add(h2d(0x100, 8, KindDeviceToHost, 8))
+	f.Add(h2d(0, 8, KindHostToDevice, 8))
+	f.Add(append(putU32(putU32(putU32(nil, uint32(OpMemcpyStreamChunk)), 0), 7), make([]byte, 8)...))
 	// Op-space sweep: a bare header for every op code the protocol has ever
 	// declared — plus one past the end for the unknown-op path — and a
 	// padded variant of each, so every dispatch branch of DecodeRequest is
@@ -88,6 +101,26 @@ func FuzzDecodeRequest(f *testing.F) {
 		req, err := DecodeRequest(raw)
 		if err == nil && req == nil {
 			t.Fatal("nil request with nil error")
+		}
+		// A head may take landed bytes exactly when the whole frame decodes
+		// to the request those bytes belong to.
+		if dst, size, ok := PeekMemcpyToDevice(len(raw), raw); ok {
+			m, isCopy := req.(*MemcpyToDeviceRequest)
+			if err != nil || !isCopy || m.Dst != dst || len(m.Data) != size {
+				t.Fatalf("head would land %d bytes at %#x, frame decodes to %v, %v", size, dst, req, err)
+			}
+			landed, err := DecodeLandedMemcpyToDevice(raw[:memcpyToDeviceHeadSize], raw[memcpyToDeviceHeadSize:])
+			if err != nil || landed.Dst != m.Dst || landed.Src != m.Src || !bytes.Equal(landed.Data, m.Data) {
+				t.Fatalf("landed decode %v, %v; whole decode %v", landed, err, m)
+			}
+		} else if _, isCopy := req.(*MemcpyToDeviceRequest); isCopy && err == nil {
+			t.Fatalf("frame decodes to a memcpy its head does not announce: %x", raw[:memcpyToDeviceHeadSize])
+		}
+		if seq, size, ok := peekChunk(len(raw), raw); ok {
+			m, isChunk := req.(*MemcpyStreamChunk)
+			if err != nil || !isChunk || m.Seq != seq || len(m.Data) != size {
+				t.Fatalf("head announces chunk %d of %d bytes, frame decodes to %v, %v", seq, size, req, err)
+			}
 		}
 		if err != nil {
 			return

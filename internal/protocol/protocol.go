@@ -267,6 +267,37 @@ func (m *MemcpyToDeviceRequest) SegmentBulk() []byte { return m.Data }
 // SegmentTail implements Segmented.
 func (m *MemcpyToDeviceRequest) SegmentTail(dst []byte) []byte { return dst }
 
+// memcpyToDeviceHeadSize is the fixed part of a MemcpyToDeviceRequest that
+// precedes its data.
+const memcpyToDeviceHeadSize = 20
+
+// PeekMemcpyToDevice reads the head of a frame of frameLen bytes that is
+// still arriving, peek being its leading bytes. ok reports that the frame is
+// a well-formed cudaMemcpy to device — operation, kind, and a declared size
+// that accounts for exactly the rest of the frame, the checks DecodeRequest
+// makes on a whole frame — so that a transport may land the size bytes
+// following the head in device memory at dst. Whether dst is memory the
+// session may write is the caller's check.
+func PeekMemcpyToDevice(frameLen int, peek []byte) (dst uint32, size int, ok bool) {
+	if len(peek) < memcpyToDeviceHeadSize ||
+		Op(getU32(peek, 0)) != OpMemcpyToDevice || getU32(peek, 16) != KindHostToDevice {
+		return 0, 0, false
+	}
+	size = int(getU32(peek, 12))
+	return getU32(peek, 4), size, frameLen == memcpyToDeviceHeadSize+size
+}
+
+// DecodeLandedMemcpyToDevice parses a cudaMemcpy to device whose data a
+// transport landed apart from the frame: head is what was received of the
+// frame itself, data the landed bytes, which the request aliases — for the
+// server, device memory.
+func DecodeLandedMemcpyToDevice(head, data []byte) (*MemcpyToDeviceRequest, error) {
+	if _, _, ok := PeekMemcpyToDevice(len(head)+len(data), head); !ok || len(head) != memcpyToDeviceHeadSize {
+		return nil, fmt.Errorf("protocol: %d bytes landed behind a %d-byte head that is no memcpy to device", len(data), len(head))
+	}
+	return &MemcpyToDeviceRequest{Dst: getU32(head, 4), Src: getU32(head, 8), Data: data}, nil
+}
+
 // MemcpyToDeviceResponse carries only the result code (4 bytes).
 type MemcpyToDeviceResponse struct {
 	Err uint32
@@ -344,7 +375,9 @@ func DecodeMemcpyToHostResponse(b []byte) (*MemcpyToHostResponse, error) {
 // DecodeMemcpyToHostResponseInto parses a device-to-host memcpy response,
 // copying the payload directly into dst — the caller's destination buffer —
 // with no intermediate allocation. The payload must be empty (an error
-// reply carries no data) or exactly len(dst) bytes. It returns the CUDA
+// reply carries no data) or exactly len(dst) bytes. When a transport
+// already landed the data, b is the trailing result code alone and dst the
+// empty remainder of the destination. It returns the CUDA
 // result code; callers must inspect a nonzero code before faulting on a
 // payload-length mismatch.
 func DecodeMemcpyToHostResponseInto(b, dst []byte) (code uint32, err error) {

@@ -118,17 +118,24 @@ func (c *Client) memcpyToHostChunked(dst []byte, src cudart.DevicePtr) error {
 		return err
 	}
 	for i, n := uint32(0), protocol.Chunks(total, c.chunkSize); i < n; i++ {
-		if payload, err = c.conn.Recv(); err != nil {
+		// The assembler is the receive's Lander: a chunk arrives with its
+		// data already in its slot of dst.
+		payload, landed, _, err := transport.RecvLanding(c.conn, asm)
+		if err != nil {
 			return fmt.Errorf("rcuda: stream chunk recv: %w", err)
 		}
-		chunk, err := protocol.DecodeMemcpyStreamChunk(payload)
+		if landed != nil {
+			_, err = asm.AddLanded(payload, landed)
+		} else {
+			var chunk *protocol.MemcpyStreamChunk
+			if chunk, err = protocol.DecodeMemcpyStreamChunk(payload); err == nil {
+				_, err = asm.Add(chunk)
+			}
+		}
 		if err != nil {
 			return err
 		}
-		if _, err := asm.Add(chunk); err != nil {
-			return err
-		}
-		recv += len(payload)
+		recv += len(payload) + len(landed)
 	}
 	if payload, err = c.conn.Recv(); err != nil {
 		return fmt.Errorf("rcuda: stream end recv: %w", err)
@@ -164,16 +171,17 @@ func (s *Server) dispatchChunked(conn transport.Conn, sess *session, req protoco
 	}
 }
 
-// recvArrival receives the next message together with its arrival instant.
+// recvArrival receives the next message of a transfer, landing it through
+// asm where the transport can, together with its arrival instant.
 // Transports without arrival stamps (real sockets) fall back to the device
 // clock, where the degraded synchronous copy path ignores the instant
 // anyway.
-func recvArrival(conn transport.Conn, dev *gpu.Device) ([]byte, time.Duration, error) {
-	if tr, ok := conn.(transport.TimedReceiver); ok {
-		return tr.RecvTimed()
+func recvArrival(conn transport.Conn, dev *gpu.Device, asm *protocol.ChunkAssembler) (payload, landed []byte, at time.Duration, err error) {
+	payload, landed, at, err = transport.RecvLanding(conn, asm)
+	if at == transport.NoArrival {
+		at = dev.Clock().Now()
 	}
-	payload, err := conn.Recv()
-	return payload, dev.Clock().Now(), err
+	return payload, landed, at, err
 }
 
 // sendReady sends a message whose payload is only available at the given
@@ -193,7 +201,10 @@ func sendReady(conn transport.Conn, m protocol.Message, ready time.Duration) err
 func (s *Server) serveMemcpyStream(conn transport.Conn, sess *session, begin *protocol.MemcpyStreamBeginRequest) error {
 	ctx := sess.context()
 	dev := s.srvDevice(sess)
-	if err := ctx.ValidRegion(begin.Ptr, begin.Total); err != nil {
+	// The whole transfer's device region is validated before any payload
+	// moves; host-to-device chunks land in it.
+	region, err := ctx.Region(begin.Ptr, begin.Total)
+	if err != nil {
 		return conn.Send(&protocol.MemcpyStreamBeginResponse{Err: code(err)})
 	}
 	stream, err := ctx.StreamCreate()
@@ -204,7 +215,7 @@ func (s *Server) serveMemcpyStream(conn transport.Conn, sess *session, begin *pr
 		return err
 	}
 	if begin.Kind == protocol.KindHostToDevice {
-		return s.serveStreamToDevice(conn, ctx, dev, stream, begin)
+		return s.serveStreamToDevice(conn, ctx, dev, stream, begin, region)
 	}
 	return s.serveStreamToHost(conn, ctx, dev, stream, begin)
 }
@@ -213,20 +224,36 @@ func (s *Server) serveMemcpyStream(conn transport.Conn, sess *session, begin *pr
 func (s *Server) srvDevice(sess *session) *gpu.Device { return s.devs[sess.cur] }
 
 // serveStreamToDevice overlaps receiving chunk k+1 from the network with
-// pushing chunk k across the PCIe link: each chunk's copy is booked on the
-// transfer's stream at the chunk's arrival instant, and the closing End
-// waits for the stream to drain.
-func (s *Server) serveStreamToDevice(conn transport.Conn, ctx *gpu.Context, dev *gpu.Device, stream uint32, begin *protocol.MemcpyStreamBeginRequest) error {
-	asm, err := protocol.NewChunkAssembler(begin.Total, begin.ChunkSize, nil)
+// pushing chunk k across the PCIe link: the assembler puts each chunk in
+// its slot of the device region — read there by a landing transport,
+// copied there otherwise — its PCIe push is booked on the transfer's stream
+// at the chunk's arrival instant, and the closing End waits for the stream
+// to drain.
+func (s *Server) serveStreamToDevice(conn transport.Conn, ctx *gpu.Context, dev *gpu.Device, stream uint32, begin *protocol.MemcpyStreamBeginRequest, region []byte) error {
+	asm, err := protocol.NewChunkAssembler(begin.Total, begin.ChunkSize, region)
 	if err != nil {
 		// Decoded Begin fields are pre-validated; reaching here is a bug.
 		return err
 	}
 	var opErr error
+	// placed books the PCIe push of the n bytes Add or AddLanded put at off.
+	placed := func(off, n int, at time.Duration, addErr error) {
+		if opErr == nil {
+			opErr = addErr
+		}
+		if opErr == nil {
+			_, opErr = ctx.CopyToDeviceAsyncAt(begin.Ptr+uint32(off), region[off:off+n], stream, at)
+		}
+	}
 	for {
-		payload, at, err := recvArrival(conn, dev)
+		payload, landed, at, err := recvArrival(conn, dev, asm)
 		if err != nil {
 			return fmt.Errorf("rcuda: stream recv: %w", err)
+		}
+		if landed != nil {
+			off, addErr := asm.AddLanded(payload, landed)
+			placed(off, len(landed), at, addErr)
+			continue
 		}
 		req, err := protocol.DecodeRequest(payload)
 		if err != nil {
@@ -234,17 +261,9 @@ func (s *Server) serveStreamToDevice(conn transport.Conn, ctx *gpu.Context, dev 
 		}
 		switch r := req.(type) {
 		case *protocol.MemcpyStreamChunk:
+			// A rejected chunk keeps draining to the End message.
 			off, addErr := asm.Add(r)
-			if addErr != nil {
-				if opErr == nil {
-					opErr = addErr
-				}
-				continue // keep draining to the End message
-			}
-			if opErr == nil {
-				_, copyErr := ctx.CopyToDeviceAsyncAt(begin.Ptr+uint32(off), r.Data, stream, at)
-				opErr = copyErr
-			}
+			placed(off, len(r.Data), at, addErr)
 		case *protocol.MemcpyStreamEndRequest:
 			// Sequence violations are reported in the End status rather
 			// than killing the session: frames stay message-aligned, so
@@ -264,34 +283,30 @@ func (s *Server) serveStreamToDevice(conn transport.Conn, ctx *gpu.Context, dev 
 
 // serveStreamToHost streams device memory back to the client. Every
 // chunk's PCIe read is booked up front — back to back on the transfer's
-// stream, starting at the acknowledged Begin — and each chunk is sent the
-// moment its read completes, so chunk k's network transfer overlaps chunk
-// k+1's PCIe read on the simulated clock.
+// stream, starting at the acknowledged Begin — and each chunk is sent,
+// straight from the device region, the moment its read completes, so chunk
+// k's network transfer overlaps chunk k+1's PCIe read on the simulated
+// clock.
 func (s *Server) serveStreamToHost(conn transport.Conn, ctx *gpu.Context, dev *gpu.Device, stream uint32, begin *protocol.MemcpyStreamBeginRequest) error {
 	start := dev.Clock().Now()
 	n := protocol.Chunks(begin.Total, begin.ChunkSize)
 	chunk := &protocol.MemcpyStreamChunk{}
-	var sendErr error
 	for seq := uint32(0); seq < n; seq++ {
 		off := seq * begin.ChunkSize
 		size := begin.Total - off
 		if size > begin.ChunkSize {
 			size = begin.ChunkSize
 		}
-		buf, _ := transport.GetBuffer(int(size))
-		buf = buf[:size]
-		ready, err := ctx.CopyToHostAsyncAt(buf, begin.Ptr+off, stream, start)
+		view, ready, err := ctx.HostViewAsyncAt(begin.Ptr+off, size, stream, start)
 		if err != nil {
 			// Unreachable after Begin validation short of a destroyed
 			// context; the client still expects n chunks, so the session
 			// cannot be salvaged.
 			return fmt.Errorf("rcuda: chunked read at %#x: %w", begin.Ptr+off, err)
 		}
-		chunk.Seq, chunk.Data = seq, buf
-		sendErr = sendReady(conn, chunk, ready)
-		transport.PutBuffer(buf)
-		if sendErr != nil {
-			return fmt.Errorf("rcuda: stream chunk %d send: %w", seq, sendErr)
+		chunk.Seq, chunk.Data = seq, view
+		if err := sendReady(conn, chunk, ready); err != nil {
+			return fmt.Errorf("rcuda: stream chunk %d send: %w", seq, err)
 		}
 	}
 	opErr := ctx.StreamDestroy(stream)

@@ -70,9 +70,26 @@ type Client struct {
 	// both zero means a bare hello.
 	schedClass  uint32
 	schedWeight uint32
+	// toHost is the Lander of the MemcpyToHost exchange in flight; it lives
+	// here so that offering it to the transport allocates nothing.
+	toHost hostLander
 }
 
 var _ cudart.Runtime = (*Client)(nil)
+
+// hostLander lands the data of a MemcpyToHostResponse in the application's
+// destination buffer.
+type hostLander struct{ dst []byte }
+
+// Land implements transport.Lander: the reply to a device-to-host copy of
+// len(dst) bytes is that data followed by the 4-byte result code, and
+// nothing else is that long. An error reply is 4 bytes and never offered.
+func (h *hostLander) Land(frameLen int, _ []byte) (head int, dst []byte) {
+	if frameLen != len(h.dst)+4 {
+		return 0, nil
+	}
+	return 0, h.dst
+}
 
 // Observer receives a notification for every remote call a client makes.
 // Package trace implements it to reproduce the paper's Figure 2.
@@ -198,38 +215,45 @@ func (c *Client) observe(op protocol.Op, sent, recv int) {
 	}
 }
 
-// roundTrip sends a request and returns the raw response payload. The
+// roundTrip sends a request and returns the raw response payload.
+func (c *Client) roundTrip(req protocol.Request) ([]byte, error) {
+	payload, _, err := c.exchange(req, nil)
+	return payload, err
+}
+
+// exchange sends a request and returns the raw response: the payload and,
+// when l landed the response's bulk bytes, the memory they are in. The
 // exchange runs under the retry policy: a connection fault mid-exchange
 // re-runs the whole request on a replacement connection when the
-// operation is idempotent.
-func (c *Client) roundTrip(req protocol.Request) ([]byte, error) {
+// operation is idempotent — a landing the fault cut short is landed again
+// from the start.
+func (c *Client) exchange(req protocol.Request, l transport.Lander) (payload, landed []byte, err error) {
 	if c.closed.Load() {
-		return nil, cudart.ErrorInitialization
+		return nil, nil, cudart.ErrorInitialization
 	}
 	// Every synchronous exchange is a sync point for the batching layer:
 	// pending coalesced work must reach the server first so the wire keeps
 	// the program's call order, and a deferred batched-call failure surfaces
 	// here instead of the exchange running.
 	if err := c.syncPoint(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var payload []byte
-	err := c.runRetry(req.Op(), func() error {
+	err = c.runRetry(req.Op(), func() error {
 		if err := c.conn.Send(req); err != nil {
 			return fmt.Errorf("rcuda: %v send: %w", req.Op(), err)
 		}
-		p, err := c.conn.Recv()
+		p, ld, _, err := transport.RecvLanding(c.conn, l)
 		if err != nil {
 			return fmt.Errorf("rcuda: %v recv: %w", req.Op(), err)
 		}
-		payload = p
+		payload, landed = p, ld
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	c.observe(req.Op(), req.WireSize(), len(payload))
-	return payload, nil
+	c.observe(req.Op(), req.WireSize(), len(payload)+len(landed))
+	return payload, landed, nil
 }
 
 // Malloc implements cudart.Runtime.
@@ -286,8 +310,10 @@ func (c *Client) MemcpyToDevice(dst cudart.DevicePtr, src []byte) error {
 	return cudart.Error(resp.Err).AsError()
 }
 
-// MemcpyToHost implements cudart.Runtime. The response payload is decoded
-// straight into dst, so the call allocates nothing for the data itself.
+// MemcpyToHost implements cudart.Runtime. The response's data is read from
+// the connection straight into dst where the transport can land it, and
+// decoded into dst otherwise; either way the call allocates nothing for
+// the data itself.
 func (c *Client) MemcpyToHost(dst []byte, src cudart.DevicePtr) error {
 	if c.chunkThreshold > 0 && len(dst) >= c.chunkThreshold {
 		if err := c.syncPoint(); err != nil {
@@ -297,14 +323,18 @@ func (c *Client) MemcpyToHost(dst []byte, src cudart.DevicePtr) error {
 			return c.memcpyToHostChunked(dst, src)
 		})
 	}
-	payload, err := c.roundTrip(&protocol.MemcpyToHostRequest{
+	c.toHost.dst = dst
+	payload, landed, err := c.exchange(&protocol.MemcpyToHostRequest{
 		Src:  uint32(src),
 		Size: uint32(len(dst)),
-	})
+	}, &c.toHost)
+	c.toHost.dst = nil
 	if err != nil {
 		return err
 	}
-	errCode, err := protocol.DecodeMemcpyToHostResponseInto(payload, dst)
+	// What the transport landed is in dst already; the payload holds the
+	// rest of the response.
+	errCode, err := protocol.DecodeMemcpyToHostResponseInto(payload, dst[len(landed):])
 	if cudaErr := cudart.Error(errCode).AsError(); cudaErr != nil {
 		return cudaErr
 	}

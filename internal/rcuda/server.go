@@ -406,6 +406,24 @@ type session struct {
 // context returns the context of the currently selected device.
 func (ss *session) context() *gpu.Context { return ss.ctxs[ss.cur] }
 
+// Land implements transport.Lander for the session's request loop. Only a
+// well-formed cudaMemcpy to device whose whole destination is a region the
+// session's current context owns gets memory — that region; dispatch then
+// finds the data in place and charges the copy's modeled time as for any
+// other (see gpu.Context.CopyToDevice). Every other frame, a memcpy that is
+// going to fail included, is received whole and answered as ever.
+func (ss *session) Land(frameLen int, peek []byte) (head int, dst []byte) {
+	ptr, size, ok := protocol.PeekMemcpyToDevice(frameLen, peek)
+	if !ok {
+		return 0, nil
+	}
+	region, err := ss.context().Region(ptr, uint32(size))
+	if err != nil {
+		return 0, nil
+	}
+	return frameLen - size, region
+}
+
 // setDevice switches the session's current device, creating its context on
 // first use.
 func (ss *session) setDevice(d int) error {
@@ -529,14 +547,21 @@ func (s *Server) serveSession(conn transport.Conn, withinConnCap bool) error {
 
 	stamper, _ := conn.(transport.SendStamper)
 	for {
-		payload, err := conn.Recv()
+		// The session is the receive's Lander: a bulk cudaMemcpy to device
+		// arrives with its data already in the device region it names.
+		payload, landed, _, err := transport.RecvLanding(conn, sess)
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, transport.ErrClosed) {
 				return nil // client went away; resources released by defer
 			}
 			return fmt.Errorf("rcuda: recv: %w", err)
 		}
-		req, err := protocol.DecodeRequest(payload)
+		var req protocol.Request
+		if landed != nil {
+			req, err = protocol.DecodeLandedMemcpyToDevice(payload, landed)
+		} else {
+			req, err = protocol.DecodeRequest(payload)
+		}
 		if err != nil {
 			return fmt.Errorf("rcuda: malformed request: %w", err)
 		}
@@ -872,16 +897,11 @@ func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Reque
 		opErr := ctx.CopyToDevice(r.Dst, r.Data)
 		return false, conn.Send(&protocol.MemcpyToDeviceResponse{Err: code(opErr)})
 	case *protocol.MemcpyToHostRequest:
-		buf, _ := transport.GetBuffer(int(r.Size))
-		buf = buf[:r.Size]
-		opErr := ctx.CopyToHostInto(buf, r.Src)
-		if opErr != nil {
-			transport.PutBuffer(buf)
-			return false, conn.Send(&protocol.MemcpyToHostResponse{Err: code(opErr)})
-		}
-		sendErr := conn.Send(&protocol.MemcpyToHostResponse{Data: buf})
-		transport.PutBuffer(buf)
-		return false, sendErr
+		// The reply's data is device memory itself (nil on an error): the
+		// session is synchronous and holds its scheduler grant until Send
+		// returns, so nothing writes the region meanwhile.
+		view, opErr := ctx.HostView(r.Src, r.Size)
+		return false, conn.Send(&protocol.MemcpyToHostResponse{Data: view, Err: code(opErr)})
 	case *protocol.LaunchRequest:
 		grid := gpu.Dim3{X: r.GridDim[0], Y: r.GridDim[1], Z: 1}
 		block := gpu.Dim3{X: r.BlockDim[0], Y: r.BlockDim[1], Z: r.BlockDim[2]}

@@ -43,7 +43,10 @@ type FaultyConn struct {
 	injected atomic.Int64
 }
 
-var _ Conn = (*FaultyConn)(nil)
+var (
+	_ Conn            = (*FaultyConn)(nil)
+	_ LandingReceiver = (*FaultyConn)(nil)
+)
 
 // NewFaultyConn wraps inner with the given fault plan. When inner supports
 // the simulated-clock extensions (TimedReceiver, ScheduledSender — the
@@ -147,10 +150,18 @@ func (f *FaultyConn) Send(m protocol.Message) error {
 
 // Recv implements Conn.
 func (f *FaultyConn) Recv() ([]byte, error) {
+	payload, _, _, err := f.RecvLanding(nil)
+	return payload, err
+}
+
+// RecvLanding implements LandingReceiver: one fault decision per receive,
+// whether or not the receive lands, then the wrapped connection's own
+// receive.
+func (f *FaultyConn) RecvLanding(l Lander) (payload, landed []byte, at time.Duration, err error) {
 	if handled, err := f.recvFaulted(f.plan.Next(faults.DirRecv)); handled {
-		return nil, err
+		return nil, nil, NoArrival, err
 	}
-	return f.inner.Recv()
+	return RecvLanding(f.inner, l)
 }
 
 // Close implements Conn.
@@ -178,10 +189,8 @@ var (
 
 // RecvTimed implements TimedReceiver.
 func (f *faultyPipeConn) RecvTimed() ([]byte, time.Duration, error) {
-	if handled, err := f.recvFaulted(f.plan.Next(faults.DirRecv)); handled {
-		return nil, 0, err
-	}
-	return f.inner.(TimedReceiver).RecvTimed()
+	payload, _, at, err := f.RecvLanding(nil)
+	return payload, at, err
 }
 
 // SendAt implements ScheduledSender.

@@ -76,6 +76,78 @@ type ScheduledSender interface {
 	SendAt(m protocol.Message, notBefore time.Duration) error
 }
 
+// Lander is offered caller-owned memory for the bulk bytes of a frame that
+// is still arriving, so they are read from the connection straight into
+// their destination — device memory on the server, the application's
+// buffer on the client — instead of into a pooled frame buffer.
+type Lander interface {
+	// Land sees the length of the arriving frame and its first LandPeek
+	// bytes. It returns how many leading bytes are the frame's fixed-size
+	// head and the memory that takes the bytes following it; the receive
+	// then returns the head and whatever trails the landed bytes as the
+	// payload. A nil dst declines, and the frame is received whole. Land
+	// must validate everything it needs from peek before it hands memory
+	// out: that memory is written as the bytes arrive, and keeps what
+	// arrived if the connection fails mid-frame.
+	Land(frameLen int, peek []byte) (head int, dst []byte)
+}
+
+// LandPeek is how much of a frame a Lander sees before deciding: the
+// longest fixed-size head of any bulk message (cudaMemcpy to device).
+const LandPeek = 20
+
+// LandFloor is the smallest frame a Lander is consulted for. Below it a
+// frame fits the socket read buffer, where a second copy costs less than
+// the question.
+const LandFloor = 64 << 10
+
+// NoArrival is the arrival instant RecvLanding reports on a connection that
+// does not stamp arrivals.
+const NoArrival time.Duration = -1
+
+// LandingReceiver is implemented by connections whose receive can land a
+// frame's bulk bytes. Recv (and RecvTimed) are this receive offered no
+// memory.
+type LandingReceiver interface {
+	// RecvLanding is Recv with l consulted for every frame of at least
+	// LandFloor bytes; a nil l is never consulted. landed is the memory l
+	// handed out, now holding the frame's bulk bytes, or nil when the frame
+	// was received whole. at is the arrival instant of a TimedReceiver's
+	// RecvTimed, NoArrival on other connections. Landed bytes count as
+	// received in Stats.
+	RecvLanding(l Lander) (payload, landed []byte, at time.Duration, err error)
+}
+
+// RecvLanding receives the next message from any connection: through its
+// landing receive when it has one, and whole otherwise — a wrapper that
+// forwards only Conn still works, with nothing landed.
+func RecvLanding(c Conn, l Lander) (payload, landed []byte, at time.Duration, err error) {
+	switch r := c.(type) {
+	case LandingReceiver:
+		return r.RecvLanding(l)
+	case TimedReceiver:
+		payload, at, err = r.RecvTimed()
+		return payload, nil, at, err
+	default:
+		payload, err = c.Recv()
+		return payload, nil, NoArrival, err
+	}
+}
+
+// offered reports whether a frame of n bytes is put to l at all.
+func offered(l Lander, n int) bool { return l != nil && n >= LandFloor }
+
+// land asks l where the bulk bytes of a frame of n bytes go. It reports no
+// landing (0, nil) when l declines or answers with a range that does not
+// fit the frame.
+func land(l Lander, n int, peek []byte) (head int, dst []byte) {
+	head, dst = l.Land(n, peek)
+	if len(dst) == 0 || head < 0 || head > len(peek) || len(dst) > n-head {
+		return 0, nil
+	}
+	return head, dst
+}
+
 // SendStamper is implemented by connections that record when each message
 // left on the connection's clock. On a simulated pipe that clock is shared
 // with the peer, which may start charging its next message the moment it
@@ -100,6 +172,9 @@ type Stats struct {
 	// pool versus freshly allocated (sends and receives combined).
 	PoolHits   int64
 	PoolMisses int64
+	// PoolBulk counts those requests that were for at least LandFloor
+	// bytes: the staging buffers of bulk payloads that did not land.
+	PoolBulk int64
 	// FaultsInjected counts deliberate faults a FaultyConn applied to this
 	// connection; always zero on a plain connection.
 	FaultsInjected int64
@@ -110,6 +185,7 @@ type counters struct {
 	msgsSent, msgsRecv   atomic.Int64
 	bytesSent, bytesRecv atomic.Int64
 	poolHits, poolMisses atomic.Int64
+	poolBulk             atomic.Int64
 }
 
 func (c *counters) onSend(n int) {
@@ -122,12 +198,18 @@ func (c *counters) onRecv(n int) {
 	c.bytesRecv.Add(int64(n))
 }
 
-func (c *counters) onPool(hit bool) {
+// getBuffer is GetBuffer with the request counted on this connection.
+func (c *counters) getBuffer(n int) []byte {
+	buf, hit := GetBuffer(n)
 	if hit {
 		c.poolHits.Add(1)
 	} else {
 		c.poolMisses.Add(1)
 	}
+	if n >= LandFloor {
+		c.poolBulk.Add(1)
+	}
+	return buf
 }
 
 func (c *counters) Stats() Stats {
@@ -138,6 +220,7 @@ func (c *counters) Stats() Stats {
 		BytesRecv:    c.bytesRecv.Load(),
 		PoolHits:     c.poolHits.Load(),
 		PoolMisses:   c.poolMisses.Load(),
+		PoolBulk:     c.poolBulk.Load(),
 	}
 }
 
@@ -174,6 +257,7 @@ type TCPConn struct {
 var (
 	_ Conn            = (*TCPConn)(nil)
 	_ DeadlineCapable = (*TCPConn)(nil)
+	_ LandingReceiver = (*TCPConn)(nil)
 )
 
 // DialTCP connects to an rCUDA server, disabling Nagle's algorithm.
@@ -194,7 +278,7 @@ func NewTCPConn(c net.Conn) *TCPConn {
 		// middleware must not depend on it.)
 		_ = tc.SetNoDelay(true)
 	}
-	return &TCPConn{c: c, br: bufio.NewReaderSize(c, 1<<16)}
+	return &TCPConn{c: c, br: bufio.NewReaderSize(c, LandFloor)}
 }
 
 // SetOpTimeout bounds every subsequent Send and Recv individually; a hung
@@ -236,8 +320,16 @@ func (t *TCPConn) Send(m protocol.Message) error {
 // Recv implements Conn. The payload is read into a pooled buffer that is
 // recycled on the next Recv — see the Conn contract.
 func (t *TCPConn) Recv() ([]byte, error) {
+	payload, _, _, err := t.RecvLanding(nil)
+	return payload, err
+}
+
+// RecvLanding implements LandingReceiver: the landed bytes go from the
+// socket (past whatever bufio already holds of them) into the Lander's
+// memory, and only head and tail occupy the pooled buffer.
+func (t *TCPConn) RecvLanding(l Lander) (payload, landed []byte, at time.Duration, err error) {
 	if err := t.armDeadline(t.c.SetReadDeadline); err != nil {
-		return nil, err
+		return nil, nil, NoArrival, err
 	}
 	if t.lastRecv != nil {
 		PutBuffer(t.lastRecv)
@@ -251,30 +343,47 @@ func (t *TCPConn) Recv() ([]byte, error) {
 		// A clean close lands exactly between frames and surfaces as io.EOF
 		// with nothing buffered; a close inside the header is a truncation.
 		if got := t.br.Buffered(); got > 0 && isStreamEnd(err) {
-			return nil, fmt.Errorf("%w: %d of %d header bytes", ErrTruncatedFrame, got, frameHeaderSize)
+			return nil, nil, NoArrival, fmt.Errorf("%w: %d of %d header bytes", ErrTruncatedFrame, got, frameHeaderSize)
 		}
-		return nil, err
+		return nil, nil, NoArrival, err
 	}
 	n := int(binary.LittleEndian.Uint32(hdr))
 	if n > protocol.MaxFrameSize {
-		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit %d", n, protocol.MaxFrameSize)
+		return nil, nil, NoArrival, fmt.Errorf("transport: frame of %d bytes exceeds limit %d", n, protocol.MaxFrameSize)
 	}
 	if _, err := t.br.Discard(frameHeaderSize); err != nil {
-		return nil, err
+		return nil, nil, NoArrival, err
 	}
-	buf, hit := GetBuffer(n)
-	t.onPool(hit)
-	buf = buf[:n]
-	if got, err := io.ReadFull(t.br, buf); err != nil {
+	var head int
+	if offered(l, n) {
+		// A stream that ends inside the peek is left to the reads below,
+		// which report it as the truncation it is.
+		if peek, err := t.br.Peek(LandPeek); err == nil {
+			head, landed = land(l, n, peek)
+		}
+	}
+	buf := t.getBuffer(n - len(landed))[:n-len(landed)]
+	// Head, landed bytes, tail: three reads of one frame, the first two
+	// empty for a frame that did not land.
+	var got int
+	for _, part := range [...][]byte{buf[:head], landed, buf[head:]} {
+		var m int
+		m, err = io.ReadFull(t.br, part)
+		got += m
+		if err != nil {
+			break
+		}
+	}
+	if err != nil {
 		PutBuffer(buf)
 		if isStreamEnd(err) {
-			return nil, fmt.Errorf("%w: %d of %d payload bytes", ErrTruncatedFrame, got, n)
+			return nil, nil, NoArrival, fmt.Errorf("%w: %d of %d payload bytes", ErrTruncatedFrame, got, n)
 		}
-		return nil, err
+		return nil, nil, NoArrival, err
 	}
 	t.lastRecv = buf
 	t.onRecv(n)
-	return buf, nil
+	return buf, landed, NoArrival, nil
 }
 
 // Close implements Conn.
@@ -384,6 +493,7 @@ var (
 	_ ScheduledSender = (*PipeEnd)(nil)
 	_ SendStamper     = (*PipeEnd)(nil)
 	_ DeadlineCapable = (*PipeEnd)(nil)
+	_ LandingReceiver = (*PipeEnd)(nil)
 )
 
 // LastSendOn implements SendStamper.
@@ -436,9 +546,7 @@ func Pipe(link *netsim.Link, clock vclock.Clock, noise *netsim.Noise) (client, s
 // shared clock and enqueues the payload at the peer, stamped with its
 // arrival instant.
 func (p *PipeEnd) Send(m protocol.Message) error {
-	buf, hit := GetBuffer(m.WireSize())
-	p.onPool(hit)
-	payload := m.Encode(buf)
+	payload := m.Encode(p.getBuffer(m.WireSize()))
 	if len(payload) != m.WireSize() {
 		return fmt.Errorf("transport: %T encoded %d bytes, declared %d", m, len(payload), m.WireSize())
 	}
@@ -486,42 +594,56 @@ func (p *PipeEnd) SendAt(m protocol.Message, notBefore time.Duration) error {
 	return p.Send(m)
 }
 
-// Recv implements Conn; see RecvTimed.
+// Recv implements Conn; see RecvLanding.
 func (p *PipeEnd) Recv() ([]byte, error) {
-	payload, _, err := p.RecvTimed()
+	payload, _, _, err := p.RecvLanding(nil)
 	return payload, err
 }
 
-// RecvTimed implements TimedReceiver. The payload occupies a pooled buffer
-// that is recycled on the next receive — see the Conn contract.
+// RecvTimed implements TimedReceiver; see RecvLanding.
 func (p *PipeEnd) RecvTimed() ([]byte, time.Duration, error) {
+	payload, _, at, err := p.RecvLanding(nil)
+	return payload, at, err
+}
+
+// RecvLanding implements LandingReceiver. The payload occupies a pooled
+// buffer that is recycled on the next receive — see the Conn contract. The
+// pipe hands frames over whole, so it lands by copying the bulk bytes out
+// of the frame: the copy a whole receive's consumer would make, made here,
+// so the simulated runs execute the landing code the socket does.
+func (p *PipeEnd) RecvLanding(l Lander) (payload, landed []byte, at time.Duration, err error) {
 	if p.lastRecv != nil {
 		PutBuffer(p.lastRecv)
 		p.lastRecv = nil
-	}
-	deliver := func(msg pipeMsg) ([]byte, time.Duration, error) {
-		p.lastRecv = msg.payload
-		p.onRecv(len(msg.payload))
-		return msg.payload, msg.at, nil
 	}
 	expired, timer := p.opDeadline()
 	if timer != nil {
 		defer timer.Stop()
 	}
+	var msg pipeMsg
 	select {
-	case msg := <-p.in:
-		return deliver(msg)
+	case msg = <-p.in:
 	case <-expired:
-		return nil, 0, fmt.Errorf("transport: pipe recv: %w", os.ErrDeadlineExceeded)
+		return nil, nil, 0, fmt.Errorf("transport: pipe recv: %w", os.ErrDeadlineExceeded)
 	case <-p.done:
 		// Drain anything that raced with Close so shutdown is orderly.
 		select {
-		case msg := <-p.in:
-			return deliver(msg)
+		case msg = <-p.in:
 		default:
-			return nil, 0, errClosedEOF()
+			return nil, nil, 0, errClosedEOF()
 		}
 	}
+	p.lastRecv = msg.payload
+	p.onRecv(len(msg.payload))
+	payload = msg.payload
+	if offered(l, len(payload)) {
+		var head int
+		if head, landed = land(l, len(payload), payload[:LandPeek]); landed != nil {
+			bulkEnd := head + copy(landed, payload[head:])
+			payload = payload[:head+copy(payload[head:], payload[bulkEnd:])]
+		}
+	}
+	return payload, landed, msg.at, nil
 }
 
 // errClosedEOF distinguishes orderly shutdown; callers treat it like EOF.
@@ -533,9 +655,7 @@ func errClosedEOF() error { return ErrClosed }
 // the peer decodes a short, malformed payload — the same observable
 // outcome a torn frame has after reassembly.
 func (p *PipeEnd) sendTruncated(m protocol.Message, keep int) error {
-	buf, hit := GetBuffer(m.WireSize())
-	p.onPool(hit)
-	payload := m.Encode(buf)
+	payload := m.Encode(p.getBuffer(m.WireSize()))
 	if keep < 0 {
 		keep = 0
 	}
