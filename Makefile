@@ -25,7 +25,7 @@ help:
 	@echo "  bench-sched  run the WFQ-vs-FIFO starvation bench, refresh BENCH_sched.json"
 	@echo "  bench-sched-smoke  CI freshness check: re-run the scheduler scenarios"
 	@echo "  bench-wall   wall-clock benchmark of the remoting stack (BENCHMARK.json, ~90 s)"
-	@echo "  bench-wall-smoke  CI correctness check: one second each of the batched inference, fleet placement and the two bulk-copy workloads"
+	@echo "  bench-wall-smoke  CI correctness check: one second each of the batched inference, fleet placement, the two bulk-copy and the session churn workloads"
 	@echo "  fuzz         short fuzzing pass over the wire-protocol decoders"
 	@echo "  pool         broker demo: 3 local daemons, one killed mid-batch"
 	@echo "  repro        regenerate every table and figure of the paper on stdout"
@@ -135,14 +135,17 @@ bench-wall:
 # for its invariants (all completed, none lost or unplaced) and for
 # same-seed determinism; then one second each of 16 MiB copies both ways in
 # single frames and as a chunk pipeline — the landed data path over a real
-# socket — every copy compared byte for byte. The harness exits non-zero on
-# any wrong output or broken invariant; timings on a CI runner are not
-# judged.
+# socket — every copy compared byte for byte; then one second of session
+# churn through the broker — every open, malloc, free and close must
+# succeed, with no device memory left in use and no failover or markdown in
+# any round. The harness exits non-zero on any wrong output or broken
+# invariant; timings on a CI runner are not judged.
 bench-wall-smoke:
 	bash bench/run.sh --workload infer_batched --seed 1 --seconds 1 --trace 0
 	bash bench/run.sh --workload fleet_place --seed 1 --seconds 1 --trace 0
 	bash bench/run.sh --workload memcpy_bulk --seed 1 --seconds 1 --trace 0
 	bash bench/run.sh --workload memcpy_chunked --seed 1 --seconds 1 --trace 0
+	bash bench/run.sh --workload session_churn --seed 1 --seconds 1 --trace 0
 
 # Short fuzzing pass over the wire-protocol decoders.
 fuzz:

@@ -1,6 +1,7 @@
 package cudart
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"rcuda/internal/gpu"
+	"rcuda/internal/raceflag"
 	"rcuda/internal/vclock"
 )
 
@@ -311,5 +313,42 @@ func TestComplex64BytesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLocalMemcpyToHostStagesNothing: the local device-to-host copy moves
+// device memory into the caller's buffer once, with no buffer of its own,
+// and charges the clock the one modeled PCIe transfer it always did.
+func TestLocalMemcpyToHostStagesNothing(t *testing.T) {
+	rt, clk := openTest(t, "d2h_direct")
+	defer rt.Close()
+	const n = 1 << 20
+	ptr, err := rt.Malloc(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := make([]byte, n)
+	for i := range src {
+		src[i] = byte(i * 7)
+	}
+	if err := rt.MemcpyToDevice(ptr, src); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, n)
+	before := clk.Now()
+	if err := rt.MemcpyToHost(dst, ptr); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := clk.Now()-before, rt.dev().PCIeTime(n); got != want {
+		t.Fatalf("copy charged %v, want one PCIe transfer of %v", got, want)
+	}
+	if !bytes.Equal(dst, src) {
+		t.Fatal("copy diverged")
+	}
+	if raceflag.Enabled {
+		return
+	}
+	if got := testing.AllocsPerRun(20, func() { _ = rt.MemcpyToHost(dst, ptr) }); got != 0 {
+		t.Fatalf("MemcpyToHost allocates %v times, want 0", got)
 	}
 }

@@ -138,11 +138,11 @@ func (l *Local) MemcpyToDevice(dst DevicePtr, src []byte) error {
 
 // MemcpyToHost implements Runtime.
 func (l *Local) MemcpyToHost(dst []byte, src DevicePtr) error {
-	data, err := l.ctx().CopyToHost(uint32(src), uint32(len(dst)))
+	view, err := l.ctx().HostView(uint32(src), uint32(len(dst)))
 	if err != nil {
 		return mapGPUError(err)
 	}
-	copy(dst, data)
+	copy(dst, view)
 	return nil
 }
 

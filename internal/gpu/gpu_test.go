@@ -3,6 +3,7 @@ package gpu
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -273,6 +274,65 @@ func TestRegistryAndResolve(t *testing.T) {
 	if !found {
 		t.Fatal("RegisteredModules must list the module")
 	}
+}
+
+// TestResolveModuleTable: an image resolves only when its header is well
+// formed, its name is registered and its length is the registered size.
+func TestResolveModuleTable(t *testing.T) {
+	m := testModule("resolve_table_mod", 300)
+	RegisterModule(m)
+	good, err := m.Binary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := len(moduleMagic) + 4 + len(m.Name)
+	renamed := append([]byte(nil), good...)
+	renamed[header-1] ^= 1
+	for _, tc := range []struct {
+		name    string
+		img     []byte
+		unknown bool   // errors.Is ErrUnknownModule
+		size    string // or the size error names these two numbers
+	}{
+		{name: "unknown magic", img: append([]byte("RCUDAMOX"), good[8:]...), unknown: true},
+		{name: "empty", img: nil, unknown: true},
+		{name: "short name field", img: good[:header-1], unknown: true},
+		{name: "name length past the image", img: append(append([]byte(nil), good[:8]...), 0xFF, 0xFF, 0xFF, 0x7F), unknown: true},
+		{name: "unknown name", img: renamed, unknown: true},
+		{name: "one byte short", img: good[:299], size: "299 bytes, registered size 300"},
+		{name: "one byte long", img: append(append([]byte(nil), good...), 0), size: "301 bytes, registered size 300"},
+		{name: "header only", img: good[:header], size: fmt.Sprintf("%d bytes, registered size 300", header)},
+		{name: "exact size", img: good},
+	} {
+		got, err := ResolveModule(tc.img)
+		switch {
+		case tc.unknown:
+			if !errors.Is(err, ErrUnknownModule) {
+				t.Errorf("%s: %v, want ErrUnknownModule", tc.name, err)
+			}
+		case tc.size != "":
+			if err == nil || !strings.Contains(err.Error(), tc.size) {
+				t.Errorf("%s: %v, want a size error naming %q", tc.name, err, tc.size)
+			}
+		case err != nil || got != m:
+			t.Errorf("%s: resolved %v, %v", tc.name, got, err)
+		}
+	}
+}
+
+// TestRegisterRefusesModuleWithoutImage: a BinarySize below the module's own
+// header can match no image; such a module used to register and then resolve
+// against a nil image with a misleading size error.
+func TestRegisterRefusesModuleWithoutImage(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a module whose BinarySize cannot hold its header must not register")
+		}
+		if _, err := LookupModule("a_name_longer_than_the_size"); err == nil {
+			t.Fatal("the refused module is in the registry")
+		}
+	}()
+	RegisterModule(testModule("a_name_longer_than_the_size", 8))
 }
 
 func TestRegisterDuplicatePanics(t *testing.T) {

@@ -74,8 +74,12 @@ var registry = struct {
 }{mods: make(map[string]*Module)}
 
 // RegisterModule makes a module loadable by name. It panics on duplicate
-// registration, which indicates conflicting providers.
+// registration, which indicates conflicting providers, and on a module that
+// has no image (a BinarySize below its own header).
 func RegisterModule(m *Module) {
+	if _, err := m.Binary(); err != nil {
+		panic(err.Error())
+	}
 	registry.Lock()
 	defer registry.Unlock()
 	if _, dup := registry.mods[m.Name]; dup {
@@ -118,9 +122,9 @@ func ResolveModule(img []byte) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	if want, _ := m.Binary(); len(img) != len(want) {
+	if len(img) != m.BinarySize {
 		return nil, fmt.Errorf("gpu: module %q image is %d bytes, registered size %d",
-			name, len(img), len(want))
+			name, len(img), m.BinarySize)
 	}
 	return m, nil
 }

@@ -424,12 +424,19 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 func FuzzDecodeInitRequest(f *testing.F) {
 	f.Add((&InitRequest{Module: []byte("module")}).Encode(nil))
 	f.Add([]byte{0, 0, 0, 0})
+	// The module aliases the frame, so the length field is all that stands
+	// between the decoder and the bytes next to it: one short, one past.
+	f.Add([]byte{5, 0, 0, 0, 'm', 'o', 'd', 'u', 'l', 'e'})
+	f.Add([]byte{7, 0, 0, 0, 'm', 'o', 'd', 'u', 'l', 'e'})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		req, err := DecodeInitRequest(raw)
 		if err == nil && req == nil {
 			t.Fatal("nil request with nil error")
 		}
 		if err == nil {
+			if len(req.Module) != len(raw)-4 || cap(req.Module) > cap(raw)-4 {
+				t.Fatalf("module of %d bytes (cap %d) from a %d-byte frame", len(req.Module), cap(req.Module), len(raw))
+			}
 			if !bytes.Equal(req.Encode(nil), raw) {
 				t.Fatal("init re-encode mismatch")
 			}

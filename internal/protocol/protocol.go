@@ -147,7 +147,9 @@ func (m *InitRequest) SegmentBulk() []byte { return m.Module }
 // SegmentTail implements Segmented.
 func (m *InitRequest) SegmentTail(dst []byte) []byte { return dst }
 
-// DecodeInitRequest parses an initialization request.
+// DecodeInitRequest parses an initialization request. Module aliases b: it
+// is valid until the connection's next receive, like
+// MemcpyToDeviceRequest.Data.
 func DecodeInitRequest(b []byte) (*InitRequest, error) {
 	if len(b) < 4 {
 		return nil, ErrShortMessage
@@ -156,9 +158,7 @@ func DecodeInitRequest(b []byte) (*InitRequest, error) {
 	if len(b) != 4+n {
 		return nil, fmt.Errorf("protocol: init module length %d does not match payload %d", n, len(b)-4)
 	}
-	mod := make([]byte, n)
-	copy(mod, b[4:])
-	return &InitRequest{Module: mod}, nil
+	return &InitRequest{Module: b[4:]}, nil
 }
 
 // InitResponse carries the device compute capability and the result code.

@@ -116,6 +116,11 @@ func TestInitDecodeErrors(t *testing.T) {
 	if _, err := DecodeInitRequest(bad); err == nil {
 		t.Fatal("want error for truncated module")
 	}
+	// ... and the other way: a length field one short of the frame.
+	long := append((&InitRequest{Module: []byte{1, 2, 3}}).Encode(nil), 4)
+	if _, err := DecodeInitRequest(long); err == nil {
+		t.Fatal("want error for a module shorter than its frame")
+	}
 	if _, err := DecodeInitResponse([]byte{0}); err == nil {
 		t.Fatal("want error for short init response")
 	}

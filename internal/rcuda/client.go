@@ -41,7 +41,7 @@ type Client struct {
 	// contract; only the counters are read concurrently via Stats.
 	retryMax     int
 	retryBackoff time.Duration
-	retryRNG     *rand.Rand
+	retryRNG     *rand.Rand // created by the first backoff; see jitter
 	dial         func() (transport.Conn, error)
 	sessionID    uint64
 	durable      bool
@@ -150,9 +150,7 @@ func WithChunkedTransfers(threshold, chunkSize int) ClientOption {
 // over an existing transport connection and performs the initialization
 // exchange, locating and sending the application's GPU module.
 func Open(conn transport.Conn, module []byte, opts ...ClientOption) (*Client, error) {
-	// The jitter source is seeded, not time-derived, so a fault scenario
-	// replays with identical backoff decisions.
-	c := &Client{conn: conn, retryRNG: rand.New(rand.NewSource(1)), curDev: cacheCurrentDevice}
+	c := &Client{conn: conn, curDev: cacheCurrentDevice}
 	for _, o := range opts {
 		o(c)
 	}

@@ -38,6 +38,42 @@ func (c *scribbleConn) Recv() ([]byte, error) {
 	return p, err
 }
 
+// startScribbleServer serves every accepted connection through a
+// scribbleConn, on a Sim-clock device.
+func startScribbleServer(t *testing.T, opts ...ServerOption) (srv *Server, addr string, stop func()) {
+	t.Helper()
+	srv = NewServer(gpu.New(gpu.Config{Clock: vclock.NewSim()}), opts...)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				conn := &scribbleConn{Conn: transport.NewTCPConn(c)}
+				_ = srv.ServeConn(conn) // a killed connection ends its session with an error
+				_ = conn.Close()
+			}()
+		}
+	}()
+	return srv, ln.Addr().String(), func() {
+		_ = ln.Close()
+		if err := srv.Close(); err != nil {
+			t.Errorf("server close: %v", err)
+		}
+		wg.Wait()
+	}
+}
+
 // lossyConn loses the reply to the first batch frame it carries, after the
 // server has executed it: the reply is read and dropped, the connection
 // dies. armed is shared across redials so only that one reply is lost.
@@ -203,41 +239,12 @@ func TestInferenceSurvivesFrameReuse(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dev := gpu.New(gpu.Config{Clock: vclock.NewSim()})
-			srv := NewServer(dev, WithScheduler(sched.WFQ))
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					c, err := ln.Accept()
-					if err != nil {
-						return
-					}
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						conn := &scribbleConn{Conn: transport.NewTCPConn(c)}
-						_ = srv.ServeConn(conn) // a killed connection ends its session with an error
-						_ = conn.Close()
-					}()
-				}
-			}()
-			defer func() {
-				_ = ln.Close()
-				if err := srv.Close(); err != nil {
-					t.Errorf("server close: %v", err)
-				}
-				wg.Wait()
-			}()
+			srv, addr, stop := startScribbleServer(t, WithScheduler(sched.WFQ))
+			defer stop()
 
 			armed := tc.loseReply
 			dial := func() (transport.Conn, error) {
-				c, err := transport.DialTCP(ln.Addr().String())
+				c, err := transport.DialTCP(addr)
 				if err != nil {
 					return nil, err
 				}

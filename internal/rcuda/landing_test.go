@@ -97,6 +97,22 @@ func (lb *loopback) dial(plan *faults.Plan) func() (transport.Conn, error) {
 	}
 }
 
+// openClose runs one plain session from dial to Close.
+func (lb *loopback) openClose(t *testing.T, module []byte) {
+	t.Helper()
+	conn, err := transport.DialTCP(lb.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Open(conn, module)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func pattern(n int, seed byte) []byte {
 	b := make([]byte, n)
 	for i := range b {
@@ -452,9 +468,10 @@ func gateSession(t *testing.T, opts ...ClientOption) (client *Client, cli, srv t
 	}
 }
 
-// Allocation counts of the commit before landing, measured with these same
-// functions (AllocsPerRun counts the whole process: client, both transport
-// ends and the server's handler).
+// Allocation counts of the commit before landing (before the session
+// set-up fast path, for open+close), measured with these same functions
+// (AllocsPerRun counts the whole process: client, both transport ends and
+// the server's handler).
 const (
 	parentBulkPairAllocs    = 6
 	parentChunkedPairAllocs = 46
@@ -542,9 +559,10 @@ func TestChunkedCopyPairAllocations(t *testing.T) {
 	}
 }
 
-// TestNullCallAndOpenAllocations: landing costs the calls it does not
-// serve nothing — a cudaDeviceSynchronize round trip is still one
-// allocation, opening a session no more than it was.
+// TestNullCallAndOpenAllocations: landing and the pooled socket reader cost
+// the calls they do not serve nothing — a cudaDeviceSynchronize round trip
+// is still one allocation — and opening a session takes neither a reader,
+// nor a copy of its module, nor a jitter source.
 func TestNullCallAndOpenAllocations(t *testing.T) {
 	skipUnderRace(t)
 	client, _, _, stop := gateSession(t)
@@ -563,24 +581,12 @@ func TestNullCallAndOpenAllocations(t *testing.T) {
 	lb := startLoopback(t, nil)
 	defer lb.stop()
 	module := moduleImage(t, calib.MM)
-	open := func() {
-		conn, err := transport.DialTCP(lb.addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := Open(conn, module)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	open := func() { lb.openClose(t, module) }
 	open()
 	got := testing.AllocsPerRun(50, open)
-	t.Logf("open+close: %v allocations (%d before landing)", got, parentOpenAllocs)
-	if got > parentOpenAllocs {
-		t.Errorf("open+close allocates %v times, %d before landing", got, parentOpenAllocs)
+	t.Logf("open+close: %v allocations (%d with a reader, a module copy and a jitter source per open)", got, parentOpenAllocs)
+	if got > 52 {
+		t.Errorf("open+close allocates %v times, want at most 52", got)
 	}
 }
 

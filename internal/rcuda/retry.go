@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"os"
 	"time"
@@ -113,7 +114,18 @@ func (c *Client) backoffSleep(retry int) {
 	if d > maxBackoff || d <= 0 {
 		d = maxBackoff
 	}
-	time.Sleep(time.Duration(float64(d) * (0.5 + c.retryRNG.Float64())))
+	time.Sleep(time.Duration(float64(d) * (0.5 + c.jitter())))
+}
+
+// jitter draws the next backoff factor in [0, 1). The source is seeded, not
+// time-derived, so a fault scenario replays with identical backoff
+// decisions; it is created here, not in Open, because seeding costs more
+// than a null call and most sessions never retry.
+func (c *Client) jitter() float64 {
+	if c.retryRNG == nil {
+		c.retryRNG = rand.New(rand.NewSource(1))
+	}
+	return c.retryRNG.Float64()
 }
 
 // runRetry executes fn under the client's retry policy. fn performs one

@@ -761,7 +761,9 @@ func (s *Server) handshake(conn transport.Conn, withinConnCap bool) (*session, e
 	return sess, nil
 }
 
-// admitSession completes the handshake of an admitted init request.
+// admitSession completes the handshake of an admitted init request. The
+// request's module image aliases the received frame, so it is resolved here,
+// before anything else is received on conn, and only the *gpu.Module is kept.
 func (s *Server) admitSession(conn transport.Conn, initReq *protocol.InitRequest) (*session, error) {
 	initial := s.initialDevice()
 	maj, min := s.devs[initial].Capability()

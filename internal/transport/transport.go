@@ -247,8 +247,9 @@ const frameHeaderSize = 4
 type TCPConn struct {
 	counters
 	c         net.Conn
-	br        *bufio.Reader
-	opTimeout atomic.Int64 // nanoseconds; 0 disables deadlines
+	br        *bufio.Reader // pooled; see recvState for who may touch it
+	recvState atomic.Int32  // recvActive | recvClosed
+	opTimeout atomic.Int64  // nanoseconds; 0 disables deadlines
 
 	fw       protocol.FrameWriter // send-side framing state, reused across Sends
 	lastRecv []byte               // previous Recv's pooled payload, recycled on the next Recv
@@ -278,7 +279,29 @@ func NewTCPConn(c net.Conn) *TCPConn {
 		// middleware must not depend on it.)
 		_ = tc.SetNoDelay(true)
 	}
-	return &TCPConn{c: c, br: bufio.NewReaderSize(c, LandFloor)}
+	br := readerPool.Get().(*bufio.Reader)
+	br.Reset(c)
+	return &TCPConn{c: c, br: br}
+}
+
+// readerPool holds the LandFloor-sized socket readers of closed connections.
+// A reader belongs to its connection's receiving goroutine and goes back
+// exactly once: recvState's two bits decide whether Close returns it (no
+// receive in flight) or the receive that Close interrupted does, on its way
+// out. Nothing reads t.br after that.
+var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, LandFloor) }}
+
+const (
+	recvActive int32 = 1 << iota // a RecvLanding is between its two atomic updates
+	recvClosed                   // Close has run
+)
+
+// releaseReader hands the reader back, holding neither the dead socket nor
+// any byte of it.
+func (t *TCPConn) releaseReader() {
+	t.br.Reset(nil)
+	readerPool.Put(t.br)
+	t.br = nil
 }
 
 // SetOpTimeout bounds every subsequent Send and Recv individually; a hung
@@ -328,8 +351,25 @@ func (t *TCPConn) Recv() ([]byte, error) {
 // socket (past whatever bufio already holds of them) into the Lander's
 // memory, and only head and tail occupy the pooled buffer.
 func (t *TCPConn) RecvLanding(l Lander) (payload, landed []byte, at time.Duration, err error) {
-	if err := t.armDeadline(t.c.SetReadDeadline); err != nil {
+	if t.recvState.Add(recvActive)&recvClosed != 0 {
+		// Started after Close: the reader is gone. The socket says why.
+		t.recvState.Add(-recvActive)
+		if err = t.armDeadline(t.c.SetReadDeadline); err == nil {
+			err = net.ErrClosed
+		}
 		return nil, nil, NoArrival, err
+	}
+	payload, landed, err = t.recvFrame(l)
+	if t.recvState.Add(-recvActive)&recvClosed != 0 {
+		t.releaseReader() // Close came while this receive held the reader
+	}
+	return payload, landed, NoArrival, err
+}
+
+// recvFrame is one receive on a reader this goroutine holds.
+func (t *TCPConn) recvFrame(l Lander) (payload, landed []byte, err error) {
+	if err := t.armDeadline(t.c.SetReadDeadline); err != nil {
+		return nil, nil, err
 	}
 	if t.lastRecv != nil {
 		PutBuffer(t.lastRecv)
@@ -343,16 +383,16 @@ func (t *TCPConn) RecvLanding(l Lander) (payload, landed []byte, at time.Duratio
 		// A clean close lands exactly between frames and surfaces as io.EOF
 		// with nothing buffered; a close inside the header is a truncation.
 		if got := t.br.Buffered(); got > 0 && isStreamEnd(err) {
-			return nil, nil, NoArrival, fmt.Errorf("%w: %d of %d header bytes", ErrTruncatedFrame, got, frameHeaderSize)
+			return nil, nil, fmt.Errorf("%w: %d of %d header bytes", ErrTruncatedFrame, got, frameHeaderSize)
 		}
-		return nil, nil, NoArrival, err
+		return nil, nil, err
 	}
 	n := int(binary.LittleEndian.Uint32(hdr))
 	if n > protocol.MaxFrameSize {
-		return nil, nil, NoArrival, fmt.Errorf("transport: frame of %d bytes exceeds limit %d", n, protocol.MaxFrameSize)
+		return nil, nil, fmt.Errorf("transport: frame of %d bytes exceeds limit %d", n, protocol.MaxFrameSize)
 	}
 	if _, err := t.br.Discard(frameHeaderSize); err != nil {
-		return nil, nil, NoArrival, err
+		return nil, nil, err
 	}
 	var head int
 	if offered(l, n) {
@@ -377,17 +417,30 @@ func (t *TCPConn) RecvLanding(l Lander) (payload, landed []byte, at time.Duratio
 	if err != nil {
 		PutBuffer(buf)
 		if isStreamEnd(err) {
-			return nil, nil, NoArrival, fmt.Errorf("%w: %d of %d payload bytes", ErrTruncatedFrame, got, n)
+			return nil, nil, fmt.Errorf("%w: %d of %d payload bytes", ErrTruncatedFrame, got, n)
 		}
-		return nil, nil, NoArrival, err
+		return nil, nil, err
 	}
 	t.lastRecv = buf
 	t.onRecv(n)
-	return buf, landed, NoArrival, nil
+	return buf, landed, nil
 }
 
-// Close implements Conn.
-func (t *TCPConn) Close() error { return t.c.Close() }
+// Close implements Conn. The last receive's pooled payload is not recycled
+// here: Close may come from another goroutine (a watchdog, a server
+// shutdown) while the receiver is still decoding it.
+func (t *TCPConn) Close() error {
+	err := t.c.Close()
+	for s := t.recvState.Load(); s&recvClosed == 0; s = t.recvState.Load() {
+		if t.recvState.CompareAndSwap(s, s|recvClosed) {
+			if s&recvActive == 0 {
+				t.releaseReader()
+			}
+			break
+		}
+	}
+	return err
+}
 
 // encodeFrame renders the full length-prefixed frame of m into a fresh
 // buffer; the fault paths below need the raw bytes to cut or split.
