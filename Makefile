@@ -25,7 +25,7 @@ help:
 	@echo "  bench-sched  run the WFQ-vs-FIFO starvation bench, refresh BENCH_sched.json"
 	@echo "  bench-sched-smoke  CI freshness check: re-run the scheduler scenarios"
 	@echo "  bench-wall   wall-clock benchmark of the remoting stack (BENCHMARK.json, ~90 s)"
-	@echo "  bench-wall-smoke  CI correctness check: one second each of the batched inference, fleet placement, the two bulk-copy and the session churn workloads"
+	@echo "  bench-wall-smoke  CI correctness check: one second each of the batched inference, fleet placement, the two bulk-copy, the session churn and the simulated-pipe copy workloads"
 	@echo "  fuzz         short fuzzing pass over the wire-protocol decoders"
 	@echo "  pool         broker demo: 3 local daemons, one killed mid-batch"
 	@echo "  repro        regenerate every table and figure of the paper on stdout"
@@ -138,14 +138,17 @@ bench-wall:
 # socket — every copy compared byte for byte; then one second of session
 # churn through the broker — every open, malloc, free and close must
 # succeed, with no device memory left in use and no failover or markdown in
-# any round. The harness exits non-zero on any wrong output or broken
-# invariant; timings on a CI runner are not judged.
+# any round; then one second of 16 MiB copies through the simulated pipe —
+# every copy byte for byte, every op's simulated copy times equal to the
+# first op's, nothing left on the device. The harness exits non-zero on any
+# wrong output or broken invariant; timings on a CI runner are not judged.
 bench-wall-smoke:
 	bash bench/run.sh --workload infer_batched --seed 1 --seconds 1 --trace 0
 	bash bench/run.sh --workload fleet_place --seed 1 --seconds 1 --trace 0
 	bash bench/run.sh --workload memcpy_bulk --seed 1 --seconds 1 --trace 0
 	bash bench/run.sh --workload memcpy_chunked --seed 1 --seconds 1 --trace 0
 	bash bench/run.sh --workload session_churn --seed 1 --seconds 1 --trace 0
+	bash bench/run.sh --workload sim_memcpy --seed 1 --seconds 1 --trace 0
 
 # Short fuzzing pass over the wire-protocol decoders.
 fuzz:

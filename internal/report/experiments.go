@@ -360,6 +360,114 @@ compound.
 ` + "`" + `` + "`" + `` + "`" + `
 context {"cpu":"Intel(R) Xeon(R) Processor @ 2.10GHz","nproc":2,"gomaxprocs":2,"kernel":"6.18.44-fc-v42","go":"go1.24.0","seconds":10,"path":"loopback, in-process server, Sim-clock device","load":"closed loop, one client, one generating process"}
 ` + "`" + `` + "`" + `` + "`" + `
+
+### PR 18 — bulk frames cross the simulated pipe by reference (DESIGN.md §20)
+
+Parent f9f2e8e vs the change, alternating pairs of 10 s runs (` + "`" + `-trace 0` + "`" + `),
+seeds 1–10 on ` + "`" + `sim_memcpy` + "`" + `, median [quartiles]. One ` + "`" + `sim_memcpy` + "`" + ` op is a
+16 MiB ` + "`" + `cudaMemcpy` + "`" + ` to the device and back through ` + "`" + `transport.Pipe` + "`" + ` and a
+real server on a Sim-clock device; ` + "`" + `op_over_ref` + "`" + ` is its time in units of a
+` + "`" + `memmove` + "`" + ` of the same bytes there and back, measured in the same slices.
+Every op of every round must read back byte for byte and reproduce the
+first op's simulated copy times, or it counts as failed.
+
+| workload | metric | parent | change | pairs won |
+|---|---|---|---|---|
+| sim_memcpy | op_over_ref | 3.399 [3.340, 3.404] | 0.936 [0.929, 0.960] | 10/10 |
+| sim_memcpy | rss_mb | 231.4 [224.9, 247.1] | 150.9 [150.9, 151.0] | 10/10 |
+| sim_memcpy | setup_s | 0.0498 [0.0478, 0.0509] | 0.0399 [0.0391, 0.0410] | 10/10 |
+| sim_memcpy | allocs_per_op | 6.79 [6.66, 6.98] | 6.00 [6.00, 6.00] | 10/10 |
+| sim_memcpy | alloc_bytes_per_op | 214.9 [206.2, 219.9] | 128.9 [128.0, 129.0] | 10/10 |
+
+Per seed, parent → change: 3.404 → 0.979, 3.402 → 0.931, 3.325 → 0.961,
+3.397 → 0.979, 3.510 → 0.958, 3.387 → 0.895, 3.416 → 0.929, 3.104 → 0.911,
+3.400 → 0.939, 3.213 → 0.933. The claim (a fall of at least 50 %, i.e.
+≤ 1.7 here; at least nine of ten pairs; a median gap wider than the
+parent's own quartile distance of 0.06) holds on every seed, at −72 %; only
+seed 1 was run while the code was being written. Failed ops: 0 of 2 622 on
+the parent's ten runs, 0 of 7 284 on the change's — 245–284 ops a run
+became 625–827, a mean op of 12.4–15.8 ms became 3.4–4.5 ms, and peak RSS
+went from 231–311 MiB to 151–167 MiB. By direction (seed 1):
+` + "`" + `h2d_over_ref` + "`" + ` 4.14 → 1.01, ` + "`" + `d2h_over_ref` + "`" + ` 2.35 → 0.93. The followed
+figures landed where the issue put them (` + "`" + `rss_mb` + "`" + ` ≤ 165, ` + "`" + `setup_s` + "`" + ` no
+higher, ` + "`" + `allocs_per_op` + "`" + ` ≤ 7). ` + "`" + `op_over_ref` + "`" + ` now reads just under 1.0
+because the reference walks a six-buffer ring sized for the staging
+buffers that no longer exist (DESIGN.md §20, follow-up).
+
+The parent's figures on this VM are milder than the ones the issue quotes
+from its own profile (mean op 119.6 ms, 52 ops a run): a fresh 32 MiB
+buffer costs 14–68 ms to make here, not 0.4–0.5 s. The ratio the benchmark
+gates is a median over slice pairs and read 3.1–3.6 on both.
+
+` + "`" + `BenchmarkMemcpyPipeline/sim` + "`" + ` (one 64 MiB host-to-device copy, an MM 4096
+matrix; ` + "`" + `-benchtime 20x -cpu 2` + "`" + `, three alternations of the two test
+binaries, each cell the three runs):
+
+| sub-benchmark | sim-ms/copy, both sides | parent ms/op · B/op · allocs | change ms/op · B/op · allocs |
+|---|---|---|---|
+| GigaE/legacy | 598.3 | 69.9, 95.5, 98.8 · 67 117 400 · 7 | 16.2, 20.1, 7.9 · 140 · 3 |
+| GigaE/chunked | 1757 | 22.5, 74.4, 32.4 · 1 992 750 · 11–12 | 25.3, 34.3, 19.6 · 237–532 · 8–9 |
+| GigaE/chunked+retry | 1757 | 30.8, 21.4, 18.9 · 1 992 737 · 11 | 29.2, 40.9, 14.5 · 206–236 · 8 |
+| 40GI/legacy | 57.99 | 69.7, 81.3, 50.8 · 67 117 390 · 6–7 | 20.4, 20.8, 12.9 · 140–149 · 3–4 |
+| 40GI/chunked | 47.07 | 32.5, 26.3, 23.9 · 1 992 740 · 11 | 37.4, 21.8, 20.7 · 232–507 · 8–9 |
+| 40GI/chunked+retry | 47.07 | 26.2, 21.9, 22.4 · 1 992 740 · 11 | 31.3, 27.7, 17.8 · 228–232 · 8 |
+
+The simulated milliseconds are identical on all six rows. The single-frame
+rows are the claim's mechanism at paper size: a frame larger than the
+pool's largest class was 67 MB of fresh memory per copy and is now 140 B.
+The chunked rows lose their 2 MB per copy (a 1 MiB + 12 B chunk lives in
+the 2 MiB class, and a miss allocated it) and three allocations, but their
+host time is unresolved inside this machine's spread — a chunk sender now
+meets the receiver once per chunk instead of running 16 ahead, which costs
+a goroutine hand-off per MiB and saves a copy per MiB.
+
+Where the saving is. A traced run cannot attribute it: ` + "`" + `bench/span.go` + "`" + `'s
+` + "`" + `spanConn` + "`" + ` forwards no landing, so traced ops take the no-Lander route
+(one pooled frame per direction on the receiving end) on both sides of
+the change. The attribution is by count and repeats exactly:
+` + "`" + `transport.Stats.PoolBulk` + "`" + ` over a 64 MiB copy pair through the pipe and a
+real server is 2 at the parent and 0 now, on both ends together;
+` + "`" + `runtime.MemStats.TotalAlloc` + "`" + ` over that pair is 134 234 688 B at the parent
+and under 64 KiB now; a 16 MiB pair allocates 8 times at the parent and 6
+now (` + "`" + `TestPipeCopyPairAllocatesNothingOfItsSize` + "`" + `). Traced, seed 1, for
+what it does show: ` + "`" + `harness.cpu_us_per_op` + "`" + ` 13 382 → 7 537,
+` + "`" + `harness.peak_rss_mb` + "`" + ` 246.5 → 150.6, ` + "`" + `transport.msgs_per_op` + "`" + ` and
+` + "`" + `bytes_per_op` + "`" + ` 2 / 33 554 480 on both sides.
+
+Workloads that construct no ` + "`" + `PipeEnd` + "`" + ` (3 pairs each; 7 on ` + "`" + `rtt_small` + "`" + `,
+` + "`" + `memcpy_bulk` + "`" + ` and ` + "`" + `fleet_place` + "`" + `, 10 on ` + "`" + `memcpy_chunked` + "`" + ` and
+` + "`" + `session_churn` + "`" + `, after the first three pairs put a ` + "`" + `setup_s` + "`" + ` outside its
+bound):
+
+| workload | pairs | op_over_ref parent → change | allocs_per_op | alloc_bytes_per_op | rss_mb | setup_s |
+|---|---|---|---|---|---|---|
+| rtt_small | 7 | 1.154 [1.148, 1.161] → 1.160 [1.151, 1.162] (+0.5 %, 2/7) | 1 → 1 (6 ties) | 4.001 → 4.002 | 6.88 → 7.09 (+3 %, 1/7) | 0.0397 → 0.0413 (+4 %, 2/7) |
+| memcpy_bulk | 7 | 1.102 [1.089, 1.159] → 1.136 [1.115, 1.169] (+3 %, 3/7) | 6.25 → 6.33 | 135 → 141 | 87.2 → 87.2 | 0.099 → 0.111 (+11 %, 3/7) |
+| memcpy_chunked | 10 | 1.082 [1.028, 1.107] → 1.034 [1.013, 1.072] (−4 %, 6/10) | 14.2 → 14.1 | 322 → 320 | 91.9 → 87.4 | 0.112 [0.105, 0.129] → 0.103 [0.094, 0.126] (5/10; first three pairs alone: 0.148 → 0.204) |
+| infer_unbatched | 3 | 55.79 → 56.28 (+0.9 %, 1/3) | 143.03 → 143.03 | 5 995 → 5 995 | 9.17 → 9.17 | 0.088 → 0.076 |
+| infer_batched | 3 | 19.51 → 18.81 (−3.6 %, 2/3) | 97.04 → 97.04 | 5 933 → 5 930 | 9.77 → 9.95 | 0.036 → 0.033 |
+| session_churn | 10 | 1.543 [1.529, 1.567] → 1.596 [1.554, 1.621] (+3.4 %, 1/10) | 81.99 → 82.03 | 9 159 → 9 164 | 10.20 → 10.22 | 0.0347 [0.0308, 0.0472] → 0.0471 [0.0340, 0.0492] (+36 %, 5/10 — unresolved: both sides are bimodal between 0.031 and 0.049) |
+| fleet_place | 7 | 1.841 [1.822, 1.881] → 1.828 [1.787, 1.848] (−0.7 %, 5/7) | 114 120 → 114 120 (5 ties) | 10 677 000 → 10 675 000 | 26.0 → 25.7 | 0.155 [0.151, 0.163] → 0.186 [0.175, 0.202] (+20 %, 0/7 — see below) |
+
+None of the seven executes a changed line (` + "`" + `TCPConn` + "`" + `, the counters, the
+pool and every codec are untouched; ` + "`" + `transport` + "`" + ` gained no package-level
+initialisation), so what moves here is the machine and the binary's
+layout. Every ` + "`" + `op_over_ref` + "`" + `, allocation and RSS median is inside its
+BENCHMARK.json bound, and ` + "`" + `rtt_small` + "`" + ` stays at exactly one allocation.
+` + "`" + `setup_s` + "`" + ` is not resolved on this VM: two builds of the *parent's* source
+(byte-identical binaries) run as alternating pairs differed by up to 13 %
+on ` + "`" + `session_churn` + "`" + `'s ` + "`" + `op_over_ref` + "`" + ` (1.53 vs 1.73, 1.68 vs 1.60, …), and
+` + "`" + `fleet_place` + "`" + `'s set-up — two loadgen simulations, no socket, no transport —
+read 0.136 / 0.140 / 0.147 s (medians of ten 3 s runs) for parent, the
+identical second build, and the change. ` + "`" + `fleet_place` + "`" + ` ` + "`" + `setup_s` + "`" + ` +20 % over
+its seven 10 s pairs and ` + "`" + `session_churn` + "`" + ` ` + "`" + `op_over_ref` + "`" + ` +3.4 % are reported
+as measured; the first is inside its 25 % bound, the second inside its
+bound and that A/A spread, and neither workload can reach the code this PR
+changed.
+
+` + "`" + `` + "`" + `` + "`" + `
+context {"cpu":"Intel(R) Xeon(R) Processor @ 2.10GHz","nproc":2,"gomaxprocs":2,"kernel":"6.18.44-fc-v50","go":"go1.24.0","seconds":10,"path":"in-process simulated pipe (sim_memcpy); loopback, in-process server, Sim-clock device (the rest)","load":"closed loop, one client, one generating process"}
+` + "`" + `` + "`" + `` + "`" + `
 `
 
 func (c Config) expExtensions(sb *strings.Builder) error {

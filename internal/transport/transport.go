@@ -510,17 +510,57 @@ func (t *TCPConn) sendSplit(m protocol.Message, firstN int) error {
 var ErrClosed = errors.New("transport: connection closed")
 
 // pipeBuffer bounds in-flight messages per direction. The protocol is
-// strictly request/response, so even a small buffer never blocks.
+// strictly request/response, so a send never waits for room in it. What a
+// bulk send does wait for is the receiver: it returns once the peer's
+// receive has copied the bytes out of the caller's slice (see pipeMsg).
 const pipeBuffer = 16
 
-// pipeMsg is one in-flight message: its encoded payload plus the clock
-// instant its network transfer completed. The arrival stamp is recorded by
-// the sender — the client races ahead of the server when streaming chunks,
-// so reading the clock at receive time would observe a later (and
-// scheduling-dependent) instant.
+// pipeMsg is one in-flight message plus the clock instant its network
+// transfer completed. The arrival stamp is recorded by the sender — the
+// client races ahead of the server when streaming chunks, so reading the
+// clock at receive time would observe a later (and scheduling-dependent)
+// instant.
+//
+// A small frame travels encoded in payload, a pooled buffer that becomes
+// the receiver's. A bulk frame travels by reference: payload holds only its
+// head and tail, and bulk is the sender's own slice, which the receiver
+// copies straight to where the bytes belong while the sender waits.
 type pipeMsg struct {
 	payload []byte
+	bulk    []byte // nil unless the frame travels by reference
+	head    int    // how many bytes of payload precede bulk
+	ticket  uint64 // the sending end's hand word while this frame is queued
 	at      time.Duration
+}
+
+// Hand-over of a by-reference frame, in the sending end's hand word. While
+// the frame is queued the word equals the frame's ticket, a multiple of four
+// that no earlier frame had. Exactly one compare-and-swap moves it on — the
+// receiver's to ticket|handTaken as it dequeues the frame, or the sender's to
+// ticket|handAbandoned as it gives up — and the one that fails tells its
+// caller that the other side has the bulk bytes.
+const (
+	handTaken     uint64 = 1 // the receiver is copying them out, or has
+	handAbandoned uint64 = 2 // the sender gave up first; the frame is dropped unread
+)
+
+// settle moves the frame holding ticket out of the queued state and reports
+// whether this call was the one that did.
+func (p *PipeEnd) settle(ticket, to uint64) bool {
+	return p.hand.CompareAndSwap(ticket, ticket|to)
+}
+
+// copyOut fills dst with the frame's bytes from offset off on, the frame
+// being payload[:head], bulk and payload[head:] laid end to end.
+func (m *pipeMsg) copyOut(dst []byte, off int) {
+	for _, part := range [...][]byte{m.payload[:m.head], m.bulk, m.payload[m.head:]} {
+		if off < len(part) {
+			dst = dst[copy(dst, part[off:]):]
+			off = 0
+		} else {
+			off -= len(part)
+		}
+	}
 }
 
 // PipeEnd is one end of a simulated connection. Like TCPConn it is
@@ -535,9 +575,12 @@ type PipeEnd struct {
 	done      chan struct{}
 	closeOnce *sync.Once
 	peer      *PipeEnd
-	lastRecv  []byte       // previous Recv's pooled payload, recycled on the next Recv
-	opTimeout atomic.Int64 // nanoseconds; 0 disables deadlines
-	sentAt    atomic.Int64 // departure stamp of the last Send; -1 before the first
+	lastRecv  []byte         // previous Recv's pooled payload, recycled on the next Recv
+	peek      [LandPeek]byte // what a Lander sees of a by-reference frame
+	opTimeout atomic.Int64   // nanoseconds; 0 disables deadlines
+	sentAt    atomic.Int64   // departure stamp of the last Send; -1 before the first
+	hand      atomic.Uint64  // hand-over state of the last by-reference Send
+	copied    chan struct{}  // the peer's receive has copied that Send's bulk out
 }
 
 var (
@@ -567,6 +610,10 @@ func (p *PipeEnd) SetOpTimeout(d time.Duration) {
 	p.opTimeout.Store(int64(d))
 }
 
+func pipeDeadline(op string) error {
+	return fmt.Errorf("transport: pipe %s: %w", op, os.ErrDeadlineExceeded)
+}
+
 // opDeadline returns a channel that fires when the configured per-op bound
 // expires, plus the timer to stop; both are nil with deadlines disabled.
 func (p *PipeEnd) opDeadline() (<-chan time.Time, *time.Timer) {
@@ -590,20 +637,51 @@ func Pipe(link *netsim.Link, clock vclock.Clock, noise *netsim.Noise) (client, s
 	a := &PipeEnd{link: link, clock: clock, noise: noise, out: ab, in: ba, done: done, closeOnce: once}
 	b := &PipeEnd{link: link, clock: clock, noise: noise, out: ba, in: ab, done: done, closeOnce: once}
 	a.peer, b.peer = b, a
+	a.copied, b.copied = make(chan struct{}, 1), make(chan struct{}, 1)
 	a.sentAt.Store(-1)
 	b.sentAt.Store(-1)
 	return a, b
 }
 
 // Send implements Conn: it charges the modeled one-way wire latency on the
-// shared clock and enqueues the payload at the peer, stamped with its
-// arrival instant.
+// shared clock and enqueues the frame at the peer, stamped with its arrival
+// instant. Like a socket write, it returns with the caller's memory the
+// caller's again: a bulk payload is not copied here but by the peer's
+// receive, which Send waits for.
 func (p *PipeEnd) Send(m protocol.Message) error {
-	payload := m.Encode(p.getBuffer(m.WireSize()))
-	if len(payload) != m.WireSize() {
-		return fmt.Errorf("transport: %T encoded %d bytes, declared %d", m, len(payload), m.WireSize())
+	n := m.WireSize()
+	var msg pipeMsg
+	if seg, ok := m.(protocol.Segmented); ok && len(seg.SegmentBulk()) >= LandFloor {
+		msg.bulk = seg.SegmentBulk()
+		msg.payload = seg.SegmentHead(p.getBuffer(n - len(msg.bulk)))
+		msg.head = len(msg.payload)
+		msg.payload = seg.SegmentTail(msg.payload)
+	} else {
+		msg.payload = m.Encode(p.getBuffer(n))
 	}
-	wire := p.link.WireTime(int64(len(payload)))
+	if got := len(msg.payload) + len(msg.bulk); got != n {
+		PutBuffer(msg.payload)
+		return fmt.Errorf("transport: %T encoded %d bytes, declared %d", m, got, n)
+	}
+	return p.transmit(msg)
+}
+
+// transmit puts one frame on the simulated wire: the wire time of its full
+// size charged on the clock, the departure stamped, the frame queued at the
+// peer. A by-reference frame is then waited for until the receiver has
+// copied it out. If the connection closes or the deadline passes first, the
+// frame is abandoned — unless the receiver already holds it, in which case
+// the copy, which is bounded, is waited out and the frame counts as sent. An
+// error therefore means the peer never read the bulk bytes and never will.
+// msg.payload goes back to the pool unless a receiver now owns it.
+func (p *PipeEnd) transmit(msg pipeMsg) (err error) {
+	defer func() {
+		if err != nil || msg.bulk != nil {
+			PutBuffer(msg.payload)
+		}
+	}()
+	n := len(msg.payload) + len(msg.bulk)
+	wire := p.link.WireTime(int64(n))
 	if p.noise != nil {
 		wire = p.noise.Perturb(wire)
 	}
@@ -617,17 +695,36 @@ func (p *PipeEnd) Send(m protocol.Message) error {
 	if timer != nil {
 		defer timer.Stop()
 	}
-	at := p.clock.Now()
-	p.sentAt.Store(int64(at))
+	msg.at = p.clock.Now()
+	p.sentAt.Store(int64(msg.at))
+	if msg.bulk != nil {
+		msg.ticket = (p.hand.Load() | 3) + 1
+		p.hand.Store(msg.ticket)
+	}
 	select {
-	case p.out <- pipeMsg{payload: payload, at: at}:
-		p.onSend(len(payload))
-		return nil
+	case p.out <- msg:
 	case <-p.done:
 		return ErrClosed
 	case <-expired:
-		return fmt.Errorf("transport: pipe send: %w", os.ErrDeadlineExceeded)
+		return pipeDeadline("send")
 	}
+	if msg.bulk != nil {
+		select {
+		case <-p.copied:
+		case <-p.done:
+			err = ErrClosed
+		case <-expired:
+			err = pipeDeadline("send")
+		}
+		if err != nil {
+			if p.settle(msg.ticket, handAbandoned) {
+				return err
+			}
+			<-p.copied
+		}
+	}
+	p.onSend(n)
+	return nil
 }
 
 // advancer is the optional clock capability SendAt needs; vclock.Sim has
@@ -660,10 +757,12 @@ func (p *PipeEnd) RecvTimed() ([]byte, time.Duration, error) {
 }
 
 // RecvLanding implements LandingReceiver. The payload occupies a pooled
-// buffer that is recycled on the next receive — see the Conn contract. The
-// pipe hands frames over whole, so it lands by copying the bulk bytes out
-// of the frame: the copy a whole receive's consumer would make, made here,
-// so the simulated runs execute the landing code the socket does.
+// buffer that is recycled on the next receive — see the Conn contract. A
+// frame that arrives by reference is copied out of the sender's memory
+// here, once: its bulk bytes into the Lander's memory and the rest into a
+// pooled buffer, or all of it into the buffer when nothing lands. A
+// buffered frame is the receiver's already, and lands by copying its bulk
+// bytes out of it.
 func (p *PipeEnd) RecvLanding(l Lander) (payload, landed []byte, at time.Duration, err error) {
 	if p.lastRecv != nil {
 		PutBuffer(p.lastRecv)
@@ -674,27 +773,46 @@ func (p *PipeEnd) RecvLanding(l Lander) (payload, landed []byte, at time.Duratio
 		defer timer.Stop()
 	}
 	var msg pipeMsg
-	select {
-	case msg = <-p.in:
-	case <-expired:
-		return nil, nil, 0, fmt.Errorf("transport: pipe recv: %w", os.ErrDeadlineExceeded)
-	case <-p.done:
-		// Drain anything that raced with Close so shutdown is orderly.
+	for {
 		select {
 		case msg = <-p.in:
-		default:
-			return nil, nil, 0, errClosedEOF()
+		case <-expired:
+			return nil, nil, 0, pipeDeadline("recv")
+		case <-p.done:
+			// Drain anything that raced with Close so shutdown is orderly.
+			select {
+			case msg = <-p.in:
+			default:
+				return nil, nil, 0, errClosedEOF()
+			}
 		}
+		if msg.bulk == nil || p.peer.settle(msg.ticket, handTaken) {
+			break
+		}
+		// Abandoned: its sender has the bytes back. Dropped unread.
 	}
-	p.lastRecv = msg.payload
-	p.onRecv(len(msg.payload))
+	n := len(msg.payload) + len(msg.bulk)
 	payload = msg.payload
-	if offered(l, len(payload)) {
-		var head int
-		if head, landed = land(l, len(payload), payload[:LandPeek]); landed != nil {
+	var head int
+	if msg.bulk != nil {
+		if offered(l, n) {
+			msg.copyOut(p.peek[:], 0)
+			head, landed = land(l, n, p.peek[:])
+		}
+		payload = p.getBuffer(n - len(landed))[:n-len(landed)]
+		msg.copyOut(payload[:head], 0)
+		msg.copyOut(landed, head)
+		msg.copyOut(payload[head:], head+len(landed))
+	} else if offered(l, n) {
+		if head, landed = land(l, n, payload[:LandPeek]); landed != nil {
 			bulkEnd := head + copy(landed, payload[head:])
 			payload = payload[:head+copy(payload[head:], payload[bulkEnd:])]
 		}
+	}
+	p.lastRecv = payload
+	p.onRecv(n)
+	if msg.bulk != nil {
+		p.peer.copied <- struct{}{}
 	}
 	return payload, landed, msg.at, nil
 }
@@ -709,32 +827,15 @@ func errClosedEOF() error { return ErrClosed }
 // outcome a torn frame has after reassembly.
 func (p *PipeEnd) sendTruncated(m protocol.Message, keep int) error {
 	payload := m.Encode(p.getBuffer(m.WireSize()))
-	if keep < 0 {
-		keep = 0
-	}
 	if keep > len(payload)-1 {
 		keep = len(payload) - 1
 	}
 	if keep < 0 {
 		keep = 0
 	}
-	payload = payload[:keep]
-	wire := p.link.WireTime(int64(len(payload)))
-	if p.noise != nil {
-		wire = p.noise.Perturb(wire)
-	}
-	select {
-	case <-p.done:
-		return ErrClosed
-	default:
-	}
-	p.clock.Sleep(wire)
-	select {
-	case p.out <- pipeMsg{payload: payload, at: p.clock.Now()}:
-		p.onSend(len(payload))
-	case <-p.done:
-	}
-	return p.Close()
+	err := p.transmit(pipeMsg{payload: payload[:keep]})
+	_ = p.Close() // torn down whether or not the cut frame got out; never fails
+	return err
 }
 
 // Close implements Conn. Closing either end terminates both directions.
