@@ -15,9 +15,8 @@
 //     (des, netsim, loadgen, vclock, faults, cluster, broker). The only
 //     sanctioned bridge to real time is vclock's Wall clock.
 //   - wiremsg: every protocol message type with an Encode also declares
-//     WireSize; every request type is producible by the DecodeRequest
-//     chain; every response type has a Decode function; and the op-code
-//     decode switch and Op.String cover every declared operation.
+//     WireSize, and every message type that is not a request has a Decode
+//     function.
 //   - locknet: no transport.Conn Send/Recv, endpoint dial, or sleep is
 //     reachable while a sync.Mutex/RWMutex is held in internal/broker or
 //     internal/rcuda.

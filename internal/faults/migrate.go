@@ -11,11 +11,11 @@ import "time"
 const (
 	// MigrateOpHello is the Send of the SessionRestoreRequest.
 	MigrateOpHello = 0
-	// MigrateOpHelloAck is the Recv of the SessionRestoreResponse.
+	// MigrateOpHelloAck is the Recv of the restore handshake's result code.
 	MigrateOpHelloAck = 1
 	// MigrateOpBegin is the Send of the MigrateBeginRequest.
 	MigrateOpBegin = 2
-	// MigrateOpBeginAck is the Recv of the MigrateBeginResponse.
+	// MigrateOpBeginAck is the Recv of the begin acknowledgement.
 	MigrateOpBeginAck = 3
 	// MigrateOpFirstChunk is the Send of the first checkpoint chunk.
 	MigrateOpFirstChunk = 4
@@ -29,8 +29,8 @@ func MigrateOpChunk(i int) int { return MigrateOpFirstChunk + i }
 // MigrateCommitRequest for a transfer of chunks chunk frames.
 func MigrateOpCommit(chunks int) int { return MigrateOpFirstChunk + chunks }
 
-// MigrateOpCommitAck returns the operation index of the Recv of the
-// MigrateCommitResponse for a transfer of chunks chunk frames.
+// MigrateOpCommitAck returns the operation index of the Recv of the commit
+// status for a transfer of chunks chunk frames.
 func MigrateOpCommitAck(chunks int) int { return MigrateOpCommit(chunks) + 1 }
 
 // MigrateOps returns the total operation count of a clean migration

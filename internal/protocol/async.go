@@ -14,37 +14,6 @@ import "fmt"
 // overlaps other device work). The data is only guaranteed meaningful to
 // the application after the stream synchronizes, matching CUDA semantics.
 
-// Additional operations. They extend the Op space after the synchronous
-// set; opSentinel in protocol.go remains the exclusive upper bound for the
-// synchronous ops only.
-const (
-	OpStreamCreate Op = iota + opSentinel
-	OpStreamDestroy
-	OpStreamSynchronize
-	OpMemcpyToDeviceAsync
-	OpMemcpyToHostAsync
-	OpEventCreate
-	OpEventRecord
-	OpEventSynchronize
-	OpEventElapsed
-	OpEventDestroy
-	opAsyncSentinel
-)
-
-// asyncOpNames extends Op.String for the asynchronous operations.
-var asyncOpNames = map[Op]string{
-	OpStreamCreate:        "cudaStreamCreate",
-	OpStreamDestroy:       "cudaStreamDestroy",
-	OpStreamSynchronize:   "cudaStreamSynchronize",
-	OpMemcpyToDeviceAsync: "cudaMemcpyAsync (to device)",
-	OpMemcpyToHostAsync:   "cudaMemcpyAsync (to host)",
-	OpEventCreate:         "cudaEventCreate",
-	OpEventRecord:         "cudaEventRecord",
-	OpEventSynchronize:    "cudaEventSynchronize",
-	OpEventElapsed:        "cudaEventElapsedTime",
-	OpEventDestroy:        "cudaEventDestroy",
-}
-
 // --- Streams ----------------------------------------------------------------
 
 // StreamCreateRequest allocates a stream: 4 bytes.
@@ -81,10 +50,12 @@ func DecodeStreamCreateResponse(b []byte) (*StreamCreateResponse, error) {
 	return &StreamCreateResponse{Err: getU32(b, 0), Stream: getU32(b, 4)}, nil
 }
 
-// StreamOpRequest is a destroy or synchronize request on one stream:
-// id (4) + stream (4) = 8 bytes.
+// StreamOpRequest is a destroy, synchronize or query request on one stream:
+// id (4) + stream (4) = 8 bytes. The query (cudaStreamQuery) never blocks:
+// its bare result code is cudaSuccess when the stream has drained and
+// cudaErrorNotReady while work is pending.
 type StreamOpRequest struct {
-	Code   Op // OpStreamDestroy or OpStreamSynchronize
+	Code   Op // OpStreamDestroy, OpStreamSynchronize or OpStreamQuery
 	Stream uint32
 }
 
@@ -122,6 +93,9 @@ func (m *MemcpyToDeviceAsyncRequest) WireSize() int { return 24 + len(m.Data) }
 
 // Op implements Request.
 func (m *MemcpyToDeviceAsyncRequest) Op() Op { return OpMemcpyToDeviceAsync }
+
+// CopyBytes is the size of the copy, for the scheduler's cost estimate.
+func (m *MemcpyToDeviceAsyncRequest) CopyBytes() int { return len(m.Data) }
 
 // SegmentHead implements Segmented.
 func (m *MemcpyToDeviceAsyncRequest) SegmentHead(dst []byte) []byte {
@@ -163,6 +137,9 @@ func (m *MemcpyToHostAsyncRequest) WireSize() int { return 24 }
 
 // Op implements Request.
 func (m *MemcpyToHostAsyncRequest) Op() Op { return OpMemcpyToHostAsync }
+
+// CopyBytes is the size of the copy, for the scheduler's cost estimate.
+func (m *MemcpyToHostAsyncRequest) CopyBytes() int { return int(m.Size) }
 
 // --- Events -------------------------------------------------------------------
 
@@ -218,10 +195,10 @@ func (m *EventRecordRequest) WireSize() int { return 12 }
 // Op implements Request.
 func (m *EventRecordRequest) Op() Op { return OpEventRecord }
 
-// EventOpRequest is a synchronize or destroy request on one event:
-// id (4) + event (4) = 8 bytes.
+// EventOpRequest is a synchronize, destroy or query request on one event:
+// id (4) + event (4) = 8 bytes; cudaEventQuery answers like cudaStreamQuery.
 type EventOpRequest struct {
-	Code  Op // OpEventSynchronize or OpEventDestroy
+	Code  Op // OpEventSynchronize, OpEventDestroy or OpEventQuery
 	Event uint32
 }
 
@@ -285,66 +262,51 @@ func DecodeEventElapsedResponse(b []byte) (*EventElapsedResponse, error) {
 	return &EventElapsedResponse{Err: getU32(b, 0), ElapsedNano: n}, nil
 }
 
-// decodeAsyncRequest handles the extended operations for DecodeRequest.
-func decodeAsyncRequest(op Op, b []byte) (Request, error) {
-	switch op {
-	case OpStreamCreate:
-		if len(b) != 4 {
-			return nil, ErrShortMessage
-		}
-		return &StreamCreateRequest{}, nil
-	case OpStreamDestroy, OpStreamSynchronize:
-		if len(b) != 8 {
-			return nil, ErrShortMessage
-		}
-		return &StreamOpRequest{Code: op, Stream: getU32(b, 4)}, nil
-	case OpMemcpyToDeviceAsync:
-		if len(b) < 24 {
-			return nil, ErrShortMessage
-		}
-		size := int(getU32(b, 12))
-		if kind := getU32(b, 16); kind != KindHostToDevice {
-			return nil, fmt.Errorf("protocol: async memcpy-to-device with kind %d", kind)
-		}
-		if len(b) != 24+size {
-			return nil, fmt.Errorf("protocol: async memcpy size %d does not match payload %d", size, len(b)-24)
-		}
-		// Data aliases b; see the synchronous memcpy decode in
-		// DecodeRequest for the ownership contract.
-		return &MemcpyToDeviceAsyncRequest{
-			Dst: getU32(b, 4), Src: getU32(b, 8), Stream: getU32(b, 20), Data: b[24:],
-		}, nil
-	case OpMemcpyToHostAsync:
-		if len(b) != 24 {
-			return nil, ErrShortMessage
-		}
-		if kind := getU32(b, 16); kind != KindDeviceToHost {
-			return nil, fmt.Errorf("protocol: async memcpy-to-host with kind %d", kind)
-		}
-		return &MemcpyToHostAsyncRequest{
-			Dst: getU32(b, 4), Src: getU32(b, 8), Size: getU32(b, 12), Stream: getU32(b, 20),
-		}, nil
-	case OpEventCreate:
-		if len(b) != 4 {
-			return nil, ErrShortMessage
-		}
-		return &EventCreateRequest{}, nil
-	case OpEventRecord:
-		if len(b) != 12 {
-			return nil, ErrShortMessage
-		}
-		return &EventRecordRequest{Event: getU32(b, 4), Stream: getU32(b, 8)}, nil
-	case OpEventSynchronize, OpEventDestroy:
-		if len(b) != 8 {
-			return nil, ErrShortMessage
-		}
-		return &EventOpRequest{Code: op, Event: getU32(b, 4)}, nil
-	case OpEventElapsed:
-		if len(b) != 12 {
-			return nil, ErrShortMessage
-		}
-		return &EventElapsedRequest{Start: getU32(b, 4), End: getU32(b, 8)}, nil
-	default:
-		return decodeDeviceRequest(op, b)
+// The decoders of the stream, asynchronous-copy and event rows of the op
+// table (ops.go). The stream and event operations that share a message
+// shape share a decoder, which keeps the code the frame led with.
+
+func decodeStreamCreate([]byte) (Request, error) { return &StreamCreateRequest{}, nil }
+func decodeEventCreate([]byte) (Request, error)  { return &EventCreateRequest{}, nil }
+
+func decodeStreamOp(b []byte) (Request, error) {
+	return &StreamOpRequest{Code: Op(getU32(b, 0)), Stream: getU32(b, 4)}, nil
+}
+
+func decodeEventOp(b []byte) (Request, error) {
+	return &EventOpRequest{Code: Op(getU32(b, 0)), Event: getU32(b, 4)}, nil
+}
+
+func decodeEventRecord(b []byte) (Request, error) {
+	return &EventRecordRequest{Event: getU32(b, 4), Stream: getU32(b, 8)}, nil
+}
+
+func decodeEventElapsed(b []byte) (Request, error) {
+	return &EventElapsedRequest{Start: getU32(b, 4), End: getU32(b, 8)}, nil
+}
+
+func decodeMemcpyToDeviceAsync(b []byte) (Request, error) {
+	if len(b) < 24 {
+		return nil, ErrShortMessage
 	}
+	size := int(getU32(b, 12))
+	if kind := getU32(b, 16); kind != KindHostToDevice {
+		return nil, fmt.Errorf("protocol: async memcpy-to-device with kind %d", kind)
+	}
+	if len(b) != 24+size {
+		return nil, fmt.Errorf("protocol: async memcpy size %d does not match payload %d", size, len(b)-24)
+	}
+	// Data aliases b; see decodeMemcpyToDevice for the ownership contract.
+	return &MemcpyToDeviceAsyncRequest{
+		Dst: getU32(b, 4), Src: getU32(b, 8), Stream: getU32(b, 20), Data: b[24:],
+	}, nil
+}
+
+func decodeMemcpyToHostAsync(b []byte) (Request, error) {
+	if kind := getU32(b, 16); kind != KindDeviceToHost {
+		return nil, fmt.Errorf("protocol: async memcpy-to-host with kind %d", kind)
+	}
+	return &MemcpyToHostAsyncRequest{
+		Dst: getU32(b, 4), Src: getU32(b, 8), Size: getU32(b, 12), Stream: getU32(b, 20),
+	}, nil
 }

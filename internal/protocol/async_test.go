@@ -7,7 +7,7 @@ import (
 )
 
 func TestAsyncOpNames(t *testing.T) {
-	for op := OpStreamCreate; op < opAsyncSentinel; op++ {
+	for op := OpStreamCreate; op < OpGetDeviceCount; op++ {
 		if s := op.String(); s == "" || s[:2] == "Op" {
 			t.Fatalf("async op %d has placeholder name %q", op, s)
 		}
@@ -97,7 +97,7 @@ func TestAsyncDecodeErrors(t *testing.T) {
 		t.Fatal("short elapsed response must fail")
 	}
 	// Past every defined range.
-	if _, err := DecodeRequest(putU32(nil, uint32(opQuerySentinel))); err == nil {
+	if _, err := DecodeRequest(putU32(nil, uint32(opCount))); err == nil {
 		t.Fatal("unknown extended op must fail")
 	}
 }
@@ -146,11 +146,8 @@ func TestDecodeResponsesNeverPanicProperty(t *testing.T) {
 		_, _ = DecodeInitRequest(raw)
 		_, _ = DecodeInitResponse(raw)
 		_, _ = DecodeMallocResponse(raw)
-		_, _ = DecodeMemcpyToDeviceResponse(raw)
+		_, _ = DecodeCodeResponse(raw)
 		_, _ = DecodeMemcpyToHostResponse(raw)
-		_, _ = DecodeLaunchResponse(raw)
-		_, _ = DecodeFreeResponse(raw)
-		_, _ = DecodeSyncResponse(raw)
 		_, _ = DecodeStreamCreateResponse(raw)
 		_, _ = DecodeEventCreateResponse(raw)
 		_, _ = DecodeEventElapsedResponse(raw)

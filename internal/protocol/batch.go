@@ -24,33 +24,9 @@ import "fmt"
 // hostile frame cannot smuggle a data-returning or session-management
 // operation past the per-op dispatch paths.
 
-// Batch operations continue the Op space after the stats extension.
-const (
-	OpBatch Op = iota + opStatsSentinel
-	opBatchSentinel
-)
-
-// batchOpNames extends Op.String for the batching extension.
-var batchOpNames = map[Op]string{
-	OpBatch: "batched calls",
-}
-
 // MaxBatchOps bounds the sub-op count one batch frame may declare, so a
 // corrupt or hostile frame cannot make the decoder allocate absurd slices.
 const MaxBatchOps = 1024
-
-// BatchableOp reports whether op may ride inside an OpBatch frame: only
-// fire-and-forget operations whose response is a bare result code qualify.
-// Anything returning data or a handle, and anything touching session or
-// connection state, must travel as its own exchange.
-func BatchableOp(op Op) bool {
-	switch op {
-	case OpLaunch, OpMemcpyToDeviceAsync, OpEventRecord, OpMemset:
-		return true
-	default:
-		return false
-	}
-}
 
 // BatchRequest carries a run of coalesced sub-operations: op (4) +
 // sequence (8) + count (4) + per sub-op {length (4) + encoded request} =
@@ -148,14 +124,11 @@ func DecodeBatchResponse(b []byte) (*BatchResponse, error) {
 	return m, nil
 }
 
-// decodeBatchRequest handles OpBatch for DecodeRequest. Every sub-op is
+// decodeBatch decodes an OpBatch frame for DecodeRequest. Every sub-op is
 // fully validated here — length in range, decodable, batchable — so the
 // dispatcher never sees a half-parsed batch. Sub slices alias b under the
 // same ownership contract as the memcpy payloads.
-func decodeBatchRequest(op Op, b []byte) (Request, error) {
-	if op != OpBatch {
-		return decodeMigrateRequest(op, b)
-	}
+func decodeBatch(b []byte) (Request, error) {
 	if len(b) < 16 {
 		return nil, ErrShortMessage
 	}

@@ -7,10 +7,8 @@ import (
 )
 
 func TestBatchOpNames(t *testing.T) {
-	for op, want := range batchOpNames {
-		if got := op.String(); got != want {
-			t.Errorf("Op(%d).String() = %q, want %q", uint32(op), got, want)
-		}
+	if got, want := OpBatch.String(), "batched calls"; got != want {
+		t.Errorf("Op(%d).String() = %q, want %q", uint32(OpBatch), got, want)
 	}
 }
 

@@ -15,35 +15,22 @@ import "fmt"
 //
 //	client                          server
 //	  MemcpyStreamBegin  ──────▶    validate region, open stream
-//	             ◀──────  MemcpyStreamBeginResponse (abort here on error)
+//	             ◀──────  result code (abort here on error)
 //	  MemcpyStreamChunk 0 ─────▶    PCIe push booked at arrival instant
 //	  MemcpyStreamChunk 1 ─────▶    ... overlapped with the next chunk's
 //	  ...                           network transfer ...
 //	  MemcpyStreamEnd    ──────▶    drain the stream
-//	             ◀──────  MemcpyStreamEndResponse
+//	             ◀──────  result code
 //
 // Device to host mirrors it: after the Begin acknowledgement the server
-// streams the chunks and closes with the End response. Chunks are never
-// individually acknowledged — that is what buys the overlap.
+// streams the chunks and closes with the End status, which follows the last
+// chunk. Both acknowledgements are a bare result code (CodeResponse); a
+// nonzero Begin code means no chunks follow in either direction. Chunks are
+// never individually acknowledged — that is what buys the overlap.
 //
 // The classic single-frame messages remain the default; this path is
 // opt-in above a client-side size threshold, so the Table I byte
 // accounting and the default wire format are unchanged.
-
-// Chunked-transfer operations continue the Op space after the queries.
-const (
-	OpMemcpyStreamBegin Op = iota + opQuerySentinel
-	OpMemcpyStreamChunk
-	OpMemcpyStreamEnd
-	opChunkedSentinel
-)
-
-// chunkedOpNames extends Op.String for the chunked-transfer operations.
-var chunkedOpNames = map[Op]string{
-	OpMemcpyStreamBegin: "cudaMemcpy (stream begin)",
-	OpMemcpyStreamChunk: "cudaMemcpy (stream chunk)",
-	OpMemcpyStreamEnd:   "cudaMemcpy (stream end)",
-}
 
 // DefaultChunkSize is the default payload size of one stream chunk. One
 // MiB is large enough to amortize the 12-byte chunk header to noise and
@@ -78,26 +65,9 @@ func (m *MemcpyStreamBeginRequest) WireSize() int { return 20 }
 // Op implements Request.
 func (m *MemcpyStreamBeginRequest) Op() Op { return OpMemcpyStreamBegin }
 
-// MemcpyStreamBeginResponse acknowledges (or rejects) a chunked transfer
-// before any payload moves: CUDA error (4 bytes). A nonzero error means no
-// chunks will follow in either direction.
-type MemcpyStreamBeginResponse struct {
-	Err uint32
-}
-
-// Encode implements Message.
-func (m *MemcpyStreamBeginResponse) Encode(dst []byte) []byte { return putU32(dst, m.Err) }
-
-// WireSize implements Message.
-func (m *MemcpyStreamBeginResponse) WireSize() int { return 4 }
-
-// DecodeMemcpyStreamBeginResponse parses a stream-begin acknowledgement.
-func DecodeMemcpyStreamBeginResponse(b []byte) (*MemcpyStreamBeginResponse, error) {
-	if len(b) != 4 {
-		return nil, ErrShortMessage
-	}
-	return &MemcpyStreamBeginResponse{Err: getU32(b, 0)}, nil
-}
+// CopyBytes is the size of the whole transfer, for the scheduler's cost
+// estimate.
+func (m *MemcpyStreamBeginRequest) CopyBytes() int { return int(m.Total) }
 
 // --- Chunk -------------------------------------------------------------------
 
@@ -170,62 +140,33 @@ func (m *MemcpyStreamEndRequest) WireSize() int { return 8 }
 // Op implements Request.
 func (m *MemcpyStreamEndRequest) Op() Op { return OpMemcpyStreamEnd }
 
-// MemcpyStreamEndResponse carries the transfer's final result code
-// (4 bytes). For device-to-host streams it follows the last chunk.
-type MemcpyStreamEndResponse struct {
-	Err uint32
+// The decoders of the chunked-transfer rows of the op table (ops.go).
+
+func decodeMemcpyStreamBegin(b []byte) (Request, error) {
+	m := &MemcpyStreamBeginRequest{
+		Ptr:       getU32(b, 4),
+		Total:     getU32(b, 8),
+		Kind:      getU32(b, 12),
+		ChunkSize: getU32(b, 16),
+	}
+	if m.Kind != KindHostToDevice && m.Kind != KindDeviceToHost {
+		return nil, fmt.Errorf("protocol: stream begin with kind %d", m.Kind)
+	}
+	// Reject corrupt totals before anything downstream sizes a buffer
+	// from them.
+	if m.Total > MaxFrameSize {
+		return nil, fmt.Errorf("protocol: stream total %d exceeds limit %d", m.Total, MaxFrameSize)
+	}
+	if m.ChunkSize == 0 || m.ChunkSize > MaxFrameSize {
+		return nil, fmt.Errorf("protocol: stream chunk size %d out of range", m.ChunkSize)
+	}
+	return m, nil
 }
 
-// Encode implements Message.
-func (m *MemcpyStreamEndResponse) Encode(dst []byte) []byte { return putU32(dst, m.Err) }
+func decodeMemcpyStreamChunk(b []byte) (Request, error) { return DecodeMemcpyStreamChunk(b) }
 
-// WireSize implements Message.
-func (m *MemcpyStreamEndResponse) WireSize() int { return 4 }
-
-// DecodeMemcpyStreamEndResponse parses a stream-end status.
-func DecodeMemcpyStreamEndResponse(b []byte) (*MemcpyStreamEndResponse, error) {
-	if len(b) != 4 {
-		return nil, ErrShortMessage
-	}
-	return &MemcpyStreamEndResponse{Err: getU32(b, 0)}, nil
-}
-
-// decodeChunkedRequest handles the chunked-transfer operations for
-// DecodeRequest.
-func decodeChunkedRequest(op Op, b []byte) (Request, error) {
-	switch op {
-	case OpMemcpyStreamBegin:
-		if len(b) != 20 {
-			return nil, ErrShortMessage
-		}
-		m := &MemcpyStreamBeginRequest{
-			Ptr:       getU32(b, 4),
-			Total:     getU32(b, 8),
-			Kind:      getU32(b, 12),
-			ChunkSize: getU32(b, 16),
-		}
-		if m.Kind != KindHostToDevice && m.Kind != KindDeviceToHost {
-			return nil, fmt.Errorf("protocol: stream begin with kind %d", m.Kind)
-		}
-		// Reject corrupt totals before anything downstream sizes a buffer
-		// from them.
-		if m.Total > MaxFrameSize {
-			return nil, fmt.Errorf("protocol: stream total %d exceeds limit %d", m.Total, MaxFrameSize)
-		}
-		if m.ChunkSize == 0 || m.ChunkSize > MaxFrameSize {
-			return nil, fmt.Errorf("protocol: stream chunk size %d out of range", m.ChunkSize)
-		}
-		return m, nil
-	case OpMemcpyStreamChunk:
-		return DecodeMemcpyStreamChunk(b)
-	case OpMemcpyStreamEnd:
-		if len(b) != 8 {
-			return nil, ErrShortMessage
-		}
-		return &MemcpyStreamEndRequest{Chunks: getU32(b, 4)}, nil
-	default:
-		return decodeSessionRequest(op, b)
-	}
+func decodeMemcpyStreamEnd(b []byte) (Request, error) {
+	return &MemcpyStreamEndRequest{Chunks: getU32(b, 4)}, nil
 }
 
 // --- Reassembly --------------------------------------------------------------

@@ -7,7 +7,11 @@ import (
 )
 
 func TestChunkedOpNames(t *testing.T) {
-	for op, want := range chunkedOpNames {
+	for op, want := range map[Op]string{
+		OpMemcpyStreamBegin: "cudaMemcpy (stream begin)",
+		OpMemcpyStreamChunk: "cudaMemcpy (stream chunk)",
+		OpMemcpyStreamEnd:   "cudaMemcpy (stream end)",
+	} {
 		if got := op.String(); got != want {
 			t.Errorf("Op(%d).String() = %q, want %q", uint32(op), got, want)
 		}
@@ -38,20 +42,16 @@ func TestChunkedRequestRoundTrips(t *testing.T) {
 }
 
 func TestChunkedResponseRoundTrips(t *testing.T) {
-	ack := &MemcpyStreamBeginResponse{Err: 11}
-	back, err := DecodeMemcpyStreamBeginResponse(ack.Encode(nil))
-	if err != nil || back.Err != 11 {
-		t.Fatalf("begin response round trip: %+v, %v", back, err)
+	// The Begin acknowledgement and the End status are bare result codes.
+	ack := &CodeResponse{Err: 11}
+	back, err := DecodeCodeResponse(ack.Encode(nil))
+	if err != nil || back != 11 {
+		t.Fatalf("begin response round trip: %d, %v", back, err)
 	}
-	if _, err := DecodeMemcpyStreamBeginResponse([]byte{1, 2}); err == nil {
+	if _, err := DecodeCodeResponse([]byte{1, 2}); err == nil {
 		t.Fatal("short begin response must fail")
 	}
-	end := &MemcpyStreamEndResponse{Err: 4}
-	back2, err := DecodeMemcpyStreamEndResponse(end.Encode(nil))
-	if err != nil || back2.Err != 4 {
-		t.Fatalf("end response round trip: %+v, %v", back2, err)
-	}
-	if _, err := DecodeMemcpyStreamEndResponse([]byte{}); err == nil {
+	if _, err := DecodeCodeResponse([]byte{}); err == nil {
 		t.Fatal("short end response must fail")
 	}
 }

@@ -8,25 +8,6 @@ import "fmt"
 // accelerators, so the middleware must let a client discover and select
 // among the server's devices.
 
-// Operation codes continue past the asynchronous extension.
-const (
-	OpGetDeviceCount Op = iota + opAsyncSentinel
-	OpSetDevice
-	OpGetDeviceProperties
-	OpMemset
-	OpMemcpyDeviceToDevice
-	opDeviceSentinel
-)
-
-// deviceOpNames extends Op.String for the device-management operations.
-var deviceOpNames = map[Op]string{
-	OpGetDeviceCount:       "cudaGetDeviceCount",
-	OpSetDevice:            "cudaSetDevice",
-	OpGetDeviceProperties:  "cudaGetDeviceProperties",
-	OpMemset:               "cudaMemset",
-	OpMemcpyDeviceToDevice: "cudaMemcpy (device to device)",
-}
-
 // --- cudaGetDeviceCount -------------------------------------------------------
 
 // GetDeviceCountRequest asks how many GPUs the server owns: 4 bytes.
@@ -177,6 +158,9 @@ func (m *MemsetRequest) WireSize() int { return 16 }
 // Op implements Request.
 func (m *MemsetRequest) Op() Op { return OpMemset }
 
+// CopyBytes is the size of the fill, for the scheduler's cost estimate.
+func (m *MemsetRequest) CopyBytes() int { return int(m.Size) }
+
 // --- device-to-device cudaMemcpy ---------------------------------------------------
 
 // MemcpyD2DRequest copies within device memory: id (4) + dst (4) + src (4)
@@ -202,36 +186,19 @@ func (m *MemcpyD2DRequest) WireSize() int { return 16 }
 // Op implements Request.
 func (m *MemcpyD2DRequest) Op() Op { return OpMemcpyDeviceToDevice }
 
-// decodeDeviceRequest handles the device-management operations for
-// DecodeRequest.
-func decodeDeviceRequest(op Op, b []byte) (Request, error) {
-	switch op {
-	case OpGetDeviceCount:
-		if len(b) != 4 {
-			return nil, ErrShortMessage
-		}
-		return &GetDeviceCountRequest{}, nil
-	case OpSetDevice:
-		if len(b) != 8 {
-			return nil, ErrShortMessage
-		}
-		return &SetDeviceRequest{Device: getU32(b, 4)}, nil
-	case OpGetDeviceProperties:
-		if len(b) != 4 {
-			return nil, ErrShortMessage
-		}
-		return &GetDevicePropertiesRequest{}, nil
-	case OpMemset:
-		if len(b) != 16 {
-			return nil, ErrShortMessage
-		}
-		return &MemsetRequest{DevPtr: getU32(b, 4), Value: getU32(b, 8), Size: getU32(b, 12)}, nil
-	case OpMemcpyDeviceToDevice:
-		if len(b) != 16 {
-			return nil, ErrShortMessage
-		}
-		return &MemcpyD2DRequest{Dst: getU32(b, 4), Src: getU32(b, 8), Size: getU32(b, 12)}, nil
-	default:
-		return decodeQueryRequest(op, b)
-	}
+// CopyBytes is the size of the copy, for the scheduler's cost estimate.
+func (m *MemcpyD2DRequest) CopyBytes() int { return int(m.Size) }
+
+// The decoders of the device-management rows of the op table (ops.go).
+
+func decodeGetDeviceCount([]byte) (Request, error)      { return &GetDeviceCountRequest{}, nil }
+func decodeGetDeviceProperties([]byte) (Request, error) { return &GetDevicePropertiesRequest{}, nil }
+func decodeSetDevice(b []byte) (Request, error)         { return &SetDeviceRequest{Device: getU32(b, 4)}, nil }
+
+func decodeMemset(b []byte) (Request, error) {
+	return &MemsetRequest{DevPtr: getU32(b, 4), Value: getU32(b, 8), Size: getU32(b, 12)}, nil
+}
+
+func decodeMemcpyD2D(b []byte) (Request, error) {
+	return &MemcpyD2DRequest{Dst: getU32(b, 4), Src: getU32(b, 8), Size: getU32(b, 12)}, nil
 }

@@ -3,7 +3,7 @@ package protocol
 import "testing"
 
 func TestDeviceOpNames(t *testing.T) {
-	for op := OpGetDeviceCount; op < opDeviceSentinel; op++ {
+	for op := OpGetDeviceCount; op < OpStreamQuery; op++ {
 		if s := op.String(); s == "" || s[:2] == "Op" {
 			t.Fatalf("device op %d has placeholder name %q", op, s)
 		}

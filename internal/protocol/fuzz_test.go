@@ -88,10 +88,10 @@ func FuzzDecodeRequest(f *testing.F) {
 	// Op-space sweep: a bare header for every op code the protocol has ever
 	// declared — plus one past the end for the unknown-op path — and a
 	// padded variant of each, so every dispatch branch of DecodeRequest is
-	// in the corpus from the first run. The wiremsg analyzer (rcuda-vet)
-	// proves statically that every declared op is dispatched; these seeds
-	// keep the dynamic corpus aligned with that invariant as ops are added.
-	for op := Op(0); op <= opMigrateSentinel; op++ {
+	// in the corpus from the first run. TestOpTableTotal proves that every
+	// declared op has a row that decodes; these seeds keep the dynamic
+	// corpus aligned with the table as ops are added.
+	for op := Op(0); op <= opCount; op++ {
 		hdr := putU32(nil, uint32(op))
 		f.Add(hdr)
 		f.Add(append(hdr, 0, 0, 0, 0, 0, 0, 0, 0))

@@ -13,35 +13,18 @@ import (
 //
 //	source                          destination
 //	  SessionRestore      ──────▶   reserve the session id + admission slot
-//	             ◀──────  SessionRestoreResponse (abort here on refusal)
+//	             ◀──────  result code (abort here on refusal)
 //	  MigrateBegin        ──────▶   size the checkpoint buffer
-//	             ◀──────  MigrateBeginResponse
+//	             ◀──────  result code
 //	  MigrateChunk 0..n-1 ──────▶   reassemble (never individually acked)
 //	  MigrateCommit       ──────▶   verify count + digest, materialize
-//	             ◀──────  MigrateCommitResponse
+//	             ◀──────  result code
 //
 // The client learns about the move lazily: a reattach at the old daemon is
 // answered with CodeSessionMigrated (reject.go) and the broker has already
 // re-pointed placement, so the next reconnect lands on the destination and
 // resumes with zero replay — the batch seq-dedup window travels inside the
 // checkpoint.
-
-// Migration operations continue the Op space after the batch extension.
-const (
-	OpMigrateBegin Op = iota + opBatchSentinel
-	OpMigrateChunk
-	OpMigrateCommit
-	OpSessionRestore
-	opMigrateSentinel
-)
-
-// migrateOpNames extends Op.String for the migration operations.
-var migrateOpNames = map[Op]string{
-	OpMigrateBegin:   "rcudaMigrate (begin)",
-	OpMigrateChunk:   "rcudaMigrate (chunk)",
-	OpMigrateCommit:  "rcudaMigrate (commit)",
-	OpSessionRestore: "rcudaSessionRestore",
-}
 
 // --- SessionRestore handshake ----------------------------------------------
 
@@ -76,27 +59,6 @@ func TryDecodeSessionRestore(b []byte) (*SessionRestoreRequest, bool) {
 	return &SessionRestoreRequest{Session: getU64(b, 4)}, true
 }
 
-// SessionRestoreResponse answers the handshake: CUDA error (4 bytes). A
-// nonzero code (CodeServerBusy on an id collision or admission refusal)
-// aborts the migration before any checkpoint bytes move.
-type SessionRestoreResponse struct {
-	Err uint32
-}
-
-// Encode implements Message.
-func (m *SessionRestoreResponse) Encode(dst []byte) []byte { return putU32(dst, m.Err) }
-
-// WireSize implements Message.
-func (m *SessionRestoreResponse) WireSize() int { return 4 }
-
-// DecodeSessionRestoreResponse parses a session-restore acknowledgement.
-func DecodeSessionRestoreResponse(b []byte) (*SessionRestoreResponse, error) {
-	if len(b) != 4 {
-		return nil, ErrShortMessage
-	}
-	return &SessionRestoreResponse{Err: getU32(b, 0)}, nil
-}
-
 // --- Begin -------------------------------------------------------------------
 
 // MigrateBeginRequest opens the checkpoint stream: id (4) + total size (4)
@@ -118,26 +80,6 @@ func (m *MigrateBeginRequest) WireSize() int { return 12 }
 
 // Op implements Request.
 func (m *MigrateBeginRequest) Op() Op { return OpMigrateBegin }
-
-// MigrateBeginResponse acknowledges (or rejects) the checkpoint stream
-// before any payload moves: CUDA error (4 bytes).
-type MigrateBeginResponse struct {
-	Err uint32
-}
-
-// Encode implements Message.
-func (m *MigrateBeginResponse) Encode(dst []byte) []byte { return putU32(dst, m.Err) }
-
-// WireSize implements Message.
-func (m *MigrateBeginResponse) WireSize() int { return 4 }
-
-// DecodeMigrateBeginResponse parses a migrate-begin acknowledgement.
-func DecodeMigrateBeginResponse(b []byte) (*MigrateBeginResponse, error) {
-	if len(b) != 4 {
-		return nil, ErrShortMessage
-	}
-	return &MigrateBeginResponse{Err: getU32(b, 0)}, nil
-}
 
 // --- Chunk -------------------------------------------------------------------
 
@@ -221,26 +163,6 @@ func (m *MigrateCommitRequest) WireSize() int { return 16 }
 // Op implements Request.
 func (m *MigrateCommitRequest) Op() Op { return OpMigrateCommit }
 
-// MigrateCommitResponse carries the migration's final result code
-// (4 bytes). Zero means the destination owns the session from now on.
-type MigrateCommitResponse struct {
-	Err uint32
-}
-
-// Encode implements Message.
-func (m *MigrateCommitResponse) Encode(dst []byte) []byte { return putU32(dst, m.Err) }
-
-// WireSize implements Message.
-func (m *MigrateCommitResponse) WireSize() int { return 4 }
-
-// DecodeMigrateCommitResponse parses a migrate-commit status.
-func DecodeMigrateCommitResponse(b []byte) (*MigrateCommitResponse, error) {
-	if len(b) != 4 {
-		return nil, ErrShortMessage
-	}
-	return &MigrateCommitResponse{Err: getU32(b, 0)}, nil
-}
-
 // MigrateDigest is the integrity check over a checkpoint payload (FNV-1a,
 // 64 bit). It guards against truncation and bit corruption, not tampering.
 func MigrateDigest(b []byte) uint64 {
@@ -249,36 +171,25 @@ func MigrateDigest(b []byte) uint64 {
 	return h.Sum64()
 }
 
-// decodeMigrateRequest handles the migration operations for DecodeRequest.
-// It terminates the dispatch chain.
-func decodeMigrateRequest(op Op, b []byte) (Request, error) {
-	switch op {
-	case OpMigrateBegin:
-		if len(b) != 12 {
-			return nil, ErrShortMessage
-		}
-		m := &MigrateBeginRequest{Total: getU32(b, 4), ChunkSize: getU32(b, 8)}
-		if m.Total > MaxFrameSize {
-			return nil, fmt.Errorf("protocol: migrate total %d exceeds limit %d", m.Total, MaxFrameSize)
-		}
-		if m.ChunkSize == 0 || m.ChunkSize > MaxFrameSize {
-			return nil, fmt.Errorf("protocol: migrate chunk size %d out of range", m.ChunkSize)
-		}
-		return m, nil
-	case OpMigrateChunk:
-		return DecodeMigrateChunk(b)
-	case OpMigrateCommit:
-		if len(b) != 16 {
-			return nil, ErrShortMessage
-		}
-		return &MigrateCommitRequest{Chunks: getU32(b, 4), Digest: getU64(b, 8)}, nil
-	case OpSessionRestore:
-		m, ok := TryDecodeSessionRestore(b)
-		if !ok {
-			return nil, ErrShortMessage
-		}
-		return m, nil
-	default:
-		return nil, fmt.Errorf("%w: %d", ErrBadOp, uint32(op))
+// The decoders of the migration rows of the op table (ops.go).
+
+func decodeMigrateBegin(b []byte) (Request, error) {
+	m := &MigrateBeginRequest{Total: getU32(b, 4), ChunkSize: getU32(b, 8)}
+	if m.Total > MaxFrameSize {
+		return nil, fmt.Errorf("protocol: migrate total %d exceeds limit %d", m.Total, MaxFrameSize)
 	}
+	if m.ChunkSize == 0 || m.ChunkSize > MaxFrameSize {
+		return nil, fmt.Errorf("protocol: migrate chunk size %d out of range", m.ChunkSize)
+	}
+	return m, nil
+}
+
+func decodeMigrateChunk(b []byte) (Request, error) { return DecodeMigrateChunk(b) }
+
+func decodeMigrateCommit(b []byte) (Request, error) {
+	return &MigrateCommitRequest{Chunks: getU32(b, 4), Digest: getU64(b, 8)}, nil
+}
+
+func decodeSessionRestore(b []byte) (Request, error) {
+	return &SessionRestoreRequest{Session: getU64(b, 4)}, nil
 }

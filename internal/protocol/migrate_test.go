@@ -50,19 +50,14 @@ func TestMigrateBeginValidation(t *testing.T) {
 	}
 }
 
-// TestMigrateResponsesRoundTrip covers the three acknowledgement shapes.
+// TestMigrateResponsesRoundTrip covers the three acknowledgements — restore,
+// begin, commit — all the one bare-code shape.
 func TestMigrateResponsesRoundTrip(t *testing.T) {
-	rr, err := DecodeSessionRestoreResponse((&SessionRestoreResponse{Err: CodeServerBusy}).Encode(nil))
-	if err != nil || rr.Err != CodeServerBusy {
-		t.Fatalf("restore response: %+v, %v", rr, err)
-	}
-	br, err := DecodeMigrateBeginResponse((&MigrateBeginResponse{Err: 3}).Encode(nil))
-	if err != nil || br.Err != 3 {
-		t.Fatalf("begin response: %+v, %v", br, err)
-	}
-	cr, err := DecodeMigrateCommitResponse((&MigrateCommitResponse{Err: 0}).Encode(nil))
-	if err != nil || cr.Err != 0 {
-		t.Fatalf("commit response: %+v, %v", cr, err)
+	for _, code := range []uint32{CodeServerBusy, 3, 0} {
+		got, err := DecodeCodeResponse((&CodeResponse{Err: code}).Encode(nil))
+		if err != nil || got != code {
+			t.Fatalf("acknowledgement %d: %d, %v", code, got, err)
+		}
 	}
 }
 

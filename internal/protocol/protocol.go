@@ -26,71 +26,6 @@ import (
 	"fmt"
 )
 
-// Op identifies the remote CUDA function of a request.
-type Op uint32
-
-// Remote operations. OpInit never appears on the wire (the initialization
-// exchange is positional) but is defined so traces can label it.
-const (
-	OpInit Op = iota
-	OpMalloc
-	OpMemcpyToDevice
-	OpMemcpyToHost
-	OpLaunch
-	OpFree
-	OpDeviceSynchronize
-	OpFinalize
-	opSentinel
-)
-
-// String returns the CUDA-level name of the operation.
-func (o Op) String() string {
-	switch o {
-	case OpInit:
-		return "Initialization"
-	case OpMalloc:
-		return "cudaMalloc"
-	case OpMemcpyToDevice:
-		return "cudaMemcpy (to device)"
-	case OpMemcpyToHost:
-		return "cudaMemcpy (to host)"
-	case OpLaunch:
-		return "cudaLaunch"
-	case OpFree:
-		return "cudaFree"
-	case OpDeviceSynchronize:
-		return "cudaDeviceSynchronize"
-	case OpFinalize:
-		return "Finalization"
-	default:
-		if name, ok := asyncOpNames[o]; ok {
-			return name
-		}
-		if name, ok := deviceOpNames[o]; ok {
-			return name
-		}
-		if name, ok := queryOpNames[o]; ok {
-			return name
-		}
-		if name, ok := chunkedOpNames[o]; ok {
-			return name
-		}
-		if name, ok := sessionOpNames[o]; ok {
-			return name
-		}
-		if name, ok := statsOpNames[o]; ok {
-			return name
-		}
-		if name, ok := batchOpNames[o]; ok {
-			return name
-		}
-		if name, ok := migrateOpNames[o]; ok {
-			return name
-		}
-		return fmt.Sprintf("Op(%d)", uint32(o))
-	}
-}
-
 // Memcpy kinds, matching the CUDA Runtime API enumeration.
 const (
 	KindHostToDevice uint32 = 1
@@ -298,25 +233,6 @@ func DecodeLandedMemcpyToDevice(head, data []byte) (*MemcpyToDeviceRequest, erro
 	return &MemcpyToDeviceRequest{Dst: getU32(head, 4), Src: getU32(head, 8), Data: data}, nil
 }
 
-// MemcpyToDeviceResponse carries only the result code (4 bytes).
-type MemcpyToDeviceResponse struct {
-	Err uint32
-}
-
-// Encode implements Message.
-func (m *MemcpyToDeviceResponse) Encode(dst []byte) []byte { return putU32(dst, m.Err) }
-
-// WireSize implements Message.
-func (m *MemcpyToDeviceResponse) WireSize() int { return 4 }
-
-// DecodeMemcpyToDeviceResponse parses a host-to-device memcpy response.
-func DecodeMemcpyToDeviceResponse(b []byte) (*MemcpyToDeviceResponse, error) {
-	if len(b) != 4 {
-		return nil, ErrShortMessage
-	}
-	return &MemcpyToDeviceResponse{Err: getU32(b, 0)}, nil
-}
-
 // MemcpyToHostRequest asks for device data. Table I: send Function id. (4) +
 // Destination (4) + Source (4) + Size (4) + Kind (4) = 20 bytes.
 type MemcpyToHostRequest struct {
@@ -443,25 +359,6 @@ func (m *LaunchRequest) Encode(dst []byte) []byte {
 // WireSize implements Message.
 func (m *LaunchRequest) WireSize() int { return 44 + len(m.Name) + 1 + len(m.Params) }
 
-// LaunchResponse carries only the result code (4 bytes).
-type LaunchResponse struct {
-	Err uint32
-}
-
-// Encode implements Message.
-func (m *LaunchResponse) Encode(dst []byte) []byte { return putU32(dst, m.Err) }
-
-// WireSize implements Message.
-func (m *LaunchResponse) WireSize() int { return 4 }
-
-// DecodeLaunchResponse parses a cudaLaunch response.
-func DecodeLaunchResponse(b []byte) (*LaunchResponse, error) {
-	if len(b) != 4 {
-		return nil, ErrShortMessage
-	}
-	return &LaunchResponse{Err: getU32(b, 0)}, nil
-}
-
 // --- cudaFree -------------------------------------------------------------
 
 // FreeRequest releases device memory. Table I: send Function id. (4) +
@@ -479,25 +376,6 @@ func (m *FreeRequest) Encode(dst []byte) []byte {
 // WireSize implements Message.
 func (m *FreeRequest) WireSize() int { return 8 }
 
-// FreeResponse carries only the result code (4 bytes).
-type FreeResponse struct {
-	Err uint32
-}
-
-// Encode implements Message.
-func (m *FreeResponse) Encode(dst []byte) []byte { return putU32(dst, m.Err) }
-
-// WireSize implements Message.
-func (m *FreeResponse) WireSize() int { return 4 }
-
-// DecodeFreeResponse parses a cudaFree response.
-func DecodeFreeResponse(b []byte) (*FreeResponse, error) {
-	if len(b) != 4 {
-		return nil, ErrShortMessage
-	}
-	return &FreeResponse{Err: getU32(b, 0)}, nil
-}
-
 // --- cudaDeviceSynchronize (extension beyond Table I) ----------------------
 
 // SyncRequest blocks until all preceding device work completes. Not listed
@@ -509,25 +387,6 @@ func (m *SyncRequest) Encode(dst []byte) []byte { return putU32(dst, uint32(OpDe
 
 // WireSize implements Message.
 func (m *SyncRequest) WireSize() int { return 4 }
-
-// SyncResponse carries only the result code (4 bytes).
-type SyncResponse struct {
-	Err uint32
-}
-
-// Encode implements Message.
-func (m *SyncResponse) Encode(dst []byte) []byte { return putU32(dst, m.Err) }
-
-// WireSize implements Message.
-func (m *SyncResponse) WireSize() int { return 4 }
-
-// DecodeSyncResponse parses a cudaDeviceSynchronize response.
-func DecodeSyncResponse(b []byte) (*SyncResponse, error) {
-	if len(b) != 4 {
-		return nil, ErrShortMessage
-	}
-	return &SyncResponse{Err: getU32(b, 0)}, nil
-}
 
 // --- Finalization ----------------------------------------------------------
 
@@ -541,14 +400,33 @@ func (m *FinalizeRequest) Encode(dst []byte) []byte { return putU32(dst, uint32(
 // WireSize implements Message.
 func (m *FinalizeRequest) WireSize() int { return 4 }
 
-// --- Request decoding on the server side -----------------------------------
+// --- Result-code replies -----------------------------------------------------
 
-// Request is any client-to-server message after initialization.
-type Request interface {
-	Message
-	// Op identifies the remote function.
-	Op() Op
+// CodeResponse is the reply of every operation that returns nothing but the
+// 32-bit result code the server "always sends": Table I's receive column of
+// cudaMemcpy to device, cudaLaunch and cudaFree, and every acknowledgement
+// the extensions added — synchronize, set-device, memset, device-to-device
+// copy, stream and event operations, the stream and migration begin/end
+// statuses, the session-restore handshake.
+type CodeResponse struct {
+	Err uint32
 }
+
+// Encode implements Message.
+func (m *CodeResponse) Encode(dst []byte) []byte { return putU32(dst, m.Err) }
+
+// WireSize implements Message.
+func (m *CodeResponse) WireSize() int { return 4 }
+
+// DecodeCodeResponse parses a bare result-code reply and returns the code.
+func DecodeCodeResponse(b []byte) (uint32, error) {
+	if len(b) != 4 {
+		return 0, ErrShortMessage
+	}
+	return getU32(b, 0), nil
+}
+
+// --- Request decoding on the server side -----------------------------------
 
 // Op implementations for the request types.
 func (m *MallocRequest) Op() Op         { return OpMalloc }
@@ -559,65 +437,45 @@ func (m *FreeRequest) Op() Op           { return OpFree }
 func (m *SyncRequest) Op() Op           { return OpDeviceSynchronize }
 func (m *FinalizeRequest) Op() Op       { return OpFinalize }
 
-// DecodeRequest parses any post-initialization request by its leading
-// function identifier.
-func DecodeRequest(b []byte) (Request, error) {
-	if len(b) < 4 {
+// CopyBytes is the size of the copy, for the scheduler's cost estimate.
+func (m *MemcpyToDeviceRequest) CopyBytes() int { return len(m.Data) }
+
+// CopyBytes is the size of the copy, for the scheduler's cost estimate.
+func (m *MemcpyToHostRequest) CopyBytes() int { return int(m.Size) }
+
+// The decoders of the op table's rows (ops.go). DecodeRequest has checked a
+// fixed-size request's length before its decoder runs.
+
+func decodeMalloc(b []byte) (Request, error) { return &MallocRequest{Size: getU32(b, 4)}, nil }
+func decodeFree(b []byte) (Request, error)   { return &FreeRequest{DevPtr: getU32(b, 4)}, nil }
+func decodeSync([]byte) (Request, error)     { return &SyncRequest{}, nil }
+func decodeFinalize([]byte) (Request, error) { return &FinalizeRequest{}, nil }
+
+func decodeMemcpyToDevice(b []byte) (Request, error) {
+	if len(b) < memcpyToDeviceHeadSize {
 		return nil, ErrShortMessage
 	}
-	op := Op(getU32(b, 0))
-	switch op {
-	case OpMalloc:
-		if len(b) != 8 {
-			return nil, ErrShortMessage
-		}
-		return &MallocRequest{Size: getU32(b, 4)}, nil
-	case OpMemcpyToDevice:
-		if len(b) < 20 {
-			return nil, ErrShortMessage
-		}
-		size := int(getU32(b, 12))
-		if kind := getU32(b, 16); kind != KindHostToDevice {
-			return nil, fmt.Errorf("protocol: memcpy-to-device with kind %d", kind)
-		}
-		if len(b) != 20+size {
-			return nil, fmt.Errorf("protocol: memcpy size %d does not match payload %d", size, len(b)-20)
-		}
-		// Data aliases b so bulk payloads decode without a copy; the caller
-		// owns b until the request has been consumed (the server dispatches
-		// each request before the next Recv reuses the frame buffer).
-		return &MemcpyToDeviceRequest{Dst: getU32(b, 4), Src: getU32(b, 8), Data: b[20:]}, nil
-	case OpMemcpyToHost:
-		if len(b) != 20 {
-			return nil, ErrShortMessage
-		}
-		if kind := getU32(b, 16); kind != KindDeviceToHost {
-			return nil, fmt.Errorf("protocol: memcpy-to-host with kind %d", kind)
-		}
-		return &MemcpyToHostRequest{Dst: getU32(b, 4), Src: getU32(b, 8), Size: getU32(b, 12)}, nil
-	case OpLaunch:
-		return decodeLaunch(b)
-	case OpFree:
-		if len(b) != 8 {
-			return nil, ErrShortMessage
-		}
-		return &FreeRequest{DevPtr: getU32(b, 4)}, nil
-	case OpDeviceSynchronize:
-		if len(b) != 4 {
-			return nil, ErrShortMessage
-		}
-		return &SyncRequest{}, nil
-	case OpFinalize:
-		if len(b) != 4 {
-			return nil, ErrShortMessage
-		}
-		return &FinalizeRequest{}, nil
-	default:
-		return decodeAsyncRequest(op, b)
+	size := int(getU32(b, 12))
+	if kind := getU32(b, 16); kind != KindHostToDevice {
+		return nil, fmt.Errorf("protocol: memcpy-to-device with kind %d", kind)
 	}
+	if len(b) != memcpyToDeviceHeadSize+size {
+		return nil, fmt.Errorf("protocol: memcpy size %d does not match payload %d", size, len(b)-memcpyToDeviceHeadSize)
+	}
+	// Data aliases b so bulk payloads decode without a copy; the caller
+	// owns b until the request has been consumed (the server dispatches
+	// each request before the next Recv reuses the frame buffer).
+	return &MemcpyToDeviceRequest{Dst: getU32(b, 4), Src: getU32(b, 8), Data: b[memcpyToDeviceHeadSize:]}, nil
 }
 
-func decodeLaunch(b []byte) (*LaunchRequest, error) {
+func decodeMemcpyToHost(b []byte) (Request, error) {
+	if kind := getU32(b, 16); kind != KindDeviceToHost {
+		return nil, fmt.Errorf("protocol: memcpy-to-host with kind %d", kind)
+	}
+	return &MemcpyToHostRequest{Dst: getU32(b, 4), Src: getU32(b, 8), Size: getU32(b, 12)}, nil
+}
+
+func decodeLaunch(b []byte) (Request, error) {
 	if len(b) < 45 { // header + at least the name's NUL
 		return nil, ErrShortMessage
 	}

@@ -185,10 +185,15 @@ func TestResponseRoundTrips(t *testing.T) {
 		}
 	}
 	{
-		r := &MemcpyToDeviceResponse{Err: 2}
-		got, err := DecodeMemcpyToDeviceResponse(r.Encode(nil))
-		if err != nil || *got != *r {
-			t.Fatalf("memcpy-to-device response: %v, %+v", err, got)
+		// cudaMemcpy to device, cudaLaunch, cudaFree and synchronize are
+		// all answered by the bare result code.
+		r := &CodeResponse{Err: 2}
+		got, err := DecodeCodeResponse(r.Encode(nil))
+		if err != nil || got != r.Err {
+			t.Fatalf("result-code response: %v, %d", err, got)
+		}
+		if _, err := DecodeCodeResponse(r.Encode(nil)[:3]); err != ErrShortMessage {
+			t.Fatalf("short result-code response: %v", err)
 		}
 	}
 	{
@@ -196,27 +201,6 @@ func TestResponseRoundTrips(t *testing.T) {
 		got, err := DecodeMemcpyToHostResponse(r.Encode(nil))
 		if err != nil || got.Err != 0 || !bytes.Equal(got.Data, r.Data) {
 			t.Fatalf("memcpy-to-host response: %v, %+v", err, got)
-		}
-	}
-	{
-		r := &LaunchResponse{Err: 0}
-		got, err := DecodeLaunchResponse(r.Encode(nil))
-		if err != nil || *got != *r {
-			t.Fatalf("launch response: %v, %+v", err, got)
-		}
-	}
-	{
-		r := &FreeResponse{Err: 0}
-		got, err := DecodeFreeResponse(r.Encode(nil))
-		if err != nil || *got != *r {
-			t.Fatalf("free response: %v, %+v", err, got)
-		}
-	}
-	{
-		r := &SyncResponse{Err: 0}
-		got, err := DecodeSyncResponse(r.Encode(nil))
-		if err != nil || *got != *r {
-			t.Fatalf("sync response: %v, %+v", err, got)
 		}
 	}
 }
@@ -294,7 +278,7 @@ func TestReadFrameShortStream(t *testing.T) {
 }
 
 func TestOpStrings(t *testing.T) {
-	for op := OpInit; op < opSentinel; op++ {
+	for op := OpInit; op < OpStreamCreate; op++ {
 		if s := op.String(); s == "" || s[0] == 'O' && s[1] == 'p' && op != OpInit {
 			t.Fatalf("op %d has placeholder name %q", op, s)
 		}

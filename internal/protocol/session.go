@@ -24,19 +24,6 @@ import (
 // SessionHello gets the paper's original connection-scoped lifetime, and
 // the init wire format (Table I) is untouched.
 
-// Session operations continue the Op space after the chunked transfers.
-const (
-	OpSessionHello Op = iota + opChunkedSentinel
-	OpSessionReattach
-	opSessionSentinel
-)
-
-// sessionOpNames extends Op.String for the session operations.
-var sessionOpNames = map[Op]string{
-	OpSessionHello:    "session hello",
-	OpSessionReattach: "session reattach",
-}
-
 func putU64(dst []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, v)
 }
@@ -169,36 +156,29 @@ func DecodeReattachResponse(b []byte) (*ReattachResponse, error) {
 	}, nil
 }
 
-// decodeSessionRequest handles the session operations for DecodeRequest.
-func decodeSessionRequest(op Op, b []byte) (Request, error) {
-	switch op {
-	case OpSessionHello:
-		switch len(b) {
-		case 4:
-			return &SessionHelloRequest{}, nil
-		case 12:
-			m := &SessionHelloRequest{Class: getU32(b, 4), Weight: getU32(b, 8)}
-			if m.Class > maxSchedClass {
-				return nil, fmt.Errorf("%w: class %d", ErrBadSchedClass, m.Class)
-			}
-			if m.Weight > MaxSchedWeight {
-				return nil, fmt.Errorf("%w: weight %d", ErrBadSchedWeight, m.Weight)
-			}
-			if m.Class == SchedClassUnspecified && m.Weight == 0 {
-				// The all-defaults pair has exactly one canonical spelling:
-				// the bare form.
-				return nil, fmt.Errorf("protocol: non-canonical extended hello")
-			}
-			return m, nil
-		default:
-			return nil, ErrShortMessage
+// The decoders of the session rows of the op table (ops.go).
+
+func decodeSessionHello(b []byte) (Request, error) {
+	switch len(b) {
+	case 4:
+		return &SessionHelloRequest{}, nil
+	case 12:
+		m := &SessionHelloRequest{Class: getU32(b, 4), Weight: getU32(b, 8)}
+		if m.Class > maxSchedClass {
+			return nil, fmt.Errorf("%w: class %d", ErrBadSchedClass, m.Class)
 		}
-	case OpSessionReattach:
-		if len(b) != 12 {
-			return nil, ErrShortMessage
+		if m.Weight > MaxSchedWeight {
+			return nil, fmt.Errorf("%w: weight %d", ErrBadSchedWeight, m.Weight)
 		}
-		return &ReattachRequest{Session: getU64(b, 4)}, nil
+		if m.Class == SchedClassUnspecified && m.Weight == 0 {
+			// The all-defaults pair has exactly one canonical spelling:
+			// the bare form.
+			return nil, fmt.Errorf("protocol: non-canonical extended hello")
+		}
+		return m, nil
 	default:
-		return decodeStatsRequest(op, b)
+		return nil, ErrShortMessage
 	}
 }
+
+func decodeReattach(b []byte) (Request, error) { return &ReattachRequest{Session: getU64(b, 4)}, nil }

@@ -7,7 +7,10 @@ import (
 )
 
 func TestSessionOpNames(t *testing.T) {
-	for op, want := range sessionOpNames {
+	for op, want := range map[Op]string{
+		OpSessionHello:    "session hello",
+		OpSessionReattach: "session reattach",
+	} {
 		if got := op.String(); got != want {
 			t.Errorf("Op(%d).String() = %q, want %q", uint32(op), got, want)
 		}

@@ -19,17 +19,6 @@ import "fmt"
 // payload would declare a module-name length equal to this op code, far
 // beyond the zero remaining bytes, so the init decoder rejects it.
 
-// Stats operations continue the Op space after the durable sessions.
-const (
-	OpStatsQuery Op = iota + opSessionSentinel
-	opStatsSentinel
-)
-
-// statsOpNames extends Op.String for the stats operations.
-var statsOpNames = map[Op]string{
-	OpStatsQuery: "stats query",
-}
-
 // MaxStatsDevices bounds the device count a StatsReply may declare. It is
 // far above any real daemon (Figure 1's server nodes hold a handful of
 // accelerators) and exists so a corrupt or hostile frame cannot make the
@@ -50,6 +39,8 @@ func (m *StatsQueryRequest) WireSize() int { return 4 }
 
 // Op implements Request.
 func (m *StatsQueryRequest) Op() Op { return OpStatsQuery }
+
+func decodeStatsQuery([]byte) (Request, error) { return &StatsQueryRequest{}, nil }
 
 // TryDecodeStatsQuery reports whether b is a stats query and, if so,
 // decodes it. Handshake code calls it on the first payload of a connection
@@ -174,17 +165,4 @@ func DecodeStatsReply(b []byte) (*StatsReply, error) {
 		}
 	}
 	return m, nil
-}
-
-// decodeStatsRequest handles the stats operations for DecodeRequest.
-func decodeStatsRequest(op Op, b []byte) (Request, error) {
-	switch op {
-	case OpStatsQuery:
-		if len(b) != 4 {
-			return nil, ErrShortMessage
-		}
-		return &StatsQueryRequest{}, nil
-	default:
-		return decodeBatchRequest(op, b)
-	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestStatsOpNames(t *testing.T) {
-	for op, want := range statsOpNames {
+	for op, want := range map[Op]string{OpStatsQuery: "stats query"} {
 		if got := op.String(); got != want {
 			t.Errorf("Op(%d).String() = %q, want %q", uint32(op), got, want)
 		}
@@ -239,8 +239,8 @@ func FuzzDecodeStatsReply(f *testing.F) {
 }
 
 func TestDecodeRequestBeyondMigrateSentinel(t *testing.T) {
-	raw := putU32(nil, uint32(opMigrateSentinel))
+	raw := putU32(nil, uint32(opCount))
 	if _, err := DecodeRequest(raw); !errors.Is(err, ErrBadOp) {
-		t.Fatalf("op beyond the migrate block: %v, want ErrBadOp", err)
+		t.Fatalf("op beyond the table: %v, want ErrBadOp", err)
 	}
 }

@@ -150,16 +150,10 @@ func FixedReceiveBytes(op Op) int {
 		return (&InitResponse{}).WireSize()
 	case OpMalloc:
 		return (&MallocResponse{}).WireSize()
-	case OpMemcpyToDevice:
-		return (&MemcpyToDeviceResponse{}).WireSize()
 	case OpMemcpyToHost:
 		return (&MemcpyToHostResponse{}).WireSize()
-	case OpLaunch:
-		return (&LaunchResponse{}).WireSize()
-	case OpFree:
-		return (&FreeResponse{}).WireSize()
-	case OpDeviceSynchronize:
-		return (&SyncResponse{}).WireSize()
+	case OpMemcpyToDevice, OpLaunch, OpFree, OpDeviceSynchronize:
+		return (&CodeResponse{}).WireSize()
 	default:
 		return 0
 	}

@@ -5,80 +5,17 @@ import (
 	"time"
 
 	"rcuda/internal/cudart"
-	"rcuda/internal/gpu"
 	"rcuda/internal/protocol"
-	"rcuda/internal/transport"
 )
 
 // This file carries the asynchronous extension across the wire: the client
-// methods implementing cudart.AsyncRuntime and the server dispatch for the
-// stream/event operations. The paper defers asynchronous transfers to
+// methods implementing cudart.AsyncRuntime (the server's half is in
+// dispatch, server.go). The paper defers asynchronous transfers to
 // future work; here asynchrony lives on the server's device (stream
 // overlap between the PCIe copy engine and the compute engine) while the
 // wire remains synchronous request/response.
 
 var _ cudart.AsyncRuntime = (*Client)(nil)
-
-// dispatchAsync handles the extended requests. It reports handled=false
-// for requests that belong to the synchronous dispatcher.
-func (s *Server) dispatchAsync(conn transport.Conn, ctx *gpu.Context, req protocol.Request) (handled bool, err error) {
-	switch r := req.(type) {
-	case *protocol.StreamCreateRequest:
-		stream, opErr := ctx.StreamCreate()
-		return true, conn.Send(&protocol.StreamCreateResponse{Err: code(opErr), Stream: stream})
-	case *protocol.StreamOpRequest:
-		var opErr error
-		switch r.Code {
-		case protocol.OpStreamDestroy:
-			opErr = ctx.StreamDestroy(r.Stream)
-		case protocol.OpStreamQuery:
-			ready, err := ctx.StreamReady(r.Stream)
-			if err == nil && !ready {
-				err = cudart.ErrorNotReady
-			}
-			opErr = err
-		default:
-			opErr = ctx.StreamSynchronize(r.Stream)
-		}
-		return true, conn.Send(&protocol.SyncResponse{Err: code(opErr)})
-	case *protocol.MemcpyToDeviceAsyncRequest:
-		opErr := ctx.CopyToDeviceAsync(r.Dst, r.Data, r.Stream)
-		return true, conn.Send(&protocol.MemcpyToDeviceResponse{Err: code(opErr)})
-	case *protocol.MemcpyToHostAsyncRequest:
-		data, opErr := ctx.CopyToHostAsync(r.Src, r.Size, r.Stream)
-		return true, conn.Send(&protocol.MemcpyToHostResponse{Data: data, Err: code(opErr)})
-	case *protocol.EventCreateRequest:
-		event, opErr := ctx.EventCreate()
-		return true, conn.Send(&protocol.EventCreateResponse{Err: code(opErr), Event: event})
-	case *protocol.EventRecordRequest:
-		return true, conn.Send(&protocol.SyncResponse{Err: code(ctx.EventRecord(r.Event, r.Stream))})
-	case *protocol.EventOpRequest:
-		var opErr error
-		switch r.Code {
-		case protocol.OpEventDestroy:
-			opErr = ctx.EventDestroy(r.Event)
-		case protocol.OpEventQuery:
-			ready, err := ctx.EventReady(r.Event)
-			if err == nil && !ready {
-				err = cudart.ErrorNotReady
-			}
-			opErr = err
-		default:
-			opErr = ctx.EventSynchronize(r.Event)
-		}
-		return true, conn.Send(&protocol.SyncResponse{Err: code(opErr)})
-	case *protocol.EventElapsedRequest:
-		elapsed, opErr := ctx.EventElapsed(r.Start, r.End)
-		return true, conn.Send(&protocol.EventElapsedResponse{
-			Err:         code(opErr),
-			ElapsedNano: uint64(elapsed),
-		})
-	default:
-		return false, nil
-	}
-}
-
-// --- Client side --------------------------------------------------------------
 
 // StreamCreate implements cudart.AsyncRuntime.
 func (c *Client) StreamCreate() (cudart.Stream, error) {
@@ -96,17 +33,9 @@ func (c *Client) StreamCreate() (cudart.Stream, error) {
 	return cudart.Stream(resp.Stream), nil
 }
 
-// streamOp issues a destroy/synchronize and decodes the bare result code.
+// streamOp issues a destroy, synchronize or query on one stream.
 func (c *Client) streamOp(op protocol.Op, stream cudart.Stream) error {
-	payload, err := c.roundTrip(&protocol.StreamOpRequest{Code: op, Stream: uint32(stream)})
-	if err != nil {
-		return err
-	}
-	resp, err := protocol.DecodeSyncResponse(payload)
-	if err != nil {
-		return err
-	}
-	return cudart.Error(resp.Err).AsError()
+	return c.callCode(&protocol.StreamOpRequest{Code: op, Stream: uint32(stream)})
 }
 
 // StreamSynchronize implements cudart.AsyncRuntime.
@@ -134,21 +63,9 @@ func (c *Client) EventQuery(e cudart.Event) error {
 // coalesces — enqueue copies src during encoding, so the buffer is free to
 // reuse on return just as cudaMemcpyAsync from pageable memory allows.
 func (c *Client) MemcpyToDeviceAsync(dst cudart.DevicePtr, src []byte, s cudart.Stream) error {
-	req := &protocol.MemcpyToDeviceAsyncRequest{
+	return c.callCode(&protocol.MemcpyToDeviceAsyncRequest{
 		Dst: uint32(dst), Stream: uint32(s), Data: src,
-	}
-	if c.batching {
-		return c.enqueue(req)
-	}
-	payload, err := c.roundTrip(req)
-	if err != nil {
-		return err
-	}
-	resp, err := protocol.DecodeMemcpyToDeviceResponse(payload)
-	if err != nil {
-		return err
-	}
-	return cudart.Error(resp.Err).AsError()
+	})
 }
 
 // MemcpyToHostAsync implements cudart.AsyncRuntime. The wire returns the
@@ -178,26 +95,14 @@ func (c *Client) MemcpyToHostAsync(dst []byte, src cudart.DevicePtr, s cudart.St
 // LaunchAsync implements cudart.AsyncRuntime, reusing the launch message's
 // stream field.
 func (c *Client) LaunchAsync(name string, grid, block cudart.Dim3, shared uint32, params []byte, s cudart.Stream) error {
-	req := &protocol.LaunchRequest{
+	return c.callCode(&protocol.LaunchRequest{
 		BlockDim:   [3]uint32{block.X, block.Y, block.Z},
 		GridDim:    [2]uint32{grid.X, grid.Y},
 		SharedSize: shared,
 		Stream:     uint32(s),
 		Name:       name,
 		Params:     params,
-	}
-	if c.batching {
-		return c.enqueue(req)
-	}
-	payload, err := c.roundTrip(req)
-	if err != nil {
-		return err
-	}
-	resp, err := protocol.DecodeLaunchResponse(payload)
-	if err != nil {
-		return err
-	}
-	return cudart.Error(resp.Err).AsError()
+	})
 }
 
 // EventCreate implements cudart.AsyncRuntime.
@@ -219,32 +124,12 @@ func (c *Client) EventCreate() (cudart.Event, error) {
 // EventRecord implements cudart.AsyncRuntime; fire-and-forget, so it
 // coalesces under batching.
 func (c *Client) EventRecord(e cudart.Event, s cudart.Stream) error {
-	req := &protocol.EventRecordRequest{Event: uint32(e), Stream: uint32(s)}
-	if c.batching {
-		return c.enqueue(req)
-	}
-	payload, err := c.roundTrip(req)
-	if err != nil {
-		return err
-	}
-	resp, err := protocol.DecodeSyncResponse(payload)
-	if err != nil {
-		return err
-	}
-	return cudart.Error(resp.Err).AsError()
+	return c.callCode(&protocol.EventRecordRequest{Event: uint32(e), Stream: uint32(s)})
 }
 
-// eventOp issues a synchronize/destroy and decodes the bare result code.
+// eventOp issues a synchronize, destroy or query on one event.
 func (c *Client) eventOp(op protocol.Op, e cudart.Event) error {
-	payload, err := c.roundTrip(&protocol.EventOpRequest{Code: op, Event: uint32(e)})
-	if err != nil {
-		return err
-	}
-	resp, err := protocol.DecodeSyncResponse(payload)
-	if err != nil {
-		return err
-	}
-	return cudart.Error(resp.Err).AsError()
+	return c.callCode(&protocol.EventOpRequest{Code: op, Event: uint32(e)})
 }
 
 // EventSynchronize implements cudart.AsyncRuntime.

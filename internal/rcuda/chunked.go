@@ -43,12 +43,12 @@ func (c *Client) memcpyToDeviceChunked(dst cudart.DevicePtr, src []byte) error {
 	if err != nil {
 		return fmt.Errorf("rcuda: stream begin recv: %w", err)
 	}
-	ack, err := protocol.DecodeMemcpyStreamBeginResponse(payload)
+	ack, err := protocol.DecodeCodeResponse(payload)
 	if err != nil {
 		return err
 	}
 	recv += len(payload)
-	if ackErr := cudart.Error(ack.Err).AsError(); ackErr != nil {
+	if ackErr := cudart.Error(ack).AsError(); ackErr != nil {
 		c.observe(protocol.OpMemcpyToDevice, sent, recv)
 		return ackErr
 	}
@@ -73,13 +73,13 @@ func (c *Client) memcpyToDeviceChunked(dst cudart.DevicePtr, src []byte) error {
 	if payload, err = c.conn.Recv(); err != nil {
 		return fmt.Errorf("rcuda: stream end recv: %w", err)
 	}
-	status, err := protocol.DecodeMemcpyStreamEndResponse(payload)
+	status, err := protocol.DecodeCodeResponse(payload)
 	if err != nil {
 		return err
 	}
 	recv += len(payload)
 	c.observe(protocol.OpMemcpyToDevice, sent, recv)
-	return cudart.Error(status.Err).AsError()
+	return cudart.Error(status).AsError()
 }
 
 // memcpyToHostChunked reads device memory into dst through the chunked
@@ -104,12 +104,12 @@ func (c *Client) memcpyToHostChunked(dst []byte, src cudart.DevicePtr) error {
 	if err != nil {
 		return fmt.Errorf("rcuda: stream begin recv: %w", err)
 	}
-	ack, err := protocol.DecodeMemcpyStreamBeginResponse(payload)
+	ack, err := protocol.DecodeCodeResponse(payload)
 	if err != nil {
 		return err
 	}
 	recv += len(payload)
-	if ackErr := cudart.Error(ack.Err).AsError(); ackErr != nil {
+	if ackErr := cudart.Error(ack).AsError(); ackErr != nil {
 		c.observe(protocol.OpMemcpyToHost, sent, recv)
 		return ackErr
 	}
@@ -140,13 +140,13 @@ func (c *Client) memcpyToHostChunked(dst []byte, src cudart.DevicePtr) error {
 	if payload, err = c.conn.Recv(); err != nil {
 		return fmt.Errorf("rcuda: stream end recv: %w", err)
 	}
-	status, err := protocol.DecodeMemcpyStreamEndResponse(payload)
+	status, err := protocol.DecodeCodeResponse(payload)
 	if err != nil {
 		return err
 	}
 	recv += len(payload)
 	c.observe(protocol.OpMemcpyToHost, sent, recv)
-	if statusErr := cudart.Error(status.Err).AsError(); statusErr != nil {
+	if statusErr := cudart.Error(status).AsError(); statusErr != nil {
 		return statusErr
 	}
 	if !asm.Complete() {
@@ -156,20 +156,6 @@ func (c *Client) memcpyToHostChunked(dst []byte, src cudart.DevicePtr) error {
 }
 
 // --- Server ------------------------------------------------------------------
-
-// dispatchChunked handles the chunked-transfer requests. A Begin runs the
-// whole sub-protocol inline; a chunk or end outside a transfer means the
-// client and server have lost framing, which is fatal for the session.
-func (s *Server) dispatchChunked(conn transport.Conn, sess *session, req protocol.Request) (handled bool, err error) {
-	switch r := req.(type) {
-	case *protocol.MemcpyStreamBeginRequest:
-		return true, s.serveMemcpyStream(conn, sess, r)
-	case *protocol.MemcpyStreamChunk, *protocol.MemcpyStreamEndRequest:
-		return true, fmt.Errorf("rcuda: %v outside a chunked transfer", req.Op())
-	default:
-		return false, nil
-	}
-}
 
 // recvArrival receives the next message of a transfer, landing it through
 // asm where the transport can, together with its arrival instant.
@@ -205,13 +191,13 @@ func (s *Server) serveMemcpyStream(conn transport.Conn, sess *session, begin *pr
 	// moves; host-to-device chunks land in it.
 	region, err := ctx.Region(begin.Ptr, begin.Total)
 	if err != nil {
-		return conn.Send(&protocol.MemcpyStreamBeginResponse{Err: code(err)})
+		return conn.Send(&protocol.CodeResponse{Err: code(err)})
 	}
 	stream, err := ctx.StreamCreate()
 	if err != nil {
-		return conn.Send(&protocol.MemcpyStreamBeginResponse{Err: code(err)})
+		return conn.Send(&protocol.CodeResponse{Err: code(err)})
 	}
-	if err := conn.Send(&protocol.MemcpyStreamBeginResponse{}); err != nil {
+	if err := conn.Send(&protocol.CodeResponse{}); err != nil {
 		return err
 	}
 	if begin.Kind == protocol.KindHostToDevice {
@@ -274,7 +260,7 @@ func (s *Server) serveStreamToDevice(conn transport.Conn, ctx *gpu.Context, dev 
 			if syncErr := ctx.StreamDestroy(stream); opErr == nil {
 				opErr = syncErr
 			}
-			return conn.Send(&protocol.MemcpyStreamEndResponse{Err: code(opErr)})
+			return conn.Send(&protocol.CodeResponse{Err: code(opErr)})
 		default:
 			return fmt.Errorf("rcuda: %v inside a chunked transfer", req.Op())
 		}
@@ -310,5 +296,5 @@ func (s *Server) serveStreamToHost(conn transport.Conn, ctx *gpu.Context, dev *g
 		}
 	}
 	opErr := ctx.StreamDestroy(stream)
-	return conn.Send(&protocol.MemcpyStreamEndResponse{Err: code(opErr)})
+	return conn.Send(&protocol.CodeResponse{Err: code(opErr)})
 }

@@ -254,6 +254,25 @@ func (c *Client) exchange(req protocol.Request, l transport.Lander) (payload, la
 	return payload, landed, nil
 }
 
+// callCode runs one exchange whose reply is the bare result code. With
+// batching on, an operation the op table marks batchable is coalesced
+// instead: it returns nil now and its server-side error surfaces at the
+// next sync point.
+func (c *Client) callCode(req protocol.Request) error {
+	if c.batching && protocol.BatchableOp(req.Op()) {
+		return c.enqueue(req)
+	}
+	payload, err := c.roundTrip(req)
+	if err != nil {
+		return err
+	}
+	code, err := protocol.DecodeCodeResponse(payload)
+	if err != nil {
+		return err
+	}
+	return cudart.Error(code).AsError()
+}
+
 // Malloc implements cudart.Runtime.
 func (c *Client) Malloc(size uint32) (cudart.DevicePtr, error) {
 	payload, err := c.roundTrip(&protocol.MallocRequest{Size: size})
@@ -272,15 +291,7 @@ func (c *Client) Malloc(size uint32) (cudart.DevicePtr, error) {
 
 // Free implements cudart.Runtime.
 func (c *Client) Free(ptr cudart.DevicePtr) error {
-	payload, err := c.roundTrip(&protocol.FreeRequest{DevPtr: uint32(ptr)})
-	if err != nil {
-		return err
-	}
-	resp, err := protocol.DecodeFreeResponse(payload)
-	if err != nil {
-		return err
-	}
-	return cudart.Error(resp.Err).AsError()
+	return c.callCode(&protocol.FreeRequest{DevPtr: uint32(ptr)})
 }
 
 // MemcpyToDevice implements cudart.Runtime.
@@ -297,15 +308,7 @@ func (c *Client) MemcpyToDevice(dst cudart.DevicePtr, src []byte) error {
 			return c.memcpyToDeviceChunked(dst, src)
 		})
 	}
-	payload, err := c.roundTrip(&protocol.MemcpyToDeviceRequest{Dst: uint32(dst), Data: src})
-	if err != nil {
-		return err
-	}
-	resp, err := protocol.DecodeMemcpyToDeviceResponse(payload)
-	if err != nil {
-		return err
-	}
-	return cudart.Error(resp.Err).AsError()
+	return c.callCode(&protocol.MemcpyToDeviceRequest{Dst: uint32(dst), Data: src})
 }
 
 // MemcpyToHost implements cudart.Runtime. The response's data is read from
@@ -343,39 +346,11 @@ func (c *Client) MemcpyToHost(dst []byte, src cudart.DevicePtr) error {
 // definition, so with batching enabled it coalesces instead of paying a
 // round trip; its server-side error surfaces at the next sync point.
 func (c *Client) Launch(name string, grid, block cudart.Dim3, shared uint32, params []byte) error {
-	req := &protocol.LaunchRequest{
-		BlockDim:   [3]uint32{block.X, block.Y, block.Z},
-		GridDim:    [2]uint32{grid.X, grid.Y},
-		SharedSize: shared,
-		Name:       name,
-		Params:     params,
-	}
-	if c.batching {
-		return c.enqueue(req)
-	}
-	payload, err := c.roundTrip(req)
-	if err != nil {
-		return err
-	}
-	resp, err := protocol.DecodeLaunchResponse(payload)
-	if err != nil {
-		return err
-	}
-	return cudart.Error(resp.Err).AsError()
+	return c.LaunchAsync(name, grid, block, shared, params, 0)
 }
 
 // DeviceSynchronize implements cudart.Runtime.
-func (c *Client) DeviceSynchronize() error {
-	payload, err := c.roundTrip(&protocol.SyncRequest{})
-	if err != nil {
-		return err
-	}
-	resp, err := protocol.DecodeSyncResponse(payload)
-	if err != nil {
-		return err
-	}
-	return cudart.Error(resp.Err).AsError()
-}
+func (c *Client) DeviceSynchronize() error { return c.callCode(&protocol.SyncRequest{}) }
 
 // Capability implements cudart.Runtime, returning the compute capability
 // received during initialization.

@@ -292,6 +292,29 @@ func TestSuccessCodeDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestCallCodeAllocatesNothingOfItsOwn: the one helper behind every call
+// answered by a bare result code — round trip, decode the code, map it —
+// adds no allocation to the round trip it wraps: the code comes back as a
+// uint32, not as a decoded reply struct.
+func TestCallCodeAllocatesNothingOfItsOwn(t *testing.T) {
+	skipUnderRace(t)
+	client, _, _, stop := gateSession(t)
+	defer stop()
+	req := &protocol.SyncRequest{}
+	var err error
+	bare := testing.AllocsPerRun(200, func() { _, err = client.roundTrip(req) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := testing.AllocsPerRun(200, func() { err = client.callCode(req) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if whole > bare {
+		t.Errorf("callCode allocates %v times, the round trip alone %v", whole, bare)
+	}
+}
+
 // TestBatchedLaunchAllocationGate: a coalesced LaunchAsync costs its request
 // struct and nothing else — the sub-op is encoded once into the shared
 // pending buffer. Measured between flushes, so the server does not run.

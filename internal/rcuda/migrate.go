@@ -298,15 +298,7 @@ func (s *Server) streamSession(sess *session, dial func() (transport.Conn, error
 	if err := conn.Send(&protocol.SessionRestoreRequest{Session: sess.id}); err != nil {
 		return 0, fmt.Errorf("rcuda: restore send: %w", err)
 	}
-	raw, err := conn.Recv()
-	if err != nil {
-		return 0, fmt.Errorf("rcuda: restore recv: %w", err)
-	}
-	hello, err := protocol.DecodeSessionRestoreResponse(raw)
-	if err != nil {
-		return 0, err
-	}
-	if err := refusal("restore", hello.Err); err != nil {
+	if err := recvAck(conn, "restore"); err != nil {
 		return 0, err
 	}
 
@@ -314,14 +306,7 @@ func (s *Server) streamSession(sess *session, dial func() (transport.Conn, error
 	if err := conn.Send(&protocol.MigrateBeginRequest{Total: total, ChunkSize: chunkSize}); err != nil {
 		return 0, fmt.Errorf("rcuda: migrate begin send: %w", err)
 	}
-	if raw, err = conn.Recv(); err != nil {
-		return 0, fmt.Errorf("rcuda: migrate begin recv: %w", err)
-	}
-	ack, err := protocol.DecodeMigrateBeginResponse(raw)
-	if err != nil {
-		return 0, err
-	}
-	if err := refusal("migrate begin", ack.Err); err != nil {
+	if err := recvAck(conn, "migrate begin"); err != nil {
 		return 0, err
 	}
 
@@ -344,21 +329,23 @@ func (s *Server) streamSession(sess *session, dial func() (transport.Conn, error
 	if err := conn.Send(commit); err != nil {
 		return 0, fmt.Errorf("rcuda: migrate commit send: %w", err)
 	}
-	if raw, err = conn.Recv(); err != nil {
-		return 0, fmt.Errorf("rcuda: migrate commit recv: %w", err)
-	}
-	status, err := protocol.DecodeMigrateCommitResponse(raw)
-	if err != nil {
-		return 0, err
-	}
-	if err := refusal("migrate commit", status.Err); err != nil {
+	if err := recvAck(conn, "migrate commit"); err != nil {
 		return 0, err
 	}
 	return int64(len(payload)), nil
 }
 
-// refusal maps a migration acknowledgement's result code to an error.
-func refusal(phase string, errCode uint32) error {
+// recvAck receives one acknowledgement of the migration dialogue — a bare
+// result code — and maps a refusal to an error.
+func recvAck(conn transport.Conn, phase string) error {
+	raw, err := conn.Recv()
+	if err != nil {
+		return fmt.Errorf("rcuda: %s recv: %w", phase, err)
+	}
+	errCode, err := protocol.DecodeCodeResponse(raw)
+	if err != nil {
+		return err
+	}
 	if errCode == protocol.CodeServerBusy {
 		return fmt.Errorf("rcuda: %s refused: %w", phase, ErrServerBusy)
 	}
@@ -436,7 +423,7 @@ func (s *Server) serveRestoreConn(conn transport.Conn, rr *protocol.SessionResto
 		s.destroySession(sess)
 	}
 
-	if err := conn.Send(&protocol.SessionRestoreResponse{}); err != nil {
+	if err := conn.Send(&protocol.CodeResponse{}); err != nil {
 		abort()
 		return err
 	}
@@ -453,12 +440,12 @@ func (s *Server) serveRestoreConn(conn transport.Conn, rr *protocol.SessionResto
 	s.mu.Unlock()
 	s.counters.restoreFromCheckpoint.Add(1)
 	s.logf("rcuda: restored session %d from checkpoint", sess.id)
-	return conn.Send(&protocol.MigrateCommitResponse{})
+	return conn.Send(&protocol.CodeResponse{})
 }
 
 // refuseRestore answers an inbound restore with the typed busy code.
 func (s *Server) refuseRestore(conn transport.Conn, id uint64, why error) error {
-	if sendErr := conn.Send(&protocol.SessionRestoreResponse{Err: protocol.CodeServerBusy}); sendErr != nil {
+	if sendErr := conn.Send(&protocol.CodeResponse{Err: protocol.CodeServerBusy}); sendErr != nil {
 		return sendErr
 	}
 	return fmt.Errorf("rcuda: restore of session %d refused: %w", id, why)
@@ -485,10 +472,10 @@ func (s *Server) recvCheckpoint(conn transport.Conn, sess *session) error {
 	asm, err := protocol.NewChunkAssembler(begin.Total, begin.ChunkSize, buf)
 	if err != nil {
 		// Decoded Begin geometry is pre-validated; reaching here is a bug.
-		_ = conn.Send(&protocol.MigrateBeginResponse{Err: uint32(cudart.ErrorInvalidValue)})
+		_ = conn.Send(&protocol.CodeResponse{Err: uint32(cudart.ErrorInvalidValue)})
 		return err
 	}
-	if err := conn.Send(&protocol.MigrateBeginResponse{}); err != nil {
+	if err := conn.Send(&protocol.CodeResponse{}); err != nil {
 		return err
 	}
 	var opErr error
@@ -509,7 +496,7 @@ func (s *Server) recvCheckpoint(conn transport.Conn, sess *session) error {
 				opErr = s.commitCheckpoint(sess, asm, buf, r)
 			}
 			if opErr != nil {
-				_ = conn.Send(&protocol.MigrateCommitResponse{Err: uint32(cudart.ErrorInvalidValue)})
+				_ = conn.Send(&protocol.CodeResponse{Err: uint32(cudart.ErrorInvalidValue)})
 				return fmt.Errorf("rcuda: restore of session %d failed: %w", sess.id, opErr)
 			}
 			return nil

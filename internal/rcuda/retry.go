@@ -75,38 +75,6 @@ func isConnFault(err error) bool {
 	return errors.As(err, &ne)
 }
 
-// opIdempotent reports whether re-executing op after a fault of unknown
-// outcome is safe. Writes of caller-held bytes to a caller-chosen region
-// and pure reads/queries are; anything that creates, destroys, or launches
-// is not — a retried launch could run a kernel twice, a retried malloc
-// could leak its first allocation.
-func opIdempotent(op protocol.Op) bool {
-	switch op {
-	case protocol.OpMemcpyToDevice,
-		protocol.OpMemcpyToHost,
-		protocol.OpDeviceSynchronize,
-		protocol.OpGetDeviceCount,
-		protocol.OpSetDevice,
-		protocol.OpGetDeviceProperties,
-		protocol.OpMemset,
-		protocol.OpStreamQuery,
-		protocol.OpEventQuery,
-		protocol.OpEventElapsed,
-		protocol.OpStreamSynchronize,
-		protocol.OpEventSynchronize,
-		protocol.OpSessionHello,
-		protocol.OpStatsQuery,
-		// A batch carries launches and records — individually unsafe to
-		// retry — but the server deduplicates by the frame's sequence
-		// number and replays the stored result codes, so re-sending the
-		// identical frame can never execute anything twice.
-		protocol.OpBatch:
-		return true
-	default:
-		return false
-	}
-}
-
 // backoffSleep sleeps the exponential backoff for the given retry number
 // (1-based) with deterministic jitter from the client's seeded generator.
 func (c *Client) backoffSleep(retry int) {
@@ -137,7 +105,7 @@ func (c *Client) runRetry(op protocol.Op, fn func() error) error {
 		return fmt.Errorf("rcuda: %v: %w", op, ErrSessionLost)
 	}
 	attempts := 1
-	if c.retryMax > 1 && opIdempotent(op) {
+	if c.retryMax > 1 && op.Idempotent() {
 		attempts = c.retryMax
 	}
 	var lastErr error
@@ -173,7 +141,7 @@ func (c *Client) runRetry(op protocol.Op, fn func() error) error {
 		lastErr = err
 	}
 	if c.retryMax > 1 {
-		if opIdempotent(op) {
+		if op.Idempotent() {
 			return fmt.Errorf("rcuda: %v failed after %d attempts: %w: %w", op, attempts, ErrSessionLost, lastErr)
 		}
 		return fmt.Errorf("rcuda: %v interrupted: %w: %w", op, ErrSessionLost, lastErr)

@@ -282,12 +282,12 @@ func TestOpIdempotencyTable(t *testing.T) {
 		protocol.OpInit, protocol.OpFinalize, protocol.OpSessionReattach,
 	}
 	for _, op := range safe {
-		if !opIdempotent(op) {
+		if !op.Idempotent() {
 			t.Errorf("%v must be idempotent", op)
 		}
 	}
 	for _, op := range unsafe {
-		if opIdempotent(op) {
+		if op.Idempotent() {
 			t.Errorf("%v must not be idempotent", op)
 		}
 	}

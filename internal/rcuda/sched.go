@@ -70,44 +70,16 @@ func classToWire(c sched.Class) uint32 {
 	}
 }
 
-// classifySchedOp decides whether a request must hold the device (gated)
-// and, if so, which cost-model bucket estimates it. Session control
-// (hello, reattach, finalize), monitoring, and device discovery never
-// touch device state and bypass the queue.
-func classifySchedOp(req protocol.Request) (kind sched.OpKind, bytes int, gated bool) {
-	switch r := req.(type) {
-	case *protocol.SessionHelloRequest, *protocol.StatsQueryRequest,
-		*protocol.FinalizeRequest, *protocol.ReattachRequest,
-		*protocol.GetDeviceCountRequest, *protocol.SetDeviceRequest,
-		*protocol.GetDevicePropertiesRequest:
-		return 0, 0, false
-	case *protocol.LaunchRequest:
-		return sched.KindLaunch, 0, true
-	case *protocol.MemcpyToDeviceRequest:
-		return sched.KindCopy, len(r.Data), true
-	case *protocol.MemcpyToHostRequest:
-		return sched.KindCopy, int(r.Size), true
-	case *protocol.MemcpyToDeviceAsyncRequest:
-		return sched.KindCopy, len(r.Data), true
-	case *protocol.MemcpyToHostAsyncRequest:
-		return sched.KindCopy, int(r.Size), true
-	case *protocol.MemcpyD2DRequest:
-		return sched.KindCopy, int(r.Size), true
-	case *protocol.MemsetRequest:
-		return sched.KindCopy, int(r.Size), true
-	case *protocol.MemcpyStreamBeginRequest:
-		// One grant covers the whole chunked transfer: it is a single op at
-		// the scheduler's granularity, like the one-frame copy it replaces.
-		return sched.KindCopy, int(r.Total), true
-	case *protocol.SyncRequest:
-		return sched.KindSync, 0, true
-	case *protocol.BatchRequest:
-		return sched.KindBatch, 0, true
-	default:
-		// Stream/event bookkeeping and anything added later: cheap, but it
-		// reads device timelines, so it holds the device.
-		return sched.KindOther, 0, true
-	}
+// schedKinds maps the op table's scheduler column (protocol.SchedCost) to
+// the cost model's bucket. protocol.SchedNone has no entry: such a request
+// — session control, monitoring, device discovery — never touches device
+// state and bypasses the queue.
+var schedKinds = [...]sched.OpKind{
+	protocol.SchedLaunch: sched.KindLaunch,
+	protocol.SchedCopy:   sched.KindCopy,
+	protocol.SchedSync:   sched.KindSync,
+	protocol.SchedBatch:  sched.KindBatch,
+	protocol.SchedOther:  sched.KindOther,
 }
 
 // flowOn returns the session's scheduling handle on device d, registering

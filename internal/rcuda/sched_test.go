@@ -14,9 +14,10 @@ import (
 	"rcuda/internal/vclock"
 )
 
-// TestClassifySchedOp pins the gating table: session control, monitoring,
-// and discovery bypass the device queue; everything that touches device
-// state holds it for exactly one op.
+// TestClassifySchedOp pins the op table's scheduler column as the request
+// loop reads it: session control, monitoring, and discovery bypass the
+// device queue; everything that touches device state holds it for exactly
+// one op.
 func TestClassifySchedOp(t *testing.T) {
 	cases := []struct {
 		req   protocol.Request
@@ -43,7 +44,8 @@ func TestClassifySchedOp(t *testing.T) {
 		{&protocol.EventCreateRequest{}, sched.KindOther, 0, true},
 	}
 	for _, tc := range cases {
-		kind, n, gated := classifySchedOp(tc.req)
+		k, n := protocol.SchedCost(tc.req)
+		kind, gated := schedKinds[k], k != protocol.SchedNone
 		if gated != tc.gated || (gated && (kind != tc.kind || n != tc.bytes)) {
 			t.Errorf("%v: classified (%v, %d, %v), want (%v, %d, %v)",
 				tc.req.Op(), kind, n, gated, tc.kind, tc.bytes, tc.gated)

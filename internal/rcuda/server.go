@@ -578,10 +578,10 @@ func (s *Server) serveSession(conn transport.Conn, withinConnCap bool) error {
 		var fl *sched.Session
 		var kind sched.OpKind
 		if s.schedOn {
-			if k, bytes, gated := classifySchedOp(req); gated {
-				kind = k
+			if k, bytes := protocol.SchedCost(req); k != protocol.SchedNone {
+				kind = schedKinds[k]
 				fl = sess.flowOn(dev)
-				if aerr := s.queues[dev].Acquire(fl, s.costs[dev].Estimate(k, bytes), s.doneCh); aerr != nil {
+				if aerr := s.queues[dev].Acquire(fl, s.costs[dev].Estimate(kind, bytes), s.doneCh); aerr != nil {
 					return aerr
 				}
 			}
@@ -881,76 +881,87 @@ func (s *Server) reattachSession(conn transport.Conn, r *protocol.ReattachReques
 }
 
 // dispatch executes one request and sends its response. It reports
-// done=true on finalization.
+// done=true on finalization. An operation that returns nothing but its
+// result code leaves the switch with that result in opErr and is answered
+// by the one CodeResponse at the end; the others send their own reply.
 func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Request) (done bool, err error) {
 	ctx := sess.context()
+	var opErr error
 	switch r := req.(type) {
 	case *protocol.MallocRequest:
 		if denial := s.checkQuota(sess, r.Size); denial != cudart.Success {
 			s.counters.quotaDenials.Add(1)
 			return false, conn.Send(&protocol.MallocResponse{Err: uint32(denial)})
 		}
-		ptr, opErr := ctx.Malloc(r.Size)
+		ptr, cuErr := ctx.Malloc(r.Size)
 		return false, conn.Send(&protocol.MallocResponse{
-			Err:    code(opErr),
+			Err:    code(cuErr),
 			DevPtr: ptr,
 		})
 	case *protocol.MemcpyToDeviceRequest:
-		opErr := ctx.CopyToDevice(r.Dst, r.Data)
-		return false, conn.Send(&protocol.MemcpyToDeviceResponse{Err: code(opErr)})
+		opErr = ctx.CopyToDevice(r.Dst, r.Data)
 	case *protocol.MemcpyToHostRequest:
 		// The reply's data is device memory itself (nil on an error): the
 		// session is synchronous and holds its scheduler grant until Send
 		// returns, so nothing writes the region meanwhile.
-		view, opErr := ctx.HostView(r.Src, r.Size)
-		return false, conn.Send(&protocol.MemcpyToHostResponse{Data: view, Err: code(opErr)})
+		view, cuErr := ctx.HostView(r.Src, r.Size)
+		return false, conn.Send(&protocol.MemcpyToHostResponse{Data: view, Err: code(cuErr)})
 	case *protocol.LaunchRequest:
 		grid := gpu.Dim3{X: r.GridDim[0], Y: r.GridDim[1], Z: 1}
 		block := gpu.Dim3{X: r.BlockDim[0], Y: r.BlockDim[1], Z: r.BlockDim[2]}
-		opErr := ctx.LaunchAsync(r.Name, grid, block, r.SharedSize, r.Params, r.Stream)
-		return false, conn.Send(&protocol.LaunchResponse{Err: code(opErr)})
+		opErr = ctx.LaunchAsync(r.Name, grid, block, r.SharedSize, r.Params, r.Stream)
 	case *protocol.FreeRequest:
-		opErr := ctx.Free(r.DevPtr)
-		return false, conn.Send(&protocol.FreeResponse{Err: code(opErr)})
+		opErr = ctx.Free(r.DevPtr)
 	case *protocol.SyncRequest:
-		return false, conn.Send(&protocol.SyncResponse{Err: code(ctx.Synchronize())})
+		opErr = ctx.Synchronize()
 	case *protocol.FinalizeRequest:
 		return true, nil
-	case *protocol.SessionHelloRequest:
-		s.applySchedParams(sess, r.Class, r.Weight, true)
-		return false, conn.Send(&protocol.SessionHelloResponse{Session: s.makeDurable(sess)})
-	case *protocol.StatsQueryRequest:
-		s.counters.statsQueries.Add(1)
-		return false, conn.Send(s.statsReply())
-	case *protocol.BatchRequest:
-		return false, s.dispatchBatch(conn, sess, r)
-	case *protocol.ReattachRequest:
-		// Reattach is only legal as a connection's opening message.
-		return false, fmt.Errorf("rcuda: reattach inside an established session")
-	default:
-		if handled, err := s.dispatchAsync(conn, ctx, req); handled {
-			return false, err
-		}
-		if handled, err := s.dispatchDevice(conn, sess, req); handled {
-			return false, err
-		}
-		if handled, err := s.dispatchChunked(conn, sess, req); handled {
-			return false, err
-		}
-		return false, fmt.Errorf("rcuda: unhandled request %T", req)
-	}
-}
 
-// dispatchDevice handles device management and device-side memory requests.
-func (s *Server) dispatchDevice(conn transport.Conn, sess *session, req protocol.Request) (handled bool, err error) {
-	switch r := req.(type) {
+	case *protocol.StreamCreateRequest:
+		stream, cuErr := ctx.StreamCreate()
+		return false, conn.Send(&protocol.StreamCreateResponse{Err: code(cuErr), Stream: stream})
+	case *protocol.StreamOpRequest:
+		switch r.Code {
+		case protocol.OpStreamDestroy:
+			opErr = ctx.StreamDestroy(r.Stream)
+		case protocol.OpStreamQuery:
+			opErr = notReady(ctx.StreamReady(r.Stream))
+		default:
+			opErr = ctx.StreamSynchronize(r.Stream)
+		}
+	case *protocol.MemcpyToDeviceAsyncRequest:
+		opErr = ctx.CopyToDeviceAsync(r.Dst, r.Data, r.Stream)
+	case *protocol.MemcpyToHostAsyncRequest:
+		data, cuErr := ctx.CopyToHostAsync(r.Src, r.Size, r.Stream)
+		return false, conn.Send(&protocol.MemcpyToHostResponse{Data: data, Err: code(cuErr)})
+	case *protocol.EventCreateRequest:
+		event, cuErr := ctx.EventCreate()
+		return false, conn.Send(&protocol.EventCreateResponse{Err: code(cuErr), Event: event})
+	case *protocol.EventRecordRequest:
+		opErr = ctx.EventRecord(r.Event, r.Stream)
+	case *protocol.EventOpRequest:
+		switch r.Code {
+		case protocol.OpEventDestroy:
+			opErr = ctx.EventDestroy(r.Event)
+		case protocol.OpEventQuery:
+			opErr = notReady(ctx.EventReady(r.Event))
+		default:
+			opErr = ctx.EventSynchronize(r.Event)
+		}
+	case *protocol.EventElapsedRequest:
+		elapsed, cuErr := ctx.EventElapsed(r.Start, r.End)
+		return false, conn.Send(&protocol.EventElapsedResponse{
+			Err:         code(cuErr),
+			ElapsedNano: uint64(elapsed),
+		})
+
 	case *protocol.GetDeviceCountRequest:
-		return true, conn.Send(&protocol.GetDeviceCountResponse{Count: uint32(len(s.devs))})
+		return false, conn.Send(&protocol.GetDeviceCountResponse{Count: uint32(len(s.devs))})
 	case *protocol.SetDeviceRequest:
-		return true, conn.Send(&protocol.SyncResponse{Err: code(sess.setDevice(int(r.Device)))})
+		opErr = sess.setDevice(int(r.Device))
 	case *protocol.GetDevicePropertiesRequest:
 		p := s.devs[sess.cur].Properties()
-		return true, conn.Send(&protocol.GetDevicePropertiesResponse{
+		return false, conn.Send(&protocol.GetDevicePropertiesResponse{
 			MemoryBytes:     p.MemoryBytes,
 			CapabilityMajor: p.CapabilityMajor,
 			CapabilityMinor: p.CapabilityMinor,
@@ -960,14 +971,43 @@ func (s *Server) dispatchDevice(conn transport.Conn, sess *session, req protocol
 			Name:            p.Name,
 		})
 	case *protocol.MemsetRequest:
-		opErr := sess.context().Memset(r.DevPtr, byte(r.Value), r.Size)
-		return true, conn.Send(&protocol.SyncResponse{Err: code(opErr)})
+		opErr = ctx.Memset(r.DevPtr, byte(r.Value), r.Size)
 	case *protocol.MemcpyD2DRequest:
-		opErr := sess.context().CopyDeviceToDevice(r.Dst, r.Src, r.Size)
-		return true, conn.Send(&protocol.SyncResponse{Err: code(opErr)})
+		opErr = ctx.CopyDeviceToDevice(r.Dst, r.Src, r.Size)
+
+	case *protocol.MemcpyStreamBeginRequest:
+		// A Begin runs the whole chunked sub-protocol inline (chunked.go).
+		return false, s.serveMemcpyStream(conn, sess, r)
+	case *protocol.MemcpyStreamChunk, *protocol.MemcpyStreamEndRequest:
+		// Client and server have lost framing, which is fatal for the session.
+		return false, fmt.Errorf("rcuda: %v outside a chunked transfer", req.Op())
+
+	case *protocol.SessionHelloRequest:
+		s.applySchedParams(sess, r.Class, r.Weight, true)
+		return false, conn.Send(&protocol.SessionHelloResponse{Session: s.makeDurable(sess)})
+	case *protocol.ReattachRequest:
+		// Reattach is only legal as a connection's opening message.
+		return false, fmt.Errorf("rcuda: reattach inside an established session")
+	case *protocol.StatsQueryRequest:
+		s.counters.statsQueries.Add(1)
+		return false, conn.Send(s.statsReply())
+	case *protocol.BatchRequest:
+		return false, s.dispatchBatch(conn, sess, r)
 	default:
-		return false, nil
+		// The migration messages: legal only on a daemon-to-daemon
+		// connection, which never reaches the request loop (migrate.go).
+		return false, fmt.Errorf("rcuda: unhandled request %T", req)
 	}
+	return false, conn.Send(&protocol.CodeResponse{Err: code(opErr)})
+}
+
+// notReady turns a completion query's answer into its result: success once
+// the work has drained, cudaErrorNotReady while it is pending.
+func notReady(ready bool, err error) error {
+	if err == nil && !ready {
+		return cudart.ErrorNotReady
+	}
+	return err
 }
 
 // code maps a device-layer error to its wire result code. The translation

@@ -15,62 +15,12 @@ import (
 	"rcuda/internal/vclock"
 )
 
-// Phase is one of the seven execution phases of Section III.
-type Phase int
-
-// Execution phases in order.
-const (
-	PhaseInit Phase = iota
-	PhaseAlloc
-	PhaseInput
-	PhaseKernel
-	PhaseOutput
-	PhaseRelease
-	PhaseFinalize
-	numPhases
-)
-
-// String implements fmt.Stringer.
-func (p Phase) String() string {
-	switch p {
-	case PhaseInit:
-		return "Initialization"
-	case PhaseAlloc:
-		return "Memory allocation"
-	case PhaseInput:
-		return "Input data transfer"
-	case PhaseKernel:
-		return "Kernel execution"
-	case PhaseOutput:
-		return "Output data transfer"
-	case PhaseRelease:
-		return "Memory release"
-	case PhaseFinalize:
-		return "Finalization"
-	default:
-		return fmt.Sprintf("Phase(%d)", int(p))
-	}
-}
+// Phase is one of the seven execution phases of Section III. The phases and
+// each operation's place among them are columns of the protocol's op table.
+type Phase = protocol.Phase
 
 // PhaseOf maps a protocol operation to its phase.
-func PhaseOf(op protocol.Op) Phase {
-	switch op {
-	case protocol.OpInit:
-		return PhaseInit
-	case protocol.OpMalloc:
-		return PhaseAlloc
-	case protocol.OpMemcpyToDevice:
-		return PhaseInput
-	case protocol.OpLaunch, protocol.OpDeviceSynchronize:
-		return PhaseKernel
-	case protocol.OpMemcpyToHost:
-		return PhaseOutput
-	case protocol.OpFree:
-		return PhaseRelease
-	default:
-		return PhaseFinalize
-	}
-}
+func PhaseOf(op protocol.Op) Phase { return op.Phase() }
 
 // Event is one completed remote call.
 type Event struct {
@@ -126,7 +76,7 @@ type Breakdown struct {
 // first event's interval is measured from the given session start instant.
 func (r *Recorder) PhaseBreakdown(sessionStart time.Duration) []Breakdown {
 	events := r.Events()
-	out := make([]Breakdown, numPhases)
+	out := make([]Breakdown, protocol.NumPhases)
 	for i := range out {
 		out[i].Phase = Phase(i)
 	}
@@ -163,7 +113,7 @@ func (r *Recorder) Render() string {
 	var sb strings.Builder
 	sb.WriteString("Client                                            Server\n")
 	sb.WriteString("  |                                                  |\n")
-	var lastPhase Phase = -1
+	lastPhase := protocol.NumPhases // no heading printed yet
 	for _, e := range r.Events() {
 		if p := PhaseOf(e.Op); p != lastPhase {
 			fmt.Fprintf(&sb, "  |-- %s %s\n", p, strings.Repeat("-", max(0, 44-len(p.String()))))

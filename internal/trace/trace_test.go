@@ -11,14 +11,14 @@ import (
 
 func TestPhaseMapping(t *testing.T) {
 	cases := map[protocol.Op]Phase{
-		protocol.OpInit:              PhaseInit,
-		protocol.OpMalloc:            PhaseAlloc,
-		protocol.OpMemcpyToDevice:    PhaseInput,
-		protocol.OpLaunch:            PhaseKernel,
-		protocol.OpDeviceSynchronize: PhaseKernel,
-		protocol.OpMemcpyToHost:      PhaseOutput,
-		protocol.OpFree:              PhaseRelease,
-		protocol.OpFinalize:          PhaseFinalize,
+		protocol.OpInit:              protocol.PhaseInit,
+		protocol.OpMalloc:            protocol.PhaseAlloc,
+		protocol.OpMemcpyToDevice:    protocol.PhaseInput,
+		protocol.OpLaunch:            protocol.PhaseKernel,
+		protocol.OpDeviceSynchronize: protocol.PhaseKernel,
+		protocol.OpMemcpyToHost:      protocol.PhaseOutput,
+		protocol.OpFree:              protocol.PhaseRelease,
+		protocol.OpFinalize:          protocol.PhaseFinalize,
 	}
 	for op, want := range cases {
 		if got := PhaseOf(op); got != want {
@@ -27,8 +27,47 @@ func TestPhaseMapping(t *testing.T) {
 	}
 }
 
+// TestAsyncRunIsNotFinalization: a traced run that uses the operations added
+// since the paper — a stream, asynchronous copies, a batch, events — is
+// attributed to the phases its calls belong to. Before the op table every
+// one of these fell through PhaseOf's default case and the whole run read
+// as finalization time.
+func TestAsyncRunIsNotFinalization(t *testing.T) {
+	clk := vclock.NewSim()
+	rec := NewRecorder(clk)
+	step := func(op protocol.Op) {
+		clk.Sleep(time.Millisecond)
+		rec.Call(op, 8, 4)
+	}
+	step(protocol.OpStreamCreate)
+	step(protocol.OpEventCreate)
+	step(protocol.OpMemcpyToDeviceAsync)
+	step(protocol.OpMemset)
+	step(protocol.OpBatch)
+	step(protocol.OpEventRecord)
+	step(protocol.OpStreamSynchronize)
+	step(protocol.OpMemcpyToHostAsync)
+	step(protocol.OpEventDestroy)
+	step(protocol.OpStreamDestroy)
+	step(protocol.OpFinalize)
+
+	want := map[Phase]int{
+		protocol.PhaseAlloc:    2,
+		protocol.PhaseInput:    2,
+		protocol.PhaseKernel:   3,
+		protocol.PhaseOutput:   1,
+		protocol.PhaseRelease:  2,
+		protocol.PhaseFinalize: 1,
+	}
+	for _, b := range rec.PhaseBreakdown(0) {
+		if b.Calls != want[b.Phase] || b.Time != time.Duration(b.Calls)*time.Millisecond {
+			t.Errorf("%v: %d calls in %v, want %d calls of 1ms each", b.Phase, b.Calls, b.Time, want[b.Phase])
+		}
+	}
+}
+
 func TestPhaseStrings(t *testing.T) {
-	for p := PhaseInit; p < numPhases; p++ {
+	for p := protocol.PhaseInit; p < protocol.NumPhases; p++ {
 		if s := p.String(); s == "" || strings.HasPrefix(s, "Phase(") {
 			t.Fatalf("phase %d has no name", p)
 		}
@@ -65,26 +104,26 @@ func TestRecorderTimeline(t *testing.T) {
 	}
 
 	bd := rec.PhaseBreakdown(0)
-	if len(bd) != int(numPhases) {
+	if len(bd) != int(protocol.NumPhases) {
 		t.Fatalf("breakdown has %d phases", len(bd))
 	}
 	get := func(p Phase) Breakdown { return bd[p] }
-	if got := get(PhaseInit).Time; got != 10*time.Millisecond {
+	if got := get(protocol.PhaseInit).Time; got != 10*time.Millisecond {
 		t.Fatalf("init phase %v", got)
 	}
-	if got := get(PhaseInput).Time; got != 100*time.Millisecond {
+	if got := get(protocol.PhaseInput).Time; got != 100*time.Millisecond {
 		t.Fatalf("input phase %v", got)
 	}
-	if got := get(PhaseKernel).Time; got != 50*time.Millisecond {
+	if got := get(protocol.PhaseKernel).Time; got != 50*time.Millisecond {
 		t.Fatalf("kernel phase %v", got)
 	}
-	if got := get(PhaseOutput).Time; got != 80*time.Millisecond {
+	if got := get(protocol.PhaseOutput).Time; got != 80*time.Millisecond {
 		t.Fatalf("output phase %v", got)
 	}
-	if get(PhaseInput).SendBytes != 1<<20 {
+	if get(protocol.PhaseInput).SendBytes != 1<<20 {
 		t.Fatal("input bytes")
 	}
-	if get(PhaseOutput).RecvBytes != 1<<20 {
+	if get(protocol.PhaseOutput).RecvBytes != 1<<20 {
 		t.Fatal("output bytes")
 	}
 	var total time.Duration

@@ -201,7 +201,7 @@ func TestPipeRequestResponse(t *testing.T) {
 			}
 			switch r := req.(type) {
 			case *protocol.FreeRequest:
-				if err := srv.Send(&protocol.FreeResponse{}); err != nil {
+				if err := srv.Send(&protocol.CodeResponse{}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -398,7 +398,7 @@ func TestTCPPoolStats(t *testing.T) {
 			if _, err := srv.Recv(); err != nil {
 				return
 			}
-			if err := srv.Send(&protocol.SyncResponse{}); err != nil {
+			if err := srv.Send(&protocol.CodeResponse{}); err != nil {
 				return
 			}
 		}
@@ -470,7 +470,7 @@ func TestTCPOpTimeout(t *testing.T) {
 	srvConn := <-accepted
 	srv := NewTCPConn(srvConn)
 	defer srv.Close()
-	if err := srv.Send(&protocol.SyncResponse{}); err != nil {
+	if err := srv.Send(&protocol.CodeResponse{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cli.Recv(); err != nil {
@@ -478,7 +478,7 @@ func TestTCPOpTimeout(t *testing.T) {
 	}
 	// Negative values are clamped to "disabled".
 	cli.SetOpTimeout(-time.Second)
-	if err := srv.Send(&protocol.SyncResponse{}); err != nil {
+	if err := srv.Send(&protocol.CodeResponse{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cli.Recv(); err != nil {
