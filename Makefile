@@ -1,5 +1,7 @@
-# Development entry points for rcuda-go. Everything is stdlib-only Go; no
-# external tools are required beyond the toolchain.
+# Development entry points for rcuda-go. Everything is stdlib-only Go — pure
+# Go plus one SSE2 micro-kernel in Go assembly on amd64 (every other GOARCH
+# runs the portable loop); no external tools are required beyond the
+# toolchain.
 
 GO ?= go
 
@@ -9,7 +11,7 @@ all: build test
 
 help:
 	@echo "Targets:"
-	@echo "  build        compile and vet everything"
+	@echo "  build        compile and vet everything (plus an arm64 cross-vet of blas/kernels/gpu)"
 	@echo "  test         run all tests"
 	@echo "  race         run all tests under the race detector"
 	@echo "  verify       tier-1 gate: build + test + race on data path + chaos suite"
@@ -27,16 +29,20 @@ help:
 	@echo "  bench-sched-smoke  CI freshness check: re-run the scheduler scenarios"
 	@echo "  bench-wall   wall-clock benchmark of the remoting stack (BENCHMARK.json, ~90 s)"
 	@echo "  bench-wall-smoke  CI correctness check: one second each of the batched inference, fleet placement, the two bulk-copy, the session churn and the simulated-pipe copy workloads"
-	@echo "  fuzz         short fuzzing pass over the wire-protocol decoders"
+	@echo "  fuzz         short fuzzing pass over the wire-protocol decoders and Sgemm against its portable tile"
 	@echo "  pool         broker demo: 3 local daemons, one killed mid-batch"
 	@echo "  repro        regenerate every table and figure of the paper on stdout"
 	@echo "  figures      render the figures as SVGs under figs/"
 	@echo "  experiments  refresh EXPERIMENTS.md"
 	@echo "  clean        remove figs/ and the test cache"
 
+# The arm64 cross-vet (no network, no cgo) type-checks the files amd64 never
+# compiles: the portable tile that stands in for the SSE2 micro-kernel, and
+# everything above it.
 build:
 	$(GO) build ./...
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/blas ./internal/kernels ./internal/gpu
 
 test:
 	$(GO) test ./...
@@ -70,9 +76,12 @@ loc:
 # concurrent data-path packages (transport framing, middleware streaming +
 # batching, pool broker + its autoscaler, the scale harness, the full-stack
 # workloads) under the race detector, and the deterministic fault-injection
-# suite.
+# suite. The device-service packages ride along for checkptr, which -race
+# turns on: kernels view device memory through the one unsafe conversion,
+# and their misaligned, overlapping and end-of-allocation cases must pass it.
 verify: build test vet chaos
-	$(GO) test -race ./internal/transport/... ./internal/rcuda/... ./internal/broker/... ./internal/sched/... ./internal/loadgen/... ./internal/workload/...
+	$(GO) test -race ./internal/transport/... ./internal/rcuda/... ./internal/broker/... ./internal/sched/... ./internal/loadgen/... ./internal/workload/... \
+		./internal/blas/... ./internal/kernels/... ./internal/gpu/...
 
 # Chaos suite: every fault kind's transport semantics, the retry policy, and
 # the MM/FFT case studies under scripted and 50 consecutive seeded fault
@@ -160,12 +169,14 @@ bench-wall-smoke:
 	bash bench/run.sh --workload session_churn --seed 1 --seconds 1 --trace 0
 	bash bench/run.sh --workload sim_memcpy --seed 1 --seconds 1 --trace 0
 
-# Short fuzzing pass over the wire-protocol decoders.
+# Short fuzzing pass over the wire-protocol decoders, and over Sgemm against
+# the portable tile (the differential oracle of the amd64 micro-kernel).
 fuzz:
 	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/protocol/
 	$(GO) test -fuzz=FuzzDecodeStatsReply -fuzztime=30s ./internal/protocol/
 	$(GO) test -fuzz=FuzzTryDecodeSessionRestore -fuzztime=30s ./internal/protocol/
 	$(GO) test -fuzz=FuzzDecodeCheckpoint -fuzztime=30s ./internal/protocol/
+	$(GO) test -fuzz=FuzzSgemmAgainstPortable -fuzztime=30s ./internal/blas/
 
 # Broker demo: spawn three local daemons, run a verified MM/FFT batch through
 # the pool, and kill one server mid-job to show failover with clean results.

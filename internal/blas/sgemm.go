@@ -20,10 +20,13 @@ const blockSize = 64
 // parallelMinWork is the multiply-add count (m·n·k) from which Sgemm fans
 // out to one goroutine per CPU; smaller products run inline on the caller.
 // Measured with BenchmarkSgemmFanOut on the 2-vCPU benchmark machine
-// (go1.24, Xeon 2.1 GHz), inline vs fanned out: 16³ 2.8 vs 4.8 µs, 32³ 20 vs
-// 27 µs, 48³ 58 vs 61 µs, 64³ 135 vs 125 µs, 96³ 570 vs 325 µs. Spawning and
-// joining the workers never pays below 64³ and always pays from there up.
-const parallelMinWork = 64 * 64 * 64
+// (go1.24, Xeon 2.1 GHz, SSE2 micro-kernel), inline vs fanned out: 16³ 0.44
+// vs 1.8 µs, 32³ 3.8 vs 5.7 µs, 48³ 10 vs 19 µs, 64³ 23 vs 34 µs, 96³ 76-88
+// vs 68-72 µs, 128³ 173 vs 129-142 µs. Spawning and joining the workers
+// costs what it did under the scalar band, where it paid from 64³; against
+// arithmetic four times faster it loses there, breaks even near 96³ and
+// pays above.
+const parallelMinWork = 96 * 96 * 96
 
 // Sgemm computes C = A·B for row-major float32 matrices, where A is m×k,
 // B is k×n and C is m×n. Large products parallelize across row bands using
@@ -37,9 +40,7 @@ func Sgemm(m, n, k int, a, b, c []float32) error {
 	if m == 0 || n == 0 {
 		return nil
 	}
-	for i := range c {
-		c[i] = 0
-	}
+	clear(c)
 	if k == 0 {
 		return nil
 	}
@@ -73,65 +74,68 @@ func sgemmParallel(workers, m, n, k int, a, b, c []float32) {
 	wg.Wait()
 }
 
-// tileWidth is how many adjacent elements of a C row sgemmBand accumulates
-// in registers at once: eight independent add chains cover the adder's
-// latency, and eight float32 accumulators still fit the register file.
-const tileWidth = 8
-
 // sgemmBand computes rows [lo, hi) of C, blocked over k and j so a 64×64
 // tile of B stays in cache while every row of the band streams over it.
-// Inside a tile each C element is held in a register while its k terms are
-// added in ascending k, skipping exact zeros of A — the same c += a·b
-// sequence per element as a row-at-a-time saxpy, so the result does not
-// depend on the tiling; only the loads and stores of C and every bounds
-// check in the inner loop are gone.
+// Each (row, j-block, k-block) is one tile call; the result does not depend
+// on the blocking, because every element of C receives its k terms in
+// ascending k whichever tile implementation runs (see tilePortable).
 func sgemmBand(lo, hi, n, k int, a, b, c []float32) {
 	for kk := 0; kk < k; kk += blockSize {
-		kmax := kk + blockSize
-		if kmax > k {
-			kmax = k
-		}
+		kmax := min(kk+blockSize, k)
 		for jj := 0; jj < n; jj += blockSize {
-			jmax := jj + blockSize
-			if jmax > n {
-				jmax = n
-			}
+			jmax := min(jj+blockSize, n)
 			for i := lo; i < hi; i++ {
-				arow := a[i*k+kk : i*k+kmax]
-				j := jj
-				for ; j+tileWidth <= jmax; j += tileWidth {
-					ct := c[i*n+j : i*n+j+tileWidth : i*n+j+tileWidth]
-					c0, c1, c2, c3, c4, c5, c6, c7 := ct[0], ct[1], ct[2], ct[3], ct[4], ct[5], ct[6], ct[7]
-					off := kk*n + j
-					for _, aik := range arow {
-						if aik != 0 {
-							bt := b[off : off+tileWidth : off+tileWidth]
-							c0 += aik * bt[0]
-							c1 += aik * bt[1]
-							c2 += aik * bt[2]
-							c3 += aik * bt[3]
-							c4 += aik * bt[4]
-							c5 += aik * bt[5]
-							c6 += aik * bt[6]
-							c7 += aik * bt[7]
-						}
-						off += n
-					}
-					ct[0], ct[1], ct[2], ct[3], ct[4], ct[5], ct[6], ct[7] = c0, c1, c2, c3, c4, c5, c6, c7
-				}
-				for ; j < jmax; j++ {
-					sum := c[i*n+j]
-					off := kk*n + j
-					for _, aik := range arow {
-						if aik != 0 {
-							sum += aik * b[off]
-						}
-						off += n
-					}
-					c[i*n+j] = sum
-				}
+				tile(c[i*n+jj:i*n+jmax], a[i*k+kk:i*k+kmax], b[kk*n+jj:], n)
 			}
 		}
+	}
+}
+
+// tileWidth is how many adjacent elements of a C row tilePortable
+// accumulates in registers at once: eight independent add chains cover the
+// adder's latency, and eight float32 accumulators still fit the register
+// file.
+const tileWidth = 8
+
+// tilePortable adds one k-block's terms to a strip of one C row:
+// c[j] += a[kx]·b[kx·ldb+j] for every j < len(c), kx ascending over a,
+// skipping exact zeros of a (a NaN is not a zero). Each element is held in
+// a register while its terms are added — the same c += a·b sequence, with a
+// rounding after the multiply and one after the add, as a row-at-a-time
+// saxpy. It is the implementation on every GOARCH without a micro-kernel
+// and the oracle the amd64 micro-kernel is tested against, bit for bit.
+func tilePortable(c, a, b []float32, ldb int) {
+	j := 0
+	for ; j+tileWidth <= len(c); j += tileWidth {
+		ct := c[j : j+tileWidth : j+tileWidth]
+		c0, c1, c2, c3, c4, c5, c6, c7 := ct[0], ct[1], ct[2], ct[3], ct[4], ct[5], ct[6], ct[7]
+		off := j
+		for _, aik := range a {
+			if aik != 0 {
+				bt := b[off : off+tileWidth : off+tileWidth]
+				c0 += aik * bt[0]
+				c1 += aik * bt[1]
+				c2 += aik * bt[2]
+				c3 += aik * bt[3]
+				c4 += aik * bt[4]
+				c5 += aik * bt[5]
+				c6 += aik * bt[6]
+				c7 += aik * bt[7]
+			}
+			off += ldb
+		}
+		ct[0], ct[1], ct[2], ct[3], ct[4], ct[5], ct[6], ct[7] = c0, c1, c2, c3, c4, c5, c6, c7
+	}
+	for ; j < len(c); j++ {
+		sum := c[j]
+		off := j
+		for _, aik := range a {
+			if aik != 0 {
+				sum += aik * b[off]
+			}
+			off += ldb
+		}
+		c[j] = sum
 	}
 }
 

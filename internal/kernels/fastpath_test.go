@@ -145,7 +145,9 @@ func TestSgemmKernelAliasedOperands(t *testing.T) {
 	const m = 16
 	const mat = 4 * m * m // bytes per matrix
 	rng := rand.New(rand.NewSource(11))
-	image := cudart.Float32Bytes(seededFloats(rng, 4*m*m)) // room for three matrices and overlap
+	// Room for three matrices and overlap, and three odd bytes so that a
+	// byte-misaligned operand can end on the allocation's last byte.
+	image := append(cudart.Float32Bytes(seededFloats(rng, 4*m*m)), 0x3f, 0x80, 0x7f)
 	cases := []struct {
 		name             string
 		aOff, bOff, cOff uint32
@@ -157,6 +159,25 @@ func TestSgemmKernelAliasedOperands(t *testing.T) {
 		{"C overlaps the tail of A", 0, 2 * mat, mat / 2},
 		{"C overlaps the head of B", 0, mat + mat/2, mat},
 		{"C straddles A and B, unaligned", 0, mat, mat/2 + 4},
+		// Device pointers are byte addresses: an operand that does not start
+		// on a float32 boundary cannot be computed on in place.
+		{"A at +1", 1, mat + 4, 2*mat + 4},
+		{"A at +2", 2, mat + 4, 2*mat + 4},
+		{"A at +3", 3, mat + 4, 2*mat + 4},
+		{"B at +1", 0, mat + 1, 2*mat + 4},
+		{"B at +2", 0, mat + 2, 2*mat + 4},
+		{"B at +3", 0, mat + 3, 2*mat + 4},
+		{"C at +1", 0, mat, 2*mat + 1},
+		{"C at +2", 0, mat, 2*mat + 2},
+		{"C at +3", 0, mat, 2*mat + 3},
+		{"all three at +1", 1, mat + 1, 2*mat + 1},
+		{"first element of C is the last of A", 0, 2 * mat, mat - 4},
+		{"last element of C is the first of A", mat, 2 * mat, 4},
+		{"first element of C is the last of B", 2 * mat, 0, mat - 4},
+		{"C ends on the last aligned byte", mat, 2 * mat, 3 * mat},
+		{"A ends on the last aligned byte", 3 * mat, 0, mat},
+		{"C at +3 ends on the last byte of the allocation", 0, mat, 3*mat + 3},
+		{"B at +3 ends on the last byte of the allocation", 0, 3*mat + 3, mat},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -175,6 +196,97 @@ func TestSgemmKernelAliasedOperands(t *testing.T) {
 				t.Fatal("device memory differs from snapshot-then-write")
 			}
 		})
+	}
+}
+
+// TestViewSharesAlignedMemory pins both answers of the in-place helper: an
+// element-aligned range comes back as the same memory, typed (a write
+// through the view is a write to the bytes, little-endian), and a range one
+// to three bytes off does not come back at all. Under -race this is also
+// the checkptr run of the repository's one unsafe conversion, up to the last
+// byte of an allocation.
+func TestViewSharesAlignedMemory(t *testing.T) {
+	mem := make([]byte, 64)
+	f, ok := view[float32](mem[32:])
+	if !ok || len(f) != 8 {
+		t.Fatalf("aligned tail of an allocation: view = %d elements, %v; want 8, true", len(f), ok)
+	}
+	f[7] = 1 // 0x3f800000
+	if !bytes.Equal(mem[60:], []byte{0, 0, 0x80, 0x3f}) {
+		t.Fatalf("write through the view left % x in memory", mem[60:])
+	}
+	c, ok := view[complex64](mem[56:])
+	if !ok || len(c) != 1 || c[0] != complex(0, 1) {
+		t.Fatalf("complex view = %v, %v; want [(0+1i)], true", c, ok)
+	}
+	for off := 1; off < 4; off++ {
+		if _, ok := view[float32](mem[off : off+16]); ok {
+			t.Fatalf("range at +%d viewed in place", off)
+		}
+		if _, ok := view[complex64](mem[off : off+16]); ok {
+			t.Fatalf("complex range at +%d viewed in place", off)
+		}
+	}
+	if _, ok := view[float32](nil); ok {
+		t.Fatal("empty range viewed in place")
+	}
+}
+
+// TestInPlaceAndStagedAgree runs the same seeded 24-layer inference with the
+// activation buffers element-aligned (every launch computes on device
+// memory in place) and one, two and three bytes off (every launch stages):
+// the two paths must be indistinguishable in the output bytes.
+func TestInPlaceAndStagedAgree(t *testing.T) {
+	ctx := openContext(t, newDevice())
+	const m, layers = 16, 24
+	const mat = 4 * m * m
+	rng := rand.New(rand.NewSource(24))
+	var weights [layers]uint32
+	for l := range weights {
+		p, err := ctx.Malloc(mat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ctx.CopyToDevice(p, cudart.Float32Bytes(seededFloats(rng, m*m))); err != nil {
+			t.Fatal(err)
+		}
+		weights[l] = p
+	}
+	input := cudart.Float32Bytes(seededFloats(rng, m*m))
+	infer := func(misalign uint32) []byte {
+		t.Helper()
+		var act [2]uint32
+		for i := range act {
+			p, err := ctx.Malloc(mat + misalign)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = ctx.Free(p) }()
+			act[i] = p + misalign
+		}
+		if err := ctx.CopyToDevice(act[0], input); err != nil {
+			t.Fatal(err)
+		}
+		for l, w := range weights {
+			if err := ctx.Launch(SgemmKernel, gpu.Dim3{X: 1, Y: 1}, gpu.Dim3{X: m, Y: m}, 0,
+				gpu.PackParams(w, act[l%2], act[(l+1)%2], m)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out, err := ctx.CopyToHost(act[layers%2], mat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := infer(0)
+	if bytes.Equal(want, input) || bytes.Equal(want, make([]byte, mat)) {
+		t.Fatal("inference left no result to compare")
+	}
+	for misalign := uint32(1); misalign < 4; misalign++ {
+		if got := infer(misalign); !bytes.Equal(got, want) {
+			t.Fatalf("activations at +%d: output differs from the aligned run", misalign)
+		}
 	}
 }
 
@@ -350,5 +462,42 @@ func TestLaunchAllocationGate(t *testing.T) {
 	}
 	if lerr != nil {
 		t.Fatal(lerr)
+	}
+}
+
+// BenchmarkLaunchSgemm16 is the in-repo witness of the wall-clock
+// benchmark's gpu.launch_sgemm16_ns: one synchronous 16×16 sgemmNN launch,
+// the unit an inference request repeats 24 times. "inplace" has its operands
+// where cudaMalloc puts them; "staged" has C one byte off, which is the path
+// every launch took before kernels computed on device memory in place. On
+// the 2-vCPU benchmark machine (go1.24, Xeon 2.1 GHz): 2 500 ns with the
+// scalar band and staging (the parent of DESIGN.md section 22), 1 350 ns
+// staged with the SSE2 micro-kernel, 770 ns in place;
+// gpu.BenchmarkLaunchDispatch, a kernel that does nothing, is the 170 ns
+// floor under all three.
+func BenchmarkLaunchSgemm16(b *testing.B) {
+	ctx := openContext(b, newDevice())
+	const m = 16
+	var ptrs [3]uint32
+	for i := range ptrs {
+		p, err := ctx.Malloc(4*m*m + 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := ctx.CopyToDevice(p, cudart.Float32Bytes(seededFloats(rand.New(rand.NewSource(int64(i))), m*m))); err != nil {
+			b.Fatal(err)
+		}
+		ptrs[i] = p
+	}
+	for name, cOff := range map[string]uint32{"inplace": 0, "staged": 1} {
+		params := gpu.PackParams(ptrs[0], ptrs[1], ptrs[2]+cOff, m)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := ctx.Launch(SgemmKernel, gpu.Dim3{X: 1, Y: 1}, gpu.Dim3{X: m, Y: m}, 0, params); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

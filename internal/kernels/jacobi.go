@@ -60,12 +60,17 @@ func jacobiKernel() *gpu.Kernel {
 			if err != nil {
 				return fmt.Errorf("dst: %w", err)
 			}
-			st := stagingPool.Get().(*staging)
-			defer stagingPool.Put(st)
 			W, H := int(w), int(h)
-			buf := scratch(&st.f32, 2*W*H)
-			in, out := buf[:W*H], buf[W*H:]
-			loadFloat32(in, srcMem)
+			in, inOK := view[float32](srcMem)
+			out, outOK := view[float32](dstMem)
+			staged := !inOK || !outOK || overlaps(src, dst, size)
+			if staged {
+				st := stagingPool.Get().(*staging)
+				defer stagingPool.Put(st)
+				buf := scratch(&st.f32, 2*W*H)
+				in, out = buf[:W*H], buf[W*H:]
+				loadFloat32(in, srcMem)
+			}
 			for i := 0; i < H; i++ {
 				for j := 0; j < W; j++ {
 					idx := i*W + j
@@ -76,7 +81,9 @@ func jacobiKernel() *gpu.Kernel {
 					out[idx] = 0.25 * (in[idx-W] + in[idx+W] + in[idx-1] + in[idx+1])
 				}
 			}
-			storeFloat32(dstMem, out)
+			if staged {
+				storeFloat32(dstMem, out)
+			}
 			return nil
 		},
 		Cost: func(ec *gpu.ExecContext) time.Duration {

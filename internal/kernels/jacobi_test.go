@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -67,6 +68,74 @@ func TestJacobiStepMatchesCPU(t *testing.T) {
 		if math.Abs(float64(v-want[i])) > 1e-6 {
 			t.Fatalf("cell %d = %g, want %g", i, v, want[i])
 		}
+	}
+}
+
+// TestJacobiAliasedOperands is TestSgemmKernelAliasedOperands for the
+// stencil: whatever the placement of src and dst in one allocation — byte-
+// misaligned, partially overlapping (only src == dst is refused), ending on
+// the allocation's last byte — the step reads the grid as it was at launch
+// and only then writes, bit for bit what the host computes from a snapshot.
+func TestJacobiAliasedOperands(t *testing.T) {
+	ctx := openContext(t, newDevice())
+	mod, err := gpu.LookupModule(JacobiModule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctx.LoadModule(mod); err != nil {
+		t.Fatal(err)
+	}
+	const w, h = 9, 7
+	const grid = 4 * w * h // bytes per grid
+	rng := rand.New(rand.NewSource(12))
+	image := append(cudart.Float32Bytes(seededFloats(rng, 3*w*h)), 0x3f, 0x80, 0x7f)
+	cases := []struct {
+		name           string
+		srcOff, dstOff uint32
+	}{
+		{"disjoint", 0, grid},
+		{"src at +1", 1, grid + 4},
+		{"src at +2", 2, grid + 4},
+		{"src at +3", 3, grid + 4},
+		{"dst at +1", 0, grid + 1},
+		{"dst at +2", 0, grid + 2},
+		{"dst at +3", 0, grid + 3},
+		{"both at +1", 1, grid + 1},
+		{"first cell of dst is the last of src", 0, grid - 4},
+		{"last cell of dst is the first of src", grid, 4},
+		{"dst one row below src", 0, 4 * w},
+		{"dst one cell after src", 0, 4},
+		{"overlapping and unaligned", 0, grid/2 + 1},
+		{"dst ends on the last aligned byte", 0, 2 * grid},
+		{"src ends on the last aligned byte", 2 * grid, 0},
+		{"dst at +3 ends on the last byte of the allocation", 0, 2*grid + 3},
+		{"src at +3 ends on the last byte of the allocation", 2*grid + 3, grid},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base, err := ctx.Malloc(uint32(len(image)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = ctx.Free(base) }()
+			if err := ctx.CopyToDevice(base, image); err != nil {
+				t.Fatal(err)
+			}
+			if err := ctx.Launch(JacobiKernel, gpu.Dim3{X: 1, Y: 1}, gpu.Dim3{X: 16, Y: 16}, 0,
+				gpu.PackParams(base+tc.srcOff, base+tc.dstOff, w, h)); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ctx.CopyToHost(base, uint32(len(image)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			step := JacobiCPU(cudart.BytesFloat32(image[tc.srcOff:tc.srcOff+grid]), w, h)
+			want := append([]byte(nil), image...)
+			copy(want[tc.dstOff:], cudart.Float32Bytes(step))
+			if !bytes.Equal(got, want) {
+				t.Fatal("device memory differs from snapshot-then-write")
+			}
+		})
 	}
 }
 

@@ -62,15 +62,17 @@ func ModuleFor(cs calib.CaseStudy) (*gpu.Module, error) {
 	return gpu.LookupModule(FFTModule)
 }
 
-// staging is the operand scratch of one kernel execution. Device memory is
-// little-endian bytes and the math packages compute on float32/complex64,
-// so a kernel decodes its inputs into a staging area, computes there, and
-// encodes the result straight into device memory. Every input is staged
-// before any output byte is written, so operands that alias or overlap the
-// output behave as if the kernel had snapshotted them. Staging areas are
-// pooled: Run borrows one and returns it before it returns, and nothing
-// outside that call ever sees it, so steady-state launches allocate nothing
-// and concurrent launches never share one.
+// staging is the operand scratch of a kernel execution that cannot compute
+// on device memory in place (see view): device memory is little-endian bytes
+// and the math packages compute on float32/complex64, so the slow path
+// decodes its inputs into a staging area, computes there, and encodes the
+// result into device memory. Every input is staged before any output byte
+// is written, so operands that alias or overlap the output behave as if the
+// kernel had snapshotted them — which is why an output overlapping an input
+// takes this path however well aligned it is. Staging areas are pooled: Run
+// borrows one and returns it before it returns, and nothing outside that
+// call ever sees it, so steady-state launches allocate nothing and
+// concurrent launches never share one.
 type staging struct {
 	f32 []float32
 	c64 []complex64
@@ -149,17 +151,25 @@ func sgemmKernel() *gpu.Kernel {
 			if err != nil {
 				return fmt.Errorf("C: %w", err)
 			}
-			st := stagingPool.Get().(*staging)
-			defer stagingPool.Put(st)
-			n := int(m) * int(m)
-			buf := scratch(&st.f32, 3*n)
-			a, b, c := buf[:n], buf[n:2*n], buf[2*n:]
-			loadFloat32(a, aMem)
-			loadFloat32(b, bMem)
+			a, aOK := view[float32](aMem)
+			b, bOK := view[float32](bMem)
+			c, cOK := view[float32](cMem)
+			staged := !aOK || !bOK || !cOK || overlaps(cPtr, aPtr, size) || overlaps(cPtr, bPtr, size)
+			if staged {
+				st := stagingPool.Get().(*staging)
+				defer stagingPool.Put(st)
+				n := int(m) * int(m)
+				buf := scratch(&st.f32, 3*n)
+				a, b, c = buf[:n], buf[n:2*n], buf[2*n:]
+				loadFloat32(a, aMem)
+				loadFloat32(b, bMem)
+			}
 			if err := blas.Sgemm(int(m), int(m), int(m), a, b, c); err != nil {
 				return err
 			}
-			storeFloat32(cMem, c)
+			if staged {
+				storeFloat32(cMem, c)
+			}
 			return nil
 		},
 		Cost: func(ec *gpu.ExecContext) time.Duration {
@@ -199,13 +209,17 @@ func fftKernel() *gpu.Kernel {
 			if err != nil {
 				return err
 			}
-			st := stagingPool.Get().(*staging)
-			defer stagingPool.Put(st)
-			signal := scratch(&st.c64, int(batch)*fft.Points)
-			// One point is an interleaved little-endian (re, im) float32 pair.
-			for i := range signal {
-				v := binary.LittleEndian.Uint64(mem[8*i:])
-				signal[i] = complex(math.Float32frombits(uint32(v)), math.Float32frombits(uint32(v>>32)))
+			// One point is an interleaved little-endian (re, im) float32
+			// pair: a complex64 as a little-endian host lays it out.
+			signal, inPlace := view[complex64](mem)
+			if !inPlace {
+				st := stagingPool.Get().(*staging)
+				defer stagingPool.Put(st)
+				signal = scratch(&st.c64, int(batch)*fft.Points)
+				for i := range signal {
+					v := binary.LittleEndian.Uint64(mem[8*i:])
+					signal[i] = complex(math.Float32frombits(uint32(v)), math.Float32frombits(uint32(v>>32)))
+				}
 			}
 			d := fft.Forward
 			if dir == 1 {
@@ -214,9 +228,11 @@ func fftKernel() *gpu.Kernel {
 			if err := fft.TransformBatch(d, signal, fft.Points); err != nil {
 				return err
 			}
-			for i, p := range signal {
-				v := uint64(math.Float32bits(real(p))) | uint64(math.Float32bits(imag(p)))<<32
-				binary.LittleEndian.PutUint64(mem[8*i:], v)
+			if !inPlace {
+				for i, p := range signal {
+					v := uint64(math.Float32bits(real(p))) | uint64(math.Float32bits(imag(p)))<<32
+					binary.LittleEndian.PutUint64(mem[8*i:], v)
+				}
 			}
 			return nil
 		},

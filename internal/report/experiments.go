@@ -468,6 +468,29 @@ changed.
 ` + "`" + `` + "`" + `` + "`" + `
 context {"cpu":"Intel(R) Xeon(R) Processor @ 2.10GHz","nproc":2,"gomaxprocs":2,"kernel":"6.18.44-fc-v50","go":"go1.24.0","seconds":10,"path":"in-process simulated pipe (sim_memcpy); loopback, in-process server, Sim-clock device (the rest)","load":"closed loop, one client, one generating process"}
 ` + "`" + `` + "`" + `` + "`" + `
+
+### PR 21 — device service: SSE2 micro-kernel, kernels in place (DESIGN.md §22)
+
+Parent 5224683 vs the change, 10 alternating 10 s pairs per workload, seeds 1–10 (only 1 seen while coding), median [quartiles], pairs won; 0 failed ops on either side of every workload.
+
+| workload | op_over_ref parent → change | setup_s | allocs_per_op | alloc_bytes_per_op | rss_mb |
+|---|---|---|---|---|---|
+| **infer_batched** (claimed) | **19.09 [18.43, 19.69] → 9.95 [9.73, 10.18], −47.9 %, 10/10**, every run of the change under every run of the parent | 0.0231 → 0.0199 (10/10) | 97.04 → 97.04 | 5 932 → 5 929 | 10.13 → 10.12 |
+| infer_unbatched (followed) | 54.45 [53.60, 56.18] → 45.34 [44.52, 46.44], −16.7 %, 10/10 | 0.0342 → 0.0317 (8/10) | 143.04 → 143.03 | 5 998 → 5 996 | 9.51 → 9.53 |
+| rtt_small | 1.167 [1.160, 1.174] → 1.158 [1.152, 1.171] (8/10) | 0.0297 → 0.0309 (+4 %, 3/10) | 1 → 1 (10 ties) | 4.001 → 4.001 | 7.13 → 7.14 |
+| memcpy_bulk | 1.125 [1.117, 1.143] → 1.099 [1.085, 1.117] (7/10) | 0.0884 → 0.0900 (+1.8 %, 4/10) | 6.37 → 6.30 | 160 → 144 | 87.3 → 87.1 |
+| memcpy_chunked | 1.016 [0.994, 1.044] → 1.017 [1.006, 1.039] (5/10) | 0.0886 [0.0867, 0.0906] → 0.0898 [0.0863, 0.0905] (+1.3 %, 7/10) | 14.00 → 14.04 | 316.6 → 317.2 | 87.2 → 87.1 |
+| session_churn | 1.850 [1.729, 1.878] → 1.949 [1.851, 2.026] (+5.4 %, 3/10) — unresolved inside the spread: parent runs 1.69–2.20, change 1.81–2.27 | 0.0146 → 0.0150 (+2.2 %, 5/10) | 81.90 → 81.90 | 9 172 → 9 174 | 10.69 → 10.63 |
+| fleet_place | 1.758 [1.737, 1.783] → 1.696 [1.677, 1.755] (8/10) | 0.128 → 0.121 (8/10) | 114 090 → 114 090 | 10 671 000 → 10 672 000 | 26.2 → 25.5 |
+| sim_memcpy | 0.741 [0.736, 0.755] → 0.724 [0.715, 0.744] (7/10) | 0.0392 → 0.0401 (+2.2 %, 6/10) | 6.09 → 6.08 | 132.4 → 132.3 | 150.7 → 150.7 |
+
+infer_batched per seed: 18.06 → 9.71, 19.72 → 9.85, 18.61 → 9.71, 20.15 → 10.09, 19.90 → 9.69, 18.87 → 9.78, 18.36 → 10.42, 18.37 → 10.21, 19.32 → 10.04, 19.61 → 10.77 (320 368 → 546 365 requests, each bit-exact against ` + "`" + `cudart.Local` + "`" + `). The claim (≥ 30 % lower, i.e. ≤ 13.4 here; nine of ten pairs; a gap wider than the parent's quartile distance of 1.26) holds on every seed. infer_unbatched per seed: 52.18 → 44.30, 55.07 → 45.57, 52.95 → 44.48, 53.83 → 44.63, 53.61 → 45.10, 55.38 → 49.74, 56.89 → 42.75, 53.60 → 45.83, 56.83 → 46.64, 56.44 → 47.03 — back under its PR 15 value of 51. The six workloads below the line launch no kernel on the timed path and execute no changed line; every median is inside its BENCHMARK.json bound, no ` + "`" + `setup_s` + "`" + ` moved by more than 4 %, and ` + "`" + `session_churn` + "`" + `'s ` + "`" + `op_over_ref` + "`" + ` is reported as unresolved, not as unchanged.
+
+Where the saving is (ten alternating traced 3 s pairs of ` + "`" + `infer_batched` + "`" + `, median [quartiles]): ` + "`" + `gpu.launch_sgemm16_ns` + "`" + ` 2 911 [2 646, 3 237] → 838 [787, 1 034]; ` + "`" + `gpu.local_req_ns` + "`" + ` 76.4 [70.7, 84.8] → 20.5 [19.7, 26.8] µs; ` + "`" + `rcuda.server_handle_ns` + "`" + ` 87.2 [84.5, 92.0] → 28.9 [27.4, 30.0] µs; ` + "`" + `rcuda.wire_ns` + "`" + ` 47.7 → 39.4 µs and ` + "`" + `rcuda.client_self_ns` + "`" + ` 5.9 → 4.7 µs (untouched code — not claimed, not explained); ` + "`" + `harness.op_p50_us` + "`" + ` 110 → 64.5; ` + "`" + `harness.cpu_us_per_op` + "`" + ` 122 → 70.6; ` + "`" + `gpu.allocs_per_launch` + "`" + ` and ` + "`" + `gpu.local_req_allocs` + "`" + ` 0 → 0. ` + "`" + `BenchmarkSgemmFanOut` + "`" + ` inline, parent → change: 16³ 2 379 → 443 ns, 32³ 21.7 → 3.8 µs, 64³ 110 → 23 µs, 128³ 744 → 173 µs; ` + "`" + `BenchmarkLaunchSgemm16` + "`" + ` staged (C one byte off) 1 350 ns, in place 770–840 ns — of the launch's fall from 2 500 ns the micro-kernel is about two thirds and the in-place operands the rest.
+
+` + "`" + `` + "`" + `` + "`" + `
+context {"cpu":"Intel(R) Xeon(R) Processor @ 2.10GHz","nproc":2,"gomaxprocs":2,"kernel":"6.18.44-fc-v50","go":"go1.24.0","seconds":10,"path":"loopback, in-process server, Sim-clock device; in-process simulated pipe (sim_memcpy)","load":"closed loop, one client, one generating process"}
+` + "`" + `` + "`" + `` + "`" + `
 `
 
 func (c Config) expExtensions(sb *strings.Builder) error {
