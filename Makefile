@@ -28,7 +28,7 @@ help:
 	@echo "  bench-sched  run the WFQ-vs-FIFO starvation bench, refresh BENCH_sched.json"
 	@echo "  bench-sched-smoke  CI freshness check: re-run the scheduler scenarios"
 	@echo "  bench-wall   wall-clock benchmark of the remoting stack (BENCHMARK.json, ~90 s)"
-	@echo "  bench-wall-smoke  CI correctness check: one second each of the batched inference, fleet placement, the two bulk-copy, the session churn and the simulated-pipe copy workloads"
+	@echo "  bench-wall-smoke  CI correctness check: one second each of the two inference, fleet placement, the two bulk-copy, the session churn, the simulated-pipe copy and the null-call workloads"
 	@echo "  fuzz         short fuzzing pass over the wire-protocol decoders and Sgemm against its portable tile"
 	@echo "  pool         broker demo: 3 local daemons, one killed mid-batch"
 	@echo "  repro        regenerate every table and figure of the paper on stdout"
@@ -159,7 +159,10 @@ bench-wall:
 # succeed, with no device memory left in use and no failover or markdown in
 # any round; then one second of 16 MiB copies through the simulated pipe —
 # every copy byte for byte, every op's simulated copy times equal to the
-# first op's, nothing left on the device. The harness exits non-zero on any
+# first op's, nothing left on the device; then one second of the same
+# inference requests unbatched — thirty round trips each, every message in
+# its connection's storage, bit for bit again — and one second of null
+# calls, the smallest exchange there is. The harness exits non-zero on any
 # wrong output or broken invariant; timings on a CI runner are not judged.
 bench-wall-smoke:
 	bash bench/run.sh --workload infer_batched --seed 1 --seconds 1 --trace 0
@@ -168,6 +171,8 @@ bench-wall-smoke:
 	bash bench/run.sh --workload memcpy_chunked --seed 1 --seconds 1 --trace 0
 	bash bench/run.sh --workload session_churn --seed 1 --seconds 1 --trace 0
 	bash bench/run.sh --workload sim_memcpy --seed 1 --seconds 1 --trace 0
+	bash bench/run.sh --workload infer_unbatched --seed 1 --seconds 1 --trace 0
+	bash bench/run.sh --workload rtt_small --seed 1 --seconds 1 --trace 0
 
 # Short fuzzing pass over the wire-protocol decoders, and over Sgemm against
 # the portable tile (the differential oracle of the amd64 micro-kernel).

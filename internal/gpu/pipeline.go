@@ -53,5 +53,8 @@ func (c *Context) HostViewAsyncAt(src, size, stream uint32, notBefore time.Durat
 		return nil, 0, err
 	}
 	ready, err := c.scheduleAt(copyEngine, stream, c.dev.PCIeTime(int64(size)), notBefore)
-	return region, ready, err
+	if err != nil {
+		return nil, 0, err
+	}
+	return region, ready, nil
 }

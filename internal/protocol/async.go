@@ -266,26 +266,26 @@ func DecodeEventElapsedResponse(b []byte) (*EventElapsedResponse, error) {
 // table (ops.go). The stream and event operations that share a message
 // shape share a decoder, which keeps the code the frame led with.
 
-func decodeStreamCreate([]byte) (Request, error) { return &StreamCreateRequest{}, nil }
-func decodeEventCreate([]byte) (Request, error)  { return &EventCreateRequest{}, nil }
+func decodeStreamCreate(*Decoder, []byte) (Request, error) { return &StreamCreateRequest{}, nil }
+func decodeEventCreate(*Decoder, []byte) (Request, error)  { return &EventCreateRequest{}, nil }
 
-func decodeStreamOp(b []byte) (Request, error) {
-	return &StreamOpRequest{Code: Op(getU32(b, 0)), Stream: getU32(b, 4)}, nil
+func decodeStreamOp(d *Decoder, b []byte) (Request, error) {
+	return keep(d, &d.streamOp, StreamOpRequest{Code: Op(getU32(b, 0)), Stream: getU32(b, 4)}), nil
 }
 
-func decodeEventOp(b []byte) (Request, error) {
-	return &EventOpRequest{Code: Op(getU32(b, 0)), Event: getU32(b, 4)}, nil
+func decodeEventOp(d *Decoder, b []byte) (Request, error) {
+	return keep(d, &d.eventOp, EventOpRequest{Code: Op(getU32(b, 0)), Event: getU32(b, 4)}), nil
 }
 
-func decodeEventRecord(b []byte) (Request, error) {
-	return &EventRecordRequest{Event: getU32(b, 4), Stream: getU32(b, 8)}, nil
+func decodeEventRecord(d *Decoder, b []byte) (Request, error) {
+	return keep(d, &d.eventRecord, EventRecordRequest{Event: getU32(b, 4), Stream: getU32(b, 8)}), nil
 }
 
-func decodeEventElapsed(b []byte) (Request, error) {
-	return &EventElapsedRequest{Start: getU32(b, 4), End: getU32(b, 8)}, nil
+func decodeEventElapsed(d *Decoder, b []byte) (Request, error) {
+	return keep(d, &d.eventElapsed, EventElapsedRequest{Start: getU32(b, 4), End: getU32(b, 8)}), nil
 }
 
-func decodeMemcpyToDeviceAsync(b []byte) (Request, error) {
+func decodeMemcpyToDeviceAsync(d *Decoder, b []byte) (Request, error) {
 	if len(b) < 24 {
 		return nil, ErrShortMessage
 	}
@@ -297,16 +297,16 @@ func decodeMemcpyToDeviceAsync(b []byte) (Request, error) {
 		return nil, fmt.Errorf("protocol: async memcpy size %d does not match payload %d", size, len(b)-24)
 	}
 	// Data aliases b; see decodeMemcpyToDevice for the ownership contract.
-	return &MemcpyToDeviceAsyncRequest{
+	return keep(d, &d.toDeviceAsync, MemcpyToDeviceAsyncRequest{
 		Dst: getU32(b, 4), Src: getU32(b, 8), Stream: getU32(b, 20), Data: b[24:],
-	}, nil
+	}), nil
 }
 
-func decodeMemcpyToHostAsync(b []byte) (Request, error) {
+func decodeMemcpyToHostAsync(d *Decoder, b []byte) (Request, error) {
 	if kind := getU32(b, 16); kind != KindDeviceToHost {
 		return nil, fmt.Errorf("protocol: async memcpy-to-host with kind %d", kind)
 	}
-	return &MemcpyToHostAsyncRequest{
+	return keep(d, &d.toHostAsync, MemcpyToHostAsyncRequest{
 		Dst: getU32(b, 4), Src: getU32(b, 8), Size: getU32(b, 12), Stream: getU32(b, 20),
-	}, nil
+	}), nil
 }

@@ -147,7 +147,7 @@ func TestDecodeResponsesNeverPanicProperty(t *testing.T) {
 		_, _ = DecodeInitResponse(raw)
 		_, _ = DecodeMallocResponse(raw)
 		_, _ = DecodeCodeResponse(raw)
-		_, _ = DecodeMemcpyToHostResponse(raw)
+		_, _ = DecodeMemcpyToHostResponseInto(raw, make([]byte, 2))
 		_, _ = DecodeStreamCreateResponse(raw)
 		_, _ = DecodeEventCreateResponse(raw)
 		_, _ = DecodeEventElapsedResponse(raw)

@@ -101,20 +101,31 @@ func (m *BatchResponse) Encode(dst []byte) []byte {
 // WireSize implements Message.
 func (m *BatchResponse) WireSize() int { return 8 + 4*len(m.Codes) }
 
-// DecodeBatchResponse parses a combined batch response. The declared code
-// count must match the payload length exactly and stay within MaxBatchOps.
-func DecodeBatchResponse(b []byte) (*BatchResponse, error) {
+// BatchResponseHead checks a combined batch response — the declared code
+// count must match the payload length exactly and stay within MaxBatchOps —
+// and returns what a client consumes of it: the first nonzero code and the
+// count.
+func BatchResponseHead(b []byte) (firstErr uint32, codes int, err error) {
 	if len(b) < 8 {
-		return nil, ErrShortMessage
+		return 0, 0, ErrShortMessage
 	}
 	n := getU32(b, 4)
 	if n > MaxBatchOps {
-		return nil, fmt.Errorf("protocol: batch response declares %d codes (max %d)", n, MaxBatchOps)
+		return 0, 0, fmt.Errorf("protocol: batch response declares %d codes (max %d)", n, MaxBatchOps)
 	}
 	if len(b) != 8+4*int(n) {
-		return nil, fmt.Errorf("protocol: batch response declares %d codes but carries %d bytes", n, len(b)-8)
+		return 0, 0, fmt.Errorf("protocol: batch response declares %d codes but carries %d bytes", n, len(b)-8)
 	}
-	m := &BatchResponse{Err: getU32(b, 0)}
+	return getU32(b, 0), int(n), nil
+}
+
+// DecodeBatchResponse parses a whole combined batch response.
+func DecodeBatchResponse(b []byte) (*BatchResponse, error) {
+	firstErr, n, err := BatchResponseHead(b)
+	if err != nil {
+		return nil, err
+	}
+	m := &BatchResponse{Err: firstErr}
 	if n > 0 {
 		m.Codes = make([]uint32, n)
 		for i := range m.Codes {
@@ -124,11 +135,11 @@ func DecodeBatchResponse(b []byte) (*BatchResponse, error) {
 	return m, nil
 }
 
-// decodeBatch decodes an OpBatch frame for DecodeRequest. Every sub-op is
-// fully validated here — length in range, decodable, batchable — so the
+// decodeBatch decodes an OpBatch frame for Decode. Every sub-op is fully
+// validated here — length in range, decodable, batchable — so the
 // dispatcher never sees a half-parsed batch. Sub slices alias b under the
 // same ownership contract as the memcpy payloads.
-func decodeBatch(b []byte) (Request, error) {
+func decodeBatch(d *Decoder, b []byte) (Request, error) {
 	if len(b) < 16 {
 		return nil, ErrShortMessage
 	}
@@ -139,11 +150,8 @@ func decodeBatch(b []byte) (Request, error) {
 	if count > MaxBatchOps {
 		return nil, fmt.Errorf("protocol: batch declares %d sub-ops (max %d)", count, MaxBatchOps)
 	}
-	m := &BatchRequest{
-		Seq:     getU64(b, 4),
-		Subs:    make([][]byte, 0, count),
-		Decoded: make([]Request, 0, count),
-	}
+	m := d.beginBatch(int(count))
+	m.Seq = getU64(b, 4)
 	off := 16
 	for i := 0; i < int(count); i++ {
 		if len(b)-off < 4 {
@@ -155,7 +163,8 @@ func decodeBatch(b []byte) (Request, error) {
 			return nil, fmt.Errorf("protocol: batch sub-op %d declares %d bytes, %d remain", i, size, len(b)-off)
 		}
 		raw := b[off : off+size]
-		sub, err := DecodeRequest(raw)
+		d.aimAtSlab(raw)
+		sub, err := d.Decode(raw)
 		if err != nil {
 			return nil, fmt.Errorf("protocol: batch sub-op %d: %w", i, err)
 		}

@@ -108,6 +108,10 @@ func (m *MemcpyStreamChunk) SegmentTail(dst []byte) []byte { return dst }
 // DecodeMemcpyStreamChunk parses a stream chunk. Data aliases b — the
 // caller owns b until the chunk has been consumed.
 func DecodeMemcpyStreamChunk(b []byte) (*MemcpyStreamChunk, error) {
+	return decodeStreamChunk(&fresh, b)
+}
+
+func decodeStreamChunk(d *Decoder, b []byte) (*MemcpyStreamChunk, error) {
 	if len(b) < 12 {
 		return nil, ErrShortMessage
 	}
@@ -118,7 +122,7 @@ func DecodeMemcpyStreamChunk(b []byte) (*MemcpyStreamChunk, error) {
 	if len(b) != 12+size {
 		return nil, fmt.Errorf("protocol: stream chunk size %d does not match payload %d", size, len(b)-12)
 	}
-	return &MemcpyStreamChunk{Seq: getU32(b, 4), Data: b[12:]}, nil
+	return keep(d, &d.streamChunk, MemcpyStreamChunk{Seq: getU32(b, 4), Data: b[12:]}), nil
 }
 
 // --- End ---------------------------------------------------------------------
@@ -142,8 +146,8 @@ func (m *MemcpyStreamEndRequest) Op() Op { return OpMemcpyStreamEnd }
 
 // The decoders of the chunked-transfer rows of the op table (ops.go).
 
-func decodeMemcpyStreamBegin(b []byte) (Request, error) {
-	m := &MemcpyStreamBeginRequest{
+func decodeMemcpyStreamBegin(d *Decoder, b []byte) (Request, error) {
+	m := MemcpyStreamBeginRequest{
 		Ptr:       getU32(b, 4),
 		Total:     getU32(b, 8),
 		Kind:      getU32(b, 12),
@@ -160,13 +164,13 @@ func decodeMemcpyStreamBegin(b []byte) (Request, error) {
 	if m.ChunkSize == 0 || m.ChunkSize > MaxFrameSize {
 		return nil, fmt.Errorf("protocol: stream chunk size %d out of range", m.ChunkSize)
 	}
-	return m, nil
+	return keep(d, &d.streamBegin, m), nil
 }
 
-func decodeMemcpyStreamChunk(b []byte) (Request, error) { return DecodeMemcpyStreamChunk(b) }
+func decodeMemcpyStreamChunk(d *Decoder, b []byte) (Request, error) { return decodeStreamChunk(d, b) }
 
-func decodeMemcpyStreamEnd(b []byte) (Request, error) {
-	return &MemcpyStreamEndRequest{Chunks: getU32(b, 4)}, nil
+func decodeMemcpyStreamEnd(d *Decoder, b []byte) (Request, error) {
+	return keep(d, &d.streamEnd, MemcpyStreamEndRequest{Chunks: getU32(b, 4)}), nil
 }
 
 // --- Reassembly --------------------------------------------------------------

@@ -191,14 +191,19 @@ func (m *MemcpyD2DRequest) CopyBytes() int { return int(m.Size) }
 
 // The decoders of the device-management rows of the op table (ops.go).
 
-func decodeGetDeviceCount([]byte) (Request, error)      { return &GetDeviceCountRequest{}, nil }
-func decodeGetDeviceProperties([]byte) (Request, error) { return &GetDevicePropertiesRequest{}, nil }
-func decodeSetDevice(b []byte) (Request, error)         { return &SetDeviceRequest{Device: getU32(b, 4)}, nil }
-
-func decodeMemset(b []byte) (Request, error) {
-	return &MemsetRequest{DevPtr: getU32(b, 4), Value: getU32(b, 8), Size: getU32(b, 12)}, nil
+func decodeGetDeviceCount(*Decoder, []byte) (Request, error) { return &GetDeviceCountRequest{}, nil }
+func decodeGetDeviceProperties(*Decoder, []byte) (Request, error) {
+	return &GetDevicePropertiesRequest{}, nil
 }
 
-func decodeMemcpyD2D(b []byte) (Request, error) {
-	return &MemcpyD2DRequest{Dst: getU32(b, 4), Src: getU32(b, 8), Size: getU32(b, 12)}, nil
+func decodeSetDevice(d *Decoder, b []byte) (Request, error) {
+	return keep(d, &d.setDevice, SetDeviceRequest{Device: getU32(b, 4)}), nil
+}
+
+func decodeMemset(d *Decoder, b []byte) (Request, error) {
+	return keep(d, &d.memset, MemsetRequest{DevPtr: getU32(b, 4), Value: getU32(b, 8), Size: getU32(b, 12)}), nil
+}
+
+func decodeMemcpyD2D(d *Decoder, b []byte) (Request, error) {
+	return keep(d, &d.d2d, MemcpyD2DRequest{Dst: getU32(b, 4), Src: getU32(b, 8), Size: getU32(b, 12)}), nil
 }

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -97,10 +98,32 @@ func FuzzDecodeRequest(f *testing.F) {
 		f.Add(append(hdr, 0, 0, 0, 0, 0, 0, 0, 0))
 	}
 
+	// One Decoder decodes every input, each time after a frame that leaves
+	// all of its slabs and several slots full of something else: state that
+	// bled from one decode into the next would change a verdict or the
+	// bytes a request encodes back to.
+	var long Decoder
+	other := (&BatchRequest{Seq: 9, Subs: [][]byte{
+		(&LaunchRequest{Name: "other", Params: []byte{9, 9}}).Encode(nil),
+		(&MemcpyToDeviceAsyncRequest{Dst: 9, Data: []byte{9}}).Encode(nil),
+		(&EventRecordRequest{Event: 9}).Encode(nil),
+		(&MemsetRequest{DevPtr: 9, Value: 9, Size: 9}).Encode(nil),
+	}}).Encode(nil)
+
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		req, err := DecodeRequest(raw)
 		if err == nil && req == nil {
 			t.Fatal("nil request with nil error")
+		}
+		if _, oerr := long.Decode(other); oerr != nil {
+			t.Fatal(oerr)
+		}
+		kept, kerr := long.Decode(raw)
+		if fmt.Sprint(kerr) != fmt.Sprint(err) {
+			t.Fatalf("a Decoder says %v, DecodeRequest %v", kerr, err)
+		}
+		if kerr == nil && !bytes.Equal(kept.Encode(nil), raw) {
+			t.Fatalf("a Decoder in use re-encodes\n in  %x\n out %x", raw, kept.Encode(nil))
 		}
 		// A head may take landed bytes exactly when the whole frame decodes
 		// to the request those bytes belong to.
@@ -109,7 +132,7 @@ func FuzzDecodeRequest(f *testing.F) {
 			if err != nil || !isCopy || m.Dst != dst || len(m.Data) != size {
 				t.Fatalf("head would land %d bytes at %#x, frame decodes to %v, %v", size, dst, req, err)
 			}
-			landed, err := DecodeLandedMemcpyToDevice(raw[:memcpyToDeviceHeadSize], raw[memcpyToDeviceHeadSize:])
+			landed, err := fresh.DecodeLanded(raw[:memcpyToDeviceHeadSize], raw[memcpyToDeviceHeadSize:])
 			if err != nil || landed.Dst != m.Dst || landed.Src != m.Src || !bytes.Equal(landed.Data, m.Data) {
 				t.Fatalf("landed decode %v, %v; whole decode %v", landed, err, m)
 			}

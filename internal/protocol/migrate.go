@@ -173,7 +173,7 @@ func MigrateDigest(b []byte) uint64 {
 
 // The decoders of the migration rows of the op table (ops.go).
 
-func decodeMigrateBegin(b []byte) (Request, error) {
+func decodeMigrateBegin(_ *Decoder, b []byte) (Request, error) {
 	m := &MigrateBeginRequest{Total: getU32(b, 4), ChunkSize: getU32(b, 8)}
 	if m.Total > MaxFrameSize {
 		return nil, fmt.Errorf("protocol: migrate total %d exceeds limit %d", m.Total, MaxFrameSize)
@@ -184,12 +184,12 @@ func decodeMigrateBegin(b []byte) (Request, error) {
 	return m, nil
 }
 
-func decodeMigrateChunk(b []byte) (Request, error) { return DecodeMigrateChunk(b) }
+func decodeMigrateChunk(_ *Decoder, b []byte) (Request, error) { return DecodeMigrateChunk(b) }
 
-func decodeMigrateCommit(b []byte) (Request, error) {
+func decodeMigrateCommit(_ *Decoder, b []byte) (Request, error) {
 	return &MigrateCommitRequest{Chunks: getU32(b, 4), Digest: getU64(b, 8)}, nil
 }
 
-func decodeSessionRestore(b []byte) (Request, error) {
+func decodeSessionRestore(_ *Decoder, b []byte) (Request, error) {
 	return &SessionRestoreRequest{Session: getU64(b, 4)}, nil
 }

@@ -129,11 +129,11 @@ type opInfo struct {
 	// size is the exact length of the request in bytes; 0 means the length
 	// varies and decode checks it.
 	size int
-	// decode parses a request whose leading identifier selected the row.
-	// DecodeRequest has already checked size, so a fixed-size decoder reads
-	// its fields unguarded. Nil for OpInit, which is positional, and for
-	// OpBatch (see DecodeRequest).
-	decode func(b []byte) (Request, error)
+	// decode parses a request whose leading identifier selected the row,
+	// into storage d owns (decoder.go). Decode has already checked size, so
+	// a fixed-size decoder reads its fields unguarded. Nil for OpInit, which
+	// is positional, and for OpBatch (see Decode).
+	decode func(d *Decoder, b []byte) (Request, error)
 	// idempotent: re-executing the operation after a fault of unknown
 	// outcome is safe. Writes of caller-held bytes to a caller-chosen
 	// region and pure reads are; anything that creates, destroys or
@@ -255,19 +255,25 @@ type Request interface {
 	Op() Op
 }
 
-// DecodeRequest parses any post-initialization request by its leading
-// function identifier: the identifier selects the op's row, the row's size
-// is checked, the row's decoder does the rest.
-func DecodeRequest(b []byte) (Request, error) {
+// DecodeRequest parses any post-initialization request into storage of its
+// own: Decode with no decoder, for a caller that keeps the result or
+// decodes too rarely to own one.
+func DecodeRequest(b []byte) (Request, error) { return fresh.Decode(b) }
+
+// Decode parses any post-initialization request by its leading function
+// identifier: the identifier selects the op's row, the row's size is
+// checked, the row's decoder does the rest. The request is valid until d
+// decodes again.
+func (d *Decoder) Decode(b []byte) (Request, error) {
 	if len(b) < 4 {
 		return nil, ErrShortMessage
 	}
 	op := Op(getU32(b, 0))
 	if op == OpBatch {
 		// The one decoder that is not in its row: it decodes its sub-ops
-		// through DecodeRequest, and a table that named it would depend on
-		// itself at initialization.
-		return decodeBatch(b)
+		// through Decode, and a table that named it would depend on itself
+		// at initialization.
+		return decodeBatch(d, b)
 	}
 	row := op.info()
 	if row.decode == nil {
@@ -276,5 +282,5 @@ func DecodeRequest(b []byte) (Request, error) {
 	if row.size != 0 && len(b) != row.size {
 		return nil, ErrShortMessage
 	}
-	return row.decode(b)
+	return row.decode(d, b)
 }

@@ -130,13 +130,13 @@ func pinSamples() []Request {
 var captureVerdicts = flag.Bool("capture-verdicts", false,
 	"rewrite testdata/decode_verdicts.golden from this commit's DecodeRequest (only at a commit whose decoder is the reference)")
 
-// decodeVerdicts runs DecodeRequest over every op code from 0 to two past
+// decodeVerdicts runs decode over every op code from 0 to two past
 // the declared space, at every frame length from 0 to 64, the frame filled
 // with 0x00, with 0xFF, or with the op's sample (cut short, or followed by
 // zeros) behind the op code. One line per code and fill: a verdict letter
 // per length — A accepted, s rejected as ErrShortMessage, b rejected as
 // ErrBadOp, x rejected otherwise — then the concrete types accepted.
-func decodeVerdicts(t *testing.T) []string {
+func decodeVerdicts(t *testing.T, decode func([]byte) (Request, error)) []string {
 	const maxLen = 64
 	samples := make(map[Op][]byte)
 	for _, r := range pinSamples() {
@@ -165,7 +165,7 @@ func decodeVerdicts(t *testing.T) []string {
 			verdicts := make([]byte, 0, maxLen+1)
 			types := make(map[string]bool)
 			for n := 0; n <= maxLen; n++ {
-				req, err := DecodeRequest(full[:n])
+				req, err := decode(full[:n])
 				switch {
 				case err == nil && req == nil:
 					t.Fatalf("op %d length %d: nil request with nil error", code, n)
@@ -195,10 +195,16 @@ func decodeVerdicts(t *testing.T) []string {
 // TestDecodeRequestVerdictsMatchParent compares the verdict grid with the
 // one captured from the chained decoder: the same frames accepted, as the
 // same request types, and the same rejections classified as short-message
-// or bad-op.
+// or bad-op — by DecodeRequest, and by one Decoder that decodes the whole
+// grid into the same storage.
 func TestDecodeRequestVerdictsMatchParent(t *testing.T) {
+	t.Run("DecodeRequest", func(t *testing.T) { verdictsMatchParent(t, DecodeRequest) })
+	t.Run("Decoder", func(t *testing.T) { verdictsMatchParent(t, new(Decoder).Decode) })
+}
+
+func verdictsMatchParent(t *testing.T, decode func([]byte) (Request, error)) {
 	golden := filepath.Join("testdata", "decode_verdicts.golden")
-	got := strings.Join(decodeVerdicts(t), "\n") + "\n"
+	got := strings.Join(decodeVerdicts(t, decode), "\n") + "\n"
 	if *captureVerdicts {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)

@@ -222,15 +222,15 @@ func PeekMemcpyToDevice(frameLen int, peek []byte) (dst uint32, size int, ok boo
 	return getU32(peek, 4), size, frameLen == memcpyToDeviceHeadSize+size
 }
 
-// DecodeLandedMemcpyToDevice parses a cudaMemcpy to device whose data a
-// transport landed apart from the frame: head is what was received of the
-// frame itself, data the landed bytes, which the request aliases — for the
-// server, device memory.
-func DecodeLandedMemcpyToDevice(head, data []byte) (*MemcpyToDeviceRequest, error) {
+// DecodeLanded parses a cudaMemcpy to device whose data a transport landed
+// apart from the frame: head is what was received of the frame itself, data
+// the landed bytes, which the request aliases — for the server, device
+// memory.
+func (d *Decoder) DecodeLanded(head, data []byte) (*MemcpyToDeviceRequest, error) {
 	if _, _, ok := PeekMemcpyToDevice(len(head)+len(data), head); !ok || len(head) != memcpyToDeviceHeadSize {
 		return nil, fmt.Errorf("protocol: %d bytes landed behind a %d-byte head that is no memcpy to device", len(data), len(head))
 	}
-	return &MemcpyToDeviceRequest{Dst: getU32(head, 4), Src: getU32(head, 8), Data: data}, nil
+	return keep(d, &d.toDevice, MemcpyToDeviceRequest{Dst: getU32(head, 4), Src: getU32(head, 8), Data: data}), nil
 }
 
 // MemcpyToHostRequest asks for device data. Table I: send Function id. (4) +
@@ -277,16 +277,6 @@ func (m *MemcpyToHostResponse) SegmentBulk() []byte { return m.Data }
 
 // SegmentTail implements Segmented.
 func (m *MemcpyToHostResponse) SegmentTail(dst []byte) []byte { return putU32(dst, m.Err) }
-
-// DecodeMemcpyToHostResponse parses a device-to-host memcpy response.
-func DecodeMemcpyToHostResponse(b []byte) (*MemcpyToHostResponse, error) {
-	if len(b) < 4 {
-		return nil, ErrShortMessage
-	}
-	data := make([]byte, len(b)-4)
-	copy(data, b[:len(b)-4])
-	return &MemcpyToHostResponse{Data: data, Err: getU32(b, len(b)-4)}, nil
-}
 
 // DecodeMemcpyToHostResponseInto parses a device-to-host memcpy response,
 // copying the payload directly into dst — the caller's destination buffer —
@@ -443,15 +433,22 @@ func (m *MemcpyToDeviceRequest) CopyBytes() int { return len(m.Data) }
 // CopyBytes is the size of the copy, for the scheduler's cost estimate.
 func (m *MemcpyToHostRequest) CopyBytes() int { return int(m.Size) }
 
-// The decoders of the op table's rows (ops.go). DecodeRequest has checked a
-// fixed-size request's length before its decoder runs.
+// The decoders of the op table's rows (ops.go). Decode has checked a
+// fixed-size request's length before its decoder runs; each result lives
+// where keep puts it (decoder.go).
 
-func decodeMalloc(b []byte) (Request, error) { return &MallocRequest{Size: getU32(b, 4)}, nil }
-func decodeFree(b []byte) (Request, error)   { return &FreeRequest{DevPtr: getU32(b, 4)}, nil }
-func decodeSync([]byte) (Request, error)     { return &SyncRequest{}, nil }
-func decodeFinalize([]byte) (Request, error) { return &FinalizeRequest{}, nil }
+func decodeMalloc(d *Decoder, b []byte) (Request, error) {
+	return keep(d, &d.malloc, MallocRequest{Size: getU32(b, 4)}), nil
+}
 
-func decodeMemcpyToDevice(b []byte) (Request, error) {
+func decodeFree(d *Decoder, b []byte) (Request, error) {
+	return keep(d, &d.free, FreeRequest{DevPtr: getU32(b, 4)}), nil
+}
+
+func decodeSync(*Decoder, []byte) (Request, error)     { return &SyncRequest{}, nil }
+func decodeFinalize(*Decoder, []byte) (Request, error) { return &FinalizeRequest{}, nil }
+
+func decodeMemcpyToDevice(d *Decoder, b []byte) (Request, error) {
 	if len(b) < memcpyToDeviceHeadSize {
 		return nil, ErrShortMessage
 	}
@@ -465,33 +462,21 @@ func decodeMemcpyToDevice(b []byte) (Request, error) {
 	// Data aliases b so bulk payloads decode without a copy; the caller
 	// owns b until the request has been consumed (the server dispatches
 	// each request before the next Recv reuses the frame buffer).
-	return &MemcpyToDeviceRequest{Dst: getU32(b, 4), Src: getU32(b, 8), Data: b[memcpyToDeviceHeadSize:]}, nil
+	return keep(d, &d.toDevice, MemcpyToDeviceRequest{Dst: getU32(b, 4), Src: getU32(b, 8), Data: b[memcpyToDeviceHeadSize:]}), nil
 }
 
-func decodeMemcpyToHost(b []byte) (Request, error) {
+func decodeMemcpyToHost(d *Decoder, b []byte) (Request, error) {
 	if kind := getU32(b, 16); kind != KindDeviceToHost {
 		return nil, fmt.Errorf("protocol: memcpy-to-host with kind %d", kind)
 	}
-	return &MemcpyToHostRequest{Dst: getU32(b, 4), Src: getU32(b, 8), Size: getU32(b, 12)}, nil
+	return keep(d, &d.toHost, MemcpyToHostRequest{Dst: getU32(b, 4), Src: getU32(b, 8), Size: getU32(b, 12)}), nil
 }
 
-func decodeLaunch(b []byte) (Request, error) {
+func decodeLaunch(d *Decoder, b []byte) (Request, error) {
 	if len(b) < 45 { // header + at least the name's NUL
 		return nil, ErrShortMessage
 	}
-	m := &LaunchRequest{
-		TextureOffset: getU32(b, 4),
-		NumTextures:   getU32(b, 12),
-		SharedSize:    getU32(b, 36),
-		Stream:        getU32(b, 40),
-	}
 	paramsOff := int(getU32(b, 8))
-	for i := range m.BlockDim {
-		m.BlockDim[i] = getU32(b, 16+4*i)
-	}
-	for i := range m.GridDim {
-		m.GridDim[i] = getU32(b, 28+4*i)
-	}
 	blob := b[44:]
 	if paramsOff < 1 || paramsOff > len(blob) {
 		return nil, fmt.Errorf("protocol: launch parameters offset %d out of range %d", paramsOff, len(blob))
@@ -499,10 +484,17 @@ func decodeLaunch(b []byte) (Request, error) {
 	if blob[paramsOff-1] != 0 {
 		return nil, errNoNUL
 	}
-	m.Name = string(blob[:paramsOff-1])
-	// Params aliases b under the same contract as a memcpy payload: the
-	// caller owns b until the request has been consumed, and the launch
-	// path only reads the block while the kernel runs.
-	m.Params = blob[paramsOff:]
-	return m, nil
+	return keep(d, &d.launch, LaunchRequest{
+		TextureOffset: getU32(b, 4),
+		NumTextures:   getU32(b, 12),
+		BlockDim:      [3]uint32{getU32(b, 16), getU32(b, 20), getU32(b, 24)},
+		GridDim:       [2]uint32{getU32(b, 28), getU32(b, 32)},
+		SharedSize:    getU32(b, 36),
+		Stream:        getU32(b, 40),
+		Name:          d.kernelName(blob[:paramsOff-1]),
+		// Params aliases b under the same contract as a memcpy payload:
+		// the caller owns b until the request has been consumed, and the
+		// launch path only reads the block while the kernel runs.
+		Params: blob[paramsOff:],
+	}), nil
 }

@@ -198,9 +198,10 @@ func TestResponseRoundTrips(t *testing.T) {
 	}
 	{
 		r := &MemcpyToHostResponse{Data: []byte{5, 6}, Err: 0}
-		got, err := DecodeMemcpyToHostResponse(r.Encode(nil))
-		if err != nil || got.Err != 0 || !bytes.Equal(got.Data, r.Data) {
-			t.Fatalf("memcpy-to-host response: %v, %+v", err, got)
+		got := make([]byte, len(r.Data))
+		code, err := DecodeMemcpyToHostResponseInto(r.Encode(nil), got)
+		if err != nil || code != 0 || !bytes.Equal(got, r.Data) {
+			t.Fatalf("memcpy-to-host response: %v, %d, %x", err, code, got)
 		}
 	}
 }
@@ -422,6 +423,18 @@ func TestLaunchDecodeAllocationGate(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(200, decode(batch.Encode(nil))); got > 2*launches+3 {
 		t.Errorf("DecodeRequest of a %d-launch batch allocates %.0f times, want <= %d", launches, got, 2*launches+3)
+	}
+	// Through a Decoder both land in storage it already has: a launch in
+	// its slot, under the name the last launch had; a batch's in their slab.
+	var d Decoder
+	for _, frame := range [][]byte{wire, batch.Encode(nil)} {
+		if got := testing.AllocsPerRun(200, func() {
+			if _, err := d.Decode(frame); err != nil {
+				derr = err
+			}
+		}); got != 0 {
+			t.Errorf("a Decoder allocates %.0f times on a %d-byte frame it has seen, want 0", got, len(frame))
+		}
 	}
 	if derr != nil {
 		t.Fatal(derr)

@@ -158,7 +158,7 @@ func DecodeReattachResponse(b []byte) (*ReattachResponse, error) {
 
 // The decoders of the session rows of the op table (ops.go).
 
-func decodeSessionHello(b []byte) (Request, error) {
+func decodeSessionHello(_ *Decoder, b []byte) (Request, error) {
 	switch len(b) {
 	case 4:
 		return &SessionHelloRequest{}, nil
@@ -181,4 +181,6 @@ func decodeSessionHello(b []byte) (Request, error) {
 	}
 }
 
-func decodeReattach(b []byte) (Request, error) { return &ReattachRequest{Session: getU64(b, 4)}, nil }
+func decodeReattach(_ *Decoder, b []byte) (Request, error) {
+	return &ReattachRequest{Session: getU64(b, 4)}, nil
+}

@@ -40,7 +40,7 @@ func (m *StatsQueryRequest) WireSize() int { return 4 }
 // Op implements Request.
 func (m *StatsQueryRequest) Op() Op { return OpStatsQuery }
 
-func decodeStatsQuery([]byte) (Request, error) { return &StatsQueryRequest{}, nil }
+func decodeStatsQuery(*Decoder, []byte) (Request, error) { return &StatsQueryRequest{}, nil }
 
 // TryDecodeStatsQuery reports whether b is a stats query and, if so,
 // decodes it. Handshake code calls it on the first payload of a connection

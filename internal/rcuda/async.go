@@ -1,7 +1,6 @@
 package rcuda
 
 import (
-	"fmt"
 	"time"
 
 	"rcuda/internal/cudart"
@@ -35,7 +34,7 @@ func (c *Client) StreamCreate() (cudart.Stream, error) {
 
 // streamOp issues a destroy, synchronize or query on one stream.
 func (c *Client) streamOp(op protocol.Op, stream cudart.Stream) error {
-	return c.callCode(&protocol.StreamOpRequest{Code: op, Stream: uint32(stream)})
+	return c.callCode(protocol.Put(&c.req.streamOp, protocol.StreamOpRequest{Code: op, Stream: uint32(stream)}))
 }
 
 // StreamSynchronize implements cudart.AsyncRuntime.
@@ -63,39 +62,28 @@ func (c *Client) EventQuery(e cudart.Event) error {
 // coalesces — enqueue copies src during encoding, so the buffer is free to
 // reuse on return just as cudaMemcpyAsync from pageable memory allows.
 func (c *Client) MemcpyToDeviceAsync(dst cudart.DevicePtr, src []byte, s cudart.Stream) error {
-	return c.callCode(&protocol.MemcpyToDeviceAsyncRequest{
+	req := protocol.Put(&c.req.toDeviceAsync, protocol.MemcpyToDeviceAsyncRequest{
 		Dst: uint32(dst), Stream: uint32(s), Data: src,
 	})
+	err := c.callCode(req)
+	req.Data = nil
+	return err
 }
 
 // MemcpyToHostAsync implements cudart.AsyncRuntime. The wire returns the
-// data with the acknowledgement; it is guaranteed meaningful to the
-// application only after the stream synchronizes, as with cudaMemcpyAsync.
+// data with the acknowledgement, read into dst as MemcpyToHost's is; it is
+// guaranteed meaningful to the application only after the stream
+// synchronizes, as with cudaMemcpyAsync.
 func (c *Client) MemcpyToHostAsync(dst []byte, src cudart.DevicePtr, s cudart.Stream) error {
-	payload, err := c.roundTrip(&protocol.MemcpyToHostAsyncRequest{
+	return c.copyToHost(protocol.Put(&c.req.toHostAsync, protocol.MemcpyToHostAsyncRequest{
 		Src: uint32(src), Size: uint32(len(dst)), Stream: uint32(s),
-	})
-	if err != nil {
-		return err
-	}
-	resp, err := protocol.DecodeMemcpyToHostResponse(payload)
-	if err != nil {
-		return err
-	}
-	if err := cudart.Error(resp.Err).AsError(); err != nil {
-		return err
-	}
-	if len(resp.Data) != len(dst) {
-		return fmt.Errorf("rcuda: async memcpy returned %d bytes, want %d", len(resp.Data), len(dst))
-	}
-	copy(dst, resp.Data)
-	return nil
+	}), dst)
 }
 
 // LaunchAsync implements cudart.AsyncRuntime, reusing the launch message's
 // stream field.
 func (c *Client) LaunchAsync(name string, grid, block cudart.Dim3, shared uint32, params []byte, s cudart.Stream) error {
-	return c.callCode(&protocol.LaunchRequest{
+	req := protocol.Put(&c.req.launch, protocol.LaunchRequest{
 		BlockDim:   [3]uint32{block.X, block.Y, block.Z},
 		GridDim:    [2]uint32{grid.X, grid.Y},
 		SharedSize: shared,
@@ -103,6 +91,9 @@ func (c *Client) LaunchAsync(name string, grid, block cudart.Dim3, shared uint32
 		Name:       name,
 		Params:     params,
 	})
+	err := c.callCode(req)
+	req.Params = nil
+	return err
 }
 
 // EventCreate implements cudart.AsyncRuntime.
@@ -124,12 +115,12 @@ func (c *Client) EventCreate() (cudart.Event, error) {
 // EventRecord implements cudart.AsyncRuntime; fire-and-forget, so it
 // coalesces under batching.
 func (c *Client) EventRecord(e cudart.Event, s cudart.Stream) error {
-	return c.callCode(&protocol.EventRecordRequest{Event: uint32(e), Stream: uint32(s)})
+	return c.callCode(protocol.Put(&c.req.eventRecord, protocol.EventRecordRequest{Event: uint32(e), Stream: uint32(s)}))
 }
 
 // eventOp issues a synchronize, destroy or query on one event.
 func (c *Client) eventOp(op protocol.Op, e cudart.Event) error {
-	return c.callCode(&protocol.EventOpRequest{Code: op, Event: uint32(e)})
+	return c.callCode(protocol.Put(&c.req.eventOp, protocol.EventOpRequest{Code: op, Event: uint32(e)}))
 }
 
 // EventSynchronize implements cudart.AsyncRuntime.
@@ -144,7 +135,8 @@ func (c *Client) EventDestroy(e cudart.Event) error {
 
 // EventElapsed implements cudart.AsyncRuntime.
 func (c *Client) EventElapsed(start, end cudart.Event) (time.Duration, error) {
-	payload, err := c.roundTrip(&protocol.EventElapsedRequest{Start: uint32(start), End: uint32(end)})
+	payload, err := c.roundTrip(protocol.Put(&c.req.eventElapsed,
+		protocol.EventElapsedRequest{Start: uint32(start), End: uint32(end)}))
 	if err != nil {
 		return 0, err
 	}

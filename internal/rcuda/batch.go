@@ -106,7 +106,7 @@ func (c *Client) flushBatch() error {
 	// the identical frame and the server's dedup can recognize it.
 	c.batchSeq++
 	subs, buf := c.pendSubs, c.pendBuf
-	req := &protocol.BatchRequest{Seq: c.batchSeq, Subs: subs}
+	req := protocol.Put(&c.req.batch, protocol.BatchRequest{Seq: c.batchSeq, Subs: subs})
 	n := len(subs)
 	// The queue is detached before the exchange: a reconnect inside the
 	// retry loop runs its own exchanges, and their sync points must find
@@ -137,14 +137,16 @@ func (c *Client) flushBatch() error {
 	}
 	c.cstats.batchesFlushed.Add(1)
 	c.observe(protocol.OpBatch, req.WireSize(), len(payload))
-	resp, err := protocol.DecodeBatchResponse(payload)
+	// Only the sticky first error and the count are consumed, so the codes
+	// stay in the reply frame.
+	firstErr, codes, err := protocol.BatchResponseHead(payload)
 	if err != nil {
 		return err
 	}
-	if len(resp.Codes) != n {
-		return fmt.Errorf("rcuda: batch response carries %d codes for %d sub-ops", len(resp.Codes), n)
+	if codes != n {
+		return fmt.Errorf("rcuda: batch response carries %d codes for %d sub-ops", codes, n)
 	}
-	if batchErr := cudart.Error(resp.Err).AsError(); batchErr != nil && c.deferredErr == nil {
+	if batchErr := cudart.Error(firstErr).AsError(); batchErr != nil && c.deferredErr == nil {
 		c.deferredErr = batchErr
 	}
 	return nil
@@ -174,20 +176,23 @@ func (c *Client) syncPoint() error {
 // matches the last executed one is a client retry of an exchange whose
 // response was lost; it is answered from the remembered codes without
 // executing anything, keeping replayed batches exactly-once on the device.
+// The codes of a new frame go to the session's spare buffer, which becomes
+// the remembered one only once every sub-op has run: a dispatch that aborts
+// mid-frame parks the session still able to replay the batch before.
 func (s *Server) dispatchBatch(conn transport.Conn, sess *session, r *protocol.BatchRequest) error {
 	if sess.lastBatchCodes != nil && r.Seq == sess.lastBatchSeq {
 		s.counters.batchReplays.Add(1)
-		return conn.Send(&protocol.BatchResponse{
-			Err:   firstNonzero(sess.lastBatchCodes),
-			Codes: sess.lastBatchCodes,
-		})
+		return conn.Send(sess.batchReply())
 	}
 	subs, err := r.Requests()
 	if err != nil {
 		return fmt.Errorf("rcuda: batch: %w", err)
 	}
-	codes := make([]uint32, len(subs))
-	for i, sub := range subs {
+	codes := sess.spareCodes[:0]
+	if cap(codes) < len(subs) {
+		codes = make([]uint32, 0, len(subs))
+	}
+	for _, sub := range subs {
 		ctx := sess.context()
 		var opErr error
 		switch q := sub.(type) {
@@ -206,13 +211,19 @@ func (s *Server) dispatchBatch(conn transport.Conn, sess *session, r *protocol.B
 			// the protocol and this dispatcher disagree on that set.
 			return fmt.Errorf("rcuda: unbatchable sub-op %v in batch", sub.Op())
 		}
-		codes[i] = code(opErr)
+		codes = append(codes, code(opErr))
 	}
 	sess.lastBatchSeq = r.Seq
-	sess.lastBatchCodes = codes
+	sess.lastBatchCodes, sess.spareCodes = codes, sess.lastBatchCodes
 	s.counters.batchFrames.Add(1)
 	s.counters.batchedOps.Add(int64(len(subs)))
-	return conn.Send(&protocol.BatchResponse{Err: firstNonzero(codes), Codes: codes})
+	return conn.Send(sess.batchReply())
+}
+
+// batchReply builds the reply to the batch the session remembers.
+func (ss *session) batchReply() *protocol.BatchResponse {
+	codes := ss.lastBatchCodes
+	return protocol.Put(&ss.reply.batch, protocol.BatchResponse{Err: firstNonzero(codes), Codes: codes})
 }
 
 // firstNonzero returns the first failing sub-op code, or zero.

@@ -184,26 +184,25 @@ func sendReady(conn transport.Conn, m protocol.Message, ready time.Duration) err
 // failures (bad region, device errors) are reported in the Begin
 // acknowledgement or the End status; only transport and framing failures
 // end the session.
-func (s *Server) serveMemcpyStream(conn transport.Conn, sess *session, begin *protocol.MemcpyStreamBeginRequest) error {
+func (s *Server) serveMemcpyStream(conn transport.Conn, sess *session, begin protocol.MemcpyStreamBeginRequest) error {
 	ctx := sess.context()
-	dev := s.srvDevice(sess)
 	// The whole transfer's device region is validated before any payload
 	// moves; host-to-device chunks land in it.
 	region, err := ctx.Region(begin.Ptr, begin.Total)
 	if err != nil {
-		return conn.Send(&protocol.CodeResponse{Err: code(err)})
+		return conn.Send(sess.codeReply(err))
 	}
 	stream, err := ctx.StreamCreate()
 	if err != nil {
-		return conn.Send(&protocol.CodeResponse{Err: code(err)})
+		return conn.Send(sess.codeReply(err))
 	}
-	if err := conn.Send(&protocol.CodeResponse{}); err != nil {
+	if err := conn.Send(sess.codeReply(nil)); err != nil {
 		return err
 	}
 	if begin.Kind == protocol.KindHostToDevice {
-		return s.serveStreamToDevice(conn, ctx, dev, stream, begin, region)
+		return s.serveStreamToDevice(conn, sess, stream, begin, region)
 	}
-	return s.serveStreamToHost(conn, ctx, dev, stream, begin)
+	return s.serveStreamToHost(conn, sess, stream, begin)
 }
 
 // srvDevice returns the device of the session's selected context.
@@ -215,7 +214,8 @@ func (s *Server) srvDevice(sess *session) *gpu.Device { return s.devs[sess.cur] 
 // copied there otherwise — its PCIe push is booked on the transfer's stream
 // at the chunk's arrival instant, and the closing End waits for the stream
 // to drain.
-func (s *Server) serveStreamToDevice(conn transport.Conn, ctx *gpu.Context, dev *gpu.Device, stream uint32, begin *protocol.MemcpyStreamBeginRequest, region []byte) error {
+func (s *Server) serveStreamToDevice(conn transport.Conn, sess *session, stream uint32, begin protocol.MemcpyStreamBeginRequest, region []byte) error {
+	ctx, dev := sess.context(), s.srvDevice(sess)
 	asm, err := protocol.NewChunkAssembler(begin.Total, begin.ChunkSize, region)
 	if err != nil {
 		// Decoded Begin fields are pre-validated; reaching here is a bug.
@@ -241,7 +241,7 @@ func (s *Server) serveStreamToDevice(conn transport.Conn, ctx *gpu.Context, dev 
 			placed(off, len(landed), at, addErr)
 			continue
 		}
-		req, err := protocol.DecodeRequest(payload)
+		req, err := sess.dec.Decode(payload)
 		if err != nil {
 			return fmt.Errorf("rcuda: malformed stream message: %w", err)
 		}
@@ -260,7 +260,7 @@ func (s *Server) serveStreamToDevice(conn transport.Conn, ctx *gpu.Context, dev 
 			if syncErr := ctx.StreamDestroy(stream); opErr == nil {
 				opErr = syncErr
 			}
-			return conn.Send(&protocol.CodeResponse{Err: code(opErr)})
+			return conn.Send(sess.codeReply(opErr))
 		default:
 			return fmt.Errorf("rcuda: %v inside a chunked transfer", req.Op())
 		}
@@ -273,8 +273,9 @@ func (s *Server) serveStreamToDevice(conn transport.Conn, ctx *gpu.Context, dev 
 // straight from the device region, the moment its read completes, so chunk
 // k's network transfer overlaps chunk k+1's PCIe read on the simulated
 // clock.
-func (s *Server) serveStreamToHost(conn transport.Conn, ctx *gpu.Context, dev *gpu.Device, stream uint32, begin *protocol.MemcpyStreamBeginRequest) error {
-	start := dev.Clock().Now()
+func (s *Server) serveStreamToHost(conn transport.Conn, sess *session, stream uint32, begin protocol.MemcpyStreamBeginRequest) error {
+	ctx := sess.context()
+	start := s.srvDevice(sess).Clock().Now()
 	n := protocol.Chunks(begin.Total, begin.ChunkSize)
 	chunk := &protocol.MemcpyStreamChunk{}
 	for seq := uint32(0); seq < n; seq++ {
@@ -295,6 +296,5 @@ func (s *Server) serveStreamToHost(conn transport.Conn, ctx *gpu.Context, dev *g
 			return fmt.Errorf("rcuda: stream chunk %d send: %w", seq, err)
 		}
 	}
-	opErr := ctx.StreamDestroy(stream)
-	return conn.Send(&protocol.CodeResponse{Err: code(opErr)})
+	return conn.Send(sess.codeReply(ctx.StreamDestroy(stream)))
 }

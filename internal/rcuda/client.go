@@ -70,9 +70,36 @@ type Client struct {
 	// both zero means a bare hello.
 	schedClass  uint32
 	schedWeight uint32
-	// toHost is the Lander of the MemcpyToHost exchange in flight; it lives
-	// here so that offering it to the transport allocates nothing.
+	// toHost is the Lander of the device-to-host exchange in flight; it
+	// lives here so that offering it to the transport allocates nothing.
 	toHost hostLander
+	// req is where the call in flight builds its request (DESIGN.md §23):
+	// a Client runs one call at a time, so a request lives until the call
+	// returns and the next of its type overwrites it.
+	req requests
+}
+
+// requests holds one request of each type a Client sends with fields to
+// fill, each made by the first call that needs it (protocol.Put). The calls that
+// put the application's memory in one — a launch's Params, a copy's Data —
+// clear the field when they return, so the client does not keep the
+// application's buffer alive between calls.
+type requests struct {
+	malloc        *protocol.MallocRequest
+	free          *protocol.FreeRequest
+	toDevice      *protocol.MemcpyToDeviceRequest
+	toHost        *protocol.MemcpyToHostRequest
+	launch        *protocol.LaunchRequest
+	streamOp      *protocol.StreamOpRequest
+	toDeviceAsync *protocol.MemcpyToDeviceAsyncRequest
+	toHostAsync   *protocol.MemcpyToHostAsyncRequest
+	eventRecord   *protocol.EventRecordRequest
+	eventOp       *protocol.EventOpRequest
+	eventElapsed  *protocol.EventElapsedRequest
+	setDevice     *protocol.SetDeviceRequest
+	memset        *protocol.MemsetRequest
+	d2d           *protocol.MemcpyD2DRequest
+	batch         *protocol.BatchRequest
 }
 
 var _ cudart.Runtime = (*Client)(nil)
@@ -275,7 +302,7 @@ func (c *Client) callCode(req protocol.Request) error {
 
 // Malloc implements cudart.Runtime.
 func (c *Client) Malloc(size uint32) (cudart.DevicePtr, error) {
-	payload, err := c.roundTrip(&protocol.MallocRequest{Size: size})
+	payload, err := c.roundTrip(protocol.Put(&c.req.malloc, protocol.MallocRequest{Size: size}))
 	if err != nil {
 		return 0, err
 	}
@@ -291,7 +318,7 @@ func (c *Client) Malloc(size uint32) (cudart.DevicePtr, error) {
 
 // Free implements cudart.Runtime.
 func (c *Client) Free(ptr cudart.DevicePtr) error {
-	return c.callCode(&protocol.FreeRequest{DevPtr: uint32(ptr)})
+	return c.callCode(protocol.Put(&c.req.free, protocol.FreeRequest{DevPtr: uint32(ptr)}))
 }
 
 // MemcpyToDevice implements cudart.Runtime.
@@ -308,7 +335,10 @@ func (c *Client) MemcpyToDevice(dst cudart.DevicePtr, src []byte) error {
 			return c.memcpyToDeviceChunked(dst, src)
 		})
 	}
-	return c.callCode(&protocol.MemcpyToDeviceRequest{Dst: uint32(dst), Data: src})
+	req := protocol.Put(&c.req.toDevice, protocol.MemcpyToDeviceRequest{Dst: uint32(dst), Data: src})
+	err := c.callCode(req)
+	req.Data = nil
+	return err
 }
 
 // MemcpyToHost implements cudart.Runtime. The response's data is read from
@@ -324,11 +354,15 @@ func (c *Client) MemcpyToHost(dst []byte, src cudart.DevicePtr) error {
 			return c.memcpyToHostChunked(dst, src)
 		})
 	}
+	return c.copyToHost(protocol.Put(&c.req.toHost,
+		protocol.MemcpyToHostRequest{Src: uint32(src), Size: uint32(len(dst))}), dst)
+}
+
+// copyToHost runs a device-to-host exchange, synchronous or on a stream:
+// either reply is dst's data followed by the result code.
+func (c *Client) copyToHost(req protocol.Request, dst []byte) error {
 	c.toHost.dst = dst
-	payload, landed, err := c.exchange(&protocol.MemcpyToHostRequest{
-		Src:  uint32(src),
-		Size: uint32(len(dst)),
-	}, &c.toHost)
+	payload, landed, err := c.exchange(req, &c.toHost)
 	c.toHost.dst = nil
 	if err != nil {
 		return err

@@ -41,7 +41,7 @@ func (c *Client) SetDevice(device int) error {
 	// A synchronous exchange on purpose even under batching: pending
 	// batched ops must execute on the previously selected device, and
 	// roundTrip's sync point guarantees exactly that ordering.
-	if err := c.callCode(&protocol.SetDeviceRequest{Device: uint32(device)}); err != nil {
+	if err := c.callCode(protocol.Put(&c.req.setDevice, protocol.SetDeviceRequest{Device: uint32(device)})); err != nil {
 		return err
 	}
 	c.curDev = device
@@ -81,16 +81,16 @@ func (c *Client) DeviceProperties() (gpu.Properties, error) {
 // Memset implements cudart.DeviceRuntime; a fire-and-forget write, so it
 // coalesces under batching.
 func (c *Client) Memset(ptr cudart.DevicePtr, value byte, size uint32) error {
-	return c.callCode(&protocol.MemsetRequest{
+	return c.callCode(protocol.Put(&c.req.memset, protocol.MemsetRequest{
 		DevPtr: uint32(ptr), Value: uint32(value), Size: size,
-	})
+	}))
 }
 
 // MemcpyDeviceToDevice implements cudart.DeviceRuntime: the copy stays on
 // the server GPU, so only 16 bytes plus a result code cross the network —
 // the payoff of keeping intermediate results in remote device memory.
 func (c *Client) MemcpyDeviceToDevice(dst, src cudart.DevicePtr, size uint32) error {
-	return c.callCode(&protocol.MemcpyD2DRequest{
+	return c.callCode(protocol.Put(&c.req.d2d, protocol.MemcpyD2DRequest{
 		Dst: uint32(dst), Src: uint32(src), Size: size,
-	})
+	}))
 }

@@ -208,7 +208,11 @@ func runInferenceRequests(rt inferenceRuntime, requests int, seed int64) ([][]by
 // allows. Outputs must equal the local runtime's bit for bit: nothing on
 // either side may still be reading a frame — or the caller's parameter
 // block — after its request is done.
-func TestInferenceSurvivesFrameReuse(t *testing.T) {
+func TestInferenceSurvivesFrameReuse(t *testing.T) { inferenceOverScribbledFrames(t) }
+
+// inferenceOverScribbledFrames is TestInferenceSurvivesFrameReuse on servers
+// with the given options added.
+func inferenceOverScribbledFrames(t *testing.T, srvOpts ...ServerOption) {
 	const requests, seed = 6, 31
 	mod, err := kernels.ModuleFor(calib.MM)
 	if err != nil {
@@ -239,7 +243,7 @@ func TestInferenceSurvivesFrameReuse(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, addr, stop := startScribbleServer(t, WithScheduler(sched.WFQ))
+			srv, addr, stop := startScribbleServer(t, append(srvOpts, WithScheduler(sched.WFQ))...)
 			defer stop()
 
 			armed := tc.loseReply
@@ -315,9 +319,10 @@ func TestCallCodeAllocatesNothingOfItsOwn(t *testing.T) {
 	}
 }
 
-// TestBatchedLaunchAllocationGate: a coalesced LaunchAsync costs its request
-// struct and nothing else — the sub-op is encoded once into the shared
-// pending buffer. Measured between flushes, so the server does not run.
+// TestBatchedLaunchAllocationGate: a coalesced LaunchAsync costs nothing —
+// the request is built in the client's launch slot and encoded once into
+// the shared pending buffer. Measured between flushes, so the server does
+// not run.
 func TestBatchedLaunchAllocationGate(t *testing.T) {
 	// Thresholds far above what the test enqueues: no flush while counting.
 	client, _, _, cleanup := startBatchSession(t, netsim.GigaE(), nil, WithBatching(protocol.MaxBatchOps, 1<<20))
@@ -331,8 +336,11 @@ func TestBatchedLaunchAllocationGate(t *testing.T) {
 		}
 	}
 	launch() // sizes the pending buffer
-	if got := testing.AllocsPerRun(500, launch); got > 1 {
-		t.Fatalf("batched LaunchAsync allocates %.0f times per call, want <= 1 amortised", got)
+	if got := testing.AllocsPerRun(500, launch); got != 0 {
+		t.Fatalf("batched LaunchAsync allocates %.0f times per call, want 0", got)
+	}
+	if client.req.launch.Params != nil {
+		t.Fatal("the client's launch slot still holds the caller's parameter block")
 	}
 	if lerr != nil {
 		t.Fatal(lerr)

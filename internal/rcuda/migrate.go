@@ -289,18 +289,11 @@ func (s *Server) streamSession(sess *session, dial func() (transport.Conn, error
 	if chunkSize == 0 {
 		chunkSize = protocol.DefaultChunkSize
 	}
-	conn, err := dial()
+	conn, err := openRestore(sess.id, dial)
 	if err != nil {
-		return 0, fmt.Errorf("rcuda: migrate dial: %w", err)
-	}
-	defer func() { _ = conn.Close() }()
-
-	if err := conn.Send(&protocol.SessionRestoreRequest{Session: sess.id}); err != nil {
-		return 0, fmt.Errorf("rcuda: restore send: %w", err)
-	}
-	if err := recvAck(conn, "restore"); err != nil {
 		return 0, err
 	}
+	defer func() { _ = conn.Close() }()
 
 	total := uint32(len(payload))
 	if err := conn.Send(&protocol.MigrateBeginRequest{Total: total, ChunkSize: chunkSize}); err != nil {
@@ -333,6 +326,35 @@ func (s *Server) streamSession(sess *session, dial func() (transport.Conn, error
 		return 0, err
 	}
 	return int64(len(payload)), nil
+}
+
+// restoreAttempts bounds the SessionRestore hellos of one stream, paused
+// restoreBackoff, doubling, apart: 31 ms in all.
+const restoreAttempts, restoreBackoff = 6, time.Millisecond
+
+// openRestore dials the destination and runs the SessionRestore handshake.
+// A destination refuses an id busy while it still holds an attempt for it,
+// and it learns that the source gave an attempt up only at its next receive
+// on that connection — after a source that retries at once has said hello
+// again. So, like a client's reattach, a hello refused busy is repeated a
+// bounded number of times (DESIGN.md §14).
+func openRestore(id uint64, dial func() (transport.Conn, error)) (transport.Conn, error) {
+	for attempt := 1; ; attempt++ {
+		conn, err := dial()
+		if err != nil {
+			return nil, fmt.Errorf("rcuda: migrate dial: %w", err)
+		}
+		if err = conn.Send(&protocol.SessionRestoreRequest{Session: id}); err != nil {
+			err = fmt.Errorf("rcuda: restore send: %w", err)
+		} else if err = recvAck(conn, "restore"); err == nil {
+			return conn, nil
+		}
+		_ = conn.Close()
+		if !errors.Is(err, ErrServerBusy) || attempt == restoreAttempts {
+			return nil, err
+		}
+		time.Sleep(restoreBackoff << (attempt - 1))
+	}
 }
 
 // recvAck receives one acknowledgement of the migration dialogue — a bare
@@ -460,6 +482,8 @@ func (s *Server) recvCheckpoint(conn transport.Conn, sess *session) error {
 	if err != nil {
 		return fmt.Errorf("rcuda: migrate begin recv: %w", err)
 	}
+	// A migration stream is a handful of frames on a connection of its own:
+	// they decode into fresh memory, so begin may outlive the receives below.
 	req, err := protocol.DecodeRequest(raw)
 	if err != nil {
 		return fmt.Errorf("rcuda: malformed migrate message: %w", err)

@@ -791,6 +791,60 @@ func TestMigrateChaosKillsEveryPhase(t *testing.T) {
 	}
 }
 
+// TestRestoreHelloOutlastsAnAbandonedAttempt: the destination still holds
+// an attempt for the session — its source gave up, but the destination has
+// not yet received on that connection again to find out — when a retry says
+// hello. The hello is refused busy and repeated; by then the abandoned
+// attempt has gone, and the session moves. (This is the window behind the
+// "restore refused: server busy" failures of the chaos test's
+// reset-at-op-1, where waitSettled could pass before the destination had
+// registered the killed attempt at all.)
+func TestRestoreHelloOutlastsAnAbandonedAttempt(t *testing.T) {
+	module := moduleImage(t, calib.MM)
+	w := mmStaged(5)
+	want := goldenStaged(t, module, w)
+	src, srcAddr, cleanupSrc := startMigrateServer(t)
+	defer cleanupSrc()
+	dst, dstAddr, cleanupDst := startMigrateServer(t)
+	defer cleanupDst()
+	sw := newSwitcher(srcAddr)
+	client := openSwitchClient(t, sw, module)
+	defer client.Close()
+	ptrs := w.stage1(t, client)
+	id := client.SessionID()
+
+	abandoned, err := transport.DialTCP(dstAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := abandoned.Send(&protocol.SessionRestoreRequest{Session: id}); err != nil {
+		t.Fatal(err)
+	}
+	if err := recvAck(abandoned, "restore"); err != nil {
+		t.Fatal(err)
+	}
+	dials := 0
+	dial := func() (transport.Conn, error) {
+		if dials++; dials == 2 {
+			// The first hello has been refused. Now the destination finds
+			// the abandoned attempt's connection dead and drops it.
+			_ = abandoned.Close()
+			waitSettled(t, dst, 0)
+		}
+		return transport.DialTCP(dstAddr)
+	}
+	if _, err := src.MigrateSession(id, dial); err != nil {
+		t.Fatalf("migrate past an abandoned attempt: %v", err)
+	}
+	if dials != 2 {
+		t.Fatalf("%d dials, want the refused hello and one more", dials)
+	}
+	sw.point(dstAddr)
+	if got := w.stage2(t, client, ptrs); !bytes.Equal(got, want) {
+		t.Fatal("result diverged")
+	}
+}
+
 // TestMigrateScriptedFaults drives the three named failure injectors —
 // die-after-begin, truncated chunk, stall before commit — against the FFT
 // case study, whose computed spectrum must survive each failed transfer and

@@ -119,6 +119,11 @@ type Server struct {
 	queues        []*sched.Queue
 	costs         []*sched.CostModel
 	classAttached [sched.NumClasses]atomic.Int64
+
+	// afterDispatch, when set, runs after every dispatch of the request
+	// loop. Tests set it to overwrite the session's message storage, so
+	// that anything still holding a decoded request reads garbage.
+	afterDispatch func(*session)
 }
 
 // ServerOption configures a Server.
@@ -389,8 +394,18 @@ type session struct {
 	// codes of the last executed batch. Only the session's single handler
 	// goroutine touches them, and they survive park/reattach so a batch
 	// replayed across a reconnect is still deduplicated.
+	// lastBatchCodes and spareCodes are the two buffers a batch's codes are
+	// written to in turn: a dispatch fills the spare and the two swap when
+	// the batch commits, so a dispatch that aborts mid-frame leaves the
+	// window describing the previous batch.
 	lastBatchSeq   uint64
 	lastBatchCodes []uint32
+	spareCodes     []uint32
+	// Per-connection message storage (DESIGN.md §23), touched only by the
+	// session's handler goroutine: dec owns the decoded request, reply the
+	// reply being sent. Both are overwritten by the next request.
+	dec   protocol.Decoder
+	reply replies
 	// Scheduling identity (see sched.go): class and weight from the
 	// session's extended hello (or restored checkpoint), and the session's
 	// flow handle per device queue. schedClass must be set explicitly at
@@ -403,8 +418,28 @@ type session struct {
 	flows       map[int]*sched.Session
 }
 
+// replies holds one reply of each type the request loop sends, so that
+// answering allocates per type, not per request. A reply is rebuilt in
+// place by protocol.Put and handed to Send, which keeps nothing.
+type replies struct {
+	code         *protocol.CodeResponse
+	malloc       *protocol.MallocResponse
+	toHost       *protocol.MemcpyToHostResponse
+	batch        *protocol.BatchResponse
+	streamCreate *protocol.StreamCreateResponse
+	eventCreate  *protocol.EventCreateResponse
+	eventElapsed *protocol.EventElapsedResponse
+	deviceCount  *protocol.GetDeviceCountResponse
+	deviceProps  *protocol.GetDevicePropertiesResponse
+}
+
 // context returns the context of the currently selected device.
 func (ss *session) context() *gpu.Context { return ss.ctxs[ss.cur] }
+
+// codeReply builds the bare result-code reply for err.
+func (ss *session) codeReply(err error) *protocol.CodeResponse {
+	return protocol.Put(&ss.reply.code, protocol.CodeResponse{Err: code(err)})
+}
 
 // Land implements transport.Lander for the session's request loop. Only a
 // well-formed cudaMemcpy to device whose whole destination is a region the
@@ -558,9 +593,9 @@ func (s *Server) serveSession(conn transport.Conn, withinConnCap bool) error {
 		}
 		var req protocol.Request
 		if landed != nil {
-			req, err = protocol.DecodeLandedMemcpyToDevice(payload, landed)
+			req, err = sess.dec.DecodeLanded(payload, landed)
 		} else {
-			req, err = protocol.DecodeRequest(payload)
+			req, err = sess.dec.Decode(payload)
 		}
 		if err != nil {
 			return fmt.Errorf("rcuda: malformed request: %w", err)
@@ -588,6 +623,9 @@ func (s *Server) serveSession(conn transport.Conn, withinConnCap bool) error {
 		}
 		t0 := clk.Now()
 		done, err := s.dispatch(conn, sess, req)
+		if s.afterDispatch != nil {
+			s.afterDispatch(sess)
+		}
 		end := clk.Now()
 		if stamper != nil {
 			// The client may already be charging its next request to a
@@ -891,13 +929,10 @@ func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Reque
 	case *protocol.MallocRequest:
 		if denial := s.checkQuota(sess, r.Size); denial != cudart.Success {
 			s.counters.quotaDenials.Add(1)
-			return false, conn.Send(&protocol.MallocResponse{Err: uint32(denial)})
+			return false, conn.Send(protocol.Put(&sess.reply.malloc, protocol.MallocResponse{Err: uint32(denial)}))
 		}
 		ptr, cuErr := ctx.Malloc(r.Size)
-		return false, conn.Send(&protocol.MallocResponse{
-			Err:    code(cuErr),
-			DevPtr: ptr,
-		})
+		return false, conn.Send(protocol.Put(&sess.reply.malloc, protocol.MallocResponse{Err: code(cuErr), DevPtr: ptr}))
 	case *protocol.MemcpyToDeviceRequest:
 		opErr = ctx.CopyToDevice(r.Dst, r.Data)
 	case *protocol.MemcpyToHostRequest:
@@ -905,7 +940,7 @@ func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Reque
 		// session is synchronous and holds its scheduler grant until Send
 		// returns, so nothing writes the region meanwhile.
 		view, cuErr := ctx.HostView(r.Src, r.Size)
-		return false, conn.Send(&protocol.MemcpyToHostResponse{Data: view, Err: code(cuErr)})
+		return false, conn.Send(protocol.Put(&sess.reply.toHost, protocol.MemcpyToHostResponse{Data: view, Err: code(cuErr)}))
 	case *protocol.LaunchRequest:
 		grid := gpu.Dim3{X: r.GridDim[0], Y: r.GridDim[1], Z: 1}
 		block := gpu.Dim3{X: r.BlockDim[0], Y: r.BlockDim[1], Z: r.BlockDim[2]}
@@ -919,7 +954,8 @@ func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Reque
 
 	case *protocol.StreamCreateRequest:
 		stream, cuErr := ctx.StreamCreate()
-		return false, conn.Send(&protocol.StreamCreateResponse{Err: code(cuErr), Stream: stream})
+		return false, conn.Send(protocol.Put(&sess.reply.streamCreate,
+			protocol.StreamCreateResponse{Err: code(cuErr), Stream: stream}))
 	case *protocol.StreamOpRequest:
 		switch r.Code {
 		case protocol.OpStreamDestroy:
@@ -932,11 +968,15 @@ func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Reque
 	case *protocol.MemcpyToDeviceAsyncRequest:
 		opErr = ctx.CopyToDeviceAsync(r.Dst, r.Data, r.Stream)
 	case *protocol.MemcpyToHostAsyncRequest:
-		data, cuErr := ctx.CopyToHostAsync(r.Src, r.Size, r.Stream)
-		return false, conn.Send(&protocol.MemcpyToHostResponse{Data: data, Err: code(cuErr)})
+		// As for the synchronous copy, the reply's data is device memory
+		// itself; the transfer is booked on the copy engine and the stream
+		// from now, as CopyToHostAsync books it.
+		view, _, cuErr := ctx.HostViewAsyncAt(r.Src, r.Size, r.Stream, s.devs[sess.cur].Clock().Now())
+		return false, conn.Send(protocol.Put(&sess.reply.toHost, protocol.MemcpyToHostResponse{Data: view, Err: code(cuErr)}))
 	case *protocol.EventCreateRequest:
 		event, cuErr := ctx.EventCreate()
-		return false, conn.Send(&protocol.EventCreateResponse{Err: code(cuErr), Event: event})
+		return false, conn.Send(protocol.Put(&sess.reply.eventCreate,
+			protocol.EventCreateResponse{Err: code(cuErr), Event: event}))
 	case *protocol.EventRecordRequest:
 		opErr = ctx.EventRecord(r.Event, r.Stream)
 	case *protocol.EventOpRequest:
@@ -950,18 +990,19 @@ func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Reque
 		}
 	case *protocol.EventElapsedRequest:
 		elapsed, cuErr := ctx.EventElapsed(r.Start, r.End)
-		return false, conn.Send(&protocol.EventElapsedResponse{
+		return false, conn.Send(protocol.Put(&sess.reply.eventElapsed, protocol.EventElapsedResponse{
 			Err:         code(cuErr),
 			ElapsedNano: uint64(elapsed),
-		})
+		}))
 
 	case *protocol.GetDeviceCountRequest:
-		return false, conn.Send(&protocol.GetDeviceCountResponse{Count: uint32(len(s.devs))})
+		return false, conn.Send(protocol.Put(&sess.reply.deviceCount,
+			protocol.GetDeviceCountResponse{Count: uint32(len(s.devs))}))
 	case *protocol.SetDeviceRequest:
 		opErr = sess.setDevice(int(r.Device))
 	case *protocol.GetDevicePropertiesRequest:
 		p := s.devs[sess.cur].Properties()
-		return false, conn.Send(&protocol.GetDevicePropertiesResponse{
+		return false, conn.Send(protocol.Put(&sess.reply.deviceProps, protocol.GetDevicePropertiesResponse{
 			MemoryBytes:     p.MemoryBytes,
 			CapabilityMajor: p.CapabilityMajor,
 			CapabilityMinor: p.CapabilityMinor,
@@ -969,7 +1010,7 @@ func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Reque
 			ClockMHz:        p.ClockMHz,
 			MemoryMBps:      p.MemoryMBps,
 			Name:            p.Name,
-		})
+		}))
 	case *protocol.MemsetRequest:
 		opErr = ctx.Memset(r.DevPtr, byte(r.Value), r.Size)
 	case *protocol.MemcpyD2DRequest:
@@ -977,7 +1018,9 @@ func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Reque
 
 	case *protocol.MemcpyStreamBeginRequest:
 		// A Begin runs the whole chunked sub-protocol inline (chunked.go).
-		return false, s.serveMemcpyStream(conn, sess, r)
+		// r is good until the next receive and the transfer receives its
+		// chunks, so it takes a copy.
+		return false, s.serveMemcpyStream(conn, sess, *r)
 	case *protocol.MemcpyStreamChunk, *protocol.MemcpyStreamEndRequest:
 		// Client and server have lost framing, which is fatal for the session.
 		return false, fmt.Errorf("rcuda: %v outside a chunked transfer", req.Op())
@@ -998,7 +1041,7 @@ func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Reque
 		// connection, which never reaches the request loop (migrate.go).
 		return false, fmt.Errorf("rcuda: unhandled request %T", req)
 	}
-	return false, conn.Send(&protocol.CodeResponse{Err: code(opErr)})
+	return false, conn.Send(sess.codeReply(opErr))
 }
 
 // notReady turns a completion query's answer into its result: success once

@@ -20,8 +20,9 @@ type Session struct {
 	flow
 	// cur is the session's in-flight op, from Acquire to the matching
 	// Release. The rcuda dialogue is synchronous, so a live session has at
-	// most one. Guarded by the Queue mutex.
-	cur *op
+	// most one, and it lives in slot. Guarded by the Queue mutex.
+	cur  *op
+	slot op
 	// grant is closed by Release when the queue hands this session the
 	// device; remade for every contended Acquire. Guarded by the Queue
 	// mutex.
@@ -103,7 +104,7 @@ func (q *Queue) Acquire(s *Session, cost time.Duration, done <-chan struct{}) er
 		// Idle device: the queue invariant (Release grants the next waiter
 		// before clearing the holder) means nobody is waiting — grant
 		// immediately with zero wait.
-		s.cur = q.c.enqueue(&s.flow, cost, 0)
+		s.cur = q.c.enqueue(&s.slot, &s.flow, cost, 0)
 		q.c.pick()
 		q.holder = s
 		q.served[s.class]++
@@ -111,7 +112,7 @@ func (q *Queue) Acquire(s *Session, cost time.Duration, done <-chan struct{}) er
 		q.mu.Unlock()
 		return nil
 	}
-	s.cur = q.c.enqueue(&s.flow, cost, q.clock.Now())
+	s.cur = q.c.enqueue(&s.slot, &s.flow, cost, q.clock.Now())
 	s.grant = make(chan struct{})
 	s.granted = false
 	grant := s.grant

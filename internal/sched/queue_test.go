@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"rcuda/internal/raceflag"
 	"rcuda/internal/vclock"
 )
 
@@ -26,6 +27,17 @@ func TestQueueUncontended(t *testing.T) {
 	}
 	if snap[Realtime].Waits.N() != 3 || snap[Realtime].Waits.Max() != 0 {
 		t.Fatalf("uncontended waits: n=%d max=%v", snap[Realtime].Waits.N(), snap[Realtime].Waits.Max())
+	}
+	// The op of an Acquire lives in the Session, so the gate allocates
+	// nothing.
+	if raceflag.Enabled {
+		return
+	}
+	if got := testing.AllocsPerRun(1000, func() {
+		_ = q.Acquire(s, time.Millisecond, done)
+		q.Release(s, time.Millisecond)
+	}); got != 0 {
+		t.Errorf("uncontended Acquire+Release allocates %v times, want 0", got)
 	}
 }
 

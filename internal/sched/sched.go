@@ -223,12 +223,14 @@ func (c *core) effWeight(f *flow) float64 {
 }
 
 // enqueue adds an op of the given estimated cost for f at clock instant
-// at, stamping its virtual tags and arrival sequence.
-func (c *core) enqueue(f *flow, cost, at time.Duration) *op {
+// at, stamping its virtual tags and arrival sequence. The op is built in o,
+// storage the caller owns until the op has been picked and charged (or
+// removed): a Session, which has one op at a time, hands in its own.
+func (c *core) enqueue(o *op, f *flow, cost, at time.Duration) *op {
 	if cost < 0 {
 		cost = 0
 	}
-	o := &op{f: f, cost: cost, seq: c.seq, enqueuedAt: at}
+	*o = op{f: f, cost: cost, seq: c.seq, enqueuedAt: at}
 	c.seq++
 	o.vstart = c.vtime
 	if f.vtail > o.vstart {

@@ -44,7 +44,7 @@ func TestVirtualTimeMonotone(t *testing.T) {
 		for step := 0; step < 2000; step++ {
 			f := flows[rng.Intn(len(flows))]
 			if f.queued < 4 {
-				c.enqueue(f, time.Duration(rng.Intn(1000)+1)*time.Microsecond, 0)
+				c.enqueue(new(op), f, time.Duration(rng.Intn(1000)+1)*time.Microsecond, 0)
 			}
 			if rng.Intn(2) == 0 {
 				if g := c.pick(); g != nil {
@@ -159,8 +159,8 @@ func TestDeterministicTieBreak(t *testing.T) {
 	c := newCore(Config{Policy: WFQ})
 	a := &flow{class: Batch, weight: 1}
 	b := &flow{class: Batch, weight: 1}
-	oa := c.enqueue(a, time.Millisecond, 0)
-	c.enqueue(b, time.Millisecond, 0)
+	oa := c.enqueue(new(op), a, time.Millisecond, 0)
+	c.enqueue(new(op), b, time.Millisecond, 0)
 	if got := c.pick(); got != oa {
 		t.Fatal("equal tags: second arrival granted before first")
 	}
@@ -168,8 +168,8 @@ func TestDeterministicTieBreak(t *testing.T) {
 	c2 := newCore(Config{Policy: WFQ, ClassWeights: [NumClasses]uint32{1, 1, 1}})
 	lo := &flow{class: BestEffort}
 	hi := &flow{class: Realtime}
-	c2.enqueue(lo, time.Millisecond, 0)
-	ohi := c2.enqueue(hi, time.Millisecond, 0)
+	c2.enqueue(new(op), lo, time.Millisecond, 0)
+	ohi := c2.enqueue(new(op), hi, time.Millisecond, 0)
 	if got := c2.pick(); got != ohi {
 		t.Fatal("equal tags: lower class granted before higher")
 	}
@@ -205,8 +205,8 @@ func TestFIFOIsArrivalOrder(t *testing.T) {
 	c := newCore(Config{Policy: FIFO})
 	be := &flow{class: BestEffort}
 	rt := &flow{class: Realtime, weight: 1000}
-	obe := c.enqueue(be, time.Second, 0)
-	c.enqueue(rt, time.Microsecond, 0)
+	obe := c.enqueue(new(op), be, time.Second, 0)
+	c.enqueue(new(op), rt, time.Microsecond, 0)
 	if got := c.pick(); got != obe {
 		t.Fatal("FIFO reordered arrivals")
 	}
@@ -218,14 +218,14 @@ func TestPreemptionAccounting(t *testing.T) {
 	c := newCore(Config{Policy: WFQ})
 	bulk := &flow{class: BestEffort}
 	rt := &flow{class: Realtime}
-	o1 := c.enqueue(bulk, time.Millisecond, 0)
+	o1 := c.enqueue(new(op), bulk, time.Millisecond, 0)
 	if c.pick() != o1 {
 		t.Fatal("lone flow not granted")
 	}
 	c.charge(o1, time.Millisecond)
 	// While bulk ran, both re-queued; rt's tag is far smaller.
-	c.enqueue(bulk, time.Millisecond, 0)
-	c.enqueue(rt, 10*time.Microsecond, 0)
+	c.enqueue(new(op), bulk, time.Millisecond, 0)
+	c.enqueue(new(op), rt, 10*time.Microsecond, 0)
 	if got := c.pick(); got.f != rt {
 		t.Fatal("realtime not granted at the boundary")
 	}

@@ -147,7 +147,7 @@ func Simulate(cfg SimConfig) *SimResult {
 		// in the core at once, so arrival-order policies see (and charge
 		// latecomers for) the whole pipeline depth.
 		for k := 0; k < spec.Backlog; k++ {
-			c.enqueue(&t.flow, spec.OpCost, 0)
+			c.enqueue(new(op), &t.flow, spec.OpCost, 0)
 		}
 		if spec.MeanGap > 0 {
 			schedule(t.nextGap(), false, t)
@@ -199,7 +199,7 @@ func Simulate(cfg SimConfig) *SimResult {
 			if now > cfg.Duration {
 				continue // arrival window over; stop generating
 			}
-			c.enqueue(&t.flow, t.spec.OpCost, now)
+			c.enqueue(new(op), &t.flow, t.spec.OpCost, now)
 			schedule(now+t.nextGap(), false, t)
 			dispatch()
 			continue
@@ -210,7 +210,7 @@ func Simulate(cfg SimConfig) *SimResult {
 		runningOp = nil
 		if t.spec.Backlog > 0 && now < cfg.Duration {
 			// Closed loop: the pipeline refills instantly at the boundary.
-			c.enqueue(&t.flow, t.spec.OpCost, now)
+			c.enqueue(new(op), &t.flow, t.spec.OpCost, now)
 		}
 		dispatch()
 	}
