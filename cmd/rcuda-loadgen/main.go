@@ -23,102 +23,10 @@ import (
 	"time"
 
 	"rcuda/internal/broker"
-	"rcuda/internal/faults"
 	"rcuda/internal/loadgen"
 	"rcuda/internal/protocol"
+	"rcuda/internal/sched"
 )
-
-// scenario is one named, fully-pinned load-generation run. build returns a
-// fresh Config each call because fault plans are stateful.
-type scenario struct {
-	name  string
-	build func() loadgen.Config
-}
-
-// mix is the standard offered class mix: long durable training sessions
-// and short best-effort inference sessions, 1:3.
-func mix() []loadgen.Class {
-	return []loadgen.Class{
-		{Name: "train", Weight: 1, HoldMean: 40 * time.Millisecond, Durable: true},
-		{Name: "infer", Weight: 3, HoldMean: 8 * time.Millisecond, Durable: false},
-	}
-}
-
-func scenarios() []scenario {
-	return []scenario{
-		{name: "smoke-poisson", build: func() loadgen.Config {
-			return loadgen.Config{
-				Seed: 1, Sessions: 10_000, Arrival: loadgen.Poisson, Rate: 20_000,
-				Classes: mix(), InitialDaemons: 4, DaemonCapacity: 64,
-				Autoscale: &broker.AutoscalerConfig{
-					Min: 4, Max: 32, DaemonCapacity: 64, Cooldown: 250 * time.Millisecond,
-				},
-			}
-		}},
-		{name: "smoke-bursty-chaos", build: func() loadgen.Config {
-			return loadgen.Config{
-				Seed: 2, Sessions: 10_000, Arrival: loadgen.BurstyOnOff, Rate: 12_000,
-				BurstFactor: 5, Classes: mix(), InitialDaemons: 4, DaemonCapacity: 64,
-				Autoscale: &broker.AutoscalerConfig{
-					Min: 4, Max: 32, DaemonCapacity: 64, Cooldown: 250 * time.Millisecond,
-				},
-				FaultPlan: faults.Seeded(3, faults.Config{
-					ResetRate: 0.004, StallRate: 0.01, LatencyRate: 0.05,
-				}),
-			}
-		}},
-		// Long-hold, all-durable load with a strong burst: the autoscaler
-		// grows the fleet into the bursts, and on the off-phases scale-down
-		// faces daemons still holding live sessions — which it drains by
-		// live-migrating the residents instead of vetoing the retirement.
-		{name: "scale-down-migrate", build: func() loadgen.Config {
-			return loadgen.Config{
-				Seed: 5, Sessions: 10_000, Arrival: loadgen.BurstyOnOff, Rate: 6_000,
-				BurstOnMean: 400 * time.Millisecond, BurstOffMean: 400 * time.Millisecond,
-				BurstFactor:    6,
-				Classes:        []loadgen.Class{{Name: "train", Weight: 1, HoldMean: 120 * time.Millisecond, Durable: true}},
-				InitialDaemons: 2, DaemonCapacity: 32,
-				Autoscale: &broker.AutoscalerConfig{
-					Min: 2, Max: 48, DaemonCapacity: 32, Cooldown: 100 * time.Millisecond,
-					DownThreshold: 0.6,
-				},
-			}
-		}},
-		// Mixed scheduling classes through class-aware placement at 10^5
-		// scale: sporadic realtime inference, the batch bulk, best-effort
-		// scavengers. The probe loop feeds per-class daemon gauges to the
-		// placer, so realtime sessions are steered toward daemons with
-		// realtime headroom — the fleet-level half of the PR 10 scheduler
-		// (the per-device half is BENCH_sched.json).
-		{name: "scale-100k-classes", build: func() loadgen.Config {
-			return loadgen.Config{
-				Seed: 6, Sessions: 100_000, Arrival: loadgen.Poisson, Rate: 40_000,
-				Classes: []loadgen.Class{
-					{Name: "rt", Weight: 1, HoldMean: 5 * time.Millisecond, Durable: true, SchedClass: protocol.SchedClassRealtime},
-					{Name: "batch", Weight: 2, HoldMean: 40 * time.Millisecond, Durable: true, SchedClass: protocol.SchedClassBatch},
-					{Name: "scavenge", Weight: 1, HoldMean: 20 * time.Millisecond, Durable: false, SchedClass: protocol.SchedClassBestEffort},
-				},
-				Policy:         broker.ClassAware,
-				InitialDaemons: 4, DaemonCapacity: 64,
-				Autoscale: &broker.AutoscalerConfig{
-					Min: 4, Max: 64, DaemonCapacity: 64, Cooldown: 250 * time.Millisecond,
-				},
-			}
-		}},
-		{name: "scale-100k", build: func() loadgen.Config {
-			return loadgen.Config{
-				Seed: 3, Sessions: 100_000, Arrival: loadgen.Poisson, Rate: 60_000,
-				Classes: mix(), InitialDaemons: 4, DaemonCapacity: 64,
-				Autoscale: &broker.AutoscalerConfig{
-					Min: 4, Max: 64, DaemonCapacity: 64, Cooldown: 250 * time.Millisecond,
-				},
-				FaultPlan: faults.Seeded(4, faults.Config{
-					ResetRate: 0.002, StallRate: 0.01,
-				}),
-			}
-		}},
-	}
-}
 
 // scenarioResult is one scenario's row in the bench file. Everything in it
 // derives from seeded virtual-clock runs, so re-running a scenario must
@@ -165,20 +73,6 @@ type classResult struct {
 	WaitP99US  int64  `json:"wait_p99_us"`
 }
 
-// schedClassName names a protocol scheduling-class wire code.
-func schedClassName(code uint32) string {
-	switch code {
-	case protocol.SchedClassRealtime:
-		return "realtime"
-	case protocol.SchedClassBatch:
-		return "batch"
-	case protocol.SchedClassBestEffort:
-		return "besteffort"
-	default:
-		return "unspecified"
-	}
-}
-
 type benchFile struct {
 	Harness   string           `json:"harness"`
 	Scenarios []scenarioResult `json:"scenarios"`
@@ -218,7 +112,7 @@ func toResult(name string, r *loadgen.Result) scenarioResult {
 		}
 		sr.Classes = append(sr.Classes, classResult{
 			Name:       c.Name,
-			SchedClass: schedClassName(c.SchedClass),
+			SchedClass: sched.Class(c.SchedClass - 1).String(), // a wire code is the class plus one
 			Sessions:   c.Sessions,
 			Placements: c.Placements,
 			WaitP50US:  c.WaitP50.Microseconds(),
@@ -228,19 +122,19 @@ func toResult(name string, r *loadgen.Result) scenarioResult {
 	return sr
 }
 
-func runScenario(sc scenario) scenarioResult {
-	cfg := sc.build()
+func runScenario(sc loadgen.Scenario) scenarioResult {
+	cfg := sc.Build()
 	r, err := loadgen.Run(cfg)
 	if err != nil {
-		log.Fatalf("%s: %v", sc.name, err)
+		log.Fatalf("%s: %v", sc.Name, err)
 	}
 	if r.LostDurable != 0 {
-		log.Fatalf("%s: %d durable sessions lost — failover invariant broken", sc.name, r.LostDurable)
+		log.Fatalf("%s: %d durable sessions lost — failover invariant broken", sc.Name, r.LostDurable)
 	}
 	if r.Unplaced != 0 {
-		log.Fatalf("%s: %d sessions never placed — scenario is under-provisioned", sc.name, r.Unplaced)
+		log.Fatalf("%s: %d sessions never placed — scenario is under-provisioned", sc.Name, r.Unplaced)
 	}
-	return toResult(sc.name, r)
+	return toResult(sc.Name, r)
 }
 
 func printRow(w *tabwriter.Writer, sr scenarioResult) {
@@ -267,7 +161,7 @@ func main() {
 
 	var file benchFile
 	file.Harness = "loadgen-v1"
-	for _, sc := range scenarios() {
+	for _, sc := range loadgen.Scenarios() {
 		sr := runScenario(sc)
 		printRow(w, sr)
 		file.Scenarios = append(file.Scenarios, sr)
@@ -310,15 +204,15 @@ func checkFresh(path string, cap int, w *tabwriter.Writer) {
 	}
 
 	stale := false
-	for _, sc := range scenarios() {
-		want, ok := committed[sc.name]
+	for _, sc := range loadgen.Scenarios() {
+		want, ok := committed[sc.Name]
 		if !ok {
-			fmt.Printf("MISSING %s: not in %s\n", sc.name, path)
+			fmt.Printf("MISSING %s: not in %s\n", sc.Name, path)
 			stale = true
 			continue
 		}
 		if want.Sessions > cap {
-			fmt.Printf("skip %s: %d sessions over the %d check cap\n", sc.name, want.Sessions, cap)
+			fmt.Printf("skip %s: %d sessions over the %d check cap\n", sc.Name, want.Sessions, cap)
 			continue
 		}
 		got := runScenario(sc)
@@ -326,7 +220,7 @@ func checkFresh(path string, cap int, w *tabwriter.Writer) {
 		if !equalResults(got, want) {
 			gj, _ := json.Marshal(got)
 			wj, _ := json.Marshal(want)
-			fmt.Printf("STALE %s:\n  committed: %s\n  recomputed: %s\n", sc.name, wj, gj)
+			fmt.Printf("STALE %s:\n  committed: %s\n  recomputed: %s\n", sc.Name, wj, gj)
 			stale = true
 		}
 	}
@@ -349,7 +243,7 @@ func runAdhoc(sessions int) {
 	start := time.Now()
 	r, err := loadgen.Run(loadgen.Config{
 		Seed: 9, Sessions: sessions, Arrival: loadgen.Poisson,
-		Rate: 100_000, Classes: mix(), InitialDaemons: 8, DaemonCapacity: 64,
+		Rate: 100_000, Classes: loadgen.StandardMix(), InitialDaemons: 8, DaemonCapacity: 64,
 		Autoscale: &broker.AutoscalerConfig{
 			Min: 8, Max: 128, DaemonCapacity: 64, Cooldown: 250 * time.Millisecond,
 		},

@@ -66,6 +66,9 @@ type endpointState struct {
 	// full marks an endpoint that refused admission (NoteSpill) until a
 	// probe or a released session (NoteRelease) says it may have room.
 	full bool
+	// changed is the placer's change counter as of the last change to any
+	// of the fields above that a ranking key reads (see placerState.touch).
+	changed uint64
 	// probeMu guards the persistent probe-connection slot (Pool only). It
 	// is held only while checking the connection in or out of the slot —
 	// never across the wire exchange itself, so one endpoint stalled on

@@ -2,7 +2,6 @@ package broker
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"rcuda/internal/protocol"
@@ -33,6 +32,18 @@ type placerState struct {
 	policy Policy
 	rr     int
 	stats  poolCounters
+	// stamp counts changes to endpoints' ranking inputs; gen counts changes
+	// to the set of rankable endpoints. A kept Ranking compares both with
+	// what it saw last.
+	stamp, gen uint64
+}
+
+// touch records that one of endpoint idx's ranking inputs is changing,
+// and returns the endpoint for the change.
+func (s *placerState) touch(idx int) *endpointState {
+	s.stamp++
+	s.eps[idx].changed = s.stamp
+	return s.eps[idx]
 }
 
 // NewPlacer returns an empty placer using the given policy. Endpoints are
@@ -58,6 +69,7 @@ func (s *placerState) add(ep Endpoint) int {
 		ep.Name = fmt.Sprintf("server-%d", len(s.eps))
 	}
 	s.eps = append(s.eps, &endpointState{ep: ep, up: true})
+	s.gen++
 	return len(s.eps) - 1
 }
 
@@ -69,6 +81,7 @@ func (p *Placer) Retire(idx int) {
 	defer s.mu.Unlock()
 	if idx >= 0 && idx < len(s.eps) && !s.eps[idx].retired {
 		s.eps[idx].retired = true
+		s.gen++
 		s.stats.retirements.Add(1)
 	}
 }
@@ -147,33 +160,31 @@ func (p *Placer) Pick(spec JobSpec, exclude map[int]bool) (int, bool) {
 }
 
 // Ranking is one placement's candidate order: every non-retired endpoint,
-// keyed once by Placer.Rank under one lock acquisition and handed out
+// keyed by Placer.Rank under one lock acquisition, sorted, and handed out
 // best-first by Next. Walking it visits endpoints in exactly the order a
 // loop of Picks with a growing exclude set would, at one key computation
 // per endpoint instead of one per endpoint per refusal. The order is a
 // snapshot: marks, gauges and retirements that land while the caller dials
 // do not change a walk in progress.
 //
-// The zero value is ready for Rank; reusing a Ranking across placements
-// reuses its buffer. A Ranking is not safe for concurrent use.
+// A Ranking is kept, not rebuilt: ranking again for the same placer and
+// spec re-keys only the endpoints whose inputs changed since the last Rank
+// and inserts them into the rest, which are still in order. The zero value
+// is ready for Rank, which then keys everything. A Ranking is not safe for
+// concurrent use.
 type Ranking struct {
 	pl    *Placer
-	cands []candidate
+	keys  []candidate // by endpoint index: what each was last keyed as
+	order []int       // every non-retired endpoint index, best first
 	next  int
-	// sorted is set once cands[next:] has been sorted; until then Next
-	// selects, because most walks stop at the first or second candidate.
-	sorted bool
 	// cursor is, under RoundRobin, the first round-robin position no
 	// handed-out candidate has reached yet; -1 under the other policies.
 	cursor int
+	// What the keys were keyed from: the placer's generation and change
+	// counter, and the spec.
+	gen, stamp uint64
+	spec       JobSpec
 }
-
-// selectDepth is how many candidates Next finds by an O(n) selection
-// before it sorts the remainder. Most walks that go past the first
-// candidate stop at the second: sorting there instead (depth 1) costs the
-// 10^5-session class-aware loadgen shape a quarter more host time (155 vs
-// 115 ms); depth 3 measures the same as 2.
-const selectDepth = 2
 
 // Rank ranks the endpoints for one placement into r, replacing whatever
 // walk r held.
@@ -181,37 +192,17 @@ func (p *Placer) Rank(spec JobSpec, r *Ranking) {
 	s := &p.state
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r.pl = p
-	s.rank(spec, r)
+	s.rank(p, spec, r)
 }
 
 // Next hands out the next-best endpoint not yet handed out, false when the
 // walk is exhausted. Under RoundRobin the placer's cursor moves past the
 // endpoint, as a Pick returning it would have moved it.
 func (r *Ranking) Next() (int, bool) {
-	rest := r.cands[r.next:]
-	if len(rest) == 0 {
+	if r.next == len(r.order) {
 		return 0, false
 	}
-	switch {
-	case r.next == 0 || r.sorted:
-		// Rank left the best candidate in front; a sorted tail is in order.
-	case r.next < selectDepth:
-		selectFirst(rest)
-	default:
-		slices.SortFunc(rest, func(a, b candidate) int {
-			switch {
-			case a.before(&b):
-				return -1
-			case a.idx == b.idx:
-				return 0
-			default:
-				return 1
-			}
-		})
-		r.sorted = true
-	}
-	c := &rest[0]
+	c := &r.keys[r.order[r.next]]
 	r.next++
 	if pos := int(c.key[0]); r.cursor >= 0 && pos >= r.cursor {
 		// Full-marked endpoints are handed out late but keep their place in
@@ -232,7 +223,7 @@ func (r *Ranking) Next() (int, bool) {
 func (p *Placer) NotePlaced(idx int) {
 	s := &p.state
 	s.mu.Lock()
-	s.eps[idx].placed++
+	s.touch(idx).placed++
 	s.mu.Unlock()
 	s.stats.placements.Add(1)
 }
@@ -244,7 +235,9 @@ func (p *Placer) NotePlaced(idx int) {
 func (p *Placer) NoteSpill(idx int) {
 	s := &p.state
 	s.mu.Lock()
-	s.eps[idx].full = true
+	if !s.eps[idx].full {
+		s.touch(idx).full = true
+	}
 	s.mu.Unlock()
 	s.stats.spills.Add(1)
 }
@@ -255,7 +248,9 @@ func (p *Placer) NoteSpill(idx int) {
 func (p *Placer) NoteRelease(idx int) {
 	s := &p.state
 	s.mu.Lock()
-	s.eps[idx].full = false
+	if s.eps[idx].full {
+		s.touch(idx).full = false
+	}
 	s.mu.Unlock()
 }
 
@@ -271,7 +266,7 @@ func (p *Placer) NoteMigration(destIdx int, bytes int64) {
 	s := &p.state
 	s.mu.Lock()
 	if destIdx >= 0 && destIdx < len(s.eps) {
-		s.eps[destIdx].placed++
+		s.touch(destIdx).placed++
 	}
 	s.mu.Unlock()
 	s.stats.migrations.Add(1)
@@ -300,7 +295,7 @@ func (s *placerState) noteFailure(idx int, err error) {
 	st := s.eps[idx]
 	st.lastErr = err
 	if st.up {
-		st.up = false
+		s.touch(idx).up = false
 		s.stats.markdowns.Add(1)
 	}
 }
@@ -318,7 +313,7 @@ func (p *Placer) NoteProbe(idx int, load *protocol.StatsReply, err error) {
 
 func (s *placerState) noteProbe(idx int, load *protocol.StatsReply, err error) {
 	s.stats.probes.Add(1)
-	st := s.eps[idx]
+	st := s.touch(idx)
 	if err != nil {
 		s.stats.probeFailures.Add(1)
 		s.noteFailure(idx, err)

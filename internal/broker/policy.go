@@ -200,24 +200,66 @@ func (s *placerState) pick(spec JobSpec, exclude map[int]bool) (int, bool) {
 	return best.idx, found
 }
 
-// rank fills r with every non-retired endpoint, keyed once, the best
-// candidate in front.
-func (s *placerState) rank(spec JobSpec, r *Ranking) {
-	r.cands, r.next, r.sorted, r.cursor = r.cands[:0], 0, false, -1
-	if cap(r.cands) < len(s.eps) {
-		r.cands = make([]candidate, 0, len(s.eps)) // one allocation, not a doubling run
-	}
-	for i, st := range s.eps {
-		if !st.retired {
-			r.cands = append(r.cands, candidate{})
-			s.keyed(&r.cands[len(r.cands)-1], i, spec)
+// rank brings r up to date for spec: the endpoints that changed since r
+// was last ranked are re-keyed and inserted into the rest, which are still
+// in order. Everything counts as changed when r was ranked for another
+// placer, spec or endpoint set (a zero Ranking is the first case) and
+// always under RoundRobin: its keys are positions relative to the cursor,
+// which every walk moves, and a markdown moves where the down endpoints
+// start.
+func (s *placerState) rank(p *Placer, spec JobSpec, r *Ranking) {
+	all := r.pl != p || r.gen != s.gen || r.spec != spec || s.policy == RoundRobin
+	since := r.stamp
+	r.pl, r.gen, r.stamp, r.spec = p, s.gen, s.stamp, spec
+	r.next, r.cursor = 0, -1
+	kept := 0
+	if all {
+		if cap(r.keys) < len(s.eps) {
+			r.keys, r.order = make([]candidate, len(s.eps)), make([]int, 0, len(s.eps))
 		}
+		r.keys, r.order = r.keys[:len(s.eps)], r.order[:0]
+		for i, st := range s.eps {
+			if !st.retired {
+				r.order = append(r.order, i)
+			}
+		}
+	} else {
+		// The unchanged move to the front of the order, still in order;
+		// the changed end up behind them.
+		for k, i := range r.order {
+			if s.eps[i].changed <= since {
+				r.order[k], r.order[kept] = r.order[kept], i
+				kept++
+			}
+		}
+	}
+	for _, i := range r.order[kept:] {
+		s.keyed(&r.keys[i], i, spec)
 	}
 	if s.policy == RoundRobin {
 		r.cursor = 0
-		s.orderRoundRobin(r.cands)
+		s.orderRoundRobin(r.keys, r.order)
 	}
-	selectFirst(r.cands)
+	for k := kept; k < len(r.order); k++ {
+		r.insert(k)
+	}
+}
+
+// insert moves the endpoint in place k of the order down to its place
+// among places 0..k-1, which are in order, found by binary search.
+func (r *Ranking) insert(k int) {
+	i := r.order[k]
+	c := &r.keys[i]
+	lo, hi := 0, k
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); r.keys[r.order[m]].before(c) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	copy(r.order[lo+1:k+1], r.order[lo:k])
+	r.order[lo] = i
 }
 
 // orderRoundRobin turns the cyclic positions keyed computed into the
@@ -226,30 +268,17 @@ func (s *placerState) rank(spec JobSpec, r *Ranking) {
 // sits after the last of them and the down endpoints follow cyclically
 // from there. Positions become absolute — ups 0..n-1, downs n..2n-1 — so
 // Next can tell how far round a handed-out candidate lies.
-func (s *placerState) orderRoundRobin(cands []candidate) {
+func (s *placerState) orderRoundRobin(keys []candidate, order []int) {
 	n := len(s.eps)
 	start, far := s.rr, uint64(0)
-	for _, c := range cands {
-		if c.tier&tierDown == 0 && c.key[0] >= far {
+	for _, i := range order {
+		if c := &keys[i]; c.tier&tierDown == 0 && c.key[0] >= far {
 			start, far = c.idx+1, c.key[0]
 		}
 	}
-	for i := range cands {
-		if c := &cands[i]; c.tier&tierDown != 0 {
+	for _, i := range order {
+		if c := &keys[i]; c.tier&tierDown != 0 {
 			c.key[0] = uint64(n + (c.idx-start%n+n)%n)
 		}
-	}
-}
-
-// selectFirst swaps the first candidate of the order to the front.
-func selectFirst(cands []candidate) {
-	m := 0
-	for j := 1; j < len(cands); j++ {
-		if cands[j].before(&cands[m]) {
-			m = j
-		}
-	}
-	if m != 0 {
-		cands[0], cands[m] = cands[m], cands[0]
 	}
 }

@@ -162,19 +162,7 @@ func randomFleet(rng *rand.Rand, policy Policy) *Placer {
 		p.Add(Endpoint{Link: testLinks[rng.Intn(len(testLinks))]})
 		st := p.state.eps[i]
 		if rng.Intn(3) > 0 { // probed
-			load := &protocol.StatsReply{SessionsLive: uint32(rng.Intn(3))}
-			for d := rng.Intn(3); d > 0; d-- {
-				load.Devices = append(load.Devices, protocol.DeviceStats{
-					BusyNanos: uint64(rng.Intn(2)), BytesInUse: uint64(rng.Intn(2)),
-				})
-			}
-			if rng.Intn(3) > 0 {
-				load.HasClasses = true
-				for c := range load.Classes {
-					load.Classes[c] = protocol.ClassLoad{Sessions: uint32(rng.Intn(2)), P99WaitNanos: uint64(rng.Intn(2))}
-				}
-			}
-			st.load = load
+			st.load = randomLoad(rng)
 		}
 		st.placed = int64(rng.Intn(3))
 		st.up = rng.Intn(3) > 0
@@ -182,6 +170,24 @@ func randomFleet(rng *rand.Rand, policy Policy) *Placer {
 	}
 	p.state.rr = rng.Intn(n + 1)
 	return p
+}
+
+// randomLoad is a probe reply from ranges narrow enough for ties, with the
+// class block two times in three.
+func randomLoad(rng *rand.Rand) *protocol.StatsReply {
+	load := &protocol.StatsReply{SessionsLive: uint32(rng.Intn(3))}
+	for d := rng.Intn(3); d > 0; d-- {
+		load.Devices = append(load.Devices, protocol.DeviceStats{
+			BusyNanos: uint64(rng.Intn(2)), BytesInUse: uint64(rng.Intn(2)),
+		})
+	}
+	if rng.Intn(3) > 0 {
+		load.HasClasses = true
+		for c := range load.Classes {
+			load.Classes[c] = protocol.ClassLoad{Sessions: uint32(rng.Intn(2)), P99WaitNanos: uint64(rng.Intn(2))}
+		}
+	}
+	return load
 }
 
 func randomSpec(rng *rand.Rand) JobSpec {
@@ -317,6 +323,92 @@ func TestFullMarksOnlyDefer(t *testing.T) {
 	}
 }
 
+// noteRandomly applies one random change through the Placer's API — every
+// call that can move an endpoint's ranking inputs or the endpoint set, and
+// some that cannot.
+func noteRandomly(rng *rand.Rand, p *Placer) {
+	n := p.Len()
+	i := rng.Intn(n)
+	switch rng.Intn(10) {
+	case 0:
+		p.NotePlaced(i)
+	case 1, 2:
+		p.NoteSpill(i)
+	case 3:
+		p.NoteRelease(i)
+	case 4:
+		p.NoteProbe(i, randomLoad(rng), nil)
+	case 5:
+		p.NoteProbe(i, nil, errors.New("probe timed out"))
+	case 6:
+		p.NoteFailure(i, errors.New("connection refused"))
+	case 7:
+		p.NoteMigration(i, 1)
+	case 8:
+		if n < 16 {
+			p.Add(Endpoint{Link: testLinks[rng.Intn(len(testLinks))]})
+		}
+	case 9:
+		if rng.Intn(3) == 0 {
+			p.Retire(i)
+		}
+	}
+}
+
+// walkPrefix hands out up to n candidates of a ranking for spec, recording
+// the round-robin cursor after each.
+func walkPrefix(p *Placer, spec JobSpec, r *Ranking, n int) (order, cursors []int) {
+	p.Rank(spec, r)
+	for len(order) < n {
+		idx, ok := r.Next()
+		if !ok {
+			break
+		}
+		order = append(order, idx)
+		cursors = append(cursors, p.state.rr)
+	}
+	return order, cursors
+}
+
+// TestKeptRankingMatchesFresh is the reuse property: a Ranking ranked again
+// after any sequence of changes made through the Placer's API hands out
+// exactly what a zero Ranking would, with the same round-robin cursor
+// after every step. Walks stop at random depths, as placements do; each
+// spec mostly keeps its own Ranking, as loadgen's classes do, and now and
+// then borrows another spec's.
+func TestKeptRankingMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for iter := 0; iter < 1500; iter++ {
+		policy := allPolicies[iter%len(allPolicies)]
+		p := NewPlacer(policy)
+		for n := 1 + rng.Intn(8); n > 0; n-- {
+			p.Add(Endpoint{Link: testLinks[rng.Intn(len(testLinks))]})
+		}
+		specs := []JobSpec{randomSpec(rng), randomSpec(rng), randomSpec(rng)}
+		kept := make([]Ranking, len(specs))
+		for step := 0; step < 30; step++ {
+			for k := rng.Intn(4); k > 0; k-- {
+				noteRandomly(rng, p)
+			}
+			k := rng.Intn(len(specs))
+			kr := k
+			if rng.Intn(4) == 0 {
+				kr = rng.Intn(len(kept))
+			}
+			depth := 1 + rng.Intn(p.Len()+1)
+			rr0 := p.state.rr
+			var fresh Ranking
+			want, wantCursors := walkPrefix(p, specs[k], &fresh, depth)
+			p.state.rr = rr0 // the fresh walk moved it; the kept one must move it the same
+			got, gotCursors := walkPrefix(p, specs[k], &kept[kr], depth)
+			if !equalInts(got, want) || !equalInts(gotCursors, wantCursors) {
+				t.Fatalf("iter %d step %d (%v, spec %d): kept walk %v cursors %v, fresh %v cursors %v",
+					iter, step, policy, k, got, gotCursors, want, wantCursors)
+			}
+		}
+	}
+}
+
 func walkOf(p *Placer, spec JobSpec) []int {
 	var r Ranking
 	p.Rank(spec, &r)
@@ -418,6 +510,16 @@ func TestPlacementAllocations(t *testing.T) {
 	walk() // sizes the buffer
 	if n := testing.AllocsPerRun(100, walk); n != 0 {
 		t.Errorf("full ranked walk with a reused buffer: %v allocs, want 0", n)
+	}
+	i := 0
+	rerank := func() {
+		p.NotePlaced(i % 64)
+		p.NoteSpill((i + 7) % 64)
+		i++
+		p.Rank(JobSpec{}, &r)
+	}
+	if n := testing.AllocsPerRun(100, rerank); n != 0 {
+		t.Errorf("kept ranking re-keying two endpoints: %v allocs, want 0", n)
 	}
 }
 

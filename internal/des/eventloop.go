@@ -39,11 +39,25 @@ func (l *EventLoop) At(delay time.Duration, fn func()) {
 	if fn == nil {
 		panic("des: EventLoop.At with nil callback")
 	}
+	l.schedule(delay, thunk(fn), 0)
+}
+
+// AtArg schedules fn(arg) to run at now+delay, like At. A callback bound
+// once and handed its event's data as arg lets a caller schedule many
+// distinct events without building a closure for each.
+func (l *EventLoop) AtArg(delay time.Duration, fn func(int64), arg int64) {
+	if fn == nil {
+		panic("des: EventLoop.AtArg with nil callback")
+	}
+	l.schedule(delay, argFunc(fn), arg)
+}
+
+func (l *EventLoop) schedule(delay time.Duration, fn callback, arg int64) {
 	if delay < 0 {
 		delay = 0
 	}
 	l.seq++
-	l.events = append(l.events, timer{at: l.now + delay, seq: l.seq, fn: fn})
+	l.events = append(l.events, timer{at: l.now + delay, seq: l.seq, fn: fn, arg: arg})
 	l.siftUp(len(l.events) - 1)
 }
 
@@ -66,17 +80,30 @@ func (l *EventLoop) Run() time.Duration {
 			panic(fmt.Sprintf("des: event loop time went backwards: %v -> %v", l.now, e.at))
 		}
 		l.now = e.at
-		e.fn()
+		e.fn.fire(e.arg)
 	}
 	return l.now
 }
 
-// timer is one pending callback.
+// timer is one pending callback: fn fires with arg.
 type timer struct {
 	at  time.Duration
 	seq int64
-	fn  func()
+	fn  callback
+	arg int64
 }
+
+// callback is what a timer fires. Both kinds are single func values, which
+// an interface holds without allocating.
+type callback interface{ fire(arg int64) }
+
+type thunk func()
+
+func (f thunk) fire(int64) { f() }
+
+type argFunc func(int64)
+
+func (f argFunc) fire(arg int64) { f(arg) }
 
 func (a *timer) before(b *timer) bool {
 	if a.at != b.at {

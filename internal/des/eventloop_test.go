@@ -127,21 +127,44 @@ func TestEventLoopHeapOrder(t *testing.T) {
 	}
 }
 
+// TestEventLoopAtArg checks that an argument rides with its event: one
+// bound callback scheduled many times sees each event's own argument, in
+// (time, schedule order) among plain callbacks.
+func TestEventLoopAtArg(t *testing.T) {
+	l := NewEventLoop()
+	var got []int64
+	fn := func(arg int64) { got = append(got, arg) }
+	l.AtArg(2*time.Millisecond, fn, 7<<32|3)
+	l.At(time.Millisecond, func() { got = append(got, -1) })
+	l.AtArg(time.Millisecond, fn, 5)
+	l.Run()
+	want := []int64{-1, 5, 7<<32 | 3}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+}
+
 // TestEventLoopAllocations gates the typed heap: scheduling and firing a
-// pre-built callback at a steady heap size costs no allocation.
+// pre-built callback at a steady heap size costs no allocation, with or
+// without an argument.
 func TestEventLoopAllocations(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	l := NewEventLoop()
 	fn := func() {}
+	argFn := func(int64) {}
 	for i := 0; i < 1024; i++ {
 		l.At(time.Duration(i)*time.Microsecond, fn)
 	}
 	l.Run() // sizes the heap's backing array
 	n := testing.AllocsPerRun(10, func() {
 		for i := 0; i < 1024; i++ {
-			l.At(time.Duration(i%37)*time.Microsecond, fn)
+			if i%2 == 0 {
+				l.At(time.Duration(i%37)*time.Microsecond, fn)
+			} else {
+				l.AtArg(time.Duration(i%37)*time.Microsecond, argFn, int64(i))
+			}
 		}
 		l.Run()
 	})

@@ -16,6 +16,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rcuda/internal/vclock"
@@ -163,6 +164,9 @@ type Context struct {
 	owned   map[uint32]uint32 // addr -> requested size
 	tl      *timeline
 	dead    bool
+	// spare is the launch frame the last execute left behind (see
+	// launchFrame).
+	spare atomic.Pointer[launchFrame]
 }
 
 // ErrContextDestroyed is returned by operations on a released context.
@@ -485,23 +489,27 @@ func (c *Context) kernel(name string) (*Kernel, error) {
 }
 
 // launchFrame is the state one kernel execution needs: the ExecContext the
-// kernel sees and the parameter reader it points at. Frames are pooled, so
-// a steady-state launch allocates nothing on its way to the kernel.
+// kernel sees and the parameter reader it points at. A context keeps the
+// frame of its last launch for the next, so a steady-state launch
+// allocates nothing on its way to the kernel — not even after a GC cycle,
+// which would empty a sync.Pool. Launches that overlap on one context find
+// the spare taken and build their own.
 type launchFrame struct {
 	ec     ExecContext
 	params ParamReader
 }
 
-var launchFrames = sync.Pool{New: func() any { return new(launchFrame) }}
-
 // execute runs k against device memory and returns its modeled cost (zero
 // for a kernel without a cost model). params is only read, and only until
 // execute returns, so it may alias a buffer the caller reuses afterwards.
 func (c *Context) execute(k *Kernel, grid, block Dim3, shared uint32, params []byte) (time.Duration, error) {
-	f := launchFrames.Get().(*launchFrame)
+	f := c.spare.Swap(nil)
+	if f == nil {
+		f = new(launchFrame)
+	}
 	defer func() {
-		*f = launchFrame{} // do not pin params or the context from the pool
-		launchFrames.Put(f)
+		*f = launchFrame{} // do not pin params past the launch
+		c.spare.Store(f)
 	}()
 	f.params = ParamReader{buf: params}
 	f.ec = ExecContext{ctx: c, Grid: grid, Block: block, Shared: shared, Params: &f.params}

@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -262,10 +263,11 @@ type Result struct {
 var errDaemonDown = errors.New("loadgen: daemon down")
 var errDaemonStalled = errors.New("loadgen: daemon stalled")
 
-// session is one simulated client session.
+// session is one simulated client session. A run keeps one per offered
+// session for its whole length, so every field counts: durability is read
+// from the class.
 type session struct {
-	class   int
-	durable bool
+	class int
 	// enqueued is when the session last entered the queue (arrival or
 	// failover re-enqueue); waits are measured from it.
 	enqueued time.Duration
@@ -274,6 +276,8 @@ type session struct {
 	daemon int
 	// epoch invalidates stale completion events after a failover.
 	epoch int
+	// slot is the session's index in its daemon's sessions while placed.
+	slot int
 }
 
 // daemon is one simulated rcudad.
@@ -282,13 +286,16 @@ type daemon struct {
 	capacity int
 	alive    bool
 	retired  bool
-	live     int
-	sessions map[int]struct{}
+	// sessions holds the resident session ids, in no particular order.
+	sessions []int
 	// classLive counts resident sessions per scheduling class (wire code
 	// minus one, unspecified folded into batch) — the gauges a
 	// scheduler-enabled daemon reports in its stats probe's class block.
 	classLive [protocol.SchedClassBestEffort]int
 }
+
+// live is the number of resident sessions.
+func (d *daemon) live() int { return len(d.sessions) }
 
 type sim struct {
 	cfg    Config
@@ -309,11 +316,15 @@ type sim struct {
 	// room; drain does not try again until capacity changes (release,
 	// spawnDaemon), because the same walk would meet the same refusals.
 	blocked bool
-	// ranking is the one candidate buffer every placement reuses.
-	ranking broker.Ranking
-	// arriveFn is s.arrive bound once: a method value allocates each time
-	// it is taken, and arrivals reschedule themselves once per session.
-	arriveFn func()
+	// rankings holds one kept placement order per class: the class-aware
+	// key depends on the class, so classes sharing a Ranking would re-key
+	// the whole fleet at every switch.
+	rankings []broker.Ranking
+	// arriveFn and completeFn are s.arrive and s.complete bound once:
+	// a method value allocates each time it is taken, and each session
+	// schedules one arrival and at least one completion.
+	arriveFn   func()
+	completeFn func(int64)
 
 	created        int
 	placed         int64
@@ -342,6 +353,24 @@ type sim struct {
 // Run executes one load-generation run to completion (all sessions done or
 // MaxDuration reached) and returns its deterministic Result.
 func Run(cfg Config) (*Result, error) {
+	s, err := newSim(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if s.cfg.Arrival == BurstyOnOff {
+		s.loop.At(s.expDur(s.phaseRNG, s.cfg.BurstOnMean), s.togglePhase)
+	}
+	s.loop.At(s.interarrival(), s.arriveFn)
+	s.loop.At(s.cfg.ProbeEvery, s.probeTick)
+	s.loop.At(s.cfg.SampleEvery, s.sampleTick)
+
+	elapsed := s.loop.Run()
+	return s.result(elapsed), nil
+}
+
+// newSim validates cfg and builds the run's initial fleet, with nothing
+// scheduled yet.
+func newSim(cfg Config) (*sim, error) {
 	cfg = cfg.withDefaults()
 	for i, cl := range cfg.Classes {
 		if cl.Weight <= 0 {
@@ -368,6 +397,7 @@ func Run(cfg Config) (*Result, error) {
 		// Both grow to exactly cfg.Sessions; sized once, neither re-copies.
 		sessions: make([]session, 0, cfg.Sessions),
 		pending:  make([]int, 0, cfg.Sessions),
+		rankings: make([]broker.Ranking, len(cfg.Classes)),
 	}
 	for _, cl := range cfg.Classes {
 		s.totalWeight += cl.Weight
@@ -386,17 +416,9 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Autoscale != nil {
 		s.scaler = broker.NewAutoscaler(*cfg.Autoscale, (*scaleDriver)(s))
 	}
-
-	if cfg.Arrival == BurstyOnOff {
-		s.loop.At(s.expDur(s.phaseRNG, cfg.BurstOnMean), s.togglePhase)
-	}
 	s.arriveFn = s.arrive
-	s.loop.At(s.interarrival(), s.arriveFn)
-	s.loop.At(cfg.ProbeEvery, s.probeTick)
-	s.loop.At(cfg.SampleEvery, s.sampleTick)
-
-	elapsed := s.loop.Run()
-	return s.result(elapsed), nil
+	s.completeFn = s.complete
+	return s, nil
 }
 
 // spawnDaemon adds one daemon to the fleet and registers it with the
@@ -405,7 +427,6 @@ func (s *sim) spawnDaemon() *daemon {
 	d := &daemon{
 		capacity: s.cfg.DaemonCapacity,
 		alive:    true,
-		sessions: make(map[int]struct{}),
 	}
 	d.idx = s.pl.Add(broker.Endpoint{Name: fmt.Sprintf("sim-%d", len(s.daemons))})
 	s.daemons = append(s.daemons, d)
@@ -486,7 +507,6 @@ func (s *sim) arrive() {
 	s.pending = append(s.pending, len(s.sessions))
 	s.sessions = append(s.sessions, session{
 		class:    ci,
-		durable:  cl.Durable,
 		enqueued: s.loop.Now(),
 		hold:     s.expDur(s.holdRNG, cl.HoldMean),
 		daemon:   -1,
@@ -560,9 +580,10 @@ func classIndex(class uint32) int {
 func (s *sim) place(id int) bool {
 	sess := &s.sessions[id]
 	spec := broker.JobSpec{Class: s.cfg.Classes[sess.class].SchedClass}
-	s.pl.Rank(spec, &s.ranking)
+	r := &s.rankings[sess.class]
+	s.pl.Rank(spec, r)
 	for {
-		idx, ok := s.ranking.Next()
+		idx, ok := r.Next()
 		if !ok {
 			return false
 		}
@@ -570,12 +591,10 @@ func (s *sim) place(id int) bool {
 		switch {
 		case !d.alive:
 			s.pl.NoteFailure(idx, errDaemonDown)
-		case d.live >= d.capacity:
+		case d.live() >= d.capacity:
 			s.pl.NoteSpill(idx)
 		default:
-			d.live++
-			d.classLive[classIndex(spec.Class)]++
-			d.sessions[id] = struct{}{}
+			s.attach(d, id)
 			sess.daemon = idx
 			sess.epoch++
 			s.live++
@@ -584,8 +603,7 @@ func (s *sim) place(id int) bool {
 			w := s.loop.Now() - sess.enqueued
 			s.wait.Record(w)
 			s.classWait[sess.class].Record(w)
-			epoch := sess.epoch
-			s.loop.At(sess.hold, func() { s.complete(id, epoch) })
+			s.loop.AtArg(sess.hold, s.completeFn, int64(id)<<32|int64(uint32(sess.epoch)))
 			return true
 		}
 	}
@@ -598,20 +616,40 @@ func (s *sim) release(idx int) {
 	s.blocked = false
 }
 
+// attach records session id as resident on d.
+func (s *sim) attach(d *daemon, id int) {
+	sess := &s.sessions[id]
+	sess.slot = len(d.sessions)
+	d.sessions = append(d.sessions, id)
+	d.classLive[classIndex(s.cfg.Classes[sess.class].SchedClass)]++
+}
+
+// detach removes session id from d's residents, moving the last resident
+// into its slot.
+func (s *sim) detach(d *daemon, id int) {
+	sess := &s.sessions[id]
+	d.classLive[classIndex(s.cfg.Classes[sess.class].SchedClass)]--
+	last := len(d.sessions) - 1
+	moved := d.sessions[last]
+	d.sessions[sess.slot] = moved
+	s.sessions[moved].slot = sess.slot
+	d.sessions = d.sessions[:last]
+}
+
 // complete finishes a session's hold, unless a failover made this event
-// stale.
-func (s *sim) complete(id, epoch int) {
+// stale. ev is the event as place scheduled it: the session id in the high
+// half, the session's epoch at placement in the low half.
+func (s *sim) complete(ev int64) {
 	if s.stopped {
 		return
 	}
+	id, epoch := int(ev>>32), int(uint32(ev))
 	sess := &s.sessions[id]
 	if sess.epoch != epoch || sess.daemon < 0 {
 		return
 	}
 	d := s.daemons[sess.daemon]
-	d.live--
-	d.classLive[classIndex(s.cfg.Classes[sess.class].SchedClass)]--
-	delete(d.sessions, id)
+	s.detach(d, id)
 	s.release(d.idx)
 	sess.daemon = -1
 	sess.epoch++
@@ -630,17 +668,14 @@ func (s *sim) kill(d *daemon) {
 	d.alive = false
 	s.alive--
 	s.pl.NoteFailure(d.idx, errDaemonDown)
-	ids := make([]int, 0, len(d.sessions))
-	for id := range d.sessions {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids) // map order is not deterministic; replay order must be
+	ids := d.sessions
+	sort.Ints(ids) // replay in id order, whatever order placements left
 	for _, id := range ids {
 		sess := &s.sessions[id]
 		sess.daemon = -1
 		sess.epoch++
 		s.live--
-		if sess.durable {
+		if s.cfg.Classes[sess.class].Durable {
 			sess.enqueued = s.loop.Now()
 			s.retry = append(s.retry, id)
 			s.pl.NoteFailover()
@@ -648,9 +683,8 @@ func (s *sim) kill(d *daemon) {
 			s.lostNonDurable++
 		}
 	}
-	d.live = 0
 	d.classLive = [protocol.SchedClassBestEffort]int{}
-	d.sessions = make(map[int]struct{})
+	d.sessions = ids[:0]
 	s.release(d.idx)
 }
 
@@ -695,7 +729,7 @@ func (s *sim) probeTick() {
 			s.pl.NoteProbe(d.idx, nil, errDaemonDown)
 			continue
 		}
-		reply := &protocol.StatsReply{SessionsLive: uint32(d.live)}
+		reply := &protocol.StatsReply{SessionsLive: uint32(d.live())}
 		if s.classed {
 			// A scheduler-enabled daemon answers with the per-class block;
 			// the sim daemon reports its class gauges the same way so the
@@ -776,19 +810,19 @@ func (s *sim) retireCandidate() *daemon {
 	spare := 0
 	for _, d := range s.daemons {
 		if d.alive && !d.retired {
-			spare += d.capacity - d.live
+			spare += d.capacity - d.live()
 		}
 	}
 	for _, d := range s.daemons {
 		if !d.alive || d.retired {
 			continue
 		}
-		if best != nil && d.live >= best.live {
+		if best != nil && d.live() >= best.live() {
 			continue
 		}
-		drainable := spare-(d.capacity-d.live) >= d.live
-		for id := range d.sessions {
-			if !s.sessions[id].durable {
+		drainable := spare-(d.capacity-d.live()) >= d.live()
+		for _, id := range d.sessions {
+			if !s.cfg.Classes[s.sessions[id].class].Durable {
 				drainable = false
 				break
 			}
@@ -806,32 +840,24 @@ func (s *sim) retireCandidate() *daemon {
 // invisible to the session, there is no re-queue and no replay. Reports
 // whether src ended empty.
 func (s *sim) drainByMigration(src *daemon) bool {
-	ids := make([]int, 0, len(src.sessions))
-	for id := range src.sessions {
-		ids = append(ids, id)
-	}
+	ids := slices.Clone(src.sessions) // detach reorders src.sessions
 	sort.Ints(ids)
 	for _, id := range ids {
 		var dest *daemon
 		for _, d := range s.daemons {
-			if d == src || !d.alive || d.retired || d.live >= d.capacity {
+			if d == src || !d.alive || d.retired || d.live() >= d.capacity {
 				continue
 			}
-			if dest == nil || d.capacity-d.live > dest.capacity-dest.live {
+			if dest == nil || d.capacity-d.live() > dest.capacity-dest.live() {
 				dest = d
 			}
 		}
 		if dest == nil {
 			return false // capacity shifted mid-drain; the caller vetoes
 		}
-		ci := classIndex(s.cfg.Classes[s.sessions[id].class].SchedClass)
-		delete(src.sessions, id)
-		src.live--
-		src.classLive[ci]--
+		s.detach(src, id)
 		s.release(src.idx)
-		dest.sessions[id] = struct{}{}
-		dest.live++
-		dest.classLive[ci]++
+		s.attach(dest, id)
 		s.sessions[id].daemon = dest.idx
 		s.pl.NoteMigration(dest.idx, 0)
 	}

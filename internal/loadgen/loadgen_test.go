@@ -405,31 +405,90 @@ func TestBlockedHeadDoesNotRetry(t *testing.T) {
 	}
 }
 
-// TestRunAllocations gates the per-session allocation budget: the session
-// table and queue are sized once, sessions live by value, the placement
-// buffer and the arrival callback are reused, and the event heap is typed —
-// what is left is the completion closure and amortized map growth.
+// TestRoundRobinBlockedHeadCursor pins the corner the blocked-head rule
+// leaves open (DESIGN.md §17): under round-robin a failed walk hands out the
+// marked-down daemons too and moves the cursor past them, so how many failed
+// walks happen decides where the cursor stands when room opens. Four
+// single-slot daemons, 1 and 3 killed, 0 and 2 busy; the third session
+// fails its walk and blocks the queue. A probe then clears the full marks,
+// and the session on daemon 0 completes. Today one failed walk leaves the
+// cursor before daemon 2, so the next walk spills on 2 before it lands on
+// 0; a second failed walk — what the queue did before it blocked — would
+// have left the cursor past 3 and landed on 0 with no spill. The cursor
+// decides the spill count and nothing else: while the head is blocked, room
+// opens on one daemon at a time (a completion) or first on the lowest new
+// index (a spawn, which the cursor, never past the old fleet, reaches
+// first), so where a session lands does not depend on it.
+func TestRoundRobinBlockedHeadCursor(t *testing.T) {
+	run := func(extraWalk bool) (landed int, unblockSpills int64) {
+		s, err := newSim(Config{
+			Seed: 1, Sessions: 10, Policy: broker.RoundRobin,
+			Classes:        []Class{{Name: "x", Weight: 1, HoldMean: time.Second, Durable: true}},
+			InitialDaemons: 4, DaemonCapacity: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.kill(s.daemons[1])
+		s.kill(s.daemons[3])
+		for i := 0; i < 3; i++ {
+			s.arrive()
+		}
+		if s.sessions[0].daemon != 0 || s.sessions[1].daemon != 2 || !s.blocked {
+			t.Fatalf("set-up: sessions on %d and %d, blocked %v", s.sessions[0].daemon, s.sessions[1].daemon, s.blocked)
+		}
+		if extraWalk && s.place(2) {
+			t.Fatal("a second walk over the full fleet placed the session")
+		}
+		s.probeTick()
+		before := s.pl.Stats().Spills
+		s.complete(int64(s.sessions[0].epoch)) // session 0
+		return s.sessions[2].daemon, s.pl.Stats().Spills - before
+	}
+	if landed, spills := run(false); landed != 0 || spills != 1 {
+		t.Errorf("one failed walk: landed on %d after %d spills, want 0 after 1", landed, spills)
+	}
+	if landed, spills := run(true); landed != 0 || spills != 0 {
+		t.Errorf("two failed walks: landed on %d after %d spills, want 0 after 0", landed, spills)
+	}
+}
+
+// TestRunAllocations gates the per-session allocation budget on the two
+// benchmark shapes: the session table and queue are sized once, sessions
+// live by value, residents sit in slices, the placement orders are kept
+// per class, completions are closure-free events and the event heap is
+// typed — what is left is amortized slice growth and per-probe replies.
 func TestRunAllocations(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	const sessions = 10_000
-	cfg := Config{
-		Seed: 1, Sessions: sessions, Arrival: BurstyOnOff, Rate: 6_000, BurstFactor: 6,
-		Classes:        schedMix(),
-		Policy:         broker.ClassAware,
-		InitialDaemons: 2, DaemonCapacity: 32,
-		Autoscale: &broker.AutoscalerConfig{Min: 2, Max: 48, DaemonCapacity: 32, Cooldown: 100 * time.Millisecond},
-	}
-	perRun := testing.AllocsPerRun(3, func() {
-		if _, err := Run(cfg); err != nil {
-			t.Fatal(err)
+	for _, name := range []string{"scale-down-migrate", "scale-100k-classes"} {
+		cfg := ScenarioConfig(name)
+		perRun := testing.AllocsPerRun(2, func() {
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if perSession := perRun / float64(cfg.Sessions); perSession > 0.2 {
+			t.Errorf("%s: %.3f allocations per session (%.0f per run), want <= 0.2", name, perSession, perRun)
+		} else {
+			t.Logf("%s: %.3f allocations per session", name, perSession)
 		}
-	})
-	if perSession := perRun / sessions; perSession > 4 {
-		t.Errorf("%.2f allocations per session (%.0f per run), want <= 4", perSession, perRun)
-	} else {
-		t.Logf("%.2f allocations per session", perSession)
+	}
+}
+
+// BenchmarkRunScaleDown and BenchmarkRunClasses time the two fleet shapes
+// bench/'s fleet_place runs, at their BENCH_loadscale.json seeds.
+func BenchmarkRunScaleDown(b *testing.B) { benchmarkScenario(b, "scale-down-migrate") }
+
+func BenchmarkRunClasses(b *testing.B) { benchmarkScenario(b, "scale-100k-classes") }
+
+func benchmarkScenario(b *testing.B, name string) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(ScenarioConfig(name)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

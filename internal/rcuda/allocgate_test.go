@@ -2,8 +2,12 @@ package rcuda
 
 import (
 	"bytes"
+	"math"
+	"runtime"
 	"testing"
+	"time"
 
+	"rcuda/internal/calib"
 	"rcuda/internal/cudart"
 	"rcuda/internal/gpu"
 	"rcuda/internal/kernels"
@@ -137,5 +141,57 @@ func TestInferenceRequestAllocationGate(t *testing.T) {
 				t.Error("no batch frame reached the server; the gate measured the wrong path")
 			}
 		})
+	}
+}
+
+// TestBatchedInferenceAllocatesNothingAfterGC: 100 batched inference
+// requests over a loopback socket to a WFQ server, started right after two
+// GC cycles have emptied every sync.Pool, allocate nothing on either end.
+// Each connection receives into the small buffer it kept from its previous
+// frame and each device context launches with the frame it kept from its
+// previous launch (DESIGN.md §23), so a GC triggered by unrelated garbage
+// no longer sends the next call to an empty pool. Two one-off allocations
+// are kept out of the count: the runtime builds each type assertion's
+// call-site cache once per process, at a random one of its calls (the long
+// warm-up, and the best of three rounds), and runs its own cleanups right
+// after a GC (the pause). A pool emptied by GC strays in every round.
+func TestBatchedInferenceAllocatesNothingAfterGC(t *testing.T) {
+	skipUnderRace(t)
+	lb := startLoopback(t, nil, WithScheduler(sched.WFQ))
+	defer lb.stop()
+	conn, err := lb.dial(nil)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := Open(conn, moduleImage(t, calib.MM), WithBatching(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	m := newResidentModel(t, client)
+	requests := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := m.request(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	requests(5000)
+	best := uint64(math.MaxUint64)
+	for round := 0; round < 3 && best > 0; round++ {
+		runtime.GC()
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		requests(100)
+		runtime.ReadMemStats(&after)
+		best = min(best, after.Mallocs-before.Mallocs)
+	}
+	if !bytes.Equal(m.out, m.input) {
+		t.Fatal("24 identity layers did not return the input")
+	}
+	if best != 0 {
+		t.Errorf("100 batched requests after a GC allocate %d times on both ends (best of 3 rounds), want 0", best)
 	}
 }

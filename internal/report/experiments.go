@@ -76,7 +76,7 @@ the simulated measurements exactly as the paper's method prescribes.
 var recordedFS embed.FS
 
 // recordedSections names the fragments in document order.
-var recordedSections = []string{"intro", "pr13", "pr14", "pr15", "pr16", "pr18", "pr21", "pr22"}
+var recordedSections = []string{"intro", "pr13", "pr14", "pr15", "pr16", "pr18", "pr21", "pr22", "pr26"}
 
 func expRecorded(sb *strings.Builder) error {
 	for i, name := range recordedSections {
@@ -267,14 +267,11 @@ func (c Config) expExtensions(sb *strings.Builder) error {
 	// Scale harness + elastic autoscaling: a virtual-clock run through the
 	// broker's real Placer with chaos kills, deterministic from its seed.
 	scale, err := loadgen.Run(loadgen.Config{
-		Seed:     12,
-		Sessions: 50_000,
-		Arrival:  loadgen.BurstyOnOff,
-		Rate:     25_000,
-		Classes: []loadgen.Class{
-			{Name: "train", Weight: 1, HoldMean: 40 * time.Millisecond, Durable: true},
-			{Name: "infer", Weight: 3, HoldMean: 8 * time.Millisecond, Durable: false},
-		},
+		Seed:           12,
+		Sessions:       50_000,
+		Arrival:        loadgen.BurstyOnOff,
+		Rate:           25_000,
+		Classes:        loadgen.StandardMix(),
 		InitialDaemons: 4,
 		DaemonCapacity: 64,
 		Autoscale: &broker.AutoscalerConfig{
@@ -368,34 +365,14 @@ func (c Config) expExtensions(sb *strings.Builder) error {
 // equal the fleet's, and the same run under least-loaded has the same
 // waits exactly.
 func placementAccountingRuns() (scaleDown, classes *loadgen.Result, err error) {
-	scaleDown, err = loadgen.Run(loadgen.Config{
-		Seed: 5, Sessions: 10_000, Arrival: loadgen.BurstyOnOff, Rate: 6_000,
-		BurstOnMean: 400 * time.Millisecond, BurstOffMean: 400 * time.Millisecond,
-		BurstFactor:    6,
-		Classes:        []loadgen.Class{{Name: "train", Weight: 1, HoldMean: 120 * time.Millisecond, Durable: true}},
-		InitialDaemons: 2, DaemonCapacity: 32,
-		Autoscale: &broker.AutoscalerConfig{
-			Min: 2, Max: 48, DaemonCapacity: 32, Cooldown: 100 * time.Millisecond,
-			DownThreshold: 0.6,
-		},
-	})
+	scaleDown, err = loadgen.Run(loadgen.ScenarioConfig("scale-down-migrate"))
 	if err != nil {
 		return nil, nil, err
 	}
 	classMix := func(policy broker.Policy) (*loadgen.Result, error) {
-		return loadgen.Run(loadgen.Config{
-			Seed: 6, Sessions: 100_000, Arrival: loadgen.Poisson, Rate: 40_000,
-			Classes: []loadgen.Class{
-				{Name: "rt", Weight: 1, HoldMean: 5 * time.Millisecond, Durable: true, SchedClass: protocol.SchedClassRealtime},
-				{Name: "batch", Weight: 2, HoldMean: 40 * time.Millisecond, Durable: true, SchedClass: protocol.SchedClassBatch},
-				{Name: "scavenge", Weight: 1, HoldMean: 20 * time.Millisecond, Durable: false, SchedClass: protocol.SchedClassBestEffort},
-			},
-			Policy:         policy,
-			InitialDaemons: 4, DaemonCapacity: 64,
-			Autoscale: &broker.AutoscalerConfig{
-				Min: 4, Max: 64, DaemonCapacity: 64, Cooldown: 250 * time.Millisecond,
-			},
-		})
+		cfg := loadgen.ScenarioConfig("scale-100k-classes")
+		cfg.Policy = policy
+		return loadgen.Run(cfg)
 	}
 	classes, err = classMix(broker.ClassAware)
 	if err != nil {

@@ -220,6 +220,41 @@ func TestPipeSenderOwnsItsSliceWhenSendReturns(t *testing.T) {
 	})
 }
 
+// TestPipeLandedFramesReuseTheReceiveBuffer is the receive-buffer rule on
+// the pipe: the head and tail of the first landed frame take a pooled
+// buffer, and every later one that fits reuses it. The sender encodes every
+// head and tail into the one buffer its end keeps and asks the pool for
+// none.
+func TestPipeLandedFramesReuseTheReceiveBuffer(t *testing.T) {
+	const frames, size = 8, LandFloor
+	a, b := Pipe(netsim.IB40G(), vclock.NewSim(), nil)
+	defer a.Close()
+	within("landed frames", func() {
+		go func() {
+			data := make([]byte, size)
+			for i := 0; i < frames; i++ {
+				if err := a.Send(bulkOf(data, uint32(i), byte(i))); err != nil {
+					t.Errorf("send %d: %v", i, err)
+					return
+				}
+			}
+		}()
+		l := &scriptLander{mode: func(n int) (int, int) { return 12, n - 12 }}
+		for i := 0; i < frames; i++ {
+			payload, landed, _, err := b.RecvLanding(l)
+			if err != nil || !intact(payload, landed, uint32(i), byte(i)) {
+				t.Fatalf("frame %d: err %v, or not the bytes that were sent", i, err)
+			}
+		}
+	})
+	if got := poolRequests(b); got != 1 {
+		t.Fatalf("%d landed frames took %d pooled buffers, want 1", frames, got)
+	}
+	if got := poolRequests(a); got != 0 {
+		t.Fatalf("%d bulk sends took %d pooled buffers, want 0", frames, got)
+	}
+}
+
 // TestPipeCloseDuringBulkSends closes the pipe from a third goroutine at a
 // random point of a thousand bulk sends. Every Send returns nil — and then
 // the receiver got that frame, whole — or ErrClosed — and then it never
@@ -384,7 +419,8 @@ func TestPipeBothEndsBulkSendAtOnce(t *testing.T) {
 }
 
 // TestPipeFailedSendReturnsItsFrameBuffer: every failure return of Send
-// hands the pooled frame (the head/tail buffer of a bulk frame) back.
+// hands the pooled frame back. A bulk frame's head and tail take no pooled
+// buffer at all: they live in the end's own buffer (class 0 below).
 func TestPipeFailedSendReturnsItsFrameBuffer(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("sync.Pool drops buffers under the race detector")
@@ -397,13 +433,13 @@ func TestPipeFailedSendReturnsItsFrameBuffer(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		m     protocol.Message
-		class int // bytes asked of the pool
+		class int // bytes asked of the pool; 0 for none
 		arm   func(a *PipeEnd)
 		want  error
 	}{
 		{"closed, small", small, small.WireSize(), func(a *PipeEnd) { _ = a.Close() }, ErrClosed},
-		{"closed, bulk", bulk, 20, func(a *PipeEnd) { _ = a.Close() }, ErrClosed},
-		{"deadline, bulk", bulk, 20, func(a *PipeEnd) { a.SetOpTimeout(time.Millisecond) }, os.ErrDeadlineExceeded},
+		{"closed, bulk", bulk, 0, func(a *PipeEnd) { _ = a.Close() }, ErrClosed},
+		{"deadline, bulk", bulk, 0, func(a *PipeEnd) { a.SetOpTimeout(time.Millisecond) }, os.ErrDeadlineExceeded},
 		{"deadline, full pipe", small, small.WireSize(), func(a *PipeEnd) {
 			for i := 0; i < pipeBuffer; i++ {
 				_ = a.Send(small)
@@ -415,13 +451,21 @@ func TestPipeFailedSendReturnsItsFrameBuffer(t *testing.T) {
 		a, _ := Pipe(netsim.IB40G(), vclock.NewSim(), nil)
 		tc.arm(a)
 		// Empty the class, so that the next buffer in it is the one Send took.
-		for hit := true; hit; {
+		for hit := tc.class > 0; hit; {
 			_, hit = GetBuffer(tc.class)
 		}
 		before := a.Stats()
 		err := a.Send(tc.m)
 		if err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
 			t.Fatalf("%s: send returned %v", tc.name, err)
+		}
+		if tc.class == 0 {
+			if st := a.Stats(); st.PoolHits+st.PoolMisses != before.PoolHits+before.PoolMisses {
+				t.Errorf("%s: send asked the pool for %d buffers, want 0", tc.name,
+					st.PoolHits+st.PoolMisses-before.PoolHits-before.PoolMisses)
+			}
+			_ = a.Close()
+			continue
 		}
 		if st := a.Stats(); st.PoolMisses != before.PoolMisses+1 {
 			t.Fatalf("%s: send took %d fresh buffers, want 1", tc.name, st.PoolMisses-before.PoolMisses)

@@ -252,7 +252,7 @@ type TCPConn struct {
 	opTimeout atomic.Int64  // nanoseconds; 0 disables deadlines
 
 	fw       protocol.FrameWriter // send-side framing state, reused across Sends
-	lastRecv []byte               // previous Recv's pooled payload, recycled on the next Recv
+	lastRecv []byte               // previous Recv's payload buffer; see recvBuffer
 }
 
 var (
@@ -340,8 +340,8 @@ func (t *TCPConn) Send(m protocol.Message) error {
 	return nil
 }
 
-// Recv implements Conn. The payload is read into a pooled buffer that is
-// recycled on the next Recv — see the Conn contract.
+// Recv implements Conn. The payload is read into a buffer the next Recv
+// reuses or recycles (see recvBuffer) — see the Conn contract.
 func (t *TCPConn) Recv() ([]byte, error) {
 	payload, _, _, err := t.RecvLanding(nil)
 	return payload, err
@@ -349,7 +349,7 @@ func (t *TCPConn) Recv() ([]byte, error) {
 
 // RecvLanding implements LandingReceiver: the landed bytes go from the
 // socket (past whatever bufio already holds of them) into the Lander's
-// memory, and only head and tail occupy the pooled buffer.
+// memory, and only head and tail occupy the receive buffer.
 func (t *TCPConn) RecvLanding(l Lander) (payload, landed []byte, at time.Duration, err error) {
 	if t.recvState.Add(recvActive)&recvClosed != 0 {
 		// Started after Close: the reader is gone. The socket says why.
@@ -366,14 +366,33 @@ func (t *TCPConn) RecvLanding(l Lander) (payload, landed []byte, at time.Duratio
 	return payload, landed, NoArrival, err
 }
 
+// keepRecv bounds the receive buffer a connection keeps for its next
+// frame: everything a small call sends fits (a batch frame is capped at
+// 16 KiB by default), and a connection that once received a bigger frame —
+// the init frame's module image, a staged bulk copy — does not hold it for
+// the rest of its life.
+const keepRecv = LandFloor / 4
+
+// recvBuffer returns a buffer of length n for the next received frame,
+// taking *last, the previous receive's buffer. That buffer is valid only
+// until this receive, so when the frame fits and the buffer is small it is
+// simply reused: a connection in steady state then never touches the pool,
+// whose contents every GC cycle drops. Otherwise it goes back to the pool
+// and the frame gets a pooled buffer.
+func (c *counters) recvBuffer(last *[]byte, n int) []byte {
+	prev := *last
+	*last = nil
+	if n <= cap(prev) && cap(prev) <= keepRecv {
+		return prev[:n]
+	}
+	PutBuffer(prev)
+	return c.getBuffer(n)[:n]
+}
+
 // recvFrame is one receive on a reader this goroutine holds.
 func (t *TCPConn) recvFrame(l Lander) (payload, landed []byte, err error) {
 	if err := t.armDeadline(t.c.SetReadDeadline); err != nil {
 		return nil, nil, err
-	}
-	if t.lastRecv != nil {
-		PutBuffer(t.lastRecv)
-		t.lastRecv = nil
 	}
 	// Peek the header through bufio instead of protocol.ReadFrameHeader:
 	// reading into a local array through the io.Reader interface would make
@@ -402,7 +421,7 @@ func (t *TCPConn) recvFrame(l Lander) (payload, landed []byte, err error) {
 			head, landed = land(l, n, peek)
 		}
 	}
-	buf := t.getBuffer(n - len(landed))[:n-len(landed)]
+	buf := t.recvBuffer(&t.lastRecv, n-len(landed))
 	// Head, landed bytes, tail: three reads of one frame, the first two
 	// empty for a frame that did not land.
 	var got int
@@ -523,8 +542,9 @@ const pipeBuffer = 16
 //
 // A small frame travels encoded in payload, a pooled buffer that becomes
 // the receiver's. A bulk frame travels by reference: payload holds only its
-// head and tail, and bulk is the sender's own slice, which the receiver
-// copies straight to where the bytes belong while the sender waits.
+// head and tail, in the sending end's sendHead, and bulk is the sender's own
+// slice, which the receiver copies straight to where the bytes belong while
+// the sender waits.
 type pipeMsg struct {
 	payload []byte
 	bulk    []byte // nil unless the frame travels by reference
@@ -575,7 +595,8 @@ type PipeEnd struct {
 	done      chan struct{}
 	closeOnce *sync.Once
 	peer      *PipeEnd
-	lastRecv  []byte         // previous Recv's pooled payload, recycled on the next Recv
+	lastRecv  []byte         // previous Recv's payload buffer; see recvBuffer
+	sendHead  []byte         // head and tail of the last by-reference Send
 	peek      [LandPeek]byte // what a Lander sees of a by-reference frame
 	opTimeout atomic.Int64   // nanoseconds; 0 disables deadlines
 	sentAt    atomic.Int64   // departure stamp of the last Send; -1 before the first
@@ -647,20 +668,25 @@ func Pipe(link *netsim.Link, clock vclock.Clock, noise *netsim.Noise) (client, s
 // shared clock and enqueues the frame at the peer, stamped with its arrival
 // instant. Like a socket write, it returns with the caller's memory the
 // caller's again: a bulk payload is not copied here but by the peer's
-// receive, which Send waits for.
+// receive, which Send waits for. That wait is also why a by-reference
+// frame's head and tail can live in one buffer the end keeps for its next
+// such Send, instead of in a pooled buffer every GC cycle would drop.
 func (p *PipeEnd) Send(m protocol.Message) error {
 	n := m.WireSize()
 	var msg pipeMsg
 	if seg, ok := m.(protocol.Segmented); ok && len(seg.SegmentBulk()) >= LandFloor {
 		msg.bulk = seg.SegmentBulk()
-		msg.payload = seg.SegmentHead(p.getBuffer(n - len(msg.bulk)))
+		msg.payload = seg.SegmentHead(p.sendHead[:0])
 		msg.head = len(msg.payload)
 		msg.payload = seg.SegmentTail(msg.payload)
+		p.sendHead = msg.payload
 	} else {
 		msg.payload = m.Encode(p.getBuffer(n))
 	}
 	if got := len(msg.payload) + len(msg.bulk); got != n {
-		PutBuffer(msg.payload)
+		if msg.bulk == nil {
+			PutBuffer(msg.payload)
+		}
 		return fmt.Errorf("transport: %T encoded %d bytes, declared %d", m, got, n)
 	}
 	return p.transmit(msg)
@@ -673,10 +699,10 @@ func (p *PipeEnd) Send(m protocol.Message) error {
 // frame is abandoned — unless the receiver already holds it, in which case
 // the copy, which is bounded, is waited out and the frame counts as sent. An
 // error therefore means the peer never read the bulk bytes and never will.
-// msg.payload goes back to the pool unless a receiver now owns it.
+// A buffered msg.payload goes back to the pool unless a receiver now owns it.
 func (p *PipeEnd) transmit(msg pipeMsg) (err error) {
 	defer func() {
-		if err != nil || msg.bulk != nil {
+		if err != nil && msg.bulk == nil {
 			PutBuffer(msg.payload)
 		}
 	}()
@@ -756,18 +782,14 @@ func (p *PipeEnd) RecvTimed() ([]byte, time.Duration, error) {
 	return payload, at, err
 }
 
-// RecvLanding implements LandingReceiver. The payload occupies a pooled
-// buffer that is recycled on the next receive — see the Conn contract. A
-// frame that arrives by reference is copied out of the sender's memory
-// here, once: its bulk bytes into the Lander's memory and the rest into a
-// pooled buffer, or all of it into the buffer when nothing lands. A
+// RecvLanding implements LandingReceiver. The payload occupies a buffer
+// the next receive reuses or recycles — see the Conn contract. A frame
+// that arrives by reference is copied out of the sender's memory here,
+// once: its bulk bytes into the Lander's memory and the rest into a
+// buffer from recvBuffer, or all of it into the buffer when nothing lands. A
 // buffered frame is the receiver's already, and lands by copying its bulk
 // bytes out of it.
 func (p *PipeEnd) RecvLanding(l Lander) (payload, landed []byte, at time.Duration, err error) {
-	if p.lastRecv != nil {
-		PutBuffer(p.lastRecv)
-		p.lastRecv = nil
-	}
 	expired, timer := p.opDeadline()
 	if timer != nil {
 		defer timer.Stop()
@@ -799,14 +821,18 @@ func (p *PipeEnd) RecvLanding(l Lander) (payload, landed []byte, at time.Duratio
 			msg.copyOut(p.peek[:], 0)
 			head, landed = land(l, n, p.peek[:])
 		}
-		payload = p.getBuffer(n - len(landed))[:n-len(landed)]
+		payload = p.recvBuffer(&p.lastRecv, n-len(landed))
 		msg.copyOut(payload[:head], 0)
 		msg.copyOut(landed, head)
 		msg.copyOut(payload[head:], head+len(landed))
-	} else if offered(l, n) {
-		if head, landed = land(l, n, payload[:LandPeek]); landed != nil {
-			bulkEnd := head + copy(landed, payload[head:])
-			payload = payload[:head+copy(payload[head:], payload[bulkEnd:])]
+	} else {
+		// The frame arrived in a buffer of its own; the kept one goes back.
+		PutBuffer(p.lastRecv)
+		if offered(l, n) {
+			if head, landed = land(l, n, payload[:LandPeek]); landed != nil {
+				bulkEnd := head + copy(landed, payload[head:])
+				payload = payload[:head+copy(payload[head:], payload[bulkEnd:])]
+			}
 		}
 	}
 	p.lastRecv = payload
