@@ -33,8 +33,9 @@ type benchResult struct {
 	BytesRecv int64  `json:"bytes_recv"`
 	Digest    string `json:"digest"`
 	Verified  bool   `json:"verified"`
-	// ModelUS is perfmodel's analytic wire time for the same session; the
-	// gap to ElapsedUS is the device residual, near zero by construction.
+	// ModelUS is perfmodel's analytic wire time for the same session, plus
+	// the device waits its schedule exposes; the gap to ElapsedUS is the
+	// device residual, near zero by construction.
 	ModelUS int64 `json:"model_us"`
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"rcuda/internal/calib"
 	"rcuda/internal/netsim"
 	"rcuda/internal/protocol"
 )
@@ -43,8 +44,8 @@ type InferenceSpec struct {
 	Polls int
 	// Batched selects the coalesced wire schedule (rcuda.WithBatching):
 	// the per-request copy, launches, and event record ride one OpBatch
-	// frame, and device property polls are answered from the client cache
-	// after the first.
+	// frame that the event synchronization closes, and device property
+	// polls are answered from the client cache after the first.
 	Batched bool
 	// DeviceName sizes the cudaGetDeviceProperties response.
 	DeviceName string
@@ -55,6 +56,11 @@ type InferenceSpec struct {
 type InferenceMsg struct {
 	Op                   protocol.Op
 	SendBytes, RecvBytes int64
+	// Wait is how long the server holds the response for device work no
+	// wire time hides: a batched frame's closing synchronization waits out
+	// the frame's input copy and launches, which a synchronization of its
+	// own would have overlapped with its flight.
+	Wait time.Duration
 }
 
 // launchWireBytes is the wire size of one sgemm layer launch: the fixed
@@ -97,19 +103,22 @@ func InferenceSchedule(spec InferenceSpec) []InferenceMsg {
 		}
 		if spec.Batched {
 			// One OpBatch frame: header + length-prefixed input copy,
-			// per-layer launches, and the event record; one combined
-			// response carrying a code per sub-op.
-			subs := spec.Layers + 2
-			send := int64(16) + (4 + copyBytes) + int64(spec.Layers)*(4+launchBytes) + (4 + 12)
+			// per-layer launches, the event record and, closing the frame,
+			// the event synchronization; one combined response carrying a
+			// code per sub-op.
+			subs := spec.Layers + 3
+			send := int64(16) + (4 + copyBytes) + int64(spec.Layers)*(4+launchBytes) + (4 + 12) + (4 + 8)
 			add(protocol.OpBatch, send, int64(8+4*subs))
+			msgs[len(msgs)-1].Wait = calib.PCIeTime(calib.MM, InferenceDim) +
+				time.Duration(spec.Layers)*calib.KernelTime(calib.MM, InferenceDim)
 		} else {
 			add(protocol.OpMemcpyToDeviceAsync, copyBytes, 4)
 			for l := 0; l < spec.Layers; l++ {
 				add(protocol.OpLaunch, launchBytes, 4)
 			}
 			add(protocol.OpEventRecord, 12, 4)
+			add(protocol.OpEventSynchronize, 8, 4)
 		}
-		add(protocol.OpEventSynchronize, 8, 4)
 		for p := 0; p < spec.Polls; p++ {
 			add(protocol.OpEventQuery, 8, 4)
 		}
@@ -140,7 +149,8 @@ func InferenceTotals(spec InferenceSpec) (msgs int, sendBytes, recvBytes int64) 
 
 // InferenceNetTime prices the session's wire schedule on a link: the sum of
 // every message's send and response wire times, in the strictly synchronous
-// request/response discipline of the protocol.
+// request/response discipline of the protocol, plus the device waits the
+// schedule exposes (InferenceMsg.Wait).
 func InferenceNetTime(link *netsim.Link, spec InferenceSpec) time.Duration {
 	var total time.Duration
 	for _, m := range InferenceSchedule(spec) {
@@ -148,6 +158,7 @@ func InferenceNetTime(link *netsim.Link, spec InferenceSpec) time.Duration {
 		if m.RecvBytes > 0 {
 			total += link.WireTime(m.RecvBytes)
 		}
+		total += m.Wait
 	}
 	return total
 }

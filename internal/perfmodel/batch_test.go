@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"rcuda/internal/calib"
 	"rcuda/internal/netsim"
 	"rcuda/internal/protocol"
 )
@@ -20,8 +21,9 @@ func inferenceSpec(batched bool) InferenceSpec {
 }
 
 // TestInferenceScheduleShape pins the message algebra of both schedules:
-// the batched one replaces each request's 26 fire-and-forget exchanges
-// with one frame and drops all but the first properties poll.
+// the batched one replaces each request's 26 fire-and-forget exchanges and
+// the synchronization that follows them with one frame and drops all but
+// the first properties poll.
 func TestInferenceScheduleShape(t *testing.T) {
 	spec := inferenceSpec(false)
 	setupTeardown := 1 + (spec.Layers+2)*2 + spec.Layers + 2 + 2 + 1 // init, mallocs+frees, uploads, stream+event create/destroy, finalize
@@ -33,7 +35,7 @@ func TestInferenceScheduleShape(t *testing.T) {
 
 	spec.Batched = true
 	batched := InferenceSchedule(spec)
-	perReqBatched := 1 + 1 + spec.Polls + 1 // frame, sync, polls, readback
+	perReqBatched := 1 + spec.Polls + 1 // frame closed by the sync, polls, readback
 	if want := setupTeardown + 1 + spec.Requests*perReqBatched; len(batched) != want {
 		t.Fatalf("batched schedule has %d messages, want %d", len(batched), want)
 	}
@@ -43,15 +45,29 @@ func TestInferenceScheduleShape(t *testing.T) {
 	// the per-sub-op response codes the only receive-side growth.
 	var frames int
 	for _, m := range batched {
+		if m.Op == protocol.OpEventSynchronize {
+			t.Fatal("the batched schedule synchronizes in an exchange of its own")
+		}
 		if m.Op == protocol.OpBatch {
 			frames++
-			subs := spec.Layers + 2
-			if want := int64(16 + (4 + 24 + inferenceMatrixBytes) + spec.Layers*(4+int(launchWireBytes())) + (4 + 12)); m.SendBytes != want {
+			subs := spec.Layers + 3
+			if want := int64(16 + (4 + 24 + inferenceMatrixBytes) + spec.Layers*(4+int(launchWireBytes())) + (4 + 12) + (4 + 8)); m.SendBytes != want {
 				t.Errorf("batch frame carries %d bytes, want %d", m.SendBytes, want)
 			}
 			if want := int64(8 + 4*subs); m.RecvBytes != want {
 				t.Errorf("batch response carries %d bytes, want %d", m.RecvBytes, want)
 			}
+			// The closing synchronization waits out the frame's device work.
+			if want := calib.PCIeTime(calib.MM, InferenceDim) + time.Duration(spec.Layers)*calib.KernelTime(calib.MM, InferenceDim); m.Wait != want {
+				t.Errorf("batch frame waits %v on the device, want %v", m.Wait, want)
+			}
+		} else if m.Wait != 0 {
+			t.Errorf("%v waits %v on the device; only a frame's closing synchronization does", m.Op, m.Wait)
+		}
+	}
+	for _, m := range unbatched {
+		if m.Wait != 0 {
+			t.Errorf("unbatched %v waits %v on the device; its own flight hides the work", m.Op, m.Wait)
 		}
 	}
 	if frames != spec.Requests {

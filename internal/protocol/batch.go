@@ -22,7 +22,12 @@ import "fmt"
 // Only operations whose response carries nothing but the result code are
 // batchable (BatchableOp); the decoder enforces it, so a malformed or
 // hostile frame cannot smuggle a data-returning or session-management
-// operation past the per-op dispatch paths.
+// operation past the per-op dispatch paths. The one exception is the frame's
+// closing sub-op: a synchronization or completion query (ClosesBatch) may
+// ride last, behind at least one batchable sub-op, so the sync point that
+// flushes a batch costs no round trip of its own. It runs only if every
+// sub-op before it succeeded; otherwise its code reads 0 and Err carries
+// the earlier failure.
 
 // MaxBatchOps bounds the sub-op count one batch frame may declare, so a
 // corrupt or hostile frame cannot make the decoder allocate absurd slices.
@@ -83,7 +88,9 @@ func (m *BatchRequest) Requests() ([]Request, error) {
 // BatchResponse answers a whole batch: first nonzero sub-op code (4) +
 // count (4) + one result code per sub-op (4n) = 8 + 4n bytes. Err echoes
 // the first nonzero code so a client that only needs the CUDA-style
-// "sticky first error" can skip scanning Codes.
+// "sticky first error" can skip scanning Codes; with the last code it also
+// tells a closing sub-op's own answer (nonzero last) from an earlier
+// failure that kept it from running (zero last, nonzero Err).
 type BatchResponse struct {
 	Err   uint32
 	Codes []uint32
@@ -103,25 +110,28 @@ func (m *BatchResponse) WireSize() int { return 8 + 4*len(m.Codes) }
 
 // BatchResponseHead checks a combined batch response — the declared code
 // count must match the payload length exactly and stay within MaxBatchOps —
-// and returns what a client consumes of it: the first nonzero code and the
-// count.
-func BatchResponseHead(b []byte) (firstErr uint32, codes int, err error) {
+// and returns what a client consumes of it: the first nonzero code, the
+// last code (a closing sub-op's own answer) and the count.
+func BatchResponseHead(b []byte) (firstErr, last uint32, codes int, err error) {
 	if len(b) < 8 {
-		return 0, 0, ErrShortMessage
+		return 0, 0, 0, ErrShortMessage
 	}
 	n := getU32(b, 4)
 	if n > MaxBatchOps {
-		return 0, 0, fmt.Errorf("protocol: batch response declares %d codes (max %d)", n, MaxBatchOps)
+		return 0, 0, 0, fmt.Errorf("protocol: batch response declares %d codes (max %d)", n, MaxBatchOps)
 	}
 	if len(b) != 8+4*int(n) {
-		return 0, 0, fmt.Errorf("protocol: batch response declares %d codes but carries %d bytes", n, len(b)-8)
+		return 0, 0, 0, fmt.Errorf("protocol: batch response declares %d codes but carries %d bytes", n, len(b)-8)
 	}
-	return getU32(b, 0), int(n), nil
+	if n > 0 {
+		last = getU32(b, len(b)-4)
+	}
+	return getU32(b, 0), last, int(n), nil
 }
 
 // DecodeBatchResponse parses a whole combined batch response.
 func DecodeBatchResponse(b []byte) (*BatchResponse, error) {
-	firstErr, n, err := BatchResponseHead(b)
+	firstErr, _, n, err := BatchResponseHead(b)
 	if err != nil {
 		return nil, err
 	}
@@ -136,9 +146,9 @@ func DecodeBatchResponse(b []byte) (*BatchResponse, error) {
 }
 
 // decodeBatch decodes an OpBatch frame for Decode. Every sub-op is fully
-// validated here — length in range, decodable, batchable — so the
-// dispatcher never sees a half-parsed batch. Sub slices alias b under the
-// same ownership contract as the memcpy payloads.
+// validated here — length in range, decodable, batchable or closing the
+// frame — so the dispatcher never sees a half-parsed batch. Sub slices
+// alias b under the same ownership contract as the memcpy payloads.
 func decodeBatch(d *Decoder, b []byte) (Request, error) {
 	if len(b) < 16 {
 		return nil, ErrShortMessage
@@ -168,8 +178,8 @@ func decodeBatch(d *Decoder, b []byte) (Request, error) {
 		if err != nil {
 			return nil, fmt.Errorf("protocol: batch sub-op %d: %w", i, err)
 		}
-		if !BatchableOp(sub.Op()) {
-			return nil, fmt.Errorf("protocol: batch sub-op %d: %v is not batchable", i, sub.Op())
+		if op := sub.Op(); !BatchableOp(op) && (!ClosesBatch(op) || i == 0 || i != int(count)-1) {
+			return nil, fmt.Errorf("protocol: batch sub-op %d: %v is not batchable there", i, op)
 		}
 		m.Subs = append(m.Subs, raw)
 		m.Decoded = append(m.Decoded, sub)

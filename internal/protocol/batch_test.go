@@ -95,8 +95,13 @@ func TestBatchDecodeRejections(t *testing.T) {
 		{"truncated sub-op payload", good[:len(good)-2], "declares"},
 		{"trailing bytes", append(append([]byte(nil), good...), 0), "trailing"},
 		{"empty batch", (&BatchRequest{Seq: 9}).Encode(nil), "empty batch"},
-		{"non-batchable sub-op", batchOf(t, 2, &SyncRequest{}).Encode(nil), "not batchable"},
+		{"non-batchable sub-op", batchOf(t, 2, &MemcpyToHostRequest{Src: 1, Size: 4}).Encode(nil), "not batchable"},
 		{"nested batch", batchOf(t, 3, batchOf(t, 4, &EventRecordRequest{})).Encode(nil), "not batchable"},
+		{"closing sub-op alone", batchOf(t, 2, &SyncRequest{}).Encode(nil), "not batchable"},
+		{"closing sub-op not last", batchOf(t, 2, &EventRecordRequest{}, &SyncRequest{}, &EventRecordRequest{}).Encode(nil), "not batchable"},
+		{"two closing sub-ops", batchOf(t, 2, &EventRecordRequest{}, &SyncRequest{}, &EventOpRequest{Code: OpEventQuery}).Encode(nil), "not batchable"},
+		{"destroy closing", batchOf(t, 2, &EventRecordRequest{}, &StreamOpRequest{Code: OpStreamDestroy, Stream: 1}).Encode(nil), "not batchable"},
+		{"free closing", batchOf(t, 2, &EventRecordRequest{}, &FreeRequest{DevPtr: 1}).Encode(nil), "not batchable"},
 		{"undecodable sub-op", func() []byte {
 			b := &BatchRequest{Seq: 1, Subs: [][]byte{{0xff, 0xff, 0xff, 0xff}}}
 			return b.Encode(nil)
@@ -119,6 +124,34 @@ func TestBatchDecodeRejections(t *testing.T) {
 	}
 }
 
+// TestBatchClosingSubOp: each of the five synchronization and completion
+// queries may close a frame of batchable sub-ops, and decodes as itself.
+func TestBatchClosingSubOp(t *testing.T) {
+	for _, closing := range []Request{
+		&SyncRequest{},
+		&StreamOpRequest{Code: OpStreamSynchronize, Stream: 1},
+		&StreamOpRequest{Code: OpStreamQuery, Stream: 1},
+		&EventOpRequest{Code: OpEventSynchronize, Event: 2},
+		&EventOpRequest{Code: OpEventQuery, Event: 2},
+	} {
+		raw := batchOf(t, 4, &LaunchRequest{Name: "sgemmNN", Stream: 1}, &EventRecordRequest{Event: 2, Stream: 1}, closing).Encode(nil)
+		for name, decode := range map[string]func([]byte) (Request, error){"DecodeRequest": DecodeRequest, "Decoder": new(Decoder).Decode} {
+			req, err := decode(raw)
+			if err != nil {
+				t.Fatalf("%s: %v closing a frame: %v", name, closing.Op(), err)
+			}
+			b := req.(*BatchRequest)
+			last := b.Decoded[len(b.Decoded)-1]
+			if last.Op() != closing.Op() || !bytes.Equal(last.Encode(nil), closing.Encode(nil)) {
+				t.Fatalf("%s: frame closed by %v decodes to %#v", name, closing.Op(), last)
+			}
+			if enc := b.Encode(nil); !bytes.Equal(enc, raw) {
+				t.Fatalf("%s: re-encode mismatch", name)
+			}
+		}
+	}
+}
+
 func TestBatchResponseRoundTrip(t *testing.T) {
 	resp := &BatchResponse{Err: 11, Codes: []uint32{0, 11, 0}}
 	raw := resp.Encode(nil)
@@ -131,6 +164,13 @@ func TestBatchResponseRoundTrip(t *testing.T) {
 	}
 	if back.Err != 11 || len(back.Codes) != 3 || back.Codes[1] != 11 {
 		t.Fatalf("round trip %+v -> %+v", resp, back)
+	}
+	closed := (&BatchResponse{Err: 34, Codes: []uint32{0, 0, 34}}).Encode(nil)
+	if first, last, n, err := BatchResponseHead(closed); err != nil || first != 34 || last != 34 || n != 3 {
+		t.Fatalf("head of a frame whose closing sub-op failed: %d, %d, %d, %v", first, last, n, err)
+	}
+	if first, last, n, err := BatchResponseHead(raw); err != nil || first != 11 || last != 0 || n != 3 {
+		t.Fatalf("head of a frame whose closing sub-op never ran: %d, %d, %d, %v", first, last, n, err)
 	}
 
 	if _, err := DecodeBatchResponse(raw[:6]); err == nil {
@@ -150,6 +190,14 @@ func TestBatchableOp(t *testing.T) {
 	for _, op := range []Op{OpLaunch, OpMemcpyToDeviceAsync, OpEventRecord, OpMemset} {
 		if !BatchableOp(op) {
 			t.Errorf("%v should be batchable", op)
+		}
+		if ClosesBatch(op) {
+			t.Errorf("%v is batchable and must not close a frame", op)
+		}
+	}
+	for _, op := range []Op{OpDeviceSynchronize, OpStreamSynchronize, OpEventSynchronize, OpStreamQuery, OpEventQuery} {
+		if !ClosesBatch(op) {
+			t.Errorf("%v should close a frame", op)
 		}
 	}
 	// Everything returning data, handles, or touching session state stays

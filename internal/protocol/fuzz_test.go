@@ -43,6 +43,22 @@ func FuzzDecodeRequest(f *testing.F) {
 			(&LaunchRequest{Name: "sgemmNN", Params: []byte{1, 2, 3, 4}}).Encode(nil),
 			(&EventRecordRequest{Event: 1, Stream: 1}).Encode(nil),
 		}},
+		// A frame closed by a synchronization, and the three misplacements of
+		// a closing sub-op the decoder rejects: not last, alone, twice.
+		&BatchRequest{Seq: 2, Subs: [][]byte{
+			(&EventRecordRequest{Event: 1, Stream: 1}).Encode(nil),
+			(&EventOpRequest{Code: OpEventSynchronize, Event: 1}).Encode(nil),
+		}},
+		&BatchRequest{Seq: 3, Subs: [][]byte{
+			(&StreamOpRequest{Code: OpStreamSynchronize, Stream: 1}).Encode(nil),
+			(&EventRecordRequest{Event: 1, Stream: 1}).Encode(nil),
+		}},
+		&BatchRequest{Seq: 4, Subs: [][]byte{(&SyncRequest{}).Encode(nil)}},
+		&BatchRequest{Seq: 5, Subs: [][]byte{
+			(&MemsetRequest{DevPtr: 1, Value: 2, Size: 3}).Encode(nil),
+			(&StreamOpRequest{Code: OpStreamQuery, Stream: 1}).Encode(nil),
+			(&EventOpRequest{Code: OpEventQuery, Event: 1}).Encode(nil),
+		}},
 		&SessionRestoreRequest{Session: 9},
 		&MigrateBeginRequest{Total: 64, ChunkSize: 16},
 		&MigrateChunk{Seq: 2, Data: []byte{1, 2, 3}},
@@ -243,8 +259,9 @@ func FuzzChunkAssembler(f *testing.F) {
 
 // FuzzDecodeBatch stresses the OpBatch frame decoder: malformed sub-op
 // lengths, truncated tails, sub-op counts past the cap, and non-batchable
-// sub-ops must all be rejected without panics or absurd allocations, and
-// every accepted frame must re-encode to the identical bytes.
+// sub-ops — a closing one anywhere but last behind a batchable one
+// included — must all be rejected without panics or absurd allocations,
+// and every accepted frame must re-encode to the identical bytes.
 func FuzzDecodeBatch(f *testing.F) {
 	batch := func(seq uint64, subs ...Request) []byte {
 		b := &BatchRequest{Seq: seq}
@@ -260,9 +277,10 @@ func FuzzDecodeBatch(f *testing.F) {
 		&MemsetRequest{DevPtr: 1, Value: 0, Size: 16},
 	)
 	f.Add(good)
-	f.Add(good[:len(good)-3])                          // truncated tail
-	f.Add(good[:17])                                   // cut inside the first sub-op header
-	f.Add(batch(0, &SyncRequest{}))                    // non-batchable sub-op
+	f.Add(good[:len(good)-3])       // truncated tail
+	f.Add(good[:17])                // cut inside the first sub-op header
+	f.Add(batch(0, &SyncRequest{})) // closing sub-op alone
+	f.Add(batch(4, &MemsetRequest{DevPtr: 1, Size: 16}, &EventOpRequest{Code: OpEventQuery, Event: 1}))
 	f.Add(batch(1, &BatchRequest{Subs: [][]byte{{}}})) // nested batch
 	f.Add((&BatchRequest{Seq: 2}).Encode(nil))         // empty batch
 	corrupt := append([]byte(nil), good...)
@@ -291,7 +309,8 @@ func FuzzDecodeBatch(f *testing.F) {
 			t.Fatalf("inconsistent batch: %d subs, %d decoded", len(b.Subs), len(b.Decoded))
 		}
 		for i, sub := range b.Decoded {
-			if !BatchableOp(sub.Op()) {
+			closing := i > 0 && i == len(b.Decoded)-1 && ClosesBatch(sub.Op())
+			if !BatchableOp(sub.Op()) && !closing {
 				t.Fatalf("non-batchable sub-op %d: %v", i, sub.Op())
 			}
 		}

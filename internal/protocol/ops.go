@@ -5,7 +5,7 @@ import "fmt"
 // This file is the op table: everything the code knows about an operation
 // as such — its wire code, its name, how long its request is and how to
 // decode it, whether a retry may re-send it, whether it may ride in a
-// batch, whether it waits for the device scheduler and in which cost
+// batch or close one, whether it waits for the device scheduler and in which cost
 // bucket, which of the paper's phases a trace files it under — is one row
 // of ops. Adding an operation is one constant, one row, one case in the
 // server's dispatch and one client method (DESIGN.md §21).
@@ -145,8 +145,13 @@ type opInfo struct {
 	// anything returning data or a handle, or touching session state,
 	// travels as its own exchange.
 	batchable bool
-	sched     SchedKind
-	phase     Phase
+	// closes: the operation may close an OpBatch frame as its last sub-op,
+	// answered in the frame's reply instead of by an exchange of its own.
+	// Only synchronization and completion queries qualify: each is a pure
+	// wait or read, idempotent, and answered by a bare result code.
+	closes bool
+	sched  SchedKind
+	phase  Phase
 }
 
 // ops is the table, indexed by Op.
@@ -157,17 +162,17 @@ var ops = [opCount]opInfo{
 	OpMemcpyToHost:      {name: "cudaMemcpy (to host)", size: 20, decode: decodeMemcpyToHost, idempotent: true, sched: SchedCopy, phase: PhaseOutput},
 	OpLaunch:            {name: "cudaLaunch", decode: decodeLaunch, batchable: true, sched: SchedLaunch, phase: PhaseKernel},
 	OpFree:              {name: "cudaFree", size: 8, decode: decodeFree, sched: SchedOther, phase: PhaseRelease},
-	OpDeviceSynchronize: {name: "cudaDeviceSynchronize", size: 4, decode: decodeSync, idempotent: true, sched: SchedSync, phase: PhaseKernel},
+	OpDeviceSynchronize: {name: "cudaDeviceSynchronize", size: 4, decode: decodeSync, idempotent: true, closes: true, sched: SchedSync, phase: PhaseKernel},
 	OpFinalize:          {name: "Finalization", size: 4, decode: decodeFinalize, phase: PhaseFinalize},
 
 	OpStreamCreate:        {name: "cudaStreamCreate", size: 4, decode: decodeStreamCreate, sched: SchedOther, phase: PhaseAlloc},
 	OpStreamDestroy:       {name: "cudaStreamDestroy", size: 8, decode: decodeStreamOp, sched: SchedOther, phase: PhaseRelease},
-	OpStreamSynchronize:   {name: "cudaStreamSynchronize", size: 8, decode: decodeStreamOp, idempotent: true, sched: SchedOther, phase: PhaseKernel},
+	OpStreamSynchronize:   {name: "cudaStreamSynchronize", size: 8, decode: decodeStreamOp, idempotent: true, closes: true, sched: SchedOther, phase: PhaseKernel},
 	OpMemcpyToDeviceAsync: {name: "cudaMemcpyAsync (to device)", decode: decodeMemcpyToDeviceAsync, batchable: true, sched: SchedCopy, phase: PhaseInput},
 	OpMemcpyToHostAsync:   {name: "cudaMemcpyAsync (to host)", size: 24, decode: decodeMemcpyToHostAsync, sched: SchedCopy, phase: PhaseOutput},
 	OpEventCreate:         {name: "cudaEventCreate", size: 4, decode: decodeEventCreate, sched: SchedOther, phase: PhaseAlloc},
 	OpEventRecord:         {name: "cudaEventRecord", size: 12, decode: decodeEventRecord, batchable: true, sched: SchedOther, phase: PhaseKernel},
-	OpEventSynchronize:    {name: "cudaEventSynchronize", size: 8, decode: decodeEventOp, idempotent: true, sched: SchedOther, phase: PhaseKernel},
+	OpEventSynchronize:    {name: "cudaEventSynchronize", size: 8, decode: decodeEventOp, idempotent: true, closes: true, sched: SchedOther, phase: PhaseKernel},
 	OpEventElapsed:        {name: "cudaEventElapsedTime", size: 12, decode: decodeEventElapsed, idempotent: true, sched: SchedOther, phase: PhaseKernel},
 	OpEventDestroy:        {name: "cudaEventDestroy", size: 8, decode: decodeEventOp, sched: SchedOther, phase: PhaseRelease},
 
@@ -177,8 +182,8 @@ var ops = [opCount]opInfo{
 	OpMemset:               {name: "cudaMemset", size: 16, decode: decodeMemset, idempotent: true, batchable: true, sched: SchedCopy, phase: PhaseInput},
 	OpMemcpyDeviceToDevice: {name: "cudaMemcpy (device to device)", size: 16, decode: decodeMemcpyD2D, sched: SchedCopy, phase: PhaseKernel},
 
-	OpStreamQuery: {name: "cudaStreamQuery", size: 8, decode: decodeStreamOp, idempotent: true, sched: SchedOther, phase: PhaseKernel},
-	OpEventQuery:  {name: "cudaEventQuery", size: 8, decode: decodeEventOp, idempotent: true, sched: SchedOther, phase: PhaseKernel},
+	OpStreamQuery: {name: "cudaStreamQuery", size: 8, decode: decodeStreamOp, idempotent: true, closes: true, sched: SchedOther, phase: PhaseKernel},
+	OpEventQuery:  {name: "cudaEventQuery", size: 8, decode: decodeEventOp, idempotent: true, closes: true, sched: SchedOther, phase: PhaseKernel},
 
 	// One scheduler grant covers a whole chunked transfer — it is a single
 	// op at the scheduler's granularity, like the one-frame copy it
@@ -234,6 +239,10 @@ func (o Op) Phase() Phase { return o.info().phase }
 
 // BatchableOp reports whether op may ride inside an OpBatch frame.
 func BatchableOp(op Op) bool { return op.info().batchable }
+
+// ClosesBatch reports whether op may close an OpBatch frame: ride as its
+// last sub-op, behind at least one batchable one.
+func ClosesBatch(op Op) bool { return op.info().closes }
 
 // SchedCost returns the scheduler cost bucket of a request and, for a copy,
 // the bytes it moves. SchedNone means the request bypasses the device

@@ -17,7 +17,9 @@ import (
 // and flushes it on the first sync point: any call that needs an answer
 // (StreamSynchronize, EventSynchronize, a memcpy to host, ...), a full
 // batch, or Close. The server executes the sub-ops in order and answers
-// with one combined response.
+// with one combined response. A synchronization or completion query that
+// finds work pending does not follow the frame in an exchange of its own:
+// it closes the frame as its last sub-op, and the one reply answers both.
 //
 // Failure semantics follow CUDA's asynchronous model: a batched call
 // returns nil immediately, and an error it produces on the server surfaces
@@ -78,6 +80,16 @@ func (c *Client) enqueue(req protocol.Request) error {
 	if c.lost {
 		return fmt.Errorf("rcuda: %v: %w", req.Op(), ErrSessionLost)
 	}
+	c.pend(req)
+	c.observe(req.Op(), req.WireSize(), 0)
+	if len(c.pendSubs) >= c.batchMaxOps || c.pendBytes >= c.batchMaxBytes {
+		return c.flushBatch(nil)
+	}
+	return nil
+}
+
+// pend encodes req onto the open batch.
+func (c *Client) pend(req protocol.Request) {
 	if c.pendBuf == nil {
 		c.pendBuf = make([]byte, 0, c.batchMaxBytes)
 	}
@@ -87,20 +99,30 @@ func (c *Client) enqueue(req protocol.Request) error {
 	c.pendSubs = append(c.pendSubs, raw)
 	c.pendBytes += 4 + len(raw)
 	c.cstats.opsCoalesced.Add(1)
-	c.observe(req.Op(), req.WireSize(), 0)
-	if len(c.pendSubs) >= c.batchMaxOps || c.pendBytes >= c.batchMaxBytes {
-		return c.flushBatch()
-	}
-	return nil
+}
+
+// folds reports whether a call of op closes the open batch instead of
+// paying an exchange of its own after flushing it: a synchronization or
+// completion query (protocol.ClosesBatch) that finds batched work pending
+// and no deferred error waiting to be reported first.
+func (c *Client) folds(op protocol.Op) bool {
+	return protocol.ClosesBatch(op) && len(c.pendSubs) > 0 && c.deferredErr == nil && !c.closed.Load()
 }
 
 // flushBatch sends the pending sub-ops as one OpBatch exchange under the
 // retry policy. The pending queue empties whether or not the exchange
-// succeeds — a batch is never re-coalesced — and a sub-op failure reported
-// by the server parks in deferredErr for the next sync point.
-func (c *Client) flushBatch() error {
+// succeeds — a batch is never re-coalesced. Without a closing request, a
+// sub-op failure reported by the server parks in deferredErr for the next
+// sync point. With one (see folds), the request rides last in the frame and
+// flushBatch returns its answer: its own code, or — when an earlier sub-op
+// failed and it never ran — that failure, reported now as a sync point
+// reports it. Either way nothing is parked.
+func (c *Client) flushBatch(closing protocol.Request) error {
 	if len(c.pendSubs) == 0 {
 		return nil
+	}
+	if closing != nil {
+		c.pend(closing)
 	}
 	// The sequence is fixed before the first attempt so a retry re-sends
 	// the identical frame and the server's dedup can recognize it.
@@ -137,14 +159,21 @@ func (c *Client) flushBatch() error {
 	}
 	c.cstats.batchesFlushed.Add(1)
 	c.observe(protocol.OpBatch, req.WireSize(), len(payload))
-	// Only the sticky first error and the count are consumed, so the codes
-	// stay in the reply frame.
-	firstErr, codes, err := protocol.BatchResponseHead(payload)
+	// Only the sticky first error, the last code and the count are consumed,
+	// so the codes stay in the reply frame.
+	firstErr, last, codes, err := protocol.BatchResponseHead(payload)
 	if err != nil {
 		return err
 	}
 	if codes != n {
 		return fmt.Errorf("rcuda: batch response carries %d codes for %d sub-ops", codes, n)
+	}
+	if closing != nil {
+		c.observe(closing.Op(), closing.WireSize(), 4)
+		if last == 0 {
+			last = firstErr
+		}
+		return cudart.Error(last).AsError()
 	}
 	if batchErr := cudart.Error(firstErr).AsError(); batchErr != nil && c.deferredErr == nil {
 		c.deferredErr = batchErr
@@ -160,7 +189,7 @@ func (c *Client) syncPoint() error {
 	if !c.batching {
 		return nil
 	}
-	if err := c.flushBatch(); err != nil {
+	if err := c.flushBatch(nil); err != nil {
 		return err
 	}
 	if err := c.deferredErr; err != nil {
@@ -207,9 +236,18 @@ func (s *Server) dispatchBatch(conn transport.Conn, sess *session, r *protocol.B
 		case *protocol.MemsetRequest:
 			opErr = ctx.Memset(q.DevPtr, byte(q.Value), q.Size)
 		default:
-			// The decoder admits only batchable sub-ops; reaching here means
-			// the protocol and this dispatcher disagree on that set.
-			return fmt.Errorf("rcuda: unbatchable sub-op %v in batch", sub.Op())
+			// The decoder admits only batchable sub-ops and, last, one that
+			// closes the frame; reaching here with anything else means the
+			// protocol and this dispatcher disagree on that set. A closing
+			// sub-op waits on or reads the work before it, so it runs only if
+			// all of that succeeded — as a sync point after a failed batch
+			// reports the failure and is never sent — and otherwise reads 0.
+			if !protocol.ClosesBatch(sub.Op()) {
+				return fmt.Errorf("rcuda: unbatchable sub-op %v in batch", sub.Op())
+			}
+			if firstNonzero(codes) == 0 {
+				opErr = settle(ctx, sub)
+			}
 		}
 		codes = append(codes, code(opErr))
 	}

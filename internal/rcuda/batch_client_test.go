@@ -48,10 +48,10 @@ func startBatchSession(t *testing.T, link *netsim.Link, srvOpts []ServerOption, 
 }
 
 // sgemmBatched runs one 16x16 matrix product through the async path —
-// copies, launch, and event record coalescible — and returns the device
-// result with the CPU oracle's. The device kernel and the oracle share the
-// same Sgemm routine, so the comparison is bit-exact.
-func sgemmBatched(t *testing.T, client *Client, seed int64) (got, want []byte) {
+// copies, launch, and event record coalescible, then settle on the event —
+// and returns the device result with the CPU oracle's. The device kernel and
+// the oracle share the same Sgemm routine, so the comparison is bit-exact.
+func sgemmBatched(t *testing.T, client *Client, seed int64, settle func(cudart.Event) error) (got, want []byte) {
 	t.Helper()
 	const m = 16
 	rng := rand.New(rand.NewSource(seed))
@@ -92,7 +92,7 @@ func sgemmBatched(t *testing.T, client *Client, seed int64) (got, want []byte) {
 	if err := client.EventRecord(event, stream); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.EventSynchronize(event); err != nil {
+	if err := settle(event); err != nil {
 		t.Fatalf("sync after batched work: %v", err)
 	}
 	got = make([]byte, nbytes)
@@ -119,29 +119,31 @@ func sgemmBatched(t *testing.T, client *Client, seed int64) (got, want []byte) {
 
 // TestBatchedSessionCoalescesAndStaysCorrect drives a full matrix product
 // through a batching client: the two async uploads, the launch, and the
-// event record must ride one wire frame, and the numerical result must be
+// event record must ride one wire frame, closed by the event
+// synchronization that follows them, and the numerical result must be
 // bit-identical to the oracle.
 func TestBatchedSessionCoalescesAndStaysCorrect(t *testing.T) {
 	client, srv, cliEnd, cleanup := startBatchSession(t, netsim.GigaE(), nil, WithBatching(0, 0))
 	defer cleanup()
 
 	before := cliEnd.Stats().MessagesSent
-	got, want := sgemmBatched(t, client, 1)
+	got, want := sgemmBatched(t, client, 1, client.EventSynchronize)
 	if !bytes.Equal(got, want) {
 		t.Fatal("batched result differs from the CPU oracle")
 	}
 	cs := client.Stats()
-	if cs.OpsCoalesced != 4 || cs.BatchesFlushed != 1 {
-		t.Fatalf("client batching stats %+v, want 4 coalesced in 1 flush", cs)
+	if cs.OpsCoalesced != 5 || cs.BatchesFlushed != 1 {
+		t.Fatalf("client batching stats %+v, want 5 coalesced in 1 flush", cs)
 	}
 	ss := srv.Stats()
-	if ss.BatchFrames != 1 || ss.BatchedOps != 4 || ss.BatchReplays != 0 {
+	if ss.BatchFrames != 1 || ss.BatchedOps != 5 || ss.BatchReplays != 0 {
 		t.Fatalf("server batching stats %+v", ss)
 	}
 	// 16 synchronous calls would send 16 requests; coalescing 4 of them
-	// into one frame leaves 13 — 3 round trips saved.
+	// and the synchronization after them into one frame leaves 12 — 4
+	// round trips saved.
 	sent := cliEnd.Stats().MessagesSent - before
-	if wantSent := int64(13); sent != wantSent {
+	if wantSent := int64(12); sent != wantSent {
 		t.Fatalf("batched session sent %d messages, want %d", sent, wantSent)
 	}
 }
@@ -152,7 +154,7 @@ func TestUnbatchedSessionUnchanged(t *testing.T) {
 	client, srv, _, cleanup := startBatchSession(t, netsim.GigaE(), nil)
 	defer cleanup()
 
-	got, want := sgemmBatched(t, client, 1)
+	got, want := sgemmBatched(t, client, 1, client.EventSynchronize)
 	if !bytes.Equal(got, want) {
 		t.Fatal("unbatched result differs from the CPU oracle")
 	}
@@ -185,7 +187,8 @@ func TestBatchDeferredErrorSurfacesAtSyncPoint(t *testing.T) {
 }
 
 // TestBatchFlushThresholds checks the size-triggered flush: with a two-op
-// budget, the third coalesced call cannot ride the first frame.
+// budget, the third coalesced call cannot ride the first frame; it rides
+// the second, which the synchronization closes.
 func TestBatchFlushThresholds(t *testing.T) {
 	client, srv, _, cleanup := startBatchSession(t, netsim.GigaE(), nil, WithBatching(2, 0))
 	defer cleanup()
@@ -206,10 +209,10 @@ func TestBatchFlushThresholds(t *testing.T) {
 	if err := client.EventSynchronize(event); err != nil {
 		t.Fatal(err)
 	}
-	if cs := client.Stats(); cs.BatchesFlushed != 2 {
-		t.Fatalf("stats after sync %+v, want the remainder flushed", cs)
+	if cs := client.Stats(); cs.BatchesFlushed != 2 || cs.OpsCoalesced != 4 {
+		t.Fatalf("stats after sync %+v, want the remainder flushed with the sync", cs)
 	}
-	if ss := srv.Stats(); ss.BatchFrames != 2 || ss.BatchedOps != 3 {
+	if ss := srv.Stats(); ss.BatchFrames != 2 || ss.BatchedOps != 4 || ss.Requests != 3 {
 		t.Fatalf("server stats %+v", ss)
 	}
 	if err := client.EventDestroy(event); err != nil {
@@ -249,7 +252,8 @@ func TestBatchByteThresholdFlush(t *testing.T) {
 }
 
 // TestChaosReconnectMidBatch injects a connection reset into the batch
-// exchange itself: the server has executed the frame but the response is
+// exchange itself — a frame the event synchronization closes: the server
+// has executed the frame, synchronization included, but the response is
 // lost. The client must reattach and re-send the identical frame, and the
 // server must answer it from the replay state without executing anything
 // twice — the result stays bit-exact and the frame-executed counter stays
@@ -259,8 +263,9 @@ func TestChaosReconnectMidBatch(t *testing.T) {
 	defer cleanup()
 
 	// Ops 4-9: three mallocs; 10/11: stream create; 12/13: event create;
-	// the four coalesced calls touch no wire; op 14: batch send; op 15:
-	// batch recv — inject the reset there, after the server executed.
+	// the four coalesced calls touch no wire; op 14: send of the batch the
+	// event synchronization closes; op 15: its recv — inject the reset
+	// there, after the server executed.
 	plan := faults.Script(
 		faults.Injection{Op: opsOpenDurable + 11, Dir: faults.DirRecv, Decision: faults.Decision{Kind: faults.KindReset}},
 	)
@@ -276,7 +281,7 @@ func TestChaosReconnectMidBatch(t *testing.T) {
 	}
 	defer client.Close()
 
-	got, want := sgemmBatched(t, client, 7)
+	got, want := sgemmBatched(t, client, 7, client.EventSynchronize)
 	if plan.Injected() == 0 {
 		t.Fatal("scripted fault never fired; op indices drifted")
 	}
@@ -288,11 +293,57 @@ func TestChaosReconnectMidBatch(t *testing.T) {
 		t.Fatalf("client stats %+v", cs)
 	}
 	ss := srv.Stats()
-	if ss.BatchFrames != 1 || ss.BatchReplays != 1 || ss.BatchedOps != 4 {
+	if ss.BatchFrames != 1 || ss.BatchReplays != 1 || ss.BatchedOps != 5 {
 		t.Fatalf("server stats %+v: replayed batch must not re-execute", ss)
 	}
 	if ss.Reattaches != 1 {
 		t.Fatalf("server stats %+v, want one reattach", ss)
+	}
+}
+
+// TestChaosLostReplyOfFrameClosedByQuery loses the reply of a frame that a
+// cudaEventQuery closes, on a device whose clock only its own work moves:
+// the query answered not ready — the frame's launch is still running — and
+// that answer is one of the codes the server remembers. The re-sent frame is
+// answered from them: the query reads not ready again, nothing executes
+// twice, and the synchronization after it finds the result bit-exact.
+func TestChaosLostReplyOfFrameClosedByQuery(t *testing.T) {
+	lb := startLoopback(t, nil)
+	defer lb.stop()
+	// The op indices of TestChaosReconnectMidBatch: op 15 is the recv of
+	// the frame the query closes.
+	plan := faults.Script(
+		faults.Injection{Op: opsOpenDurable + 11, Dir: faults.DirRecv, Decision: faults.Decision{Kind: faults.KindReset}},
+	)
+	dial := lb.dial(plan)
+	conn, err := dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := Open(conn, moduleImage(t, calib.MM),
+		WithBatching(0, 0), WithRetry(4, 100*time.Microsecond), WithReconnect(dial))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	got, want := sgemmBatched(t, client, 11, func(e cudart.Event) error {
+		if err := client.EventQuery(e); !errors.Is(err, cudart.ErrorNotReady) {
+			t.Fatalf("query closing the frame answered %v, want not ready", err)
+		}
+		return client.EventSynchronize(e)
+	})
+	if plan.Injected() == 0 {
+		t.Fatal("scripted fault never fired; op indices drifted")
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("result after losing a query-closed frame's reply differs from the CPU oracle")
+	}
+	if cs := client.Stats(); cs.ConnFaults != 1 || cs.Reconnects != 1 || cs.Recovered != 1 || cs.OpsCoalesced != 5 {
+		t.Fatalf("client stats %+v", cs)
+	}
+	if ss := lb.srv.Stats(); ss.BatchFrames != 1 || ss.BatchReplays != 1 || ss.BatchedOps != 5 || ss.Reattaches != 1 {
+		t.Fatalf("server stats %+v: replayed frame must not re-execute", ss)
 	}
 }
 
@@ -318,7 +369,7 @@ func TestChaosResetBeforeBatchSend(t *testing.T) {
 	}
 	defer client.Close()
 
-	got, want := sgemmBatched(t, client, 9)
+	got, want := sgemmBatched(t, client, 9, client.EventSynchronize)
 	if plan.Injected() == 0 {
 		t.Fatal("scripted fault never fired; op indices drifted")
 	}

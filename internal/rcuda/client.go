@@ -284,10 +284,16 @@ func (c *Client) exchange(req protocol.Request, l transport.Lander) (payload, la
 // callCode runs one exchange whose reply is the bare result code. With
 // batching on, an operation the op table marks batchable is coalesced
 // instead: it returns nil now and its server-side error surfaces at the
-// next sync point.
+// next sync point. A sync point that would flush pending work first closes
+// the pending frame instead, answered by the frame's reply (flushBatch).
 func (c *Client) callCode(req protocol.Request) error {
-	if c.batching && protocol.BatchableOp(req.Op()) {
-		return c.enqueue(req)
+	if c.batching {
+		if protocol.BatchableOp(req.Op()) {
+			return c.enqueue(req)
+		}
+		if c.folds(req.Op()) {
+			return c.flushBatch(req)
+		}
 	}
 	payload, err := c.roundTrip(req)
 	if err != nil {

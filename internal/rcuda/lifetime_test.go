@@ -130,8 +130,10 @@ func TestAbortedBatchKeepsTheDedupWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Batch 1: a record on an event that does not exist, then two memsets
-	// of memory that does: codes {invalid value, success, success}, as many
-	// as the aborted batch will have sub-ops, so its buffer would be reused.
+	// of memory that does, closed by the synchronization, which the failed
+	// record keeps from running: codes {invalid value, success, success, 0},
+	// as many as the aborted batch will have sub-ops, so its buffer would be
+	// reused.
 	ptr, err := client.Malloc(64)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +156,7 @@ func TestAbortedBatchKeepsTheDedupWindow(t *testing.T) {
 	sess := lb.srv.registry[client.SessionID()]
 	lb.srv.mu.Unlock()
 	want := append([]uint32(nil), sess.lastBatchCodes...)
-	if len(want) != 3 || want[0] == 0 || want[1] != 0 {
+	if len(want) != 4 || want[0] == 0 || want[1] != 0 || want[3] != 0 {
 		t.Fatalf("batch 1 left codes %v", want)
 	}
 	// Batch 2 reaches a sub-op dispatch cannot run. No frame decodes to
@@ -162,6 +164,7 @@ func TestAbortedBatchKeepsTheDedupWindow(t *testing.T) {
 	aborted := &protocol.BatchRequest{Seq: 2, Decoded: []protocol.Request{
 		&protocol.MemsetRequest{DevPtr: uint32(ptr), Value: 2, Size: 64},
 		&protocol.MemsetRequest{DevPtr: uint32(ptr), Value: 3, Size: 64},
+		&protocol.MemsetRequest{DevPtr: uint32(ptr), Value: 4, Size: 64},
 		&protocol.FreeRequest{DevPtr: uint32(ptr)},
 	}}
 	if err := lb.srv.dispatchBatch(discardConn{}, sess, aborted); err == nil {

@@ -947,8 +947,8 @@ func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Reque
 		opErr = ctx.LaunchAsync(r.Name, grid, block, r.SharedSize, r.Params, r.Stream)
 	case *protocol.FreeRequest:
 		opErr = ctx.Free(r.DevPtr)
-	case *protocol.SyncRequest:
-		opErr = ctx.Synchronize()
+	case *protocol.SyncRequest, *protocol.StreamOpRequest, *protocol.EventOpRequest:
+		opErr = settle(ctx, req)
 	case *protocol.FinalizeRequest:
 		return true, nil
 
@@ -956,15 +956,6 @@ func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Reque
 		stream, cuErr := ctx.StreamCreate()
 		return false, conn.Send(protocol.Put(&sess.reply.streamCreate,
 			protocol.StreamCreateResponse{Err: code(cuErr), Stream: stream}))
-	case *protocol.StreamOpRequest:
-		switch r.Code {
-		case protocol.OpStreamDestroy:
-			opErr = ctx.StreamDestroy(r.Stream)
-		case protocol.OpStreamQuery:
-			opErr = notReady(ctx.StreamReady(r.Stream))
-		default:
-			opErr = ctx.StreamSynchronize(r.Stream)
-		}
 	case *protocol.MemcpyToDeviceAsyncRequest:
 		opErr = ctx.CopyToDeviceAsync(r.Dst, r.Data, r.Stream)
 	case *protocol.MemcpyToHostAsyncRequest:
@@ -979,15 +970,6 @@ func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Reque
 			protocol.EventCreateResponse{Err: code(cuErr), Event: event}))
 	case *protocol.EventRecordRequest:
 		opErr = ctx.EventRecord(r.Event, r.Stream)
-	case *protocol.EventOpRequest:
-		switch r.Code {
-		case protocol.OpEventDestroy:
-			opErr = ctx.EventDestroy(r.Event)
-		case protocol.OpEventQuery:
-			opErr = notReady(ctx.EventReady(r.Event))
-		default:
-			opErr = ctx.EventSynchronize(r.Event)
-		}
 	case *protocol.EventElapsedRequest:
 		elapsed, cuErr := ctx.EventElapsed(r.Start, r.End)
 		return false, conn.Send(protocol.Put(&sess.reply.eventElapsed, protocol.EventElapsedResponse{
@@ -1042,6 +1024,33 @@ func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Reque
 		return false, fmt.Errorf("rcuda: unhandled request %T", req)
 	}
 	return false, conn.Send(sess.codeReply(opErr))
+}
+
+// settle runs a request of the three shapes the synchronization and
+// completion queries share — device, stream or event — whether it arrived
+// on its own or closing a batch frame (dispatchBatch); the two destroys
+// share the stream and event shapes and run here too, but never close a
+// frame.
+func settle(ctx *gpu.Context, req protocol.Request) error {
+	switch r := req.(type) {
+	case *protocol.StreamOpRequest:
+		switch r.Code {
+		case protocol.OpStreamDestroy:
+			return ctx.StreamDestroy(r.Stream)
+		case protocol.OpStreamQuery:
+			return notReady(ctx.StreamReady(r.Stream))
+		}
+		return ctx.StreamSynchronize(r.Stream)
+	case *protocol.EventOpRequest:
+		switch r.Code {
+		case protocol.OpEventDestroy:
+			return ctx.EventDestroy(r.Event)
+		case protocol.OpEventQuery:
+			return notReady(ctx.EventReady(r.Event))
+		}
+		return ctx.EventSynchronize(r.Event)
+	}
+	return ctx.Synchronize()
 }
 
 // notReady turns a completion query's answer into its result: success once

@@ -53,8 +53,9 @@ type ServerStats struct {
 	// probes and in-session queries.
 	StatsQueries int64
 	// BatchFrames counts OpBatch frames executed (replays excluded) and
-	// BatchedOps the sub-operations they carried — the round trips the
-	// batching layer saved are BatchedOps − BatchFrames.
+	// BatchedOps the sub-operations they carried, a frame's closing
+	// synchronization or query included — the round trips the batching
+	// layer saved are BatchedOps − BatchFrames.
 	BatchFrames int64
 	BatchedOps  int64
 	// BatchReplays counts batches answered from the per-session dedup state
@@ -291,7 +292,8 @@ type ClientStats struct {
 	Recovered int64
 	// BatchesFlushed counts OpBatch frames sent and OpsCoalesced the calls
 	// that rode in them instead of paying their own round trip
-	// (WithBatching).
+	// (WithBatching), a synchronization or query that closed a frame
+	// included.
 	BatchesFlushed int64
 	OpsCoalesced   int64
 	// CacheHits and CacheMisses count immutable-reply lookups served from

@@ -76,7 +76,7 @@ the simulated measurements exactly as the paper's method prescribes.
 var recordedFS embed.FS
 
 // recordedSections names the fragments in document order.
-var recordedSections = []string{"intro", "pr13", "pr14", "pr15", "pr16", "pr18", "pr21", "pr22", "pr26"}
+var recordedSections = []string{"intro", "pr13", "pr14", "pr15", "pr16", "pr18", "pr21", "pr22", "pr26", "pr27", "ledger"}
 
 func expRecorded(sb *strings.Builder) error {
 	for i, name := range recordedSections {
@@ -245,8 +245,9 @@ func (c Config) expExtensions(sb *strings.Builder) error {
 	}
 	fmt.Fprintf(sb, `- **API-call batching + query caching (rcuda.WithBatching, `+"`make bench-batch`"+`)**:
   fire-and-forget calls (async copies, kernel launches, event records,
-  memsets) coalesce into one wire frame that flushes at the next
-  synchronizing call, and immutable device-query replies are cached for
+  memsets) coalesce into one wire frame that the next synchronizing call
+  flushes — or closes, riding it, when it is a synchronization or
+  completion query — and immutable device-query replies are cached for
   the lifetime of the connection. A %d-layer dense inference loop serving
   %d requests — %d round trips per request unbatched — runs %.2fx faster
   on GigaE (%.1f → %.1f sim-ms) and %.2fx on 40GI (%.1f → %.1f sim-ms),

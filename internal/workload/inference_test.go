@@ -44,9 +44,9 @@ func TestInferenceBatchedSpeedup(t *testing.T) {
 
 	// The batching and caching machinery actually carried the loop.
 	// One frame per request carries its input copy, launches, and event
-	// record.
+	// record, closed by the event synchronization.
 	spec := batched.Spec
-	coalesced := int64(spec.Requests * (spec.Layers + 2))
+	coalesced := int64(spec.Requests * (spec.Layers + 3))
 	if got, want := batched.Server.BatchFrames, int64(spec.Requests); got != want {
 		t.Errorf("server executed %d batch frames, want %d", got, want)
 	}
