@@ -1,7 +1,9 @@
 package contention
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -201,6 +203,68 @@ func TestP95Degenerate(t *testing.T) {
 	one := Result{PerClient: []time.Duration{time.Second}}
 	if P95Turnaround(one) != time.Second {
 		t.Fatal("single-client p95")
+	}
+}
+
+// TestRunMatchesParent pins Run to the exact nanoseconds and utilization
+// bits that the goroutine-per-client engine produced before contention
+// moved onto des.EventLoop, across both case studies, both testbed links,
+// one to eight clients and burst or staggered arrivals. Figure 9 and
+// EXPERIMENTS.md print from these runs; a waiter served out of FIFO order
+// moves the per-client rows.
+func TestRunMatchesParent(t *testing.T) {
+	cells := []struct {
+		cs        calib.CaseStudy
+		net       string
+		clients   int
+		stagger   time.Duration
+		perClient []time.Duration
+		makespan  time.Duration
+		linkBits  uint64
+		gpuBits   uint64
+	}{
+		{calib.MM, "GigaE", 1, 0, []time.Duration{15622241232}, 15622241232, 0x3fdc07e07e2cd3b9, 0x3fdbeb4eb01c2e7c},
+		{calib.MM, "GigaE", 1, time.Millisecond, []time.Duration{15622241232}, 15622241232, 0x3fdc07e07e2cd3b9, 0x3fdbeb4eb01c2e7c},
+		{calib.MM, "GigaE", 3, 0, []time.Duration{42624398651, 42624420851, 42624443051}, 42624443051, 0x3fded211ee35fe90, 0x3fdeb2a8347451a9},
+		{calib.MM, "GigaE", 3, time.Millisecond, []time.Duration{42624398651, 42623420851, 42622443051}, 42624443051, 0x3fded211ee35fe90, 0x3fdeb2a8347451a9},
+		{calib.MM, "GigaE", 8, 0, []time.Duration{110241513386, 110241535586, 110241557786, 110241579986, 110241602186, 110241624386, 110241646586, 110241668786}, 110241668786, 0x3fdfc717d7bfd925, 0x3fdfa6b4626bedc2},
+		{calib.MM, "GigaE", 8, time.Millisecond, []time.Duration{110241513386, 110240535586, 110239557786, 110238579986, 110237602186, 110236624386, 110235646586, 110234668786}, 110241668786, 0x3fdfc717d7bfd925, 0x3fdfa6b4626bedc2},
+		{calib.MM, "40GI", 1, 0, []time.Duration{9342376137}, 9342376137, 0x3faed20b7138411c, 0x3fe757d5420db161},
+		{calib.MM, "40GI", 1, time.Millisecond, []time.Duration{9342376137}, 9342376137, 0x3faed20b7138411c, 0x3fe757d5420db161},
+		{calib.MM, "40GI", 3, 0, []time.Duration{23784733934, 23784761834, 23784789734}, 23784789734, 0x3fb228ab9f241e6e, 0x3feb81b420629d89},
+		{calib.MM, "40GI", 3, time.Millisecond, []time.Duration{23784733934, 23783761834, 23782789734}, 23784789734, 0x3fb228ab9f241e6e, 0x3feb81b420629d89},
+		{calib.MM, "40GI", 8, 0, []time.Duration{60002333274, 60002444874, 60002472774, 60002500674, 60002528574, 60002556474, 60002584374, 60002612274}, 60002612274, 0x3fb331e75bd55d66, 0x3fed1379276eece7},
+		{calib.MM, "40GI", 8, time.Millisecond, []time.Duration{60002333274, 60001444874, 60000472774, 59999500674, 59998528574, 59997556474, 59996584374, 59995612274}, 60002612274, 0x3fb331e75bd55d66, 0x3fed1379276eece7},
+		{calib.FFT, "GigaE", 1, 0, []time.Duration{964756876}, 964756876, 0x3fe4f5af44236736, 0x3fc5f27eef5f9786},
+		{calib.FFT, "GigaE", 1, time.Millisecond, []time.Duration{964756876}, 964756876, 0x3fe4f5af44236736, 0x3fc5f27eef5f9786},
+		{calib.FFT, "GigaE", 3, 0, []time.Duration{2536807823, 2536830023, 2536852223}, 2536852223, 0x3fe7e9a89f53f6d7, 0x3fc90a16adaf5d13},
+		{calib.FFT, "GigaE", 3, time.Millisecond, []time.Duration{2536807823, 2535830023, 2534852223}, 2536852223, 0x3fe7e9a89f53f6d7, 0x3fc90a16adaf5d13},
+		{calib.FFT, "GigaE", 8, 0, []time.Duration{6467160528, 6467182728, 6467204928, 6467227128, 6467249328, 6467271528, 6467293728, 6467315928}, 6467315928, 0x3fe903600043d6f9, 0x3fca31140e2e4c84},
+		{calib.FFT, "GigaE", 8, time.Millisecond, []time.Duration{6467160528, 6466182728, 6465204928, 6464227128, 6463249328, 6462271528, 6461293728, 6460315928}, 6467315928, 0x3fe903600043d6f9, 0x3fca31140e2e4c84},
+		{calib.FFT, "40GI", 1, 0, []time.Duration{379974946}, 379974946, 0x3fbfbfda6d465dc2, 0x3fdbdcaf1fb622e8},
+		{calib.FFT, "40GI", 1, time.Millisecond, []time.Duration{379974946}, 379974946, 0x3fbfbfda6d465dc2, 0x3fdbdcaf1fb622e8},
+		{calib.FFT, "40GI", 3, 0, []time.Duration{782386517, 782414417, 782442317}, 782442317, 0x3fc720a7a358568c, 0x3fe44bbbd0162d95},
+		{calib.FFT, "40GI", 3, time.Millisecond, []time.Duration{782386517, 781414417, 780442317}, 782442317, 0x3fc720a7a358568c, 0x3fe44bbbd0162d95},
+		{calib.FFT, "40GI", 8, 0, []time.Duration{1788610512, 1788722112, 1788750012, 1788777912, 1788805812, 1788833712, 1788861612, 1788889512}, 1788889512, 0x3fcaf9b17dfaa8e6, 0x3fe7ac2a26b4a9fd},
+		{calib.FFT, "40GI", 8, time.Millisecond, []time.Duration{1788610512, 1787722112, 1786750012, 1785777912, 1784805812, 1783833712, 1782861612, 1781889512}, 1788889512, 0x3fcaf9b17dfaa8e6, 0x3fe7ac2a26b4a9fd},
+	}
+	for _, c := range cells {
+		link, err := netsim.ByName(c.net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Run(Params{CS: c.cs, Size: 8192, Clients: c.clients, Link: link, Stagger: c.stagger})
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("%v/%s/%d clients/stagger %v", c.cs, c.net, c.clients, c.stagger)
+		if !reflect.DeepEqual(r.PerClient, c.perClient) || r.Makespan != c.makespan {
+			t.Errorf("%s: per-client %v makespan %v, want %v makespan %v",
+				name, r.PerClient, r.Makespan, c.perClient, c.makespan)
+		}
+		if lb, gb := math.Float64bits(r.LinkUtilization), math.Float64bits(r.GPUUtilization); lb != c.linkBits || gb != c.gpuBits {
+			t.Errorf("%s: utilization bits link %#x gpu %#x, want %#x %#x", name, lb, gb, c.linkBits, c.gpuBits)
+		}
 	}
 }
 
