@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race verify lint vet loc chaos migrate-chaos soak bench bench-batch bench-scale bench-scale-smoke bench-sched bench-sched-smoke bench-wall bench-wall-smoke fuzz pool repro figures experiments clean help
+.PHONY: all build test race verify lint vet loc chaos migrate-chaos soak bench bench-batch bench-check bench-scale bench-sched bench-wall bench-wall-smoke fuzz pool repro figures experiments clean help
 
 all: build test
 
@@ -24,9 +24,8 @@ help:
 	@echo "  bench        run all benchmarks"
 	@echo "  bench-batch  run the batched-path inference bench, refresh BENCH_batching.json"
 	@echo "  bench-scale  run the 10^4-10^5 session scale harness, refresh BENCH_loadscale.json"
-	@echo "  bench-scale-smoke  CI freshness check: re-run the <=10^4 scale scenarios"
 	@echo "  bench-sched  run the WFQ-vs-FIFO starvation bench, refresh BENCH_sched.json"
-	@echo "  bench-sched-smoke  CI freshness check: re-run the scheduler scenarios"
+	@echo "  bench-check  CI freshness check: re-run all three suites, fail if a BENCH file is stale"
 	@echo "  bench-wall   wall-clock benchmark of the remoting stack (BENCHMARK.json, ~90 s)"
 	@echo "  bench-wall-smoke  CI correctness check: one second each of the two inference, fleet placement, the two bulk-copy, the session churn, the simulated-pipe copy and the null-call workloads"
 	@echo "  fuzz         short fuzzing pass over the wire-protocol decoders and Sgemm against its portable tile"
@@ -110,36 +109,31 @@ soak:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Deterministic batched-path trajectory: the DNN inference loop over both
-# testbed networks, batched and unbatched, on the simulation clock. Commit
-# the refreshed BENCH_batching.json so regressions show up in review.
+# The three virtual-clock BENCH files, one rcuda-bench suite each. Every
+# suite is a pure function of the code; commit a refreshed file so drift
+# shows up in review.
+#
+# Batched-path trajectory: the DNN inference loop over both testbed
+# networks, batched and unbatched, every output bit-exact.
 bench-batch:
-	$(GO) run ./cmd/rcuda-bench-batch -out BENCH_batching.json
+	$(GO) run ./cmd/rcuda-bench -suite batching
 
-# Deterministic scale trajectory: 10^4-session smoke scenarios plus the
-# 10^5-session autoscaled run, all on the virtual clock. Commit the
-# refreshed BENCH_loadscale.json so placement-behavior drift shows up in
-# review.
+# Scale trajectory: 10^4-session scenarios plus the 10^5-session autoscaled
+# runs; no durable session may be lost and every session must be placed.
 bench-scale:
-	$(GO) run ./cmd/rcuda-loadgen -out BENCH_loadscale.json
+	$(GO) run ./cmd/rcuda-bench -suite loadscale
 
-# CI freshness check: re-run only the scenarios at or under 10^4 sessions
-# and fail if the committed BENCH_loadscale.json does not match.
-bench-scale-smoke:
-	$(GO) run ./cmd/rcuda-loadgen -check -cap 10000 -out BENCH_loadscale.json
-
-# Deterministic scheduler bench: the mixed-tenant starvation scenario under
-# FIFO vs WFQ on the virtual clock, plus weighted-share proportionality.
-# The command enforces the fairness gates (realtime p99 >= 5x better at
-# <= 10% throughput delta) and two-run determinism before writing. Commit
-# the refreshed BENCH_sched.json so scheduling drift shows up in review.
+# Scheduler bench: the mixed-tenant starvation scenario under FIFO vs WFQ,
+# plus weighted-share proportionality. The suite enforces the fairness gates
+# (realtime p99 >= 5x better at <= 10% throughput delta) and two-run
+# determinism before writing.
 bench-sched:
-	$(GO) run ./cmd/rcuda-bench-sched -out BENCH_sched.json
+	$(GO) run ./cmd/rcuda-bench -suite sched
 
-# CI freshness check: re-run the scheduler scenarios (seconds of virtual
-# time, fast on the wall clock) and fail if BENCH_sched.json is stale.
-bench-sched-smoke:
-	$(GO) run ./cmd/rcuda-bench-sched -check -out BENCH_sched.json
+# CI freshness check: re-run every suite (under a second of wall time) and
+# fail, naming the file and its target, if a committed BENCH file differs.
+bench-check:
+	$(GO) run ./cmd/rcuda-bench -check
 
 # Wall-clock benchmark of the remoting stack (bench/README.md): the eight
 # BENCHMARK.json workloads over a real loopback socket, end-to-end metrics

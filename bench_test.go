@@ -570,7 +570,7 @@ func BenchmarkClusterSweep(b *testing.B) {
 	trace := cluster.GenerateTrace(cluster.TraceConfig{
 		Jobs: 64, MeanInterarrival: 30 * time.Second, MMFraction: 0.8, Seed: 1,
 	})
-	cfg := cluster.Config{Nodes: 16, Network: link, Policy: cluster.LeastLoaded}
+	cfg := cluster.Config{Nodes: 16, Network: link}
 	b.ReportAllocs()
 	var need int
 	for i := 0; i < b.N; i++ {

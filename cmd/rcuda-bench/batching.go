@@ -1,27 +1,17 @@
-// Command rcuda-bench-batch benchmarks the batched data path: it runs the
-// DNN inference-loop workload through the full middleware over the two
-// testbed interconnects, batched and unbatched, on the simulation clock —
-// so the numbers are deterministic and comparable across commits — and
-// writes the trajectory to a JSON file (BENCH_batching.json in the repo)
-// for regression tracking.
-//
-//	rcuda-bench-batch                  # print the table, refresh BENCH_batching.json
-//	rcuda-bench-batch -out ""          # print only
-//	rcuda-bench-batch -requests 128    # heavier serving loop
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"log"
-	"os"
+	"io"
 	"text/tabwriter"
 
 	"rcuda/internal/netsim"
 	"rcuda/internal/perfmodel"
 	"rcuda/internal/workload"
 )
+
+// batchSeed drives the inference loop's weight and input generation.
+const batchSeed = 7
 
 // benchResult is one (network, mode) cell of the trajectory.
 type benchResult struct {
@@ -39,7 +29,7 @@ type benchResult struct {
 	ModelUS int64 `json:"model_us"`
 }
 
-type benchFile struct {
+type batchFile struct {
 	Workload string        `json:"workload"`
 	Layers   int           `json:"layers"`
 	Requests int           `json:"requests"`
@@ -52,33 +42,33 @@ type benchFile struct {
 	Speedup40GI  float64 `json:"speedup_40gi"`
 }
 
-func main() {
-	out := flag.String("out", "BENCH_batching.json", "trajectory file to write; empty disables")
-	layers := flag.Int("layers", workload.DefaultInferenceLayers, "dense layers per request")
-	requests := flag.Int("requests", workload.DefaultInferenceRequests, "requests per session")
-	polls := flag.Int("polls", workload.DefaultInferencePolls, "event polls per request")
-	seed := flag.Int64("seed", 7, "weight/input generation seed")
-	flag.Parse()
-
-	file := benchFile{
+// batching runs the DNN inference loop through the full middleware over the
+// two testbed interconnects, batched and unbatched. Every output must be
+// bit-exact against the oracle.
+func batching(out io.Writer) (any, error) {
+	file := batchFile{
 		Workload: "dnn-inference-loop",
-		Layers:   *layers, Requests: *requests, Polls: *polls, Seed: *seed,
+		Layers:   workload.DefaultInferenceLayers,
+		Requests: workload.DefaultInferenceRequests,
+		Polls:    workload.DefaultInferencePolls,
+		Seed:     batchSeed,
 	}
 	elapsed := map[string]map[bool]float64{}
 
-	w := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
+	w := tabwriter.NewWriter(out, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(w, "network\tmode\telapsed\tmessages\tbytes out/in\tdigest")
 	for _, link := range netsim.Testbed() {
+		elapsed[link.Name()] = map[bool]float64{}
 		for _, batched := range []bool{false, true} {
 			rep, err := workload.RunInference(workload.InferenceOptions{
 				Link: link, Batched: batched,
-				Layers: *layers, Requests: *requests, Polls: *polls, Seed: *seed,
+				Layers: file.Layers, Requests: file.Requests, Polls: file.Polls, Seed: file.Seed,
 			})
 			if err != nil {
-				log.Fatalf("%s batched=%v: %v", link.Name(), batched, err)
+				return nil, fmt.Errorf("%s batched=%v: %w", link.Name(), batched, err)
 			}
 			if !rep.Verified {
-				log.Fatalf("%s batched=%v: output not bit-exact against the oracle", link.Name(), batched)
+				return nil, fmt.Errorf("%s batched=%v: output not bit-exact against the oracle", link.Name(), batched)
 			}
 			mode := "unbatched"
 			if batched {
@@ -86,9 +76,6 @@ func main() {
 			}
 			fmt.Fprintf(w, "%s\t%s\t%v\t%d\t%d/%d\t%016x\n",
 				link.Name(), mode, rep.Elapsed, rep.Messages, rep.BytesSent, rep.BytesRecv, rep.Digest)
-			if elapsed[link.Name()] == nil {
-				elapsed[link.Name()] = map[bool]float64{}
-			}
 			elapsed[link.Name()][batched] = float64(rep.Elapsed)
 			file.Results = append(file.Results, benchResult{
 				Network:   link.Name(),
@@ -107,20 +94,7 @@ func main() {
 
 	file.SpeedupGigaE = round2(elapsed["GigaE"][false] / elapsed["GigaE"][true])
 	file.Speedup40GI = round2(elapsed["40GI"][false] / elapsed["40GI"][true])
-	fmt.Printf("\nspeedup batched vs unbatched: GigaE %.2fx, 40GI %.2fx\n",
+	fmt.Fprintf(out, "\nspeedup batched vs unbatched: GigaE %.2fx, 40GI %.2fx\n",
 		file.SpeedupGigaE, file.Speedup40GI)
-
-	if *out == "" {
-		return
-	}
-	blob, err := json.MarshalIndent(file, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := os.WriteFile(*out, append(blob, '\n'), 0o644); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("wrote %s\n", *out)
+	return file, nil
 }
-
-func round2(x float64) float64 { return float64(int(x*100+0.5)) / 100 }

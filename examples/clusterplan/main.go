@@ -61,7 +61,7 @@ func main() {
 			Seed:             *seed,
 		})
 	}
-	cfg := cluster.Config{Nodes: *nodes, Network: link, Policy: cluster.LeastLoaded}
+	cfg := cluster.Config{Nodes: *nodes, Network: link}
 
 	sweep, err := cluster.SweepGPUs(cfg, trace)
 	if err != nil {

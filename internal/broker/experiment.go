@@ -29,8 +29,8 @@ type LiveResult struct {
 	// Makespan is the live schedule's span: the latest per-server clock
 	// after every job finished.
 	Makespan time.Duration
-	// Predicted is cluster.Simulate's makespan for the same jobs, servers,
-	// and policy.
+	// Predicted is cluster.Simulate's makespan for the same jobs and
+	// servers.
 	Predicted time.Duration
 	// PerServer is each server's final clock reading.
 	PerServer []time.Duration
@@ -48,20 +48,11 @@ func (r LiveResult) Delta() float64 {
 	return float64(r.Makespan-r.Predicted) / float64(r.Predicted)
 }
 
-// clusterPolicy maps a broker policy to the cluster simulator's equivalent.
-// NetworkAware degenerates to least-loaded when every endpoint shares one
-// link, which is the experiment's configuration.
-func clusterPolicy(p Policy) cluster.Policy {
-	if p == RoundRobin {
-		return cluster.RoundRobin
-	}
-	return cluster.LeastLoaded
-}
-
-// SimulateLive runs the jobs through a live pool of nServers in-process
-// rcudad servers — real protocol, real (simulated) devices, real data with
-// CPU-oracle verification — each server on its own simulated clock, and
-// compares the resulting makespan against cluster.Simulate's prediction.
+// SimulateLive runs the jobs through a live least-loaded pool of nServers
+// in-process rcudad servers — real protocol, real (simulated) devices, real
+// data with CPU-oracle verification — each server on its own simulated
+// clock, and compares the resulting makespan against cluster.Simulate's
+// prediction.
 //
 // The correspondence with the offline model:
 //
@@ -80,7 +71,7 @@ func clusterPolicy(p Policy) cluster.Policy {
 // The live makespan and the prediction then differ only where the wire
 // protocol differs from the analytic network model (real framing and
 // per-message sizes versus the calibrated per-size transfer estimate).
-func SimulateLive(link *netsim.Link, nServers int, jobs []SimJob, policy Policy) (LiveResult, error) {
+func SimulateLive(link *netsim.Link, nServers int, jobs []SimJob) (LiveResult, error) {
 	if nServers < 1 {
 		return LiveResult{}, fmt.Errorf("broker: need at least one server, got %d", nServers)
 	}
@@ -90,12 +81,7 @@ func SimulateLive(link *netsim.Link, nServers int, jobs []SimJob, policy Policy)
 	for i, j := range jobs {
 		cjobs[i] = cluster.Job{ID: j.ID, CS: j.CS, Size: j.Size}
 	}
-	pred, err := cluster.Simulate(cluster.Config{
-		Nodes:   nServers,
-		GPUs:    nServers,
-		Network: link,
-		Policy:  clusterPolicy(policy),
-	}, cjobs)
+	pred, err := cluster.Simulate(cluster.Config{Nodes: nServers, GPUs: nServers, Network: link}, cjobs)
 	if err != nil {
 		return LiveResult{}, err
 	}
@@ -139,7 +125,7 @@ func SimulateLive(link *netsim.Link, nServers int, jobs []SimJob, policy Policy)
 			},
 		}
 	}
-	pool, err := New(eps, WithPolicy(policy))
+	pool, err := New(eps)
 	if err != nil {
 		return LiveResult{}, err
 	}

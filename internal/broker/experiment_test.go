@@ -35,9 +35,9 @@ func experimentJobs() []SimJob {
 
 // TestLiveMakespanMatchesPrediction is the acceptance experiment: the live
 // broker under least-loaded placement must land within MakespanTolerance of
-// cluster.Simulate's prediction for the same jobs, servers, and policy.
+// cluster.Simulate's prediction for the same jobs and servers.
 func TestLiveMakespanMatchesPrediction(t *testing.T) {
-	res, err := SimulateLive(netsim.IB40G(), 3, experimentJobs(), LeastLoaded)
+	res, err := SimulateLive(netsim.IB40G(), 3, experimentJobs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +68,11 @@ func TestLiveMakespanMatchesPrediction(t *testing.T) {
 // TestLiveMakespanDeterministic locks the experiment's byte-stability: the
 // EXPERIMENTS.md table is generated from these numbers.
 func TestLiveMakespanDeterministic(t *testing.T) {
-	a, err := SimulateLive(netsim.IB40G(), 3, experimentJobs(), LeastLoaded)
+	a, err := SimulateLive(netsim.IB40G(), 3, experimentJobs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SimulateLive(netsim.IB40G(), 3, experimentJobs(), LeastLoaded)
+	b, err := SimulateLive(netsim.IB40G(), 3, experimentJobs())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,12 +16,13 @@
 //	          holds one GPU exclusively (the rCUDA daemon serializes
 //	          device work across contexts).
 //
-// A scheduler assigns each ready job to a GPU; per-GPU FIFO queues model
-// the contention. Optional fair-share network contention inflates a job's
-// transfer time by the number of sessions concurrently assigned to the
-// same server. Sweeping the GPU count answers the sizing question: the
-// smallest number of accelerators whose makespan is within a tolerance of
-// the one-GPU-per-node configuration.
+// A least-loaded scheduler assigns each ready job to the GPU that frees up
+// earliest — the natural baseline with full information — and per-GPU FIFO
+// queues model the contention. Optional fair-share network contention
+// inflates a job's transfer time by the number of sessions concurrently
+// assigned to the same server. Sweeping the GPU count answers the sizing
+// question: the smallest number of accelerators whose makespan is within a
+// tolerance of the one-GPU-per-node configuration.
 package cluster
 
 import (
@@ -34,34 +35,6 @@ import (
 	"rcuda/internal/netsim"
 	"rcuda/internal/workload"
 )
-
-// Policy selects how the global scheduler maps ready jobs to GPUs.
-type Policy int
-
-// Scheduling policies.
-const (
-	// LeastLoaded assigns each job to the GPU that frees up earliest —
-	// the natural baseline for a global scheduler with full information.
-	LeastLoaded Policy = iota
-	// RoundRobin cycles through GPUs regardless of load.
-	RoundRobin
-	// RandomPick assigns uniformly at random (seeded, deterministic).
-	RandomPick
-)
-
-// String implements fmt.Stringer.
-func (p Policy) String() string {
-	switch p {
-	case LeastLoaded:
-		return "least-loaded"
-	case RoundRobin:
-		return "round-robin"
-	case RandomPick:
-		return "random"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
 
 // Job is one GPU-accelerated application execution.
 type Job struct {
@@ -96,14 +69,10 @@ type Config struct {
 	// node-local GPU (the fully equipped configuration), paying the CUDA
 	// context initialization instead of network transfers.
 	Network *netsim.Link
-	// Policy selects the global scheduler.
-	Policy Policy
 	// FairShareNetwork, when true, inflates a job's network time by the
 	// number of sessions concurrently queued or running on its server,
 	// a pessimistic TDM model of link contention at the GPU node.
 	FairShareNetwork bool
-	// Seed drives the RandomPick policy.
-	Seed int64
 }
 
 func (c Config) validate() error {
@@ -198,8 +167,6 @@ func Simulate(cfg Config, jobs []Job) (Result, error) {
 	free := make([]time.Duration, nGPUs)
 	busy := make([]time.Duration, nGPUs)
 	inFlight := make([]int, nGPUs)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	rr := 0
 
 	for i := range scheduled {
 		j := &scheduled[i]
@@ -207,7 +174,13 @@ func Simulate(cfg Config, jobs []Job) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		g := pick(cfg.Policy, free, rng, &rr)
+		// Least loaded: the GPU that frees up earliest, lowest index on a tie.
+		g := 0
+		for k, f := range free {
+			if f < free[g] {
+				g = k
+			}
+		}
 		service := p.device + p.network
 		if cfg.FairShareNetwork && cfg.Network != nil {
 			// Sessions already waiting on this server share its link.
@@ -227,25 +200,6 @@ func Simulate(cfg Config, jobs []Job) (Result, error) {
 	}
 
 	return summarize(scheduled, busy, nGPUs), nil
-}
-
-func pick(p Policy, free []time.Duration, rng *rand.Rand, rr *int) int {
-	switch p {
-	case RoundRobin:
-		g := *rr % len(free)
-		*rr++
-		return g
-	case RandomPick:
-		return rng.Intn(len(free))
-	default: // LeastLoaded
-		best := 0
-		for i, f := range free {
-			if f < free[best] {
-				best = i
-			}
-		}
-		return best
-	}
 }
 
 func summarize(jobs []Job, busy []time.Duration, nGPUs int) Result {

@@ -9,7 +9,7 @@ import (
 
 func BenchmarkSimulate64Jobs(b *testing.B) {
 	jobs := GenerateTrace(TraceConfig{Jobs: 64, MeanInterarrival: 10 * time.Second, MMFraction: 0.8, Seed: 1})
-	cfg := Config{Nodes: 16, GPUs: 4, Network: netsim.IB40G(), Policy: LeastLoaded}
+	cfg := Config{Nodes: 16, GPUs: 4, Network: netsim.IB40G()}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Simulate(cfg, jobs); err != nil {

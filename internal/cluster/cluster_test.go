@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -16,7 +17,7 @@ func mmJob(id int, size int, arrival time.Duration) Job {
 }
 
 func baseConfig(gpus int) Config {
-	return Config{Nodes: 16, GPUs: gpus, Network: netsim.IB40G(), Policy: LeastLoaded}
+	return Config{Nodes: 16, GPUs: gpus, Network: netsim.IB40G()}
 }
 
 func TestValidation(t *testing.T) {
@@ -90,56 +91,24 @@ func TestMoreGPUsNeverHurt(t *testing.T) {
 	}
 }
 
-func TestLeastLoadedBeatsOrTiesRoundRobin(t *testing.T) {
-	jobs := GenerateTrace(TraceConfig{Jobs: 60, MeanInterarrival: 100 * time.Millisecond, MMFraction: 0.8, Seed: 2})
-	cfg := baseConfig(4)
-	ll, err := Simulate(cfg, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Policy = RoundRobin
-	rr, err := Simulate(cfg, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ll.Makespan > rr.Makespan {
-		t.Fatalf("least-loaded (%v) lost to round-robin (%v)", ll.Makespan, rr.Makespan)
-	}
-}
-
-func TestPoliciesDeterministic(t *testing.T) {
+func TestLeastLoadedDeterministic(t *testing.T) {
 	jobs := GenerateTrace(TraceConfig{Jobs: 30, MeanInterarrival: 50 * time.Millisecond, MMFraction: 0.5, Seed: 3})
-	for _, p := range []Policy{LeastLoaded, RoundRobin, RandomPick} {
-		cfg := baseConfig(3)
-		cfg.Policy = p
-		cfg.Seed = 9
-		a, err := Simulate(cfg, jobs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Simulate(cfg, jobs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Makespan != b.Makespan || a.MeanTurnaround != b.MeanTurnaround {
-			t.Fatalf("policy %v is not deterministic", p)
-		}
+	a, err := Simulate(baseConfig(3), jobs)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestPolicyStrings(t *testing.T) {
-	if LeastLoaded.String() != "least-loaded" || RoundRobin.String() != "round-robin" ||
-		RandomPick.String() != "random" {
-		t.Fatal("policy names")
+	b, err := Simulate(baseConfig(3), jobs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if Policy(9).String() == "" {
-		t.Fatal("unknown policy must format")
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("two runs of one trace differ:\n%+v\n%+v", a, b)
 	}
 }
 
 func TestFairShareContentionSlowsService(t *testing.T) {
 	jobs := []Job{mmJob(0, 8192, 0), mmJob(1, 8192, 0), mmJob(2, 8192, 0)}
-	cfg := Config{Nodes: 8, GPUs: 1, Network: netsim.GigaE(), Policy: LeastLoaded}
+	cfg := Config{Nodes: 8, GPUs: 1, Network: netsim.GigaE()}
 	plain, err := Simulate(cfg, jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +126,7 @@ func TestFairShareContentionSlowsService(t *testing.T) {
 
 func TestLocalClusterHasNoNetworkTime(t *testing.T) {
 	jobs := []Job{mmJob(0, 8192, 0)}
-	res, err := Simulate(Config{Nodes: 4, Policy: LeastLoaded}, jobs)
+	res, err := Simulate(Config{Nodes: 4}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +181,7 @@ func TestSweepAndRequiredGPUs(t *testing.T) {
 	// nodes, a couple of shared GPUs keep up with the fully equipped
 	// cluster.
 	jobs := GenerateTrace(TraceConfig{Jobs: 32, MeanInterarrival: time.Minute, MMFraction: 1.0, Seed: 5})
-	cfg := Config{Nodes: 8, Network: netsim.IB40G(), Policy: LeastLoaded}
+	cfg := Config{Nodes: 8, Network: netsim.IB40G()}
 	sweep, err := SweepGPUs(cfg, jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +207,7 @@ func TestRequiredGPUsSaturatedTraceNeedsMore(t *testing.T) {
 	// required count climbs toward the node count.
 	light := GenerateTrace(TraceConfig{Jobs: 32, MeanInterarrival: time.Minute, MMFraction: 1.0, Seed: 5})
 	heavy := GenerateTrace(TraceConfig{Jobs: 32, MeanInterarrival: 500 * time.Millisecond, MMFraction: 1.0, Seed: 5})
-	cfg := Config{Nodes: 8, Network: netsim.IB40G(), Policy: LeastLoaded}
+	cfg := Config{Nodes: 8, Network: netsim.IB40G()}
 	gLight, _, _, err := RequiredGPUs(cfg, light, 0.10)
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +255,7 @@ func TestScheduleFeasibilityProperty(t *testing.T) {
 		jobs := GenerateTrace(TraceConfig{
 			Jobs: n, MeanInterarrival: 100 * time.Millisecond, MMFraction: 0.5, Seed: seed,
 		})
-		cfg := Config{Nodes: 8, GPUs: g, Network: netsim.TenGigE(), Policy: LeastLoaded}
+		cfg := Config{Nodes: 8, GPUs: g, Network: netsim.TenGigE()}
 		res, err := Simulate(cfg, jobs)
 		if err != nil {
 			return false
@@ -332,7 +301,7 @@ func TestHeterogeneousNetworks(t *testing.T) {
 		{ID: 0, CS: calib.MM, Size: 8192},               // cluster default (40GI)
 		{ID: 1, CS: calib.MM, Size: 8192, Network: aht}, // faster rack
 	}
-	cfg := Config{Nodes: 4, GPUs: 2, Network: netsim.GigaE(), Policy: LeastLoaded}
+	cfg := Config{Nodes: 4, GPUs: 2, Network: netsim.GigaE()}
 	res, err := Simulate(cfg, jobs)
 	if err != nil {
 		t.Fatal(err)

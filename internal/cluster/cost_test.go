@@ -30,7 +30,7 @@ func TestDefaultModelMatchesPaperPowerClaim(t *testing.T) {
 }
 
 func TestPriceArithmetic(t *testing.T) {
-	cfg := Config{Nodes: 4, GPUs: 1, Network: netsim.IB40G(), Policy: LeastLoaded}
+	cfg := Config{Nodes: 4, GPUs: 1, Network: netsim.IB40G()}
 	res := Result{
 		GPUs:        1,
 		Makespan:    time.Hour,
@@ -70,7 +70,7 @@ func TestCompareCostAtLightLoad(t *testing.T) {
 	// The paper's thesis quantified: at light utilization a 2-GPU shared
 	// cluster saves acquisition and energy for a small slowdown.
 	jobs := GenerateTrace(TraceConfig{Jobs: 24, MeanInterarrival: time.Minute, MMFraction: 1.0, Seed: 7})
-	cfg := Config{Nodes: 8, GPUs: 2, Network: netsim.IB40G(), Policy: LeastLoaded}
+	cfg := Config{Nodes: 8, GPUs: 2, Network: netsim.IB40G()}
 	s, err := CompareCost(cfg, jobs, DefaultCostModel())
 	if err != nil {
 		t.Fatal(err)

@@ -3,13 +3,13 @@
 // network contention caused by multiple applications running in a cluster
 // featuring several GPGPU servers will also be covered in future work").
 //
-// Each client is a discrete-event process replaying its case study's exact
-// message schedule. Two resources serialize the shared hardware: the
-// server's network link (one frame on the wire at a time, FIFO) and the
-// GPU (PCIe transfers and kernels execute exclusively, FIFO across
-// sessions, as the daemon's time multiplexing implies). Client-local work
-// — data generation and marshaling — proceeds in parallel on each client's
-// own node.
+// Each client is a callback chain on a des.EventLoop replaying its case
+// study's exact message schedule. Two resources serialize the shared
+// hardware: the server's network link (one frame on the wire at a time,
+// FIFO) and the GPU (PCIe transfers and kernels execute exclusively, FIFO
+// across sessions, as the daemon's time multiplexing implies). Client-local
+// work — data generation and marshaling — proceeds in parallel on each
+// client's own node.
 //
 // With one client the event-level execution collapses to the paper's
 // synchronous model, and a test asserts it matches workload.Run exactly.
@@ -62,61 +62,119 @@ func Run(p Params) (Result, error) {
 		return Result{}, fmt.Errorf("contention: non-positive size %d", p.Size)
 	}
 
-	sim := des.New()
-	link := sim.NewResource("link", 1)
-	gpuRes := sim.NewResource("gpu", 1)
+	loop := des.NewEventLoop()
+	link, gpu := &resource{loop: loop}, &resource{loop: loop}
 
 	prep := calib.DataGenTime(p.CS, p.Size) + calib.MarshalTime(p.CS, p.Size)
-	pcie := calib.PCIeTime(p.CS, p.Size)
-	kernel := calib.KernelTime(p.CS, p.Size)
+	device := map[workload.MsgKind]time.Duration{
+		workload.MsgMemcpyIn:  calib.PCIeTime(p.CS, p.Size),
+		workload.MsgLaunch:    calib.KernelTime(p.CS, p.Size),
+		workload.MsgMemcpyOut: calib.PCIeTime(p.CS, p.Size),
+	}
 	schedule := workload.Schedule(p.CS, p.Size)
 
-	finished := make([]time.Duration, p.Clients)
-	for c := 0; c < p.Clients; c++ {
+	res := Result{PerClient: make([]time.Duration, p.Clients)}
+	finished := 0
+	for c := range res.PerClient {
 		c := c
-		arrival := time.Duration(c) * p.Stagger
-		sim.Spawn(fmt.Sprintf("client-%d", c), arrival, func(proc *des.Process) {
-			start := proc.Now()
-			proc.Hold(prep) // node-local, fully parallel across clients
-			for _, msg := range schedule {
-				// Request frame occupies the shared wire.
-				link.Acquire(proc)
-				proc.Hold(p.Link.WireTime(msg.Send))
-				link.Release(proc)
-				// Server-side device work, exclusive per GPU.
-				switch msg.Kind {
-				case workload.MsgMemcpyIn:
-					gpuRes.Acquire(proc)
-					proc.Hold(pcie)
-					gpuRes.Release(proc)
-				case workload.MsgLaunch:
-					gpuRes.Acquire(proc)
-					proc.Hold(kernel)
-					gpuRes.Release(proc)
-				case workload.MsgMemcpyOut:
-					gpuRes.Acquire(proc)
-					proc.Hold(pcie)
-					gpuRes.Release(proc)
+		loop.At(time.Duration(c)*p.Stagger, func() {
+			start := loop.Now()
+			// send replays message i: the request frame on the shared
+			// wire, the device work it implies, the response frame back.
+			var send func(i int)
+			send = func(i int) {
+				if i == len(schedule) {
+					loop.At(calib.Mgmt, func() {
+						res.PerClient[c] = loop.Now() - start
+						finished++
+					})
+					return
 				}
-				// Response frame back over the shared wire.
+				msg := schedule[i]
+				next := func() { send(i + 1) }
+				respond := next
 				if msg.Recv > 0 {
-					link.Acquire(proc)
-					proc.Hold(p.Link.WireTime(msg.Recv))
-					link.Release(proc)
+					respond = func() { link.use(p.Link.WireTime(msg.Recv), next) }
 				}
+				serve := respond
+				if d, ok := device[msg.Kind]; ok {
+					serve = func() { gpu.use(d, respond) }
+				}
+				link.use(p.Link.WireTime(msg.Send), serve)
 			}
-			proc.Hold(calib.Mgmt)
-			finished[c] = proc.Now() - start
+			loop.At(prep, func() { send(0) }) // node-local, fully parallel across clients
 		})
 	}
-	makespan := sim.Run()
-	res := Result{
-		PerClient:       finished,
-		Makespan:        makespan,
-		LinkUtilization: link.Utilization(),
-		GPUUtilization:  gpuRes.Utilization(),
+	var err error
+	if res.Makespan, err = runClients(loop, &finished, p.Clients); err != nil {
+		return Result{}, err
 	}
+	res.LinkUtilization = link.utilization(res.Makespan)
+	res.GPUUtilization = gpu.utilization(res.Makespan)
 	return res, nil
+}
+
+// runClients fires the loop until it drains. A client whose chain stopped
+// short of its end is a modeling bug, reported instead of a result.
+func runClients(loop *des.EventLoop, finished *int, clients int) (time.Duration, error) {
+	end := loop.Run()
+	if *finished != clients {
+		return 0, fmt.Errorf("contention: %d of %d clients never finished", clients-*finished, clients)
+	}
+	return end, nil
+}
+
+// resource is one exclusive unit of shared hardware with a FIFO wait queue.
+type resource struct {
+	loop    *des.EventLoop
+	held    bool
+	waiters []hold
+	busy    time.Duration // summed hold time
+}
+
+// hold is one use of a resource: keep it for d, then run then.
+type hold struct {
+	d    time.Duration
+	then func()
+}
+
+// use holds the resource for d, queued FIFO behind earlier holders, and
+// runs then when the hold ends.
+func (r *resource) use(d time.Duration, then func()) {
+	if r.held {
+		r.waiters = append(r.waiters, hold{d, then})
+		return
+	}
+	r.held = true
+	r.start(hold{d, then})
+}
+
+func (r *resource) start(h hold) {
+	r.busy += h.d
+	r.loop.At(h.d, func() {
+		r.release()
+		h.then()
+	})
+}
+
+// release hands the unit to the oldest waiter. The waiter starts at this
+// instant, behind every callback already due now.
+func (r *resource) release() {
+	if len(r.waiters) == 0 {
+		r.held = false
+		return
+	}
+	next := r.waiters[0]
+	r.waiters = r.waiters[1:]
+	r.loop.At(0, func() { r.start(next) })
+}
+
+// utilization is the resource's busy fraction of span.
+func (r *resource) utilization(span time.Duration) float64 {
+	if span == 0 {
+		return 0
+	}
+	return float64(r.busy) / float64(span)
 }
 
 // Sweep runs the experiment for every client count in [1, maxClients] and

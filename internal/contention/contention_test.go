@@ -9,6 +9,7 @@ import (
 
 	"rcuda/internal/calib"
 	"rcuda/internal/cluster"
+	"rcuda/internal/des"
 	"rcuda/internal/netsim"
 	"rcuda/internal/workload"
 )
@@ -283,9 +284,7 @@ func TestDESConsistentWithClusterModel(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = cluster.Job{ID: i, CS: calib.MM, Size: 8192}
 	}
-	coarse, err := cluster.Simulate(cluster.Config{
-		Nodes: k, GPUs: 1, Network: link, Policy: cluster.LeastLoaded,
-	}, jobs)
+	coarse, err := cluster.Simulate(cluster.Config{Nodes: k, GPUs: 1, Network: link}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,5 +297,76 @@ func TestDESConsistentWithClusterModel(t *testing.T) {
 	device := time.Duration(k) * (3*calib.PCIeTime(calib.MM, 8192) + calib.KernelTime(calib.MM, 8192))
 	if fine.Makespan < device {
 		t.Fatalf("event-level makespan %v below the device bound %v", fine.Makespan, device)
+	}
+}
+
+// Three uses requested at the same instant run back to back in the order
+// they were asked for, and keep the resource busy the whole span.
+func TestResourceSerializes(t *testing.T) {
+	loop := des.NewEventLoop()
+	r := &resource{loop: loop}
+	var ends []time.Duration
+	for i := 0; i < 3; i++ {
+		r.use(10*time.Millisecond, func() { ends = append(ends, loop.Now()) })
+	}
+	end := loop.Run()
+	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond}
+	if !reflect.DeepEqual(ends, want) || end != 30*time.Millisecond {
+		t.Fatalf("uses ended at %v (run end %v), want %v", ends, end, want)
+	}
+	if u := r.utilization(end); u != 1 {
+		t.Fatalf("utilization %v, want 1", u)
+	}
+}
+
+// Waiters are handed the unit in arrival order, each at the instant the
+// previous holder lets go.
+func TestResourceFIFOUnderContention(t *testing.T) {
+	loop := des.NewEventLoop()
+	r := &resource{loop: loop}
+	var order []string
+	var starts []time.Duration
+	r.use(10*time.Millisecond, func() {})
+	for i, name := range []string{"first", "second"} {
+		name := name
+		loop.At(time.Duration(i+1)*time.Millisecond, func() {
+			r.use(time.Millisecond, func() {
+				order = append(order, name)
+				starts = append(starts, loop.Now()-time.Millisecond)
+			})
+		})
+	}
+	loop.Run()
+	if !reflect.DeepEqual(order, []string{"first", "second"}) ||
+		!reflect.DeepEqual(starts, []time.Duration{10 * time.Millisecond, 11 * time.Millisecond}) {
+		t.Fatalf("waiters ran %v starting at %v, want [first second] at [10ms 11ms]", order, starts)
+	}
+}
+
+// Utilization counts held time only: an idle gap after the last use halves
+// it.
+func TestUtilizationPartial(t *testing.T) {
+	loop := des.NewEventLoop()
+	r := &resource{loop: loop}
+	r.use(10*time.Millisecond, func() { loop.At(10*time.Millisecond, func() {}) })
+	if u := r.utilization(loop.Run()); u != 0.5 {
+		t.Fatalf("utilization %v, want 0.5", u)
+	}
+	if u := (&resource{}).utilization(0); u != 0 {
+		t.Fatalf("utilization of an empty run %v, want 0", u)
+	}
+}
+
+// A client chain that stops before its end is an error, not a result.
+func TestUnfinishedClientIsAnError(t *testing.T) {
+	loop := des.NewEventLoop()
+	finished := 0
+	loop.At(time.Millisecond, func() { finished++ })
+	if _, err := runClients(loop, &finished, 2); err == nil {
+		t.Fatal("one of two clients finished, want an error")
+	}
+	loop.At(time.Millisecond, func() { finished++ })
+	if end, err := runClients(loop, &finished, 2); err != nil || end != 2*time.Millisecond {
+		t.Fatalf("both clients finished: end %v, err %v", end, err)
 	}
 }

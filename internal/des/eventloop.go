@@ -1,3 +1,13 @@
+// Package des is the repository's deterministic discrete-event simulation
+// core: timed callbacks on a virtual clock.
+//
+// The single global virtual clock of package vclock is enough for the
+// paper's strictly synchronous single-client executions, but studying
+// contention — several applications sharing one GPU server, the paper's
+// declared future work — needs genuinely concurrent virtual timelines, and
+// so do the scheduler's tenant mixes and the load generator's 10^5–10^6
+// simulated sessions. A modeled thread of control is a chain of callbacks,
+// each scheduling the next; there is no goroutine per process.
 package des
 
 import (
@@ -5,17 +15,10 @@ import (
 	"time"
 )
 
-// EventLoop is the package's second, goroutine-free execution model: timed
-// callbacks on a deterministic virtual clock. The coroutine Simulator above
-// gives each modeled thread of control its own stack, which reads naturally
-// but costs a goroutine per process — fine for a handful of contending
-// clients, prohibitive for the load generator's 10^5–10^6 simulated
-// sessions. An EventLoop holds only a binary heap of pending callbacks, so
-// a million-session run is a few million heap operations on one stack.
-//
-// Determinism matches the Simulator's: events fire in (time, schedule
-// order), so two runs that schedule the same callbacks produce identical
-// timelines.
+// EventLoop holds only a binary heap of pending callbacks, so a
+// million-session run is a few million heap operations on one stack.
+// Events fire in (time, schedule order), so two runs that schedule the same
+// callbacks produce identical timelines.
 type EventLoop struct {
 	now     time.Duration
 	events  []timer // binary min-heap on (at, seq)

@@ -226,6 +226,29 @@ func TestHundredThousandSessions(t *testing.T) {
 	}
 }
 
+// TestMillionSessions runs 10^6 sessions of the standard mix on an elastic
+// fleet (about a second of wall time): no durable session may be lost and
+// every session must be placed.
+func TestMillionSessions(t *testing.T) {
+	if testing.Short() || raceflag.Enabled {
+		t.Skip("10^6-session run skipped in -short mode and under the race detector")
+	}
+	r, err := Run(Config{
+		Seed: 9, Sessions: 1_000_000, Arrival: Poisson,
+		Rate: 100_000, Classes: StandardMix(), InitialDaemons: 8, DaemonCapacity: 64,
+		Autoscale: &broker.AutoscalerConfig{
+			Min: 8, Max: 128, DaemonCapacity: 64, Cooldown: 250 * time.Millisecond,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.LostDurable != 0 || r.Unplaced != 0 {
+		t.Fatalf("lost durable %d, unplaced %d; want 0 and 0", r.LostDurable, r.Unplaced)
+	}
+	t.Logf("%.0f placements/s virtual, p99 wait %v, peak %d daemons", r.PlacedPerSec, r.QueueWaitP99, r.PeakDaemons)
+}
+
 func TestAutoscaleGrowsAndShrinks(t *testing.T) {
 	r, err := Run(Config{
 		Seed:           3,

@@ -10,7 +10,7 @@ import (
 )
 
 // Scenario is one named, fully pinned load-generation run: the rows of
-// BENCH_loadscale.json, which rcuda-loadgen writes and checks, the runs the
+// BENCH_loadscale.json, which rcuda-bench writes and checks, the runs the
 // experiments report re-explains, and this package's benchmarks.
 type Scenario struct {
 	Name string

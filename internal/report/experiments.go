@@ -394,28 +394,12 @@ func placementAccountingRuns() (scaleDown, classes *loadgen.Result, err error) {
 	return scaleDown, classes, nil
 }
 
-// starvationRuns executes the headline scheduler scenario under both
-// policies: one saturating batch pipeline vs eight sporadic realtime
-// tenants on one device.
+// starvationRuns executes the headline scheduler scenario,
+// starvation-1bulk-8rt, under both policies: one saturating batch pipeline
+// vs eight sporadic realtime tenants on one device.
 func starvationRuns() (fifo, wfq *sched.SimResult) {
-	mix := func() []sched.TenantSpec {
-		ts := []sched.TenantSpec{{
-			Name: "bulk", Class: sched.Batch, Weight: 1,
-			OpCost: 500 * time.Microsecond, Backlog: 64,
-		}}
-		for i := 0; i < 8; i++ {
-			ts = append(ts, sched.TenantSpec{
-				Name: fmt.Sprintf("rt-%d", i), Class: sched.Realtime, Weight: 1,
-				OpCost: 50 * time.Microsecond, MeanGap: 2 * time.Millisecond,
-			})
-		}
-		return ts
-	}
-	base := sched.SimConfig{Seed: 7, Duration: 5 * time.Second}
-	fifoCfg, wfqCfg := base, base
-	fifoCfg.Policy, fifoCfg.Tenants = sched.FIFO, mix()
-	wfqCfg.Policy, wfqCfg.Tenants = sched.WFQ, mix()
-	return sched.Simulate(fifoCfg), sched.Simulate(wfqCfg)
+	sc := sched.Scenarios()[0]
+	return sched.Simulate(sc.Config(sched.FIFO)), sched.Simulate(sc.Config(sched.WFQ))
 }
 
 // classWaitP99 extracts one class's p99 queue wait from a sim run.
@@ -519,7 +503,7 @@ func brokerLiveResult() (broker.LiveResult, error) {
 	for i, s := range sizes {
 		jobs[i] = broker.SimJob{ID: i, CS: s.cs, Size: s.size}
 	}
-	return broker.SimulateLive(netsim.IB40G(), 3, jobs, broker.LeastLoaded)
+	return broker.SimulateLive(netsim.IB40G(), 3, jobs)
 }
 
 // retrySimOverhead reruns chunkedMemcpyTimes' 64 MiB copy on 40GI with the
