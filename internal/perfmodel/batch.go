@@ -40,12 +40,14 @@ type InferenceSpec struct {
 	// Requests is how many inputs the session pushes through the network.
 	Requests int
 	// Polls is how many cudaEventQuery calls follow each request's
-	// synchronization (a serving loop checking completion status).
+	// synchronization (a serving loop checking completion status). Each is
+	// an exchange unbatched; the batched client answers them itself.
 	Polls int
 	// Batched selects the coalesced wire schedule (rcuda.WithBatching):
 	// the per-request copy, launches, and event record ride one OpBatch
-	// frame that the event synchronization closes, and device property
-	// polls are answered from the client cache after the first.
+	// frame that the event synchronization closes, event polls after it
+	// never reach the wire, and device property polls are answered from
+	// the client cache after the first.
 	Batched bool
 	// DeviceName sizes the cudaGetDeviceProperties response.
 	DeviceName string
@@ -119,7 +121,9 @@ func InferenceSchedule(spec InferenceSpec) []InferenceMsg {
 			add(protocol.OpEventRecord, 12, 4)
 			add(protocol.OpEventSynchronize, 8, 4)
 		}
-		for p := 0; p < spec.Polls; p++ {
+		// The batched client answers a poll of the event it has just
+		// synchronized itself.
+		for p := 0; p < spec.Polls && !spec.Batched; p++ {
 			add(protocol.OpEventQuery, 8, 4)
 		}
 		add(protocol.OpMemcpyToHost, 20, inferenceMatrixBytes+4)

@@ -22,8 +22,8 @@ func inferenceSpec(batched bool) InferenceSpec {
 
 // TestInferenceScheduleShape pins the message algebra of both schedules:
 // the batched one replaces each request's 26 fire-and-forget exchanges and
-// the synchronization that follows them with one frame and drops all but
-// the first properties poll.
+// the synchronization that follows them with one frame, drops the event
+// polls after the synchronization and all but the first properties poll.
 func TestInferenceScheduleShape(t *testing.T) {
 	spec := inferenceSpec(false)
 	setupTeardown := 1 + (spec.Layers+2)*2 + spec.Layers + 2 + 2 + 1 // init, mallocs+frees, uploads, stream+event create/destroy, finalize
@@ -35,7 +35,7 @@ func TestInferenceScheduleShape(t *testing.T) {
 
 	spec.Batched = true
 	batched := InferenceSchedule(spec)
-	perReqBatched := 1 + spec.Polls + 1 // frame closed by the sync, polls, readback
+	perReqBatched := 1 + 1 // frame closed by the sync, readback
 	if want := setupTeardown + 1 + spec.Requests*perReqBatched; len(batched) != want {
 		t.Fatalf("batched schedule has %d messages, want %d", len(batched), want)
 	}
@@ -47,6 +47,9 @@ func TestInferenceScheduleShape(t *testing.T) {
 	for _, m := range batched {
 		if m.Op == protocol.OpEventSynchronize {
 			t.Fatal("the batched schedule synchronizes in an exchange of its own")
+		}
+		if m.Op == protocol.OpEventQuery {
+			t.Fatal("the batched schedule polls the event it synchronized over the wire")
 		}
 		if m.Op == protocol.OpBatch {
 			frames++

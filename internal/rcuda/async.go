@@ -53,8 +53,13 @@ func (c *Client) StreamQuery(s cudart.Stream) error {
 	return c.streamOp(protocol.OpStreamQuery, s)
 }
 
-// EventQuery implements cudart.AsyncRuntime with the same protocol.
+// EventQuery implements cudart.AsyncRuntime with the same protocol; under
+// batching a query of the event just synchronized is answered locally (see
+// cache.go).
 func (c *Client) EventQuery(e cudart.Event) error {
+	if c.eventSettled(e) {
+		return nil
+	}
 	return c.eventOp(protocol.OpEventQuery, e)
 }
 
@@ -115,6 +120,7 @@ func (c *Client) EventCreate() (cudart.Event, error) {
 // EventRecord implements cudart.AsyncRuntime; fire-and-forget, so it
 // coalesces under batching.
 func (c *Client) EventRecord(e cudart.Event, s cudart.Stream) error {
+	c.forgetEvent(e)
 	return c.callCode(protocol.Put(&c.req.eventRecord, protocol.EventRecordRequest{Event: uint32(e), Stream: uint32(s)}))
 }
 
@@ -125,11 +131,16 @@ func (c *Client) eventOp(op protocol.Op, e cudart.Event) error {
 
 // EventSynchronize implements cudart.AsyncRuntime.
 func (c *Client) EventSynchronize(e cudart.Event) error {
-	return c.eventOp(protocol.OpEventSynchronize, e)
+	err := c.eventOp(protocol.OpEventSynchronize, e)
+	if err == nil {
+		c.synced, c.syncedOK = e, c.caching
+	}
+	return err
 }
 
 // EventDestroy implements cudart.AsyncRuntime.
 func (c *Client) EventDestroy(e cudart.Event) error {
+	c.forgetEvent(e)
 	return c.eventOp(protocol.OpEventDestroy, e)
 }
 

@@ -60,12 +60,15 @@ type Client struct {
 	batchSeq      uint64
 	deferredErr   error
 	// Immutable-reply cache (see cache.go). curDev tracks the device index
-	// selected with SetDevice, keying the properties cache.
+	// selected with SetDevice, keying the properties cache; synced is the
+	// event the last successful EventSynchronize waited on, while syncedOK.
 	caching    bool
 	devCount   int
 	devCountOK bool
 	props      map[int]gpu.Properties
 	curDev     int
+	synced     cudart.Event
+	syncedOK   bool
 	// Scheduling parameters declared in the session hello (WithSchedClass);
 	// both zero means a bare hello.
 	schedClass  uint32

@@ -40,7 +40,9 @@ func (c *Client) DeviceCount() (int, error) {
 func (c *Client) SetDevice(device int) error {
 	// A synchronous exchange on purpose even under batching: pending
 	// batched ops must execute on the previously selected device, and
-	// roundTrip's sync point guarantees exactly that ordering.
+	// roundTrip's sync point guarantees exactly that ordering. Events
+	// belong to one context, so the synchronized one is forgotten.
+	c.syncedOK = false
 	if err := c.callCode(protocol.Put(&c.req.setDevice, protocol.SetDeviceRequest{Device: uint32(device)})); err != nil {
 		return err
 	}

@@ -200,12 +200,26 @@ func (p foldProgram) deferred(want []cudart.Error) []cudart.Error {
 	return got
 }
 
+// simDevices makes n devices, each on a virtual clock of its own.
+func simDevices(n int) []*gpu.Device {
+	devs := make([]*gpu.Device, n)
+	for i := range devs {
+		devs[i] = gpu.New(gpu.Config{Clock: vclock.NewSim()})
+	}
+	return devs
+}
+
 // remoteFold opens a client on a fresh daemon over a simulated link. The
 // link charges a clock of its own, so the device's clock moves only with its
 // own work, as the local runtime's does.
 func remoteFold(t *testing.T, img []byte, opts ...ClientOption) (*Client, func()) {
 	t.Helper()
-	srv := NewServer(gpu.New(gpu.Config{Clock: vclock.NewSim()}))
+	return remoteOn(t, NewServer(simDevices(1)[0]), img, opts...)
+}
+
+// remoteOn is remoteFold on a daemon of the caller's making.
+func remoteOn(t *testing.T, srv *Server, img []byte, opts ...ClientOption) (*Client, func()) {
+	t.Helper()
 	cliEnd, srvEnd := transport.Pipe(netsim.GigaE(), vclock.NewSim(), nil)
 	done := make(chan error, 1)
 	go func() { done <- srv.ServeConn(srvEnd) }()

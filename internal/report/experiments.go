@@ -76,7 +76,7 @@ the simulated measurements exactly as the paper's method prescribes.
 var recordedFS embed.FS
 
 // recordedSections names the fragments in document order.
-var recordedSections = []string{"intro", "pr13", "pr14", "pr15", "pr16", "pr18", "pr21", "pr22", "pr26", "pr27", "ledger"}
+var recordedSections = []string{"intro", "pr13", "pr14", "pr15", "pr16", "pr18", "pr21", "pr22", "pr26", "pr27", "pr29", "ledger"}
 
 func expRecorded(sb *strings.Builder) error {
 	for i, name := range recordedSections {
@@ -247,8 +247,9 @@ func (c Config) expExtensions(sb *strings.Builder) error {
   fire-and-forget calls (async copies, kernel launches, event records,
   memsets) coalesce into one wire frame that the next synchronizing call
   flushes — or closes, riding it, when it is a synchronization or
-  completion query — and immutable device-query replies are cached for
-  the lifetime of the connection. A %d-layer dense inference loop serving
+  completion query — immutable device-query replies are cached for the
+  lifetime of the connection, and the client answers a poll of the event
+  it has just synchronized itself. A %d-layer dense inference loop serving
   %d requests — %d round trips per request unbatched — runs %.2fx faster
   on GigaE (%.1f → %.1f sim-ms) and %.2fx on 40GI (%.1f → %.1f sim-ms),
   with bit-identical outputs in all four cells (digest %016x) and the

@@ -4,8 +4,14 @@ import (
 	"math"
 	"testing"
 
+	"rcuda/internal/calib"
+	"rcuda/internal/gpu"
+	"rcuda/internal/kernels"
 	"rcuda/internal/netsim"
 	"rcuda/internal/perfmodel"
+	"rcuda/internal/rcuda"
+	"rcuda/internal/transport"
+	"rcuda/internal/vclock"
 )
 
 func runInference(t *testing.T, link *netsim.Link, batched bool) InferenceReport {
@@ -57,9 +63,10 @@ func TestInferenceBatchedSpeedup(t *testing.T) {
 		t.Errorf("client coalesced %d ops, want %d", got, coalesced)
 	}
 	// One properties poll per request: the first fills the cache, the rest
-	// never reach the wire.
-	if batched.Client.CacheMisses != 1 || batched.Client.CacheHits != int64(spec.Requests-1) {
-		t.Errorf("cache stats %+v, want 1 miss and %d hits", batched.Client, spec.Requests-1)
+	// never reach the wire. Nor does any event poll after a synchronization.
+	hits := int64(spec.Requests - 1 + spec.Requests*spec.Polls)
+	if batched.Client.CacheMisses != 1 || batched.Client.CacheHits != hits {
+		t.Errorf("cache stats %+v, want 1 miss and %d hits", batched.Client, hits)
 	}
 	if plain.Client.OpsCoalesced != 0 || plain.Client.CacheHits != 0 {
 		t.Errorf("unbatched session touched batching machinery: %+v", plain.Client)
@@ -126,10 +133,12 @@ func TestInferenceModelCrossValidation(t *testing.T) {
 	}
 }
 
-// TestInferencePollsRideTheCacheNot ensures event polls stay real round
-// trips (completion status can change; it must never be cached) while the
-// loop still benefits: extra polls cost the same in both modes.
-func TestInferencePollsRideTheCacheNot(t *testing.T) {
+// TestInferencePollsAfterSyncAreLocal pins which event polls the batching
+// client answers itself: a poll of the event it has just synchronized, and
+// no other. Completion status is never cached — a poll with no
+// synchronization before it, or after the event is recorded again, still
+// costs its exchange.
+func TestInferencePollsAfterSyncAreLocal(t *testing.T) {
 	link := netsim.GigaE()
 	base, err := RunInference(InferenceOptions{Link: link, Batched: true, Polls: 1, Seed: 7})
 	if err != nil {
@@ -139,11 +148,62 @@ func TestInferencePollsRideTheCacheNot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	extra := more.Messages - base.Messages
-	if want := int64(2 * base.Spec.Requests); extra != want {
-		t.Fatalf("2 extra polls per request added %d messages, want %d", extra, want)
+	if extra := more.Messages - base.Messages; extra != 0 {
+		t.Fatalf("2 extra polls per request after the synchronization added %d messages, want 0", extra)
 	}
 	if base.Digest != more.Digest {
 		t.Fatal("poll count changed the computation")
+	}
+
+	// One call at a time, with a frame budget of one sub-op so that a
+	// record reaches the server before the poll after it.
+	clk := vclock.NewSim()
+	srv := rcuda.NewServer(gpu.New(gpu.Config{Clock: clk}))
+	cliEnd, srvEnd := transport.Pipe(link, clk, nil)
+	done := make(chan error, 1)
+	go func() { done <- srv.ServeConn(srvEnd) }()
+	mod, err := kernels.ModuleFor(calib.MM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := mod.Binary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := rcuda.Open(cliEnd, img, rcuda.WithBatching(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	event, err := client.EventCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := func(what string, want int64, call func() error) {
+		t.Helper()
+		before := cliEnd.Stats().MessagesSent
+		if err := call(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got := cliEnd.Stats().MessagesSent - before; got != want {
+			t.Fatalf("%s sent %d messages, want %d", what, got, want)
+		}
+	}
+	poll := func() error { return client.EventQuery(event) }
+	sent("poll with no synchronization before it", 1, poll)
+	sent("synchronization", 1, func() error { return client.EventSynchronize(event) })
+	for i := 0; i < 3; i++ {
+		sent("poll after the synchronization", 0, poll)
+	}
+	sent("record", 1, func() error { return client.EventRecord(event, 0) })
+	sent("poll after the event is recorded again", 1, poll)
+	sent("second poll after the record", 1, poll)
+	if cs := client.Stats(); cs.CacheHits != 3 {
+		t.Fatalf("client stats %+v, want the 3 local answers counted as cache hits", cs)
+	}
+	if err := client.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
