@@ -14,7 +14,7 @@ help:
 	@echo "  build        compile and vet everything (plus an arm64 cross-vet of blas/kernels/gpu)"
 	@echo "  test         run all tests"
 	@echo "  race         run all tests under the race detector"
-	@echo "  verify       tier-1 gate: build + test + race on data path + chaos suite"
+	@echo "  verify       tier-1 gate: build + test + race on data path, broker, workloads, report + chaos suite"
 	@echo "  lint         go vet + rcuda-vet invariant analyzers + gofmt diff check"
 	@echo "  vet          rcuda-vet only: seededrand/wiremsg/locknet/errcode invariants"
 	@echo "  loc          non-blank, non-comment, non-test Go lines per package (the count 'smaller' claims cite)"
@@ -72,15 +72,18 @@ loc:
 	done
 
 # Tier-1 verification: full build + tests, the invariant analyzers, the
-# concurrent data-path packages (transport framing, middleware streaming +
-# batching, pool broker + its autoscaler, the scale harness, the full-stack
-# workloads) under the race detector, and the deterministic fault-injection
-# suite. The device-service packages ride along for checkptr, which -race
-# turns on: kernels view device memory through the one unsafe conversion,
-# and their misaligned, overlapping and end-of-allocation cases must pass it.
+# concurrent data-path packages (wire codec, transport framing, middleware
+# streaming + batching, pool broker + its autoscaler, the scale harness, the
+# full-stack workloads, the report and the root package, which run the
+# simulated deployment) under the race detector, and the deterministic
+# fault-injection suite. The device-service packages ride along for
+# checkptr, which -race turns on: kernels view device memory through the one
+# unsafe conversion, and their misaligned, overlapping and end-of-allocation
+# cases must pass it.
 verify: build test vet chaos
-	$(GO) test -race ./internal/transport/... ./internal/rcuda/... ./internal/broker/... ./internal/sched/... ./internal/loadgen/... ./internal/workload/... \
-		./internal/blas/... ./internal/kernels/... ./internal/gpu/...
+	$(GO) test -race ./internal/protocol/... ./internal/transport/... ./internal/rcuda/... ./internal/broker/... ./internal/sched/... ./internal/loadgen/... ./internal/workload/... \
+		./internal/report/... . \
+		./internal/blas/... ./internal/kernels/... ./internal/gpu/... ./internal/cudart/...
 
 # Chaos suite: every fault kind's transport semantics, the retry policy, and
 # the MM/FFT case studies under scripted and 50 consecutive seeded fault

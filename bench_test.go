@@ -280,12 +280,27 @@ func BenchmarkAblationChunking(b *testing.B) {
 // in-process pipe with a zero-latency clock — the middleware's own
 // processing overhead, separate from any network model.
 func BenchmarkMiddlewareRoundTrip(b *testing.B) {
-	clk := vclock.NewSim()
-	dev := gpu.New(gpu.Config{Clock: clk})
-	srv := mw.NewServer(dev)
-	cliEnd, srvEnd := transport.Pipe(netsim.AHT(), clk, nil)
-	go func() { _ = srv.ServeConn(srvEnd) }()
-	mod, err := kernels.ModuleFor(calib.MM)
+	sess, err := NewSimSession(netsim.AHT(), benchModule(b, calib.MM), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sess.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ptr, err := sess.Client.Malloc(4096)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sess.Client.Free(ptr); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchModule returns the wire image of a case study's GPU module.
+func benchModule(b *testing.B, cs calib.CaseStudy) []byte {
+	mod, err := kernels.ModuleFor(cs)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -293,22 +308,7 @@ func BenchmarkMiddlewareRoundTrip(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	client, err := mw.Open(cliEnd, img)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ptr, err := client.Malloc(4096)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := client.Free(ptr); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return img
 }
 
 // BenchmarkRemoteGEMMFunctional drives a complete functional remote matrix
@@ -371,12 +371,6 @@ func BenchmarkAblationAsyncOverlap(b *testing.B) {
 // chunkedRemoteFFT runs 8 chunks of 256 transforms through the middleware
 // over simulated 40GI, optionally double-buffered.
 func chunkedRemoteFFT(overlapped bool) (time.Duration, error) {
-	clk := vclock.NewSim()
-	dev := gpu.New(gpu.Config{Clock: clk})
-	srv := mw.NewServer(dev)
-	cliEnd, srvEnd := transport.Pipe(netsim.IB40G(), clk, nil)
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeConn(srvEnd) }()
 	mod, err := kernels.ModuleFor(calib.FFT)
 	if err != nil {
 		return 0, err
@@ -385,11 +379,12 @@ func chunkedRemoteFFT(overlapped bool) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	client, err := mw.Open(cliEnd, img)
+	sess, err := NewSimSession(netsim.IB40G(), img, nil)
 	if err != nil {
 		return 0, err
 	}
-	defer func() { _ = client.Close(); <-done }()
+	defer sess.Close()
+	client, clk := sess.Client, sess.Clock
 
 	const chunkBatch = 256
 	chunkBytes := uint32(chunkBatch * 4096)
@@ -447,14 +442,7 @@ func chunkedRemoteFFT(overlapped bool) (time.Duration, error) {
 // over a real loopback socket and report allocations — the pooled zero-copy
 // framing is what keeps allocs/op flat regardless of payload size.
 func BenchmarkMemcpyPipeline(b *testing.B) {
-	mod, err := kernels.ModuleFor(calib.MM)
-	if err != nil {
-		b.Fatal(err)
-	}
-	img, err := mod.Binary()
-	if err != nil {
-		b.Fatal(err)
-	}
+	img := benchModule(b, calib.MM)
 	const size = 64 << 20
 
 	for _, link := range []*netsim.Link{netsim.GigaE(), netsim.IB40G()} {
@@ -462,10 +450,7 @@ func BenchmarkMemcpyPipeline(b *testing.B) {
 			mode := mode
 			b.Run("sim/"+link.Name()+"/"+mode, func(b *testing.B) {
 				clk := vclock.NewSim()
-				dev := gpu.New(gpu.Config{Clock: clk})
-				srv := mw.NewServer(dev)
-				cliEnd, srvEnd := transport.Pipe(link, clk, nil)
-				go func() { _ = srv.ServeConn(srvEnd) }()
+				daemon := mw.NewSimDaemon(mw.NewServer(gpu.New(gpu.Config{Clock: clk})), link, clk, nil)
 				var opts []mw.ClientOption
 				if mode != "legacy" {
 					opts = append(opts, mw.WithChunkedTransfers(1, protocol.DefaultChunkSize))
@@ -473,15 +458,9 @@ func BenchmarkMemcpyPipeline(b *testing.B) {
 				if mode == "chunked+retry" {
 					// Measures the retry engine's bookkeeping on a
 					// fault-free path; the dialer is never invoked.
-					opts = append(opts,
-						mw.WithRetry(4, 200*time.Microsecond),
-						mw.WithReconnect(func() (transport.Conn, error) {
-							c2, s2 := transport.Pipe(link, clk, nil)
-							go func() { _ = srv.ServeConn(s2) }()
-							return c2, nil
-						}))
+					opts = append(opts, mw.WithRetry(4, 200*time.Microsecond), mw.WithReconnect(daemon.Dial))
 				}
-				client, err := mw.Open(cliEnd, img, opts...)
+				client, err := daemon.Open(img, opts...)
 				if err != nil {
 					b.Fatal(err)
 				}

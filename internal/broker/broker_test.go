@@ -49,18 +49,14 @@ func newSimServer(opts ...rcuda.ServerOption) *simServer {
 
 func (s *simServer) endpoint(name string, link *netsim.Link) Endpoint {
 	dial := func() (transport.Conn, error) {
+		// A revived server replaces srv and clk behind the same endpoint.
 		s.mu.Lock()
-		dead := s.dead
+		dead, srv, clk := s.dead, s.srv, s.clk
 		s.mu.Unlock()
 		if dead {
 			return nil, errors.New("connection refused")
 		}
-		cliEnd, srvEnd := transport.Pipe(link, s.clk, nil)
-		go func() {
-			_ = s.srv.ServeConn(srvEnd)
-			_ = srvEnd.Close()
-		}()
-		return cliEnd, nil
+		return rcuda.NewSimDaemon(srv, link, clk, nil).Dial()
 	}
 	return Endpoint{Name: name, Dial: dial, Link: link}
 }

@@ -2,7 +2,6 @@ package broker
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"rcuda/internal/calib"
@@ -11,7 +10,6 @@ import (
 	"rcuda/internal/kernels"
 	"rcuda/internal/netsim"
 	"rcuda/internal/rcuda"
-	"rcuda/internal/transport"
 	"rcuda/internal/vclock"
 	"rcuda/internal/workload"
 )
@@ -86,43 +84,27 @@ func SimulateLive(link *netsim.Link, nServers int, jobs []SimJob) (LiveResult, e
 		return LiveResult{}, err
 	}
 
-	// Live pool over in-process servers, one Sim clock per server.
-	clocks := make([]*vclock.Sim, nServers)
-	servers := make([]*rcuda.Server, nServers)
-	// handlers[i] counts server i's session handlers still running. A
+	// Live pool over in-process servers, one Sim clock per server. A job's
 	// handler keeps charging its server's clock after the client's Close
 	// returns — it tears the session down asynchronously — so the harness
-	// waits for it to exit before it reads or compares that clock again.
-	handlers := make([]sync.WaitGroup, nServers)
+	// waits for the server's job daemon before it reads or compares that
+	// clock again.
+	clocks := make([]*vclock.Sim, nServers)
+	servers := make([]*rcuda.Server, nServers)
+	daemons := make([]*rcuda.SimDaemon, nServers)
 	eps := make([]Endpoint, nServers)
 	for i := range clocks {
 		clk := vclock.NewSim()
 		srv := rcuda.NewServer(gpu.New(gpu.Config{Clock: clk}))
 		clocks[i], servers[i] = clk, srv
-		running := &handlers[i]
+		daemons[i] = rcuda.NewSimDaemon(srv, link, clk, nil)
 		eps[i] = Endpoint{
 			Name: fmt.Sprintf("sim-%d", i),
 			Link: link,
-			Dial: func() (transport.Conn, error) {
-				cliEnd, srvEnd := transport.Pipe(link, clk, nil)
-				running.Add(1)
-				go func() {
-					defer running.Done()
-					_ = srv.ServeConn(srvEnd)
-					_ = srvEnd.Close()
-				}()
-				return cliEnd, nil
-			},
-			ProbeDial: func() (transport.Conn, error) {
-				// Out-of-band monitoring: probe wire time lands on a
-				// throwaway clock, not the server's timeline.
-				cliEnd, srvEnd := transport.Pipe(link, vclock.NewSim(), nil)
-				go func() {
-					_ = srv.ServeConn(srvEnd)
-					_ = srvEnd.Close()
-				}()
-				return cliEnd, nil
-			},
+			Dial: daemons[i].Dial,
+			// Out-of-band monitoring: probe wire time lands on a clock of
+			// its own, not the server's timeline.
+			ProbeDial: rcuda.NewSimDaemon(srv, link, vclock.NewSim(), nil).Dial,
 		}
 	}
 	pool, err := New(eps)
@@ -168,7 +150,9 @@ func SimulateLive(link *netsim.Link, nServers int, jobs []SimJob) (LiveResult, e
 		// released the session; only then is the server's clock quiescent,
 		// so neither the next probe's gauges nor the next job's
 		// max(Ready, free) can race a teardown charge.
-		handlers[sess.idx].Wait()
+		if err := daemons[sess.idx].Wait(); err != nil {
+			return LiveResult{}, fmt.Errorf("broker: job %d: %w", cj.ID, err)
+		}
 		res.Placements = append(res.Placements, sess.idx)
 	}
 

@@ -59,24 +59,24 @@ var _ AsyncRuntime = (*Local)(nil)
 // StreamCreate implements AsyncRuntime.
 func (l *Local) StreamCreate() (Stream, error) {
 	s, err := l.ctx().StreamCreate()
-	return Stream(s), mapGPUError(err)
+	return Stream(s), MapError(err)
 }
 
 // StreamSynchronize implements AsyncRuntime.
 func (l *Local) StreamSynchronize(s Stream) error {
-	return mapGPUError(l.ctx().StreamSynchronize(uint32(s)))
+	return MapError(l.ctx().StreamSynchronize(uint32(s)))
 }
 
 // StreamDestroy implements AsyncRuntime.
 func (l *Local) StreamDestroy(s Stream) error {
-	return mapGPUError(l.ctx().StreamDestroy(uint32(s)))
+	return MapError(l.ctx().StreamDestroy(uint32(s)))
 }
 
 // StreamQuery implements AsyncRuntime.
 func (l *Local) StreamQuery(s Stream) error {
 	ready, err := l.ctx().StreamReady(uint32(s))
 	if err != nil {
-		return mapGPUError(err)
+		return MapError(err)
 	}
 	if !ready {
 		return ErrorNotReady
@@ -88,7 +88,7 @@ func (l *Local) StreamQuery(s Stream) error {
 func (l *Local) EventQuery(e Event) error {
 	ready, err := l.ctx().EventReady(uint32(e))
 	if err != nil {
-		return mapGPUError(err)
+		return MapError(err)
 	}
 	if !ready {
 		return ErrorNotReady
@@ -98,47 +98,48 @@ func (l *Local) EventQuery(e Event) error {
 
 // MemcpyToDeviceAsync implements AsyncRuntime.
 func (l *Local) MemcpyToDeviceAsync(dst DevicePtr, src []byte, s Stream) error {
-	return mapGPUError(l.ctx().CopyToDeviceAsync(uint32(dst), src, uint32(s)))
+	return MapError(l.ctx().CopyToDeviceAsync(uint32(dst), src, uint32(s)))
 }
 
-// MemcpyToHostAsync implements AsyncRuntime.
+// MemcpyToHostAsync implements AsyncRuntime: it reads device memory into dst
+// now and books the transfer on the copy engine and the stream from now on.
 func (l *Local) MemcpyToHostAsync(dst []byte, src DevicePtr, s Stream) error {
-	data, err := l.ctx().CopyToHostAsync(uint32(src), uint32(len(dst)), uint32(s))
+	view, _, err := l.ctx().HostViewAsyncAt(uint32(src), uint32(len(dst)), uint32(s), l.dev().Clock().Now())
 	if err != nil {
-		return mapGPUError(err)
+		return MapError(err)
 	}
-	copy(dst, data)
+	copy(dst, view)
 	return nil
 }
 
 // LaunchAsync implements AsyncRuntime.
 func (l *Local) LaunchAsync(name string, grid, block Dim3, shared uint32, params []byte, s Stream) error {
-	return mapGPUError(l.ctx().LaunchAsync(name, grid, block, shared, params, uint32(s)))
+	return MapError(l.ctx().LaunchAsync(name, grid, block, shared, params, uint32(s)))
 }
 
 // EventCreate implements AsyncRuntime.
 func (l *Local) EventCreate() (Event, error) {
 	e, err := l.ctx().EventCreate()
-	return Event(e), mapGPUError(err)
+	return Event(e), MapError(err)
 }
 
 // EventRecord implements AsyncRuntime.
 func (l *Local) EventRecord(e Event, s Stream) error {
-	return mapGPUError(l.ctx().EventRecord(uint32(e), uint32(s)))
+	return MapError(l.ctx().EventRecord(uint32(e), uint32(s)))
 }
 
 // EventSynchronize implements AsyncRuntime.
 func (l *Local) EventSynchronize(e Event) error {
-	return mapGPUError(l.ctx().EventSynchronize(uint32(e)))
+	return MapError(l.ctx().EventSynchronize(uint32(e)))
 }
 
 // EventElapsed implements AsyncRuntime.
 func (l *Local) EventElapsed(start, end Event) (time.Duration, error) {
 	d, err := l.ctx().EventElapsed(uint32(start), uint32(end))
-	return d, mapGPUError(err)
+	return d, MapError(err)
 }
 
 // EventDestroy implements AsyncRuntime.
 func (l *Local) EventDestroy(e Event) error {
-	return mapGPUError(l.ctx().EventDestroy(uint32(e)))
+	return MapError(l.ctx().EventDestroy(uint32(e)))
 }

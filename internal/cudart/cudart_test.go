@@ -3,6 +3,7 @@ package cudart
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -350,5 +351,92 @@ func TestLocalMemcpyToHostStagesNothing(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(20, func() { _ = rt.MemcpyToHost(dst, ptr) }); got != 0 {
 		t.Fatalf("MemcpyToHost allocates %v times, want 0", got)
+	}
+}
+
+// TestLocalMemcpyToHostAsyncStagesNothing is the async twin: a copy queued
+// on a stream moves device memory into the caller's buffer once, with no
+// buffer of its own, and books its one PCIe transfer on the stream instead
+// of the clock; on the default stream it is the synchronous copy.
+func TestLocalMemcpyToHostAsyncStagesNothing(t *testing.T) {
+	rt, clk := openTest(t, "d2h_async_direct")
+	defer rt.Close()
+	const n = 1 << 20
+	ptr, err := rt.Malloc(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := make([]byte, n)
+	for i := range src {
+		src[i] = byte(i * 13)
+	}
+	if err := rt.MemcpyToDevice(ptr, src); err != nil {
+		t.Fatal(err)
+	}
+	s, err := rt.StreamCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcie := rt.dev().PCIeTime(n)
+	dst := make([]byte, n)
+	before := clk.Now()
+	if err := rt.MemcpyToHostAsync(dst, ptr, s); err != nil {
+		t.Fatal(err)
+	}
+	if clk.Now() != before {
+		t.Fatal("a queued copy advanced the clock at issue")
+	}
+	if err := rt.StreamSynchronize(s); err != nil {
+		t.Fatal(err)
+	}
+	if got := clk.Now() - before; got != pcie {
+		t.Fatalf("queued copy charged %v on sync, want one PCIe transfer of %v", got, pcie)
+	}
+	if !bytes.Equal(dst, src) {
+		t.Fatal("queued copy diverged")
+	}
+	clear(dst)
+	before = clk.Now()
+	if err := rt.MemcpyToHostAsync(dst, ptr, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := clk.Now() - before; got != pcie || !bytes.Equal(dst, src) {
+		t.Fatalf("default-stream copy charged %v (want %v) or diverged", got, pcie)
+	}
+	if err := rt.MemcpyToHostAsync(dst[:4], ptr, 99); !errors.Is(err, ErrorInvalidValue) {
+		t.Fatalf("copy on an unknown stream = %v, want cudaErrorInvalidValue", err)
+	}
+	if raceflag.Enabled {
+		return
+	}
+	if got := testing.AllocsPerRun(20, func() { _ = rt.MemcpyToHostAsync(dst, ptr, s) }); got != 0 {
+		t.Fatalf("MemcpyToHostAsync allocates %v times, want 0", got)
+	}
+}
+
+func TestMapErrorTable(t *testing.T) {
+	cases := map[error]Error{
+		gpu.ErrOutOfMemory:      ErrorMemoryAllocation,
+		gpu.ErrZeroSize:         ErrorInvalidValue,
+		gpu.ErrInvalidDevPtr:    ErrorInvalidDevicePointer,
+		gpu.ErrUnknownKernel:    ErrorLaunchFailure,
+		gpu.ErrInvalidLaunch:    ErrorInvalidConfiguration,
+		gpu.ErrInvalidStream:    ErrorInvalidValue,
+		gpu.ErrInvalidEvent:     ErrorInvalidValue,
+		gpu.ErrContextDestroyed: ErrorInitialization,
+		gpu.ErrUnknownModule:    ErrorInitialization,
+		errors.New("anything"):  ErrorUnknown,
+	}
+	for in, want := range cases {
+		if got := MapError(fmt.Errorf("wrapped: %w", in)); got != error(want) {
+			t.Fatalf("MapError(%v) = %v, want %v", in, got, want)
+		}
+	}
+	if MapError(nil) != nil {
+		t.Fatal("nil must stay nil")
+	}
+	// Pre-mapped cudart errors pass through unchanged.
+	if MapError(ErrorInvalidValue) != error(ErrorInvalidValue) {
+		t.Fatal("cudart errors must pass through")
 	}
 }

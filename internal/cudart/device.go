@@ -49,7 +49,7 @@ func (l *Local) SetDevice(device int) error {
 		if l.mod != nil {
 			if err := ctx.LoadModule(l.mod); err != nil {
 				_ = ctx.Destroy()
-				return mapGPUError(err)
+				return MapError(err)
 			}
 		}
 		l.ctxs[device] = ctx
@@ -65,10 +65,10 @@ func (l *Local) DeviceProperties() (gpu.Properties, error) {
 
 // Memset implements DeviceRuntime.
 func (l *Local) Memset(ptr DevicePtr, value byte, size uint32) error {
-	return mapGPUError(l.ctx().Memset(uint32(ptr), value, size))
+	return MapError(l.ctx().Memset(uint32(ptr), value, size))
 }
 
 // MemcpyDeviceToDevice implements DeviceRuntime.
 func (l *Local) MemcpyDeviceToDevice(dst, src DevicePtr, size uint32) error {
-	return mapGPUError(l.ctx().CopyDeviceToDevice(uint32(dst), uint32(src), size))
+	return MapError(l.ctx().CopyDeviceToDevice(uint32(dst), uint32(src), size))
 }

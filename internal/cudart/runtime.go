@@ -121,26 +121,26 @@ func (l *Local) ctx() *gpu.Context { return l.ctxs[l.cur] }
 func (l *Local) Malloc(size uint32) (DevicePtr, error) {
 	ptr, err := l.ctx().Malloc(size)
 	if err != nil {
-		return 0, mapGPUError(err)
+		return 0, MapError(err)
 	}
 	return DevicePtr(ptr), nil
 }
 
 // Free implements Runtime.
 func (l *Local) Free(ptr DevicePtr) error {
-	return mapGPUError(l.ctx().Free(uint32(ptr)))
+	return MapError(l.ctx().Free(uint32(ptr)))
 }
 
 // MemcpyToDevice implements Runtime.
 func (l *Local) MemcpyToDevice(dst DevicePtr, src []byte) error {
-	return mapGPUError(l.ctx().CopyToDevice(uint32(dst), src))
+	return MapError(l.ctx().CopyToDevice(uint32(dst), src))
 }
 
 // MemcpyToHost implements Runtime.
 func (l *Local) MemcpyToHost(dst []byte, src DevicePtr) error {
 	view, err := l.ctx().HostView(uint32(src), uint32(len(dst)))
 	if err != nil {
-		return mapGPUError(err)
+		return MapError(err)
 	}
 	copy(dst, view)
 	return nil
@@ -148,12 +148,12 @@ func (l *Local) MemcpyToHost(dst []byte, src DevicePtr) error {
 
 // Launch implements Runtime.
 func (l *Local) Launch(name string, grid, block Dim3, shared uint32, params []byte) error {
-	return mapGPUError(l.ctx().Launch(name, grid, block, shared, params))
+	return MapError(l.ctx().Launch(name, grid, block, shared, params))
 }
 
 // DeviceSynchronize implements Runtime: it waits out every pending
 // asynchronous operation of this context.
-func (l *Local) DeviceSynchronize() error { return mapGPUError(l.ctx().Synchronize()) }
+func (l *Local) DeviceSynchronize() error { return MapError(l.ctx().Synchronize()) }
 
 // Capability implements Runtime.
 func (l *Local) Capability() (major, minor uint32) { return l.dev().Capability() }
@@ -174,12 +174,20 @@ func (l *Local) Close() error {
 	return first
 }
 
-// mapGPUError translates device-layer errors into cudaError_t values
-// (nil stays nil), so the Runtime surfaces the same codes the wire carries.
-func mapGPUError(err error) error {
-	switch {
-	case err == nil:
+// MapError translates a device-layer error into its cudaError_t value, the
+// one table behind both the local runtime's results and the daemon's wire
+// codes, so local and remote executions surface identical codes. Nil stays
+// nil, and an error that already is a cudart Error passes through.
+func MapError(err error) error {
+	// The nil case returns before ce is declared: errors.As makes &ce
+	// escape, and a successful op must not pay a heap allocation for it.
+	if err == nil {
 		return nil
+	}
+	var ce Error
+	switch {
+	case errors.As(err, &ce):
+		return ce
 	case errors.Is(err, gpu.ErrOutOfMemory):
 		return ErrorMemoryAllocation
 	case errors.Is(err, gpu.ErrZeroSize):
@@ -192,9 +200,7 @@ func mapGPUError(err error) error {
 		return ErrorInvalidConfiguration
 	case errors.Is(err, gpu.ErrInvalidStream), errors.Is(err, gpu.ErrInvalidEvent):
 		return ErrorInvalidValue
-	case errors.Is(err, gpu.ErrContextDestroyed):
-		return ErrorInitialization
-	case errors.Is(err, gpu.ErrUnknownModule):
+	case errors.Is(err, gpu.ErrContextDestroyed), errors.Is(err, gpu.ErrUnknownModule):
 		return ErrorInitialization
 	default:
 		return ErrorUnknown

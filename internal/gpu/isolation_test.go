@@ -31,7 +31,6 @@ func TestContextReachesOnlyItsOwnAllocations(t *testing.T) {
 
 	attempts := map[string]func() error{
 		"CopyToHost":          func() error { _, err := intruder.CopyToHost(theirs, 16); return err },
-		"CopyToHostAsync":     func() error { _, err := intruder.CopyToHostAsync(theirs, 16, stream); return err },
 		"HostView":            func() error { _, err := intruder.HostView(theirs, 16); return err },
 		"HostViewAsyncAt":     func() error { _, _, err := intruder.HostViewAsyncAt(theirs, 16, stream, 0); return err },
 		"Region":              func() error { _, err := intruder.Region(theirs, 16); return err },

@@ -198,27 +198,6 @@ func (c *Context) CopyToDeviceAsync(dst uint32, data []byte, stream uint32) erro
 	return err
 }
 
-// CopyToHostAsync reads device memory now and books the transfer time on
-// the copy engine and the stream. The returned buffer is only guaranteed
-// meaningful after the stream synchronizes, matching CUDA semantics.
-func (c *Context) CopyToHostAsync(src uint32, size uint32, stream uint32) ([]byte, error) {
-	if stream == DefaultStream || !c.asyncCapable() {
-		return c.CopyToHost(src, size)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	region, err := c.region(src, size)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, size)
-	copy(out, region)
-	if _, err := c.schedule(copyEngine, stream, c.dev.PCIeTime(int64(size))); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // LaunchAsync executes a kernel on a stream: computation happens now,
 // modeled time is booked on the compute engine. Stream 0 falls back to the
 // synchronous Launch.

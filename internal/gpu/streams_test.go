@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -303,34 +304,40 @@ func TestAsyncCopyToHost(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := clk.Now()
-	out, err := ctx.CopyToHostAsync(ptr, uint32(len(data)), s)
+	out, ready, err := ctx.HostViewAsyncAt(ptr, uint32(len(data)), s, before)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if clk.Now() != before {
 		t.Fatal("async D2H must not advance the clock at issue time")
 	}
+	pcie := ctx.dev.PCIeTime(int64(len(data)))
+	if ready != before+pcie {
+		t.Fatalf("async D2H ready at %v, want %v", ready, before+pcie)
+	}
 	if err := ctx.StreamSynchronize(s); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := clk.Now()-before, ctx.dev.PCIeTime(int64(len(data))); got != want {
-		t.Fatalf("async D2H charged %v on sync, want %v", got, want)
+	if got := clk.Now() - before; got != pcie {
+		t.Fatalf("async D2H charged %v on sync, want %v", got, pcie)
 	}
-	for i := range data {
-		if out[i] != data[i] {
-			t.Fatalf("byte %d corrupted", i)
-		}
+	if !bytes.Equal(out, data) {
+		t.Fatal("async D2H view differs from what was copied in")
 	}
 	// Error paths: bad pointer and bad stream.
-	if _, err := ctx.CopyToHostAsync(0, 4, s); err == nil {
+	if _, _, err := ctx.HostViewAsyncAt(0, 4, s, clk.Now()); err == nil {
 		t.Fatal("null async D2H must fail")
 	}
-	if _, err := ctx.CopyToHostAsync(ptr, 4, 99); !errors.Is(err, ErrInvalidStream) {
+	if _, _, err := ctx.HostViewAsyncAt(ptr, 4, 99, clk.Now()); !errors.Is(err, ErrInvalidStream) {
 		t.Fatalf("bad stream async D2H = %v", err)
 	}
 	// Default stream degrades to synchronous.
-	if _, err := ctx.CopyToHostAsync(ptr, 4, DefaultStream); err != nil {
+	before = clk.Now()
+	if _, _, err := ctx.HostViewAsyncAt(ptr, 4, DefaultStream, before); err != nil {
 		t.Fatal(err)
+	}
+	if got := clk.Now() - before; got != ctx.dev.PCIeTime(4) {
+		t.Fatalf("default-stream D2H charged %v, want %v", got, ctx.dev.PCIeTime(4))
 	}
 }
 

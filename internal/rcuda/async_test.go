@@ -11,7 +11,6 @@ import (
 	"rcuda/internal/gpu"
 	"rcuda/internal/kernels"
 	"rcuda/internal/netsim"
-	"rcuda/internal/transport"
 	"rcuda/internal/vclock"
 )
 
@@ -176,22 +175,8 @@ func TestRemoteDoubleBufferingOverlaps(t *testing.T) {
 // startSimSessionFFT mirrors startSimSession with the FFT module loaded.
 func startSimSessionFFT(t *testing.T) (*Client, *gpu.Device, *vclock.Sim, func()) {
 	t.Helper()
-	clk := vclock.NewSim()
-	dev := gpu.New(gpu.Config{Clock: clk})
-	srv := NewServer(dev)
-	cliEnd, srvEnd := transport.Pipe(netsim.IB40G(), clk, nil)
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeConn(srvEnd) }()
-	client, err := Open(cliEnd, moduleImage(t, calib.FFT))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cleanup := func() {
-		_ = client.Close()
-		if err := <-done; err != nil {
-			t.Errorf("server: %v", err)
-		}
-	}
+	d, dev, clk := simDaemon(netsim.IB40G())
+	client, cleanup := openOn(t, d, moduleImage(t, calib.FFT))
 	return client, dev, clk, cleanup
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
@@ -24,27 +23,14 @@ import (
 func startBatchSession(t *testing.T, link *netsim.Link, srvOpts []ServerOption, cliOpts ...ClientOption) (*Client, *Server, transport.Conn, func()) {
 	t.Helper()
 	clk := vclock.NewSim()
-	dev := gpu.New(gpu.Config{Clock: clk})
-	srv := NewServer(dev, srvOpts...)
-	cliEnd, srvEnd := transport.Pipe(link, clk, nil)
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := srv.ServeConn(srvEnd); err != nil {
-			t.Errorf("server: %v", err)
-		}
-	}()
-	client, err := Open(cliEnd, moduleImage(t, calib.MM), cliOpts...)
+	srv := NewServer(gpu.New(gpu.Config{Clock: clk}), srvOpts...)
+	d := NewSimDaemon(srv, link, clk, nil)
+	conn, _ := d.Dial()
+	client, err := Open(conn, moduleImage(t, calib.MM), cliOpts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleanup := func() {
-		_ = client.Close()
-		wg.Wait()
-	}
-	return client, srv, cliEnd, cleanup
+	return client, srv, conn, closeAndWait(t, client, d)
 }
 
 // sgemmBatched runs one 16x16 matrix product through the async path —

@@ -4,52 +4,21 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
-	"rcuda/internal/calib"
 	"rcuda/internal/cudart"
 	"rcuda/internal/gpu"
 	"rcuda/internal/netsim"
 	"rcuda/internal/protocol"
-	"rcuda/internal/transport"
 	"rcuda/internal/vclock"
 )
-
-// startChunkedSession is startSimSession with chunked transfers enabled on
-// the client.
-func startChunkedSession(t *testing.T, link *netsim.Link, threshold, chunkSize int) (*Client, *gpu.Device, *vclock.Sim, func()) {
-	t.Helper()
-	clk := vclock.NewSim()
-	dev := gpu.New(gpu.Config{Clock: clk})
-	srv := NewServer(dev)
-	cliEnd, srvEnd := transport.Pipe(link, clk, nil)
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := srv.ServeConn(srvEnd); err != nil {
-			t.Errorf("server: %v", err)
-		}
-	}()
-	client, err := Open(cliEnd, moduleImage(t, calib.MM), WithChunkedTransfers(threshold, chunkSize))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cleanup := func() {
-		_ = client.Close()
-		wg.Wait()
-	}
-	return client, dev, clk, cleanup
-}
 
 func TestChunkedMemcpyRoundTrip(t *testing.T) {
 	// Threshold below the transfer size and a chunk size that does not
 	// divide it, so the final short chunk is exercised.
 	const size = 1<<20 + 12345
-	client, _, _, cleanup := startChunkedSession(t, netsim.IB40G(), 1<<16, 1<<18)
+	client, _, _, cleanup := startSimSession(t, netsim.IB40G(), WithChunkedTransfers(1<<16, 1<<18))
 	defer cleanup()
 
 	src := make([]byte, size)
@@ -117,7 +86,7 @@ func TestChunkedTransferOverlapsNetworkAndPCIe(t *testing.T) {
 		var clk *vclock.Sim
 		var cleanup func()
 		if chunked {
-			client, _, clk, cleanup = startChunkedSession(t, link, chunkSize, chunkSize)
+			client, _, clk, cleanup = startSimSession(t, link, WithChunkedTransfers(chunkSize, chunkSize))
 		} else {
 			client, _, clk, cleanup = startSimSession(t, link)
 		}
@@ -165,7 +134,7 @@ func TestChunkedDeviceToHostOverlap(t *testing.T) {
 		chunkSize = 1 << 20
 	)
 	link := netsim.IB40G()
-	client, dev, clk, cleanup := startChunkedSession(t, link, chunkSize, chunkSize)
+	client, dev, clk, cleanup := startSimSession(t, link, WithChunkedTransfers(chunkSize, chunkSize))
 	defer cleanup()
 
 	ptr, err := client.Malloc(size)
@@ -196,7 +165,7 @@ func TestChunkedDeviceToHostOverlap(t *testing.T) {
 }
 
 func TestChunkedTransferBadRegionRejectedBeforeData(t *testing.T) {
-	client, _, _, cleanup := startChunkedSession(t, netsim.IB40G(), 1<<16, 1<<16)
+	client, _, _, cleanup := startSimSession(t, netsim.IB40G(), WithChunkedTransfers(1<<16, 1<<16))
 	defer cleanup()
 
 	ptr, err := client.Malloc(1 << 16)
@@ -227,26 +196,9 @@ func TestChunkedTransferBadRegionRejectedBeforeData(t *testing.T) {
 // the single cudaMemcpy it replaces, with the full chunked byte volume.
 func TestChunkedObserverSeesOneCall(t *testing.T) {
 	const size = 1 << 20
-	clk := vclock.NewSim()
-	dev := gpu.New(gpu.Config{Clock: clk})
-	srv := NewServer(dev)
-	cliEnd, srvEnd := transport.Pipe(netsim.IB40G(), clk, nil)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = srv.ServeConn(srvEnd)
-	}()
 	obs := &recordingObserver{}
-	client, err := Open(cliEnd, moduleImage(t, calib.MM),
-		WithObserver(obs), WithChunkedTransfers(size, size/4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		_ = client.Close()
-		wg.Wait()
-	}()
+	client, _, _, cleanup := startSimSession(t, netsim.IB40G(), WithObserver(obs), WithChunkedTransfers(size, size/4))
+	defer cleanup()
 
 	ptr, err := client.Malloc(size)
 	if err != nil {
@@ -275,7 +227,7 @@ func TestChunkedObserverSeesOneCall(t *testing.T) {
 // AsyncRuntime method after Close; each must fail with the initialization
 // error, per the Client contract.
 func TestRuntimeMethodsFailCleanlyAfterClose(t *testing.T) {
-	client, _, _, cleanup := startChunkedSession(t, netsim.IB40G(), 1<<10, 1<<10)
+	client, _, _, cleanup := startSimSession(t, netsim.IB40G(), WithChunkedTransfers(1<<10, 1<<10))
 	cleanup()
 
 	big := make([]byte, 2048) // above the chunked threshold

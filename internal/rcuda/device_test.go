@@ -3,41 +3,33 @@ package rcuda
 import (
 	"bytes"
 	"errors"
-	"sync"
 	"testing"
 
 	"rcuda/internal/calib"
 	"rcuda/internal/cudart"
 	"rcuda/internal/gpu"
 	"rcuda/internal/netsim"
-	"rcuda/internal/transport"
 	"rcuda/internal/vclock"
 )
 
 // startMultiGPUSession serves a daemon owning n devices over a simulated
 // pipe and returns the opened client plus the devices.
-func startMultiGPUSession(t *testing.T, n int) (*Client, []*gpu.Device, func()) {
+func startMultiGPUSession(t *testing.T, n int, opts ...ServerOption) (*Client, []*gpu.Device, func()) {
 	t.Helper()
+	d, devs := multiGPUDaemon(n, opts...)
+	client, cleanup := openOn(t, d, moduleImage(t, calib.MM))
+	return client, devs, cleanup
+}
+
+// multiGPUDaemon serves n simulated devices on one clock over 40GI.
+func multiGPUDaemon(n int, opts ...ServerOption) (*SimDaemon, []*gpu.Device) {
 	clk := vclock.NewSim()
 	devs := make([]*gpu.Device, n)
 	for i := range devs {
 		devs[i] = gpu.New(gpu.Config{Clock: clk})
 	}
-	srv := NewServer(devs[0], WithDevices(devs[1:]...))
-	cliEnd, srvEnd := transport.Pipe(netsim.IB40G(), clk, nil)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := srv.ServeConn(srvEnd); err != nil {
-			t.Errorf("server: %v", err)
-		}
-	}()
-	client, err := Open(cliEnd, moduleImage(t, calib.MM))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return client, devs, func() { _ = client.Close(); wg.Wait() }
+	srv := NewServer(devs[0], append([]ServerOption{WithDevices(devs[1:]...)}, opts...)...)
+	return NewSimDaemon(srv, netsim.IB40G(), clk, nil), devs
 }
 
 func TestDeviceCountAndSelection(t *testing.T) {
@@ -170,53 +162,29 @@ func TestRemoteMemsetAndD2D(t *testing.T) {
 // A D2D copy moves only 16 bytes over the wire regardless of the payload —
 // the reason to keep intermediate results on the remote GPU.
 func TestD2DWireTraffic(t *testing.T) {
-	clk := vclock.NewSim()
-	dev := gpu.New(gpu.Config{Clock: clk})
-	srv := NewServer(dev)
-	cliEnd, srvEnd := transport.Pipe(netsim.GigaE(), clk, nil)
-	go func() { _ = srv.ServeConn(srvEnd) }()
-	client, err := Open(cliEnd, moduleImage(t, calib.MM))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
+	client, _, conn, cleanup := startBatchSession(t, netsim.GigaE(), nil)
+	defer cleanup()
 
 	const n = 8 << 20
 	src, _ := client.Malloc(n)
 	dst, _ := client.Malloc(n)
-	before := cliEnd.Stats().BytesSent
+	before := conn.Stats().BytesSent
 	if err := client.MemcpyDeviceToDevice(dst, src, n); err != nil {
 		t.Fatal(err)
 	}
-	sent := cliEnd.Stats().BytesSent - before
+	sent := conn.Stats().BytesSent - before
 	if sent != 16 {
 		t.Fatalf("D2D sent %d bytes over the wire, want 16", sent)
 	}
 }
 
 func TestSessionSpreadAcrossDevices(t *testing.T) {
-	clk := vclock.NewSim()
-	devs := []*gpu.Device{
-		gpu.New(gpu.Config{Clock: clk}),
-		gpu.New(gpu.Config{Clock: clk}),
-	}
-	srv := NewServer(devs[0], WithDevices(devs[1]), WithSessionSpread())
-
-	openSession := func() (*Client, func()) {
-		cliEnd, srvEnd := transport.Pipe(netsim.IB40G(), clk, nil)
-		done := make(chan error, 1)
-		go func() { done <- srv.ServeConn(srvEnd) }()
-		client, err := Open(cliEnd, moduleImage(t, calib.MM))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return client, func() { _ = client.Close(); <-done }
-	}
-
-	c1, close1 := openSession()
-	c2, close2 := openSession()
+	d, devs := multiGPUDaemon(2, WithSessionSpread())
+	img := moduleImage(t, calib.MM)
+	c1, close1 := openOn(t, d, img)
+	c2, _ := openOn(t, d, img)
 	defer close1()
-	defer close2()
+	defer c2.Close()
 	if _, err := c1.Malloc(64); err != nil {
 		t.Fatal(err)
 	}
@@ -232,27 +200,15 @@ func TestSessionSpreadAcrossDevices(t *testing.T) {
 }
 
 func TestDefaultPlacementIsDeviceZero(t *testing.T) {
-	clk := vclock.NewSim()
-	devs := []*gpu.Device{
-		gpu.New(gpu.Config{Clock: clk}),
-		gpu.New(gpu.Config{Clock: clk}),
-	}
-	srv := NewServer(devs[0], WithDevices(devs[1]))
+	d, devs := multiGPUDaemon(2)
 	for i := 0; i < 2; i++ {
-		cliEnd, srvEnd := transport.Pipe(netsim.IB40G(), clk, nil)
-		done := make(chan error, 1)
-		go func() { done <- srv.ServeConn(srvEnd) }()
-		client, err := Open(cliEnd, moduleImage(t, calib.MM))
-		if err != nil {
-			t.Fatal(err)
-		}
+		client, cleanup := openOn(t, d, moduleImage(t, calib.MM))
 		if _, err := client.Malloc(64); err != nil {
 			t.Fatal(err)
 		}
-		_ = client.Close()
-		<-done
-	}
-	if devs[1].MemoryInUse() != 0 {
-		t.Fatal("without spreading, sessions must default to device 0 (CUDA semantics)")
+		if devs[1].MemoryInUse() != 0 {
+			t.Fatal("without spreading, sessions must default to device 0 (CUDA semantics)")
+		}
+		cleanup()
 	}
 }

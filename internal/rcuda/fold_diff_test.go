@@ -13,7 +13,6 @@ import (
 	"rcuda/internal/kernels"
 	"rcuda/internal/netsim"
 	"rcuda/internal/protocol"
-	"rcuda/internal/transport"
 	"rcuda/internal/vclock"
 )
 
@@ -220,21 +219,7 @@ func remoteFold(t *testing.T, img []byte, opts ...ClientOption) (*Client, func()
 // remoteOn is remoteFold on a daemon of the caller's making.
 func remoteOn(t *testing.T, srv *Server, img []byte, opts ...ClientOption) (*Client, func()) {
 	t.Helper()
-	cliEnd, srvEnd := transport.Pipe(netsim.GigaE(), vclock.NewSim(), nil)
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeConn(srvEnd) }()
-	client, err := Open(cliEnd, img, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return client, func() {
-		if err := client.Close(); err != nil {
-			t.Errorf("close: %v", err)
-		}
-		if err := <-done; err != nil {
-			t.Errorf("server: %v", err)
-		}
-	}
+	return openOn(t, NewSimDaemon(srv, netsim.GigaE(), vclock.NewSim(), nil), img, opts...)
 }
 
 func TestFoldMatchesLocalAndUnbatched(t *testing.T) {

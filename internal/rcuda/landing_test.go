@@ -283,15 +283,14 @@ func TestObserverCountsLandedBytes(t *testing.T) {
 		}
 		lb.stop()
 
-		clk := vclock.NewSim()
-		srv := NewServer(gpu.New(gpu.Config{Clock: clk}))
-		cliEnd, srvEnd := transport.Pipe(netsim.IB40G(), clk, nil)
-		done := make(chan struct{})
-		go func() { _ = srv.ServeConn(srvEnd); close(done) }()
-		if got := run(cliEnd, mode.opts...); got != mode.want {
+		d, _, _ := simDaemon(netsim.IB40G())
+		pipe, _ := d.Dial()
+		if got := run(pipe, mode.opts...); got != mode.want {
 			t.Errorf("%s over the pipe: %+v, want %+v", mode.name, got, mode.want)
 		}
-		<-done
+		if err := d.Wait(); err != nil {
+			t.Errorf("%s over the pipe: server: %v", mode.name, err)
+		}
 	}
 }
 

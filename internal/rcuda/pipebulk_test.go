@@ -99,14 +99,13 @@ func TestPipeCopyTimesArePinned(t *testing.T) {
 	src, dst := pattern(n, 1), make([]byte, n)
 	for _, link := range []*netsim.Link{netsim.GigaE(), netsim.IB40G()} {
 		for _, chunked := range []bool{false, true} {
-			name, start := link.Name()+"/legacy", startSimSession
+			name := link.Name() + "/legacy"
+			var opts []ClientOption
 			if chunked {
 				name = link.Name() + "/chunked"
-				start = func(t *testing.T, link *netsim.Link) (*Client, *gpu.Device, *vclock.Sim, func()) {
-					return startChunkedSession(t, link, 0, 0)
-				}
+				opts = append(opts, WithChunkedTransfers(0, 0))
 			}
-			client, _, clk, stop := start(t, link)
+			client, _, clk, stop := startSimSession(t, link, opts...)
 			ptr, err := client.Malloc(n)
 			if err != nil {
 				t.Fatal(err)

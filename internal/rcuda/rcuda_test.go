@@ -3,7 +3,6 @@ package rcuda
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"log"
 	"math"
 	"math/rand"
@@ -37,31 +36,44 @@ func moduleImage(t *testing.T, cs calib.CaseStudy) []byte {
 	return img
 }
 
-// startSimSession spins up a server on one end of a simulated pipe and
-// returns an opened client on the other end.
-func startSimSession(t *testing.T, link *netsim.Link) (*Client, *gpu.Device, *vclock.Sim, func()) {
-	t.Helper()
+// simDaemon serves a fresh simulated device over link; the link charges the
+// device's clock.
+func simDaemon(link *netsim.Link, opts ...ServerOption) (*SimDaemon, *gpu.Device, *vclock.Sim) {
 	clk := vclock.NewSim()
 	dev := gpu.New(gpu.Config{Clock: clk})
-	srv := NewServer(dev)
-	cliEnd, srvEnd := transport.Pipe(link, clk, nil)
+	return NewSimDaemon(NewServer(dev, opts...), link, clk, nil), dev, clk
+}
 
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := srv.ServeConn(srvEnd); err != nil {
+// closeAndWait returns a cleanup that closes client and fails the test if
+// the close fails or its daemon reports a handler error or device memory
+// left in use.
+func closeAndWait(t *testing.T, client *Client, d *SimDaemon) func() {
+	return func() {
+		if err := client.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+		if err := d.Wait(); err != nil {
 			t.Errorf("server: %v", err)
 		}
-	}()
-	client, err := Open(cliEnd, moduleImage(t, calib.MM))
+	}
+}
+
+// openOn opens a client on d with the given module image.
+func openOn(t *testing.T, d *SimDaemon, img []byte, opts ...ClientOption) (*Client, func()) {
+	t.Helper()
+	client, err := d.Open(img, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleanup := func() {
-		_ = client.Close()
-		wg.Wait()
-	}
+	return client, closeAndWait(t, client, d)
+}
+
+// startSimSession spins up a daemon on a simulated link and returns a
+// client opened on it with the MM module.
+func startSimSession(t *testing.T, link *netsim.Link, opts ...ClientOption) (*Client, *gpu.Device, *vclock.Sim, func()) {
+	t.Helper()
+	d, dev, clk := simDaemon(link)
+	client, cleanup := openOn(t, d, moduleImage(t, calib.MM), opts...)
 	return client, dev, clk, cleanup
 }
 
@@ -154,35 +166,23 @@ func TestHandshakeCapability(t *testing.T) {
 }
 
 func TestServerRejectsUnknownModule(t *testing.T) {
-	clk := vclock.NewSim()
-	dev := gpu.New(gpu.Config{Clock: clk})
-	srv := NewServer(dev)
-	cliEnd, srvEnd := transport.Pipe(netsim.IB40G(), clk, nil)
-
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeConn(srvEnd) }()
-	_, err := Open(cliEnd, []byte("not a module image"))
-	if err == nil {
+	d, dev, _ := simDaemon(netsim.IB40G())
+	if _, err := d.Open([]byte("not a module image")); err == nil {
 		t.Fatal("Open with a bogus module must fail")
 	}
-	if srvErr := <-done; srvErr == nil {
+	// Wait returns: the refused open left no handler running.
+	if srvErr := waitWithin(t, d); srvErr == nil {
 		t.Fatal("server must report the failed handshake")
 	}
-	_ = cliEnd.Close()
 	if got := dev.MemoryInUse(); got != 0 {
 		t.Fatalf("leaked %d bytes after failed handshake", got)
 	}
 }
 
 func TestAbruptDisconnectReleasesResources(t *testing.T) {
-	clk := vclock.NewSim()
-	dev := gpu.New(gpu.Config{Clock: clk})
-	srv := NewServer(dev)
-	cliEnd, srvEnd := transport.Pipe(netsim.IB40G(), clk, nil)
-
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeConn(srvEnd) }()
-	client, err := Open(cliEnd, moduleImage(t, calib.MM))
+	d, _, _ := simDaemon(netsim.IB40G())
+	conn, _ := d.Dial()
+	client, err := Open(conn, moduleImage(t, calib.MM))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,12 +190,9 @@ func TestAbruptDisconnectReleasesResources(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drop the transport without finalizing, as a crashed client would.
-	_ = cliEnd.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("server should treat disconnect as orderly: %v", err)
-	}
-	if got := dev.MemoryInUse(); got != 0 {
-		t.Fatalf("server leaked %d bytes after abrupt disconnect", got)
+	_ = conn.Close()
+	if err := d.Wait(); err != nil {
+		t.Fatalf("server should treat disconnect as orderly and release the session: %v", err)
 	}
 }
 
@@ -244,21 +241,12 @@ func (r *recordingObserver) Call(op protocol.Op, sent, recv int) {
 }
 
 func TestObserverSeesEveryCall(t *testing.T) {
-	clk := vclock.NewSim()
-	dev := gpu.New(gpu.Config{Clock: clk})
-	srv := NewServer(dev)
-	cliEnd, srvEnd := transport.Pipe(netsim.IB40G(), clk, nil)
-	go func() { _ = srv.ServeConn(srvEnd) }()
-
 	obs := &recordingObserver{}
-	client, err := Open(cliEnd, moduleImage(t, calib.MM), WithObserver(obs))
-	if err != nil {
-		t.Fatal(err)
-	}
+	client, _, _, cleanup := startSimSession(t, netsim.IB40G(), WithObserver(obs))
 	ptr, _ := client.Malloc(256)
 	_ = client.MemcpyToDevice(ptr, make([]byte, 256))
 	_ = client.Free(ptr)
-	_ = client.Close()
+	cleanup()
 
 	want := []protocol.Op{protocol.OpInit, protocol.OpMalloc, protocol.OpMemcpyToDevice, protocol.OpFree, protocol.OpFinalize}
 	if len(obs.calls) != len(want) {
@@ -417,15 +405,12 @@ func TestServerCloseIsIdempotentAndFast(t *testing.T) {
 
 func TestServerStats(t *testing.T) {
 	clk := vclock.NewSim()
-	dev := gpu.New(gpu.Config{Clock: clk})
-	srv := NewServer(dev)
+	srv := NewServer(gpu.New(gpu.Config{Clock: clk}))
 	if st := srv.Stats(); st.SessionsStarted != 0 || st.Requests != 0 {
 		t.Fatalf("fresh server stats %+v", st)
 	}
-	cliEnd, srvEnd := transport.Pipe(netsim.IB40G(), clk, nil)
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeConn(srvEnd) }()
-	client, err := Open(cliEnd, moduleImage(t, calib.MM))
+	d := NewSimDaemon(srv, netsim.IB40G(), clk, nil)
+	client, err := d.Open(moduleImage(t, calib.MM))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +421,7 @@ func TestServerStats(t *testing.T) {
 	_ = client.MemcpyToDevice(ptr, make([]byte, 256))
 	_ = client.Free(ptr)
 	_ = client.Close()
-	if err := <-done; err != nil {
+	if err := d.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	st := srv.Stats()
@@ -512,14 +497,9 @@ func (m rawMessage) WireSize() int            { return len(m) }
 // A corrupt frame after the handshake must end the session with an error —
 // and still release every server-side resource.
 func TestServerRejectsCorruptFrameAndCleansUp(t *testing.T) {
-	clk := vclock.NewSim()
-	dev := gpu.New(gpu.Config{Clock: clk})
-	srv := NewServer(dev)
-	cliEnd, srvEnd := transport.Pipe(netsim.IB40G(), clk, nil)
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeConn(srvEnd) }()
-
-	client, err := Open(cliEnd, moduleImage(t, calib.MM))
+	d, dev, _ := simDaemon(netsim.IB40G())
+	conn, _ := d.Dial()
+	client, err := Open(conn, moduleImage(t, calib.MM))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,39 +507,43 @@ func TestServerRejectsCorruptFrameAndCleansUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Inject garbage directly on the transport.
-	if err := cliEnd.Send(rawMessage{0xde, 0xad, 0xbe, 0xef, 1, 2, 3}); err != nil {
+	if err := conn.Send(rawMessage{0xde, 0xad, 0xbe, 0xef, 1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-done; err == nil {
+	if err := d.Wait(); err == nil {
 		t.Fatal("server must report the malformed request")
 	}
-	_ = cliEnd.Close()
 	if got := dev.MemoryInUse(); got != 0 {
 		t.Fatalf("server leaked %d bytes after protocol error", got)
 	}
+
+	// The same garbage in place of the opening handshake.
+	d, _, _ = simDaemon(netsim.IB40G())
+	conn, _ = d.Dial()
+	if err := conn.Send(rawMessage{0xde, 0xad, 0xbe, 0xef, 1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := waitWithin(t, d); err == nil {
+		t.Fatal("server must report a malformed opening frame")
+	}
+	_ = conn.Close()
 }
 
 // A truncated frame (valid op, wrong length) is equally fatal and clean.
 func TestServerRejectsTruncatedRequest(t *testing.T) {
-	clk := vclock.NewSim()
-	dev := gpu.New(gpu.Config{Clock: clk})
-	srv := NewServer(dev)
-	cliEnd, srvEnd := transport.Pipe(netsim.IB40G(), clk, nil)
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeConn(srvEnd) }()
-
-	if _, err := Open(cliEnd, moduleImage(t, calib.MM)); err != nil {
+	d, dev, _ := simDaemon(netsim.IB40G())
+	conn, _ := d.Dial()
+	if _, err := Open(conn, moduleImage(t, calib.MM)); err != nil {
 		t.Fatal(err)
 	}
 	// OpMalloc with a missing size field.
 	truncated := (&protocol.MallocRequest{Size: 8}).Encode(nil)[:4]
-	if err := cliEnd.Send(rawMessage(truncated)); err != nil {
+	if err := conn.Send(rawMessage(truncated)); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-done; err == nil {
+	if err := d.Wait(); err == nil {
 		t.Fatal("server must report the truncated request")
 	}
-	_ = cliEnd.Close()
 	if dev.MemoryInUse() != 0 {
 		t.Fatal("resources leaked after truncated request")
 	}
@@ -645,33 +629,6 @@ func TestServerLoggerReceivesSessionErrors(t *testing.T) {
 	<-done
 	if !strings.Contains(buf.String(), "session") {
 		t.Fatalf("logger saw nothing about the failed session: %q", buf.String())
-	}
-}
-
-func TestMapToCudaErrorTable(t *testing.T) {
-	cases := map[error]cudart.Error{
-		gpu.ErrOutOfMemory:      cudart.ErrorMemoryAllocation,
-		gpu.ErrZeroSize:         cudart.ErrorInvalidValue,
-		gpu.ErrInvalidDevPtr:    cudart.ErrorInvalidDevicePointer,
-		gpu.ErrUnknownKernel:    cudart.ErrorLaunchFailure,
-		gpu.ErrInvalidLaunch:    cudart.ErrorInvalidConfiguration,
-		gpu.ErrInvalidStream:    cudart.ErrorInvalidValue,
-		gpu.ErrInvalidEvent:     cudart.ErrorInvalidValue,
-		gpu.ErrContextDestroyed: cudart.ErrorInitialization,
-		gpu.ErrUnknownModule:    cudart.ErrorInitialization,
-		errors.New("anything"):  cudart.ErrorUnknown,
-	}
-	for in, want := range cases {
-		if got := mapToCudaError(fmt.Errorf("wrapped: %w", in)); got != error(want) {
-			t.Fatalf("mapToCudaError(%v) = %v, want %v", in, got, want)
-		}
-	}
-	if mapToCudaError(nil) != nil {
-		t.Fatal("nil must stay nil")
-	}
-	// Pre-mapped cudart errors pass through unchanged.
-	if mapToCudaError(cudart.ErrorInvalidValue) != error(cudart.ErrorInvalidValue) {
-		t.Fatal("cudart errors must pass through")
 	}
 }
 

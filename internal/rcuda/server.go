@@ -960,8 +960,8 @@ func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Reque
 		opErr = ctx.CopyToDeviceAsync(r.Dst, r.Data, r.Stream)
 	case *protocol.MemcpyToHostAsyncRequest:
 		// As for the synchronous copy, the reply's data is device memory
-		// itself; the transfer is booked on the copy engine and the stream
-		// from now, as CopyToHostAsync books it.
+		// itself; HostViewAsyncAt books the transfer on the copy engine and
+		// the stream from now, as Local.MemcpyToHostAsync does.
 		view, _, cuErr := ctx.HostViewAsyncAt(r.Src, r.Size, r.Stream, s.devs[sess.cur].Clock().Now())
 		return false, conn.Send(protocol.Put(&sess.reply.toHost, protocol.MemcpyToHostResponse{Data: view, Err: code(cuErr)}))
 	case *protocol.EventCreateRequest:
@@ -1066,34 +1066,5 @@ func notReady(ready bool, err error) error {
 // to cudaError_t reuses the cudart mapping so local and remote executions
 // surface identical codes.
 func code(err error) uint32 {
-	return uint32(cudart.Code(mapToCudaError(err)))
-}
-
-func mapToCudaError(err error) error {
-	// The nil case returns before ce is declared: errors.As makes &ce
-	// escape, and a successful op must not pay a heap allocation for it.
-	if err == nil {
-		return nil
-	}
-	var ce cudart.Error
-	switch {
-	case errors.As(err, &ce):
-		return ce
-	case errors.Is(err, gpu.ErrOutOfMemory):
-		return cudart.ErrorMemoryAllocation
-	case errors.Is(err, gpu.ErrZeroSize):
-		return cudart.ErrorInvalidValue
-	case errors.Is(err, gpu.ErrInvalidDevPtr):
-		return cudart.ErrorInvalidDevicePointer
-	case errors.Is(err, gpu.ErrUnknownKernel):
-		return cudart.ErrorLaunchFailure
-	case errors.Is(err, gpu.ErrInvalidLaunch):
-		return cudart.ErrorInvalidConfiguration
-	case errors.Is(err, gpu.ErrInvalidStream), errors.Is(err, gpu.ErrInvalidEvent):
-		return cudart.ErrorInvalidValue
-	case errors.Is(err, gpu.ErrContextDestroyed), errors.Is(err, gpu.ErrUnknownModule):
-		return cudart.ErrorInitialization
-	default:
-		return cudart.ErrorUnknown
-	}
+	return uint32(cudart.Code(cudart.MapError(err)))
 }

@@ -60,19 +60,7 @@ func TestStatsProbeReportsLiveLoad(t *testing.T) {
 		}
 	}
 
-	cliEnd, srvEnd := transport.Pipe(netsim.IB40G(), clk, nil)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := srv.ServeConn(srvEnd); err != nil {
-			t.Errorf("server: %v", err)
-		}
-	}()
-	client, err := Open(cliEnd, moduleImage(t, calib.MM))
-	if err != nil {
-		t.Fatal(err)
-	}
+	client, cleanup := openOn(t, NewSimDaemon(srv, netsim.IB40G(), clk, nil), moduleImage(t, calib.MM))
 	if _, err := client.Malloc(1 << 20); err != nil {
 		t.Fatal(err)
 	}
@@ -107,10 +95,7 @@ func TestStatsProbeReportsLiveLoad(t *testing.T) {
 		t.Fatalf("in-session reply %+v disagrees with probe %+v", inSession, loaded)
 	}
 
-	if err := client.Close(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
+	cleanup()
 
 	drained := probeStats(t, srv, clk)
 	if drained.SessionsLive != 0 || drained.Devices[0].Sessions != 0 || drained.Devices[1].Sessions != 0 {
@@ -130,14 +115,13 @@ func TestStatsProbeReportsLiveLoad(t *testing.T) {
 func TestStatsProbePersistentConnection(t *testing.T) {
 	clk := vclock.NewSim()
 	srv := NewServer(gpu.New(gpu.Config{Clock: clk}))
-	cliEnd, srvEnd := transport.Pipe(netsim.IB40G(), clk, nil)
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeConn(srvEnd) }()
+	d := NewSimDaemon(srv, netsim.IB40G(), clk, nil)
+	conn, _ := d.Dial()
 	for i := 0; i < 5; i++ {
-		if err := cliEnd.Send(&protocol.StatsQueryRequest{}); err != nil {
+		if err := conn.Send(&protocol.StatsQueryRequest{}); err != nil {
 			t.Fatal(err)
 		}
-		payload, err := cliEnd.Recv()
+		payload, err := conn.Recv()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,8 +129,8 @@ func TestStatsProbePersistentConnection(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_ = cliEnd.Close()
-	if err := <-done; err != nil {
+	_ = conn.Close()
+	if err := d.Wait(); err != nil {
 		t.Fatalf("stats conn: %v", err)
 	}
 	if got := srv.Stats().StatsQueries; got != 5 {
@@ -163,26 +147,12 @@ func TestStatsProbeServedPastConnCap(t *testing.T) {
 	srv := NewServer(gpu.New(gpu.Config{Clock: clk}), WithMaxConns(1))
 
 	// Occupy the single conn slot with a real session.
-	cliEnd, srvEnd := transport.Pipe(netsim.IB40G(), clk, nil)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = srv.ServeConn(srvEnd)
-	}()
-	client, err := Open(cliEnd, moduleImage(t, calib.MM))
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	_, cleanup := openOn(t, NewSimDaemon(srv, netsim.IB40G(), clk, nil), moduleImage(t, calib.MM))
 	reply := probeStats(t, srv, clk)
 	if reply.SessionsLive != 1 {
 		t.Fatalf("over-cap probe: SessionsLive = %d, want 1", reply.SessionsLive)
 	}
-	if err := client.Close(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
+	cleanup()
 	_ = srv.Close()
 }
 
@@ -199,21 +169,16 @@ func TestStatsSnapshotRacesDrain(t *testing.T) {
 	img := moduleImage(t, calib.MM)
 
 	const clients = 6
+	// The daemon closes each server end when its handler returns, so a
+	// client mid-handshake unblocks even when ServeConn refused the
+	// connection outright.
+	daemon := NewSimDaemon(srv, netsim.IB40G(), clk, nil)
 	var sessions sync.WaitGroup
 	for i := 0; i < clients; i++ {
-		cliEnd, srvEnd := transport.Pipe(netsim.IB40G(), clk, nil)
-		sessions.Add(2)
+		sessions.Add(1)
 		go func() {
 			defer sessions.Done()
-			_ = srv.ServeConn(srvEnd)
-			// Mirror Serve's accept loop: the transport dies with the
-			// handler, so a client mid-handshake unblocks even when
-			// ServeConn refused the connection outright.
-			_ = srvEnd.Close()
-		}()
-		go func() {
-			defer sessions.Done()
-			client, err := Open(cliEnd, img)
+			client, err := daemon.Open(img)
 			if err != nil {
 				return // the drain may refuse late openers; that's the point
 			}
@@ -272,6 +237,7 @@ func TestStatsSnapshotRacesDrain(t *testing.T) {
 	}
 	cancel()
 	sessions.Wait()
+	_ = daemon.Wait() // the drain refuses late openers; that's the point
 	close(stop)
 	observers.Wait()
 

@@ -13,7 +13,6 @@ import (
 	"rcuda/internal/gpu"
 	"rcuda/internal/kernels"
 	"rcuda/internal/rcuda"
-	"rcuda/internal/transport"
 	"rcuda/internal/vclock"
 )
 
@@ -79,25 +78,11 @@ func runRemoteFunctional(cs calib.CaseStudy, size int, opts Options) (Report, er
 		return Report{}, err
 	}
 	sw := vclock.NewStopwatch(opts.Clock)
-	dev := gpu.New(gpu.Config{Clock: opts.Clock, Jitter: opts.Noise})
-	server := rcuda.NewServer(dev)
-	cliEnd, srvEnd := transport.Pipe(opts.Link, opts.Clock, opts.Noise)
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- server.ServeConn(srvEnd) }()
-
-	mod, err := kernels.ModuleFor(cs)
-	if err != nil {
-		return Report{}, err
-	}
-	img, err := mod.Binary()
-	if err != nil {
-		return Report{}, err
-	}
 	var copts []rcuda.ClientOption
 	if opts.Observer != nil {
 		copts = append(copts, rcuda.WithObserver(opts.Observer))
 	}
-	client, err := rcuda.Open(cliEnd, img, copts...)
+	client, daemon, err := openRemote(cs, opts, copts...)
 	if err != nil {
 		return Report{}, err
 	}
@@ -106,19 +91,9 @@ func runRemoteFunctional(cs calib.CaseStudy, size int, opts Options) (Report, er
 	// real middleware it is spread across the calls).
 	opts.Clock.Sleep(opts.perturb(calib.MarshalTime(cs, size)))
 
-	verified, runErr := executeOnRuntime(cs, size, client, opts)
-	closeErr := client.Close()
-	if err := <-serveDone; err != nil && runErr == nil {
-		runErr = err
-	}
-	if runErr != nil {
-		return Report{}, runErr
-	}
-	if closeErr != nil {
-		return Report{}, closeErr
-	}
-	if inUse := dev.MemoryInUse(); inUse != 0 {
-		return Report{}, fmt.Errorf("workload: %d bytes leaked on the device", inUse)
+	verified, err := executeOnRuntime(cs, size, client, opts)
+	if err := closeRemote(client, daemon, err); err != nil {
+		return Report{}, err
 	}
 	return Report{
 		CS: cs, Size: size, Backend: Remote, Network: opts.Link.Name(),
@@ -132,6 +107,41 @@ func runRemoteFunctional(cs calib.CaseStudy, size int, opts Options) (Report, er
 			Mgmt:    calib.Mgmt,
 		},
 	}, nil
+}
+
+// openRemote serves a fresh device on the run's clock over the run's link
+// and opens a session on it with the case study's module.
+func openRemote(cs calib.CaseStudy, opts Options, copts ...rcuda.ClientOption) (*rcuda.Client, *rcuda.SimDaemon, error) {
+	mod, err := kernels.ModuleFor(cs)
+	if err != nil {
+		return nil, nil, err
+	}
+	img, err := mod.Binary()
+	if err != nil {
+		return nil, nil, err
+	}
+	dev := gpu.New(gpu.Config{Clock: opts.Clock, Jitter: opts.Noise})
+	daemon := rcuda.NewSimDaemon(rcuda.NewServer(dev), opts.Link, opts.Clock, opts.Noise)
+	client, err := daemon.Open(img, copts...)
+	if err != nil {
+		_ = daemon.Wait()
+		return nil, nil, err
+	}
+	return client, daemon, nil
+}
+
+// closeRemote ends a session openRemote opened: it closes the client, waits
+// for the daemon, and returns the run's error, else the daemon's (a leak
+// included), else the close's.
+func closeRemote(client *rcuda.Client, daemon *rcuda.SimDaemon, runErr error) error {
+	closeErr := client.Close()
+	if err := daemon.Wait(); runErr == nil {
+		runErr = err
+	}
+	if runErr != nil {
+		return runErr
+	}
+	return closeErr
 }
 
 // ExecuteFunctional performs the case study's execution phases — alloc,

@@ -15,7 +15,6 @@ import (
 	"rcuda/internal/netsim"
 	"rcuda/internal/perfmodel"
 	"rcuda/internal/rcuda"
-	"rcuda/internal/transport"
 	"rcuda/internal/vclock"
 )
 
@@ -224,12 +223,6 @@ func RunInference(opts InferenceOptions) (InferenceReport, error) {
 		opts.Polls = DefaultInferencePolls
 	}
 
-	dev := gpu.New(gpu.Config{Clock: opts.Clock})
-	server := rcuda.NewServer(dev)
-	cliEnd, srvEnd := transport.Pipe(opts.Link, opts.Clock, nil)
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- server.ServeConn(srvEnd) }()
-
 	mod, err := kernels.ModuleFor(calib.MM)
 	if err != nil {
 		return InferenceReport{}, err
@@ -242,15 +235,21 @@ func RunInference(opts InferenceOptions) (InferenceReport, error) {
 	if opts.Batched {
 		copts = append(copts, rcuda.WithBatching(0, 0))
 	}
+	dev := gpu.New(gpu.Config{Clock: opts.Clock})
+	server := rcuda.NewServer(dev)
+	daemon := rcuda.NewSimDaemon(server, opts.Link, opts.Clock, nil)
+	conn, _ := daemon.Dial()
 	sw := vclock.NewStopwatch(opts.Clock)
-	client, err := rcuda.Open(cliEnd, img, copts...)
+	client, err := rcuda.Open(conn, img, copts...)
 	if err != nil {
+		_ = conn.Close()
+		_ = daemon.Wait()
 		return InferenceReport{}, err
 	}
 	digest, ok, runErr := ExecuteInference(client, opts.Layers, opts.Requests, opts.Polls, opts.Seed)
 	closeErr := client.Close()
 	elapsed := sw.Elapsed()
-	if err := <-serveDone; err != nil && runErr == nil {
+	if err := daemon.Wait(); runErr == nil {
 		runErr = err
 	}
 	if runErr != nil {
@@ -259,10 +258,7 @@ func RunInference(opts InferenceOptions) (InferenceReport, error) {
 	if closeErr != nil {
 		return InferenceReport{}, closeErr
 	}
-	if inUse := dev.MemoryInUse(); inUse != 0 {
-		return InferenceReport{}, fmt.Errorf("workload: %d bytes leaked on the device", inUse)
-	}
-	wire := cliEnd.Stats()
+	wire := conn.Stats()
 	return InferenceReport{
 		Spec: perfmodel.InferenceSpec{
 			ModuleBytes: len(img),

@@ -10,7 +10,6 @@ import (
 	"rcuda/internal/netsim"
 	"rcuda/internal/perfmodel"
 	"rcuda/internal/rcuda"
-	"rcuda/internal/transport"
 	"rcuda/internal/vclock"
 )
 
@@ -158,10 +157,8 @@ func TestInferencePollsAfterSyncAreLocal(t *testing.T) {
 	// One call at a time, with a frame budget of one sub-op so that a
 	// record reaches the server before the poll after it.
 	clk := vclock.NewSim()
-	srv := rcuda.NewServer(gpu.New(gpu.Config{Clock: clk}))
-	cliEnd, srvEnd := transport.Pipe(link, clk, nil)
-	done := make(chan error, 1)
-	go func() { done <- srv.ServeConn(srvEnd) }()
+	daemon := rcuda.NewSimDaemon(rcuda.NewServer(gpu.New(gpu.Config{Clock: clk})), link, clk, nil)
+	cliEnd, _ := daemon.Dial()
 	mod, err := kernels.ModuleFor(calib.MM)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +200,7 @@ func TestInferencePollsAfterSyncAreLocal(t *testing.T) {
 	if err := client.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-done; err != nil {
+	if err := daemon.Wait(); err != nil {
 		t.Fatal(err)
 	}
 }

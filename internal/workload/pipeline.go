@@ -10,7 +10,6 @@ import (
 	"rcuda/internal/gpu"
 	"rcuda/internal/kernels"
 	"rcuda/internal/rcuda"
-	"rcuda/internal/transport"
 	"rcuda/internal/vclock"
 )
 
@@ -146,21 +145,7 @@ func runPipelinedFunctional(size, chunks int, opts Options) (Report, error) {
 		return Report{}, err
 	}
 	sw := vclock.NewStopwatch(opts.Clock)
-	dev := gpu.New(gpu.Config{Clock: opts.Clock, Jitter: opts.Noise})
-	server := rcuda.NewServer(dev)
-	cliEnd, srvEnd := transport.Pipe(opts.Link, opts.Clock, opts.Noise)
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- server.ServeConn(srvEnd) }()
-
-	mod, err := kernels.ModuleFor(calib.FFT)
-	if err != nil {
-		return Report{}, err
-	}
-	img, err := mod.Binary()
-	if err != nil {
-		return Report{}, err
-	}
-	client, err := rcuda.Open(cliEnd, img)
+	client, daemon, err := openRemote(calib.FFT, opts)
 	if err != nil {
 		return Report{}, err
 	}
@@ -168,19 +153,9 @@ func runPipelinedFunctional(size, chunks int, opts Options) (Report, error) {
 	opts.Clock.Sleep(opts.perturb(calib.DataGenTime(calib.FFT, size)))
 	opts.Clock.Sleep(opts.perturb(calib.MarshalTime(calib.FFT, size)))
 
-	report, runErr := pipelineBody(size, chunks, client, opts)
-	closeErr := client.Close()
-	if err := <-serveDone; err != nil && runErr == nil {
-		runErr = err
-	}
-	if runErr != nil {
-		return Report{}, runErr
-	}
-	if closeErr != nil {
-		return Report{}, closeErr
-	}
-	if inUse := dev.MemoryInUse(); inUse != 0 {
-		return Report{}, fmt.Errorf("workload: %d bytes leaked on the device", inUse)
+	report, err := pipelineBody(size, chunks, client, opts)
+	if err := closeRemote(client, daemon, err); err != nil {
+		return Report{}, err
 	}
 	opts.Clock.Sleep(opts.perturb(calib.Mgmt))
 	report.Total = sw.Elapsed()

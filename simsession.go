@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	mw "rcuda/internal/rcuda"
-	"rcuda/internal/transport"
 	"rcuda/internal/vclock"
 )
 
@@ -23,9 +22,7 @@ type SimSession struct {
 	// Clock is the session's virtual time source.
 	Clock *SimClock
 
-	server    *Server
-	transport *transport.PipeEnd
-	serveDone chan error
+	daemon *mw.SimDaemon
 }
 
 // NewSimSession starts a simulated deployment over the given interconnect
@@ -34,34 +31,21 @@ type SimSession struct {
 func NewSimSession(link *Network, module []byte, noise *Noise) (*SimSession, error) {
 	clk := vclock.NewSim()
 	dev := NewSimDevice(clk)
-	server := mw.NewServer(dev)
-	cliEnd, srvEnd := transport.Pipe(link, clk, noise)
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- server.ServeConn(srvEnd) }()
-
-	client, err := mw.Open(cliEnd, module)
+	daemon := mw.NewSimDaemon(mw.NewServer(dev), link, clk, noise)
+	client, err := daemon.Open(module)
 	if err != nil {
-		_ = cliEnd.Close()
-		<-serveDone
+		_ = daemon.Wait()
 		return nil, fmt.Errorf("rcuda: open simulated session: %w", err)
 	}
-	return &SimSession{
-		Client:    client,
-		Device:    dev,
-		Clock:     clk,
-		server:    server,
-		transport: cliEnd,
-		serveDone: serveDone,
-	}, nil
+	return &SimSession{Client: client, Device: dev, Clock: clk, daemon: daemon}, nil
 }
 
 // Close finalizes the session and waits for the server side to wind down,
 // returning the first error from either side.
 func (s *SimSession) Close() error {
 	closeErr := s.Client.Close()
-	srvErr := <-s.serveDone
-	if closeErr != nil {
-		return closeErr
+	if srvErr := s.daemon.Wait(); closeErr == nil {
+		return srvErr
 	}
-	return srvErr
+	return closeErr
 }
