@@ -17,7 +17,7 @@ help:
 	@echo "  verify       tier-1 gate: build + test + race on data path, broker, workloads, report + chaos suite"
 	@echo "  lint         go vet + rcuda-vet invariant analyzers + gofmt diff check"
 	@echo "  vet          rcuda-vet only: seededrand/wiremsg/locknet/errcode invariants"
-	@echo "  loc          non-blank, non-comment, non-test Go lines per package (the count 'smaller' claims cite)"
+	@echo "  loc          non-blank, non-comment, non-test Go lines per package (the count 'smaller' claims cite) and their total outside bench/"
 	@echo "  chaos        fault-injection suite (scripted + 50 seeded plans) under -race"
 	@echo "  migrate-chaos  live-migration suite: source killed at every protocol phase, under -race"
 	@echo "  soak         10k mixed ops at ~1% fault rate, leak-checked, under -race"
@@ -28,7 +28,7 @@ help:
 	@echo "  bench-check  CI freshness check: re-run all three suites, fail if a BENCH file is stale"
 	@echo "  bench-wall   wall-clock benchmark of the remoting stack (BENCHMARK.json, ~90 s)"
 	@echo "  bench-wall-smoke  CI correctness check: one second each of the two inference, fleet placement, the two bulk-copy, the session churn, the simulated-pipe copy and the null-call workloads"
-	@echo "  fuzz         short fuzzing pass over the wire-protocol decoders and Sgemm against its portable tile"
+	@echo "  fuzz         short fuzzing pass over the wire-protocol decoders, the socket frame reader and Sgemm against its portable tile"
 	@echo "  pool         broker demo: 3 local daemons, one killed mid-batch"
 	@echo "  repro        regenerate every table and figure of the paper on stdout"
 	@echo "  figures      render the figures as SVGs under figs/"
@@ -63,13 +63,15 @@ vet:
 	$(GO) run ./cmd/rcuda-vet ./...
 
 # Code size: non-blank, non-comment, non-test Go lines per package directory
-# — the one count a "smaller" claim in CHANGES.md cites. Comment-only lines
-# do not count, so deleting comments moves nothing.
+# — the one count a "smaller" claim in CHANGES.md cites — and, last, their
+# sum over every package but ./bench, the number the ROADMAP gates on.
+# Comment-only lines do not count, so deleting comments moves nothing.
 loc:
-	@for pkg in $$($(GO) list -f '{{.Dir}}' ./... | sed 's|^$(CURDIR)|.|'); do \
+	@total=0; for pkg in $$($(GO) list -f '{{.Dir}}' ./... | sed 's|^$(CURDIR)|.|'); do \
 		files=$$(ls $$pkg/*.go | grep -v _test.go); \
-		if [ -n "$$files" ]; then printf '%6d  %s\n' $$(cat $$files | grep -cvE '^\s*(//.*)?$$') $$pkg; fi; \
-	done
+		if [ -n "$$files" ]; then n=$$(cat $$files | grep -cvE '^\s*(//.*)?$$'); printf '%6d  %s\n' $$n $$pkg; \
+			if [ "$$pkg" != ./bench ]; then total=$$((total + n)); fi; fi; \
+	done; printf '%6d  total outside bench/\n' $$total
 
 # Tier-1 verification: full build + tests, the invariant analyzers, the
 # concurrent data-path packages (wire codec, transport framing, middleware
@@ -171,13 +173,16 @@ bench-wall-smoke:
 	bash bench/run.sh --workload infer_unbatched --seed 1 --seconds 1 --trace 0
 	bash bench/run.sh --workload rtt_small --seed 1 --seconds 1 --trace 0
 
-# Short fuzzing pass over the wire-protocol decoders, and over Sgemm against
-# the portable tile (the differential oracle of the amd64 micro-kernel).
+# Short fuzzing pass over the wire-protocol decoders, over the socket receive
+# that frames every message the daemon and the client read, and over Sgemm
+# against the portable tile (the differential oracle of the amd64
+# micro-kernel).
 fuzz:
 	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/protocol/
 	$(GO) test -fuzz=FuzzDecodeStatsReply -fuzztime=30s ./internal/protocol/
 	$(GO) test -fuzz=FuzzTryDecodeSessionRestore -fuzztime=30s ./internal/protocol/
 	$(GO) test -fuzz=FuzzDecodeCheckpoint -fuzztime=30s ./internal/protocol/
+	$(GO) test -fuzz=FuzzTCPRecv -fuzztime=30s ./internal/transport/
 	$(GO) test -fuzz=FuzzSgemmAgainstPortable -fuzztime=30s ./internal/blas/
 
 # Broker demo: spawn three local daemons, run a verified MM/FFT batch through

@@ -25,6 +25,11 @@
 //
 // The driver (cmd/rcuda-vet) prints findings as
 // "file:line:col: analyzer: message" and exits nonzero on any diagnostic.
+//
+// One more rule runs over the same loaded module but is not an analyzer:
+// TestNoDeadCode (deadcode_test.go) reports every declaration under
+// internal/ that nothing uses except its own package's tests. It lives in
+// the package's tests so it adds no rcuda-vet flag or Config field.
 package analysis
 
 import (

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -13,4 +14,22 @@ func moduleRoot(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return root
+}
+
+var (
+	moduleOnce sync.Once
+	moduleLoad *Unit
+	moduleErr  error
+)
+
+// moduleUnit loads the whole module once per test binary: the repo-wide
+// gates share one `go list -export` and one type-check.
+func moduleUnit(t *testing.T) *Unit {
+	t.Helper()
+	root := moduleRoot(t)
+	moduleOnce.Do(func() { moduleLoad, moduleErr = Load(root, "./...") })
+	if moduleErr != nil {
+		t.Fatalf("loading module: %v", moduleErr)
+	}
+	return moduleLoad
 }

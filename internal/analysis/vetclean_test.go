@@ -7,10 +7,12 @@ import "testing"
 // determinism, wire-protocol, or lock-discipline invariant regressed; fix
 // the code — there is no suppression mechanism.
 func TestVetClean(t *testing.T) {
-	ds, err := Vet(moduleRoot(t), []string{"./..."}, Analyzers(DefaultConfig()))
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
+	u := moduleUnit(t)
+	var ds []Diagnostic
+	for _, a := range Analyzers(DefaultConfig()) {
+		ds = append(ds, a.Run(u)...)
 	}
+	SortDiagnostics(ds)
 	for _, d := range ds {
 		t.Errorf("%s", d.String())
 	}

@@ -171,7 +171,3 @@ func checkDims(m, n, k int, a, b, c []float32) error {
 	}
 	return nil
 }
-
-// Flops returns the floating-point operation count of an m×n×k GEMM,
-// 2·m·n·k, used by performance reporting.
-func Flops(m, n, k int) float64 { return 2 * float64(m) * float64(n) * float64(k) }

@@ -121,12 +121,6 @@ func TestSgemmDimensionErrors(t *testing.T) {
 	}
 }
 
-func TestFlops(t *testing.T) {
-	if got := Flops(4096, 4096, 4096); got != 2*4096.0*4096*4096 {
-		t.Fatalf("Flops = %g", got)
-	}
-}
-
 // Property: (A·B)·x == A·(B·x) for random square systems — an associativity
 // check that exercises GEMM against matrix-vector products computed
 // independently.

@@ -10,10 +10,10 @@ import (
 // (probe gauges) and *reacts* to failure (markdown, spill, failover); the
 // Autoscaler decides when the fleet itself should grow or shrink. It is
 // deliberately policy-pure — it never touches sockets or daemons, it only
-// calls a ScaleDriver — so the identical control law runs over live rcudad
-// processes (Pool.AddEndpoint / RetireEndpoint) and over the load
-// generator's simulated fleets, where it is chaos-tested against
-// fault-injected daemon kills at 10^5–10^6 session scale.
+// calls a ScaleDriver. The load generator's driver grows and shrinks its
+// simulated fleets through Placer.Add / Retire, where the control law is
+// chaos-tested against fault-injected daemon kills at 10^5–10^6 session
+// scale; no command wires a driver to a live Pool.
 //
 // The control law is target occupancy with hysteresis and cooldown:
 //

@@ -165,13 +165,6 @@ func WithPolicy(p Policy) Option {
 	return func(pl *Pool) { pl.pl.state.policy = p }
 }
 
-// WithClientOptions appends options applied to every session the pool
-// opens, after the pool's own retry and reconnect defaults — so they can
-// override them.
-func WithClientOptions(opts ...rcuda.ClientOption) Option {
-	return func(pl *Pool) { pl.clientOpts = append(pl.clientOpts, opts...) }
-}
-
 // WithProbeInterval starts a background prober that refreshes every
 // endpoint's load and health at the given period. Zero (the default) means
 // no background probing; call Refresh explicitly.
@@ -202,32 +195,6 @@ func New(eps []Endpoint, opts ...Option) (*Pool, error) {
 		o(p)
 	}
 	return p, nil
-}
-
-// AddEndpoint registers a new endpoint on a live pool — the elastic
-// scale-up primitive — and returns its stable index.
-func (p *Pool) AddEndpoint(ep Endpoint) (int, error) {
-	if ep.Dial == nil {
-		return 0, fmt.Errorf("broker: endpoint %q has no Dial", ep.Name)
-	}
-	return p.pl.Add(ep), nil
-}
-
-// RetireEndpoint excludes an endpoint from future placements and closes its
-// probe connection — the elastic scale-down primitive. Sessions already
-// placed there are unaffected; the caller is responsible for draining them
-// (or relying on failover) before stopping the server itself.
-func (p *Pool) RetireEndpoint(idx int) {
-	s := &p.pl.state
-	s.mu.Lock()
-	if idx < 0 || idx >= len(s.eps) {
-		s.mu.Unlock()
-		return
-	}
-	st := s.eps[idx]
-	s.mu.Unlock()
-	p.pl.Retire(idx)
-	st.closeProbeConn()
 }
 
 // Close stops the background prober and closes every probe connection.
@@ -566,6 +533,3 @@ func isSessionLoss(err error) bool {
 		errors.Is(err, transport.ErrInjectedReset) ||
 		errors.Is(err, transport.ErrTruncatedFrame)
 }
-
-// size returns the endpoint count.
-func (p *Pool) size() int { return p.pl.Len() }

@@ -17,6 +17,13 @@ import (
 	"rcuda/internal/transport"
 )
 
+// withClientOptions appends options applied to every session the pool
+// opens, after the pool's own retry and reconnect defaults — so they can
+// override them.
+func withClientOptions(opts ...rcuda.ClientOption) Option {
+	return func(pl *Pool) { pl.clientOpts = append(pl.clientOpts, opts...) }
+}
+
 // mmPrepare stages the device half of an MM job without running it: the two
 // seeded input matrices are uploaded and the result buffer is allocated. The
 // returned pointers are live device state a migration must carry intact.
@@ -140,7 +147,7 @@ func TestPoolMigrateUnderLoad(t *testing.T) {
 		// The default retry budget is sized for one redial, not for riding
 		// out a whole migration window; give the client room to keep
 		// retrying until the route is re-pointed.
-		WithClientOptions(rcuda.WithRetry(20, 200*time.Microsecond)),
+		withClientOptions(rcuda.WithRetry(20, 200*time.Microsecond)),
 	)
 	if err != nil {
 		t.Fatal(err)

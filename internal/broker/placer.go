@@ -94,20 +94,6 @@ func (p *Placer) Len() int {
 	return len(s.eps)
 }
 
-// ActiveLen returns the number of non-retired endpoints.
-func (p *Placer) ActiveLen() int {
-	s := &p.state
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, st := range s.eps {
-		if !st.retired {
-			n++
-		}
-	}
-	return n
-}
-
 // Name returns the endpoint's name.
 func (p *Placer) Name(idx int) string {
 	s := &p.state

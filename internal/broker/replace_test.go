@@ -56,7 +56,7 @@ func TestChaosFailoverToDifferentDeviceShape(t *testing.T) {
 	}()
 
 	pool, err := New(eps, WithPolicy(RoundRobin),
-		WithClientOptions(rcuda.WithBatching(0, 0)))
+		withClientOptions(rcuda.WithBatching(0, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,6 +87,31 @@ func TestPublishedLookups(t *testing.T) {
 	}
 }
 
+// Table IV: predicted execution time on the opposite testbed network, in
+// the paper's printed units.
+var (
+	mmEst40GIFromGigaE  = []float64{2.08, 4.94, 9.33, 15.67, 24.28, 35.75, 49.04, 65.90}
+	mmEstGigaEFrom40GI  = []float64{3.60, 8.38, 15.61, 25.54, 38.53, 54.70, 75.02, 98.80}
+	fftEst40GIFromGigaE = []float64{223.69, 294.38, 369.06, 441.75, 514.44, 587.46, 736.84}
+	fftEstGigaEFrom40GI = []float64{297.65, 487.29, 698.27, 902.25, 1111.23, 1321.54, 1741.83}
+)
+
+// PaperCrossEstimate returns the paper's Table IV prediction for the
+// validation network implied by the model network (GigaE model predicts
+// 40GI and vice versa).
+func PaperCrossEstimate(cs CaseStudy, model string, size int) (time.Duration, bool) {
+	var table []float64
+	switch {
+	case model == "GigaE":
+		table = pick(cs, mmEst40GIFromGigaE, fftEst40GIFromGigaE)
+	case model == "40GI":
+		table = pick(cs, mmEstGigaEFrom40GI, fftEstGigaEFrom40GI)
+	default:
+		return 0, false
+	}
+	return published(cs, table, size)
+}
+
 func TestPaperEstimates(t *testing.T) {
 	d, ok := PaperCrossEstimate(MM, "GigaE", 4096)
 	if !ok {

@@ -2,25 +2,16 @@ package calib
 
 import "time"
 
-// This file records the paper's published *estimates* (Table IV's
-// cross-validated predictions and Table VI's projections onto the five HPC
-// networks), so reports can print paper-vs-reproduction deltas side by
-// side. Values are in the paper's printed units (seconds for MM,
-// milliseconds for FFT).
+// This file records the paper's published *estimates* (Table IV's error
+// rates and Table VI's projections onto the five HPC networks), so reports
+// can print paper-vs-reproduction deltas side by side. Values are in the
+// paper's printed units (seconds for MM, milliseconds for FFT).
 
 // Target network order used by the estimate grids, matching Table VI.
 var targetNetworks = []string{"10GE", "10GI", "Myr", "F-HT", "A-HT"}
 
 // TargetNetworks returns the Table VI network column order.
 func TargetNetworks() []string { return append([]string(nil), targetNetworks...) }
-
-// Table IV: predicted execution time on the opposite testbed network.
-var (
-	mmEst40GIFromGigaE  = []float64{2.08, 4.94, 9.33, 15.67, 24.28, 35.75, 49.04, 65.90}
-	mmEstGigaEFrom40GI  = []float64{3.60, 8.38, 15.61, 25.54, 38.53, 54.70, 75.02, 98.80}
-	fftEst40GIFromGigaE = []float64{223.69, 294.38, 369.06, 441.75, 514.44, 587.46, 736.84}
-	fftEstGigaEFrom40GI = []float64{297.65, 487.29, 698.27, 902.25, 1111.23, 1321.54, 1741.83}
-)
 
 // Table IV: published signed error rates in percent.
 var (
@@ -29,22 +20,6 @@ var (
 	fftErrGigaEModel = []float64{33.95, 30.26, 20.48, 16.35, 12.32, 9.26, 5.77}
 	fftErr40GIModel  = []float64{-16.00, -12.31, -8.24, -6.44, -4.83, -3.63, -2.25}
 )
-
-// PaperCrossEstimate returns the paper's Table IV prediction for the
-// validation network implied by the model network (GigaE model predicts
-// 40GI and vice versa).
-func PaperCrossEstimate(cs CaseStudy, model string, size int) (time.Duration, bool) {
-	var table []float64
-	switch {
-	case model == "GigaE":
-		table = pick(cs, mmEst40GIFromGigaE, fftEst40GIFromGigaE)
-	case model == "40GI":
-		table = pick(cs, mmEstGigaEFrom40GI, fftEstGigaEFrom40GI)
-	default:
-		return 0, false
-	}
-	return published(cs, table, size)
-}
 
 // PaperCrossError returns the paper's Table IV signed error rate (percent).
 func PaperCrossError(cs CaseStudy, model string, size int) (float64, bool) {

@@ -29,25 +29,6 @@ type jobJSON struct {
 	Network   string `json:"network,omitempty"`
 }
 
-// SaveTrace writes jobs as JSON.
-func SaveTrace(w io.Writer, jobs []Job) error {
-	out := make([]jobJSON, len(jobs))
-	for i, j := range jobs {
-		out[i] = jobJSON{
-			ID:        j.ID,
-			Case:      j.CS.String(),
-			Size:      j.Size,
-			ArrivalMS: j.Arrival.Milliseconds(),
-		}
-		if j.Network != nil {
-			out[i].Network = j.Network.Name()
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
 // LoadTrace parses and validates a JSON job trace.
 func LoadTrace(r io.Reader) ([]Job, error) {
 	var raw []jobJSON

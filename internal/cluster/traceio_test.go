@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -11,10 +12,17 @@ import (
 
 func TestTraceRoundTrip(t *testing.T) {
 	jobs := GenerateTrace(TraceConfig{Jobs: 20, MeanInterarrival: time.Second, MMFraction: 0.5, Seed: 9})
+	// The trace file a site operator would write for these jobs.
 	var buf bytes.Buffer
-	if err := SaveTrace(&buf, jobs); err != nil {
-		t.Fatal(err)
+	buf.WriteString("[")
+	for i, j := range jobs {
+		if i > 0 {
+			buf.WriteString(",\n")
+		}
+		fmt.Fprintf(&buf, `{"id": %d, "case": %q, "size": %d, "arrival_ms": %d}`,
+			j.ID, j.CS.String(), j.Size, j.Arrival.Milliseconds())
 	}
+	buf.WriteString("]")
 	got, err := LoadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)

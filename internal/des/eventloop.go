@@ -33,9 +33,6 @@ func NewEventLoop() *EventLoop { return &EventLoop{} }
 // Now returns the current virtual time.
 func (l *EventLoop) Now() time.Duration { return l.now }
 
-// Pending returns the number of scheduled callbacks not yet fired.
-func (l *EventLoop) Pending() int { return len(l.events) }
-
 // At schedules fn to run at now+delay. Negative delays are clamped to now.
 // Callbacks may schedule further callbacks; ties fire in schedule order.
 func (l *EventLoop) At(delay time.Duration, fn func()) {

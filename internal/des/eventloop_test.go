@@ -55,12 +55,12 @@ func TestEventLoopStopResume(t *testing.T) {
 	l.At(time.Millisecond, func() { fired++; l.Stop() })
 	l.At(2*time.Millisecond, func() { fired++ })
 	l.Run()
-	if fired != 1 || l.Pending() != 1 {
-		t.Fatalf("after Stop: fired=%d pending=%d", fired, l.Pending())
+	if fired != 1 || len(l.events) != 1 {
+		t.Fatalf("after Stop: fired=%d pending=%d", fired, len(l.events))
 	}
 	l.Run()
-	if fired != 2 || l.Pending() != 0 {
-		t.Fatalf("after resume: fired=%d pending=%d", fired, l.Pending())
+	if fired != 2 || len(l.events) != 0 {
+		t.Fatalf("after resume: fired=%d pending=%d", fired, len(l.events))
 	}
 }
 

@@ -269,23 +269,6 @@ func (p *Plan) Injected() int64 {
 	return n
 }
 
-// Counts returns the number of decisions made per kind, including clean
-// ones under KindNone.
-func (p *Plan) Counts() map[Kind]int64 {
-	m := make(map[Kind]int64)
-	if p == nil {
-		return m
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for k := Kind(0); k < kindCount; k++ {
-		if p.counts[k] != 0 {
-			m[k] = p.counts[k]
-		}
-	}
-	return m
-}
-
 // History returns a copy of every injected fault in firing order. Replays
 // of the same seeded plan yield element-wise identical histories.
 func (p *Plan) History() []Event {

@@ -49,7 +49,10 @@ func TestSeededPlanRatesRoughlyHold(t *testing.T) {
 	for i := 0; i < n; i++ {
 		p.Next(DirSend)
 	}
-	counts := p.Counts()
+	counts := make(map[Kind]int64)
+	for _, e := range p.History() {
+		counts[e.Kind]++
+	}
 	if got := counts[KindReset]; got < n/400 || got > n/25 {
 		t.Fatalf("reset count %d wildly off a 1%% rate over %d ops", got, n)
 	}

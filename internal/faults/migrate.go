@@ -8,18 +8,13 @@ import "time"
 // hello, a begin/ack, a run of unacked chunk frames, and a commit/ack.
 // Pinning injections to these indices lets a chaos test kill the transfer
 // at any exact protocol phase boundary and replay it deterministically.
-const (
-	// MigrateOpHello is the Send of the SessionRestoreRequest.
-	MigrateOpHello = 0
-	// MigrateOpHelloAck is the Recv of the restore handshake's result code.
-	MigrateOpHelloAck = 1
-	// MigrateOpBegin is the Send of the MigrateBeginRequest.
-	MigrateOpBegin = 2
-	// MigrateOpBeginAck is the Recv of the begin acknowledgement.
-	MigrateOpBeginAck = 3
-	// MigrateOpFirstChunk is the Send of the first checkpoint chunk.
-	MigrateOpFirstChunk = 4
-)
+//
+// MigrateOpFirstChunk is the Send of the first checkpoint chunk. The four
+// ops before it are the hello (0, the Send of the SessionRestoreRequest),
+// the hello ack (1, the Recv of the restore handshake's result code), the
+// begin (2, the Send of the MigrateBeginRequest) and the begin ack (3, the
+// Recv of the begin acknowledgement).
+const MigrateOpFirstChunk = 4
 
 // MigrateOpChunk returns the operation index of the Send of checkpoint
 // chunk i (zero-based).

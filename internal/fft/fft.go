@@ -165,39 +165,3 @@ func (p *plan) runParallel(dir Direction, x []complex64, workers int) {
 	}
 	wg.Wait()
 }
-
-// DFT computes the naive O(n²) reference transform of x into a new slice,
-// used by tests as an oracle.
-func DFT(dir Direction, x []complex64) []complex64 {
-	n := len(x)
-	out := make([]complex64, n)
-	sign := -1.0
-	if dir == Inverse {
-		sign = 1.0
-	}
-	for k := 0; k < n; k++ {
-		var sumRe, sumIm float64
-		for j := 0; j < n; j++ {
-			angle := sign * 2 * math.Pi * float64(k*j) / float64(n)
-			s, c := math.Sincos(angle)
-			re, im := float64(real(x[j])), float64(imag(x[j]))
-			sumRe += re*c - im*s
-			sumIm += re*s + im*c
-		}
-		if dir == Inverse {
-			sumRe /= float64(n)
-			sumIm /= float64(n)
-		}
-		out[k] = complex(float32(sumRe), float32(sumIm))
-	}
-	return out
-}
-
-// Flops returns the standard 5·n·log2(n) operation count estimate for one
-// complex n-point FFT, used by performance reporting.
-func Flops(n int) float64 {
-	if n <= 1 {
-		return 0
-	}
-	return 5 * float64(n) * math.Log2(float64(n))
-}

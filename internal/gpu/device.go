@@ -224,15 +224,6 @@ func (c *Context) LoadModule(m *Module) error {
 	return nil
 }
 
-// LoadModuleImage resolves a wire-format module image and loads it.
-func (c *Context) LoadModuleImage(img []byte) error {
-	m, err := ResolveModule(img)
-	if err != nil {
-		return err
-	}
-	return c.LoadModule(m)
-}
-
 // Malloc allocates device memory.
 func (c *Context) Malloc(size uint32) (uint32, error) {
 	c.mu.Lock()

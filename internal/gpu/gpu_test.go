@@ -495,7 +495,7 @@ func TestDim3Count(t *testing.T) {
 }
 
 func TestParamReader(t *testing.T) {
-	r := NewParamReader(PackParams(7, 9))
+	r := &ParamReader{buf: PackParams(7, 9)}
 	a, err := r.U32()
 	if err != nil || a != 7 {
 		t.Fatalf("first param: %d, %v", a, err)
@@ -504,8 +504,8 @@ func TestParamReader(t *testing.T) {
 	if err != nil || b != 9 {
 		t.Fatalf("second param: %d, %v", b, err)
 	}
-	if r.Remaining() != 0 {
-		t.Fatalf("remaining = %d, want 0", r.Remaining())
+	if r.off != len(r.buf) {
+		t.Fatalf("read %d of %d parameter bytes", r.off, len(r.buf))
 	}
 	if _, err := r.U32(); err == nil {
 		t.Fatal("reading past end must fail")
@@ -702,10 +702,15 @@ func TestLoadModuleImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ctx.LoadModuleImage(img); err != nil {
+	// The daemon's path: resolve the wire image, then load what it names.
+	m, err := ResolveModule(img)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ctx.LoadModuleImage([]byte("garbage")); err == nil {
+	if err := ctx.LoadModule(m); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResolveModule([]byte("garbage")); err == nil {
 		t.Fatal("bogus image must fail")
 	}
 }

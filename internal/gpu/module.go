@@ -136,9 +136,6 @@ type ParamReader struct {
 	off int
 }
 
-// NewParamReader wraps a packed parameter block.
-func NewParamReader(params []byte) *ParamReader { return &ParamReader{buf: params} }
-
 // U32 reads the next 32-bit parameter (also used for device pointers).
 func (r *ParamReader) U32() (uint32, error) {
 	if r.off+4 > len(r.buf) {
@@ -148,9 +145,6 @@ func (r *ParamReader) U32() (uint32, error) {
 	r.off += 4
 	return v, nil
 }
-
-// Remaining reports unread parameter bytes.
-func (r *ParamReader) Remaining() int { return len(r.buf) - r.off }
 
 // PackParams packs 32-bit parameters the way the client marshals them.
 func PackParams(vals ...uint32) []byte {

@@ -74,19 +74,6 @@ func (a Arrival) String() string {
 	}
 }
 
-// ParseArrival maps an arrival process name (as printed by String) back to
-// its value.
-func ParseArrival(s string) (Arrival, error) {
-	switch s {
-	case "poisson":
-		return Poisson, nil
-	case "bursty":
-		return BurstyOnOff, nil
-	default:
-		return 0, fmt.Errorf("loadgen: unknown arrival process %q", s)
-	}
-}
-
 // Class is one session class in the offered mix.
 type Class struct {
 	// Name labels the class in results.

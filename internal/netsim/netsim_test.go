@@ -217,9 +217,6 @@ func TestNoiseNilAndZeroSigma(t *testing.T) {
 	if n.Perturb(time.Second) != time.Second {
 		t.Fatal("nil noise must be pass-through")
 	}
-	if n.Factor() != 1 {
-		t.Fatal("nil noise factor must be 1")
-	}
 	z := NewNoise(1, 0)
 	if z.Perturb(time.Second) != time.Second {
 		t.Fatal("zero-sigma noise must be pass-through")
@@ -233,43 +230,6 @@ func TestNoiseBounded(t *testing.T) {
 		if d < time.Second/2 || d > 3*time.Second/2 {
 			t.Fatalf("perturbed duration %v escaped the [0.5s, 1.5s] clamp", d)
 		}
-	}
-}
-
-func TestNoiseSpikesFireOnSchedule(t *testing.T) {
-	const every = 5
-	const spike = 10 * time.Millisecond
-	// Zero sigma isolates the spike schedule: only every fifth call pays.
-	n := NewNoiseWithSpikes(3, 0, every, spike)
-	for i := 1; i <= 20; i++ {
-		got := n.Perturb(time.Millisecond)
-		want := time.Millisecond
-		if i%every == 0 {
-			want += spike
-		}
-		if got != want {
-			t.Fatalf("call %d perturbed to %v, want %v", i, got, want)
-		}
-	}
-	// With sigma the spike still lands deterministically on schedule.
-	a := NewNoiseWithSpikes(9, 0.01, every, spike)
-	b := NewNoiseWithSpikes(9, 0.01, every, spike)
-	spiked := 0
-	for i := 1; i <= 100; i++ {
-		da, db := a.Perturb(time.Millisecond), b.Perturb(time.Millisecond)
-		if da != db {
-			t.Fatal("same seed must produce the same spiked sequence")
-		}
-		if da >= spike {
-			spiked++
-		}
-	}
-	if spiked != 100/every {
-		t.Fatalf("%d spikes in 100 calls, want %d", spiked, 100/every)
-	}
-	// Disabled schedules are plain noise.
-	if d := NewNoiseWithSpikes(1, 0, 0, spike).Perturb(time.Second); d != time.Second {
-		t.Fatalf("every=0 must disable spikes, got %v", d)
 	}
 }
 

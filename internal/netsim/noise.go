@@ -15,11 +15,6 @@ type Noise struct {
 	mu    sync.Mutex
 	rng   *rand.Rand
 	sigma float64
-	// Latency-spike schedule (see NewNoiseWithSpikes): every spikeEvery-th
-	// Perturb call additionally pays spike on top of its jittered duration.
-	spikeEvery int
-	spike      time.Duration
-	calls      int
 }
 
 // NewNoise returns a noise source with the given seed and relative standard
@@ -29,51 +24,11 @@ func NewNoise(seed int64, sigma float64) *Noise {
 	return &Noise{rng: rand.New(rand.NewSource(seed)), sigma: sigma}
 }
 
-// NewNoiseWithSpikes returns a noise source that, in addition to the
-// Gaussian jitter of NewNoise, adds a deterministic latency spike to every
-// every-th perturbed duration — the simulated-transport analogue of the
-// fault layer's KindLatency, modeling periodic congestion on a shared
-// link. every <= 0 disables spikes.
-func NewNoiseWithSpikes(seed int64, sigma float64, every int, spike time.Duration) *Noise {
-	n := NewNoise(seed, sigma)
-	if every > 0 && spike > 0 {
-		n.spikeEvery, n.spike = every, spike
-	}
-	return n
-}
-
 // Perturb scales d by a factor drawn from N(1, sigma), clamped to [0.5, 1.5]
 // so a single extreme draw cannot produce a negative or absurd latency.
 func (n *Noise) Perturb(d time.Duration) time.Duration {
-	if n == nil || (n.sigma == 0 && n.spikeEvery == 0) {
-		return d
-	}
-	var spike time.Duration
-	n.mu.Lock()
-	f := 1.0
-	if n.sigma != 0 {
-		f = 1 + n.rng.NormFloat64()*n.sigma
-	}
-	if n.spikeEvery > 0 {
-		n.calls++
-		if n.calls%n.spikeEvery == 0 {
-			spike = n.spike
-		}
-	}
-	n.mu.Unlock()
-	if f < 0.5 {
-		f = 0.5
-	} else if f > 1.5 {
-		f = 1.5
-	}
-	return time.Duration(float64(d)*f) + spike
-}
-
-// Factor returns one multiplicative jitter factor without an associated
-// duration, for callers that perturb scalar milliseconds.
-func (n *Noise) Factor() float64 {
 	if n == nil || n.sigma == 0 {
-		return 1
+		return d
 	}
 	n.mu.Lock()
 	f := 1 + n.rng.NormFloat64()*n.sigma
@@ -83,5 +38,5 @@ func (n *Noise) Factor() float64 {
 	} else if f > 1.5 {
 		f = 1.5
 	}
-	return f
+	return time.Duration(float64(d) * f)
 }

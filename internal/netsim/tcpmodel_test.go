@@ -1,9 +1,61 @@
 package netsim
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"time"
+
+	"rcuda/internal/stats"
 )
+
+// GigaEMechanistic returns a GigaE link whose small-message latencies come
+// from the TCP micro-model instead of the measured anchor table — an
+// ablation showing how far first principles get without the testbed. Bulk
+// payload behavior (bandwidth and TCP-window excess) is unchanged.
+func GigaEMechanistic() *Link {
+	m := GigaETCPModel()
+	pts := make([]stats.Point, 0, 64)
+	// Sample the staircase densely enough that interpolation preserves
+	// the flight boundaries across the control-message range.
+	for payload := int64(4); payload <= 22*1024; payload += 64 {
+		t, err := m.OneWay(payload)
+		if err != nil {
+			panic(fmt.Sprintf("netsim: mechanistic model: %v", err))
+		}
+		pts = append(pts, stats.Point{X: float64(payload), Y: t.Seconds() * 1e6})
+	}
+	base := GigaE()
+	return &Link{
+		name:          "GigaE-mech",
+		smallCurve:    mustCurve(pts),
+		smallMax:      pts[len(pts)-1].X,
+		bandwidthMBps: base.bandwidthMBps,
+		regression:    base.regression,
+		excess:        base.excess,
+	}
+}
+
+// ExplainAnchors compares the micro-model's predictions against the
+// package's measured GigaE anchor table, returning the worst relative
+// deviation. Small anchors carry measurement noise the mechanistic model
+// cannot know (the paper's own plot is irregular below 100 bytes), so
+// anchors below one MSS are compared against the base latency band rather
+// than point values.
+func (m TCPMicroModel) ExplainAnchors() (worstRel float64, err error) {
+	for _, anchor := range gigaESmallAnchors {
+		predicted, err := m.OneWay(int64(anchor.X))
+		if err != nil {
+			return 0, err
+		}
+		got := predicted.Seconds() * 1e6 // µs
+		rel := math.Abs(got-anchor.Y) / anchor.Y
+		if rel > worstRel {
+			worstRel = rel
+		}
+	}
+	return worstRel, nil
+}
 
 func TestTCPModelSegments(t *testing.T) {
 	m := GigaETCPModel()

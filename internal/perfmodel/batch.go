@@ -197,17 +197,3 @@ func (m *InferenceModel) Fixed() time.Duration { return m.fixed }
 func (m *InferenceModel) Estimate(target *netsim.Link) time.Duration {
 	return m.fixed + InferenceNetTime(target, m.Spec)
 }
-
-// InferenceSpeedup returns the modeled whole-session speedup of the batched
-// schedule over the unbatched one on a link, with everything else equal —
-// the headline number of the batching optimization.
-func InferenceSpeedup(link *netsim.Link, spec InferenceSpec) float64 {
-	batched, unbatched := spec, spec
-	batched.Batched = true
-	unbatched.Batched = false
-	b := InferenceNetTime(link, batched)
-	if b <= 0 {
-		return 0
-	}
-	return float64(InferenceNetTime(link, unbatched)) / float64(b)
-}

@@ -84,7 +84,8 @@ func TestInferenceScheduleShape(t *testing.T) {
 // relative to the work.
 func TestInferenceNetTimeBatchedWins(t *testing.T) {
 	for _, link := range netsim.Testbed() {
-		speedup := InferenceSpeedup(link, inferenceSpec(false))
+		speedup := float64(InferenceNetTime(link, inferenceSpec(false))) /
+			float64(InferenceNetTime(link, inferenceSpec(true)))
 		t.Logf("%s: modeled batched speedup %.2fx", link.Name(), speedup)
 		if speedup <= 1 {
 			t.Errorf("%s: batching does not pay: %.2fx", link.Name(), speedup)

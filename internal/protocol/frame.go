@@ -21,22 +21,6 @@ const frameHeaderSize = 4
 // corrupt headers.
 const MaxFrameSize = 2 << 30
 
-// WriteFrame writes one length-prefixed frame containing the encoded
-// message. It performs a single Write call so a TCP transport with Nagle
-// disabled emits the message eagerly, mirroring how the paper's middleware
-// "explicitly control[s] the instant a frame must be sent out".
-func WriteFrame(w io.Writer, m Message) error {
-	buf := make([]byte, frameHeaderSize, frameHeaderSize+m.WireSize())
-	binary.LittleEndian.PutUint32(buf, uint32(m.WireSize()))
-	buf = m.Encode(buf)
-	if len(buf) != frameHeaderSize+m.WireSize() {
-		return fmt.Errorf("protocol: %T encoded %d bytes, declared %d",
-			m, len(buf)-frameHeaderSize, m.WireSize())
-	}
-	_, err := w.Write(buf)
-	return err
-}
-
 // Segmented is a message whose wire form is a small fixed head, a bulk
 // payload that already exists as a caller-owned slice, and an optional
 // small tail. Such messages can be framed with vectored I/O
@@ -61,11 +45,13 @@ type FrameWriter struct {
 	vecs    net.Buffers
 }
 
-// WriteFrame writes one length-prefixed frame like the package-level
-// WriteFrame, but when the message is Segmented it gathers the frame
-// header, head, bulk payload and tail with a single vectored write
-// (net.Buffers → writev on a TCP socket) instead of copying the bulk bytes
-// into a contiguous buffer.
+// WriteFrame writes one length-prefixed frame containing the encoded
+// message. A plain message goes out in a single Write call, so a TCP
+// transport with Nagle disabled emits it eagerly, mirroring how the paper's
+// middleware "explicitly control[s] the instant a frame must be sent out".
+// A Segmented message's frame header, head, bulk payload and tail are
+// gathered with a single vectored write (net.Buffers → writev on a TCP
+// socket) instead of copying the bulk bytes into a contiguous buffer.
 func (fw *FrameWriter) WriteFrame(w io.Writer, m Message) error {
 	seg, ok := m.(Segmented)
 	if !ok {
@@ -108,32 +94,4 @@ func (fw *FrameWriter) WriteFrame(w io.Writer, m Message) error {
 	}
 	fw.vecs = vecs[:0]
 	return err
-}
-
-// ReadFrame reads one length-prefixed frame and returns its payload.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	n, err := ReadFrameHeader(r)
-	if err != nil {
-		return nil, err
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	return payload, nil
-}
-
-// ReadFrameHeader reads a frame's 4-byte length prefix and validates it,
-// leaving the reader positioned at the payload. Transports use it to read
-// the payload into a pooled buffer instead of a fresh allocation.
-func ReadFrameHeader(r io.Reader) (int, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > MaxFrameSize {
-		return 0, fmt.Errorf("protocol: frame of %d bytes exceeds limit %d", n, MaxFrameSize)
-	}
-	return int(n), nil
 }

@@ -173,26 +173,6 @@ func FuzzDecodeRequest(f *testing.F) {
 	})
 }
 
-// FuzzReadFrame feeds arbitrary byte streams to the frame reader: it must
-// never panic and never allocate absurd buffers from a corrupt header.
-func FuzzReadFrame(f *testing.F) {
-	var buf bytes.Buffer
-	_ = WriteFrame(&buf, &MallocRequest{Size: 64})
-	f.Add(buf.Bytes())
-	f.Add([]byte{4, 0, 0, 0, 1, 2, 3, 4})
-	f.Add([]byte{0xff, 0xff, 0xff, 0x7f})
-
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		payload, err := ReadFrame(bytes.NewReader(raw))
-		if err != nil {
-			return
-		}
-		if len(payload) > len(raw) {
-			t.Fatalf("frame payload %d exceeds input %d", len(payload), len(raw))
-		}
-	})
-}
-
 // FuzzChunkAssembler drives a chunk assembler with an arbitrary stream of
 // decoded chunk/end messages: it must never panic, never write outside its
 // destination, and only report success when the sequence was exactly the

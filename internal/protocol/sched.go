@@ -26,8 +26,8 @@ const (
 )
 
 // MaxSchedWeight bounds the session weight an extended hello or a
-// checkpoint may carry, mirroring sched.MaxWeight; decoders reject larger
-// values with ErrBadSchedWeight.
+// checkpoint may carry; decoders reject larger values with
+// ErrBadSchedWeight.
 const MaxSchedWeight = 1 << 16
 
 // Typed decode errors for the scheduling fields; decoders wrap them with

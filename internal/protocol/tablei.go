@@ -112,49 +112,3 @@ func TableI() []Breakdown {
 		},
 	}
 }
-
-// FixedSendBytes returns the fixed request bytes of an operation as encoded
-// by this package (the Table I total with x = 0), so tests can assert that
-// the documentation in TableI matches the actual encoders.
-func FixedSendBytes(op Op) int {
-	switch op {
-	case OpInit:
-		return (&InitRequest{}).WireSize()
-	case OpMalloc:
-		return (&MallocRequest{}).WireSize()
-	case OpMemcpyToDevice:
-		return (&MemcpyToDeviceRequest{}).WireSize()
-	case OpMemcpyToHost:
-		return (&MemcpyToHostRequest{}).WireSize()
-	case OpLaunch:
-		// The empty kernel name still carries its NUL terminator, which
-		// belongs to the variable region x (a C string of length n
-		// occupies n+1 bytes).
-		return (&LaunchRequest{}).WireSize() - 1
-	case OpFree:
-		return (&FreeRequest{}).WireSize()
-	case OpDeviceSynchronize:
-		return (&SyncRequest{}).WireSize()
-	case OpFinalize:
-		return (&FinalizeRequest{}).WireSize()
-	default:
-		return 0
-	}
-}
-
-// FixedReceiveBytes returns the fixed response bytes of an operation as
-// encoded by this package (the Table I total with x = 0).
-func FixedReceiveBytes(op Op) int {
-	switch op {
-	case OpInit:
-		return (&InitResponse{}).WireSize()
-	case OpMalloc:
-		return (&MallocResponse{}).WireSize()
-	case OpMemcpyToHost:
-		return (&MemcpyToHostResponse{}).WireSize()
-	case OpMemcpyToDevice, OpLaunch, OpFree, OpDeviceSynchronize:
-		return (&CodeResponse{}).WireSize()
-	default:
-		return 0
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"rcuda/internal/cudart"
-	"rcuda/internal/gpu"
 	"rcuda/internal/protocol"
 	"rcuda/internal/transport"
 )
@@ -222,32 +221,22 @@ func (s *Server) dispatchBatch(conn transport.Conn, sess *session, r *protocol.B
 		codes = make([]uint32, 0, len(subs))
 	}
 	for _, sub := range subs {
-		ctx := sess.context()
+		// The decoder admits only batchable sub-ops and, last, one that
+		// closes the frame; reaching here with anything else means the
+		// protocol and this dispatcher disagree on that set. A closing sub-op
+		// waits on or reads the work before it, so it runs only if all of
+		// that succeeded — as a sync point after a failed batch reports the
+		// failure and is never sent — and otherwise reads 0.
 		var opErr error
-		switch q := sub.(type) {
-		case *protocol.LaunchRequest:
-			grid := gpu.Dim3{X: q.GridDim[0], Y: q.GridDim[1], Z: 1}
-			block := gpu.Dim3{X: q.BlockDim[0], Y: q.BlockDim[1], Z: q.BlockDim[2]}
-			opErr = ctx.LaunchAsync(q.Name, grid, block, q.SharedSize, q.Params, q.Stream)
-		case *protocol.MemcpyToDeviceAsyncRequest:
-			opErr = ctx.CopyToDeviceAsync(q.Dst, q.Data, q.Stream)
-		case *protocol.EventRecordRequest:
-			opErr = ctx.EventRecord(q.Event, q.Stream)
-		case *protocol.MemsetRequest:
-			opErr = ctx.Memset(q.DevPtr, byte(q.Value), q.Size)
-		default:
-			// The decoder admits only batchable sub-ops and, last, one that
-			// closes the frame; reaching here with anything else means the
-			// protocol and this dispatcher disagree on that set. A closing
-			// sub-op waits on or reads the work before it, so it runs only if
-			// all of that succeeded — as a sync point after a failed batch
-			// reports the failure and is never sent — and otherwise reads 0.
-			if !protocol.ClosesBatch(sub.Op()) {
-				return fmt.Errorf("rcuda: unbatchable sub-op %v in batch", sub.Op())
-			}
+		switch op := sub.Op(); {
+		case protocol.ClosesBatch(op):
 			if firstNonzero(codes) == 0 {
-				opErr = settle(ctx, sub)
+				opErr, _ = sess.run(sub)
 			}
+		case protocol.BatchableOp(op):
+			opErr, _ = sess.run(sub)
+		default:
+			return fmt.Errorf("rcuda: unbatchable sub-op %v in batch", op)
 		}
 		codes = append(codes, code(opErr))
 	}

@@ -919,12 +919,14 @@ func (s *Server) reattachSession(conn transport.Conn, r *protocol.ReattachReques
 }
 
 // dispatch executes one request and sends its response. It reports
-// done=true on finalization. An operation that returns nothing but its
-// result code leaves the switch with that result in opErr and is answered
-// by the one CodeResponse at the end; the others send their own reply.
+// done=true on finalization. An operation whose whole answer is its result
+// code runs in session.run and is answered by one CodeResponse; the others
+// send their own reply.
 func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Request) (done bool, err error) {
+	if opErr, ok := sess.run(req); ok {
+		return false, conn.Send(sess.codeReply(opErr))
+	}
 	ctx := sess.context()
-	var opErr error
 	switch r := req.(type) {
 	case *protocol.MallocRequest:
 		if denial := s.checkQuota(sess, r.Size); denial != cudart.Success {
@@ -933,22 +935,12 @@ func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Reque
 		}
 		ptr, cuErr := ctx.Malloc(r.Size)
 		return false, conn.Send(protocol.Put(&sess.reply.malloc, protocol.MallocResponse{Err: code(cuErr), DevPtr: ptr}))
-	case *protocol.MemcpyToDeviceRequest:
-		opErr = ctx.CopyToDevice(r.Dst, r.Data)
 	case *protocol.MemcpyToHostRequest:
 		// The reply's data is device memory itself (nil on an error): the
 		// session is synchronous and holds its scheduler grant until Send
 		// returns, so nothing writes the region meanwhile.
 		view, cuErr := ctx.HostView(r.Src, r.Size)
 		return false, conn.Send(protocol.Put(&sess.reply.toHost, protocol.MemcpyToHostResponse{Data: view, Err: code(cuErr)}))
-	case *protocol.LaunchRequest:
-		grid := gpu.Dim3{X: r.GridDim[0], Y: r.GridDim[1], Z: 1}
-		block := gpu.Dim3{X: r.BlockDim[0], Y: r.BlockDim[1], Z: r.BlockDim[2]}
-		opErr = ctx.LaunchAsync(r.Name, grid, block, r.SharedSize, r.Params, r.Stream)
-	case *protocol.FreeRequest:
-		opErr = ctx.Free(r.DevPtr)
-	case *protocol.SyncRequest, *protocol.StreamOpRequest, *protocol.EventOpRequest:
-		opErr = settle(ctx, req)
 	case *protocol.FinalizeRequest:
 		return true, nil
 
@@ -956,8 +948,6 @@ func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Reque
 		stream, cuErr := ctx.StreamCreate()
 		return false, conn.Send(protocol.Put(&sess.reply.streamCreate,
 			protocol.StreamCreateResponse{Err: code(cuErr), Stream: stream}))
-	case *protocol.MemcpyToDeviceAsyncRequest:
-		opErr = ctx.CopyToDeviceAsync(r.Dst, r.Data, r.Stream)
 	case *protocol.MemcpyToHostAsyncRequest:
 		// As for the synchronous copy, the reply's data is device memory
 		// itself; HostViewAsyncAt books the transfer on the copy engine and
@@ -968,8 +958,6 @@ func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Reque
 		event, cuErr := ctx.EventCreate()
 		return false, conn.Send(protocol.Put(&sess.reply.eventCreate,
 			protocol.EventCreateResponse{Err: code(cuErr), Event: event}))
-	case *protocol.EventRecordRequest:
-		opErr = ctx.EventRecord(r.Event, r.Stream)
 	case *protocol.EventElapsedRequest:
 		elapsed, cuErr := ctx.EventElapsed(r.Start, r.End)
 		return false, conn.Send(protocol.Put(&sess.reply.eventElapsed, protocol.EventElapsedResponse{
@@ -980,8 +968,6 @@ func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Reque
 	case *protocol.GetDeviceCountRequest:
 		return false, conn.Send(protocol.Put(&sess.reply.deviceCount,
 			protocol.GetDeviceCountResponse{Count: uint32(len(s.devs))}))
-	case *protocol.SetDeviceRequest:
-		opErr = sess.setDevice(int(r.Device))
 	case *protocol.GetDevicePropertiesRequest:
 		p := s.devs[sess.cur].Properties()
 		return false, conn.Send(protocol.Put(&sess.reply.deviceProps, protocol.GetDevicePropertiesResponse{
@@ -993,10 +979,6 @@ func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Reque
 			MemoryMBps:      p.MemoryMBps,
 			Name:            p.Name,
 		}))
-	case *protocol.MemsetRequest:
-		opErr = ctx.Memset(r.DevPtr, byte(r.Value), r.Size)
-	case *protocol.MemcpyD2DRequest:
-		opErr = ctx.CopyDeviceToDevice(r.Dst, r.Src, r.Size)
 
 	case *protocol.MemcpyStreamBeginRequest:
 		// A Begin runs the whole chunked sub-protocol inline (chunked.go).
@@ -1023,34 +1005,54 @@ func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Reque
 		// connection, which never reaches the request loop (migrate.go).
 		return false, fmt.Errorf("rcuda: unhandled request %T", req)
 	}
-	return false, conn.Send(sess.codeReply(opErr))
 }
 
-// settle runs a request of the three shapes the synchronization and
-// completion queries share — device, stream or event — whether it arrived
-// on its own or closing a batch frame (dispatchBatch); the two destroys
-// share the stream and event shapes and run here too, but never close a
-// frame.
-func settle(ctx *gpu.Context, req protocol.Request) error {
+// run executes a request whose whole answer is its result code — every op
+// a batch frame carries, the ones that close a frame, and the rest of that
+// shape — whether it arrived on its own (dispatch) or inside a frame
+// (dispatchBatch). ok is false for any other request, which the caller
+// answers itself.
+func (ss *session) run(req protocol.Request) (err error, ok bool) {
+	ctx := ss.context()
 	switch r := req.(type) {
+	case *protocol.LaunchRequest:
+		grid := gpu.Dim3{X: r.GridDim[0], Y: r.GridDim[1], Z: 1}
+		block := gpu.Dim3{X: r.BlockDim[0], Y: r.BlockDim[1], Z: r.BlockDim[2]}
+		return ctx.LaunchAsync(r.Name, grid, block, r.SharedSize, r.Params, r.Stream), true
+	case *protocol.MemcpyToDeviceAsyncRequest:
+		return ctx.CopyToDeviceAsync(r.Dst, r.Data, r.Stream), true
+	case *protocol.EventRecordRequest:
+		return ctx.EventRecord(r.Event, r.Stream), true
+	case *protocol.MemsetRequest:
+		return ctx.Memset(r.DevPtr, byte(r.Value), r.Size), true
+	case *protocol.SyncRequest:
+		return ctx.Synchronize(), true
 	case *protocol.StreamOpRequest:
 		switch r.Code {
 		case protocol.OpStreamDestroy:
-			return ctx.StreamDestroy(r.Stream)
+			return ctx.StreamDestroy(r.Stream), true
 		case protocol.OpStreamQuery:
-			return notReady(ctx.StreamReady(r.Stream))
+			return notReady(ctx.StreamReady(r.Stream)), true
 		}
-		return ctx.StreamSynchronize(r.Stream)
+		return ctx.StreamSynchronize(r.Stream), true
 	case *protocol.EventOpRequest:
 		switch r.Code {
 		case protocol.OpEventDestroy:
-			return ctx.EventDestroy(r.Event)
+			return ctx.EventDestroy(r.Event), true
 		case protocol.OpEventQuery:
-			return notReady(ctx.EventReady(r.Event))
+			return notReady(ctx.EventReady(r.Event)), true
 		}
-		return ctx.EventSynchronize(r.Event)
+		return ctx.EventSynchronize(r.Event), true
+	case *protocol.MemcpyToDeviceRequest:
+		return ctx.CopyToDevice(r.Dst, r.Data), true
+	case *protocol.FreeRequest:
+		return ctx.Free(r.DevPtr), true
+	case *protocol.SetDeviceRequest:
+		return ss.setDevice(int(r.Device)), true
+	case *protocol.MemcpyD2DRequest:
+		return ctx.CopyDeviceToDevice(r.Dst, r.Src, r.Size), true
 	}
-	return ctx.Synchronize()
+	return nil, false
 }
 
 // notReady turns a completion query's answer into its result: success once

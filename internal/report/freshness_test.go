@@ -19,7 +19,7 @@ func TestExperimentsDocumentIsFresh(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read committed document: %v", err)
 	}
-	generated, err := DefaultConfig().Experiments()
+	generated, err := defaultConfig().Experiments()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,10 +34,6 @@ type Config struct {
 	Sigma float64
 }
 
-// DefaultConfig mirrors the paper's methodology with a small, reproducible
-// noise level.
-func DefaultConfig() Config { return Config{Reps: workload.PaperRepetitions, Seed: 1, Sigma: 0.004} }
-
 func (c Config) reps() int {
 	if c.Reps <= 0 {
 		return 1

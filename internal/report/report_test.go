@@ -7,10 +7,16 @@ import (
 
 	"rcuda/internal/calib"
 	"rcuda/internal/netsim"
+	"rcuda/internal/workload"
 )
 
 // fastConfig keeps table-generation tests quick and deterministic.
 func fastConfig() Config { return Config{Reps: 2, Seed: 1, Sigma: 0.002} }
+
+// defaultConfig is the campaign rcuda-repro runs with its default flags
+// (-reps 30 -seed 1 -sigma 0.004): the paper's methodology with a small,
+// reproducible noise level, and what EXPERIMENTS.md records.
+func defaultConfig() Config { return Config{Reps: workload.PaperRepetitions, Seed: 1, Sigma: 0.004} }
 
 func TestTableIContainsPaperRows(t *testing.T) {
 	out := TableI()
@@ -161,7 +167,7 @@ func TestFigureSeriesBothModels(t *testing.T) {
 }
 
 func TestDefaultConfig(t *testing.T) {
-	c := DefaultConfig()
+	c := defaultConfig()
 	if c.Reps != 30 {
 		t.Fatalf("default reps = %d, want the paper's 30", c.Reps)
 	}

@@ -78,7 +78,8 @@ func NewQueue(cfg Config, clock vclock.Clock) *Queue {
 
 // Register creates a flow handle with the given class and weight. A weight
 // of 0 reads as 1; callers should have bounds-checked weight against
-// MaxWeight (the wire decoders do).
+// protocol.MaxSchedWeight (the wire decoders do), so virtual-time
+// arithmetic cannot be driven to degenerate precision by a hostile hello.
 func (q *Queue) Register(class Class, weight uint32) *Session {
 	s := &Session{flow: flow{class: class % NumClasses, weight: weight}}
 	s.owner = s

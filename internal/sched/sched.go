@@ -64,20 +64,6 @@ func (c Class) String() string {
 	}
 }
 
-// ParseClass maps a class name (as printed by String) to its value.
-func ParseClass(s string) (Class, error) {
-	switch s {
-	case "realtime":
-		return Realtime, nil
-	case "batch":
-		return Batch, nil
-	case "besteffort":
-		return BestEffort, nil
-	default:
-		return 0, fmt.Errorf("sched: unknown class %q", s)
-	}
-}
-
 // Policy selects the grant order.
 type Policy int
 
@@ -120,11 +106,6 @@ func ParsePolicy(s string) (Policy, error) {
 // it is effectively always ahead — but the lowest class still owns 1 part
 // in 111 of a saturated device, which is what keeps it starvation-free.
 var DefaultClassWeights = [NumClasses]uint32{100, 10, 1}
-
-// MaxWeight bounds a session's own weight; the wire decoders reject
-// anything larger, so virtual-time arithmetic cannot be driven to
-// degenerate precision by a hostile hello.
-const MaxWeight = 1 << 16
 
 // Config parameterizes a Queue or a core.
 type Config struct {

@@ -6,18 +6,6 @@ import (
 	"time"
 )
 
-func TestClassStringParseRoundTrip(t *testing.T) {
-	for c := Class(0); c < NumClasses; c++ {
-		got, err := ParseClass(c.String())
-		if err != nil || got != c {
-			t.Fatalf("ParseClass(%q) = %v, %v", c.String(), got, err)
-		}
-	}
-	if _, err := ParseClass("turbo"); err == nil {
-		t.Fatal("ParseClass accepted an unknown class")
-	}
-}
-
 func TestPolicyStringParseRoundTrip(t *testing.T) {
 	for _, p := range []Policy{FIFO, WFQ} {
 		got, err := ParsePolicy(p.String())

@@ -143,44 +143,10 @@ func Min(xs []float64) float64 {
 	return m
 }
 
-// Max returns the largest element. It panics on an empty slice.
-func Max(xs []float64) float64 {
-	m := xs[0]
-	for _, v := range xs[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // RelativeError returns (estimated-measured)/measured, the signed error rate
 // the paper reports in Table IV. measured must be non-zero.
 func RelativeError(estimated, measured float64) float64 {
 	return (estimated - measured) / measured
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of the sample using
-// linear interpolation between closest ranks. The input is not modified.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrInsufficientData
-	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("stats: percentile outside [0, 100]")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(rank)
-	if lo >= len(sorted)-1 {
-		return sorted[len(sorted)-1], nil
-	}
-	frac := rank - float64(lo)
-	return sorted[lo] + frac*(sorted[lo+1]-sorted[lo]), nil
 }
 
 // Point is a node of a piecewise-linear curve.
@@ -229,9 +195,4 @@ func (c *Curve) Eval(x float64) float64 {
 	a, b := pts[i-1], pts[i]
 	t := (x - a.X) / (b.X - a.X)
 	return a.Y + t*(b.Y-a.Y)
-}
-
-// Domain reports the [min, max] X range covered by actual anchors.
-func (c *Curve) Domain() (lo, hi float64) {
-	return c.pts[0].X, c.pts[len(c.pts)-1].X
 }

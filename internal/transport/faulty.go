@@ -62,9 +62,6 @@ func NewFaultyConn(inner Conn, plan *faults.Plan) Conn {
 	return fc
 }
 
-// Inner returns the wrapped connection.
-func (f *FaultyConn) Inner() Conn { return f.inner }
-
 // SetOpTimeout implements DeadlineCapable by forwarding to the wrapped
 // connection, so a server watchdog sees through the fault layer; a no-op
 // when the inner connection has no deadline support.

@@ -394,9 +394,9 @@ func (t *TCPConn) recvFrame(l Lander) (payload, landed []byte, err error) {
 	if err := t.armDeadline(t.c.SetReadDeadline); err != nil {
 		return nil, nil, err
 	}
-	// Peek the header through bufio instead of protocol.ReadFrameHeader:
-	// reading into a local array through the io.Reader interface would make
-	// the array escape, one allocation per message.
+	// Peek the header through bufio instead of reading it into a local
+	// array through the io.Reader interface, which would make the array
+	// escape: one allocation per message.
 	hdr, err := t.br.Peek(frameHeaderSize)
 	if err != nil {
 		// A clean close lands exactly between frames and surfaces as io.EOF
@@ -869,6 +869,3 @@ func (p *PipeEnd) Close() error {
 	p.closeOnce.Do(func() { close(p.done) })
 	return nil
 }
-
-// Link returns the interconnect this pipe simulates.
-func (p *PipeEnd) Link() *netsim.Link { return p.link }

@@ -277,14 +277,6 @@ func TestPipeDrainsInFlightOnClose(t *testing.T) {
 	}
 }
 
-func TestPipeLink(t *testing.T) {
-	cli, _ := Pipe(netsim.Myrinet10G(), vclock.NewSim(), nil)
-	defer cli.Close()
-	if cli.Link().Name() != "Myr" {
-		t.Fatalf("Link() = %s", cli.Link().Name())
-	}
-}
-
 // TestTCPMidFrameStallTimeout covers the nastier stall: the peer sends a
 // frame header promising a payload and then goes silent, so the deadline
 // must fire during the buffered body read, not just while waiting for the

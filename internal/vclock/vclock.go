@@ -101,9 +101,6 @@ func NewStopwatch(c Clock) *Stopwatch {
 	return &Stopwatch{clock: c, start: c.Now()}
 }
 
-// Restart resets the stopwatch's start to the current instant.
-func (sw *Stopwatch) Restart() { sw.start = sw.clock.Now() }
-
 // Elapsed reports the time elapsed since the stopwatch started.
 func (sw *Stopwatch) Elapsed() time.Duration { return sw.clock.Now() - sw.start }
 
