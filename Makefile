@@ -14,7 +14,7 @@ help:
 	@echo "  build        compile and vet everything (plus an arm64 cross-vet of blas/kernels/gpu)"
 	@echo "  test         run all tests"
 	@echo "  race         run all tests under the race detector"
-	@echo "  verify       tier-1 gate: build + test + race on data path, broker, workloads, report + chaos suite"
+	@echo "  verify       tier-1 gate: build + test + race on data path, broker, workloads, report + chaos suite + one pass of the device-service benchmarks"
 	@echo "  lint         go vet + rcuda-vet invariant analyzers + gofmt diff check"
 	@echo "  vet          rcuda-vet only: seededrand/wiremsg/locknet/errcode invariants"
 	@echo "  loc          non-blank, non-comment, non-test Go lines per package (the count 'smaller' claims cite) and their total outside bench/"
@@ -81,11 +81,13 @@ loc:
 # fault-injection suite. The device-service packages ride along for
 # checkptr, which -race turns on: kernels view device memory through the one
 # unsafe conversion, and their misaligned, overlapping and end-of-allocation
-# cases must pass it.
+# cases must pass it. Last, every benchmark of the device service runs once,
+# so the in-package witnesses DESIGN.md cites keep compiling and running.
 verify: build test vet chaos
 	$(GO) test -race ./internal/protocol/... ./internal/transport/... ./internal/rcuda/... ./internal/broker/... ./internal/sched/... ./internal/loadgen/... ./internal/workload/... \
 		./internal/report/... . \
 		./internal/blas/... ./internal/kernels/... ./internal/gpu/... ./internal/cudart/...
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/blas ./internal/kernels ./internal/gpu
 
 # Chaos suite: every fault kind's transport semantics, the retry policy, and
 # the MM/FFT case studies under scripted and 50 consecutive seeded fault

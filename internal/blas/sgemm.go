@@ -19,13 +19,16 @@ const blockSize = 64
 
 // parallelMinWork is the multiply-add count (m·n·k) from which Sgemm fans
 // out to one goroutine per CPU; smaller products run inline on the caller.
-// Measured with BenchmarkSgemmFanOut on the 2-vCPU benchmark machine
-// (go1.24, Xeon 2.1 GHz, SSE2 micro-kernel), inline vs fanned out: 16³ 0.44
-// vs 1.8 µs, 32³ 3.8 vs 5.7 µs, 48³ 10 vs 19 µs, 64³ 23 vs 34 µs, 96³ 76-88
-// vs 68-72 µs, 128³ 173 vs 129-142 µs. Spawning and joining the workers
-// costs what it did under the scalar band, where it paid from 64³; against
-// arithmetic four times faster it loses there, breaks even near 96³ and
-// pays above.
+// Measured with BenchmarkSgemmFanOut, inline vs fanned out, medians of five
+// runs on a 2-vCPU Xeon (Sapphire Rapids, 2.0 GHz, go1.24) with the
+// micro-kernel taking a band of rows: 16³ 0.85 vs 3.1 µs, 32³ 6.1 vs 10 µs,
+// 48³ 20 vs 24 µs, 64³ 48 vs 48 µs, 96³ 167 vs 119 µs, 128³ 356 vs 250 µs.
+// One micro-kernel call per row crossed over at the same place on the
+// same machine (64³ 52 vs 51 µs, 96³ 167 vs 119 µs): the band saves call
+// overhead on small products, not at the sizes where spawning and joining
+// the workers is weighed. Fan-out breaks even at 64³ there and pays by
+// 96³; the constant, placed at the break-even of the machine it was first
+// measured on, stays at 96³ because the band did not move the crossover.
 const parallelMinWork = 96 * 96 * 96
 
 // Sgemm computes C = A·B for row-major float32 matrices, where A is m×k,
@@ -44,11 +47,13 @@ func Sgemm(m, n, k int, a, b, c []float32) error {
 	if k == 0 {
 		return nil
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > m {
-		workers = m
+	// The size test comes first: runtime.GOMAXPROCS takes the scheduler's
+	// lock, which a small product has no reason to.
+	workers := 1
+	if m*n*k >= parallelMinWork {
+		workers = min(runtime.GOMAXPROCS(0), m)
 	}
-	if workers == 1 || m*n*k < parallelMinWork {
+	if workers == 1 {
 		sgemmBand(0, m, n, k, a, b, c)
 		return nil
 	}
@@ -76,17 +81,16 @@ func sgemmParallel(workers, m, n, k int, a, b, c []float32) {
 
 // sgemmBand computes rows [lo, hi) of C, blocked over k and j so a 64×64
 // tile of B stays in cache while every row of the band streams over it.
-// Each (row, j-block, k-block) is one tile call; the result does not depend
-// on the blocking, because every element of C receives its k terms in
-// ascending k whichever tile implementation runs (see tilePortable).
+// Each (j-block, k-block) is one tile call over all the band's rows; the
+// result does not depend on the blocking, because every element of C
+// receives its k terms in ascending k whichever tile implementation runs
+// (see tilePortable).
 func sgemmBand(lo, hi, n, k int, a, b, c []float32) {
 	for kk := 0; kk < k; kk += blockSize {
 		kmax := min(kk+blockSize, k)
 		for jj := 0; jj < n; jj += blockSize {
 			jmax := min(jj+blockSize, n)
-			for i := lo; i < hi; i++ {
-				tile(c[i*n+jj:i*n+jmax], a[i*k+kk:i*k+kmax], b[kk*n+jj:], n)
-			}
+			tile(c[lo*n+jj:lo*n+jmax], a[lo*k+kk:lo*k+kmax], b[kk*n+jj:], hi-lo, n, k, n)
 		}
 	}
 }
@@ -97,14 +101,24 @@ func sgemmBand(lo, hi, n, k int, a, b, c []float32) {
 // file.
 const tileWidth = 8
 
-// tilePortable adds one k-block's terms to a strip of one C row:
-// c[j] += a[kx]·b[kx·ldb+j] for every j < len(c), kx ascending over a,
-// skipping exact zeros of a (a NaN is not a zero). Each element is held in
-// a register while its terms are added — the same c += a·b sequence, with a
-// rounding after the multiply and one after the add, as a row-at-a-time
-// saxpy. It is the implementation on every GOARCH without a micro-kernel
-// and the oracle the amd64 micro-kernel is tested against, bit for bit.
-func tilePortable(c, a, b []float32, ldb int) {
+// tilePortable adds one k-block's terms to a band of rows strips of C. c
+// and a are the first row's strips — len(c) columns, len(a) terms — and
+// row r's lie ldc and lda elements further on per row, inside their
+// capacities: c[r·ldc+j] += a[r·lda+kx]·b[kx·ldb+j] for every j < len(c),
+// kx ascending below len(a), skipping exact zeros of a (a NaN is not a
+// zero). Each element is held in a register while its terms are added —
+// the same c += a·b sequence, with a rounding after the multiply and one
+// after the add, as a row-at-a-time saxpy. It is the implementation on
+// every GOARCH without a micro-kernel and the oracle the amd64
+// micro-kernel is tested against, bit for bit.
+func tilePortable(c, a, b []float32, rows, ldc, lda, ldb int) {
+	for r := 0; r < rows; r++ {
+		tileRow(c[r*ldc:r*ldc+len(c)], a[r*lda:r*lda+len(a)], b, ldb)
+	}
+}
+
+// tileRow is tilePortable for one row.
+func tileRow(c, a, b []float32, ldb int) {
 	j := 0
 	for ; j+tileWidth <= len(c); j += tileWidth {
 		ct := c[j : j+tileWidth : j+tileWidth]

@@ -1,30 +1,39 @@
 #include "textflag.h"
 
-// func tileSSE2(c, a, b []float32, ldb int)
+// func tileSSE2(c, a, b []float32, rows, ldc, lda, ldb int)
 //
-// c[j] += a[kx]·b[kx·ldb+j] for j < len(c), kx ascending over a — the
-// contract of tilePortable, which is also the oracle this is tested against
-// bit for bit. SSE2 only (the GOAMD64=v1 baseline): a strip of 16, 8, 4 or 1
-// elements of c stays in X0-X3 while k is walked, each term is MULPS then
-// ADDPS (MULSS/ADDSS for the last one to three columns) — two roundings, as
-// the Go loop compiles to; an FMA would round once and change the bits. A
-// zero of a is skipped as `aik != 0` does: UCOMISS sets ZF for equal and for
+// For each of rows rows r, c[r·ldc+j] += a[r·lda+kx]·b[kx·ldb+j] for
+// j < len(c), kx ascending below len(a) — the contract of tilePortable,
+// which is also the oracle this is tested against bit for bit. SSE2 only
+// (the GOAMD64=v1 baseline): a strip of 16, 8, 4 or 1 elements of a C row
+// stays in X0-X3 while k is walked, each term is MULPS then ADDPS
+// (MULSS/ADDSS for the last one to three columns) — two roundings, as the
+// Go loop compiles to; an FMA would round once and change the bits. A zero
+// of a is skipped as `aik != 0` does: UCOMISS sets ZF for equal and for
 // unordered and PF only for unordered, so only ZF=1, PF=0 skips and a NaN
 // multiplies. All loads and stores are unaligned (MOVUPS): operands are
 // float32 slices, 4-byte aligned at best. The caller (tile) has asserted
-// len(c) > 0, len(a) > 0, ldb >= 0 and (len(a)-1)·ldb+len(c) <= len(b).
+// rows > 0, len(c) > 0, len(a) > 0, non-negative strides, and that the
+// last row's furthest element of c, a and b lies inside the slice: rows
+// after the first are reached through the capacity of c and a.
 //
-// DI c cursor, CX columns left, BX b cursor (first row, current strip),
-// SI a, DX len(a), R8 ldb in bytes; per strip R9/R10/R11 walk a, b, k.
-TEXT ·tileSSE2(SB), NOSPLIT, $0-80
-	MOVQ  c_base+0(FP), DI
-	MOVQ  c_len+8(FP), CX
+// Per band: R12 c row, SI a row, AX rows left, DX len(a), R8 ldb in bytes.
+// Per row: DI c cursor, CX columns left, BX b cursor (first row of b,
+// current strip). Per strip: R9/R10/R11 walk a, b and k; between rows R9
+// scales the row strides, which are read from the frame.
+TEXT ·tileSSE2(SB), NOSPLIT, $0-104
+	MOVQ  c_base+0(FP), R12
 	MOVQ  a_base+24(FP), SI
 	MOVQ  a_len+32(FP), DX
-	MOVQ  b_base+48(FP), BX
-	MOVQ  ldb+72(FP), R8
+	MOVQ  rows+72(FP), AX
+	MOVQ  ldb+96(FP), R8
 	SHLQ  $2, R8
 	XORPS X9, X9
+
+row:
+	MOVQ R12, DI
+	MOVQ c_len+8(FP), CX
+	MOVQ b_base+48(FP), BX
 
 strip16:
 	CMPQ   CX, $16
@@ -139,7 +148,7 @@ next4:
 
 strip1:
 	TESTQ CX, CX
-	JZ    done
+	JZ    nextrow
 	MOVSS (DI), X0
 	MOVQ  SI, R9
 	MOVQ  BX, R10
@@ -166,5 +175,13 @@ next1:
 	DECQ  CX
 	JMP   strip1
 
-done:
+nextrow:
+	MOVQ ldc+80(FP), R9
+	SHLQ $2, R9
+	ADDQ R9, R12
+	MOVQ lda+88(FP), R9
+	SHLQ $2, R9
+	ADDQ R9, SI
+	DECQ AX
+	JNZ  row
 	RET

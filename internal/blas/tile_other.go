@@ -2,4 +2,4 @@
 
 package blas
 
-func tile(c, a, b []float32, ldb int) { tilePortable(c, a, b, ldb) }
+func tile(c, a, b []float32, rows, ldc, lda, ldb int) { tilePortable(c, a, b, rows, ldc, lda, ldb) }

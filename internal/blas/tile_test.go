@@ -10,13 +10,12 @@ import (
 	"rcuda/internal/raceflag"
 )
 
-// rowsWith computes C += A·B one row strip per tile call — what sgemmBand
-// does while no dimension exceeds blockSize — with the tile given, so the
-// same product can be run through tile and through tilePortable.
-func rowsWith(tile func(c, a, b []float32, ldb int), rows, cols, k int, a, b, c []float32) {
-	for i := 0; i < rows; i++ {
-		tile(c[i*cols:(i+1)*cols], a[i*k:(i+1)*k], b, cols)
-	}
+// bandWith computes C += A·B for a rows×cols×k product in one tile call —
+// what sgemmBand does while no dimension exceeds blockSize — with the tile
+// given, so the same product can be run through tile and through
+// tilePortable.
+func bandWith(tile func(c, a, b []float32, rows, ldc, lda, ldb int), rows, cols, k int, a, b, c []float32) {
+	tile(c[:cols], a[:k], b, rows, cols, k, cols)
 }
 
 // awkwardFloats returns n seeded values in which every kind the tile
@@ -40,25 +39,29 @@ func awkwardFloats(rng *rand.Rand, n int) []float32 {
 }
 
 // TestTileMatchesPortable holds the micro-kernel to its oracle on every
-// shape one tile call can see up to 40 wide and deep — all four strip
-// widths, every tail, every k — with zeros, infinities, NaNs, denormals and
-// whole zero rows in the operands and a nonzero C to accumulate into. The
-// operands are windows of larger slabs, C at the very end of its backing
-// array, and everything outside the windows must come back untouched.
+// band one tile call can see up to 40 rows, 40 columns and 40 deep — a
+// single row and odd counts, all four strip widths, every tail, every k —
+// with zeros, infinities, NaNs, denormals and whole zero rows in the
+// operands and a nonzero C to accumulate into. The row strides of C and A
+// and the stride of B run up to three elements past the strip, so a band
+// has gaps between its rows; the operands are windows of larger slabs, C
+// at the very end of its backing array, and nothing outside the rows'
+// strips — gaps and guards — may change.
 func TestTileMatchesPortable(t *testing.T) {
-	const maxDim, guard = 40, 32
+	const maxDim, maxPad, guard = 40, 3, 32
+	const maxExtent = (maxDim-1)*(maxDim+maxPad) + maxDim
 	const canary = float32(-7.5)
 	rng := rand.New(rand.NewSource(20261003))
-	pool := awkwardFloats(rng, 3*maxDim*maxDim+4096)
+	pool := awkwardFloats(rng, 3*maxExtent+4096)
 	slab := func() []float32 {
-		s := make([]float32, guard+maxDim*maxDim+guard)
+		s := make([]float32, guard+maxExtent+guard)
 		for i := range s {
 			s[i] = canary
 		}
 		return s
 	}
-	slabA, slabB, slabC := slab(), slab(), slab()[:guard+maxDim*maxDim]
-	want, inA, inB := make([]float32, maxDim*maxDim), make([]float32, maxDim*maxDim), make([]float32, maxDim*maxDim)
+	slabA, slabB, slabC := slab(), slab(), slab()[:guard+maxExtent]
+	want, inA, inB := make([]float32, maxExtent), make([]float32, maxExtent), make([]float32, maxExtent)
 	untouched := func(name string, s []float32, lo, hi int) {
 		t.Helper()
 		for i, v := range s {
@@ -69,46 +72,45 @@ func TestTileMatchesPortable(t *testing.T) {
 	}
 	off := 0
 	for rows := 1; rows <= maxDim; rows++ {
-		// Rows only repeat the call; the short and race runs keep a few.
+		// Rows only repeat the strip; the short and race runs keep a few.
 		if (testing.Short() || raceflag.Enabled) && rows > 3 && rows != maxDim {
 			continue
 		}
 		for cols := 1; cols <= maxDim; cols++ {
 			for k := 1; k <= maxDim; k++ {
 				off = (off + 131) % 4096
-				a := slabA[guard : guard+rows*k]
-				b := slabB[guard : guard+k*cols]
-				c := slabC[len(slabC)-rows*cols:]
+				ldc, lda, ldb := cols+off%(maxPad+1), k+off/7%(maxPad+1), cols+off/5%(maxPad+1)
+				extC, extA, extB := (rows-1)*ldc+cols, (rows-1)*lda+k, (k-1)*ldb+cols
+				a := slabA[guard : guard+extA]
+				b := slabB[guard : guard+extB]
+				c := slabC[len(slabC)-extC:]
 				copy(a, pool[off:])
-				copy(b, pool[off+maxDim*maxDim:])
-				copy(c, pool[off+2*maxDim*maxDim:])
+				copy(b, pool[off+maxExtent:])
+				copy(c, pool[off+2*maxExtent:])
 				if off%5 == 0 { // one whole row of exact zeros
-					clear(a[(off%rows)*k : (off%rows+1)*k])
+					zr := off % rows
+					clear(a[zr*lda : zr*lda+k])
 				}
-				w, a0, b0 := want[:rows*cols], inA[:rows*k], inB[:k*cols]
+				w, a0, b0 := want[:extC:extC], inA[:extA], inB[:extB]
 				copy(w, c)
 				copy(a0, a)
 				copy(b0, b)
-				rowsWith(tilePortable, rows, cols, k, a, b, w)
-				rowsWith(tile, rows, cols, k, a, b, c)
+				tilePortable(w[:cols], a[:k], b, rows, ldc, lda, ldb)
+				tile(c[:cols], a[:k], b, rows, ldc, lda, ldb)
 				if i := sameBits(c, w); i >= 0 {
-					t.Fatalf("%dx%dx%d: tile differs from tilePortable at element %d: %x vs %x",
-						rows, cols, k, i, math.Float32bits(c[i]), math.Float32bits(w[i]))
+					t.Fatalf("%dx%dx%d (ldc %d, lda %d, ldb %d): tile differs from tilePortable at C row %d, column %d: %x vs %x",
+						rows, cols, k, ldc, lda, ldb, i/ldc, i%ldc, math.Float32bits(c[i]), math.Float32bits(w[i]))
 				}
-				untouched("A", slabA, guard, guard+rows*k)
-				untouched("B", slabB, guard, guard+k*cols)
-				untouched("C", slabC, len(slabC)-rows*cols, len(slabC))
+				untouched("A", slabA, guard, guard+extA)
+				untouched("B", slabB, guard, guard+extB)
+				untouched("C", slabC, len(slabC)-extC, len(slabC))
 				if sameBits(a, a0) >= 0 || sameBits(b, b0) >= 0 {
 					t.Fatalf("%dx%dx%d: tile wrote to an input operand", rows, cols, k)
 				}
-				for i := range a {
-					a[i] = canary
-				}
-				for i := range b {
-					b[i] = canary
-				}
-				for i := range c {
-					c[i] = canary
+				for _, s := range [][]float32{a, b, c} {
+					for i := range s {
+						s[i] = canary
+					}
 				}
 			}
 		}
@@ -116,28 +118,42 @@ func TestTileMatchesPortable(t *testing.T) {
 }
 
 // TestTileRejectsShortB pins the Go-side assertion in front of the
-// micro-kernel: a b too short for the last row the tile would read, or a
-// negative stride, panics before any assembly runs, as an index expression
-// in tilePortable would.
+// micro-kernel: an a or a c whose capacity is too short for the band's last
+// row, a b too short for the last term that row reads, or a negative or
+// overflowing stride, panics before any assembly runs — as an index
+// expression in tilePortable does, which is checked alongside.
 func TestTileRejectsShortB(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: tile did not panic", name)
-			}
-		}()
-		f()
+	const rows, cols, depth, ldc, lda, ldb = 3, 5, 3, 6, 4, 7
+	cBand, aBand := make([]float32, (rows-1)*ldc+cols), make([]float32, (rows-1)*lda+depth)
+	b := make([]float32, (depth-1)*ldb+cols)
+	for i := range aBand {
+		aBand[i] = 1 // a zero of a would skip its row of b
 	}
-	c, a := make([]float32, 5), []float32{1, 1, 1}
-	mustPanic("b one short", func() { tile(c, a, make([]float32, 2*7+5-1), 7) })
-	mustPanic("negative stride", func() { tile(c, a, make([]float32, 64), -1) })
-	tile(c, a, make([]float32, 2*7+5), 7) // exactly enough
+	for name, tile := range map[string]func(c, a, b []float32, rows, ldc, lda, ldb int){"tile": tile, "tilePortable": tilePortable} {
+		mustPanic := func(what string, f func()) {
+			t.Helper()
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s with %s did not panic", name, what)
+				}
+			}()
+			f()
+		}
+		c, a := cBand[:cols], aBand[:depth]
+		mustPanic("b one short", func() { tile(c, a, b[:len(b)-1], rows, ldc, lda, ldb) })
+		mustPanic("c one short for the last row", func() { tile(cBand[:cols:len(cBand)-1], a, b, rows, ldc, lda, ldb) })
+		mustPanic("a one short for the last row", func() { tile(c, aBand[:depth:len(aBand)-1], b, rows, ldc, lda, ldb) })
+		mustPanic("negative stride", func() { tile(c, a, make([]float32, 64), 1, ldc, lda, -1) })
+		mustPanic("negative row stride", func() { tile(c, a, b, rows, -1, lda, ldb) })
+		mustPanic("overflowing row stride", func() { tile(c, a, b, rows, math.MaxInt/2+1, lda, ldb) })
+		tile(c, a, b, rows, ldc, lda, ldb) // exactly enough
+		tile(c[:cols:cols], a[:depth:depth], b, 1, ldc, lda, ldb)
+	}
 }
 
 // FuzzSgemmAgainstPortable lets the fuzzer pick the shape and the operand
 // seed: Sgemm, whatever tile it runs on this GOARCH, must agree bit for bit
-// with the portable tile applied row by row.
+// with the portable tile applied to the whole product.
 func FuzzSgemmAgainstPortable(f *testing.F) {
 	for _, s := range [][3]uint8{{0, 0, 0}, {15, 15, 15}, {16, 18, 2}, {47, 47, 47}, {2, 20, 40}, {30, 3, 7}, {7, 11, 0}} {
 		f.Add(s[0], s[1], s[2], int64(s[0])<<16|int64(s[1])<<8|int64(s[2]))
@@ -151,7 +167,7 @@ func FuzzSgemmAgainstPortable(f *testing.F) {
 			t.Fatal(err)
 		}
 		want := make([]float32, m*n)
-		rowsWith(tilePortable, m, n, k, a, b, want)
+		bandWith(tilePortable, m, n, k, a, b, want)
 		if i := sameBits(got, want); i >= 0 {
 			t.Fatalf("%dx%dx%d seed %d: Sgemm differs from the portable tile at element %d: %x vs %x",
 				m, n, k, seed, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
@@ -160,9 +176,9 @@ func FuzzSgemmAgainstPortable(f *testing.F) {
 }
 
 // TestTileSpeedupGate fails when the micro-kernel stops being one: the 16³
-// product — one inference layer — through tile must run at least twice as
-// fast as through tilePortable (measured 3.1-4.0× on the 2-vCPU benchmark
-// machine). A ratio of two loops timed in the same process, in alternating
+// product — one inference layer, one band call — through tile must run at
+// least twice as fast as through tilePortable (measured 3.9-4.9× on a
+// 2-vCPU Xeon, Sapphire Rapids, 2.0 GHz). A ratio of two loops timed in the same process, in alternating
 // rounds, best round each, so machine speed and a noisy neighbour cancel.
 func TestTileSpeedupGate(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
@@ -174,11 +190,11 @@ func TestTileSpeedupGate(t *testing.T) {
 	const n, reps, rounds = 16, 500, 25
 	rng := rand.New(rand.NewSource(5))
 	a, b, c := randMatrix(rng, n*n), randMatrix(rng, n*n), make([]float32, n*n)
-	best := func(tile func(c, a, b []float32, ldb int), prev time.Duration) time.Duration {
+	best := func(tile func(c, a, b []float32, rows, ldc, lda, ldb int), prev time.Duration) time.Duration {
 		start := time.Now()
 		for i := 0; i < reps; i++ {
 			clear(c)
-			rowsWith(tile, n, n, n, a, b, c)
+			bandWith(tile, n, n, n, a, b, c)
 		}
 		if d := time.Since(start); prev == 0 || d < prev {
 			return d
@@ -194,5 +210,20 @@ func TestTileSpeedupGate(t *testing.T) {
 	t.Logf("16³ band: portable %d ns, micro-kernel %d ns, %.1fx", portable.Nanoseconds()/reps, fast.Nanoseconds()/reps, ratio)
 	if ratio < 2 {
 		t.Fatalf("micro-kernel is only %.2fx the portable tile on 16³, want >= 2x", ratio)
+	}
+}
+
+// TestSgemmAllocatesNothing gates the inline path one inference layer
+// takes: a 16³ product allocates nothing.
+func TestSgemmAllocatesNothing(t *testing.T) {
+	const n = 16
+	rng := rand.New(rand.NewSource(6))
+	a, b, c := randMatrix(rng, n*n), randMatrix(rng, n*n), make([]float32, n*n)
+	var err error
+	if got := testing.AllocsPerRun(200, func() { err = Sgemm(n, n, n, a, b, c) }); got != 0 {
+		t.Errorf("Sgemm 16³ allocates %.0f times, want 0", got)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }

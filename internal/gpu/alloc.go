@@ -29,7 +29,7 @@ type block struct {
 }
 
 // allocator is a first-fit allocator over a 32-bit device address space.
-// It is not safe for concurrent use; the Device serializes access.
+// It is not safe for concurrent use; Device.mu guards it.
 type allocator struct {
 	total  uint64 // device memory capacity in bytes
 	used   uint64
@@ -51,14 +51,14 @@ func roundUp(n uint32) uint64 {
 // bookkeeping matches the allocator's inUse figure exactly.
 func AllocCharge(size uint32) uint64 { return roundUp(size) }
 
-// alloc reserves size bytes and returns the device address of the region.
-func (a *allocator) alloc(size uint32) (uint32, error) {
+// alloc reserves size bytes and returns the block holding them.
+func (a *allocator) alloc(size uint32) (*block, error) {
 	if size == 0 {
-		return 0, ErrZeroSize
+		return nil, ErrZeroSize
 	}
 	need := roundUp(size)
 	if a.used+need > a.total {
-		return 0, fmt.Errorf("%w: %d requested, %d of %d in use",
+		return nil, fmt.Errorf("%w: %d requested, %d of %d in use",
 			ErrOutOfMemory, size, a.used, a.total)
 	}
 	// First fit: scan the gaps between existing blocks.
@@ -75,7 +75,7 @@ func (a *allocator) alloc(size uint32) (uint32, error) {
 	}
 	if !found {
 		if a.total-prevEnd < need {
-			return 0, fmt.Errorf("%w: address space fragmented", ErrOutOfMemory)
+			return nil, fmt.Errorf("%w: address space fragmented", ErrOutOfMemory)
 		}
 		addr = prevEnd
 	}
@@ -84,12 +84,12 @@ func (a *allocator) alloc(size uint32) (uint32, error) {
 	copy(a.blocks[insertAt+1:], a.blocks[insertAt:])
 	a.blocks[insertAt] = nb
 	a.used += need
-	return nb.addr, nil
+	return nb, nil
 }
 
 // free releases the allocation starting exactly at addr.
 func (a *allocator) free(addr uint32) error {
-	i := a.find(addr)
+	i := findBlock(a.blocks, addr)
 	if i < 0 || a.blocks[i].addr != addr {
 		return fmt.Errorf("%w: free(%#x)", ErrInvalidDevPtr, addr)
 	}
@@ -98,33 +98,16 @@ func (a *allocator) free(addr uint32) error {
 	return nil
 }
 
-// find returns the index of the block containing addr, or -1.
-func (a *allocator) find(addr uint32) int {
-	i := sort.Search(len(a.blocks), func(i int) bool {
-		return uint64(a.blocks[i].addr)+uint64(a.blocks[i].size) > uint64(addr)
+// findBlock returns the index of the block containing addr in blocks,
+// which are sorted by address and do not overlap, or -1.
+func findBlock(blocks []*block, addr uint32) int {
+	i := sort.Search(len(blocks), func(i int) bool {
+		return uint64(blocks[i].addr)+uint64(blocks[i].size) > uint64(addr)
 	})
-	if i < len(a.blocks) && a.blocks[i].addr <= addr {
+	if i < len(blocks) && blocks[i].addr <= addr {
 		return i
 	}
 	return -1
-}
-
-// region resolves [addr, addr+size) to the slice of backing store it maps
-// to, and the address of the allocation holding it. The range must lie
-// within a single allocation, as in CUDA, where arithmetic past an
-// allocation is undefined.
-func (a *allocator) region(addr, size uint32) (base uint32, region []byte, err error) {
-	i := a.find(addr)
-	if i < 0 {
-		return 0, nil, fmt.Errorf("%w: %#x", ErrInvalidDevPtr, addr)
-	}
-	b := a.blocks[i]
-	off := addr - b.addr
-	if uint64(off)+uint64(size) > uint64(b.size) {
-		return 0, nil, fmt.Errorf("%w: [%#x,+%d) overruns allocation of %d bytes at %#x",
-			ErrInvalidDevPtr, addr, size, b.size, b.addr)
-	}
-	return b.addr, b.data[off : uint64(off)+uint64(size)], nil
 }
 
 // inUse reports allocated bytes (rounded to granularity).

@@ -50,39 +50,40 @@ type ContextState struct {
 	Timeline TimelineState
 }
 
-// allocAt reserves size bytes at exactly addr, failing if the region is
-// unavailable. It is the restore-side counterpart of alloc: a migrated
-// session's pointers must land at their original addresses.
-func (a *allocator) allocAt(addr, size uint32) error {
+// allocAt reserves size bytes at exactly addr and returns the block
+// holding them, failing if the region is unavailable. It is the
+// restore-side counterpart of alloc: a migrated session's pointers must
+// land at their original addresses.
+func (a *allocator) allocAt(addr, size uint32) (*block, error) {
 	if size == 0 {
-		return ErrZeroSize
+		return nil, ErrZeroSize
 	}
 	if addr < nullGuard || uint64(addr)%allocAlign != 0 {
-		return fmt.Errorf("%w: allocAt(%#x)", ErrInvalidDevPtr, addr)
+		return nil, fmt.Errorf("%w: allocAt(%#x)", ErrInvalidDevPtr, addr)
 	}
 	need := roundUp(size)
 	if uint64(addr)+need > a.total {
-		return fmt.Errorf("%w: allocAt(%#x,+%d) past capacity %d", ErrOutOfMemory, addr, size, a.total)
+		return nil, fmt.Errorf("%w: allocAt(%#x,+%d) past capacity %d", ErrOutOfMemory, addr, size, a.total)
 	}
 	if a.used+need > a.total {
-		return fmt.Errorf("%w: %d requested, %d of %d in use", ErrOutOfMemory, size, a.used, a.total)
+		return nil, fmt.Errorf("%w: %d requested, %d of %d in use", ErrOutOfMemory, size, a.used, a.total)
 	}
 	i := sort.Search(len(a.blocks), func(i int) bool { return a.blocks[i].addr >= addr })
 	if i > 0 {
 		prev := a.blocks[i-1]
 		if uint64(prev.addr)+roundUp(prev.size) > uint64(addr) {
-			return fmt.Errorf("%w: allocAt(%#x) overlaps allocation at %#x", ErrInvalidDevPtr, addr, prev.addr)
+			return nil, fmt.Errorf("%w: allocAt(%#x) overlaps allocation at %#x", ErrInvalidDevPtr, addr, prev.addr)
 		}
 	}
 	if i < len(a.blocks) && uint64(a.blocks[i].addr) < uint64(addr)+need {
-		return fmt.Errorf("%w: allocAt(%#x) overlaps allocation at %#x", ErrInvalidDevPtr, addr, a.blocks[i].addr)
+		return nil, fmt.Errorf("%w: allocAt(%#x) overlaps allocation at %#x", ErrInvalidDevPtr, addr, a.blocks[i].addr)
 	}
 	nb := &block{addr: addr, size: size, data: make([]byte, size)}
 	a.blocks = append(a.blocks, nil)
 	copy(a.blocks[i+1:], a.blocks[i:])
 	a.blocks[i] = nb
 	a.used += need
-	return nil
+	return nb, nil
 }
 
 // ExportState captures the context's allocations and timeline. The state
@@ -94,26 +95,13 @@ func (c *Context) ExportState() (*ContextState, error) {
 		return nil, err
 	}
 	st := &ContextState{}
-	addrs := make([]uint32, 0, len(c.owned))
-	for addr := range c.owned {
-		addrs = append(addrs, addr)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	c.dev.mu.Lock()
-	for _, addr := range addrs {
-		size := c.owned[addr]
-		_, region, err := c.dev.alloc.region(addr, size)
-		if err != nil {
-			c.dev.mu.Unlock()
-			return nil, fmt.Errorf("gpu: export: %w", err)
-		}
+	for _, b := range c.owned {
 		st.Allocs = append(st.Allocs, AllocState{
-			Addr: addr,
-			Size: size,
-			Data: append([]byte(nil), region...),
+			Addr: b.addr,
+			Size: b.size,
+			Data: append([]byte(nil), b.data...),
 		})
 	}
-	c.dev.mu.Unlock()
 	st.Timeline = TimelineState{
 		EngineDone: c.tl.engineDone,
 		Streams:    sortedMarks(c.tl.streamDone),
@@ -149,22 +137,21 @@ func (c *Context) RestoreState(st *ContextState) error {
 	c.dev.mu.Lock()
 	for i := range st.Allocs {
 		al := &st.Allocs[i]
-		err := c.dev.alloc.allocAt(al.Addr, al.Size)
+		b, err := c.dev.alloc.allocAt(al.Addr, al.Size)
 		if err == nil && len(al.Data) != int(al.Size) {
 			err = fmt.Errorf("gpu: restore alloc %#x carries %d bytes, want %d", al.Addr, len(al.Data), al.Size)
 			_ = c.dev.alloc.free(al.Addr)
 		}
 		if err != nil {
-			for addr := range c.owned {
-				_ = c.dev.alloc.free(addr)
-				delete(c.owned, addr)
+			for _, placed := range c.owned {
+				_ = c.dev.alloc.free(placed.addr)
 			}
+			c.owned = nil
 			c.dev.mu.Unlock()
 			return err
 		}
-		_, region, _ := c.dev.alloc.region(al.Addr, al.Size)
-		copy(region, al.Data)
-		c.owned[al.Addr] = al.Size
+		copy(b.data, al.Data)
+		c.own(b)
 	}
 	c.dev.mu.Unlock()
 

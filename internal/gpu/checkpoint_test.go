@@ -13,10 +13,10 @@ func newCkptDevice(total uint64) *Device {
 // and bounds rejection.
 func TestAllocAtExact(t *testing.T) {
 	a := newAllocator(1 << 20)
-	if err := a.allocAt(256, 512); err != nil {
+	if _, err := a.allocAt(256, 512); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.allocAt(1024, 100); err != nil {
+	if _, err := a.allocAt(1024, 100); err != nil {
 		t.Fatal(err)
 	}
 	if got := a.inUse(); got != 512+256 {
@@ -32,12 +32,12 @@ func TestAllocAtExact(t *testing.T) {
 		{1 << 20, 4}, // past capacity
 		{512, 0},     // zero size
 	} {
-		if err := a.allocAt(bad.addr, bad.size); err == nil {
+		if _, err := a.allocAt(bad.addr, bad.size); err == nil {
 			t.Fatalf("allocAt(%#x,%d) accepted", bad.addr, bad.size)
 		}
 	}
 	// The gap between the two blocks is still usable.
-	if err := a.allocAt(768, 256); err != nil {
+	if _, err := a.allocAt(768, 256); err != nil {
 		t.Fatalf("gap placement: %v", err)
 	}
 	// And ordinary alloc still works around the placed blocks.

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -57,9 +58,13 @@ type Config struct {
 	Jitter          Jitter
 }
 
-// Device is a simulated GPU. All operations are safe for concurrent use;
-// the device serializes memory operations and kernel launches, modeling the
-// single-GPU time multiplexing of the paper's server.
+// Device is a simulated GPU. All operations are safe for concurrent use.
+// The device-wide lock, mu, guards only the allocator: its block list and
+// byte counts, taken by Malloc, Free, RestoreState, Destroy and the two
+// counters. Reading and writing device memory — copies, memset, kernel
+// operands — resolves against the calling context's own table of blocks
+// under that context's lock, and kernels run under no lock at all, so
+// contexts on one device contend only when they allocate or free.
 type Device struct {
 	cfg Config
 
@@ -161,9 +166,11 @@ type Context struct {
 	mu      sync.Mutex
 	modules map[string]*Module
 	kernels map[string]*Kernel
-	owned   map[uint32]uint32 // addr -> requested size
-	tl      *timeline
-	dead    bool
+	// owned is every block this context allocated or restored, sorted by
+	// address: the only memory its accesses resolve against.
+	owned []*block
+	tl    *timeline
+	dead  bool
 	// spare is the launch frame the last execute left behind (see
 	// launchFrame).
 	spare atomic.Pointer[launchFrame]
@@ -190,7 +197,6 @@ func (d *Device) newContextNoInit() *Context {
 		dev:     d,
 		modules: make(map[string]*Module),
 		kernels: make(map[string]*Kernel),
-		owned:   make(map[uint32]uint32),
 		tl:      newTimeline(),
 	}
 }
@@ -232,13 +238,20 @@ func (c *Context) Malloc(size uint32) (uint32, error) {
 		return 0, err
 	}
 	c.dev.mu.Lock()
-	addr, err := c.dev.alloc.alloc(size)
+	b, err := c.dev.alloc.alloc(size)
 	c.dev.mu.Unlock()
 	if err != nil {
 		return 0, err
 	}
-	c.owned[addr] = size
-	return addr, nil
+	c.own(b)
+	return b.addr, nil
+}
+
+// own adds b to the context's table, keeping it sorted by address. The
+// caller holds c.mu.
+func (c *Context) own(b *block) {
+	i := sort.Search(len(c.owned), func(i int) bool { return c.owned[i].addr > b.addr })
+	c.owned = slices.Insert(c.owned, i, b)
 }
 
 // Free releases a device allocation owned by this context.
@@ -248,7 +261,8 @@ func (c *Context) Free(addr uint32) error {
 	if err := c.check(); err != nil {
 		return err
 	}
-	if _, ok := c.owned[addr]; !ok {
+	i := findBlock(c.owned, addr)
+	if i < 0 || c.owned[i].addr != addr {
 		return fmt.Errorf("%w: %#x not owned by this context", ErrInvalidDevPtr, addr)
 	}
 	c.dev.mu.Lock()
@@ -257,7 +271,7 @@ func (c *Context) Free(addr uint32) error {
 	if err != nil {
 		return err
 	}
-	delete(c.owned, addr)
+	c.owned = slices.Delete(c.owned, i, i+1)
 	return nil
 }
 
@@ -266,22 +280,25 @@ func (c *Context) Free(addr uint32) error {
 // either direction, memset, device-to-device copies, kernel operands, the
 // view a transport lands a payload in — resolves here, so on a shared
 // device a session reaches only what it allocated (or restored): another
-// context's block is as invalid a pointer as unallocated memory. The caller
-// holds c.mu.
+// context's block is as invalid a pointer as unallocated memory. The range
+// must lie within a single allocation, as in CUDA, where arithmetic past an
+// allocation is undefined. Only the context's own table is searched, so the
+// device's lock is never taken. The caller holds c.mu.
 func (c *Context) region(addr, size uint32) ([]byte, error) {
 	if err := c.check(); err != nil {
 		return nil, err
 	}
-	c.dev.mu.Lock()
-	base, region, err := c.dev.alloc.region(addr, size)
-	c.dev.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := c.owned[base]; !ok {
+	i := findBlock(c.owned, addr)
+	if i < 0 {
 		return nil, fmt.Errorf("%w: %#x not owned by this context", ErrInvalidDevPtr, addr)
 	}
-	return region, nil
+	b := c.owned[i]
+	off := addr - b.addr
+	if uint64(off)+uint64(size) > uint64(b.size) {
+		return nil, fmt.Errorf("%w: [%#x,+%d) overruns allocation of %d bytes at %#x",
+			ErrInvalidDevPtr, addr, size, b.size, b.addr)
+	}
+	return b.data[off : uint64(off)+uint64(size)], nil
 }
 
 // Region returns device memory [addr, addr+size) of this context as host
@@ -360,8 +377,8 @@ func (c *Context) OwnedBytes() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var total uint64
-	for _, size := range c.owned {
-		total += roundUp(size)
+	for _, b := range c.owned {
+		total += roundUp(b.size)
 	}
 	return total
 }
@@ -526,8 +543,8 @@ func (c *Context) Destroy() error {
 	c.dev.mu.Lock()
 	defer c.dev.mu.Unlock()
 	var firstErr error
-	for addr := range c.owned {
-		if err := c.dev.alloc.free(addr); err != nil && firstErr == nil {
+	for _, b := range c.owned {
+		if err := c.dev.alloc.free(b.addr); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

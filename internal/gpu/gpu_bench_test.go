@@ -41,11 +41,11 @@ func BenchmarkCopyToDevice1MiB(b *testing.B) {
 }
 
 // BenchmarkLaunchDispatch launches a kernel that does nothing: the fixed
-// cost of a launch (lookup, launch frame, cost model, clock), 170 ns on the
-// 2-vCPU benchmark machine. kernels.BenchmarkLaunchSgemm16 is the same call
-// with 4 096 multiply-adds behind it — 2 500 ns before the SSE2 micro-kernel
-// and in-place operands, 770 ns after (gpu.launch_sgemm16_ns in the
-// wall-clock benchmark) — so arithmetic, not dispatch, is what is left.
+// cost of a launch (lookup, launch frame, cost model, clock), 250 ns on a
+// 2-vCPU Xeon (Sapphire Rapids, 2.0 GHz, go1.24; median of five runs).
+// kernels.BenchmarkLaunchSgemm16 is the same call with 4 096 multiply-adds
+// behind it — 1 630 ns synchronous, 1 350 ns on a stream on that machine —
+// so arithmetic, not dispatch, is what is left.
 func BenchmarkLaunchDispatch(b *testing.B) {
 	dev := New(Config{Clock: vclock.NewSim()})
 	ctx := dev.NewContextPreinitialized()

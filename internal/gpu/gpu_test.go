@@ -523,13 +523,14 @@ func TestAllocatorNonOverlappingProperty(t *testing.T) {
 			if s == 0 {
 				continue
 			}
-			addr, err := a.alloc(uint32(s))
+			b, err := a.alloc(uint32(s))
 			if errors.Is(err, ErrOutOfMemory) {
 				continue
 			}
 			if err != nil {
 				return false
 			}
+			addr := b.addr
 			if addr%allocAlign != 0 {
 				return false
 			}
@@ -558,11 +559,11 @@ func TestAllocatorConservationProperty(t *testing.T) {
 			if s == 0 {
 				continue
 			}
-			addr, err := a.alloc(uint32(s))
+			b, err := a.alloc(uint32(s))
 			if err != nil {
 				return errors.Is(err, ErrOutOfMemory)
 			}
-			addrs = append(addrs, addr)
+			addrs = append(addrs, b.addr)
 		}
 		for _, addr := range addrs {
 			if err := a.free(addr); err != nil {

@@ -419,8 +419,9 @@ func TestConcurrentLaunchesShareNoScratch(t *testing.T) {
 
 // TestLaunchAllocationGate is the deterministic CI gate of the launch fast
 // path: a steady-state 16×16 sgemmNN launch, synchronous or on a stream,
-// allocates at most once between the caller and the arithmetic (today:
-// zero — frame and staging come from pools, operands are decoded in place).
+// allocates nothing between the caller and the arithmetic — the launch
+// frame is the context's spare, operands are resolved from the context's
+// own table and computed on in place.
 func TestLaunchAllocationGate(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -456,8 +457,8 @@ func TestLaunchAllocationGate(t *testing.T) {
 	}
 	for name, launch := range gates {
 		launch() // warm the pools
-		if got := testing.AllocsPerRun(200, launch); got > 1 {
-			t.Errorf("%s of sgemm16 allocates %.0f times per launch, want <= 1", name, got)
+		if got := testing.AllocsPerRun(200, launch); got != 0 {
+			t.Errorf("%s of sgemm16 allocates %.0f times per launch, want 0", name, got)
 		}
 	}
 	if lerr != nil {
@@ -466,14 +467,16 @@ func TestLaunchAllocationGate(t *testing.T) {
 }
 
 // BenchmarkLaunchSgemm16 is the in-repo witness of the wall-clock
-// benchmark's gpu.launch_sgemm16_ns: one synchronous 16×16 sgemmNN launch,
-// the unit an inference request repeats 24 times. "inplace" has its operands
-// where cudaMalloc puts them; "staged" has C one byte off, which is the path
-// every launch took before kernels computed on device memory in place. On
-// the 2-vCPU benchmark machine (go1.24, Xeon 2.1 GHz): 2 500 ns with the
-// scalar band and staging (the parent of DESIGN.md section 22), 1 350 ns
-// staged with the SSE2 micro-kernel, 770 ns in place;
-// gpu.BenchmarkLaunchDispatch, a kernel that does nothing, is the 170 ns
+// benchmark's gpu.launch_sgemm16_ns: one 16×16 sgemmNN launch, the unit an
+// inference request repeats 24 times. "inplace" is a synchronous Launch on
+// operands where cudaMalloc puts them; "staged" has C one byte off, which is
+// the path every launch took before kernels computed on device memory in
+// place; "async" is "inplace" as LaunchAsync on a stream, the call the
+// server makes for a batched request. Medians of five runs on a 2-vCPU Xeon
+// (Sapphire Rapids, 2.0 GHz, go1.24), one micro-kernel call per row before
+// DESIGN.md section 22's band contract → one per block after: inplace
+// 1 990 → 1 630 ns, staged 3 500 → 2 790 ns, async 1 860 → 1 350 ns.
+// gpu.BenchmarkLaunchDispatch, a kernel that does nothing, is the 250 ns
 // floor under all three.
 func BenchmarkLaunchSgemm16(b *testing.B) {
 	ctx := openContext(b, newDevice())
@@ -489,12 +492,27 @@ func BenchmarkLaunchSgemm16(b *testing.B) {
 		}
 		ptrs[i] = p
 	}
-	for name, cOff := range map[string]uint32{"inplace": 0, "staged": 1} {
-		params := gpu.PackParams(ptrs[0], ptrs[1], ptrs[2]+cOff, m)
-		b.Run(name, func(b *testing.B) {
+	stream, err := ctx.StreamCreate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	grid, block := gpu.Dim3{X: 1, Y: 1}, gpu.Dim3{X: m, Y: m}
+	for _, c := range []struct {
+		name  string
+		cOff  uint32
+		async bool
+	}{{"inplace", 0, false}, {"staged", 1, false}, {"async", 0, true}} {
+		params := gpu.PackParams(ptrs[0], ptrs[1], ptrs[2]+c.cOff, m)
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := ctx.Launch(SgemmKernel, gpu.Dim3{X: 1, Y: 1}, gpu.Dim3{X: m, Y: m}, 0, params); err != nil {
+				var err error
+				if c.async {
+					err = ctx.LaunchAsync(SgemmKernel, grid, block, 0, params, stream)
+				} else {
+					err = ctx.Launch(SgemmKernel, grid, block, 0, params)
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -75,7 +75,7 @@ the simulated measurements exactly as the paper's method prescribes.
 var recordedFS embed.FS
 
 // recordedSections names the fragments in document order.
-var recordedSections = []string{"intro", "pr13", "pr14", "pr15", "pr16", "pr18", "pr21", "pr22", "pr26", "pr27", "pr29", "ledger"}
+var recordedSections = []string{"intro", "pr13", "pr14", "pr15", "pr16", "pr18", "pr21", "pr22", "pr26", "pr27", "pr29", "pr33", "ledger"}
 
 func expRecorded(sb *strings.Builder) error {
 	for i, name := range recordedSections {
