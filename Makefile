@@ -1,7 +1,7 @@
 # Development entry points for rcuda-go. Everything is stdlib-only Go — pure
-# Go plus one SSE2 micro-kernel in Go assembly on amd64 (every other GOARCH
-# runs the portable loop); no external tools are required beyond the
-# toolchain.
+# Go plus one AVX micro-kernel in Go assembly on amd64 (an amd64 CPU without
+# AVX and every other GOARCH run the portable loop); no external tools are
+# required beyond the toolchain.
 
 GO ?= go
 
@@ -11,7 +11,7 @@ all: build test
 
 help:
 	@echo "Targets:"
-	@echo "  build        compile and vet everything (plus an arm64 cross-vet of blas/kernels/gpu)"
+	@echo "  build        compile and vet everything (plus an arm64 cross-vet of blas/kernels/gpu and a check that the arm64 code of blas/fft/kernels fuses no multiply-add)"
 	@echo "  test         run all tests"
 	@echo "  race         run all tests under the race detector"
 	@echo "  verify       tier-1 gate: build + test + race on data path, broker, workloads, report + chaos suite + one pass of the device-service benchmarks"
@@ -36,12 +36,18 @@ help:
 	@echo "  clean        remove figs/ and the test cache"
 
 # The arm64 cross-vet (no network, no cgo) type-checks the files amd64 never
-# compiles: the portable tile that stands in for the SSE2 micro-kernel, and
-# everything above it.
+# compiles: the portable tile that stands in for the AVX micro-kernel, and
+# everything above it. Then the arm64 assembly listing of blas, fft and
+# kernels must hold no fused multiply-add (FMADD, FMSUB, FNMADD, FNMSUB):
+# the portable arithmetic rounds every product, as amd64 does, so every host
+# computes the same bits.
 build:
 	$(GO) build ./...
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/blas ./internal/kernels ./internal/gpu
+	@out=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/blas ./internal/fft ./internal/kernels 2>&1) || { echo "$$out" | tail -20; exit 1; }; \
+	fused=$$(echo "$$out" | grep -E '[[:space:]]F(N?MADD|N?MSUB)[SD][[:space:]]'); \
+	if [ -n "$$fused" ]; then echo "fused multiply-add in the arm64 build of blas, fft or kernels (round the product with an explicit conversion):"; echo "$$fused"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -20,15 +20,13 @@ const blockSize = 64
 // parallelMinWork is the multiply-add count (m·n·k) from which Sgemm fans
 // out to one goroutine per CPU; smaller products run inline on the caller.
 // Measured with BenchmarkSgemmFanOut, inline vs fanned out, medians of five
-// runs on a 2-vCPU Xeon (Sapphire Rapids, 2.0 GHz, go1.24) with the
-// micro-kernel taking a band of rows: 16³ 0.85 vs 3.1 µs, 32³ 6.1 vs 10 µs,
-// 48³ 20 vs 24 µs, 64³ 48 vs 48 µs, 96³ 167 vs 119 µs, 128³ 356 vs 250 µs.
-// One micro-kernel call per row crossed over at the same place on the
-// same machine (64³ 52 vs 51 µs, 96³ 167 vs 119 µs): the band saves call
-// overhead on small products, not at the sizes where spawning and joining
-// the workers is weighed. Fan-out breaks even at 64³ there and pays by
-// 96³; the constant, placed at the break-even of the machine it was first
-// measured on, stays at 96³ because the band did not move the crossover.
+// alternating runs on a 2-vCPU Xeon (Sapphire Rapids, 2.0 GHz, go1.24) with
+// the AVX micro-kernel: 16³ 0.46 vs 2.4 µs, 32³ 2.4 vs 4.6 µs, 48³ 9.7 vs
+// 17 µs, 64³ 26 vs 30 µs, 96³ 88 vs 70 µs, 128³ 188 vs 141 µs. The SSE2
+// kernel before it read 64³ 42 vs 44 µs and 96³ 145 vs 117 µs in the same
+// session: a faster kernel moved the break-even up from 64³, towards the
+// threshold, not past it. Fan-out pays by 96³ with either kernel, so the
+// constant stays at 96³.
 const parallelMinWork = 96 * 96 * 96
 
 // Sgemm computes C = A·B for row-major float32 matrices, where A is m×k,
@@ -108,9 +106,12 @@ const tileWidth = 8
 // kx ascending below len(a), skipping exact zeros of a (a NaN is not a
 // zero). Each element is held in a register while its terms are added —
 // the same c += a·b sequence, with a rounding after the multiply and one
-// after the add, as a row-at-a-time saxpy. It is the implementation on
-// every GOARCH without a micro-kernel and the oracle the amd64
-// micro-kernel is tested against, bit for bit.
+// after the add, as a row-at-a-time saxpy. The explicit float32
+// conversion of every product is that rounding: without it the compiler
+// may fuse the multiply into the add (arm64 does), and hosts would
+// disagree in the low bit. It is the implementation on every GOARCH
+// without a micro-kernel and on an amd64 CPU without AVX, and the oracle
+// the amd64 micro-kernel is tested against, bit for bit.
 func tilePortable(c, a, b []float32, rows, ldc, lda, ldb int) {
 	for r := 0; r < rows; r++ {
 		tileRow(c[r*ldc:r*ldc+len(c)], a[r*lda:r*lda+len(a)], b, ldb)
@@ -127,14 +128,14 @@ func tileRow(c, a, b []float32, ldb int) {
 		for _, aik := range a {
 			if aik != 0 {
 				bt := b[off : off+tileWidth : off+tileWidth]
-				c0 += aik * bt[0]
-				c1 += aik * bt[1]
-				c2 += aik * bt[2]
-				c3 += aik * bt[3]
-				c4 += aik * bt[4]
-				c5 += aik * bt[5]
-				c6 += aik * bt[6]
-				c7 += aik * bt[7]
+				c0 += float32(aik * bt[0])
+				c1 += float32(aik * bt[1])
+				c2 += float32(aik * bt[2])
+				c3 += float32(aik * bt[3])
+				c4 += float32(aik * bt[4])
+				c5 += float32(aik * bt[5])
+				c6 += float32(aik * bt[6])
+				c7 += float32(aik * bt[7])
 			}
 			off += ldb
 		}
@@ -145,7 +146,7 @@ func tileRow(c, a, b []float32, ldb int) {
 		off := j
 		for _, aik := range a {
 			if aik != 0 {
-				sum += aik * b[off]
+				sum += float32(aik * b[off])
 			}
 			off += ldb
 		}
@@ -153,7 +154,8 @@ func tileRow(c, a, b []float32, ldb int) {
 	}
 }
 
-// SgemmNaive is the reference triple loop, used by tests as an oracle.
+// SgemmNaive is the reference triple loop, used by tests as an oracle. Like
+// tileRow, it rounds every product before adding it.
 func SgemmNaive(m, n, k int, a, b, c []float32) error {
 	if err := checkDims(m, n, k, a, b, c); err != nil {
 		return err
@@ -162,7 +164,7 @@ func SgemmNaive(m, n, k int, a, b, c []float32) error {
 		for j := 0; j < n; j++ {
 			var sum float32
 			for kx := 0; kx < k; kx++ {
-				sum += a[i*k+kx] * b[kx*n+j]
+				sum += float32(a[i*k+kx] * b[kx*n+j])
 			}
 			c[i*n+j] = sum
 		}

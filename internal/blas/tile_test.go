@@ -3,9 +3,7 @@ package blas
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
-	"time"
 
 	"rcuda/internal/raceflag"
 )
@@ -72,8 +70,9 @@ func TestTileMatchesPortable(t *testing.T) {
 	}
 	off := 0
 	for rows := 1; rows <= maxDim; rows++ {
-		// Rows only repeat the strip; the short and race runs keep a few.
-		if (testing.Short() || raceflag.Enabled) && rows > 3 && rows != maxDim {
+		// Past one pass of four rows and every tail after it, rows only
+		// repeat the passes; the short and race runs keep those and the last.
+		if (testing.Short() || raceflag.Enabled) && rows > 7 && rows != maxDim {
 			continue
 		}
 		for cols := 1; cols <= maxDim; cols++ {
@@ -155,7 +154,10 @@ func TestTileRejectsShortB(t *testing.T) {
 // seed: Sgemm, whatever tile it runs on this GOARCH, must agree bit for bit
 // with the portable tile applied to the whole product.
 func FuzzSgemmAgainstPortable(f *testing.F) {
-	for _, s := range [][3]uint8{{0, 0, 0}, {15, 15, 15}, {16, 18, 2}, {47, 47, 47}, {2, 20, 40}, {30, 3, 7}, {7, 11, 0}} {
+	for _, s := range [][3]uint8{{0, 0, 0}, {15, 15, 15}, {16, 18, 2}, {47, 47, 47}, {2, 20, 40}, {30, 3, 7}, {7, 11, 0},
+		// Row counts that leave one, two and three rows after the last full
+		// pass of the micro-kernel, and single-row bands over every strip width.
+		{4, 30, 16}, {5, 47, 9}, {6, 12, 33}, {10, 15, 1}, {46, 20, 47}, {0, 30, 15}, {0, 47, 1}, {0, 8, 39}} {
 		f.Add(s[0], s[1], s[2], int64(s[0])<<16|int64(s[1])<<8|int64(s[2]))
 	}
 	f.Fuzz(func(t *testing.T, mRaw, nRaw, kRaw uint8, seed int64) {
@@ -173,44 +175,6 @@ func FuzzSgemmAgainstPortable(f *testing.F) {
 				m, n, k, seed, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
 		}
 	})
-}
-
-// TestTileSpeedupGate fails when the micro-kernel stops being one: the 16³
-// product — one inference layer, one band call — through tile must run at
-// least twice as fast as through tilePortable (measured 3.9-4.9× on a
-// 2-vCPU Xeon, Sapphire Rapids, 2.0 GHz). A ratio of two loops timed in the same process, in alternating
-// rounds, best round each, so machine speed and a noisy neighbour cancel.
-func TestTileSpeedupGate(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skip("no micro-kernel on this GOARCH: tile is tilePortable")
-	}
-	if raceflag.Enabled || testing.Short() {
-		t.Skip("timing gate: needs an uninstrumented build and a few milliseconds")
-	}
-	const n, reps, rounds = 16, 500, 25
-	rng := rand.New(rand.NewSource(5))
-	a, b, c := randMatrix(rng, n*n), randMatrix(rng, n*n), make([]float32, n*n)
-	best := func(tile func(c, a, b []float32, rows, ldc, lda, ldb int), prev time.Duration) time.Duration {
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			clear(c)
-			bandWith(tile, n, n, n, a, b, c)
-		}
-		if d := time.Since(start); prev == 0 || d < prev {
-			return d
-		}
-		return prev
-	}
-	var fast, portable time.Duration
-	for r := 0; r < rounds; r++ {
-		fast = best(tile, fast)
-		portable = best(tilePortable, portable)
-	}
-	ratio := float64(portable) / float64(fast)
-	t.Logf("16³ band: portable %d ns, micro-kernel %d ns, %.1fx", portable.Nanoseconds()/reps, fast.Nanoseconds()/reps, ratio)
-	if ratio < 2 {
-		t.Fatalf("micro-kernel is only %.2fx the portable tile on 16³, want >= 2x", ratio)
-	}
 }
 
 // TestSgemmAllocatesNothing gates the inline path one inference layer

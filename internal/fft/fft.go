@@ -91,7 +91,7 @@ func (p *plan) run(dir Direction, x []complex64) {
 					w = complex(real(w), -imag(w))
 				}
 				a := x[start+k]
-				b := x[start+k+span] * w
+				b := mul(x[start+k+span], w)
 				x[start+k] = a + b
 				x[start+k+span] = a - b
 			}
@@ -100,9 +100,21 @@ func (p *plan) run(dir Direction, x []complex64) {
 	if dir == Inverse {
 		inv := complex(float32(1)/float32(n), 0)
 		for i := range x {
-			x[i] *= inv
+			x[i] = mul(x[i], inv)
 		}
 	}
+}
+
+// mul returns x·y computed as Go compiles a complex64 product on amd64:
+// both operands widened to float64, the four products and the sum and
+// difference taken there, the parts narrowed back. Every product is
+// converted explicitly, which the Go spec says rounds it, so no GOARCH can
+// fuse it into the add or subtract that follows (arm64 would, as FMADDD and
+// FMSUBD) and every host computes the same bits.
+func mul(x, y complex64) complex64 {
+	xr, xi := float64(real(x)), float64(imag(x))
+	yr, yi := float64(real(y)), float64(imag(y))
+	return complex(float32(float64(xr*yr)-float64(xi*yi)), float32(float64(xr*yi)+float64(xi*yr)))
 }
 
 // parallelMinBatch is the batch size, in 512-point transforms (other sizes

@@ -45,6 +45,31 @@ func DFT(dir Direction, x []complex64) []complex64 {
 	return out
 }
 
+// TestMulMatchesComplexProduct holds mul to the complex64 product the
+// amd64 compiler emits, bit for bit and NaN payloads included: spelling the
+// product out so that no GOARCH fuses it must not change a transform here.
+func TestMulMatchesComplexProduct(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the product operator may fuse on this GOARCH, which is what mul prevents")
+	}
+	special := []float32{0, float32(math.Copysign(0, -1)), 1, -1, float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc00002), math.SmallestNonzeroFloat32, math.MaxFloat32}
+	rng := rand.New(rand.NewSource(34))
+	part := func() float32 {
+		if rng.Intn(4) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return float32(rng.NormFloat64() * math.Pow(2, float64(rng.Intn(40)-20)))
+	}
+	for i := 0; i < 200000; i++ {
+		x, y := complex(part(), part()), complex(part(), part())
+		got, want := mul(x, y), x*y
+		if math.Float32bits(real(got)) != math.Float32bits(real(want)) || math.Float32bits(imag(got)) != math.Float32bits(imag(want)) {
+			t.Fatalf("mul(%v, %v) = %v, the operator gives %v", x, y, got, want)
+		}
+	}
+}
+
 func maxDiff(a, b []complex64) float64 {
 	var d float64
 	for i := range a {

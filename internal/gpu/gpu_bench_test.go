@@ -44,8 +44,9 @@ func BenchmarkCopyToDevice1MiB(b *testing.B) {
 // cost of a launch (lookup, launch frame, cost model, clock), 250 ns on a
 // 2-vCPU Xeon (Sapphire Rapids, 2.0 GHz, go1.24; median of five runs).
 // kernels.BenchmarkLaunchSgemm16 is the same call with 4 096 multiply-adds
-// behind it — 1 630 ns synchronous, 1 350 ns on a stream on that machine —
-// so arithmetic, not dispatch, is what is left.
+// behind it — 1 100 ns synchronous, 930 ns on a stream on that machine with
+// the AVX micro-kernel — so arithmetic, not dispatch, is most of what is
+// left.
 func BenchmarkLaunchDispatch(b *testing.B) {
 	dev := New(Config{Clock: vclock.NewSim()})
 	ctx := dev.NewContextPreinitialized()

@@ -472,12 +472,11 @@ func TestLaunchAllocationGate(t *testing.T) {
 // operands where cudaMalloc puts them; "staged" has C one byte off, which is
 // the path every launch took before kernels computed on device memory in
 // place; "async" is "inplace" as LaunchAsync on a stream, the call the
-// server makes for a batched request. Medians of five runs on a 2-vCPU Xeon
-// (Sapphire Rapids, 2.0 GHz, go1.24), one micro-kernel call per row before
-// DESIGN.md section 22's band contract → one per block after: inplace
-// 1 990 → 1 630 ns, staged 3 500 → 2 790 ns, async 1 860 → 1 350 ns.
-// gpu.BenchmarkLaunchDispatch, a kernel that does nothing, is the 250 ns
-// floor under all three.
+// server makes for a batched request. Medians of five alternating runs on a
+// 2-vCPU Xeon (Sapphire Rapids, 2.0 GHz, go1.24), the SSE2 micro-kernel →
+// the AVX one (DESIGN.md section 22): inplace 1 380 → 1 100 ns, staged
+// 2 510 → 2 270 ns, async 1 310 → 930 ns. gpu.BenchmarkLaunchDispatch, a
+// kernel that does nothing, is the 250 ns floor under all three.
 func BenchmarkLaunchSgemm16(b *testing.B) {
 	ctx := openContext(b, newDevice())
 	const m = 16
