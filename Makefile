@@ -87,12 +87,16 @@ loc:
 # fault-injection suite. The device-service packages ride along for
 # checkptr, which -race turns on: kernels view device memory through the one
 # unsafe conversion, and their misaligned, overlapping and end-of-allocation
-# cases must pass it. Last, every benchmark of the device service runs once,
-# so the in-package witnesses DESIGN.md cites keep compiling and running.
+# cases must pass it. The simulated clock and the calibrated cost tables
+# hold lock-free shared state (an atomic instant, a per-size memo) and run
+# under the detector too. Last, every benchmark of the device service runs
+# once, so the in-package witnesses DESIGN.md cites keep compiling and
+# running.
 verify: build test vet chaos
 	$(GO) test -race ./internal/protocol/... ./internal/transport/... ./internal/rcuda/... ./internal/broker/... ./internal/sched/... ./internal/loadgen/... ./internal/workload/... \
 		./internal/report/... . \
-		./internal/blas/... ./internal/kernels/... ./internal/gpu/... ./internal/cudart/...
+		./internal/blas/... ./internal/kernels/... ./internal/gpu/... ./internal/cudart/... \
+		./internal/vclock/... ./internal/calib/...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/blas ./internal/kernels ./internal/gpu
 
 # Chaos suite: every fault kind's transport semantics, the retry policy, and

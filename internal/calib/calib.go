@@ -31,6 +31,7 @@ package calib
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"rcuda/internal/stats"
@@ -233,12 +234,25 @@ func pick(cs CaseStudy, mm, fft []float64) []float64 {
 // extrapolates outside the anchor range by scaling the edge anchor with a
 // work-ratio power law (e.g. m³ for GEMM compute, m² for data volumes), so
 // small demo sizes get sane positive costs.
+//
+// A table remembers what it evaluated at sizes 1 through memoSizes, so a
+// launch that repeats a size (every inference layer is a 16³ product)
+// pays a load, not a math.Pow. memo[size-1] is eval(size)+1 once known and
+// 0 before; the evaluation is a pure function of size, so goroutines that
+// race to fill a slot store the same value, and no lock is needed. The
+// memo is allocated by the table's first evaluation, so a process that
+// never evaluates a table does not carry its memo.
 type scaledTable struct {
 	curve    *stats.Curve
 	loX, hiX float64
 	loY, hiY float64
 	exp      float64
+	memo     atomic.Pointer[[memoSizes]atomic.Int64]
 }
+
+// memoSizes is the largest size a table remembers: every size a simulated
+// launch uses on a hot path, and the paper's smaller problem sizes.
+const memoSizes = 8192
 
 func newScaledTable(sizes []int, ms []float64, exp float64) *scaledTable {
 	pts := make([]stats.Point, len(sizes))
@@ -270,6 +284,25 @@ func (t *scaledTable) evalMS(size float64) float64 {
 }
 
 func (t *scaledTable) eval(size int) time.Duration {
+	if size < 1 || size > memoSizes {
+		return t.direct(size)
+	}
+	memo := t.memo.Load()
+	if memo == nil {
+		t.memo.CompareAndSwap(nil, new([memoSizes]atomic.Int64))
+		memo = t.memo.Load()
+	}
+	slot := &memo[size-1]
+	if v := slot.Load(); v != 0 {
+		return time.Duration(v - 1)
+	}
+	d := t.direct(size)
+	slot.Store(int64(d) + 1)
+	return d
+}
+
+// direct evaluates the table at size without consulting the memo.
+func (t *scaledTable) direct(size int) time.Duration {
 	return time.Duration(t.evalMS(float64(size)) * float64(time.Millisecond))
 }
 
@@ -312,11 +345,8 @@ func initMS(cs CaseStudy) float64 {
 	return 0
 }
 
-var (
-	cpuTables     = map[CaseStudy]*scaledTable{}
-	kernelTables  = map[CaseStudy]*scaledTable{}
-	marshalTables = map[CaseStudy]*scaledTable{}
-)
+// The derived tables, indexed by case study.
+var cpuTables, kernelTables, marshalTables [FFT + 1]*scaledTable
 
 func init() {
 	for _, cs := range []CaseStudy{MM, FFT} {

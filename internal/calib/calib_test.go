@@ -2,6 +2,7 @@ package calib
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"time"
 )
@@ -249,4 +250,42 @@ func TestGPUEligibilityShape(t *testing.T) {
 			t.Fatalf("FFT %d: CPU %v should beat GPU %v", size, cpu, gpuT)
 		}
 	}
+}
+
+// TestRememberedEvaluationIsExact holds the per-size memo to the formula it
+// remembers, bit for bit: every table of both case studies at sizes 1 to
+// memoSizes, each walked twice (the first walk fills the memo, the second
+// reads it) by goroutines that visit the sizes in different orders, so
+// fills and reads of one slot interleave.
+func TestRememberedEvaluationIsExact(t *testing.T) {
+	type model struct {
+		name string
+		eval func(CaseStudy, int) time.Duration
+		tabs [FFT + 1]*scaledTable
+	}
+	models := []model{
+		{"CPUTime", CPUTime, cpuTables},
+		{"KernelTime", KernelTime, kernelTables},
+		{"MarshalTime", MarshalTime, marshalTables},
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			stride := 2*w + 1 // odd, so it visits every size of the power-of-two range
+			for i := 0; i < 2*memoSizes; i++ {
+				size := (i*stride+w*1000)%memoSizes + 1
+				for _, m := range models {
+					for _, cs := range []CaseStudy{MM, FFT} {
+						if got, want := m.eval(cs, size), m.tabs[cs].direct(size); got != want {
+							t.Errorf("%s(%v, %d) = %d ns, formula %d ns", m.name, cs, size, got, want)
+							return
+						}
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

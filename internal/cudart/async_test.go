@@ -17,27 +17,26 @@ func pipelineModule(name string) *gpu.Module {
 		BinarySize: 128,
 		Kernels: []*gpu.Kernel{{
 			Name: name + "_double",
-			Run: func(ec *gpu.ExecContext) error {
+			Run: func(ec gpu.ExecContext) (time.Duration, error) {
 				ptr, err := ec.Params.U32()
 				if err != nil {
-					return err
+					return 0, err
 				}
 				n, err := ec.Params.U32()
 				if err != nil {
-					return err
+					return 0, err
 				}
 				mem, err := ec.Mem(ptr, uint64(n)*4)
 				if err != nil {
-					return err
+					return 0, err
 				}
 				xs := BytesFloat32(mem)
 				for i := range xs {
 					xs[i] *= 2
 				}
 				copy(mem, Float32Bytes(xs))
-				return nil
+				return 10 * time.Millisecond, nil
 			},
-			Cost: func(*gpu.ExecContext) time.Duration { return 10 * time.Millisecond },
 		}},
 	}
 }

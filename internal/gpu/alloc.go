@@ -3,7 +3,6 @@ package gpu
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Allocation errors.
@@ -101,11 +100,19 @@ func (a *allocator) free(addr uint32) error {
 // findBlock returns the index of the block containing addr in blocks,
 // which are sorted by address and do not overlap, or -1.
 func findBlock(blocks []*block, addr uint32) int {
-	i := sort.Search(len(blocks), func(i int) bool {
-		return uint64(blocks[i].addr)+uint64(blocks[i].size) > uint64(addr)
-	})
-	if i < len(blocks) && blocks[i].addr <= addr {
-		return i
+	// A binary search for the first block ending past addr, written out
+	// because every operand of every launch comes through here.
+	lo, hi := 0, len(blocks)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if uint64(blocks[mid].addr)+uint64(blocks[mid].size) > uint64(addr) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo < len(blocks) && blocks[lo].addr <= addr {
+		return lo
 	}
 	return -1
 }

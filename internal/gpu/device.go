@@ -13,6 +13,7 @@ package gpu
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -165,15 +166,15 @@ type Context struct {
 
 	mu      sync.Mutex
 	modules map[string]*Module
-	kernels map[string]*Kernel
+	// kernels holds a map[string]*Kernel of every kernel the loaded
+	// modules define. LoadModule replaces the map instead of writing to
+	// it, so a launch finds its kernel without c.mu; Destroy empties it.
+	kernels atomic.Value
 	// owned is every block this context allocated or restored, sorted by
 	// address: the only memory its accesses resolve against.
 	owned []*block
 	tl    *timeline
 	dead  bool
-	// spare is the launch frame the last execute left behind (see
-	// launchFrame).
-	spare atomic.Pointer[launchFrame]
 }
 
 // ErrContextDestroyed is returned by operations on a released context.
@@ -196,7 +197,6 @@ func (d *Device) newContextNoInit() *Context {
 	return &Context{
 		dev:     d,
 		modules: make(map[string]*Module),
-		kernels: make(map[string]*Kernel),
 		tl:      newTimeline(),
 	}
 }
@@ -218,15 +218,17 @@ func (c *Context) LoadModule(m *Module) error {
 	if _, dup := c.modules[m.Name]; dup {
 		return fmt.Errorf("gpu: module %q already loaded", m.Name)
 	}
+	loaded, _ := c.kernels.Load().(map[string]*Kernel)
+	kernels := make(map[string]*Kernel, len(loaded)+len(m.Kernels))
+	maps.Copy(kernels, loaded)
 	for _, k := range m.Kernels {
-		if _, dup := c.kernels[k.Name]; dup {
+		if _, dup := kernels[k.Name]; dup {
 			return fmt.Errorf("gpu: kernel %q defined by two loaded modules", k.Name)
 		}
+		kernels[k.Name] = k
 	}
 	c.modules[m.Name] = m
-	for _, k := range m.Kernels {
-		c.kernels[k.Name] = k
-	}
+	c.kernels.Store(kernels)
 	return nil
 }
 
@@ -390,33 +392,65 @@ func (c *Context) OwnedCount() int {
 	return len(c.owned)
 }
 
-// ExecContext is what a kernel sees when it runs. It is valid only for the
-// duration of the call it is passed to: the launch path reuses it, so a
-// kernel must not retain it or its Params.
+// ExecContext is what a kernel sees when it runs. Each launch passes its
+// kernel a copy, so a launch builds nothing on the heap; Params reads a
+// buffer the caller reuses after the launch, so a kernel must not retain
+// it.
 type ExecContext struct {
 	ctx    *Context
 	Grid   Dim3
 	Block  Dim3
 	Shared uint32
-	Params *ParamReader
+	Params ParamReader
 }
 
 // Device returns the device the kernel runs on.
 func (ec *ExecContext) Device() *Device { return ec.ctx.dev }
 
-// Mem resolves a device pointer range to its backing bytes for the duration
-// of the kernel. Kernels use this to read inputs and write outputs. The
-// size is 64-bit so a kernel can pass a product of launch parameters
-// without it wrapping; anything past the 32-bit device address space is
-// the same invalid-pointer error as any other overrun.
-func (ec *ExecContext) Mem(addr uint32, size uint64) ([]byte, error) {
-	if size > math.MaxUint32 {
-		return nil, fmt.Errorf("%w: [%#x,+%d) overruns the device address space",
-			ErrInvalidDevPtr, addr, size)
+// Operand is one device range a kernel reads or writes: Size bytes at Addr.
+// The size is 64-bit so a kernel can pass a product of launch parameters
+// without it wrapping; anything past the 32-bit device address space is the
+// same invalid-pointer error as any other overrun. Resolve sets Mem.
+type Operand struct {
+	Name string // prefixes the operand's resolution error, if set
+	Addr uint32
+	Size uint64
+	Mem  []byte
+}
+
+// Resolve resolves every operand to its backing bytes for the duration of
+// the kernel, under one acquisition of the context's lock, and is how a
+// kernel reaches device memory. It stops at the first operand that does not
+// lie within one allocation of this context, naming it in the error.
+func (ec *ExecContext) Resolve(ops []Operand) error {
+	c := ec.ctx
+	c.mu.Lock()
+	for i := range ops {
+		op := &ops[i]
+		var err error
+		if op.Size > math.MaxUint32 {
+			err = fmt.Errorf("%w: [%#x,+%d) overruns the device address space",
+				ErrInvalidDevPtr, op.Addr, op.Size)
+		} else {
+			op.Mem, err = c.region(op.Addr, uint32(op.Size))
+		}
+		if err != nil {
+			c.mu.Unlock()
+			if op.Name != "" {
+				err = fmt.Errorf("%s: %w", op.Name, err)
+			}
+			return err
+		}
 	}
-	ec.ctx.mu.Lock()
-	defer ec.ctx.mu.Unlock()
-	return ec.ctx.region(addr, uint32(size))
+	c.mu.Unlock()
+	return nil
+}
+
+// Mem is Resolve's one-range case: the backing bytes of [addr, addr+size).
+func (ec *ExecContext) Mem(addr uint32, size uint64) ([]byte, error) {
+	op := [1]Operand{{Addr: addr, Size: size}}
+	err := ec.Resolve(op[:])
+	return op[0].Mem, err
 }
 
 // ErrUnknownKernel is returned when launching a kernel no loaded module
@@ -471,65 +505,40 @@ func (c *Context) Launch(name string, grid, block Dim3, shared uint32, params []
 	if err != nil {
 		return err
 	}
-	if k.Cost != nil {
-		c.dev.sleep(cost)
-	}
+	c.dev.sleep(cost)
 	return nil
 }
 
-// kernel resolves a kernel name against the loaded modules.
+// kernel resolves a kernel name against the loaded modules. A hit takes no
+// lock (see Context.kernels); a miss, which is also what a released
+// context's launches find, takes c.mu to say why.
 func (c *Context) kernel(name string) (*Kernel, error) {
+	kernels, _ := c.kernels.Load().(map[string]*Kernel)
+	if k, ok := kernels[name]; ok {
+		return k, nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.check(); err != nil {
 		return nil, err
 	}
-	k, ok := c.kernels[name]
-	if !ok {
-		names := make([]string, 0, len(c.modules))
-		for n := range c.modules {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		return nil, fmt.Errorf("%w: %q (loaded modules: %v)", ErrUnknownKernel, name, names)
+	names := make([]string, 0, len(c.modules))
+	for n := range c.modules {
+		names = append(names, n)
 	}
-	return k, nil
-}
-
-// launchFrame is the state one kernel execution needs: the ExecContext the
-// kernel sees and the parameter reader it points at. A context keeps the
-// frame of its last launch for the next, so a steady-state launch
-// allocates nothing on its way to the kernel — not even after a GC cycle,
-// which would empty a sync.Pool. Launches that overlap on one context find
-// the spare taken and build their own.
-type launchFrame struct {
-	ec     ExecContext
-	params ParamReader
+	sort.Strings(names)
+	return nil, fmt.Errorf("%w: %q (loaded modules: %v)", ErrUnknownKernel, name, names)
 }
 
 // execute runs k against device memory and returns its modeled cost (zero
 // for a kernel without a cost model). params is only read, and only until
 // execute returns, so it may alias a buffer the caller reuses afterwards.
 func (c *Context) execute(k *Kernel, grid, block Dim3, shared uint32, params []byte) (time.Duration, error) {
-	f := c.spare.Swap(nil)
-	if f == nil {
-		f = new(launchFrame)
-	}
-	defer func() {
-		*f = launchFrame{} // do not pin params past the launch
-		c.spare.Store(f)
-	}()
-	f.params = ParamReader{buf: params}
-	f.ec = ExecContext{ctx: c, Grid: grid, Block: block, Shared: shared, Params: &f.params}
-	if err := k.Run(&f.ec); err != nil {
+	cost, err := k.Run(ExecContext{ctx: c, Grid: grid, Block: block, Shared: shared, Params: ParamReader{buf: params}})
+	if err != nil {
 		return 0, fmt.Errorf("gpu: kernel %q: %w", k.Name, err)
 	}
-	if k.Cost == nil {
-		return 0, nil
-	}
-	// Cost models must see the same parameter view Run did.
-	f.params.off = 0
-	return k.Cost(&f.ec), nil
+	return cost, nil
 }
 
 // Destroy releases the context and frees every allocation it owns.
@@ -540,6 +549,7 @@ func (c *Context) Destroy() error {
 		return nil
 	}
 	c.dead = true
+	c.kernels.Store(map[string]*Kernel(nil))
 	c.dev.mu.Lock()
 	defer c.dev.mu.Unlock()
 	var firstErr error

@@ -350,30 +350,25 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 func doublerKernel() *Kernel {
 	return &Kernel{
 		Name: "doubler",
-		Run: func(ec *ExecContext) error {
+		Run: func(ec ExecContext) (time.Duration, error) {
 			ptr, err := ec.Params.U32()
 			if err != nil {
-				return err
+				return 0, err
 			}
 			n, err := ec.Params.U32()
 			if err != nil {
-				return err
+				return 0, err
 			}
 			mem, err := ec.Mem(ptr, uint64(n)*4)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			for i := uint32(0); i < n; i++ {
 				v := uint32(mem[i*4]) | uint32(mem[i*4+1])<<8 | uint32(mem[i*4+2])<<16 | uint32(mem[i*4+3])<<24
 				v *= 2
 				mem[i*4], mem[i*4+1], mem[i*4+2], mem[i*4+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
 			}
-			return nil
-		},
-		Cost: func(ec *ExecContext) time.Duration {
-			_, _ = ec.Params.U32()
-			n, _ := ec.Params.U32()
-			return time.Duration(n) * time.Microsecond
+			return time.Duration(n) * time.Microsecond, nil
 		},
 	}
 }
@@ -679,11 +674,11 @@ func TestDeviceAccessors(t *testing.T) {
 	ctx := d.NewContextPreinitialized()
 	mod := testModule("accessor_mod", 64, &Kernel{
 		Name: "dev_probe",
-		Run: func(ec *ExecContext) error {
+		Run: func(ec ExecContext) (time.Duration, error) {
 			if ec.Device() != d {
-				return errors.New("kernel sees the wrong device")
+				return 0, errors.New("kernel sees the wrong device")
 			}
-			return nil
+			return 0, nil
 		},
 	})
 	if err := ctx.LoadModule(mod); err != nil {

@@ -10,14 +10,17 @@ import (
 )
 
 // Kernel is one device function. Run performs the actual computation on the
-// host-backed device memory (so results are numerically real and testable);
-// Cost reports the modeled device execution time by which the simulation
+// host-backed device memory (so results are numerically real and testable)
+// and returns the modeled device execution time by which the simulation
 // clock advances (so reported performance follows the calibrated hardware
-// profile rather than the Go implementation's speed).
+// profile rather than the Go implementation's speed). Run reads its
+// parameter block once and computes that time from the values it read; a
+// kernel without a cost model returns 0. It receives its ExecContext by
+// value and reaches device memory only through ExecContext.Resolve, which
+// resolves all of a kernel's operands under one lock.
 type Kernel struct {
 	Name string
-	Run  func(ec *ExecContext) error
-	Cost func(ec *ExecContext) time.Duration
+	Run  func(ec ExecContext) (time.Duration, error)
 }
 
 // Module is a loadable GPU module: a named set of kernels plus an opaque

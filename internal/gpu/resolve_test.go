@@ -17,20 +17,20 @@ import (
 func memProbeKernel() *Kernel {
 	return &Kernel{
 		Name: "memprobe",
-		Run: func(ec *ExecContext) error {
+		Run: func(ec ExecContext) (time.Duration, error) {
 			addr, err := ec.Params.U32()
 			if err != nil {
-				return err
+				return 0, err
 			}
 			size, err := ec.Params.U32()
 			if err != nil {
-				return err
+				return 0, err
 			}
 			mem, err := ec.Mem(addr, uint64(size))
 			if err == nil && len(mem) != int(size) {
-				return fmt.Errorf("Mem(%#x, %d) returned %d bytes", addr, size, len(mem))
+				return 0, fmt.Errorf("Mem(%#x, %d) returned %d bytes", addr, size, len(mem))
 			}
-			return err
+			return 0, err
 		},
 	}
 }

@@ -217,8 +217,8 @@ func (c *Context) LaunchAsync(name string, grid, block Dim3, shared uint32, para
 		return err
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	_, err = c.schedule(execEngine, stream, cost)
+	c.mu.Unlock()
 	return err
 }
 

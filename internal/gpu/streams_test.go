@@ -13,8 +13,7 @@ import (
 func costKernel(name string, cost time.Duration) *Kernel {
 	return &Kernel{
 		Name: name,
-		Run:  func(ec *ExecContext) error { return nil },
-		Cost: func(ec *ExecContext) time.Duration { return cost },
+		Run:  func(ec ExecContext) (time.Duration, error) { return cost, nil },
 	}
 }
 
@@ -267,7 +266,9 @@ func TestAsyncOnWallClockDegradesToSync(t *testing.T) {
 }
 
 func TestAsyncOnDeadContext(t *testing.T) {
-	ctx, _ := streamTestCtx(t)
+	// The kernel touches no memory, so only the kernel lookup can refuse
+	// its launches.
+	ctx, _ := streamTestCtx(t, costKernel("k", time.Millisecond))
 	s, _ := ctx.StreamCreate()
 	_ = ctx.Destroy()
 	if _, err := ctx.StreamCreate(); !errors.Is(err, ErrContextDestroyed) {
@@ -281,6 +282,12 @@ func TestAsyncOnDeadContext(t *testing.T) {
 	}
 	if _, err := ctx.EventCreate(); !errors.Is(err, ErrContextDestroyed) {
 		t.Fatal("EventCreate on dead context")
+	}
+	if err := ctx.Launch("k", Dim3{X: 1}, Dim3{X: 1}, 0, nil); !errors.Is(err, ErrContextDestroyed) {
+		t.Fatalf("Launch on dead context = %v", err)
+	}
+	if err := ctx.LaunchAsync("k", Dim3{X: 1}, Dim3{X: 1}, 0, nil, s); !errors.Is(err, ErrContextDestroyed) {
+		t.Fatalf("LaunchAsync on dead context = %v", err)
 	}
 }
 

@@ -419,18 +419,20 @@ func TestConcurrentLaunchesShareNoScratch(t *testing.T) {
 
 // TestLaunchAllocationGate is the deterministic CI gate of the launch fast
 // path: a steady-state 16×16 sgemmNN launch, synchronous or on a stream,
-// allocates nothing between the caller and the arithmetic — the launch
-// frame is the context's spare, operands are resolved from the context's
-// own table and computed on in place.
+// allocates nothing between the caller and the arithmetic — the kernel
+// gets its ExecContext by value, operands are resolved from the context's
+// own table and computed on in place, and the modeled time is remembered
+// per size. Launches that alternate 16×16 and 32×32 products hold the
+// remembered cost to the same 0.
 func TestLaunchAllocationGate(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	ctx := openContext(t, newDevice())
-	const m = 16
+	const m, big = 16, 32
 	var ptrs [3]uint32
 	for i := range ptrs {
-		p, err := ctx.Malloc(4 * m * m)
+		p, err := ctx.Malloc(4 * big * big)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -441,8 +443,17 @@ func TestLaunchAllocationGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := gpu.PackParams(ptrs[0], ptrs[1], ptrs[2], m)
+	bigParams := gpu.PackParams(ptrs[0], ptrs[1], ptrs[2], big)
 	grid, block := gpu.Dim3{X: 1, Y: 1}, gpu.Dim3{X: m, Y: m}
 	var lerr error
+	var flip bool
+	alternate := func() []byte {
+		flip = !flip
+		if flip {
+			return bigParams
+		}
+		return params
+	}
 	gates := map[string]func(){
 		"Launch": func() {
 			if err := ctx.Launch(SgemmKernel, grid, block, 0, params); err != nil {
@@ -454,11 +465,22 @@ func TestLaunchAllocationGate(t *testing.T) {
 				lerr = err
 			}
 		},
+		"Launch alternating m=16/32": func() {
+			if err := ctx.Launch(SgemmKernel, grid, block, 0, alternate()); err != nil {
+				lerr = err
+			}
+		},
+		"LaunchAsync alternating m=16/32": func() {
+			if err := ctx.LaunchAsync(SgemmKernel, grid, block, 0, alternate(), stream); err != nil {
+				lerr = err
+			}
+		},
 	}
 	for name, launch := range gates {
-		launch() // warm the pools
+		launch() // warm the pools and both sizes' costs
+		launch()
 		if got := testing.AllocsPerRun(200, launch); got != 0 {
-			t.Errorf("%s of sgemm16 allocates %.0f times per launch, want 0", name, got)
+			t.Errorf("%s of sgemm allocates %.0f times per launch, want 0", name, got)
 		}
 	}
 	if lerr != nil {
@@ -473,10 +495,13 @@ func TestLaunchAllocationGate(t *testing.T) {
 // the path every launch took before kernels computed on device memory in
 // place; "async" is "inplace" as LaunchAsync on a stream, the call the
 // server makes for a batched request. Medians of five alternating runs on a
-// 2-vCPU Xeon (Sapphire Rapids, 2.0 GHz, go1.24), the SSE2 micro-kernel →
-// the AVX one (DESIGN.md section 22): inplace 1 380 → 1 100 ns, staged
-// 2 510 → 2 270 ns, async 1 310 → 930 ns. gpu.BenchmarkLaunchDispatch, a
-// kernel that does nothing, is the 250 ns floor under all three.
+// 2-vCPU Xeon (Sapphire Rapids, 2.0 GHz, go1.24), launches that took the
+// context's lock five times, kept a launch frame and evaluated the cost
+// model per launch → two locks, no frame, a remembered cost (DESIGN.md
+// section 22, "A launch's bookkeeping"): inplace 920 → 760 ns, staged
+// 2 070 → 2 020 ns, async 860 → 580 ns; absolute figures drift from day to
+// day, so compare alternated runs. gpu.BenchmarkLaunchDispatch, a kernel
+// that does nothing, is the 140 ns floor under all three.
 func BenchmarkLaunchSgemm16(b *testing.B) {
 	ctx := openContext(b, newDevice())
 	const m = 16

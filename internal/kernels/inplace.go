@@ -16,7 +16,7 @@ import (
 // compiler may assume it of a *T.
 func view[T float32 | complex64](mem []byte) ([]T, bool) {
 	var elem T
-	if binary.NativeEndian.Uint16([]byte{1, 0}) != 1 || len(mem) == 0 {
+	if !littleEndian || len(mem) == 0 {
 		return nil, false
 	}
 	p := unsafe.Pointer(unsafe.SliceData(mem))
@@ -25,6 +25,9 @@ func view[T float32 | complex64](mem []byte) ([]T, bool) {
 	}
 	return unsafe.Slice((*T)(p), len(mem)/int(unsafe.Sizeof(elem))), true
 }
+
+// littleEndian reports whether the host stores words as device memory does.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // overlaps reports whether the device ranges [p, p+size) and [q, q+size)
 // share a byte.

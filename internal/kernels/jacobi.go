@@ -46,20 +46,17 @@ func JacobiModuleImage() ([]byte, error) {
 func jacobiKernel() *gpu.Kernel {
 	return &gpu.Kernel{
 		Name: JacobiKernel,
-		Run: func(ec *gpu.ExecContext) error {
-			src, dst, w, h, err := jacobiParams(ec)
+		Run: func(ec gpu.ExecContext) (time.Duration, error) {
+			src, dst, w, h, err := jacobiParams(&ec.Params)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			size := operandBytes(4, w, h)
-			srcMem, err := ec.Mem(src, size)
-			if err != nil {
-				return fmt.Errorf("src: %w", err)
+			ops := [...]gpu.Operand{{Name: "src", Addr: src, Size: size}, {Name: "dst", Addr: dst, Size: size}}
+			if err := ec.Resolve(ops[:]); err != nil {
+				return 0, err
 			}
-			dstMem, err := ec.Mem(dst, size)
-			if err != nil {
-				return fmt.Errorf("dst: %w", err)
-			}
+			srcMem, dstMem := ops[0].Mem, ops[1].Mem
 			W, H := int(w), int(h)
 			in, inOK := view[float32](srcMem)
 			out, outOK := view[float32](dstMem)
@@ -84,26 +81,18 @@ func jacobiKernel() *gpu.Kernel {
 			if staged {
 				storeFloat32(dstMem, out)
 			}
-			return nil
-		},
-		Cost: func(ec *gpu.ExecContext) time.Duration {
-			src, _, w, h, err := jacobiParams(ec)
-			_ = src
-			if err != nil {
-				return 0
-			}
 			// The stencil is memory-bound on the C1060: one streaming
 			// read and one write of the grid plus neighbor re-reads
 			// served mostly from shared memory — model it as three
 			// grid sweeps at device-memory bandwidth.
-			return 3 * ec.Device().MemsetTime(int64(4*w*h))
+			return 3 * ec.Device().MemsetTime(int64(4*w*h)), nil
 		},
 	}
 }
 
-func jacobiParams(ec *gpu.ExecContext) (src, dst, w, h uint32, err error) {
+func jacobiParams(r *gpu.ParamReader) (src, dst, w, h uint32, err error) {
 	read := func() uint32 {
-		v, e := ec.Params.U32()
+		v, e := r.U32()
 		if e != nil && err == nil {
 			err = e
 		}

@@ -2,13 +2,14 @@
 // single-precision matrix-multiply kernel and a batched 512-point FFT
 // kernel, standing in for Volkov's implementations on the Tesla C1060.
 //
-// Each kernel has two halves, per the gpu package contract: Run computes
-// real results against device memory (validated by tests), and Cost reports
-// the calibrated Tesla C1060 execution time that advances the simulation
-// clock. Modules register themselves with the device's module registry at
-// package initialization, so importing this package (directly, or through
-// the server binary) makes the case studies launchable; the module binary
-// images have the exact sizes the paper reports (21,486 and 7,852 bytes).
+// Each kernel does two things, per the gpu package contract: Run computes
+// real results against device memory (validated by tests), and returns the
+// calibrated Tesla C1060 execution time that advances the simulation clock,
+// computed from the parameters it read once. Modules register themselves
+// with the device's module registry at package initialization, so importing
+// this package (directly, or through the server binary) makes the case
+// studies launchable; the module binary images have the exact sizes the
+// paper reports (21,486 and 7,852 bytes).
 package kernels
 
 import (
@@ -93,7 +94,7 @@ func scratch[T any](buf *[]T, n int) []T {
 // saturated at the top of uint64. Launch parameters arrive off the wire; a
 // product left to wrap could come out small enough to pass every bounds
 // check (4·32768² is 0 in 32 bits), so sizes are computed here and handed
-// to ExecContext.Mem, which rejects whatever the allocation cannot hold
+// to ExecContext.Resolve, which rejects whatever the allocation cannot hold
 // before the kernel stages anything.
 func operandBytes(elemSize, x, y uint32) uint64 {
 	hi, lo := bits.Mul64(uint64(x)*uint64(y), uint64(elemSize))
@@ -133,24 +134,21 @@ func storeFloat32(dst []byte, src []float32) {
 func sgemmKernel() *gpu.Kernel {
 	return &gpu.Kernel{
 		Name: SgemmKernel,
-		Run: func(ec *gpu.ExecContext) error {
-			aPtr, bPtr, cPtr, m, err := sgemmParams(ec)
+		Run: func(ec gpu.ExecContext) (time.Duration, error) {
+			aPtr, bPtr, cPtr, m, err := sgemmParams(&ec.Params)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			size := operandBytes(4, m, m)
-			aMem, err := ec.Mem(aPtr, size)
-			if err != nil {
-				return fmt.Errorf("A: %w", err)
+			ops := [...]gpu.Operand{
+				{Name: "A", Addr: aPtr, Size: size},
+				{Name: "B", Addr: bPtr, Size: size},
+				{Name: "C", Addr: cPtr, Size: size},
 			}
-			bMem, err := ec.Mem(bPtr, size)
-			if err != nil {
-				return fmt.Errorf("B: %w", err)
+			if err := ec.Resolve(ops[:]); err != nil {
+				return 0, err
 			}
-			cMem, err := ec.Mem(cPtr, size)
-			if err != nil {
-				return fmt.Errorf("C: %w", err)
-			}
+			aMem, bMem, cMem := ops[0].Mem, ops[1].Mem, ops[2].Mem
 			a, aOK := view[float32](aMem)
 			b, bOK := view[float32](bMem)
 			c, cOK := view[float32](cMem)
@@ -165,26 +163,19 @@ func sgemmKernel() *gpu.Kernel {
 				loadFloat32(b, bMem)
 			}
 			if err := blas.Sgemm(int(m), int(m), int(m), a, b, c); err != nil {
-				return err
+				return 0, err
 			}
 			if staged {
 				storeFloat32(cMem, c)
 			}
-			return nil
-		},
-		Cost: func(ec *gpu.ExecContext) time.Duration {
-			_, _, _, m, err := sgemmParams(ec)
-			if err != nil {
-				return 0
-			}
-			return calib.KernelTime(calib.MM, int(m))
+			return calib.KernelTime(calib.MM, int(m)), nil
 		},
 	}
 }
 
-func sgemmParams(ec *gpu.ExecContext) (aPtr, bPtr, cPtr, m uint32, err error) {
+func sgemmParams(r *gpu.ParamReader) (aPtr, bPtr, cPtr, m uint32, err error) {
 	read := func() uint32 {
-		v, e := ec.Params.U32()
+		v, e := r.U32()
 		if e != nil && err == nil {
 			err = e
 		}
@@ -200,14 +191,14 @@ func sgemmParams(ec *gpu.ExecContext) (aPtr, bPtr, cPtr, m uint32, err error) {
 func fftKernel() *gpu.Kernel {
 	return &gpu.Kernel{
 		Name: FFTKernel,
-		Run: func(ec *gpu.ExecContext) error {
-			ptr, batch, dir, err := fftParams(ec)
+		Run: func(ec gpu.ExecContext) (time.Duration, error) {
+			ptr, batch, dir, err := fftParams(&ec.Params)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			mem, err := ec.Mem(ptr, operandBytes(fft.BytesPerTransform, batch, 1))
 			if err != nil {
-				return err
+				return 0, err
 			}
 			// One point is an interleaved little-endian (re, im) float32
 			// pair: a complex64 as a little-endian host lays it out.
@@ -226,7 +217,7 @@ func fftKernel() *gpu.Kernel {
 				d = fft.Inverse
 			}
 			if err := fft.TransformBatch(d, signal, fft.Points); err != nil {
-				return err
+				return 0, err
 			}
 			if !inPlace {
 				for i, p := range signal {
@@ -234,21 +225,14 @@ func fftKernel() *gpu.Kernel {
 					binary.LittleEndian.PutUint64(mem[8*i:], v)
 				}
 			}
-			return nil
-		},
-		Cost: func(ec *gpu.ExecContext) time.Duration {
-			_, batch, _, err := fftParams(ec)
-			if err != nil {
-				return 0
-			}
-			return calib.KernelTime(calib.FFT, int(batch))
+			return calib.KernelTime(calib.FFT, int(batch)), nil
 		},
 	}
 }
 
-func fftParams(ec *gpu.ExecContext) (ptr, batch, dir uint32, err error) {
+func fftParams(r *gpu.ParamReader) (ptr, batch, dir uint32, err error) {
 	read := func() uint32 {
-		v, e := ec.Params.U32()
+		v, e := r.U32()
 		if e != nil && err == nil {
 			err = e
 		}

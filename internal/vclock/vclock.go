@@ -11,6 +11,7 @@ package vclock
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -52,42 +53,37 @@ func (w *Wall) Sleep(d time.Duration) {
 }
 
 // Sim is a deterministic virtual clock. Sleeping advances virtual time
-// without blocking. It is safe for concurrent use; concurrent sleepers
-// serialize their advances, which models the strictly synchronous
-// request/response execution the paper studies.
+// without blocking. It is safe for concurrent use and takes no lock: the
+// instant is one atomic integer, so Now is a load, Sleep an add and
+// AdvanceTo a compare-and-swap. Concurrent sleepers still sum their
+// advances, which models the strictly synchronous request/response
+// execution the paper studies.
 type Sim struct {
-	mu  sync.Mutex
-	now time.Duration
+	now atomic.Int64
 }
 
 // NewSim returns a virtual clock positioned at zero.
 func NewSim() *Sim { return &Sim{} }
 
 // Now returns the current virtual time.
-func (s *Sim) Now() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.now
-}
+func (s *Sim) Now() time.Duration { return time.Duration(s.now.Load()) }
 
 // Sleep advances virtual time by d. Negative durations are ignored.
 func (s *Sim) Sleep(d time.Duration) {
-	if d <= 0 {
-		return
+	if d > 0 {
+		s.now.Add(int64(d))
 	}
-	s.mu.Lock()
-	s.now += d
-	s.mu.Unlock()
 }
 
 // AdvanceTo moves the clock forward to instant t. It is a no-op if t is in
-// the past; the clock never moves backwards.
+// the past; the clock never moves backwards, whatever runs alongside.
 func (s *Sim) AdvanceTo(t time.Duration) {
-	s.mu.Lock()
-	if t > s.now {
-		s.now = t
+	for {
+		now := s.now.Load()
+		if int64(t) <= now || s.now.CompareAndSwap(now, int64(t)) {
+			return
+		}
 	}
-	s.mu.Unlock()
 }
 
 // Stopwatch measures an interval on an arbitrary Clock.

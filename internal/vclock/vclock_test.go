@@ -61,6 +61,82 @@ func TestSimConcurrentSleepsSum(t *testing.T) {
 	}
 }
 
+func TestSimConcurrentAdvanceToEndsAtMax(t *testing.T) {
+	c := NewSim()
+	const n = 64
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			// Each goroutine climbs to its own target and then asks for
+			// smaller ones, which must never pull the clock back.
+			target := time.Duration((i*37)%n+1) * time.Millisecond
+			for step := time.Duration(1); step <= target; step += time.Millisecond / 3 {
+				c.AdvanceTo(step)
+			}
+			c.AdvanceTo(target)
+			c.AdvanceTo(target / 2)
+			if now := c.Now(); now < target {
+				t.Errorf("clock at %v after AdvanceTo(%v) returned", now, target)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if got, want := c.Now(), n*time.Millisecond; got != want {
+		t.Fatalf("concurrent AdvanceTo: Now() = %v, want the largest target %v", got, want)
+	}
+}
+
+func TestSimNowNeverDecreasesUnderConcurrentWriters(t *testing.T) {
+	c := NewSim()
+	const writers, steps = 4, 100000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Every writer is a reader too: the clock it sees after each
+			// step must not be below what it saw after the step before,
+			// nor below a target it just advanced to.
+			last := c.Now()
+			for i := 0; i < steps; i++ {
+				floor := last
+				if (i+w)%3 == 0 {
+					c.Sleep(time.Duration(i%7) * time.Nanosecond)
+				} else {
+					// Targets both ahead of and behind the clock.
+					target := c.Now() + time.Duration(i%11) - 3
+					c.AdvanceTo(target)
+					floor = max(floor, target)
+				}
+				if last = c.Now(); last < floor {
+					t.Errorf("writer %d: Now() = %v after a step from at least %v", w, last, floor)
+					return
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	prev := c.Now()
+	for polling := true; polling; {
+		select {
+		case <-done:
+			polling = false
+		default:
+		}
+		now := c.Now()
+		if now < prev {
+			t.Fatalf("Now() went back from %v to %v", prev, now)
+		}
+		prev = now
+	}
+}
+
 func TestSimSleepPropertyMonotone(t *testing.T) {
 	// Property: any sequence of sleeps leaves the clock at the sum of the
 	// non-negative durations, and the clock never decreases.
