@@ -39,6 +39,7 @@ import (
 	"rcuda/internal/gpu"
 	"rcuda/internal/kernels"
 	"rcuda/internal/rcuda"
+	"rcuda/internal/stats"
 	"rcuda/internal/transport"
 	"rcuda/internal/vclock"
 	"rcuda/internal/workload"
@@ -217,11 +218,7 @@ func main() {
 		}
 	}
 
-	s := pool.Stats()
-	fmt.Printf("\nplacements %d, spills %d, failovers %d, probes %d (%d failed), markdowns %d, markups %d\n",
-		s.Placements, s.Spills, s.Failovers, s.Probes, s.ProbeFailures, s.Markdowns, s.Markups)
-	fmt.Printf("migrations %d (%d bytes, %d failed), restores from checkpoint %d\n",
-		s.Migrations, s.MigrationBytes, s.MigrationFailures, s.RestoreFromCheckpoint)
+	fmt.Printf("\npool: %s\n", stats.Pairs(pool.Stats()))
 	if failed > 0 {
 		os.Exit(1)
 	}

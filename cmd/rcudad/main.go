@@ -49,21 +49,16 @@ import (
 	_ "rcuda/internal/kernels" // register the case-study GPU modules
 	"rcuda/internal/rcuda"
 	"rcuda/internal/sched"
+	"rcuda/internal/stats"
 	"rcuda/internal/transport"
 	"rcuda/internal/vclock"
 )
 
-// logSnapshot prints the operator view of the daemon: cumulative counters
-// plus live session and device-occupancy gauges.
+// logSnapshot prints the operator view of the daemon: live session
+// gauges, every cumulative counter, and device-occupancy gauges.
 func logSnapshot(logger *log.Logger, snap rcuda.StatsSnapshot) {
-	logger.Printf("stats: sessions live=%d parked=%d started=%d requests=%d reattaches=%d",
-		snap.SessionsLive, snap.SessionsParkedNow, snap.SessionsStarted, snap.Requests, snap.Reattaches)
-	logger.Printf("stats: rejected conns=%d sessions=%d quota-denials=%d watchdog-kills=%d evictions=%d forced-closes=%d",
-		snap.RejectedConns, snap.RejectedSessions, snap.QuotaDenials, snap.WatchdogKills, snap.Evictions, snap.ForcedCloses)
-	logger.Printf("stats: batch frames=%d ops=%d replays=%d",
-		snap.BatchFrames, snap.BatchedOps, snap.BatchReplays)
-	logger.Printf("stats: migrations out=%d bytes=%d failed=%d restored-in=%d",
-		snap.Migrations, snap.MigrationBytes, snap.MigrationFailures, snap.RestoreFromCheckpoint)
+	logger.Printf("stats: sessions live=%d parked=%d", snap.SessionsLive, snap.SessionsParkedNow)
+	logger.Printf("stats: %s", stats.Pairs(snap.ServerStats))
 	for i, du := range snap.Devices {
 		logger.Printf("stats: device %d %q: %d bytes in %d allocations, %d sessions, busy %v",
 			i, du.Name, du.BytesInUse, du.Allocations, du.Sessions, du.Busy)

@@ -3,8 +3,10 @@ package broker
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"rcuda/internal/protocol"
+	"rcuda/internal/stats"
 )
 
 // Placer is the pool's placement core, factored out of Pool so the same
@@ -31,7 +33,7 @@ type placerState struct {
 	eps    []*endpointState
 	policy Policy
 	rr     int
-	stats  poolCounters
+	stats  PoolCounts[atomic.Int64]
 	// stamp counts changes to endpoints' ranking inputs; gen counts changes
 	// to the set of rankable endpoints. A kept Ranking compares both with
 	// what it saw last.
@@ -82,7 +84,7 @@ func (p *Placer) Retire(idx int) {
 	if idx >= 0 && idx < len(s.eps) && !s.eps[idx].retired {
 		s.eps[idx].retired = true
 		s.gen++
-		s.stats.retirements.Add(1)
+		s.stats.Retirements.Add(1)
 	}
 }
 
@@ -211,7 +213,7 @@ func (p *Placer) NotePlaced(idx int) {
 	s.mu.Lock()
 	s.touch(idx).placed++
 	s.mu.Unlock()
-	s.stats.placements.Add(1)
+	s.stats.Placements.Add(1)
 }
 
 // NoteSpill counts a placement that moved to the next-best endpoint after
@@ -225,7 +227,7 @@ func (p *Placer) NoteSpill(idx int) {
 		s.touch(idx).full = true
 	}
 	s.mu.Unlock()
-	s.stats.spills.Add(1)
+	s.stats.Spills.Add(1)
 }
 
 // NoteRelease records that a session left the endpoint — it completed, was
@@ -242,7 +244,7 @@ func (p *Placer) NoteRelease(idx int) {
 
 // NoteFailover counts a job replayed on another endpoint after its session
 // was lost mid-run.
-func (p *Placer) NoteFailover() { p.state.stats.failovers.Add(1) }
+func (p *Placer) NoteFailover() { p.state.stats.Failovers.Add(1) }
 
 // NoteMigration records a completed live migration onto the endpoint at
 // destIdx: the migration counters grow and the destination's
@@ -255,19 +257,19 @@ func (p *Placer) NoteMigration(destIdx int, bytes int64) {
 		s.touch(destIdx).placed++
 	}
 	s.mu.Unlock()
-	s.stats.migrations.Add(1)
-	s.stats.migrationBytes.Add(bytes)
+	s.stats.Migrations.Add(1)
+	s.stats.MigrationBytes.Add(bytes)
 }
 
 // NoteMigrationFailure counts a live migration that failed; the session
 // stays intact on its source.
-func (p *Placer) NoteMigrationFailure() { p.state.stats.migrationFailures.Add(1) }
+func (p *Placer) NoteMigrationFailure() { p.state.stats.MigrationFailures.Add(1) }
 
 // NoteRestoreFailover counts a route redial that failed over to a peer
 // endpoint after the pinned one became unreachable — the path by which a
 // session resumes from a migrated or standby-checkpoint copy instead of
 // being replayed.
-func (p *Placer) NoteRestoreFailover() { p.state.stats.restoreFromCheckpoint.Add(1) }
+func (p *Placer) NoteRestoreFailover() { p.state.stats.RestoreFromCheckpoint.Add(1) }
 
 // NoteFailure marks an endpoint down after a placement or session failure.
 func (p *Placer) NoteFailure(idx int, err error) {
@@ -282,7 +284,7 @@ func (s *placerState) noteFailure(idx int, err error) {
 	st.lastErr = err
 	if st.up {
 		s.touch(idx).up = false
-		s.stats.markdowns.Add(1)
+		s.stats.Markdowns.Add(1)
 	}
 }
 
@@ -298,10 +300,10 @@ func (p *Placer) NoteProbe(idx int, load *protocol.StatsReply, err error) {
 }
 
 func (s *placerState) noteProbe(idx int, load *protocol.StatsReply, err error) {
-	s.stats.probes.Add(1)
+	s.stats.Probes.Add(1)
 	st := s.touch(idx)
 	if err != nil {
-		s.stats.probeFailures.Add(1)
+		s.stats.ProbeFailures.Add(1)
 		s.noteFailure(idx, err)
 		return
 	}
@@ -311,29 +313,12 @@ func (s *placerState) noteProbe(idx int, load *protocol.StatsReply, err error) {
 	st.lastErr = nil
 	if !st.up {
 		st.up = true
-		s.stats.markups.Add(1)
+		s.stats.Markups.Add(1)
 	}
 }
 
 // Stats returns a snapshot of the placement and health counters.
-func (p *Placer) Stats() PoolStats {
-	c := &p.state.stats
-	return PoolStats{
-		Placements:    c.placements.Load(),
-		Spills:        c.spills.Load(),
-		Failovers:     c.failovers.Load(),
-		Probes:        c.probes.Load(),
-		ProbeFailures: c.probeFailures.Load(),
-		Markdowns:     c.markdowns.Load(),
-		Markups:       c.markups.Load(),
-		Retirements:   c.retirements.Load(),
-
-		Migrations:            c.migrations.Load(),
-		MigrationBytes:        c.migrationBytes.Load(),
-		MigrationFailures:     c.migrationFailures.Load(),
-		RestoreFromCheckpoint: c.restoreFromCheckpoint.Load(),
-	}
-}
+func (p *Placer) Stats() PoolStats { return stats.Load[PoolStats](&p.state.stats) }
 
 // Endpoints reports every endpoint's health and last-probed load, in
 // registration order (retired slots included).

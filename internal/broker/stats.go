@@ -1,55 +1,42 @@
 package broker
 
-import "sync/atomic"
-
-// PoolStats are the pool's cumulative placement and health counters.
-type PoolStats struct {
+// PoolCounts declares the pool's placement and health counters once:
+// PoolStats is its snapshot and the Placer adds to a
+// PoolCounts[atomic.Int64].
+type PoolCounts[T any] struct {
 	// Placements counts sessions successfully opened through the pool.
-	Placements int64
+	Placements T
 	// Spills counts placements that moved to the next-best endpoint
 	// because the preferred server refused admission (ErrServerBusy).
-	Spills int64
+	Spills T
 	// Failovers counts jobs replayed on another endpoint after their
 	// session was lost mid-run.
-	Failovers int64
+	Failovers T
 	// Probes and ProbeFailures count health-probe exchanges.
-	Probes        int64
-	ProbeFailures int64
+	Probes        T
+	ProbeFailures T
 	// Markdowns and Markups count endpoint health transitions — one flap
 	// is one markdown plus one markup.
-	Markdowns int64
-	Markups   int64
+	Markdowns T
+	Markups   T
 	// Retirements counts endpoints permanently removed from placement by
 	// elastic scale-down.
-	Retirements int64
+	Retirements T
 	// Migrations counts sessions live-migrated between endpoints through
 	// Pool.Migrate, and MigrationBytes the checkpoint bytes they streamed.
-	Migrations     int64
-	MigrationBytes int64
+	Migrations     T
+	MigrationBytes T
 	// MigrationFailures counts migrations that failed; the session stays
 	// intact on its source endpoint.
-	MigrationFailures int64
+	MigrationFailures T
 	// RestoreFromCheckpoint counts route redials that failed over to a peer
 	// endpoint, where a migrated or standby-checkpoint copy of the session
 	// gets the chance to resume without a replay.
-	RestoreFromCheckpoint int64
+	RestoreFromCheckpoint T
 }
 
-type poolCounters struct {
-	placements    atomic.Int64
-	spills        atomic.Int64
-	failovers     atomic.Int64
-	probes        atomic.Int64
-	probeFailures atomic.Int64
-	markdowns     atomic.Int64
-	markups       atomic.Int64
-	retirements   atomic.Int64
-
-	migrations            atomic.Int64
-	migrationBytes        atomic.Int64
-	migrationFailures     atomic.Int64
-	restoreFromCheckpoint atomic.Int64
-}
+// PoolStats are the pool's cumulative placement and health counters.
+type PoolStats = PoolCounts[int64]
 
 // Stats returns a snapshot of the pool's counters.
 func (p *Pool) Stats() PoolStats { return p.pl.Stats() }

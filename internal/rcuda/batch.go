@@ -97,7 +97,7 @@ func (c *Client) pend(req protocol.Request) {
 	raw := c.pendBuf[start:len(c.pendBuf):len(c.pendBuf)]
 	c.pendSubs = append(c.pendSubs, raw)
 	c.pendBytes += 4 + len(raw)
-	c.cstats.opsCoalesced.Add(1)
+	c.cstats.OpsCoalesced.Add(1)
 }
 
 // folds reports whether a call of op closes the open batch instead of
@@ -156,7 +156,7 @@ func (c *Client) flushBatch(closing protocol.Request) error {
 	if err != nil {
 		return err
 	}
-	c.cstats.batchesFlushed.Add(1)
+	c.cstats.BatchesFlushed.Add(1)
 	c.observe(protocol.OpBatch, req.WireSize(), len(payload))
 	// Only the sticky first error, the last code and the count are consumed,
 	// so the codes stay in the reply frame.
@@ -209,7 +209,7 @@ func (c *Client) syncPoint() error {
 // mid-frame parks the session still able to replay the batch before.
 func (s *Server) dispatchBatch(conn transport.Conn, sess *session, r *protocol.BatchRequest) error {
 	if sess.lastBatchCodes != nil && r.Seq == sess.lastBatchSeq {
-		s.counters.batchReplays.Add(1)
+		s.counters.BatchReplays.Add(1)
 		return conn.Send(sess.batchReply())
 	}
 	subs, err := r.Requests()
@@ -242,8 +242,8 @@ func (s *Server) dispatchBatch(conn transport.Conn, sess *session, r *protocol.B
 	}
 	sess.lastBatchSeq = r.Seq
 	sess.lastBatchCodes, sess.spareCodes = codes, sess.lastBatchCodes
-	s.counters.batchFrames.Add(1)
-	s.counters.batchedOps.Add(int64(len(subs)))
+	s.counters.BatchFrames.Add(1)
+	s.counters.BatchedOps.Add(int64(len(subs)))
 	return conn.Send(sess.batchReply())
 }
 

@@ -55,7 +55,7 @@ func (c *Client) cachedDeviceCount() (int, bool) {
 	if !c.answersLocally() || !c.devCountOK {
 		return 0, false
 	}
-	c.cstats.cacheHits.Add(1)
+	c.cstats.CacheHits.Add(1)
 	return c.devCount, true
 }
 
@@ -64,7 +64,7 @@ func (c *Client) storeDeviceCount(n int) {
 	if !c.caching {
 		return
 	}
-	c.cstats.cacheMisses.Add(1)
+	c.cstats.CacheMisses.Add(1)
 	c.devCount = n
 	c.devCountOK = true
 }
@@ -77,7 +77,7 @@ func (c *Client) cachedProperties() (gpu.Properties, bool) {
 	}
 	p, ok := c.props[c.curDev]
 	if ok {
-		c.cstats.cacheHits.Add(1)
+		c.cstats.CacheHits.Add(1)
 	}
 	return p, ok
 }
@@ -88,7 +88,7 @@ func (c *Client) storeProperties(p gpu.Properties) {
 	if !c.caching {
 		return
 	}
-	c.cstats.cacheMisses.Add(1)
+	c.cstats.CacheMisses.Add(1)
 	if c.props == nil {
 		c.props = make(map[int]gpu.Properties)
 	}
@@ -102,7 +102,7 @@ func (c *Client) eventSettled(e cudart.Event) bool {
 	if !c.syncedOK || c.synced != e || len(c.pendSubs) > 0 || c.deferredErr != nil || !c.answersLocally() {
 		return false
 	}
-	c.cstats.cacheHits.Add(1)
+	c.cstats.CacheHits.Add(1)
 	return true
 }
 

@@ -47,7 +47,7 @@ type Client struct {
 	durable      bool
 	connBroken   bool
 	lost         bool
-	cstats       clientCounters
+	cstats       ClientCounts[atomic.Int64]
 	// Batching state (see batch.go). pendSubs holds the encoded sub-ops of
 	// the open batch, each a slice of pendBuf; deferredErr is the oldest
 	// unreported batched-call failure, surfaced at the next sync point.

@@ -108,7 +108,7 @@ func (s *Server) CheckpointSession(id uint64) (*protocol.Checkpoint, error) {
 func (s *Server) MigrateSession(id uint64, dial func() (transport.Conn, error)) (int64, error) {
 	sess, err := s.quiesceForMigration(id)
 	if err != nil {
-		s.counters.migrationFailures.Add(1)
+		s.counters.MigrationFailures.Add(1)
 		return 0, err
 	}
 	n, err := s.streamSession(sess, dial)
@@ -116,7 +116,7 @@ func (s *Server) MigrateSession(id uint64, dial func() (transport.Conn, error)) 
 		s.mu.Lock()
 		sess.migrating = false
 		s.mu.Unlock()
-		s.counters.migrationFailures.Add(1)
+		s.counters.MigrationFailures.Add(1)
 		return 0, err
 	}
 	s.mu.Lock()
@@ -127,8 +127,8 @@ func (s *Server) MigrateSession(id uint64, dial func() (transport.Conn, error)) 
 	s.migrated[id] = struct{}{}
 	s.mu.Unlock()
 	s.destroySession(sess)
-	s.counters.migrations.Add(1)
-	s.counters.migrationBytes.Add(n)
+	s.counters.Migrations.Add(1)
+	s.counters.MigrationBytes.Add(n)
 	s.logf("rcuda: migrated session %d (%d bytes)", id, n)
 	return n, nil
 }
@@ -139,7 +139,7 @@ func (s *Server) MigrateSession(id uint64, dial func() (transport.Conn, error)) 
 func (s *Server) CheckpointTo(id uint64, dial func() (transport.Conn, error)) (int64, error) {
 	sess, err := s.claimParked(id)
 	if err != nil {
-		s.counters.migrationFailures.Add(1)
+		s.counters.MigrationFailures.Add(1)
 		return 0, err
 	}
 	n, err := s.streamSession(sess, dial)
@@ -147,10 +147,10 @@ func (s *Server) CheckpointTo(id uint64, dial func() (transport.Conn, error)) (i
 	sess.migrating = false
 	s.mu.Unlock()
 	if err != nil {
-		s.counters.migrationFailures.Add(1)
+		s.counters.MigrationFailures.Add(1)
 		return 0, err
 	}
-	s.counters.migrationBytes.Add(n)
+	s.counters.MigrationBytes.Add(n)
 	return n, nil
 }
 
@@ -386,11 +386,11 @@ func recvAck(conn transport.Conn, phase string) error {
 // been attempted.
 func (s *Server) serveRestoreConn(conn transport.Conn, rr *protocol.SessionRestoreRequest, withinConnCap bool) error {
 	if !withinConnCap {
-		s.counters.rejectedConns.Add(1)
+		s.counters.RejectedConns.Add(1)
 		return s.refuseRestore(conn, rr.Session, ErrServerBusy)
 	}
 	if err := s.guard.acquireSession(s.doneCh); err != nil {
-		s.counters.rejectedSessions.Add(1)
+		s.counters.RejectedSessions.Add(1)
 		return s.refuseRestore(conn, rr.Session, err)
 	}
 	sess := &session{
@@ -460,7 +460,7 @@ func (s *Server) serveRestoreConn(conn transport.Conn, rr *protocol.SessionResto
 	close(sess.parkCh)
 	s.maybeStartGCLocked()
 	s.mu.Unlock()
-	s.counters.restoreFromCheckpoint.Add(1)
+	s.counters.RestoreFromCheckpoint.Add(1)
 	s.logf("rcuda: restored session %d from checkpoint", sess.id)
 	return conn.Send(&protocol.CodeResponse{})
 }

@@ -111,7 +111,7 @@ func (c *Client) runRetry(op protocol.Op, fn func() error) error {
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			c.cstats.retries.Add(1)
+			c.cstats.Retries.Add(1)
 			c.backoffSleep(attempt)
 		}
 		if c.connBroken {
@@ -127,14 +127,14 @@ func (c *Client) runRetry(op protocol.Op, fn func() error) error {
 		err := fn()
 		if err == nil {
 			if attempt > 0 {
-				c.cstats.recovered.Add(1)
+				c.cstats.Recovered.Add(1)
 			}
 			return nil
 		}
 		if !isConnFault(err) {
 			return err
 		}
-		c.cstats.connFaults.Add(1)
+		c.cstats.ConnFaults.Add(1)
 		if c.durable {
 			c.connBroken = true
 		}
@@ -190,7 +190,7 @@ func (c *Client) reconnect() error {
 		// new home with every allocation intact. Nothing is lost and
 		// nothing replays, so this must NOT latch ErrSessionLost.
 		_ = conn.Close()
-		c.cstats.migrations.Add(1)
+		c.cstats.Migrations.Add(1)
 		return fmt.Errorf("rcuda: reattach redirected: %w", ErrSessionMigrated)
 	case resp.Err == protocol.CodeSessionEvicted:
 		// Permanent: the parked-session GC reclaimed the session.
@@ -208,6 +208,6 @@ func (c *Client) reconnect() error {
 	// The immutable-reply cache is only trusted for the connection that
 	// filled it; a replacement connection may lead anywhere.
 	c.invalidateCache()
-	c.cstats.reconnects.Add(1)
+	c.cstats.Reconnects.Add(1)
 	return nil
 }

@@ -46,7 +46,7 @@ type Server struct {
 	devs     []*gpu.Device
 	logger   *log.Logger
 	spread   bool
-	counters serverCounters
+	counters ServerCounts[atomic.Int64]
 	// Live load gauges behind the StatsQuery wire reply (see stats.go):
 	// attached counts GPU sessions currently spliced to a connection
 	// (probe-only connections excluded), devSessions counts sessions
@@ -307,7 +307,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.mu.Unlock()
 		for _, c := range stragglers {
 			_ = c.Close()
-			s.counters.forcedCloses.Add(1)
+			s.counters.ForcedCloses.Add(1)
 		}
 		// A closed transport unblocks the handler's pending op, so this
 		// terminates promptly.
@@ -530,14 +530,14 @@ func (s *Server) ServeConn(conn transport.Conn) error {
 		s.handlers.Done()
 	}()
 
-	s.counters.sessionsStarted.Add(1)
-	s.counters.sessionsActive.Add(1)
-	defer s.counters.sessionsActive.Add(-1)
+	s.counters.SessionsStarted.Add(1)
+	s.counters.SessionsActive.Add(1)
+	defer s.counters.SessionsActive.Add(-1)
 	defer func() {
 		st := conn.Stats()
 		// The conn's "sent" is the server's outbound traffic.
-		s.counters.bytesSent.Add(st.BytesSent)
-		s.counters.bytesReceived.Add(st.BytesRecv)
+		s.counters.BytesSent.Add(st.BytesSent)
+		s.counters.BytesReceived.Add(st.BytesRecv)
 	}()
 
 	if s.requestDeadline > 0 {
@@ -550,7 +550,7 @@ func (s *Server) ServeConn(conn transport.Conn) error {
 
 	err := s.serveSession(conn, withinConnCap)
 	if err != nil && errors.Is(err, os.ErrDeadlineExceeded) {
-		s.counters.watchdogKills.Add(1)
+		s.counters.WatchdogKills.Add(1)
 	}
 	return err
 }
@@ -600,7 +600,7 @@ func (s *Server) serveSession(conn transport.Conn, withinConnCap bool) error {
 		if err != nil {
 			return fmt.Errorf("rcuda: malformed request: %w", err)
 		}
-		s.counters.requests.Add(1)
+		s.counters.Requests.Add(1)
 		// Busy accounting: the wall (or simulated) time dispatch holds the
 		// session's current device, charged to that device's own clock so a
 		// broker's least-loaded ranking sees the same quantity the cluster
@@ -666,7 +666,7 @@ func (s *Server) releaseSession(sess *session, finalized bool) {
 		close(sess.parkCh)
 		s.maybeStartGCLocked()
 		s.mu.Unlock()
-		s.counters.sessionsParked.Add(1)
+		s.counters.SessionsParked.Add(1)
 		return
 	}
 	if sess.durable {
@@ -730,7 +730,7 @@ func (s *Server) evictExpired() {
 	s.mu.Unlock()
 	for _, sess := range victims {
 		s.destroySession(sess)
-		s.counters.evictions.Add(1)
+		s.counters.Evictions.Add(1)
 		s.logf("rcuda: evicted parked session %d after TTL %v", sess.id, s.parkedTTL)
 	}
 }
@@ -756,8 +756,8 @@ func (s *Server) handshake(conn transport.Conn, withinConnCap bool) (*session, e
 	// A stats probe is answered before any admission decision: monitoring
 	// must keep working on a server that is refusing new sessions, and a
 	// probe connection never consumes a session slot.
-	if q, isProbe := protocol.TryDecodeStatsQuery(payload); isProbe {
-		return nil, s.serveStatsConn(conn, q)
+	if _, isProbe := protocol.TryDecodeStatsQuery(payload); isProbe {
+		return nil, s.serveStatsConn(conn)
 	}
 	// An inbound migration stream from a peer daemon (see migrate.go). It
 	// is admitted like a fresh init — connection cap here, session slot
@@ -768,7 +768,7 @@ func (s *Server) handshake(conn transport.Conn, withinConnCap bool) (*session, e
 	}
 	r, isReattach := protocol.TryDecodeReattach(payload)
 	if !withinConnCap {
-		s.counters.rejectedConns.Add(1)
+		s.counters.RejectedConns.Add(1)
 		if sendErr := refuseBusy(conn, isReattach); sendErr != nil {
 			return nil, sendErr
 		}
@@ -784,7 +784,7 @@ func (s *Server) handshake(conn transport.Conn, withinConnCap bool) (*session, e
 		return nil, fmt.Errorf("rcuda: malformed init: %w", err)
 	}
 	if admitErr := s.guard.acquireSession(s.doneCh); admitErr != nil {
-		s.counters.rejectedSessions.Add(1)
+		s.counters.RejectedSessions.Add(1)
 		if sendErr := refuseBusy(conn, false); sendErr != nil {
 			return nil, sendErr
 		}
@@ -878,7 +878,7 @@ func (s *Server) reattachSession(conn transport.Conn, r *protocol.ReattachReques
 				s.mu.Unlock()
 				return nil, err
 			}
-			s.counters.reattaches.Add(1)
+			s.counters.Reattaches.Add(1)
 			return sess, nil
 		}
 		var parked <-chan struct{}
@@ -930,7 +930,7 @@ func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Reque
 	switch r := req.(type) {
 	case *protocol.MallocRequest:
 		if denial := s.checkQuota(sess, r.Size); denial != cudart.Success {
-			s.counters.quotaDenials.Add(1)
+			s.counters.QuotaDenials.Add(1)
 			return false, conn.Send(protocol.Put(&sess.reply.malloc, protocol.MallocResponse{Err: uint32(denial)}))
 		}
 		ptr, cuErr := ctx.Malloc(r.Size)
@@ -996,7 +996,7 @@ func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Reque
 		// Reattach is only legal as a connection's opening message.
 		return false, fmt.Errorf("rcuda: reattach inside an established session")
 	case *protocol.StatsQueryRequest:
-		s.counters.statsQueries.Add(1)
+		s.counters.StatsQueries.Add(1)
 		return false, conn.Send(s.statsReply())
 	case *protocol.BatchRequest:
 		return false, s.dispatchBatch(conn, sess, r)

@@ -4,131 +4,84 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync/atomic"
 	"time"
 
 	"rcuda/internal/cudart"
 	"rcuda/internal/protocol"
+	"rcuda/internal/stats"
 	"rcuda/internal/transport"
 )
 
-// ServerStats are cumulative daemon counters, suitable for an operator
-// dashboard or load-balancing decisions across GPU servers.
-type ServerStats struct {
+// ServerCounts declares the daemon's cumulative counters once: ServerStats
+// is its snapshot and Server adds to a ServerCounts[atomic.Int64].
+type ServerCounts[T any] struct {
 	// SessionsStarted counts accepted client sessions, including ones
 	// that failed the handshake.
-	SessionsStarted int64
-	// SessionsActive counts sessions currently being served.
-	SessionsActive int64
+	SessionsStarted T
+	// SessionsActive counts connections currently being served: sessions,
+	// handshakes waiting for admission and stats probe connections alike.
+	SessionsActive T
 	// Requests counts post-handshake requests across all sessions.
-	Requests int64
+	Requests T
 	// BytesReceived and BytesSent count Table I payload bytes across all
 	// sessions, including the handshake.
-	BytesReceived int64
-	BytesSent     int64
+	BytesReceived T
+	BytesSent     T
 	// Reattaches counts connections that resumed a parked durable session.
-	Reattaches int64
+	Reattaches T
 	// SessionsParked counts durable sessions whose connection died and
 	// whose state was kept for a reattach (cumulative, not a gauge).
-	SessionsParked int64
+	SessionsParked T
 	// RejectedConns counts connections refused by the concurrency cap
 	// (WithMaxConns).
-	RejectedConns int64
+	RejectedConns T
 	// RejectedSessions counts handshakes refused by the session cap or
 	// whose admission-queue wait expired (WithMaxSessions).
-	RejectedSessions int64
+	RejectedSessions T
 	// QuotaDenials counts cudaMalloc requests refused by a per-session
 	// quota (WithSessionMemoryLimit, WithMaxAllocsPerSession).
-	QuotaDenials int64
+	QuotaDenials T
 	// WatchdogKills counts connections killed because a transport
 	// operation overran the request deadline (WithRequestDeadline).
-	WatchdogKills int64
+	WatchdogKills T
 	// Evictions counts parked durable sessions destroyed by the TTL
 	// garbage collector (WithParkedSessionTTL).
-	Evictions int64
+	Evictions T
 	// ForcedCloses counts connections force-closed because a drain or
 	// Close deadline expired before they finished.
-	ForcedCloses int64
+	ForcedCloses T
 	// StatsQueries counts StatsQuery requests answered, both broker health
 	// probes and in-session queries.
-	StatsQueries int64
+	StatsQueries T
 	// BatchFrames counts OpBatch frames executed (replays excluded) and
 	// BatchedOps the sub-operations they carried, a frame's closing
 	// synchronization or query included — the round trips the batching
 	// layer saved are BatchedOps − BatchFrames.
-	BatchFrames int64
-	BatchedOps  int64
+	BatchFrames T
+	BatchedOps  T
 	// BatchReplays counts batches answered from the per-session dedup state
 	// without re-execution (a client retried after losing the response).
-	BatchReplays int64
+	BatchReplays T
 	// Migrations counts sessions live-migrated away to another daemon, and
 	// MigrationBytes the checkpoint bytes streamed out (moves and standby
 	// copies both).
-	Migrations     int64
-	MigrationBytes int64
+	Migrations     T
+	MigrationBytes T
 	// MigrationFailures counts outbound migrations and standby copies that
 	// failed; the session stays intact and reattachable here.
-	MigrationFailures int64
+	MigrationFailures T
 	// RestoreFromCheckpoint counts sessions this daemon materialized from
 	// an inbound checkpoint stream (a migration's destination half, or a
 	// peer's standby copy).
-	RestoreFromCheckpoint int64
+	RestoreFromCheckpoint T
 }
 
-// serverCounters backs Server.Stats with atomics.
-type serverCounters struct {
-	sessionsStarted  atomic.Int64
-	sessionsActive   atomic.Int64
-	requests         atomic.Int64
-	bytesReceived    atomic.Int64
-	bytesSent        atomic.Int64
-	reattaches       atomic.Int64
-	sessionsParked   atomic.Int64
-	rejectedConns    atomic.Int64
-	rejectedSessions atomic.Int64
-	quotaDenials     atomic.Int64
-	watchdogKills    atomic.Int64
-	evictions        atomic.Int64
-	forcedCloses     atomic.Int64
-	statsQueries     atomic.Int64
-	batchFrames      atomic.Int64
-	batchedOps       atomic.Int64
-	batchReplays     atomic.Int64
-
-	migrations            atomic.Int64
-	migrationBytes        atomic.Int64
-	migrationFailures     atomic.Int64
-	restoreFromCheckpoint atomic.Int64
-}
+// ServerStats are cumulative daemon counters, suitable for an operator
+// dashboard or load-balancing decisions across GPU servers.
+type ServerStats = ServerCounts[int64]
 
 // Stats returns a snapshot of the daemon's counters.
-func (s *Server) Stats() ServerStats {
-	return ServerStats{
-		SessionsStarted: s.counters.sessionsStarted.Load(),
-		SessionsActive:  s.counters.sessionsActive.Load(),
-		Requests:        s.counters.requests.Load(),
-		BytesReceived:   s.counters.bytesReceived.Load(),
-		BytesSent:       s.counters.bytesSent.Load(),
-		Reattaches:      s.counters.reattaches.Load(),
-		SessionsParked:  s.counters.sessionsParked.Load(),
-
-		RejectedConns:    s.counters.rejectedConns.Load(),
-		RejectedSessions: s.counters.rejectedSessions.Load(),
-		QuotaDenials:     s.counters.quotaDenials.Load(),
-		WatchdogKills:    s.counters.watchdogKills.Load(),
-		Evictions:        s.counters.evictions.Load(),
-		ForcedCloses:     s.counters.forcedCloses.Load(),
-		StatsQueries:     s.counters.statsQueries.Load(),
-		BatchFrames:      s.counters.batchFrames.Load(),
-		BatchedOps:       s.counters.batchedOps.Load(),
-		BatchReplays:     s.counters.batchReplays.Load(),
-
-		Migrations:            s.counters.migrations.Load(),
-		MigrationBytes:        s.counters.migrationBytes.Load(),
-		MigrationFailures:     s.counters.migrationFailures.Load(),
-		RestoreFromCheckpoint: s.counters.restoreFromCheckpoint.Load(),
-	}
-}
+func (s *Server) Stats() ServerStats { return stats.Load[ServerStats](&s.counters) }
 
 // DeviceUsage reports one device's live allocator state and scheduling
 // gauges.
@@ -164,7 +117,7 @@ type StatsSnapshot struct {
 func (s *Server) StatsSnapshot() StatsSnapshot {
 	snap := StatsSnapshot{
 		ServerStats:       s.Stats(),
-		SessionsLive:      s.counters.sessionsActive.Load(),
+		SessionsLive:      clampGauge(s.attached.Load()),
 		SessionsParkedNow: s.parkedNow(),
 	}
 	for i, dev := range s.devs {
@@ -208,27 +161,26 @@ func clampGauge(v int64) int64 {
 // StatsQuery: the live gauges a broker's placement policy ranks servers
 // by, without the cumulative counter block.
 func (s *Server) statsReply() *protocol.StatsReply {
+	snap := s.StatsSnapshot()
 	r := &protocol.StatsReply{
-		SessionsLive:   uint32(clampGauge(s.attached.Load())),
-		SessionsParked: uint32(s.parkedNow()),
+		SessionsLive:   uint32(snap.SessionsLive),
+		SessionsParked: uint32(snap.SessionsParkedNow),
 	}
-	for i, dev := range s.devs {
+	for _, du := range snap.Devices {
 		r.Devices = append(r.Devices, protocol.DeviceStats{
-			BytesInUse:  dev.MemoryInUse(),
-			Allocations: uint32(clampGauge(int64(dev.Allocations()))),
-			Sessions:    uint32(clampGauge(s.devSessions[i].Load())),
-			BusyNanos:   uint64(clampGauge(s.devBusy[i].Load())),
+			BytesInUse:  du.BytesInUse,
+			Allocations: uint32(du.Allocations),
+			Sessions:    uint32(du.Sessions),
+			BusyNanos:   uint64(du.Busy),
 		})
 	}
-	if usage := s.classUsage(); usage != nil {
-		// The wire's class rows are indexed by wire code - 1: realtime,
-		// batch, besteffort.
-		r.HasClasses = true
-		for _, cu := range usage {
-			r.Classes[classToWire(cu.Class)-1] = protocol.ClassLoad{
-				Sessions:     uint32(clampGauge(int64(cu.Sessions))),
-				P99WaitNanos: uint64(cu.WaitP99),
-			}
+	// The wire's class rows are indexed by wire code - 1: realtime, batch,
+	// besteffort.
+	r.HasClasses = snap.Classes != nil
+	for _, cu := range snap.Classes {
+		r.Classes[classToWire(cu.Class)-1] = protocol.ClassLoad{
+			Sessions:     uint32(cu.Sessions),
+			P99WaitNanos: uint64(cu.WaitP99),
 		}
 	}
 	return r
@@ -240,10 +192,9 @@ func (s *Server) statsReply() *protocol.StatsReply {
 // endpoint and polls it — and never touches session admission, so probing
 // works even on a server that is refusing new sessions. A clean close by
 // the prober ends the loop without error.
-func (s *Server) serveStatsConn(conn transport.Conn, first *protocol.StatsQueryRequest) error {
-	_ = first
+func (s *Server) serveStatsConn(conn transport.Conn) error {
 	for {
-		s.counters.statsQueries.Add(1)
+		s.counters.StatsQueries.Add(1)
 		if err := conn.Send(s.statsReply()); err != nil {
 			return fmt.Errorf("rcuda: stats send: %w", err)
 		}
@@ -279,58 +230,38 @@ func (c *Client) QueryStats() (*protocol.StatsReply, error) {
 	return resp, nil
 }
 
-// ClientStats are cumulative per-client resilience counters.
-type ClientStats struct {
+// ClientCounts declares the per-client resilience counters once:
+// ClientStats is its snapshot and Client adds to a
+// ClientCounts[atomic.Int64], so observers can poll a client that is
+// mid-operation on another goroutine.
+type ClientCounts[T any] struct {
 	// ConnFaults counts operations interrupted by a connection-level
 	// failure (reset, truncation, stall, EOF).
-	ConnFaults int64
+	ConnFaults T
 	// Retries counts re-executions of idempotent operations after a fault.
-	Retries int64
+	Retries T
 	// Reconnects counts successful redial-and-reattach cycles.
-	Reconnects int64
+	Reconnects T
 	// Recovered counts operations that ultimately succeeded on a retry.
-	Recovered int64
+	Recovered T
 	// BatchesFlushed counts OpBatch frames sent and OpsCoalesced the calls
 	// that rode in them instead of paying their own round trip
 	// (WithBatching), a synchronization or query that closed a frame
 	// included.
-	BatchesFlushed int64
-	OpsCoalesced   int64
+	BatchesFlushed T
+	OpsCoalesced   T
 	// CacheHits and CacheMisses count immutable-reply lookups served from
 	// and filled into the client cache (device count and properties).
-	CacheHits   int64
-	CacheMisses int64
+	CacheHits   T
+	CacheMisses T
 	// Migrations counts reattaches redirected with CodeSessionMigrated and
 	// followed to the session's new home — each is a recovery that replayed
 	// nothing.
-	Migrations int64
+	Migrations T
 }
 
-// clientCounters backs Client.Stats with atomics so observers can poll a
-// client that is mid-operation on another goroutine.
-type clientCounters struct {
-	connFaults     atomic.Int64
-	retries        atomic.Int64
-	reconnects     atomic.Int64
-	recovered      atomic.Int64
-	batchesFlushed atomic.Int64
-	opsCoalesced   atomic.Int64
-	cacheHits      atomic.Int64
-	cacheMisses    atomic.Int64
-	migrations     atomic.Int64
-}
+// ClientStats are cumulative per-client resilience counters.
+type ClientStats = ClientCounts[int64]
 
 // Stats returns a snapshot of the client's resilience counters.
-func (c *Client) Stats() ClientStats {
-	return ClientStats{
-		ConnFaults:     c.cstats.connFaults.Load(),
-		Retries:        c.cstats.retries.Load(),
-		Reconnects:     c.cstats.reconnects.Load(),
-		Recovered:      c.cstats.recovered.Load(),
-		BatchesFlushed: c.cstats.batchesFlushed.Load(),
-		OpsCoalesced:   c.cstats.opsCoalesced.Load(),
-		CacheHits:      c.cstats.cacheHits.Load(),
-		CacheMisses:    c.cstats.cacheMisses.Load(),
-		Migrations:     c.cstats.migrations.Load(),
-	}
-}
+func (c *Client) Stats() ClientStats { return stats.Load[ClientStats](&c.cstats) }

@@ -139,6 +139,45 @@ func TestStatsProbePersistentConnection(t *testing.T) {
 	_ = srv.Close()
 }
 
+// TestSessionsLiveCountsSessionsNotConnections holds a probe connection open
+// beside one attached session: the snapshot an operator reads and the
+// reply the probe carries both count the one session, not the two
+// connections being served.
+func TestSessionsLiveCountsSessionsNotConnections(t *testing.T) {
+	clk := vclock.NewSim()
+	srv := NewServer(gpu.New(gpu.Config{Clock: clk}))
+	d := NewSimDaemon(srv, netsim.IB40G(), clk, nil)
+	client, err := d.Open(moduleImage(t, calib.MM))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe, _ := d.Dial()
+	if err := probe.Send(&protocol.StatsQueryRequest{}); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := probe.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, err := protocol.DecodeStatsReply(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := srv.StatsSnapshot()
+	if snap.SessionsLive != 1 || reply.SessionsLive != 1 {
+		t.Errorf("SessionsLive: snapshot %d, probe reply %d, want 1 and 1", snap.SessionsLive, reply.SessionsLive)
+	}
+	if snap.SessionsActive != 2 {
+		t.Errorf("SessionsActive = %d, want 2 connections being served", snap.SessionsActive)
+	}
+	_ = probe.Close()
+	_ = client.Close()
+	if err := d.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	_ = srv.Close()
+}
+
 // TestStatsProbeServedPastConnCap checks monitoring keeps working on a
 // server whose connection cap is exhausted: the probe is answered where a
 // session handshake would be refused busy.

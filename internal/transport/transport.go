@@ -30,6 +30,7 @@ import (
 
 	"rcuda/internal/netsim"
 	"rcuda/internal/protocol"
+	"rcuda/internal/stats"
 	"rcuda/internal/vclock"
 )
 
@@ -161,68 +162,57 @@ type SendStamper interface {
 	LastSendOn(c vclock.Clock) (at time.Duration, ok bool)
 }
 
-// Stats counts a connection's traffic in Table I payload bytes, plus the
-// frame-buffer pool's effectiveness on this connection.
-type Stats struct {
-	MessagesSent int64
-	MessagesRecv int64
-	BytesSent    int64
-	BytesRecv    int64
+// Counts declares a connection's traffic counters once: Stats is its
+// snapshot and every implementation adds to a Counts[atomic.Int64].
+type Counts[T any] struct {
+	MessagesSent T
+	MessagesRecv T
+	BytesSent    T
+	BytesRecv    T
 	// PoolHits and PoolMisses count frame-buffer requests served from the
 	// pool versus freshly allocated (sends and receives combined).
-	PoolHits   int64
-	PoolMisses int64
+	PoolHits   T
+	PoolMisses T
 	// PoolBulk counts those requests that were for at least LandFloor
 	// bytes: the staging buffers of bulk payloads that did not land.
-	PoolBulk int64
+	PoolBulk T
 	// FaultsInjected counts deliberate faults a FaultyConn applied to this
 	// connection; always zero on a plain connection.
-	FaultsInjected int64
+	FaultsInjected T
 }
 
-// counters is embedded by implementations; all fields are atomics.
-type counters struct {
-	msgsSent, msgsRecv   atomic.Int64
-	bytesSent, bytesRecv atomic.Int64
-	poolHits, poolMisses atomic.Int64
-	poolBulk             atomic.Int64
-}
+// Stats counts a connection's traffic in Table I payload bytes, plus the
+// frame-buffer pool's effectiveness on this connection.
+type Stats = Counts[int64]
+
+// counters is embedded by implementations.
+type counters struct{ count Counts[atomic.Int64] }
 
 func (c *counters) onSend(n int) {
-	c.msgsSent.Add(1)
-	c.bytesSent.Add(int64(n))
+	c.count.MessagesSent.Add(1)
+	c.count.BytesSent.Add(int64(n))
 }
 
 func (c *counters) onRecv(n int) {
-	c.msgsRecv.Add(1)
-	c.bytesRecv.Add(int64(n))
+	c.count.MessagesRecv.Add(1)
+	c.count.BytesRecv.Add(int64(n))
 }
 
 // getBuffer is GetBuffer with the request counted on this connection.
 func (c *counters) getBuffer(n int) []byte {
 	buf, hit := GetBuffer(n)
 	if hit {
-		c.poolHits.Add(1)
+		c.count.PoolHits.Add(1)
 	} else {
-		c.poolMisses.Add(1)
+		c.count.PoolMisses.Add(1)
 	}
 	if n >= LandFloor {
-		c.poolBulk.Add(1)
+		c.count.PoolBulk.Add(1)
 	}
 	return buf
 }
 
-func (c *counters) Stats() Stats {
-	return Stats{
-		MessagesSent: c.msgsSent.Load(),
-		MessagesRecv: c.msgsRecv.Load(),
-		BytesSent:    c.bytesSent.Load(),
-		BytesRecv:    c.bytesRecv.Load(),
-		PoolHits:     c.poolHits.Load(),
-		PoolMisses:   c.poolMisses.Load(),
-		PoolBulk:     c.poolBulk.Load(),
-	}
-}
+func (c *counters) Stats() Stats { return stats.Load[Stats](&c.count) }
 
 // ErrTruncatedFrame reports a frame that ended mid-flight: the peer (or an
 // injected fault) tore the connection down after the length prefix promised
