@@ -14,10 +14,10 @@ help:
 	@echo "  build        compile and vet everything (plus an arm64 cross-vet of blas/kernels/gpu and a check that the arm64 code of blas/fft/kernels fuses no multiply-add)"
 	@echo "  test         run all tests"
 	@echo "  race         run all tests under the race detector"
-	@echo "  verify       tier-1 gate: build + test + race on data path, broker, workloads, report + chaos suite + one pass of the device-service benchmarks"
+	@echo "  verify       tier-1 gate: build + test + vet + race on data path, broker, workloads, report, device service (blas/kernels/gpu/cudart), vclock, calib, stats + chaos suite + one pass of the device-service benchmarks"
 	@echo "  lint         go vet + rcuda-vet invariant analyzers + gofmt diff check"
 	@echo "  vet          rcuda-vet only: seededrand/wiremsg/locknet/errcode invariants"
-	@echo "  loc          non-blank, non-comment, non-test Go lines per package (the count 'smaller' claims cite) and their total outside bench/"
+	@echo "  loc          non-blank, non-comment, non-test Go lines per package (the count 'smaller' claims cite), the test lines outside bench/, and the non-test total outside bench/"
 	@echo "  chaos        fault-injection suite (scripted + 50 seeded plans) under -race"
 	@echo "  migrate-chaos  live-migration suite: source killed at every protocol phase, under -race"
 	@echo "  soak         10k mixed ops at ~1% fault rate, leak-checked, under -race"
@@ -69,15 +69,18 @@ vet:
 	$(GO) run ./cmd/rcuda-vet ./...
 
 # Code size: non-blank, non-comment, non-test Go lines per package directory
-# — the one count a "smaller" claim in CHANGES.md cites — and, last, their
-# sum over every package but ./bench, the number the ROADMAP gates on.
-# Comment-only lines do not count, so deleting comments moves nothing.
+# — the one count a "smaller" claim in CHANGES.md cites — then the same
+# count over the _test.go files of every package but ./bench, and, last, the
+# non-test sum over every package but ./bench, the number the ROADMAP gates
+# on. Comment-only lines do not count, so deleting comments moves nothing.
 loc:
-	@total=0; for pkg in $$($(GO) list -f '{{.Dir}}' ./... | sed 's|^$(CURDIR)|.|'); do \
+	@total=0; tests=0; for pkg in $$($(GO) list -f '{{.Dir}}' ./... | sed 's|^$(CURDIR)|.|'); do \
 		files=$$(ls $$pkg/*.go | grep -v _test.go); \
 		if [ -n "$$files" ]; then n=$$(cat $$files | grep -cvE '^\s*(//.*)?$$'); printf '%6d  %s\n' $$n $$pkg; \
 			if [ "$$pkg" != ./bench ]; then total=$$((total + n)); fi; fi; \
-	done; printf '%6d  total outside bench/\n' $$total
+		tfiles=$$(ls $$pkg/*_test.go 2>/dev/null); \
+		if [ -n "$$tfiles" ] && [ "$$pkg" != ./bench ]; then tests=$$((tests + $$(cat $$tfiles | grep -cvE '^\s*(//.*)?$$'))); fi; \
+	done; printf '%6d  test lines outside bench/\n' $$tests; printf '%6d  total outside bench/\n' $$total
 
 # Tier-1 verification: full build + tests, the invariant analyzers, the
 # concurrent data-path packages (wire codec, transport framing, middleware

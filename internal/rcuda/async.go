@@ -133,7 +133,7 @@ func (c *Client) eventOp(op protocol.Op, e cudart.Event) error {
 func (c *Client) EventSynchronize(e cudart.Event) error {
 	err := c.eventOp(protocol.OpEventSynchronize, e)
 	if err == nil {
-		c.synced, c.syncedOK = e, c.caching
+		c.synced, c.syncedOK = e, c.batching
 	}
 	return err
 }

@@ -59,7 +59,6 @@ func WithBatching(maxOps, maxBytes int) ClientOption {
 			maxBytes = DefaultBatchBytes
 		}
 		c.batching = true
-		c.caching = true
 		c.batchMaxOps = maxOps
 		c.batchMaxBytes = maxBytes
 	}

@@ -43,14 +43,15 @@ func (c *Client) invalidateCache() {
 }
 
 // answersLocally reports whether a call may be answered without an
-// exchange: caching is on and the session is neither closed nor lost, so a
-// local answer never hides the error every call then fails with.
+// exchange: batching, which turns the cache on, is on and the session is
+// neither closed nor lost, so a local answer never hides the error every
+// call then fails with.
 func (c *Client) answersLocally() bool {
-	return c.caching && !c.closed.Load() && !c.lost
+	return c.batching && !c.closed.Load() && !c.lost
 }
 
 // cachedDeviceCount serves DeviceCount from the cache, reporting ok=false
-// on a miss (or with caching disabled).
+// on a miss (or without batching, which leaves the cache off).
 func (c *Client) cachedDeviceCount() (int, bool) {
 	if !c.answersLocally() || !c.devCountOK {
 		return 0, false
@@ -61,7 +62,7 @@ func (c *Client) cachedDeviceCount() (int, bool) {
 
 // storeDeviceCount fills the device-count cache after a server reply.
 func (c *Client) storeDeviceCount(n int) {
-	if !c.caching {
+	if !c.batching {
 		return
 	}
 	c.cstats.CacheMisses.Add(1)
@@ -85,7 +86,7 @@ func (c *Client) cachedProperties() (gpu.Properties, bool) {
 // storeProperties fills the properties cache for the currently selected
 // device after a server reply.
 func (c *Client) storeProperties(p gpu.Properties) {
-	if !c.caching {
+	if !c.batching {
 		return
 	}
 	c.cstats.CacheMisses.Add(1)

@@ -48,9 +48,10 @@ type Client struct {
 	connBroken   bool
 	lost         bool
 	cstats       ClientCounts[atomic.Int64]
-	// Batching state (see batch.go). pendSubs holds the encoded sub-ops of
-	// the open batch, each a slice of pendBuf; deferredErr is the oldest
-	// unreported batched-call failure, surfaced at the next sync point.
+	// Batching state (see batch.go). batching also turns the immutable-reply
+	// cache below on. pendSubs holds the encoded sub-ops of the open batch,
+	// each a slice of pendBuf; deferredErr is the oldest unreported
+	// batched-call failure, surfaced at the next sync point.
 	batching      bool
 	batchMaxOps   int
 	batchMaxBytes int
@@ -59,10 +60,10 @@ type Client struct {
 	pendBytes     int
 	batchSeq      uint64
 	deferredErr   error
-	// Immutable-reply cache (see cache.go). curDev tracks the device index
-	// selected with SetDevice, keying the properties cache; synced is the
-	// event the last successful EventSynchronize waited on, while syncedOK.
-	caching    bool
+	// Immutable-reply cache (see cache.go), on exactly when batching is.
+	// curDev tracks the device index selected with SetDevice, keying the
+	// properties cache; synced is the event the last successful
+	// EventSynchronize waited on, while syncedOK.
 	devCount   int
 	devCountOK bool
 	props      map[int]gpu.Properties
