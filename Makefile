@@ -19,7 +19,7 @@ help:
 	@echo "  vet          rcuda-vet only: seededrand/wiremsg/locknet/errcode invariants"
 	@echo "  loc          non-blank, non-comment, non-test Go lines per package (the count 'smaller' claims cite), the test lines outside bench/, and the non-test total outside bench/"
 	@echo "  chaos        fault-injection suite (scripted + 50 seeded plans) under -race"
-	@echo "  migrate-chaos  live-migration suite: source killed at every protocol phase, under -race"
+	@echo "  migrate-chaos  live-migration suite: source killed at every protocol phase, the pinned checkpoint bytes, the session-state table and the TTL-vs-claim check, under -race"
 	@echo "  soak         10k mixed ops at ~1% fault rate, leak-checked, under -race"
 	@echo "  bench        run all benchmarks"
 	@echo "  bench-batch  run the batched-path inference bench, refresh BENCH_batching.json"
@@ -112,13 +112,15 @@ chaos:
 		-run 'Chaos|Faulty|Fault|Retry|Truncat|Reattach|Session|Plan|KeepFor' \
 		./internal/transport/... ./internal/rcuda/... ./internal/faults/...
 
-# Migration chaos: checkpoint round-trips, the daemon-to-daemon transfer,
-# a source-daemon kill swept across every phase boundary of the migration
-# dialogue, standby-checkpoint failover, and scale-down drain-by-migration —
-# all under -race, bit-exact results asserted after every recovery.
+# Migration chaos: checkpoint round-trips and the pinned checkpoint bytes,
+# the daemon-to-daemon transfer, a source-daemon kill swept across every
+# phase boundary of the migration dialogue, standby-checkpoint failover,
+# scale-down drain-by-migration, the session-state table and the collector
+# that must leave a claimed session alone — all under -race, bit-exact
+# results asserted after every recovery.
 migrate-chaos:
 	$(GO) test -race -count=1 \
-		-run 'Migrat|Standby|Checkpoint|RestoreState|ContextState' \
+		-run 'Migrat|Standby|Checkpoint|RestoreState|ContextState|SessionTransitions|TTLSkipsClaimed' \
 		./internal/rcuda/... ./internal/broker/... ./internal/loadgen/... \
 		./internal/protocol/... ./internal/gpu/...
 

@@ -25,11 +25,11 @@
 // carves out a disjoint durable-id range so restored sessions never collide
 // with locally minted ones, -standby-peer streams periodic checkpoints of
 // parked sessions to a named peer so clients can resume there if this daemon
-// dies, and -migrate-chunk tunes the outbound checkpoint stream.
+// dies.
 //
 // Usage:
 //
-//	rcudad [-listen :8308] [-mem 4096] [-quiet] [hardening flags]
+//	rcudad [-listen :8308] [-mem 4096] [-gpus 1] [-quiet] [hardening flags]
 package main
 
 import (
@@ -91,7 +91,6 @@ func main() {
 	listen := flag.String("listen", ":8308", "TCP address to listen on")
 	memMiB := flag.Uint64("mem", 4096, "device memory in MiB (Tesla C1060: 4096)")
 	gpus := flag.Int("gpus", 1, "number of GPUs this node serves")
-	devices := flag.Int("devices", 0, "alias for -gpus (broker deployments use this name); 0 defers to -gpus")
 	spread := flag.Bool("spread", false, "start sessions on the GPUs round robin instead of device 0")
 	quiet := flag.Bool("quiet", false, "suppress per-session logging")
 
@@ -109,16 +108,9 @@ func main() {
 	classWeights := flag.String("class-weights", "", "comma-separated realtime,batch,besteffort class weight multipliers (default 100,10,1); requires -sched")
 
 	sessionIDBase := flag.Uint64("session-id-base", 0, "mint durable session ids above this; daemons that exchange sessions by migration need disjoint ranges")
-	migrateChunk := flag.Uint("migrate-chunk", 0, "chunk size in bytes for outbound migration streams (0 = protocol default)")
 	standbyPeer := flag.String("standby-peer", "", "host:port of a peer daemon to stream standby checkpoints of parked sessions to")
 	standbyEvery := flag.Duration("standby-interval", time.Second, "how often parked sessions are swept to -standby-peer")
 	flag.Parse()
-	if *devices != 0 {
-		if *devices < 1 {
-			log.Fatalf("rcudad: -devices %d must be at least 1", *devices)
-		}
-		*gpus = *devices
-	}
 	if *gpus < 1 {
 		log.Fatalf("rcudad: -gpus %d must be at least 1", *gpus)
 	}
@@ -165,9 +157,6 @@ func main() {
 	}
 	if *sessionIDBase > 0 {
 		opts = append(opts, rcuda.WithSessionIDBase(*sessionIDBase))
-	}
-	if *migrateChunk > 0 {
-		opts = append(opts, rcuda.WithMigrateChunkSize(uint32(*migrateChunk)))
 	}
 	if *standbyPeer != "" {
 		peer := *standbyPeer

@@ -4,51 +4,19 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"rcuda/internal/protocol"
 )
 
 // This file gives a context an exportable, restorable state — the device
 // half of live session migration. ExportState captures the context's
-// allocations (addresses and contents) and its simulated engine timeline;
-// RestoreState rebuilds them inside a fresh context on another device,
-// preserving every device address exactly, because the client still holds
-// pointers into this address space. Quota accounting needs no field of its
-// own: OwnedBytes/OwnedCount derive from the restored allocations, so the
-// figure the destination enforces can never drift from what actually moved.
-
-// AllocState is one live allocation: its device address, requested size,
-// and contents.
-type AllocState struct {
-	Addr uint32
-	Size uint32
-	Data []byte
-}
-
-// MarkState is one stream's or event's completion instant on the context's
-// virtual clock.
-type MarkState struct {
-	ID   uint32
-	Done time.Duration
-}
-
-// TimelineState is the simulated engine state of one context: busy-until
-// instants for the copy and compute engines, per-stream and per-event
-// completion instants, and the id counters (so post-migration creations
-// cannot collide with handles the client already holds).
-type TimelineState struct {
-	EngineDone [2]time.Duration
-	Streams    []MarkState
-	Events     []MarkState
-	NextStream uint32
-	NextEvent  uint32
-}
-
-// ContextState is a context's full exportable state. Allocs is sorted by
-// address and Streams/Events by id, so serializing the state is
-// deterministic.
-type ContextState struct {
-	Allocs   []AllocState
-	Timeline TimelineState
-}
+// allocations (addresses and contents) and its simulated engine timeline as
+// the checkpoint's own device entry (protocol.DeviceCheckpoint); RestoreState
+// rebuilds them inside a fresh context on another device, preserving every
+// device address exactly, because the client still holds pointers into this
+// address space. Quota accounting needs no field of its own:
+// OwnedBytes/OwnedCount derive from the restored allocations, so the figure
+// the destination enforces can never drift from what actually moved.
 
 // allocAt reserves size bytes at exactly addr and returns the block
 // holding them, failing if the region is unavailable. It is the
@@ -86,36 +54,37 @@ func (a *allocator) allocAt(addr, size uint32) (*block, error) {
 	return nb, nil
 }
 
-// ExportState captures the context's allocations and timeline. The state
-// shares no storage with the context; a later operation cannot mutate it.
-func (c *Context) ExportState() (*ContextState, error) {
+// ExportState captures the context's allocations, sorted by address, and
+// its timeline, streams and events sorted by id, so serializing the state is
+// deterministic. The caller sets the entry's Device. The state shares no
+// storage with the context; a later operation cannot mutate it.
+func (c *Context) ExportState() (*protocol.DeviceCheckpoint, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.check(); err != nil {
 		return nil, err
 	}
-	st := &ContextState{}
+	st := &protocol.DeviceCheckpoint{Timeline: protocol.TimelineCheckpoint{
+		EngineDone: [2]uint64{uint64(c.tl.engineDone[0]), uint64(c.tl.engineDone[1])},
+		Streams:    sortedMarks(c.tl.streamDone),
+		Events:     sortedMarks(c.tl.events),
+		NextStream: c.tl.nextStream,
+		NextEvent:  c.tl.nextEvent,
+	}}
 	for _, b := range c.owned {
-		st.Allocs = append(st.Allocs, AllocState{
+		st.Allocs = append(st.Allocs, protocol.AllocCheckpoint{
 			Addr: b.addr,
 			Size: b.size,
 			Data: append([]byte(nil), b.data...),
 		})
 	}
-	st.Timeline = TimelineState{
-		EngineDone: c.tl.engineDone,
-		Streams:    sortedMarks(c.tl.streamDone),
-		Events:     sortedMarks(c.tl.events),
-		NextStream: c.tl.nextStream,
-		NextEvent:  c.tl.nextEvent,
-	}
 	return st, nil
 }
 
-func sortedMarks(m map[uint32]time.Duration) []MarkState {
-	marks := make([]MarkState, 0, len(m))
+func sortedMarks(m map[uint32]time.Duration) []protocol.TimelineEntry {
+	marks := make([]protocol.TimelineEntry, 0, len(m))
 	for id, done := range m {
-		marks = append(marks, MarkState{ID: id, Done: done})
+		marks = append(marks, protocol.TimelineEntry{ID: id, Done: uint64(done)})
 	}
 	sort.Slice(marks, func(i, j int) bool { return marks[i].ID < marks[j].ID })
 	return marks
@@ -124,8 +93,8 @@ func sortedMarks(m map[uint32]time.Duration) []MarkState {
 // RestoreState rebuilds an exported state inside this context, which must
 // be fresh (no allocations). Every allocation lands at its original device
 // address; failure rolls back whatever was placed, leaving the context
-// empty again.
-func (c *Context) RestoreState(st *ContextState) error {
+// empty again. The entry's Device is the caller's business.
+func (c *Context) RestoreState(st *protocol.DeviceCheckpoint) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.check(); err != nil {
@@ -156,12 +125,12 @@ func (c *Context) RestoreState(st *ContextState) error {
 	c.dev.mu.Unlock()
 
 	tl := newTimeline()
-	tl.engineDone = st.Timeline.EngineDone
+	tl.engineDone = [2]time.Duration{time.Duration(st.Timeline.EngineDone[0]), time.Duration(st.Timeline.EngineDone[1])}
 	for _, m := range st.Timeline.Streams {
-		tl.streamDone[m.ID] = m.Done
+		tl.streamDone[m.ID] = time.Duration(m.Done)
 	}
 	for _, m := range st.Timeline.Events {
-		tl.events[m.ID] = m.Done
+		tl.events[m.ID] = time.Duration(m.Done)
 	}
 	if st.Timeline.NextStream > tl.nextStream {
 		tl.nextStream = st.Timeline.NextStream

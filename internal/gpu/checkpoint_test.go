@@ -3,6 +3,8 @@ package gpu
 import (
 	"bytes"
 	"testing"
+
+	"rcuda/internal/protocol"
 )
 
 func newCkptDevice(total uint64) *Device {
@@ -183,7 +185,7 @@ func TestRestoreStateIsolation(t *testing.T) {
 func TestRestoreStateRollback(t *testing.T) {
 	dev := newCkptDevice(4096)
 	c := dev.NewContextPreinitialized()
-	st := &ContextState{Allocs: []AllocState{
+	st := &protocol.DeviceCheckpoint{Allocs: []protocol.AllocCheckpoint{
 		{Addr: 256, Size: 16, Data: make([]byte, 16)},
 		{Addr: 512, Size: 16, Data: make([]byte, 8)}, // size/data mismatch
 	}}
@@ -197,7 +199,7 @@ func TestRestoreStateRollback(t *testing.T) {
 	if _, err := c.Malloc(16); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RestoreState(&ContextState{}); err == nil {
+	if err := c.RestoreState(&protocol.DeviceCheckpoint{}); err == nil {
 		t.Fatal("restore into non-empty context accepted")
 	}
 }

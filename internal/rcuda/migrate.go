@@ -9,7 +9,6 @@ import (
 	"rcuda/internal/cudart"
 	"rcuda/internal/gpu"
 	"rcuda/internal/protocol"
-	"rcuda/internal/sched"
 	"rcuda/internal/transport"
 )
 
@@ -39,17 +38,6 @@ func WithSessionIDBase(base uint64) ServerOption {
 	return func(s *Server) { s.nextSession = base }
 }
 
-// WithMigrateChunkSize overrides the chunk size of outbound migration
-// streams; the default is protocol.DefaultChunkSize. Small values are for
-// tests that want many chunk frames on the wire.
-func WithMigrateChunkSize(n uint32) ServerOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.migrateChunk = n
-		}
-	}
-}
-
 // WithStandbyPeer starts a background loop that, every interval, streams a
 // checkpoint of each parked durable session to the peer dialed by dial —
 // but only sessions whose state changed since their last copy (a session
@@ -75,28 +63,11 @@ func (s *Server) DurableSessions() []uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ids := make([]uint64, 0, len(s.registry))
-	for id, sess := range s.registry {
-		if !sess.destroyed {
-			ids = append(ids, id)
-		}
+	for id := range s.registry {
+		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// CheckpointSession serializes a parked durable session into a checkpoint
-// without disturbing it. The session must be parked: an attached session
-// is being mutated by its client and has no consistent instant to capture.
-func (s *Server) CheckpointSession(id uint64) (*protocol.Checkpoint, error) {
-	sess, err := s.claimParked(id)
-	if err != nil {
-		return nil, err
-	}
-	ckpt, err := s.buildCheckpoint(sess)
-	s.mu.Lock()
-	sess.migrating = false
-	s.mu.Unlock()
-	return ckpt, err
 }
 
 // MigrateSession moves session id to the daemon reached by dial: quiesce
@@ -106,25 +77,19 @@ func (s *Server) CheckpointSession(id uint64) (*protocol.Checkpoint, error) {
 // failure leaves the session parked and reattachable right here. It
 // returns the checkpoint bytes streamed.
 func (s *Server) MigrateSession(id uint64, dial func() (transport.Conn, error)) (int64, error) {
-	sess, err := s.quiesceForMigration(id)
+	sess, err := s.claim(id, true)
 	if err != nil {
 		s.counters.MigrationFailures.Add(1)
 		return 0, err
 	}
 	n, err := s.streamSession(sess, dial)
 	if err != nil {
-		s.mu.Lock()
-		sess.migrating = false
-		s.mu.Unlock()
+		s.unclaim(sess)
 		s.counters.MigrationFailures.Add(1)
 		return 0, err
 	}
 	s.mu.Lock()
-	delete(s.registry, id)
-	if s.migrated == nil {
-		s.migrated = make(map[uint64]struct{})
-	}
-	s.migrated[id] = struct{}{}
+	s.retireLocked(sess, protocol.CodeSessionMigrated)
 	s.mu.Unlock()
 	s.destroySession(sess)
 	s.counters.Migrations.Add(1)
@@ -136,16 +101,15 @@ func (s *Server) MigrateSession(id uint64, dial func() (transport.Conn, error)) 
 // CheckpointTo streams a copy of a parked session to a peer without
 // destroying the local one — the standby-checkpoint primitive. The session
 // is held parked (reattaches see busy) only for the duration of the copy.
+// A refused claim is the caller's to handle; only a copy that started and
+// failed counts as a MigrationFailure.
 func (s *Server) CheckpointTo(id uint64, dial func() (transport.Conn, error)) (int64, error) {
-	sess, err := s.claimParked(id)
+	sess, err := s.claim(id, false)
 	if err != nil {
-		s.counters.MigrationFailures.Add(1)
 		return 0, err
 	}
 	n, err := s.streamSession(sess, dial)
-	s.mu.Lock()
-	sess.migrating = false
-	s.mu.Unlock()
+	s.unclaim(sess)
 	if err != nil {
 		s.counters.MigrationFailures.Add(1)
 		return 0, err
@@ -154,79 +118,61 @@ func (s *Server) CheckpointTo(id uint64, dial func() (transport.Conn, error)) (i
 	return n, nil
 }
 
-// claimParked marks a parked, unclaimed durable session as migrating so no
-// reattach can splice onto it mid-capture.
-func (s *Server) claimParked(id uint64) (*session, error) {
+// claim marks session id claimed by a migration or standby copy: until
+// unclaim, reattaches are refused busy, inbound restores cannot replace it
+// and the TTL collector leaves it alone. A parked session is claimed at
+// once and an attached one refused busy, unless force is set: then its
+// connection is closed and the claim completes when the handler observes
+// the dead transport and parks it through the normal path — so the parked
+// state is exactly what a crash would have left, already proven consistent
+// by the reattach machinery.
+func (s *Server) claim(id uint64, force bool) (*session, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	sess, known := s.registry[id]
+	sess, refusal := s.lookupLocked(id)
+	var err error
 	switch {
-	case !known || sess.destroyed:
-		if _, gone := s.migrated[id]; gone {
-			return nil, fmt.Errorf("rcuda: session %d already migrated: %w", id, ErrSessionMigrated)
-		}
-		return nil, fmt.Errorf("rcuda: unknown session %d", id)
+	case refusal == protocol.CodeSessionMigrated:
+		err = fmt.Errorf("rcuda: session %d already migrated: %w", id, ErrSessionMigrated)
+	case sess == nil:
+		err = fmt.Errorf("rcuda: unknown session %d", id)
 	case sess.migrating:
-		return nil, fmt.Errorf("rcuda: session %d already migrating: %w", id, ErrServerBusy)
-	case sess.attached:
-		return nil, fmt.Errorf("rcuda: session %d is attached: %w", id, ErrServerBusy)
+		err = fmt.Errorf("rcuda: session %d already migrating: %w", id, ErrServerBusy)
+	case sess.attached && !force:
+		err = fmt.Errorf("rcuda: session %d is attached: %w", id, ErrServerBusy)
+	}
+	if err != nil {
+		s.mu.Unlock()
+		return nil, err
 	}
 	sess.migrating = true
-	return sess, nil
-}
-
-// quiesceForMigration claims session id for migration, force-parking a
-// still-attached session: the migrating mark blocks reattach claims, the
-// session's connection is closed, and the claim completes when the handler
-// observes the dead transport and parks through the normal path — so the
-// parked state is exactly what a crash would have left, already proven
-// consistent by the reattach machinery.
-func (s *Server) quiesceForMigration(id uint64) (*session, error) {
+	attached, conn, parked := sess.attached, sess.conn, sess.parkCh
+	s.mu.Unlock()
+	if !attached {
+		return sess, nil
+	}
+	if conn != nil {
+		_ = conn.Close()
+	}
 	timer := time.NewTimer(reattachWait)
 	defer timer.Stop()
-	claimed := false
-	for {
-		s.mu.Lock()
-		sess, known := s.registry[id]
-		if !known || sess.destroyed {
-			_, gone := s.migrated[id]
-			s.mu.Unlock()
-			if gone {
-				return nil, fmt.Errorf("rcuda: session %d already migrated: %w", id, ErrSessionMigrated)
-			}
-			return nil, fmt.Errorf("rcuda: unknown session %d", id)
-		}
-		if sess.migrating && !claimed {
-			s.mu.Unlock()
-			return nil, fmt.Errorf("rcuda: session %d already migrating: %w", id, ErrServerBusy)
-		}
-		sess.migrating = true
-		claimed = true
-		if !sess.attached {
-			s.mu.Unlock()
-			return sess, nil
-		}
-		conn := sess.conn
-		parked := sess.parkCh
-		s.mu.Unlock()
-		if conn != nil {
-			_ = conn.Close()
-		}
-		abort := func(err error) (*session, error) {
-			s.mu.Lock()
-			sess.migrating = false
-			s.mu.Unlock()
-			return nil, err
-		}
-		select {
-		case <-parked:
-			// Re-check under the lock; the next iteration claims it parked.
-		case <-timer.C:
-			return abort(fmt.Errorf("rcuda: quiesce of session %d timed out: %w", id, ErrServerBusy))
-		case <-s.doneCh:
-			return abort(errors.New("rcuda: server shutting down"))
-		}
+	select {
+	case <-parked:
+		// Only a park closes parkCh, and the claim keeps a reattach off it.
+		return sess, nil
+	case <-timer.C:
+		err = fmt.Errorf("rcuda: quiesce of session %d timed out: %w", id, ErrServerBusy)
+	case <-s.doneCh:
+		err = errors.New("rcuda: server shutting down")
 	}
+	s.unclaim(sess)
+	return nil, err
+}
+
+// unclaim releases a claim taken by claim.
+func (s *Server) unclaim(sess *session) {
+	s.mu.Lock()
+	sess.migrating = false
+	s.mu.Unlock()
 }
 
 // buildCheckpoint serializes a claimed session. The caller holds the
@@ -249,28 +195,12 @@ func (s *Server) buildCheckpoint(sess *session) (*protocol.Checkpoint, error) {
 	}
 	sort.Ints(devs)
 	for _, d := range devs {
-		st, err := sess.ctxs[d].ExportState()
+		dc, err := sess.ctxs[d].ExportState()
 		if err != nil {
 			return nil, fmt.Errorf("rcuda: checkpoint session %d device %d: %w", sess.id, d, err)
 		}
-		dc := protocol.DeviceCheckpoint{
-			Device: uint32(d),
-			Timeline: protocol.TimelineCheckpoint{
-				EngineDone: [2]uint64{uint64(st.Timeline.EngineDone[0]), uint64(st.Timeline.EngineDone[1])},
-				NextStream: st.Timeline.NextStream,
-				NextEvent:  st.Timeline.NextEvent,
-			},
-		}
-		for _, al := range st.Allocs {
-			dc.Allocs = append(dc.Allocs, protocol.AllocCheckpoint{Addr: al.Addr, Size: al.Size, Data: al.Data})
-		}
-		for _, m := range st.Timeline.Streams {
-			dc.Timeline.Streams = append(dc.Timeline.Streams, protocol.TimelineEntry{ID: m.ID, Done: uint64(m.Done)})
-		}
-		for _, m := range st.Timeline.Events {
-			dc.Timeline.Events = append(dc.Timeline.Events, protocol.TimelineEntry{ID: m.ID, Done: uint64(m.Done)})
-		}
-		c.Devices = append(c.Devices, dc)
+		dc.Device = uint32(d)
+		c.Devices = append(c.Devices, *dc)
 	}
 	return c, nil
 }
@@ -286,9 +216,6 @@ func (s *Server) streamSession(sess *session, dial func() (transport.Conn, error
 	}
 	payload := ckpt.Encode(nil)
 	chunkSize := s.migrateChunk
-	if chunkSize == 0 {
-		chunkSize = protocol.DefaultChunkSize
-	}
 	conn, err := openRestore(sess.id, dial)
 	if err != nil {
 		return 0, err
@@ -393,17 +320,9 @@ func (s *Server) serveRestoreConn(conn transport.Conn, rr *protocol.SessionResto
 		s.counters.RejectedSessions.Add(1)
 		return s.refuseRestore(conn, rr.Session, err)
 	}
-	sess := &session{
-		srv:        s,
-		ctxs:       map[int]*gpu.Context{},
-		slotHeld:   s.guard.slots != nil,
-		id:         rr.Session,
-		durable:    true,
-		attached:   true,
-		standby:    true,
-		parkCh:     make(chan struct{}),
-		schedClass: sched.Batch,
-	}
+	sess := s.newSession()
+	sess.id, sess.durable, sess.attached, sess.standby = rr.Session, true, true, true
+	sess.parkCh = make(chan struct{})
 	var replaced *session
 	s.mu.Lock()
 	if s.closed {
@@ -423,17 +342,13 @@ func (s *Server) serveRestoreConn(conn transport.Conn, rr *protocol.SessionResto
 		delete(s.registry, rr.Session)
 		replaced = old
 	}
-	if s.registry == nil {
-		s.registry = make(map[uint64]*session)
-	}
 	s.registry[rr.Session] = sess
 	if rr.Session > s.nextSession {
 		s.nextSession = rr.Session
 	}
-	// A session that migrated away can migrate back; the tombstones yield
-	// to the live state.
-	delete(s.migrated, rr.Session)
-	delete(s.evicted, rr.Session)
+	// A session that migrated away can migrate back, and an evicted id can
+	// be restored: the tombstone yields to the live state.
+	delete(s.tombstones, rr.Session)
 	s.mu.Unlock()
 	if replaced != nil {
 		s.destroySession(replaced)
@@ -455,10 +370,7 @@ func (s *Server) serveRestoreConn(conn transport.Conn, rr *protocol.SessionResto
 		return err
 	}
 	s.mu.Lock()
-	sess.attached = false
-	sess.parkedAt = time.Now()
-	close(sess.parkCh)
-	s.maybeStartGCLocked()
+	s.parkLocked(sess)
 	s.mu.Unlock()
 	s.counters.RestoreFromCheckpoint.Add(1)
 	s.logf("rcuda: restored session %d from checkpoint", sess.id)
@@ -558,62 +470,27 @@ func (s *Server) materializeCheckpoint(sess *session, c *protocol.Checkpoint) er
 		return err
 	}
 	sess.module = mod
-	if int(c.CurDevice) >= len(s.devs) {
-		return fmt.Errorf("rcuda: checkpoint selects device %d of %d", c.CurDevice, len(s.devs))
-	}
-	sess.cur = int(c.CurDevice)
 	// The scheduling identity travels with the session: the restored
 	// session is not attached yet, so no gauge moves — serveSession's
 	// attach accounting picks the class up at reattach time.
 	s.applySchedParams(sess, c.SchedClass, c.SchedWeight, false)
-	newCtx := func(d int) (*gpu.Context, error) {
-		if d >= len(s.devs) {
-			return nil, fmt.Errorf("rcuda: checkpoint uses device %d of %d", d, len(s.devs))
-		}
-		if _, dup := sess.ctxs[d]; dup {
-			return nil, fmt.Errorf("rcuda: checkpoint repeats device %d", d)
-		}
-		ctx := s.devs[d].NewContextPreinitialized()
-		if err := ctx.LoadModule(mod); err != nil {
-			_ = ctx.Destroy()
-			return nil, err
-		}
-		sess.ctxs[d] = ctx
-		s.devSessions[d].Add(1)
-		return ctx, nil
-	}
 	for i := range c.Devices {
 		dc := &c.Devices[i]
-		ctx, err := newCtx(int(dc.Device))
-		if err != nil {
-			return err
+		d := int(dc.Device)
+		if _, dup := sess.ctxs[d]; dup {
+			return fmt.Errorf("rcuda: checkpoint repeats device %d", d)
 		}
-		st := &gpu.ContextState{
-			Timeline: gpu.TimelineState{
-				EngineDone: [2]time.Duration{time.Duration(dc.Timeline.EngineDone[0]), time.Duration(dc.Timeline.EngineDone[1])},
-				NextStream: dc.Timeline.NextStream,
-				NextEvent:  dc.Timeline.NextEvent,
-			},
+		if err := sess.setDevice(d); err != nil {
+			return fmt.Errorf("rcuda: checkpoint device %d of %d: %w", d, len(s.devs), err)
 		}
-		for _, al := range dc.Allocs {
-			st.Allocs = append(st.Allocs, gpu.AllocState{Addr: al.Addr, Size: al.Size, Data: al.Data})
-		}
-		for _, m := range dc.Timeline.Streams {
-			st.Timeline.Streams = append(st.Timeline.Streams, gpu.MarkState{ID: m.ID, Done: time.Duration(m.Done)})
-		}
-		for _, m := range dc.Timeline.Events {
-			st.Timeline.Events = append(st.Timeline.Events, gpu.MarkState{ID: m.ID, Done: time.Duration(m.Done)})
-		}
-		if err := ctx.RestoreState(st); err != nil {
+		if err := sess.ctxs[d].RestoreState(dc); err != nil {
 			return err
 		}
 	}
-	if _, ok := sess.ctxs[sess.cur]; !ok {
-		// An empty session checkpoints no device blocks; its current device
-		// still needs a live context for the first post-reattach request.
-		if _, err := newCtx(sess.cur); err != nil {
-			return err
-		}
+	// An empty session checkpoints no device blocks; its current device
+	// still needs a live context for the first post-reattach request.
+	if err := sess.setDevice(int(c.CurDevice)); err != nil {
+		return fmt.Errorf("rcuda: checkpoint selects device %d of %d: %w", c.CurDevice, len(s.devs), err)
 	}
 	sess.lastBatchSeq = c.LastBatchSeq
 	if c.LastBatchCodes != nil {
@@ -645,34 +522,25 @@ func (s *Server) standbyLoop(interval time.Duration, done chan struct{}) {
 // skipped and caught by a later sweep.
 func (s *Server) standbySweep() {
 	type cand struct {
-		id       uint64
+		sess     *session
 		parkedAt time.Time
 	}
 	s.mu.Lock()
-	if s.standbyCopied == nil {
-		s.standbyCopied = make(map[uint64]time.Time)
-	}
-	for id := range s.standbyCopied {
-		if _, live := s.registry[id]; !live {
-			delete(s.standbyCopied, id)
-		}
-	}
 	var cands []cand
-	for id, sess := range s.registry {
-		if !sess.attached && !sess.destroyed && !sess.migrating && !sess.standby &&
-			!sess.parkedAt.Equal(s.standbyCopied[id]) {
-			cands = append(cands, cand{id, sess.parkedAt})
+	for _, sess := range s.registry {
+		if !sess.attached && !sess.migrating && !sess.standby && !sess.parkedAt.Equal(sess.standbyCopied) {
+			cands = append(cands, cand{sess, sess.parkedAt})
 		}
 	}
 	s.mu.Unlock()
-	sort.Slice(cands, func(i, j int) bool { return cands[i].id < cands[j].id })
+	sort.Slice(cands, func(i, j int) bool { return cands[i].sess.id < cands[j].sess.id })
 	for _, c := range cands {
-		if _, err := s.CheckpointTo(c.id, s.standbyDial); err != nil {
-			s.logf("rcuda: standby checkpoint of session %d: %v", c.id, err)
+		if _, err := s.CheckpointTo(c.sess.id, s.standbyDial); err != nil {
+			s.logf("rcuda: standby checkpoint of session %d: %v", c.sess.id, err)
 			continue
 		}
 		s.mu.Lock()
-		s.standbyCopied[c.id] = c.parkedAt
+		c.sess.standbyCopied = c.parkedAt
 		s.mu.Unlock()
 	}
 }

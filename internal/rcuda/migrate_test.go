@@ -48,6 +48,12 @@ func startMigrateServer(t *testing.T, opts ...ServerOption) (*Server, string, fu
 	return srv, ln.Addr().String(), cleanup
 }
 
+// withMigrateChunk makes a daemon stream its outbound checkpoints in n-byte
+// chunks, so a small session still crosses the wire as many chunk frames.
+func withMigrateChunk(n uint32) ServerOption {
+	return func(s *Server) { s.migrateChunk = n }
+}
+
 // switcher is a re-pointable dial target: the test plays broker, re-aiming
 // the client's reconnect dialer at the destination after a migration.
 type switcher struct{ addr atomic.Value }
@@ -88,17 +94,12 @@ func openSwitchClient(t *testing.T, sw *switcher, module []byte, extra ...Client
 	return client
 }
 
-// registryLen counts the server's live durable sessions.
+// registryLen counts the server's live durable sessions: the registry
+// holds no destroyed one.
 func registryLen(s *Server) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, sess := range s.registry {
-		if !sess.destroyed {
-			n++
-		}
-	}
-	return n
+	return len(s.registry)
 }
 
 // waitSettled polls until the server holds exactly want live sessions, all
@@ -682,16 +683,16 @@ func TestMigrateClaimErrors(t *testing.T) {
 	if got := src.DurableSessions(); len(got) != 1 || got[0] != id {
 		t.Fatalf("durable sessions %v, want [%d]", got, id)
 	}
-	if _, err := src.CheckpointSession(id); !errors.Is(err, ErrServerBusy) {
+	if _, err := src.CheckpointTo(id, dialTo(dstAddr)); !errors.Is(err, ErrServerBusy) {
 		t.Fatalf("checkpoint of attached session: %v", err)
 	}
-	if _, err := src.CheckpointSession(id + 100); err == nil || errors.Is(err, ErrServerBusy) || errors.Is(err, ErrSessionMigrated) {
+	if _, err := src.CheckpointTo(id+100, dialTo(dstAddr)); err == nil || errors.Is(err, ErrServerBusy) || errors.Is(err, ErrSessionMigrated) {
 		t.Fatalf("checkpoint of unknown session: %v", err)
 	}
 	if _, err := src.MigrateSession(id, dialTo(dstAddr)); err != nil {
 		t.Fatalf("migrate: %v", err)
 	}
-	if _, err := src.CheckpointSession(id); !errors.Is(err, ErrSessionMigrated) {
+	if _, err := src.CheckpointTo(id, dialTo(dstAddr)); !errors.Is(err, ErrSessionMigrated) {
 		t.Fatalf("checkpoint of migrated session: %v", err)
 	}
 	if _, err := src.MigrateSession(id, dialTo(dstAddr)); !errors.Is(err, ErrSessionMigrated) {
@@ -724,7 +725,7 @@ func TestMigrateChaosKillsEveryPhase(t *testing.T) {
 
 	// Dry run to learn the dialogue's chunk count for this state shape.
 	chunks := func() int {
-		src, srcAddr, cleanupSrc := startMigrateServer(t, WithMigrateChunkSize(chunkSize))
+		src, srcAddr, cleanupSrc := startMigrateServer(t, withMigrateChunk(chunkSize))
 		defer cleanupSrc()
 		_, dstAddr, cleanupDst := startMigrateServer(t)
 		defer cleanupDst()
@@ -744,7 +745,7 @@ func TestMigrateChaosKillsEveryPhase(t *testing.T) {
 
 	for op := 0; op < faults.MigrateOps(chunks); op++ {
 		t.Run(fmt.Sprintf("reset-at-op-%d", op), func(t *testing.T) {
-			src, srcAddr, cleanupSrc := startMigrateServer(t, WithMigrateChunkSize(chunkSize))
+			src, srcAddr, cleanupSrc := startMigrateServer(t, withMigrateChunk(chunkSize))
 			defer cleanupSrc()
 			dst, dstAddr, cleanupDst := startMigrateServer(t)
 			defer cleanupDst()
@@ -856,7 +857,7 @@ func TestMigrateScriptedFaults(t *testing.T) {
 	want := goldenStaged(t, module, w)
 
 	chunks := func() int {
-		src, srcAddr, cleanupSrc := startMigrateServer(t, WithMigrateChunkSize(chunkSize))
+		src, srcAddr, cleanupSrc := startMigrateServer(t, withMigrateChunk(chunkSize))
 		defer cleanupSrc()
 		_, dstAddr, cleanupDst := startMigrateServer(t)
 		defer cleanupDst()
@@ -881,7 +882,7 @@ func TestMigrateScriptedFaults(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			src, srcAddr, cleanupSrc := startMigrateServer(t, WithMigrateChunkSize(chunkSize))
+			src, srcAddr, cleanupSrc := startMigrateServer(t, withMigrateChunk(chunkSize))
 			defer cleanupSrc()
 			dst, dstAddr, cleanupDst := startMigrateServer(t)
 			defer cleanupDst()

@@ -88,26 +88,21 @@ type Server struct {
 	// client can reattach; see protocol.SessionHelloRequest.
 	registry    map[uint64]*session
 	nextSession uint64
-	// evicted remembers durable sessions the parked-session GC reclaimed,
-	// so a late reattach gets the typed eviction refusal instead of an
-	// anonymous one. Ids are 8 bytes each and only abandoned sessions ever
-	// land here, so the set stays small for any sane TTL.
-	evicted map[uint64]struct{}
-	gcStop  chan struct{}
-	gcDone  chan struct{}
-	// migrated remembers sessions live-migrated to another daemon, so a
-	// late reattach gets the CodeSessionMigrated redirect (see migrate.go).
-	migrated map[uint64]struct{}
-	// migrateChunk is the outbound migration stream's chunk size
-	// (WithMigrateChunkSize); zero means protocol.DefaultChunkSize.
+	// tombstones maps the id of a durable session this daemon no longer
+	// holds to the code refusing a late reattach: CodeSessionEvicted for
+	// one the parked-session GC reclaimed, CodeSessionMigrated for one
+	// live-migrated to another daemon (see migrate.go). Only abandoned or
+	// moved sessions land here, a few bytes each, so the map stays small
+	// for any sane TTL.
+	tombstones map[uint64]uint32
+	gcStop     chan struct{}
+	gcDone     chan struct{}
+	// migrateChunk is the outbound migration stream's chunk size.
 	migrateChunk uint32
-	// Standby-checkpoint loop state (WithStandbyPeer). standbyCopied maps a
-	// session id to the parkedAt instant of its last successful copy,
-	// guarded by mu.
-	standbyDial   func() (transport.Conn, error)
-	standbyEvery  time.Duration
-	standbyDone   chan struct{}
-	standbyCopied map[uint64]time.Time
+	// Standby-checkpoint loop state (WithStandbyPeer).
+	standbyDial  func() (transport.Conn, error)
+	standbyEvery time.Duration
+	standbyDone  chan struct{}
 
 	// Multi-tenant device scheduler (see sched.go in this package and
 	// internal/sched). With schedOn, every device-touching request passes
@@ -163,10 +158,13 @@ func (s *Server) initialDevice() int {
 // NewServer creates a daemon for the given device.
 func NewServer(dev *gpu.Device, opts ...ServerOption) *Server {
 	s := &Server{
-		devs:       []*gpu.Device{dev},
-		closeGrace: DefaultCloseGrace,
-		doneCh:     make(chan struct{}),
-		conns:      make(map[transport.Conn]struct{}),
+		devs:         []*gpu.Device{dev},
+		closeGrace:   DefaultCloseGrace,
+		doneCh:       make(chan struct{}),
+		conns:        make(map[transport.Conn]struct{}),
+		registry:     make(map[uint64]*session),
+		tombstones:   make(map[uint64]uint32),
+		migrateChunk: protocol.DefaultChunkSize,
 	}
 	for _, o := range opts {
 		o(s)
@@ -341,9 +339,6 @@ func (s *Server) makeDurable(sess *session) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !sess.durable {
-		if s.registry == nil {
-			s.registry = make(map[uint64]*session)
-		}
 		s.nextSession++
 		sess.id = s.nextSession
 		sess.durable = true
@@ -390,6 +385,9 @@ type session struct {
 	// no client has claimed yet; a fresher inbound checkpoint may replace
 	// it. Cleared on the first successful reattach. Guarded by srv.mu.
 	standby bool
+	// standbyCopied is the parkedAt instant of the session's last
+	// successful standby copy (WithStandbyPeer). Guarded by srv.mu.
+	standbyCopied time.Time
 	// Batch replay protection (see dispatchBatch): the sequence and result
 	// codes of the last executed batch. Only the session's single handler
 	// goroutine touches them, and they survive park/reattach so a batch
@@ -433,6 +431,12 @@ type replies struct {
 	deviceProps  *protocol.GetDevicePropertiesResponse
 }
 
+// newSession makes a session with no context yet, holding an admission slot
+// when the daemon caps sessions.
+func (s *Server) newSession() *session {
+	return &session{srv: s, ctxs: map[int]*gpu.Context{}, slotHeld: s.guard.slots != nil, schedClass: sched.Batch}
+}
+
 // context returns the context of the currently selected device.
 func (ss *session) context() *gpu.Context { return ss.ctxs[ss.cur] }
 
@@ -460,7 +464,8 @@ func (ss *session) Land(frameLen int, peek []byte) (head int, dst []byte) {
 }
 
 // setDevice switches the session's current device, creating its context on
-// first use.
+// first use — the one place a session opens a context, at admission, on
+// cudaSetDevice and when a checkpoint is restored.
 func (ss *session) setDevice(d int) error {
 	if d < 0 || d >= len(ss.srv.devs) {
 		return cudart.ErrorInvalidValue
@@ -661,10 +666,7 @@ func (s *Server) releaseSession(sess *session, finalized bool) {
 	s.mu.Lock()
 	sess.conn = nil
 	if sess.durable && !finalized && !s.closed && !sess.destroyed {
-		sess.attached = false
-		sess.parkedAt = time.Now()
-		close(sess.parkCh)
-		s.maybeStartGCLocked()
+		s.parkLocked(sess)
 		s.mu.Unlock()
 		s.counters.SessionsParked.Add(1)
 		return
@@ -674,6 +676,40 @@ func (s *Server) releaseSession(sess *session, finalized bool) {
 	}
 	s.mu.Unlock()
 	s.destroySession(sess)
+}
+
+// parkLocked detaches sess from its connection — contexts, module and
+// allocations intact — wakes its reattach waiters and starts its TTL: the
+// one park transition, taken when a connection ends, when a reattach's
+// reply cannot be sent and when a restored checkpoint commits. Caller
+// holds s.mu.
+func (s *Server) parkLocked(sess *session) {
+	sess.attached = false
+	sess.parkedAt = time.Now()
+	close(sess.parkCh)
+	s.maybeStartGCLocked()
+}
+
+// retireLocked removes sess from the registry and tombstones its id with
+// the code refusing a late reattach. Caller holds s.mu.
+func (s *Server) retireLocked(sess *session, code uint32) {
+	delete(s.registry, sess.id)
+	s.tombstones[sess.id] = code
+}
+
+// lookupLocked returns the session id names or, for an id this daemon holds
+// no session under, the code refusing a reattach to it: the tombstone of a
+// session it evicted or migrated away, cudaErrorInitialization for any
+// other id and for every id once shutdown began. Reattach, claim and quiesce
+// all look a session up here. Caller holds s.mu.
+func (s *Server) lookupLocked(id uint64) (*session, uint32) {
+	if sess, ok := s.registry[id]; ok && !s.closed {
+		return sess, 0
+	}
+	if code, ok := s.tombstones[id]; ok {
+		return nil, code
+	}
+	return nil, uint32(cudart.ErrorInitialization)
 }
 
 // maybeStartGCLocked lazily starts the parked-session garbage collector —
@@ -711,19 +747,16 @@ func (s *Server) gcLoop(stop, done chan struct{}, interval time.Duration) {
 	}
 }
 
-// evictExpired destroys every parked session older than the TTL, recording
-// it in the eviction tombstones so a late reattach gets the typed refusal.
+// evictExpired destroys every parked session older than the TTL that no
+// migration or standby copy has claimed, tombstoning it so a late reattach
+// gets the typed refusal.
 func (s *Server) evictExpired() {
 	now := time.Now()
 	s.mu.Lock()
 	var victims []*session
-	for id, sess := range s.registry {
-		if !sess.attached && !sess.destroyed && now.Sub(sess.parkedAt) >= s.parkedTTL {
-			delete(s.registry, id)
-			if s.evicted == nil {
-				s.evicted = make(map[uint64]struct{})
-			}
-			s.evicted[id] = struct{}{}
+	for _, sess := range s.registry {
+		if !sess.attached && !sess.migrating && now.Sub(sess.parkedAt) >= s.parkedTTL {
+			s.retireLocked(sess, protocol.CodeSessionEvicted)
 			victims = append(victims, sess)
 		}
 	}
@@ -805,37 +838,30 @@ func (s *Server) handshake(conn transport.Conn, withinConnCap bool) (*session, e
 func (s *Server) admitSession(conn transport.Conn, initReq *protocol.InitRequest) (*session, error) {
 	initial := s.initialDevice()
 	maj, min := s.devs[initial].Capability()
+	sess := s.newSession()
 	mod, err := gpu.ResolveModule(initReq.Module)
 	if err == nil {
-		ctx := s.devs[initial].NewContextPreinitialized()
-		if loadErr := ctx.LoadModule(mod); loadErr != nil {
-			_ = ctx.Destroy()
-			err = loadErr
-		} else {
-			if sendErr := conn.Send(&protocol.InitResponse{CapabilityMajor: maj, CapabilityMinor: min}); sendErr != nil {
-				_ = ctx.Destroy()
-				return nil, sendErr
-			}
-			s.devSessions[initial].Add(1)
-			return &session{
-				srv:        s,
-				module:     mod,
-				ctxs:       map[int]*gpu.Context{initial: ctx},
-				cur:        initial,
-				slotHeld:   s.guard.slots != nil,
-				schedClass: sched.Batch,
-			}, nil
+		sess.module = mod
+		err = sess.setDevice(initial)
+	}
+	if err != nil {
+		sendErr := conn.Send(&protocol.InitResponse{
+			CapabilityMajor: maj,
+			CapabilityMinor: min,
+			Err:             uint32(cudart.ErrorInitialization),
+		})
+		if sendErr != nil {
+			return nil, sendErr
 		}
+		return nil, fmt.Errorf("rcuda: module load: %w", err)
 	}
-	sendErr := conn.Send(&protocol.InitResponse{
-		CapabilityMajor: maj,
-		CapabilityMinor: min,
-		Err:             uint32(cudart.ErrorInitialization),
-	})
-	if sendErr != nil {
-		return nil, sendErr
+	if err := conn.Send(&protocol.InitResponse{CapabilityMajor: maj, CapabilityMinor: min}); err != nil {
+		// handshake releases the slot of a session that never started.
+		sess.slotHeld = false
+		s.destroySession(sess)
+		return nil, err
 	}
-	return nil, fmt.Errorf("rcuda: module load: %w", err)
+	return sess, nil
 }
 
 // reattachWait bounds how long a reattaching connection waits for the
@@ -855,12 +881,13 @@ func (s *Server) reattachSession(conn transport.Conn, r *protocol.ReattachReques
 	defer timer.Stop()
 	for {
 		s.mu.Lock()
-		sess, known := s.registry[r.Session]
-		_, wasEvicted := s.evicted[r.Session]
-		_, wasMigrated := s.migrated[r.Session]
-		closed := s.closed
-		migrating := known && sess.migrating
-		if known && !closed && !sess.attached && !migrating {
+		sess, refusal := s.lookupLocked(r.Session)
+		if sess != nil && sess.migrating {
+			// Mid-migration: transient from the client's perspective — after
+			// the commit this id answers with the migrated redirect instead.
+			refusal = protocol.CodeServerBusy
+		}
+		if refusal == 0 && !sess.attached {
 			sess.attached = true
 			sess.standby = false
 			sess.parkCh = make(chan struct{})
@@ -871,10 +898,7 @@ func (s *Server) reattachSession(conn transport.Conn, r *protocol.ReattachReques
 				// The splice failed on the wire; park the session again so
 				// another reattach (or the GC) can claim it.
 				s.mu.Lock()
-				sess.attached = false
-				sess.parkedAt = time.Now()
-				close(sess.parkCh)
-				s.maybeStartGCLocked()
+				s.parkLocked(sess)
 				s.mu.Unlock()
 				return nil, err
 			}
@@ -882,27 +906,16 @@ func (s *Server) reattachSession(conn transport.Conn, r *protocol.ReattachReques
 			return sess, nil
 		}
 		var parked <-chan struct{}
-		if known && sess.attached {
+		if sess != nil {
 			parked = sess.parkCh
 		}
 		s.mu.Unlock()
-		switch {
-		case wasMigrated:
-			// Redirect: the session lives on, on another daemon. The broker
-			// has re-pointed the client's route; the next redial lands there.
-			_ = conn.Send(&protocol.ReattachResponse{Err: protocol.CodeSessionMigrated})
-			return nil, fmt.Errorf("rcuda: reattach redirected: session %d: %w", r.Session, ErrSessionMigrated)
-		case wasEvicted:
-			_ = conn.Send(&protocol.ReattachResponse{Err: protocol.CodeSessionEvicted})
-			return nil, fmt.Errorf("rcuda: reattach refused: session %d: %w", r.Session, ErrSessionEvicted)
-		case !known || closed:
-			_ = conn.Send(&protocol.ReattachResponse{Err: uint32(cudart.ErrorInitialization)})
-			return nil, fmt.Errorf("rcuda: reattach refused for session %d (known=%v)", r.Session, known)
-		case migrating:
-			// Mid-migration: transient from the client's perspective — after
-			// the commit this id answers with the migrated redirect instead.
-			_ = conn.Send(&protocol.ReattachResponse{Err: protocol.CodeServerBusy})
-			return nil, fmt.Errorf("rcuda: reattach during migration of session %d: %w", r.Session, ErrServerBusy)
+		if refusal != 0 {
+			// A migrated session lives on at another daemon, where the
+			// broker has re-pointed the client's route; an evicted one is
+			// gone for good.
+			_ = conn.Send(&protocol.ReattachResponse{Err: refusal})
+			return nil, fmt.Errorf("rcuda: reattach of session %d refused: %w", r.Session, refusalErr(refusal))
 		}
 		select {
 		case <-parked:
@@ -916,6 +929,19 @@ func (s *Server) reattachSession(conn transport.Conn, r *protocol.ReattachReques
 			// Loop observes closed and refuses.
 		}
 	}
+}
+
+// refusalErr is the error a reattach refused with code reports.
+func refusalErr(code uint32) error {
+	switch code {
+	case protocol.CodeServerBusy:
+		return ErrServerBusy
+	case protocol.CodeSessionEvicted:
+		return ErrSessionEvicted
+	case protocol.CodeSessionMigrated:
+		return ErrSessionMigrated
+	}
+	return errors.New("rcuda: unknown session")
 }
 
 // dispatch executes one request and sends its response. It reports

@@ -67,8 +67,9 @@ type ServerCounts[T any] struct {
 	// copies both).
 	Migrations     T
 	MigrationBytes T
-	// MigrationFailures counts outbound migrations and standby copies that
-	// failed; the session stays intact and reattachable here.
+	// MigrationFailures counts outbound migrations that failed and standby
+	// copies that failed after their claim was granted; the session stays
+	// intact and reattachable here.
 	MigrationFailures T
 	// RestoreFromCheckpoint counts sessions this daemon materialized from
 	// an inbound checkpoint stream (a migration's destination half, or a
@@ -139,7 +140,7 @@ func (s *Server) parkedNow() int {
 	defer s.mu.Unlock()
 	n := 0
 	for _, sess := range s.registry {
-		if !sess.attached && !sess.destroyed {
+		if !sess.attached {
 			n++
 		}
 	}
