@@ -28,7 +28,7 @@ help:
 	@echo "  bench-check  CI freshness check: re-run all three suites, fail if a BENCH file is stale"
 	@echo "  bench-wall   wall-clock benchmark of the remoting stack (BENCHMARK.json, ~90 s)"
 	@echo "  bench-wall-smoke  CI correctness check: one second each of the two inference, fleet placement, the two bulk-copy, the session churn, the simulated-pipe copy and the null-call workloads"
-	@echo "  fuzz         short fuzzing pass over the wire-protocol decoders, the socket frame reader and Sgemm against its portable tile"
+	@echo "  fuzz         short fuzzing pass over every fuzz target: the wire-protocol decoders, the chunk assembler, the socket frame reader and Sgemm against its portable tile"
 	@echo "  pool         broker demo: 3 local daemons, one killed mid-batch"
 	@echo "  repro        regenerate every table and figure of the paper on stdout"
 	@echo "  figures      render the figures as SVGs under figs/"
@@ -191,17 +191,27 @@ bench-wall-smoke:
 	bash bench/run.sh --workload infer_unbatched --seed 1 --seconds 1 --trace 0
 	bash bench/run.sh --workload rtt_small --seed 1 --seconds 1 --trace 0
 
-# Short fuzzing pass over the wire-protocol decoders, over the socket receive
-# that frames every message the daemon and the client read, and over Sgemm
-# against the portable tile (the differential oracle of the amd64
-# micro-kernel).
+# Short fuzzing pass over every fuzz target in the repository: the
+# wire-protocol decoders, the chunk assembler of both chunk streams (a
+# chunked copy's and a migration's), the socket receive that frames every
+# message the daemon and the client read, and Sgemm against the portable
+# tile (the differential oracle of the amd64 micro-kernel). The nightly
+# workflow runs this same list for longer (FUZZTIME=120s);
+# TestFuzzListNamesEveryTarget (internal/analysis) fails when a target is
+# missing from it.
+FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/protocol/
-	$(GO) test -fuzz=FuzzDecodeStatsReply -fuzztime=30s ./internal/protocol/
-	$(GO) test -fuzz=FuzzTryDecodeSessionRestore -fuzztime=30s ./internal/protocol/
-	$(GO) test -fuzz=FuzzDecodeCheckpoint -fuzztime=30s ./internal/protocol/
-	$(GO) test -fuzz=FuzzTCPRecv -fuzztime=30s ./internal/transport/
-	$(GO) test -fuzz=FuzzSgemmAgainstPortable -fuzztime=30s ./internal/blas/
+	$(GO) test -fuzz='^FuzzDecodeRequest$$' -fuzztime=$(FUZZTIME) ./internal/protocol/
+	$(GO) test -fuzz='^FuzzDecodeStatsReply$$' -fuzztime=$(FUZZTIME) ./internal/protocol/
+	$(GO) test -fuzz='^FuzzDecodeBatch$$' -fuzztime=$(FUZZTIME) ./internal/protocol/
+	$(GO) test -fuzz='^FuzzDecodeInitRequest$$' -fuzztime=$(FUZZTIME) ./internal/protocol/
+	$(GO) test -fuzz='^FuzzTryDecodeStatsQuery$$' -fuzztime=$(FUZZTIME) ./internal/protocol/
+	$(GO) test -fuzz='^FuzzTryDecodeSessionRestore$$' -fuzztime=$(FUZZTIME) ./internal/protocol/
+	$(GO) test -fuzz='^FuzzDecodeCheckpoint$$' -fuzztime=$(FUZZTIME) ./internal/protocol/
+	$(GO) test -fuzz='^FuzzChunkAssembler$$' -fuzztime=$(FUZZTIME) ./internal/protocol/
+	$(GO) test -fuzz='^FuzzDecodeMigrateChunk$$' -fuzztime=$(FUZZTIME) ./internal/protocol/
+	$(GO) test -fuzz='^FuzzTCPRecv$$' -fuzztime=$(FUZZTIME) ./internal/transport/
+	$(GO) test -fuzz='^FuzzSgemmAgainstPortable$$' -fuzztime=$(FUZZTIME) ./internal/blas/
 
 # Broker demo: spawn three local daemons, run a verified MM/FFT batch through
 # the pool, and kill one server mid-job to show failover with clean results.

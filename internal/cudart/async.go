@@ -98,7 +98,8 @@ func (l *Local) EventQuery(e Event) error {
 
 // MemcpyToDeviceAsync implements AsyncRuntime.
 func (l *Local) MemcpyToDeviceAsync(dst DevicePtr, src []byte, s Stream) error {
-	return MapError(l.ctx().CopyToDeviceAsync(uint32(dst), src, uint32(s)))
+	_, err := l.ctx().CopyToDeviceAsyncAt(uint32(dst), src, uint32(s), l.dev().Clock().Now())
+	return MapError(err)
 }
 
 // MemcpyToHostAsync implements AsyncRuntime: it reads device memory into dst

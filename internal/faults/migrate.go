@@ -5,7 +5,9 @@ import "time"
 // Migration dialogue operation indices, as counted by a Plan attached to
 // the source daemon's migration connection. The source drives a strictly
 // ordered dialogue (see internal/rcuda.streamSession): a session-restore
-// hello, a begin/ack, a run of unacked chunk frames, and a commit/ack.
+// hello, a begin/ack, a run of unacked chunk frames — sent by the same
+// sendChunks a chunked copy's sender runs, one Send per chunk — and a
+// commit/ack.
 // Pinning injections to these indices lets a chaos test kill the transfer
 // at any exact protocol phase boundary and replay it deterministically.
 //

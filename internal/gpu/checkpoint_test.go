@@ -86,7 +86,7 @@ func TestContextStateRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := c.CopyToDeviceAsync(dst, make([]byte, 2048), s); err != nil {
+			if err := copyAsync(c, dst, make([]byte, 2048), s); err != nil {
 				t.Fatal(err)
 			}
 			if err := c.EventRecord(e, s); err != nil {

@@ -81,7 +81,7 @@ func BenchmarkAsyncScheduling(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ctx.CopyToDeviceAsync(ptr, data, s); err != nil {
+		if err := copyAsync(ctx, ptr, data, s); err != nil {
 			b.Fatal(err)
 		}
 	}

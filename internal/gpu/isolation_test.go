@@ -35,7 +35,6 @@ func TestContextReachesOnlyItsOwnAllocations(t *testing.T) {
 		"HostViewAsyncAt":     func() error { _, _, err := intruder.HostViewAsyncAt(theirs, 16, stream, 0); return err },
 		"Region":              func() error { _, err := intruder.Region(theirs, 16); return err },
 		"CopyToDevice":        func() error { return intruder.CopyToDevice(theirs, make([]byte, 16)) },
-		"CopyToDeviceAsync":   func() error { return intruder.CopyToDeviceAsync(theirs, make([]byte, 16), stream) },
 		"CopyToDeviceAsyncAt": func() error { _, err := intruder.CopyToDeviceAsyncAt(theirs, make([]byte, 16), stream, 0); return err },
 		"Memset":              func() error { return intruder.Memset(theirs, 0, 16) },
 		"D2D source":          func() error { return intruder.CopyDeviceToDevice(mine, theirs, 16) },

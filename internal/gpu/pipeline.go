@@ -14,10 +14,12 @@ import "time"
 
 // CopyToDeviceAsyncAt writes host data into device memory now and books
 // its PCIe time on the copy engine and the stream, with the transfer
-// starting no earlier than notBefore on the device clock. It returns the
-// modeled completion instant. On the default stream or a non-advancing
-// clock it degrades to the synchronous CopyToDevice. Like CopyToDevice it
-// moves nothing when data is the destination's own view (see Region).
+// starting no earlier than notBefore on the device clock: the clock's now
+// for a cudaMemcpyAsync, a chunk's arrival instant for the chunked-memcpy
+// server. It returns the modeled completion instant. On the default stream
+// or a non-advancing clock it degrades to the synchronous CopyToDevice.
+// Like CopyToDevice it moves nothing when data is the destination's own
+// view (see Region).
 func (c *Context) CopyToDeviceAsyncAt(dst uint32, data []byte, stream uint32, notBefore time.Duration) (time.Duration, error) {
 	if stream == DefaultStream || !c.asyncCapable() {
 		if err := c.CopyToDevice(dst, data); err != nil {
@@ -32,7 +34,7 @@ func (c *Context) CopyToDeviceAsyncAt(dst uint32, data []byte, stream uint32, no
 		return 0, err
 	}
 	place(region, data)
-	return c.scheduleAt(copyEngine, stream, c.dev.PCIeTime(int64(len(data))), notBefore)
+	return c.schedule(copyEngine, stream, c.dev.PCIeTime(int64(len(data))), notBefore)
 }
 
 // HostViewAsyncAt is HostView for one chunk of a pipelined device-to-host
@@ -52,7 +54,7 @@ func (c *Context) HostViewAsyncAt(src, size, stream uint32, notBefore time.Durat
 	if err != nil {
 		return nil, 0, err
 	}
-	ready, err := c.scheduleAt(copyEngine, stream, c.dev.PCIeTime(int64(size)), notBefore)
+	ready, err := c.schedule(copyEngine, stream, c.dev.PCIeTime(int64(size)), notBefore)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -64,18 +64,13 @@ var ErrInvalidStream = fmt.Errorf("gpu: invalid stream")
 var ErrInvalidEvent = fmt.Errorf("gpu: invalid event")
 
 // schedule books an async operation of the given cost on an engine and
-// stream, returning its completion instant. The caller holds c.mu.
-func (c *Context) schedule(eng engineKind, stream uint32, cost time.Duration) (time.Duration, error) {
-	return c.scheduleAt(eng, stream, cost, c.dev.cfg.Clock.Now())
-}
-
-// scheduleAt books an async operation that cannot start before the given
-// instant, returning its completion instant. Unlike schedule it does not
-// consult the clock: the chunked-memcpy server books PCIe pushes at each
-// chunk's network-arrival stamp while the sending client has already
-// advanced the shared clock past it, so "now" would erase exactly the
+// stream that cannot start before the given instant, returning its
+// completion instant. The caller names the instant: an operation issued now
+// passes the clock's now, while the chunked-memcpy server books PCIe pushes
+// at each chunk's network-arrival stamp, which the sending client has
+// already advanced the shared clock past — "now" would erase exactly the
 // overlap being modeled. The caller holds c.mu.
-func (c *Context) scheduleAt(eng engineKind, stream uint32, cost, notBefore time.Duration) (time.Duration, error) {
+func (c *Context) schedule(eng engineKind, stream uint32, cost, notBefore time.Duration) (time.Duration, error) {
 	tl := c.tl
 	sdone, ok := tl.streamDone[stream]
 	if !ok {
@@ -181,23 +176,6 @@ func (c *Context) Synchronize() error {
 	return nil
 }
 
-// CopyToDeviceAsync performs the copy functionally now and books its PCIe
-// time on the copy engine and the stream.
-func (c *Context) CopyToDeviceAsync(dst uint32, data []byte, stream uint32) error {
-	if stream == DefaultStream || !c.asyncCapable() {
-		return c.CopyToDevice(dst, data)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	region, err := c.region(dst, uint32(len(data)))
-	if err != nil {
-		return err
-	}
-	copy(region, data)
-	_, err = c.schedule(copyEngine, stream, c.dev.PCIeTime(int64(len(data))))
-	return err
-}
-
 // LaunchAsync executes a kernel on a stream: computation happens now,
 // modeled time is booked on the compute engine. Stream 0 falls back to the
 // synchronous Launch.
@@ -217,7 +195,7 @@ func (c *Context) LaunchAsync(name string, grid, block Dim3, shared uint32, para
 		return err
 	}
 	c.mu.Lock()
-	_, err = c.schedule(execEngine, stream, cost)
+	_, err = c.schedule(execEngine, stream, cost, c.dev.cfg.Clock.Now())
 	c.mu.Unlock()
 	return err
 }

@@ -30,6 +30,12 @@ func streamTestCtx(t *testing.T, kernels ...*Kernel) (*Context, *vclock.Sim) {
 	return ctx, clk
 }
 
+// copyAsync is cudaMemcpyAsync: CopyToDeviceAsyncAt at the clock's now.
+func copyAsync(c *Context, dst uint32, data []byte, stream uint32) error {
+	_, err := c.CopyToDeviceAsyncAt(dst, data, stream, c.dev.cfg.Clock.Now())
+	return err
+}
+
 func TestStreamLifecycle(t *testing.T) {
 	ctx, _ := streamTestCtx(t)
 	s, err := ctx.StreamCreate()
@@ -60,7 +66,7 @@ func TestAsyncCopyDoesNotBlockClock(t *testing.T) {
 	ptr, _ := ctx.Malloc(uint32(len(data)))
 
 	before := clk.Now()
-	if err := ctx.CopyToDeviceAsync(ptr, data, s); err != nil {
+	if err := copyAsync(ctx, ptr, data, s); err != nil {
 		t.Fatal(err)
 	}
 	if clk.Now() != before {
@@ -96,7 +102,7 @@ func TestCopyKernelOverlap(t *testing.T) {
 	copyCost := ctx.dev.PCIeTime(int64(len(data)))
 
 	before := clk.Now()
-	if err := ctx.CopyToDeviceAsync(ptr, data, sA); err != nil {
+	if err := copyAsync(ctx, ptr, data, sA); err != nil {
 		t.Fatal(err)
 	}
 	if err := ctx.LaunchAsync("slow", Dim3{X: 1}, Dim3{X: 1}, 0, nil, sB); err != nil {
@@ -126,10 +132,10 @@ func TestCopiesSerializeOnOneEngine(t *testing.T) {
 	pb, _ := ctx.Malloc(uint32(len(data)))
 
 	before := clk.Now()
-	if err := ctx.CopyToDeviceAsync(pa, data, sA); err != nil {
+	if err := copyAsync(ctx, pa, data, sA); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctx.CopyToDeviceAsync(pb, data, sB); err != nil {
+	if err := copyAsync(ctx, pb, data, sB); err != nil {
 		t.Fatal(err)
 	}
 	if err := ctx.Synchronize(); err != nil {
@@ -150,7 +156,7 @@ func TestStreamOrderingWithinStream(t *testing.T) {
 	ptr, _ := ctx.Malloc(uint32(len(data)))
 
 	before := clk.Now()
-	if err := ctx.CopyToDeviceAsync(ptr, data, s); err != nil {
+	if err := copyAsync(ctx, ptr, data, s); err != nil {
 		t.Fatal(err)
 	}
 	if err := ctx.LaunchAsync("k", Dim3{X: 1}, Dim3{X: 1}, 0, nil, s); err != nil {
@@ -187,7 +193,7 @@ func TestDefaultStreamIsSynchronous(t *testing.T) {
 	data := make([]byte, 1<<20)
 	ptr, _ := ctx.Malloc(uint32(len(data)))
 	before := clk.Now()
-	if err := ctx.CopyToDeviceAsync(ptr, data, DefaultStream); err != nil {
+	if err := copyAsync(ctx, ptr, data, DefaultStream); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := clk.Now()-before, ctx.dev.PCIeTime(int64(len(data))); got != want {
@@ -257,7 +263,7 @@ func TestAsyncOnWallClockDegradesToSync(t *testing.T) {
 	s, _ := ctx.StreamCreate()
 	ptr, _ := ctx.Malloc(64)
 	// Must not hang or error: async degrades to synchronous semantics.
-	if err := ctx.CopyToDeviceAsync(ptr, make([]byte, 64), s); err != nil {
+	if err := copyAsync(ctx, ptr, make([]byte, 64), s); err != nil {
 		t.Fatal(err)
 	}
 	if err := ctx.StreamSynchronize(s); err != nil {
@@ -294,7 +300,7 @@ func TestAsyncOnDeadContext(t *testing.T) {
 func TestAsyncCopyToUnknownStream(t *testing.T) {
 	ctx, _ := streamTestCtx(t)
 	ptr, _ := ctx.Malloc(64)
-	if err := ctx.CopyToDeviceAsync(ptr, make([]byte, 64), 42); !errors.Is(err, ErrInvalidStream) {
+	if err := copyAsync(ctx, ptr, make([]byte, 64), 42); !errors.Is(err, ErrInvalidStream) {
 		t.Fatalf("copy to unknown stream = %v, want ErrInvalidStream", err)
 	}
 }

@@ -11,8 +11,9 @@ import "fmt"
 // deliberately absent: the server derives it live from the restored
 // allocations, so it can never drift from them.
 //
-// The checkpoint travels inside MigrateChunk frames and is not itself a
-// request; it has its own decoder (DecodeCheckpoint) and a version header
+// The checkpoint travels inside Chunk frames of stream OpMigrateChunk,
+// landed straight in the destination's checkpoint buffer, and is not itself
+// a request; it has its own decoder (DecodeCheckpoint) and a version header
 // so the format can evolve without ambiguity.
 
 // CheckpointVersion is the serialization version this package writes.

@@ -71,58 +71,60 @@ func (m *MemcpyStreamBeginRequest) CopyBytes() int { return int(m.Total) }
 
 // --- Chunk -------------------------------------------------------------------
 
-// MemcpyStreamChunk carries one payload slice: id (4) + sequence (4) +
-// size (4) + data (x) = x+12 bytes. Chunks flow client→server on
-// host-to-device transfers and server→client on device-to-host ones, and
-// are never individually acknowledged.
-type MemcpyStreamChunk struct {
+// Chunk carries one payload slice of a chunked stream: id (4) + sequence
+// (4) + size (4) + data (x) = x+12 bytes. Kind is its id, the stream it
+// belongs to: OpMemcpyStreamChunk for a chunked copy, whose chunks flow
+// client→server on host-to-device transfers and server→client on
+// device-to-host ones, or OpMigrateChunk for a checkpoint stream between
+// daemons (migrate.go). Chunks are never individually acknowledged.
+type Chunk struct {
+	Kind Op
 	Seq  uint32
 	Data []byte
 }
 
 // Encode implements Message.
-func (m *MemcpyStreamChunk) Encode(dst []byte) []byte {
+func (m *Chunk) Encode(dst []byte) []byte {
 	dst = m.SegmentHead(dst)
 	return append(dst, m.Data...)
 }
 
 // WireSize implements Message.
-func (m *MemcpyStreamChunk) WireSize() int { return 12 + len(m.Data) }
+func (m *Chunk) WireSize() int { return 12 + len(m.Data) }
 
 // Op implements Request.
-func (m *MemcpyStreamChunk) Op() Op { return OpMemcpyStreamChunk }
+func (m *Chunk) Op() Op { return m.Kind }
 
 // SegmentHead implements Segmented.
-func (m *MemcpyStreamChunk) SegmentHead(dst []byte) []byte {
-	dst = putU32(dst, uint32(OpMemcpyStreamChunk))
+func (m *Chunk) SegmentHead(dst []byte) []byte {
+	dst = putU32(dst, uint32(m.Kind))
 	dst = putU32(dst, m.Seq)
 	return putU32(dst, uint32(len(m.Data)))
 }
 
 // SegmentBulk implements Segmented.
-func (m *MemcpyStreamChunk) SegmentBulk() []byte { return m.Data }
+func (m *Chunk) SegmentBulk() []byte { return m.Data }
 
 // SegmentTail implements Segmented.
-func (m *MemcpyStreamChunk) SegmentTail(dst []byte) []byte { return dst }
+func (m *Chunk) SegmentTail(dst []byte) []byte { return dst }
 
-// DecodeMemcpyStreamChunk parses a stream chunk. Data aliases b — the
-// caller owns b until the chunk has been consumed.
-func DecodeMemcpyStreamChunk(b []byte) (*MemcpyStreamChunk, error) {
-	return decodeStreamChunk(&fresh, b)
-}
+// DecodeChunk parses a chunk of either stream. Data aliases b — the caller
+// owns b until the chunk has been consumed.
+func DecodeChunk(b []byte) (*Chunk, error) { return decodeChunk(&fresh, b) }
 
-func decodeStreamChunk(d *Decoder, b []byte) (*MemcpyStreamChunk, error) {
+func decodeChunk(d *Decoder, b []byte) (*Chunk, error) {
 	if len(b) < 12 {
 		return nil, ErrShortMessage
 	}
-	if op := Op(getU32(b, 0)); op != OpMemcpyStreamChunk {
-		return nil, fmt.Errorf("%w: %d, want stream chunk", ErrBadOp, uint32(op))
+	op := Op(getU32(b, 0))
+	if op != OpMemcpyStreamChunk && op != OpMigrateChunk {
+		return nil, fmt.Errorf("%w: %d, want a chunk", ErrBadOp, uint32(op))
 	}
 	size := int(getU32(b, 8))
 	if len(b) != 12+size {
-		return nil, fmt.Errorf("protocol: stream chunk size %d does not match payload %d", size, len(b)-12)
+		return nil, fmt.Errorf("protocol: chunk size %d does not match payload %d", size, len(b)-12)
 	}
-	return keep(d, &d.streamChunk, MemcpyStreamChunk{Seq: getU32(b, 4), Data: b[12:]}), nil
+	return keep(d, &d.chunk, Chunk{Kind: op, Seq: getU32(b, 4), Data: b[12:]}), nil
 }
 
 // --- End ---------------------------------------------------------------------
@@ -167,7 +169,8 @@ func decodeMemcpyStreamBegin(d *Decoder, b []byte) (Request, error) {
 	return keep(d, &d.streamBegin, m), nil
 }
 
-func decodeMemcpyStreamChunk(d *Decoder, b []byte) (Request, error) { return decodeStreamChunk(d, b) }
+// decodeChunkRow is the decoder of both chunk rows.
+func decodeChunkRow(d *Decoder, b []byte) (Request, error) { return decodeChunk(d, b) }
 
 func decodeMemcpyStreamEnd(d *Decoder, b []byte) (Request, error) {
 	return keep(d, &d.streamEnd, MemcpyStreamEndRequest{Chunks: getU32(b, 4)}), nil
@@ -175,28 +178,29 @@ func decodeMemcpyStreamEnd(d *Decoder, b []byte) (Request, error) {
 
 // --- Reassembly --------------------------------------------------------------
 
-// chunkHeadSize is the fixed part of a MemcpyStreamChunk that precedes its
-// data.
+// chunkHeadSize is the fixed part of a Chunk that precedes its data.
 const chunkHeadSize = 12
 
 // peekChunk reads the head of a frame of frameLen bytes whose leading bytes
-// are peek. ok reports a well-formed stream chunk whose declared size
+// are peek. ok reports a well-formed chunk of stream op whose declared size
 // accounts for exactly the rest of the frame.
-func peekChunk(frameLen int, peek []byte) (seq uint32, size int, ok bool) {
-	if len(peek) < chunkHeadSize || Op(getU32(peek, 0)) != OpMemcpyStreamChunk {
+func peekChunk(op Op, frameLen int, peek []byte) (seq uint32, size int, ok bool) {
+	if len(peek) < chunkHeadSize || Op(getU32(peek, 0)) != op {
 		return 0, 0, false
 	}
 	size = int(getU32(peek, 8))
 	return getU32(peek, 4), size, frameLen == chunkHeadSize+size
 }
 
-// ChunkAssembler validates the chunk sequence of one transfer and, when
-// given the transfer's destination — the application's buffer on the
-// client, the device region on the server — puts every chunk in place
-// there. A transport that lands payloads (the assembler is its Lander)
-// reads a chunk's bytes straight into their slot; a chunk received whole is
+// ChunkAssembler validates the sequence of one transfer's chunks, all of
+// one stream op, and, when given the transfer's destination — the
+// application's buffer on the client, the device region on the server, the
+// checkpoint buffer on a migration's destination — puts every chunk in place
+// there. A transport that lands payloads (the assembler is its Lander) reads
+// a chunk's bytes straight into their slot; a chunk received whole is
 // copied in by Add. A nil destination validates only.
 type ChunkAssembler struct {
+	op        Op
 	dst       []byte
 	total     int
 	chunkSize int
@@ -208,8 +212,9 @@ type ChunkAssembler struct {
 }
 
 // NewChunkAssembler prepares reassembly of a transfer of total bytes in
-// chunkSize-byte chunks. dst must be nil or exactly total bytes long.
-func NewChunkAssembler(total, chunkSize uint32, dst []byte) (*ChunkAssembler, error) {
+// chunkSize-byte chunks of stream op (OpMemcpyStreamChunk or
+// OpMigrateChunk). dst must be nil or exactly total bytes long.
+func NewChunkAssembler(op Op, total, chunkSize uint32, dst []byte) (*ChunkAssembler, error) {
 	if total > MaxFrameSize {
 		return nil, fmt.Errorf("protocol: stream total %d exceeds limit %d", total, MaxFrameSize)
 	}
@@ -219,7 +224,7 @@ func NewChunkAssembler(total, chunkSize uint32, dst []byte) (*ChunkAssembler, er
 	if dst != nil && len(dst) != int(total) {
 		return nil, fmt.Errorf("protocol: assembler buffer %d bytes, want %d", len(dst), total)
 	}
-	return &ChunkAssembler{dst: dst, total: int(total), chunkSize: int(chunkSize)}, nil
+	return &ChunkAssembler{op: op, dst: dst, total: int(total), chunkSize: int(chunkSize)}, nil
 }
 
 // expect checks that a chunk numbered seq carrying size bytes is the one
@@ -245,6 +250,14 @@ func (a *ChunkAssembler) expect(seq uint32, size int) error {
 	return nil
 }
 
+// reject records the transfer's first rejection and returns err.
+func (a *ChunkAssembler) reject(err error) error {
+	if a.failed == nil {
+		a.failed = err
+	}
+	return err
+}
+
 // advance accounts for the expected chunk of size bytes having been put in
 // place, returning the byte offset it belongs at.
 func (a *ChunkAssembler) advance(size int) (off int) {
@@ -254,12 +267,20 @@ func (a *ChunkAssembler) advance(size int) (off int) {
 	return off
 }
 
+// Ends reports whether a frame received whole is no chunk of the transfer's
+// stream: the message that ends it, or one that does not belong there.
+func (a *ChunkAssembler) Ends(frame []byte) bool {
+	return len(frame) < 4 || Op(getU32(frame, 0)) != a.op
+}
+
 // Add validates the next chunk and copies it into place when the assembler
 // owns a destination. It returns the byte offset the chunk belongs at.
-func (a *ChunkAssembler) Add(c *MemcpyStreamChunk) (off int, err error) {
+func (a *ChunkAssembler) Add(c *Chunk) (off int, err error) {
+	if c.Kind != a.op {
+		return 0, a.reject(fmt.Errorf("protocol: %v inside a stream of %v", c.Kind, a.op))
+	}
 	if err := a.expect(c.Seq, len(c.Data)); err != nil {
-		a.failed = err
-		return 0, err
+		return 0, a.reject(err)
 	}
 	if a.dst != nil {
 		copy(a.dst[a.off:], c.Data)
@@ -274,7 +295,7 @@ func (a *ChunkAssembler) Add(c *MemcpyStreamChunk) (off int, err error) {
 // arrives whole, for Add or the caller to reject as it always has. Land
 // changes nothing: a landed chunk counts once AddLanded sees it.
 func (a *ChunkAssembler) Land(frameLen int, peek []byte) (head int, dst []byte) {
-	seq, size, ok := peekChunk(frameLen, peek)
+	seq, size, ok := peekChunk(a.op, frameLen, peek)
 	if !ok || a.dst == nil || a.expect(seq, size) != nil {
 		return 0, nil
 	}
@@ -285,15 +306,15 @@ func (a *ChunkAssembler) Land(frameLen int, peek []byte) (head int, dst []byte) 
 // what was received of the frame itself, landed the memory Land gave out,
 // now holding the chunk's data. It returns the byte offset of the chunk.
 func (a *ChunkAssembler) AddLanded(head, landed []byte) (off int, err error) {
-	seq, size, ok := peekChunk(len(head)+len(landed), head)
+	seq, size, ok := peekChunk(a.op, len(head)+len(landed), head)
 	if !ok || len(head) != chunkHeadSize {
-		return 0, fmt.Errorf("protocol: %d bytes landed behind a %d-byte head that is no stream chunk", len(landed), len(head))
+		return 0, a.reject(fmt.Errorf("protocol: %d bytes landed behind a %d-byte head that is no stream chunk", len(landed), len(head)))
 	}
 	if err := a.expect(seq, size); err != nil {
-		return 0, err
+		return 0, a.reject(err)
 	}
 	if a.dst == nil || &landed[0] != &a.dst[a.off] {
-		return 0, fmt.Errorf("protocol: stream chunk %d landed outside its transfer", seq)
+		return 0, a.reject(fmt.Errorf("protocol: stream chunk %d landed outside its transfer", seq))
 	}
 	return a.advance(size), nil
 }
@@ -301,15 +322,20 @@ func (a *ChunkAssembler) AddLanded(head, landed []byte) (off int, err error) {
 // Complete reports whether every declared byte has arrived.
 func (a *ChunkAssembler) Complete() bool { return a.off == a.total }
 
-// Finish validates the closing End message: the stream must be complete
-// and the sender's chunk count must match what arrived. An early End (the
-// out-of-order case) is an error.
-func (a *ChunkAssembler) Finish(e *MemcpyStreamEndRequest) error {
+// Finish validates the end of the stream against the chunk count its
+// sender declares — a memcpy End's, a migration Commit's, or the count the
+// receiver of a device-to-host copy asked for: no chunk may have been
+// rejected, the stream must be complete and the count must match what
+// arrived. An early end (the out-of-order case) is an error.
+func (a *ChunkAssembler) Finish(chunks uint32) error {
+	if a.failed != nil {
+		return a.failed
+	}
 	if !a.Complete() {
 		return fmt.Errorf("protocol: stream end after %d of %d bytes", a.off, a.total)
 	}
-	if e.Chunks != a.next {
-		return fmt.Errorf("protocol: stream end declares %d chunks, got %d", e.Chunks, a.next)
+	if chunks != a.next {
+		return fmt.Errorf("protocol: stream end declares %d chunks, got %d", chunks, a.next)
 	}
 	return nil
 }

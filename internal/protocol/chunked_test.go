@@ -22,8 +22,8 @@ func TestChunkedRequestRoundTrips(t *testing.T) {
 	reqs := []Request{
 		&MemcpyStreamBeginRequest{Ptr: 0x100, Total: 1 << 20, Kind: KindHostToDevice, ChunkSize: 1 << 16},
 		&MemcpyStreamBeginRequest{Ptr: 0x200, Total: 7, Kind: KindDeviceToHost, ChunkSize: 4},
-		&MemcpyStreamChunk{Seq: 3, Data: []byte{1, 2, 3, 4, 5}},
-		&MemcpyStreamChunk{Seq: 0, Data: nil},
+		&Chunk{Kind: OpMemcpyStreamChunk, Seq: 3, Data: []byte{1, 2, 3, 4, 5}},
+		&Chunk{Kind: OpMemcpyStreamChunk, Seq: 0, Data: nil},
 		&MemcpyStreamEndRequest{Chunks: 16},
 	}
 	for _, req := range reqs {
@@ -79,27 +79,27 @@ func TestStreamBeginRejectsBeforeAllocation(t *testing.T) {
 }
 
 func TestStreamChunkDecodeErrors(t *testing.T) {
-	good := (&MemcpyStreamChunk{Seq: 1, Data: []byte{1, 2, 3}}).Encode(nil)
-	if _, err := DecodeMemcpyStreamChunk(good[:8]); err == nil {
+	good := (&Chunk{Kind: OpMemcpyStreamChunk, Seq: 1, Data: []byte{1, 2, 3}}).Encode(nil)
+	if _, err := DecodeChunk(good[:8]); err == nil {
 		t.Fatal("truncated chunk must fail")
 	}
 	// Declared size larger than the remaining payload.
 	short := append([]byte(nil), good...)
 	short = short[:len(short)-1]
-	if _, err := DecodeMemcpyStreamChunk(short); err == nil {
+	if _, err := DecodeChunk(short); err == nil {
 		t.Fatal("chunk with missing payload bytes must fail")
 	}
 	// Declared size smaller than the payload present.
 	long := append(append([]byte(nil), good...), 0xaa)
-	if _, err := DecodeMemcpyStreamChunk(long); err == nil {
+	if _, err := DecodeChunk(long); err == nil {
 		t.Fatal("chunk with excess payload bytes must fail")
 	}
 	wrongOp := append((&MemcpyStreamEndRequest{}).Encode(nil), 0, 0, 0, 0)
-	if _, err := DecodeMemcpyStreamChunk(wrongOp); err == nil {
+	if _, err := DecodeChunk(wrongOp); err == nil {
 		t.Fatal("wrong op must fail")
 	}
 	// Data must alias the input buffer, not copy it.
-	c, err := DecodeMemcpyStreamChunk(good)
+	c, err := DecodeChunk(good)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestChunkAssemblerReassembles(t *testing.T) {
 	src := []byte("the quick brown fox jumps over the lazy dog")
 	total, chunkSize := uint32(len(src)), uint32(10)
 	dst := make([]byte, total)
-	asm, err := NewChunkAssembler(total, chunkSize, dst)
+	asm, err := NewChunkAssembler(OpMemcpyStreamChunk, total, chunkSize, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestChunkAssemblerReassembles(t *testing.T) {
 		if end > len(src) {
 			end = len(src)
 		}
-		gotOff, err := asm.Add(&MemcpyStreamChunk{Seq: seq, Data: src[off:end]})
+		gotOff, err := asm.Add(&Chunk{Kind: OpMemcpyStreamChunk, Seq: seq, Data: src[off:end]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestChunkAssemblerReassembles(t *testing.T) {
 	if !asm.Complete() {
 		t.Fatal("assembler not complete after all chunks")
 	}
-	if err := asm.Finish(&MemcpyStreamEndRequest{Chunks: Chunks(total, chunkSize)}); err != nil {
+	if err := asm.Finish(Chunks(total, chunkSize)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(dst, src) {
@@ -151,10 +151,10 @@ func TestChunkAssemblerLandsWhatItWouldAdd(t *testing.T) {
 	src := []byte("the quick brown fox jumps over the lazy dog")
 	total, chunkSize := uint32(len(src)), uint32(10)
 	landedDst, addedDst := make([]byte, total), make([]byte, total)
-	landing, _ := NewChunkAssembler(total, chunkSize, landedDst)
-	adding, _ := NewChunkAssembler(total, chunkSize, addedDst)
+	landing, _ := NewChunkAssembler(OpMemcpyStreamChunk, total, chunkSize, landedDst)
+	adding, _ := NewChunkAssembler(OpMemcpyStreamChunk, total, chunkSize, addedDst)
 	for seq, off := uint32(0), 0; off < len(src); seq, off = seq+1, off+int(chunkSize) {
-		c := &MemcpyStreamChunk{Seq: seq, Data: src[off:min(off+int(chunkSize), len(src))]}
+		c := &Chunk{Kind: OpMemcpyStreamChunk, Seq: seq, Data: src[off:min(off+int(chunkSize), len(src))]}
 		frame := c.Encode(nil)
 		if head, slot := landing.Land(len(frame), frame[:chunkHeadSize]); head != chunkHeadSize || len(slot) != len(c.Data) {
 			t.Fatalf("chunk %d: Land = head %d, %d bytes", seq, head, len(slot))
@@ -172,12 +172,12 @@ func TestChunkAssemblerLandsWhatItWouldAdd(t *testing.T) {
 	if !landing.Complete() || !bytes.Equal(landedDst, src) || !bytes.Equal(addedDst, src) {
 		t.Fatalf("landed %q, added %q", landedDst, addedDst)
 	}
-	if err := landing.Finish(&MemcpyStreamEndRequest{Chunks: Chunks(total, chunkSize)}); err != nil {
+	if err := landing.Finish(Chunks(total, chunkSize)); err != nil {
 		t.Fatal(err)
 	}
 
 	fresh := func(dst []byte) *ChunkAssembler {
-		a, _ := NewChunkAssembler(20, 8, dst)
+		a, _ := NewChunkAssembler(OpMemcpyStreamChunk, 20, 8, dst)
 		return a
 	}
 	frame := func(seq, declared uint32, payload int) []byte {
@@ -202,7 +202,7 @@ func TestChunkAssemblerLandsWhatItWouldAdd(t *testing.T) {
 	}
 	// A transfer that rejected a chunk lands nothing more.
 	a := fresh(make([]byte, 20))
-	if _, err := a.Add(&MemcpyStreamChunk{Seq: 1, Data: make([]byte, 8)}); err == nil {
+	if _, err := a.Add(&Chunk{Kind: OpMemcpyStreamChunk, Seq: 1, Data: make([]byte, 8)}); err == nil {
 		t.Fatal("out-of-order chunk accepted")
 	}
 	if _, slot := a.Land(len(good), good); slot != nil {
@@ -217,7 +217,7 @@ func TestChunkAssemblerLandsWhatItWouldAdd(t *testing.T) {
 
 func TestChunkAssemblerRejectsProtocolViolations(t *testing.T) {
 	mk := func() *ChunkAssembler {
-		a, err := NewChunkAssembler(20, 8, nil)
+		a, err := NewChunkAssembler(OpMemcpyStreamChunk, 20, 8, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,66 +225,73 @@ func TestChunkAssemblerRejectsProtocolViolations(t *testing.T) {
 	}
 	full := bytes.Repeat([]byte{1}, 8)
 
-	if _, err := mk().Add(&MemcpyStreamChunk{Seq: 1, Data: full}); err == nil {
+	if _, err := mk().Add(&Chunk{Kind: OpMemcpyStreamChunk, Seq: 1, Data: full}); err == nil {
 		t.Fatal("out-of-order first chunk must fail")
 	}
 	a := mk()
-	if _, err := a.Add(&MemcpyStreamChunk{Seq: 0, Data: full}); err != nil {
+	if _, err := a.Add(&Chunk{Kind: OpMemcpyStreamChunk, Seq: 0, Data: full}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Add(&MemcpyStreamChunk{Seq: 0, Data: full}); err == nil {
+	if _, err := a.Add(&Chunk{Kind: OpMemcpyStreamChunk, Seq: 0, Data: full}); err == nil {
 		t.Fatal("duplicate chunk must fail")
 	}
-	if _, err := mk().Add(&MemcpyStreamChunk{Seq: 0, Data: full[:5]}); err == nil {
+	if _, err := mk().Add(&Chunk{Kind: OpMemcpyStreamChunk, Seq: 0, Data: full[:5]}); err == nil {
 		t.Fatal("undersized non-final chunk must fail")
 	}
 	// Final chunk must carry exactly the remainder (20 - 2*8 = 4).
 	a = mk()
-	a.Add(&MemcpyStreamChunk{Seq: 0, Data: full})
-	a.Add(&MemcpyStreamChunk{Seq: 1, Data: full})
-	if _, err := a.Add(&MemcpyStreamChunk{Seq: 2, Data: full}); err == nil {
+	a.Add(&Chunk{Kind: OpMemcpyStreamChunk, Seq: 0, Data: full})
+	a.Add(&Chunk{Kind: OpMemcpyStreamChunk, Seq: 1, Data: full})
+	if _, err := a.Add(&Chunk{Kind: OpMemcpyStreamChunk, Seq: 2, Data: full}); err == nil {
 		t.Fatal("oversized final chunk must fail")
 	}
 	// A rejected transfer is over: the chunk that would have been next is
 	// refused too, so nothing more is placed in its destination.
-	if _, err := a.Add(&MemcpyStreamChunk{Seq: 2, Data: full[:4]}); err == nil {
+	if _, err := a.Add(&Chunk{Kind: OpMemcpyStreamChunk, Seq: 2, Data: full[:4]}); err == nil {
 		t.Fatal("a transfer that rejected a chunk must stay rejected")
 	}
 	a = mk()
-	a.Add(&MemcpyStreamChunk{Seq: 0, Data: full})
-	a.Add(&MemcpyStreamChunk{Seq: 1, Data: full})
-	if _, err := a.Add(&MemcpyStreamChunk{Seq: 2, Data: full[:4]}); err != nil {
+	a.Add(&Chunk{Kind: OpMemcpyStreamChunk, Seq: 0, Data: full})
+	a.Add(&Chunk{Kind: OpMemcpyStreamChunk, Seq: 1, Data: full})
+	if _, err := a.Add(&Chunk{Kind: OpMemcpyStreamChunk, Seq: 2, Data: full[:4]}); err != nil {
 		t.Fatal(err)
 	}
-	// A chunk past the declared total must fail; it does not undo the
-	// complete transfer the End below closes.
-	if _, err := a.Add(&MemcpyStreamChunk{Seq: 3, Data: full}); err == nil {
+	if err := a.Finish(7); err == nil {
+		t.Fatal("End with wrong chunk count must fail")
+	}
+	if err := a.Finish(3); err != nil {
+		t.Fatal(err)
+	}
+	// A chunk past the declared total must fail, and so must the End that
+	// follows it: a stream that rejected a chunk has failed, complete or not.
+	if _, err := a.Add(&Chunk{Kind: OpMemcpyStreamChunk, Seq: 3, Data: full}); err == nil {
 		t.Fatal("chunk past declared total must fail")
+	}
+	if err := a.Finish(3); err == nil {
+		t.Fatal("End after a rejected chunk must fail")
+	}
+	// A chunk of the other stream is refused like any other violation.
+	if _, err := mk().Add(&Chunk{Kind: OpMigrateChunk, Seq: 0, Data: full}); err == nil {
+		t.Fatal("a chunked copy took a migration chunk")
 	}
 	// Early End: out-of-order End before the stream completed.
 	early := mk()
-	early.Add(&MemcpyStreamChunk{Seq: 0, Data: full})
-	if err := early.Finish(&MemcpyStreamEndRequest{Chunks: 1}); err == nil {
+	early.Add(&Chunk{Kind: OpMemcpyStreamChunk, Seq: 0, Data: full})
+	if err := early.Finish(1); err == nil {
 		t.Fatal("End before the declared total arrived must fail")
 	} else if !strings.Contains(err.Error(), "stream end after") {
 		t.Fatalf("unexpected early-End error: %v", err)
 	}
-	if err := a.Finish(&MemcpyStreamEndRequest{Chunks: 7}); err == nil {
-		t.Fatal("End with wrong chunk count must fail")
-	}
-	if err := a.Finish(&MemcpyStreamEndRequest{Chunks: 3}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestNewChunkAssemblerRejects(t *testing.T) {
-	if _, err := NewChunkAssembler(MaxFrameSize+1, 1<<20, nil); err == nil {
+	if _, err := NewChunkAssembler(OpMemcpyStreamChunk, MaxFrameSize+1, 1<<20, nil); err == nil {
 		t.Fatal("oversize total must be rejected before any allocation")
 	}
-	if _, err := NewChunkAssembler(64, 0, nil); err == nil {
+	if _, err := NewChunkAssembler(OpMemcpyStreamChunk, 64, 0, nil); err == nil {
 		t.Fatal("zero chunk size must fail")
 	}
-	if _, err := NewChunkAssembler(64, 16, make([]byte, 63)); err == nil {
+	if _, err := NewChunkAssembler(OpMemcpyStreamChunk, 64, 16, make([]byte, 63)); err == nil {
 		t.Fatal("mis-sized destination must fail")
 	}
 }

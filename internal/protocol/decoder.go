@@ -29,7 +29,7 @@ type Decoder struct {
 	memset        *MemsetRequest
 	d2d           *MemcpyD2DRequest
 	streamBegin   *MemcpyStreamBeginRequest
-	streamChunk   *MemcpyStreamChunk
+	chunk         *Chunk
 	streamEnd     *MemcpyStreamEndRequest
 	// name is the kernel name of the last launch decoded: a request loop
 	// launches few kernels many times, and only a different name is a new

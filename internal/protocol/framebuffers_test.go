@@ -46,7 +46,7 @@ func TestWriteFrameBuffersMatchesWriteFrame(t *testing.T) {
 		&MemcpyToDeviceRequest{Dst: 0x100, Data: nil}, // empty bulk segment
 		&MemcpyToDeviceAsyncRequest{Dst: 0x100, Stream: 2, Data: []byte{1, 2, 3}},
 		&MemcpyToHostResponse{Data: []byte{9, 8, 7}, Err: 0}, // head + bulk + tail
-		&MemcpyStreamChunk{Seq: 5, Data: bytes.Repeat([]byte{3}, 100)},
+		&Chunk{Kind: OpMemcpyStreamChunk, Seq: 5, Data: bytes.Repeat([]byte{3}, 100)},
 	}
 	var fw FrameWriter
 	for _, m := range msgs {
@@ -79,7 +79,7 @@ func TestSegmentedEncodersAgree(t *testing.T) {
 		&MemcpyToDeviceRequest{Dst: 1, Data: []byte{1, 2, 3}},
 		&MemcpyToDeviceAsyncRequest{Dst: 1, Stream: 3, Data: []byte{4, 5}},
 		&MemcpyToHostResponse{Data: []byte{6}, Err: 2},
-		&MemcpyStreamChunk{Seq: 1, Data: []byte{7, 8}},
+		&Chunk{Kind: OpMemcpyStreamChunk, Seq: 1, Data: []byte{7, 8}},
 	}
 	for _, m := range msgs {
 		parts := m.SegmentHead(nil)

@@ -32,7 +32,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		&MemsetRequest{DevPtr: 1, Value: 2, Size: 3},
 		&MemcpyD2DRequest{Dst: 1, Src: 2, Size: 3},
 		&MemcpyStreamBeginRequest{Ptr: 1, Total: 64, Kind: KindHostToDevice, ChunkSize: 16},
-		&MemcpyStreamChunk{Seq: 2, Data: []byte{1, 2, 3}},
+		&Chunk{Kind: OpMemcpyStreamChunk, Seq: 2, Data: []byte{1, 2, 3}},
 		&MemcpyStreamEndRequest{Chunks: 4},
 		&SessionHelloRequest{},
 		&SessionHelloRequest{Class: SchedClassRealtime, Weight: 8},
@@ -61,7 +61,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		}},
 		&SessionRestoreRequest{Session: 9},
 		&MigrateBeginRequest{Total: 64, ChunkSize: 16},
-		&MigrateChunk{Seq: 2, Data: []byte{1, 2, 3}},
+		&Chunk{Kind: OpMigrateChunk, Seq: 2, Data: []byte{1, 2, 3}},
 		&MigrateCommitRequest{Chunks: 4, Digest: 0xfeedface},
 	}
 	for _, s := range seeds {
@@ -155,10 +155,12 @@ func FuzzDecodeRequest(f *testing.F) {
 		} else if _, isCopy := req.(*MemcpyToDeviceRequest); isCopy && err == nil {
 			t.Fatalf("frame decodes to a memcpy its head does not announce: %x", raw[:memcpyToDeviceHeadSize])
 		}
-		if seq, size, ok := peekChunk(len(raw), raw); ok {
-			m, isChunk := req.(*MemcpyStreamChunk)
-			if err != nil || !isChunk || m.Seq != seq || len(m.Data) != size {
-				t.Fatalf("head announces chunk %d of %d bytes, frame decodes to %v, %v", seq, size, req, err)
+		for _, op := range []Op{OpMemcpyStreamChunk, OpMigrateChunk} {
+			if seq, size, ok := peekChunk(op, len(raw), raw); ok {
+				m, isChunk := req.(*Chunk)
+				if err != nil || !isChunk || m.Kind != op || m.Seq != seq || len(m.Data) != size {
+					t.Fatalf("head announces %v %d of %d bytes, frame decodes to %v, %v", op, seq, size, req, err)
+				}
 			}
 		}
 		if err != nil {
@@ -173,63 +175,90 @@ func FuzzDecodeRequest(f *testing.F) {
 	})
 }
 
-// FuzzChunkAssembler drives a chunk assembler with an arbitrary stream of
-// decoded chunk/end messages: it must never panic, never write outside its
-// destination, and only report success when the sequence was exactly the
-// declared total in order.
+// FuzzChunkAssembler drives a chunk assembler of either stream — a chunked
+// copy's or a migration's — with an arbitrary run of chunk, End and Commit
+// frames: it must never panic, never write outside its destination, take
+// only the chunks of its own stream, and only report success when the
+// sequence was exactly the declared total in order. Every chunk frame that
+// decodes must re-encode to its own bytes.
 func FuzzChunkAssembler(f *testing.F) {
-	chunk := func(seq uint32, data []byte) []byte {
-		return (&MemcpyStreamChunk{Seq: seq, Data: data}).Encode(nil)
+	chunk := func(op Op, seq uint32, data []byte) []byte {
+		return (&Chunk{Kind: op, Seq: seq, Data: data}).Encode(nil)
 	}
+	copied := func(seq uint32, data []byte) []byte { return chunk(OpMemcpyStreamChunk, seq, data) }
 	end := func(n uint32) []byte { return (&MemcpyStreamEndRequest{Chunks: n}).Encode(nil) }
-	f.Add(uint32(32), uint32(8), bytes.Join([][]byte{
-		chunk(0, make([]byte, 8)), chunk(1, make([]byte, 8)),
-		chunk(2, make([]byte, 8)), chunk(3, make([]byte, 8)), end(4),
+	f.Add(false, uint32(32), uint32(8), bytes.Join([][]byte{
+		copied(0, make([]byte, 8)), copied(1, make([]byte, 8)),
+		copied(2, make([]byte, 8)), copied(3, make([]byte, 8)), end(4),
 	}, nil))
-	f.Add(uint32(8), uint32(8), bytes.Join([][]byte{chunk(1, make([]byte, 8)), end(1)}, nil))
-	f.Add(uint32(16), uint32(8), bytes.Join([][]byte{chunk(0, make([]byte, 8)), end(1)}, nil))
-	f.Add(uint32(0), uint32(1), end(0))
+	f.Add(false, uint32(8), uint32(8), bytes.Join([][]byte{copied(1, make([]byte, 8)), end(1)}, nil))
+	f.Add(false, uint32(16), uint32(8), bytes.Join([][]byte{copied(0, make([]byte, 8)), end(1)}, nil))
+	f.Add(false, uint32(0), uint32(1), end(0))
+	commit := func(n uint32) []byte { return (&MigrateCommitRequest{Chunks: n, Digest: 1}).Encode(nil) }
+	full := chunk(OpMigrateChunk, 0, []byte{1, 2, 3, 4})
+	f.Add(true, uint32(4), uint32(4), append(full, commit(1)...))
+	f.Add(true, uint32(4), uint32(4), full[:len(full)-1])
+	f.Add(true, uint32(4), uint32(4), full[:11])
+	f.Add(true, uint32(1), uint32(1), append(copied(0, []byte{1}), commit(1)...))
+	f.Add(true, uint32(4), uint32(4), append(full, commit(2)...))
 
-	f.Fuzz(func(t *testing.T, total, chunkSize uint32, stream []byte) {
+	f.Fuzz(func(t *testing.T, migrate bool, total, chunkSize uint32, stream []byte) {
 		if total > 1<<16 {
 			total %= 1 << 16 // keep the destination buffer small
 		}
 		if chunkSize == 0 {
 			chunkSize = 1
 		}
+		op := OpMemcpyStreamChunk
+		if migrate {
+			op = OpMigrateChunk
+		}
 		dst := make([]byte, total)
-		asm, err := NewChunkAssembler(total, chunkSize, dst)
+		asm, err := NewChunkAssembler(op, total, chunkSize, dst)
 		if err != nil {
 			t.Fatalf("in-range parameters rejected: %v", err)
 		}
-		// Walk the byte stream as consecutive frames: each is a chunk or an
-		// end message, anything else terminates the walk.
+		// Walk the byte stream as consecutive frames: each is a chunk of
+		// either stream, an End or a Commit; anything else terminates the
+		// walk.
 		covered := 0
-		for len(stream) >= 12 {
-			if Op(getU32(stream, 0)) == OpMemcpyStreamChunk {
-				size := int(getU32(stream, 8))
-				if size < 0 || 12+size > len(stream) {
-					break
+	walk:
+		for len(stream) >= 8 {
+			var declared uint32
+			switch Op(getU32(stream, 0)) {
+			case OpMemcpyStreamChunk, OpMigrateChunk:
+				if len(stream) < 12 || 12+int(getU32(stream, 8)) > len(stream) {
+					break walk
 				}
-				c, err := DecodeMemcpyStreamChunk(stream[:12+size])
+				frame := stream[:12+int(getU32(stream, 8))]
+				c, err := DecodeChunk(frame)
 				if err != nil {
-					break
+					t.Fatalf("framed chunk refused: %v", err)
+				}
+				if !bytes.Equal(c.Encode(nil), frame) {
+					t.Fatalf("chunk re-encode mismatch:\n in  %x\n out %x", frame, c.Encode(nil))
 				}
 				if _, err := asm.Add(c); err == nil {
+					if c.Kind != op {
+						t.Fatalf("a %v stream took a %v", op, c.Kind)
+					}
 					covered += len(c.Data)
 				}
-				stream = stream[12+size:]
+				stream = stream[len(frame):]
 				continue
+			case OpMemcpyStreamEnd:
+				declared, stream = getU32(stream, 4), stream[8:]
+			case OpMigrateCommit:
+				if len(stream) < 16 {
+					break walk
+				}
+				declared, stream = getU32(stream, 4), stream[16:]
+			default:
+				break walk
 			}
-			req, err := DecodeRequest(stream[:8])
-			e, ok := req.(*MemcpyStreamEndRequest)
-			if err != nil || !ok {
-				break
-			}
-			if asm.Finish(e) == nil && covered != int(total) {
+			if asm.Finish(declared) == nil && covered != int(total) {
 				t.Fatalf("Finish accepted %d of %d bytes", covered, total)
 			}
-			stream = stream[8:]
 		}
 		if asm.Complete() != (covered == int(total)) {
 			t.Fatalf("Complete()=%v, accepted %d of %d bytes", asm.Complete(), covered, total)
@@ -355,27 +384,35 @@ func FuzzTryDecodeSessionRestore(f *testing.F) {
 	})
 }
 
-// FuzzDecodeMigrateChunk stresses the migration-chunk decoder the
-// daemon-to-daemon stream trusts for payload framing: truncated headers,
-// mismatched declared sizes, and foreign ops must all be rejected without
-// panics, and accepted chunks must re-encode canonically.
+// FuzzDecodeMigrateChunk stresses the chunk decoder on the frames the
+// daemon-to-daemon migration stream trusts for payload framing: truncated
+// headers and mismatched declared sizes must be rejected without panics,
+// accepted chunks must re-encode canonically, and a migration's assembler
+// must refuse a chunk of any other stream.
 func FuzzDecodeMigrateChunk(f *testing.F) {
-	full := (&MigrateChunk{Seq: 3, Data: []byte{1, 2, 3, 4}}).Encode(nil)
+	full := (&Chunk{Kind: OpMigrateChunk, Seq: 3, Data: []byte{1, 2, 3, 4}}).Encode(nil)
 	f.Add(full)
 	f.Add(full[:len(full)-1])
 	f.Add(full[:11])
-	f.Add((&MemcpyStreamChunk{Seq: 3, Data: []byte{1}}).Encode(nil))
+	f.Add((&Chunk{Kind: OpMemcpyStreamChunk, Seq: 3, Data: []byte{1}}).Encode(nil))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		c, err := DecodeMigrateChunk(raw)
+		c, err := DecodeChunk(raw)
 		if err != nil {
 			return
 		}
 		if enc := c.Encode(nil); !bytes.Equal(enc, raw) {
 			t.Fatalf("chunk re-encode mismatch:\n in  %x\n out %x", raw, enc)
 		}
-		if s := c.Stream(); s.Seq != c.Seq || !bytes.Equal(s.Data, c.Data) {
-			t.Fatal("Stream() view disagrees with the chunk")
+		if c.Kind != Op(getU32(raw, 0)) || c.Seq != getU32(raw, 4) || len(c.Data) != len(raw)-12 {
+			t.Fatalf("chunk %v disagrees with its head %x", c, raw[:12])
+		}
+		asm, err := NewChunkAssembler(OpMigrateChunk, uint32(len(c.Data)), uint32(max(len(c.Data), 1)), make([]byte, len(c.Data)))
+		if err != nil {
+			t.Fatalf("in-range parameters rejected: %v", err)
+		}
+		if _, err := asm.Add(c); (err == nil) != (c.Kind == OpMigrateChunk && c.Seq == 0 && len(c.Data) > 0) {
+			t.Fatalf("migration stream on %v chunk %d: %v", c.Kind, c.Seq, err)
 		}
 	})
 }

@@ -16,9 +16,13 @@ import (
 //	             ◀──────  result code (abort here on refusal)
 //	  MigrateBegin        ──────▶   size the checkpoint buffer
 //	             ◀──────  result code
-//	  MigrateChunk 0..n-1 ──────▶   reassemble (never individually acked)
+//	  Chunk 0..n-1        ──────▶   land in place (never individually acked)
 //	  MigrateCommit       ──────▶   verify count + digest, materialize
 //	             ◀──────  result code
+//
+// The chunks are Chunk frames of stream OpMigrateChunk, the chunked copy's
+// frame under another id, and one ChunkAssembler checks both the count the
+// commit declares and a copy's End.
 //
 // The client learns about the move lazily: a reattach at the old daemon is
 // answered with CodeSessionMigrated (reject.go) and the broker has already
@@ -81,63 +85,6 @@ func (m *MigrateBeginRequest) WireSize() int { return 12 }
 // Op implements Request.
 func (m *MigrateBeginRequest) Op() Op { return OpMigrateBegin }
 
-// --- Chunk -------------------------------------------------------------------
-
-// MigrateChunk carries one checkpoint slice: id (4) + sequence (4) +
-// size (4) + data (x) = x+12 bytes. Chunks are never individually
-// acknowledged, exactly like the memcpy stream they mirror.
-type MigrateChunk struct {
-	Seq  uint32
-	Data []byte
-}
-
-// Encode implements Message.
-func (m *MigrateChunk) Encode(dst []byte) []byte {
-	dst = m.SegmentHead(dst)
-	return append(dst, m.Data...)
-}
-
-// WireSize implements Message.
-func (m *MigrateChunk) WireSize() int { return 12 + len(m.Data) }
-
-// Op implements Request.
-func (m *MigrateChunk) Op() Op { return OpMigrateChunk }
-
-// SegmentHead implements Segmented.
-func (m *MigrateChunk) SegmentHead(dst []byte) []byte {
-	dst = putU32(dst, uint32(OpMigrateChunk))
-	dst = putU32(dst, m.Seq)
-	return putU32(dst, uint32(len(m.Data)))
-}
-
-// SegmentBulk implements Segmented.
-func (m *MigrateChunk) SegmentBulk() []byte { return m.Data }
-
-// SegmentTail implements Segmented.
-func (m *MigrateChunk) SegmentTail(dst []byte) []byte { return dst }
-
-// DecodeMigrateChunk parses a migration chunk. Data aliases b — the caller
-// owns b until the chunk has been consumed.
-func DecodeMigrateChunk(b []byte) (*MigrateChunk, error) {
-	if len(b) < 12 {
-		return nil, ErrShortMessage
-	}
-	if op := Op(getU32(b, 0)); op != OpMigrateChunk {
-		return nil, fmt.Errorf("%w: %d, want migrate chunk", ErrBadOp, uint32(op))
-	}
-	size := int(getU32(b, 8))
-	if len(b) != 12+size {
-		return nil, fmt.Errorf("protocol: migrate chunk size %d does not match payload %d", size, len(b)-12)
-	}
-	return &MigrateChunk{Seq: getU32(b, 4), Data: b[12:]}, nil
-}
-
-// Stream converts the chunk into the memcpy-stream shape so one
-// ChunkAssembler validates and reassembles both kinds of stream.
-func (m *MigrateChunk) Stream() *MemcpyStreamChunk {
-	return &MemcpyStreamChunk{Seq: m.Seq, Data: m.Data}
-}
-
 // --- Commit ------------------------------------------------------------------
 
 // MigrateCommitRequest closes the checkpoint stream and asks the
@@ -183,8 +130,6 @@ func decodeMigrateBegin(_ *Decoder, b []byte) (Request, error) {
 	}
 	return m, nil
 }
-
-func decodeMigrateChunk(_ *Decoder, b []byte) (Request, error) { return DecodeMigrateChunk(b) }
 
 func decodeMigrateCommit(_ *Decoder, b []byte) (Request, error) {
 	return &MigrateCommitRequest{Chunks: getU32(b, 4), Digest: getU64(b, 8)}, nil

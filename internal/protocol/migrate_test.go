@@ -12,8 +12,8 @@ func TestMigrateRequestRoundTrip(t *testing.T) {
 	cases := []Request{
 		&SessionRestoreRequest{Session: 0xdeadbeefcafe},
 		&MigrateBeginRequest{Total: 4096, ChunkSize: 256},
-		&MigrateChunk{Seq: 7, Data: []byte{1, 2, 3, 4, 5}},
-		&MigrateChunk{Seq: 0, Data: nil},
+		&Chunk{Kind: OpMigrateChunk, Seq: 7, Data: []byte{1, 2, 3, 4, 5}},
+		&Chunk{Kind: OpMigrateChunk, Seq: 0, Data: nil},
 		&MigrateCommitRequest{Chunks: 16, Digest: 0x0123456789abcdef},
 	}
 	for _, want := range cases {
@@ -213,8 +213,9 @@ func TestCheckpointRejectsBadSchedFields(t *testing.T) {
 	}
 }
 
-// TestMigrateChunkAssembly streams a checkpoint through MigrateChunk
-// frames into a ChunkAssembler and verifies the digest survives.
+// TestMigrateChunkAssembly streams a checkpoint through chunks of the
+// migration stream into a ChunkAssembler and verifies the digest survives;
+// an assembler of the other stream refuses the same frames.
 func TestMigrateChunkAssembly(t *testing.T) {
 	c := &Checkpoint{Session: 5, Module: "fft", Devices: []DeviceCheckpoint{{
 		Device: 0,
@@ -223,28 +224,28 @@ func TestMigrateChunkAssembly(t *testing.T) {
 	payload := c.Encode(nil)
 	const chunkSize = 16
 	dst := make([]byte, len(payload))
-	asm, err := NewChunkAssembler(uint32(len(payload)), chunkSize, dst)
+	asm, err := NewChunkAssembler(OpMigrateChunk, uint32(len(payload)), chunkSize, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
+	copyAsm, _ := NewChunkAssembler(OpMemcpyStreamChunk, uint32(len(payload)), chunkSize, nil)
 	var n uint32
 	for off := 0; off < len(payload); off += chunkSize {
-		end := off + chunkSize
-		if end > len(payload) {
-			end = len(payload)
+		mc := &Chunk{Kind: OpMigrateChunk, Seq: n, Data: payload[off:min(off+chunkSize, len(payload))]}
+		wire, err := DecodeChunk(mc.Encode(nil))
+		if err != nil || wire.Kind != OpMigrateChunk {
+			t.Fatalf("decoded %+v, %v", wire, err)
 		}
-		mc := &MigrateChunk{Seq: n, Data: payload[off:end]}
-		wire, err := DecodeMigrateChunk(mc.Encode(nil))
-		if err != nil {
+		if _, err := asm.Add(wire); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := asm.Add(wire.Stream()); err != nil {
-			t.Fatal(err)
+		if _, err := copyAsm.Add(wire); err == nil {
+			t.Fatal("a chunked copy took a migration chunk")
 		}
 		n++
 	}
-	if !asm.Complete() {
-		t.Fatal("assembler incomplete after all chunks")
+	if err := asm.Finish(n); err != nil {
+		t.Fatal(err)
 	}
 	if MigrateDigest(dst) != MigrateDigest(payload) {
 		t.Fatal("digest mismatch after reassembly")

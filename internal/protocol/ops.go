@@ -189,7 +189,7 @@ var ops = [opCount]opInfo{
 	// op at the scheduler's granularity, like the one-frame copy it
 	// replaces — so Begin is the copy and carries the total.
 	OpMemcpyStreamBegin: {name: "cudaMemcpy (stream begin)", size: 20, decode: decodeMemcpyStreamBegin, sched: SchedCopy, phase: PhaseInput},
-	OpMemcpyStreamChunk: {name: "cudaMemcpy (stream chunk)", decode: decodeMemcpyStreamChunk, sched: SchedOther, phase: PhaseInput},
+	OpMemcpyStreamChunk: {name: "cudaMemcpy (stream chunk)", decode: decodeChunkRow, sched: SchedOther, phase: PhaseInput},
 	OpMemcpyStreamEnd:   {name: "cudaMemcpy (stream end)", size: 8, decode: decodeMemcpyStreamEnd, sched: SchedOther, phase: PhaseInput},
 
 	OpSessionHello:    {name: "session hello", decode: decodeSessionHello, idempotent: true, phase: PhaseInit},
@@ -204,7 +204,7 @@ var ops = [opCount]opInfo{
 	OpBatch: {name: "batched calls", idempotent: true, sched: SchedBatch, phase: PhaseKernel},
 
 	OpMigrateBegin:   {name: "rcudaMigrate (begin)", size: 12, decode: decodeMigrateBegin, sched: SchedOther, phase: PhaseInit},
-	OpMigrateChunk:   {name: "rcudaMigrate (chunk)", decode: decodeMigrateChunk, sched: SchedOther, phase: PhaseInit},
+	OpMigrateChunk:   {name: "rcudaMigrate (chunk)", decode: decodeChunkRow, sched: SchedOther, phase: PhaseInit},
 	OpMigrateCommit:  {name: "rcudaMigrate (commit)", size: 16, decode: decodeMigrateCommit, sched: SchedOther, phase: PhaseInit},
 	OpSessionRestore: {name: "rcudaSessionRestore", size: 12, decode: decodeSessionRestore, sched: SchedOther, phase: PhaseInit},
 }

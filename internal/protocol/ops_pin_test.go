@@ -114,14 +114,14 @@ func pinSamples() []Request {
 		&StreamOpRequest{Code: OpStreamQuery, Stream: 3},
 		&EventOpRequest{Code: OpEventQuery, Event: 3},
 		&MemcpyStreamBeginRequest{Ptr: 1, Total: 64, Kind: KindHostToDevice, ChunkSize: 16},
-		&MemcpyStreamChunk{Seq: 2, Data: []byte{1, 2, 3}},
+		&Chunk{Kind: OpMemcpyStreamChunk, Seq: 2, Data: []byte{1, 2, 3}},
 		&MemcpyStreamEndRequest{Chunks: 4},
 		&SessionHelloRequest{Class: SchedClassRealtime, Weight: 8},
 		&ReattachRequest{Session: 7},
 		&StatsQueryRequest{},
 		&BatchRequest{Seq: 1, Subs: [][]byte{(&EventRecordRequest{Event: 1, Stream: 1}).Encode(nil)}},
 		&MigrateBeginRequest{Total: 64, ChunkSize: 16},
-		&MigrateChunk{Seq: 2, Data: []byte{1, 2, 3}},
+		&Chunk{Kind: OpMigrateChunk, Seq: 2, Data: []byte{1, 2, 3}},
 		&MigrateCommitRequest{Chunks: 4, Digest: 0xfeedface},
 		&SessionRestoreRequest{Session: 9},
 	}

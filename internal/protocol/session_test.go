@@ -169,7 +169,7 @@ func TestDecodeRequestNeverPanicsOnTruncation(t *testing.T) {
 		&MemsetRequest{DevPtr: 1, Value: 2, Size: 3},
 		&MemcpyD2DRequest{Dst: 1, Src: 2, Size: 3},
 		&MemcpyStreamBeginRequest{Ptr: 1, Total: 64, Kind: KindHostToDevice, ChunkSize: 16},
-		&MemcpyStreamChunk{Seq: 2, Data: []byte{1, 2, 3}},
+		&Chunk{Kind: OpMemcpyStreamChunk, Seq: 2, Data: []byte{1, 2, 3}},
 		&MemcpyStreamEndRequest{Chunks: 4},
 		&SessionHelloRequest{},
 		&ReattachRequest{Session: 9},

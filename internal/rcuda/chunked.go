@@ -10,92 +10,112 @@ import (
 	"rcuda/internal/transport"
 )
 
-// This file implements both halves of the pipelined chunked-memcpy data
-// path (see internal/protocol/chunked.go for the message flow). The client
-// splits a bulk transfer into chunks; the server books each chunk's PCIe
-// push at its network-arrival instant on a dedicated stream, so on the
-// simulated clock the transfer costs about max(network, PCIe) instead of
-// network + PCIe. A whole chunked transfer is observed as the single
-// cudaMemcpy call it replaces.
+// This file implements the chunk stream both extensions that split a
+// payload run on: the pipelined chunked memcpy (see
+// internal/protocol/chunked.go for the message flow) and the checkpoint
+// stream of a live migration (migrate.go). One sender and one receiver
+// carry every chunk of either. For the copy, the client splits a bulk
+// transfer into chunks; the server books each chunk's PCIe push at its
+// network-arrival instant on a dedicated stream, so on the simulated clock
+// the transfer costs about max(network, PCIe) instead of network + PCIe. A
+// whole chunked transfer is observed as the single cudaMemcpy call it
+// replaces.
+
+// chunkView returns the size bytes of a stream at off and the instant they
+// are ready to be sent.
+type chunkView func(off, size uint32) ([]byte, time.Duration, error)
+
+// sliceView is the view of bytes already in memory: ready at once.
+func sliceView(b []byte) chunkView {
+	return func(off, size uint32) ([]byte, time.Duration, error) { return b[off : off+size], 0, nil }
+}
+
+// sendChunks sends a total-byte stream as chunks of stream op, chunkSize
+// bytes each but the last, straight from the memory view gives out. A
+// connection that can hold a send until an instant sends each chunk no
+// earlier than its bytes are ready. It returns the wire bytes sent.
+func sendChunks(conn transport.Conn, op protocol.Op, total, chunkSize uint32, view chunkView) (sent int, err error) {
+	chunk := &protocol.Chunk{Kind: op}
+	for off := 0; off < int(total); off += int(chunkSize) {
+		data, ready, err := view(uint32(off), min(chunkSize, total-uint32(off)))
+		if err != nil {
+			return sent, err
+		}
+		chunk.Data = data
+		if ss, ok := conn.(transport.ScheduledSender); ok {
+			err = ss.SendAt(chunk, ready)
+		} else {
+			err = conn.Send(chunk)
+		}
+		if err != nil {
+			return sent, fmt.Errorf("rcuda: %v %d send: %w", op, chunk.Seq, err)
+		}
+		sent += chunk.WireSize()
+		chunk.Seq++
+	}
+	return sent, nil
+}
+
+// recvChunks receives the chunks of asm's stream, each landed straight in
+// its slot of the destination where the transport can and copied there
+// otherwise, and returns the first frame that is no chunk of the stream —
+// the End, the Commit or the status that closes it — with the bytes
+// received. book, when set, sees each accepted chunk's offset, size and
+// arrival instant (transport.NoArrival on a connection without stamps). A
+// rejected chunk is the assembler's to report (Finish); the stream drains
+// to its closing frame, so the dialogue stays coherent.
+func recvChunks(conn transport.Conn, asm *protocol.ChunkAssembler, book func(off, n int, at time.Duration)) (frame []byte, recv int, err error) {
+	for {
+		head, landed, at, err := transport.RecvLanding(conn, asm)
+		if err != nil {
+			return nil, recv, fmt.Errorf("rcuda: stream recv: %w", err)
+		}
+		recv += len(head) + len(landed)
+		off, data, addErr := 0, landed, error(nil)
+		switch {
+		case landed != nil:
+			off, addErr = asm.AddLanded(head, landed)
+		case asm.Ends(head):
+			return head, recv, nil
+		default:
+			c, err := protocol.DecodeChunk(head)
+			if err != nil {
+				return nil, recv, fmt.Errorf("rcuda: malformed stream chunk: %w", err)
+			}
+			data = c.Data
+			off, addErr = asm.Add(c)
+		}
+		if addErr == nil && book != nil {
+			book(off, len(data), at)
+		}
+	}
+}
 
 // --- Client ------------------------------------------------------------------
 
-// memcpyToDeviceChunked streams src to the device through the chunked
-// protocol. Each chunk's Data aliases src directly, so on a vectored
-// transport the payload goes from the caller's buffer to the wire with no
-// intermediate copy.
-func (c *Client) memcpyToDeviceChunked(dst cudart.DevicePtr, src []byte) error {
-	if c.closed.Load() {
-		return cudart.ErrorInitialization
-	}
-	total := uint32(len(src))
-	begin := &protocol.MemcpyStreamBeginRequest{
-		Ptr:       uint32(dst),
-		Total:     total,
-		Kind:      protocol.KindHostToDevice,
-		ChunkSize: c.chunkSize,
-	}
-	sent, recv := begin.WireSize(), 0
-	if err := c.conn.Send(begin); err != nil {
-		return fmt.Errorf("rcuda: stream begin send: %w", err)
-	}
-	payload, err := c.conn.Recv()
-	if err != nil {
-		return fmt.Errorf("rcuda: stream begin recv: %w", err)
-	}
-	ack, err := protocol.DecodeCodeResponse(payload)
-	if err != nil {
+// memcpyChunked runs a synchronous copy of at least the chunk threshold
+// through the chunked protocol. It bypasses exchange, so it takes its sync
+// point here, and a retry restarts the whole transfer from Begin: the
+// server writes the same bytes to the same region again, or reads them
+// again.
+func (c *Client) memcpyChunked(op protocol.Op, kind uint32, ptr cudart.DevicePtr, buf []byte) error {
+	if err := c.syncPoint(); err != nil {
 		return err
 	}
-	recv += len(payload)
-	if ackErr := cudart.Error(ack).AsError(); ackErr != nil {
-		c.observe(protocol.OpMemcpyToDevice, sent, recv)
-		return ackErr
-	}
-	chunk := &protocol.MemcpyStreamChunk{}
-	for off, seq := 0, uint32(0); off < len(src); seq++ {
-		end := off + int(c.chunkSize)
-		if end > len(src) {
-			end = len(src)
-		}
-		chunk.Seq, chunk.Data = seq, src[off:end]
-		if err := c.conn.Send(chunk); err != nil {
-			return fmt.Errorf("rcuda: stream chunk %d send: %w", seq, err)
-		}
-		sent += chunk.WireSize()
-		off = end
-	}
-	endReq := &protocol.MemcpyStreamEndRequest{Chunks: protocol.Chunks(total, c.chunkSize)}
-	if err := c.conn.Send(endReq); err != nil {
-		return fmt.Errorf("rcuda: stream end send: %w", err)
-	}
-	sent += endReq.WireSize()
-	if payload, err = c.conn.Recv(); err != nil {
-		return fmt.Errorf("rcuda: stream end recv: %w", err)
-	}
-	status, err := protocol.DecodeCodeResponse(payload)
-	if err != nil {
-		return err
-	}
-	recv += len(payload)
-	c.observe(protocol.OpMemcpyToDevice, sent, recv)
-	return cudart.Error(status).AsError()
+	return c.runRetry(op, func() error { return c.streamCopy(op, kind, ptr, buf) })
 }
 
-// memcpyToHostChunked reads device memory into dst through the chunked
-// protocol: after the server acknowledges, the chunks stream in without
-// per-chunk acknowledgements and are assembled directly into dst.
-func (c *Client) memcpyToHostChunked(dst []byte, src cudart.DevicePtr) error {
+// streamCopy is one attempt of a chunked copy: the Begin and its
+// acknowledgement, the chunks — sent from buf straight to the wire, or
+// landed straight in it — and the closing status, which answers the End
+// message on a copy to the device and follows the last chunk on a copy to
+// the host.
+func (c *Client) streamCopy(op protocol.Op, kind uint32, ptr cudart.DevicePtr, buf []byte) error {
 	if c.closed.Load() {
 		return cudart.ErrorInitialization
 	}
-	total := uint32(len(dst))
-	begin := &protocol.MemcpyStreamBeginRequest{
-		Ptr:       uint32(src),
-		Total:     total,
-		Kind:      protocol.KindDeviceToHost,
-		ChunkSize: c.chunkSize,
-	}
+	total := uint32(len(buf))
+	begin := &protocol.MemcpyStreamBeginRequest{Ptr: uint32(ptr), Total: total, Kind: kind, ChunkSize: c.chunkSize}
 	sent, recv := begin.WireSize(), 0
 	if err := c.conn.Send(begin); err != nil {
 		return fmt.Errorf("rcuda: stream begin send: %w", err)
@@ -110,80 +130,55 @@ func (c *Client) memcpyToHostChunked(dst []byte, src cudart.DevicePtr) error {
 	}
 	recv += len(payload)
 	if ackErr := cudart.Error(ack).AsError(); ackErr != nil {
-		c.observe(protocol.OpMemcpyToHost, sent, recv)
+		c.observe(op, sent, recv)
 		return ackErr
 	}
-	asm, err := protocol.NewChunkAssembler(total, c.chunkSize, dst)
-	if err != nil {
-		return err
-	}
-	for i, n := uint32(0), protocol.Chunks(total, c.chunkSize); i < n; i++ {
-		// The assembler is the receive's Lander: a chunk arrives with its
-		// data already in its slot of dst.
-		payload, landed, _, err := transport.RecvLanding(c.conn, asm)
-		if err != nil {
-			return fmt.Errorf("rcuda: stream chunk recv: %w", err)
-		}
-		if landed != nil {
-			_, err = asm.AddLanded(payload, landed)
-		} else {
-			var chunk *protocol.MemcpyStreamChunk
-			if chunk, err = protocol.DecodeMemcpyStreamChunk(payload); err == nil {
-				_, err = asm.Add(chunk)
-			}
-		}
+	chunks := protocol.Chunks(total, c.chunkSize)
+	var asm *protocol.ChunkAssembler
+	if kind == protocol.KindHostToDevice {
+		n, err := sendChunks(c.conn, protocol.OpMemcpyStreamChunk, total, c.chunkSize, sliceView(buf))
 		if err != nil {
 			return err
 		}
-		recv += len(payload) + len(landed)
-	}
-	if payload, err = c.conn.Recv(); err != nil {
-		return fmt.Errorf("rcuda: stream end recv: %w", err)
+		end := &protocol.MemcpyStreamEndRequest{Chunks: chunks}
+		if err := c.conn.Send(end); err != nil {
+			return fmt.Errorf("rcuda: stream end send: %w", err)
+		}
+		sent += n + end.WireSize()
+		if payload, err = c.conn.Recv(); err != nil {
+			return fmt.Errorf("rcuda: stream end recv: %w", err)
+		}
+		recv += len(payload)
+	} else {
+		if asm, err = protocol.NewChunkAssembler(protocol.OpMemcpyStreamChunk, total, c.chunkSize, buf); err != nil {
+			return err
+		}
+		var n int
+		payload, n, err = recvChunks(c.conn, asm, nil)
+		if err != nil {
+			return err
+		}
+		recv += n
 	}
 	status, err := protocol.DecodeCodeResponse(payload)
 	if err != nil {
 		return err
 	}
-	recv += len(payload)
-	c.observe(protocol.OpMemcpyToHost, sent, recv)
-	if statusErr := cudart.Error(status).AsError(); statusErr != nil {
-		return statusErr
+	c.observe(op, sent, recv)
+	if err := cudart.Error(status).AsError(); err != nil || asm == nil {
+		return err
 	}
-	if !asm.Complete() {
-		return fmt.Errorf("rcuda: stream ended with incomplete transfer")
-	}
-	return nil
+	return asm.Finish(chunks)
 }
 
 // --- Server ------------------------------------------------------------------
 
-// recvArrival receives the next message of a transfer, landing it through
-// asm where the transport can, together with its arrival instant.
-// Transports without arrival stamps (real sockets) fall back to the device
-// clock, where the degraded synchronous copy path ignores the instant
-// anyway.
-func recvArrival(conn transport.Conn, dev *gpu.Device, asm *protocol.ChunkAssembler) (payload, landed []byte, at time.Duration, err error) {
-	payload, landed, at, err = transport.RecvLanding(conn, asm)
-	if at == transport.NoArrival {
-		at = dev.Clock().Now()
-	}
-	return payload, landed, at, err
-}
-
-// sendReady sends a message whose payload is only available at the given
-// instant (a chunk completing its PCIe read). Transports that cannot
-// schedule sends just send immediately.
-func sendReady(conn transport.Conn, m protocol.Message, ready time.Duration) error {
-	if ss, ok := conn.(transport.ScheduledSender); ok {
-		return ss.SendAt(m, ready)
-	}
-	return conn.Send(m)
-}
-
 // serveMemcpyStream services one chunked transfer end to end. Recoverable
-// failures (bad region, device errors) are reported in the Begin
-// acknowledgement or the End status; only transport and framing failures
-// end the session.
+// failures (bad region, device errors, rejected chunks) are reported in the
+// Begin acknowledgement or the End status; only transport and framing
+// failures end the session. The transfer's stream is released on every
+// exit: a durable session that parks after a cut connection must not keep
+// it, or every retried copy would leave one more behind in its checkpoints.
 func (s *Server) serveMemcpyStream(conn transport.Conn, sess *session, begin protocol.MemcpyStreamBeginRequest) error {
 	ctx := sess.context()
 	// The whole transfer's device region is validated before any payload
@@ -196,105 +191,73 @@ func (s *Server) serveMemcpyStream(conn transport.Conn, sess *session, begin pro
 	if err != nil {
 		return conn.Send(sess.codeReply(err))
 	}
-	if err := conn.Send(sess.codeReply(nil)); err != nil {
+	opErr, err := s.moveChunks(conn, sess, stream, begin, region)
+	if syncErr := ctx.StreamDestroy(stream); opErr == nil {
+		opErr = syncErr
+	}
+	if err != nil {
 		return err
 	}
-	if begin.Kind == protocol.KindHostToDevice {
-		return s.serveStreamToDevice(conn, sess, stream, begin, region)
-	}
-	return s.serveStreamToHost(conn, sess, stream, begin)
+	return conn.Send(sess.codeReply(opErr))
 }
 
-// srvDevice returns the device of the session's selected context.
-func (s *Server) srvDevice(sess *session) *gpu.Device { return s.devs[sess.cur] }
-
-// serveStreamToDevice overlaps receiving chunk k+1 from the network with
-// pushing chunk k across the PCIe link: the assembler puts each chunk in
-// its slot of the device region — read there by a landing transport,
-// copied there otherwise — its PCIe push is booked on the transfer's stream
-// at the chunk's arrival instant, and the closing End waits for the stream
-// to drain.
-func (s *Server) serveStreamToDevice(conn transport.Conn, sess *session, stream uint32, begin protocol.MemcpyStreamBeginRequest, region []byte) error {
-	ctx, dev := sess.context(), s.srvDevice(sess)
-	asm, err := protocol.NewChunkAssembler(begin.Total, begin.ChunkSize, region)
+// moveChunks acknowledges the Begin and moves the transfer's chunks on its
+// stream, returning the transfer's own failure (opErr) apart from one that
+// ends the session (err).
+//
+// To the device, receiving chunk k+1 from the network overlaps pushing
+// chunk k across the PCIe link: each chunk lands in its slot of the device
+// region and its push is booked at the chunk's arrival instant; the End
+// closes the stream. To the host, every chunk's PCIe read is booked back to
+// back from the acknowledged Begin, and each chunk is sent straight from
+// the device region the moment its read completes, so chunk k's network
+// transfer overlaps chunk k+1's read on the simulated clock.
+func (s *Server) moveChunks(conn transport.Conn, sess *session, stream uint32, begin protocol.MemcpyStreamBeginRequest, region []byte) (opErr, err error) {
+	if err := conn.Send(sess.codeReply(nil)); err != nil {
+		return nil, err
+	}
+	ctx, clock := sess.context(), s.srvDevice(sess).Clock()
+	if begin.Kind == protocol.KindDeviceToHost {
+		start := clock.Now()
+		_, err := sendChunks(conn, protocol.OpMemcpyStreamChunk, begin.Total, begin.ChunkSize, func(off, size uint32) ([]byte, time.Duration, error) {
+			return ctx.HostViewAsyncAt(begin.Ptr+off, size, stream, start)
+		})
+		return nil, err
+	}
+	asm, err := protocol.NewChunkAssembler(protocol.OpMemcpyStreamChunk, begin.Total, begin.ChunkSize, region)
 	if err != nil {
 		// Decoded Begin fields are pre-validated; reaching here is a bug.
-		return err
+		return nil, err
 	}
-	var opErr error
-	// placed books the PCIe push of the n bytes Add or AddLanded put at off.
-	placed := func(off, n int, at time.Duration, addErr error) {
-		if opErr == nil {
-			opErr = addErr
+	frame, _, err := recvChunks(conn, asm, func(off, n int, at time.Duration) {
+		if at == transport.NoArrival {
+			// A real socket stamps nothing; the degraded synchronous copy
+			// of a wall clock ignores the instant anyway.
+			at = clock.Now()
 		}
 		if opErr == nil {
 			_, opErr = ctx.CopyToDeviceAsyncAt(begin.Ptr+uint32(off), region[off:off+n], stream, at)
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	for {
-		payload, landed, at, err := recvArrival(conn, dev, asm)
-		if err != nil {
-			return fmt.Errorf("rcuda: stream recv: %w", err)
-		}
-		if landed != nil {
-			off, addErr := asm.AddLanded(payload, landed)
-			placed(off, len(landed), at, addErr)
-			continue
-		}
-		req, err := sess.dec.Decode(payload)
-		if err != nil {
-			return fmt.Errorf("rcuda: malformed stream message: %w", err)
-		}
-		switch r := req.(type) {
-		case *protocol.MemcpyStreamChunk:
-			// A rejected chunk keeps draining to the End message.
-			off, addErr := asm.Add(r)
-			placed(off, len(r.Data), at, addErr)
-		case *protocol.MemcpyStreamEndRequest:
-			// Sequence violations are reported in the End status rather
-			// than killing the session: frames stay message-aligned, so
-			// the dialogue is still coherent after a rejected transfer.
-			if opErr == nil {
-				opErr = asm.Finish(r)
-			}
-			if syncErr := ctx.StreamDestroy(stream); opErr == nil {
-				opErr = syncErr
-			}
-			return conn.Send(sess.codeReply(opErr))
-		default:
-			return fmt.Errorf("rcuda: %v inside a chunked transfer", req.Op())
-		}
+	req, err := sess.dec.Decode(frame)
+	if err != nil {
+		return nil, fmt.Errorf("rcuda: malformed stream message: %w", err)
 	}
+	end, ok := req.(*protocol.MemcpyStreamEndRequest)
+	if !ok {
+		return nil, fmt.Errorf("rcuda: %v inside a chunked transfer", req.Op())
+	}
+	// Sequence violations are reported in the End status rather than
+	// killing the session: frames stay message-aligned, so the dialogue is
+	// still coherent after a rejected transfer.
+	if opErr == nil {
+		opErr = asm.Finish(end.Chunks)
+	}
+	return opErr, nil
 }
 
-// serveStreamToHost streams device memory back to the client. Every
-// chunk's PCIe read is booked up front — back to back on the transfer's
-// stream, starting at the acknowledged Begin — and each chunk is sent,
-// straight from the device region, the moment its read completes, so chunk
-// k's network transfer overlaps chunk k+1's PCIe read on the simulated
-// clock.
-func (s *Server) serveStreamToHost(conn transport.Conn, sess *session, stream uint32, begin protocol.MemcpyStreamBeginRequest) error {
-	ctx := sess.context()
-	start := s.srvDevice(sess).Clock().Now()
-	n := protocol.Chunks(begin.Total, begin.ChunkSize)
-	chunk := &protocol.MemcpyStreamChunk{}
-	for seq := uint32(0); seq < n; seq++ {
-		off := seq * begin.ChunkSize
-		size := begin.Total - off
-		if size > begin.ChunkSize {
-			size = begin.ChunkSize
-		}
-		view, ready, err := ctx.HostViewAsyncAt(begin.Ptr+off, size, stream, start)
-		if err != nil {
-			// Unreachable after Begin validation short of a destroyed
-			// context; the client still expects n chunks, so the session
-			// cannot be salvaged.
-			return fmt.Errorf("rcuda: chunked read at %#x: %w", begin.Ptr+off, err)
-		}
-		chunk.Seq, chunk.Data = seq, view
-		if err := sendReady(conn, chunk, ready); err != nil {
-			return fmt.Errorf("rcuda: stream chunk %d send: %w", seq, err)
-		}
-	}
-	return conn.Send(sess.codeReply(ctx.StreamDestroy(stream)))
-}
+// srvDevice returns the device of the session's selected context.
+func (s *Server) srvDevice(sess *session) *gpu.Device { return s.devs[sess.cur] }

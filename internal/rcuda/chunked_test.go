@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
+	"rcuda/internal/calib"
 	"rcuda/internal/cudart"
+	"rcuda/internal/faults"
 	"rcuda/internal/gpu"
 	"rcuda/internal/netsim"
 	"rcuda/internal/protocol"
@@ -275,5 +278,74 @@ func TestRuntimeMethodsFailCleanlyAfterClose(t *testing.T) {
 	}
 	if err := client.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
+	}
+}
+
+// TestChunkedCopyCutByAFaultReleasesItsStream: a connection fault on the
+// server's end of a chunked copy — its receive of the second chunk to the
+// device, its send of the second chunk to the host — cuts the transfer, and
+// the retry on the reattached session copies it whole. The stream the cut
+// attempt opened must go with it: once the session parks, its exported
+// streams are those a fault-free copy leaves, or every retried copy would
+// leave one more in the session's checkpoints.
+func TestChunkedCopyCutByAFaultReleasesItsStream(t *testing.T) {
+	module := moduleImage(t, calib.MM)
+	parkedStreams := func(t *testing.T, inj ...faults.Injection) []protocol.TimelineEntry {
+		plan := faults.Script(inj...)
+		lb := startLoopback(t, plan)
+		defer lb.stop()
+		dial := lb.dial(nil)
+		conn, err := dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		client, err := Open(conn, module, WithReconnect(dial), WithRetry(4, 100*time.Microsecond),
+			WithChunkedTransfers(landTestSize, landTestChnk))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ptr, err := client.Malloc(landTestSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, dst := pattern(landTestSize, 0x5a), make([]byte, landTestSize)
+		if err := client.MemcpyToDevice(ptr, src); err != nil {
+			t.Fatal(err)
+		}
+		if err := client.MemcpyToHost(dst, ptr); err != nil || !bytes.Equal(src, dst) {
+			t.Fatalf("copy pair through the fault: %v", err)
+		}
+		if fired := plan.Injected(); fired != int64(len(inj)) {
+			t.Fatalf("%d faults fired, want %d; op indices drifted", fired, len(inj))
+		}
+		// Park the session as a dead connection leaves it; parking publishes
+		// its contexts under the server's lock.
+		id := client.SessionID()
+		_ = client.conn.Close()
+		var sess *session
+		waitFor(t, "the session to park", 5*time.Second, func() bool {
+			lb.srv.mu.Lock()
+			defer lb.srv.mu.Unlock()
+			sess = lb.srv.registry[id]
+			return sess != nil && !sess.attached
+		})
+		lb.srv.mu.Lock()
+		st, err := sess.context().ExportState()
+		lb.srv.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Timeline.Streams
+	}
+	want := parkedStreams(t)
+	for name, inj := range map[string]faults.Injection{
+		"to the device": cut(opH2DChunk1, faults.DirRecv, faults.KindReset, 0),
+		"to the host":   cut(opD2HChunk1, faults.DirSend, faults.KindReset, 0),
+	} {
+		t.Run(name, func(t *testing.T) {
+			if got := parkedStreams(t, inj); !reflect.DeepEqual(got, want) {
+				t.Fatalf("parked session's streams %v after the cut copy, %v after a clean one", got, want)
+			}
+		})
 	}
 }

@@ -334,16 +334,7 @@ func (c *Client) Free(ptr cudart.DevicePtr) error {
 // MemcpyToDevice implements cudart.Runtime.
 func (c *Client) MemcpyToDevice(dst cudart.DevicePtr, src []byte) error {
 	if c.chunkThreshold > 0 && len(src) >= c.chunkThreshold {
-		// The chunked path bypasses roundTrip, so it takes its sync point
-		// here before the transfer starts.
-		if err := c.syncPoint(); err != nil {
-			return err
-		}
-		// Retry restarts the whole transfer from Begin: the server-side
-		// rewrite of the same bytes to the same region is idempotent.
-		return c.runRetry(protocol.OpMemcpyToDevice, func() error {
-			return c.memcpyToDeviceChunked(dst, src)
-		})
+		return c.memcpyChunked(protocol.OpMemcpyToDevice, protocol.KindHostToDevice, dst, src)
 	}
 	req := protocol.Put(&c.req.toDevice, protocol.MemcpyToDeviceRequest{Dst: uint32(dst), Data: src})
 	err := c.callCode(req)
@@ -357,12 +348,7 @@ func (c *Client) MemcpyToDevice(dst cudart.DevicePtr, src []byte) error {
 // the data itself.
 func (c *Client) MemcpyToHost(dst []byte, src cudart.DevicePtr) error {
 	if c.chunkThreshold > 0 && len(dst) >= c.chunkThreshold {
-		if err := c.syncPoint(); err != nil {
-			return err
-		}
-		return c.runRetry(protocol.OpMemcpyToHost, func() error {
-			return c.memcpyToHostChunked(dst, src)
-		})
+		return c.memcpyChunked(protocol.OpMemcpyToHost, protocol.KindDeviceToHost, src, dst)
 	}
 	return c.copyToHost(protocol.Put(&c.req.toHost,
 		protocol.MemcpyToHostRequest{Src: uint32(src), Size: uint32(len(dst))}), dst)

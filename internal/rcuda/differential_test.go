@@ -25,8 +25,8 @@ import (
 // runtime does, the batching client as the model does, and the batching
 // client must answer locally exactly the event queries the model's
 // local-answer rule covers. A diffConfig says how programs are drawn; the
-// fold and the event-completion tests at the end of this file are its two
-// configurations.
+// fold, the event-completion and the chunked-copy tests at the end of this
+// file are its three configurations.
 
 // diffRuntime is what a program calls.
 type diffRuntime interface {
@@ -64,11 +64,12 @@ type diffProgram struct {
 	maxOps  int // the batching client's frame budget
 }
 
-// diffConfig is one configuration of the engine: the devices of each
-// runtime, the frame budgets a program draws from, and how it draws its
+// diffConfig is one configuration of the engine: the options of both
+// clients, the devices of each runtime, the frame budgets a program draws from, and how it draws its
 // calls — calls[0] + Intn(calls[1]) of them, each from handles and then
 // one weighted row of body, and with closing set, one more from closing.
 type diffConfig struct {
+	opts    []ClientOption // of both clients
 	devices int
 	budgets []int
 	calls   [2]int
@@ -221,6 +222,8 @@ func (p diffProgram) run(rt diffRuntime, devices int, m *batchingModel) (codes [
 				return rt.SetDevice(c.device)
 			case protocol.OpMemcpyToHost:
 				return rt.MemcpyToHost(dst, ptrs[c.buf])
+			case protocol.OpMemcpyToDevice:
+				return rt.MemcpyToDevice(ptrs[c.buf], c.data)
 			}
 			return fmt.Errorf("the engine does not run %v", c.op)
 		}
@@ -406,7 +409,7 @@ func (cfg diffConfig) check(t *testing.T, seeds int64, tally func(p diffProgram,
 		}
 		local := openLocal()
 		want, wantMem := do("local", local, nil, func() { _ = local.Close() })
-		plain, closePlain := remote()
+		plain, closePlain := remote(cfg.opts...)
 		got, mem := do("unbatched", plain, nil, closePlain)
 		if fmt.Sprint(got) != fmt.Sprint(want) || !bytes.Equal(mem, wantMem) {
 			t.Fatalf("seed %d: unbatched client answered %v, local %v (memory equal: %v)", seed, got, want, bytes.Equal(mem, wantMem))
@@ -417,7 +420,7 @@ func (cfg diffConfig) check(t *testing.T, seeds int64, tally func(p diffProgram,
 
 		model := &batchingModel{Local: openLocal(), maxOps: cmp.Or(p.maxOps, DefaultBatchOps)}
 		exp, expMem := do("model", model.Local, model, func() { _ = model.Close() })
-		client, closeBatched := remote(WithBatching(p.maxOps, 0))
+		client, closeBatched := remote(append(cfg.opts, WithBatching(p.maxOps, 0))...)
 		probed := &probedClient{Client: client}
 		got, mem = do("batched", probed, nil, closeBatched)
 		if fmt.Sprint(got) != fmt.Sprint(exp) || !bytes.Equal(mem, expMem) {
@@ -593,5 +596,55 @@ func TestEventCompletionMatchesLocal(t *testing.T) {
 		if decisive[v] == 0 {
 			t.Fatalf("the generator no longer catches a rule that keeps the fact through %s", ruleNames[v])
 		}
+	}
+}
+
+// TestChunkedCopiesMatchLocal is the chunked configuration: both clients
+// split every synchronous copy — the programs' own, their setup's and their
+// read-backs — into 40-byte chunks, so a buffer crosses the wire as six
+// full chunks and a short one. Programs copy to and from buffers among
+// memsets and launches; dirty programs copy to and from the freed buffer
+// and the guess, which the server must refuse at Begin with the local
+// runtime's cudaError_t.
+func TestChunkedCopiesMatchLocal(t *testing.T) {
+	buf := func(g *diffGen) int { return g.pick(diffLive, diffLive+g.Intn(2)) }
+	cfg := diffConfig{
+		opts:    []ClientOption{WithChunkedTransfers(1, 40)},
+		devices: 1,
+		budgets: []int{0, 2},
+		calls:   [2]int{4, 12},
+		handles: func(g *diffGen) diffCall { return diffCall{stream: g.Intn(2), buf: buf(g)} },
+		body: []diffDraw{
+			{protocol.OpMemcpyToDevice, 4, func(g *diffGen, c *diffCall) {
+				c.data = g.floats(4 * (1 + g.Intn(diffBufBytes/4)))
+			}},
+			{protocol.OpMemcpyToHost, 4, nil},
+			{protocol.OpMemset, 1, func(g *diffGen, c *diffCall) {
+				c.value, c.size = byte(g.Intn(256)), uint32(1+g.Intn(diffBufBytes))
+			}},
+			{protocol.OpLaunch, 1, func(g *diffGen, c *diffCall) {
+				c.kernel, c.m, c.a, c.b = kernels.SgemmKernel, 8, g.Intn(diffLive), g.Intn(diffLive)
+			}},
+			{protocol.OpDeviceSynchronize, 1, nil},
+		},
+	}
+	// Both outcomes of a chunked copy must come up: one that moves its
+	// chunks and one refused at Begin.
+	var moved, refused int
+	cfg.check(t, 300, func(p diffProgram, want, _ []cudart.Error, _ *batchingModel) {
+		for i, c := range p.calls {
+			if c.op != protocol.OpMemcpyToDevice && c.op != protocol.OpMemcpyToHost {
+				continue
+			}
+			if want[i] == cudart.Success {
+				moved++
+			} else {
+				refused++
+			}
+		}
+	})
+	t.Logf("chunked copies moved %d, refused at Begin %d", moved, refused)
+	if moved == 0 || refused == 0 {
+		t.Fatal("the generator no longer covers both outcomes of a chunked copy")
 	}
 }

@@ -230,17 +230,8 @@ func (s *Server) streamSession(sess *session, dial func() (transport.Conn, error
 		return 0, err
 	}
 
-	chunk := &protocol.MigrateChunk{}
-	for off, seq := 0, uint32(0); off < len(payload); seq++ {
-		end := off + int(chunkSize)
-		if end > len(payload) {
-			end = len(payload)
-		}
-		chunk.Seq, chunk.Data = seq, payload[off:end]
-		if err := conn.Send(chunk); err != nil {
-			return 0, fmt.Errorf("rcuda: migrate chunk %d send: %w", seq, err)
-		}
-		off = end
+	if _, err := sendChunks(conn, protocol.OpMigrateChunk, total, chunkSize, sliceView(payload)); err != nil {
+		return 0, err
 	}
 	commit := &protocol.MigrateCommitRequest{
 		Chunks: protocol.Chunks(total, chunkSize),
@@ -385,10 +376,11 @@ func (s *Server) refuseRestore(conn transport.Conn, id uint64, why error) error 
 	return fmt.Errorf("rcuda: restore of session %d refused: %w", id, why)
 }
 
-// recvCheckpoint runs the Begin/chunks/Commit receive loop and materializes
-// the verified checkpoint into sess. Protocol violations and transport
-// faults return an error without sending a commit acknowledgement — the
-// source observes the dead connection and keeps its copy.
+// recvCheckpoint receives the Begin, the chunks — landed straight in the
+// checkpoint buffer — and the Commit, and materializes the verified
+// checkpoint into sess. Protocol violations and transport faults return an
+// error without sending a commit acknowledgement — the source observes the
+// dead connection and keeps its copy.
 func (s *Server) recvCheckpoint(conn transport.Conn, sess *session) error {
 	raw, err := conn.Recv()
 	if err != nil {
@@ -405,7 +397,7 @@ func (s *Server) recvCheckpoint(conn transport.Conn, sess *session) error {
 		return fmt.Errorf("rcuda: %v before MigrateBegin", req.Op())
 	}
 	buf := make([]byte, begin.Total)
-	asm, err := protocol.NewChunkAssembler(begin.Total, begin.ChunkSize, buf)
+	asm, err := protocol.NewChunkAssembler(protocol.OpMigrateChunk, begin.Total, begin.ChunkSize, buf)
 	if err != nil {
 		// Decoded Begin geometry is pre-validated; reaching here is a bug.
 		_ = conn.Send(&protocol.CodeResponse{Err: uint32(cudart.ErrorInvalidValue)})
@@ -414,39 +406,29 @@ func (s *Server) recvCheckpoint(conn transport.Conn, sess *session) error {
 	if err := conn.Send(&protocol.CodeResponse{}); err != nil {
 		return err
 	}
-	var opErr error
-	for {
-		if raw, err = conn.Recv(); err != nil {
-			return fmt.Errorf("rcuda: migrate chunk recv: %w", err)
-		}
-		if req, err = protocol.DecodeRequest(raw); err != nil {
-			return fmt.Errorf("rcuda: malformed migrate message: %w", err)
-		}
-		switch r := req.(type) {
-		case *protocol.MigrateChunk:
-			if _, addErr := asm.Add(r.Stream()); addErr != nil && opErr == nil {
-				opErr = addErr // keep draining to the commit frame
-			}
-		case *protocol.MigrateCommitRequest:
-			if opErr == nil {
-				opErr = s.commitCheckpoint(sess, asm, buf, r)
-			}
-			if opErr != nil {
-				_ = conn.Send(&protocol.CodeResponse{Err: uint32(cudart.ErrorInvalidValue)})
-				return fmt.Errorf("rcuda: restore of session %d failed: %w", sess.id, opErr)
-			}
-			return nil
-		default:
-			return fmt.Errorf("rcuda: %v inside a migration stream", req.Op())
-		}
+	if raw, _, err = recvChunks(conn, asm, nil); err != nil {
+		return err
 	}
+	if req, err = protocol.DecodeRequest(raw); err != nil {
+		return fmt.Errorf("rcuda: malformed migrate message: %w", err)
+	}
+	commit, ok := req.(*protocol.MigrateCommitRequest)
+	if !ok {
+		return fmt.Errorf("rcuda: %v inside a migration stream", req.Op())
+	}
+	if err := s.commitCheckpoint(sess, asm, buf, commit); err != nil {
+		_ = conn.Send(&protocol.CodeResponse{Err: uint32(cudart.ErrorInvalidValue)})
+		return fmt.Errorf("rcuda: restore of session %d failed: %w", sess.id, err)
+	}
+	return nil
 }
 
-// commitCheckpoint verifies the reassembled stream against the commit frame
+// commitCheckpoint verifies the reassembled stream against the commit
+// frame — every chunk accepted, as many as it declares, and its digest —
 // and materializes it.
 func (s *Server) commitCheckpoint(sess *session, asm *protocol.ChunkAssembler, buf []byte, commit *protocol.MigrateCommitRequest) error {
-	if !asm.Complete() {
-		return fmt.Errorf("rcuda: commit with incomplete checkpoint stream")
+	if err := asm.Finish(commit.Chunks); err != nil {
+		return err
 	}
 	if got := protocol.MigrateDigest(buf); got != commit.Digest {
 		return fmt.Errorf("rcuda: checkpoint digest mismatch: %#x != %#x", got, commit.Digest)

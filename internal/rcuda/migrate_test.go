@@ -982,3 +982,63 @@ func TestStandbyCheckpointFailover(t *testing.T) {
 		t.Fatalf("standby copies miscounted: %+v", ss)
 	}
 }
+
+// TestRestoreRefusesACommitMiscountingItsChunks: a hand-driven restore
+// connection streams a whole, well-formed checkpoint and commits it with
+// its true digest but one chunk more than it sent. The destination must
+// refuse the commit — as it refuses a chunked copy's End that miscounts —
+// and keep no session; the same stream committed with its true count is
+// restored.
+func TestRestoreRefusesACommitMiscountingItsChunks(t *testing.T) {
+	dst, dstAddr, cleanup := startMigrateServer(t)
+	defer cleanup()
+	mod, err := kernels.ModuleFor(calib.MM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id, chunkSize = 7, 16
+	payload := (&protocol.Checkpoint{Session: id, Module: mod.Name}).Encode(nil)
+	total := uint32(len(payload))
+	chunks := protocol.Chunks(total, chunkSize)
+	for _, declared := range []uint32{chunks + 1, chunks} {
+		conn, err := transport.DialTCP(dstAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.Send(&protocol.SessionRestoreRequest{Session: id}); err != nil {
+			t.Fatal(err)
+		}
+		if err := recvAck(conn, "restore"); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.Send(&protocol.MigrateBeginRequest{Total: total, ChunkSize: chunkSize}); err != nil {
+			t.Fatal(err)
+		}
+		if err := recvAck(conn, "migrate begin"); err != nil {
+			t.Fatal(err)
+		}
+		for seq := uint32(0); seq < chunks; seq++ {
+			data := payload[seq*chunkSize : min(total, (seq+1)*chunkSize)]
+			if err := conn.Send(&protocol.Chunk{Kind: protocol.OpMigrateChunk, Seq: seq, Data: data}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		commit := &protocol.MigrateCommitRequest{Chunks: declared, Digest: protocol.MigrateDigest(payload)}
+		if err := conn.Send(commit); err != nil {
+			t.Fatal(err)
+		}
+		err = recvAck(conn, "migrate commit")
+		_ = conn.Close()
+		if declared != chunks {
+			if err == nil {
+				t.Fatalf("a commit declaring %d chunks of %d was accepted", declared, chunks)
+			}
+			waitSettled(t, dst, 0)
+			continue
+		}
+		if err != nil {
+			t.Fatalf("the true commit: %v", err)
+		}
+		waitSettled(t, dst, 1)
+	}
+}

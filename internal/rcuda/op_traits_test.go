@@ -62,14 +62,14 @@ func TestOpTraitsMatchParent(t *testing.T) {
 		{23, &protocol.StreamOpRequest{Code: protocol.OpStreamQuery, Stream: 1}, true, false, true, true, other, 0},
 		{24, &protocol.EventOpRequest{Code: protocol.OpEventQuery, Event: 1}, true, false, true, true, other, 0},
 		{25, &protocol.MemcpyStreamBeginRequest{Ptr: 1, Total: 4096, Kind: protocol.KindHostToDevice, ChunkSize: 256}, false, false, false, true, cp, 4096},
-		{26, &protocol.MemcpyStreamChunk{Seq: 2, Data: make([]byte, 8)}, false, false, false, true, other, 0},
+		{26, &protocol.Chunk{Kind: protocol.OpMemcpyStreamChunk, Seq: 2, Data: make([]byte, 8)}, false, false, false, true, other, 0},
 		{27, &protocol.MemcpyStreamEndRequest{Chunks: 4}, false, false, false, true, other, 0},
 		{28, &protocol.SessionHelloRequest{}, true, false, false, false, 0, 0},
 		{29, &protocol.ReattachRequest{Session: 7}, false, false, false, false, 0, 0},
 		{30, &protocol.StatsQueryRequest{}, true, false, false, false, 0, 0},
 		{31, &protocol.BatchRequest{Seq: 1}, true, false, false, true, batch, 0},
 		{32, &protocol.MigrateBeginRequest{Total: 64, ChunkSize: 16}, false, false, false, true, other, 0},
-		{33, &protocol.MigrateChunk{Seq: 2, Data: make([]byte, 8)}, false, false, false, true, other, 0},
+		{33, &protocol.Chunk{Kind: protocol.OpMigrateChunk, Seq: 2, Data: make([]byte, 8)}, false, false, false, true, other, 0},
 		{34, &protocol.MigrateCommitRequest{Chunks: 4, Digest: 1}, false, false, false, true, other, 0},
 		{35, &protocol.SessionRestoreRequest{Session: 9}, false, false, false, true, other, 0},
 		// Codes past the declared space: never retried, never batched.

@@ -1011,7 +1011,7 @@ func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Reque
 		// r is good until the next receive and the transfer receives its
 		// chunks, so it takes a copy.
 		return false, s.serveMemcpyStream(conn, sess, *r)
-	case *protocol.MemcpyStreamChunk, *protocol.MemcpyStreamEndRequest:
+	case *protocol.Chunk, *protocol.MemcpyStreamEndRequest:
 		// Client and server have lost framing, which is fatal for the session.
 		return false, fmt.Errorf("rcuda: %v outside a chunked transfer", req.Op())
 
@@ -1046,7 +1046,8 @@ func (ss *session) run(req protocol.Request) (err error, ok bool) {
 		block := gpu.Dim3{X: r.BlockDim[0], Y: r.BlockDim[1], Z: r.BlockDim[2]}
 		return ctx.LaunchAsync(r.Name, grid, block, r.SharedSize, r.Params, r.Stream), true
 	case *protocol.MemcpyToDeviceAsyncRequest:
-		return ctx.CopyToDeviceAsync(r.Dst, r.Data, r.Stream), true
+		_, err := ctx.CopyToDeviceAsyncAt(r.Dst, r.Data, r.Stream, ss.srv.srvDevice(ss).Clock().Now())
+		return err, true
 	case *protocol.EventRecordRequest:
 		return ctx.EventRecord(r.Event, r.Stream), true
 	case *protocol.MemsetRequest:

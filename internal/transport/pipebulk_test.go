@@ -33,9 +33,13 @@ var segmentedTypes = map[string]func(data []byte) protocol.Segmented{
 	"MemcpyToHostResponse": func(d []byte) protocol.Segmented {
 		return &protocol.MemcpyToHostResponse{Data: d, Err: 0x0badc0de}
 	},
-	"MemcpyStreamChunk": func(d []byte) protocol.Segmented { return &protocol.MemcpyStreamChunk{Seq: 9, Data: d} },
-	"MigrateChunk":      func(d []byte) protocol.Segmented { return &protocol.MigrateChunk{Seq: 4, Data: d} },
-	"InitRequest":       func(d []byte) protocol.Segmented { return &protocol.InitRequest{Module: d} },
+	"MemcpyStreamChunk": func(d []byte) protocol.Segmented {
+		return &protocol.Chunk{Kind: protocol.OpMemcpyStreamChunk, Seq: 9, Data: d}
+	},
+	"MigrateChunk": func(d []byte) protocol.Segmented {
+		return &protocol.Chunk{Kind: protocol.OpMigrateChunk, Seq: 4, Data: d}
+	},
+	"InitRequest": func(d []byte) protocol.Segmented { return &protocol.InitRequest{Module: d} },
 }
 
 // crossing is everything observable about one frame's trip through a pipe.
@@ -171,15 +175,15 @@ func fill(data []byte, tag byte) {
 }
 
 // bulkOf is a bulk frame whose every data byte is tag.
-func bulkOf(data []byte, seq uint32, tag byte) *protocol.MemcpyStreamChunk {
+func bulkOf(data []byte, seq uint32, tag byte) *protocol.Chunk {
 	fill(data, tag)
-	return &protocol.MemcpyStreamChunk{Seq: seq, Data: data}
+	return &protocol.Chunk{Kind: protocol.OpMemcpyStreamChunk, Seq: seq, Data: data}
 }
 
 // intact reports whether a received chunk frame (its payload, plus what
 // landed if anything did) carries seq and nothing but tag.
 func intact(payload, landed []byte, seq uint32, tag byte) bool {
-	c, err := protocol.DecodeMemcpyStreamChunk(append(append([]byte(nil), payload...), landed...))
+	c, err := protocol.DecodeChunk(append(append([]byte(nil), payload...), landed...))
 	return err == nil && c.Seq == seq && bytes.Count(c.Data, []byte{tag}) == len(c.Data)
 }
 
