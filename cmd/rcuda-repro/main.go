@@ -5,8 +5,9 @@
 //
 //	rcuda-repro -all                 # everything, in paper order
 //	rcuda-repro -table 4             # one table (1-6)
-//	rcuda-repro -figure 5            # one figure (2-6)
+//	rcuda-repro -figure 5            # one figure (2-9; 7-9 are extensions)
 //	rcuda-repro -experiments         # EXPERIMENTS.md content (paper vs ours)
+//	rcuda-repro -svg figs            # Figures 3-9 as SVG files, plotting what -figure prints
 //
 // Flags -reps, -seed and -sigma control the simulated measurement campaign
 // (default: the paper's 30 repetitions, seed 1, 0.4% noise).
@@ -15,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -24,41 +26,48 @@ import (
 )
 
 func main() {
-	table := flag.Int("table", 0, "print one table (1-6)")
-	figure := flag.Int("figure", 0, "print one figure (2-6)")
-	all := flag.Bool("all", false, "print every table and figure")
-	experiments := flag.Bool("experiments", false, "print the EXPERIMENTS.md document")
-	reps := flag.Int("reps", 30, "repetitions per measured data point")
-	seed := flag.Int64("seed", 1, "noise seed")
-	sigma := flag.Float64("sigma", 0.004, "relative measurement noise (0 disables)")
-	mmSize := flag.Int("mm", 4096, "MM size at which Table II is evaluated")
-	fftBatch := flag.Int("fft", 2048, "FFT batch at which Table II is evaluated")
-	svgDir := flag.String("svg", "", "write every figure as SVG files into this directory")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints to out what the flags in argv ask for, stopping at the first
+// error.
+func run(argv []string, out io.Writer) error {
+	fs := flag.NewFlagSet("rcuda-repro", flag.ExitOnError)
+	table := fs.Int("table", 0, "print one table (1-6)")
+	figure := fs.Int("figure", 0, "print one figure (2-9; 7-9 are extensions)")
+	all := fs.Bool("all", false, "print every table and figure")
+	experiments := fs.Bool("experiments", false, "print the EXPERIMENTS.md document")
+	reps := fs.Int("reps", 30, "repetitions per measured data point")
+	seed := fs.Int64("seed", 1, "noise seed")
+	sigma := fs.Float64("sigma", 0.004, "relative measurement noise (0 disables)")
+	mmSize := fs.Int("mm", 4096, "MM size at which Table II and Figure 8 are evaluated")
+	fftBatch := fs.Int("fft", 2048, "FFT batch at which Table II and Figure 8 are evaluated")
+	svgDir := fs.String("svg", "", "write every figure as SVG files into this directory")
+	_ = fs.Parse(argv) // ExitOnError: a bad flag exits here
 
 	cfg := report.Config{Reps: *reps, Seed: *seed, Sigma: *sigma}
-	out := os.Stdout
-
-	emit := func(s string, err error) {
-		if err != nil {
-			log.Fatal(err)
+	var err error
+	emit := func(s string, e error) {
+		if err == nil {
+			err = e
 		}
-		fmt.Fprintln(out, s)
+		if err == nil {
+			fmt.Fprintln(out, s)
+		}
 	}
 
 	if *experiments {
 		emit(cfg.Experiments())
-		return
+		return err
 	}
 	if *svgDir != "" {
-		paths, err := cfg.WriteSVGs(*svgDir)
-		if err != nil {
-			log.Fatal(err)
-		}
+		paths, err := cfg.WriteSVGs(*svgDir, *mmSize, *fftBatch)
 		for _, p := range paths {
 			fmt.Fprintln(out, p)
 		}
-		return
+		return err
 	}
 	if !*all && *table == 0 && *figure == 0 {
 		*all = true
@@ -79,7 +88,7 @@ func main() {
 		case 6:
 			emit(cfg.TableVI())
 		default:
-			log.Fatalf("unknown table %d (1-6)", n)
+			emit("", fmt.Errorf("unknown table %d (1-6)", n))
 		}
 	}
 	printFigure := func(n int) {
@@ -103,7 +112,7 @@ func main() {
 		case 9:
 			emit(cfg.Figure9(8))
 		default:
-			log.Fatalf("unknown figure %d (2-9; 7-9 are extensions)", n)
+			emit("", fmt.Errorf("unknown figure %d (2-9; 7-9 are extensions)", n))
 		}
 	}
 
@@ -129,4 +138,5 @@ func main() {
 		printFigure(8)
 		printFigure(9)
 	}
+	return err
 }

@@ -65,12 +65,6 @@ type InferenceMsg struct {
 	Wait time.Duration
 }
 
-// launchWireBytes is the wire size of one sgemm layer launch: the fixed
-// header plus the NUL-terminated kernel name and four packed parameters.
-func launchWireBytes() int64 {
-	return 44 + int64(len("sgemmNN")) + 1 + 4*4
-}
-
 // InferenceSchedule lists every message of an inference session in order —
 // exactly the traffic the functional workload generates, plus nothing. The
 // workload test cross-checks this claim message count for message count.
@@ -96,7 +90,7 @@ func InferenceSchedule(spec InferenceSpec) []InferenceMsg {
 
 	// Request loop.
 	propsRecv := int64(36 + len(spec.DeviceName))
-	launchBytes := launchWireBytes()
+	launchBytes := LaunchBytes(calib.MM)
 	for r := 0; r < spec.Requests; r++ {
 		// The loop polls device properties to size its launches; the
 		// batched client answers every poll after the first from cache.

@@ -54,7 +54,7 @@ func TestInferenceScheduleShape(t *testing.T) {
 		if m.Op == protocol.OpBatch {
 			frames++
 			subs := spec.Layers + 3
-			if want := int64(16 + (4 + 24 + inferenceMatrixBytes) + spec.Layers*(4+int(launchWireBytes())) + (4 + 12) + (4 + 8)); m.SendBytes != want {
+			if want := int64(16 + (4 + 24 + inferenceMatrixBytes) + spec.Layers*(4+int(LaunchBytes(calib.MM))) + (4 + 12) + (4 + 8)); m.SendBytes != want {
 				t.Errorf("batch frame carries %d bytes, want %d", m.SendBytes, want)
 			}
 			if want := int64(8 + 4*subs); m.RecvBytes != want {

@@ -23,14 +23,15 @@ type TableIIRow struct {
 	SendTime, RecvTime time.Duration
 }
 
-// launchVariableBytes returns the launch message's variable region for each
-// case study: the NUL-terminated kernel name plus the packed parameter
-// block (sgemmNN with 4 params; fft512 with 3), giving the x of "x + 44".
-func launchVariableBytes(cs calib.CaseStudy) int64 {
+// LaunchBytes is the wire size of a case study's kernel launch request: the
+// 44 fixed bytes plus the variable region, the NUL-terminated kernel name
+// and the packed parameter block (sgemmNN with 4 params; fft512 with 3) —
+// the x of "x + 44". An inference layer launches sgemmNN too.
+func LaunchBytes(cs calib.CaseStudy) int64 {
 	if cs == calib.MM {
-		return int64(len("sgemmNN")) + 1 + 4*4
+		return 44 + int64(len("sgemmNN")) + 1 + 4*4
 	}
-	return int64(len("fft512")) + 1 + 3*4
+	return 44 + int64(len("fft512")) + 1 + 3*4
 }
 
 // TableII evaluates the remote API call costs of a case study at one
@@ -53,7 +54,7 @@ func TableII(cs calib.CaseStudy, size int, link *netsim.Link) []TableIIRow {
 	}
 
 	initSend := int64(4 + calib.ModuleBytes(cs))
-	launchVar := launchVariableBytes(cs)
+	launch := LaunchBytes(cs)
 
 	return []TableIIRow{
 		{
@@ -73,8 +74,8 @@ func TableII(cs calib.CaseStudy, size int, link *netsim.Link) []TableIIRow {
 		},
 		{
 			Op: protocol.OpLaunch, Count: 1,
-			SendBytes: 44 + launchVar, RecvBytes: 4,
-			SendTime: small(44 + launchVar), RecvTime: small(4),
+			SendBytes: launch, RecvBytes: 4,
+			SendTime: small(launch), RecvTime: small(4),
 		},
 		{
 			Op: protocol.OpMemcpyToHost, Count: 1,

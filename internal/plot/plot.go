@@ -102,8 +102,9 @@ func (c *Chart) SVG(width, height int) (string, error) {
 	fmt.Fprintf(&sb, `<text x="16" y="%d" font-size="12" font-family="sans-serif" text-anchor="middle" transform="rotate(-90 16 %d)">%s</text>`+"\n",
 		(marginTop+height-marginBottom)/2, (marginTop+height-marginBottom)/2, escape(c.YLabel))
 
-	// Series polylines and legend.
+	// Series polylines, each drawn in x order, and legend.
 	for i, s := range c.Series {
+		s = SortedByX(s)
 		color := palette[i%len(palette)]
 		var pts []string
 		for j := range s.X {
@@ -223,8 +224,8 @@ func escape(s string) string {
 	return r.Replace(s)
 }
 
-// SortedByX returns a copy of the series with points ordered by X, which
-// polyline rendering requires.
+// SortedByX returns a copy of the series with points ordered by X, the
+// order SVG draws a series' polyline in.
 func SortedByX(s Series) Series {
 	idx := make([]int, len(s.X))
 	for i := range idx {

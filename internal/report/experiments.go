@@ -9,7 +9,6 @@ import (
 
 	"rcuda/internal/broker"
 	"rcuda/internal/calib"
-	"rcuda/internal/contention"
 	"rcuda/internal/faults"
 	"rcuda/internal/gpu"
 	"rcuda/internal/kernels"
@@ -51,9 +50,7 @@ the simulated measurements exactly as the paper's method prescribes.
 	if err != nil {
 		return "", err
 	}
-	if err := c.expTableIV(&sb); err != nil {
-		return "", err
-	}
+	c.expTableIV(&sb, data)
 	c.expTableVI(&sb, data)
 	c.expFigures56(&sb, data)
 	if err := c.expExtensions(&sb); err != nil {
@@ -93,31 +90,13 @@ func expRecorded(sb *strings.Builder) error {
 
 func (c Config) expExtensions(sb *strings.Builder) error {
 	sb.WriteString("## Extensions beyond the paper\n\n")
-	// Pipelined FFT (Figure 7): report the overlap gain on the fastest
-	// and slowest networks at one representative batch.
-	gain := func(netName string) (float64, error) {
-		link, err := netsim.ByName(netName)
-		if err != nil {
-			return 0, err
-		}
-		sync, err := workload.Run(calib.FFT, 8192, workload.Remote, workload.Options{Link: link})
-		if err != nil {
-			return 0, err
-		}
-		piped, err := workload.RunPipelined(8192, 8, workload.Options{Link: link})
-		if err != nil {
-			return 0, err
-		}
-		return (1 - float64(piped.Total)/float64(sync.Total)) * 100, nil
-	}
-	fast, err := gain("40GI")
+	// Pipelined FFT (Figure 7's run, noiseless, at one representative
+	// batch): the overlap gain on 40GI and GigaE, the first two networks.
+	runs, err := Config{}.pipelineRuns(8, []int{8192})
 	if err != nil {
 		return err
 	}
-	slow, err := gain("GigaE")
-	if err != nil {
-		return err
-	}
+	fast, slow := runs[0].gainPc(1), runs[0].gainPc(0)
 	fmt.Fprintf(sb, `- **Asynchronous pipelining (Figure 7, `+"`-figure 7`"+`)**: splitting the
   FFT batch into 8 double-buffered chunks hides %.1f%% of the remote
   execution time on 40GI, where the device engines are the bottleneck. On
@@ -132,19 +111,13 @@ func (c Config) expExtensions(sb *strings.Builder) error {
   equipped cluster's makespan within 10%%.
 `, fast, -slow)
 
-	// Contention (Figure 9): quantify the per-client slowdown of sharing.
-	shared, err := contention.Run(contention.Params{
-		CS: calib.MM, Size: 8192, Clients: 4, Link: netsim.IB40G(),
-	})
+	// Contention (Figure 9's MM sweep over 40GI): the per-client slowdown
+	// of four clients sharing the server against a lone one.
+	sweeps, err := contentionSweeps(4)
 	if err != nil {
 		return err
 	}
-	lone, err := contention.Run(contention.Params{
-		CS: calib.MM, Size: 8192, Clients: 1, Link: netsim.IB40G(),
-	})
-	if err != nil {
-		return err
-	}
+	lone, shared := sweeps[1].results[0], sweeps[1].results[3]
 	fmt.Fprintf(sb, `- **Multi-client contention (Figure 9, `+"`-figure 9`"+`)**: an event-level
   simulation (internal/des) of clients sharing one GPU server's link and
   device. Four MM clients on 40GI run %.1fx slower each than a lone client
@@ -584,9 +557,7 @@ func (c Config) expFigures34(sb *strings.Builder) error {
 	sb.WriteString("## Figures 3 and 4 — network characterization\n\n")
 	sb.WriteString("| network | quantity | paper | reproduced |\n|---|---|---|---|\n")
 	for _, link := range netsim.Testbed() {
-		pp := &netsim.PingPong{Link: link, Noise: c.noise(21)}
-		pts := pp.MeasureLarge(largeSizes, 100)
-		fit, err := netsim.FitLarge(pts)
+		_, _, fit, err := c.latency(link, 21, nil)
 		if err != nil {
 			return err
 		}
@@ -680,26 +651,10 @@ func (c Config) expTablesIIIandV(sb *strings.Builder) {
 		cells, maxRel*100)
 }
 
-func (c Config) expTableIV(sb *strings.Builder) error {
+func (c Config) expTableIV(sb *strings.Builder, data map[calib.CaseStudy]TableVIResult) {
 	sb.WriteString("## Table IV — cross-validation of the estimation models\n\n")
-	ge, ib := netsim.GigaE(), netsim.IB40G()
 	for _, cs := range []calib.CaseStudy{calib.MM, calib.FFT} {
-		geMeas, err := c.measureSeries(cs, ge, 1)
-		if err != nil {
-			return err
-		}
-		ibMeas, err := c.measureSeries(cs, ib, 2)
-		if err != nil {
-			return err
-		}
-		fwd, err := perfmodel.CrossValidate(cs, ge, ib, geMeas, ibMeas)
-		if err != nil {
-			return err
-		}
-		rev, err := perfmodel.CrossValidate(cs, ib, ge, ibMeas, geMeas)
-		if err != nil {
-			return err
-		}
+		fwd, rev := data[cs].CrossGigaE, data[cs].Cross40GI
 		fmt.Fprintf(sb, "### %s (times in %s)\n\n", cs, unitName(cs))
 		sb.WriteString("| size | err% GigaE model (paper) | err% GigaE model (ours) | err% 40GI model (paper) | err% 40GI model (ours) |\n|---|---|---|---|---|\n")
 		for i, row := range fwd {
@@ -717,7 +672,6 @@ model) — the signature of the GigaE TCP-window excess on 16–128 MB
 transfers that the linear model folds into its fixed time.
 
 `)
-	return nil
 }
 
 func (c Config) expTableVI(sb *strings.Builder, data map[calib.CaseStudy]TableVIResult) {
@@ -778,7 +732,6 @@ func (c Config) expFigures56(sb *strings.Builder, data map[calib.CaseStudy]Table
 		fmt.Fprintf(sb, "| %s | %v |\n", ch.name, ch.ok)
 	}
 	fmt.Fprintf(sb, "\nFull series: `go run ./cmd/rcuda-repro -figure 5` and `-figure 6`.\n")
-	_ = workload.PaperRepetitions
 }
 
 func allBeat(est map[string]map[int]time.Duration, base map[int]time.Duration, size int) bool {

@@ -6,6 +6,8 @@ import (
 
 	"rcuda/internal/calib"
 	"rcuda/internal/netsim"
+	"rcuda/internal/plot"
+	"rcuda/internal/stats"
 	"rcuda/internal/trace"
 	"rcuda/internal/vclock"
 	"rcuda/internal/workload"
@@ -56,22 +58,36 @@ var (
 // average one-way latency (µs) for small payloads and minimum one-way
 // latency (ms) for large payloads — followed by the fitted regression.
 func (c Config) FigureLatency(link *netsim.Link) (string, error) {
-	pp := &netsim.PingPong{Link: link, Noise: c.noise(11)}
+	return textOf(c.figureLatency(link))
+}
 
-	small := pp.MeasureSmall(smallSizes, 250)
-	var smallRows [][]string
+// latency runs the ping-pong characterization of a network on one noise
+// stream: the small payloads (none for nil) as averages of 250 round trips,
+// then the large ones as minima of 100, and the regression of the large.
+func (c Config) latency(link *netsim.Link, stream int64, small []int64) (smallPts, largePts []stats.Point, fit stats.Linear, err error) {
+	pp := &netsim.PingPong{Link: link, Noise: c.noise(stream)}
+	smallPts = pp.MeasureSmall(small, 250)
+	largePts = pp.MeasureLarge(largeSizes, 100)
+	fit, err = netsim.FitLarge(largePts)
+	return smallPts, largePts, fit, err
+}
+
+// figureLatency renders one latency run on stream 11 as the figure's text
+// and as one log-log chart of both payload ranges, in bytes and µs.
+func (c Config) figureLatency(link *netsim.Link) (string, []chart, error) {
+	small, large, fit, err := c.latency(link, 11, smallSizes)
+	if err != nil {
+		return "", nil, err
+	}
+	left, right := plot.Series{Name: "small (mean of 250)"}, plot.Series{Name: "large (min of 100)"}
+	var smallRows, largeRows [][]string
 	for _, p := range small {
 		smallRows = append(smallRows, []string{fmt.Sprintf("%.0f", p.X), fmt.Sprintf("%.1f", p.Y)})
+		point(&left, p.X, p.Y)
 	}
-
-	large := pp.MeasureLarge(largeSizes, 100)
-	var largeRows [][]string
 	for _, p := range large {
 		largeRows = append(largeRows, []string{fmt.Sprintf("%.2f", p.X), fmt.Sprintf("%.3f", p.Y)})
-	}
-	fit, err := netsim.FitLarge(large)
-	if err != nil {
-		return "", err
+		point(&right, p.X*(1<<20), p.Y*1e3)
 	}
 
 	figure := 3
@@ -90,8 +106,12 @@ func (c Config) FigureLatency(link *netsim.Link) (string, error) {
 		out += fmt.Sprintf("   [paper: %.1f·n %+.1f ms, %.1f MB/s]",
 			reg.Slope, reg.Intercept, link.Bandwidth())
 	}
-	out += "\n"
-	return out, nil
+	return out + "\n", []chart{{fmt.Sprintf("figure%d.svg", figure), &plot.Chart{
+		Title:  fmt.Sprintf("Figure %d — %s end-to-end latency", figure, link.Name()),
+		XLabel: "payload (bytes)", YLabel: "one-way latency (µs)",
+		LogX: true, LogY: true,
+		Series: []plot.Series{left, right},
+	}}}, nil
 }
 
 // FigureSeries renders the execution-time series of Figure 5 (GigaE-based
@@ -99,9 +119,15 @@ func (c Config) FigureLatency(link *netsim.Link) (string, error) {
 // CPU, GPU, measured GigaE, measured 40GI, and one estimated column per
 // target network.
 func (c Config) FigureSeries(cs calib.CaseStudy, model string) (string, error) {
+	return textOf(c.figureSeries(cs, model))
+}
+
+// figureSeries renders one case study of the campaign under one model as
+// the figure's CSV text and as its chart, one series per column.
+func (c Config) figureSeries(cs calib.CaseStudy, model string) (string, []chart, error) {
 	data, err := c.TableVIData()
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	d := data[cs]
 	est := d.EstGigaEModel
@@ -111,30 +137,37 @@ func (c Config) FigureSeries(cs calib.CaseStudy, model string) (string, error) {
 		figure = 6
 	}
 	header := []string{"size", "cpu", "gpu", "gigae", "40gi"}
+	cols := []map[int]time.Duration{d.CPU, d.GPU, d.MeasuredGigaE, d.Measured40GI}
+	ch := &plot.Chart{
+		Title:  fmt.Sprintf("Figure %d — %s processing times (%s model)", figure, cs, model),
+		XLabel: "problem size", YLabel: "time (" + unitName(cs) + ")",
+	}
+	for _, name := range []string{"CPU", "local GPU", "GigaE", "40GI"} {
+		ch.Series = append(ch.Series, plot.Series{Name: name})
+	}
 	for _, n := range calib.TargetNetworks() {
 		header = append(header, n)
+		cols = append(cols, est[n])
+		ch.Series = append(ch.Series, plot.Series{Name: n})
 	}
 	var rows [][]string
-	f := func(d time.Duration) string { return fmtPaperUnit(cs, d) }
 	for _, size := range calib.Sizes(cs) {
-		row := []string{fmt.Sprint(size),
-			f(d.CPU[size]), f(d.GPU[size]),
-			f(d.MeasuredGigaE[size]), f(d.Measured40GI[size])}
-		for _, n := range calib.TargetNetworks() {
-			row = append(row, f(est[n][size]))
+		row := []string{fmt.Sprint(size)}
+		for i, col := range cols {
+			row = append(row, fmtPaperUnit(cs, col[size]))
+			point(&ch.Series[i], float64(size), inPaperUnit(cs, col[size]))
 		}
 		rows = append(rows, row)
 	}
 	title := fmt.Sprintf("Figure %d — Processing times for %s, estimates based on the %s model (times in %s)\n",
 		figure, cs, model, unitName(cs))
-	return title + csvLines(header, rows), nil
+	return title + csvLines(header, rows), []chart{{fmt.Sprintf("figure%d-%s.svg", figure, csSlug(cs)), ch}}, nil
 }
 
-// workloadSeries measures a local backend series with the campaign's noise.
-func workloadSeries(cs calib.CaseStudy, c Config, stream int64, gpu bool) (map[int]time.Duration, error) {
-	backend := workload.CPU
-	if gpu {
-		backend = workload.LocalGPU
+// csSlug returns a filename-friendly case-study name.
+func csSlug(cs calib.CaseStudy) string {
+	if cs == calib.MM {
+		return "mm"
 	}
-	return workload.MeasureSeries(cs, backend, workload.Options{Noise: c.noise(stream)}, c.reps())
+	return "fft"
 }

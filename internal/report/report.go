@@ -3,10 +3,13 @@
 // network characterization plots (Figures 3 and 4), the per-call and
 // per-copy transfer estimates (Tables II, III, V), the model
 // cross-validation (Table IV), the projections onto the HPC networks
-// (Table VI), and the execution-time series behind Figures 5 and 6.
+// (Table VI), the execution-time series behind Figures 5 and 6, and the
+// extension Figures 7-9.
 //
 // Emitters return plain text (aligned with text/tabwriter) or CSV so the
-// command-line tools can print or save them.
+// command-line tools can print or save them. Each figure is one function
+// that runs once and returns its text with its charts, which WriteSVGs
+// draws; EXPERIMENTS.md reads the same runs.
 package report
 
 import (
@@ -17,6 +20,7 @@ import (
 
 	"rcuda/internal/calib"
 	"rcuda/internal/netsim"
+	"rcuda/internal/plot"
 	"rcuda/internal/workload"
 )
 
@@ -55,13 +59,18 @@ func (c Config) measureSeries(cs calib.CaseStudy, link *netsim.Link, stream int6
 		workload.Options{Link: link, Noise: c.noise(stream)}, c.reps())
 }
 
-// fmtPaperUnit formats a duration in the paper's unit for the case study:
+// inPaperUnit converts a duration to the paper's unit for the case study:
 // seconds for MM, milliseconds for FFT.
-func fmtPaperUnit(cs calib.CaseStudy, d time.Duration) string {
+func inPaperUnit(cs calib.CaseStudy, d time.Duration) float64 {
 	if cs == calib.MM {
-		return fmt.Sprintf("%.2f", d.Seconds())
+		return d.Seconds()
 	}
-	return fmt.Sprintf("%.2f", d.Seconds()*1e3)
+	return d.Seconds() * 1e3
+}
+
+// fmtPaperUnit formats a duration in the paper's unit for the case study.
+func fmtPaperUnit(cs calib.CaseStudy, d time.Duration) string {
+	return fmt.Sprintf("%.2f", inPaperUnit(cs, d))
 }
 
 // unitName names the paper's unit for a case study.
@@ -70,6 +79,21 @@ func unitName(cs calib.CaseStudy) string {
 		return "s"
 	}
 	return "ms"
+}
+
+// chart is one SVG file of a figure. A figure's function returns its text
+// and its charts from one run, so -svg plots exactly what -figure prints.
+type chart struct {
+	file string
+	*plot.Chart
+}
+
+// textOf keeps a figure's text and drops its charts.
+func textOf(text string, _ []chart, err error) (string, error) { return text, err }
+
+// point appends one point to a chart series.
+func point(s *plot.Series, x, y float64) {
+	s.X, s.Y = append(s.X, x), append(s.Y, y)
 }
 
 // tabulate renders rows with aligned columns.

@@ -2,6 +2,8 @@ package report
 
 import (
 	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -215,9 +217,14 @@ func TestFigure9Extension(t *testing.T) {
 	}
 }
 
+// TestWriteSVGs writes every figure as `rcuda-repro -svg` does and checks
+// that each file draws the run its text figure prints: the file is the chart
+// the figure's function returns beside its text, and every plotted point is
+// printed in that text, as a row's x and one of its columns.
 func TestWriteSVGs(t *testing.T) {
+	c := fastConfig()
 	dir := t.TempDir()
-	paths, err := fastConfig().WriteSVGs(dir)
+	paths, err := c.WriteSVGs(dir, 4096, 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,4 +240,103 @@ func TestWriteSVGs(t *testing.T) {
 			t.Fatalf("%s is not an SVG", p)
 		}
 	}
+
+	// Each figure as -figure N runs it, and where its text prints series s
+	// of chart ch.
+	latency := func(_, s int) plotted {
+		if s == 0 {
+			return plotted{0, 1, 1, 1} // small payloads: bytes, µs
+		}
+		return plotted{1, 1, 1 << 20, 1e3} // large payloads: MiB, ms
+	}
+	series := func(_, s int) plotted { return plotted{0, s + 1, 1, 1} }
+	figures := []struct {
+		run   func() (string, []chart, error)
+		where func(ch, s int) plotted
+	}{
+		{func() (string, []chart, error) { return c.figureLatency(netsim.GigaE()) }, latency},
+		{func() (string, []chart, error) { return c.figureLatency(netsim.IB40G()) }, latency},
+		{func() (string, []chart, error) { return c.figureSeries(calib.MM, "GigaE") }, series},
+		{func() (string, []chart, error) { return c.figureSeries(calib.FFT, "GigaE") }, series},
+		{func() (string, []chart, error) { return c.figureSeries(calib.MM, "40GI") }, series},
+		{func() (string, []chart, error) { return c.figureSeries(calib.FFT, "40GI") }, series},
+		// Figure 7 plots each network's gain, every third column.
+		{func() (string, []chart, error) { return c.figure7(8) }, func(_, s int) plotted { return plotted{0, 3*s + 3, 1, 1} }},
+		{func() (string, []chart, error) { return c.figure8(4096, 2048, 24) }, func(ch, s int) plotted { return plotted{ch, s + 1, 1, 1} }},
+		// Figure 9 plots each sweep's slowdown column.
+		{func() (string, []chart, error) { return c.figure9(8) }, func(_, s int) plotted { return plotted{s, 1, 1, 1} }},
+	}
+	checked := 0
+	for _, f := range figures {
+		text, charts, err := f.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks := numericBlocks(text)
+		for i, ch := range charts {
+			checked++
+			want, err := ch.SVG(760, 460)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := os.ReadFile(filepath.Join(dir, ch.file)); err != nil || string(got) != want {
+				t.Fatalf("%s is not the chart of the run its text figure prints (%v)", ch.file, err)
+			}
+			for j, s := range ch.Series {
+				at := f.where(i, j)
+				if at.block >= len(blocks) || len(blocks[at.block]) != len(s.X) {
+					t.Fatalf("%s series %q has %d points; text block %d is missing or of another length", ch.file, s.Name, len(s.X), at.block)
+				}
+				for k, row := range blocks[at.block] {
+					if !prints(row[0], s.X[k]/at.xUnit) || !prints(row[at.col], s.Y[k]/at.yUnit) {
+						t.Fatalf("%s series %q point %d is (%g, %g); its text row is %v", ch.file, s.Name, k, s.X[k], s.Y[k], row)
+					}
+				}
+			}
+		}
+	}
+	if checked != len(paths) {
+		t.Fatalf("checked %d charts, WriteSVGs wrote %d", checked, len(paths))
+	}
+}
+
+// plotted locates a chart series in its figure's text: the numeric block,
+// the column of the y values (the x is column 0), and the factors by which
+// the chart's x and y differ from the printed units.
+type plotted struct {
+	block, col   int
+	xUnit, yUnit float64
+}
+
+// numericBlocks splits a figure's text into its runs of CSV rows whose
+// every field is a number.
+func numericBlocks(text string) [][][]string {
+	var blocks [][][]string
+	inBlock := false
+	for _, line := range strings.Split(text, "\n") {
+		fields := strings.Split(line, ",")
+		numeric := line != ""
+		for _, f := range fields {
+			if _, err := strconv.ParseFloat(f, 64); err != nil {
+				numeric = false
+			}
+		}
+		switch {
+		case numeric && inBlock:
+			blocks[len(blocks)-1] = append(blocks[len(blocks)-1], fields)
+		case numeric:
+			blocks = append(blocks, [][]string{fields})
+		}
+		inBlock = numeric
+	}
+	return blocks
+}
+
+// prints reports whether s is v printed to s's number of decimals.
+func prints(s string, v float64) bool {
+	decimals := 0
+	if i := strings.IndexByte(s, '.'); i >= 0 {
+		decimals = len(s) - i - 1
+	}
+	return strconv.FormatFloat(v, 'f', decimals, 64) == s
 }

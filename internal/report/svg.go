@@ -1,226 +1,54 @@
 package report
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"rcuda/internal/calib"
-	"rcuda/internal/contention"
 	"rcuda/internal/netsim"
-	"rcuda/internal/perfmodel"
-	"rcuda/internal/plot"
-	"rcuda/internal/workload"
 )
 
 // WriteSVGs renders every figure as an SVG file in dir and returns the
 // written paths: the network characterizations (Figures 3-4), the
 // execution-time series under both models (Figures 5-6), and the three
-// extension figures (7-9).
-func (c Config) WriteSVGs(dir string) ([]string, error) {
+// extension figures (7-9). Each file is the chart of the run the same
+// figure's text prints, Figure 8 at the given MM size and FFT batch.
+func (c Config) WriteSVGs(dir string, mmSize, fftBatch int) ([]string, error) {
+	var charts []chart
+	var err error
+	collect := func(_ string, cs []chart, e error) {
+		charts, err = append(charts, cs...), errors.Join(err, e)
+	}
+	for _, link := range netsim.Testbed() {
+		collect(c.figureLatency(link))
+	}
+	for _, model := range []string{"GigaE", "40GI"} {
+		for _, cs := range []calib.CaseStudy{calib.MM, calib.FFT} {
+			collect(c.figureSeries(cs, model))
+		}
+	}
+	collect(c.figure7(8))
+	collect(c.figure8(mmSize, fftBatch, 24))
+	collect(c.figure9(8))
+	if err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	var written []string
-	write := func(name string, chart *plot.Chart) error {
-		svg, err := chart.SVG(760, 460)
+	for _, ch := range charts {
+		svg, err := ch.SVG(760, 460)
 		if err != nil {
-			return fmt.Errorf("render %s: %w", name, err)
+			return nil, fmt.Errorf("render %s: %w", ch.file, err)
 		}
-		path := filepath.Join(dir, name)
+		path := filepath.Join(dir, ch.file)
 		if err := os.WriteFile(path, []byte(svg), 0o644); err != nil {
-			return err
+			return nil, err
 		}
 		written = append(written, path)
-		return nil
-	}
-
-	// Figures 3 and 4: one-way latency vs payload, log-log.
-	for i, link := range netsim.Testbed() {
-		pp := &netsim.PingPong{Link: link, Noise: c.noise(51)}
-		var sizes []int64
-		sizes = append(sizes, smallSizes...)
-		sizes = append(sizes, largeSizes...)
-		series := plot.Series{Name: "measured one-way"}
-		for _, sz := range sizes {
-			series.X = append(series.X, float64(sz))
-			series.Y = append(series.Y, float64(pp.OneWay(sz).Microseconds()))
-		}
-		chart := &plot.Chart{
-			Title:  fmt.Sprintf("Figure %d — %s end-to-end latency", 3+i, link.Name()),
-			XLabel: "payload (bytes)", YLabel: "one-way latency (µs)",
-			LogX: true, LogY: true,
-			Series: []plot.Series{plot.SortedByX(series)},
-		}
-		if err := write(fmt.Sprintf("figure%d.svg", 3+i), chart); err != nil {
-			return nil, err
-		}
-	}
-
-	// Figures 5 and 6: execution times per case study under each model.
-	data, err := c.TableVIData()
-	if err != nil {
-		return nil, err
-	}
-	for figIdx, model := range []string{"GigaE", "40GI"} {
-		for _, cs := range []calib.CaseStudy{calib.MM, calib.FFT} {
-			d := data[cs]
-			est := d.EstGigaEModel
-			if model == "40GI" {
-				est = d.Est40GIModel
-			}
-			mk := func(name string, series map[int]float64) plot.Series {
-				s := plot.Series{Name: name}
-				for _, size := range calib.Sizes(cs) {
-					s.X = append(s.X, float64(size))
-					s.Y = append(s.Y, series[size])
-				}
-				return s
-			}
-			toUnit := func(m map[int]time.Duration) map[int]float64 {
-				out := make(map[int]float64, len(m))
-				for k, v := range m {
-					out[k] = v.Seconds()
-					if cs == calib.FFT {
-						out[k] *= 1e3
-					}
-				}
-				return out
-			}
-			chart := &plot.Chart{
-				Title: fmt.Sprintf("Figure %d — %s processing times (%s model)",
-					5+figIdx, cs, model),
-				XLabel: "problem size", YLabel: "time (" + unitName(cs) + ")",
-				Series: []plot.Series{
-					mk("CPU", toUnit(d.CPU)),
-					mk("local GPU", toUnit(d.GPU)),
-					mk("GigaE", toUnit(d.MeasuredGigaE)),
-					mk("40GI", toUnit(d.Measured40GI)),
-				},
-			}
-			for _, n := range calib.TargetNetworks() {
-				chart.Series = append(chart.Series, mk(n, toUnit(est[n])))
-			}
-			name := fmt.Sprintf("figure%d-%s.svg", 5+figIdx, csSlug(cs))
-			if err := write(name, chart); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// Figure 7: pipelined vs synchronous FFT on the testbed networks.
-	f7 := &plot.Chart{
-		Title:  "Figure 7 — Pipelined remote FFT (8 chunks, 2 streams)",
-		XLabel: "batch", YLabel: "time (ms)",
-	}
-	for _, netName := range []string{"GigaE", "40GI"} {
-		link, err := netsim.ByName(netName)
-		if err != nil {
-			return nil, err
-		}
-		sync := plot.Series{Name: netName + " sync"}
-		piped := plot.Series{Name: netName + " piped"}
-		for _, size := range calib.Sizes(calib.FFT) {
-			if size%8 != 0 {
-				continue
-			}
-			s, err := workload.Run(calib.FFT, size, workload.Remote, workload.Options{Link: link})
-			if err != nil {
-				return nil, err
-			}
-			p, err := workload.RunPipelined(size, 8, workload.Options{Link: link})
-			if err != nil {
-				return nil, err
-			}
-			sync.X = append(sync.X, float64(size))
-			sync.Y = append(sync.Y, s.Total.Seconds()*1e3)
-			piped.X = append(piped.X, float64(size))
-			piped.Y = append(piped.Y, p.Total.Seconds()*1e3)
-		}
-		f7.Series = append(f7.Series, sync, piped)
-	}
-	if err := write("figure7.svg", f7); err != nil {
-		return nil, err
-	}
-
-	// Figure 8: bandwidth sweeps per case study.
-	ge := netsim.GigaE()
-	for _, sel := range []struct {
-		cs   calib.CaseStudy
-		size int
-	}{{calib.MM, 8192}, {calib.FFT, 8192}} {
-		meas, err := c.measureSeries(sel.cs, ge, 52)
-		if err != nil {
-			return nil, err
-		}
-		model, err := perfmodel.Build(sel.cs, ge, meas)
-		if err != nil {
-			return nil, err
-		}
-		pts, err := perfmodel.BandwidthSweep(model, sel.size, 50, 8000, 24)
-		if err != nil {
-			return nil, err
-		}
-		remote := plot.Series{Name: "remote GPU"}
-		cpu := plot.Series{Name: "local CPU"}
-		for _, p := range pts {
-			scale := 1.0
-			if sel.cs == calib.FFT {
-				scale = 1e3
-			}
-			remote.X = append(remote.X, p.BandwidthMBps)
-			remote.Y = append(remote.Y, p.Remote.Seconds()*scale)
-			cpu.X = append(cpu.X, p.BandwidthMBps)
-			cpu.Y = append(cpu.Y, p.CPU.Seconds()*scale)
-		}
-		chart := &plot.Chart{
-			Title: fmt.Sprintf("Figure 8 — %s size %d vs interconnect bandwidth",
-				sel.cs, sel.size),
-			XLabel: "one-way bandwidth (MB/s)", YLabel: "time (" + unitName(sel.cs) + ")",
-			LogX:   true,
-			Series: []plot.Series{remote, cpu},
-		}
-		if err := write(fmt.Sprintf("figure8-%s.svg", csSlug(sel.cs)), chart); err != nil {
-			return nil, err
-		}
-	}
-
-	// Figure 9: contention slowdown curves.
-	f9 := &plot.Chart{
-		Title:  "Figure 9 — Per-client slowdown sharing one GPU server",
-		XLabel: "concurrent clients", YLabel: "mean slowdown (x)",
-	}
-	for _, sel := range []struct {
-		cs  calib.CaseStudy
-		net string
-	}{{calib.MM, "GigaE"}, {calib.MM, "40GI"}, {calib.FFT, "GigaE"}, {calib.FFT, "40GI"}} {
-		link, err := netsim.ByName(sel.net)
-		if err != nil {
-			return nil, err
-		}
-		results, err := contention.Sweep(contention.Params{CS: sel.cs, Size: 8192, Link: link}, 8)
-		if err != nil {
-			return nil, err
-		}
-		slow := contention.Slowdown(results)
-		s := plot.Series{Name: fmt.Sprintf("%s/%s", sel.cs, sel.net)}
-		for i, v := range slow {
-			s.X = append(s.X, float64(i+1))
-			s.Y = append(s.Y, v)
-		}
-		f9.Series = append(f9.Series, s)
-	}
-	if err := write("figure9.svg", f9); err != nil {
-		return nil, err
 	}
 	return written, nil
-}
-
-// csSlug returns a filename-friendly case-study name.
-func csSlug(cs calib.CaseStudy) string {
-	if cs == calib.MM {
-		return "mm"
-	}
-	return "fft"
 }

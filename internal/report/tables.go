@@ -9,6 +9,7 @@ import (
 	"rcuda/internal/netsim"
 	"rcuda/internal/perfmodel"
 	"rcuda/internal/protocol"
+	"rcuda/internal/workload"
 )
 
 // TableI renders the breakdown of the remote API messages, derived from the
@@ -49,29 +50,24 @@ func fmtTotal(n int, variable bool) string {
 	return fmt.Sprint(n)
 }
 
-// symbolicSizes returns the paper's symbolic send/receive size formulas for
-// a Table II row (m is the matrix dimension, n the FFT batch).
+// symbolicSizes formats the send/receive size formulas of a Table II row
+// from the operation's Table I totals, the copied payload (4m² for an m×m
+// MM matrix, 4096n for n FFT transforms) standing for the memcpy's x.
 func symbolicSizes(cs calib.CaseStudy, op protocol.Op) (send, recv string) {
-	payload := "4m²"
-	if cs == calib.FFT {
-		payload = "4096n"
+	for _, b := range protocol.TableI() {
+		if b.Operation == op.String() {
+			s, sVar, r, rVar := b.Totals()
+			send, recv = fmtTotal(s, sVar), fmtTotal(r, rVar)
+		}
 	}
-	switch op {
-	case protocol.OpInit:
-		return "x+4", "12"
-	case protocol.OpMalloc:
-		return "8", "8"
-	case protocol.OpMemcpyToDevice:
-		return payload + "+20", "4"
-	case protocol.OpMemcpyToHost:
-		return "20", payload + "+4"
-	case protocol.OpLaunch:
-		return "x+44", "4"
-	case protocol.OpFree:
-		return "8", "4"
-	default:
-		return "", ""
+	if op == protocol.OpMemcpyToDevice || op == protocol.OpMemcpyToHost {
+		payload := "4m²"
+		if cs == calib.FFT {
+			payload = "4096n"
+		}
+		send, recv = strings.Replace(send, "x", payload, 1), strings.Replace(recv, "x", payload, 1)
 	}
+	return send, recv
 }
 
 // TableII renders the estimated transfer times of the remote API calls of
@@ -160,26 +156,14 @@ func transferTable(links []*netsim.Link) string {
 // networks, builds both estimation models, cross-validates them, and
 // renders the result with the paper's published error rates alongside.
 func (c Config) TableIV() (string, error) {
+	data, err := c.TableVIData()
+	if err != nil {
+		return "", err
+	}
 	var sb strings.Builder
 	sb.WriteString("Table IV — Cross-validation of both estimation models (MM in s, FFT in ms)\n")
-	ge, ib := netsim.GigaE(), netsim.IB40G()
 	for _, cs := range []calib.CaseStudy{calib.MM, calib.FFT} {
-		geMeas, err := c.measureSeries(cs, ge, 1)
-		if err != nil {
-			return "", err
-		}
-		ibMeas, err := c.measureSeries(cs, ib, 2)
-		if err != nil {
-			return "", err
-		}
-		fwd, err := perfmodel.CrossValidate(cs, ge, ib, geMeas, ibMeas)
-		if err != nil {
-			return "", err
-		}
-		rev, err := perfmodel.CrossValidate(cs, ib, ge, ibMeas, geMeas)
-		if err != nil {
-			return "", err
-		}
+		fwd, rev := data[cs].CrossGigaE, data[cs].Cross40GI
 		header := []string{"Size",
 			"GigaE meas", "Fixed", "Est 40GI", "Err %", "paper Err %",
 			"40GI meas", "Fixed", "Est GigaE", "Err %", "paper Err %"}
@@ -242,22 +226,27 @@ func (c Config) TableVI() (string, error) {
 	return sb.String(), nil
 }
 
-// TableVIResult holds the full measured/estimated grid for one case study.
+// TableVIResult holds the campaign's results for one case study.
 type TableVIResult struct {
 	CPU, GPU                    map[int]time.Duration
 	MeasuredGigaE, Measured40GI map[int]time.Duration
 	// EstGigaEModel and Est40GIModel map target network name → size →
 	// estimated execution time.
 	EstGigaEModel, Est40GIModel map[string]map[int]time.Duration
+	// CrossGigaE and Cross40GI are Table IV's halves: the model built on
+	// one testbed network checked against the other's measurements.
+	CrossGigaE, Cross40GI []perfmodel.CrossRow
 }
 
-// TableVIData produces the raw data behind Table VI and Figures 5/6.
+// TableVIData runs the measurement campaign behind Tables IV and VI and
+// Figures 5/6: both case studies measured on GigaE (noise stream 1), 40GI
+// (stream 2), the CPU (3) and the local GPU (4), both models built,
+// cross-validated and projected onto the target networks.
 func (c Config) TableVIData() (map[calib.CaseStudy]TableVIResult, error) {
 	out := make(map[calib.CaseStudy]TableVIResult)
 	ge, ib := netsim.GigaE(), netsim.IB40G()
 	for _, cs := range []calib.CaseStudy{calib.MM, calib.FFT} {
 		res := TableVIResult{
-			CPU: make(map[int]time.Duration), GPU: make(map[int]time.Duration),
 			EstGigaEModel: make(map[string]map[int]time.Duration),
 			Est40GIModel:  make(map[string]map[int]time.Duration),
 		}
@@ -268,16 +257,18 @@ func (c Config) TableVIData() (map[calib.CaseStudy]TableVIResult, error) {
 		if res.Measured40GI, err = c.measureSeries(cs, ib, 2); err != nil {
 			return nil, err
 		}
-		cpuSeries, err := workloadSeries(cs, c, 3, false)
-		if err != nil {
+		if res.CPU, err = workload.MeasureSeries(cs, workload.CPU, workload.Options{Noise: c.noise(3)}, c.reps()); err != nil {
 			return nil, err
 		}
-		res.CPU = cpuSeries
-		gpuSeries, err := workloadSeries(cs, c, 4, true)
-		if err != nil {
+		if res.GPU, err = workload.MeasureSeries(cs, workload.LocalGPU, workload.Options{Noise: c.noise(4)}, c.reps()); err != nil {
 			return nil, err
 		}
-		res.GPU = gpuSeries
+		if res.CrossGigaE, err = perfmodel.CrossValidate(cs, ge, ib, res.MeasuredGigaE, res.Measured40GI); err != nil {
+			return nil, err
+		}
+		if res.Cross40GI, err = perfmodel.CrossValidate(cs, ib, ge, res.Measured40GI, res.MeasuredGigaE); err != nil {
+			return nil, err
+		}
 
 		geModel, err := perfmodel.Build(cs, ge, res.MeasuredGigaE)
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"rcuda/internal/fft"
 	"rcuda/internal/gpu"
 	"rcuda/internal/kernels"
+	"rcuda/internal/perfmodel"
 	"rcuda/internal/rcuda"
 	"rcuda/internal/vclock"
 )
@@ -94,7 +95,7 @@ func runPipelinedAnalytic(size, chunks int, opts Options) (Report, error) {
 		streamFree[s] = end
 	}
 
-	launchVar := int64(len(kernels.FFTKernel)) + 1 + 3*4
+	launch := perfmodel.LaunchBytes(calib.FFT)
 	for c := 0; c < chunks; c++ {
 		s := c % 2
 		// H2D async: request carries the chunk, response is 4 bytes.
@@ -102,7 +103,7 @@ func runPipelinedAnalytic(size, chunks int, opts Options) (Report, error) {
 		book(&copyFree, s, pcie)
 		opts.Clock.Sleep(wire(4))
 		// Launch async.
-		opts.Clock.Sleep(wire(44 + launchVar))
+		opts.Clock.Sleep(wire(launch))
 		book(&execFree, s, kernel)
 		opts.Clock.Sleep(wire(4))
 		// D2H async: 24-byte request, response carries the chunk.
