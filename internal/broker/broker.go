@@ -151,7 +151,15 @@ type JobSpec struct {
 type Pool struct {
 	pl *Placer
 
-	clientOpts []rcuda.ClientOption
+	// clientOpt configures every session the pool opens besides its own
+	// reconnect route and scheduling class: the retry policy.
+	clientOpt rcuda.ClientOption
+
+	// rankMu guards ranking, the kept Ranking Open walks (DESIGN.md §17):
+	// an open checks it out, so consecutive opens re-key only the
+	// endpoints that changed, and one that finds it out ranks afresh.
+	rankMu  sync.Mutex
+	ranking *Ranking
 
 	probeStop chan struct{}
 	probeDone chan struct{}
@@ -184,7 +192,7 @@ func New(eps []Endpoint, opts ...Option) (*Pool, error) {
 	if len(eps) == 0 {
 		return nil, errors.New("broker: a pool needs at least one endpoint")
 	}
-	p := &Pool{pl: NewPlacer(LeastLoaded)}
+	p := &Pool{pl: NewPlacer(LeastLoaded), clientOpt: rcuda.WithRetry(4, time.Millisecond)}
 	for i, ep := range eps {
 		if ep.Dial == nil {
 			return nil, fmt.Errorf("broker: endpoint %d (%q) has no Dial", i, ep.Name)
@@ -300,7 +308,7 @@ type Session struct {
 	// session is live-migrated).
 	Endpoint string
 	idx      int
-	route    *route
+	route    route
 }
 
 // Close finalizes the session and tells the placer its endpoint has one
@@ -373,9 +381,19 @@ func (r *route) dial() (transport.Conn, error) {
 // fails outright is marked down and likewise skipped. Open fails with
 // ErrNoServers only after every endpoint was tried.
 func (p *Pool) Open(module []byte, spec JobSpec) (*Session, error) {
-	var r Ranking
-	p.pl.Rank(spec, &r)
-	return p.open(module, spec, &r)
+	p.rankMu.Lock()
+	r := p.ranking
+	p.ranking = nil
+	p.rankMu.Unlock()
+	if r == nil {
+		r = new(Ranking)
+	}
+	p.pl.Rank(spec, r)
+	sess, err := p.open(module, spec, r)
+	p.rankMu.Lock()
+	p.ranking = r
+	p.rankMu.Unlock()
+	return sess, err
 }
 
 // open walks r from where it stands until an endpoint takes the session.
@@ -419,22 +437,17 @@ func (p *Pool) tryOpen(idx int, module []byte, spec JobSpec) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("broker: dial %s: %w", ep.Name, err)
 	}
-	rt := &route{p: p, idx: idx}
-	opts := []rcuda.ClientOption{
-		rcuda.WithRetry(4, time.Millisecond),
-		rcuda.WithReconnect(rt.dial),
-	}
-	if spec.Class != 0 || spec.Weight != 0 {
-		opts = append(opts, rcuda.WithSchedClass(spec.Class, spec.Weight))
-	}
-	opts = append(opts, p.clientOpts...)
-	client, err := rcuda.Open(conn, module, opts...)
+	sess := &Session{Endpoint: ep.Name, idx: idx, route: route{p: p, idx: idx}}
+	// A class and weight of zero are a bare hello's, as if unset.
+	client, err := rcuda.Open(conn, module, p.clientOpt,
+		rcuda.WithReconnect(sess.route.dial), rcuda.WithSchedClass(spec.Class, spec.Weight))
 	if err != nil {
 		_ = conn.Close()
 		return nil, err
 	}
+	sess.Client = client
 	p.pl.NotePlaced(idx)
-	return &Session{Client: client, Endpoint: ep.Name, idx: idx, route: rt}, nil
+	return sess, nil
 }
 
 // Migrator is the control interface the pool drives to move a session off
@@ -482,9 +495,7 @@ func (p *Pool) MigrateTo(s *Session, src Migrator, destIdx int) error {
 	}
 	p.pl.NoteMigration(destIdx, n)
 	p.pl.NoteRelease(s.idx)
-	if s.route != nil {
-		s.route.repoint(destIdx)
-	}
+	s.route.repoint(destIdx)
 	s.idx = destIdx
 	s.Endpoint = dest.Name
 	return nil

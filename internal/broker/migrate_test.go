@@ -17,11 +17,18 @@ import (
 	"rcuda/internal/transport"
 )
 
-// withClientOptions appends options applied to every session the pool
-// opens, after the pool's own retry and reconnect defaults — so they can
-// override them.
+// withClientOptions adds options applied to every session the pool opens,
+// after the pool's own retry default — so they can override it.
 func withClientOptions(opts ...rcuda.ClientOption) Option {
-	return func(pl *Pool) { pl.clientOpts = append(pl.clientOpts, opts...) }
+	return func(pl *Pool) {
+		base := pl.clientOpt
+		pl.clientOpt = func(c *rcuda.Client) {
+			base(c)
+			for _, o := range opts {
+				o(c)
+			}
+		}
+	}
 }
 
 // mmPrepare stages the device half of an MM job without running it: the two

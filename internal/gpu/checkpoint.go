@@ -66,7 +66,7 @@ func (c *Context) ExportState() (*protocol.DeviceCheckpoint, error) {
 	}
 	st := &protocol.DeviceCheckpoint{Timeline: protocol.TimelineCheckpoint{
 		EngineDone: [2]uint64{uint64(c.tl.engineDone[0]), uint64(c.tl.engineDone[1])},
-		Streams:    sortedMarks(c.tl.streamDone),
+		Streams:    sortedMarks(c.tl.streams, protocol.TimelineEntry{ID: DefaultStream, Done: uint64(c.tl.defaultDone)}),
 		Events:     sortedMarks(c.tl.events),
 		NextStream: c.tl.nextStream,
 		NextEvent:  c.tl.nextEvent,
@@ -81,8 +81,9 @@ func (c *Context) ExportState() (*protocol.DeviceCheckpoint, error) {
 	return st, nil
 }
 
-func sortedMarks(m map[uint32]time.Duration) []protocol.TimelineEntry {
-	marks := make([]protocol.TimelineEntry, 0, len(m))
+// sortedMarks lists the marks of m and the extra ones, sorted by id.
+func sortedMarks(m map[uint32]time.Duration, extra ...protocol.TimelineEntry) []protocol.TimelineEntry {
+	marks := append(make([]protocol.TimelineEntry, 0, len(m)+len(extra)), extra...)
 	for id, done := range m {
 		marks = append(marks, protocol.TimelineEntry{ID: id, Done: uint64(done)})
 	}
@@ -127,10 +128,10 @@ func (c *Context) RestoreState(st *protocol.DeviceCheckpoint) error {
 	tl := newTimeline()
 	tl.engineDone = [2]time.Duration{time.Duration(st.Timeline.EngineDone[0]), time.Duration(st.Timeline.EngineDone[1])}
 	for _, m := range st.Timeline.Streams {
-		tl.streamDone[m.ID] = time.Duration(m.Done)
+		tl.setStream(m.ID, time.Duration(m.Done))
 	}
 	for _, m := range st.Timeline.Events {
-		tl.events[m.ID] = time.Duration(m.Done)
+		tl.setEvent(m.ID, time.Duration(m.Done))
 	}
 	if st.Timeline.NextStream > tl.nextStream {
 		tl.nextStream = st.Timeline.NextStream

@@ -164,16 +164,15 @@ func (d *Device) sleep(t time.Duration) {
 type Context struct {
 	dev *Device
 
-	mu      sync.Mutex
-	modules map[string]*Module
-	// kernels holds a map[string]*Kernel of every kernel the loaded
-	// modules define. LoadModule replaces the map instead of writing to
-	// it, so a launch finds its kernel without c.mu; Destroy empties it.
-	kernels atomic.Value
+	mu sync.Mutex
+	// loaded is the context's kernelSet, nil before the first LoadModule
+	// and after Destroy. LoadModule publishes a new set instead of writing
+	// to the old one, so a launch finds its kernel without c.mu.
+	loaded atomic.Pointer[kernelSet]
 	// owned is every block this context allocated or restored, sorted by
 	// address: the only memory its accesses resolve against.
 	owned []*block
-	tl    *timeline
+	tl    timeline
 	dead  bool
 }
 
@@ -194,11 +193,7 @@ func (d *Device) NewContext() *Context {
 func (d *Device) NewContextPreinitialized() *Context { return d.newContextNoInit() }
 
 func (d *Device) newContextNoInit() *Context {
-	return &Context{
-		dev:     d,
-		modules: make(map[string]*Module),
-		tl:      newTimeline(),
-	}
+	return &Context{dev: d, tl: newTimeline()}
 }
 
 func (c *Context) check() error {
@@ -215,21 +210,51 @@ func (c *Context) LoadModule(m *Module) error {
 	if err := c.check(); err != nil {
 		return err
 	}
-	if _, dup := c.modules[m.Name]; dup {
+	cur := c.loaded.Load()
+	if cur != nil && slices.ContainsFunc(cur.modules, func(l *Module) bool { return l.Name == m.Name }) {
 		return fmt.Errorf("gpu: module %q already loaded", m.Name)
 	}
-	loaded, _ := c.kernels.Load().(map[string]*Kernel)
-	kernels := make(map[string]*Kernel, len(loaded)+len(m.Kernels))
-	maps.Copy(kernels, loaded)
-	for _, k := range m.Kernels {
-		if _, dup := kernels[k.Name]; dup {
-			return fmt.Errorf("gpu: kernel %q defined by two loaded modules", k.Name)
+	next := m.set
+	if cur != nil || next == nil {
+		var err error
+		if next, err = cur.with(m); err != nil {
+			return err
 		}
-		kernels[k.Name] = k
 	}
-	c.modules[m.Name] = m
-	c.kernels.Store(kernels)
+	c.loaded.Store(next)
 	return nil
+}
+
+// kernelSet is what a context has loaded: the modules, in load order, and
+// every kernel they define by name. A published set never changes, so a
+// registered module's own set (Module.set) serves every context that loads
+// that module alone — the daemon's every session — and loading it makes no
+// map.
+type kernelSet struct {
+	modules []*Module
+	byName  map[string]*Kernel
+}
+
+// with returns a new set holding s's modules and m; s may be nil. Two
+// definitions of one kernel name are an error.
+func (s *kernelSet) with(m *Module) (*kernelSet, error) {
+	var mods []*Module
+	var known map[string]*Kernel
+	if s != nil {
+		mods, known = s.modules, s.byName
+	}
+	next := &kernelSet{
+		modules: append(slices.Clip(mods), m),
+		byName:  make(map[string]*Kernel, len(known)+len(m.Kernels)),
+	}
+	maps.Copy(next.byName, known)
+	for _, k := range m.Kernels {
+		if _, dup := next.byName[k.Name]; dup {
+			return nil, fmt.Errorf("gpu: kernel %q defined by two loaded modules", k.Name)
+		}
+		next.byName[k.Name] = k
+	}
+	return next, nil
 }
 
 // Malloc allocates device memory.
@@ -510,21 +535,25 @@ func (c *Context) Launch(name string, grid, block Dim3, shared uint32, params []
 }
 
 // kernel resolves a kernel name against the loaded modules. A hit takes no
-// lock (see Context.kernels); a miss, which is also what a released
+// lock (see Context.loaded); a miss, which is also what a released
 // context's launches find, takes c.mu to say why.
 func (c *Context) kernel(name string) (*Kernel, error) {
-	kernels, _ := c.kernels.Load().(map[string]*Kernel)
-	if k, ok := kernels[name]; ok {
-		return k, nil
+	loaded := c.loaded.Load()
+	if loaded != nil {
+		if k, ok := loaded.byName[name]; ok {
+			return k, nil
+		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.check(); err != nil {
 		return nil, err
 	}
-	names := make([]string, 0, len(c.modules))
-	for n := range c.modules {
-		names = append(names, n)
+	var names []string
+	if loaded != nil {
+		for _, m := range loaded.modules {
+			names = append(names, m.Name)
+		}
 	}
 	sort.Strings(names)
 	return nil, fmt.Errorf("%w: %q (loaded modules: %v)", ErrUnknownKernel, name, names)
@@ -549,7 +578,7 @@ func (c *Context) Destroy() error {
 		return nil
 	}
 	c.dead = true
-	c.kernels.Store(map[string]*Kernel(nil))
+	c.loaded.Store(nil)
 	c.dev.mu.Lock()
 	defer c.dev.mu.Unlock()
 	var firstErr error

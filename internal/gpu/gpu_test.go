@@ -224,11 +224,11 @@ func TestModuleBinaryRoundTrip(t *testing.T) {
 	if len(img) != 21486 {
 		t.Fatalf("module image = %d bytes, want 21486", len(img))
 	}
-	name, err := ModuleNameFromBinary(img)
+	name, err := moduleName(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name != "mm_test_roundtrip" {
+	if string(name) != "mm_test_roundtrip" {
 		t.Fatalf("extracted name %q", name)
 	}
 }
@@ -241,7 +241,7 @@ func TestModuleBinaryTooSmall(t *testing.T) {
 }
 
 func TestModuleNameFromBadBinary(t *testing.T) {
-	if _, err := ModuleNameFromBinary([]byte("bogus")); !errors.Is(err, ErrUnknownModule) {
+	if _, err := moduleName([]byte("bogus")); !errors.Is(err, ErrUnknownModule) {
 		t.Fatalf("got %v, want ErrUnknownModule", err)
 	}
 }

@@ -31,6 +31,9 @@ type Module struct {
 	Kernels []*Kernel
 	// BinarySize is the size of the module image in bytes.
 	BinarySize int
+	// set is the module loaded alone, made by RegisterModule when its
+	// kernel names are distinct.
+	set *kernelSet
 }
 
 // moduleMagic prefixes every synthesized module image.
@@ -56,16 +59,16 @@ func (m *Module) Binary() ([]byte, error) {
 // ErrUnknownModule is returned when a module image cannot be resolved.
 var ErrUnknownModule = errors.New("gpu: unknown module image")
 
-// ModuleNameFromBinary extracts the module name embedded in an image.
-func ModuleNameFromBinary(img []byte) (string, error) {
+// moduleName returns the module name embedded in an image, aliasing img.
+func moduleName(img []byte) ([]byte, error) {
 	if len(img) < len(moduleMagic)+4 || string(img[:len(moduleMagic)]) != string(moduleMagic) {
-		return "", ErrUnknownModule
+		return nil, ErrUnknownModule
 	}
 	n := int(binary.LittleEndian.Uint32(img[len(moduleMagic):]))
 	if len(img) < len(moduleMagic)+4+n {
-		return "", ErrUnknownModule
+		return nil, ErrUnknownModule
 	}
-	return string(img[len(moduleMagic)+4 : len(moduleMagic)+4+n]), nil
+	return img[len(moduleMagic)+4 : len(moduleMagic)+4+n], nil
 }
 
 // registry is the global module registry, populated by kernel providers
@@ -88,6 +91,9 @@ func RegisterModule(m *Module) {
 	if _, dup := registry.mods[m.Name]; dup {
 		panic(fmt.Sprintf("gpu: duplicate module registration %q", m.Name))
 	}
+	// A module that defines a kernel twice gets no set: LoadModule then
+	// reports the duplicate, as it does for any unregistered module.
+	m.set, _ = (*kernelSet)(nil).with(m)
 	registry.mods[m.Name] = m
 }
 
@@ -117,13 +123,15 @@ func RegisteredModules() []string {
 // ResolveModule resolves a module image received over the wire to its
 // registered module.
 func ResolveModule(img []byte) (*Module, error) {
-	name, err := ModuleNameFromBinary(img)
+	name, err := moduleName(img)
 	if err != nil {
 		return nil, err
 	}
-	m, err := LookupModule(name)
-	if err != nil {
-		return nil, err
+	registry.RLock()
+	m, ok := registry.mods[string(name)] // the lookup does not copy name
+	registry.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownModule, name)
 	}
 	if len(img) != m.BinarySize {
 		return nil, fmt.Errorf("gpu: module %q image is %d bytes, registered size %d",

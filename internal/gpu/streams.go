@@ -39,22 +39,48 @@ const (
 )
 
 // timeline tracks the busy-until instants of the device engines and
-// per-stream in-order queues of one context.
+// per-stream in-order queues of one context. The default stream's mark is a
+// field; the maps of created streams and events are made by the first
+// StreamCreate and EventCreate, which most sessions never call.
 type timeline struct {
-	engineDone [2]time.Duration
-	streamDone map[uint32]time.Duration
-	events     map[uint32]time.Duration
-	nextStream uint32
-	nextEvent  uint32
+	engineDone  [2]time.Duration
+	defaultDone time.Duration
+	streams     map[uint32]time.Duration
+	events      map[uint32]time.Duration
+	nextStream  uint32
+	nextEvent   uint32
 }
 
-func newTimeline() *timeline {
-	return &timeline{
-		streamDone: map[uint32]time.Duration{DefaultStream: 0},
-		events:     make(map[uint32]time.Duration),
-		nextStream: 1,
-		nextEvent:  1,
+func newTimeline() timeline { return timeline{nextStream: 1, nextEvent: 1} }
+
+// stream returns the instant the stream's booked work completes; ok is
+// false for a stream that does not exist.
+func (tl *timeline) stream(id uint32) (done time.Duration, ok bool) {
+	if id == DefaultStream {
+		return tl.defaultDone, true
 	}
+	done, ok = tl.streams[id]
+	return done, ok
+}
+
+// setStream marks the stream busy until done, creating it if need be.
+func (tl *timeline) setStream(id uint32, done time.Duration) {
+	if id == DefaultStream {
+		tl.defaultDone = done
+		return
+	}
+	if tl.streams == nil {
+		tl.streams = make(map[uint32]time.Duration)
+	}
+	tl.streams[id] = done
+}
+
+// setEvent records the event's instant, creating the event if need be.
+func (tl *timeline) setEvent(id uint32, at time.Duration) {
+	if tl.events == nil {
+		tl.events = make(map[uint32]time.Duration)
+	}
+	tl.events[id] = at
 }
 
 // ErrInvalidStream is returned for operations on unknown streams.
@@ -71,8 +97,8 @@ var ErrInvalidEvent = fmt.Errorf("gpu: invalid event")
 // already advanced the shared clock past — "now" would erase exactly the
 // overlap being modeled. The caller holds c.mu.
 func (c *Context) schedule(eng engineKind, stream uint32, cost, notBefore time.Duration) (time.Duration, error) {
-	tl := c.tl
-	sdone, ok := tl.streamDone[stream]
+	tl := &c.tl
+	sdone, ok := tl.stream(stream)
 	if !ok {
 		return 0, fmt.Errorf("%w: %d", ErrInvalidStream, stream)
 	}
@@ -88,7 +114,7 @@ func (c *Context) schedule(eng engineKind, stream uint32, cost, notBefore time.D
 	}
 	end := start + cost
 	tl.engineDone[eng] = end
-	tl.streamDone[stream] = end
+	tl.setStream(stream, end)
 	return end, nil
 }
 
@@ -116,7 +142,7 @@ func (c *Context) StreamCreate() (uint32, error) {
 	}
 	id := c.tl.nextStream
 	c.tl.nextStream++
-	c.tl.streamDone[id] = 0
+	c.tl.setStream(id, 0)
 	return id, nil
 }
 
@@ -131,7 +157,7 @@ func (c *Context) StreamDestroy(stream uint32) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.tl.streamDone, stream)
+	delete(c.tl.streams, stream)
 	return nil
 }
 
@@ -143,7 +169,7 @@ func (c *Context) StreamSynchronize(stream uint32) error {
 		c.mu.Unlock()
 		return err
 	}
-	done, ok := c.tl.streamDone[stream]
+	done, ok := c.tl.stream(stream)
 	c.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrInvalidStream, stream)
@@ -160,8 +186,8 @@ func (c *Context) Synchronize() error {
 		c.mu.Unlock()
 		return err
 	}
-	var latest time.Duration
-	for _, d := range c.tl.streamDone {
+	latest := c.tl.defaultDone
+	for _, d := range c.tl.streams {
 		if d > latest {
 			latest = d
 		}
@@ -209,7 +235,7 @@ func (c *Context) StreamReady(stream uint32) (bool, error) {
 	if err := c.check(); err != nil {
 		return false, err
 	}
-	done, ok := c.tl.streamDone[stream]
+	done, ok := c.tl.stream(stream)
 	if !ok {
 		return false, fmt.Errorf("%w: %d", ErrInvalidStream, stream)
 	}
@@ -240,7 +266,7 @@ func (c *Context) EventCreate() (uint32, error) {
 	}
 	id := c.tl.nextEvent
 	c.tl.nextEvent++
-	c.tl.events[id] = 0
+	c.tl.setEvent(id, 0)
 	return id, nil
 }
 
@@ -255,7 +281,7 @@ func (c *Context) EventRecord(event, stream uint32) error {
 	if _, ok := c.tl.events[event]; !ok {
 		return fmt.Errorf("%w: %d", ErrInvalidEvent, event)
 	}
-	done, ok := c.tl.streamDone[stream]
+	done, ok := c.tl.stream(stream)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrInvalidStream, stream)
 	}
@@ -263,7 +289,7 @@ func (c *Context) EventRecord(event, stream uint32) error {
 	if now > done {
 		done = now
 	}
-	c.tl.events[event] = done
+	c.tl.setEvent(event, done)
 	return nil
 }
 

@@ -215,16 +215,28 @@ type ChunkAssembler struct {
 // chunkSize-byte chunks of stream op (OpMemcpyStreamChunk or
 // OpMigrateChunk). dst must be nil or exactly total bytes long.
 func NewChunkAssembler(op Op, total, chunkSize uint32, dst []byte) (*ChunkAssembler, error) {
+	a := new(ChunkAssembler)
+	if err := a.Reset(op, total, chunkSize, dst); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// Reset readies a for a new transfer as NewChunkAssembler readies a fresh
+// assembler, so one connection can reassemble all its transfers in one. A
+// refused transfer leaves a as it was.
+func (a *ChunkAssembler) Reset(op Op, total, chunkSize uint32, dst []byte) error {
 	if total > MaxFrameSize {
-		return nil, fmt.Errorf("protocol: stream total %d exceeds limit %d", total, MaxFrameSize)
+		return fmt.Errorf("protocol: stream total %d exceeds limit %d", total, MaxFrameSize)
 	}
 	if chunkSize == 0 {
-		return nil, fmt.Errorf("protocol: zero stream chunk size")
+		return fmt.Errorf("protocol: zero stream chunk size")
 	}
 	if dst != nil && len(dst) != int(total) {
-		return nil, fmt.Errorf("protocol: assembler buffer %d bytes, want %d", len(dst), total)
+		return fmt.Errorf("protocol: assembler buffer %d bytes, want %d", len(dst), total)
 	}
-	return &ChunkAssembler{op: op, dst: dst, total: int(total), chunkSize: int(chunkSize)}, nil
+	*a = ChunkAssembler{op: op, dst: dst, total: int(total), chunkSize: int(chunkSize)}
+	return nil
 }
 
 // expect checks that a chunk numbered seq carrying size bytes is the one

@@ -9,13 +9,15 @@ package protocol
 // longer copies it out first.
 //
 // The zero value is ready. A Decoder belongs to the one goroutine that
-// receives on its connection; a slot is made by the first request of its
-// type, so a session pays only for the operations it uses. Requests without
-// fields need no storage, and the rows a session's request loop never
-// serves (session control, migration) decode into fresh memory.
+// receives on its connection. The requests every session sends — a hello,
+// a malloc, a free — have value slots; any other slot is made by the first
+// request of its type, so a session pays only for the operations it uses.
+// Requests without fields need no storage, and the rows a session's request
+// loop never serves (reattach, migration) decode into fresh memory.
 type Decoder struct {
-	malloc        *MallocRequest
-	free          *FreeRequest
+	hello         SessionHelloRequest
+	malloc        MallocRequest
+	free          FreeRequest
 	toDevice      *MemcpyToDeviceRequest
 	toHost        *MemcpyToHostRequest
 	launch        *LaunchRequest
@@ -74,6 +76,15 @@ func keep[T any](d *Decoder, slot **T, v T) *T {
 		slot = &own
 	}
 	return Put(slot, v)
+}
+
+// hold is keep for a value slot.
+func hold[T any](d *Decoder, slot *T, v T) *T {
+	if d == &fresh {
+		slot = new(T)
+	}
+	*slot = v
+	return slot
 }
 
 // kernelName returns b as a string, reusing the last launch's when equal.

@@ -38,11 +38,16 @@ type Segmented interface {
 
 // FrameWriter frames messages with storage reused across calls: the
 // header/head/tail encode buffer and the I/O vector both live on the writer,
-// so a steady stream of frames allocates nothing. One FrameWriter serves one
-// connection's send side; it is not safe for concurrent use.
+// so a steady stream of frames allocates nothing. Until a frame outgrows
+// them they are the writer's own arrays, so a connection's first frames —
+// its whole life, for a session that only opens, allocates and closes —
+// allocate nothing either. One FrameWriter serves one connection's send
+// side; it is not safe for concurrent use, nor to be copied once used.
 type FrameWriter struct {
 	scratch []byte
 	vecs    net.Buffers
+	head    [64]byte
+	vec     [3][]byte
 }
 
 // WriteFrame writes one length-prefixed frame containing the encoded
@@ -53,6 +58,9 @@ type FrameWriter struct {
 // gathered with a single vectored write (net.Buffers → writev on a TCP
 // socket) instead of copying the bulk bytes into a contiguous buffer.
 func (fw *FrameWriter) WriteFrame(w io.Writer, m Message) error {
+	if fw.scratch == nil {
+		fw.scratch, fw.vecs = fw.head[:0], fw.vec[:0]
+	}
 	seg, ok := m.(Segmented)
 	if !ok {
 		// Fall back to a contiguous single-write frame, reusing scratch.

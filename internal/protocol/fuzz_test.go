@@ -489,9 +489,6 @@ func FuzzDecodeInitRequest(f *testing.F) {
 	f.Add([]byte{7, 0, 0, 0, 'm', 'o', 'd', 'u', 'l', 'e'})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		req, err := DecodeInitRequest(raw)
-		if err == nil && req == nil {
-			t.Fatal("nil request with nil error")
-		}
 		if err == nil {
 			if len(req.Module) != len(raw)-4 || cap(req.Module) > cap(raw)-4 {
 				t.Fatalf("module of %d bytes (cap %d) from a %d-byte frame", len(req.Module), cap(req.Module), len(raw))

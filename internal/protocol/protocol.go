@@ -85,15 +85,15 @@ func (m *InitRequest) SegmentTail(dst []byte) []byte { return dst }
 // DecodeInitRequest parses an initialization request. Module aliases b: it
 // is valid until the connection's next receive, like
 // MemcpyToDeviceRequest.Data.
-func DecodeInitRequest(b []byte) (*InitRequest, error) {
+func DecodeInitRequest(b []byte) (InitRequest, error) {
 	if len(b) < 4 {
-		return nil, ErrShortMessage
+		return InitRequest{}, ErrShortMessage
 	}
 	n := int(getU32(b, 0))
 	if len(b) != 4+n {
-		return nil, fmt.Errorf("protocol: init module length %d does not match payload %d", n, len(b)-4)
+		return InitRequest{}, fmt.Errorf("protocol: init module length %d does not match payload %d", n, len(b)-4)
 	}
-	return &InitRequest{Module: b[4:]}, nil
+	return InitRequest{Module: b[4:]}, nil
 }
 
 // InitResponse carries the device compute capability and the result code.
@@ -438,11 +438,11 @@ func (m *MemcpyToHostRequest) CopyBytes() int { return int(m.Size) }
 // where keep puts it (decoder.go).
 
 func decodeMalloc(d *Decoder, b []byte) (Request, error) {
-	return keep(d, &d.malloc, MallocRequest{Size: getU32(b, 4)}), nil
+	return hold(d, &d.malloc, MallocRequest{Size: getU32(b, 4)}), nil
 }
 
 func decodeFree(d *Decoder, b []byte) (Request, error) {
-	return keep(d, &d.free, FreeRequest{DevPtr: getU32(b, 4)}), nil
+	return hold(d, &d.free, FreeRequest{DevPtr: getU32(b, 4)}), nil
 }
 
 func decodeSync(*Decoder, []byte) (Request, error)     { return &SyncRequest{}, nil }

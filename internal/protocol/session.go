@@ -158,12 +158,12 @@ func DecodeReattachResponse(b []byte) (*ReattachResponse, error) {
 
 // The decoders of the session rows of the op table (ops.go).
 
-func decodeSessionHello(_ *Decoder, b []byte) (Request, error) {
+func decodeSessionHello(d *Decoder, b []byte) (Request, error) {
 	switch len(b) {
 	case 4:
-		return &SessionHelloRequest{}, nil
+		return hold(d, &d.hello, SessionHelloRequest{}), nil
 	case 12:
-		m := &SessionHelloRequest{Class: getU32(b, 4), Weight: getU32(b, 8)}
+		m := SessionHelloRequest{Class: getU32(b, 4), Weight: getU32(b, 8)}
 		if m.Class > maxSchedClass {
 			return nil, fmt.Errorf("%w: class %d", ErrBadSchedClass, m.Class)
 		}
@@ -175,7 +175,7 @@ func decodeSessionHello(_ *Decoder, b []byte) (Request, error) {
 			// the bare form.
 			return nil, fmt.Errorf("protocol: non-canonical extended hello")
 		}
-		return m, nil
+		return hold(d, &d.hello, m), nil
 	default:
 		return nil, ErrShortMessage
 	}

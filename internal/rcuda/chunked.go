@@ -31,29 +31,32 @@ func sliceView(b []byte) chunkView {
 }
 
 // sendChunks sends a total-byte stream as chunks of stream op, chunkSize
-// bytes each but the last, straight from the memory view gives out. A
+// bytes each but the last, straight from the memory view gives out. Each
+// chunk is built in *slot, the sender's storage for chunks (protocol.Put),
+// which keeps none of the stream's memory once sendChunks returns. A
 // connection that can hold a send until an instant sends each chunk no
 // earlier than its bytes are ready. It returns the wire bytes sent.
-func sendChunks(conn transport.Conn, op protocol.Op, total, chunkSize uint32, view chunkView) (sent int, err error) {
-	chunk := &protocol.Chunk{Kind: op}
-	for off := 0; off < int(total); off += int(chunkSize) {
-		data, ready, err := view(uint32(off), min(chunkSize, total-uint32(off)))
-		if err != nil {
-			return sent, err
+func sendChunks(conn transport.Conn, slot **protocol.Chunk, op protocol.Op, total, chunkSize uint32, view chunkView) (sent int, err error) {
+	chunk := protocol.Put(slot, protocol.Chunk{Kind: op})
+	for off := 0; off < int(total) && err == nil; off += int(chunkSize) {
+		var ready time.Duration
+		if chunk.Data, ready, err = view(uint32(off), min(chunkSize, total-uint32(off))); err != nil {
+			break
 		}
-		chunk.Data = data
 		if ss, ok := conn.(transport.ScheduledSender); ok {
 			err = ss.SendAt(chunk, ready)
 		} else {
 			err = conn.Send(chunk)
 		}
 		if err != nil {
-			return sent, fmt.Errorf("rcuda: %v %d send: %w", op, chunk.Seq, err)
+			err = fmt.Errorf("rcuda: %v %d send: %w", op, chunk.Seq, err)
+			break
 		}
 		sent += chunk.WireSize()
 		chunk.Seq++
 	}
-	return sent, nil
+	chunk.Data = nil
+	return sent, err
 }
 
 // recvChunks receives the chunks of asm's stream, each landed straight in
@@ -115,7 +118,8 @@ func (c *Client) streamCopy(op protocol.Op, kind uint32, ptr cudart.DevicePtr, b
 		return cudart.ErrorInitialization
 	}
 	total := uint32(len(buf))
-	begin := &protocol.MemcpyStreamBeginRequest{Ptr: uint32(ptr), Total: total, Kind: kind, ChunkSize: c.chunkSize}
+	begin := protocol.Put(&c.req.streamBegin,
+		protocol.MemcpyStreamBeginRequest{Ptr: uint32(ptr), Total: total, Kind: kind, ChunkSize: c.chunkSize})
 	sent, recv := begin.WireSize(), 0
 	if err := c.conn.Send(begin); err != nil {
 		return fmt.Errorf("rcuda: stream begin send: %w", err)
@@ -136,11 +140,11 @@ func (c *Client) streamCopy(op protocol.Op, kind uint32, ptr cudart.DevicePtr, b
 	chunks := protocol.Chunks(total, c.chunkSize)
 	var asm *protocol.ChunkAssembler
 	if kind == protocol.KindHostToDevice {
-		n, err := sendChunks(c.conn, protocol.OpMemcpyStreamChunk, total, c.chunkSize, sliceView(buf))
+		n, err := sendChunks(c.conn, &c.req.chunk, protocol.OpMemcpyStreamChunk, total, c.chunkSize, sliceView(buf))
 		if err != nil {
 			return err
 		}
-		end := &protocol.MemcpyStreamEndRequest{Chunks: chunks}
+		end := protocol.Put(&c.req.streamEnd, protocol.MemcpyStreamEndRequest{Chunks: chunks})
 		if err := c.conn.Send(end); err != nil {
 			return fmt.Errorf("rcuda: stream end send: %w", err)
 		}
@@ -150,7 +154,11 @@ func (c *Client) streamCopy(op protocol.Op, kind uint32, ptr cudart.DevicePtr, b
 		}
 		recv += len(payload)
 	} else {
-		if asm, err = protocol.NewChunkAssembler(protocol.OpMemcpyStreamChunk, total, c.chunkSize, buf); err != nil {
+		// The assembler lands the chunks in buf; it is cleared on the way
+		// out so that the client keeps none of the application's memory.
+		asm = protocol.Put(&c.asm, protocol.ChunkAssembler{})
+		defer func() { *asm = protocol.ChunkAssembler{} }()
+		if err := asm.Reset(protocol.OpMemcpyStreamChunk, total, c.chunkSize, buf); err != nil {
 			return err
 		}
 		var n int
@@ -219,13 +227,17 @@ func (s *Server) moveChunks(conn transport.Conn, sess *session, stream uint32, b
 	ctx, clock := sess.context(), s.srvDevice(sess).Clock()
 	if begin.Kind == protocol.KindDeviceToHost {
 		start := clock.Now()
-		_, err := sendChunks(conn, protocol.OpMemcpyStreamChunk, begin.Total, begin.ChunkSize, func(off, size uint32) ([]byte, time.Duration, error) {
+		_, err := sendChunks(conn, &sess.reply.chunk, protocol.OpMemcpyStreamChunk, begin.Total, begin.ChunkSize, func(off, size uint32) ([]byte, time.Duration, error) {
 			return ctx.HostViewAsyncAt(begin.Ptr+off, size, stream, start)
 		})
 		return nil, err
 	}
-	asm, err := protocol.NewChunkAssembler(protocol.OpMemcpyStreamChunk, begin.Total, begin.ChunkSize, region)
-	if err != nil {
+	// The assembler lands the chunks in device memory; it is cleared on
+	// the way out so that the session keeps no view of a region it may
+	// free.
+	asm := protocol.Put(&sess.asm, protocol.ChunkAssembler{})
+	defer func() { *asm = protocol.ChunkAssembler{} }()
+	if err := asm.Reset(protocol.OpMemcpyStreamChunk, begin.Total, begin.ChunkSize, region); err != nil {
 		// Decoded Begin fields are pre-validated; reaching here is a bug.
 		return nil, err
 	}

@@ -349,3 +349,39 @@ func TestChunkedCopyCutByAFaultReleasesItsStream(t *testing.T) {
 		})
 	}
 }
+
+// TestChunkedCopyAllocatesNothing: a 4 MiB chunked copy each way over the
+// simulated deployment allocates nothing on either end once the
+// connection's slots exist — the Begin, the End, the chunk being sent and
+// the assembler live in the client and the session.
+func TestChunkedCopyAllocatesNothing(t *testing.T) {
+	skipUnderRace(t)
+	const n = 4 << 20
+	client, _, conn, cleanup := startBatchSession(t, netsim.IB40G(), nil, WithChunkedTransfers(0, 0))
+	defer cleanup()
+	ptr, err := client.Malloc(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, dst := pattern(n, 3), make([]byte, n)
+	pair := func() {
+		if err := client.MemcpyToDevice(ptr, src); err != nil {
+			t.Fatal(err)
+		}
+		if err := client.MemcpyToHost(dst, ptr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pair()
+	before := conn.Stats().MessagesSent
+	if got := testing.AllocsPerRun(20, pair); got != 0 {
+		t.Errorf("a chunked copy pair allocates %v times, want 0", got)
+	}
+	if !bytes.Equal(src, dst) {
+		t.Fatal("round trip diverged")
+	}
+	// Begin, four chunks and End to the device, Begin to the host.
+	if sent := (conn.Stats().MessagesSent - before) / 21; sent != 7 {
+		t.Fatalf("%d messages sent per copy pair, want the chunked protocol's 7", sent)
+	}
+}

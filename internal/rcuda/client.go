@@ -74,9 +74,11 @@ type Client struct {
 	// both zero means a bare hello.
 	schedClass  uint32
 	schedWeight uint32
-	// toHost is the Lander of the device-to-host exchange in flight; it
-	// lives here so that offering it to the transport allocates nothing.
+	// toHost is the Lander of the device-to-host exchange in flight, and
+	// asm that of a chunked one (made by the first); they live here so
+	// that offering them to the transport allocates nothing.
 	toHost hostLander
+	asm    *protocol.ChunkAssembler
 	// req is where the call in flight builds its request (DESIGN.md §23):
 	// a Client runs one call at a time, so a request lives until the call
 	// returns and the next of its type overwrites it.
@@ -84,13 +86,20 @@ type Client struct {
 }
 
 // requests holds one request of each type a Client sends with fields to
-// fill, each made by the first call that needs it (protocol.Put). The calls that
-// put the application's memory in one — a launch's Params, a copy's Data —
-// clear the field when they return, so the client does not keep the
-// application's buffer alive between calls.
+// fill. The ones every session sends — the handshake's, a malloc's and a
+// free's — are values; every other is made by the first call that needs it
+// (protocol.Put). The calls that put the application's memory in one — the
+// init's Module, a launch's Params, a copy's Data — clear the field when
+// they return, so the client does not keep the application's buffer alive
+// between calls.
 type requests struct {
-	malloc        *protocol.MallocRequest
-	free          *protocol.FreeRequest
+	init          protocol.InitRequest
+	hello         protocol.SessionHelloRequest
+	malloc        protocol.MallocRequest
+	free          protocol.FreeRequest
+	streamBegin   *protocol.MemcpyStreamBeginRequest
+	streamEnd     *protocol.MemcpyStreamEndRequest
+	chunk         *protocol.Chunk
 	toDevice      *protocol.MemcpyToDeviceRequest
 	toHost        *protocol.MemcpyToHostRequest
 	launch        *protocol.LaunchRequest
@@ -185,8 +194,12 @@ func Open(conn transport.Conn, module []byte, opts ...ClientOption) (*Client, er
 	for _, o := range opts {
 		o(c)
 	}
-	req := &protocol.InitRequest{Module: module}
-	if err := conn.Send(req); err != nil {
+	req := &c.req.init
+	req.Module = module
+	sent := req.WireSize()
+	err := conn.Send(req)
+	req.Module = nil
+	if err != nil {
 		return nil, fmt.Errorf("rcuda: init send: %w", err)
 	}
 	payload, err := conn.Recv()
@@ -197,7 +210,7 @@ func Open(conn transport.Conn, module []byte, opts ...ClientOption) (*Client, er
 	if err != nil {
 		return nil, fmt.Errorf("rcuda: init decode: %w", err)
 	}
-	c.observe(protocol.OpInit, req.WireSize(), resp.WireSize())
+	c.observe(protocol.OpInit, sent, resp.WireSize())
 	if resp.Err == protocol.CodeServerBusy {
 		return nil, fmt.Errorf("rcuda: server refused admission: %w", ErrServerBusy)
 	}
@@ -217,7 +230,8 @@ func Open(conn transport.Conn, module []byte, opts ...ClientOption) (*Client, er
 // so a later reconnect can reattach to it. It runs on the still-healthy
 // initial connection and is not itself retried.
 func (c *Client) helloDurable() error {
-	hello := &protocol.SessionHelloRequest{Class: c.schedClass, Weight: c.schedWeight}
+	hello := &c.req.hello
+	*hello = protocol.SessionHelloRequest{Class: c.schedClass, Weight: c.schedWeight}
 	if err := c.conn.Send(hello); err != nil {
 		return fmt.Errorf("rcuda: session hello send: %w", err)
 	}
@@ -312,7 +326,8 @@ func (c *Client) callCode(req protocol.Request) error {
 
 // Malloc implements cudart.Runtime.
 func (c *Client) Malloc(size uint32) (cudart.DevicePtr, error) {
-	payload, err := c.roundTrip(protocol.Put(&c.req.malloc, protocol.MallocRequest{Size: size}))
+	c.req.malloc = protocol.MallocRequest{Size: size}
+	payload, err := c.roundTrip(&c.req.malloc)
 	if err != nil {
 		return 0, err
 	}
@@ -328,7 +343,8 @@ func (c *Client) Malloc(size uint32) (cudart.DevicePtr, error) {
 
 // Free implements cudart.Runtime.
 func (c *Client) Free(ptr cudart.DevicePtr) error {
-	return c.callCode(protocol.Put(&c.req.free, protocol.FreeRequest{DevPtr: uint32(ptr)}))
+	c.req.free = protocol.FreeRequest{DevPtr: uint32(ptr)}
+	return c.callCode(&c.req.free)
 }
 
 // MemcpyToDevice implements cudart.Runtime.

@@ -97,12 +97,14 @@ func WithCloseGrace(d time.Duration) ServerOption {
 
 // sessionMemInUse sums the device bytes the session holds across every
 // context it has created — one per device it selected — at allocator
-// granularity. Only the session's own goroutine mutates the ctxs map, so
-// iterating it here is race-free.
+// granularity. Only the session's own goroutine mutates ctxs, so iterating
+// it here is race-free.
 func (ss *session) sessionMemInUse() uint64 {
 	var total uint64
 	for _, ctx := range ss.ctxs {
-		total += ctx.OwnedBytes()
+		if ctx != nil {
+			total += ctx.OwnedBytes()
+		}
 	}
 	return total
 }
@@ -111,7 +113,9 @@ func (ss *session) sessionMemInUse() uint64 {
 func (ss *session) sessionAllocs() int {
 	n := 0
 	for _, ctx := range ss.ctxs {
-		n += ctx.OwnedCount()
+		if ctx != nil {
+			n += ctx.OwnedCount()
+		}
 	}
 	return n
 }

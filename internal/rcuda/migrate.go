@@ -145,7 +145,11 @@ func (s *Server) claim(id uint64, force bool) (*session, error) {
 		return nil, err
 	}
 	sess.migrating = true
-	attached, conn, parked := sess.attached, sess.conn, sess.parkCh
+	attached, conn := sess.attached, sess.conn
+	var parked <-chan struct{}
+	if attached {
+		parked = sess.parkedLocked()
+	}
 	s.mu.Unlock()
 	if !attached {
 		return sess, nil
@@ -189,13 +193,11 @@ func (s *Server) buildCheckpoint(sess *session) (*protocol.Checkpoint, error) {
 	if sess.lastBatchCodes != nil {
 		c.LastBatchCodes = append([]uint32(nil), sess.lastBatchCodes...)
 	}
-	devs := make([]int, 0, len(sess.ctxs))
-	for d := range sess.ctxs {
-		devs = append(devs, d)
-	}
-	sort.Ints(devs)
-	for _, d := range devs {
-		dc, err := sess.ctxs[d].ExportState()
+	for d, ctx := range sess.ctxs {
+		if ctx == nil {
+			continue
+		}
+		dc, err := ctx.ExportState()
 		if err != nil {
 			return nil, fmt.Errorf("rcuda: checkpoint session %d device %d: %w", sess.id, d, err)
 		}
@@ -230,7 +232,8 @@ func (s *Server) streamSession(sess *session, dial func() (transport.Conn, error
 		return 0, err
 	}
 
-	if _, err := sendChunks(conn, protocol.OpMigrateChunk, total, chunkSize, sliceView(payload)); err != nil {
+	var chunk *protocol.Chunk
+	if _, err := sendChunks(conn, &chunk, protocol.OpMigrateChunk, total, chunkSize, sliceView(payload)); err != nil {
 		return 0, err
 	}
 	commit := &protocol.MigrateCommitRequest{
@@ -313,7 +316,6 @@ func (s *Server) serveRestoreConn(conn transport.Conn, rr *protocol.SessionResto
 	}
 	sess := s.newSession()
 	sess.id, sess.durable, sess.attached, sess.standby = rr.Session, true, true, true
-	sess.parkCh = make(chan struct{})
 	var replaced *session
 	s.mu.Lock()
 	if s.closed {
@@ -459,7 +461,7 @@ func (s *Server) materializeCheckpoint(sess *session, c *protocol.Checkpoint) er
 	for i := range c.Devices {
 		dc := &c.Devices[i]
 		d := int(dc.Device)
-		if _, dup := sess.ctxs[d]; dup {
+		if d < len(sess.ctxs) && sess.ctxs[d] != nil {
 			return fmt.Errorf("rcuda: checkpoint repeats device %d", d)
 		}
 		if err := sess.setDevice(d); err != nil {

@@ -85,15 +85,10 @@ var schedKinds = [...]sched.OpKind{
 // flowOn returns the session's scheduling handle on device d, registering
 // it on first use. Only the session's handler goroutine calls this.
 func (ss *session) flowOn(d int) *sched.Session {
-	if fl, ok := ss.flows[d]; ok {
-		return fl
+	if ss.flows[d] == nil {
+		ss.flows[d] = ss.srv.queues[d].Register(ss.schedClass, ss.schedWeight)
 	}
-	fl := ss.srv.queues[d].Register(ss.schedClass, ss.schedWeight)
-	if ss.flows == nil {
-		ss.flows = make(map[int]*sched.Session)
-	}
-	ss.flows[d] = fl
-	return fl
+	return ss.flows[d]
 }
 
 // applySchedParams updates the session's class/weight from an extended
@@ -125,7 +120,9 @@ func (s *Server) applySchedParams(sess *session, wireClass, weight uint32, moveG
 		// All flows of one session live on this server's queues; SetClass
 		// re-tags each under its own queue's lock.
 		for d, fl := range sess.flows {
-			s.queues[d].SetClass(fl, class, weight)
+			if fl != nil {
+				s.queues[d].SetClass(fl, class, weight)
+			}
 		}
 	}
 }

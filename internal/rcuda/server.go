@@ -343,7 +343,6 @@ func (s *Server) makeDurable(sess *session) uint64 {
 		sess.id = s.nextSession
 		sess.durable = true
 		sess.attached = true
-		sess.parkCh = make(chan struct{})
 		s.registry[sess.id] = sess
 	}
 	return sess.id
@@ -355,8 +354,10 @@ func (s *Server) makeDurable(sess *session) uint64 {
 type session struct {
 	srv    *Server
 	module *gpu.Module
-	ctxs   map[int]*gpu.Context
-	cur    int
+	// ctxs holds the session's context on each device, indexed by device,
+	// nil where it has none yet.
+	ctxs []*gpu.Context
+	cur  int
 	// slotHeld records whether this session occupies an admission slot;
 	// written once at creation, before the session is shared.
 	slotHeld bool
@@ -367,8 +368,9 @@ type session struct {
 	id       uint64
 	durable  bool
 	attached bool
-	// parkCh closes when the session parks, waking reattach waiters; a
-	// fresh channel is made each time the session (re)attaches.
+	// parkCh closes when the session parks, waking whoever waits for that
+	// (see parkedLocked); it is made by the first waiter, so a session
+	// nobody waits on never makes one.
 	parkCh   chan struct{}
 	parkedAt time.Time
 	// destroyed is guarded by srv.mu and flips exactly once.
@@ -404,6 +406,9 @@ type session struct {
 	// reply being sent. Both are overwritten by the next request.
 	dec   protocol.Decoder
 	reply replies
+	// asm reassembles the chunked copy to the device in flight, made by
+	// the first; it is cleared when the copy ends.
+	asm *protocol.ChunkAssembler
 	// Scheduling identity (see sched.go): class and weight from the
 	// session's extended hello (or restored checkpoint), and the session's
 	// flow handle per device queue. schedClass must be set explicitly at
@@ -413,15 +418,25 @@ type session struct {
 	// migration via the checkpoint.
 	schedClass  sched.Class
 	schedWeight uint32
-	flows       map[int]*sched.Session
+	flows       []*sched.Session
+	// ctx0 and flow0 back ctxs and flows on a daemon of one device, the
+	// paper's testbed: such a session makes no index of its own.
+	ctx0  [1]*gpu.Context
+	flow0 [1]*sched.Session
 }
 
-// replies holds one reply of each type the request loop sends, so that
+// replies holds one reply of each type the session sends, so that
 // answering allocates per type, not per request. A reply is rebuilt in
-// place by protocol.Put and handed to Send, which keeps nothing.
+// place and handed to Send, which keeps nothing. The replies every session
+// sends — the handshake's, a malloc's and the bare result code — are
+// values; the rest are made by the first reply of their type
+// (protocol.Put).
 type replies struct {
-	code         *protocol.CodeResponse
-	malloc       *protocol.MallocResponse
+	init         protocol.InitResponse
+	hello        protocol.SessionHelloResponse
+	code         protocol.CodeResponse
+	malloc       protocol.MallocResponse
+	chunk        *protocol.Chunk
 	toHost       *protocol.MemcpyToHostResponse
 	batch        *protocol.BatchResponse
 	streamCreate *protocol.StreamCreateResponse
@@ -434,7 +449,13 @@ type replies struct {
 // newSession makes a session with no context yet, holding an admission slot
 // when the daemon caps sessions.
 func (s *Server) newSession() *session {
-	return &session{srv: s, ctxs: map[int]*gpu.Context{}, slotHeld: s.guard.slots != nil, schedClass: sched.Batch}
+	ss := &session{srv: s, slotHeld: s.guard.slots != nil, schedClass: sched.Batch}
+	if n := len(s.devs); n == 1 {
+		ss.ctxs, ss.flows = ss.ctx0[:], ss.flow0[:]
+	} else {
+		ss.ctxs, ss.flows = make([]*gpu.Context, n), make([]*sched.Session, n)
+	}
+	return ss
 }
 
 // context returns the context of the currently selected device.
@@ -442,7 +463,14 @@ func (ss *session) context() *gpu.Context { return ss.ctxs[ss.cur] }
 
 // codeReply builds the bare result-code reply for err.
 func (ss *session) codeReply(err error) *protocol.CodeResponse {
-	return protocol.Put(&ss.reply.code, protocol.CodeResponse{Err: code(err)})
+	ss.reply.code = protocol.CodeResponse{Err: code(err)}
+	return &ss.reply.code
+}
+
+// mallocReply builds a cudaMalloc reply.
+func (ss *session) mallocReply(err, ptr uint32) *protocol.MallocResponse {
+	ss.reply.malloc = protocol.MallocResponse{Err: err, DevPtr: ptr}
+	return &ss.reply.malloc
 }
 
 // Land implements transport.Lander for the session's request loop. Only a
@@ -470,7 +498,7 @@ func (ss *session) setDevice(d int) error {
 	if d < 0 || d >= len(ss.srv.devs) {
 		return cudart.ErrorInvalidValue
 	}
-	if _, ok := ss.ctxs[d]; !ok {
+	if ss.ctxs[d] == nil {
 		ctx := ss.srv.devs[d].NewContextPreinitialized()
 		if err := ctx.LoadModule(ss.module); err != nil {
 			_ = ctx.Destroy()
@@ -486,7 +514,9 @@ func (ss *session) setDevice(d int) error {
 // destroy releases every context the session created.
 func (ss *session) destroy() {
 	for _, ctx := range ss.ctxs {
-		_ = ctx.Destroy()
+		if ctx != nil {
+			_ = ctx.Destroy()
+		}
 	}
 }
 
@@ -505,8 +535,10 @@ func (s *Server) destroySession(sess *session) {
 	// Safe without s.mu for the same reason sess.destroy is: every path
 	// here runs after the session's handler goroutine has exited (or never
 	// existed), so nobody is still adding contexts.
-	for d := range sess.ctxs {
-		s.devSessions[d].Add(-1)
+	for d, ctx := range sess.ctxs {
+		if ctx != nil {
+			s.devSessions[d].Add(-1)
+		}
 	}
 	sess.destroy()
 	if sess.slotHeld {
@@ -686,8 +718,20 @@ func (s *Server) releaseSession(sess *session, finalized bool) {
 func (s *Server) parkLocked(sess *session) {
 	sess.attached = false
 	sess.parkedAt = time.Now()
-	close(sess.parkCh)
+	if sess.parkCh != nil {
+		close(sess.parkCh)
+		sess.parkCh = nil
+	}
 	s.maybeStartGCLocked()
+}
+
+// parkedLocked returns the channel the next park of sess closes, making it
+// for the first waiter. Caller holds s.mu.
+func (sess *session) parkedLocked() <-chan struct{} {
+	if sess.parkCh == nil {
+		sess.parkCh = make(chan struct{})
+	}
+	return sess.parkCh
 }
 
 // retireLocked removes sess from the registry and tombstones its id with
@@ -823,7 +867,7 @@ func (s *Server) handshake(conn transport.Conn, withinConnCap bool) (*session, e
 		}
 		return nil, fmt.Errorf("rcuda: session refused: %w", admitErr)
 	}
-	sess, err := s.admitSession(conn, initReq)
+	sess, err := s.admitSession(conn, initReq.Module)
 	if err != nil {
 		// The slot was claimed but no session materialized to carry it.
 		s.guard.releaseSession()
@@ -833,29 +877,27 @@ func (s *Server) handshake(conn transport.Conn, withinConnCap bool) (*session, e
 }
 
 // admitSession completes the handshake of an admitted init request. The
-// request's module image aliases the received frame, so it is resolved here,
-// before anything else is received on conn, and only the *gpu.Module is kept.
-func (s *Server) admitSession(conn transport.Conn, initReq *protocol.InitRequest) (*session, error) {
+// module image aliases the received frame, so it is resolved here, before
+// anything else is received on conn, and only the *gpu.Module is kept.
+func (s *Server) admitSession(conn transport.Conn, image []byte) (*session, error) {
 	initial := s.initialDevice()
 	maj, min := s.devs[initial].Capability()
 	sess := s.newSession()
-	mod, err := gpu.ResolveModule(initReq.Module)
+	reply := &sess.reply.init
+	*reply = protocol.InitResponse{CapabilityMajor: maj, CapabilityMinor: min}
+	mod, err := gpu.ResolveModule(image)
 	if err == nil {
 		sess.module = mod
 		err = sess.setDevice(initial)
 	}
 	if err != nil {
-		sendErr := conn.Send(&protocol.InitResponse{
-			CapabilityMajor: maj,
-			CapabilityMinor: min,
-			Err:             uint32(cudart.ErrorInitialization),
-		})
-		if sendErr != nil {
+		reply.Err = uint32(cudart.ErrorInitialization)
+		if sendErr := conn.Send(reply); sendErr != nil {
 			return nil, sendErr
 		}
 		return nil, fmt.Errorf("rcuda: module load: %w", err)
 	}
-	if err := conn.Send(&protocol.InitResponse{CapabilityMajor: maj, CapabilityMinor: min}); err != nil {
+	if err := conn.Send(reply); err != nil {
 		// handshake releases the slot of a session that never started.
 		sess.slotHeld = false
 		s.destroySession(sess)
@@ -890,7 +932,6 @@ func (s *Server) reattachSession(conn transport.Conn, r *protocol.ReattachReques
 		if refusal == 0 && !sess.attached {
 			sess.attached = true
 			sess.standby = false
-			sess.parkCh = make(chan struct{})
 			cur := sess.cur
 			s.mu.Unlock()
 			maj, min := s.devs[cur].Capability()
@@ -906,8 +947,8 @@ func (s *Server) reattachSession(conn transport.Conn, r *protocol.ReattachReques
 			return sess, nil
 		}
 		var parked <-chan struct{}
-		if sess != nil {
-			parked = sess.parkCh
+		if sess != nil && refusal == 0 {
+			parked = sess.parkedLocked()
 		}
 		s.mu.Unlock()
 		if refusal != 0 {
@@ -957,10 +998,10 @@ func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Reque
 	case *protocol.MallocRequest:
 		if denial := s.checkQuota(sess, r.Size); denial != cudart.Success {
 			s.counters.QuotaDenials.Add(1)
-			return false, conn.Send(protocol.Put(&sess.reply.malloc, protocol.MallocResponse{Err: uint32(denial)}))
+			return false, conn.Send(sess.mallocReply(uint32(denial), 0))
 		}
 		ptr, cuErr := ctx.Malloc(r.Size)
-		return false, conn.Send(protocol.Put(&sess.reply.malloc, protocol.MallocResponse{Err: code(cuErr), DevPtr: ptr}))
+		return false, conn.Send(sess.mallocReply(code(cuErr), ptr))
 	case *protocol.MemcpyToHostRequest:
 		// The reply's data is device memory itself (nil on an error): the
 		// session is synchronous and holds its scheduler grant until Send
@@ -1017,7 +1058,8 @@ func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Reque
 
 	case *protocol.SessionHelloRequest:
 		s.applySchedParams(sess, r.Class, r.Weight, true)
-		return false, conn.Send(&protocol.SessionHelloResponse{Session: s.makeDurable(sess)})
+		sess.reply.hello = protocol.SessionHelloResponse{Session: s.makeDurable(sess)}
+		return false, conn.Send(&sess.reply.hello)
 	case *protocol.ReattachRequest:
 		// Reattach is only legal as a connection's opening message.
 		return false, fmt.Errorf("rcuda: reattach inside an established session")

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/netip"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -251,9 +252,19 @@ var (
 	_ LandingReceiver = (*TCPConn)(nil)
 )
 
-// DialTCP connects to an rCUDA server, disabling Nagle's algorithm.
+// DialTCP connects to an rCUDA server, disabling Nagle's algorithm. A
+// literal ip:port is dialed without a trip through the resolver.
 func DialTCP(addr string) (*TCPConn, error) {
-	c, err := net.Dial("tcp", addr)
+	var c net.Conn
+	var err error
+	if ap, perr := netip.ParseAddrPort(addr); perr == nil {
+		var tc *net.TCPConn
+		if tc, err = net.DialTCP("tcp", nil, net.TCPAddrFromAddrPort(ap)); err == nil {
+			c = tc
+		}
+	} else {
+		c, err = net.Dial("tcp", addr)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
