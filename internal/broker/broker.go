@@ -57,8 +57,10 @@ type endpointState struct {
 	up      bool
 	retired bool
 	lastErr error
-	// load is the last successful probe reply; nil before the first probe.
-	load *protocol.StatsReply
+	// load is the last successful probe reply, nil before the first probe.
+	// It points at lastProbe, the placer's own copy of the reply's gauges.
+	load      *protocol.StatsReply
+	lastProbe protocol.StatsReply
 	// placed counts sessions placed on the endpoint since the last probe,
 	// so a burst of placements between probes does not stampede the
 	// currently least-loaded server.

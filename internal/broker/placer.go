@@ -291,7 +291,9 @@ func (s *placerState) noteFailure(idx int, err error) {
 // NoteProbe records one health-probe outcome: a successful probe replaces
 // the endpoint's load gauges, resets the placed-since-probe guard, clears
 // the full mark, and marks the endpoint up; a failed probe marks it down.
-// Markdown/markup transitions accumulate in the flap counters.
+// Markdown/markup transitions accumulate in the flap counters. The placer
+// copies the gauges out of load; the caller keeps the reply and may reuse
+// it as soon as NoteProbe returns.
 func (p *Placer) NoteProbe(idx int, load *protocol.StatsReply, err error) {
 	s := &p.state
 	s.mu.Lock()
@@ -307,7 +309,10 @@ func (s *placerState) noteProbe(idx int, load *protocol.StatsReply, err error) {
 		s.noteFailure(idx, err)
 		return
 	}
-	st.load = load
+	devices := st.lastProbe.Devices[:0]
+	st.lastProbe = *load
+	st.lastProbe.Devices = append(devices, load.Devices...)
+	st.load = &st.lastProbe
 	st.placed = 0
 	st.full = false
 	st.lastErr = nil

@@ -2,6 +2,7 @@ package broker
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"rcuda/internal/netsim"
@@ -273,5 +274,44 @@ func TestNewRejectsEndpointWithoutDial(t *testing.T) {
 	if p, err := New([]Endpoint{{Name: "a"}}); err == nil {
 		p.Close()
 		t.Fatal("New accepted an endpoint with no Dial")
+	}
+}
+
+// TestPlacerKeepsNoProbeReply: NoteProbe copies the gauges it ranks on, so
+// a caller that reuses one reply for every endpoint — as loadgen's probe
+// tick does — and overwrites it, device rows included, after each call
+// changes neither Endpoints nor the next walk of any policy.
+func TestPlacerKeepsNoProbeReply(t *testing.T) {
+	loads := []*protocol.StatsReply{
+		classGauges(5, [3][2]uint64{{2, 900}, {4, 800}, {1, 700}}),
+		gauges(3, 20, 10),
+		classGauges(1, [3][2]uint64{{0, 100}, {1, 200}, {0, 300}}),
+	}
+	specs := []JobSpec{{}, {Class: protocol.SchedClassRealtime}, {Class: protocol.SchedClassBestEffort}}
+	for _, policy := range allPolicies {
+		fresh, reused := newTestPlacer(policy, len(loads)), newTestPlacer(policy, len(loads))
+		reply := &protocol.StatsReply{}
+		for i, load := range loads {
+			fresh.NoteProbe(i, load, nil)
+			devices := append(reply.Devices[:0], load.Devices...)
+			*reply = *load
+			reply.Devices = devices
+			reused.NoteProbe(i, reply, nil)
+			*reply = protocol.StatsReply{SessionsLive: 99, SessionsParked: 99, Devices: reply.Devices, HasClasses: true}
+			for d := range reply.Devices {
+				reply.Devices[d] = protocol.DeviceStats{BusyNanos: 99, BytesInUse: 99}
+			}
+			for c := range reply.Classes {
+				reply.Classes[c] = protocol.ClassLoad{Sessions: 99, P99WaitNanos: 99}
+			}
+		}
+		if got, want := reused.Endpoints(), fresh.Endpoints(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: Endpoints after the reply was overwritten = %+v, want %+v", policy, got, want)
+		}
+		for _, spec := range specs {
+			if got, want := walkOf(reused, spec), walkOf(fresh, spec); !equalInts(got, want) {
+				t.Errorf("%v, class %d: walk after the reply was overwritten = %v, want %v", policy, spec.Class, got, want)
+			}
+		}
 	}
 }

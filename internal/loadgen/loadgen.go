@@ -40,7 +40,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"time"
 
 	"rcuda/internal/broker"
@@ -250,22 +249,40 @@ type Result struct {
 var errDaemonDown = errors.New("loadgen: daemon down")
 var errDaemonStalled = errors.New("loadgen: daemon stalled")
 
-// session is one simulated client session. A run keeps one per offered
-// session for its whole length, so every field counts: durability is read
-// from the class.
+// session is one simulated client session. A record lives only while its
+// session is queued or placed: a session that completes or is lost frees
+// its record for the next arrival, so a run keeps as many records as it
+// ever had sessions at once. Durability is read from the class.
 type session struct {
 	class int
+	// arrival numbers the sessions in the order they arrived; replays walk
+	// residents in this order.
+	arrival int
 	// enqueued is when the session last entered the queue (arrival or
 	// failover re-enqueue); waits are measured from it.
 	enqueued time.Duration
 	hold     time.Duration
-	// daemon is the current placement, -1 when queued, lost, or done.
+	// daemon is the current placement, -1 when queued or free.
 	daemon int
-	// epoch invalidates stale completion events after a failover.
-	epoch int
+	// epoch invalidates stale completion events after a failover, and after
+	// the record is freed and taken by a later arrival: it is never reset,
+	// so an event scheduled for an earlier occupant never matches.
+	epoch uint32
 	// slot is the session's index in its daemon's sessions while placed.
 	slot int
+	// next links a queued record to the one behind it in its queue, and a
+	// free record to the next free one (-1 for none).
+	next int
 }
+
+// chunk is how many session records the table adds at a time. The table
+// grows by whole chunks and never copies one, so it holds fewer than chunk
+// records more than the run ever had sessions at once.
+const chunk = 256
+
+// queue is a FIFO of session records linked through their next fields, so
+// queueing a session allocates nothing.
+type queue struct{ head, tail, n int }
 
 // daemon is one simulated rcudad.
 type daemon struct {
@@ -273,7 +290,8 @@ type daemon struct {
 	capacity int
 	alive    bool
 	retired  bool
-	// sessions holds the resident session ids, in no particular order.
+	// sessions holds the resident session ids, in no particular order,
+	// sized to the capacity at spawn.
 	sessions []int
 	// classLive counts resident sessions per scheduling class (wire code
 	// minus one, unspecified folded into batch) — the gauges a
@@ -294,11 +312,15 @@ type sim struct {
 	alive   int
 	peak    int
 
-	sessions []session
+	// sessions is the record table in chunks; session(id) finds a record.
+	// free heads the stack of records no session is using, linked through
+	// their next fields (-1 for none): the next arrival takes the record
+	// the last session to leave freed.
+	sessions []*[chunk]session
+	free     int
 	// pending is the arrival FIFO, retry the failover FIFO (drained
-	// first); both use head cursors instead of reslicing.
-	pending, retry         []int
-	pendingHead, retryHead int
+	// first).
+	pending, retry queue
 	// blocked is set when the head-of-line session found no daemon with
 	// room; drain does not try again until capacity changes (release,
 	// spawnDaemon), because the same walk would meet the same refusals.
@@ -381,9 +403,7 @@ func newSim(cfg Config) (*sim, error) {
 		holdRNG:  rand.New(rand.NewSource(cfg.Seed + 2)),
 		phaseRNG: rand.New(rand.NewSource(cfg.Seed + 3)),
 		burstOn:  true,
-		// Both grow to exactly cfg.Sessions; sized once, neither re-copies.
-		sessions: make([]session, 0, cfg.Sessions),
-		pending:  make([]int, 0, cfg.Sessions),
+		free:     -1,
 		rankings: make([]broker.Ranking, len(cfg.Classes)),
 	}
 	for _, cl := range cfg.Classes {
@@ -414,6 +434,7 @@ func (s *sim) spawnDaemon() *daemon {
 	d := &daemon{
 		capacity: s.cfg.DaemonCapacity,
 		alive:    true,
+		sessions: make([]int, 0, s.cfg.DaemonCapacity),
 	}
 	d.idx = s.pl.Add(broker.Endpoint{Name: fmt.Sprintf("sim-%d", len(s.daemons))})
 	s.daemons = append(s.daemons, d)
@@ -490,14 +511,7 @@ func (s *sim) arrive() {
 		return
 	}
 	ci := s.pickClass()
-	cl := s.cfg.Classes[ci]
-	s.pending = append(s.pending, len(s.sessions))
-	s.sessions = append(s.sessions, session{
-		class:    ci,
-		enqueued: s.loop.Now(),
-		hold:     s.expDur(s.holdRNG, cl.HoldMean),
-		daemon:   -1,
-	})
+	s.push(&s.pending, s.newSession(ci, s.expDur(s.holdRNG, s.cfg.Classes[ci].HoldMean)))
 	s.created++
 	s.classN[ci]++
 	if s.created < s.cfg.Sessions {
@@ -506,25 +520,59 @@ func (s *sim) arrive() {
 	s.drain()
 }
 
-// queued returns the number of sessions waiting for placement.
-func (s *sim) queued() int {
-	return (len(s.retry) - s.retryHead) + (len(s.pending) - s.pendingHead)
+// session returns record id.
+func (s *sim) session(id int) *session { return &s.sessions[id/chunk][id%chunk] }
+
+// push appends record id to q.
+func (s *sim) push(q *queue, id int) {
+	s.session(id).next = -1
+	if q.n == 0 {
+		q.head = id
+	} else {
+		s.session(q.tail).next = id
+	}
+	q.tail = id
+	q.n++
 }
 
-// nextQueued pops the next waiting session id, failover retries first.
-func (s *sim) nextQueued() (int, bool) {
-	if s.retryHead < len(s.retry) {
-		id := s.retry[s.retryHead]
-		s.retryHead++
-		return id, true
-	}
-	if s.pendingHead < len(s.pending) {
-		id := s.pending[s.pendingHead]
-		s.pendingHead++
-		return id, true
-	}
-	return 0, false
+// pop removes q's head record.
+func (s *sim) pop(q *queue) {
+	q.head = s.session(q.head).next
+	q.n--
 }
+
+// newSession gives an arrival a free record, adding a chunk to the table
+// when none is free, and returns its id. A record keeps its epoch from one
+// session to the next.
+func (s *sim) newSession(class int, hold time.Duration) int {
+	if s.free < 0 {
+		first := len(s.sessions) * chunk
+		s.sessions = append(s.sessions, new([chunk]session))
+		for id := first + chunk - 1; id >= first; id-- {
+			s.freeSession(id)
+		}
+	}
+	id := s.free
+	sess := s.session(id)
+	s.free = sess.next
+	sess.class, sess.arrival, sess.enqueued, sess.hold = class, s.created, s.loop.Now(), hold
+	sess.daemon = -1
+	return id
+}
+
+// freeSession returns record id to the free stack.
+func (s *sim) freeSession(id int) {
+	s.session(id).next = s.free
+	s.free = id
+}
+
+// byArrival orders session ids by arrival, the order replays walk.
+func (s *sim) byArrival(ids []int) {
+	slices.SortFunc(ids, func(a, b int) int { return s.session(a).arrival - s.session(b).arrival })
+}
+
+// queued returns the number of sessions waiting for placement.
+func (s *sim) queued() int { return s.retry.n + s.pending.n }
 
 // drain places queued sessions until the queue empties or no daemon can
 // take the head-of-line session. A failed head blocks the queue until
@@ -532,18 +580,17 @@ func (s *sim) nextQueued() (int, bool) {
 // the head then would walk the same full fleet to the same end.
 func (s *sim) drain() {
 	for !s.blocked && s.queued() > 0 {
-		// Peek, don't pop: a session that cannot place stays at the head.
-		var id int
-		if s.retryHead < len(s.retry) {
-			id = s.retry[s.retryHead]
-		} else {
-			id = s.pending[s.pendingHead]
+		// Peek, don't pop: a session that cannot place stays at the head;
+		// failover retries go first.
+		q := &s.pending
+		if s.retry.n > 0 {
+			q = &s.retry
 		}
-		if !s.place(id) {
+		if !s.place(q.head) {
 			s.blocked = true
 			return
 		}
-		s.nextQueued()
+		s.pop(q)
 	}
 }
 
@@ -565,7 +612,7 @@ func classIndex(class uint32) int {
 // not call place again until a completion, a kill, a migration or a spawn
 // has changed the fleet's capacity.
 func (s *sim) place(id int) bool {
-	sess := &s.sessions[id]
+	sess := s.session(id)
 	spec := broker.JobSpec{Class: s.cfg.Classes[sess.class].SchedClass}
 	r := &s.rankings[sess.class]
 	s.pl.Rank(spec, r)
@@ -590,7 +637,7 @@ func (s *sim) place(id int) bool {
 			w := s.loop.Now() - sess.enqueued
 			s.wait.Record(w)
 			s.classWait[sess.class].Record(w)
-			s.loop.AtArg(sess.hold, s.completeFn, int64(id)<<32|int64(uint32(sess.epoch)))
+			s.loop.AtArg(sess.hold, s.completeFn, int64(id)<<32|int64(sess.epoch))
 			return true
 		}
 	}
@@ -605,7 +652,7 @@ func (s *sim) release(idx int) {
 
 // attach records session id as resident on d.
 func (s *sim) attach(d *daemon, id int) {
-	sess := &s.sessions[id]
+	sess := s.session(id)
 	sess.slot = len(d.sessions)
 	d.sessions = append(d.sessions, id)
 	d.classLive[classIndex(s.cfg.Classes[sess.class].SchedClass)]++
@@ -614,12 +661,12 @@ func (s *sim) attach(d *daemon, id int) {
 // detach removes session id from d's residents, moving the last resident
 // into its slot.
 func (s *sim) detach(d *daemon, id int) {
-	sess := &s.sessions[id]
+	sess := s.session(id)
 	d.classLive[classIndex(s.cfg.Classes[sess.class].SchedClass)]--
 	last := len(d.sessions) - 1
 	moved := d.sessions[last]
 	d.sessions[sess.slot] = moved
-	s.sessions[moved].slot = sess.slot
+	s.session(moved).slot = sess.slot
 	d.sessions = d.sessions[:last]
 }
 
@@ -630,8 +677,8 @@ func (s *sim) complete(ev int64) {
 	if s.stopped {
 		return
 	}
-	id, epoch := int(ev>>32), int(uint32(ev))
-	sess := &s.sessions[id]
+	id, epoch := int(ev>>32), uint32(ev)
+	sess := s.session(id)
 	if sess.epoch != epoch || sess.daemon < 0 {
 		return
 	}
@@ -640,6 +687,7 @@ func (s *sim) complete(ev int64) {
 	s.release(d.idx)
 	sess.daemon = -1
 	sess.epoch++
+	s.freeSession(id)
 	s.live--
 	s.completed++
 	s.drain()
@@ -656,17 +704,18 @@ func (s *sim) kill(d *daemon) {
 	s.alive--
 	s.pl.NoteFailure(d.idx, errDaemonDown)
 	ids := d.sessions
-	sort.Ints(ids) // replay in id order, whatever order placements left
+	s.byArrival(ids) // replay in arrival order, whatever order placements left
 	for _, id := range ids {
-		sess := &s.sessions[id]
+		sess := s.session(id)
 		sess.daemon = -1
 		sess.epoch++
 		s.live--
 		if s.cfg.Classes[sess.class].Durable {
 			sess.enqueued = s.loop.Now()
-			s.retry = append(s.retry, id)
+			s.push(&s.retry, id)
 			s.pl.NoteFailover()
 		} else {
+			s.freeSession(id)
 			s.lostNonDurable++
 		}
 	}
@@ -716,7 +765,8 @@ func (s *sim) probeTick() {
 			s.pl.NoteProbe(d.idx, nil, errDaemonDown)
 			continue
 		}
-		reply := &protocol.StatsReply{SessionsLive: uint32(d.live())}
+		// The placer copies what it ranks on, so the reply stays here.
+		reply := protocol.StatsReply{SessionsLive: uint32(d.live())}
 		if s.classed {
 			// A scheduler-enabled daemon answers with the per-class block;
 			// the sim daemon reports its class gauges the same way so the
@@ -726,7 +776,7 @@ func (s *sim) probeTick() {
 				reply.Classes[ci] = protocol.ClassLoad{Sessions: uint32(n)}
 			}
 		}
-		s.pl.NoteProbe(d.idx, reply, nil)
+		s.pl.NoteProbe(d.idx, &reply, nil)
 	}
 	if s.scaler != nil {
 		demand := s.live + s.queued()
@@ -809,7 +859,7 @@ func (s *sim) retireCandidate() *daemon {
 		}
 		drainable := spare-(d.capacity-d.live()) >= d.live()
 		for _, id := range d.sessions {
-			if !s.cfg.Classes[s.sessions[id].class].Durable {
+			if !s.cfg.Classes[s.session(id).class].Durable {
 				drainable = false
 				break
 			}
@@ -822,13 +872,13 @@ func (s *sim) retireCandidate() *daemon {
 }
 
 // drainByMigration live-migrates every resident session of src onto the
-// peer with the most spare capacity, in session-id order so replays are
+// peer with the most spare capacity, in arrival order so replays are
 // deterministic. The sessions' hold timers keep running: a migration is
 // invisible to the session, there is no re-queue and no replay. Reports
 // whether src ended empty.
 func (s *sim) drainByMigration(src *daemon) bool {
 	ids := slices.Clone(src.sessions) // detach reorders src.sessions
-	sort.Ints(ids)
+	s.byArrival(ids)
 	for _, id := range ids {
 		var dest *daemon
 		for _, d := range s.daemons {
@@ -845,7 +895,7 @@ func (s *sim) drainByMigration(src *daemon) bool {
 		s.detach(src, id)
 		s.release(src.idx)
 		s.attach(dest, id)
-		s.sessions[id].daemon = dest.idx
+		s.session(id).daemon = dest.idx
 		s.pl.NoteMigration(dest.idx, 0)
 	}
 	return true

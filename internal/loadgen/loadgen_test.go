@@ -3,6 +3,7 @@ package loadgen
 import (
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -226,27 +227,67 @@ func TestHundredThousandSessions(t *testing.T) {
 	}
 }
 
+// allocated runs cfg and returns its Result and the bytes it allocated.
+func allocated(t *testing.T, cfg Config) (*Result, uint64) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return r, after.TotalAlloc - before.TotalAlloc
+}
+
 // TestMillionSessions runs 10^6 sessions of the standard mix on an elastic
 // fleet (about a second of wall time): no durable session may be lost and
-// every session must be placed.
+// every session must be placed. The run keeps records only for the
+// sessions queued or placed at once, so it allocates well under a megabyte:
+// the bound is the go1.24 reading, 675 KB, plus half. A record kept per
+// session would put it near 58 MB.
 func TestMillionSessions(t *testing.T) {
 	if testing.Short() || raceflag.Enabled {
 		t.Skip("10^6-session run skipped in -short mode and under the race detector")
 	}
-	r, err := Run(Config{
+	r, bytes := allocated(t, Config{
 		Seed: 9, Sessions: 1_000_000, Arrival: Poisson,
 		Rate: 100_000, Classes: StandardMix(), InitialDaemons: 8, DaemonCapacity: 64,
 		Autoscale: &broker.AutoscalerConfig{
 			Min: 8, Max: 128, DaemonCapacity: 64, Cooldown: 250 * time.Millisecond,
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if r.LostDurable != 0 || r.Unplaced != 0 {
 		t.Fatalf("lost durable %d, unplaced %d; want 0 and 0", r.LostDurable, r.Unplaced)
 	}
-	t.Logf("%.0f placements/s virtual, p99 wait %v, peak %d daemons", r.PlacedPerSec, r.QueueWaitP99, r.PeakDaemons)
+	t.Logf("%.0f placements/s virtual, p99 wait %v, peak %d daemons, %d bytes allocated", r.PlacedPerSec, r.QueueWaitP99, r.PeakDaemons, bytes)
+	const limit = 675_000 * 3 / 2
+	if bytes > limit {
+		t.Errorf("10^6-session run allocated %d bytes, want at most %d", bytes, limit)
+	}
+}
+
+// TestRunMemoryFollowsConcurrency: ten times the sessions at the same
+// offered rate is ten times the run length but the same concurrency, so the
+// class-aware scenario at 10^5 sessions may allocate at most 1.5 times what
+// it allocates at 10^4. It reads 1.0 times on go1.24; a record and a queue
+// entry kept per session make it read 7.2 times.
+func TestRunMemoryFollowsConcurrency(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	run := func(sessions int) uint64 {
+		cfg := ScenarioConfig("scale-100k-classes")
+		cfg.Sessions = sessions
+		_, bytes := allocated(t, cfg)
+		return bytes
+	}
+	short, long := run(10_000), run(100_000)
+	ratio := float64(long) / float64(short)
+	t.Logf("10^4 sessions: %d bytes, 10^5 sessions: %d bytes (%.2fx)", short, long, ratio)
+	if ratio > 1.5 {
+		t.Errorf("10^5 sessions allocate %.2f times what 10^4 do, want at most 1.5", ratio)
+	}
 }
 
 func TestAutoscaleGrowsAndShrinks(t *testing.T) {
@@ -457,16 +498,16 @@ func TestRoundRobinBlockedHeadCursor(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			s.arrive()
 		}
-		if s.sessions[0].daemon != 0 || s.sessions[1].daemon != 2 || !s.blocked {
-			t.Fatalf("set-up: sessions on %d and %d, blocked %v", s.sessions[0].daemon, s.sessions[1].daemon, s.blocked)
+		if s.session(0).daemon != 0 || s.session(1).daemon != 2 || !s.blocked {
+			t.Fatalf("set-up: sessions on %d and %d, blocked %v", s.session(0).daemon, s.session(1).daemon, s.blocked)
 		}
 		if extraWalk && s.place(2) {
 			t.Fatal("a second walk over the full fleet placed the session")
 		}
 		s.probeTick()
 		before := s.pl.Stats().Spills
-		s.complete(int64(s.sessions[0].epoch)) // session 0
-		return s.sessions[2].daemon, s.pl.Stats().Spills - before
+		s.complete(int64(s.session(0).epoch)) // session 0
+		return s.session(2).daemon, s.pl.Stats().Spills - before
 	}
 	if landed, spills := run(false); landed != 0 || spills != 1 {
 		t.Errorf("one failed walk: landed on %d after %d spills, want 0 after 1", landed, spills)
@@ -476,26 +517,80 @@ func TestRoundRobinBlockedHeadCursor(t *testing.T) {
 	}
 }
 
-// TestRunAllocations gates the per-session allocation budget on the two
-// benchmark shapes: the session table and queue are sized once, sessions
-// live by value, residents sit in slices, the placement orders are kept
-// per class, completions are closure-free events and the event heap is
-// typed — what is left is amortized slice growth and per-probe replies.
+// TestRecycledRecordRefusesStaleCompletion: a durable session's first
+// placement dies with its daemon, the session fails over and completes on
+// the other daemon, and a new arrival takes its record and its room. When
+// the first placement's completion event fires, the epoch the record kept
+// refuses it: the new session stays placed and the counts stay exact.
+func TestRecycledRecordRefusesStaleCompletion(t *testing.T) {
+	s, err := newSim(Config{
+		Seed: 1, Sessions: 10,
+		Classes:        []Class{{Name: "x", Weight: 1, HoldMean: time.Second, Durable: true}},
+		InitialDaemons: 2, DaemonCapacity: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrive := func(hold time.Duration) int {
+		id := s.newSession(0, hold)
+		s.push(&s.pending, id)
+		s.drain()
+		return id
+	}
+	first := arrive(10 * time.Millisecond) // its completion is due at 10ms
+	s.kill(s.daemons[s.session(first).daemon])
+	s.session(first).hold = 2 * time.Millisecond
+	s.drain() // fails over; completes at 2ms
+	if s.session(first).daemon < 0 || s.pl.Stats().Failovers != 1 {
+		t.Fatalf("set-up: session on daemon %d after %d failovers", s.session(first).daemon, s.pl.Stats().Failovers)
+	}
+	var second int
+	s.loop.At(5*time.Millisecond, func() { second = arrive(time.Second) })
+	s.loop.At(20*time.Millisecond, func() {
+		if second != first {
+			t.Errorf("the arrival took record %d, not the freed record %d", second, first)
+		}
+		if s.completed != 1 || s.placed != 3 || s.live != 1 || s.session(second).daemon < 0 {
+			t.Errorf("after the stale completion: completed %d, placed %d, live %d, daemon %d; want 1, 3, 1 and placed",
+				s.completed, s.placed, s.live, s.session(second).daemon)
+		}
+	})
+	s.loop.Run()
+	if s.completed != 2 || s.placed != 3 || s.live != 0 {
+		t.Errorf("at the end: completed %d, placed %d, live %d; want 2, 3, 0", s.completed, s.placed, s.live)
+	}
+}
+
+// TestRunAllocations gates the allocation budget on the two benchmark
+// shapes: session records are reused and added a chunk at a time, the
+// queues are linked through them, residents sit in slices sized at spawn,
+// probe replies are not kept, the placement orders are kept per class,
+// completions are closure-free events and the event heap is typed — what
+// is left is fleet growth, heap growth and the per-run set-up, so the count
+// per session falls as runs grow. Each bound is the go1.24 reading, 0.037
+// and 0.0028, plus about a quarter; a record kept per session and a fresh
+// reply per probe read 0.15 and 0.023.
 func TestRunAllocations(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	for _, name := range []string{"scale-down-migrate", "scale-100k-classes"} {
-		cfg := ScenarioConfig(name)
+	for _, tc := range []struct {
+		name string
+		max  float64
+	}{
+		{"scale-down-migrate", 0.045},
+		{"scale-100k-classes", 0.0035},
+	} {
+		cfg := ScenarioConfig(tc.name)
 		perRun := testing.AllocsPerRun(2, func() {
 			if _, err := Run(cfg); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if perSession := perRun / float64(cfg.Sessions); perSession > 0.2 {
-			t.Errorf("%s: %.3f allocations per session (%.0f per run), want <= 0.2", name, perSession, perRun)
+		if perSession := perRun / float64(cfg.Sessions); perSession > tc.max {
+			t.Errorf("%s: %.4f allocations per session (%.0f per run), want <= %v", tc.name, perSession, perRun, tc.max)
 		} else {
-			t.Logf("%s: %.3f allocations per session", name, perSession)
+			t.Logf("%s: %.4f allocations per session", tc.name, perSession)
 		}
 	}
 }

@@ -114,15 +114,21 @@ func (m *GetDevicePropertiesResponse) Encode(dst []byte) []byte {
 func (m *GetDevicePropertiesResponse) WireSize() int { return 36 + len(m.Name) }
 
 // DecodeGetDevicePropertiesResponse parses a device-properties response.
-func DecodeGetDevicePropertiesResponse(b []byte) (*GetDevicePropertiesResponse, error) {
+// When the reply's name equals name, the response carries name itself
+// instead of a new string, so a caller that passes the last name it
+// decoded parses the same device's reply without allocating.
+func DecodeGetDevicePropertiesResponse(b []byte, name string) (GetDevicePropertiesResponse, error) {
 	if len(b) < 36 {
-		return nil, ErrShortMessage
+		return GetDevicePropertiesResponse{}, ErrShortMessage
 	}
 	n := int(getU32(b, 32))
 	if len(b) != 36+n {
-		return nil, fmt.Errorf("protocol: properties name length %d does not match payload %d", n, len(b)-36)
+		return GetDevicePropertiesResponse{}, fmt.Errorf("protocol: properties name length %d does not match payload %d", n, len(b)-36)
 	}
-	return &GetDevicePropertiesResponse{
+	if string(b[36:]) != name { // the comparison does not allocate
+		name = string(b[36:])
+	}
+	return GetDevicePropertiesResponse{
 		Err:             getU32(b, 0),
 		MemoryBytes:     uint64(getU32(b, 4)) | uint64(getU32(b, 8))<<32,
 		CapabilityMajor: getU32(b, 12),
@@ -130,7 +136,7 @@ func DecodeGetDevicePropertiesResponse(b []byte) (*GetDevicePropertiesResponse, 
 		Multiprocessors: getU32(b, 20),
 		ClockMHz:        getU32(b, 24),
 		MemoryMBps:      getU32(b, 28),
-		Name:            string(b[36:]),
+		Name:            name,
 	}, nil
 }
 

@@ -69,9 +69,13 @@ func TestDeviceResponseRoundTrips(t *testing.T) {
 		if len(enc) != r.WireSize() {
 			t.Fatalf("properties encoded %d, WireSize %d", len(enc), r.WireSize())
 		}
-		got, err := DecodeGetDevicePropertiesResponse(enc)
-		if err != nil || *got != *r {
+		got, err := DecodeGetDevicePropertiesResponse(enc, "")
+		if err != nil || got != *r {
 			t.Fatalf("properties response: %v\n got %+v\nwant %+v", err, got, r)
+		}
+		// Handed the name it decoded last, the decoder reuses it.
+		if n := testing.AllocsPerRun(100, func() { got, _ = DecodeGetDevicePropertiesResponse(enc, got.Name) }); n != 0 {
+			t.Fatalf("decoding the same name again allocates %v times, want 0", n)
 		}
 	}
 }
@@ -86,13 +90,13 @@ func TestDeviceDecodeErrors(t *testing.T) {
 	if _, err := DecodeGetDeviceCountResponse([]byte{1, 2}); err == nil {
 		t.Fatal("short count response must fail")
 	}
-	if _, err := DecodeGetDevicePropertiesResponse(make([]byte, 10)); err == nil {
+	if _, err := DecodeGetDevicePropertiesResponse(make([]byte, 10), ""); err == nil {
 		t.Fatal("short properties response must fail")
 	}
 	// Corrupt name length.
 	bad := (&GetDevicePropertiesResponse{Name: "x"}).Encode(nil)
 	bad[32] = 200
-	if _, err := DecodeGetDevicePropertiesResponse(bad); err == nil {
+	if _, err := DecodeGetDevicePropertiesResponse(bad, ""); err == nil {
 		t.Fatal("inconsistent properties name length must fail")
 	}
 }

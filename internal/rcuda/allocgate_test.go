@@ -110,7 +110,7 @@ func TestInferenceRequestAllocationGate(t *testing.T) {
 		max  float64
 	}{
 		{name: "batched", opts: []ClientOption{WithBatching(0, 0)}, max: 8},
-		{name: "unbatched", max: 10},
+		{name: "unbatched", max: 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			client, srv, _, cleanup := startBatchSession(t, netsim.IB40G(),

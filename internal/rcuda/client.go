@@ -70,6 +70,9 @@ type Client struct {
 	curDev     int
 	synced     cudart.Event
 	syncedOK   bool
+	// devName is the name in the last device-properties reply, which the
+	// next reply reuses while the bytes match.
+	devName string
 	// Scheduling parameters declared in the session hello (WithSchedClass);
 	// both zero means a bare hello.
 	schedClass  uint32

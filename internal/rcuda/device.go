@@ -60,10 +60,11 @@ func (c *Client) DeviceProperties() (gpu.Properties, error) {
 	if err != nil {
 		return gpu.Properties{}, err
 	}
-	resp, err := protocol.DecodeGetDevicePropertiesResponse(payload)
+	resp, err := protocol.DecodeGetDevicePropertiesResponse(payload, c.devName)
 	if err != nil {
 		return gpu.Properties{}, err
 	}
+	c.devName = resp.Name
 	if err := cudart.Error(resp.Err).AsError(); err != nil {
 		return gpu.Properties{}, err
 	}
