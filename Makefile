@@ -5,17 +5,16 @@
 
 GO ?= go
 
-.PHONY: all build test race verify examples lint vet loc chaos migrate-chaos soak bench bench-batch bench-check bench-scale bench-sched bench-wall bench-wall-smoke fuzz pool repro figures experiments clean help
+.PHONY: all build test race verify lint vet loc chaos migrate-chaos soak bench bench-batch bench-check bench-scale bench-sched bench-wall bench-wall-smoke fuzz pool repro figures experiments clean help
 
 all: build test
 
 help:
 	@echo "Targets:"
 	@echo "  build        compile and vet everything (plus an arm64 cross-vet of blas/kernels/gpu and a check that the arm64 code of blas/fft/kernels fuses no multiply-add)"
-	@echo "  test         run all tests"
+	@echo "  test         run all tests, including the Example programs of example_test.go, whose printed output is compared"
 	@echo "  race         run all tests under the race detector"
 	@echo "  verify       tier-1 gate: build + test + vet + race on data path, broker, workloads, report, device service (blas/kernels/gpu/cudart), vclock, calib, stats + chaos suite + one pass of the device-service benchmarks"
-	@echo "  examples     run the seven example programs; any non-zero exit fails"
 	@echo "  lint         go vet + rcuda-vet invariant analyzers + gofmt diff check"
 	@echo "  vet          rcuda-vet only: seededrand/wiremsg/locknet/errcode invariants"
 	@echo "  loc          non-blank, non-comment, non-test Go lines per package (the count 'smaller' claims cite), the test lines outside bench/, and the non-test total outside bench/"
@@ -103,11 +102,6 @@ verify: build test vet chaos
 		./internal/blas/... ./internal/kernels/... ./internal/gpu/... ./internal/cudart/... \
 		./internal/vclock/... ./internal/calib/... ./internal/stats/...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/blas ./internal/kernels ./internal/gpu
-
-# Every example program under examples/, run to completion: each checks its
-# own results and exits non-zero on a wrong one.
-examples:
-	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
 
 # Chaos suite: every fault kind's transport semantics, the retry policy, and
 # the MM/FFT case studies under scripted and 50 consecutive seeded fault

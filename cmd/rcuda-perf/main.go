@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"text/tabwriter"
@@ -25,44 +26,54 @@ import (
 )
 
 func main() {
-	server := flag.String("server", "localhost:8308", "rCUDA daemon address")
-	op := flag.String("op", "all", "operation to measure: sync, malloc, memcpy, launch, all")
-	bytes := flag.Int("bytes", 1<<20, "payload size for memcpy measurements")
-	reps := flag.Int("reps", 250, "repetitions per measurement")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run measures the operations the flags in argv ask for against the daemon
+// they name and prints one table row per measurement to out, stopping at
+// the first error.
+func run(argv []string, out io.Writer) error {
+	fs := flag.NewFlagSet("rcuda-perf", flag.ExitOnError)
+	server := fs.String("server", "localhost:8308", "rCUDA daemon address")
+	op := fs.String("op", "all", "operation to measure: sync, malloc, memcpy, launch, all")
+	bytes := fs.Int("bytes", 1<<20, "payload size for memcpy measurements")
+	reps := fs.Int("reps", 250, "repetitions per measurement")
+	_ = fs.Parse(argv) // ExitOnError: a bad flag exits here
 
 	mod, err := rcuda.CaseStudyModule(rcuda.MM)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	img, err := mod.Binary()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	client, err := rcuda.Dial(*server, img)
 	if err != nil {
-		log.Fatalf("connect to %s: %v (start cmd/rcudad first)", *server, err)
+		return fmt.Errorf("connect to %s: %v (start cmd/rcudad first)", *server, err)
 	}
 	defer client.Close()
 	maj, min := client.Capability()
-	fmt.Printf("connected to %s — remote device compute capability %d.%d\n\n", *server, maj, min)
+	fmt.Fprintf(out, "connected to %s — remote device compute capability %d.%d\n\n", *server, maj, min)
 
-	w := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
+	w := tabwriter.NewWriter(out, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(w, "operation\treps\tmean\tmin\tmedian\tmax\tthroughput")
 	defer w.Flush()
 
-	run := func(name string, fn func() error, payload int64) {
+	measure := func(name string, fn func() error, payload int64) error {
 		samples := make([]float64, 0, *reps)
 		for i := 0; i < *reps; i++ {
 			start := time.Now()
 			if err := fn(); err != nil {
-				log.Fatalf("%s: %v", name, err)
+				return fmt.Errorf("%s: %w", name, err)
 			}
 			samples = append(samples, time.Since(start).Seconds())
 		}
 		s, err := stats.Summarize(samples)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		tp := "-"
 		if payload > 0 {
@@ -70,13 +81,14 @@ func main() {
 		}
 		fmt.Fprintf(w, "%s\t%d\t%v\t%v\t%v\t%v\t%s\n",
 			name, s.N, dur(s.Mean), dur(s.Min), dur(s.Median), dur(s.Max), tp)
+		return nil
 	}
 
-	doSync := func() {
-		run("cudaDeviceSynchronize", client.DeviceSynchronize, 0)
+	doSync := func() error {
+		return measure("cudaDeviceSynchronize", client.DeviceSynchronize, 0)
 	}
-	doMalloc := func() {
-		run("cudaMalloc+cudaFree", func() error {
+	doMalloc := func() error {
+		return measure("cudaMalloc+cudaFree", func() error {
 			p, err := client.Malloc(4096)
 			if err != nil {
 				return err
@@ -84,67 +96,70 @@ func main() {
 			return client.Free(p)
 		}, 0)
 	}
-	doMemcpy := func() {
+	doMemcpy := func() error {
 		buf := make([]byte, *bytes)
 		ptr, err := client.Malloc(uint32(*bytes))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		run(fmt.Sprintf("cudaMemcpy H2D %dB", *bytes), func() error {
+		if err := measure(fmt.Sprintf("cudaMemcpy H2D %dB", *bytes), func() error {
 			return client.MemcpyToDevice(ptr, buf)
-		}, int64(*bytes))
-		run(fmt.Sprintf("cudaMemcpy D2H %dB", *bytes), func() error {
-			return client.MemcpyToHost(buf, ptr)
-		}, int64(*bytes))
-		if err := client.Free(ptr); err != nil {
-			log.Fatal(err)
+		}, int64(*bytes)); err != nil {
+			return err
 		}
+		if err := measure(fmt.Sprintf("cudaMemcpy D2H %dB", *bytes), func() error {
+			return client.MemcpyToHost(buf, ptr)
+		}, int64(*bytes)); err != nil {
+			return err
+		}
+		return client.Free(ptr)
 	}
-	doLaunch := func() {
+	doLaunch := func() error {
 		const m = 32
 		nbytes := uint32(4 * m * m)
 		var ptrs [3]rcuda.DevicePtr
 		for i := range ptrs {
-			p, err := client.Malloc(nbytes)
-			if err != nil {
-				log.Fatal(err)
+			if ptrs[i], err = client.Malloc(nbytes); err != nil {
+				return err
 			}
-			ptrs[i] = p
 		}
-		if err := client.MemcpyToDevice(ptrs[0], make([]byte, nbytes)); err != nil {
-			log.Fatal(err)
+		for _, p := range ptrs[:2] {
+			if err := client.MemcpyToDevice(p, make([]byte, nbytes)); err != nil {
+				return err
+			}
 		}
-		if err := client.MemcpyToDevice(ptrs[1], make([]byte, nbytes)); err != nil {
-			log.Fatal(err)
-		}
-		run("cudaLaunch sgemmNN m=32", func() error {
+		if err := measure("cudaLaunch sgemmNN m=32", func() error {
 			return client.Launch(rcuda.SgemmKernel, rcuda.Dim3{X: 2, Y: 2}, rcuda.Dim3{X: 16, Y: 16}, 0,
 				rcuda.PackParams(uint32(ptrs[0]), uint32(ptrs[1]), uint32(ptrs[2]), m))
-		}, 0)
+		}, 0); err != nil {
+			return err
+		}
 		for _, p := range ptrs {
 			if err := client.Free(p); err != nil {
-				log.Fatal(err)
+				return err
 			}
 		}
+		return nil
 	}
 
 	switch *op {
 	case "sync":
-		doSync()
+		return doSync()
 	case "malloc":
-		doMalloc()
+		return doMalloc()
 	case "memcpy":
-		doMemcpy()
+		return doMemcpy()
 	case "launch":
-		doLaunch()
+		return doLaunch()
 	case "all":
-		doSync()
-		doMalloc()
-		doMemcpy()
-		doLaunch()
-	default:
-		log.Fatalf("unknown -op %q (sync, malloc, memcpy, launch, all)", *op)
+		for _, do := range []func() error{doSync, doMalloc, doMemcpy, doLaunch} {
+			if err := do(); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
+	return fmt.Errorf("unknown -op %q (sync, malloc, memcpy, launch, all)", *op)
 }
 
 func dur(seconds float64) time.Duration {

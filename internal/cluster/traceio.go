@@ -37,6 +37,9 @@ func LoadTrace(r io.Reader) ([]Job, error) {
 	if err := dec.Decode(&raw); err != nil {
 		return nil, fmt.Errorf("cluster: parse trace: %w", err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("cluster: data after the trace array")
+	}
 	if len(raw) == 0 {
 		return nil, fmt.Errorf("cluster: empty trace")
 	}

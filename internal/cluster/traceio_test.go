@@ -71,6 +71,8 @@ func TestLoadTraceErrors(t *testing.T) {
 		"negative time": `[{"id":0,"case":"MM","size":8,"arrival_ms":-5}]`,
 		"duplicate id":  `[{"id":0,"case":"MM","size":8,"arrival_ms":0},{"id":0,"case":"MM","size":8,"arrival_ms":1}]`,
 		"unknown field": `[{"id":0,"case":"MM","size":8,"arrival_ms":0,"color":"red"}]`,
+		"second trace":  `[{"id":0,"case":"MM","size":4096,"arrival_ms":0}][{"id":1}]`,
+		"trailing data": `[{"id":0,"case":"MM","size":4096,"arrival_ms":0}] trailing`,
 	}
 	for name, in := range cases {
 		if _, err := LoadTrace(strings.NewReader(in)); err == nil {

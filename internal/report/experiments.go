@@ -104,7 +104,7 @@ func (c Config) expExtensions(sb *strings.Builder) error {
   TCP-window excess that one large transfer amortizes, so chunked
   asynchronous transfers only pay off once the interconnect is fast and
   clean — a concrete answer to the paper's deferred future work.
-- **Cluster sizing (examples/clusterplan, BenchmarkClusterSweep)**: list
+- **Cluster sizing (Example_clusterPlan, BenchmarkClusterSweep)**: list
   scheduling of synthetic job traces over the calibrated profiles answers
   "how many GPUs does the cluster need"; at the light utilization the
   paper's premise assumes, 1-2 shared GPUs per 8-16 nodes match the fully
