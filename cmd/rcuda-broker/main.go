@@ -24,8 +24,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"os"
@@ -70,28 +72,38 @@ func spawnServer(gpus int) (*spawned, error) {
 }
 
 func main() {
-	servers := flag.String("servers", "", "comma-separated daemon addresses; empty spawns an in-process pool")
-	spawn := flag.Int("spawn", 3, "number of in-process daemons to spawn when -servers is empty")
-	gpus := flag.Int("gpus", 1, "devices per spawned daemon")
-	policyName := flag.String("policy", "least-loaded", "placement policy: least-loaded, round-robin, network-aware, class-aware")
-	jobs := flag.Int("jobs", 9, "number of jobs in the batch (alternating MM and FFT)")
-	mm := flag.Int("mm", 64, "MM matrix dimension (multiple of 16)")
-	fftBatch := flag.Int("fft", 8, "FFT batch size")
-	probe := flag.Duration("probe", 100*time.Millisecond, "background health-probe interval")
-	kill := flag.Bool("kill", false, "kill one spawned server mid-batch to exercise failover")
-	migrate := flag.Bool("migrate", false, "after the batch, live-migrate a staged session between spawned servers and verify its state survived")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run places the batch the flags in argv describe, logs each job's outcome,
+// and prints the batch summary, the endpoint table and the pool counters to
+// out. It fails when a job (or the -migrate demo) did not verify.
+func run(argv []string, out io.Writer) error {
+	fs := flag.NewFlagSet("rcuda-broker", flag.ExitOnError)
+	servers := fs.String("servers", "", "comma-separated daemon addresses; empty spawns an in-process pool")
+	spawn := fs.Int("spawn", 3, "number of in-process daemons to spawn when -servers is empty")
+	gpus := fs.Int("gpus", 1, "devices per spawned daemon")
+	policyName := fs.String("policy", "least-loaded", "placement policy: least-loaded, round-robin, network-aware, class-aware")
+	jobs := fs.Int("jobs", 9, "number of jobs in the batch (alternating MM and FFT)")
+	mm := fs.Int("mm", 64, "MM matrix dimension (multiple of 16)")
+	fftBatch := fs.Int("fft", 8, "FFT batch size")
+	probe := fs.Duration("probe", 100*time.Millisecond, "background health-probe interval")
+	kill := fs.Bool("kill", false, "kill one spawned server mid-batch to exercise failover")
+	migrate := fs.Bool("migrate", false, "after the batch, live-migrate a staged session between spawned servers and verify its state survived")
+	_ = fs.Parse(argv) // ExitOnError: a bad flag exits here
 
 	policy, err := broker.ParsePolicy(*policyName)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	var eps []broker.Endpoint
 	var local []*spawned
 	if *servers != "" {
 		if *kill || *migrate {
-			log.Fatal("-kill and -migrate only apply to spawned servers")
+			return errors.New("-kill and -migrate only apply to spawned servers")
 		}
 		for _, addr := range strings.Split(*servers, ",") {
 			addr := strings.TrimSpace(addr)
@@ -102,12 +114,17 @@ func main() {
 		}
 	} else {
 		if *spawn < 1 {
-			log.Fatalf("-spawn %d: need at least one server", *spawn)
+			return fmt.Errorf("-spawn %d: need at least one server", *spawn)
 		}
+		defer func() {
+			for _, s := range local {
+				_ = s.srv.Close()
+			}
+		}()
 		for i := 0; i < *spawn; i++ {
 			s, err := spawnServer(*gpus)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			local = append(local, s)
 			addr := s.addr
@@ -117,18 +134,13 @@ func main() {
 			})
 			log.Printf("spawned %s at %s (%d device(s))", eps[i].Name, addr, *gpus)
 		}
-		defer func() {
-			for _, s := range local {
-				_ = s.srv.Close()
-			}
-		}()
 	}
 
 	pool, err := broker.New(eps,
 		broker.WithPolicy(policy),
 		broker.WithProbeInterval(*probe))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer pool.Close()
 	pool.Refresh()
@@ -140,7 +152,7 @@ func main() {
 	victimName := ""
 	if *kill {
 		if len(local) < 2 {
-			log.Fatal("-kill needs at least two spawned servers")
+			return errors.New("-kill needs at least two spawned servers")
 		}
 		victimName = eps[len(local)-1].Name
 	}
@@ -162,11 +174,11 @@ func main() {
 		}
 		mod, err := kernels.ModuleFor(cs)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		img, err := mod.Binary()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		seed := int64(i) + 1
 		err = pool.Run(img, broker.JobSpec{CS: cs, Size: size}, func(rt cudart.Runtime) error {
@@ -194,10 +206,10 @@ func main() {
 	}
 	elapsed := time.Since(start)
 
-	fmt.Printf("\nbatch: %d jobs, %d failed, wall time %v, policy %s\n\n",
+	fmt.Fprintf(out, "\nbatch: %d jobs, %d failed, wall time %v, policy %s\n\n",
 		*jobs, failed, elapsed.Round(time.Millisecond), policy)
 
-	w := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
+	w := tabwriter.NewWriter(out, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(w, "endpoint\tup\tdevices\tsessions\tparked\tbytes\tbusy\tlast error")
 	for _, st := range pool.Endpoints() {
 		busy := time.Duration(st.BusyNanos).Round(time.Microsecond)
@@ -209,7 +221,9 @@ func main() {
 			st.Name, st.Up, st.Devices, st.SessionsLive, st.SessionsParked,
 			st.BytesInUse, busy, lastErr)
 	}
-	w.Flush()
+	if err := w.Flush(); err != nil {
+		return err
+	}
 
 	if *migrate {
 		if err := migrateDemo(pool, local); err != nil {
@@ -218,10 +232,11 @@ func main() {
 		}
 	}
 
-	fmt.Printf("\npool: %s\n", stats.Pairs(pool.Stats()))
+	fmt.Fprintf(out, "\npool: %s\n", stats.Pairs(pool.Stats()))
 	if failed > 0 {
-		os.Exit(1)
+		return fmt.Errorf("%d failed verification (see the log)", failed)
 	}
+	return nil
 }
 
 // migrateDemo opens a durable session on one spawned daemon, uploads a

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rcuda/internal/calib"
@@ -56,7 +57,19 @@ type endpointState struct {
 	ep      Endpoint
 	up      bool
 	retired bool
-	lastErr error
+	// full marks an endpoint that refused admission (NoteSpill) until a
+	// probe or a released session (NoteRelease) says it may have room.
+	full bool
+	// probeStopped permanently shuts the probe slot (Pool only, under
+	// probeMu): the endpoint was retired or the pool closed, so returned
+	// connections are refused and closed instead of parked.
+	probeStopped bool
+	// fullMark mirrors full for the notes that read it without the placer
+	// mutex; both change together, under the mutex, in setFull. The four
+	// flags and the mirror share one word, which keeps the record in the
+	// 208-byte size class.
+	fullMark atomic.Bool
+	lastErr  error
 	// load is the last successful probe reply, nil before the first probe.
 	// It points at lastProbe, the placer's own copy of the reply's gauges.
 	load      *protocol.StatsReply
@@ -65,9 +78,6 @@ type endpointState struct {
 	// so a burst of placements between probes does not stampede the
 	// currently least-loaded server.
 	placed int64
-	// full marks an endpoint that refused admission (NoteSpill) until a
-	// probe or a released session (NoteRelease) says it may have room.
-	full bool
 	// changed is the placer's change counter as of the last change to any
 	// of the fields above that a ranking key reads (see placerState.touch).
 	changed uint64
@@ -79,10 +89,11 @@ type endpointState struct {
 	probeMu sync.Mutex
 	// probeConn is the persistent health-probe connection.
 	probeConn transport.Conn
-	// probeStopped permanently shuts the probe slot: the endpoint was
-	// retired or the pool closed, so returned connections are refused and
-	// closed instead of parked.
-	probeStopped bool
+}
+
+func (st *endpointState) setFull(full bool) {
+	st.full = full
+	st.fullMark.Store(full)
 }
 
 // checkoutProbeConn takes the endpoint's persistent probe connection out

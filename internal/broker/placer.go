@@ -29,8 +29,13 @@ type Placer struct {
 // placerState separates the lockable core so Pool (same package) can keep
 // its probe-connection bookkeeping under the same mutex.
 type placerState struct {
-	mu     sync.Mutex
-	eps    []*endpointState
+	mu  sync.Mutex
+	eps []*endpointState
+	// view is the endpoint table for the notes that read an endpoint's full
+	// mark without the mutex: the table's backing array to its capacity,
+	// published by the Add that grew it (see add). Views only grow, so an
+	// index an Add returned lies inside every view loaded after it.
+	view   atomic.Pointer[[]*endpointState]
 	policy Policy
 	rr     int
 	stats  PoolCounts[atomic.Int64]
@@ -38,15 +43,29 @@ type placerState struct {
 	// to the set of rankable endpoints. A kept Ranking compares both with
 	// what it saw last.
 	stamp, gen uint64
+	// journal holds, at stamp%journalLen, the endpoint each of the last
+	// journalLen stamps went to: what a kept Ranking replays.
+	journal [journalLen]int32
 }
+
+// journalLen is how many changes a kept Ranking may be behind and still
+// replay them; one further behind ranks afresh. Kept ranks in the two
+// fleet_place shapes are at most 71 changes behind, and all but 7 of
+// 842 008 within 64; session_churn's at most 3 (DESIGN.md §17).
+const journalLen = 64
 
 // touch records that one of endpoint idx's ranking inputs is changing,
 // and returns the endpoint for the change.
 func (s *placerState) touch(idx int) *endpointState {
 	s.stamp++
 	s.eps[idx].changed = s.stamp
+	s.journal[s.stamp%journalLen] = int32(idx)
 	return s.eps[idx]
 }
+
+// viewed returns endpoint idx without the mutex. The caller reads only the
+// endpoint's atomic fields.
+func (s *placerState) viewed(idx int) *endpointState { return (*s.view.Load())[idx] }
 
 // NewPlacer returns an empty placer using the given policy. Endpoints are
 // added with Add.
@@ -70,9 +89,26 @@ func (s *placerState) add(ep Endpoint) int {
 	if ep.Name == "" {
 		ep.Name = fmt.Sprintf("server-%d", len(s.eps))
 	}
-	s.eps = append(s.eps, &endpointState{ep: ep, up: true})
+	if len(s.eps) < cap(s.eps) {
+		s.eps = append(s.eps, &endpointState{ep: ep, up: true})
+	} else {
+		// The append moves the table to a new backing array, whose header
+		// is published in the endpoint's own allocation. Nothing writes the
+		// header again; later Adds fill the slots it already spans.
+		g := &grownEndpoint{endpointState: endpointState{ep: ep, up: true}}
+		s.eps = append(s.eps, &g.endpointState)
+		g.view = s.eps[:cap(s.eps)]
+		s.view.Store(&g.view)
+	}
 	s.gen++
 	return len(s.eps) - 1
+}
+
+// grownEndpoint is the record of an endpoint whose Add grew the table,
+// allocated together with the header placerState.view points at.
+type grownEndpoint struct {
+	endpointState
+	view []*endpointState
 }
 
 // Retire permanently excludes the endpoint from future picks. Its index
@@ -156,14 +192,16 @@ func (p *Placer) Pick(spec JobSpec, exclude map[int]bool) (int, bool) {
 // do not change a walk in progress.
 //
 // A Ranking is kept, not rebuilt: ranking again for the same placer and
-// spec re-keys only the endpoints whose inputs changed since the last Rank
-// and inserts them into the rest, which are still in order. The zero value
-// is ready for Rank, which then keys everything. A Ranking is not safe for
-// concurrent use.
+// spec replays the placer's journal of changes since the last Rank, moving
+// each changed endpoint from its place to its new one among the rest, which
+// are still in order. The zero value is ready for Rank, which then keys
+// everything, as it does for a Ranking further behind than the journal
+// reaches. A Ranking is not safe for concurrent use.
 type Ranking struct {
 	pl    *Placer
 	keys  []candidate // by endpoint index: what each was last keyed as
-	order []int       // every non-retired endpoint index, best first
+	order []int32     // every non-retired endpoint index, best first
+	at    []int32     // by endpoint index: its place in order
 	next  int
 	// cursor is, under RoundRobin, the first round-robin position no
 	// handed-out candidate has reached yet; -1 under the other policies.
@@ -220,24 +258,33 @@ func (p *Placer) NotePlaced(idx int) {
 // the endpoint at idx refused admission, and marks that endpoint full: it
 // ranks after every unmarked endpoint until a successful probe or a
 // NoteRelease says it may have room again.
+//
+// On an endpoint already marked it only counts the spill, without the
+// mutex: the mark it would set is there.
 func (p *Placer) NoteSpill(idx int) {
 	s := &p.state
-	s.mu.Lock()
-	if !s.eps[idx].full {
-		s.touch(idx).full = true
+	if !s.viewed(idx).fullMark.Load() {
+		s.mu.Lock()
+		if !s.eps[idx].full {
+			s.touch(idx).setFull(true)
+		}
+		s.mu.Unlock()
 	}
-	s.mu.Unlock()
 	s.stats.Spills.Add(1)
 }
 
 // NoteRelease records that a session left the endpoint — it completed, was
 // migrated away, or died with its daemon — and clears the endpoint's full
-// mark. Every path that lowers an endpoint's occupancy calls it.
+// mark. Every path that lowers an endpoint's occupancy calls it. On an
+// unmarked endpoint it returns without the mutex: there is nothing to clear.
 func (p *Placer) NoteRelease(idx int) {
 	s := &p.state
+	if !s.viewed(idx).fullMark.Load() {
+		return
+	}
 	s.mu.Lock()
 	if s.eps[idx].full {
-		s.touch(idx).full = false
+		s.touch(idx).setFull(false)
 	}
 	s.mu.Unlock()
 }
@@ -314,7 +361,7 @@ func (s *placerState) noteProbe(idx int, load *protocol.StatsReply, err error) {
 	st.lastProbe.Devices = append(devices, load.Devices...)
 	st.load = &st.lastProbe
 	st.placed = 0
-	st.full = false
+	st.setFull(false)
 	st.lastErr = nil
 	if !st.up {
 		st.up = true

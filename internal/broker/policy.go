@@ -200,57 +200,62 @@ func (s *placerState) pick(spec JobSpec, exclude map[int]bool) (int, bool) {
 	return best.idx, found
 }
 
-// rank brings r up to date for spec: the endpoints that changed since r
-// was last ranked are re-keyed and inserted into the rest, which are still
-// in order. Everything counts as changed when r was ranked for another
-// placer, spec or endpoint set (a zero Ranking is the first case) and
-// always under RoundRobin: its keys are positions relative to the cursor,
-// which every walk moves, and a markdown moves where the down endpoints
-// start.
+// rank brings r up to date for spec. A Ranking last ranked for this
+// placer, spec and endpoint set, at most journalLen changes ago, replays
+// the journal: each endpoint stamped since then, and not again later, is
+// re-keyed and moved to its new place among the rest, which are still in
+// order. Anything else ranks afresh: a different placer, spec or endpoint
+// set (a zero Ranking is the first case), a Ranking the journal no longer
+// reaches, and every Rank under RoundRobin, whose keys are positions
+// relative to the cursor, which every walk moves, and where a markdown
+// moves where the down endpoints start.
 func (s *placerState) rank(p *Placer, spec JobSpec, r *Ranking) {
-	all := r.pl != p || r.gen != s.gen || r.spec != spec || s.policy == RoundRobin
+	fresh := r.pl != p || r.gen != s.gen || r.spec != spec || s.policy == RoundRobin ||
+		s.stamp-r.stamp > journalLen
 	since := r.stamp
 	r.pl, r.gen, r.stamp, r.spec = p, s.gen, s.stamp, spec
 	r.next, r.cursor = 0, -1
-	kept := 0
-	if all {
-		if cap(r.keys) < len(s.eps) {
-			r.keys, r.order = make([]candidate, len(s.eps)), make([]int, 0, len(s.eps))
-		}
-		r.keys, r.order = r.keys[:len(s.eps)], r.order[:0]
-		for i, st := range s.eps {
-			if !st.retired {
-				r.order = append(r.order, i)
+	if !fresh {
+		for stamp := since + 1; stamp <= s.stamp; stamp++ {
+			// A retired endpoint is not in the order; it can still be noted.
+			i := int(s.journal[stamp%journalLen])
+			if st := s.eps[i]; st.changed == stamp && !st.retired {
+				r.move(s, i, spec)
 			}
 		}
-	} else {
-		// The unchanged move to the front of the order, still in order;
-		// the changed end up behind them.
-		for k, i := range r.order {
-			if s.eps[i].changed <= since {
-				r.order[k], r.order[kept] = r.order[kept], i
-				kept++
-			}
-		}
+		return
 	}
-	for _, i := range r.order[kept:] {
-		s.keyed(&r.keys[i], i, spec)
+	n := len(s.eps)
+	if cap(r.keys) < n {
+		places := make([]int32, 2*n) // order and at, in one allocation
+		r.keys, r.order, r.at = make([]candidate, n), places[:0:n], places[n:]
+	}
+	r.keys, r.order, r.at = r.keys[:n], r.order[:0], r.at[:n]
+	for i, st := range s.eps {
+		if !st.retired {
+			r.order = append(r.order, int32(i))
+			s.keyed(&r.keys[i], i, spec)
+		}
 	}
 	if s.policy == RoundRobin {
 		r.cursor = 0
 		s.orderRoundRobin(r.keys, r.order)
 	}
-	for k := kept; k < len(r.order); k++ {
-		r.insert(k)
+	for k := range r.order {
+		// Binary insertion: places 0..k-1 are in order.
+		i := r.order[k]
+		at := r.search(0, k, &r.keys[i])
+		copy(r.order[at+1:k+1], r.order[at:k])
+		r.order[at] = i
+	}
+	for k, i := range r.order {
+		r.at[i] = int32(k)
 	}
 }
 
-// insert moves the endpoint in place k of the order down to its place
-// among places 0..k-1, which are in order, found by binary search.
-func (r *Ranking) insert(k int) {
-	i := r.order[k]
-	c := &r.keys[i]
-	lo, hi := 0, k
+// search returns the first place in lo..hi-1 of the order whose candidate
+// does not come before c, hi if there is none.
+func (r *Ranking) search(lo, hi int, c *candidate) int {
 	for lo < hi {
 		if m := int(uint(lo+hi) >> 1); r.keys[r.order[m]].before(c) {
 			lo = m + 1
@@ -258,8 +263,29 @@ func (r *Ranking) insert(k int) {
 			hi = m
 		}
 	}
-	copy(r.order[lo+1:k+1], r.order[lo:k])
-	r.order[lo] = i
+	return lo
+}
+
+// move re-keys endpoint i and moves it from its place in the order to its
+// place under the new key among the others, which are in order.
+func (r *Ranking) move(s *placerState, i int, spec JobSpec) {
+	c := &r.keys[i]
+	s.keyed(c, i, spec)
+	from, to := int(r.at[i]), int(r.at[i])
+	switch {
+	case from > 0 && c.before(&r.keys[r.order[from-1]]):
+		to = r.search(0, from-1, c)
+		copy(r.order[to+1:from+1], r.order[to:from])
+	case from+1 < len(r.order) && r.keys[r.order[from+1]].before(c):
+		to = r.search(from+2, len(r.order), c) - 1
+		copy(r.order[from:to], r.order[from+1:to+1])
+	default:
+		return
+	}
+	r.order[to] = int32(i)
+	for k := min(from, to); k <= max(from, to); k++ {
+		r.at[r.order[k]] = int32(k)
+	}
 }
 
 // orderRoundRobin turns the cyclic positions keyed computed into the
@@ -268,7 +294,7 @@ func (r *Ranking) insert(k int) {
 // sits after the last of them and the down endpoints follow cyclically
 // from there. Positions become absolute — ups 0..n-1, downs n..2n-1 — so
 // Next can tell how far round a handed-out candidate lies.
-func (s *placerState) orderRoundRobin(keys []candidate, order []int) {
+func (s *placerState) orderRoundRobin(keys []candidate, order []int32) {
 	n := len(s.eps)
 	start, far := s.rr, uint64(0)
 	for _, i := range order {

@@ -2,7 +2,11 @@ package broker
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -324,12 +328,16 @@ func TestFullMarksOnlyDefer(t *testing.T) {
 }
 
 // noteRandomly applies one random change through the Placer's API — every
-// call that can move an endpoint's ranking inputs or the endpoint set, and
-// some that cannot.
-func noteRandomly(rng *rand.Rand, p *Placer) {
+// call that can move an endpoint's ranking inputs, and some that cannot —
+// and, with reshape, now and then an Add or a Retire.
+func noteRandomly(rng *rand.Rand, p *Placer, reshape bool) {
 	n := p.Len()
 	i := rng.Intn(n)
-	switch rng.Intn(10) {
+	kinds := 8
+	if reshape {
+		kinds = 10
+	}
+	switch rng.Intn(kinds) {
 	case 0:
 		p.NotePlaced(i)
 	case 1, 2:
@@ -345,7 +353,7 @@ func noteRandomly(rng *rand.Rand, p *Placer) {
 	case 7:
 		p.NoteMigration(i, 1)
 	case 8:
-		if n < 16 {
+		if n < 64 {
 			p.Add(Endpoint{Link: testLinks[rng.Intn(len(testLinks))]})
 		}
 	case 9:
@@ -373,27 +381,54 @@ func walkPrefix(p *Placer, spec JobSpec, r *Ranking, n int) (order, cursors []in
 // TestKeptRankingMatchesFresh is the reuse property: a Ranking ranked again
 // after any sequence of changes made through the Placer's API hands out
 // exactly what a zero Ranking would, with the same round-robin cursor
-// after every step. Walks stop at random depths, as placements do; each
-// spec mostly keeps its own Ranking, as loadgen's classes do, and now and
-// then borrows another spec's.
+// after every step. Fleets reach 64 endpoints. Between two ranks come a
+// few changes, Adds and Retires among them, or now and then more changes
+// than the journal holds, which a kept Ranking cannot replay: it must rank
+// afresh. Walks stop at random depths, as placements do; each spec mostly
+// keeps its own Ranking, as loadgen's classes do, and now and then borrows
+// another spec's.
 func TestKeptRankingMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
+	replayed, beyond := 0, 0 // kept ranks within the journal's reach, and past it
 	for iter := 0; iter < 1500; iter++ {
 		policy := allPolicies[iter%len(allPolicies)]
 		p := NewPlacer(policy)
-		for n := 1 + rng.Intn(8); n > 0; n-- {
+		for n := 1 + rng.Intn(1+rng.Intn(64)); n > 0; n-- {
 			p.Add(Endpoint{Link: testLinks[rng.Intn(len(testLinks))]})
 		}
 		specs := []JobSpec{randomSpec(rng), randomSpec(rng), randomSpec(rng)}
 		kept := make([]Ranking, len(specs))
 		for step := 0; step < 30; step++ {
-			for k := rng.Intn(4); k > 0; k-- {
-				noteRandomly(rng, p)
+			if rng.Intn(10) == 0 {
+				// A few changes, then more than the journal holds to one
+				// endpoint, which push the few out of it.
+				for k := 1 + rng.Intn(8); k > 0; k-- {
+					noteRandomly(rng, p, false)
+				}
+				j := rng.Intn(p.Len())
+				for end := p.state.stamp + journalLen + uint64(rng.Intn(8)); p.state.stamp < end; {
+					if rng.Intn(2) == 0 {
+						p.NotePlaced(j)
+					} else {
+						p.NoteProbe(j, randomLoad(rng), nil)
+					}
+				}
+			} else {
+				for k := rng.Intn(4); k > 0; k-- {
+					noteRandomly(rng, p, true)
+				}
 			}
 			k := rng.Intn(len(specs))
 			kr := k
 			if rng.Intn(4) == 0 {
 				kr = rng.Intn(len(kept))
+			}
+			if r := &kept[kr]; r.pl == p && r.gen == p.state.gen && r.spec == specs[k] && policy != RoundRobin {
+				if p.state.stamp-r.stamp > journalLen {
+					beyond++
+				} else {
+					replayed++
+				}
 			}
 			depth := 1 + rng.Intn(p.Len()+1)
 			rr0 := p.state.rr
@@ -407,6 +442,10 @@ func TestKeptRankingMatchesFresh(t *testing.T) {
 			}
 		}
 	}
+	if replayed == 0 || beyond == 0 {
+		t.Fatalf("%d kept ranks replayed the journal and %d were behind it; the test must reach both", replayed, beyond)
+	}
+	t.Logf("%d kept ranks replayed the journal, %d were further behind and ranked afresh", replayed, beyond)
 }
 
 func walkOf(p *Placer, spec JobSpec) []int {
@@ -490,6 +529,68 @@ func saturatedPlacer(n int) *Placer {
 	return p
 }
 
+// TestNotesRaceWithRanks runs every note, Add, and ranked walks from
+// several goroutines at once. After they join, the spill counter holds
+// every NoteSpill, each endpoint's lock-free mirror agrees with its full
+// mark, and a successful probe of every endpoint leaves no mark. Under
+// -race it also checks that the notes that skip the mutex read only the
+// mirror.
+func TestNotesRaceWithRanks(t *testing.T) {
+	p := newTestPlacer(LeastLoaded, 4)
+	const workers, rounds = 4, 3000
+	var spills atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			var r Ranking
+			for i := 0; i < rounds; i++ {
+				n := p.Len()
+				idx := rng.Intn(n)
+				switch rng.Intn(7) {
+				case 0, 1:
+					p.NoteSpill(idx)
+					spills.Add(1)
+				case 2:
+					p.NoteRelease(idx)
+				case 3:
+					p.NoteProbe(idx, gauges(uint32(rng.Intn(3)), 0, 0), nil)
+				case 4:
+					p.NotePlaced(idx)
+				case 5:
+					if n < 64 && rng.Intn(8) == 0 {
+						p.Add(Endpoint{})
+					}
+				case 6:
+					p.Rank(JobSpec{}, &r)
+					for {
+						if _, ok := r.Next(); !ok {
+							break
+						}
+					}
+				}
+			}
+		}(int64(w))
+	}
+	wg.Wait()
+	if got, want := p.Stats().Spills, spills.Load(); got != want {
+		t.Errorf("Spills = %d after %d NoteSpill calls", got, want)
+	}
+	for i, st := range p.state.eps {
+		if st.full != st.fullMark.Load() {
+			t.Errorf("endpoint %d: full mark %v, mirror %v", i, st.full, st.fullMark.Load())
+		}
+		p.NoteProbe(i, gauges(0, 0, 0), nil)
+	}
+	for i, es := range p.Endpoints() {
+		if es.Full || p.state.eps[i].fullMark.Load() {
+			t.Errorf("endpoint %d still marked full after a successful probe", i)
+		}
+	}
+}
+
 func TestPlacementAllocations(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -520,6 +621,45 @@ func TestPlacementAllocations(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, rerank); n != 0 {
 		t.Errorf("kept ranking re-keying two endpoints: %v allocs, want 0", n)
+	}
+
+	p.NoteSpill(3)
+	if n := testing.AllocsPerRun(100, func() { p.NoteSpill(3) }); n != 0 {
+		t.Errorf("NoteSpill on a marked endpoint: %v allocs, want 0", n)
+	}
+	p.NoteProbe(5, gauges(0, 0, 0), nil)
+	if n := testing.AllocsPerRun(100, func() { p.NoteRelease(5) }); n != 0 {
+		t.Errorf("NoteRelease on an unmarked endpoint: %v allocs, want 0", n)
+	}
+
+	// Building a fleet: the placer, 64 endpoints, 7 growths of the endpoint
+	// table, and 2 for each Rank that finds the fleet grown. Publishing the
+	// lock-free view must add nothing to the 200 this cost before it, and
+	// the journal and the view nothing to the 172 610 bytes: the packed
+	// endpoint record pays for both.
+	names := make([]string, 64)
+	for i := range names {
+		names[i] = fmt.Sprintf("ep-%d", i)
+	}
+	build := func() {
+		p := NewPlacer(LeastLoaded)
+		var r Ranking
+		for _, name := range names {
+			p.Add(Endpoint{Name: name})
+			p.Rank(JobSpec{}, &r)
+		}
+	}
+	if n := testing.AllocsPerRun(20, build); n > 200 {
+		t.Errorf("building a 64-endpoint placer, ranking after each Add: %v allocs, want ≤ 200", n)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 20; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / 20; b > 172_610 {
+		t.Errorf("building a 64-endpoint placer, ranking after each Add: %d bytes, want ≤ 172 610", b)
 	}
 }
 
