@@ -86,7 +86,7 @@ func batching(out io.Writer) (any, error) {
 				BytesRecv: rep.BytesRecv,
 				Digest:    fmt.Sprintf("%016x", rep.Digest),
 				Verified:  rep.Verified,
-				ModelUS:   perfmodel.InferenceNetTime(link, rep.Spec).Microseconds(),
+				ModelUS:   perfmodel.InferenceNetTime(link, perfmodel.InferenceSchedule(rep.Spec)).Microseconds(),
 			})
 		}
 	}

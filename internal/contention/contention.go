@@ -4,12 +4,12 @@
 // featuring several GPGPU servers will also be covered in future work").
 //
 // Each client is a callback chain on a des.EventLoop replaying its case
-// study's exact message schedule. Two resources serialize the shared
-// hardware: the server's network link (one frame on the wire at a time,
-// FIFO) and the GPU (PCIe transfers and kernels execute exclusively, FIFO
-// across sessions, as the daemon's time multiplexing implies). Client-local
-// work — data generation and marshaling — proceeds in parallel on each
-// client's own node.
+// study's exact message schedule (perfmodel.Schedule). Two resources
+// serialize the shared hardware: the server's network link (one frame on
+// the wire at a time, FIFO) and the GPU (PCIe transfers and kernels
+// execute exclusively, FIFO across sessions, as the daemon's time
+// multiplexing implies). Client-local work — data generation and
+// marshaling — proceeds in parallel on each client's own node.
 //
 // With one client the event-level execution collapses to the paper's
 // synchronous model, and a test asserts it matches workload.Run exactly.
@@ -23,7 +23,8 @@ import (
 	"rcuda/internal/calib"
 	"rcuda/internal/des"
 	"rcuda/internal/netsim"
-	"rcuda/internal/workload"
+	"rcuda/internal/perfmodel"
+	"rcuda/internal/protocol"
 )
 
 // Params configures one contention experiment.
@@ -66,12 +67,12 @@ func Run(p Params) (Result, error) {
 	link, gpu := &resource{loop: loop}, &resource{loop: loop}
 
 	prep := calib.DataGenTime(p.CS, p.Size) + calib.MarshalTime(p.CS, p.Size)
-	device := map[workload.MsgKind]time.Duration{
-		workload.MsgMemcpyIn:  calib.PCIeTime(p.CS, p.Size),
-		workload.MsgLaunch:    calib.KernelTime(p.CS, p.Size),
-		workload.MsgMemcpyOut: calib.PCIeTime(p.CS, p.Size),
+	device := map[protocol.Op]time.Duration{
+		protocol.OpMemcpyToDevice: calib.PCIeTime(p.CS, p.Size),
+		protocol.OpLaunch:         calib.KernelTime(p.CS, p.Size),
+		protocol.OpMemcpyToHost:   calib.PCIeTime(p.CS, p.Size),
 	}
-	schedule := workload.Schedule(p.CS, p.Size)
+	schedule := perfmodel.Schedule(p.CS, p.Size)
 
 	res := Result{PerClient: make([]time.Duration, p.Clients)}
 	finished := 0
@@ -97,7 +98,7 @@ func Run(p Params) (Result, error) {
 					respond = func() { link.use(p.Link.WireTime(msg.Recv), next) }
 				}
 				serve := respond
-				if d, ok := device[msg.Kind]; ok {
+				if d, ok := device[msg.Op]; ok {
 					serve = func() { gpu.use(d, respond) }
 				}
 				link.use(p.Link.WireTime(msg.Send), serve)

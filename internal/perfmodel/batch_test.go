@@ -54,11 +54,11 @@ func TestInferenceScheduleShape(t *testing.T) {
 		if m.Op == protocol.OpBatch {
 			frames++
 			subs := spec.Layers + 3
-			if want := int64(16 + (4 + 24 + inferenceMatrixBytes) + spec.Layers*(4+int(LaunchBytes(calib.MM))) + (4 + 12) + (4 + 8)); m.SendBytes != want {
-				t.Errorf("batch frame carries %d bytes, want %d", m.SendBytes, want)
+			if want := int64(16 + (4 + 24 + inferenceMatrixBytes) + spec.Layers*(4+int(LaunchBytes(calib.MM))) + (4 + 12) + (4 + 8)); m.Send != want {
+				t.Errorf("batch frame carries %d bytes, want %d", m.Send, want)
 			}
-			if want := int64(8 + 4*subs); m.RecvBytes != want {
-				t.Errorf("batch response carries %d bytes, want %d", m.RecvBytes, want)
+			if want := int64(8 + 4*subs); m.Recv != want {
+				t.Errorf("batch response carries %d bytes, want %d", m.Recv, want)
 			}
 			// The closing synchronization waits out the frame's device work.
 			if want := calib.PCIeTime(calib.MM, InferenceDim) + time.Duration(spec.Layers)*calib.KernelTime(calib.MM, InferenceDim); m.Wait != want {
@@ -84,8 +84,8 @@ func TestInferenceScheduleShape(t *testing.T) {
 // relative to the work.
 func TestInferenceNetTimeBatchedWins(t *testing.T) {
 	for _, link := range netsim.Testbed() {
-		speedup := float64(InferenceNetTime(link, inferenceSpec(false))) /
-			float64(InferenceNetTime(link, inferenceSpec(true)))
+		speedup := float64(InferenceNetTime(link, InferenceSchedule(inferenceSpec(false)))) /
+			float64(InferenceNetTime(link, InferenceSchedule(inferenceSpec(true))))
 		t.Logf("%s: modeled batched speedup %.2fx", link.Name(), speedup)
 		if speedup <= 1 {
 			t.Errorf("%s: batching does not pay: %.2fx", link.Name(), speedup)
@@ -101,54 +101,33 @@ func TestInferenceNetTimeBatchedWins(t *testing.T) {
 // time), negative is rejected, and estimation adds the target's wire time
 // back on.
 func TestBuildInferenceFixedTime(t *testing.T) {
-	spec := inferenceSpec(true)
+	sched := InferenceSchedule(inferenceSpec(true))
 	gige, ib := netsim.GigaE(), netsim.IB40G()
-	net := InferenceNetTime(gige, spec)
+	net := InferenceNetTime(gige, sched)
 
-	if _, err := BuildInference(spec, gige, net-time.Nanosecond); err == nil {
+	if _, err := BuildInference(sched, gige, net-time.Nanosecond); err == nil {
 		t.Fatal("measurement below its own wire time accepted")
 	}
-	m, err := BuildInference(spec, gige, net)
+	m, err := BuildInference(sched, gige, net)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Fixed() != 0 {
 		t.Fatalf("fixed time %v, want 0", m.Fixed())
 	}
-	if got, want := m.Estimate(ib), InferenceNetTime(ib, spec); got != want {
+	if got, want := m.Estimate(ib), InferenceNetTime(ib, sched); got != want {
 		t.Fatalf("estimate %v, want the target's wire time %v", got, want)
 	}
 
 	residual := 250 * time.Microsecond
-	m, err = BuildInference(spec, gige, net+residual)
+	m, err = BuildInference(sched, gige, net+residual)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Fixed() != residual {
 		t.Fatalf("fixed time %v, want %v", m.Fixed(), residual)
 	}
-	if got, want := m.Estimate(ib), InferenceNetTime(ib, spec)+residual; got != want {
+	if got, want := m.Estimate(ib), InferenceNetTime(ib, sched)+residual; got != want {
 		t.Fatalf("estimate %v, want %v", got, want)
-	}
-}
-
-// TestInferenceTotalsConsistent ties the totals helper to the schedule it
-// summarizes.
-func TestInferenceTotalsConsistent(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		spec := inferenceSpec(batched)
-		msgs, send, recv := InferenceTotals(spec)
-		sched := InferenceSchedule(spec)
-		if msgs != len(sched) {
-			t.Fatalf("batched=%v: totals count %d messages, schedule %d", batched, msgs, len(sched))
-		}
-		var wantSend, wantRecv int64
-		for _, m := range sched {
-			wantSend += m.SendBytes
-			wantRecv += m.RecvBytes
-		}
-		if send != wantSend || recv != wantRecv {
-			t.Fatalf("batched=%v: totals %d/%d bytes, schedule sums %d/%d", batched, send, recv, wantSend, wantRecv)
-		}
 	}
 }

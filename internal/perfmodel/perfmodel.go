@@ -10,6 +10,13 @@
 // Cross-validating the two testbed networks against each other (Table IV)
 // bounds the error; applying the models to five HPC interconnects yields
 // the projections of Table VI.
+//
+// Every session shape's wire traffic is written down once, as a []Msg
+// built by Schedule (a case study), PipelinedSchedule (the pipelined FFT)
+// or InferenceSchedule (the inference loop); Table II, the analytic
+// workloads, the contention simulator and the inference model all walk
+// those lists, and the workload package's TestSchedulesMatchTheWire holds
+// each to the exchanges a functional run records.
 package perfmodel
 
 import (
@@ -138,9 +145,9 @@ func CrossValidate(cs calib.CaseStudy, source, target *netsim.Link,
 	return rows, nil
 }
 
-// Eligible reports the paper's closing criterion: a problem is worth
+// Eligibility is the paper's closing criterion: a problem is worth
 // offloading to a remote GPU on the given network if the predicted remote
-// time beats the local CPU time. It also reports whether the problem is
+// time beats the local CPU time. It also says whether the problem is
 // GPU-eligible at all (local GPU beats local CPU), since "if the problem is
 // well suited to be accelerated in a local GPU, then the overhead of using
 // a remote GPU will be worth the cost reduction".

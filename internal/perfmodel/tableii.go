@@ -35,59 +35,41 @@ func LaunchBytes(cs calib.CaseStudy) int64 {
 }
 
 // TableII evaluates the remote API call costs of a case study at one
-// problem size over one network. Rows appear in the paper's order:
-// initialization, cudaMalloc, input cudaMemcpy, cudaLaunch, output
-// cudaMemcpy, cudaFree.
+// problem size over one network: one row per run of equal ops in the
+// session's Schedule, in wire order — initialization, cudaMalloc, input
+// cudaMemcpy, cudaLaunch, output cudaMemcpy, cudaFree. Finalization, which
+// the paper's table does not list, has no row.
 func TableII(cs calib.CaseStudy, size int, link *netsim.Link) []TableIIRow {
+	// Control traffic rides the measured small-message curve; a bulk
+	// payload rides the bandwidth model, with the rest of its message
+	// priced as a small one.
 	copyBytes := calib.CopyBytes(cs, size)
-	numBufs := 1 // FFT transforms in place: one buffer
-	if cs == calib.MM {
-		numBufs = 3 // A, B, C
-	}
+	small := link.SmallMessageTime
+	bulk := func(n int64) time.Duration { return small(n-copyBytes) + link.PayloadTime(copyBytes) }
 
-	// Time helpers. Control traffic rides the measured small-message
-	// curve; bulk payloads ride the bandwidth model, with their fixed
-	// header priced as a small message.
-	small := func(n int64) time.Duration { return link.SmallMessageTime(n) }
-	bulk := func(fixed, payload int64) time.Duration {
-		return small(fixed) + link.PayloadTime(payload)
+	var rows []TableIIRow
+	for _, m := range Schedule(cs, size) {
+		if m.Op == protocol.OpFinalize {
+			continue
+		}
+		if n := len(rows); n > 0 && rows[n-1].Op == m.Op {
+			rows[n-1].Count++
+			continue
+		}
+		r := TableIIRow{
+			Op: m.Op, Count: 1,
+			SendBytes: m.Send, RecvBytes: m.Recv,
+			SendTime: small(m.Send), RecvTime: small(m.Recv),
+		}
+		switch m.Op {
+		case protocol.OpMemcpyToDevice:
+			r.SendTime = bulk(m.Send)
+		case protocol.OpMemcpyToHost:
+			r.RecvTime = bulk(m.Recv)
+		}
+		rows = append(rows, r)
 	}
-
-	initSend := int64(4 + calib.ModuleBytes(cs))
-	launch := LaunchBytes(cs)
-
-	return []TableIIRow{
-		{
-			Op: protocol.OpInit, Count: 1,
-			SendBytes: initSend, RecvBytes: 12,
-			SendTime: small(initSend), RecvTime: small(12),
-		},
-		{
-			Op: protocol.OpMalloc, Count: numBufs,
-			SendBytes: 8, RecvBytes: 8,
-			SendTime: small(8), RecvTime: small(8),
-		},
-		{
-			Op: protocol.OpMemcpyToDevice, Count: calib.InputCopies(cs),
-			SendBytes: copyBytes + 20, RecvBytes: 4,
-			SendTime: bulk(20, copyBytes), RecvTime: small(4),
-		},
-		{
-			Op: protocol.OpLaunch, Count: 1,
-			SendBytes: launch, RecvBytes: 4,
-			SendTime: small(launch), RecvTime: small(4),
-		},
-		{
-			Op: protocol.OpMemcpyToHost, Count: 1,
-			SendBytes: 20, RecvBytes: copyBytes + 4,
-			SendTime: small(20), RecvTime: bulk(4, copyBytes),
-		},
-		{
-			Op: protocol.OpFree, Count: numBufs,
-			SendBytes: 8, RecvBytes: 4,
-			SendTime: small(8), RecvTime: small(4),
-		},
-	}
+	return rows
 }
 
 // Totals sums a Table II row set, weighting each row by its occurrence

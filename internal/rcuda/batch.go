@@ -79,7 +79,6 @@ func (c *Client) enqueue(req protocol.Request) error {
 		return fmt.Errorf("rcuda: %v: %w", req.Op(), ErrSessionLost)
 	}
 	c.pend(req)
-	c.observe(req.Op(), req.WireSize(), 0)
 	if len(c.pendSubs) >= c.batchMaxOps || c.pendBytes >= c.batchMaxBytes {
 		return c.flushBatch(nil)
 	}
@@ -144,6 +143,11 @@ func (c *Client) flushBatch(closing protocol.Request) error {
 		payload = p
 		return nil
 	})
+	// The frame is reported while its slots still hold the sub-ops it
+	// carried.
+	if err == nil && c.observer != nil {
+		c.observer.Call(protocol.OpBatch, req.WireSize(), len(payload))
+	}
 	// The exchange, retries included, is over and Send keeps nothing, so
 	// the next batch reuses the queue's storage — unless one huge async
 	// copy grew the buffer, which an idle client should not hold on to.
@@ -156,7 +160,6 @@ func (c *Client) flushBatch(closing protocol.Request) error {
 		return err
 	}
 	c.cstats.BatchesFlushed.Add(1)
-	c.observe(protocol.OpBatch, req.WireSize(), len(payload))
 	// Only the sticky first error, the last code and the count are consumed,
 	// so the codes stay in the reply frame.
 	firstErr, last, codes, err := protocol.BatchResponseHead(payload)
@@ -167,7 +170,6 @@ func (c *Client) flushBatch(closing protocol.Request) error {
 		return fmt.Errorf("rcuda: batch response carries %d codes for %d sub-ops", codes, n)
 	}
 	if closing != nil {
-		c.observe(closing.Op(), closing.WireSize(), 4)
 		if last == 0 {
 			last = firstErr
 		}

@@ -134,11 +134,15 @@ func (h *hostLander) Land(frameLen int, _ []byte) (head int, dst []byte) {
 	return 0, h.dst
 }
 
-// Observer receives a notification for every remote call a client makes.
-// Package trace implements it to reproduce the paper's Figure 2.
+// Observer receives one notification per wire exchange a client
+// completes. A batched frame is one exchange, reported once as OpBatch with
+// the frame's and its reply's sizes; the calls it carries, a closing
+// synchronization included, are not reported on their own. A chunked copy
+// is reported as the one call it implements. Package trace implements
+// Observer to reproduce the paper's Figure 2.
 type Observer interface {
-	// Call reports one completed remote call with its Table I payload
-	// sizes.
+	// Call reports one completed exchange with its Table I payload sizes;
+	// recvBytes is 0 for a request with no reply.
 	Call(op protocol.Op, sentBytes, recvBytes int)
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"rcuda/internal/blas"
 	"rcuda/internal/calib"
@@ -61,13 +60,7 @@ func runLocalGPUFunctional(cs calib.CaseStudy, size int, opts Options) (Report, 
 		CS: cs, Size: size, Backend: LocalGPU,
 		Total:    sw.Elapsed(),
 		Verified: verified,
-		Parts: Breakdown{
-			Init:    calib.LocalInit(cs),
-			DataGen: calib.DataGenTime(cs, size),
-			PCIe:    time.Duration(calib.CopyCount(cs)) * calib.PCIeTime(cs, size),
-			Kernel:  calib.KernelTime(cs, size),
-			Mgmt:    calib.Mgmt,
-		},
+		Parts:    Options{}.modeled(cs, size, LocalGPU),
 	}, nil
 }
 
@@ -78,11 +71,7 @@ func runRemoteFunctional(cs calib.CaseStudy, size int, opts Options) (Report, er
 		return Report{}, err
 	}
 	sw := vclock.NewStopwatch(opts.Clock)
-	var copts []rcuda.ClientOption
-	if opts.Observer != nil {
-		copts = append(copts, rcuda.WithObserver(opts.Observer))
-	}
-	client, daemon, err := openRemote(cs, opts, copts...)
+	client, daemon, err := openRemote(cs, opts)
 	if err != nil {
 		return Report{}, err
 	}
@@ -99,19 +88,14 @@ func runRemoteFunctional(cs calib.CaseStudy, size int, opts Options) (Report, er
 		CS: cs, Size: size, Backend: Remote, Network: opts.Link.Name(),
 		Total:    sw.Elapsed(),
 		Verified: verified,
-		Parts: Breakdown{
-			DataGen: calib.DataGenTime(cs, size),
-			Marshal: calib.MarshalTime(cs, size),
-			PCIe:    time.Duration(calib.CopyCount(cs)) * calib.PCIeTime(cs, size),
-			Kernel:  calib.KernelTime(cs, size),
-			Mgmt:    calib.Mgmt,
-		},
+		Parts:    Options{}.modeled(cs, size, Remote),
 	}, nil
 }
 
 // openRemote serves a fresh device on the run's clock over the run's link
-// and opens a session on it with the case study's module.
-func openRemote(cs calib.CaseStudy, opts Options, copts ...rcuda.ClientOption) (*rcuda.Client, *rcuda.SimDaemon, error) {
+// and opens a session on it with the case study's module, reporting its
+// exchanges to the run's observer.
+func openRemote(cs calib.CaseStudy, opts Options) (*rcuda.Client, *rcuda.SimDaemon, error) {
 	mod, err := kernels.ModuleFor(cs)
 	if err != nil {
 		return nil, nil, err
@@ -122,7 +106,7 @@ func openRemote(cs calib.CaseStudy, opts Options, copts ...rcuda.ClientOption) (
 	}
 	dev := gpu.New(gpu.Config{Clock: opts.Clock, Jitter: opts.Noise})
 	daemon := rcuda.NewSimDaemon(rcuda.NewServer(dev), opts.Link, opts.Clock, opts.Noise)
-	client, err := daemon.Open(img, copts...)
+	client, err := daemon.Open(img, rcuda.WithObserver(opts.Observer))
 	if err != nil {
 		_ = daemon.Wait()
 		return nil, nil, err
@@ -169,12 +153,7 @@ func ExecuteFunctional(cs calib.CaseStudy, size int, rt cudart.Runtime, seed int
 func executeOnRuntime(cs calib.CaseStudy, size int, rt cudart.Runtime, opts Options) (bool, error) {
 	opts.Clock.Sleep(opts.perturb(calib.DataGenTime(cs, size)))
 	defer opts.Clock.Sleep(opts.perturb(calib.Mgmt))
-	switch cs {
-	case calib.MM:
-		return executeMM(size, rt, opts.Seed)
-	default:
-		return executeFFT(size, rt, opts.Seed)
-	}
+	return ExecuteFunctional(cs, size, rt, opts.Seed)
 }
 
 func executeMM(m int, rt cudart.Runtime, seed int64) (bool, error) {

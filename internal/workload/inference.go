@@ -68,8 +68,7 @@ type InferenceReport struct {
 	Digest   uint64 // FNV-64a over every request's output bytes, in order
 	Verified bool   // every output bit-exact against the CPU oracle
 	Messages int64  // client-to-server wire messages
-	// BytesSent/BytesRecv are the client connection's byte totals, for
-	// cross-checking perfmodel's schedule against the real wire.
+	// BytesSent/BytesRecv are the client connection's byte totals.
 	BytesSent, BytesRecv int64
 	Client               rcuda.ClientStats
 	Server               rcuda.ServerStats

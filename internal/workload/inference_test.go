@@ -72,23 +72,6 @@ func TestInferenceBatchedSpeedup(t *testing.T) {
 	}
 }
 
-// TestInferenceScheduleMatchesWire pins perfmodel's analytic schedule to
-// the functional wire, message count and byte totals both, in both modes.
-// Any drift between the modeled and the real traffic fails here.
-func TestInferenceScheduleMatchesWire(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		rep := runInference(t, netsim.GigaE(), batched)
-		msgs, send, recv := perfmodel.InferenceTotals(rep.Spec)
-		if rep.Messages != int64(msgs) {
-			t.Errorf("batched=%v: wire carried %d messages, schedule says %d", batched, rep.Messages, msgs)
-		}
-		if rep.BytesSent != send || rep.BytesRecv != recv {
-			t.Errorf("batched=%v: wire moved %d/%d bytes, schedule says %d/%d",
-				batched, rep.BytesSent, rep.BytesRecv, send, recv)
-		}
-	}
-}
-
 // TestInferenceModelCrossValidation validates the batched-path latency
 // model against the simulator the way Table IV validates the memcpy model
 // against the testbed: build from a measured run on one network, predict
@@ -110,7 +93,7 @@ func TestInferenceModelCrossValidation(t *testing.T) {
 			{ib, gige, onIB, onGigE},
 		}
 		for _, c := range cross {
-			m, err := perfmodel.BuildInference(c.measuredSrc.Spec, c.source, c.measuredSrc.Elapsed)
+			m, err := perfmodel.BuildInference(perfmodel.InferenceSchedule(c.measuredSrc.Spec), c.source, c.measuredSrc.Elapsed)
 			if err != nil {
 				t.Fatalf("batched=%v build on %s: %v", batched, c.source.Name(), err)
 			}

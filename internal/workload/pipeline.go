@@ -10,6 +10,7 @@ import (
 	"rcuda/internal/gpu"
 	"rcuda/internal/kernels"
 	"rcuda/internal/perfmodel"
+	"rcuda/internal/protocol"
 	"rcuda/internal/rcuda"
 	"rcuda/internal/vclock"
 )
@@ -23,8 +24,8 @@ import (
 //
 // As with the base runners there are two modes that agree exactly when
 // noise is off: a functional mode driving the real middleware, and an
-// analytic mode replaying the same message schedule and engine bookkeeping
-// in closed form.
+// analytic mode walking perfmodel.PipelinedSchedule with the same engine
+// bookkeeping.
 
 // RunPipelined executes the FFT case study remotely with the batch split
 // into the given number of chunks (≥ 2; the batch must divide evenly).
@@ -47,14 +48,13 @@ func RunPipelined(size int, chunks int, opts Options) (Report, error) {
 	return runPipelinedAnalytic(size, chunks, opts)
 }
 
-// runPipelinedAnalytic replays the pipelined message schedule and the
-// device's two-engine timeline in closed form.
+// runPipelinedAnalytic walks the pipelined schedule, booking each async
+// op's work on the device's two-engine timeline and waiting for both
+// engines at the device synchronization.
 func runPipelinedAnalytic(size, chunks int, opts Options) (Report, error) {
 	sw := vclock.NewStopwatch(opts.Clock)
-	chunkBatch := size / chunks
-	chunkBytes := calib.CopyBytes(calib.FFT, chunkBatch)
-	pcie := calib.PCIeTime(calib.FFT, chunkBatch)
-	kernel := calib.KernelTime(calib.FFT, chunkBatch)
+	pcie := calib.PCIeTime(calib.FFT, size/chunks)
+	kernel := calib.KernelTime(calib.FFT, size/chunks)
 
 	// Host-side setup, exactly like the synchronous run.
 	parts := Breakdown{
@@ -64,71 +64,32 @@ func runPipelinedAnalytic(size, chunks int, opts Options) (Report, error) {
 	}
 	opts.Clock.Sleep(parts.DataGen)
 	opts.Clock.Sleep(parts.Marshal)
-
-	wire := func(bytes int64) time.Duration {
-		return opts.perturb(opts.Link.WireTime(bytes))
-	}
 	netStart := opts.Clock.Now()
 
-	// Session setup messages: init, 2 x malloc, 2 x stream create.
-	moduleMsg := int64(4 + calib.ModuleBytes(calib.FFT))
-	for _, m := range []struct{ send, recv int64 }{
-		{moduleMsg, 12}, {8, 8}, {8, 8}, {4, 8}, {4, 8},
-	} {
-		opts.Clock.Sleep(wire(m.send))
-		opts.Clock.Sleep(wire(m.recv))
-	}
-
-	// Two-engine, two-stream timeline mirroring gpu.Context.schedule.
+	// Two-engine, per-stream timeline mirroring gpu.Context.schedule: work
+	// starts once both its engine and its stream are free.
 	var copyFree, execFree time.Duration
-	streamFree := make([]time.Duration, 2)
+	streamFree := map[int]time.Duration{}
 	book := func(engineFree *time.Duration, s int, cost time.Duration) {
-		start := opts.Clock.Now()
-		if *engineFree > start {
-			start = *engineFree
-		}
-		if streamFree[s] > start {
-			start = streamFree[s]
-		}
+		start := max(opts.Clock.Now(), *engineFree, streamFree[s])
 		end := start + opts.perturb(cost)
 		*engineFree = end
 		streamFree[s] = end
 	}
-
-	launch := perfmodel.LaunchBytes(calib.FFT)
-	for c := 0; c < chunks; c++ {
-		s := c % 2
-		// H2D async: request carries the chunk, response is 4 bytes.
-		opts.Clock.Sleep(wire(chunkBytes + 24))
-		book(&copyFree, s, pcie)
-		opts.Clock.Sleep(wire(4))
-		// Launch async.
-		opts.Clock.Sleep(wire(launch))
-		book(&execFree, s, kernel)
-		opts.Clock.Sleep(wire(4))
-		// D2H async: 24-byte request, response carries the chunk.
-		opts.Clock.Sleep(wire(24))
-		book(&copyFree, s, pcie)
-		opts.Clock.Sleep(wire(chunkBytes + 4))
-	}
-	// Device synchronize: small round trip, then the clock advances to
-	// the last engine completion.
-	opts.Clock.Sleep(wire(4))
-	latest := copyFree
-	if execFree > latest {
-		latest = execFree
-	}
-	if sim, ok := opts.Clock.(*vclock.Sim); ok {
-		sim.AdvanceTo(latest)
-	}
-	opts.Clock.Sleep(wire(4))
-	// Teardown: 2 stream destroys, 2 frees, finalize.
-	for _, m := range []struct{ send, recv int64 }{
-		{8, 4}, {8, 4}, {8, 4}, {8, 4}, {4, 0},
-	} {
-		opts.Clock.Sleep(wire(m.send))
-		if m.recv > 0 {
-			opts.Clock.Sleep(wire(m.recv))
+	for _, m := range perfmodel.PipelinedSchedule(size, chunks) {
+		opts.Clock.Sleep(opts.perturb(opts.Link.WireTime(m.Send)))
+		switch m.Op {
+		case protocol.OpMemcpyToDeviceAsync, protocol.OpMemcpyToHostAsync:
+			book(&copyFree, m.Stream, pcie)
+		case protocol.OpLaunch:
+			book(&execFree, m.Stream, kernel)
+		case protocol.OpDeviceSynchronize:
+			if sim, ok := opts.Clock.(*vclock.Sim); ok {
+				sim.AdvanceTo(max(copyFree, execFree))
+			}
+		}
+		if m.Recv > 0 {
+			opts.Clock.Sleep(opts.perturb(opts.Link.WireTime(m.Recv)))
 		}
 	}
 	parts.Network = opts.Clock.Now() - netStart

@@ -11,11 +11,15 @@
 //     Time still comes from the calibrated models via the simulation clock.
 //     Feasible at small problem sizes.
 //
-//   - Analytic: the same calibrated component costs and the same message
-//     schedule advance the clock without materializing gigabytes of data,
-//     making the paper's full problem sizes (up to 3.8 GB of transfers per
-//     run) cheap to sweep. By construction the two modes agree exactly when
-//     noise is disabled, and a test asserts it.
+//   - Analytic: the same calibrated component costs and the session's
+//     message schedule — perfmodel.Schedule, or PipelinedSchedule for a
+//     pipelined run — advance the clock without materializing gigabytes of
+//     data, making the paper's full problem sizes (up to 3.8 GB of
+//     transfers per run) cheap to sweep. By construction the two modes
+//     agree exactly when noise is disabled, and a test asserts it; another,
+//     TestSchedulesMatchTheWire, holds every perfmodel schedule to the
+//     exchanges a functional run of the same session records, message for
+//     message.
 package workload
 
 import (
@@ -25,7 +29,6 @@ import (
 	"rcuda/internal/calib"
 	"rcuda/internal/netsim"
 	"rcuda/internal/perfmodel"
-	"rcuda/internal/protocol"
 	"rcuda/internal/rcuda"
 	"rcuda/internal/vclock"
 )
@@ -69,8 +72,9 @@ type Options struct {
 	Functional bool
 	// Clock overrides the time source; a fresh virtual clock by default.
 	Clock vclock.Clock
-	// Observer, if set, receives every remote call (Remote functional
-	// runs only); package trace provides an implementation.
+	// Observer, if set, receives every wire exchange of a Remote
+	// functional run, pipelined runs included; package trace provides an
+	// implementation.
 	Observer rcuda.Observer
 	// Seed drives functional-mode input data generation.
 	Seed int64
@@ -130,6 +134,24 @@ func (o Options) perturb(d time.Duration) time.Duration {
 	return o.Noise.Perturb(d)
 }
 
+// modeled returns the calibrated components of a GPU run — context
+// creation on the local GPU, middleware marshaling remotely — each
+// perturbed in field order.
+func (o Options) modeled(cs calib.CaseStudy, size int, b Backend) Breakdown {
+	var p Breakdown
+	if b == LocalGPU {
+		p.Init = o.perturb(calib.LocalInit(cs))
+	}
+	p.DataGen = o.perturb(calib.DataGenTime(cs, size))
+	if b == Remote {
+		p.Marshal = o.perturb(calib.MarshalTime(cs, size))
+	}
+	p.PCIe = o.perturb(time.Duration(calib.CopyCount(cs)) * calib.PCIeTime(cs, size))
+	p.Kernel = o.perturb(calib.KernelTime(cs, size))
+	p.Mgmt = o.perturb(calib.Mgmt)
+	return p
+}
+
 func runCPU(cs calib.CaseStudy, size int, opts Options) (Report, error) {
 	sw := vclock.NewStopwatch(opts.Clock)
 	compute := opts.perturb(calib.CPUTime(cs, size))
@@ -146,13 +168,7 @@ func runLocalGPU(cs calib.CaseStudy, size int, opts Options) (Report, error) {
 		return runLocalGPUFunctional(cs, size, opts)
 	}
 	sw := vclock.NewStopwatch(opts.Clock)
-	parts := Breakdown{
-		Init:    opts.perturb(calib.LocalInit(cs)),
-		DataGen: opts.perturb(calib.DataGenTime(cs, size)),
-		PCIe:    opts.perturb(time.Duration(calib.CopyCount(cs)) * calib.PCIeTime(cs, size)),
-		Kernel:  opts.perturb(calib.KernelTime(cs, size)),
-		Mgmt:    opts.perturb(calib.Mgmt),
-	}
+	parts := opts.modeled(cs, size, LocalGPU)
 	for _, d := range []time.Duration{parts.Init, parts.DataGen, parts.PCIe, parts.Kernel, parts.Mgmt} {
 		opts.Clock.Sleep(d)
 	}
@@ -164,17 +180,9 @@ func runRemote(cs calib.CaseStudy, size int, opts Options) (Report, error) {
 		return runRemoteFunctional(cs, size, opts)
 	}
 	sw := vclock.NewStopwatch(opts.Clock)
-	parts := Breakdown{
-		DataGen: opts.perturb(calib.DataGenTime(cs, size)),
-		Marshal: opts.perturb(calib.MarshalTime(cs, size)),
-		PCIe:    opts.perturb(time.Duration(calib.CopyCount(cs)) * calib.PCIeTime(cs, size)),
-		Kernel:  opts.perturb(calib.KernelTime(cs, size)),
-		Mgmt:    opts.perturb(calib.Mgmt),
-	}
-	for _, msg := range Schedule(cs, size) {
-		if msg.Send > 0 {
-			parts.Network += opts.perturb(opts.Link.WireTime(msg.Send))
-		}
+	parts := opts.modeled(cs, size, Remote)
+	for _, msg := range perfmodel.Schedule(cs, size) {
+		parts.Network += opts.perturb(opts.Link.WireTime(msg.Send))
 		if msg.Recv > 0 {
 			parts.Network += opts.perturb(opts.Link.WireTime(msg.Recv))
 		}
@@ -186,50 +194,4 @@ func runRemote(cs calib.CaseStudy, size int, opts Options) (Report, error) {
 		CS: cs, Size: size, Backend: Remote, Network: opts.Link.Name(),
 		Total: sw.Elapsed(), Parts: parts,
 	}, nil
-}
-
-// MsgKind is the server-side action class of a wire message.
-type MsgKind int
-
-// Message classes, by the device work they imply.
-const (
-	// MsgControl is pure bookkeeping (init, malloc, free, finalize).
-	MsgControl MsgKind = iota
-	// MsgMemcpyIn carries an input payload the server moves over PCIe.
-	MsgMemcpyIn
-	// MsgMemcpyOut returns an output payload after a PCIe read-back.
-	MsgMemcpyOut
-	// MsgLaunch triggers a kernel execution.
-	MsgLaunch
-)
-
-// WireMsg is one request/response pair of a session, in Table I payload
-// bytes, tagged with the device work it implies. A zero Recv means the
-// request has no response (finalization).
-type WireMsg struct {
-	Send, Recv int64
-	Kind       MsgKind
-}
-
-// Schedule lists every message of a case-study session in order, with
-// Table I payload sizes — exactly the traffic the functional path
-// generates, plus nothing.
-func Schedule(cs calib.CaseStudy, size int) []WireMsg {
-	var msgs []WireMsg
-	for _, row := range perfmodel.TableII(cs, size, netsim.GigaE()) {
-		kind := MsgControl
-		switch row.Op {
-		case protocol.OpMemcpyToDevice:
-			kind = MsgMemcpyIn
-		case protocol.OpMemcpyToHost:
-			kind = MsgMemcpyOut
-		case protocol.OpLaunch:
-			kind = MsgLaunch
-		}
-		for i := 0; i < row.Count; i++ {
-			msgs = append(msgs, WireMsg{Send: row.SendBytes, Recv: row.RecvBytes, Kind: kind})
-		}
-	}
-	// Finalization: a 4-byte request with no response.
-	return append(msgs, WireMsg{Send: 4, Kind: MsgControl})
 }
