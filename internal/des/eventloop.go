@@ -8,23 +8,66 @@
 // so do the scheduler's tenant mixes and the load generator's 10^5–10^6
 // simulated sessions. A modeled thread of control is a chain of callbacks,
 // each scheduling the next; there is no goroutine per process.
+//
+// The pending callbacks wait in a monotone radix queue: no event is ever
+// scheduled before the one that fired last, so each is filed by the highest
+// bit in which its (time, schedule order) key differs from that last key,
+// and a timer moves only towards lower buckets until it fires.
 package des
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"time"
 )
 
-// EventLoop holds only a binary heap of pending callbacks, so a
-// million-session run is a few million heap operations on one stack.
-// Events fire in (time, schedule order), so two runs that schedule the same
-// callbacks produce identical timelines.
+// EventLoop holds only its pending callbacks, in a radix queue of 128
+// buckets over one slab of timers, so a million-session run is a few
+// million bucket operations on one stack. Events fire in (time, schedule
+// order), so two runs that schedule the same callbacks produce identical
+// timelines.
 type EventLoop struct {
 	now     time.Duration
-	events  []timer // binary min-heap on (at, seq)
 	seq     int64
 	running bool
 	stopped bool
+
+	// lastAt and lastSeq are the key of the timer that fired last (zero
+	// before the first); every pending key is above it.
+	lastAt, lastSeq uint64
+	// buckets[i] holds the pending timers whose key differs from the last
+	// key in bit i and in no higher bit, counting the 64 bits of seq first
+	// and the 64 of at above them; occupied has bit i set when buckets[i]
+	// holds any.
+	buckets  [128]bucket
+	occupied [2]uint64
+	// slab holds the timers; a free slot's arg links to the next free
+	// slot, and freeSlot is the first free slot + 1 (0: none is free).
+	slab     slab
+	freeSlot int32
+	// freeBlock lists the blocks no bucket holds, linked through next;
+	// poolBlocks counts the blocks allocated so far.
+	freeBlock  *block
+	poolBlocks int
+}
+
+// bucket holds its earliest timer apart, with that timer's key, and lists
+// the slots of the others in an unrolled list of blocks: head is the
+// block being filled, which holds n slots, and the blocks linked behind it
+// are full. A bucket holding one timer holds no block.
+type bucket struct {
+	minAt, minSeq uint64
+	min, n        int32
+	head          *block
+}
+
+// blockLen is the number of slab slots one block of a bucket's list holds.
+const blockLen = 64
+
+type block struct {
+	slot [blockLen]int32
+	next *block
 }
 
 // NewEventLoop returns an empty loop at virtual time zero.
@@ -33,8 +76,9 @@ func NewEventLoop() *EventLoop { return &EventLoop{} }
 // Now returns the current virtual time.
 func (l *EventLoop) Now() time.Duration { return l.now }
 
-// At schedules fn to run at now+delay. Negative delays are clamped to now.
-// Callbacks may schedule further callbacks; ties fire in schedule order.
+// At schedules fn to run at now+delay. Negative delays are clamped to now,
+// and a time past the largest time.Duration saturates to it. Callbacks may
+// schedule further callbacks; ties fire in schedule order.
 func (l *EventLoop) At(delay time.Duration, fn func()) {
 	if fn == nil {
 		panic("des: EventLoop.At with nil callback")
@@ -53,12 +97,22 @@ func (l *EventLoop) AtArg(delay time.Duration, fn func(int64), arg int64) {
 }
 
 func (l *EventLoop) schedule(delay time.Duration, fn callback, arg int64) {
-	if delay < 0 {
-		delay = 0
+	at := l.now
+	if delay > 0 {
+		at += delay
+		if at < l.now {
+			at = math.MaxInt64
+		}
 	}
 	l.seq++
-	l.events = append(l.events, timer{at: l.now + delay, seq: l.seq, fn: fn, arg: arg})
-	l.siftUp(len(l.events) - 1)
+	if l.freeSlot == 0 {
+		l.freeSlot = l.slab.grow() + 1
+	}
+	slot := l.freeSlot - 1
+	t := l.slab.at(slot)
+	l.freeSlot = int32(t.arg)
+	*t = timer{at: at, seq: l.seq, fn: fn, arg: arg}
+	l.file(slot, uint64(at), uint64(l.seq))
 }
 
 // Stop makes Run return before firing the next callback. Pending events
@@ -74,7 +128,7 @@ func (l *EventLoop) Run() time.Duration {
 	l.running = true
 	l.stopped = false
 	defer func() { l.running = false }()
-	for len(l.events) > 0 && !l.stopped {
+	for l.occupied != [2]uint64{} && !l.stopped {
 		e := l.pop()
 		if e.at < l.now {
 			panic(fmt.Sprintf("des: event loop time went backwards: %v -> %v", l.now, e.at))
@@ -105,59 +159,121 @@ type argFunc func(int64)
 
 func (f argFunc) fire(arg int64) { f(arg) }
 
-func (a *timer) before(b *timer) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// file puts slot, whose timer has key (at, seq), in its bucket: the one of
+// the highest bit in which the key, read as one 128-bit number, differs
+// from the last key. A key equal to the last one is the timer that just
+// fired and is never filed.
+func (l *EventLoop) file(slot int32, at, seq uint64) {
+	var i int
+	if d := at ^ l.lastAt; d != 0 {
+		i = 63 + bits.Len64(d)
+	} else {
+		i = bits.Len64(seq^l.lastSeq) - 1
 	}
-	return a.seq < b.seq
+	b := &l.buckets[i]
+	if w, bit := &l.occupied[i>>6], uint64(1)<<(i&63); *w&bit == 0 {
+		*w |= bit
+		*b = bucket{minAt: at, minSeq: seq, min: slot}
+		return
+	}
+	if at < b.minAt || at == b.minAt && seq < b.minSeq {
+		slot, b.min, b.minAt, b.minSeq = b.min, slot, at, seq
+	}
+	if b.head == nil || b.n == blockLen {
+		b.head, b.n = l.newBlock(b.head), 0
+	}
+	b.head.slot[b.n] = slot
+	b.n++
 }
 
-// The heap is sifted in place on the typed slice: container/heap would box
-// every timer into an interface on the way in and again on the way out —
-// two allocations per event.
-
-func (l *EventLoop) siftUp(i int) {
-	h := l.events
-	e := h[i]
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.before(&h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = e
-}
-
-// pop removes and returns the earliest timer. The vacated tail slot is
-// zeroed so the fired callback's closure is not kept reachable.
+// pop removes and returns the earliest timer: the one the lowest occupied
+// bucket holds apart, since that bucket's keys share more leading bits
+// with the last key than any other bucket's. Its key becomes the last key,
+// and the rest of its bucket, which agrees with the new key above the
+// bucket's bit, files into lower buckets; the buckets above keep their
+// timers, which differ from the new key where they differed from the old.
+// The slot is zeroed so the fired callback's closure is not kept
+// reachable.
 func (l *EventLoop) pop() timer {
-	h := l.events
-	top := h[0]
-	n := len(h) - 1
-	e := h[n]
-	h[n] = timer{}
-	h = h[:n]
-	l.events = h
-	if n == 0 {
-		return top
+	i := bits.TrailingZeros64(l.occupied[0])
+	if l.occupied[0] == 0 {
+		i = 64 + bits.TrailingZeros64(l.occupied[1])
 	}
-	i := 0
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
+	l.occupied[i>>6] &^= 1 << (i & 63)
+	b := l.buckets[i]
+	l.lastAt, l.lastSeq = b.minAt, b.minSeq
+	for blk, n := b.head, b.n; blk != nil; blk, n = blk.next, blockLen {
+		for _, s := range blk.slot[:n] {
+			t := l.slab.at(s)
+			l.file(s, uint64(t.at), uint64(t.seq))
 		}
-		if r := child + 1; r < n && h[r].before(&h[child]) {
-			child = r
-		}
-		if !h[child].before(&e) {
-			break
-		}
-		h[i] = h[child]
-		i = child
 	}
-	h[i] = e
-	return top
+	l.freeBlocks(b.head)
+	t := l.slab.at(b.min)
+	fired := *t
+	*t = timer{arg: int64(l.freeSlot)}
+	l.freeSlot = b.min + 1
+	return fired
+}
+
+// newBlock takes a block from the free list, doubling the pool when none
+// is left, and links next behind it.
+func (l *EventLoop) newBlock(next *block) *block {
+	if l.freeBlock == nil {
+		grown := make([]block, max(l.poolBlocks, firstChunk))
+		l.poolBlocks += len(grown)
+		for j := range grown[1:] {
+			grown[j].next = &grown[j+1]
+		}
+		l.freeBlock = &grown[0]
+	}
+	blk := l.freeBlock
+	l.freeBlock, blk.next = blk.next, next
+	return blk
+}
+
+// freeBlocks returns the chain of blocks that blk heads to the free list.
+// No block of a bucket being re-filed is taken while the walk reads it:
+// file takes blocks only from the free list, which gets them after the
+// walk.
+func (l *EventLoop) freeBlocks(blk *block) {
+	for blk != nil {
+		next := blk.next
+		blk.next, l.freeBlock = l.freeBlock, blk
+		blk = next
+	}
+}
+
+// slab holds the timers in chunks that never move: chunk c holds
+// firstChunk<<c of them, so each growth doubles the capacity without
+// copying, and the bytes allocated are those of the final capacity.
+type slab struct{ chunks [28][]timer }
+
+const (
+	firstChunkBits = 4
+	firstChunk     = 1 << firstChunkBits
+)
+
+// at returns the timer in slot i.
+func (s *slab) at(i int32) *timer {
+	u := uint32(i) + firstChunk
+	c := bits.Len32(u) - firstChunkBits - 1
+	return &s.chunks[c][u-firstChunk<<c]
+}
+
+// grow adds a chunk as large as all before it together, links its slots
+// into a free list (each arg the next slot + 1, the last 0) and returns
+// the first.
+func (s *slab) grow() int32 {
+	c := 0
+	for s.chunks[c] != nil {
+		c++
+	}
+	chunk := make([]timer, firstChunk<<c)
+	first := int64(len(chunk) - firstChunk)
+	for j := range chunk[:len(chunk)-1] {
+		chunk[j].arg = first + int64(j) + 2
+	}
+	s.chunks[c] = chunk
+	return int32(first)
 }

@@ -1,6 +1,8 @@
 package des
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -55,13 +57,153 @@ func TestEventLoopStopResume(t *testing.T) {
 	l.At(time.Millisecond, func() { fired++; l.Stop() })
 	l.At(2*time.Millisecond, func() { fired++ })
 	l.Run()
-	if fired != 1 || len(l.events) != 1 {
-		t.Fatalf("after Stop: fired=%d pending=%d", fired, len(l.events))
+	if fired != 1 || l.pending() != 1 {
+		t.Fatalf("after Stop: fired=%d pending=%d", fired, l.pending())
 	}
 	l.Run()
-	if fired != 2 || len(l.events) != 0 {
-		t.Fatalf("after resume: fired=%d pending=%d", fired, len(l.events))
+	if fired != 2 || l.pending() != 0 {
+		t.Fatalf("after resume: fired=%d pending=%d", fired, l.pending())
 	}
+}
+
+// pending counts the timers filed in the loop's buckets: each occupied
+// bucket's earliest and the slots its blocks list.
+func (l *EventLoop) pending() int {
+	n := 0
+	for i, b := range l.buckets {
+		if l.occupied[i>>6]&(1<<(i&63)) == 0 {
+			continue
+		}
+		n++
+		for blk, k := b.head, int(b.n); blk != nil; blk, k = blk.next, blockLen {
+			n += k
+		}
+	}
+	return n
+}
+
+// TestEventLoopFarFutureSaturates checks that a time past the largest
+// time.Duration saturates to it instead of wrapping negative: the event
+// fires last, at math.MaxInt64, after the near events beside it, and an
+// event scheduled at that instant afterwards fires after it.
+func TestEventLoopFarFutureSaturates(t *testing.T) {
+	l := NewEventLoop()
+	var order []int
+	var at []time.Duration
+	record := func(id int) func() {
+		return func() { order = append(order, id); at = append(at, l.Now()) }
+	}
+	l.At(time.Millisecond, func() {
+		record(1)()
+		l.At(math.MaxInt64, record(4))
+		l.At(time.Second, record(3))
+	})
+	l.At(math.MaxInt64, record(2))
+	l.AtArg(math.MaxInt64-1, func(int64) { record(0)() }, 0)
+	end := l.Run()
+	wantOrder := []int{1, 3, 0, 2, 4}
+	wantAt := []time.Duration{time.Millisecond, time.Second + time.Millisecond, math.MaxInt64 - 1, math.MaxInt64, math.MaxInt64}
+	if len(order) != len(wantOrder) {
+		t.Fatalf("fired %v at %v, want %v at %v", order, at, wantOrder, wantAt)
+	}
+	for i := range wantOrder {
+		if order[i] != wantOrder[i] || at[i] != wantAt[i] {
+			t.Fatalf("fired %v at %v, want %v at %v", order, at, wantOrder, wantAt)
+		}
+	}
+	if end != math.MaxInt64 {
+		t.Fatalf("final time %v, want %v", end, time.Duration(math.MaxInt64))
+	}
+}
+
+// TestEventLoopMatchesSortOracle drives the queue with seeded random
+// schedules and checks the firing sequence against the same events sorted
+// by (time, schedule order). The delays mix bursts at one instant, short
+// gaps and lengths of every bit width up to 2^62 (plus saturating ones);
+// callbacks schedule further events through At and AtArg; some callbacks
+// call Stop, and the test then schedules more from outside Run before it
+// resumes.
+func TestEventLoopMatchesSortOracle(t *testing.T) {
+	type stamp struct {
+		at  time.Duration
+		seq int
+	}
+	events, resumes := 0, 0
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		l := NewEventLoop()
+		var want, got []stamp
+		budget := 6000
+		delay := func() time.Duration {
+			switch r := rng.Intn(16); {
+			case r < 4:
+				return 0
+			case r < 8:
+				return time.Duration(rng.Intn(64))
+			case r < 15:
+				return time.Duration(rng.Int63n(1 << rng.Intn(63)))
+			default:
+				return math.MaxInt64 - time.Duration(rng.Intn(4))
+			}
+		}
+		var add func()
+		fire := func(s stamp) {
+			if l.Now() != s.at {
+				t.Fatalf("seed %d: event %+v fired at %v", seed, s, l.Now())
+			}
+			got = append(got, s)
+			if rng.Intn(40) == 0 {
+				l.Stop()
+			}
+			for n := rng.Intn(3); n > 0 && budget > 0; n-- {
+				add()
+			}
+		}
+		argFn := func(arg int64) { fire(want[arg]) }
+		add = func() {
+			budget--
+			d := delay()
+			at := l.Now() + d
+			if at < l.Now() {
+				at = math.MaxInt64
+			}
+			s := stamp{at, len(want)}
+			want = append(want, s)
+			if rng.Intn(2) == 0 {
+				l.At(d, func() { fire(s) })
+			} else {
+				l.AtArg(d, argFn, int64(s.seq))
+			}
+		}
+		for burst := rng.Intn(50) + 1; burst > 0; burst-- {
+			add()
+		}
+		for l.pending() > 0 {
+			l.Run()
+			if resumes++; resumes > 1e6 {
+				t.Fatalf("seed %d: queue never drains", seed)
+			}
+			for n := rng.Intn(4); n > 0 && budget > 0; n-- {
+				add()
+			}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].at != want[j].at {
+				return want[i].at < want[j].at
+			}
+			return want[i].seq < want[j].seq
+		})
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: fired %d of %d timers", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: event %d fired as %+v, want %+v", seed, i, got[i], want[i])
+			}
+		}
+		events += len(got)
+	}
+	t.Logf("%d events fired in order over %d runs of the loop", events, resumes)
 }
 
 func TestEventLoopNegativeDelayClamps(t *testing.T) {
@@ -76,10 +218,10 @@ func TestEventLoopNegativeDelayClamps(t *testing.T) {
 	}
 }
 
-// TestEventLoopHeapOrder checks the hand-sifted heap against a sort: random
+// TestEventLoopHeapOrder checks the radix queue against a sort: random
 // delays with many ties, some scheduled from inside callbacks, must fire in
 // (time, schedule order), and every fired slot must be dropped from the
-// heap's backing array so the callback it held can be collected.
+// slab so the callback it held can be collected.
 func TestEventLoopHeapOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	l := NewEventLoop()
@@ -120,9 +262,11 @@ func TestEventLoopHeapOrder(t *testing.T) {
 			t.Fatalf("event %d fired as %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	for i, e := range l.events[:cap(l.events)] {
-		if e.fn != nil {
-			t.Fatalf("popped slot %d still holds its callback", i)
+	for c, chunk := range l.slab.chunks {
+		for j, e := range chunk {
+			if e.fn != nil {
+				t.Fatalf("popped slot %d of chunk %d still holds its callback", j, c)
+			}
 		}
 	}
 }
@@ -144,9 +288,13 @@ func TestEventLoopAtArg(t *testing.T) {
 	}
 }
 
-// TestEventLoopAllocations gates the typed heap: scheduling and firing a
-// pre-built callback at a steady heap size costs no allocation, with or
-// without an argument.
+// TestEventLoopAllocations gates the radix queue: scheduling and firing a
+// pre-built callback at a steady number of pending timers costs no
+// allocation, with or without an argument, once the slab and the block
+// pool have grown to that number — both over short delays and over a long
+// steady state whose delays of every bit width from 2^10 to 2^40 ns carry
+// now across many power-of-two boundaries and file timers into the high
+// buckets.
 func TestEventLoopAllocations(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -157,7 +305,7 @@ func TestEventLoopAllocations(t *testing.T) {
 	for i := 0; i < 1024; i++ {
 		l.At(time.Duration(i)*time.Microsecond, fn)
 	}
-	l.Run() // sizes the heap's backing array
+	l.Run() // sizes the slab and the block pool
 	n := testing.AllocsPerRun(10, func() {
 		for i := 0; i < 1024; i++ {
 			if i%2 == 0 {
@@ -169,7 +317,39 @@ func TestEventLoopAllocations(t *testing.T) {
 		l.Run()
 	})
 	if n != 0 {
-		t.Errorf("%v allocs per 1024 events at steady heap size, want 0", n)
+		t.Errorf("%v allocs per 1024 events at steady queue size, want 0", n)
+	}
+
+	// The long steady state: 1024 pending timers, each rescheduling itself
+	// 64 times through an xorshift draw it carries as its argument.
+	hops := 0
+	var hold func(int64)
+	hold = func(arg int64) {
+		if hops == 0 {
+			return
+		}
+		hops--
+		x := uint64(arg)
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		l.AtArg(time.Duration(x%(1<<(10+x>>58%31))), hold, int64(x))
+	}
+	steady := func() {
+		hops = 64 * 1024
+		for i := 1; i <= 1024; i++ {
+			hold(int64(i))
+		}
+		l.Run()
+	}
+	steady() // grows the slab and the block pool to their peak
+	start := l.Now()
+	n = testing.AllocsPerRun(10, steady)
+	if n != 0 {
+		t.Errorf("%v allocs per 64k events in the long steady state, want 0", n)
+	}
+	if l.Now()-start < 1<<40 {
+		t.Errorf("the steady state ran from %v to %v, want over 2^40 ns", start, l.Now())
 	}
 }
 
@@ -193,4 +373,33 @@ func BenchmarkEventLoop(b *testing.B) {
 		loop.Run()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/timers, "ns/event")
+}
+
+// BenchmarkEventLoopHold runs the classic hold model: a fixed number of
+// timers pending, each fired event scheduling one at now + an exponential
+// delay (mean 1 ms, seeded). It is loadgen's steady state without the
+// placer; ns/event is one pop plus one schedule at that queue size.
+func BenchmarkEventLoopHold(b *testing.B) {
+	for _, pending := range []int{1_000, 100_000} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			draw := func() time.Duration { return time.Duration(rng.ExpFloat64() * float64(time.Millisecond)) }
+			l := NewEventLoop()
+			left := b.N
+			var hold func()
+			hold = func() {
+				if left--; left == 0 {
+					l.Stop()
+				}
+				l.At(draw(), hold)
+			}
+			for i := 0; i < pending; i++ {
+				l.At(draw(), hold)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			l.Run()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+		})
+	}
 }

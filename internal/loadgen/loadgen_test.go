@@ -565,11 +565,11 @@ func TestRecycledRecordRefusesStaleCompletion(t *testing.T) {
 // shapes: session records are reused and added a chunk at a time, the
 // queues are linked through them, residents sit in slices sized at spawn,
 // probe replies are not kept, the placement orders are kept per class,
-// completions are closure-free events and the event heap is typed — what
-// is left is fleet growth, heap growth and the per-run set-up, so the count
-// per session falls as runs grow. Each bound is the go1.24 reading, 0.037
-// and 0.0028, plus about a quarter; a record kept per session and a fresh
-// reply per probe read 0.15 and 0.023.
+// completions are closure-free events and the event queue is typed — what
+// is left is fleet growth, event-queue growth and the per-run set-up, so
+// the count per session falls as runs grow. Each bound is the go1.24
+// reading, 0.037 and 0.0028, plus about a quarter; a record kept per
+// session and a fresh reply per probe read 0.15 and 0.023.
 func TestRunAllocations(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
