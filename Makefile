@@ -14,7 +14,7 @@ help:
 	@echo "  build        compile and vet everything (plus an arm64 cross-vet of blas/kernels/gpu and a check that the arm64 code of blas/fft/kernels fuses no multiply-add)"
 	@echo "  test         run all tests, including the Example programs of example_test.go, whose printed output is compared"
 	@echo "  race         run all tests under the race detector"
-	@echo "  verify       tier-1 gate: build + test + vet + race on data path, broker, workloads, report, device service (blas/kernels/gpu/cudart), vclock, calib, stats, perfmodel, contention, trace, event loop (des) + chaos suite + one pass of the device-service, placer, load-generator, event-loop and workload benchmarks"
+	@echo "  verify       tier-1 gate: build + test + vet + race on data path, broker, workloads, report, device service (blas/kernels/gpu/cudart), vclock, calib, stats, perfmodel, contention, cluster, trace, event loop (des) + chaos suite + one pass of the device-service, placer, load-generator, event-loop, workload and cluster benchmarks"
 	@echo "  lint         go vet + rcuda-vet invariant analyzers + gofmt diff check"
 	@echo "  vet          rcuda-vet only: seededrand/wiremsg/locknet/errcode invariants"
 	@echo "  loc          non-blank, non-comment, non-test Go lines per package (the count 'smaller' claims cite), the test lines outside bench/, and the non-test total outside bench/"
@@ -94,23 +94,24 @@ loc:
 # hold lock-free shared state (an atomic instant, a per-size memo) and run
 # under the detector too, as does the loader that snapshots every counter
 # set by reading its atomics (internal/stats). The analytic model, the
-# contention simulator and the call recorder (internal/perfmodel,
-# contention, trace) run under it too: the schedule oracle records a
-# session across client and server goroutines, and so does the event loop
-# every simulation runs on (internal/des). Last, every benchmark of the
-# device service, the placer (BenchmarkPickSaturated), the load generator
-# (BenchmarkRunScaleDown, BenchmarkRunClasses), the event loop
-# (BenchmarkEventLoop, BenchmarkEventLoopHold) and the workloads
-# (BenchmarkAnalyticRemoteRun, BenchmarkPipelinedAnalytic,
-# BenchmarkFunctionalRemoteRun) runs once, so the in-package witnesses
-# DESIGN.md cites keep compiling and running.
+# contention simulator, the cluster scheduler and the call recorder
+# (internal/perfmodel, contention, cluster, trace) run under it too: the
+# schedule oracle records a session across client and server goroutines,
+# and so does the event loop every simulation runs on (internal/des). Last,
+# every benchmark of the device service, the placer
+# (BenchmarkPickSaturated), the load generator (BenchmarkRunScaleDown,
+# BenchmarkRunClasses), the event loop (BenchmarkEventLoop,
+# BenchmarkEventLoopHold), the workloads (BenchmarkAnalyticRemoteRun,
+# BenchmarkPipelinedAnalytic, BenchmarkFunctionalRemoteRun) and the cluster
+# scheduler (BenchmarkSimulate64Jobs, BenchmarkGenerateTrace) runs once, so
+# the in-package witnesses DESIGN.md cites keep compiling and running.
 verify: build test vet chaos
 	$(GO) test -race ./internal/protocol/... ./internal/transport/... ./internal/rcuda/... ./internal/broker/... ./internal/sched/... ./internal/loadgen/... ./internal/workload/... \
 		./internal/report/... . \
 		./internal/blas/... ./internal/kernels/... ./internal/gpu/... ./internal/cudart/... \
 		./internal/vclock/... ./internal/calib/... ./internal/stats/... \
-		./internal/perfmodel/... ./internal/contention/... ./internal/trace/... ./internal/des/...
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/blas ./internal/kernels ./internal/gpu ./internal/broker ./internal/loadgen ./internal/workload ./internal/des
+		./internal/perfmodel/... ./internal/contention/... ./internal/cluster/... ./internal/trace/... ./internal/des/...
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/blas ./internal/kernels ./internal/gpu ./internal/broker ./internal/loadgen ./internal/workload ./internal/cluster ./internal/des
 
 # Chaos suite: every fault kind's transport semantics, the retry policy, and
 # the MM/FFT case studies under scripted and 50 consecutive seeded fault

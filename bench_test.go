@@ -126,7 +126,11 @@ func BenchmarkTableIV(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rows, err := perfmodel.CrossValidate(calib.MM, ge, ib, geMeas, ibMeas)
+		model, err := perfmodel.Build(calib.MM, ge, geMeas)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows, err := perfmodel.CrossValidate(model, ib, ibMeas)
 		if err != nil {
 			b.Fatal(err)
 		}

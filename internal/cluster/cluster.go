@@ -18,9 +18,8 @@
 //
 // A least-loaded scheduler assigns each ready job to the GPU that frees up
 // earliest — the natural baseline with full information — and per-GPU FIFO
-// queues model the contention. Optional fair-share network contention
-// inflates a job's transfer time by the number of sessions concurrently
-// assigned to the same server. Sweeping the GPU count answers the sizing
+// queues model the contention; link sharing at event granularity is
+// package contention's. Sweeping the GPU count answers the sizing
 // question: the smallest number of accelerators whose makespan is within a
 // tolerance of the one-GPU-per-node configuration.
 package cluster
@@ -69,10 +68,6 @@ type Config struct {
 	// node-local GPU (the fully equipped configuration), paying the CUDA
 	// context initialization instead of network transfers.
 	Network *netsim.Link
-	// FairShareNetwork, when true, inflates a job's network time by the
-	// number of sessions concurrently queued or running on its server,
-	// a pessimistic TDM model of link contention at the GPU node.
-	FairShareNetwork bool
 }
 
 func (c Config) validate() error {
@@ -166,7 +161,6 @@ func Simulate(cfg Config, jobs []Job) (Result, error) {
 
 	free := make([]time.Duration, nGPUs)
 	busy := make([]time.Duration, nGPUs)
-	inFlight := make([]int, nGPUs)
 
 	for i := range scheduled {
 		j := &scheduled[i]
@@ -182,10 +176,6 @@ func Simulate(cfg Config, jobs []Job) (Result, error) {
 			}
 		}
 		service := p.device + p.network
-		if cfg.FairShareNetwork && cfg.Network != nil {
-			// Sessions already waiting on this server share its link.
-			service = p.device + time.Duration(inFlight[g]+1)*p.network
-		}
 		start := j.Ready
 		if free[g] > start {
 			start = free[g]
@@ -196,7 +186,6 @@ func Simulate(cfg Config, jobs []Job) (Result, error) {
 		j.QueueDelay = start - j.Ready
 		free[g] = j.End
 		busy[g] += service
-		inFlight[g]++
 	}
 
 	return summarize(scheduled, busy, nGPUs), nil

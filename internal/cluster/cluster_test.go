@@ -105,24 +105,6 @@ func TestLeastLoadedDeterministic(t *testing.T) {
 	}
 }
 
-func TestFairShareContentionSlowsService(t *testing.T) {
-	jobs := []Job{mmJob(0, 8192, 0), mmJob(1, 8192, 0), mmJob(2, 8192, 0)}
-	cfg := Config{Nodes: 8, GPUs: 1, Network: netsim.GigaE()}
-	plain, err := Simulate(cfg, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.FairShareNetwork = true
-	contended, err := Simulate(cfg, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if contended.Makespan <= plain.Makespan {
-		t.Fatalf("fair-share contention (%v) should exceed the uncontended makespan (%v)",
-			contended.Makespan, plain.Makespan)
-	}
-}
-
 func TestLocalClusterHasNoNetworkTime(t *testing.T) {
 	jobs := []Job{mmJob(0, 8192, 0)}
 	res, err := Simulate(Config{Nodes: 4}, jobs)

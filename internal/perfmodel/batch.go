@@ -1,7 +1,6 @@
 package perfmodel
 
 import (
-	"fmt"
 	"time"
 
 	"rcuda/internal/netsim"
@@ -13,9 +12,9 @@ import (
 // bandwidth. For those the memcpy-only fixed-time extraction of Sections
 // V/VI is useless — nearly all of the time IS network time. Instead the
 // model enumerates the exact wire schedule of the inference loop, message
-// by message, prices it on a link, and extracts the (small) residual fixed
-// time the same way: Fixed = measured − netTime(source), Estimate =
-// Fixed + netTime(target).
+// by message, and prices it on a link (InferenceNetTime); a measured run
+// minus its source link's price is the (small) residual fixed time, and
+// that plus a target link's price predicts the run there.
 
 // InferenceDim is the square activation/weight dimension of the modeled
 // DNN inference loop — one 16×16 thread block per layer, the smallest
@@ -65,35 +64,4 @@ func InferenceNetTime(link *netsim.Link, sched []Msg) time.Duration {
 		total += m.Wait
 	}
 	return total
-}
-
-// InferenceModel predicts the time of an inference session's schedule on
-// any link from one measured execution on a source link.
-type InferenceModel struct {
-	Schedule []Msg
-	Source   *netsim.Link
-	fixed    time.Duration
-}
-
-// BuildInference extracts the network-independent fixed time from a
-// measured execution. Unlike the memcpy-dominated case studies, the
-// latency-bound loop hides its tiny kernels behind wire time, so the fixed
-// time may legitimately be zero; only a measurement below its own wire time
-// is rejected as inconsistent with the schedule.
-func BuildInference(sched []Msg, source *netsim.Link, measured time.Duration) (*InferenceModel, error) {
-	fixed := measured - InferenceNetTime(source, sched)
-	if fixed < 0 {
-		return nil, fmt.Errorf("perfmodel: inference measured %v on %s is below its own wire time %v",
-			measured, source.Name(), measured-fixed)
-	}
-	return &InferenceModel{Schedule: sched, Source: source, fixed: fixed}, nil
-}
-
-// Fixed returns the extracted network-independent time.
-func (m *InferenceModel) Fixed() time.Duration { return m.fixed }
-
-// Estimate predicts the session time on a target link: fixed time plus the
-// target's wire time for the same schedule.
-func (m *InferenceModel) Estimate(target *netsim.Link) time.Duration {
-	return m.fixed + InferenceNetTime(target, m.Schedule)
 }

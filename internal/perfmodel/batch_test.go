@@ -95,39 +95,3 @@ func TestInferenceNetTimeBatchedWins(t *testing.T) {
 		}
 	}
 }
-
-// TestBuildInferenceFixedTime checks the fixed-time extraction contract:
-// zero residual is legitimate (the loop's device work hides behind wire
-// time), negative is rejected, and estimation adds the target's wire time
-// back on.
-func TestBuildInferenceFixedTime(t *testing.T) {
-	sched := InferenceSchedule(inferenceSpec(true))
-	gige, ib := netsim.GigaE(), netsim.IB40G()
-	net := InferenceNetTime(gige, sched)
-
-	if _, err := BuildInference(sched, gige, net-time.Nanosecond); err == nil {
-		t.Fatal("measurement below its own wire time accepted")
-	}
-	m, err := BuildInference(sched, gige, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Fixed() != 0 {
-		t.Fatalf("fixed time %v, want 0", m.Fixed())
-	}
-	if got, want := m.Estimate(ib), InferenceNetTime(ib, sched); got != want {
-		t.Fatalf("estimate %v, want the target's wire time %v", got, want)
-	}
-
-	residual := 250 * time.Microsecond
-	m, err = BuildInference(sched, gige, net+residual)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Fixed() != residual {
-		t.Fatalf("fixed time %v, want %v", m.Fixed(), residual)
-	}
-	if got, want := m.Estimate(ib), InferenceNetTime(ib, sched)+residual; got != want {
-		t.Fatalf("estimate %v, want %v", got, want)
-	}
-}

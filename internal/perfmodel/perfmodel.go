@@ -13,10 +13,13 @@
 //
 // Every session shape's wire traffic is written down once, as a []Msg
 // built by Schedule (a case study), PipelinedSchedule (the pipelined FFT)
-// or InferenceSchedule (the inference loop); Table II, the analytic
-// workloads, the contention simulator and the inference model all walk
-// those lists, and the workload package's TestSchedulesMatchTheWire holds
-// each to the exchanges a functional run records.
+// or InferenceSchedule (the inference loop). Each Msg carries its own
+// price besides the wire: the bulk payload it moves (Bulk) and the device
+// time it asks for (Device, or Wait for what a batched frame exposes).
+// Table II, the fixed-time Model, Eligible, the analytic workloads and the
+// contention simulator all walk those lists and read those fields, and the
+// workload package's TestSchedulesMatchTheWire holds each list to the
+// exchanges a functional run records.
 package perfmodel
 
 import (
@@ -39,9 +42,16 @@ func TransferTime(link *netsim.Link, cs calib.CaseStudy, size int) time.Duration
 }
 
 // TotalTransferTime returns the payload time of all bulk copies of one
-// execution: ×3 for MM (two inputs, one output), ×2 for FFT.
+// execution, the Bulk of every message of its Schedule: ×3 for MM (two
+// inputs, one output), ×2 for FFT. The schedule is built on the stack, so
+// the network-aware placement score that calls this allocates nothing.
 func TotalTransferTime(link *netsim.Link, cs calib.CaseStudy, size int) time.Duration {
-	return time.Duration(calib.CopyCount(cs)) * TransferTime(link, cs, size)
+	var buf [caseStudyMsgs]Msg
+	var total time.Duration
+	for _, m := range appendSchedule(buf[:0], cs, size) {
+		total += link.PayloadTime(m.Bulk)
+	}
+	return total
 }
 
 // Model predicts execution times of one case study from measurements taken
@@ -112,30 +122,21 @@ type CrossRow struct {
 	RelativeErrorPc float64       // (estimated-measured)/measured × 100
 }
 
-// CrossValidate builds a model from source-network measurements and
-// validates it against measurements of the same sizes on another network,
-// reproducing one half of Table IV.
-func CrossValidate(cs calib.CaseStudy, source, target *netsim.Link,
-	sourceMeasured, targetMeasured map[int]time.Duration) ([]CrossRow, error) {
-
-	model, err := Build(cs, source, sourceMeasured)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]CrossRow, 0, len(sourceMeasured))
-	for _, size := range model.Sizes() {
+// CrossValidate validates a model against measurements of the same sizes
+// on another network, reproducing one half of Table IV.
+func CrossValidate(m *Model, target *netsim.Link, targetMeasured map[int]time.Duration) ([]CrossRow, error) {
+	rows := make([]CrossRow, 0, len(m.fixed))
+	for _, size := range m.Sizes() {
 		got, ok := targetMeasured[size]
 		if !ok {
 			return nil, fmt.Errorf("perfmodel: size %d missing from %s measurements", size, target.Name())
 		}
-		est, err := model.Estimate(target, size)
-		if err != nil {
-			return nil, err
-		}
-		fixed, _ := model.Fixed(size)
+		fixed := m.fixed[size]
+		est := fixed + TotalTransferTime(target, m.CS, size)
 		rows = append(rows, CrossRow{
-			Size:            size,
-			MeasuredSource:  sourceMeasured[size],
+			Size: size,
+			// The measurement Build took the source's transfer time from.
+			MeasuredSource:  fixed + TotalTransferTime(m.Source, m.CS, size),
 			Fixed:           fixed,
 			Estimated:       est,
 			MeasuredTarget:  got,
@@ -236,8 +237,11 @@ func MinimumBandwidth(m *Model, size int) (float64, bool) {
 	}
 	// transfer budget = cpu - fixed; bandwidth = bytes / budget.
 	budget := (cpu - fixed).Seconds()
-	bytes := float64(calib.CopyCount(m.CS)) * float64(calib.CopyBytes(m.CS, size))
-	return bytes / budget / (1 << 20), true
+	var bytes int64
+	for _, msg := range Schedule(m.CS, size) {
+		bytes += msg.Bulk
+	}
+	return float64(bytes) / budget / (1 << 20), true
 }
 
 // Eligible evaluates the remote-offload decision using a model estimate and
@@ -248,9 +252,12 @@ func Eligible(m *Model, target *netsim.Link, size int) (Eligibility, error) {
 		return Eligibility{}, err
 	}
 	cpu := calib.CPUTime(m.CS, size)
-	gpuLocal := calib.LocalInit(m.CS) + calib.DataGenTime(m.CS, size) +
-		time.Duration(calib.CopyCount(m.CS))*calib.PCIeTime(m.CS, size) +
-		calib.KernelTime(m.CS, size) + calib.Mgmt
+	// A local run pays every device time of the remote session's schedule
+	// but none of its wire time.
+	gpuLocal := calib.LocalInit(m.CS) + calib.DataGenTime(m.CS, size) + calib.Mgmt
+	for _, msg := range Schedule(m.CS, size) {
+		gpuLocal += msg.Device
+	}
 	e := Eligibility{
 		CPU:      cpu,
 		LocalGPU: gpuLocal,

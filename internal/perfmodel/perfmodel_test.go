@@ -8,6 +8,7 @@ import (
 	"rcuda/internal/calib"
 	"rcuda/internal/netsim"
 	"rcuda/internal/protocol"
+	"rcuda/internal/raceflag"
 )
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
@@ -69,6 +70,32 @@ func TestTotalTransferMultiplier(t *testing.T) {
 	}
 }
 
+// TestTotalTransferTimeAllocatesNothing: the network-aware placement score
+// prices every endpoint of every placement with TotalTransferTime, so the
+// schedule it sums must stay on the stack.
+func TestTotalTransferTimeAllocatesNothing(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	ge := netsim.GigaE()
+	for _, cs := range []calib.CaseStudy{calib.MM, calib.FFT} {
+		if n := testing.AllocsPerRun(100, func() { TotalTransferTime(ge, cs, 4096) }); n != 0 {
+			t.Errorf("%v: TotalTransferTime allocates %v times, want 0", cs, n)
+		}
+	}
+}
+
+// crossValidate builds a model from source-network measurements and
+// validates it against the target network's.
+func crossValidate(cs calib.CaseStudy, source, target *netsim.Link,
+	sourceMeasured, targetMeasured map[int]time.Duration) ([]CrossRow, error) {
+	m, err := Build(cs, source, sourceMeasured)
+	if err != nil {
+		return nil, err
+	}
+	return CrossValidate(m, target, targetMeasured)
+}
+
 // Feed the model the paper's own published measurements and check that it
 // reproduces the paper's fixed times, estimates, and error rates (Table IV).
 func TestCrossValidationReproducesTableIV(t *testing.T) {
@@ -81,7 +108,7 @@ func TestCrossValidationReproducesTableIV(t *testing.T) {
 			i, _ := calib.PaperMeasured(cs, "40GI", size)
 			geMeas[size], ibMeas[size] = g, i
 		}
-		rows, err := CrossValidate(cs, ge, ib, geMeas, ibMeas)
+		rows, err := crossValidate(cs, ge, ib, geMeas, ibMeas)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +124,7 @@ func TestCrossValidationReproducesTableIV(t *testing.T) {
 			}
 		}
 		// And the reverse direction.
-		rows, err = CrossValidate(cs, ib, ge, ibMeas, geMeas)
+		rows, err = crossValidate(cs, ib, ge, ibMeas, geMeas)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,14 +152,14 @@ func TestErrorShapeMMSmallFFTLarge(t *testing.T) {
 		return a, b
 	}
 	mmG, mmI := load(calib.MM)
-	rows, _ := CrossValidate(calib.MM, ge, ib, mmG, mmI)
+	rows, _ := crossValidate(calib.MM, ge, ib, mmG, mmI)
 	for _, r := range rows {
 		if math.Abs(r.RelativeErrorPc) > 3 {
 			t.Fatalf("MM error %.2f%% at %d exceeds the paper's ~2.2%% bound", r.RelativeErrorPc, r.Size)
 		}
 	}
 	fftG, fftI := load(calib.FFT)
-	rows, _ = CrossValidate(calib.FFT, ge, ib, fftG, fftI)
+	rows, _ = crossValidate(calib.FFT, ge, ib, fftG, fftI)
 	if rows[0].RelativeErrorPc < 20 {
 		t.Fatalf("FFT smallest-batch error %.2f%% should be large (paper: 33.95%%)", rows[0].RelativeErrorPc)
 	}
@@ -210,7 +237,7 @@ func TestModelUnknownSize(t *testing.T) {
 func TestCrossValidateMissingTargetSize(t *testing.T) {
 	ge, ib := netsim.GigaE(), netsim.IB40G()
 	src := map[int]time.Duration{4096: 4 * time.Second}
-	if _, err := CrossValidate(calib.MM, ge, ib, src, map[int]time.Duration{}); err == nil {
+	if _, err := crossValidate(calib.MM, ge, ib, src, map[int]time.Duration{}); err == nil {
 		t.Fatal("missing validation measurement must fail")
 	}
 }

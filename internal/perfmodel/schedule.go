@@ -8,15 +8,26 @@ import (
 )
 
 // Msg is one wire exchange of a session: a request and, unless Recv is
-// zero, its reply. A schedule is a session's exchanges in wire order, one
-// Msg per event an rcuda.Observer reports for the same session; the
-// workload package's TestSchedulesMatchTheWire holds every builder below to
-// a functional run's recording, message for message.
+// zero, its reply, with what the exchange costs besides the wire. A
+// schedule is a session's exchanges in wire order, one Msg per event an
+// rcuda.Observer reports for the same session; the workload package's
+// TestSchedulesMatchTheWire holds every builder below to a functional run's
+// recording, message for message and bulk byte for bulk byte. The builders
+// are the one place that prices a message; every walker reads the fields.
 type Msg struct {
 	Op protocol.Op
 	// Send and Recv are the request's and the reply's Table I payload
 	// bytes. A zero Recv means the request has no reply (finalization).
 	Send, Recv int64
+	// Bulk is the payload a copy carries, counted in Send for an input
+	// transfer and in Recv for an output one (its op's Phase says which);
+	// zero for every other exchange.
+	Bulk int64
+	// Device is the time the request puts on the device: the PCIe
+	// transfer of a copy's Bulk, or a launch's kernel. InferenceSchedule
+	// sets none: its tiny copies and kernels hide behind the wire, all but
+	// what a batched frame's Wait names.
+	Device time.Duration
 	// Stream is the stream an async op names: 0 is the default stream, i
 	// the i-th stream the session created.
 	Stream int
@@ -27,31 +38,31 @@ type Msg struct {
 	Wait time.Duration
 }
 
-// session builds a schedule; its methods are the exchanges every session
-// shape shares.
-type session []Msg
+// The exchanges every session shape shares. Initialization carries the
+// module image; finalization is a request with no reply.
+var (
+	mallocMsg   = Msg{Op: protocol.OpMalloc, Send: 8, Recv: 8}
+	freeMsg     = Msg{Op: protocol.OpFree, Send: 8, Recv: 4}
+	finalizeMsg = Msg{Op: protocol.OpFinalize, Send: 4}
+)
 
-func (s *session) add(op protocol.Op, send, recv int64) *Msg {
-	*s = append(*s, Msg{Op: op, Send: send, Recv: recv})
-	return &(*s)[len(*s)-1]
+func initMsg(moduleBytes int) Msg {
+	return Msg{Op: protocol.OpInit, Send: 4 + int64(moduleBytes), Recv: 12}
 }
 
-// repeat adds n equal messages.
-func (s *session) repeat(n int, op protocol.Op, send, recv int64) {
+// launchMsg is a kernel launch of a case study on stream that runs kernel
+// on the device.
+func launchMsg(cs calib.CaseStudy, stream int, kernel time.Duration) Msg {
+	return Msg{Op: protocol.OpLaunch, Send: LaunchBytes(cs), Recv: 4, Stream: stream, Device: kernel}
+}
+
+// repeat appends n copies of m to s.
+func repeat(s []Msg, n int, m Msg) []Msg {
 	for range n {
-		s.add(op, send, recv)
+		s = append(s, m)
 	}
+	return s
 }
-
-// open is initialization, which carries the module image.
-func (s *session) open(moduleBytes int) { s.add(protocol.OpInit, 4+int64(moduleBytes), 12) }
-
-func (s *session) malloc(n int) { s.repeat(n, protocol.OpMalloc, 8, 8) }
-
-func (s *session) free(n int) { s.repeat(n, protocol.OpFree, 8, 4) }
-
-// finalize ends the session: a request with no reply.
-func (s *session) finalize() { s.add(protocol.OpFinalize, 4, 0) }
 
 // Schedule lists the exchanges of one run of a case study at a problem
 // size — the session Table II prices and the analytic workload replays:
@@ -59,20 +70,28 @@ func (s *session) finalize() { s.add(protocol.OpFinalize, 4, 0) }
 // the input copies, the launch, the output copy, the frees and
 // finalization.
 func Schedule(cs calib.CaseStudy, size int) []Msg {
-	copyBytes := calib.CopyBytes(cs, size)
+	return appendSchedule(nil, cs, size)
+}
+
+// caseStudyMsgs is the length of the longest case study schedule, MM's.
+const caseStudyMsgs = 12
+
+// appendSchedule appends Schedule(cs, size) to s, so a caller that only
+// sums the schedule can build it in a buffer on its own stack.
+func appendSchedule(s []Msg, cs calib.CaseStudy, size int) []Msg {
+	copyBytes, pcie := calib.CopyBytes(cs, size), calib.PCIeTime(cs, size)
 	bufs := 1
 	if cs == calib.MM {
 		bufs = 3 // A, B, C
 	}
-	var s session
-	s.open(calib.ModuleBytes(cs))
-	s.malloc(bufs)
-	s.repeat(calib.InputCopies(cs), protocol.OpMemcpyToDevice, 20+copyBytes, 4)
-	s.add(protocol.OpLaunch, LaunchBytes(cs), 4)
-	s.add(protocol.OpMemcpyToHost, 20, 4+copyBytes)
-	s.free(bufs)
-	s.finalize()
-	return s
+	s = append(s, initMsg(calib.ModuleBytes(cs)))
+	s = repeat(s, bufs, mallocMsg)
+	s = repeat(s, calib.InputCopies(cs),
+		Msg{Op: protocol.OpMemcpyToDevice, Send: 20 + copyBytes, Recv: 4, Bulk: copyBytes, Device: pcie})
+	s = append(s, launchMsg(cs, 0, calib.KernelTime(cs, size)),
+		Msg{Op: protocol.OpMemcpyToHost, Send: 20, Recv: 4 + copyBytes, Bulk: copyBytes, Device: pcie})
+	s = repeat(s, bufs, freeMsg)
+	return append(s, finalizeMsg)
 }
 
 // PipelinedSchedule lists the exchanges of the pipelined FFT
@@ -82,50 +101,47 @@ func Schedule(cs calib.CaseStudy, size int) []Msg {
 // synchronization; then the streams, the buffers and the session are
 // released.
 func PipelinedSchedule(size, chunks int) []Msg {
-	chunkBytes := calib.CopyBytes(calib.FFT, size/chunks)
-	var s session
-	s.open(calib.ModuleBytes(calib.FFT))
-	s.malloc(2)
-	s.repeat(2, protocol.OpStreamCreate, 4, 8)
+	chunk := size / chunks
+	chunkBytes, pcie := calib.CopyBytes(calib.FFT, chunk), calib.PCIeTime(calib.FFT, chunk)
+	kernel := calib.KernelTime(calib.FFT, chunk)
+	s := []Msg{initMsg(calib.ModuleBytes(calib.FFT)), mallocMsg, mallocMsg}
+	s = repeat(s, 2, Msg{Op: protocol.OpStreamCreate, Send: 4, Recv: 8})
 	for c := range chunks {
 		stream := c%2 + 1
-		s.add(protocol.OpMemcpyToDeviceAsync, 24+chunkBytes, 4).Stream = stream
-		s.add(protocol.OpLaunch, LaunchBytes(calib.FFT), 4).Stream = stream
-		s.add(protocol.OpMemcpyToHostAsync, 24, 4+chunkBytes).Stream = stream
+		s = append(s,
+			Msg{Op: protocol.OpMemcpyToDeviceAsync, Send: 24 + chunkBytes, Recv: 4, Stream: stream, Bulk: chunkBytes, Device: pcie},
+			launchMsg(calib.FFT, stream, kernel),
+			Msg{Op: protocol.OpMemcpyToHostAsync, Send: 24, Recv: 4 + chunkBytes, Stream: stream, Bulk: chunkBytes, Device: pcie})
 	}
-	s.add(protocol.OpDeviceSynchronize, 4, 4)
-	s.repeat(2, protocol.OpStreamDestroy, 8, 4)
-	s.free(2)
-	s.finalize()
-	return s
+	s = append(s, Msg{Op: protocol.OpDeviceSynchronize, Send: 4, Recv: 4})
+	s = repeat(s, 2, Msg{Op: protocol.OpStreamDestroy, Send: 8, Recv: 4})
+	s = repeat(s, 2, freeMsg)
+	return append(s, finalizeMsg)
 }
 
 // InferenceSchedule lists the exchanges of an inference session
 // (workload.ExecuteInference over a client shaped by spec).
 func InferenceSchedule(spec InferenceSpec) []Msg {
-	var s session
-
 	// Session setup: init with the module, one buffer per weight matrix
 	// plus two activation ping-pong buffers, the weights uploaded
 	// synchronously, one stream and one event.
-	copyBytes := int64(24 + inferenceMatrixBytes)
-	s.open(spec.ModuleBytes)
+	const matrix = inferenceMatrixBytes
+	s := []Msg{initMsg(spec.ModuleBytes)}
 	for range spec.Layers {
-		s.malloc(1)
-		s.add(protocol.OpMemcpyToDevice, 20+inferenceMatrixBytes, 4)
+		s = append(s, mallocMsg, Msg{Op: protocol.OpMemcpyToDevice, Send: 20 + matrix, Recv: 4, Bulk: matrix})
 	}
-	s.malloc(2)
-	s.add(protocol.OpStreamCreate, 4, 8)
-	s.add(protocol.OpEventCreate, 4, 8)
+	s = append(s, mallocMsg, mallocMsg,
+		Msg{Op: protocol.OpStreamCreate, Send: 4, Recv: 8},
+		Msg{Op: protocol.OpEventCreate, Send: 4, Recv: 8})
 
 	// Request loop.
 	propsRecv := int64(36 + len(spec.DeviceName))
-	launchBytes := LaunchBytes(calib.MM)
+	launch := launchMsg(calib.MM, 1, 0)
 	for r := range spec.Requests {
 		// The loop polls device properties to size its launches; the
 		// batched client answers every poll after the first from cache.
 		if !spec.Batched || r == 0 {
-			s.add(protocol.OpGetDeviceProperties, 4, propsRecv)
+			s = append(s, Msg{Op: protocol.OpGetDeviceProperties, Send: 4, Recv: propsRecv})
 		}
 		if spec.Batched {
 			// One OpBatch frame: header + length-prefixed input copy,
@@ -133,27 +149,26 @@ func InferenceSchedule(spec InferenceSpec) []Msg {
 			// the event synchronization; one combined response carrying a
 			// code per sub-op.
 			subs := spec.Layers + 3
-			send := int64(16) + (4 + copyBytes) + int64(spec.Layers)*(4+launchBytes) + (4 + 12) + (4 + 8)
-			s.add(protocol.OpBatch, send, int64(8+4*subs)).Wait = calib.PCIeTime(calib.MM, InferenceDim) +
-				time.Duration(spec.Layers)*calib.KernelTime(calib.MM, InferenceDim)
+			send := int64(16) + (4 + 24 + matrix) + int64(spec.Layers)*(4+launch.Send) + (4 + 12) + (4 + 8)
+			s = append(s, Msg{Op: protocol.OpBatch, Send: send, Recv: int64(8 + 4*subs),
+				Wait: calib.PCIeTime(calib.MM, InferenceDim) + time.Duration(spec.Layers)*calib.KernelTime(calib.MM, InferenceDim)})
 		} else {
-			s.add(protocol.OpMemcpyToDeviceAsync, copyBytes, 4).Stream = 1
-			for range spec.Layers {
-				s.add(protocol.OpLaunch, launchBytes, 4).Stream = 1
-			}
-			s.add(protocol.OpEventRecord, 12, 4).Stream = 1
-			s.add(protocol.OpEventSynchronize, 8, 4)
+			s = append(s, Msg{Op: protocol.OpMemcpyToDeviceAsync, Send: 24 + matrix, Recv: 4, Stream: 1, Bulk: matrix})
+			s = repeat(s, spec.Layers, launch)
+			s = append(s,
+				Msg{Op: protocol.OpEventRecord, Send: 12, Recv: 4, Stream: 1},
+				Msg{Op: protocol.OpEventSynchronize, Send: 8, Recv: 4})
 			// The batched client answers a poll of the event it has just
 			// synchronized itself.
-			s.repeat(spec.Polls, protocol.OpEventQuery, 8, 4)
+			s = repeat(s, spec.Polls, Msg{Op: protocol.OpEventQuery, Send: 8, Recv: 4})
 		}
-		s.add(protocol.OpMemcpyToHost, 20, inferenceMatrixBytes+4)
+		s = append(s, Msg{Op: protocol.OpMemcpyToHost, Send: 20, Recv: 4 + matrix, Bulk: matrix})
 	}
 
 	// Teardown: event, stream, every buffer, finalization.
-	s.add(protocol.OpEventDestroy, 8, 4)
-	s.add(protocol.OpStreamDestroy, 8, 4)
-	s.free(spec.Layers + 2)
-	s.finalize()
-	return s
+	s = append(s,
+		Msg{Op: protocol.OpEventDestroy, Send: 8, Recv: 4},
+		Msg{Op: protocol.OpStreamDestroy, Send: 8, Recv: 4})
+	s = repeat(s, spec.Layers+2, freeMsg)
+	return append(s, finalizeMsg)
 }

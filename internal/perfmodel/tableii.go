@@ -43,9 +43,7 @@ func TableII(cs calib.CaseStudy, size int, link *netsim.Link) []TableIIRow {
 	// Control traffic rides the measured small-message curve; a bulk
 	// payload rides the bandwidth model, with the rest of its message
 	// priced as a small one.
-	copyBytes := calib.CopyBytes(cs, size)
-	small := link.SmallMessageTime
-	bulk := func(n int64) time.Duration { return small(n-copyBytes) + link.PayloadTime(copyBytes) }
+	price := func(n, bulk int64) time.Duration { return link.SmallMessageTime(n-bulk) + link.PayloadTime(bulk) }
 
 	var rows []TableIIRow
 	for _, m := range Schedule(cs, size) {
@@ -56,18 +54,15 @@ func TableII(cs calib.CaseStudy, size int, link *netsim.Link) []TableIIRow {
 			rows[n-1].Count++
 			continue
 		}
-		r := TableIIRow{
+		sendBulk, recvBulk := m.Bulk, int64(0)
+		if m.Op.Phase() == protocol.PhaseOutput {
+			sendBulk, recvBulk = 0, m.Bulk
+		}
+		rows = append(rows, TableIIRow{
 			Op: m.Op, Count: 1,
 			SendBytes: m.Send, RecvBytes: m.Recv,
-			SendTime: small(m.Send), RecvTime: small(m.Recv),
-		}
-		switch m.Op {
-		case protocol.OpMemcpyToDevice:
-			r.SendTime = bulk(m.Send)
-		case protocol.OpMemcpyToHost:
-			r.RecvTime = bulk(m.Recv)
-		}
-		rows = append(rows, r)
+			SendTime: price(m.Send, sendBulk), RecvTime: price(m.Recv, recvBulk),
+		})
 	}
 	return rows
 }

@@ -606,14 +606,11 @@ func (s *Server) serveSession(conn transport.Conn, withinConnCap bool) error {
 	s.mu.Lock()
 	sess.conn = conn
 	s.mu.Unlock()
-	s.attached.Add(1)
-	s.classAttached[sess.schedClass%sched.NumClasses].Add(1)
 	finalized := false
 	defer func() {
 		// sess.schedClass is handler-goroutine-owned and this defer runs on
 		// that goroutine, so it sees any mid-life hello re-class.
-		s.classAttached[sess.schedClass%sched.NumClasses].Add(-1)
-		s.attached.Add(-1)
+		s.countLive(sess, -1)
 		s.releaseSession(sess, finalized)
 	}()
 
@@ -876,6 +873,15 @@ func (s *Server) handshake(conn transport.Conn, withinConnCap bool) (*session, e
 	return sess, nil
 }
 
+// countLive moves the live-session gauges by n for sess. The handshake
+// counts a session before the reply that tells its client it is open, so a
+// client whose Open returned never reads its session missing from a
+// snapshot or a probe.
+func (s *Server) countLive(sess *session, n int64) {
+	s.attached.Add(n)
+	s.classAttached[sess.schedClass%sched.NumClasses].Add(n)
+}
+
 // admitSession completes the handshake of an admitted init request. The
 // module image aliases the received frame, so it is resolved here, before
 // anything else is received on conn, and only the *gpu.Module is kept.
@@ -897,8 +903,10 @@ func (s *Server) admitSession(conn transport.Conn, image []byte) (*session, erro
 		}
 		return nil, fmt.Errorf("rcuda: module load: %w", err)
 	}
+	s.countLive(sess, 1)
 	if err := conn.Send(reply); err != nil {
 		// handshake releases the slot of a session that never started.
+		s.countLive(sess, -1)
 		sess.slotHeld = false
 		s.destroySession(sess)
 		return nil, err
@@ -935,9 +943,11 @@ func (s *Server) reattachSession(conn transport.Conn, r *protocol.ReattachReques
 			cur := sess.cur
 			s.mu.Unlock()
 			maj, min := s.devs[cur].Capability()
+			s.countLive(sess, 1)
 			if err := conn.Send(&protocol.ReattachResponse{CapabilityMajor: maj, CapabilityMinor: min}); err != nil {
 				// The splice failed on the wire; park the session again so
 				// another reattach (or the GC) can claim it.
+				s.countLive(sess, -1)
 				s.mu.Lock()
 				s.parkLocked(sess)
 				s.mu.Unlock()

@@ -178,6 +178,47 @@ func TestSessionsLiveCountsSessionsNotConnections(t *testing.T) {
 	_ = srv.Close()
 }
 
+// liveAtReply is a server end that reads its server's live-session gauge
+// as the first reply, the handshake's, leaves.
+type liveAtReply struct {
+	transport.Conn
+	srv  *Server
+	sent bool
+	live int64
+}
+
+func (c *liveAtReply) Send(m protocol.Message) error {
+	if !c.sent {
+		c.sent = true
+		c.live = c.srv.StatsSnapshot().SessionsLive
+	}
+	return c.Conn.Send(m)
+}
+
+// TestSessionsLiveCountsASessionBeforeItsReply: a client whose Open has
+// returned must find its session in the gauge the least-loaded ranking
+// reads, so the server counts it before the init reply leaves.
+func TestSessionsLiveCountsASessionBeforeItsReply(t *testing.T) {
+	clk := vclock.NewSim()
+	srv := NewServer(gpu.New(gpu.Config{Clock: clk}))
+	cliEnd, srvEnd := transport.Pipe(netsim.IB40G(), clk, nil)
+	end := &liveAtReply{Conn: srvEnd, srv: srv}
+	done := make(chan error, 1)
+	go func() { done <- srv.ServeConn(end) }()
+	client, err := Open(cliEnd, moduleImage(t, calib.MM))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end.live != 1 {
+		t.Errorf("SessionsLive = %d as the init reply left, want 1", end.live)
+	}
+	_ = client.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	_ = srv.Close()
+}
+
 // TestStatsProbeServedPastConnCap checks monitoring keeps working on a
 // server whose connection cap is exhausted: the probe is answered where a
 // session handshake would be refused busy.

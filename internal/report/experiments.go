@@ -429,10 +429,12 @@ func batchedInferenceResults() (inferenceSummary, error) {
 		layers:   workload.DefaultInferenceLayers,
 		requests: workload.DefaultInferenceRequests,
 	}
-	// Unbatched round trips per request: one properties poll, one async
-	// input copy, one launch per layer, event record + synchronize, the
-	// default single event query, and the result download.
-	s.unbatchedPerReq = 1 + 1 + s.layers + 1 + 1 + workload.DefaultInferencePolls + 1
+	// Unbatched round trips per request: the messages one more request
+	// adds to the session's schedule.
+	spec := perfmodel.InferenceSpec{Layers: s.layers, Polls: workload.DefaultInferencePolls}
+	oneRequest := spec
+	oneRequest.Requests = 1
+	s.unbatchedPerReq = len(perfmodel.InferenceSchedule(oneRequest)) - len(perfmodel.InferenceSchedule(spec))
 	cells := []struct {
 		netName string
 		batched bool

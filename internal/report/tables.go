@@ -263,19 +263,18 @@ func (c Config) TableVIData() (map[calib.CaseStudy]TableVIResult, error) {
 		if res.GPU, err = workload.MeasureSeries(cs, workload.LocalGPU, workload.Options{Noise: c.noise(4)}, c.reps()); err != nil {
 			return nil, err
 		}
-		if res.CrossGigaE, err = perfmodel.CrossValidate(cs, ge, ib, res.MeasuredGigaE, res.Measured40GI); err != nil {
-			return nil, err
-		}
-		if res.Cross40GI, err = perfmodel.CrossValidate(cs, ib, ge, res.Measured40GI, res.MeasuredGigaE); err != nil {
-			return nil, err
-		}
-
 		geModel, err := perfmodel.Build(cs, ge, res.MeasuredGigaE)
 		if err != nil {
 			return nil, err
 		}
 		ibModel, err := perfmodel.Build(cs, ib, res.Measured40GI)
 		if err != nil {
+			return nil, err
+		}
+		if res.CrossGigaE, err = perfmodel.CrossValidate(geModel, ib, res.Measured40GI); err != nil {
+			return nil, err
+		}
+		if res.Cross40GI, err = perfmodel.CrossValidate(ibModel, ge, res.MeasuredGigaE); err != nil {
 			return nil, err
 		}
 		for _, target := range netsim.Targets() {

@@ -49,12 +49,11 @@ func RunPipelined(size int, chunks int, opts Options) (Report, error) {
 }
 
 // runPipelinedAnalytic walks the pipelined schedule, booking each async
-// op's work on the device's two-engine timeline and waiting for both
+// op's device time on the device's two-engine timeline — a copy's on the
+// copy engine, a launch's on the execution engine — and waiting for both
 // engines at the device synchronization.
 func runPipelinedAnalytic(size, chunks int, opts Options) (Report, error) {
 	sw := vclock.NewStopwatch(opts.Clock)
-	pcie := calib.PCIeTime(calib.FFT, size/chunks)
-	kernel := calib.KernelTime(calib.FFT, size/chunks)
 
 	// Host-side setup, exactly like the synchronous run.
 	parts := Breakdown{
@@ -78,12 +77,12 @@ func runPipelinedAnalytic(size, chunks int, opts Options) (Report, error) {
 	}
 	for _, m := range perfmodel.PipelinedSchedule(size, chunks) {
 		opts.Clock.Sleep(opts.perturb(opts.Link.WireTime(m.Send)))
-		switch m.Op {
-		case protocol.OpMemcpyToDeviceAsync, protocol.OpMemcpyToHostAsync:
-			book(&copyFree, m.Stream, pcie)
-		case protocol.OpLaunch:
-			book(&execFree, m.Stream, kernel)
-		case protocol.OpDeviceSynchronize:
+		switch {
+		case m.Bulk > 0:
+			book(&copyFree, m.Stream, m.Device)
+		case m.Device > 0:
+			book(&execFree, m.Stream, m.Device)
+		case m.Op == protocol.OpDeviceSynchronize:
 			if sim, ok := opts.Clock.(*vclock.Sim); ok {
 				sim.AdvanceTo(max(copyFree, execFree))
 			}

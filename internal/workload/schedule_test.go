@@ -9,19 +9,29 @@ import (
 	"rcuda/internal/kernels"
 	"rcuda/internal/netsim"
 	"rcuda/internal/perfmodel"
+	"rcuda/internal/protocol"
 	"rcuda/internal/rcuda"
 	"rcuda/internal/trace"
 	"rcuda/internal/transport"
 	"rcuda/internal/vclock"
 )
 
+// copyFixed is each copy op's fixed request and reply length (Table I's
+// fields): whatever a recorded copy carries beyond them is its payload.
+var copyFixed = map[protocol.Op]int{
+	protocol.OpMemcpyToDevice:      20 + 4,
+	protocol.OpMemcpyToHost:        20 + 4,
+	protocol.OpMemcpyToDeviceAsync: 24 + 4,
+	protocol.OpMemcpyToHostAsync:   24 + 4,
+}
+
 // TestSchedulesMatchTheWire is the oracle of every perfmodel schedule
 // builder: a functional run of the same session, recorded through
 // rcuda.Observer, must carry the builder's messages one for one — same op,
-// same request bytes, same reply bytes, in the same order. The inference
-// sessions' recordings are also held to their connection's own counters,
-// so the schedules match what the wire moved, not only what the client
-// reports.
+// same request bytes, same reply bytes, same bulk payload, in the same
+// order. The inference sessions' recordings are also held to their
+// connection's own counters, so the schedules match what the wire moved,
+// not only what the client reports.
 func TestSchedulesMatchTheWire(t *testing.T) {
 	type shape struct {
 		name string
@@ -55,10 +65,16 @@ func TestSchedulesMatchTheWire(t *testing.T) {
 		for i := range max(len(s.got), len(s.want)) {
 			g, w := "nothing", "nothing"
 			if i < len(s.got) {
-				g = fmt.Sprintf("%v %d/%d B", s.got[i].Op, s.got[i].SendBytes, s.got[i].RecvBytes)
+				e := s.got[i]
+				var bulk int
+				if fixed, ok := copyFixed[e.Op]; ok {
+					bulk = e.SendBytes + e.RecvBytes - fixed
+				}
+				g = fmt.Sprintf("%v %d/%d B, bulk %d B", e.Op, e.SendBytes, e.RecvBytes, bulk)
 			}
 			if i < len(s.want) {
-				w = fmt.Sprintf("%v %d/%d B", s.want[i].Op, s.want[i].Send, s.want[i].Recv)
+				m := s.want[i]
+				w = fmt.Sprintf("%v %d/%d B, bulk %d B", m.Op, m.Send, m.Recv, m.Bulk)
 			}
 			if g != w {
 				t.Errorf("%s: message %d is %s on the wire (%d messages), %s in the schedule (%d)",

@@ -135,8 +135,9 @@ func (o Options) perturb(d time.Duration) time.Duration {
 }
 
 // modeled returns the calibrated components of a GPU run — context
-// creation on the local GPU, middleware marshaling remotely — each
-// perturbed in field order.
+// creation on the local GPU, middleware marshaling remotely, and the device
+// time of the session's copies (PCIe) and launch (Kernel), which a local
+// run does too — each perturbed in field order.
 func (o Options) modeled(cs calib.CaseStudy, size int, b Backend) Breakdown {
 	var p Breakdown
 	if b == LocalGPU {
@@ -146,8 +147,16 @@ func (o Options) modeled(cs calib.CaseStudy, size int, b Backend) Breakdown {
 	if b == Remote {
 		p.Marshal = o.perturb(calib.MarshalTime(cs, size))
 	}
-	p.PCIe = o.perturb(time.Duration(calib.CopyCount(cs)) * calib.PCIeTime(cs, size))
-	p.Kernel = o.perturb(calib.KernelTime(cs, size))
+	var pcie, kernel time.Duration
+	for _, m := range perfmodel.Schedule(cs, size) {
+		if m.Bulk > 0 {
+			pcie += m.Device
+		} else {
+			kernel += m.Device
+		}
+	}
+	p.PCIe = o.perturb(pcie)
+	p.Kernel = o.perturb(kernel)
 	p.Mgmt = o.perturb(calib.Mgmt)
 	return p
 }

@@ -212,7 +212,11 @@ func TestMeasureSeriesFeedsModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := perfmodel.CrossValidate(calib.FFT, ge, ib, geMeas, ibMeas)
+	model, err := perfmodel.Build(calib.FFT, ge, geMeas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := perfmodel.CrossValidate(model, ib, ibMeas)
 	if err != nil {
 		t.Fatal(err)
 	}
