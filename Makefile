@@ -14,7 +14,7 @@ help:
 	@echo "  build        compile and vet everything (plus an arm64 cross-vet of blas/kernels/gpu and a check that the arm64 code of blas/fft/kernels fuses no multiply-add)"
 	@echo "  test         run all tests, including the Example programs of example_test.go, whose printed output is compared"
 	@echo "  race         run all tests under the race detector"
-	@echo "  verify       tier-1 gate: build + test + vet + race on data path, broker, workloads, report, device service (blas/kernels/gpu/cudart), vclock, calib, stats, perfmodel, contention, cluster, trace, event loop (des) + chaos suite + one pass of the device-service, placer, load-generator, event-loop, workload and cluster benchmarks"
+	@echo "  verify       tier-1 gate: build + test + vet + race on data path, broker, workloads, report, device service (blas/kernels/gpu/cudart), vclock, calib, stats, perfmodel, contention, cluster, trace, event loop (des) + chaos suite + one pass of the device-service, placer, load-generator, event-loop (hold and renewal), workload and cluster benchmarks"
 	@echo "  lint         go vet + rcuda-vet invariant analyzers + gofmt diff check"
 	@echo "  vet          rcuda-vet only: seededrand/wiremsg/locknet/errcode invariants"
 	@echo "  loc          non-blank, non-comment, non-test Go lines per package (the count 'smaller' claims cite), the test lines outside bench/, and the non-test total outside bench/"
@@ -101,7 +101,7 @@ loc:
 # every benchmark of the device service, the placer
 # (BenchmarkPickSaturated), the load generator (BenchmarkRunScaleDown,
 # BenchmarkRunClasses), the event loop (BenchmarkEventLoop,
-# BenchmarkEventLoopHold), the workloads (BenchmarkAnalyticRemoteRun,
+# BenchmarkEventLoopHold, BenchmarkEventLoopRenewal), the workloads (BenchmarkAnalyticRemoteRun,
 # BenchmarkPipelinedAnalytic, BenchmarkFunctionalRemoteRun) and the cluster
 # scheduler (BenchmarkSimulate64Jobs, BenchmarkGenerateTrace) runs once, so
 # the in-package witnesses DESIGN.md cites keep compiling and running.

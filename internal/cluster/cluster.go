@@ -138,18 +138,25 @@ func Simulate(cfg Config, jobs []Job) (Result, error) {
 		nGPUs = cfg.Nodes // fully equipped: a GPU wherever the job runs
 	}
 
-	scheduled := append([]Job(nil), jobs...)
-	for i := range scheduled {
-		p, err := jobProfile(cfg, scheduled[i])
+	// Each job is profiled once; its service time rides beside it through
+	// the sort.
+	type entry struct {
+		job     Job
+		service time.Duration
+	}
+	queue := make([]entry, len(jobs))
+	for i, j := range jobs {
+		p, err := jobProfile(cfg, j)
 		if err != nil {
 			return Result{}, err
 		}
-		scheduled[i].Ready = scheduled[i].Arrival + p.prep
+		j.Ready = j.Arrival + p.prep
+		queue[i] = entry{j, p.device + p.network}
 	}
 	// List scheduling in ready order; ties broken by arrival then ID for
 	// determinism.
-	sort.Slice(scheduled, func(a, b int) bool {
-		ja, jb := scheduled[a], scheduled[b]
+	sort.Slice(queue, func(a, b int) bool {
+		ja, jb := queue[a].job, queue[b].job
 		if ja.Ready != jb.Ready {
 			return ja.Ready < jb.Ready
 		}
@@ -159,15 +166,13 @@ func Simulate(cfg Config, jobs []Job) (Result, error) {
 		return ja.ID < jb.ID
 	})
 
+	scheduled := make([]Job, len(queue))
 	free := make([]time.Duration, nGPUs)
 	busy := make([]time.Duration, nGPUs)
 
-	for i := range scheduled {
+	for i, e := range queue {
 		j := &scheduled[i]
-		p, err := jobProfile(cfg, *j)
-		if err != nil {
-			return Result{}, err
-		}
+		*j = e.job
 		// Least loaded: the GPU that frees up earliest, lowest index on a tie.
 		g := 0
 		for k, f := range free {
@@ -175,7 +180,7 @@ func Simulate(cfg Config, jobs []Job) (Result, error) {
 				g = k
 			}
 		}
-		service := p.device + p.network
+		service := e.service
 		start := j.Ready
 		if free[g] > start {
 			start = free[g]

@@ -12,7 +12,10 @@
 // The pending callbacks wait in a monotone radix queue: no event is ever
 // scheduled before the one that fired last, so each is filed by the highest
 // bit in which its (time, schedule order) key differs from that last key,
-// and a timer moves only towards lower buckets until it fires.
+// and a timer moves only towards lower buckets until it fires. One pending
+// timer waits in front of the queue instead: a renewal process's next
+// event is nearly always the earliest scheduled, and it fires from there
+// without touching a bucket.
 package des
 
 import (
@@ -22,16 +25,24 @@ import (
 	"time"
 )
 
-// EventLoop holds only its pending callbacks, in a radix queue of 128
-// buckets over one slab of timers, so a million-session run is a few
-// million bucket operations on one stack. Events fire in (time, schedule
-// order), so two runs that schedule the same callbacks produce identical
-// timelines.
+// EventLoop holds only its pending callbacks, in a front slot and a radix
+// queue of 128 buckets over one slab of timers, so a million-session run
+// is a few million bucket operations on one stack. Events fire in (time,
+// schedule order), so two runs that schedule the same callbacks produce
+// identical timelines.
 type EventLoop struct {
 	now     time.Duration
 	seq     int64
 	running bool
 	stopped bool
+
+	// front is the slot + 1 of the timer held in front of the queue (0:
+	// none), and frontAt, frontSeq its key. A new timer takes the front
+	// when it is empty or when the new timer is strictly earlier than the
+	// one there, which is filed into the queue; a tie goes behind, its seq
+	// being larger.
+	front             int32
+	frontAt, frontSeq uint64
 
 	// lastAt and lastSeq are the key of the timer that fired last (zero
 	// before the first); every pending key is above it.
@@ -112,7 +123,16 @@ func (l *EventLoop) schedule(delay time.Duration, fn callback, arg int64) {
 	t := l.slab.at(slot)
 	l.freeSlot = int32(t.arg)
 	*t = timer{at: at, seq: l.seq, fn: fn, arg: arg}
-	l.file(slot, uint64(at), uint64(l.seq))
+	key, seq := uint64(at), uint64(l.seq)
+	switch {
+	case l.front == 0:
+	case key < l.frontAt:
+		l.file(l.front-1, l.frontAt, l.frontSeq)
+	default:
+		l.file(slot, key, seq)
+		return
+	}
+	l.front, l.frontAt, l.frontSeq = slot+1, key, seq
 }
 
 // Stop makes Run return before firing the next callback. Pending events
@@ -128,7 +148,7 @@ func (l *EventLoop) Run() time.Duration {
 	l.running = true
 	l.stopped = false
 	defer func() { l.running = false }()
-	for l.occupied != [2]uint64{} && !l.stopped {
+	for (l.front != 0 || l.occupied != [2]uint64{}) && !l.stopped {
 		e := l.pop()
 		if e.at < l.now {
 			panic(fmt.Sprintf("des: event loop time went backwards: %v -> %v", l.now, e.at))
@@ -186,18 +206,24 @@ func (l *EventLoop) file(slot int32, at, seq uint64) {
 	b.n++
 }
 
-// pop removes and returns the earliest timer: the one the lowest occupied
-// bucket holds apart, since that bucket's keys share more leading bits
-// with the last key than any other bucket's. Its key becomes the last key,
-// and the rest of its bucket, which agrees with the new key above the
-// bucket's bit, files into lower buckets; the buckets above keep their
-// timers, which differ from the new key where they differed from the old.
-// The slot is zeroed so the fired callback's closure is not kept
-// reachable.
+// pop removes and returns the earliest timer. The queue's earliest is the
+// one the lowest occupied bucket holds apart, since that bucket's keys
+// share more leading bits with the last key than any other bucket's; the
+// front timer fires instead when it precedes that one, and leaves the last
+// key as it was: the queued keys stay above it, and so does every key
+// scheduled later, being above the front's. A timer fired from the queue
+// makes its key the last key, and the rest of its bucket, which agrees
+// with the new key above the bucket's bit, files into lower buckets; the
+// buckets above keep their timers, which differ from the new key where
+// they differed from the old.
 func (l *EventLoop) pop() timer {
 	i := bits.TrailingZeros64(l.occupied[0])
 	if l.occupied[0] == 0 {
 		i = 64 + bits.TrailingZeros64(l.occupied[1])
+	}
+	if f := l.front; f != 0 && (i == len(l.buckets) || l.frontFirst(i)) {
+		l.front = 0
+		return l.take(f - 1)
 	}
 	l.occupied[i>>6] &^= 1 << (i & 63)
 	b := l.buckets[i]
@@ -209,10 +235,23 @@ func (l *EventLoop) pop() timer {
 		}
 	}
 	l.freeBlocks(b.head)
-	t := l.slab.at(b.min)
+	return l.take(b.min)
+}
+
+// frontFirst reports whether the front timer precedes the earliest timer
+// of bucket i.
+func (l *EventLoop) frontFirst(i int) bool {
+	b := &l.buckets[i]
+	return l.frontAt < b.minAt || l.frontAt == b.minAt && l.frontSeq < b.minSeq
+}
+
+// take frees slot and returns the timer it held. The slot is zeroed so the
+// fired callback's closure is not kept reachable.
+func (l *EventLoop) take(slot int32) timer {
+	t := l.slab.at(slot)
 	fired := *t
 	*t = timer{arg: int64(l.freeSlot)}
-	l.freeSlot = b.min + 1
+	l.freeSlot = slot + 1
 	return fired
 }
 

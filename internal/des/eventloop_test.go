@@ -3,6 +3,7 @@ package des
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
@@ -66,10 +67,13 @@ func TestEventLoopStopResume(t *testing.T) {
 	}
 }
 
-// pending counts the timers filed in the loop's buckets: each occupied
-// bucket's earliest and the slots its blocks list.
+// pending counts the loop's timers: the front one and those filed in its
+// buckets, each occupied bucket's earliest and the slots its blocks list.
 func (l *EventLoop) pending() int {
 	n := 0
+	if l.front != 0 {
+		n++
+	}
 	for i, b := range l.buckets {
 		if l.occupied[i>>6]&(1<<(i&63)) == 0 {
 			continue
@@ -204,6 +208,105 @@ func TestEventLoopMatchesSortOracle(t *testing.T) {
 		events += len(got)
 	}
 	t.Logf("%d events fired in order over %d runs of the loop", events, resumes)
+
+	// The renewal shape, the front timer's case: one chain of timers, each
+	// firing scheduling the next a short gap later, beside a population of
+	// held timers, each rescheduling itself a long delay later. Gaps and
+	// delays are whole quanta, and a quarter of the held timers land on
+	// the renewal's next instant, so ties meet the front timer from both
+	// sides. Some renewals call Stop; whenever the front then holds the
+	// earliest timer, the test schedules from outside Run one timer at its
+	// instant, one after it and one before it, and resumes.
+	const q = time.Microsecond
+	events, frontStops := 0, 0
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		l := NewEventLoop()
+		var want, got []stamp
+		budget := 20000
+		var nextRenewal time.Duration
+		sched := func(d time.Duration, then func()) {
+			budget--
+			s := stamp{l.Now() + d, len(want)}
+			want = append(want, s)
+			l.At(d, func() {
+				if l.Now() != s.at {
+					t.Fatalf("seed %d: event %+v fired at %v", seed, s, l.Now())
+				}
+				got = append(got, s)
+				then()
+			})
+		}
+		var hold, renew func()
+		hold = func() {
+			if budget <= 0 {
+				return
+			}
+			d := q * time.Duration(rng.Intn(2000))
+			if rng.Intn(4) == 0 && nextRenewal >= l.Now() {
+				d = nextRenewal - l.Now()
+			}
+			sched(d, hold)
+		}
+		renew = func() {
+			if rng.Intn(50) == 0 {
+				l.Stop()
+			}
+			if budget > 0 {
+				gap := q * time.Duration(1+rng.Intn(3))
+				nextRenewal = l.Now() + gap
+				sched(gap, renew)
+			}
+		}
+		for i := 0; i < 1000; i++ {
+			sched(q*time.Duration(rng.Intn(2000)), hold)
+		}
+		sched(q, renew)
+		for l.pending() > 0 {
+			l.Run()
+			if l.pending() == 0 || !l.frontNext() {
+				continue
+			}
+			frontStops++
+			at := time.Duration(l.frontAt)
+			sched(at-l.Now(), hold)
+			sched(at-l.Now()+q*time.Duration(1+rng.Intn(3)), hold)
+			if at > l.Now() {
+				sched(time.Duration(rng.Int63n(int64(at-l.Now()))), hold)
+			}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].at != want[j].at {
+				return want[i].at < want[j].at
+			}
+			return want[i].seq < want[j].seq
+		})
+		if len(got) != len(want) {
+			t.Fatalf("renewal seed %d: fired %d of %d timers", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("renewal seed %d: event %d fired as %+v, want %+v", seed, i, got[i], want[i])
+			}
+		}
+		events += len(got)
+	}
+	if frontStops == 0 {
+		t.Fatal("no Stop left the front timer earliest; the resume case went untested")
+	}
+	t.Logf("renewal beside held timers: %d events fired in order, %d stops with the front timer earliest", events, frontStops)
+}
+
+// frontNext reports whether the front timer is the one pop fires next.
+func (l *EventLoop) frontNext() bool {
+	if l.front == 0 {
+		return false
+	}
+	i := bits.TrailingZeros64(l.occupied[0])
+	if l.occupied[0] == 0 {
+		i = 64 + bits.TrailingZeros64(l.occupied[1])
+	}
+	return i == len(l.buckets) || l.frontFirst(i)
 }
 
 func TestEventLoopNegativeDelayClamps(t *testing.T) {
@@ -262,12 +365,27 @@ func TestEventLoopHeapOrder(t *testing.T) {
 			t.Fatalf("event %d fired as %+v, want %+v", i, got[i], want[i])
 		}
 	}
+	if l.front != 0 {
+		t.Fatalf("the drained loop still holds slot %d in front", l.front-1)
+	}
 	for c, chunk := range l.slab.chunks {
 		for j, e := range chunk {
 			if e.fn != nil {
 				t.Fatalf("popped slot %d of chunk %d still holds its callback", j, c)
 			}
 		}
+	}
+
+	// A lone timer waits in front of the queue, in no bucket; firing it
+	// from there drops its callback all the same.
+	l = NewEventLoop()
+	l.At(time.Millisecond, func() {})
+	if l.front == 0 || l.occupied != [2]uint64{} {
+		t.Fatalf("a lone timer: front %d, occupied %b; want it in front", l.front, l.occupied)
+	}
+	l.Run()
+	if l.front != 0 || l.slab.at(0).fn != nil {
+		t.Fatalf("after firing the front timer: front %d, callback kept %v", l.front, l.slab.at(0).fn != nil)
 	}
 }
 
@@ -402,4 +520,33 @@ func BenchmarkEventLoopHold(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
 		})
 	}
+}
+
+// BenchmarkEventLoopRenewal runs one renewal timer beside 10^3 held
+// timers: each held timer reschedules itself an exponential delay later
+// (mean 1 ms), and the renewal an exponential gap later at the same total
+// rate (mean 1 µs), so half the events are renewals — loadgen's arrival
+// process beside its sessions' holds, without the placer. ns/event is one
+// pop plus one schedule; the renewals fire from the front slot.
+func BenchmarkEventLoopRenewal(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	draw := func(mean time.Duration) time.Duration { return time.Duration(rng.ExpFloat64() * float64(mean)) }
+	l := NewEventLoop()
+	left := b.N
+	var hold, renew func()
+	stop := func() {
+		if left--; left == 0 {
+			l.Stop()
+		}
+	}
+	hold = func() { stop(); l.At(draw(time.Millisecond), hold) }
+	renew = func() { stop(); l.At(draw(time.Microsecond), renew) }
+	for i := 0; i < 1000; i++ {
+		l.At(draw(time.Millisecond), hold)
+	}
+	l.At(draw(time.Microsecond), renew)
+	b.ReportAllocs()
+	b.ResetTimer()
+	l.Run()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
 }
