@@ -14,7 +14,7 @@ help:
 	@echo "  build        compile and vet everything (plus an arm64 cross-vet of blas/kernels/gpu and a check that the arm64 code of blas/fft/kernels fuses no multiply-add)"
 	@echo "  test         run all tests, including the Example programs of example_test.go, whose printed output is compared"
 	@echo "  race         run all tests under the race detector"
-	@echo "  verify       tier-1 gate: build + test + vet + race on data path, broker, workloads, report, device service (blas/kernels/gpu/cudart), vclock, calib, stats, perfmodel, contention, cluster, trace, event loop (des) + chaos suite + one pass of the device-service, placer, load-generator, event-loop (hold and renewal), workload and cluster benchmarks"
+	@echo "  verify       tier-1 gate: build + test + vet + race on data path, broker, workloads, report, device service (blas/kernels/gpu/cudart), vclock, calib, stats, perfmodel, contention, cluster, trace, event loop (des), the commands (cmd/...) + chaos suite + one pass of the device-service, placer, load-generator, event-loop (hold and renewal), workload and cluster benchmarks"
 	@echo "  lint         go vet + rcuda-vet invariant analyzers + gofmt diff check"
 	@echo "  vet          rcuda-vet only: seededrand/wiremsg/locknet/errcode invariants"
 	@echo "  loc          non-blank, non-comment, non-test Go lines per package (the count 'smaller' claims cite), the test lines outside bench/, and the non-test total outside bench/"
@@ -97,7 +97,10 @@ loc:
 # contention simulator, the cluster scheduler and the call recorder
 # (internal/perfmodel, contention, cluster, trace) run under it too: the
 # schedule oracle records a session across client and server goroutines,
-# and so does the event loop every simulation runs on (internal/des). Last,
+# and so does the event loop every simulation runs on (internal/des). So do
+# the commands' own tests (./cmd/...): rcuda-broker's kills one of three
+# in-process daemons mid-batch, rcuda-perf's measures a daemon over
+# loopback. Last,
 # every benchmark of the device service, the placer
 # (BenchmarkPickSaturated), the load generator (BenchmarkRunScaleDown,
 # BenchmarkRunClasses), the event loop (BenchmarkEventLoop,
@@ -110,7 +113,8 @@ verify: build test vet chaos
 		./internal/report/... . \
 		./internal/blas/... ./internal/kernels/... ./internal/gpu/... ./internal/cudart/... \
 		./internal/vclock/... ./internal/calib/... ./internal/stats/... \
-		./internal/perfmodel/... ./internal/contention/... ./internal/cluster/... ./internal/trace/... ./internal/des/...
+		./internal/perfmodel/... ./internal/contention/... ./internal/cluster/... ./internal/trace/... ./internal/des/... \
+		./cmd/...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/blas ./internal/kernels ./internal/gpu ./internal/broker ./internal/loadgen ./internal/workload ./internal/cluster ./internal/des
 
 # Chaos suite: every fault kind's transport semantics, the retry policy, and

@@ -120,9 +120,10 @@ func toScaleResult(name string, r *loadgen.Result) scaleResult {
 		if c.SchedClass == protocol.SchedClassUnspecified {
 			continue
 		}
+		row, _ := protocol.ClassRow(c.SchedClass)
 		sr.Classes = append(sr.Classes, scaleClass{
 			Name:       c.Name,
-			SchedClass: sched.Class(c.SchedClass - 1).String(), // a wire code is the class plus one
+			SchedClass: sched.Class(row).String(),
 			Sessions:   c.Sessions,
 			Placements: c.Placements,
 			WaitP50US:  c.WaitP50.Microseconds(),

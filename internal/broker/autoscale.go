@@ -20,9 +20,11 @@ import (
 //   - occupancy = demand / (daemons · DaemonCapacity), where demand counts
 //     live sessions plus queued placements (queued demand must push the
 //     fleet up, or a saturated pool would look exactly "full" forever);
-//   - above UpThreshold the fleet grows toward
-//     ceil(demand / (capacity · TargetOccupancy));
+//   - above upThreshold (0.85) the fleet grows toward
+//     ceil(demand / (capacity · targetOccupancy)), targetOccupancy 0.70;
 //   - below DownThreshold it shrinks toward the same target;
+//   - one decision moves the fleet all the way to the target, unless a
+//     spawn fails or a retirement is vetoed;
 //   - no two actions happen within Cooldown of each other, so a burst's
 //     edge cannot flap the fleet.
 //
@@ -41,19 +43,23 @@ type AutoscalerConfig struct {
 	// DaemonCapacity is the session capacity of one daemon, the
 	// denominator of the occupancy signal. Defaults to 64.
 	DaemonCapacity int
-	// TargetOccupancy is the fleet utilization the controller steers
-	// toward after a threshold trips. Defaults to 0.70.
-	TargetOccupancy float64
-	// UpThreshold and DownThreshold are the hysteresis band: no action is
-	// taken while occupancy stays inside (Down, Up). Default 0.85 / 0.45.
-	UpThreshold, DownThreshold float64
+	// DownThreshold is the low edge of the hysteresis band: no action is
+	// taken while occupancy stays inside (DownThreshold, upThreshold). A
+	// negative value, or one at or above upThreshold, reads as 0.45; zero
+	// stays zero, so such a fleet shrinks only once demand falls to none.
+	DownThreshold float64
 	// Cooldown is the minimum time between two scaling actions. Defaults
 	// to 10 seconds (of the caller's clock — virtual in simulations).
 	Cooldown time.Duration
-	// MaxStep bounds how many daemons one decision may add or remove.
-	// Zero means unbounded: jump straight to the target size.
-	MaxStep int
 }
+
+// The control law's fixed points: the fleet utilization the controller
+// steers toward after a threshold trips, and the high edge of the
+// hysteresis band.
+const (
+	targetOccupancy = 0.70
+	upThreshold     = 0.85
+)
 
 // withDefaults returns cfg with zero fields replaced by defaults.
 func (c AutoscalerConfig) withDefaults() AutoscalerConfig {
@@ -69,17 +75,8 @@ func (c AutoscalerConfig) withDefaults() AutoscalerConfig {
 	if c.DaemonCapacity <= 0 {
 		c.DaemonCapacity = 64
 	}
-	if c.TargetOccupancy <= 0 || c.TargetOccupancy > 1 {
-		c.TargetOccupancy = 0.70
-	}
-	if c.UpThreshold <= 0 || c.UpThreshold > 1 {
-		c.UpThreshold = 0.85
-	}
-	if c.DownThreshold < 0 || c.DownThreshold >= c.UpThreshold {
+	if c.DownThreshold < 0 || c.DownThreshold >= upThreshold {
 		c.DownThreshold = 0.45
-		if c.DownThreshold >= c.UpThreshold {
-			c.DownThreshold = c.UpThreshold / 2
-		}
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 10 * time.Second
@@ -162,7 +159,7 @@ func (a *Autoscaler) Observe(now time.Duration, demand, daemons int) (int, error
 		// Below the floor — e.g. chaos killed daemons out from under us.
 		// The floor is not subject to hysteresis or cooldown.
 		target = max(target, a.cfg.Min)
-	case a.occupancy(demand, daemons) >= a.cfg.UpThreshold && target > daemons:
+	case a.occupancy(demand, daemons) >= upThreshold && target > daemons:
 		// grow
 	case a.occupancy(demand, daemons) <= a.cfg.DownThreshold && target < daemons:
 		// shrink
@@ -176,14 +173,6 @@ func (a *Autoscaler) Observe(now time.Duration, demand, daemons int) (int, error
 	}
 
 	step := target - daemons
-	if a.cfg.MaxStep > 0 {
-		if step > a.cfg.MaxStep {
-			step = a.cfg.MaxStep
-		}
-		if step < -a.cfg.MaxStep {
-			step = -a.cfg.MaxStep
-		}
-	}
 	if step == 0 {
 		return 0, nil
 	}
@@ -244,7 +233,7 @@ func (a *Autoscaler) occupancy(demand, daemons int) float64 {
 // desired is the fleet size that would put occupancy at the target,
 // clamped to [Min, Max].
 func (a *Autoscaler) desired(demand int) int {
-	perDaemon := float64(a.cfg.DaemonCapacity) * a.cfg.TargetOccupancy
+	perDaemon := float64(a.cfg.DaemonCapacity) * targetOccupancy
 	n := int(ceilDiv(float64(demand), perDaemon))
 	if n < a.cfg.Min {
 		n = a.cfg.Min

@@ -30,58 +30,73 @@ func (d *fakeDriver) Retire() (bool, error) {
 	return true, nil
 }
 
+// The tests run the control law production runs: targetOccupancy 0.70 and
+// upThreshold 0.85, and the DownThreshold the scale-down scenarios set.
+// With a capacity of 10 the target is 7 sessions per daemon.
+
 func TestAutoscalerDefaults(t *testing.T) {
 	cfg := AutoscalerConfig{}.withDefaults()
-	if cfg.Min != 1 || cfg.Max != 64 || cfg.DaemonCapacity != 64 {
+	if cfg.Min != 1 || cfg.Max != 64 || cfg.DaemonCapacity != 64 || cfg.Cooldown != 10*time.Second {
 		t.Fatalf("defaults: %+v", cfg)
 	}
-	if cfg.DownThreshold >= cfg.UpThreshold || cfg.TargetOccupancy <= cfg.DownThreshold {
-		t.Fatalf("thresholds out of order: %+v", cfg)
+	if cfg.DownThreshold >= upThreshold || targetOccupancy <= cfg.DownThreshold || targetOccupancy >= upThreshold {
+		t.Fatalf("thresholds out of order: down %v, target %v, up %v", cfg.DownThreshold, targetOccupancy, upThreshold)
+	}
+	for _, down := range []float64{-1, upThreshold, 0.9} {
+		if got := (AutoscalerConfig{DownThreshold: down}).withDefaults().DownThreshold; got != 0.45 {
+			t.Fatalf("DownThreshold %v reads as %v, want 0.45", down, got)
+		}
 	}
 }
 
 func TestAutoscalerScalesUpTowardTarget(t *testing.T) {
 	d := &fakeDriver{daemons: 1}
 	a := NewAutoscaler(AutoscalerConfig{
-		Min: 1, Max: 10, DaemonCapacity: 10, TargetOccupancy: 0.5,
-		UpThreshold: 0.8, DownThreshold: 0.2, Cooldown: time.Second,
+		Min: 1, Max: 10, DaemonCapacity: 10, DownThreshold: 0.6, Cooldown: time.Second,
 	}, d)
-	// demand 40 on 1×10 capacity: occupancy 4.0 ≥ 0.8; desired =
-	// ceil(40/(10·0.5)) = 8.
+	// demand 40 on 1×10 capacity: occupancy 4.0 ≥ 0.85; desired =
+	// ceil(40/(10·0.7)) = 6, reached in one decision.
 	delta, err := a.Observe(0, 40, d.daemons)
-	if err != nil || delta != 7 || d.daemons != 8 {
+	if err != nil || delta != 5 || d.daemons != 6 {
 		t.Fatalf("scale-up: delta=%d daemons=%d err=%v", delta, d.daemons, err)
 	}
-	if s := a.Stats(); s.ScaleUps != 7 || s.UpDecisions != 1 {
+	if s := a.Stats(); s.ScaleUps != 5 || s.UpDecisions != 1 {
 		t.Fatalf("stats: %+v", s)
 	}
 }
 
 func TestAutoscalerHysteresisBand(t *testing.T) {
-	d := &fakeDriver{daemons: 4}
+	d := &fakeDriver{daemons: 10}
 	a := NewAutoscaler(AutoscalerConfig{
-		Min: 1, Max: 10, DaemonCapacity: 10, TargetOccupancy: 0.5,
-		UpThreshold: 0.8, DownThreshold: 0.2, Cooldown: time.Second,
+		Min: 1, Max: 20, DaemonCapacity: 10, DownThreshold: 0.6, Cooldown: time.Second,
 	}, d)
-	// Occupancy 0.5 sits inside (0.2, 0.8): no action even though desired
-	// (4) happens to equal current — and none either at 0.75 or 0.25.
-	for _, demand := range []int{20, 30, 10} {
+	// Every occupancy sits inside (0.6, 0.85): no action, though the
+	// target (9, 10 and 12 daemons) lies below, at and above the fleet.
+	for _, demand := range []int{61, 70, 84} {
 		if delta, _ := a.Observe(0, demand, d.daemons); delta != 0 {
 			t.Fatalf("demand %d inside band moved the fleet by %d", demand, delta)
 		}
 	}
-	if d.daemons != 4 {
+	if d.daemons != 10 {
 		t.Fatalf("fleet moved to %d inside the hysteresis band", d.daemons)
+	}
+	// At the edges the controller acts: 85 trips the high edge (target
+	// 13), then 60 on 13 daemons sits below the low one (target 9).
+	if delta, _ := a.Observe(0, 85, d.daemons); delta != 3 {
+		t.Fatalf("demand 85 moved the fleet by %d, want +3", delta)
+	}
+	if delta, _ := a.Observe(2*time.Second, 60, d.daemons); delta != -4 {
+		t.Fatalf("demand 60 on 13 daemons moved the fleet by %d, want -4", delta)
 	}
 }
 
 func TestAutoscalerCooldownSuppresses(t *testing.T) {
 	d := &fakeDriver{daemons: 1}
 	a := NewAutoscaler(AutoscalerConfig{
-		Min: 1, Max: 10, DaemonCapacity: 10, TargetOccupancy: 0.5,
-		UpThreshold: 0.8, DownThreshold: 0.2, Cooldown: 10 * time.Second,
+		Min: 1, Max: 10, DaemonCapacity: 10, DownThreshold: 0.6, Cooldown: 10 * time.Second,
 	}, d)
-	if delta, _ := a.Observe(0, 20, d.daemons); delta != 3 {
+	// demand 20: desired = ceil(20/7) = 3.
+	if delta, _ := a.Observe(0, 20, d.daemons); delta != 2 {
 		t.Fatalf("first action delta=%d", delta)
 	}
 	// Another trip 1s later is held by the 10s cooldown.
@@ -100,10 +115,9 @@ func TestAutoscalerCooldownSuppresses(t *testing.T) {
 func TestAutoscalerScaleDownVeto(t *testing.T) {
 	d := &fakeDriver{daemons: 6, vetoes: 1}
 	a := NewAutoscaler(AutoscalerConfig{
-		Min: 1, Max: 10, DaemonCapacity: 10, TargetOccupancy: 0.5,
-		UpThreshold: 0.8, DownThreshold: 0.2, Cooldown: time.Second,
+		Min: 1, Max: 10, DaemonCapacity: 10, DownThreshold: 0.6, Cooldown: time.Second,
 	}, d)
-	// demand 5 on 6×10: occupancy 0.083 ≤ 0.2; desired = 1. The first
+	// demand 5 on 6×10: occupancy 0.083 ≤ 0.6; desired = 1. The first
 	// Retire is vetoed (a daemon still holds sessions), which ends the
 	// decision without stranding anything.
 	delta, err := a.Observe(0, 5, d.daemons)
@@ -123,11 +137,11 @@ func TestAutoscalerScaleDownVeto(t *testing.T) {
 func TestAutoscalerFloorIgnoresCooldown(t *testing.T) {
 	d := &fakeDriver{daemons: 3}
 	a := NewAutoscaler(AutoscalerConfig{
-		Min: 2, Max: 10, DaemonCapacity: 10, TargetOccupancy: 0.5,
-		UpThreshold: 0.8, DownThreshold: 0.2, Cooldown: time.Hour,
+		Min: 2, Max: 10, DaemonCapacity: 10, DownThreshold: 0.6, Cooldown: time.Hour,
 	}, d)
+	// demand 15 on 3×10: desired = ceil(15/7) = 3, the fleet's size.
 	if delta, _ := a.Observe(0, 15, d.daemons); delta != 0 {
-		t.Fatalf("in-band observation acted: %d", delta)
+		t.Fatalf("at-target observation acted: %d", delta)
 	}
 	// Chaos kills the fleet below Min: the floor is restored immediately,
 	// cooldown or not.
@@ -138,19 +152,17 @@ func TestAutoscalerFloorIgnoresCooldown(t *testing.T) {
 	}
 }
 
-func TestAutoscalerMaxStepAndBounds(t *testing.T) {
+func TestAutoscalerBounds(t *testing.T) {
 	d := &fakeDriver{daemons: 1}
 	a := NewAutoscaler(AutoscalerConfig{
-		Min: 1, Max: 4, DaemonCapacity: 10, TargetOccupancy: 0.5,
-		UpThreshold: 0.8, DownThreshold: 0.2, Cooldown: time.Second, MaxStep: 1,
+		Min: 1, Max: 4, DaemonCapacity: 10, DownThreshold: 0.6, Cooldown: time.Second,
 	}, d)
-	// Huge demand, but MaxStep caps each decision at one daemon and Max
-	// caps the fleet at 4.
+	// Huge demand, but Max caps the fleet at 4.
 	for i := 0; i < 10; i++ {
 		_, _ = a.Observe(time.Duration(i)*2*time.Second, 1000, d.daemons)
 	}
 	if d.daemons != 4 {
-		t.Fatalf("fleet = %d, want Max=4 via single steps", d.daemons)
+		t.Fatalf("fleet = %d, want Max=4", d.daemons)
 	}
 	if s := a.Stats(); s.ScaleUps != 3 {
 		t.Fatalf("stats: %+v", s)
@@ -161,8 +173,7 @@ func TestAutoscalerSpawnErrorSurfaces(t *testing.T) {
 	boom := errors.New("no capacity")
 	d := &fakeDriver{daemons: 1, spawnErr: boom}
 	a := NewAutoscaler(AutoscalerConfig{
-		Min: 1, Max: 10, DaemonCapacity: 10, TargetOccupancy: 0.5,
-		UpThreshold: 0.8, DownThreshold: 0.2, Cooldown: time.Second,
+		Min: 1, Max: 10, DaemonCapacity: 10, DownThreshold: 0.6, Cooldown: time.Second,
 	}, d)
 	_, err := a.Observe(0, 100, d.daemons)
 	if !errors.Is(err, boom) {

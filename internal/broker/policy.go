@@ -8,9 +8,8 @@ import (
 	"rcuda/internal/protocol"
 )
 
-// Policy selects how the pool places sessions on endpoints. The names
-// mirror package cluster's scheduling policies, so a live deployment can be
-// configured with the same vocabulary the offline sizing study uses.
+// Policy selects how the pool places sessions on endpoints. Its names are
+// ParsePolicy's vocabulary, the values rcuda-broker -policy takes.
 type Policy int
 
 // Placement policies.
@@ -39,7 +38,7 @@ const (
 	ClassAware
 )
 
-// String implements fmt.Stringer with the cluster package's names.
+// String implements fmt.Stringer with the names ParsePolicy reads.
 func (p Policy) String() string {
 	switch p {
 	case LeastLoaded:
@@ -94,13 +93,11 @@ func classLoadOf(st *endpointState, class uint32) (protocol.ClassLoad, bool) {
 	if st.load == nil || !st.load.HasClasses {
 		return protocol.ClassLoad{}, false
 	}
-	if class == protocol.SchedClassUnspecified {
-		class = protocol.SchedClassBatch
-	}
-	if class < protocol.SchedClassRealtime || class > protocol.SchedClassBestEffort {
+	row, ok := protocol.ClassRow(class)
+	if !ok {
 		return protocol.ClassLoad{}, false
 	}
-	return st.load.Classes[class-1], true
+	return st.load.Classes[row], true
 }
 
 // candidate is one endpoint of a placement's order. Candidates compare by

@@ -120,8 +120,8 @@ func ModuleBytes(cs CaseStudy) int {
 	return 7852
 }
 
-// Testbed constants shared with the gpu package defaults (asserted equal in
-// tests; calib stays dependency-light on purpose).
+// Testbed constants. The simulated device (package gpu) charges its
+// transfers and its context creation at these prices too.
 const (
 	// PCIeMBps is the measured effective host-device bandwidth (MiB/s).
 	PCIeMBps = 5743
@@ -324,6 +324,13 @@ func pcieMS(bytes int64) float64 {
 	return float64(bytes) / (PCIeMBps * (1 << 20)) * 1e3
 }
 
+// PCIeTransfer models one host-device transfer of n bytes at the measured
+// bandwidth: the one PCIe price the model, the scheduler's copy prior and
+// the simulated device all charge.
+func PCIeTransfer(bytes int64) time.Duration {
+	return time.Duration(pcieMS(bytes) * float64(time.Millisecond))
+}
+
 // totalPCIeMS is the PCIe cost of all bulk copies of one execution.
 func totalPCIeMS(cs CaseStudy, size int) float64 {
 	return float64(CopyCount(cs)) * pcieMS(CopyBytes(cs, size))
@@ -393,7 +400,7 @@ func DataGenTime(cs CaseStudy, size int) time.Duration {
 
 // PCIeTime models one host-device transfer of the case study's copy payload.
 func PCIeTime(cs CaseStudy, size int) time.Duration {
-	return time.Duration(pcieMS(CopyBytes(cs, size)) * float64(time.Millisecond))
+	return PCIeTransfer(CopyBytes(cs, size))
 }
 
 // LocalInit returns the context initialization delay a local (non-rCUDA)

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"rcuda/internal/calib"
 	"rcuda/internal/gpu"
 	"rcuda/internal/raceflag"
 	"rcuda/internal/vclock"
@@ -97,8 +98,8 @@ func TestOpenLocalPaysInit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	if clk.Now() != gpu.DefaultInitTime {
-		t.Fatalf("cold open cost %v, want %v", clk.Now(), gpu.DefaultInitTime)
+	if clk.Now() != calib.ContextInit {
+		t.Fatalf("cold open cost %v, want %v", clk.Now(), calib.ContextInit)
 	}
 }
 
@@ -339,7 +340,7 @@ func TestLocalMemcpyToHostStagesNothing(t *testing.T) {
 	if err := rt.MemcpyToHost(dst, ptr); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := clk.Now()-before, rt.dev().PCIeTime(n); got != want {
+	if got, want := clk.Now()-before, calib.PCIeTransfer(n); got != want {
 		t.Fatalf("copy charged %v, want one PCIe transfer of %v", got, want)
 	}
 	if !bytes.Equal(dst, src) {
@@ -376,7 +377,7 @@ func TestLocalMemcpyToHostAsyncStagesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pcie := rt.dev().PCIeTime(n)
+	pcie := calib.PCIeTransfer(n)
 	dst := make([]byte, n)
 	before := clk.Now()
 	if err := rt.MemcpyToHostAsync(dst, ptr, s); err != nil {

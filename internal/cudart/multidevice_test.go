@@ -129,8 +129,8 @@ func TestLocalMultiDeviceLaunch(t *testing.T) {
 // under Preinitialized, the daemon's configuration.
 func TestLocalMultiDeviceInitDelay(t *testing.T) {
 	clk := vclock.NewSim()
-	// Config.InitTime zero-defaults to DefaultInitTime, so every context
-	// creation outside Preinitialized costs visible simulated time.
+	// Every context creation outside Preinitialized pays calib.ContextInit
+	// of visible simulated time.
 	mk := func() *gpu.Device { return gpu.New(gpu.Config{Clock: clk}) }
 	d0, d1 := mk(), mk()
 	rt, err := OpenLocal(d0, nil, Preinitialized(), ExtraDevices(d1))

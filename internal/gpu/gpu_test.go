@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"rcuda/internal/calib"
 	"rcuda/internal/vclock"
 )
 
@@ -34,9 +35,8 @@ func TestDeviceDefaults(t *testing.T) {
 }
 
 func TestPCIeTimeMatchesMeasuredBandwidth(t *testing.T) {
-	d, _ := newTestDevice()
 	// 64 MiB at 5743 MB/s ≈ 11.1 ms.
-	got := d.PCIeTime(64 << 20)
+	got := calib.PCIeTransfer(64 << 20)
 	want := 64.0 / 5743 * 1000
 	if math.Abs(float64(got)/float64(time.Millisecond)-want) > 0.01 {
 		t.Fatalf("PCIe time for 64 MiB = %v, want ~%.2f ms", got, want)
@@ -127,7 +127,7 @@ func TestCopyRoundTripAndTiming(t *testing.T) {
 		t.Fatal("device memory round trip corrupted data")
 	}
 	elapsed := clk.Now() - before
-	want := 2 * d.PCIeTime(int64(len(data)))
+	want := 2 * calib.PCIeTransfer(int64(len(data)))
 	if elapsed != want {
 		t.Fatalf("two PCIe copies advanced clock by %v, want %v", elapsed, want)
 	}
@@ -159,8 +159,8 @@ func TestContextInitCost(t *testing.T) {
 	d, clk := newTestDevice()
 	before := clk.Now()
 	_ = d.NewContext()
-	if got := clk.Now() - before; got != DefaultInitTime {
-		t.Fatalf("NewContext advanced clock by %v, want %v", got, DefaultInitTime)
+	if got := clk.Now() - before; got != calib.ContextInit {
+		t.Fatalf("NewContext advanced clock by %v, want %v", got, calib.ContextInit)
 	}
 	before = clk.Now()
 	_ = d.NewContextPreinitialized()
@@ -745,7 +745,7 @@ func TestJitterAppliesToDeviceSleeps(t *testing.T) {
 	if err := ctx.CopyToDevice(ptr, make([]byte, 1<<20)); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := clk.Now()-before, 2*noisy.PCIeTime(1<<20); got != want {
+	if got, want := clk.Now()-before, 2*calib.PCIeTransfer(1<<20); got != want {
 		t.Fatalf("jittered copy charged %v, want doubled %v", got, want)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"rcuda/internal/calib"
 	"rcuda/internal/vclock"
 )
 
@@ -111,12 +112,12 @@ func TestCopyFromTheRegionsOwnViewOnlyCharges(t *testing.T) {
 	if err := ctx.CopyToDevice(ptr+4096, view); err != nil {
 		t.Fatal(err)
 	}
-	if got, pcie := clk.Now(), dev.PCIeTime(64<<10); got != pcie {
+	if got, pcie := clk.Now(), calib.PCIeTransfer(64<<10); got != pcie {
 		t.Fatalf("copy from the view charged %v, want %v", got, pcie)
 	}
 	stream, _ := ctx.StreamCreate()
 	done, err := ctx.CopyToDeviceAsyncAt(ptr+4096, view, stream, clk.Now())
-	if err != nil || done != 2*dev.PCIeTime(64<<10) {
+	if err != nil || done != 2*calib.PCIeTransfer(64<<10) {
 		t.Fatalf("booked copy from the view completes at %v (%v)", done, err)
 	}
 	if got, _ := ctx.CopyToHost(ptr+4096, 64<<10); !bytes.Equal(got, want) {

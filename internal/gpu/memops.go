@@ -6,14 +6,9 @@ import "time"
 // device-to-device cudaMemcpy. Both execute inside device memory, so their
 // cost follows the device memory bandwidth, not the PCIe link.
 
-// DefaultMemoryMBps is the effective device-memory bandwidth of the Tesla
-// C1060 (MiB/s): 102 GB/s theoretical, ~70% achievable on streaming
-// operations.
-const DefaultMemoryMBps = 73000
-
 // MemsetTime models filling n bytes of device memory.
 func (d *Device) MemsetTime(bytes int64) time.Duration {
-	ms := float64(bytes) / (d.cfg.MemoryMBps * (1 << 20)) * 1e3
+	ms := float64(bytes) / (memoryMBps * (1 << 20)) * 1e3
 	return time.Duration(ms * float64(time.Millisecond))
 }
 
@@ -87,10 +82,10 @@ func (d *Device) Properties() Properties {
 	return Properties{
 		Name:            d.cfg.Name,
 		MemoryBytes:     d.cfg.MemoryBytes,
-		CapabilityMajor: d.cfg.CapabilityMajor,
-		CapabilityMinor: d.cfg.CapabilityMinor,
+		CapabilityMajor: capabilityMajor,
+		CapabilityMinor: capabilityMinor,
 		Multiprocessors: 30,
 		ClockMHz:        1296,
-		MemoryMBps:      uint32(d.cfg.MemoryMBps),
+		MemoryMBps:      memoryMBps,
 	}
 }

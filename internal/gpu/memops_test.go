@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"rcuda/internal/calib"
 	"rcuda/internal/vclock"
 )
 
@@ -145,7 +146,7 @@ func TestMemoryBandwidthTimes(t *testing.T) {
 		t.Fatal("device copy must cost twice a fill")
 	}
 	// Device memory is far faster than PCIe.
-	if dev.MemsetTime(64<<20) >= dev.PCIeTime(64<<20) {
+	if dev.MemsetTime(64<<20) >= calib.PCIeTransfer(64<<20) {
 		t.Fatal("device-memory ops must beat PCIe transfers")
 	}
 	_ = time.Nanosecond

@@ -1,6 +1,10 @@
 package gpu
 
-import "time"
+import (
+	"time"
+
+	"rcuda/internal/calib"
+)
 
 // This file is the device half of the chunked-memcpy pipeline (see
 // internal/protocol/chunked.go). The server validates a whole transfer by
@@ -34,7 +38,7 @@ func (c *Context) CopyToDeviceAsyncAt(dst uint32, data []byte, stream uint32, no
 		return 0, err
 	}
 	place(region, data)
-	return c.schedule(copyEngine, stream, c.dev.PCIeTime(int64(len(data))), notBefore)
+	return c.schedule(CopyEngine, stream, calib.PCIeTransfer(int64(len(data))), notBefore)
 }
 
 // HostViewAsyncAt is HostView for one chunk of a pipelined device-to-host
@@ -54,7 +58,7 @@ func (c *Context) HostViewAsyncAt(src, size, stream uint32, notBefore time.Durat
 	if err != nil {
 		return nil, 0, err
 	}
-	ready, err := c.schedule(copyEngine, stream, c.dev.PCIeTime(int64(size)), notBefore)
+	ready, err := c.schedule(CopyEngine, stream, calib.PCIeTransfer(int64(size)), notBefore)
 	if err != nil {
 		return nil, 0, err
 	}

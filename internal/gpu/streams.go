@@ -30,50 +30,80 @@ const DefaultStream uint32 = 0
 // advancer is the optional clock capability async timing needs.
 type advancer interface{ AdvanceTo(time.Duration) }
 
-// engineKind selects which device engine an async operation occupies.
-type engineKind int
+// Engine selects which device engine an async operation occupies.
+type Engine int
 
+// The Tesla C1060's two engines.
 const (
-	copyEngine engineKind = iota
-	execEngine
+	CopyEngine Engine = iota
+	ExecEngine
 )
 
-// timeline tracks the busy-until instants of the device engines and
-// per-stream in-order queues of one context. The default stream's mark is a
-// field; the maps of created streams and events are made by the first
-// StreamCreate and EventCreate, which most sessions never call.
-type timeline struct {
+// Engines is the device's engine layout as a booking ledger: the
+// busy-until instant of each engine and of each stream's in-order queue.
+// An operation starts once its engine and its stream are both free. A
+// context books its async work here; the analytic pipelined run books a
+// schedule's device time on one of its own, so both charge the same
+// overlap. The default stream's mark is a field; the map of other streams
+// is made by the first booking or creation of one.
+type Engines struct {
 	engineDone  [2]time.Duration
 	defaultDone time.Duration
 	streams     map[uint32]time.Duration
-	events      map[uint32]time.Duration
-	nextStream  uint32
-	nextEvent   uint32
 }
 
-func newTimeline() timeline { return timeline{nextStream: 1, nextEvent: 1} }
+// Book books cost on an engine and a stream, starting no earlier than
+// notBefore, and returns the completion instant. A stream never booked or
+// created starts free.
+func (e *Engines) Book(eng Engine, stream uint32, cost, notBefore time.Duration) time.Duration {
+	sdone, _ := e.stream(stream)
+	end := max(notBefore, e.engineDone[eng], sdone) + cost
+	e.engineDone[eng] = end
+	e.setStream(stream, end)
+	return end
+}
+
+// Idle returns the instant every booked operation has completed.
+func (e *Engines) Idle() time.Duration {
+	latest := max(e.defaultDone, e.engineDone[CopyEngine], e.engineDone[ExecEngine])
+	for _, d := range e.streams {
+		latest = max(latest, d)
+	}
+	return latest
+}
 
 // stream returns the instant the stream's booked work completes; ok is
 // false for a stream that does not exist.
-func (tl *timeline) stream(id uint32) (done time.Duration, ok bool) {
+func (e *Engines) stream(id uint32) (done time.Duration, ok bool) {
 	if id == DefaultStream {
-		return tl.defaultDone, true
+		return e.defaultDone, true
 	}
-	done, ok = tl.streams[id]
+	done, ok = e.streams[id]
 	return done, ok
 }
 
 // setStream marks the stream busy until done, creating it if need be.
-func (tl *timeline) setStream(id uint32, done time.Duration) {
+func (e *Engines) setStream(id uint32, done time.Duration) {
 	if id == DefaultStream {
-		tl.defaultDone = done
+		e.defaultDone = done
 		return
 	}
-	if tl.streams == nil {
-		tl.streams = make(map[uint32]time.Duration)
+	if e.streams == nil {
+		e.streams = make(map[uint32]time.Duration)
 	}
-	tl.streams[id] = done
+	e.streams[id] = done
 }
+
+// timeline is one context's engine bookings plus its events. The map of
+// events is made by the first EventCreate, which most sessions never call.
+type timeline struct {
+	Engines
+	events     map[uint32]time.Duration
+	nextStream uint32
+	nextEvent  uint32
+}
+
+func newTimeline() timeline { return timeline{nextStream: 1, nextEvent: 1} }
 
 // setEvent records the event's instant, creating the event if need be.
 func (tl *timeline) setEvent(id uint32, at time.Duration) {
@@ -96,26 +126,14 @@ var ErrInvalidEvent = fmt.Errorf("gpu: invalid event")
 // at each chunk's network-arrival stamp, which the sending client has
 // already advanced the shared clock past — "now" would erase exactly the
 // overlap being modeled. The caller holds c.mu.
-func (c *Context) schedule(eng engineKind, stream uint32, cost, notBefore time.Duration) (time.Duration, error) {
-	tl := &c.tl
-	sdone, ok := tl.stream(stream)
-	if !ok {
+func (c *Context) schedule(eng Engine, stream uint32, cost, notBefore time.Duration) (time.Duration, error) {
+	if _, ok := c.tl.stream(stream); !ok {
 		return 0, fmt.Errorf("%w: %d", ErrInvalidStream, stream)
-	}
-	start := notBefore
-	if tl.engineDone[eng] > start {
-		start = tl.engineDone[eng]
-	}
-	if sdone > start {
-		start = sdone
 	}
 	if c.dev.cfg.Jitter != nil {
 		cost = c.dev.cfg.Jitter.Perturb(cost)
 	}
-	end := start + cost
-	tl.engineDone[eng] = end
-	tl.setStream(stream, end)
-	return end, nil
+	return c.tl.Book(eng, stream, cost, notBefore), nil
 }
 
 // advanceTo moves the clock to t when the clock supports virtual advance;
@@ -186,17 +204,7 @@ func (c *Context) Synchronize() error {
 		c.mu.Unlock()
 		return err
 	}
-	latest := c.tl.defaultDone
-	for _, d := range c.tl.streams {
-		if d > latest {
-			latest = d
-		}
-	}
-	for _, d := range c.tl.engineDone {
-		if d > latest {
-			latest = d
-		}
-	}
+	latest := c.tl.Idle()
 	c.mu.Unlock()
 	c.advanceTo(latest)
 	return nil
@@ -221,7 +229,7 @@ func (c *Context) LaunchAsync(name string, grid, block Dim3, shared uint32, para
 		return err
 	}
 	c.mu.Lock()
-	_, err = c.schedule(execEngine, stream, cost, c.dev.cfg.Clock.Now())
+	_, err = c.schedule(ExecEngine, stream, cost, c.dev.cfg.Clock.Now())
 	c.mu.Unlock()
 	return err
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"rcuda/internal/calib"
 	"rcuda/internal/vclock"
 )
 
@@ -75,7 +76,7 @@ func TestAsyncCopyDoesNotBlockClock(t *testing.T) {
 	if err := ctx.StreamSynchronize(s); err != nil {
 		t.Fatal(err)
 	}
-	want := ctx.dev.PCIeTime(int64(len(data)))
+	want := calib.PCIeTransfer(int64(len(data)))
 	if got := clk.Now() - before; got != want {
 		t.Fatalf("stream sync advanced clock by %v, want %v", got, want)
 	}
@@ -99,7 +100,7 @@ func TestCopyKernelOverlap(t *testing.T) {
 
 	data := make([]byte, 50<<20) // ~8.7 ms of PCIe
 	ptr, _ := ctx.Malloc(uint32(len(data)))
-	copyCost := ctx.dev.PCIeTime(int64(len(data)))
+	copyCost := calib.PCIeTransfer(int64(len(data)))
 
 	before := clk.Now()
 	if err := copyAsync(ctx, ptr, data, sA); err != nil {
@@ -141,7 +142,7 @@ func TestCopiesSerializeOnOneEngine(t *testing.T) {
 	if err := ctx.Synchronize(); err != nil {
 		t.Fatal(err)
 	}
-	want := 2 * ctx.dev.PCIeTime(int64(len(data)))
+	want := 2 * calib.PCIeTransfer(int64(len(data)))
 	if got := clk.Now() - before; got != want {
 		t.Fatalf("two copies took %v, want serialized %v", got, want)
 	}
@@ -165,7 +166,7 @@ func TestStreamOrderingWithinStream(t *testing.T) {
 	if err := ctx.StreamSynchronize(s); err != nil {
 		t.Fatal(err)
 	}
-	want := ctx.dev.PCIeTime(int64(len(data))) + kcost
+	want := calib.PCIeTransfer(int64(len(data))) + kcost
 	if got := clk.Now() - before; got != want {
 		t.Fatalf("same-stream pipeline took %v, want serialized %v", got, want)
 	}
@@ -196,7 +197,7 @@ func TestDefaultStreamIsSynchronous(t *testing.T) {
 	if err := copyAsync(ctx, ptr, data, DefaultStream); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := clk.Now()-before, ctx.dev.PCIeTime(int64(len(data))); got != want {
+	if got, want := clk.Now()-before, calib.PCIeTransfer(int64(len(data))); got != want {
 		t.Fatalf("default-stream async copy charged %v, want synchronous %v", got, want)
 	}
 }
@@ -324,7 +325,7 @@ func TestAsyncCopyToHost(t *testing.T) {
 	if clk.Now() != before {
 		t.Fatal("async D2H must not advance the clock at issue time")
 	}
-	pcie := ctx.dev.PCIeTime(int64(len(data)))
+	pcie := calib.PCIeTransfer(int64(len(data)))
 	if ready != before+pcie {
 		t.Fatalf("async D2H ready at %v, want %v", ready, before+pcie)
 	}
@@ -349,8 +350,8 @@ func TestAsyncCopyToHost(t *testing.T) {
 	if _, _, err := ctx.HostViewAsyncAt(ptr, 4, DefaultStream, before); err != nil {
 		t.Fatal(err)
 	}
-	if got := clk.Now() - before; got != ctx.dev.PCIeTime(4) {
-		t.Fatalf("default-stream D2H charged %v, want %v", got, ctx.dev.PCIeTime(4))
+	if got := clk.Now() - before; got != calib.PCIeTransfer(4) {
+		t.Fatalf("default-stream D2H charged %v, want %v", got, calib.PCIeTransfer(4))
 	}
 }
 

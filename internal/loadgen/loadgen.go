@@ -118,10 +118,6 @@ type Config struct {
 	// DaemonCapacity is each daemon's session capacity (default 64).
 	InitialDaemons int
 	DaemonCapacity int
-	// ProbeEvery is the gauge-refresh (and autoscaler observation) period;
-	// SampleEvery is the trajectory sampling period. Defaults 50ms / 1s.
-	ProbeEvery  time.Duration
-	SampleEvery time.Duration
 	// Autoscale, when non-nil, closes the elasticity loop with the given
 	// controller configuration. Nil keeps the fleet fixed.
 	Autoscale *broker.AutoscalerConfig
@@ -135,6 +131,13 @@ type Config struct {
 	// offered load can never drain. Defaults to 1 hour of virtual time.
 	MaxDuration time.Duration
 }
+
+// probeEvery is the gauge-refresh (and autoscaler observation) period;
+// sampleEvery is the trajectory sampling period.
+const (
+	probeEvery  = 50 * time.Millisecond
+	sampleEvery = time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.Sessions <= 0 {
@@ -160,12 +163,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DaemonCapacity <= 0 {
 		c.DaemonCapacity = 64
-	}
-	if c.ProbeEvery <= 0 {
-		c.ProbeEvery = 50 * time.Millisecond
-	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = time.Second
 	}
 	if c.MaxDuration <= 0 {
 		c.MaxDuration = time.Hour
@@ -293,10 +290,10 @@ type daemon struct {
 	// sessions holds the resident session ids, in no particular order,
 	// sized to the capacity at spawn.
 	sessions []int
-	// classLive counts resident sessions per scheduling class (wire code
-	// minus one, unspecified folded into batch) — the gauges a
-	// scheduler-enabled daemon reports in its stats probe's class block.
-	classLive [protocol.SchedClassBestEffort]int
+	// classLive counts resident sessions per scheduling class row
+	// (protocol.ClassRow) — the gauges a scheduler-enabled daemon reports
+	// in its stats probe's class block.
+	classLive [protocol.NumSchedClasses]int
 }
 
 // live is the number of resident sessions.
@@ -374,8 +371,8 @@ func Run(cfg Config) (*Result, error) {
 		s.loop.At(s.expDur(s.phaseRNG, s.cfg.BurstOnMean), s.togglePhase)
 	}
 	s.loop.At(s.interarrival(unitExp(s.arrRNG)), s.arriveFn)
-	s.loop.At(s.cfg.ProbeEvery, s.probeTick)
-	s.loop.At(s.cfg.SampleEvery, s.sampleTick)
+	s.loop.At(probeEvery, s.probeTick)
+	s.loop.At(sampleEvery, s.sampleTick)
 
 	elapsed := s.loop.Run()
 	return s.result(elapsed), nil
@@ -633,15 +630,6 @@ func (s *sim) drain() {
 	}
 }
 
-// classIndex maps a wire scheduling-class code to its gauge row, folding
-// unspecified into batch the way a scheduler-enabled daemon does.
-func classIndex(class uint32) int {
-	if class == protocol.SchedClassUnspecified {
-		class = protocol.SchedClassBatch
-	}
-	return int(class - 1)
-}
-
 // place attempts one placement the way Pool.open does: the Placer ranks
 // the fleet once and the session walks that order — a full daemon spills
 // (and is marked full, so later placements try it last until a release or
@@ -694,14 +682,16 @@ func (s *sim) attach(d *daemon, id int) {
 	sess := s.session(id)
 	sess.slot = len(d.sessions)
 	d.sessions = append(d.sessions, id)
-	d.classLive[classIndex(s.cfg.Classes[sess.class].SchedClass)]++
+	row, _ := protocol.ClassRow(s.cfg.Classes[sess.class].SchedClass)
+	d.classLive[row]++
 }
 
 // detach removes session id from d's residents, moving the last resident
 // into its slot.
 func (s *sim) detach(d *daemon, id int) {
 	sess := s.session(id)
-	d.classLive[classIndex(s.cfg.Classes[sess.class].SchedClass)]--
+	row, _ := protocol.ClassRow(s.cfg.Classes[sess.class].SchedClass)
+	d.classLive[row]--
 	last := len(d.sessions) - 1
 	moved := d.sessions[last]
 	d.sessions[sess.slot] = moved
@@ -758,7 +748,7 @@ func (s *sim) kill(d *daemon) {
 			s.lostNonDurable++
 		}
 	}
-	d.classLive = [protocol.SchedClassBestEffort]int{}
+	d.classLive = [protocol.NumSchedClasses]int{}
 	d.sessions = ids[:0]
 	s.release(d.idx)
 }
@@ -827,7 +817,7 @@ func (s *sim) probeTick() {
 	// A dead fleet with no autoscaler can still recover nothing; keep
 	// ticking only while ticks can matter.
 	if s.workRemains() {
-		s.loop.At(s.cfg.ProbeEvery, s.probeTick)
+		s.loop.At(probeEvery, s.probeTick)
 	}
 	s.drain()
 }
@@ -844,7 +834,7 @@ func (s *sim) sampleTick() {
 		Queued:  s.queued(),
 	})
 	if s.workRemains() {
-		s.loop.At(s.cfg.SampleEvery, s.sampleTick)
+		s.loop.At(sampleEvery, s.sampleTick)
 	}
 }
 

@@ -7,12 +7,12 @@ import (
 	"net"
 )
 
-// Frame header: a 4-byte little-endian payload length. The stream needs a
+// FrameHeaderSize is the frame header: a 4-byte little-endian payload length. The stream needs a
 // delimiter because several messages (the initialization module, memcpy
 // data, launch variable region) carry variable-length payloads. The header
 // is transport overhead — it is not part of the Table I byte accounting,
 // whose measured latency curves already include all per-message framing.
-const frameHeaderSize = 4
+const FrameHeaderSize = 4
 
 // MaxFrameSize bounds a single frame. The largest legitimate payload is a
 // cudaMemcpy of a full device allocation; the Tesla C1060 has 4 GB of
@@ -68,9 +68,9 @@ func (fw *FrameWriter) WriteFrame(w io.Writer, m Message) error {
 		binary.LittleEndian.PutUint32(buf, uint32(m.WireSize()))
 		buf = m.Encode(buf)
 		fw.scratch = buf[:0]
-		if len(buf) != frameHeaderSize+m.WireSize() {
+		if len(buf) != FrameHeaderSize+m.WireSize() {
 			return fmt.Errorf("protocol: %T encoded %d bytes, declared %d",
-				m, len(buf)-frameHeaderSize, m.WireSize())
+				m, len(buf)-FrameHeaderSize, m.WireSize())
 		}
 		_, err := w.Write(buf)
 		return err
@@ -82,7 +82,7 @@ func (fw *FrameWriter) WriteFrame(w io.Writer, m Message) error {
 	buf = seg.SegmentTail(buf)
 	fw.scratch = buf[:0]
 	bulk := seg.SegmentBulk()
-	if got := len(buf) - frameHeaderSize + len(bulk); got != m.WireSize() {
+	if got := len(buf) - FrameHeaderSize + len(bulk); got != m.WireSize() {
 		return fmt.Errorf("protocol: %T segments encode %d bytes, declared %d",
 			m, got, m.WireSize())
 	}

@@ -11,12 +11,12 @@ import (
 // WriteFrame is the reference framer: it encodes the whole frame into one
 // fresh contiguous buffer and writes it with a single Write.
 func WriteFrame(w io.Writer, m Message) error {
-	buf := make([]byte, frameHeaderSize, frameHeaderSize+m.WireSize())
+	buf := make([]byte, FrameHeaderSize, FrameHeaderSize+m.WireSize())
 	binary.LittleEndian.PutUint32(buf, uint32(m.WireSize()))
 	buf = m.Encode(buf)
-	if len(buf) != frameHeaderSize+m.WireSize() {
+	if len(buf) != FrameHeaderSize+m.WireSize() {
 		return fmt.Errorf("protocol: %T encoded %d bytes, declared %d",
-			m, len(buf)-frameHeaderSize, m.WireSize())
+			m, len(buf)-FrameHeaderSize, m.WireSize())
 	}
 	_, err := w.Write(buf)
 	return err
@@ -25,14 +25,14 @@ func WriteFrame(w io.Writer, m Message) error {
 // nextFrame splits the first length-prefixed frame off b; ok is false when
 // b does not hold a whole one.
 func nextFrame(b []byte) (payload, rest []byte, ok bool) {
-	if len(b) < frameHeaderSize {
+	if len(b) < FrameHeaderSize {
 		return nil, b, false
 	}
 	n := int(binary.LittleEndian.Uint32(b))
-	if n > len(b)-frameHeaderSize {
+	if n > len(b)-FrameHeaderSize {
 		return nil, b, false
 	}
-	return b[frameHeaderSize : frameHeaderSize+n], b[frameHeaderSize+n:], true
+	return b[FrameHeaderSize : FrameHeaderSize+n], b[FrameHeaderSize+n:], true
 }
 
 // TestWriteFrameBuffersMatchesWriteFrame: the vectored framing must put

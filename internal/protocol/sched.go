@@ -41,6 +41,24 @@ var (
 // the unspecified code) — the row count of a stats reply's class block.
 const NumSchedClasses = 3
 
+// ClassRow maps a class code to its row: realtime 0, batch 1, besteffort 2
+// — its index in StatsReply.Classes and the scheduler's class (sched.Class).
+// Unspecified folds into batch, the class a scheduling daemon gives a
+// session that declares none; ok is false for a code past besteffort,
+// which every decoder rejects.
+func ClassRow(code uint32) (row int, ok bool) {
+	if code == SchedClassUnspecified {
+		code = SchedClassBatch
+	}
+	if code > maxSchedClass {
+		return 0, false
+	}
+	return int(code - 1), true
+}
+
+// ClassCode is ClassRow's inverse: the code of a row.
+func ClassCode(row int) uint32 { return uint32(row) + 1 }
+
 // ClassLoad is one scheduling class's slice of a StatsReply: how many
 // attached sessions declared the class and the class's p99 queue wait,
 // merged across the daemon's devices. A broker placing a realtime session

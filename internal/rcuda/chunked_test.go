@@ -11,7 +11,6 @@ import (
 	"rcuda/internal/calib"
 	"rcuda/internal/cudart"
 	"rcuda/internal/faults"
-	"rcuda/internal/gpu"
 	"rcuda/internal/netsim"
 	"rcuda/internal/protocol"
 	"rcuda/internal/vclock"
@@ -76,8 +75,7 @@ func TestChunkedTransferOverlapsNetworkAndPCIe(t *testing.T) {
 	// max(network total, PCIe total) + one chunk of the other stage.
 	chunkWire := link.WireTime(int64(chunkSize + 12))
 	netTotal := time.Duration(size/chunkSize) * chunkWire
-	dev := gpu.New(gpu.Config{Clock: vclock.NewSim()})
-	pcieTotal := dev.PCIeTime(size)
+	pcieTotal := calib.PCIeTransfer(size)
 	bound := netTotal
 	if pcieTotal > bound {
 		bound = pcieTotal
@@ -137,7 +135,7 @@ func TestChunkedDeviceToHostOverlap(t *testing.T) {
 		chunkSize = 1 << 20
 	)
 	link := netsim.IB40G()
-	client, dev, clk, cleanup := startSimSession(t, link, WithChunkedTransfers(chunkSize, chunkSize))
+	client, _, clk, cleanup := startSimSession(t, link, WithChunkedTransfers(chunkSize, chunkSize))
 	defer cleanup()
 
 	ptr, err := client.Malloc(size)
@@ -153,7 +151,7 @@ func TestChunkedDeviceToHostOverlap(t *testing.T) {
 
 	chunkWire := link.WireTime(int64(chunkSize + 12))
 	netTotal := time.Duration(size/chunkSize) * chunkWire
-	pcieTotal := dev.PCIeTime(size)
+	pcieTotal := calib.PCIeTransfer(size)
 	bound := netTotal
 	if pcieTotal > bound {
 		bound = pcieTotal

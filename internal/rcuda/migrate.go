@@ -186,7 +186,7 @@ func (s *Server) buildCheckpoint(sess *session) (*protocol.Checkpoint, error) {
 		Session:      sess.id,
 		Module:       sess.module.Name,
 		CurDevice:    uint32(sess.cur),
-		SchedClass:   classToWire(sess.schedClass),
+		SchedClass:   protocol.ClassCode(int(sess.schedClass)),
 		SchedWeight:  sess.schedWeight,
 		LastBatchSeq: sess.lastBatchSeq,
 	}

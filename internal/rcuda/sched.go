@@ -44,32 +44,6 @@ func WithClassWeights(w [sched.NumClasses]uint32) ServerOption {
 	return func(s *Server) { s.schedCfg.ClassWeights = w }
 }
 
-// classFromWire maps a hello/checkpoint class code to the scheduler's
-// class; unspecified (and anything unrecognized, which decoders reject
-// anyway) reads as the Batch default.
-func classFromWire(code uint32) sched.Class {
-	switch code {
-	case protocol.SchedClassRealtime:
-		return sched.Realtime
-	case protocol.SchedClassBestEffort:
-		return sched.BestEffort
-	default:
-		return sched.Batch
-	}
-}
-
-// classToWire maps a scheduler class back to its wire code.
-func classToWire(c sched.Class) uint32 {
-	switch c {
-	case sched.Realtime:
-		return protocol.SchedClassRealtime
-	case sched.BestEffort:
-		return protocol.SchedClassBestEffort
-	default:
-		return protocol.SchedClassBatch
-	}
-}
-
 // schedKinds maps the op table's scheduler column (protocol.SchedCost) to
 // the cost model's bucket. protocol.SchedNone has no entry: such a request
 // — session control, monitoring, device discovery — never touches device
@@ -99,8 +73,8 @@ func (ss *session) flowOn(d int) *sched.Session {
 // path, before the session is shared) calls this.
 func (s *Server) applySchedParams(sess *session, wireClass, weight uint32, moveGauge bool) {
 	class := sess.schedClass
-	if wireClass != protocol.SchedClassUnspecified {
-		class = classFromWire(wireClass)
+	if row, ok := protocol.ClassRow(wireClass); ok && wireClass != protocol.SchedClassUnspecified {
+		class = sched.Class(row)
 	}
 	if weight == 0 {
 		// Zero is "unspecified" on the wire (the scheduler reads a weight of

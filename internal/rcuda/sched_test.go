@@ -53,16 +53,39 @@ func TestClassifySchedOp(t *testing.T) {
 	}
 }
 
-// TestClassWireMapping pins the wire-code translation both ways, including
-// the unspecified-means-Batch default.
+// TestClassWireMapping pins the one class-code mapping, protocol.ClassRow,
+// over every code: its row, the scheduler class the row is, and the way
+// back to the code. Unspecified folds into batch and maps back to batch's
+// code; a code past besteffort has no row.
 func TestClassWireMapping(t *testing.T) {
-	for _, c := range []sched.Class{sched.Realtime, sched.Batch, sched.BestEffort} {
-		if got := classFromWire(classToWire(c)); got != c {
-			t.Errorf("class %v round-trips to %v", c, got)
-		}
+	cases := []struct {
+		code  uint32
+		row   int
+		ok    bool
+		class sched.Class
+		back  uint32
+	}{
+		{protocol.SchedClassUnspecified, 1, true, sched.Batch, protocol.SchedClassBatch},
+		{protocol.SchedClassRealtime, 0, true, sched.Realtime, protocol.SchedClassRealtime},
+		{protocol.SchedClassBatch, 1, true, sched.Batch, protocol.SchedClassBatch},
+		{protocol.SchedClassBestEffort, 2, true, sched.BestEffort, protocol.SchedClassBestEffort},
+		{4, 0, false, 0, 0},
 	}
-	if got := classFromWire(protocol.SchedClassUnspecified); got != sched.Batch {
-		t.Errorf("unspecified maps to %v, want Batch", got)
+	for _, tc := range cases {
+		row, ok := protocol.ClassRow(tc.code)
+		if ok != tc.ok || (ok && row != tc.row) {
+			t.Errorf("code %d: row (%d, %v), want (%d, %v)", tc.code, row, ok, tc.row, tc.ok)
+			continue
+		}
+		if !ok {
+			continue
+		}
+		if got := sched.Class(row); got != tc.class {
+			t.Errorf("code %d: class %v, want %v", tc.code, got, tc.class)
+		}
+		if got := protocol.ClassCode(int(tc.class)); got != tc.back {
+			t.Errorf("class %v maps back to code %d, want %d", tc.class, got, tc.back)
+		}
 	}
 }
 
@@ -177,10 +200,11 @@ func TestStatsProbeCarriesClassBlock(t *testing.T) {
 	if !reply.HasClasses {
 		t.Fatal("scheduler-enabled daemon answered without the class block")
 	}
-	if got := reply.Classes[SchedRealtime-1].Sessions; got != 1 {
+	// Realtime is row 0, batch row 1 (protocol.ClassRow).
+	if got := reply.Classes[0].Sessions; got != 1 {
 		t.Fatalf("realtime row counts %d sessions, want 1 (%+v)", got, reply.Classes)
 	}
-	if got := reply.Classes[SchedBatch-1].Sessions; got != 0 {
+	if got := reply.Classes[1].Sessions; got != 0 {
 		t.Fatalf("batch row counts %d sessions, want 0 (%+v)", got, reply.Classes)
 	}
 }

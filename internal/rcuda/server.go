@@ -175,12 +175,9 @@ func NewServer(dev *gpu.Device, opts ...ServerOption) *Server {
 	if s.schedOn {
 		s.queues = make([]*sched.Queue, len(s.devs))
 		s.costs = make([]*sched.CostModel, len(s.devs))
-		for i, d := range s.devs {
-			dev := d
+		for i, dev := range s.devs {
 			s.queues[i] = sched.NewQueue(s.schedCfg, dev.Clock())
-			s.costs[i] = sched.NewCostModel(func(bytes int) time.Duration {
-				return dev.PCIeTime(int64(bytes))
-			})
+			s.costs[i] = sched.NewCostModel()
 		}
 	}
 	if s.standbyDial != nil {

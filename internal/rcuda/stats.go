@@ -175,11 +175,10 @@ func (s *Server) statsReply() *protocol.StatsReply {
 			BusyNanos:   uint64(du.Busy),
 		})
 	}
-	// The wire's class rows are indexed by wire code - 1: realtime, batch,
-	// besteffort.
+	// A scheduler class is its wire row (protocol.ClassRow).
 	r.HasClasses = snap.Classes != nil
 	for _, cu := range snap.Classes {
-		r.Classes[classToWire(cu.Class)-1] = protocol.ClassLoad{
+		r.Classes[cu.Class] = protocol.ClassLoad{
 			Sessions:     uint32(cu.Sessions),
 			P99WaitNanos: uint64(cu.WaitP99),
 		}

@@ -273,8 +273,9 @@ func (c Config) expExtensions(sb *strings.Builder) error {
   placement, spill, stampede-guard, and failover code the live pool runs —
   with seeded Poisson or bursty ON/OFF arrivals, while broker.Autoscaler
   (target-occupancy control with hysteresis and cooldown) grows and
-  shrinks the simulated daemon fleet through a ScaleDriver that only
-  retires empty daemons. %d bursty sessions with seeded daemon faults
+  shrinks the simulated daemon fleet through a ScaleDriver that drains a
+  retiring daemon by live-migrating its residents to peers and vetoes the
+  retirement when they do not fit. %d bursty sessions with seeded daemon faults
   place at %.0f sessions/s of virtual time (p99 queue wait %.1f ms), the
   fleet tracks the bursts %d→%d daemons and hands them back (%d
   retirements), and the %d injected faults (crashes and stalls) cost %d

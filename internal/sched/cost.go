@@ -3,6 +3,8 @@ package sched
 import (
 	"sync"
 	"time"
+
+	"rcuda/internal/calib"
 )
 
 // OpKind buckets requests for cost estimation. The scheduler does not need
@@ -15,8 +17,8 @@ type OpKind uint8
 const (
 	// KindLaunch covers kernel launches (sync and async).
 	KindLaunch OpKind = iota
-	// KindCopy covers host/device memory movement; its prior scales with
-	// the payload via the device's PCIe timing model.
+	// KindCopy covers host/device memory movement; its prior is the
+	// payload's PCIe transfer (calib.PCIeTransfer).
 	KindCopy
 	// KindSync covers synchronization points, whose cost is the drain of
 	// previously queued asynchronous work.
@@ -30,15 +32,11 @@ const (
 )
 
 // CostModel estimates per-kind op service time. Priors come from the
-// device's timing model (the perfmodel/gpu calibration: copies at PCIe
-// bandwidth, launches at a nominal kernel time); every observed dispatch
+// device's timing model (copies at the PCIe price the simulated device
+// charges, launches at a nominal kernel time); every observed dispatch
 // refines the kind's estimate with an EWMA, so the model tracks the actual
 // tenant mix. Safe for concurrent use.
 type CostModel struct {
-	// copyTime converts a payload size to a PCIe transfer prior; nil
-	// falls back to the launch prior.
-	copyTime func(bytes int) time.Duration
-
 	mu  sync.Mutex
 	ewa [numKinds]time.Duration
 }
@@ -50,11 +48,8 @@ const DefaultOpCost = 100 * time.Microsecond
 // ewmaShift is the EWMA decay: new = old + (obs-old)/2^ewmaShift.
 const ewmaShift = 3
 
-// NewCostModel creates a cost model. copyTime maps a copy payload to its
-// estimated PCIe time (gpu.Device.PCIeTime); nil disables the copy prior.
-func NewCostModel(copyTime func(bytes int) time.Duration) *CostModel {
-	return &CostModel{copyTime: copyTime}
-}
+// NewCostModel creates a cost model with no observations yet.
+func NewCostModel() *CostModel { return &CostModel{} }
 
 // Estimate returns the expected service time of an op of the given kind
 // moving the given payload bytes (0 for non-copies).
@@ -68,8 +63,8 @@ func (m *CostModel) Estimate(kind OpKind, bytes int) time.Duration {
 	if est > 0 {
 		return est
 	}
-	if kind == KindCopy && m.copyTime != nil && bytes > 0 {
-		return m.copyTime(bytes)
+	if kind == KindCopy && bytes > 0 {
+		return calib.PCIeTransfer(int64(bytes))
 	}
 	if kind == KindOther {
 		return DefaultOpCost / 10

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"rcuda/internal/calib"
 )
 
 func TestPolicyStringParseRoundTrip(t *testing.T) {
@@ -223,11 +225,9 @@ func TestPreemptionAccounting(t *testing.T) {
 }
 
 func TestCostModel(t *testing.T) {
-	m := NewCostModel(func(bytes int) time.Duration {
-		return time.Duration(bytes) * time.Nanosecond
-	})
-	if got := m.Estimate(KindCopy, 1000); got != 1000*time.Nanosecond {
-		t.Fatalf("copy prior = %v, want 1µs", got)
+	m := NewCostModel()
+	if got, want := m.Estimate(KindCopy, 1<<20), calib.PCIeTransfer(1<<20); got != want {
+		t.Fatalf("copy prior = %v, want the PCIe transfer %v", got, want)
 	}
 	if got := m.Estimate(KindLaunch, 0); got != DefaultOpCost {
 		t.Fatalf("launch prior = %v, want %v", got, DefaultOpCost)

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/bits"
+	"sort"
 	"time"
 )
 
@@ -9,38 +11,58 @@ import (
 // percentiles over very large samples (the load generator records one
 // queue-wait per simulated session, up to 10^6 of them) cost O(1) memory
 // and stay exactly reproducible. Bucket k covers
-// [unit·growth^(k-1), unit·growth^k); with the default quarter-octave
-// growth the relative quantization error of a reported percentile is under
-// ~9%, which is far below the run-to-run spread any real load test shows.
+// (histBounds[k-1], histBounds[k]], about [unit·growth^k, unit·growth^(k+1));
+// with quarter-octave growth the relative quantization error of a reported
+// percentile is under ~9%, which is far below the run-to-run spread any
+// real load test shows.
 //
 // The zero value is not ready for use; call NewDurationHistogram.
 type DurationHistogram struct {
-	unit    time.Duration
-	growth  float64
-	bounds  []time.Duration // upper bound of each bucket, ascending
-	counts  []uint64        // len(bounds)+2: [<unit], buckets..., [overflow]
+	counts  []uint64 // histogramBuckets+2: [<unit], buckets..., [overflow]
 	n       uint64
 	sum     float64 // seconds, to survive >292y aggregate totals
 	max     time.Duration
 	nonZero uint64
 }
 
-// histogramBuckets spans unit..unit·growth^buckets; 160 quarter-octave
-// buckets over a 1µs unit reach ~1.2e6 s, beyond any plausible queue wait.
-const histogramBuckets = 160
+// The bucket layout every histogram shares: a 1µs resolution floor and
+// quarter-octave (2^¼ ≈ 1.19x) growth; 160 buckets reach ~1.2e6 s, beyond
+// any plausible queue wait.
+const (
+	histogramBuckets = 160
+	histUnit         = time.Microsecond
+	histGrowth       = 1.18920711500272106671749997056 // 2^¼
+)
 
-// NewDurationHistogram returns a histogram with 1µs resolution floor and
-// quarter-octave (2^¼ ≈ 1.19x) bucket growth.
-func NewDurationHistogram() *DurationHistogram {
-	h := &DurationHistogram{unit: time.Microsecond, growth: math.Pow(2, 0.25)}
-	h.bounds = make([]time.Duration, histogramBuckets)
-	b := float64(h.unit)
-	for i := range h.bounds {
-		b *= h.growth
-		h.bounds[i] = time.Duration(b)
+// overflowFrom is where the top bucket ends: durations from 8 ns under its
+// bound upward count as overflow, where the logarithmic bucket index this
+// histogram first used rounded them. The edge stays so every duration
+// lands in the bucket it always has.
+const overflowFrom = 1_099_511_627_775_991
+
+// histBounds is the upper bound of each bucket, ascending: each the one
+// before times histGrowth, from histUnit, truncated to a Duration.
+// octaveStart[n] is the first bucket whose bound reaches 2^(n-1), the
+// least duration n bits long, so a duration of n bits lands there or a few
+// buckets (about four per octave) later.
+var histBounds, octaveStart = histogramLayout()
+
+func histogramLayout() (bounds [histogramBuckets]time.Duration, starts [64]uint8) {
+	b := float64(histUnit)
+	for i := range bounds {
+		b *= histGrowth
+		bounds[i] = time.Duration(b)
 	}
-	h.counts = make([]uint64, len(h.bounds)+2)
-	return h
+	for n := 1; n < len(starts); n++ {
+		least := time.Duration(1) << (n - 1)
+		starts[n] = uint8(sort.Search(len(bounds), func(i int) bool { return bounds[i] >= least }))
+	}
+	return bounds, starts
+}
+
+// NewDurationHistogram returns an empty histogram.
+func NewDurationHistogram() *DurationHistogram {
+	return &DurationHistogram{counts: make([]uint64, histogramBuckets+2)}
 }
 
 // Record adds one duration. Negative durations count as zero.
@@ -55,30 +77,20 @@ func (h *DurationHistogram) Record(d time.Duration) {
 	if d > h.max {
 		h.max = d
 	}
-	if d < h.unit {
+	if d < histUnit {
 		h.counts[0]++
 		return
 	}
-	// Index by logarithm, then correct for rounding against the exact
-	// bounds so bucket membership never depends on floating-point luck at
-	// the edges.
-	i := int(math.Log(float64(d)/float64(h.unit)) / math.Log(h.growth))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.bounds) {
+	if d >= overflowFrom {
 		h.counts[len(h.counts)-1]++
 		return
 	}
-	for i > 0 && d <= h.bounds[i-1] {
-		i--
-	}
-	for i < len(h.bounds) && d > h.bounds[i] {
+	// Start at the first bucket of d's octave and walk up to the one whose
+	// exact bound holds it; d < overflowFrom, under the last bound, ends the
+	// walk.
+	i := int(octaveStart[bits.Len64(uint64(d))])
+	for d > histBounds[i] {
 		i++
-	}
-	if i >= len(h.bounds) {
-		h.counts[len(h.counts)-1]++
-		return
 	}
 	h.counts[i+1]++
 }
@@ -128,7 +140,7 @@ func (h *DurationHistogram) Percentile(p float64) time.Duration {
 			case i == len(h.counts)-1:
 				return h.max
 			default:
-				b := h.bounds[i-1]
+				b := histBounds[i-1]
 				if b > h.max {
 					return h.max
 				}

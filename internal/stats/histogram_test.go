@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -101,5 +102,87 @@ func TestHistogramMeanExact(t *testing.T) {
 	h.Record(3 * time.Millisecond)
 	if got := h.Mean(); got != 2*time.Millisecond {
 		t.Fatalf("mean = %v, want 2ms", got)
+	}
+}
+
+// logBucket is the bucket index Record computed by logarithm before it
+// walked from octaveStart: counts' index for d, the overflow shortcut
+// included.
+func logBucket(bounds []time.Duration, d time.Duration) int {
+	overflow := len(bounds) + 1
+	if d < time.Microsecond {
+		return 0
+	}
+	i := int(math.Log(float64(d)/float64(time.Microsecond)) / math.Log(math.Pow(2, 0.25)))
+	if i < 0 {
+		i = 0
+	}
+	if i >= len(bounds) {
+		return overflow
+	}
+	for i > 0 && d <= bounds[i-1] {
+		i--
+	}
+	for i < len(bounds) && d > bounds[i] {
+		i++
+	}
+	if i >= len(bounds) {
+		return overflow
+	}
+	return i + 1
+}
+
+// bucketOf records d alone and returns the index of the count it raised.
+func bucketOf(d time.Duration) int {
+	h := NewDurationHistogram()
+	h.Record(d)
+	for i, c := range h.counts {
+		if c != 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestHistogramMatchesLogIndex holds Record's octave walk to the
+// logarithmic index it replaced: the same bounds bit for bit, and every
+// bound ±1 ns plus 10^5 seeded durations from 1 ns to 2^62 ns in the same
+// bucket, the durations just under the last bound that the logarithm
+// rounded into the overflow bucket included.
+func TestHistogramMatchesLogIndex(t *testing.T) {
+	bounds := make([]time.Duration, histogramBuckets)
+	b, growth := float64(time.Microsecond), math.Pow(2, 0.25)
+	for i := range bounds {
+		b *= growth
+		bounds[i] = time.Duration(b)
+	}
+	if growth != histGrowth {
+		t.Fatalf("histGrowth %v, want math.Pow(2, 0.25) = %v", float64(histGrowth), growth)
+	}
+	for i := range bounds {
+		if histBounds[i] != bounds[i] {
+			t.Fatalf("bound %d = %d, want %d", i, histBounds[i], bounds[i])
+		}
+	}
+	check := func(d time.Duration) {
+		t.Helper()
+		if got, want := bucketOf(d), logBucket(bounds, d); got != want {
+			t.Fatalf("%d ns landed in count %d, the logarithmic index put it in %d", d, got, want)
+		}
+	}
+	for _, bd := range bounds {
+		check(bd - 1)
+		check(bd)
+		check(bd + 1)
+	}
+	if got := bucketOf(bounds[len(bounds)-1]); got != histogramBuckets+1 {
+		t.Fatalf("the last bound landed in count %d, want the overflow count", got)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 100_000; i++ {
+		check(time.Duration(math.Exp2(rng.Float64() * 62)))
+	}
+	for d := time.Duration(overflowFrom) - 16; d < time.Duration(overflowFrom)+16; d++ {
+		check(d)
 	}
 }

@@ -90,7 +90,7 @@ func (f *FaultyConn) sendFaulted(d faults.Decision, m protocol.Message) (handled
 		return true, fmt.Errorf("transport: send stalled %v: %w", d.Delay, os.ErrDeadlineExceeded)
 	case faults.KindPartialWrite:
 		if sp, ok := f.inner.(splitSender); ok {
-			return true, sp.sendSplit(m, d.KeepFor(m.WireSize()+frameHeaderSize))
+			return true, sp.sendSplit(m, d.KeepFor(m.WireSize()+protocol.FrameHeaderSize))
 		}
 		return false, nil // no byte stream to split; deliver cleanly
 	case faults.KindTruncate:

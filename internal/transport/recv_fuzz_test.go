@@ -46,7 +46,7 @@ func splitFrames(stream []byte) (frames [][]byte, end streamEnd) {
 		if len(stream) == 0 {
 			return frames, endEOF
 		}
-		if len(stream) < frameHeaderSize {
+		if len(stream) < protocol.FrameHeaderSize {
 			return frames, endTruncated
 		}
 		n := binary.LittleEndian.Uint32(stream)
@@ -55,11 +55,11 @@ func splitFrames(stream []byte) (frames [][]byte, end streamEnd) {
 			return frames, endOversized
 		case n > fuzzFrameCap:
 			return frames, endHuge
-		case int(n) > len(stream)-frameHeaderSize:
+		case int(n) > len(stream)-protocol.FrameHeaderSize:
 			return frames, endTruncated
 		}
-		frames = append(frames, stream[frameHeaderSize:frameHeaderSize+int(n)])
-		stream = stream[frameHeaderSize+int(n):]
+		frames = append(frames, stream[protocol.FrameHeaderSize:protocol.FrameHeaderSize+int(n)])
+		stream = stream[protocol.FrameHeaderSize+int(n):]
 	}
 }
 
@@ -110,7 +110,7 @@ func FuzzTCPRecv(f *testing.F) {
 				if !bytes.Equal(got, want) {
 					t.Fatalf("landing=%v: frame %d: got %x, want %x", landing, i, got, want)
 				}
-				left -= frameHeaderSize + len(want)
+				left -= protocol.FrameHeaderSize + len(want)
 				total += len(want)
 			}
 			if end != endHuge {

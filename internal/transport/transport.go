@@ -230,9 +230,6 @@ func isStreamEnd(err error) bool {
 
 // --- TCP ---------------------------------------------------------------------
 
-// frameHeaderSize mirrors the protocol package's length prefix.
-const frameHeaderSize = 4
-
 // TCPConn is a Conn over a real socket. Like the protocol it carries, it
 // is half-duplex per direction: one goroutine sending and one receiving.
 type TCPConn struct {
@@ -398,12 +395,12 @@ func (t *TCPConn) recvFrame(l Lander) (payload, landed []byte, err error) {
 	// Peek the header through bufio instead of reading it into a local
 	// array through the io.Reader interface, which would make the array
 	// escape: one allocation per message.
-	hdr, err := t.br.Peek(frameHeaderSize)
+	hdr, err := t.br.Peek(protocol.FrameHeaderSize)
 	if err != nil {
 		// A clean close lands exactly between frames and surfaces as io.EOF
 		// with nothing buffered; a close inside the header is a truncation.
 		if got := t.br.Buffered(); got > 0 && isStreamEnd(err) {
-			return nil, nil, fmt.Errorf("%w: %d of %d header bytes", ErrTruncatedFrame, got, frameHeaderSize)
+			return nil, nil, fmt.Errorf("%w: %d of %d header bytes", ErrTruncatedFrame, got, protocol.FrameHeaderSize)
 		}
 		return nil, nil, err
 	}
@@ -411,7 +408,7 @@ func (t *TCPConn) recvFrame(l Lander) (payload, landed []byte, err error) {
 	if n > protocol.MaxFrameSize {
 		return nil, nil, fmt.Errorf("transport: frame of %d bytes exceeds limit %d", n, protocol.MaxFrameSize)
 	}
-	if _, err := t.br.Discard(frameHeaderSize); err != nil {
+	if _, err := t.br.Discard(protocol.FrameHeaderSize); err != nil {
 		return nil, nil, err
 	}
 	var head int
@@ -465,12 +462,12 @@ func (t *TCPConn) Close() error {
 // encodeFrame renders the full length-prefixed frame of m into a fresh
 // buffer; the fault paths below need the raw bytes to cut or split.
 func encodeFrame(m protocol.Message) ([]byte, error) {
-	buf := make([]byte, frameHeaderSize, frameHeaderSize+m.WireSize())
+	buf := make([]byte, protocol.FrameHeaderSize, protocol.FrameHeaderSize+m.WireSize())
 	binary.LittleEndian.PutUint32(buf, uint32(m.WireSize()))
 	buf = m.Encode(buf)
-	if len(buf) != frameHeaderSize+m.WireSize() {
+	if len(buf) != protocol.FrameHeaderSize+m.WireSize() {
 		return nil, fmt.Errorf("transport: %T encoded %d bytes, declared %d",
-			m, len(buf)-frameHeaderSize, m.WireSize())
+			m, len(buf)-protocol.FrameHeaderSize, m.WireSize())
 	}
 	return buf, nil
 }
@@ -492,7 +489,7 @@ func (t *TCPConn) sendTruncated(m protocol.Message, keep int) error {
 	if keep > m.WireSize()-1 {
 		keep = m.WireSize() - 1
 	}
-	_, werr := t.c.Write(buf[:frameHeaderSize+keep])
+	_, werr := t.c.Write(buf[:protocol.FrameHeaderSize+keep])
 	cerr := t.c.Close()
 	if werr != nil {
 		return werr

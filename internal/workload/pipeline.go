@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"time"
 
 	"rcuda/internal/calib"
 	"rcuda/internal/cudart"
@@ -24,8 +23,8 @@ import (
 //
 // As with the base runners there are two modes that agree exactly when
 // noise is off: a functional mode driving the real middleware, and an
-// analytic mode walking perfmodel.PipelinedSchedule with the same engine
-// bookkeeping.
+// analytic mode walking perfmodel.PipelinedSchedule and booking its device
+// time on the device's own engine ledger (gpu.Engines).
 
 // RunPipelined executes the FFT case study remotely with the batch split
 // into the given number of chunks (≥ 2; the batch must divide evenly).
@@ -49,9 +48,9 @@ func RunPipelined(size int, chunks int, opts Options) (Report, error) {
 }
 
 // runPipelinedAnalytic walks the pipelined schedule, booking each async
-// op's device time on the device's two-engine timeline — a copy's on the
-// copy engine, a launch's on the execution engine — and waiting for both
-// engines at the device synchronization.
+// op's device time on the device's engines — a copy's on the copy engine,
+// a launch's on the execution engine — and waiting for both at the device
+// synchronization.
 func runPipelinedAnalytic(size, chunks int, opts Options) (Report, error) {
 	sw := vclock.NewStopwatch(opts.Clock)
 
@@ -65,26 +64,17 @@ func runPipelinedAnalytic(size, chunks int, opts Options) (Report, error) {
 	opts.Clock.Sleep(parts.Marshal)
 	netStart := opts.Clock.Now()
 
-	// Two-engine, per-stream timeline mirroring gpu.Context.schedule: work
-	// starts once both its engine and its stream are free.
-	var copyFree, execFree time.Duration
-	streamFree := map[int]time.Duration{}
-	book := func(engineFree *time.Duration, s int, cost time.Duration) {
-		start := max(opts.Clock.Now(), *engineFree, streamFree[s])
-		end := start + opts.perturb(cost)
-		*engineFree = end
-		streamFree[s] = end
-	}
+	var eng gpu.Engines
 	for _, m := range perfmodel.PipelinedSchedule(size, chunks) {
 		opts.Clock.Sleep(opts.perturb(opts.Link.WireTime(m.Send)))
 		switch {
 		case m.Bulk > 0:
-			book(&copyFree, m.Stream, m.Device)
+			eng.Book(gpu.CopyEngine, uint32(m.Stream), opts.perturb(m.Device), opts.Clock.Now())
 		case m.Device > 0:
-			book(&execFree, m.Stream, m.Device)
+			eng.Book(gpu.ExecEngine, uint32(m.Stream), opts.perturb(m.Device), opts.Clock.Now())
 		case m.Op == protocol.OpDeviceSynchronize:
 			if sim, ok := opts.Clock.(*vclock.Sim); ok {
-				sim.AdvanceTo(max(copyFree, execFree))
+				sim.AdvanceTo(eng.Idle())
 			}
 		}
 		if m.Recv > 0 {
