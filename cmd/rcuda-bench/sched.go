@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"text/tabwriter"
-	"time"
 
 	"rcuda/internal/sched"
 )
@@ -27,11 +26,12 @@ type gates struct {
 }
 
 // schedGates holds each sched.Scenarios entry's gates: WFQ must cut the
-// realtime class's p99 queue wait at least 5x while serving the same
-// aggregate throughput within 10%, and split a class 2:1 by weight.
+// realtime class's p99 queue wait by sched.MinRealtimeP99Improvement while
+// serving the same aggregate throughput within 10%, and split a class 2:1
+// by weight.
 var schedGates = map[string]gates{
-	"starvation-1bulk-8rt":  {minP99Improvement: 5, maxThroughputDelta: 0.10},
-	"starvation-1bulk-32rt": {minP99Improvement: 5, maxThroughputDelta: 0.10},
+	"starvation-1bulk-8rt":  {minP99Improvement: sched.MinRealtimeP99Improvement, maxThroughputDelta: 0.10},
+	"starvation-1bulk-32rt": {minP99Improvement: sched.MinRealtimeP99Improvement, maxThroughputDelta: 0.10},
 	"weighted-share-2to1":   {maxThroughputDelta: 0.10, servedRatio: 2, servedRatioTol: 0.05},
 }
 
@@ -100,21 +100,15 @@ func runSchedScenario(w io.Writer, sc sched.Scenario) (schedResult, error) {
 		return schedResult{}, err
 	}
 	sr := schedResult{
-		Name:       sc.Name,
-		Seed:       sc.Seed,
-		DurationMS: sc.Duration.Milliseconds(),
-		Tenants:    len(sc.Tenants()),
-		FIFO:       toPolicyRow(fifo),
-		WFQ:        toPolicyRow(wfq),
+		Name:                sc.Name,
+		Seed:                sc.Seed,
+		DurationMS:          sc.Duration.Milliseconds(),
+		Tenants:             len(sc.Tenants()),
+		FIFO:                toPolicyRow(fifo),
+		WFQ:                 toPolicyRow(wfq),
+		ThroughputDeltaFrac: round4(sched.ThroughputDelta(fifo, wfq)),
 	}
-	if fifo.TotalServed > 0 {
-		delta := float64(int64(wfq.TotalServed) - int64(fifo.TotalServed))
-		if delta < 0 {
-			delta = -delta
-		}
-		sr.ThroughputDeltaFrac = round4(delta / float64(fifo.TotalServed))
-	}
-	fifoP99, wfqP99 := classP99(fifo, sched.Realtime), classP99(wfq, sched.Realtime)
+	fifoP99, wfqP99 := fifo.ClassP99(sched.Realtime), wfq.ClassP99(sched.Realtime)
 	if wfqP99 > 0 {
 		sr.RTP99ImprovementX = round2(float64(fifoP99) / float64(wfqP99))
 	}
@@ -172,14 +166,4 @@ func toPolicyRow(r *sched.SimResult) policyRow {
 		})
 	}
 	return row
-}
-
-// classP99 extracts one class's p99 wait from a run, 0 if absent.
-func classP99(r *sched.SimResult, class sched.Class) time.Duration {
-	for _, c := range r.Classes {
-		if c.Class == class {
-			return c.WaitP99
-		}
-	}
-	return 0
 }

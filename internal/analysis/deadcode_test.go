@@ -14,9 +14,11 @@ import (
 // package-level func, type, var and const and every method declared in a
 // non-test file under internal/ must be used by something other than its
 // own package's tests — a command, an example, the benchmark, another
-// package, or another package's tests. A finding means the declaration
-// goes, or moves into the one _test.go file that uses it. As with
-// TestVetClean, there is no suppression mechanism.
+// package, or another package's tests — and every exported field of an
+// exported struct type there must be written by some file of the module.
+// A finding means the declaration goes, or moves into the one _test.go
+// file that uses it. As with TestVetClean, there is no suppression
+// mechanism.
 func TestNoDeadCode(t *testing.T) {
 	for _, d := range deadCode(moduleRoot(t)).Run(moduleUnit(t)) {
 		t.Errorf("%s", d.String())
@@ -44,11 +46,22 @@ func TestDeadCodeFixture(t *testing.T) {
 //     error and fmt.Stringer);
 //  4. it is not a method of a type the module-root package aliases;
 //  5. no build-constrained file in its directory names it.
+//
+// An exported field of an exported struct type is reported when no file
+// of the module writes it, tests included: a setting nothing sets is a
+// constant. A write is a composite-literal key (an unkeyed literal writes
+// every field), an assignment, ++ or --, or &x.F. Non-test files are
+// matched through their types; _test.go files syntactically, by field
+// name, as in rule 2.
 func deadCode(root string) *Analyzer {
 	return &Analyzer{
 		Name: "deadcode",
-		Doc:  "declarations under internal/ used by nothing outside their own package's tests",
-		Run:  func(u *Unit) []Diagnostic { return findDeadCode(u, root) },
+		Doc:  "declarations under internal/ used by nothing outside their own package's tests, and fields nothing writes",
+		Run: func(u *Unit) []Diagnostic {
+			ds := append(findDeadCode(u, root), findUnwrittenFields(u, root)...)
+			SortDiagnostics(ds)
+			return ds
+		},
 	}
 }
 
@@ -83,8 +96,177 @@ func findDeadCode(u *Unit, root string) []Diagnostic {
 				"%s is used by nothing outside its own package's tests", c.label))
 		}
 	}
-	SortDiagnostics(ds)
 	return ds
+}
+
+// findUnwrittenFields applies the field rule.
+func findUnwrittenFields(u *Unit, root string) []Diagnostic {
+	internalDir := filepath.Join(root, "internal") + string(filepath.Separator)
+	written := make(map[string]bool)
+	testWritten := make(map[string]bool)
+	for _, p := range u.Pkgs {
+		markWrites(p, written)
+		for _, f := range parseGlob(p.Dir, "*_test.go", nil) {
+			markTestWrites(f, testWritten)
+		}
+	}
+	var ds []Diagnostic
+	for _, p := range u.Pkgs {
+		if !strings.HasPrefix(p.Dir+string(filepath.Separator), internalDir) {
+			continue
+		}
+		scope := p.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if !f.Exported() || f.Embedded() || testWritten[f.Name()] || testWritten[name+"."+f.Name()] || written[fieldKey(tn, f.Name())] {
+					continue
+				}
+				ds = append(ds, u.diag("deadcode", f.Pos(),
+					"%s.%s is written by no file of the module", name, f.Name()))
+			}
+		}
+	}
+	return ds
+}
+
+// fieldKey names field of the struct type tn across packages.
+func fieldKey(tn *types.TypeName, field string) string {
+	return tn.Pkg().Path() + "." + tn.Name() + "." + field
+}
+
+// ownerKey names field of the named struct type t (through a pointer or
+// an alias, and from an instance to its generic type), or "" when t is not
+// a named type.
+func ownerKey(t types.Type, field string) string {
+	n := namedOf(t)
+	if n == nil || n.Obj().Pkg() == nil {
+		return ""
+	}
+	return fieldKey(n.Origin().Obj(), field)
+}
+
+// markWrites records every field p's non-test files write.
+func markWrites(p *Package, written map[string]bool) {
+	target := func(e ast.Expr) {
+		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+		if !ok {
+			return
+		}
+		s := p.Info.Selections[sel]
+		if s == nil || s.Kind() != types.FieldVal {
+			return
+		}
+		// A promoted field belongs to the struct the path ends in.
+		t := s.Recv()
+		for _, i := range s.Index()[:len(s.Index())-1] {
+			t = structOf(t).Field(i).Type()
+		}
+		written[ownerKey(t, sel.Sel.Name)] = true
+	}
+	for _, f := range p.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				t := p.Info.Types[n].Type
+				st := structOf(t)
+				if st == nil {
+					return true
+				}
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						written[ownerKey(t, kv.Key.(*ast.Ident).Name)] = true
+					} else {
+						written[ownerKey(t, st.Field(i).Name())] = true
+					}
+				}
+			case *ast.SelectorExpr:
+				// x.F.M() with a pointer method M takes &x.F when x.F is
+				// a value.
+				s := p.Info.Selections[n]
+				if s == nil || s.Kind() != types.MethodVal {
+					return true
+				}
+				_, ptrRecv := s.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+				_, ptrX := p.Info.TypeOf(n.X).Underlying().(*types.Pointer)
+				if ptrRecv && !ptrX {
+					target(n.X)
+				}
+			default:
+				assigned(n, target)
+			}
+			return true
+		})
+	}
+}
+
+// markTestWrites records every field a test file writes: a literal's keys
+// as Type.Field when the literal names its type, every other write by
+// field name alone.
+func markTestWrites(f *ast.File, written map[string]bool) {
+	target := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			written[sel.Sel.Name] = true
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		lit, ok := n.(*ast.CompositeLit)
+		if !ok {
+			assigned(n, target)
+			return true
+		}
+		prefix := ""
+		switch t := lit.Type.(type) {
+		case *ast.Ident:
+			prefix = t.Name + "."
+		case *ast.SelectorExpr:
+			prefix = t.Sel.Name + "."
+		case *ast.ArrayType, *ast.MapType:
+			return true // keys of a slice or map literal are not fields
+		}
+		for _, elt := range lit.Elts {
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				if id, ok := kv.Key.(*ast.Ident); ok {
+					written[prefix+id.Name] = true
+				}
+			}
+		}
+		return true
+	})
+}
+
+// assigned calls target with each expression n stores to: an assignment's
+// left-hand sides, an increment's operand, the operand of &.
+func assigned(n ast.Node, target func(ast.Expr)) {
+	switch n := n.(type) {
+	case *ast.AssignStmt:
+		for _, lhs := range n.Lhs {
+			target(lhs)
+		}
+	case *ast.IncDecStmt:
+		target(n.X)
+	case *ast.UnaryExpr:
+		if n.Op == token.AND {
+			target(n.X)
+		}
+	}
+}
+
+// structOf returns the struct under t, through a pointer, or nil.
+func structOf(t types.Type) *types.Struct {
+	if ptr, ok := types.Unalias(t).(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	st, _ := t.Underlying().(*types.Struct)
+	return st
 }
 
 // candidate is one declaration the rule judges: recv is the receiver's
@@ -157,12 +339,13 @@ func declared(decl ast.Decl) []declaration {
 	return nil
 }
 
-// namedOf strips a pointer and returns the named type under it, if any.
+// namedOf strips a pointer and any alias and returns the named type under
+// them, if any.
 func namedOf(t types.Type) *types.Named {
-	if ptr, ok := t.(*types.Pointer); ok {
+	if ptr, ok := types.Unalias(t).(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
-	n, _ := t.(*types.Named)
+	n, _ := types.Unalias(t).(*types.Named)
 	return n
 }
 

@@ -155,11 +155,11 @@ func calleeKey(fn *types.Func) string {
 		return fn.Name()
 	}
 	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-		t := recv.Type()
+		t := types.Unalias(recv.Type())
 		if p, ok := t.(*types.Pointer); ok {
 			t = p.Elem()
 		}
-		if nt, ok := t.(*types.Named); ok {
+		if nt, ok := types.Unalias(t).(*types.Named); ok {
 			return fn.Pkg().Path() + "." + nt.Obj().Name() + "." + fn.Name()
 		}
 	}
@@ -215,7 +215,7 @@ func (ln *lockNet) directBlocking(pkg *Package, call *ast.CallExpr) string {
 // isConnType reports whether t is the configured transport connection
 // interface.
 func (ln *lockNet) isConnType(t types.Type) bool {
-	nt, ok := t.(*types.Named)
+	nt, ok := types.Unalias(t).(*types.Named)
 	if !ok {
 		return false
 	}

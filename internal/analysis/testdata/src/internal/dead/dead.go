@@ -26,3 +26,13 @@ type Facade struct{}
 
 // API is called by nothing, but the alias makes it public API.
 func (*Facade) API() {}
+
+// Settings is configured by the module root through the alias Knobs.
+type Settings struct {
+	// Rate is written by a literal of the alias.
+	Rate int
+	// Depth is written by this package's test alone.
+	Depth int
+	// Spare is written by nothing.
+	Spare int // want deadcode "Settings.Spare is written by no file of the module"
+}

@@ -58,7 +58,7 @@ func wireMsgPackage(u *Unit, pkg *Package) []Diagnostic {
 	var ds []Diagnostic
 	for _, name := range scope.Names() {
 		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok || !tn.Exported() {
+		if !ok || !tn.Exported() || tn.IsAlias() {
 			continue
 		}
 		nt, ok := tn.Type().(*types.Named)

@@ -168,7 +168,7 @@ type Pool struct {
 	// reconnect route and scheduling class: the retry policy.
 	clientOpt rcuda.ClientOption
 
-	// rankMu guards ranking, the kept Ranking Open walks (DESIGN.md §17):
+	// rankMu guards ranking, the kept Ranking Open walks (DESIGN.md §9):
 	// an open checks it out, so consecutive opens re-key only the
 	// endpoints that changed, and one that finds it out ranks afresh.
 	rankMu  sync.Mutex

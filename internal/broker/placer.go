@@ -51,7 +51,7 @@ type placerState struct {
 // journalLen is how many changes a kept Ranking may be behind and still
 // replay them; one further behind ranks afresh. Kept ranks in the two
 // fleet_place shapes are at most 71 changes behind, and all but 7 of
-// 842 008 within 64; session_churn's at most 3 (DESIGN.md §17).
+// 842 008 within 64; session_churn's at most 3.
 const journalLen = 64
 
 // touch records that one of endpoint idx's ranking inputs is changing,

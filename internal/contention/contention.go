@@ -37,6 +37,8 @@ type Params struct {
 	// Link is the interconnect into the GPU node, shared by all clients.
 	Link *netsim.Link
 	// Stagger is an optional arrival offset between consecutive clients.
+	// No program staggers; TestStaggerReducesQueueing and
+	// TestRunMatchesParent set it to hold the offset's effect.
 	Stagger time.Duration
 }
 

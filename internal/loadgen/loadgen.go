@@ -128,7 +128,8 @@ type Config struct {
 	// stale for the tick.
 	FaultPlan *faults.Plan
 	// MaxDuration hard-stops the virtual clock, bounding runs whose
-	// offered load can never drain. Defaults to 1 hour of virtual time.
+	// offered load can never drain. Defaults to 1 hour of virtual time;
+	// only TestMaxDurationBoundsOverload sets it, to stop an overload early.
 	MaxDuration time.Duration
 }
 
@@ -206,10 +207,12 @@ type Result struct {
 
 	// Placed counts sessions that reached a daemon at least once;
 	// Completed those that ran their full hold. LostNonDurable counts
-	// non-durable sessions that died with a crashed daemon; LostDurable
-	// must be zero by construction (durable sessions always fail over) and
-	// is reported so tests and CI can assert it. Unplaced sessions were
-	// still queued when the clock stopped.
+	// non-durable sessions that died with a crashed daemon. Unplaced
+	// sessions were still queued when the clock stopped. LostDurable is
+	// what the run's own accounting cannot find: the sessions that arrived,
+	// less those completed, lost non-durable, still placed or still queued.
+	// Durable sessions fail over, so it must be zero; a durable session the
+	// simulator drops shows up here.
 	Placed         int64
 	Completed      int64
 	LostDurable    int64
@@ -940,6 +943,7 @@ func (s *sim) result(elapsed time.Duration) *Result {
 		Placed:         s.placed,
 		Completed:      s.completed,
 		LostNonDurable: s.lostNonDurable,
+		LostDurable:    int64(s.created) - s.completed - s.lostNonDurable - int64(s.live) - int64(s.queued()),
 		Unplaced:       s.queued(),
 		Elapsed:        elapsed,
 		QueueWaitP50:   s.wait.Percentile(50),

@@ -470,7 +470,7 @@ func TestBlockedHeadDoesNotRetry(t *testing.T) {
 }
 
 // TestRoundRobinBlockedHeadCursor pins the corner the blocked-head rule
-// leaves open (DESIGN.md §17): under round-robin a failed walk hands out the
+// leaves open (DESIGN.md §10): under round-robin a failed walk hands out the
 // marked-down daemons too and moves the cursor past them, so how many failed
 // walks happen decides where the cursor stands when room opens. Four
 // single-slot daemons, 1 and 3 killed, 0 and 2 busy; the third session

@@ -5,7 +5,7 @@ package protocol
 // lifetime rule is the one the frame-aliasing fields (LaunchRequest.Params,
 // MemcpyToDeviceRequest.Data) already follow, extended to the structs: a
 // decoded request is valid until the next receive on its connection — until
-// the decoder decodes again (DESIGN.md §23). A holder that needs a field
+// the decoder decodes again (DESIGN.md §3). A holder that needs a field
 // longer copies it out first.
 //
 // The zero value is ready. A Decoder belongs to the one goroutine that

@@ -8,7 +8,7 @@ import "fmt"
 // batch or close one, whether it waits for the device scheduler and in which cost
 // bucket, which of the paper's phases a trace files it under — is one row
 // of ops. Adding an operation is one constant, one row, one case in the
-// server's dispatch and one client method (DESIGN.md §21).
+// server's dispatch and one client method (DESIGN.md §3).
 
 // Op identifies the remote CUDA function of a request.
 type Op uint32

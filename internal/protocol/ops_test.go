@@ -83,7 +83,7 @@ func TestOpTableTotal(t *testing.T) {
 // an op added without one — the zero value is PhaseInit — fails rather than
 // being filed under initialization by accident. The paper's eight keep the
 // phases Figure 2 draws them under; everything since had been lumped into
-// "Finalization" by a default case (DESIGN.md §21 argues each choice).
+// "Finalization" by a default case (DESIGN.md §3 argues each choice).
 func TestEveryOpHasADeliberatePhase(t *testing.T) {
 	phases := map[Op]Phase{
 		OpInit:              PhaseInit,

@@ -100,7 +100,7 @@ func (m *residentModel) request() error {
 // TestInferenceRequestAllocationGate: one 24-layer inference request — the
 // benchmark's infer_* call sequence — over an in-process pipe to a WFQ
 // server, both ends counted. Decoded requests, replies and the scheduler op
-// live in per-connection storage (DESIGN.md §23), so what is left is the
+// live in per-connection storage (DESIGN.md §3), so what is left is the
 // simulated pipe's own per-message bookkeeping.
 func TestInferenceRequestAllocationGate(t *testing.T) {
 	skipUnderRace(t)
@@ -148,13 +148,13 @@ func TestInferenceRequestAllocationGate(t *testing.T) {
 // requests over a loopback socket to a WFQ server, started right after two
 // GC cycles have emptied every sync.Pool, allocate nothing on either end.
 // Each connection receives into the small buffer it kept from its previous
-// frame and each device context launches with the frame it kept from its
-// previous launch (DESIGN.md §23), so a GC triggered by unrelated garbage
-// no longer sends the next call to an empty pool. Two one-off allocations
-// are kept out of the count: the runtime builds each type assertion's
-// call-site cache once per process, at a random one of its calls (the long
-// warm-up, and the best of three rounds), and runs its own cleanups right
-// after a GC (the pause). A pool emptied by GC strays in every round.
+// frame and a launch builds no frame (DESIGN.md §4, §7), so a GC triggered
+// by unrelated garbage no longer sends the next call to an empty pool. Two
+// one-off allocations are kept out of the count: the runtime builds each
+// type assertion's call-site cache once per process, at a random one of its
+// calls (the long warm-up, and the best of three rounds), and runs its own
+// cleanups right after a GC (the pause). A pool emptied by GC strays in
+// every round.
 func TestBatchedInferenceAllocatesNothingAfterGC(t *testing.T) {
 	skipUnderRace(t)
 	lb := startLoopback(t, nil, WithScheduler(sched.WFQ))

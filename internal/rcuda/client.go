@@ -82,7 +82,7 @@ type Client struct {
 	// that offering them to the transport allocates nothing.
 	toHost hostLander
 	asm    *protocol.ChunkAssembler
-	// req is where the call in flight builds its request (DESIGN.md §23):
+	// req is where the call in flight builds its request (DESIGN.md §3):
 	// a Client runs one call at a time, so a request lives until the call
 	// returns and the next of its type overwrites it.
 	req requests

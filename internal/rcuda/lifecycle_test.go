@@ -14,7 +14,7 @@ import (
 
 // The session lifecycle suite: the bytes a parked session checkpoints to,
 // and what each event of the lifecycle receives in each state a session id
-// can be in (DESIGN.md §14, "Session states").
+// can be in (DESIGN.md §5 "Session states").
 
 // parkDurable opens a durable session on d, runs program on it, drops its
 // connection and waits until the daemon has parked it. It returns the id.

@@ -13,7 +13,7 @@ import (
 	"rcuda/internal/transport"
 )
 
-// Tests of the lifetime rule of DESIGN.md §23: a decoded request and a
+// Tests of the lifetime rule of DESIGN.md §3: a decoded request and a
 // built reply are valid until the connection's next message, and nothing
 // may hold one longer.
 

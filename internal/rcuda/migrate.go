@@ -258,7 +258,7 @@ const restoreAttempts, restoreBackoff = 6, time.Millisecond
 // and it learns that the source gave an attempt up only at its next receive
 // on that connection — after a source that retries at once has said hello
 // again. So, like a client's reattach, a hello refused busy is repeated a
-// bounded number of times (DESIGN.md §14).
+// bounded number of times (DESIGN.md §5).
 func openRestore(id uint64, dial func() (transport.Conn, error)) (transport.Conn, error) {
 	for attempt := 1; ; attempt++ {
 		conn, err := dial()

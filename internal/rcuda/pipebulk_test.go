@@ -13,7 +13,7 @@ import (
 	"rcuda/internal/vclock"
 )
 
-// Gates on bulk copies through the simulated pipe (DESIGN.md §20): the
+// Gates on bulk copies through the simulated pipe (DESIGN.md §4): the
 // pipe stages nothing, allocates nothing with the size of the copy, and
 // leaves every simulated time where it was.
 

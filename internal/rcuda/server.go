@@ -398,7 +398,7 @@ type session struct {
 	lastBatchSeq   uint64
 	lastBatchCodes []uint32
 	spareCodes     []uint32
-	// Per-connection message storage (DESIGN.md §23), touched only by the
+	// Per-connection message storage (DESIGN.md §3), touched only by the
 	// session's handler goroutine: dec owns the decoded request, reply the
 	// reply being sent. Both are overwritten by the next request.
 	dec   protocol.Decoder

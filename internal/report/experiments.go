@@ -32,7 +32,7 @@ func (c Config) Experiments() (string, error) {
 
 Regenerate with ` + "`go run ./cmd/rcuda-repro -experiments`" + fmt.Sprintf(
 		" (seed %d, %d repetitions, %.1f%% noise).\n\n", c.Seed, c.reps(), c.Sigma*100))
-	sb.WriteString(`Absolute numbers come from a calibrated simulator (see DESIGN.md §2), so
+	sb.WriteString(`Absolute numbers come from a calibrated simulator (see DESIGN.md §1), so
 "measured" columns track the paper by construction; the *reproduced results*
 are the derived quantities — fixed times, cross-validation error rates, and
 target-network projections — which the estimation-model code recomputes from
@@ -287,7 +287,7 @@ func (c Config) expExtensions(sb *strings.Builder) error {
   BENCH_loadscale.json's `+"`scale-down-migrate`"+` row reported 908143 spills for
   10000 sessions while every refused attempt, and every arrival behind a
   blocked head, re-walked the full fleet; with one ranking per placement,
-  full marks and a blocked head (DESIGN.md §17) the same run reports %d
+  full marks and a blocked head (DESIGN.md §9) the same run reports %d
   with every other number unchanged, and that remainder is real: under
   saturation each completion frees one slot and the next session in line
   walks the still-full fleet once before blocking, the ranking runs on
@@ -312,9 +312,9 @@ func (c Config) expExtensions(sb *strings.Builder) error {
 	// same mix BENCH_sched.json commits), so the document can only print
 	// numbers the run just verified.
 	fifoRes, wfqRes := starvationRuns()
-	fifoP99 := classWaitP99(fifoRes, sched.Realtime)
-	wfqP99 := classWaitP99(wfqRes, sched.Realtime)
-	if wfqP99 <= 0 || fifoP99 < 5*wfqP99 {
+	fifoP99 := fifoRes.ClassP99(sched.Realtime)
+	wfqP99 := wfqRes.ClassP99(sched.Realtime)
+	if wfqP99 <= 0 || fifoP99 < sched.MinRealtimeP99Improvement*wfqP99 {
 		return fmt.Errorf("report: starvation scenario improvement collapsed (fifo %v, wfq %v)", fifoP99, wfqP99)
 	}
 	fmt.Fprintf(sb, `- **Per-device WFQ scheduler with priority classes (internal/sched,
@@ -333,7 +333,7 @@ func (c Config) expExtensions(sb *strings.Builder) error {
 
 `, float64(fifoP99.Microseconds())/1000, float64(wfqP99.Microseconds())/1000,
 		float64(fifoP99)/float64(wfqP99),
-		throughputDeltaPct(fifoRes, wfqRes), fifoRes.TotalServed, wfqRes.TotalServed)
+		100*sched.ThroughputDelta(fifoRes, wfqRes), fifoRes.TotalServed, wfqRes.TotalServed)
 	return nil
 }
 
@@ -378,25 +378,6 @@ func placementAccountingRuns() (scaleDown, classes *loadgen.Result, err error) {
 func starvationRuns() (fifo, wfq *sched.SimResult) {
 	sc := sched.Scenarios()[0]
 	return sched.Simulate(sc.Config(sched.FIFO)), sched.Simulate(sc.Config(sched.WFQ))
-}
-
-// classWaitP99 extracts one class's p99 queue wait from a sim run.
-func classWaitP99(r *sched.SimResult, class sched.Class) time.Duration {
-	for _, c := range r.Classes {
-		if c.Class == class {
-			return c.WaitP99
-		}
-	}
-	return 0
-}
-
-// throughputDeltaPct is |wfq-fifo|/fifo over total served ops, percent.
-func throughputDeltaPct(fifo, wfq *sched.SimResult) float64 {
-	d := float64(int64(wfq.TotalServed) - int64(fifo.TotalServed))
-	if d < 0 {
-		d = -d
-	}
-	return 100 * d / float64(fifo.TotalServed)
 }
 
 // minDaemons is the smallest fleet size the trajectory visited.

@@ -22,6 +22,36 @@ func (s Scenario) Config(p Policy) SimConfig {
 	return SimConfig{Seed: s.Seed, Policy: p, Duration: s.Duration, Tenants: s.Tenants()}
 }
 
+// MinRealtimeP99Improvement is the fairness floor of the starvation
+// scenarios: WFQ must cut the realtime class's p99 queue wait to at most a
+// fifth of FIFO's. rcuda-bench gates BENCH_sched.json on it and the
+// experiments report re-checks it on every regeneration.
+const MinRealtimeP99Improvement = 5
+
+// ClassP99 returns class c's p99 queue wait in r, 0 when r has no op of
+// that class.
+func (r *SimResult) ClassP99(c Class) time.Duration {
+	for _, cr := range r.Classes {
+		if cr.Class == c {
+			return cr.WaitP99
+		}
+	}
+	return 0
+}
+
+// ThroughputDelta is |wfq-fifo|/fifo over the total ops each run served,
+// 0 when fifo served none: the cost in throughput of WFQ's order.
+func ThroughputDelta(fifo, wfq *SimResult) float64 {
+	if fifo.TotalServed == 0 {
+		return 0
+	}
+	d := float64(int64(wfq.TotalServed) - int64(fifo.TotalServed))
+	if d < 0 {
+		d = -d
+	}
+	return d / float64(fifo.TotalServed)
+}
+
 // Scenarios returns the pinned scenarios in BENCH_sched.json order.
 func Scenarios() []Scenario {
 	return []Scenario{

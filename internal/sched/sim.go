@@ -38,9 +38,8 @@ type TenantSpec struct {
 type SimConfig struct {
 	// Seed derives every tenant's arrival stream.
 	Seed int64
-	// Policy and ClassWeights configure the scheduler under test.
-	Policy       Policy
-	ClassWeights [NumClasses]uint32
+	// Policy is the scheduler under test; it runs DefaultClassWeights.
+	Policy Policy
 	// Duration is the arrival window: ops arriving inside it are counted,
 	// the queue then drains.
 	Duration time.Duration
@@ -100,7 +99,7 @@ func Simulate(cfg SimConfig) *SimResult {
 	if cfg.Duration <= 0 || len(cfg.Tenants) == 0 {
 		return &SimResult{Policy: cfg.Policy}
 	}
-	c := newCore(Config{Policy: cfg.Policy, ClassWeights: cfg.ClassWeights})
+	c := newCore(Config{Policy: cfg.Policy})
 	loop := des.NewEventLoop()
 	tenants := make([]*simTenant, len(cfg.Tenants))
 	var busy time.Duration

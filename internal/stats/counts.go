@@ -8,7 +8,7 @@ import (
 )
 
 // A counter set is declared once, as a generic struct whose fields all have
-// the type parameter's type (DESIGN.md §24), and instantiated twice: with
+// the type parameter's type (DESIGN.md §13), and instantiated twice: with
 // atomic.Int64 as the live store its owner adds to, and with int64 as the
 // comparable snapshot its Stats method returns. Load copies the one into
 // the other and Pairs prints the snapshot, so neither names a field and a

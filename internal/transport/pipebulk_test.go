@@ -19,7 +19,7 @@ import (
 )
 
 // Tests of bulk frames crossing the simulated pipe by reference (DESIGN.md
-// §20): what the receiver sees is what the buffered whole-frame route
+// §4): what the receiver sees is what the buffered whole-frame route
 // delivers, and the sender's memory is the sender's again when Send returns.
 
 // segmentedTypes builds every Segmented message around the same bulk bytes.

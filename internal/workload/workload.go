@@ -76,7 +76,8 @@ type Options struct {
 	// functional run, pipelined runs included; package trace provides an
 	// implementation.
 	Observer rcuda.Observer
-	// Seed drives functional-mode input data generation.
+	// Seed drives functional-mode input data generation. Programs use the
+	// zero seed; BenchmarkFunctionalRemoteRun varies it per iteration.
 	Seed int64
 }
 

@@ -90,7 +90,7 @@ type (
 // (DefaultBatchOps ops / DefaultBatchBytes bytes per frame).
 func WithBatching(maxOps, maxBytes int) ClientOption { return mw.WithBatching(maxOps, maxBytes) }
 
-// Default per-frame batching limits (see DESIGN.md §11 for why the byte
+// Default per-frame batching limits (see DESIGN.md §6 for why the byte
 // cap stays below GigaE's small-message regime).
 const (
 	DefaultBatchOps   = mw.DefaultBatchOps
@@ -99,7 +99,7 @@ const (
 
 // WithChunkedTransfers streams copies at or above the threshold as
 // pipelined chunks so the server overlaps the wire with PCIe. Pays off on
-// fast interconnects only; see DESIGN.md §7.
+// fast interconnects only; see DESIGN.md §6.
 func WithChunkedTransfers(threshold, chunkSize int) ClientOption {
 	return mw.WithChunkedTransfers(threshold, chunkSize)
 }
