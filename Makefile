@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race verify lint vet loc chaos migrate-chaos soak bench bench-batch bench-check bench-scale bench-sched bench-wall bench-wall-smoke fuzz pool repro figures experiments clean help
+.PHONY: all build test race verify bubble lint vet loc chaos migrate-chaos soak bench bench-batch bench-check bench-scale bench-sched bench-wall bench-wall-smoke fuzz pool repro figures experiments clean help
 
 all: build test
 
@@ -14,7 +14,8 @@ help:
 	@echo "  build        compile and vet everything (plus an arm64 cross-vet of blas/kernels/gpu and a check that the arm64 code of blas/fft/kernels fuses no multiply-add)"
 	@echo "  test         run all tests, including the Example programs of example_test.go, whose printed output is compared"
 	@echo "  race         run all tests under the race detector"
-	@echo "  verify       tier-1 gate: build + test + vet + race on data path, broker, workloads, report, device service (blas/kernels/gpu/cudart), vclock, calib, stats, perfmodel, contention, cluster, trace, event loop (des), the commands (cmd/...) + chaos suite + one pass of the device-service, placer, load-generator, event-loop (hold and renewal), workload and cluster benchmarks"
+	@echo "  verify       tier-1 gate: build + test + vet + race on data path, broker, workloads, report, device service (blas/kernels/gpu/cudart), vclock, calib, stats, perfmodel, contention, cluster, trace, event loop (des), the commands (cmd/...) + chaos suite + the synctest bubble check + one pass of the device-service, placer, load-generator, event-loop (hold and renewal), workload and cluster benchmarks"
+	@echo "  bubble       the wall clock inside a testing/synctest bubble must read what the simulated clock reads, to the nanosecond (GOEXPERIMENT=synctest)"
 	@echo "  lint         go vet + rcuda-vet invariant analyzers + gofmt diff check"
 	@echo "  vet          rcuda-vet only: seededrand/wiremsg/locknet/errcode invariants"
 	@echo "  loc          non-blank, non-comment, non-test Go lines per package (the count 'smaller' claims cite), the test lines outside bench/, and the non-test total outside bench/"
@@ -108,7 +109,8 @@ loc:
 # BenchmarkPipelinedAnalytic, BenchmarkFunctionalRemoteRun) and the cluster
 # scheduler (BenchmarkSimulate64Jobs, BenchmarkGenerateTrace) runs once, so
 # the in-package witnesses DESIGN.md cites keep compiling and running.
-verify: build test vet chaos
+# The bubble check (below) rides along.
+verify: build test vet chaos bubble
 	$(GO) test -race ./internal/protocol/... ./internal/transport/... ./internal/rcuda/... ./internal/broker/... ./internal/sched/... ./internal/loadgen/... ./internal/workload/... \
 		./internal/report/... . \
 		./internal/blas/... ./internal/kernels/... ./internal/gpu/... ./internal/cudart/... \
@@ -116,6 +118,15 @@ verify: build test vet chaos
 		./internal/perfmodel/... ./internal/contention/... ./internal/cluster/... ./internal/trace/... ./internal/des/... \
 		./cmd/...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/blas ./internal/kernels ./internal/gpu ./internal/broker ./internal/loadgen ./internal/workload ./internal/cluster ./internal/des
+
+# Bubble check: inside a testing/synctest bubble, time is fake and moves
+# only when every goroutine blocks, so a wall clock reads exactly the sleeps
+# charged on it. Pipelined, chunked, batched and synchronous runs on the
+# wall clock there must equal the simulated clock to the nanosecond: one
+# timing model on every clock. The test file builds only under this
+# experiment (Go 1.24).
+bubble:
+	GOEXPERIMENT=synctest $(GO) test -count=1 -run Bubble ./internal/workload
 
 # Chaos suite: every fault kind's transport semantics, the retry policy, and
 # the MM/FFT case studies under scripted and 50 consecutive seeded fault

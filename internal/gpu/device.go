@@ -6,8 +6,8 @@
 // The simulation is functional *and* timed: kernels really execute (their
 // results live in host-backed device memory and are checked by tests), while
 // the time they take is drawn from calibrated cost models and advances the
-// simulation's Clock. Running against a wall clock degrades gracefully —
-// models simply sleep.
+// device's Clock, which runs the same timing model whether it is simulated
+// or the wall clock.
 package gpu
 
 import (

@@ -15,9 +15,7 @@ import (
 // time. Each engine and each stream keeps a virtual "busy until" instant;
 // an async operation starts at max(now, engine free, stream free) and its
 // completion updates both. Synchronization points (stream/device/event
-// waits) advance the clock to the relevant completion instant. On a clock
-// without AdvanceTo (wall time), async operations degrade to synchronous
-// execution — correct, just without modeled overlap.
+// waits) advance the clock to the relevant completion instant.
 //
 // Functionally, the simulated work is performed immediately at issue time
 // (device memory is host-backed and the protocol is in-order per context),
@@ -26,9 +24,6 @@ import (
 // DefaultStream is CUDA's stream 0: operations on it are synchronous with
 // respect to the host.
 const DefaultStream uint32 = 0
-
-// advancer is the optional clock capability async timing needs.
-type advancer interface{ AdvanceTo(time.Duration) }
 
 // Engine selects which device engine an async operation occupies.
 type Engine int
@@ -136,21 +131,6 @@ func (c *Context) schedule(eng Engine, stream uint32, cost, notBefore time.Durat
 	return c.tl.Book(eng, stream, cost, notBefore), nil
 }
 
-// advanceTo moves the clock to t when the clock supports virtual advance;
-// otherwise it is a no-op (wall clocks cannot jump).
-func (c *Context) advanceTo(t time.Duration) {
-	if adv, ok := c.dev.cfg.Clock.(advancer); ok {
-		adv.AdvanceTo(t)
-	}
-}
-
-// asyncCapable reports whether the clock supports deferred completion; when
-// it does not, async operations must charge time immediately.
-func (c *Context) asyncCapable() bool {
-	_, ok := c.dev.cfg.Clock.(advancer)
-	return ok
-}
-
 // StreamCreate allocates a new stream.
 func (c *Context) StreamCreate() (uint32, error) {
 	c.mu.Lock()
@@ -192,7 +172,7 @@ func (c *Context) StreamSynchronize(stream uint32) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrInvalidStream, stream)
 	}
-	c.advanceTo(done)
+	c.dev.cfg.Clock.AdvanceTo(done)
 	return nil
 }
 
@@ -206,7 +186,7 @@ func (c *Context) Synchronize() error {
 	}
 	latest := c.tl.Idle()
 	c.mu.Unlock()
-	c.advanceTo(latest)
+	c.dev.cfg.Clock.AdvanceTo(latest)
 	return nil
 }
 
@@ -214,7 +194,7 @@ func (c *Context) Synchronize() error {
 // modeled time is booked on the compute engine. Stream 0 falls back to the
 // synchronous Launch.
 func (c *Context) LaunchAsync(name string, grid, block Dim3, shared uint32, params []byte, stream uint32) error {
-	if stream == DefaultStream || !c.asyncCapable() {
+	if stream == DefaultStream {
 		return c.Launch(name, grid, block, shared, params)
 	}
 	if err := validateLaunch(grid, block); err != nil {
@@ -313,7 +293,7 @@ func (c *Context) EventSynchronize(event uint32) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrInvalidEvent, event)
 	}
-	c.advanceTo(at)
+	c.dev.cfg.Clock.AdvanceTo(at)
 	return nil
 }
 

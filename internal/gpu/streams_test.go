@@ -258,17 +258,38 @@ func TestEventErrors(t *testing.T) {
 	}
 }
 
-func TestAsyncOnWallClockDegradesToSync(t *testing.T) {
-	dev := New(Config{Clock: vclock.NewWall()})
-	ctx := dev.NewContextPreinitialized()
-	s, _ := ctx.StreamCreate()
-	ptr, _ := ctx.Malloc(64)
-	// Must not hang or error: async degrades to synchronous semantics.
-	if err := copyAsync(ctx, ptr, make([]byte, 64), s); err != nil {
+// TestAsyncOnWallClockOverlaps holds the wall clock to the same timing
+// model as the simulated one: an async launch returns before its modeled
+// cost has elapsed, the stream reads busy, and synchronizing waits for the
+// booked completion. A wall sleep overshoots and never undershoots, so
+// only lower bounds are exact; the launch's return gets the whole cost as
+// its margin.
+func TestAsyncOnWallClockOverlaps(t *testing.T) {
+	const kcost = 300 * time.Millisecond
+	clk := vclock.NewWall()
+	ctx := New(Config{Clock: clk}).NewContextPreinitialized()
+	if err := ctx.LoadModule(&Module{Name: "wall_mod", BinarySize: 64, Kernels: []*Kernel{costKernel("k", kcost)}}); err != nil {
 		t.Fatal(err)
+	}
+	s, _ := ctx.StreamCreate()
+	start := clk.Now()
+	if err := ctx.LaunchAsync("k", Dim3{X: 1}, Dim3{X: 1}, 0, nil, s); err != nil {
+		t.Fatal(err)
+	}
+	if took := clk.Now() - start; took >= kcost {
+		t.Fatalf("async launch returned after %v, not before its %v cost", took, kcost)
+	}
+	if ready, err := ctx.StreamReady(s); err != nil || ready {
+		t.Fatalf("StreamReady right after the launch = %v, %v; want false", ready, err)
 	}
 	if err := ctx.StreamSynchronize(s); err != nil {
 		t.Fatal(err)
+	}
+	if took := clk.Now() - start; took < kcost {
+		t.Fatalf("StreamSynchronize returned %v after the launch, before its %v completion", took, kcost)
+	}
+	if ready, err := ctx.StreamReady(s); err != nil || !ready {
+		t.Fatalf("StreamReady after synchronizing = %v, %v; want true", ready, err)
 	}
 }
 

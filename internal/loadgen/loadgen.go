@@ -353,11 +353,6 @@ type sim struct {
 	// which nextDraw refills a block at a time.
 	next  []draw
 	drawn [drawBlock]draw
-	// classed turns on the probe replies' per-class block, mirroring a
-	// fleet of scheduler-enabled daemons. It is set when the mix declares
-	// scheduling classes or the policy is class-aware, so legacy scenarios
-	// keep byte-identical probe replies (and byte-identical results).
-	classed bool
 
 	trajectory []Sample
 	stopped    bool
@@ -414,12 +409,6 @@ func newSim(cfg Config) (*sim, error) {
 		s.totalWeight += cl.Weight
 		s.classWait = append(s.classWait, stats.NewDurationHistogram())
 		s.classN = append(s.classN, 0)
-		if cl.SchedClass != protocol.SchedClassUnspecified {
-			s.classed = true
-		}
-	}
-	if cfg.Policy == broker.ClassAware {
-		s.classed = true
 	}
 	for i := 0; i < cfg.InitialDaemons; i++ {
 		s.spawnDaemon()
@@ -798,15 +787,11 @@ func (s *sim) probeTick() {
 			continue
 		}
 		// The placer copies what it ranks on, so the reply stays here.
-		reply := protocol.StatsReply{SessionsLive: uint32(d.live())}
-		if s.classed {
-			// A scheduler-enabled daemon answers with the per-class block;
-			// the sim daemon reports its class gauges the same way so the
-			// class-aware policy has real headroom signals to rank.
-			reply.HasClasses = true
-			for ci, n := range d.classLive {
-				reply.Classes[ci] = protocol.ClassLoad{Sessions: uint32(n)}
-			}
+		// Every sim daemon answers as a scheduler-enabled one, with the
+		// per-class block the class-aware policy ranks on.
+		reply := protocol.StatsReply{SessionsLive: uint32(d.live()), HasClasses: true}
+		for ci, n := range d.classLive {
+			reply.Classes[ci] = protocol.ClassLoad{Sessions: uint32(n)}
 		}
 		s.pl.NoteProbe(d.idx, &reply, nil)
 	}

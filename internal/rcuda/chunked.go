@@ -21,34 +21,27 @@ import (
 // whole chunked transfer is observed as the single cudaMemcpy call it
 // replaces.
 
-// chunkView returns the size bytes of a stream at off and the instant they
-// are ready to be sent.
-type chunkView func(off, size uint32) ([]byte, time.Duration, error)
+// chunkView returns the size bytes of a stream at off once they are ready
+// to be sent.
+type chunkView func(off, size uint32) ([]byte, error)
 
 // sliceView is the view of bytes already in memory: ready at once.
 func sliceView(b []byte) chunkView {
-	return func(off, size uint32) ([]byte, time.Duration, error) { return b[off : off+size], 0, nil }
+	return func(off, size uint32) ([]byte, error) { return b[off : off+size], nil }
 }
 
 // sendChunks sends a total-byte stream as chunks of stream op, chunkSize
 // bytes each but the last, straight from the memory view gives out. Each
 // chunk is built in *slot, the sender's storage for chunks (protocol.Put),
-// which keeps none of the stream's memory once sendChunks returns. A
-// connection that can hold a send until an instant sends each chunk no
-// earlier than its bytes are ready. It returns the wire bytes sent.
+// which keeps none of the stream's memory once sendChunks returns. It
+// returns the wire bytes sent.
 func sendChunks(conn transport.Conn, slot **protocol.Chunk, op protocol.Op, total, chunkSize uint32, view chunkView) (sent int, err error) {
 	chunk := protocol.Put(slot, protocol.Chunk{Kind: op})
 	for off := 0; off < int(total) && err == nil; off += int(chunkSize) {
-		var ready time.Duration
-		if chunk.Data, ready, err = view(uint32(off), min(chunkSize, total-uint32(off))); err != nil {
+		if chunk.Data, err = view(uint32(off), min(chunkSize, total-uint32(off))); err != nil {
 			break
 		}
-		if ss, ok := conn.(transport.ScheduledSender); ok {
-			err = ss.SendAt(chunk, ready)
-		} else {
-			err = conn.Send(chunk)
-		}
-		if err != nil {
+		if err = conn.Send(chunk); err != nil {
 			err = fmt.Errorf("rcuda: %v %d send: %w", op, chunk.Seq, err)
 			break
 		}
@@ -219,7 +212,7 @@ func (s *Server) serveMemcpyStream(conn transport.Conn, sess *session, begin pro
 // closes the stream. To the host, every chunk's PCIe read is booked back to
 // back from the acknowledged Begin, and each chunk is sent straight from
 // the device region the moment its read completes, so chunk k's network
-// transfer overlaps chunk k+1's read on the simulated clock.
+// transfer overlaps chunk k+1's read on the device's clock.
 func (s *Server) moveChunks(conn transport.Conn, sess *session, stream uint32, begin protocol.MemcpyStreamBeginRequest, region []byte) (opErr, err error) {
 	if err := conn.Send(sess.codeReply(nil)); err != nil {
 		return nil, err
@@ -227,8 +220,12 @@ func (s *Server) moveChunks(conn transport.Conn, sess *session, stream uint32, b
 	ctx, clock := sess.context(), s.srvDevice(sess).Clock()
 	if begin.Kind == protocol.KindDeviceToHost {
 		start := clock.Now()
-		_, err := sendChunks(conn, &sess.reply.chunk, protocol.OpMemcpyStreamChunk, begin.Total, begin.ChunkSize, func(off, size uint32) ([]byte, time.Duration, error) {
-			return ctx.HostViewAsyncAt(begin.Ptr+off, size, stream, start)
+		_, err := sendChunks(conn, &sess.reply.chunk, protocol.OpMemcpyStreamChunk, begin.Total, begin.ChunkSize, func(off, size uint32) ([]byte, error) {
+			// A chunk leaves once its read completes, on every clock
+			// and over every connection.
+			view, ready, err := ctx.HostViewAsyncAt(begin.Ptr+off, size, stream, start)
+			clock.AdvanceTo(ready)
+			return view, err
 		})
 		return nil, err
 	}
@@ -243,8 +240,8 @@ func (s *Server) moveChunks(conn transport.Conn, sess *session, stream uint32, b
 	}
 	frame, _, err := recvChunks(conn, asm, func(off, n int, at time.Duration) {
 		if at == transport.NoArrival {
-			// A real socket stamps nothing; the degraded synchronous copy
-			// of a wall clock ignores the instant anyway.
+			// A real socket stamps nothing: the chunk arrived as it was
+			// received.
 			at = clock.Now()
 		}
 		if opErr == nil {

@@ -488,6 +488,58 @@ func TestMigrateSessionShapes(t *testing.T) {
 	}
 }
 
+// TestMigrateToALaterDaemonKeepsTheTimeline moves a session with async
+// work in flight from a wall-clock daemon to one started a second later.
+// The checkpoint carries its engine, stream and event marks as instants;
+// the destination must read them as the same instants, so synchronizing
+// after the move waits out at most the work still pending, not the gap
+// between the two daemons' starts.
+func TestMigrateToALaterDaemonKeepsTheTimeline(t *testing.T) {
+	const gap = time.Second
+	module := moduleImage(t, calib.MM)
+	src, srcAddr, cleanupSrc := startMigrateServer(t)
+	defer cleanupSrc()
+	time.Sleep(gap)
+	_, dstAddr, cleanupDst := startMigrateServer(t)
+	defer cleanupDst()
+	sw := newSwitcher(srcAddr)
+	client := openSwitchClient(t, sw, module)
+	defer client.Close()
+
+	ptr, err := client.Malloc(2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := client.StreamCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.MemcpyToDeviceAsync(ptr, make([]byte, 2048), stream); err != nil {
+		t.Fatal(err)
+	}
+	ev, err := client.EventCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.EventRecord(ev, stream); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.MigrateSession(client.SessionID(), dialTo(dstAddr)); err != nil {
+		t.Fatalf("migrate: %v", err)
+	}
+	sw.point(dstAddr)
+	start := time.Now()
+	if err := client.StreamSynchronize(stream); err != nil {
+		t.Fatalf("stream sync after migration: %v", err)
+	}
+	if err := client.EventSynchronize(ev); err != nil {
+		t.Fatalf("event sync after migration: %v", err)
+	}
+	if took := time.Since(start); took > gap/2 {
+		t.Fatalf("synchronizing on the later daemon took %v, the daemons started %v apart", took, gap)
+	}
+}
+
 // TestMigrateBatchDedupWindowSurvives checks exactly-once execution across
 // a migration: the batch sequence/codes window travels in the checkpoint,
 // so a batch replayed against the destination is answered from remembered

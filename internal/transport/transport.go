@@ -751,20 +751,11 @@ func (p *PipeEnd) transmit(msg pipeMsg) (err error) {
 	return nil
 }
 
-// advancer is the optional clock capability SendAt needs; vclock.Sim has
-// it, wall clocks do not (real time cannot be jumped forward).
-type advancer interface {
-	AdvanceTo(t time.Duration)
-}
-
-// SendAt implements ScheduledSender: it first moves the clock forward to
-// notBefore (a no-op if already past, or if the clock cannot jump) and then
-// sends as usual, so the message's wire transfer is modeled as starting no
-// earlier than notBefore.
+// SendAt implements ScheduledSender: it first advances the clock to
+// notBefore (a no-op if already past) and then sends as usual, so the
+// message's wire transfer is modeled as starting no earlier than notBefore.
 func (p *PipeEnd) SendAt(m protocol.Message, notBefore time.Duration) error {
-	if adv, ok := p.clock.(advancer); ok {
-		adv.AdvanceTo(notBefore)
-	}
+	p.clock.AdvanceTo(notBefore)
 	return p.Send(m)
 }
 

@@ -19,30 +19,39 @@ import (
 // Implementations must be safe for concurrent use.
 type Clock interface {
 	// Now returns the current instant of this clock. For a Sim clock the
-	// epoch is the moment the clock was created.
+	// epoch is the moment the clock was created, for a Wall clock the Unix
+	// epoch.
 	Now() time.Duration
 	// Sleep advances the clock by d. On a Wall clock this blocks the
 	// calling goroutine; on a Sim clock it only moves virtual time.
 	Sleep(d time.Duration)
+	// AdvanceTo advances the clock to instant t, never backwards: a Wall
+	// clock blocks until t, a Sim clock jumps there.
+	AdvanceTo(t time.Duration)
 }
 
-// Wall is a Clock backed by the machine's monotonic wall time.
+// Wall is a Clock backed by the machine's time. Its instants count from
+// the Unix epoch, so every Wall — in this process, in another daemon, or on
+// another host whose clock is synchronized — gives an instant the same
+// value, and a session's timeline marks mean the same instants on whichever
+// daemon it is restored. Once started it advances with the monotonic
+// clock, so a step of the host's clock does not move it.
 type Wall struct {
-	epoch time.Time
+	start time.Time
 	once  sync.Once
 }
 
-// NewWall returns a wall clock whose epoch is the moment of the call.
-func NewWall() *Wall { return &Wall{epoch: time.Now()} }
+// NewWall returns a wall clock.
+func NewWall() *Wall { return &Wall{start: time.Now()} }
 
-// Now reports the elapsed real time since the clock's epoch.
+// Now reports the real time since the Unix epoch.
 func (w *Wall) Now() time.Duration {
 	w.once.Do(func() {
-		if w.epoch.IsZero() {
-			w.epoch = time.Now()
+		if w.start.IsZero() {
+			w.start = time.Now()
 		}
 	})
-	return time.Since(w.epoch)
+	return time.Duration(w.start.UnixNano()) + time.Since(w.start)
 }
 
 // Sleep blocks the calling goroutine for d.
@@ -51,6 +60,10 @@ func (w *Wall) Sleep(d time.Duration) {
 		time.Sleep(d)
 	}
 }
+
+// AdvanceTo blocks the calling goroutine until instant t; it returns at
+// once if t is not in the future.
+func (w *Wall) AdvanceTo(t time.Duration) { w.Sleep(t - w.Now()) }
 
 // Sim is a deterministic virtual clock. Sleeping advances virtual time
 // without blocking. It is safe for concurrent use and takes no lock: the

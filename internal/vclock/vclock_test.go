@@ -172,10 +172,40 @@ func TestWallAdvances(t *testing.T) {
 	}
 }
 
+// TestWallAdvanceTo holds Wall.AdvanceTo to its contract: an instant in
+// the past returns at once, a future one no earlier than itself. The past
+// instant lies far enough back that sleeping its distance would show.
+func TestWallAdvanceTo(t *testing.T) {
+	c := NewWall()
+	before := c.Now()
+	c.AdvanceTo(before - 5*time.Second)
+	if took := c.Now() - before; took > time.Second {
+		t.Fatalf("AdvanceTo a past instant took %v", took)
+	}
+	target := c.Now() + 20*time.Millisecond
+	c.AdvanceTo(target)
+	if now := c.Now(); now < target {
+		t.Fatalf("AdvanceTo(%v) returned at %v", target, now)
+	}
+}
+
 func TestWallZeroValueUsable(t *testing.T) {
 	var c Wall
-	if c.Now() > time.Second {
-		t.Fatal("zero-value Wall clock should establish its epoch on first use")
+	if d := c.Now() - NewWall().Now(); d < -time.Second || d > time.Second {
+		t.Fatalf("zero-value Wall clock reads %v off a new one; it should start on first use", d)
+	}
+}
+
+// TestWallsShareOneTimeline: two wall clocks started apart read the same
+// instant alike, so an instant booked on one (a checkpoint's timeline mark)
+// means the same on the other.
+func TestWallsShareOneTimeline(t *testing.T) {
+	const apart = 200 * time.Millisecond
+	early := NewWall()
+	time.Sleep(apart)
+	late := NewWall()
+	if d := early.Now() - late.Now(); d > apart/2 || d < -apart/2 {
+		t.Fatalf("wall clocks started %v apart read %v apart", apart, d)
 	}
 }
 

@@ -73,9 +73,7 @@ func runPipelinedAnalytic(size, chunks int, opts Options) (Report, error) {
 		case m.Device > 0:
 			eng.Book(gpu.ExecEngine, uint32(m.Stream), opts.perturb(m.Device), opts.Clock.Now())
 		case m.Op == protocol.OpDeviceSynchronize:
-			if sim, ok := opts.Clock.(*vclock.Sim); ok {
-				sim.AdvanceTo(eng.Idle())
-			}
+			opts.Clock.AdvanceTo(eng.Idle())
 		}
 		if m.Recv > 0 {
 			opts.Clock.Sleep(opts.perturb(opts.Link.WireTime(m.Recv)))
