@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race verify bubble lint vet loc chaos migrate-chaos soak bench bench-batch bench-check bench-scale bench-sched bench-wall bench-wall-smoke fuzz pool repro figures experiments clean help
+.PHONY: all build test race verify bubble lint vet loc chaos migrate-chaos soak bench bench-wall bench-wall-smoke fuzz pool repro figures experiments clean help
 
 all: build test
 
@@ -23,17 +23,13 @@ help:
 	@echo "  migrate-chaos  live-migration suite: source killed at every protocol phase, the pinned checkpoint bytes, the session-state table and the TTL-vs-claim check, under -race"
 	@echo "  soak         10k mixed ops at ~1% fault rate, leak-checked, under -race"
 	@echo "  bench        run all benchmarks"
-	@echo "  bench-batch  run the batched-path inference bench, refresh BENCH_batching.json"
-	@echo "  bench-scale  run the 10^4-10^5 session scale harness, refresh BENCH_loadscale.json"
-	@echo "  bench-sched  run the WFQ-vs-FIFO starvation bench, refresh BENCH_sched.json"
-	@echo "  bench-check  CI freshness check: re-run all three suites, fail if a BENCH file is stale"
 	@echo "  bench-wall   wall-clock benchmark of the remoting stack (BENCHMARK.json, ~90 s)"
 	@echo "  bench-wall-smoke  CI correctness check: one second each of the two inference, fleet placement, the two bulk-copy, the session churn, the simulated-pipe copy and the null-call workloads"
 	@echo "  fuzz         short fuzzing pass over every fuzz target: the wire-protocol decoders, the chunk assembler, the socket frame reader and Sgemm against its portable tile"
 	@echo "  pool         broker demo: 3 local daemons, one killed mid-batch"
 	@echo "  repro        regenerate every table and figure of the paper on stdout"
 	@echo "  figures      render the figures as SVGs under figs/"
-	@echo "  experiments  refresh EXPERIMENTS.md"
+	@echo "  experiments  regenerate EXPERIMENTS.md and the three virtual-clock BENCH files (batched inference, WFQ-vs-FIFO scheduler, 10^4-10^5 session scale harness) from one campaign; verify fails while a committed one differs"
 	@echo "  clean        remove figs/ and the test cache"
 
 # The arm64 cross-vet (no network, no cgo) type-checks the files amd64 never
@@ -157,32 +153,6 @@ soak:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# The three virtual-clock BENCH files, one rcuda-bench suite each. Every
-# suite is a pure function of the code; commit a refreshed file so drift
-# shows up in review.
-#
-# Batched-path trajectory: the DNN inference loop over both testbed
-# networks, batched and unbatched, every output bit-exact.
-bench-batch:
-	$(GO) run ./cmd/rcuda-bench -suite batching
-
-# Scale trajectory: 10^4-session scenarios plus the 10^5-session autoscaled
-# runs; no durable session may be lost and every session must be placed.
-bench-scale:
-	$(GO) run ./cmd/rcuda-bench -suite loadscale
-
-# Scheduler bench: the mixed-tenant starvation scenario under FIFO vs WFQ,
-# plus weighted-share proportionality. The suite enforces the fairness gates
-# (realtime p99 >= 5x better at <= 10% throughput delta) and two-run
-# determinism before writing.
-bench-sched:
-	$(GO) run ./cmd/rcuda-bench -suite sched
-
-# CI freshness check: re-run every suite (under a second of wall time) and
-# fail, naming the file and its target, if a committed BENCH file differs.
-bench-check:
-	$(GO) run ./cmd/rcuda-bench -check
-
 # Wall-clock benchmark of the remoting stack (bench/README.md): the eight
 # BENCHMARK.json workloads over a real loopback socket, end-to-end metrics
 # normalised to stdlib-only reference loops. Numbers are machine-dependent;
@@ -251,9 +221,19 @@ repro:
 figures:
 	$(GO) run ./cmd/rcuda-repro -svg figs
 
-# Refresh the paper-vs-reproduction comparison document.
+# Regenerate the four committed virtual-clock files from one campaign: the
+# paper-vs-reproduction document EXPERIMENTS.md and the BENCH files it
+# quotes — BENCH_batching.json (the DNN inference loop over both testbed
+# networks, batched and unbatched, every output bit-exact on one digest),
+# BENCH_sched.json (the tenant mixes under FIFO and WFQ: realtime p99 >= 5x
+# better at <= 10% throughput delta, a 2:1 weighted share, two-run
+# determinism) and BENCH_loadscale.json (10^4-10^5 session fleets, no
+# durable session lost, every session placed). Every run is seeded, so
+# each file is a pure function of the code; TestExperimentsDocumentIsFresh
+# (internal/report, part of verify) fails, naming the file and this target,
+# while a committed one differs.
 experiments:
-	$(GO) run ./cmd/rcuda-repro -experiments > EXPERIMENTS.md
+	$(GO) run ./cmd/rcuda-repro -write .
 
 clean:
 	rm -rf figs

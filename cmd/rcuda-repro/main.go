@@ -6,7 +6,8 @@
 //	rcuda-repro -all                 # everything, in paper order
 //	rcuda-repro -table 4             # one table (1-6)
 //	rcuda-repro -figure 5            # one figure (2-9; 7-9 are extensions)
-//	rcuda-repro -experiments         # EXPERIMENTS.md content (paper vs ours)
+//	rcuda-repro -write .             # EXPERIMENTS.md (paper vs ours) and the
+//	                                 # three virtual-clock BENCH files
 //	rcuda-repro -svg figs            # Figures 3-9 as SVG files, plotting what -figure prints
 //
 // Flags -reps, -seed and -sigma control the simulated measurement campaign
@@ -19,6 +20,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"path/filepath"
 
 	"rcuda/internal/calib"
 	"rcuda/internal/netsim"
@@ -38,7 +40,7 @@ func run(argv []string, out io.Writer) error {
 	table := fs.Int("table", 0, "print one table (1-6)")
 	figure := fs.Int("figure", 0, "print one figure (2-9; 7-9 are extensions)")
 	all := fs.Bool("all", false, "print every table and figure")
-	experiments := fs.Bool("experiments", false, "print the EXPERIMENTS.md document")
+	write := fs.String("write", "", "regenerate EXPERIMENTS.md, BENCH_batching.json, BENCH_sched.json and BENCH_loadscale.json into this directory")
 	reps := fs.Int("reps", 30, "repetitions per measured data point")
 	seed := fs.Int64("seed", 1, "noise seed")
 	sigma := fs.Float64("sigma", 0.004, "relative measurement noise (0 disables)")
@@ -58,9 +60,18 @@ func run(argv []string, out io.Writer) error {
 		}
 	}
 
-	if *experiments {
-		emit(cfg.Experiments())
-		return err
+	if *write != "" {
+		files, err := cfg.Generate(out)
+		if err != nil {
+			return err
+		}
+		for _, f := range files {
+			if err := os.WriteFile(filepath.Join(*write, f.Name), f.Data, 0o644); err != nil {
+				return err
+			}
+			fmt.Fprintf(out, "wrote %s\n", f.Name)
+		}
+		return nil
 	}
 	if *svgDir != "" {
 		paths, err := cfg.WriteSVGs(*svgDir, *mmSize, *fftBatch)

@@ -11,14 +11,25 @@ import (
 	"testing"
 )
 
-// TestDocsNamePathsThatExist holds the documents an operator follows to
-// the tree: every repo-relative path under cmd/, examples/ or internal/
-// that README.md, DESIGN.md or the verify skill names, and every `go run`
-// target, must exist. A glob must match something, and a package pattern's
-// trailing /... stands for its directory.
+// TestDocsNamePathsThatExist holds the documents an operator follows, and
+// the make targets and CI steps that run the tree, to the tree: every
+// repo-relative path under cmd/, examples/ or internal/ that README.md,
+// DESIGN.md, the verify skill, the Makefile or a CI workflow names, and
+// every `go run` (or `$(GO) run`) target, must exist. A glob must match
+// something, and a package pattern's trailing /... stands for its
+// directory.
 func TestDocsNamePathsThatExist(t *testing.T) {
 	root := moduleRoot(t)
-	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
+	workflows, err := filepath.Glob(filepath.Join(root, ".github", "workflows", "*.yml"))
+	if err != nil || len(workflows) == 0 {
+		t.Fatalf("no CI workflow under .github/workflows (%v)", err)
+	}
+	docs := []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md", "Makefile"}
+	for _, w := range workflows {
+		rel, _ := filepath.Rel(root, w)
+		docs = append(docs, rel)
+	}
+	for _, doc := range docs {
 		src, err := os.ReadFile(filepath.Join(root, doc))
 		if err != nil {
 			t.Fatal(err)
@@ -35,7 +46,7 @@ func TestDocsNamePathsThatExist(t *testing.T) {
 
 var (
 	treePath    = regexp.MustCompile(`\b(?:cmd|examples|internal)/[\w.*/-]*`)
-	goRunTarget = regexp.MustCompile(`go run (\./[\w.*/-]*)`)
+	goRunTarget = regexp.MustCompile(`(?:\bgo|\$\(GO\)) run (\./[\w.*/-]*)`)
 )
 
 // docPaths returns the tree paths and go run targets line names, less a

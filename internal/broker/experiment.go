@@ -21,6 +21,25 @@ type SimJob struct {
 	Size int
 }
 
+// ExperimentJobs is the live-vs-predicted experiment's workload, the mix
+// both the live pool and the predictor schedule: nine MM and FFT jobs,
+// small enough to execute functionally.
+func ExperimentJobs() []SimJob {
+	sizes := []struct {
+		cs   calib.CaseStudy
+		size int
+	}{
+		{calib.MM, 128}, {calib.FFT, 16}, {calib.MM, 64},
+		{calib.FFT, 32}, {calib.MM, 128}, {calib.MM, 48},
+		{calib.FFT, 16}, {calib.MM, 96}, {calib.FFT, 8},
+	}
+	jobs := make([]SimJob, len(sizes))
+	for i, s := range sizes {
+		jobs[i] = SimJob{ID: i, CS: s.cs, Size: s.size}
+	}
+	return jobs
+}
+
 // LiveResult compares a live pool schedule with the cluster simulator's
 // list-scheduling prediction of the same workload.
 type LiveResult struct {

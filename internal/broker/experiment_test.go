@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"rcuda/internal/calib"
 	"rcuda/internal/netsim"
 )
 
@@ -14,30 +13,11 @@ import (
 // the analytic per-size transfer model.
 const MakespanTolerance = 0.05
 
-// experimentJobs is the workload both the live pool and the predictor
-// schedule: a deterministic mix of MM and FFT jobs, small enough to execute
-// functionally.
-func experimentJobs() []SimJob {
-	sizes := []struct {
-		cs   calib.CaseStudy
-		size int
-	}{
-		{calib.MM, 128}, {calib.FFT, 16}, {calib.MM, 64},
-		{calib.FFT, 32}, {calib.MM, 128}, {calib.MM, 48},
-		{calib.FFT, 16}, {calib.MM, 96}, {calib.FFT, 8},
-	}
-	jobs := make([]SimJob, len(sizes))
-	for i, s := range sizes {
-		jobs[i] = SimJob{ID: i, CS: s.cs, Size: s.size}
-	}
-	return jobs
-}
-
 // TestLiveMakespanMatchesPrediction is the acceptance experiment: the live
 // broker under least-loaded placement must land within MakespanTolerance of
 // cluster.Simulate's prediction for the same jobs and servers.
 func TestLiveMakespanMatchesPrediction(t *testing.T) {
-	res, err := SimulateLive(netsim.IB40G(), 3, experimentJobs())
+	res, err := SimulateLive(netsim.IB40G(), 3, ExperimentJobs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +48,11 @@ func TestLiveMakespanMatchesPrediction(t *testing.T) {
 // TestLiveMakespanDeterministic locks the experiment's byte-stability: the
 // EXPERIMENTS.md table is generated from these numbers.
 func TestLiveMakespanDeterministic(t *testing.T) {
-	a, err := SimulateLive(netsim.IB40G(), 3, experimentJobs())
+	a, err := SimulateLive(netsim.IB40G(), 3, ExperimentJobs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SimulateLive(netsim.IB40G(), 3, experimentJobs())
+	b, err := SimulateLive(netsim.IB40G(), 3, ExperimentJobs())
 	if err != nil {
 		t.Fatal(err)
 	}

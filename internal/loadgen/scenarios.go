@@ -10,8 +10,8 @@ import (
 )
 
 // Scenario is one named, fully pinned load-generation run: the rows of
-// BENCH_loadscale.json, which rcuda-bench writes and checks, the runs the
-// experiments report re-explains, and this package's benchmarks.
+// BENCH_loadscale.json, which the report's campaign writes and
+// EXPERIMENTS.md quotes, and this package's benchmarks.
 type Scenario struct {
 	Name string
 	// Build returns a fresh Config each call because fault plans are

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"net"
 	"reflect"
 	"testing"
 	"time"
@@ -11,8 +12,10 @@ import (
 	"rcuda/internal/calib"
 	"rcuda/internal/cudart"
 	"rcuda/internal/faults"
+	"rcuda/internal/gpu"
 	"rcuda/internal/netsim"
 	"rcuda/internal/protocol"
+	"rcuda/internal/transport"
 	"rcuda/internal/vclock"
 )
 
@@ -162,6 +165,107 @@ func TestChunkedDeviceToHostOverlap(t *testing.T) {
 	}
 	if elapsed >= serialized {
 		t.Fatalf("chunked D2H %v shows no overlap (serialized %v)", elapsed, serialized)
+	}
+}
+
+// scaledJitter scales every modeled device cost by a constant factor.
+type scaledJitter int
+
+func (j scaledJitter) Perturb(d time.Duration) time.Duration { return d * time.Duration(j) }
+
+// stampingConn stamps, on the monotonic clock, the send of each chunked
+// copy's Begin and the arrival of every chunk. It forwards only the four
+// methods of transport.Conn, so every chunk comes through Recv.
+type stampingConn struct {
+	transport.Conn
+	begin  time.Time
+	chunks []time.Time
+}
+
+func (c *stampingConn) Send(m protocol.Message) error {
+	if _, ok := m.(*protocol.MemcpyStreamBeginRequest); ok {
+		c.begin, c.chunks = time.Now(), nil
+	}
+	return c.Conn.Send(m)
+}
+
+func (c *stampingConn) Recv() ([]byte, error) {
+	b, err := c.Conn.Recv()
+	if err == nil {
+		if _, chunkErr := protocol.DecodeChunk(b); chunkErr == nil {
+			c.chunks = append(c.chunks, time.Now())
+		}
+	}
+	return b, err
+}
+
+// TestChunkedCopyToHostPacedOverTCP holds the per-chunk pacing of a copy to
+// the host on a wall-clock daemon over a real socket: the server books the
+// chunks' PCIe reads back to back from the Begin and sends each once its
+// read completes, so chunk k cannot reach the client before k+1 reads have
+// passed since the client sent the Begin. Every device cost is scaled
+// ×100, a 1 MiB read to about 17 ms, so the pacing stands well clear of
+// loopback latency; only lower bounds are asserted.
+func TestChunkedCopyToHostPacedOverTCP(t *testing.T) {
+	const (
+		scale     = 100
+		chunkSize = 1 << 20
+		chunks    = 4
+		size      = chunks * chunkSize
+	)
+	dev := gpu.New(gpu.Config{Clock: vclock.NewWall(), Jitter: scaledJitter(scale)})
+	srv := NewServer(dev)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	defer func() {
+		if err := srv.Close(); err != nil {
+			t.Errorf("server close: %v", err)
+		}
+		if err := <-served; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	}()
+
+	tcp, err := transport.DialTCP(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := &stampingConn{Conn: tcp}
+	client, err := Open(conn, moduleImage(t, calib.MM), WithChunkedTransfers(1, chunkSize))
+	if err != nil {
+		_ = tcp.Close()
+		t.Fatal(err)
+	}
+	defer client.Close()
+	ptr, err := client.Malloc(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := make([]byte, size)
+	rand.New(rand.NewSource(3)).Read(src)
+	if err := client.MemcpyToDevice(ptr, src); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, size)
+	if err := client.MemcpyToHost(dst, ptr); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(src, dst) {
+		t.Fatal("paced copy to the host corrupted the payload")
+	}
+
+	if len(conn.chunks) != chunks {
+		t.Fatalf("received %d chunks, want %d", len(conn.chunks), chunks)
+	}
+	read := scale * calib.PCIeTransfer(chunkSize)
+	for k, at := range conn.chunks {
+		if got, floor := at.Sub(conn.begin), time.Duration(k+1)*read; got < floor {
+			t.Errorf("chunk %d arrived %v after the Begin, before %d scaled reads (%v)", k, got, k+1, floor)
+		}
 	}
 }
 

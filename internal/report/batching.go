@@ -1,4 +1,4 @@
-package main
+package report
 
 import (
 	"fmt"
@@ -13,8 +13,8 @@ import (
 // batchSeed drives the inference loop's weight and input generation.
 const batchSeed = 7
 
-// benchResult is one (network, mode) cell of the trajectory.
-type benchResult struct {
+// batchCell is one (network, mode) cell of BENCH_batching.json.
+type batchCell struct {
 	Network   string `json:"network"`
 	Batched   bool   `json:"batched"`
 	ElapsedUS int64  `json:"elapsed_us"`
@@ -29,23 +29,35 @@ type benchResult struct {
 	ModelUS int64 `json:"model_us"`
 }
 
+// batchFile is BENCH_batching.json.
 type batchFile struct {
-	Workload string        `json:"workload"`
-	Layers   int           `json:"layers"`
-	Requests int           `json:"requests"`
-	Polls    int           `json:"polls"`
-	Seed     int64         `json:"seed"`
-	Results  []benchResult `json:"results"`
+	Workload string      `json:"workload"`
+	Layers   int         `json:"layers"`
+	Requests int         `json:"requests"`
+	Polls    int         `json:"polls"`
+	Seed     int64       `json:"seed"`
+	Results  []batchCell `json:"results"`
 	// SpeedupGigaE/Speedup40GI are the headline batched-over-unbatched
 	// whole-session ratios, the numbers regressions watch.
 	SpeedupGigaE float64 `json:"speedup_gigae"`
 	Speedup40GI  float64 `json:"speedup_40gi"`
 }
 
+// cell returns the file's cell for one network and mode.
+func (f batchFile) cell(network string, batched bool) batchCell {
+	for _, c := range f.Results {
+		if c.Network == network && c.Batched == batched {
+			return c
+		}
+	}
+	panic(fmt.Sprintf("report: no inference cell %s batched=%v", network, batched))
+}
+
 // batching runs the DNN inference loop through the full middleware over the
-// two testbed interconnects, batched and unbatched. Every output must be
-// bit-exact against the oracle.
-func batching(out io.Writer) (any, error) {
+// two testbed interconnects, batched and unbatched, and prints its table to
+// log. Every output must be bit-exact against the oracle, and all four cells
+// must compute the same outputs: one digest.
+func batching(log io.Writer) (batchFile, error) {
 	file := batchFile{
 		Workload: "dnn-inference-loop",
 		Layers:   workload.DefaultInferenceLayers,
@@ -55,7 +67,7 @@ func batching(out io.Writer) (any, error) {
 	}
 	elapsed := map[string]map[bool]float64{}
 
-	w := tabwriter.NewWriter(out, 2, 0, 2, ' ', 0)
+	w := tabwriter.NewWriter(log, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(w, "network\tmode\telapsed\tmessages\tbytes out/in\tdigest")
 	for _, link := range netsim.Testbed() {
 		elapsed[link.Name()] = map[bool]float64{}
@@ -65,26 +77,31 @@ func batching(out io.Writer) (any, error) {
 				Layers: file.Layers, Requests: file.Requests, Polls: file.Polls, Seed: file.Seed,
 			})
 			if err != nil {
-				return nil, fmt.Errorf("%s batched=%v: %w", link.Name(), batched, err)
+				return file, fmt.Errorf("%s batched=%v: %w", link.Name(), batched, err)
 			}
 			if !rep.Verified {
-				return nil, fmt.Errorf("%s batched=%v: output not bit-exact against the oracle", link.Name(), batched)
+				return file, fmt.Errorf("%s batched=%v: output not bit-exact against the oracle", link.Name(), batched)
+			}
+			digest := fmt.Sprintf("%016x", rep.Digest)
+			if len(file.Results) > 0 && digest != file.Results[0].Digest {
+				return file, fmt.Errorf("%s batched=%v: digest %s differs from %s",
+					link.Name(), batched, digest, file.Results[0].Digest)
 			}
 			mode := "unbatched"
 			if batched {
 				mode = "batched"
 			}
-			fmt.Fprintf(w, "%s\t%s\t%v\t%d\t%d/%d\t%016x\n",
-				link.Name(), mode, rep.Elapsed, rep.Messages, rep.BytesSent, rep.BytesRecv, rep.Digest)
+			fmt.Fprintf(w, "%s\t%s\t%v\t%d\t%d/%d\t%s\n",
+				link.Name(), mode, rep.Elapsed, rep.Messages, rep.BytesSent, rep.BytesRecv, digest)
 			elapsed[link.Name()][batched] = float64(rep.Elapsed)
-			file.Results = append(file.Results, benchResult{
+			file.Results = append(file.Results, batchCell{
 				Network:   link.Name(),
 				Batched:   batched,
 				ElapsedUS: rep.Elapsed.Microseconds(),
 				Messages:  rep.Messages,
 				BytesSent: rep.BytesSent,
 				BytesRecv: rep.BytesRecv,
-				Digest:    fmt.Sprintf("%016x", rep.Digest),
+				Digest:    digest,
 				Verified:  rep.Verified,
 				ModelUS:   perfmodel.InferenceNetTime(link, perfmodel.InferenceSchedule(rep.Spec)).Microseconds(),
 			})
@@ -94,7 +111,11 @@ func batching(out io.Writer) (any, error) {
 
 	file.SpeedupGigaE = round2(elapsed["GigaE"][false] / elapsed["GigaE"][true])
 	file.Speedup40GI = round2(elapsed["40GI"][false] / elapsed["40GI"][true])
-	fmt.Fprintf(out, "\nspeedup batched vs unbatched: GigaE %.2fx, 40GI %.2fx\n",
+	fmt.Fprintf(log, "\nspeedup batched vs unbatched: GigaE %.2fx, 40GI %.2fx\n\n",
 		file.SpeedupGigaE, file.Speedup40GI)
 	return file, nil
 }
+
+func round2(x float64) float64 { return float64(int(x*100+0.5)) / 100 }
+
+func round4(x float64) float64 { return float64(int(x*10000+0.5)) / 10000 }

@@ -2,7 +2,9 @@ package report
 
 import (
 	"embed"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 	"time"
@@ -17,20 +19,72 @@ import (
 	"rcuda/internal/perfmodel"
 	"rcuda/internal/protocol"
 	"rcuda/internal/rcuda"
-	"rcuda/internal/sched"
 	"rcuda/internal/vclock"
-	"rcuda/internal/workload"
 )
 
-// Experiments generates the EXPERIMENTS.md document: for every table and
+// File is one generated file of the repository root: its name and bytes.
+type File struct {
+	Name string
+	Data []byte
+}
+
+// benchRuns are the three BENCH suites' results, the runs EXPERIMENTS.md
+// quotes.
+type benchRuns struct {
+	batching  batchFile
+	sched     schedFile
+	loadscale scaleFile
+}
+
+// Generate runs the virtual-clock campaign once and returns the four files
+// it determines, EXPERIMENTS.md first, then BENCH_batching.json,
+// BENCH_sched.json and BENCH_loadscale.json. The three BENCH suites run
+// first and print their tables to log; the document then quotes their
+// results, so every simulation runs once and each gate has one owner.
+func (c Config) Generate(log io.Writer) ([]File, error) {
+	var runs benchRuns
+	var err error
+	if runs.batching, err = batching(log); err != nil {
+		return nil, fmt.Errorf("batching: %w", err)
+	}
+	if runs.sched, err = schedSuite(log); err != nil {
+		return nil, fmt.Errorf("sched: %w", err)
+	}
+	if runs.loadscale, err = loadscale(log); err != nil {
+		return nil, fmt.Errorf("loadscale: %w", err)
+	}
+	doc, err := c.experiments(runs)
+	if err != nil {
+		return nil, err
+	}
+	files := []File{{Name: "EXPERIMENTS.md", Data: []byte(doc + "\n")}}
+	for _, f := range []struct {
+		name string
+		v    any
+	}{
+		{"BENCH_batching.json", runs.batching},
+		{"BENCH_sched.json", runs.sched},
+		{"BENCH_loadscale.json", runs.loadscale},
+	} {
+		blob, err := json.MarshalIndent(f.v, "", "  ")
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, File{Name: f.name, Data: append(blob, '\n')})
+	}
+	return files, nil
+}
+
+// experiments renders the EXPERIMENTS.md document: for every table and
 // figure of the paper, the reproduction's numbers next to the published
-// ones, with relative deltas. The document is fully regenerated from the
-// simulation campaign, so it reflects whatever the code currently does.
-func (c Config) Experiments() (string, error) {
+// ones, with relative deltas, then the extensions, which quote the BENCH
+// suites' runs. The document is fully regenerated from the simulation
+// campaign, so it reflects whatever the code currently does.
+func (c Config) experiments(runs benchRuns) (string, error) {
 	var sb strings.Builder
 	sb.WriteString(`# EXPERIMENTS — paper vs. reproduction
 
-Regenerate with ` + "`go run ./cmd/rcuda-repro -experiments`" + fmt.Sprintf(
+Regenerate with ` + "`make experiments`" + fmt.Sprintf(
 		" (seed %d, %d repetitions, %.1f%% noise).\n\n", c.Seed, c.reps(), c.Sigma*100))
 	sb.WriteString(`Absolute numbers come from a calibrated simulator (see DESIGN.md §1), so
 "measured" columns track the paper by construction; the *reproduced results*
@@ -53,7 +107,7 @@ the simulated measurements exactly as the paper's method prescribes.
 	c.expTableIV(&sb, data)
 	c.expTableVI(&sb, data)
 	c.expFigures56(&sb, data)
-	if err := c.expExtensions(&sb); err != nil {
+	if err := c.expExtensions(&sb, runs); err != nil {
 		return "", err
 	}
 	if err := expRecorded(&sb); err != nil {
@@ -88,15 +142,15 @@ func expRecorded(sb *strings.Builder) error {
 	return nil
 }
 
-func (c Config) expExtensions(sb *strings.Builder) error {
+func (c Config) expExtensions(sb *strings.Builder, runs benchRuns) error {
 	sb.WriteString("## Extensions beyond the paper\n\n")
 	// Pipelined FFT (Figure 7's run, noiseless, at one representative
 	// batch): the overlap gain on 40GI and GigaE, the first two networks.
-	runs, err := Config{}.pipelineRuns(8, []int{8192})
+	pipelined, err := Config{}.pipelineRuns(8, []int{8192})
 	if err != nil {
 		return err
 	}
-	fast, slow := runs[0].gainPc(1), runs[0].gainPc(0)
+	fast, slow := pipelined[0].gainPc(1), pipelined[0].gainPc(0)
 	fmt.Fprintf(sb, `- **Asynchronous pipelining (Figure 7, `+"`-figure 7`"+`)**: splitting the
   FFT batch into 8 double-buffered chunks hides %.1f%% of the remote
   execution time on 40GI, where the device engines are the bottleneck. On
@@ -185,7 +239,7 @@ func (c Config) expExtensions(sb *strings.Builder) error {
 	// Live pool broker: place a mixed MM/FFT batch on three in-process
 	// daemons through the real wire protocol and compare the resulting
 	// makespan with the cluster simulator's list-scheduling prediction.
-	live, err := brokerLiveResult()
+	live, err := broker.SimulateLive(netsim.IB40G(), 3, broker.ExperimentJobs())
 	if err != nil {
 		return err
 	}
@@ -211,15 +265,18 @@ func (c Config) expExtensions(sb *strings.Builder) error {
 `, len(live.Placements), simMS(live.Makespan), simMS(live.Predicted),
 		live.Delta()*100, counts)
 
-	// API-call batching + query caching: run the latency-bound DNN
-	// inference loop batched and unbatched over both testbed links. The
-	// sim clock makes the numbers deterministic, and bit-exactness across
-	// modes is re-verified on every regeneration.
-	inf, err := batchedInferenceResults()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(sb, `- **API-call batching + query caching (rcuda.WithBatching, `+"`make bench-batch`"+`)**:
+	// API-call batching + query caching: the batching suite's four cells,
+	// each bit-exact and all on one digest.
+	inf := runs.batching
+	ge, geBatched := inf.cell("GigaE", false), inf.cell("GigaE", true)
+	ib, ibBatched := inf.cell("40GI", false), inf.cell("40GI", true)
+	// Unbatched round trips per request: the messages one more request adds
+	// to the session's schedule.
+	spec := perfmodel.InferenceSpec{Layers: inf.Layers, Polls: inf.Polls}
+	oneRequest := spec
+	oneRequest.Requests = 1
+	perRequest := len(perfmodel.InferenceSchedule(oneRequest)) - len(perfmodel.InferenceSchedule(spec))
+	fmt.Fprintf(sb, `- **API-call batching + query caching (rcuda.WithBatching, BENCH_batching.json)**:
   fire-and-forget calls (async copies, kernel launches, event records,
   memsets) coalesce into one wire frame that the next synchronizing call
   flushes — or closes, riding it, when it is a synchronization or
@@ -228,23 +285,23 @@ func (c Config) expExtensions(sb *strings.Builder) error {
   it has just synchronized itself. A %d-layer dense inference loop serving
   %d requests — %d round trips per request unbatched — runs %.2fx faster
   on GigaE (%.1f → %.1f sim-ms) and %.2fx on 40GI (%.1f → %.1f sim-ms),
-  with bit-identical outputs in all four cells (digest %016x) and the
+  with bit-identical outputs in all four cells (digest %s) and the
   analytic schedule in internal/perfmodel pinning the wire exactly
   (TestInferenceModelCrossValidation: 0.00%% error both directions). The
   frame byte cap defaults to %d KiB because a frame past GigaE's
   small-message regime (~21 KB) pays the same TCP-window excess that
   bites chunking and pipelining above — batching must stay small to win.
 
-`, inf.layers, inf.requests, inf.unbatchedPerReq,
-		inf.geUnbatched.Seconds()/inf.geBatched.Seconds(),
-		simMS(inf.geUnbatched), simMS(inf.geBatched),
-		inf.ibUnbatched.Seconds()/inf.ibBatched.Seconds(),
-		simMS(inf.ibUnbatched), simMS(inf.ibBatched),
-		inf.digest, rcuda.DefaultBatchBytes>>10)
+`, inf.Layers, inf.Requests, perRequest,
+		inf.SpeedupGigaE, usMS(ge.ElapsedUS), usMS(geBatched.ElapsedUS),
+		inf.Speedup40GI, usMS(ib.ElapsedUS), usMS(ibBatched.ElapsedUS),
+		ge.Digest, rcuda.DefaultBatchBytes>>10)
 
 	// Scale harness + elastic autoscaling: a virtual-clock run through the
-	// broker's real Placer with chaos kills, deterministic from its seed.
-	scale, err := loadgen.Run(loadgen.Config{
+	// broker's real Placer with chaos kills, deterministic from its seed,
+	// then the two BENCH_loadscale.json rows whose numbers needed
+	// explaining.
+	scale, err := runFleet("bursty-50k", loadgen.Config{
 		Seed:           12,
 		Sessions:       50_000,
 		Arrival:        loadgen.BurstyOnOff,
@@ -260,15 +317,12 @@ func (c Config) expExtensions(sb *strings.Builder) error {
 	if err != nil {
 		return err
 	}
-	if scale.LostDurable != 0 {
-		return fmt.Errorf("report: scale run lost %d durable sessions", scale.LostDurable)
-	}
-	scaleDown, classes, err := placementAccountingRuns()
-	if err != nil {
+	classes := runs.loadscale.scenario("scale-100k-classes")
+	if err := checkClassBlind(classes.run); err != nil {
 		return err
 	}
 	fmt.Fprintf(sb, `- **Million-session scale harness + elastic autoscaling (internal/loadgen,
-  `+"`make bench-scale`"+`)**: a goroutine-free event loop (des.EventLoop) drives
+  BENCH_loadscale.json)**: a goroutine-free event loop (des.EventLoop) drives
   simulated client sessions through the broker's real Placer — the same
   placement, spill, stampede-guard, and failover code the live pool runs —
   with seeded Poisson or bursty ON/OFF arrivals, while broker.Autoscaler
@@ -301,24 +355,19 @@ func (c Config) expExtensions(sb *strings.Builder) error {
   wait distribution to the nanosecond (checked on every regeneration;
   per-class means %.1f / %.1f / %.1f µs differ by sampling only).
 
-`, scale.Sessions, scale.PlacedPerSec, float64(scale.QueueWaitP99.Microseconds())/1000,
+`, scale.Sessions, scale.PlacedPerSec, simMS(scale.QueueWaitP99),
 		minDaemons(scale), scale.PeakDaemons, scale.Pool.Retirements,
 		scale.Faults, scale.Pool.Failovers, scale.LostNonDurable,
-		scaleDown.Pool.Spills,
-		simMS(classes.QueueWaitP50), simMS(classes.QueueWaitP99),
-		simUS(classes.Classes[0].WaitMean), simUS(classes.Classes[1].WaitMean), simUS(classes.Classes[2].WaitMean))
+		runs.loadscale.scenario("scale-down-migrate").Spills,
+		usMS(classes.QueueWaitP50US), usMS(classes.QueueWaitP99US),
+		simUS(classes.run.Classes[0].WaitMean), simUS(classes.run.Classes[1].WaitMean), simUS(classes.run.Classes[2].WaitMean))
 
-	// Per-device WFQ scheduler: the starvation scenario re-run live (the
-	// same mix BENCH_sched.json commits), so the document can only print
-	// numbers the run just verified.
-	fifoRes, wfqRes := starvationRuns()
-	fifoP99 := fifoRes.ClassP99(sched.Realtime)
-	wfqP99 := wfqRes.ClassP99(sched.Realtime)
-	if wfqP99 <= 0 || fifoP99 < sched.MinRealtimeP99Improvement*wfqP99 {
-		return fmt.Errorf("report: starvation scenario improvement collapsed (fifo %v, wfq %v)", fifoP99, wfqP99)
-	}
+	// Per-device WFQ scheduler: the sched suite's headline row,
+	// starvation-1bulk-8rt — one saturating batch pipeline vs eight sporadic
+	// realtime tenants on one device — which the suite has gated.
+	starved := runs.sched.Scenarios[0]
 	fmt.Fprintf(sb, `- **Per-device WFQ scheduler with priority classes (internal/sched,
-  `+"`make bench-sched`"+`)**: the daemon's per-device dispatch runs through a
+  BENCH_sched.json)**: the daemon's per-device dispatch runs through a
   virtual-time weighted-fair-queueing queue with realtime > batch >
   besteffort classes, preempting only at op boundaries so bit-exactness
   is untouched. In the starvation scenario — one batch tenant keeping a
@@ -331,53 +380,32 @@ func (c Config) expExtensions(sb *strings.Builder) error {
   stats probe's class block, which the broker's class-aware policy ranks
   for placement; deterministic from its seed (BENCH_sched.json).
 
-`, float64(fifoP99.Microseconds())/1000, float64(wfqP99.Microseconds())/1000,
-		float64(fifoP99)/float64(wfqP99),
-		100*sched.ThroughputDelta(fifoRes, wfqRes), fifoRes.TotalServed, wfqRes.TotalServed)
+`, usMS(starved.FIFO.realtimeP99US()), usMS(starved.WFQ.realtimeP99US()),
+		starved.RTP99ImprovementX, 100*starved.ThroughputDeltaFrac,
+		starved.FIFO.TotalServed, starved.WFQ.TotalServed)
 	return nil
 }
 
-// placementAccountingRuns re-runs the two BENCH_loadscale.json scenarios
-// whose numbers needed explaining — scale-down-migrate's spill count and
-// scale-100k-classes' identical per-class waits — and verifies the
-// explanation the document gives for the second: per-class percentiles
+// checkClassBlind verifies the explanation the document gives for
+// scale-100k-classes' identical per-class waits: per-class percentiles
 // equal the fleet's, and the same run under least-loaded has the same
 // waits exactly.
-func placementAccountingRuns() (scaleDown, classes *loadgen.Result, err error) {
-	scaleDown, err = loadgen.Run(loadgen.ScenarioConfig("scale-down-migrate"))
+func checkClassBlind(classes *loadgen.Result) error {
+	cfg := loadgen.ScenarioConfig("scale-100k-classes")
+	cfg.Policy = broker.LeastLoaded
+	blind, err := loadgen.Run(cfg)
 	if err != nil {
-		return nil, nil, err
-	}
-	classMix := func(policy broker.Policy) (*loadgen.Result, error) {
-		cfg := loadgen.ScenarioConfig("scale-100k-classes")
-		cfg.Policy = policy
-		return loadgen.Run(cfg)
-	}
-	classes, err = classMix(broker.ClassAware)
-	if err != nil {
-		return nil, nil, err
-	}
-	blind, err := classMix(broker.LeastLoaded)
-	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	for i, c := range classes.Classes {
 		if c.WaitP50 != classes.QueueWaitP50 || c.WaitP99 != classes.QueueWaitP99 {
-			return nil, nil, fmt.Errorf("report: class %s placement wait differs from the fleet's: the queue is no longer class-blind", c.Name)
+			return fmt.Errorf("report: class %s placement wait differs from the fleet's: the queue is no longer class-blind", c.Name)
 		}
 		if b := blind.Classes[i]; c.WaitP99 != b.WaitP99 || c.WaitMax != b.WaitMax || c.WaitMean != b.WaitMean {
-			return nil, nil, fmt.Errorf("report: class %s placement wait depends on the policy (%v vs %v)", c.Name, c.WaitMean, b.WaitMean)
+			return fmt.Errorf("report: class %s placement wait depends on the policy (%v vs %v)", c.Name, c.WaitMean, b.WaitMean)
 		}
 	}
-	return scaleDown, classes, nil
-}
-
-// starvationRuns executes the headline scheduler scenario,
-// starvation-1bulk-8rt, under both policies: one saturating batch pipeline
-// vs eight sporadic realtime tenants on one device.
-func starvationRuns() (fifo, wfq *sched.SimResult) {
-	sc := sched.Scenarios()[0]
-	return sched.Simulate(sc.Config(sched.FIFO)), sched.Simulate(sc.Config(sched.WFQ))
+	return nil
 }
 
 // minDaemons is the smallest fleet size the trajectory visited.
@@ -394,78 +422,8 @@ func minDaemons(r *loadgen.Result) int {
 	return min
 }
 
-// inferenceSummary carries the deterministic batched-vs-unbatched numbers
-// of the DNN inference workload for the extensions section.
-type inferenceSummary struct {
-	layers, requests, unbatchedPerReq int
-	geUnbatched, geBatched            time.Duration
-	ibUnbatched, ibBatched            time.Duration
-	digest                            uint64
-}
-
-// batchedInferenceResults runs the inference loop in all four
-// (network, mode) cells and checks the outputs digest-identical, so the
-// generated document can only print numbers the run just verified.
-func batchedInferenceResults() (inferenceSummary, error) {
-	s := inferenceSummary{
-		layers:   workload.DefaultInferenceLayers,
-		requests: workload.DefaultInferenceRequests,
-	}
-	// Unbatched round trips per request: the messages one more request
-	// adds to the session's schedule.
-	spec := perfmodel.InferenceSpec{Layers: s.layers, Polls: workload.DefaultInferencePolls}
-	oneRequest := spec
-	oneRequest.Requests = 1
-	s.unbatchedPerReq = len(perfmodel.InferenceSchedule(oneRequest)) - len(perfmodel.InferenceSchedule(spec))
-	cells := []struct {
-		netName string
-		batched bool
-		out     *time.Duration
-	}{
-		{"GigaE", false, &s.geUnbatched}, {"GigaE", true, &s.geBatched},
-		{"40GI", false, &s.ibUnbatched}, {"40GI", true, &s.ibBatched},
-	}
-	for i, cell := range cells {
-		link, err := netsim.ByName(cell.netName)
-		if err != nil {
-			return s, err
-		}
-		rep, err := workload.RunInference(workload.InferenceOptions{Link: link, Batched: cell.batched})
-		if err != nil {
-			return s, err
-		}
-		if !rep.Verified {
-			return s, fmt.Errorf("inference %s batched=%v: not bit-exact", cell.netName, cell.batched)
-		}
-		if i == 0 {
-			s.digest = rep.Digest
-		} else if rep.Digest != s.digest {
-			return s, fmt.Errorf("inference %s batched=%v: digest %016x differs from %016x",
-				cell.netName, cell.batched, rep.Digest, s.digest)
-		}
-		*cell.out = rep.Elapsed
-	}
-	return s, nil
-}
-
-// brokerLiveResult runs the live-vs-predicted broker experiment on the same
-// deterministic job mix the broker's acceptance test uses, so the numbers
-// here are the tested ones.
-func brokerLiveResult() (broker.LiveResult, error) {
-	sizes := []struct {
-		cs   calib.CaseStudy
-		size int
-	}{
-		{calib.MM, 128}, {calib.FFT, 16}, {calib.MM, 64},
-		{calib.FFT, 32}, {calib.MM, 128}, {calib.MM, 48},
-		{calib.FFT, 16}, {calib.MM, 96}, {calib.FFT, 8},
-	}
-	jobs := make([]broker.SimJob, len(sizes))
-	for i, s := range sizes {
-		jobs[i] = broker.SimJob{ID: i, CS: s.cs, Size: s.size}
-	}
-	return broker.SimulateLive(netsim.IB40G(), 3, jobs)
-}
+// usMS converts a whole number of µs, as the BENCH files hold them, to ms.
+func usMS(us int64) float64 { return float64(us) / 1000 }
 
 func simMS(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 

@@ -1,4 +1,4 @@
-package main
+package report
 
 import (
 	"fmt"
@@ -10,8 +10,8 @@ import (
 	"rcuda/internal/sched"
 )
 
-// scaleResult is one scenario's row in the bench file. Everything in it
-// derives from seeded virtual-clock runs, so re-running a scenario must
+// scaleResult is one scenario's row in BENCH_loadscale.json. Everything in
+// it derives from seeded virtual-clock runs, so re-running a scenario must
 // reproduce its row byte for byte.
 type scaleResult struct {
 	Name           string  `json:"name"`
@@ -43,6 +43,10 @@ type scaleResult struct {
 	// scenarios that declare scheduling classes, so legacy rows are
 	// byte-stable.
 	Classes []scaleClass `json:"classes,omitempty"`
+
+	// run is the result the row was made from, for the numbers
+	// EXPERIMENTS.md explains and the file does not hold.
+	run *loadgen.Result
 }
 
 // scaleClass is one class's row in a scenario result.
@@ -55,27 +59,33 @@ type scaleClass struct {
 	WaitP99US  int64  `json:"wait_p99_us"`
 }
 
+// scaleFile is BENCH_loadscale.json.
 type scaleFile struct {
 	Harness   string        `json:"harness"`
 	Scenarios []scaleResult `json:"scenarios"`
 }
 
+// scenario returns the file's row for the named scenario.
+func (f scaleFile) scenario(name string) scaleResult {
+	for _, sr := range f.Scenarios {
+		if sr.Name == name {
+			return sr
+		}
+	}
+	panic(fmt.Sprintf("report: no loadscale scenario %q", name))
+}
+
 // loadscale drives the broker's placement, spill and failover paths with
-// every loadgen.Scenarios run, closed-loop with the elastic autoscaler.
-func loadscale(out io.Writer) (any, error) {
-	w := tabwriter.NewWriter(out, 2, 0, 2, ' ', 0)
+// every loadgen.Scenarios run, closed-loop with the elastic autoscaler, and
+// prints its table to log.
+func loadscale(log io.Writer) (scaleFile, error) {
+	w := tabwriter.NewWriter(log, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(w, "scenario\tsessions\tplaced\tp50 wait\tp99 wait\tdaemons\tspills\tfailovers\tlost")
 	file := scaleFile{Harness: "loadgen-v1"}
 	for _, sc := range loadgen.Scenarios() {
-		r, err := loadgen.Run(sc.Build())
+		r, err := runFleet(sc.Name, sc.Build())
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sc.Name, err)
-		}
-		if r.LostDurable != 0 {
-			return nil, fmt.Errorf("%s: %d durable sessions lost — failover invariant broken", sc.Name, r.LostDurable)
-		}
-		if r.Unplaced != 0 {
-			return nil, fmt.Errorf("%s: %d sessions never placed — scenario is under-provisioned", sc.Name, r.Unplaced)
+			return file, err
 		}
 		sr := toScaleResult(sc.Name, r)
 		fmt.Fprintf(w, "%s\t%d\t%.0f/s\t%dµs\t%dµs\t%d→%d peak %d\t%d\t%d\t%d\n",
@@ -85,7 +95,24 @@ func loadscale(out io.Writer) (any, error) {
 		file.Scenarios = append(file.Scenarios, sr)
 	}
 	w.Flush()
+	fmt.Fprintln(log)
 	return file, nil
+}
+
+// runFleet runs one load-generation config and holds it to the fleet's
+// invariants: no durable session lost, every session placed.
+func runFleet(name string, cfg loadgen.Config) (*loadgen.Result, error) {
+	r, err := loadgen.Run(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	if r.LostDurable != 0 {
+		return nil, fmt.Errorf("%s: %d durable sessions lost — failover invariant broken", name, r.LostDurable)
+	}
+	if r.Unplaced != 0 {
+		return nil, fmt.Errorf("%s: %d sessions never placed — scenario is under-provisioned", name, r.Unplaced)
+	}
+	return r, nil
 }
 
 func toScaleResult(name string, r *loadgen.Result) scaleResult {
@@ -112,6 +139,7 @@ func toScaleResult(name string, r *loadgen.Result) scaleResult {
 		Faults:         r.Faults,
 		PeakDaemons:    r.PeakDaemons,
 		FinalDaemons:   r.DaemonsFinal,
+		run:            r,
 	}
 	for _, s := range r.Trajectory {
 		sr.DaemonsOverTime = append(sr.DaemonsOverTime, s.Daemons)

@@ -9,7 +9,9 @@
 // Emitters return plain text (aligned with text/tabwriter) or CSV so the
 // command-line tools can print or save them. Each figure is one function
 // that runs once and returns its text with its charts, which WriteSVGs
-// draws; EXPERIMENTS.md reads the same runs.
+// draws; EXPERIMENTS.md reads the same runs. Config.Generate writes
+// EXPERIMENTS.md and the three virtual-clock BENCH files it quotes from
+// one campaign.
 package report
 
 import (

@@ -1,4 +1,4 @@
-package main
+package report
 
 import (
 	"encoding/json"
@@ -9,11 +9,11 @@ import (
 	"rcuda/internal/sched"
 )
 
-// gates are a scheduler scenario's acceptance thresholds; zero disables a
-// gate. The suite refuses to emit a result that breaks the scheduler's
+// schedGate is a scheduler scenario's acceptance thresholds; zero disables
+// a gate. The suite refuses to emit a result that breaks the scheduler's
 // fairness claims, so a regression fails loudly rather than silently
 // rewriting the file.
-type gates struct {
+type schedGate struct {
 	// minP99Improvement is the minimum fifoP99/wfqP99 ratio for the
 	// realtime class.
 	minP99Improvement float64
@@ -29,7 +29,7 @@ type gates struct {
 // realtime class's p99 queue wait by sched.MinRealtimeP99Improvement while
 // serving the same aggregate throughput within 10%, and split a class 2:1
 // by weight.
-var schedGates = map[string]gates{
+var schedGates = map[string]schedGate{
 	"starvation-1bulk-8rt":  {minP99Improvement: sched.MinRealtimeP99Improvement, maxThroughputDelta: 0.10},
 	"starvation-1bulk-32rt": {minP99Improvement: sched.MinRealtimeP99Improvement, maxThroughputDelta: 0.10},
 	"weighted-share-2to1":   {maxThroughputDelta: 0.10, servedRatio: 2, servedRatioTol: 0.05},
@@ -52,7 +52,18 @@ type policyRow struct {
 	Classes     []classRow `json:"classes"`
 }
 
-// schedResult is one scenario's row in the bench file.
+// realtimeP99US is the realtime class's p99 queue wait in µs, 0 when the
+// mix has no realtime class.
+func (p policyRow) realtimeP99US() int64 {
+	for _, c := range p.Classes {
+		if c.Class == sched.Realtime.String() {
+			return c.WaitP99US
+		}
+	}
+	return 0
+}
+
+// schedResult is one scenario's row in BENCH_sched.json.
 type schedResult struct {
 	Name       string    `json:"name"`
 	Seed       int64     `json:"seed"`
@@ -67,24 +78,27 @@ type schedResult struct {
 	ThroughputDeltaFrac float64 `json:"throughput_delta_frac"`
 }
 
+// schedFile is BENCH_sched.json.
 type schedFile struct {
 	Harness   string        `json:"harness"`
 	Scenarios []schedResult `json:"scenarios"`
 }
 
-// schedSuite runs every sched.Scenarios mix under FIFO and WFQ, each twice.
-func schedSuite(out io.Writer) (any, error) {
-	w := tabwriter.NewWriter(out, 2, 0, 2, ' ', 0)
+// schedSuite runs every sched.Scenarios mix under FIFO and WFQ, each twice,
+// and prints its table to log.
+func schedSuite(log io.Writer) (schedFile, error) {
+	w := tabwriter.NewWriter(log, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(w, "scenario\ttenants\trt p99 fifo\trt p99 wfq\timprovement\tthpt delta\tpreemptions")
 	file := schedFile{Harness: "sched-bench-v1"}
 	for _, sc := range sched.Scenarios() {
 		sr, err := runSchedScenario(w, sc)
 		if err != nil {
-			return nil, err
+			return file, err
 		}
 		file.Scenarios = append(file.Scenarios, sr)
 	}
 	w.Flush()
+	fmt.Fprintln(log)
 	return file, nil
 }
 
@@ -138,7 +152,7 @@ func runSchedScenario(w io.Writer, sc sched.Scenario) (schedResult, error) {
 }
 
 // simulateTwice runs the scenario twice under policy p and insists the runs
-// agree byte for byte — the determinism contract -check depends on.
+// agree byte for byte — the determinism the freshness test depends on.
 func simulateTwice(sc sched.Scenario, p sched.Policy) (*sched.SimResult, error) {
 	a := sched.Simulate(sc.Config(p))
 	b := sched.Simulate(sc.Config(p))

@@ -6,9 +6,9 @@ import (
 )
 
 // Scenario is one named, fully pinned tenant mix: the rows of
-// BENCH_sched.json, which rcuda-bench writes and checks, and the starvation
-// run the experiments report re-explains. Both policies run the same mix
-// from the same seed, so the only variable is the grant order.
+// BENCH_sched.json, which the report's campaign writes and gates, and
+// EXPERIMENTS.md quotes. Both policies run the same mix from the same seed,
+// so the only variable is the grant order.
 type Scenario struct {
 	Name     string
 	Seed     int64
@@ -24,8 +24,8 @@ func (s Scenario) Config(p Policy) SimConfig {
 
 // MinRealtimeP99Improvement is the fairness floor of the starvation
 // scenarios: WFQ must cut the realtime class's p99 queue wait to at most a
-// fifth of FIFO's. rcuda-bench gates BENCH_sched.json on it and the
-// experiments report re-checks it on every regeneration.
+// fifth of FIFO's. The report's scheduler suite gates BENCH_sched.json on
+// it.
 const MinRealtimeP99Improvement = 5
 
 // ClassP99 returns class c's p99 queue wait in r, 0 when r has no op of
