@@ -14,17 +14,17 @@ import (
 // TestDocsNamePathsThatExist holds the documents an operator follows, and
 // the make targets and CI steps that run the tree, to the tree: every
 // repo-relative path under cmd/, examples/ or internal/ that README.md,
-// DESIGN.md, the verify skill, the Makefile or a CI workflow names, and
-// every `go run` (or `$(GO) run`) target, must exist. A glob must match
-// something, and a package pattern's trailing /... stands for its
-// directory.
+// DESIGN.md, EXPERIMENTS.md, the verify skill, the Makefile or a CI
+// workflow names, and every `go run` (or `$(GO) run`) target, must exist.
+// A glob must match something, and a package pattern's trailing /...
+// stands for its directory.
 func TestDocsNamePathsThatExist(t *testing.T) {
 	root := moduleRoot(t)
 	workflows, err := filepath.Glob(filepath.Join(root, ".github", "workflows", "*.yml"))
 	if err != nil || len(workflows) == 0 {
 		t.Fatalf("no CI workflow under .github/workflows (%v)", err)
 	}
-	docs := []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md", "Makefile"}
+	docs := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md", "Makefile"}
 	for _, w := range workflows {
 		rel, _ := filepath.Rel(root, w)
 		docs = append(docs, rel)
@@ -62,11 +62,11 @@ func docPaths(line string) []string {
 	return paths
 }
 
-// TestDocsNameLiveIdentifiers holds README.md and DESIGN.md to the code:
-// every backticked pkg.Name whose pkg is a package of the module (the root
-// rcuda package included) must name a func, method, type, var or const
-// that package declares at top level, its test files included — a
-// trailing * reads as a prefix — or be a per_layer metric of
+// TestDocsNameLiveIdentifiers holds README.md, DESIGN.md and EXPERIMENTS.md
+// to the code: every backticked pkg.Name whose pkg is a package of the
+// module (the root rcuda package included) must name a func, method, type,
+// var or const that package declares at top level, its test files included
+// — a trailing * reads as a prefix — or be a per_layer metric of
 // BENCHMARK.json.
 func TestDocsNameLiveIdentifiers(t *testing.T) {
 	root := moduleRoot(t)
@@ -85,7 +85,7 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 	for _, m := range bench.PerLayer {
 		metrics[m.Name] = true
 	}
-	for _, doc := range []string{"README.md", "DESIGN.md"} {
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		src, err := os.ReadFile(filepath.Join(root, doc))
 		if err != nil {
 			t.Fatal(err)
@@ -177,8 +177,9 @@ func moduleDecls(t *testing.T, root string) map[string]map[string]bool {
 // TestDesignSectionsNameTheirTests holds DESIGN.md's sections to the tests
 // that hold their invariants: the last non-blank line of every ## section
 // is a Held by: line with at least one backticked name, and every
-// backticked Test, Benchmark, Example or Fuzz function that DESIGN.md or
-// README.md names is declared in a _test.go file of the module.
+// backticked Test, Benchmark, Example or Fuzz function that DESIGN.md,
+// README.md or EXPERIMENTS.md names is declared in a _test.go file of the
+// module.
 func TestDesignSectionsNameTheirTests(t *testing.T) {
 	root := moduleRoot(t)
 	design := readDoc(t, root, "DESIGN.md")
@@ -194,7 +195,7 @@ func TestDesignSectionsNameTheirTests(t *testing.T) {
 		t.Fatal("DESIGN.md has no ## sections")
 	}
 	tests := testFuncs(t, root)
-	for _, doc := range []string{"DESIGN.md", "README.md"} {
+	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
 		for i, line := range strings.Split(readDoc(t, root, doc), "\n") {
 			for _, span := range codeSpan.FindAllStringSubmatch(line, -1) {
 				if testName.MatchString(span[1]) && !tests[span[1]] {
@@ -238,9 +239,9 @@ func testFuncs(t *testing.T, root string) map[string]bool {
 }
 
 // TestDocsSectionRefsResolve holds every section reference to DESIGN.md's
-// numbering: each § followed by a number in the module's Go files,
-// README.md, DESIGN.md, the verify skill and the recorded EXPERIMENTS.md
-// fragments names a "## N." heading, and a quoted title right after it
+// numbering: each § followed by a number in the module's Go files (the
+// generator of EXPERIMENTS.md among them), README.md, DESIGN.md and the
+// verify skill names a "## N." heading, and a quoted title right after it
 // names a ### heading inside that section. CHANGES.md and ROADMAP.md are
 // history: their references describe the file as it was then.
 func TestDocsSectionRefsResolve(t *testing.T) {
@@ -256,10 +257,6 @@ func TestDocsSectionRefsResolve(t *testing.T) {
 		}
 	}
 	docs := []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"}
-	recorded, _ := filepath.Glob(filepath.Join(root, "internal", "report", "recorded", "*.md"))
-	for _, p := range recorded {
-		docs = append(docs, p[len(root)+1:])
-	}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err

@@ -3,7 +3,6 @@ package report
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,14 +23,21 @@ func stale(f File, committed []byte) error {
 // every run is seeded, so any model, calibration or gate change that shifts
 // a result forces the committed numbers to be regenerated, all four from
 // one campaign. A one-byte change to any of the four must fail the check,
-// naming the file and the make target.
+// naming the file and the make target. The suites run at once, but their
+// tables print in one order: batching, scheduler, scale.
 func TestExperimentsDocumentIsFresh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign; skipped in -short mode")
 	}
-	files, err := defaultConfig().Generate(io.Discard)
+	var log strings.Builder
+	files, err := defaultConfig().Generate(&log)
 	if err != nil {
 		t.Fatal(err)
+	}
+	batchAt, schedAt, scaleAt := strings.Index(log.String(), "speedup batched"),
+		strings.Index(log.String(), "rt p99 fifo"), strings.Index(log.String(), "p50 wait")
+	if batchAt < 0 || schedAt < batchAt || scaleAt < schedAt {
+		t.Errorf("suite tables out of order (batching at %d, sched at %d, scale at %d):\n%s", batchAt, schedAt, scaleAt, log.String())
 	}
 	if len(files) != 4 {
 		t.Fatalf("generated %d files, want EXPERIMENTS.md and three BENCH files", len(files))
