@@ -19,7 +19,7 @@ help:
 	@echo "  lint         go vet + rcuda-vet invariant analyzers + gofmt diff check"
 	@echo "  vet          rcuda-vet only: seededrand/wiremsg/locknet/errcode invariants"
 	@echo "  loc          non-blank, non-comment, non-test Go lines per package (the count 'smaller' claims cite), the test lines outside bench/, and the non-test total outside bench/"
-	@echo "  chaos        fault-injection suite (scripted + 50 seeded plans) under -race"
+	@echo "  chaos        fault-injection suite (scripted + 50 seeded plans), the broker's server-kill and failover runs and the typed-refusal checks of durable opens whose hello is in flight (loopback TCP; the broker must spill, not mark down), under -race"
 	@echo "  migrate-chaos  live-migration suite: source killed at every protocol phase, the pinned checkpoint bytes, the session-state table and the TTL-vs-claim check, under -race"
 	@echo "  soak         10k mixed ops at ~1% fault rate, leak-checked, under -race"
 	@echo "  bench        run all benchmarks"
@@ -126,12 +126,15 @@ bubble:
 
 # Chaos suite: every fault kind's transport semantics, the retry policy, and
 # the MM/FFT case studies under scripted and 50 consecutive seeded fault
-# plans — results must be bit-exact after recovery. -count=1 defeats the
-# test cache so the seeds actually rerun.
+# plans — results must be bit-exact after recovery; the broker's
+# server-kill and failover runs; and the refusals of durable opens whose
+# hello is already in flight, over loopback TCP: every one must arrive as
+# ErrServerBusy, and a broker must spill off it without marking the daemon
+# down. -count=1 defeats the test cache so the seeds actually rerun.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Chaos|Faulty|Fault|Retry|Truncat|Reattach|Session|Plan|KeepFor' \
-		./internal/transport/... ./internal/rcuda/... ./internal/faults/...
+		-run 'Chaos|Faulty|Fault|Retry|Truncat|Reattach|Session|Plan|KeepFor|Refusal' \
+		./internal/transport/... ./internal/rcuda/... ./internal/faults/... ./internal/broker/...
 
 # Migration chaos: checkpoint round-trips and the pinned checkpoint bytes,
 # the daemon-to-daemon transfer, a source-daemon kill swept across every
@@ -160,8 +163,8 @@ bench:
 bench-wall:
 	bash bench/run.sh
 
-# CI correctness check on the two fast paths: one second of batched
-# inference requests, every output compared bit for bit with the local
+# CI correctness check on eight of the benchmark's workloads: one second of
+# batched inference requests, every output compared bit for bit with the local
 # runtime, and one second of fleet placement, every loadgen run checked
 # for its invariants (all completed, none lost or unplaced) and for
 # same-seed determinism; then one second each of 16 MiB copies both ways in

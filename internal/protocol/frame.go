@@ -58,33 +58,54 @@ type FrameWriter struct {
 // gathered with a single vectored write (net.Buffers → writev on a TCP
 // socket) instead of copying the bulk bytes into a contiguous buffer.
 func (fw *FrameWriter) WriteFrame(w io.Writer, m Message) error {
+	return fw.write(w, m, nil)
+}
+
+// WriteFrames writes the frame of first and then that of next in the one
+// write WriteFrame would make for first alone: next's frame is encoded
+// whole behind first's tail, so it should be small — the session hello
+// frame that follows the init's module is at most 16 bytes. The bytes are
+// those of two WriteFrame calls.
+func (fw *FrameWriter) WriteFrames(w io.Writer, first, next Message) error {
+	return fw.write(w, first, next)
+}
+
+// write frames m, and next behind it when next is not nil, in one write.
+func (fw *FrameWriter) write(w io.Writer, m, next Message) error {
 	if fw.scratch == nil {
 		fw.scratch, fw.vecs = fw.head[:0], fw.vec[:0]
 	}
 	seg, ok := m.(Segmented)
 	if !ok {
 		// Fall back to a contiguous single-write frame, reusing scratch.
-		buf := append(fw.scratch[:0], 0, 0, 0, 0)
-		binary.LittleEndian.PutUint32(buf, uint32(m.WireSize()))
-		buf = m.Encode(buf)
-		fw.scratch = buf[:0]
-		if len(buf) != FrameHeaderSize+m.WireSize() {
-			return fmt.Errorf("protocol: %T encoded %d bytes, declared %d",
-				m, len(buf)-FrameHeaderSize, m.WireSize())
+		buf, err := appendFrame(fw.scratch[:0], m)
+		if err == nil && next != nil {
+			buf, err = appendFrame(buf, next)
 		}
-		_, err := w.Write(buf)
+		fw.scratch = buf[:0]
+		if err != nil {
+			return err
+		}
+		_, err = w.Write(buf)
 		return err
 	}
-	buf := append(fw.scratch[:0], 0, 0, 0, 0)
-	binary.LittleEndian.PutUint32(buf, uint32(m.WireSize()))
+	buf := binary.LittleEndian.AppendUint32(fw.scratch[:0], uint32(m.WireSize()))
 	buf = seg.SegmentHead(buf)
 	headEnd := len(buf)
 	buf = seg.SegmentTail(buf)
-	fw.scratch = buf[:0]
 	bulk := seg.SegmentBulk()
 	if got := len(buf) - FrameHeaderSize + len(bulk); got != m.WireSize() {
+		fw.scratch = buf[:0]
 		return fmt.Errorf("protocol: %T segments encode %d bytes, declared %d",
 			m, got, m.WireSize())
+	}
+	var err error
+	if next != nil {
+		buf, err = appendFrame(buf, next)
+	}
+	fw.scratch = buf[:0]
+	if err != nil {
+		return err
 	}
 	vecs := append(fw.vecs[:0], buf[:headEnd])
 	if len(bulk) > 0 {
@@ -94,7 +115,7 @@ func (fw *FrameWriter) WriteFrame(w io.Writer, m Message) error {
 		vecs = append(vecs, buf[headEnd:])
 	}
 	fw.vecs = vecs
-	_, err := fw.vecs.WriteTo(w) // consumes fw.vecs in place
+	_, err = fw.vecs.WriteTo(w) // consumes fw.vecs in place
 	// Restore the vector to its backing start and drop payload references
 	// so a finished frame does not pin the caller's bulk slice.
 	for i := range vecs {
@@ -102,4 +123,15 @@ func (fw *FrameWriter) WriteFrame(w io.Writer, m Message) error {
 	}
 	fw.vecs = vecs[:0]
 	return err
+}
+
+// appendFrame appends m's length-prefixed frame to dst.
+func appendFrame(dst []byte, m Message) ([]byte, error) {
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(m.WireSize()))
+	dst = m.Encode(dst)
+	if got := len(dst) - start - FrameHeaderSize; got != m.WireSize() {
+		return dst, fmt.Errorf("protocol: %T encoded %d bytes, declared %d", m, got, m.WireSize())
+	}
+	return dst, nil
 }

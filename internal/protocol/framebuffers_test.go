@@ -119,3 +119,37 @@ func TestDecodeMemcpyToHostResponseInto(t *testing.T) {
 		t.Fatal("short response must fail")
 	}
 }
+
+// TestWriteFramesMatchesTwoWriteFrames: a pair of frames written at once
+// is byte for byte the two frames written one after the other, whether the
+// first is Segmented or not, and a steady stream of pairs allocates
+// nothing.
+func TestWriteFramesMatchesTwoWriteFrames(t *testing.T) {
+	hello := &SessionHelloRequest{Class: SchedClassRealtime, Weight: 2}
+	firsts := []Message{
+		&InitRequest{Module: bytes.Repeat([]byte{0x5a}, 3000)},
+		&InitRequest{},
+		&MallocRequest{Size: 4096},
+	}
+	var fw FrameWriter
+	for _, first := range firsts {
+		for _, next := range []Message{hello, &SessionHelloRequest{}} {
+			var one, two bytes.Buffer
+			if err := fw.WriteFrames(&one, first, next); err != nil {
+				t.Fatalf("%T + %T: %v", first, next, err)
+			}
+			_ = WriteFrame(&two, first)
+			_ = WriteFrame(&two, next)
+			if !bytes.Equal(one.Bytes(), two.Bytes()) {
+				t.Fatalf("%T + %T:\n pair %x\n two  %x", first, next, one.Bytes(), two.Bytes())
+			}
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if err := fw.WriteFrames(io.Discard, firsts[0], hello); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("WriteFrames allocates %v times per pair, want 0", got)
+	}
+}

@@ -195,7 +195,10 @@ func WithChunkedTransfers(threshold, chunkSize int) ClientOption {
 
 // Open establishes a session: it connects the client side of the middleware
 // over an existing transport connection and performs the initialization
-// exchange, locating and sending the application's GPU module.
+// exchange, locating and sending the application's GPU module. A durable
+// session's hello rides behind the init (transport.SendPair) instead of
+// waiting a round trip for the init's reply; the two replies are read in
+// order (DESIGN.md §5 "Durable sessions").
 func Open(conn transport.Conn, module []byte, opts ...ClientOption) (*Client, error) {
 	c := &Client{conn: conn, curDev: cacheCurrentDevice}
 	for _, o := range opts {
@@ -204,7 +207,20 @@ func Open(conn transport.Conn, module []byte, opts ...ClientOption) (*Client, er
 	req := &c.req.init
 	req.Module = module
 	sent := req.WireSize()
-	err := conn.Send(req)
+	var hello *protocol.SessionHelloRequest
+	var helloErr, err error
+	if c.dial != nil || c.schedClass != 0 || c.schedWeight != 0 {
+		hello = &c.req.hello
+		*hello = protocol.SessionHelloRequest{Class: c.schedClass, Weight: c.schedWeight}
+		var n int
+		if n, err = transport.SendPair(conn, req, hello); n == 1 {
+			// The init left; its reply still says whether the server
+			// refused the session, which is the answer the caller needs.
+			helloErr, err = fmt.Errorf("rcuda: session hello send: %w", err), nil
+		}
+	} else {
+		err = conn.Send(req)
+	}
 	req.Module = nil
 	if err != nil {
 		return nil, fmt.Errorf("rcuda: init send: %w", err)
@@ -225,7 +241,10 @@ func Open(conn transport.Conn, module []byte, opts ...ClientOption) (*Client, er
 		return nil, fmt.Errorf("rcuda: server rejected initialization: %w", err)
 	}
 	c.capMajor, c.capMinor = resp.CapabilityMajor, resp.CapabilityMinor
-	if c.dial != nil || c.schedClass != 0 || c.schedWeight != 0 {
+	if helloErr != nil {
+		return nil, helloErr
+	}
+	if hello != nil {
 		if err := c.helloDurable(); err != nil {
 			return nil, err
 		}
@@ -233,15 +252,11 @@ func Open(conn transport.Conn, module []byte, opts ...ClientOption) (*Client, er
 	return c, nil
 }
 
-// helloDurable upgrades the freshly initialized session to a durable one
-// so a later reconnect can reattach to it. It runs on the still-healthy
-// initial connection and is not itself retried.
+// helloDurable reads the reply to the hello Open sent behind the init,
+// which upgrades the session to a durable one so a later reconnect can
+// reattach to it. It runs on the still-healthy initial connection and is
+// not itself retried.
 func (c *Client) helloDurable() error {
-	hello := &c.req.hello
-	*hello = protocol.SessionHelloRequest{Class: c.schedClass, Weight: c.schedWeight}
-	if err := c.conn.Send(hello); err != nil {
-		return fmt.Errorf("rcuda: session hello send: %w", err)
-	}
 	payload, err := c.conn.Recv()
 	if err != nil {
 		return fmt.Errorf("rcuda: session hello recv: %w", err)
@@ -250,7 +265,7 @@ func (c *Client) helloDurable() error {
 	if err != nil {
 		return fmt.Errorf("rcuda: session hello decode: %w", err)
 	}
-	c.observe(protocol.OpSessionHello, hello.WireSize(), len(payload))
+	c.observe(protocol.OpSessionHello, c.req.hello.WireSize(), len(payload))
 	if refuse := cudart.Error(resp.Err).AsError(); refuse != nil {
 		return fmt.Errorf("rcuda: server refused durable session: %w", refuse)
 	}

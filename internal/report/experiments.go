@@ -31,7 +31,7 @@ type File struct {
 }
 
 // benchRuns are the campaign's simulations: the three BENCH suites, which
-// EXPERIMENTS.md quotes, and the two fleet runs only the document reads.
+// EXPERIMENTS.md quotes, and the runs only the document reads.
 type benchRuns struct {
 	batching  batchFile
 	sched     schedFile
@@ -39,6 +39,21 @@ type benchRuns struct {
 	// bursty is the 50 000-session bursty run with seeded faults; classBlind
 	// is scale-100k-classes again under LeastLoaded.
 	bursty, classBlind *loadgen.Result
+	// tableVI is the measurement campaign behind Tables IV and VI, live the
+	// pool broker's placement of the sizing study's jobs, and copies the
+	// 64 MiB copy of each of simCopies.
+	tableVI map[calib.CaseStudy]TableVIResult
+	live    broker.LiveResult
+	copies  [len(simCopies)]time.Duration
+}
+
+// simCopies are the copies the chunking and retry extensions quote: the
+// single-frame and chunked protocols on 40GI and on GigaE, then 40GI
+// chunked again with the retry/reconnect layer.
+var simCopies = [...]simCopy{
+	{netsim.IB40G(), false, false}, {netsim.IB40G(), true, false},
+	{netsim.GigaE(), false, false}, {netsim.GigaE(), true, false},
+	{netsim.IB40G(), true, true},
 }
 
 // Generate runs the virtual-clock campaign once and returns the four files
@@ -47,7 +62,7 @@ type benchRuns struct {
 // campaign's results, so every simulation runs once and each gate has one
 // owner.
 func (c Config) Generate(log io.Writer) ([]File, error) {
-	runs, err := campaign(log)
+	runs, err := c.campaign(log)
 	if err != nil {
 		return nil, err
 	}
@@ -74,10 +89,11 @@ func (c Config) Generate(log io.Writer) ([]File, error) {
 }
 
 // campaign starts the independent simulations at once — each is a pure
-// function of its seed — and waits for all of them. The three suites print
-// their tables into buffers of their own, which go to log in a fixed order,
-// and the first error in that order is returned.
-func campaign(log io.Writer) (benchRuns, error) {
+// function of its seed — and waits for all of them. Each writes only its own
+// field of the result; the three suites print their tables into buffers of
+// their own, which go to log in a fixed order, and the first error in the
+// jobs' order is returned.
+func (c Config) campaign(log io.Writer) (benchRuns, error) {
 	var runs benchRuns
 	var tables [3]bytes.Buffer
 	jobs := []func() error{
@@ -86,6 +102,14 @@ func campaign(log io.Writer) (benchRuns, error) {
 		func() (err error) { runs.loadscale, err = loadscale(&tables[2]); return named("loadscale", err) },
 		func() (err error) { runs.bursty, err = runFleet("bursty-50k", burstyConfig()); return err },
 		func() (err error) { runs.classBlind, err = loadgen.Run(classBlindConfig()); return err },
+		func() (err error) { runs.tableVI, err = c.TableVIData(); return err },
+		func() (err error) {
+			runs.live, err = broker.SimulateLive(netsim.IB40G(), 3, broker.ExperimentJobs())
+			return err
+		},
+	}
+	for i, sc := range simCopies {
+		jobs = append(jobs, func() (err error) { runs.copies[i], err = simCopyTime(sc); return err })
 	}
 	errs := make([]error, len(jobs))
 	var wg sync.WaitGroup
@@ -162,13 +186,9 @@ the simulated measurements exactly as the paper's method prescribes.
 	}
 	c.expTableII(&sb)
 	c.expTablesIIIandV(&sb)
-	data, err := c.TableVIData()
-	if err != nil {
-		return "", err
-	}
-	c.expTableIV(&sb, data)
-	c.expTableVI(&sb, data)
-	c.expFigures56(&sb, data)
+	c.expTableIV(&sb, runs.tableVI)
+	c.expTableVI(&sb, runs.tableVI)
+	c.expFigures56(&sb, runs.tableVI)
 	if err := c.expExtensions(&sb, runs); err != nil {
 		return "", err
 	}
@@ -272,21 +292,10 @@ func (c Config) expExtensions(sb *strings.Builder, runs benchRuns) error {
 
 `, shared.PerClient[3].Seconds()/lone.PerClient[0].Seconds(), shared.GPUUtilization*100)
 
-	// Chunked memcpy pipeline (BenchmarkMemcpyPipeline): run one large copy
-	// through the real middleware over the simulated links, with and without
-	// the chunked protocol, and report the modeled times; the last copy is
-	// the 40GI chunked one again with the retry/reconnect layer enabled.
-	var copies [5]time.Duration
-	for i, c := range []simCopy{
-		{netsim.IB40G(), false, false}, {netsim.IB40G(), true, false},
-		{netsim.GigaE(), false, false}, {netsim.GigaE(), true, false},
-		{netsim.IB40G(), true, true},
-	} {
-		if copies[i], err = simCopyTime(c); err != nil {
-			return err
-		}
-	}
-	fastLegacy, fastChunked, slowLegacy, slowChunked := copies[0], copies[1], copies[2], copies[3]
+	// Chunked memcpy pipeline (BenchmarkMemcpyPipeline): the modeled times
+	// of one large copy through the real middleware over the simulated
+	// links, with and without the chunked protocol (simCopies).
+	fastLegacy, fastChunked, slowLegacy, slowChunked := runs.copies[0], runs.copies[1], runs.copies[2], runs.copies[3]
 	fmt.Fprintf(sb, `- **Chunked memcpy pipeline (BenchmarkMemcpyPipeline)**: a cudaMemcpy above
   a threshold can stream as ~1 MiB chunks so the server overlaps receiving
   chunk k+1 with pushing chunk k across PCIe. A 64 MiB host-to-device copy
@@ -310,7 +319,7 @@ func (c Config) expExtensions(sb *strings.Builder, runs benchRuns) error {
 	// deterministic, keeping this document byte-stable across
 	// regenerations. The wall-clock CPU-side cost lives in
 	// BenchmarkMemcpyPipeline's chunked vs chunked+retry modes.
-	basePer, retryPer := fastChunked, copies[4]
+	basePer, retryPer := fastChunked, runs.copies[4]
 	fmt.Fprintf(sb, `- **Fault injection and session recovery (`+"`make chaos` / `make soak`"+`)**: a
   deterministic fault layer (internal/faults, transport.FaultyConn) injects
   connection resets, truncated frames, stalls, partial writes and latency
@@ -328,13 +337,10 @@ func (c Config) expExtensions(sb *strings.Builder, runs benchRuns) error {
 `, simMS(basePer), simMS(retryPer),
 		(retryPer.Seconds()/basePer.Seconds()-1)*100)
 
-	// Live pool broker: place a mixed MM/FFT batch on three in-process
-	// daemons through the real wire protocol and compare the resulting
-	// makespan with the cluster simulator's list-scheduling prediction.
-	live, err := broker.SimulateLive(netsim.IB40G(), 3, broker.ExperimentJobs())
-	if err != nil {
-		return err
-	}
+	// Live pool broker: a mixed MM/FFT batch placed on three in-process
+	// daemons through the real wire protocol, its makespan against the
+	// cluster simulator's list-scheduling prediction.
+	live := runs.live
 	counts := make([]int, 3)
 	for _, p := range live.Placements {
 		counts[p]++

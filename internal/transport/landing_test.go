@@ -176,12 +176,13 @@ func poolRequests(c Conn) int64 {
 // in a buffer asks the pool for one exactly when the previous receive's
 // buffer, prev, is too small for them or too big to keep — except on the
 // simulated pipe, where a frame that did not travel by reference arrives in
-// the sender's buffer and asks for none.
+// the sender's buffer and asks for none, and for a socket's frame of at
+// most smallRecv bytes, which goes to the connection's own storage then.
 func poolRequestsOK(name string, prev []byte, need int, requests int64) bool {
 	if strings.HasSuffix(name, "pipe") {
 		return requests == 0
 	}
-	if need <= cap(prev) && cap(prev) <= keepRecv {
+	if need <= cap(prev) && cap(prev) <= keepRecv || need <= smallRecv {
 		return requests == 0
 	}
 	return requests == 1

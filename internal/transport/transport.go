@@ -150,6 +150,38 @@ func land(l Lander, n int, peek []byte) (head int, dst []byte) {
 	return head, dst
 }
 
+// PairSender is implemented by connections that can give two frames to
+// the wire in one write. A client sends its session hello right behind its
+// init this way: the hello does not wait a round trip for the init's reply,
+// and a server that refuses the init has both frames in its reader before
+// it closes.
+type PairSender interface {
+	// SendPair transmits first and then next in one write; an error leaves
+	// it unknown how much of either got out.
+	SendPair(first, next protocol.Message) error
+}
+
+// SendPair sends first and then next on any connection: in one write
+// through its PairSender when it has one, and as two Sends otherwise — a
+// wrapper that forwards only Conn still works. sent is how many of the two
+// frames are known to have gone out whole, so a caller whose next frame
+// failed can still read the reply to the first.
+func SendPair(c Conn, first, next protocol.Message) (sent int, err error) {
+	if p, ok := c.(PairSender); ok {
+		if err := p.SendPair(first, next); err != nil {
+			return 0, err
+		}
+		return 2, nil
+	}
+	if err := c.Send(first); err != nil {
+		return 0, err
+	}
+	if err := c.Send(next); err != nil {
+		return 1, err
+	}
+	return 2, nil
+}
+
 // SendStamper is implemented by connections that record when each message
 // left on the connection's clock. On a simulated pipe that clock is shared
 // with the peer, which may start charging its next message the moment it
@@ -240,13 +272,15 @@ type TCPConn struct {
 	opTimeout atomic.Int64  // nanoseconds; 0 disables deadlines
 
 	fw       protocol.FrameWriter // send-side framing state, reused across Sends
-	lastRecv []byte               // previous Recv's payload buffer; see recvBuffer
+	lastRecv []byte               // previous Recv's pooled payload buffer; see recvBuffer
+	small    [smallRecv]byte      // payload of a small frame; see frameBuffer
 }
 
 var (
 	_ Conn            = (*TCPConn)(nil)
 	_ DeadlineCapable = (*TCPConn)(nil)
 	_ LandingReceiver = (*TCPConn)(nil)
+	_ PairSender      = (*TCPConn)(nil)
 )
 
 // DialTCP connects to an rCUDA server, disabling Nagle's algorithm. A
@@ -338,6 +372,20 @@ func (t *TCPConn) Send(m protocol.Message) error {
 	return nil
 }
 
+// SendPair implements PairSender: both frames leave in the single (vectored)
+// write Send makes for first alone.
+func (t *TCPConn) SendPair(first, next protocol.Message) error {
+	if err := t.armDeadline(t.c.SetWriteDeadline); err != nil {
+		return err
+	}
+	if err := t.fw.WriteFrames(t.c, first, next); err != nil {
+		return err
+	}
+	t.onSend(first.WireSize())
+	t.onSend(next.WireSize())
+	return nil
+}
+
 // Recv implements Conn. The payload is read into a buffer the next Recv
 // reuses or recycles (see recvBuffer) — see the Conn contract.
 func (t *TCPConn) Recv() ([]byte, error) {
@@ -387,6 +435,27 @@ func (c *counters) recvBuffer(last *[]byte, n int) []byte {
 	return c.getBuffer(n)[:n]
 }
 
+// smallRecv bounds the frames a TCPConn receives into storage of its own
+// while it keeps no pooled buffer: every frame but the init of a session
+// that opens, allocates, frees and closes fits, on either end. A
+// connection's last pooled buffer never goes back (see Close), so without
+// its own storage every connection would take one from the pool for good —
+// one allocation per connection end.
+const smallRecv = 32
+
+// frameBuffer returns the buffer for the next frame's n payload bytes and
+// whether it is the connection's own, which never goes to the pool. A small
+// frame goes there unless the kept buffer can take it; any other frame
+// takes recvBuffer's.
+func (t *TCPConn) frameBuffer(n int) (buf []byte, own bool) {
+	if n <= smallRecv && (t.lastRecv == nil || cap(t.lastRecv) > keepRecv) {
+		PutBuffer(t.lastRecv)
+		t.lastRecv = nil
+		return t.small[:n], true
+	}
+	return t.recvBuffer(&t.lastRecv, n), false
+}
+
 // recvFrame is one receive on a reader this goroutine holds.
 func (t *TCPConn) recvFrame(l Lander) (payload, landed []byte, err error) {
 	if err := t.armDeadline(t.c.SetReadDeadline); err != nil {
@@ -419,7 +488,7 @@ func (t *TCPConn) recvFrame(l Lander) (payload, landed []byte, err error) {
 			head, landed = land(l, n, peek)
 		}
 	}
-	buf := t.recvBuffer(&t.lastRecv, n-len(landed))
+	buf, own := t.frameBuffer(n - len(landed))
 	// Head, landed bytes, tail: three reads of one frame, the first two
 	// empty for a frame that did not land.
 	var got int
@@ -432,13 +501,17 @@ func (t *TCPConn) recvFrame(l Lander) (payload, landed []byte, err error) {
 		}
 	}
 	if err != nil {
-		PutBuffer(buf)
+		if !own {
+			PutBuffer(buf)
+		}
 		if isStreamEnd(err) {
 			return nil, nil, fmt.Errorf("%w: %d of %d payload bytes", ErrTruncatedFrame, got, n)
 		}
 		return nil, nil, err
 	}
-	t.lastRecv = buf
+	if !own {
+		t.lastRecv = buf
+	}
 	t.onRecv(n)
 	return buf, landed, nil
 }
