@@ -15,7 +15,7 @@ help:
 	@echo "  test         run all tests, including the Example programs of example_test.go, whose printed output is compared"
 	@echo "  race         run all tests under the race detector"
 	@echo "  verify       tier-1 gate: build + test + vet + race on data path, broker, workloads, report, device service (blas/kernels/gpu/cudart), vclock, calib, stats, perfmodel, contention, cluster, trace, event loop (des), the commands (cmd/...) + chaos suite + the synctest bubble check + one pass of the device-service, placer, load-generator, event-loop (hold and renewal), workload and cluster benchmarks"
-	@echo "  bubble       the wall clock inside a testing/synctest bubble must read what the simulated clock reads, to the nanosecond (GOEXPERIMENT=synctest)"
+	@echo "  bubble       the wall clock inside a testing/synctest bubble must read what the simulated clock reads, to the nanosecond, and a realtime session beside a 16 MiB copier must wait at most one PCIe read for its scheduler grant (GOEXPERIMENT=synctest)"
 	@echo "  lint         go vet + rcuda-vet invariant analyzers + gofmt diff check"
 	@echo "  vet          rcuda-vet only: seededrand/wiremsg/locknet/errcode invariants"
 	@echo "  loc          non-blank, non-comment, non-test Go lines per package (the count 'smaller' claims cite), the test lines outside bench/, and the non-test total outside bench/"
@@ -119,8 +119,10 @@ verify: build test vet chaos bubble
 # only when every goroutine blocks, so a wall clock reads exactly the sleeps
 # charged on it. Pipelined, chunked, batched and synchronous runs on the
 # wall clock there must equal the simulated clock to the nanosecond: one
-# timing model on every clock. The test file builds only under this
-# experiment (Go 1.24).
+# timing model on every clock. The same bubble holds the scheduler grant to
+# the device work: a realtime session's wait beside a 16 MiB copy to the
+# host is at most one PCIe read, not the reply's flight. The test file
+# builds only under this experiment (Go 1.24).
 bubble:
 	GOEXPERIMENT=synctest $(GO) test -count=1 -run Bubble ./internal/workload
 

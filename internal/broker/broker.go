@@ -357,11 +357,12 @@ func (r *route) repoint(idx int) {
 
 // dial opens a reconnect connection to the session's current endpoint. When
 // that endpoint is unreachable — its daemon may have died — the dial fails
-// over to the other live endpoints and re-points the route at the first
-// that answers: if the session was migrated there, or a standby checkpoint
-// restored it, the reattach riding this connection resumes it with zero
-// replay; otherwise the reattach is refused and the job-level failover
-// replays as before. The route mutex is never held across a dial.
+// over to the other endpoints in the order a placement of JobSpec{} would
+// try them and re-points the route at the first that answers: if the
+// session was migrated there, or a standby checkpoint restored it, the
+// reattach riding this connection resumes it with zero replay; otherwise
+// the reattach is refused and the job-level failover replays as before.
+// The route mutex is never held across a dial.
 func (r *route) dial() (transport.Conn, error) {
 	cur := r.current()
 	ep, ok := r.p.pl.endpoint(cur)
@@ -372,11 +373,13 @@ func (r *route) dial() (transport.Conn, error) {
 	if err == nil {
 		return conn, nil
 	}
-	for _, idx := range r.p.pl.failoverCandidates(cur) {
-		cand, ok := r.p.pl.endpoint(idx)
-		if !ok {
+	var order Ranking
+	r.p.pl.Rank(JobSpec{}, &order)
+	for idx, more := order.Next(); more; idx, more = order.Next() {
+		if idx == cur {
 			continue
 		}
+		cand, _ := r.p.pl.endpoint(idx)
 		conn, candErr := cand.Dial()
 		if candErr != nil {
 			continue

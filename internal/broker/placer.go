@@ -152,26 +152,6 @@ func (p *Placer) endpoint(idx int) (Endpoint, bool) {
 	return s.eps[idx].ep, true
 }
 
-// failoverCandidates lists the non-retired endpoints a dead endpoint's
-// sessions could resume on, marked-up ones first, excluding the dead one.
-func (p *Placer) failoverCandidates(exclude int) []int {
-	s := &p.state
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var up, down []int
-	for i, st := range s.eps {
-		if i == exclude || st.retired {
-			continue
-		}
-		if st.up {
-			up = append(up, i)
-		} else {
-			down = append(down, i)
-		}
-	}
-	return append(up, down...)
-}
-
 // Pick selects the next endpoint for a session under the policy,
 // considering non-retired endpoints not in exclude: the first candidate of
 // the order a Ranking walks (see candidate). Callers that may be refused and

@@ -888,21 +888,26 @@ func (s *sim) retireCandidate() *daemon {
 	return best
 }
 
-// drainByMigration live-migrates every resident session of src onto the
-// peer with the most spare capacity, in arrival order so replays are
-// deterministic. The sessions' hold timers keep running: a migration is
-// invisible to the session, there is no re-queue and no replay. Reports
-// whether src ended empty.
+// drainByMigration live-migrates every resident session of src, in
+// arrival order so replays are deterministic, onto the first daemon with
+// room that the Placer ranks for the session's class, as a placement of it
+// would. The sessions' hold timers keep running: a migration is invisible
+// to the session, there is no re-queue and no replay. Reports whether src
+// ended empty.
 func (s *sim) drainByMigration(src *daemon) bool {
 	ids := slices.Clone(src.sessions) // detach reorders src.sessions
 	s.byArrival(ids)
 	for _, id := range ids {
+		class := s.session(id).class
+		r := &s.rankings[class]
+		s.pl.Rank(broker.JobSpec{Class: s.cfg.Classes[class].SchedClass}, r)
 		var dest *daemon
-		for _, d := range s.daemons {
-			if d == src || !d.alive || d.retired || d.live() >= d.capacity {
-				continue
+		for dest == nil {
+			idx, ok := r.Next()
+			if !ok {
+				break
 			}
-			if dest == nil || d.capacity-d.live() > dest.capacity-dest.live() {
+			if d := s.daemons[idx]; d != src && d.alive && !d.retired && d.live() < d.capacity {
 				dest = d
 			}
 		}

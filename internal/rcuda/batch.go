@@ -5,7 +5,6 @@ import (
 
 	"rcuda/internal/cudart"
 	"rcuda/internal/protocol"
-	"rcuda/internal/transport"
 )
 
 // This file makes the data path RTT-efficient for small-call-dominated
@@ -201,21 +200,22 @@ func (c *Client) syncPoint() error {
 
 // --- Server side --------------------------------------------------------------
 
-// dispatchBatch executes one coalesced frame. A frame whose sequence
-// matches the last executed one is a client retry of an exchange whose
-// response was lost; it is answered from the remembered codes without
-// executing anything, keeping replayed batches exactly-once on the device.
+// dispatchBatch executes one coalesced frame and returns its reply. A frame
+// whose sequence matches the last executed one is a client retry of an
+// exchange whose response was lost; it is answered from the remembered codes
+// without executing anything, keeping replayed batches exactly-once on the
+// device.
 // The codes of a new frame go to the session's spare buffer, which becomes
 // the remembered one only once every sub-op has run: a dispatch that aborts
 // mid-frame parks the session still able to replay the batch before.
-func (s *Server) dispatchBatch(conn transport.Conn, sess *session, r *protocol.BatchRequest) error {
+func (s *Server) dispatchBatch(sess *session, r *protocol.BatchRequest) (protocol.Message, error) {
 	if sess.lastBatchCodes != nil && r.Seq == sess.lastBatchSeq {
 		s.counters.BatchReplays.Add(1)
-		return conn.Send(sess.batchReply())
+		return sess.batchReply(), nil
 	}
 	subs, err := r.Requests()
 	if err != nil {
-		return fmt.Errorf("rcuda: batch: %w", err)
+		return nil, fmt.Errorf("rcuda: batch: %w", err)
 	}
 	codes := sess.spareCodes[:0]
 	if cap(codes) < len(subs) {
@@ -237,7 +237,7 @@ func (s *Server) dispatchBatch(conn transport.Conn, sess *session, r *protocol.B
 		case protocol.BatchableOp(op):
 			opErr, _ = sess.run(sub)
 		default:
-			return fmt.Errorf("rcuda: unbatchable sub-op %v in batch", op)
+			return nil, fmt.Errorf("rcuda: unbatchable sub-op %v in batch", op)
 		}
 		codes = append(codes, code(opErr))
 	}
@@ -245,7 +245,7 @@ func (s *Server) dispatchBatch(conn transport.Conn, sess *session, r *protocol.B
 	sess.lastBatchCodes, sess.spareCodes = codes, sess.lastBatchCodes
 	s.counters.BatchFrames.Add(1)
 	s.counters.BatchedOps.Add(int64(len(subs)))
-	return conn.Send(sess.batchReply())
+	return sess.batchReply(), nil
 }
 
 // batchReply builds the reply to the batch the session remembers.

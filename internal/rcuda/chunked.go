@@ -174,32 +174,35 @@ func (c *Client) streamCopy(op protocol.Op, kind uint32, ptr cudart.DevicePtr, b
 
 // --- Server ------------------------------------------------------------------
 
-// serveMemcpyStream services one chunked transfer end to end. Recoverable
-// failures (bad region, device errors, rejected chunks) are reported in the
-// Begin acknowledgement or the End status; only transport and framing
-// failures end the session. The transfer's stream is released on every
-// exit: a durable session that parks after a cut connection must not keep
-// it, or every retried copy would leave one more behind in its checkpoints.
-func (s *Server) serveMemcpyStream(conn transport.Conn, sess *session, begin protocol.MemcpyStreamBeginRequest) error {
+// serveMemcpyStream services one chunked transfer end to end and returns
+// its closing status, which the request loop sends like any reply.
+// Recoverable failures (bad region, device errors, rejected chunks) are
+// reported in the Begin acknowledgement or the closing status; only
+// transport and framing failures end the session. The transfer's stream is
+// released on every exit: a durable session that parks after a cut
+// connection must not keep it, or every retried copy would leave one more
+// behind in its checkpoints.
+func (s *Server) serveMemcpyStream(conn transport.Conn, sess *session, begin protocol.MemcpyStreamBeginRequest) (protocol.Message, error) {
 	ctx := sess.context()
 	// The whole transfer's device region is validated before any payload
-	// moves; host-to-device chunks land in it.
+	// moves; host-to-device chunks land in it. A failure here is the
+	// Begin's acknowledgement, and no stream follows.
 	region, err := ctx.Region(begin.Ptr, begin.Total)
 	if err != nil {
-		return conn.Send(sess.codeReply(err))
+		return sess.codeReply(err), nil
 	}
 	stream, err := ctx.StreamCreate()
 	if err != nil {
-		return conn.Send(sess.codeReply(err))
+		return sess.codeReply(err), nil
 	}
 	opErr, err := s.moveChunks(conn, sess, stream, begin, region)
 	if syncErr := ctx.StreamDestroy(stream); opErr == nil {
 		opErr = syncErr
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return conn.Send(sess.codeReply(opErr))
+	return sess.codeReply(opErr), nil
 }
 
 // moveChunks acknowledges the Begin and moves the transfer's chunks on its

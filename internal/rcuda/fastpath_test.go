@@ -2,6 +2,8 @@ package rcuda
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"net"
 	"sync"
@@ -24,22 +26,59 @@ import (
 // that is when it is overwritten with 0xFF. Anything that kept a view of a
 // frame past its request — decoded launch Params, a memcpy payload, a batch
 // sub-op — reads garbage and the inference output stops matching.
+//
+// On a server end it also counts the replies: outside a chunk stream the
+// server answers every frame it receives but a finalization with exactly
+// one Send. miscount names the first frame answered otherwise.
 type scribbleConn struct {
 	transport.Conn
-	last []byte
+	last     []byte
+	server   bool
+	op       protocol.Op // of the last frame received
+	sends    int         // since that frame
+	miscount error
+}
+
+func (c *scribbleConn) Send(m protocol.Message) error {
+	c.sends++
+	return c.Conn.Send(m)
 }
 
 func (c *scribbleConn) Recv() ([]byte, error) {
+	c.countReplies()
 	for i := range c.last {
 		c.last[i] = 0xFF
 	}
 	p, err := c.Conn.Recv()
 	c.last = p
+	if len(p) >= 4 {
+		// The first word of any frame but the init is its op; the init's is
+		// its module's length, which names no op below.
+		c.op, c.sends = protocol.Op(binary.LittleEndian.Uint32(p)), 0
+	}
 	return p, err
 }
 
+// countReplies checks the Sends answering the last frame received.
+func (c *scribbleConn) countReplies() {
+	if !c.server || c.last == nil || c.miscount != nil {
+		return
+	}
+	want := 1
+	switch c.op {
+	case protocol.OpMemcpyStreamBegin, protocol.OpMemcpyStreamChunk, protocol.OpMigrateChunk:
+		return // a stream's ack and chunks, or a chunk with no answer
+	case protocol.OpFinalize:
+		want = 0
+	}
+	if c.sends != want {
+		c.miscount = fmt.Errorf("%v answered with %d sends, want %d", c.op, c.sends, want)
+	}
+}
+
 // startScribbleServer serves every accepted connection through a
-// scribbleConn, on a Sim-clock device.
+// scribbleConn, on a Sim-clock device, and fails t if a session the server
+// ended cleanly answered a frame with other than one reply.
 func startScribbleServer(t *testing.T, opts ...ServerOption) (srv *Server, addr string, stop func()) {
 	t.Helper()
 	srv = NewServer(gpu.New(gpu.Config{Clock: vclock.NewSim()}), opts...)
@@ -59,8 +98,15 @@ func startScribbleServer(t *testing.T, opts ...ServerOption) (srv *Server, addr 
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				conn := &scribbleConn{Conn: transport.NewTCPConn(c)}
-				_ = srv.ServeConn(conn) // a killed connection ends its session with an error
+				conn := &scribbleConn{Conn: transport.NewTCPConn(c), server: true}
+				// A killed connection ends its session with an error, and
+				// the request it was serving may have no reply.
+				if err := srv.ServeConn(conn); err == nil {
+					conn.countReplies()
+				}
+				if conn.miscount != nil {
+					t.Errorf("server: %v", conn.miscount)
+				}
 				_ = conn.Close()
 			}()
 		}

@@ -115,9 +115,10 @@ type Server struct {
 	costs         []*sched.CostModel
 	classAttached [sched.NumClasses]atomic.Int64
 
-	// afterDispatch, when set, runs after every dispatch of the request
-	// loop. Tests set it to overwrite the session's message storage, so
-	// that anything still holding a decoded request reads garbage.
+	// afterDispatch, when set, runs once the request loop has sent a
+	// request's reply, which may alias the session's storage. Tests set it
+	// to overwrite that storage, so that anything still holding a decoded
+	// request or a reply reads garbage.
 	afterDispatch func(*session)
 }
 
@@ -632,10 +633,6 @@ func (s *Server) serveSession(conn transport.Conn, withinConnCap bool) error {
 			return fmt.Errorf("rcuda: malformed request: %w", err)
 		}
 		s.counters.Requests.Add(1)
-		// Busy accounting: the wall (or simulated) time dispatch holds the
-		// session's current device, charged to that device's own clock so a
-		// broker's least-loaded ranking sees the same quantity the cluster
-		// model's per-GPU completion times accumulate.
 		dev := sess.cur
 		clk := s.devs[dev].Clock()
 		// With the scheduler on, a device-touching op waits for its grant
@@ -653,10 +650,25 @@ func (s *Server) serveSession(conn transport.Conn, withinConnCap bool) error {
 			}
 		}
 		t0 := clk.Now()
-		done, err := s.dispatch(conn, sess, req)
+		reply, err := s.dispatch(conn, sess, req)
+		// The grant covers the device span, read before the reply leaves:
+		// its flight holds no device, and a client's wire charge on a shared
+		// simulated clock cannot race into the span.
+		span := clk.Now() - t0
+		if fl != nil {
+			s.queues[dev].Release(fl, span)
+			s.costs[dev].Observe(kind, span)
+		}
+		if err == nil && reply != nil {
+			err = conn.Send(reply)
+		}
 		if s.afterDispatch != nil {
 			s.afterDispatch(sess)
 		}
+		// Busy accounting: the wall (or simulated) time from dispatch to the
+		// reply's departure, charged to the device's own clock so a broker's
+		// least-loaded ranking sees the same quantity the cluster model's
+		// per-GPU completion times accumulate.
 		end := clk.Now()
 		if stamper != nil {
 			// The client may already be charging its next request to a
@@ -666,18 +678,13 @@ func (s *Server) serveSession(conn transport.Conn, withinConnCap bool) error {
 				end = at
 			}
 		}
-		busy := end - t0
-		if fl != nil {
-			s.queues[dev].Release(fl, busy)
-			s.costs[dev].Observe(kind, busy)
-		}
-		if busy > 0 {
+		if busy := end - t0; busy > 0 {
 			s.devBusy[dev].Add(int64(busy))
 		}
 		if err != nil {
 			return err
 		}
-		if done {
+		if reply == nil {
 			finalized = true
 			return nil
 		}
@@ -992,59 +999,60 @@ func refusalErr(code uint32) error {
 	return errors.New("rcuda: unknown session")
 }
 
-// dispatch executes one request and sends its response. It reports
-// done=true on finalization. An operation whose whole answer is its result
-// code runs in session.run and is answered by one CodeResponse; the others
-// send their own reply.
-func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Request) (done bool, err error) {
+// dispatch executes one request and returns its reply, which the request
+// loop sends; finalization is the one request with no reply. An operation
+// whose whole answer is its result code runs in session.run and is
+// answered by one CodeResponse; the others build their own reply.
+func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Request) (protocol.Message, error) {
 	if opErr, ok := sess.run(req); ok {
-		return false, conn.Send(sess.codeReply(opErr))
+		return sess.codeReply(opErr), nil
 	}
 	ctx := sess.context()
 	switch r := req.(type) {
 	case *protocol.MallocRequest:
 		if denial := s.checkQuota(sess, r.Size); denial != cudart.Success {
 			s.counters.QuotaDenials.Add(1)
-			return false, conn.Send(sess.mallocReply(uint32(denial), 0))
+			return sess.mallocReply(uint32(denial), 0), nil
 		}
 		ptr, cuErr := ctx.Malloc(r.Size)
-		return false, conn.Send(sess.mallocReply(code(cuErr), ptr))
+		return sess.mallocReply(code(cuErr), ptr), nil
 	case *protocol.MemcpyToHostRequest:
-		// The reply's data is device memory itself (nil on an error): the
-		// session is synchronous and holds its scheduler grant until Send
-		// returns, so nothing writes the region meanwhile.
+		// The reply's data is device memory itself (nil on an error), and it
+		// leaves after the scheduler grant is released: region isolation
+		// (gpu.Context.region) keeps other sessions off it, and the session
+		// is synchronous, so nothing writes it meanwhile.
 		view, cuErr := ctx.HostView(r.Src, r.Size)
-		return false, conn.Send(protocol.Put(&sess.reply.toHost, protocol.MemcpyToHostResponse{Data: view, Err: code(cuErr)}))
+		return protocol.Put(&sess.reply.toHost, protocol.MemcpyToHostResponse{Data: view, Err: code(cuErr)}), nil
 	case *protocol.FinalizeRequest:
-		return true, nil
+		return nil, nil
 
 	case *protocol.StreamCreateRequest:
 		stream, cuErr := ctx.StreamCreate()
-		return false, conn.Send(protocol.Put(&sess.reply.streamCreate,
-			protocol.StreamCreateResponse{Err: code(cuErr), Stream: stream}))
+		return protocol.Put(&sess.reply.streamCreate,
+			protocol.StreamCreateResponse{Err: code(cuErr), Stream: stream}), nil
 	case *protocol.MemcpyToHostAsyncRequest:
 		// As for the synchronous copy, the reply's data is device memory
 		// itself; HostViewAsyncAt books the transfer on the copy engine and
 		// the stream from now, as Local.MemcpyToHostAsync does.
 		view, _, cuErr := ctx.HostViewAsyncAt(r.Src, r.Size, r.Stream, s.devs[sess.cur].Clock().Now())
-		return false, conn.Send(protocol.Put(&sess.reply.toHost, protocol.MemcpyToHostResponse{Data: view, Err: code(cuErr)}))
+		return protocol.Put(&sess.reply.toHost, protocol.MemcpyToHostResponse{Data: view, Err: code(cuErr)}), nil
 	case *protocol.EventCreateRequest:
 		event, cuErr := ctx.EventCreate()
-		return false, conn.Send(protocol.Put(&sess.reply.eventCreate,
-			protocol.EventCreateResponse{Err: code(cuErr), Event: event}))
+		return protocol.Put(&sess.reply.eventCreate,
+			protocol.EventCreateResponse{Err: code(cuErr), Event: event}), nil
 	case *protocol.EventElapsedRequest:
 		elapsed, cuErr := ctx.EventElapsed(r.Start, r.End)
-		return false, conn.Send(protocol.Put(&sess.reply.eventElapsed, protocol.EventElapsedResponse{
+		return protocol.Put(&sess.reply.eventElapsed, protocol.EventElapsedResponse{
 			Err:         code(cuErr),
 			ElapsedNano: uint64(elapsed),
-		}))
+		}), nil
 
 	case *protocol.GetDeviceCountRequest:
-		return false, conn.Send(protocol.Put(&sess.reply.deviceCount,
-			protocol.GetDeviceCountResponse{Count: uint32(len(s.devs))}))
+		return protocol.Put(&sess.reply.deviceCount,
+			protocol.GetDeviceCountResponse{Count: uint32(len(s.devs))}), nil
 	case *protocol.GetDevicePropertiesRequest:
 		p := s.devs[sess.cur].Properties()
-		return false, conn.Send(protocol.Put(&sess.reply.deviceProps, protocol.GetDevicePropertiesResponse{
+		return protocol.Put(&sess.reply.deviceProps, protocol.GetDevicePropertiesResponse{
 			MemoryBytes:     p.MemoryBytes,
 			CapabilityMajor: p.CapabilityMajor,
 			CapabilityMinor: p.CapabilityMinor,
@@ -1052,33 +1060,33 @@ func (s *Server) dispatch(conn transport.Conn, sess *session, req protocol.Reque
 			ClockMHz:        p.ClockMHz,
 			MemoryMBps:      p.MemoryMBps,
 			Name:            p.Name,
-		}))
+		}), nil
 
 	case *protocol.MemcpyStreamBeginRequest:
 		// A Begin runs the whole chunked sub-protocol inline (chunked.go).
 		// r is good until the next receive and the transfer receives its
 		// chunks, so it takes a copy.
-		return false, s.serveMemcpyStream(conn, sess, *r)
+		return s.serveMemcpyStream(conn, sess, *r)
 	case *protocol.Chunk, *protocol.MemcpyStreamEndRequest:
 		// Client and server have lost framing, which is fatal for the session.
-		return false, fmt.Errorf("rcuda: %v outside a chunked transfer", req.Op())
+		return nil, fmt.Errorf("rcuda: %v outside a chunked transfer", req.Op())
 
 	case *protocol.SessionHelloRequest:
 		s.applySchedParams(sess, r.Class, r.Weight, true)
 		sess.reply.hello = protocol.SessionHelloResponse{Session: s.makeDurable(sess)}
-		return false, conn.Send(&sess.reply.hello)
+		return &sess.reply.hello, nil
 	case *protocol.ReattachRequest:
 		// Reattach is only legal as a connection's opening message.
-		return false, fmt.Errorf("rcuda: reattach inside an established session")
+		return nil, fmt.Errorf("rcuda: reattach inside an established session")
 	case *protocol.StatsQueryRequest:
 		s.counters.StatsQueries.Add(1)
-		return false, conn.Send(s.statsReply())
+		return s.statsReply(), nil
 	case *protocol.BatchRequest:
-		return false, s.dispatchBatch(conn, sess, r)
+		return s.dispatchBatch(sess, r)
 	default:
 		// The migration messages: legal only on a daemon-to-daemon
 		// connection, which never reaches the request loop (migrate.go).
-		return false, fmt.Errorf("rcuda: unhandled request %T", req)
+		return nil, fmt.Errorf("rcuda: unhandled request %T", req)
 	}
 }
 

@@ -48,18 +48,11 @@ var (
 	_ LandingReceiver = (*FaultyConn)(nil)
 )
 
-// NewFaultyConn wraps inner with the given fault plan. When inner supports
-// the simulated-clock extensions (TimedReceiver, ScheduledSender — the
-// PipeEnd capabilities), the returned Conn preserves them so the chunked
-// data path keeps its deterministic timing.
-func NewFaultyConn(inner Conn, plan *faults.Plan) Conn {
-	fc := &FaultyConn{inner: inner, plan: plan}
-	_, timed := inner.(TimedReceiver)
-	_, sched := inner.(ScheduledSender)
-	if timed && sched {
-		return &faultyPipeConn{fc}
-	}
-	return fc
+// NewFaultyConn wraps inner with the given fault plan. Its landing receive
+// reports the arrival instants inner stamps, so a wrapped PipeEnd keeps the
+// chunked data path's deterministic timing.
+func NewFaultyConn(inner Conn, plan *faults.Plan) *FaultyConn {
+	return &FaultyConn{inner: inner, plan: plan}
 }
 
 // SetOpTimeout implements DeadlineCapable by forwarding to the wrapped
@@ -170,30 +163,4 @@ func (f *FaultyConn) Stats() Stats {
 	st := f.inner.Stats()
 	st.FaultsInjected += f.injected.Load()
 	return st
-}
-
-// faultyPipeConn extends FaultyConn with the simulated-clock capabilities
-// of the wrapped PipeEnd.
-type faultyPipeConn struct {
-	*FaultyConn
-}
-
-var (
-	_ Conn            = (*faultyPipeConn)(nil)
-	_ TimedReceiver   = (*faultyPipeConn)(nil)
-	_ ScheduledSender = (*faultyPipeConn)(nil)
-)
-
-// RecvTimed implements TimedReceiver.
-func (f *faultyPipeConn) RecvTimed() ([]byte, time.Duration, error) {
-	payload, _, at, err := f.RecvLanding(nil)
-	return payload, at, err
-}
-
-// SendAt implements ScheduledSender.
-func (f *faultyPipeConn) SendAt(m protocol.Message, notBefore time.Duration) error {
-	if handled, err := f.sendFaulted(f.plan.Next(faults.DirSend), m); handled {
-		return err
-	}
-	return f.inner.(ScheduledSender).SendAt(m, notBefore)
 }

@@ -164,24 +164,30 @@ func TestFaultyConnStallSurfacesDeadline(t *testing.T) {
 }
 
 // TestFaultyConnPreservesPipeCapabilities checks wrapping a PipeEnd keeps
-// the simulated-clock interfaces and that injected resets work there too.
+// what the chunked data path times itself by — a receive through the
+// wrapper reports the arrival instant the pipe stamped, not NoArrival —
+// and that injected resets work there too.
 func TestFaultyConnPreservesPipeCapabilities(t *testing.T) {
 	clk := vclock.NewSim()
 	cli, srv := Pipe(netsim.IB40G(), clk, nil)
 	fc := NewFaultyConn(cli, faults.Script(
-		faults.Injection{Op: 1, Dir: faults.DirSend, Decision: faults.Decision{Kind: faults.KindReset}},
+		faults.Injection{Op: 2, Dir: faults.DirSend, Decision: faults.Decision{Kind: faults.KindReset}},
 	))
-	if _, ok := fc.(TimedReceiver); !ok {
-		t.Fatal("wrapped pipe lost TimedReceiver")
-	}
-	if _, ok := fc.(ScheduledSender); !ok {
-		t.Fatal("wrapped pipe lost ScheduledSender")
-	}
 	if err := fc.Send(&protocol.SyncRequest{}); err != nil {
 		t.Fatalf("clean pipe send: %v", err)
 	}
 	if _, err := srv.Recv(); err != nil {
 		t.Fatal(err)
+	}
+	if err := srv.Send(&protocol.CodeResponse{}); err != nil {
+		t.Fatal(err)
+	}
+	_, _, at, err := RecvLanding(fc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sent, ok := srv.LastSendOn(clk); !ok || at != sent {
+		t.Fatalf("arrival through the wrapper %v, want the pipe's stamp %v (ok %v)", at, sent, ok)
 	}
 	if err := fc.Send(&protocol.SyncRequest{}); !errors.Is(err, ErrInjectedReset) {
 		t.Fatalf("got %v, want ErrInjectedReset", err)

@@ -313,7 +313,7 @@ func TestFaultyConnLandingTakesTheSameDecisions(t *testing.T) {
 			lander = &scriptLander{mode: func(n int) (int, int) { return 20, n - 20 }}
 		}
 		for i := 0; i < 3; i++ {
-			_, landed, _, err := fc.(LandingReceiver).RecvLanding(lander)
+			_, landed, _, err := fc.RecvLanding(lander)
 			if i < 2 && (err != nil || (landed != nil) != landing) {
 				t.Fatalf("landing=%v: receive %d: landed %d, err %v", landing, i, len(landed), err)
 			}

@@ -51,9 +51,10 @@ type Conn interface {
 }
 
 // TimedReceiver is implemented by connections that can report when each
-// message arrived on the connection's clock. The chunked-memcpy server
-// books PCIe pushes at the chunk's arrival instant so network and PCIe
-// stages overlap deterministically on the simulated clock.
+// message arrived on the connection's clock. RecvLanding reads the arrival
+// instant through it on a connection without a landing receive, such as a
+// wrapper that forwards only this; the server books a chunked copy's PCIe
+// pushes at those instants.
 type TimedReceiver interface {
 	// RecvTimed is Recv plus the message's arrival instant.
 	RecvTimed() ([]byte, time.Duration, error)
@@ -70,8 +71,10 @@ type DeadlineCapable interface {
 }
 
 // ScheduledSender is implemented by connections that can hold a message
-// until an instant on the connection's clock. The chunked-memcpy server
-// streams device-to-host chunks at their modeled PCIe-completion times.
+// until an instant on the connection's clock. The middleware does not send
+// through it: the server paces a chunked copy to the host with its clock's
+// AdvanceTo, which holds on every connection. PipeEnd implements it for the
+// connection wrappers that forward it.
 type ScheduledSender interface {
 	// SendAt advances the connection's clock to notBefore (never backwards)
 	// and then sends as usual.

@@ -3,6 +3,8 @@
 package workload
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
 	"testing/synctest"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"rcuda/internal/netsim"
 	"rcuda/internal/protocol"
 	"rcuda/internal/rcuda"
+	"rcuda/internal/sched"
 	"rcuda/internal/vclock"
 )
 
@@ -149,4 +152,89 @@ func TestBubbleWallMatchesSim(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestBubbleGrantCoversTheDeviceNotTheReply: a scheduler grant covers an
+// op's device work, and its reply leaves after the release. A realtime
+// session synchronizing in a loop beside a batch session's four 16 MiB
+// single-frame copies to the host must never wait longer for its grant
+// than one 16 MiB PCIe read, however long the copy's reply takes to cross
+// the link, under either policy. The bubble makes every wait exact.
+func TestBubbleGrantCoversTheDeviceNotTheReply(t *testing.T) {
+	const size = 16 << 20
+	limit := calib.PCIeTransfer(size)
+	for _, link := range []*netsim.Link{netsim.GigaE(), netsim.IB40G()} {
+		for _, policy := range []struct {
+			name string
+			p    sched.Policy
+		}{{"WFQ", sched.WFQ}, {"FIFO", sched.FIFO}} {
+			t.Run(link.Name()+"/"+policy.name, func(t *testing.T) {
+				inBubble(t, func(t *testing.T) {
+					wait, calls, err := realtimeBesideCopier(link, policy.p, size)
+					if err != nil {
+						t.Errorf("%v", err)
+						return
+					}
+					t.Logf("realtime WaitMax %v over %d small calls (PCIe read %v)", wait, calls, limit)
+					if wait > limit {
+						t.Errorf("realtime WaitMax %v, want at most one 16 MiB PCIe read", wait)
+					}
+				})
+			})
+		}
+	}
+}
+
+// realtimeBesideCopier runs a realtime session's DeviceSynchronize loop
+// beside a batch session's four copies of size bytes to the host on one
+// wall-clock daemon, and returns the realtime class's worst grant wait and
+// the number of synchronizations it made.
+func realtimeBesideCopier(link *netsim.Link, policy sched.Policy, size uint32) (time.Duration, int, error) {
+	mod, err := kernels.ModuleFor(calib.MM)
+	if err != nil {
+		return 0, 0, err
+	}
+	img, err := mod.Binary()
+	if err != nil {
+		return 0, 0, err
+	}
+	clk := vclock.NewWall()
+	srv := rcuda.NewServer(gpu.New(gpu.Config{Clock: clk}), rcuda.WithScheduler(policy))
+	daemon := rcuda.NewSimDaemon(srv, link, clk, nil)
+	copier, err := daemon.Open(img, rcuda.WithSchedClass(rcuda.SchedBatch, 1))
+	if err != nil {
+		return 0, 0, errors.Join(err, daemon.Wait())
+	}
+	small, err := daemon.Open(img, rcuda.WithSchedClass(rcuda.SchedRealtime, 1))
+	if err != nil {
+		return 0, 0, errors.Join(err, copier.Close(), daemon.Wait())
+	}
+	var copying atomic.Bool
+	copying.Store(true)
+	copied := make(chan error, 1)
+	go func() {
+		defer copying.Store(false)
+		ptr, err := copier.Malloc(size)
+		buf := make([]byte, size)
+		for i := 0; i < 4 && err == nil; i++ {
+			err = copier.MemcpyToHost(buf, ptr)
+		}
+		if err == nil {
+			err = copier.Free(ptr)
+		}
+		copied <- err
+	}()
+	calls := 0
+	for err == nil && copying.Load() {
+		err = small.DeviceSynchronize()
+		calls++
+	}
+	err = errors.Join(err, <-copied, small.Close(), copier.Close(), daemon.Wait())
+	var wait time.Duration
+	for _, cu := range srv.StatsSnapshot().Classes {
+		if cu.Class == sched.Realtime {
+			wait = cu.WaitMax
+		}
+	}
+	return wait, calls, err
 }
