@@ -44,9 +44,9 @@ type AutoscalerConfig struct {
 	// denominator of the occupancy signal. Defaults to 64.
 	DaemonCapacity int
 	// DownThreshold is the low edge of the hysteresis band: no action is
-	// taken while occupancy stays inside (DownThreshold, upThreshold). A
-	// negative value, or one at or above upThreshold, reads as 0.45; zero
-	// stays zero, so such a fleet shrinks only once demand falls to none.
+	// taken while occupancy stays inside (DownThreshold, upThreshold).
+	// Defaults to 0.45; a negative value, or one at or above upThreshold,
+	// reads as the default too.
 	DownThreshold float64
 	// Cooldown is the minimum time between two scaling actions. Defaults
 	// to 10 seconds (of the caller's clock — virtual in simulations).
@@ -75,7 +75,7 @@ func (c AutoscalerConfig) withDefaults() AutoscalerConfig {
 	if c.DaemonCapacity <= 0 {
 		c.DaemonCapacity = 64
 	}
-	if c.DownThreshold < 0 || c.DownThreshold >= upThreshold {
+	if c.DownThreshold <= 0 || c.DownThreshold >= upThreshold {
 		c.DownThreshold = 0.45
 	}
 	if c.Cooldown <= 0 {

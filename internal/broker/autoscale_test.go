@@ -42,7 +42,7 @@ func TestAutoscalerDefaults(t *testing.T) {
 	if cfg.DownThreshold >= upThreshold || targetOccupancy <= cfg.DownThreshold || targetOccupancy >= upThreshold {
 		t.Fatalf("thresholds out of order: down %v, target %v, up %v", cfg.DownThreshold, targetOccupancy, upThreshold)
 	}
-	for _, down := range []float64{-1, upThreshold, 0.9} {
+	for _, down := range []float64{-1, 0, upThreshold, 0.9} {
 		if got := (AutoscalerConfig{DownThreshold: down}).withDefaults().DownThreshold; got != 0.45 {
 			t.Fatalf("DownThreshold %v reads as %v, want 0.45", down, got)
 		}

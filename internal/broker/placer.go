@@ -49,9 +49,10 @@ type placerState struct {
 }
 
 // journalLen is how many changes a kept Ranking may be behind and still
-// replay them; one further behind ranks afresh. Kept ranks in the two
-// fleet_place shapes are at most 71 changes behind, and all but 7 of
-// 842 008 within 64; session_churn's at most 3.
+// replay them; one further behind ranks afresh. Over seeds 1, 2, 3, 5 and
+// 6 of the two fleet_place shapes, all but 10 of 554 539 kept ranks are
+// within 64 changes and none is more than 141 behind; session_churn's are
+// at most 3.
 const journalLen = 64
 
 // touch records that one of endpoint idx's ranking inputs is changing,

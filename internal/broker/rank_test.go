@@ -665,7 +665,7 @@ func TestPlacementAllocations(t *testing.T) {
 
 // BenchmarkPickSaturated is a placement against a fleet where every daemon
 // refuses: rank 48 endpoints and walk to the end, marking each full, the
-// work loadgen.place and Pool.open do for one blocked session.
+// work Pool.open does for a session no daemon admits.
 func BenchmarkPickSaturated(b *testing.B) {
 	p := saturatedPlacer(48)
 	var r Ranking

@@ -286,12 +286,11 @@ type queue struct{ head, tail, n int }
 
 // daemon is one simulated rcudad.
 type daemon struct {
-	idx      int // placer index
-	capacity int
-	alive    bool
-	retired  bool
+	idx     int // placer index
+	alive   bool
+	retired bool
 	// sessions holds the resident session ids, in no particular order,
-	// sized to the capacity at spawn.
+	// sized to Config.DaemonCapacity at spawn.
 	sessions []int
 	// classLive counts resident sessions per scheduling class row
 	// (protocol.ClassRow) — the gauges a scheduler-enabled daemon reports
@@ -321,10 +320,12 @@ type sim struct {
 	// pending is the arrival FIFO, retry the failover FIFO (drained
 	// first).
 	pending, retry queue
-	// blocked is set when the head-of-line session found no daemon with
-	// room; drain does not try again until capacity changes (release,
-	// spawnDaemon), because the same walk would meet the same refusals.
-	blocked bool
+	// room is the number of free session slots on alive, unretired
+	// daemons: attach and detach move it by one, spawnDaemon adds a
+	// daemon's capacity, kill takes away the dead daemon's free slots and
+	// Retire the retired one's. While it is positive a placement walk
+	// lands, so drain walks only then.
+	room int
 	// rankings holds one kept placement order per class: the class-aware
 	// key depends on the class, so classes sharing a Ranking would re-key
 	// the whole fleet at every switch.
@@ -365,15 +366,19 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.run(), nil
+}
+
+// run schedules the first arrival, phase flip, probe and sample, and runs
+// the loop to its end.
+func (s *sim) run() *Result {
 	if s.cfg.Arrival == BurstyOnOff {
 		s.loop.At(s.expDur(s.phaseRNG, s.cfg.BurstOnMean), s.togglePhase)
 	}
 	s.loop.At(s.interarrival(unitExp(s.arrRNG)), s.arriveFn)
 	s.loop.At(probeEvery, s.probeTick)
 	s.loop.At(sampleEvery, s.sampleTick)
-
-	elapsed := s.loop.Run()
-	return s.result(elapsed), nil
+	return s.result(s.loop.Run())
 }
 
 // newSim validates cfg and builds the run's initial fleet, with nothing
@@ -425,13 +430,12 @@ func newSim(cfg Config) (*sim, error) {
 // placer.
 func (s *sim) spawnDaemon() *daemon {
 	d := &daemon{
-		capacity: s.cfg.DaemonCapacity,
 		alive:    true,
 		sessions: make([]int, 0, s.cfg.DaemonCapacity),
 	}
 	d.idx = s.pl.Add(broker.Endpoint{Name: fmt.Sprintf("sim-%d", len(s.daemons))})
 	s.daemons = append(s.daemons, d)
-	s.blocked = false
+	s.room += s.cfg.DaemonCapacity
 	s.alive++
 	if s.alive > s.peak {
 		s.peak = s.alive
@@ -602,35 +606,30 @@ func (s *sim) byArrival(ids []int) {
 // queued returns the number of sessions waiting for placement.
 func (s *sim) queued() int { return s.retry.n + s.pending.n }
 
-// drain places queued sessions until the queue empties or no daemon can
-// take the head-of-line session. A failed head blocks the queue until
-// capacity changes: admission is class-blind, so whichever session is at
-// the head then would walk the same full fleet to the same end.
+// drain places queued sessions, failover retries first, while the queue
+// holds one and some daemon has room. Admission is class-blind, so with no
+// room anywhere every session would walk the same full fleet to the same
+// end: the queue waits instead, until a completion or a spawn frees a
+// slot.
 func (s *sim) drain() {
-	for !s.blocked && s.queued() > 0 {
-		// Peek, don't pop: a session that cannot place stays at the head;
-		// failover retries go first.
+	for s.room > 0 && s.queued() > 0 {
 		q := &s.pending
 		if s.retry.n > 0 {
 			q = &s.retry
 		}
-		if !s.place(q.head) {
-			s.blocked = true
-			return
-		}
+		s.place(q.head)
 		s.pop(q)
 	}
 }
 
-// place attempts one placement the way Pool.open does: the Placer ranks
-// the fleet once and the session walks that order — a full daemon spills
-// (and is marked full, so later placements try it last until a release or
-// a probe clears the mark), a dead one is marked down, either way the walk
-// moves to the next candidate. It reports whether the session landed; when
-// it did not, drain leaves the session at the head of the queue and does
-// not call place again until a completion, a kill, a migration or a spawn
-// has changed the fleet's capacity.
-func (s *sim) place(id int) bool {
+// place places one session the way Pool.open does: the Placer ranks the
+// fleet once and the session walks that order — a full daemon spills (and
+// is marked full, so later placements try it last until a release or a
+// probe clears the mark), a dead one is marked down, either way the walk
+// moves to the next candidate. The ranking holds every alive daemon, so
+// with room > 0 the walk lands; one that runs out means room has lost
+// count, and place panics rather than drop the session.
+func (s *sim) place(id int) {
 	sess := s.session(id)
 	spec := broker.JobSpec{Class: s.cfg.Classes[sess.class].SchedClass}
 	r := &s.rankings[sess.class]
@@ -638,13 +637,13 @@ func (s *sim) place(id int) bool {
 	for {
 		idx, ok := r.Next()
 		if !ok {
-			return false
+			panic(fmt.Sprintf("loadgen: room is %d but the placement walk found no daemon with room", s.room))
 		}
 		d := s.daemons[idx]
 		switch {
 		case !d.alive:
 			s.pl.NoteFailure(idx, errDaemonDown)
-		case d.live() >= d.capacity:
+		case d.live() >= s.cfg.DaemonCapacity:
 			s.pl.NoteSpill(idx)
 		default:
 			s.attach(d, id)
@@ -657,16 +656,9 @@ func (s *sim) place(id int) bool {
 			s.wait.Record(w)
 			s.classWait[sess.class].Record(w)
 			s.loop.AtArg(sess.hold, s.completeFn, int64(id)<<32|int64(sess.epoch))
-			return true
+			return
 		}
 	}
-}
-
-// release tells the placer a session left the daemon at idx and unblocks
-// the queue. Every path that lowers a daemon's occupancy goes through it.
-func (s *sim) release(idx int) {
-	s.pl.NoteRelease(idx)
-	s.blocked = false
 }
 
 // attach records session id as resident on d.
@@ -676,10 +668,12 @@ func (s *sim) attach(d *daemon, id int) {
 	d.sessions = append(d.sessions, id)
 	row, _ := protocol.ClassRow(s.cfg.Classes[sess.class].SchedClass)
 	d.classLive[row]++
+	s.room--
 }
 
 // detach removes session id from d's residents, moving the last resident
-// into its slot.
+// into its slot, and tells the placer the session left: every path that
+// lowers an alive daemon's occupancy goes through it.
 func (s *sim) detach(d *daemon, id int) {
 	sess := s.session(id)
 	row, _ := protocol.ClassRow(s.cfg.Classes[sess.class].SchedClass)
@@ -689,6 +683,8 @@ func (s *sim) detach(d *daemon, id int) {
 	d.sessions[sess.slot] = moved
 	s.session(moved).slot = sess.slot
 	d.sessions = d.sessions[:last]
+	s.room++
+	s.pl.NoteRelease(d.idx)
 }
 
 // complete finishes a session's hold, unless a failover made this event
@@ -703,9 +699,7 @@ func (s *sim) complete(ev int64) {
 	if sess.epoch != epoch || sess.daemon < 0 {
 		return
 	}
-	d := s.daemons[sess.daemon]
-	s.detach(d, id)
-	s.release(d.idx)
+	s.detach(s.daemons[sess.daemon], id)
 	sess.daemon = -1
 	sess.epoch++
 	s.freeSession(id)
@@ -723,6 +717,7 @@ func (s *sim) kill(d *daemon) {
 	}
 	d.alive = false
 	s.alive--
+	s.room -= s.cfg.DaemonCapacity - d.live()
 	s.pl.NoteFailure(d.idx, errDaemonDown)
 	ids := d.sessions
 	s.byArrival(ids) // replay in arrival order, whatever order placements left
@@ -742,7 +737,7 @@ func (s *sim) kill(d *daemon) {
 	}
 	d.classLive = [protocol.NumSchedClasses]int{}
 	d.sessions = ids[:0]
-	s.release(d.idx)
+	s.pl.NoteRelease(d.idx)
 }
 
 // workRemains reports whether the run still has arrivals, live sessions,
@@ -828,11 +823,11 @@ func (s *sim) sampleTick() {
 
 // scaleDriver adapts the sim to broker.ScaleDriver. Retire drains the
 // least-loaded drainable daemon by live-migrating its resident durable
-// sessions onto peers with spare capacity — sessions keep running through
-// the move, with no re-queue and no failover. A daemon holding any
-// non-durable session (nothing to checkpoint) vetoes, as does a fleet with
-// too little spare capacity to absorb the residents; either way scale-down
-// cannot strand work by construction.
+// sessions onto peers with room — sessions keep running through the move,
+// with no re-queue and no failover. A daemon holding any non-durable
+// session (nothing to checkpoint) vetoes, as does a fleet with too little
+// room to absorb the residents; either way scale-down cannot strand work by
+// construction.
 type scaleDriver sim
 
 func (sd *scaleDriver) Spawn() error {
@@ -844,46 +839,40 @@ func (sd *scaleDriver) Spawn() error {
 func (sd *scaleDriver) Retire() (bool, error) {
 	s := (*sim)(sd)
 	src := s.retireCandidate()
-	if src == nil || !s.drainByMigration(src) {
+	if src == nil {
 		return false, nil
 	}
+	s.drainByMigration(src)
 	src.retired = true
 	src.alive = false
 	s.alive--
+	s.room -= s.cfg.DaemonCapacity
 	s.pl.Retire(src.idx)
 	return true, nil
 }
 
 // retireCandidate picks the daemon to drain: the alive, unretired daemon
 // with the fewest resident sessions whose residents are all durable (a
-// non-durable session dies with its daemon and so pins it) and whose
-// residents the rest of the fleet has spare capacity to absorb. Nil means
-// every candidate vetoes.
+// non-durable session dies with its daemon and so pins it). The rest of the
+// fleet can absorb a candidate's residents exactly when room, which counts
+// the candidate's own free slots too, is at least one daemon's capacity,
+// whichever the candidate. Nil means every candidate vetoes.
 func (s *sim) retireCandidate() *daemon {
-	var best *daemon
-	spare := 0
-	for _, d := range s.daemons {
-		if d.alive && !d.retired {
-			spare += d.capacity - d.live()
-		}
+	if s.room < s.cfg.DaemonCapacity {
+		return nil
 	}
+	var best *daemon
+candidates:
 	for _, d := range s.daemons {
-		if !d.alive || d.retired {
+		if !d.alive || d.retired || best != nil && d.live() >= best.live() {
 			continue
 		}
-		if best != nil && d.live() >= best.live() {
-			continue
-		}
-		drainable := spare-(d.capacity-d.live()) >= d.live()
 		for _, id := range d.sessions {
 			if !s.cfg.Classes[s.session(id).class].Durable {
-				drainable = false
-				break
+				continue candidates
 			}
 		}
-		if drainable {
-			best = d
-		}
+		best = d
 	}
 	return best
 }
@@ -892,9 +881,11 @@ func (s *sim) retireCandidate() *daemon {
 // arrival order so replays are deterministic, onto the first daemon with
 // room that the Placer ranks for the session's class, as a placement of it
 // would. The sessions' hold timers keep running: a migration is invisible
-// to the session, there is no re-queue and no replay. Reports whether src
-// ended empty.
-func (s *sim) drainByMigration(src *daemon) bool {
+// to the session, there is no re-queue and no replay. retireCandidate chose
+// src only with room for its residents elsewhere, and each move keeps that
+// true, so every walk finds a destination; one that does not means room
+// has lost count, and drainByMigration panics.
+func (s *sim) drainByMigration(src *daemon) {
 	ids := slices.Clone(src.sessions) // detach reorders src.sessions
 	s.byArrival(ids)
 	for _, id := range ids {
@@ -905,22 +896,17 @@ func (s *sim) drainByMigration(src *daemon) bool {
 		for dest == nil {
 			idx, ok := r.Next()
 			if !ok {
-				break
+				panic(fmt.Sprintf("loadgen: room is %d but no daemon has room for a migration", s.room))
 			}
-			if d := s.daemons[idx]; d != src && d.alive && !d.retired && d.live() < d.capacity {
+			if d := s.daemons[idx]; d != src && d.alive && !d.retired && d.live() < s.cfg.DaemonCapacity {
 				dest = d
 			}
 		}
-		if dest == nil {
-			return false // capacity shifted mid-drain; the caller vetoes
-		}
 		s.detach(src, id)
-		s.release(src.idx)
 		s.attach(dest, id)
 		s.session(id).daemon = dest.idx
 		s.pl.NoteMigration(dest.idx, 0)
 	}
-	return true
 }
 
 // result assembles the Result snapshot.

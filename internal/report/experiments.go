@@ -228,7 +228,8 @@ An entry closes with a cause or a fix, and stays listed with it.
 			classAware.Spills, runs.classBlind.Pool.Spills, classAware.Sessions),
 			"BENCH_loadscale.json `scale-100k-classes`, and its `LeastLoaded` re-run in this document's campaign",
 			"PR 14", "item 1d: the placer's decision log says why each walk spilled",
-			"open. CHANGES.md, PR 14 names a candidate cause: the class row has no placed-since-probe guard"},
+			"open. CHANGES.md, PR 14 names a candidate cause: the class row has no placed-since-probe guard. " +
+				"While placements also walked fleets with no free slot, `LeastLoaded` read 1756 here, 89 % of it such walks, against 9 % of `ClassAware`'s 17219 (DESIGN.md §10, \"Free slots\")"},
 		{"`memcpy_bulk` `rss_mb` is bimodal, 87.1 or 93.6 MiB, on identical code", "CHANGES.md, PR 22 and PR 26",
 			"PR 22", "item 3b: an A/A run across sessions",
 			"open. The unverified reading: with a third of an allocation per op the collector hardly runs, so set-up decides the mode"},
@@ -243,7 +244,8 @@ An entry closes with a cause or a fix, and stays listed with it.
 				"A connection now keeps its receive buffer, and a launch passes its execution context by value, so nothing on the call path lives in a pool (DESIGN.md §4 and §7). " +
 				"`TestBatchedInferenceAllocatesNothingAfterGC` holds it at 0"},
 		{"Round-robin cursor parity with marked-down daemons and a blocked head", "DESIGN.md §10", "PR 14", "—",
-			"**closed by PR 26.** How many failed walks happen moves the cursor. That moves `Pool.Spills` only, never the daemon a session lands on (`TestRoundRobinBlockedHeadCursor`)"},
+			"**gone with failed walks.** How many failed walks happened moved the cursor, and with it `Pool.Spills`, never the daemon a session landed on. " +
+				"A placement now walks only while some daemon has a free slot (DESIGN.md §10, \"Free slots\"), so every walk lands and only walks that land move the cursor"},
 		{"BENCH_batching.json batched `model_us` 80 µs under `elapsed_us` on GigaE, 0.65 %",
 			"BENCH_batching.json as first regenerated for PR 27, before the model priced the wait", "PR 27", "—",
 			"**closed by PR 27.** The synchronization that closes a frame waits on the server for the frame's input copy and 24 launches, 2.21 µs per request on the modeled C1060. " +
@@ -423,13 +425,15 @@ func (c Config) expExtensions(sb *strings.Builder, runs benchRuns) error {
   byte-reproducible from its seed (BENCH_loadscale.json).
   BENCH_loadscale.json's `+"`scale-down-migrate`"+` row reported 908143 spills for
   10000 sessions while every refused attempt, and every arrival behind a
-  blocked head, re-walked the full fleet; with one ranking per placement,
-  full marks and a blocked head (DESIGN.md §9) the same run reports %d
-  with every other number unchanged, and that remainder is real: under
-  saturation each completion frees one slot and the next session in line
-  walks the still-full fleet once before blocking, the ranking runs on
-  gauges up to one 50 ms probe period old, and every probe clears the
-  marks.
+  blocked head, re-walked the full fleet. One ranking per placement, full
+  marks (DESIGN.md §9) and a blocked head brought it to 367172, nearly
+  all of it walks of a fleet with no free slot: each completion freed one
+  slot, the head of the queue took it, and the next session walked the
+  still-full fleet. Placing only while some daemon has a free slot
+  (DESIGN.md §10) leaves %d with every other number unchanged, and that
+  remainder is real: each is a full daemon without a full mark ranked ahead
+  of the one with room, because the ranking runs on gauges up to one 50 ms
+  probe period old and every probe clears the marks.
   Its `+"`scale-100k-classes`"+` row reports the same p50/p99 placement wait for
   all three classes (%.1f / %.1f ms here) because that wait is class-blind
   by construction — the fleet queue is one FIFO and a session is placed
