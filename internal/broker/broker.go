@@ -174,8 +174,49 @@ type Pool struct {
 	rankMu  sync.Mutex
 	ranking *Ranking
 
+	// keptMu guards kept, the session connections closed sessions
+	// released, at most one per endpoint index, each waiting for the next
+	// session the pool opens there (DESIGN.md §9 "Kept connections").
+	// keptStopped refuses more once the pool closed. Like probeMu it is
+	// never held across a wire exchange.
+	keptMu      sync.Mutex
+	kept        []transport.Conn
+	keptStopped bool
+
 	probeStop chan struct{}
 	probeDone chan struct{}
+}
+
+// takeKept checks endpoint idx's kept connection out of its slot, nil when
+// it has none.
+func (p *Pool) takeKept(idx int) transport.Conn {
+	p.keptMu.Lock()
+	defer p.keptMu.Unlock()
+	if idx >= len(p.kept) {
+		return nil
+	}
+	conn := p.kept[idx]
+	p.kept[idx] = nil
+	return conn
+}
+
+// keep parks a released session connection in endpoint idx's slot. The
+// slot holds one: a connection that finds it taken, or the pool closed, is
+// closed.
+func (p *Pool) keep(idx int, conn transport.Conn) {
+	p.keptMu.Lock()
+	if !p.keptStopped {
+		if idx >= len(p.kept) {
+			p.kept = append(p.kept, make([]transport.Conn, idx+1-len(p.kept))...)
+		}
+		if p.kept[idx] == nil {
+			p.kept[idx], conn = conn, nil
+		}
+	}
+	p.keptMu.Unlock()
+	if conn != nil {
+		_ = conn.Close()
+	}
 }
 
 // Option configures New.
@@ -218,8 +259,9 @@ func New(eps []Endpoint, opts ...Option) (*Pool, error) {
 	return p, nil
 }
 
-// Close stops the background prober and closes every probe connection.
-// Sessions already opened through the pool are unaffected.
+// Close stops the background prober and closes every probe connection and
+// every kept session connection. Sessions already opened through the pool
+// are unaffected; one closed later closes its connection.
 func (p *Pool) Close() error {
 	if p.probeStop != nil {
 		close(p.probeStop)
@@ -232,6 +274,16 @@ func (p *Pool) Close() error {
 	s.mu.Unlock()
 	for _, st := range eps {
 		st.closeProbeConn()
+	}
+	p.keptMu.Lock()
+	p.keptStopped = true
+	kept := p.kept
+	p.kept = nil
+	p.keptMu.Unlock()
+	for _, conn := range kept {
+		if conn != nil {
+			_ = conn.Close()
+		}
 	}
 	return nil
 }
@@ -324,10 +376,16 @@ type Session struct {
 	route    route
 }
 
-// Close finalizes the session and tells the placer its endpoint has one
-// session fewer, so a full mark does not outlive the capacity it reported.
+// Close finalizes the session, keeps its connection for the next session
+// the pool opens on the same endpoint (rcuda.Client.Release), and tells
+// the placer its endpoint has one session fewer, so a full mark does not
+// outlive the capacity it reported. The connection is kept under the
+// endpoint the route names now, where a reconnect may have moved it.
 func (s *Session) Close() error {
-	err := s.Client.Close()
+	conn, err := s.Client.Release()
+	if conn != nil {
+		s.route.p.keep(s.route.current(), conn)
+	}
 	s.route.p.pl.NoteRelease(s.idx)
 	return err
 }
@@ -441,27 +499,42 @@ func (p *Pool) open(module []byte, spec JobSpec, r *Ranking) (*Session, error) {
 	}
 }
 
-// tryOpen dials one endpoint and opens a durable session on it. The
-// session reconnects through a route rather than a fixed dialer, so a
-// later migration can re-point it.
+// tryOpen opens a durable session on one endpoint: on its kept
+// connection when it has one, else on a fresh dial. A kept connection that
+// fails before the server answers the init (rcuda.ErrNoInitReply) was let
+// go by the server — idle past its watchdog, drained or restarted — so it
+// is closed and the endpoint dialed once, which counts no fault. Any reply, a busy
+// refusal included, is final. The session reconnects through a route
+// rather than a fixed dialer, so a later migration can re-point it.
 func (p *Pool) tryOpen(idx int, module []byte, spec JobSpec) (*Session, error) {
 	s := &p.pl.state
 	s.mu.Lock()
 	ep := s.eps[idx].ep
 	s.mu.Unlock()
-	conn, err := ep.Dial()
-	if err != nil {
-		return nil, fmt.Errorf("broker: dial %s: %w", ep.Name, err)
-	}
 	sess := &Session{Endpoint: ep.Name, idx: idx, route: route{p: p, idx: idx}}
 	// A class and weight of zero are a bare hello's, as if unset.
-	client, err := rcuda.Open(conn, module, p.clientOpt,
-		rcuda.WithReconnect(sess.route.dial), rcuda.WithSchedClass(spec.Class, spec.Weight))
+	open := func(conn transport.Conn) (err error) {
+		sess.Client, err = rcuda.Open(conn, module, p.clientOpt,
+			rcuda.WithReconnect(sess.route.dial), rcuda.WithSchedClass(spec.Class, spec.Weight))
+		if err != nil {
+			_ = conn.Close()
+		}
+		return err
+	}
+	conn := p.takeKept(idx)
+	var err error
+	if conn != nil {
+		err = open(conn)
+	}
+	if conn == nil || errors.Is(err, rcuda.ErrNoInitReply) {
+		if conn, err = ep.Dial(); err != nil {
+			return nil, fmt.Errorf("broker: dial %s: %w", ep.Name, err)
+		}
+		err = open(conn)
+	}
 	if err != nil {
-		_ = conn.Close()
 		return nil, err
 	}
-	sess.Client = client
 	p.pl.NotePlaced(idx)
 	return sess, nil
 }

@@ -106,8 +106,9 @@ func SimulateLive(link *netsim.Link, nServers int, jobs []SimJob) (LiveResult, e
 	// Live pool over in-process servers, one Sim clock per server. A job's
 	// handler keeps charging its server's clock after the client's Close
 	// returns — it tears the session down asynchronously — so the harness
-	// waits for the server's job daemon before it reads or compares that
-	// clock again.
+	// waits for the server's job daemon to release the session before it
+	// reads or compares that clock again. The pool keeps each daemon's
+	// job connection between sessions, and the handler rests on it.
 	clocks := make([]*vclock.Sim, nServers)
 	servers := make([]*rcuda.Server, nServers)
 	daemons := make([]*rcuda.SimDaemon, nServers)
@@ -165,9 +166,10 @@ func SimulateLive(link *netsim.Link, nServers int, jobs []SimJob) (LiveResult, e
 		if err := sess.Close(); err != nil {
 			return LiveResult{}, err
 		}
-		// The handler exits after it has dropped the session gauge and
-		// released the session; only then is the server's clock quiescent,
-		// so neither the next probe's gauges nor the next job's
+		// The handler rests, waiting for the kept connection's next
+		// session, only after it has dropped the session gauge and released
+		// the session; only then is the server's clock quiescent, so
+		// neither the next probe's gauges nor the next job's
 		// max(Ready, free) can race a teardown charge.
 		if err := daemons[sess.idx].Wait(); err != nil {
 			return LiveResult{}, fmt.Errorf("broker: job %d: %w", cj.ID, err)
@@ -184,7 +186,8 @@ func SimulateLive(link *netsim.Link, nServers int, jobs []SimJob) (LiveResult, e
 	}
 	res.Stats = pool.Stats()
 	// Close the pool first: its persistent probe connections would otherwise
-	// hold each server's drain open for the full close grace.
+	// hold each server's drain open for the full close grace. (A drain
+	// closes the kept job connections at once.)
 	_ = pool.Close()
 	for _, srv := range servers {
 		_ = srv.Close()

@@ -45,18 +45,20 @@ func closeChurnPool(t *testing.T, pool *Pool, daemons [2]*rcuda.SimDaemon) {
 	}
 }
 
-// maxSessionCycleAllocs bounds TestSessionCycleAllocs: the 44 allocations
-// it reads, plus 3. Its parent read 110.
-const maxSessionCycleAllocs = 47
+// maxSessionCycleAllocs bounds TestSessionCycleAllocs: the 18 allocations
+// it reads, plus 3. It read 44 when every session dialed its own
+// connection, and 110 before that.
+const maxSessionCycleAllocs = 21
 
 // TestSessionCycleAllocs counts what a broker session costs from open to
 // close, both ends: a cycle opens a session on each daemon of the pool,
 // mallocs and frees on each, closes both and waits until both daemons have
 // torn them down. A session allocates only what it keeps — its Client, its
-// session, context and scheduler flow on the daemon, its two connection
-// ends, the device block — plus what the simulated pipe makes per
-// connection. Waiting for the teardown makes the count exact: the buffers a
-// handler puts back are in the pool before the next cycle asks for them.
+// session, context and scheduler flow on the daemon, the device block. It
+// opens on the connection the pool kept from the previous cycle's session
+// on that daemon, so no connection end or pipe is made. Waiting for the
+// teardown makes the count exact: the buffers a handler puts back are in
+// the pool before the next cycle asks for them.
 // The cycle spans both daemons so that a regression of two allocations per
 // session exceeds the bound's margin.
 func TestSessionCycleAllocs(t *testing.T) {

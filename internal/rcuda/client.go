@@ -1,6 +1,7 @@
 package rcuda
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -47,7 +48,10 @@ type Client struct {
 	durable      bool
 	connBroken   bool
 	lost         bool
-	cstats       ClientCounts[atomic.Int64]
+	// faulted marks a connection an exchange failed on: Release does not
+	// hand it back, since it may be dead or out of step with the server.
+	faulted bool
+	cstats  ClientCounts[atomic.Int64]
 	// Batching state (see batch.go). batching also turns the immutable-reply
 	// cache below on. pendSubs holds the encoded sub-ops of the open batch,
 	// each a slice of pendBuf; deferredErr is the oldest unreported
@@ -193,6 +197,12 @@ func WithChunkedTransfers(threshold, chunkSize int) ClientOption {
 	}
 }
 
+// ErrNoInitReply marks an Open whose connection failed before the server
+// answered the init: the send failed, or the connection ended first. On a
+// connection kept from an earlier session (Release) it means the server
+// let the connection go, and a fresh one may open the session.
+var ErrNoInitReply = errors.New("rcuda: no reply to the init")
+
 // Open establishes a session: it connects the client side of the middleware
 // over an existing transport connection and performs the initialization
 // exchange, locating and sending the application's GPU module. A durable
@@ -223,11 +233,11 @@ func Open(conn transport.Conn, module []byte, opts ...ClientOption) (*Client, er
 	}
 	req.Module = nil
 	if err != nil {
-		return nil, fmt.Errorf("rcuda: init send: %w", err)
+		return nil, fmt.Errorf("rcuda: init send: %w: %w", ErrNoInitReply, err)
 	}
 	payload, err := conn.Recv()
 	if err != nil {
-		return nil, fmt.Errorf("rcuda: init recv: %w", err)
+		return nil, fmt.Errorf("rcuda: init recv: %w: %w", ErrNoInitReply, err)
 	}
 	resp, err := protocol.DecodeInitResponse(payload)
 	if err != nil {
@@ -429,8 +439,25 @@ func (c *Client) Capability() (major, minor uint32) { return c.capMajor, c.capMi
 // closes the transport, and detaches the observer. It is idempotent; see
 // the Client contract for post-Close behavior.
 func (c *Client) Close() error {
+	conn, err := c.Release()
+	if conn != nil {
+		if closeErr := conn.Close(); err == nil {
+			err = closeErr
+		}
+	}
+	return err
+}
+
+// Release ends the session as Close does and returns the same errors, but
+// hands back the connection instead of closing it when the connection is
+// healthy: the finalize left on it and no exchange of the session failed
+// on it. The server then waits on it for the next session's handshake, so
+// Open may start one there without a dial (DESIGN.md §5 "Session set-up").
+// An unhealthy connection is closed and Release returns nil for it, as it
+// does after Close or an earlier Release.
+func (c *Client) Release() (transport.Conn, error) {
 	if !c.closed.CompareAndSwap(false, true) {
-		return nil
+		return nil, nil
 	}
 	// A broken durable session is revived just long enough to deliver the
 	// finalization, so the server releases it instead of parking it until
@@ -441,9 +468,9 @@ func (c *Client) Close() error {
 			c.lost = true
 		}
 	}
-	// Close is the final sync point: pending batched work is flushed so its
-	// effects land before finalization, and a deferred batched-call failure
-	// gets its last chance to reach the application.
+	// Release is the final sync point: pending batched work is flushed so
+	// its effects land before finalization, and a deferred batched-call
+	// failure gets its last chance to reach the application.
 	var flushErr error
 	if c.batching && !c.lost {
 		flushErr = c.syncPoint()
@@ -454,12 +481,15 @@ func (c *Client) Close() error {
 		c.observe(protocol.OpFinalize, req.WireSize(), 0)
 	}
 	c.observer = nil
-	closeErr := c.conn.Close()
-	if flushErr != nil {
-		return flushErr
+	err := flushErr
+	if err == nil {
+		err = sendErr
 	}
-	if sendErr != nil {
-		return sendErr
+	if sendErr == nil && !c.lost && !c.faulted {
+		return c.conn, err
 	}
-	return closeErr
+	if closeErr := c.conn.Close(); err == nil {
+		err = closeErr
+	}
+	return nil, err
 }

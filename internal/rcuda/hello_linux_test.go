@@ -43,46 +43,70 @@ func frameOf(m protocol.Message) []byte {
 
 // TestOpenSendsInitAndHelloInOneWrite: over a socket, a durable Open makes
 // one write for its init and its hello, and that write is the init frame
-// followed by the hello frame, each as it would be sent alone.
+// followed by the hello frame, each as it would be sent alone. It holds on
+// a connection kept from an earlier session (Release) as on a fresh one.
 func TestOpenSendsInitAndHelloInOneWrite(t *testing.T) {
 	cli, peer := seqpacketPair(t)
 	defer peer.Close()
 	img := moduleImage(t, calib.MM)
 	hello := &protocol.SessionHelloRequest{Class: SchedRealtime, Weight: 2}
 	initReply := &protocol.InitResponse{CapabilityMajor: 1, CapabilityMinor: 3}
-	first := make(chan []byte, 1)
+	const sessions = 2
+	// The peer hands over each session's first write, answers it, and
+	// reads the finalize the session ends with.
+	first := make(chan []byte, sessions)
 	go func() {
-		buf := make([]byte, 1<<20)
-		n, err := peer.Read(buf)
-		if err != nil {
-			close(first)
-			return
+		defer close(first)
+		for i := 0; i < sessions; i++ {
+			buf := make([]byte, 1<<20)
+			n, err := peer.Read(buf)
+			if err != nil {
+				return
+			}
+			first <- append([]byte(nil), buf[:n]...)
+			reply := frameOf(&protocol.SessionHelloResponse{Session: uint64(7 + i)})
+			if _, err := peer.Write(append(frameOf(initReply), reply...)); err != nil {
+				return
+			}
+			if _, err := peer.Read(buf); err != nil {
+				return
+			}
 		}
-		first <- buf[:n]
-		_, _ = peer.Write(append(frameOf(initReply), frameOf(&protocol.SessionHelloResponse{Session: 7})...))
 	}()
-	conn := transport.NewTCPConn(cli)
-	obs := &sizeObserver{}
-	client, err := Open(conn, img, WithSchedClass(hello.Class, hello.Weight), WithObserver(obs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	got := <-first
-	if want := append(frameOf(&protocol.InitRequest{Module: img}), frameOf(hello)...); !bytes.Equal(got, want) {
-		t.Fatalf("first write carried %d bytes, want the %d of the init frame and the hello frame", len(got), len(want))
-	}
-	if client.sessionID != 7 || !client.durable {
-		t.Errorf("session %d, durable %v; want the hello reply's session 7", client.sessionID, client.durable)
-	}
-	if st := conn.Stats(); st.MessagesSent != 2 || st.BytesSent != int64(len(img)+4+hello.WireSize()) {
-		t.Errorf("connection counted %+v, want two messages of Table I bytes", st)
-	}
-	want := []observedCall{
-		{protocol.OpInit, len(img) + 4, initReply.WireSize()},
-		{protocol.OpSessionHello, hello.WireSize(), 12},
-	}
-	if fmt.Sprint(obs.calls) != fmt.Sprint(want) {
-		t.Errorf("observer saw %v, want %v", obs.calls, want)
+	var conn transport.Conn = transport.NewTCPConn(cli)
+	defer func() {
+		if conn != nil {
+			_ = conn.Close()
+		}
+	}()
+	for i := 0; i < sessions; i++ {
+		before := conn.Stats()
+		obs := &sizeObserver{}
+		client, err := Open(conn, img, WithSchedClass(hello.Class, hello.Weight), WithObserver(obs))
+		if err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+		got := <-first
+		if want := append(frameOf(&protocol.InitRequest{Module: img}), frameOf(hello)...); !bytes.Equal(got, want) {
+			t.Fatalf("session %d: first write carried %d bytes, want the %d of the init frame and the hello frame", i, len(got), len(want))
+		}
+		if id := uint64(7 + i); client.sessionID != id || !client.durable {
+			t.Errorf("session %d: id %d, durable %v; want the hello reply's session %d", i, client.sessionID, client.durable, id)
+		}
+		st := conn.Stats()
+		if sent := st.MessagesSent - before.MessagesSent; sent != 2 || st.BytesSent-before.BytesSent != int64(len(img)+4+hello.WireSize()) {
+			t.Errorf("session %d: connection counted %d messages, %d bytes; want two messages of Table I bytes",
+				i, sent, st.BytesSent-before.BytesSent)
+		}
+		want := []observedCall{
+			{protocol.OpInit, len(img) + 4, initReply.WireSize()},
+			{protocol.OpSessionHello, hello.WireSize(), 12},
+		}
+		if fmt.Sprint(obs.calls) != fmt.Sprint(want) {
+			t.Errorf("session %d: observer saw %v, want %v", i, obs.calls, want)
+		}
+		if conn, err = client.Release(); err != nil || conn == nil {
+			t.Fatalf("session %d: Release handed back %v, %v", i, conn, err)
+		}
 	}
 }

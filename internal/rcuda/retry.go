@@ -131,6 +131,10 @@ func (c *Client) runRetry(op protocol.Op, fn func() error) error {
 			}
 			return nil
 		}
+		if !errors.As(err, new(cudart.Error)) {
+			// A result code leaves the dialogue in step; nothing else does.
+			c.faulted = true
+		}
 		if !isConnFault(err) {
 			return err
 		}
@@ -204,7 +208,7 @@ func (c *Client) reconnect() error {
 	}
 	c.conn = conn
 	c.capMajor, c.capMinor = resp.CapabilityMajor, resp.CapabilityMinor
-	c.connBroken = false
+	c.connBroken, c.faulted = false, false
 	// The immutable-reply cache is only trusted for the connection that
 	// filled it; a replacement connection may lead anywhere.
 	c.invalidateCache()

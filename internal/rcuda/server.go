@@ -82,8 +82,9 @@ type Server struct {
 	nextDev  int
 	sessions sync.WaitGroup
 	// conns holds every connection currently being served so Drain can
-	// force-close stragglers past its deadline.
-	conns map[transport.Conn]struct{}
+	// force-close stragglers past its deadline; the value is true while the
+	// connection waits between sessions, which Drain closes at once.
+	conns map[transport.Conn]bool
 	// registry maps durable session ids to their state so a reconnecting
 	// client can reattach; see protocol.SessionHelloRequest.
 	registry    map[uint64]*session
@@ -162,7 +163,7 @@ func NewServer(dev *gpu.Device, opts ...ServerOption) *Server {
 		devs:         []*gpu.Device{dev},
 		closeGrace:   DefaultCloseGrace,
 		doneCh:       make(chan struct{}),
-		conns:        make(map[transport.Conn]struct{}),
+		conns:        make(map[transport.Conn]bool),
 		registry:     make(map[uint64]*session),
 		tombstones:   make(map[uint64]uint32),
 		migrateChunk: protocol.DefaultChunkSize,
@@ -276,14 +277,16 @@ func (s *Server) sweepOrphans() {
 	}
 }
 
-// Drain gracefully shuts the server down: it stops accepting, lets
-// in-flight sessions run to completion, and — once ctx expires — force
-// closes the stragglers' connections so no handler goroutine outlives the
-// drain by more than one blocked transport operation. Parked durable
-// sessions are destroyed either way. It returns ctx.Err() when force
-// closing was needed, nil for a fully graceful drain.
+// Drain gracefully shuts the server down: it stops accepting, closes the
+// connections waiting between sessions, lets in-flight sessions run to
+// completion, and — once ctx expires — force closes the stragglers'
+// connections so no handler goroutine outlives the drain by more than one
+// blocked transport operation. Parked durable sessions are destroyed
+// either way. It returns ctx.Err() when force closing was needed, nil for a
+// fully graceful drain.
 func (s *Server) Drain(ctx context.Context) error {
 	lnErr := s.beginShutdown()
+	s.closeResting()
 	settled := make(chan struct{})
 	go func() {
 		s.sessions.Wait()
@@ -297,8 +300,10 @@ func (s *Server) Drain(ctx context.Context) error {
 		forcedErr = ctx.Err()
 		s.mu.Lock()
 		stragglers := make([]transport.Conn, 0, len(s.conns))
-		for c := range s.conns {
-			stragglers = append(stragglers, c)
+		for c, resting := range s.conns {
+			if !resting {
+				stragglers = append(stragglers, c)
+			}
 		}
 		s.mu.Unlock()
 		for _, c := range stragglers {
@@ -544,35 +549,36 @@ func (s *Server) destroySession(sess *session) {
 	}
 }
 
-// ServeConn serves one client session on any transport (a real socket or a
-// simulated pipe). It performs the initialization handshake, enters the
-// request loop, and releases the session's contexts when the client
-// finalizes or disconnects. With a request deadline configured, every
-// transport operation of the session runs under the watchdog.
-func (s *Server) ServeConn(conn transport.Conn) error {
+// ServeConn serves one connection on any transport (a real socket or a
+// simulated pipe): the sessions its client opens on it, one after another.
+// Each starts with a handshake and runs the request loop; the session's
+// contexts are released when the client finalizes or disconnects. After a
+// finalize the connection waits for the next handshake, so a client may
+// keep it for its next session (DESIGN.md §5 "Session set-up"); a clean
+// close while it waits ends the connection without an error. With a
+// request deadline configured, every transport operation of the
+// connection runs under the watchdog.
+func (s *Server) ServeConn(conn transport.Conn) error { return s.serveConn(conn, nil) }
+
+// serveConn is ServeConn telling settled, when set, each time the
+// connection comes to rest between sessions (true) and each time a frame or
+// its end wakes it from there (false). SimDaemon counts with it.
+func (s *Server) serveConn(conn transport.Conn, settled func(resting bool)) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return errors.New("rcuda: server closed")
 	}
 	s.handlers.Add(1)
-	s.conns[conn] = struct{}{}
+	s.conns[conn] = false
 	s.mu.Unlock()
+	s.counters.SessionsActive.Add(1)
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
+		s.counters.SessionsActive.Add(-1)
 		s.handlers.Done()
-	}()
-
-	s.counters.SessionsStarted.Add(1)
-	s.counters.SessionsActive.Add(1)
-	defer s.counters.SessionsActive.Add(-1)
-	defer func() {
-		st := conn.Stats()
-		// The conn's "sent" is the server's outbound traffic.
-		s.counters.BytesSent.Add(st.BytesSent)
-		s.counters.BytesReceived.Add(st.BytesRecv)
 	}()
 
 	if s.requestDeadline > 0 {
@@ -583,28 +589,122 @@ func (s *Server) ServeConn(conn transport.Conn) error {
 	withinConnCap := s.guard.admitConn()
 	defer s.guard.releaseConn()
 
-	err := s.serveSession(conn, withinConnCap)
-	if err != nil && errors.Is(err, os.ErrDeadlineExceeded) {
-		s.counters.WatchdogKills.Add(1)
+	// folded is the connection's traffic already added to the counters.
+	var folded transport.Stats
+	for kept := false; ; kept = true {
+		payload, err := conn.Recv()
+		if kept {
+			var open bool
+			if withinConnCap, open = s.wake(conn, settled); !open {
+				return nil
+			}
+		}
+		finalized := false
+		switch {
+		case err == nil:
+			s.counters.SessionsStarted.Add(1)
+			finalized, err = s.serveSession(conn, payload, withinConnCap)
+		case kept && endsKept(err):
+			// The client let the kept connection go, or the watchdog
+			// closed it idle: no session was open, none is lost.
+			return nil
+		default:
+			err = fmt.Errorf("rcuda: handshake recv: %w", err)
+		}
+		// The conn's "sent" is the server's outbound traffic.
+		st := conn.Stats()
+		s.counters.BytesSent.Add(st.BytesSent - folded.BytesSent)
+		s.counters.BytesReceived.Add(st.BytesRecv - folded.BytesRecv)
+		folded = st
+		if err != nil && errors.Is(err, os.ErrDeadlineExceeded) {
+			s.counters.WatchdogKills.Add(1)
+		}
+		if !finalized || !s.rest(conn, settled) {
+			return err
+		}
 	}
-	return err
 }
 
-// serveSession runs the handshake and request loop of one connection. A
-// connection that opened with a stats probe has no session; handshake has
-// already served it to completion and returns nil for both values.
-func (s *Server) serveSession(conn transport.Conn, withinConnCap bool) error {
-	sess, err := s.handshake(conn, withinConnCap)
-	if err != nil {
-		return err
+// endsKept reports whether err, ending the wait of a connection between
+// sessions, is the connection's ordinary end: a close from either side or
+// the watchdog's deadline.
+func endsKept(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, transport.ErrClosed) ||
+		errors.Is(err, net.ErrClosed) || errors.Is(err, os.ErrDeadlineExceeded)
+}
+
+// rest moves conn, whose session has just been released, to the wait for
+// its next handshake: it leaves the SessionsActive gauge, gives back its
+// WithMaxConns slot, and Drain closes it at once (closeResting). It is
+// false once shutdown has begun; the connection then ends instead.
+func (s *Server) rest(conn transport.Conn, settled func(bool)) bool {
+	s.mu.Lock()
+	closed := s.closed
+	if !closed {
+		s.conns[conn] = true
 	}
-	if sess == nil {
-		return nil
+	s.mu.Unlock()
+	if closed {
+		return false
+	}
+	s.counters.SessionsActive.Add(-1)
+	s.guard.releaseConn()
+	if settled != nil {
+		settled(true)
+	}
+	return true
+}
+
+// wake undoes rest once the resting conn's receive returns: the connection
+// takes a WithMaxConns slot again, as a new one does, and withinConnCap
+// says whether it got one. open is false once shutdown has begun: the
+// frame, if one came, is dropped with the connection, as a connection
+// accepted after shutdown is.
+func (s *Server) wake(conn transport.Conn, settled func(bool)) (withinConnCap, open bool) {
+	if settled != nil {
+		settled(false)
+	}
+	s.counters.SessionsActive.Add(1)
+	withinConnCap = s.guard.admitConn()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return withinConnCap, false
+	}
+	s.conns[conn] = false
+	return withinConnCap, true
+}
+
+// closeResting closes every connection waiting between sessions: a drain
+// owes them no grace, since they carry no session.
+func (s *Server) closeResting() {
+	s.mu.Lock()
+	var resting []transport.Conn
+	for c, idle := range s.conns {
+		if idle {
+			resting = append(resting, c)
+		}
+	}
+	s.mu.Unlock()
+	for _, c := range resting {
+		_ = c.Close()
+	}
+}
+
+// serveSession runs the handshake the opening frame payload starts and the
+// request loop of the session it opens. A connection that opened with a
+// stats probe or a restore has no session; handshake has already served it
+// to completion and returns nil for both values. finalized reports a
+// session its client finalized, after which the connection may carry
+// another.
+func (s *Server) serveSession(conn transport.Conn, payload []byte, withinConnCap bool) (finalized bool, err error) {
+	sess, err := s.handshake(conn, payload, withinConnCap)
+	if err != nil || sess == nil {
+		return false, err
 	}
 	s.mu.Lock()
 	sess.conn = conn
 	s.mu.Unlock()
-	finalized := false
 	defer func() {
 		// sess.schedClass is handler-goroutine-owned and this defer runs on
 		// that goroutine, so it sees any mid-life hello re-class.
@@ -619,9 +719,9 @@ func (s *Server) serveSession(conn transport.Conn, withinConnCap bool) error {
 		payload, landed, _, err := transport.RecvLanding(conn, sess)
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, transport.ErrClosed) {
-				return nil // client went away; resources released by defer
+				return false, nil // client went away; resources released by defer
 			}
-			return fmt.Errorf("rcuda: recv: %w", err)
+			return false, fmt.Errorf("rcuda: recv: %w", err)
 		}
 		var req protocol.Request
 		if landed != nil {
@@ -630,7 +730,7 @@ func (s *Server) serveSession(conn transport.Conn, withinConnCap bool) error {
 			req, err = sess.dec.Decode(payload)
 		}
 		if err != nil {
-			return fmt.Errorf("rcuda: malformed request: %w", err)
+			return false, fmt.Errorf("rcuda: malformed request: %w", err)
 		}
 		s.counters.Requests.Add(1)
 		dev := sess.cur
@@ -645,7 +745,7 @@ func (s *Server) serveSession(conn transport.Conn, withinConnCap bool) error {
 				kind = schedKinds[k]
 				fl = sess.flowOn(dev)
 				if aerr := s.queues[dev].Acquire(fl, s.costs[dev].Estimate(kind, bytes), s.doneCh); aerr != nil {
-					return aerr
+					return false, aerr
 				}
 			}
 		}
@@ -682,11 +782,10 @@ func (s *Server) serveSession(conn transport.Conn, withinConnCap bool) error {
 			s.devBusy[dev].Add(int64(busy))
 		}
 		if err != nil {
-			return err
+			return false, err
 		}
 		if reply == nil {
-			finalized = true
-			return nil
+			return true, nil
 		}
 	}
 }
@@ -826,11 +925,7 @@ func refuseBusy(conn transport.Conn, reattach bool) error {
 // it resolves the client's GPU module and loads it into a fresh,
 // pre-initialized context on the primary device. The daemon pre-initializes
 // the CUDA environment, so the client does not pay that delay.
-func (s *Server) handshake(conn transport.Conn, withinConnCap bool) (*session, error) {
-	payload, err := conn.Recv()
-	if err != nil {
-		return nil, fmt.Errorf("rcuda: handshake recv: %w", err)
-	}
+func (s *Server) handshake(conn transport.Conn, payload []byte, withinConnCap bool) (*session, error) {
 	// A stats probe is answered before any admission decision: monitoring
 	// must keep working on a server that is refusing new sessions, and a
 	// probe connection never consumes a session slot.

@@ -20,15 +20,21 @@ type SimDaemon struct {
 	clock vclock.Clock
 	noise *netsim.Noise
 
-	handlers sync.WaitGroup
-	mu       sync.Mutex
-	err      error // the first ServeConn error
+	mu      sync.Mutex
+	settled sync.Cond // signalled when busy drops to 0
+	// busy counts the handlers serving a session or a handshake: a handler
+	// that exited, or rests between sessions on a kept connection, is not
+	// busy.
+	busy int
+	err  error // the first ServeConn error
 }
 
 // NewSimDaemon serves srv over pipes on link. The link charges clock, which
 // need not be the clock of srv's devices; a nil noise runs deterministically.
 func NewSimDaemon(srv *Server, link *netsim.Link, clock vclock.Clock, noise *netsim.Noise) *SimDaemon {
-	return &SimDaemon{srv: srv, link: link, clock: clock, noise: noise}
+	d := &SimDaemon{srv: srv, link: link, clock: clock, noise: noise}
+	d.settled.L = &d.mu
+	return d
 }
 
 // Dial makes a pipe and serves its server end on a handler goroutine, which
@@ -36,20 +42,38 @@ func NewSimDaemon(srv *Server, link *netsim.Link, clock vclock.Clock, noise *net
 // WithReconnect dialer as it is.
 func (d *SimDaemon) Dial() (transport.Conn, error) {
 	cliEnd, srvEnd := transport.Pipe(d.link, d.clock, d.noise)
-	d.handlers.Add(1)
+	d.move(1)
 	go func() {
-		defer d.handlers.Done()
-		err := d.srv.ServeConn(srvEnd)
-		_ = srvEnd.Close()
-		if err != nil {
-			d.mu.Lock()
-			if d.err == nil {
-				d.err = err
+		resting := false
+		err := d.srv.serveConn(srvEnd, func(r bool) {
+			resting = r
+			if r {
+				d.move(-1)
+			} else {
+				d.move(1)
 			}
-			d.mu.Unlock()
+		})
+		_ = srvEnd.Close()
+		d.mu.Lock()
+		if err != nil && d.err == nil {
+			d.err = err
+		}
+		d.mu.Unlock()
+		if !resting {
+			d.move(-1)
 		}
 	}()
 	return cliEnd, nil
+}
+
+// move adds n to the busy handlers, waking Wait when none is left.
+func (d *SimDaemon) move(n int) {
+	d.mu.Lock()
+	d.busy += n
+	if d.busy == 0 {
+		d.settled.Broadcast()
+	}
+	d.mu.Unlock()
 }
 
 // Open dials the daemon and opens a session on the new connection, closing
@@ -63,14 +87,17 @@ func (d *SimDaemon) Open(module []byte, opts ...ClientOption) (*Client, error) {
 	return client, err
 }
 
-// Wait returns once every handler the daemon started has exited: the first
-// ServeConn error, or else an error naming a device of the server that still
-// holds memory. Close the clients first; a handler serves until its client
-// finalizes or goes away.
+// Wait returns once every handler the daemon started has exited or rests
+// between sessions on a kept connection, its last session released: the
+// first ServeConn error, or else an error naming a device of the server
+// that still holds memory. Close or release the clients first; a handler
+// serves until its client finalizes or goes away.
 func (d *SimDaemon) Wait() error {
-	d.handlers.Wait()
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	for d.busy > 0 {
+		d.settled.Wait()
+	}
 	if d.err != nil {
 		return d.err
 	}

@@ -15,16 +15,18 @@ import (
 // ServerCounts declares the daemon's cumulative counters once: ServerStats
 // is its snapshot and Server adds to a ServerCounts[atomic.Int64].
 type ServerCounts[T any] struct {
-	// SessionsStarted counts accepted client sessions, including ones
-	// that failed the handshake.
+	// SessionsStarted counts handshakes: the opening frames connections
+	// carried — one per session of a kept connection, one per stats probe
+	// or restore connection — including ones that failed or were refused.
 	SessionsStarted T
 	// SessionsActive counts connections currently being served: sessions,
 	// handshakes waiting for admission and stats probe connections alike.
+	// A connection a client kept, waiting between sessions, is not one.
 	SessionsActive T
 	// Requests counts post-handshake requests across all sessions.
 	Requests T
 	// BytesReceived and BytesSent count Table I payload bytes across all
-	// sessions, including the handshake.
+	// sessions, including the handshake, added as each session ends.
 	BytesReceived T
 	BytesSent     T
 	// Reattaches counts connections that resumed a parked durable session.
@@ -42,13 +44,16 @@ type ServerCounts[T any] struct {
 	// quota (WithSessionMemoryLimit, WithMaxAllocsPerSession).
 	QuotaDenials T
 	// WatchdogKills counts connections killed because a transport
-	// operation overran the request deadline (WithRequestDeadline).
+	// operation overran the request deadline (WithRequestDeadline). A kept
+	// connection the watchdog closes between sessions, with no session to
+	// lose, is not one.
 	WatchdogKills T
 	// Evictions counts parked durable sessions destroyed by the TTL
 	// garbage collector (WithParkedSessionTTL).
 	Evictions T
 	// ForcedCloses counts connections force-closed because a drain or
-	// Close deadline expired before they finished.
+	// Close deadline expired before they finished. A drain closes a
+	// connection waiting between sessions at once and does not count it.
 	ForcedCloses T
 	// StatsQueries counts StatsQuery requests answered, both broker health
 	// probes and in-session queries.

@@ -273,6 +273,9 @@ type TCPConn struct {
 	br        *bufio.Reader // pooled; see recvState for who may touch it
 	recvState atomic.Int32  // recvActive | recvClosed
 	opTimeout atomic.Int64  // nanoseconds; 0 disables deadlines
+	// readArmed and writeArmed record a deadline the direction's last
+	// operation set, each touched only by that direction's goroutine.
+	readArmed, writeArmed bool
 
 	fw       protocol.FrameWriter // send-side framing state, reused across Sends
 	lastRecv []byte               // previous Recv's pooled payload buffer; see recvBuffer
@@ -341,9 +344,10 @@ func (t *TCPConn) releaseReader() {
 
 // SetOpTimeout bounds every subsequent Send and Recv individually; a hung
 // peer then surfaces as a deadline error instead of blocking the
-// application forever. Zero (the default) disables deadlines. Safe to call
-// concurrently with in-flight operations; it affects operations started
-// afterwards.
+// application forever. Zero (the default) disables deadlines: the next
+// operation of each direction clears the deadline the last one set, once.
+// Safe to call concurrently with in-flight operations; it affects
+// operations started afterwards.
 func (t *TCPConn) SetOpTimeout(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -351,13 +355,35 @@ func (t *TCPConn) SetOpTimeout(d time.Duration) {
 	t.opTimeout.Store(int64(d))
 }
 
-// armDeadline applies the per-op deadline via the given setter.
-func (t *TCPConn) armDeadline(set func(time.Time) error) error {
+// armRead and armWrite set their direction's per-op deadline while a
+// timeout is set. With none set they call no setter — each call takes the
+// poller's lock — except once after SetOpTimeout(0), to clear the deadline
+// the direction's last operation set.
+func (t *TCPConn) armRead() error {
+	if d, ok := t.deadline(&t.readArmed); ok {
+		return t.c.SetReadDeadline(d)
+	}
+	return nil
+}
+
+func (t *TCPConn) armWrite() error {
+	if d, ok := t.deadline(&t.writeArmed); ok {
+		return t.c.SetWriteDeadline(d)
+	}
+	return nil
+}
+
+// deadline returns the deadline the next operation of the direction whose
+// record armed is must set, false when it must set none.
+func (t *TCPConn) deadline(armed *bool) (time.Time, bool) {
 	d := time.Duration(t.opTimeout.Load())
 	if d == 0 {
-		return set(time.Time{})
+		set := *armed
+		*armed = false
+		return time.Time{}, set
 	}
-	return set(time.Now().Add(d))
+	*armed = true
+	return time.Now().Add(d), true
 }
 
 // Send implements Conn. Segmented messages (bulk memcpy payloads) are
@@ -365,7 +391,7 @@ func (t *TCPConn) armDeadline(set func(time.Time) error) error {
 // caller's slice to the socket without an intermediate copy; everything
 // else is framed into a reused scratch buffer.
 func (t *TCPConn) Send(m protocol.Message) error {
-	if err := t.armDeadline(t.c.SetWriteDeadline); err != nil {
+	if err := t.armWrite(); err != nil {
 		return err
 	}
 	if err := t.fw.WriteFrame(t.c, m); err != nil {
@@ -378,7 +404,7 @@ func (t *TCPConn) Send(m protocol.Message) error {
 // SendPair implements PairSender: both frames leave in the single (vectored)
 // write Send makes for first alone.
 func (t *TCPConn) SendPair(first, next protocol.Message) error {
-	if err := t.armDeadline(t.c.SetWriteDeadline); err != nil {
+	if err := t.armWrite(); err != nil {
 		return err
 	}
 	if err := t.fw.WriteFrames(t.c, first, next); err != nil {
@@ -403,7 +429,7 @@ func (t *TCPConn) RecvLanding(l Lander) (payload, landed []byte, at time.Duratio
 	if t.recvState.Add(recvActive)&recvClosed != 0 {
 		// Started after Close: the reader is gone. The socket says why.
 		t.recvState.Add(-recvActive)
-		if err = t.armDeadline(t.c.SetReadDeadline); err == nil {
+		if err = t.armRead(); err == nil {
 			err = net.ErrClosed
 		}
 		return nil, nil, NoArrival, err
@@ -461,7 +487,7 @@ func (t *TCPConn) frameBuffer(n int) (buf []byte, own bool) {
 
 // recvFrame is one receive on a reader this goroutine holds.
 func (t *TCPConn) recvFrame(l Lander) (payload, landed []byte, err error) {
-	if err := t.armDeadline(t.c.SetReadDeadline); err != nil {
+	if err := t.armRead(); err != nil {
 		return nil, nil, err
 	}
 	// Peek the header through bufio instead of reading it into a local
@@ -556,7 +582,7 @@ func (t *TCPConn) sendTruncated(m protocol.Message, keep int) error {
 	if err != nil {
 		return err
 	}
-	if err := t.armDeadline(t.c.SetWriteDeadline); err != nil {
+	if err := t.armWrite(); err != nil {
 		return err
 	}
 	if keep < 0 {
@@ -581,7 +607,7 @@ func (t *TCPConn) sendSplit(m protocol.Message, firstN int) error {
 	if err != nil {
 		return err
 	}
-	if err := t.armDeadline(t.c.SetWriteDeadline); err != nil {
+	if err := t.armWrite(); err != nil {
 		return err
 	}
 	if firstN <= 0 || firstN >= len(buf) {
