@@ -14,12 +14,12 @@ help:
 	@echo "  build        compile and vet everything (plus an arm64 cross-vet of blas/kernels/gpu and a check that the arm64 code of blas/fft/kernels fuses no multiply-add)"
 	@echo "  test         run all tests, including the Example programs of example_test.go, whose printed output is compared"
 	@echo "  race         run all tests under the race detector"
-	@echo "  verify       tier-1 gate: build + test + vet + race on data path, broker, workloads, report, device service (blas/kernels/gpu/cudart), vclock, calib, stats, perfmodel, contention, cluster, trace, event loop (des), the commands (cmd/...) + chaos suite + the synctest bubble check + one pass of the device-service, placer, load-generator, event-loop (hold and renewal), workload and cluster benchmarks"
+	@echo "  verify       tier-1 gate: build + test + vet + race on data path, broker, workloads, report, device service (blas/kernels/gpu/cudart), vclock, calib, stats, perfmodel, contention, cluster, trace, event loop (des), the commands (cmd/...), the chaos suite's packages (faults included, so every chaos test runs under race once) + the synctest bubble check + one pass of the device-service, placer, load-generator, event-loop (hold and renewal), workload and cluster benchmarks"
 	@echo "  bubble       the wall clock inside a testing/synctest bubble must read what the simulated clock reads, to the nanosecond, and a realtime session beside a 16 MiB copier must wait at most one PCIe read for its scheduler grant (GOEXPERIMENT=synctest)"
 	@echo "  lint         go vet + rcuda-vet invariant analyzers + gofmt diff check"
 	@echo "  vet          rcuda-vet only: seededrand/wiremsg/locknet/errcode invariants"
 	@echo "  loc          non-blank, non-comment, non-test Go lines per package (the count 'smaller' claims cite), the test lines outside bench/, and the non-test total outside bench/"
-	@echo "  chaos        fault-injection suite (scripted + 50 seeded plans), the broker's server-kill and failover runs, the typed-refusal checks of durable opens whose hello is in flight (loopback TCP; the broker must spill, not mark down) and the kept-connection faults (daemon restart or gone, watchdog, drain; loopback TCP and simulated pipes), under -race"
+	@echo "  chaos        fault-injection suite (scripted + 50 seeded plans), the broker's server-kill and failover runs, the typed-refusal checks of durable opens whose hello is in flight (loopback TCP; the broker must spill, not mark down) and the kept-connection faults (daemon restart or gone, watchdog, drain; loopback TCP and simulated pipes), under -race; a target of its own, since verify's race line runs these tests already"
 	@echo "  migrate-chaos  live-migration suite: source killed at every protocol phase, the pinned checkpoint bytes, the session-state table and the TTL-vs-claim check, under -race"
 	@echo "  soak         10k mixed ops at ~1% fault rate, leak-checked, under -race"
 	@echo "  bench        run all benchmarks"
@@ -83,8 +83,10 @@ loc:
 # concurrent data-path packages (wire codec, transport framing, middleware
 # streaming + batching, pool broker + its autoscaler, the scale harness, the
 # full-stack workloads, the report and the root package, which run the
-# simulated deployment) under the race detector, and the deterministic
-# fault-injection suite. The device-service packages ride along for
+# simulated deployment) under the race detector. The deterministic
+# fault-injection suite runs there once: its packages (faults among them)
+# are in the -race line, so verify does not also run `make chaos`, which
+# stays a target of its own. The device-service packages ride along for
 # checkptr, which -race turns on: kernels view device memory through the one
 # unsafe conversion, and their misaligned, overlapping and end-of-allocation
 # cases must pass it. The simulated clock and the calibrated cost tables
@@ -106,8 +108,8 @@ loc:
 # scheduler (BenchmarkSimulate64Jobs, BenchmarkGenerateTrace) runs once, so
 # the in-package witnesses DESIGN.md cites keep compiling and running.
 # The bubble check (below) rides along.
-verify: build test vet chaos bubble
-	$(GO) test -race ./internal/protocol/... ./internal/transport/... ./internal/rcuda/... ./internal/broker/... ./internal/sched/... ./internal/loadgen/... ./internal/workload/... \
+verify: build test vet bubble
+	$(GO) test -race ./internal/protocol/... ./internal/transport/... ./internal/rcuda/... ./internal/faults/... ./internal/broker/... ./internal/sched/... ./internal/loadgen/... ./internal/workload/... \
 		./internal/report/... . \
 		./internal/blas/... ./internal/kernels/... ./internal/gpu/... ./internal/cudart/... \
 		./internal/vclock/... ./internal/calib/... ./internal/stats/... \

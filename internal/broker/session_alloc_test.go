@@ -46,9 +46,9 @@ func closeChurnPool(t *testing.T, pool *Pool, daemons [2]*rcuda.SimDaemon) {
 }
 
 // maxSessionCycleAllocs bounds TestSessionCycleAllocs: the 18 allocations
-// it reads, plus 3. It read 44 when every session dialed its own
+// it reads, plus 1. It read 44 when every session dialed its own
 // connection, and 110 before that.
-const maxSessionCycleAllocs = 21
+const maxSessionCycleAllocs = 19
 
 // TestSessionCycleAllocs counts what a broker session costs from open to
 // close, both ends: a cycle opens a session on each daemon of the pool,

@@ -12,6 +12,7 @@ import (
 
 	"rcuda/internal/calib"
 	"rcuda/internal/protocol"
+	"rcuda/internal/raceflag"
 	"rcuda/internal/transport"
 )
 
@@ -168,6 +169,85 @@ func TestOpenCloseBytesGate(t *testing.T) {
 	t.Logf("open+close: %d bytes", perOpen)
 	if perOpen >= 16<<10 {
 		t.Errorf("open+close allocates %d bytes, want under %d", perOpen, 16<<10)
+	}
+}
+
+// idleSocketSessionBytes and restingSocketBytes are the heap
+// TestIdleSocketFootprint reads per idle session and per resting kept
+// connection, both ends (3 251–3 257 B and 1 987–1 993 B over seven runs);
+// the test fails 30 % above either. When each end of a connection kept a
+// 64 KiB socket reader for life they read 134 386 B and 133 122 B.
+const (
+	idleSocketSessionBytes = 3257
+	restingSocketBytes     = 1993
+)
+
+// TestIdleSocketFootprint is TestIdleSessionFootprint over loopback TCP:
+// 1 000 sessions opened on a server in this process and left idle, then
+// released so that their connections rest, kept for the next session. It
+// reports the heap both ends retain per connection after a collection, and
+// fails when a change makes either figure grow more than 30 %: what a
+// daemon spends on a client that is connected but quiet bounds how many
+// tenants it can take.
+func TestIdleSocketFootprint(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector changes what a connection allocates")
+	}
+	const n = 1000
+	lb := startLoopback(t, nil)
+	defer lb.stop()
+	module := moduleImage(t, calib.MM)
+	// Two collections each time: the first moves the frame-buffer pool's
+	// contents to its victim cache, the second drops them.
+	var stacks [3]float64
+	heap := func(stack *float64) float64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		*stack = float64(m.StackInuse)
+		return float64(m.HeapAlloc)
+	}
+	before := heap(&stacks[0])
+	clients := make([]*Client, 0, n)
+	for i := 0; i < n; i++ {
+		conn, err := transport.DialTCP(lb.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Open(conn, module)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A round trip: the server has read the hello and waits for the
+		// next request.
+		if err := c.DeviceSynchronize(); err != nil {
+			t.Fatal(err)
+		}
+		clients = append(clients, c)
+	}
+	idle := (heap(&stacks[1]) - before) / n
+	conns := make([]transport.Conn, 0, n)
+	for _, c := range clients {
+		conn, err := c.Release()
+		if err != nil || conn == nil {
+			t.Fatalf("release: %v, connection %v", err, conn)
+		}
+		conns = append(conns, conn)
+	}
+	clients = nil
+	waitFor(t, "every connection to rest", 10*time.Second, func() bool { return lb.srv.Stats().SessionsActive == 0 })
+	resting := (heap(&stacks[2]) - before) / n
+	for _, conn := range conns {
+		_ = conn.Close()
+	}
+	t.Logf("per connection, both ends: an idle session retains %.0f B of heap (committed: %d B) and %.0f B of stacks, a resting connection %.0f B (committed: %d B) and %.0f B",
+		idle, idleSocketSessionBytes, (stacks[1]-stacks[0])/n, resting, restingSocketBytes, (stacks[2]-stacks[0])/n)
+	if limit := 1.3 * idleSocketSessionBytes; idle > limit {
+		t.Errorf("an idle session over TCP retains %.0f B, want at most %.0f B (%d B + 30 %%)", idle, limit, idleSocketSessionBytes)
+	}
+	if limit := 1.3 * restingSocketBytes; resting > limit {
+		t.Errorf("a resting connection retains %.0f B, want at most %.0f B (%d B + 30 %%)", resting, limit, restingSocketBytes)
 	}
 }
 

@@ -17,32 +17,39 @@ import (
 // tcpPair returns two connected TCPConns over a real loopback socket.
 func tcpPair(t *testing.T) (a, b *TCPConn) {
 	t.Helper()
+	ca, cb := socketPair(t)
+	a, b = NewTCPConn(ca), NewTCPConn(cb)
+	t.Cleanup(func() { _ = a.Close(); _ = b.Close() })
+	return a, b
+}
+
+// socketPair is a connected pair of loopback sockets: dialed, accepted.
+func socketPair(t *testing.T) (dialed, accepted net.Conn) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	accepted := make(chan net.Conn, 1)
+	got := make(chan net.Conn, 1)
 	go func() {
 		c, err := ln.Accept()
 		if err != nil {
 			t.Error(err)
-			close(accepted)
+			close(got)
 			return
 		}
-		accepted <- c
+		got <- c
 	}()
-	ca, err := net.Dial("tcp", ln.Addr().String())
+	dialed, err = net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, ok := <-accepted
+	accepted, ok := <-got
 	if !ok {
 		t.Fatal("accept failed")
 	}
-	a, b = NewTCPConn(ca), NewTCPConn(cb)
-	t.Cleanup(func() { _ = a.Close(); _ = b.Close() })
-	return a, b
+	return dialed, accepted
 }
 
 // TestFaultyConnInjectsReset drives a scripted reset and checks the typed

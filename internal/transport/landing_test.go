@@ -98,18 +98,17 @@ func TestLandingReassemblesWhatRecvReturns(t *testing.T) {
 
 			sa, ra := mk()
 			go send(sa)
-			var prev []byte
 			for i, f := range frames {
 				before := poolRequests(ra)
+				kept, header := keptRecv(ra)
 				got, err := ra.Recv()
 				if err != nil || !bytes.Equal(got, f) {
 					t.Fatalf("%s seed %d: frame %d received whole: %v", name, seed, i, err)
 				}
-				if !poolRequestsOK(name, prev, len(got), poolRequests(ra)-before) {
+				if !poolRequestsOK(name, kept, header, len(got), poolRequests(ra)-before) {
 					t.Fatalf("%s seed %d: frame %d of %d bytes after a %d-byte buffer: %d pool requests",
-						name, seed, i, len(got), cap(prev), poolRequests(ra)-before)
+						name, seed, i, len(got), kept, poolRequests(ra)-before)
 				}
-				prev = got
 			}
 
 			sb, rb := mk()
@@ -126,10 +125,10 @@ func TestLandingReassemblesWhatRecvReturns(t *testing.T) {
 				}
 			}}
 			offered := 0
-			prev = nil
 			for i, f := range frames {
 				lander.mem = nil
 				before, requested := lander.asked, poolRequests(rb)
+				kept, header := keptRecv(rb)
 				payload, landed, _, err := rb.(LandingReceiver).RecvLanding(lander)
 				if err != nil {
 					t.Fatalf("%s seed %d: frame %d: %v", name, seed, i, err)
@@ -150,11 +149,10 @@ func TestLandingReassemblesWhatRecvReturns(t *testing.T) {
 					t.Fatalf("%s seed %d: frame %d (%d bytes, head %d, landed %d) does not reassemble",
 						name, seed, i, len(f), lander.head, len(landed))
 				}
-				if !poolRequestsOK(name, prev, len(payload), poolRequests(rb)-requested) {
+				if !poolRequestsOK(name, kept, header, len(payload), poolRequests(rb)-requested) {
 					t.Fatalf("%s seed %d: landed frame %d (%d bytes in the buffer) after a %d-byte buffer: %d pool requests",
-						name, seed, i, len(payload), cap(prev), poolRequests(rb)-requested)
+						name, seed, i, len(payload), kept, poolRequests(rb)-requested)
 				}
-				prev = payload
 			}
 			if offered == 0 {
 				t.Fatalf("%s seed %d: no frame reached the lander", name, seed)
@@ -172,17 +170,33 @@ func poolRequests(c Conn) int64 {
 	return st.PoolHits + st.PoolMisses
 }
 
+// keptRecv is the capacity of the receive buffer a connection keeps: the
+// previous receive's buffer. On a socket it must hold the frame's header
+// too, so that the frame can arrive whole in one read.
+func keptRecv(c Conn) (capacity, header int) {
+	if f, ok := c.(*FaultyConn); ok {
+		c = f.inner
+	}
+	switch c := c.(type) {
+	case *TCPConn:
+		return cap(c.lastRecv), protocol.FrameHeaderSize
+	case *PipeEnd:
+		return cap(c.lastRecv), 0
+	}
+	panic(fmt.Sprintf("keptRecv: %T", c))
+}
+
 // poolRequestsOK is the receive-buffer rule: a receive that puts need bytes
-// in a buffer asks the pool for one exactly when the previous receive's
-// buffer, prev, is too small for them or too big to keep — except on the
+// in a buffer asks the pool for one exactly when the kept buffer, of
+// capacity kept, is too small for them or too big to keep — except on the
 // simulated pipe, where a frame that did not travel by reference arrives in
-// the sender's buffer and asks for none, and for a socket's frame of at
-// most smallRecv bytes, which goes to the connection's own storage then.
-func poolRequestsOK(name string, prev []byte, need int, requests int64) bool {
+// the sender's buffer and asks for none, and for a socket's frame that fits
+// idleRecv with its header, which goes to the connection's own storage then.
+func poolRequestsOK(name string, kept, header, need int, requests int64) bool {
 	if strings.HasSuffix(name, "pipe") {
 		return requests == 0
 	}
-	if need <= cap(prev) && cap(prev) <= keepRecv || need <= smallRecv {
+	if header+need <= kept && kept <= keepRecv || header+need <= idleRecv {
 		return requests == 0
 	}
 	return requests == 1

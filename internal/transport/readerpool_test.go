@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"rcuda/internal/protocol"
 )
 
 // stampedFrame is a frame that can be checked on its own: its length, then
@@ -103,49 +105,126 @@ func TestCloseDuringReceive(t *testing.T) {
 	}
 }
 
-// TestPooledReaderDoesNotBleed: the peer writes two frames and closes; the
-// connection reads one and closes with the second still in its reader. The
-// connection that gets that reader next sees its own bytes and its own EOF.
+// TestPooledReaderDoesNotBleed: the peer writes two frames in one write and
+// closes; the connection reads one, which leaves the second in its borrowed
+// reader, and closes. The connection that borrows that reader next sees its
+// own bytes and its own EOF.
 func TestPooledReaderDoesNotBleed(t *testing.T) {
-	// The pool may hand the reader to another P or (under the race detector)
-	// drop it; the scenario is repeated until the reader does come back.
+	// A receiver left running by another test may borrow the released
+	// reader first; the scenario is repeated until it comes back here.
 	for attempt := 0; attempt < 50; attempt++ {
 		a, b := tcpPair(t)
-		for _, f := range [][]byte{stampedFrame(0xAA, 100), stampedFrame(0xBB, 100)} {
-			if err := a.Send(rawFrame(f)); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := SendPair(a, rawFrame(stampedFrame(0xAA, 100)), rawFrame(stampedFrame(0xBB, 100))); err != nil {
+			t.Fatal(err)
 		}
 		_ = a.Close()
 		if p, err := b.Recv(); err != nil || !wholeStamped(p, 0xAA) {
 			t.Fatalf("first frame: %d bytes, %v", len(p), err)
 		}
-		if _, err := b.br.Peek(1); err != nil {
-			t.Fatalf("second frame never reached the reader: %v", err)
+		if b.br == nil || b.br.Buffered() == 0 {
+			t.Fatal("the second frame is not buffered in a borrowed reader")
 		}
 		stale := b.br
 		_ = b.Close()
 
 		c, d := tcpPair(t)
-		send, recv := c, d
-		switch stale {
-		case d.br:
-		case c.br:
-			send, recv = d, c
-		default:
-			continue
-		}
-		if err := send.Send(rawFrame(stampedFrame(0xCC, 100))); err != nil {
+		if _, err := SendPair(c, rawFrame(stampedFrame(0xCC, 100)), rawFrame(stampedFrame(0xDD, 100))); err != nil {
 			t.Fatal(err)
 		}
-		_ = send.Close()
-		if p, err := recv.Recv(); err != nil || !wholeStamped(p, 0xCC) {
-			t.Fatalf("reused reader: %d bytes, %v, want the new connection's frame", len(p), err)
+		_ = c.Close()
+		if p, err := d.Recv(); err != nil || !wholeStamped(p, 0xCC) {
+			t.Fatalf("reused reader: %d bytes, %v, want the new connection's first frame", len(p), err)
 		}
-		if p, err := recv.Recv(); err != io.EOF {
+		if d.br != stale {
+			continue
+		}
+		if p, err := d.Recv(); err != nil || !wholeStamped(p, 0xDD) {
+			t.Fatalf("reused reader: %d bytes, %v, want the new connection's second frame", len(p), err)
+		}
+		if p, err := d.Recv(); err != io.EOF {
 			t.Fatalf("reused reader: %d bytes, %v after the peer closed, want io.EOF", len(p), err)
 		}
 		return
 	}
-	t.Fatal("the pool never handed the released reader to the next connection; nothing was tested")
+	t.Fatal("the released reader was never lent to the next connection; nothing was tested")
+}
+
+// readCounter counts the reads of the socket it wraps.
+type readCounter struct {
+	net.Conn
+	reads int
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	c.reads++
+	return c.Conn.Read(p)
+}
+
+// TestIdleReceiveHoldsNoReader: a connection holds a reader only while a
+// frame is unfinished or buffered. A frame that fits the storage the
+// connection keeps arrives in exactly one read of the socket, into that
+// storage; one that does not borrows a reader, which a receive that leaves
+// nothing buffered gives back. An init+hello pair sent in one write keeps
+// the reader from the init until the hello is read.
+func TestIdleReceiveHoldsNoReader(t *testing.T) {
+	dialed, accepted := socketPair(t)
+	a := NewTCPConn(dialed)
+	sock := &readCounter{Conn: accepted}
+	b := NewTCPConn(sock)
+	t.Cleanup(func() { _ = a.Close(); _ = b.Close() })
+	if b.br != nil {
+		t.Fatal("a new connection holds a reader")
+	}
+	recv := func(what string, id byte, n, wantReads int) {
+		t.Helper()
+		before := sock.reads
+		p, err := b.Recv()
+		if err != nil || !wholeStamped(p, id) || len(p) != n {
+			t.Fatalf("%s: %d bytes, %v", what, len(p), err)
+		}
+		if b.br != nil {
+			t.Fatalf("%s: the receive left nothing buffered but kept its reader", what)
+		}
+		if got := sock.reads - before; wantReads > 0 && got != wantReads {
+			t.Fatalf("%s: %d reads of the socket, want %d", what, got, wantReads)
+		}
+	}
+	send := func(id byte, n int) {
+		t.Helper()
+		if err := a.Send(rawFrame(stampedFrame(id, n))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A frame that fits the connection's own storage, header and all.
+	small := idleRecv - protocol.FrameHeaderSize
+	send(1, small)
+	recv("small frame", 1, small, 1)
+	// A bigger frame borrows a reader the first time; its buffer is kept,
+	// so the next frame of its size arrives in one read.
+	send(2, 1000)
+	recv("first 1000-byte frame", 2, 1000, 0)
+	for i := 0; i < 3; i++ {
+		send(3, 1000)
+		recv("next 1000-byte frame", 3, 1000, 1)
+		send(4, 10)
+		recv("small frame after it", 4, 10, 1)
+	}
+
+	// The pair: the init's module image is bigger than any storage a
+	// connection keeps, and the hello rides behind it.
+	const initSize, helloSize = 21486, 24
+	if _, err := SendPair(a, rawFrame(stampedFrame(5, initSize)), rawFrame(stampedFrame(6, helloSize))); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := b.Recv(); err != nil || !wholeStamped(p, 5) {
+		t.Fatalf("init: %d bytes, %v", len(p), err)
+	}
+	if b.br == nil || b.br.Buffered() != protocol.FrameHeaderSize+helloSize {
+		t.Fatal("the hello is not waiting in the reader the init borrowed")
+	}
+	before := sock.reads
+	recv("hello", 6, helloSize, 0)
+	if sock.reads != before {
+		t.Fatalf("the buffered hello took %d reads of the socket", sock.reads-before)
+	}
 }

@@ -12,14 +12,26 @@ import (
 	"rcuda/internal/protocol"
 )
 
-// streamConn is a net.Conn whose reads come from a fixed byte stream. The
-// receive path touches nothing else of it but deadlines and Close.
+// streamConn is a net.Conn whose reads come from a fixed byte stream, each
+// cut short by its turn of a schedule of read sizes, as a socket's may be.
+// The receive path touches nothing else of it but deadlines and Close.
 type streamConn struct {
 	net.Conn
-	r io.Reader
+	r     io.Reader
+	reads []byte // the most each read returns, in turn; 0 (or none) leaves it whole
+	next  int
 }
 
-func (c *streamConn) Read(p []byte) (int, error)      { return c.r.Read(p) }
+func (c *streamConn) Read(p []byte) (int, error) {
+	if len(c.reads) > 0 {
+		if k := int(c.reads[c.next%len(c.reads)]); k > 0 && k < len(p) {
+			p = p[:k]
+		}
+		c.next++
+	}
+	return c.r.Read(p)
+}
+
 func (c *streamConn) SetReadDeadline(time.Time) error { return nil }
 func (c *streamConn) Close() error                    { return nil }
 
@@ -64,9 +76,10 @@ func splitFrames(stream []byte) (frames [][]byte, end streamEnd) {
 }
 
 // FuzzTCPRecv feeds arbitrary byte streams to the socket receive the daemon
-// and the client run — header peek, MaxFrameSize check, head, landed bytes
-// and tail — once with no Lander and once with one that lands everything
-// past a fuzzed head but a fuzzed tail. Receiving never panics, returns no
+// and the client run — the idle read, header peek, MaxFrameSize check,
+// head, landed bytes and tail — once with no Lander and once with one that
+// lands everything past a fuzzed head but a fuzzed tail, with socket reads
+// cut short by a fuzzed schedule. Receiving never panics, returns no
 // more bytes than remain in the stream, returns exactly the frames of a
 // reference split, ends with io.EOF between frames and ErrTruncatedFrame
 // inside one, and counts in Stats exactly the frames it returned.
@@ -74,19 +87,41 @@ func FuzzTCPRecv(f *testing.F) {
 	var fw protocol.FrameWriter
 	var malloc bytes.Buffer
 	_ = fw.WriteFrame(&malloc, &protocol.MallocRequest{Size: 64})
-	f.Add(malloc.Bytes(), uint8(0))
-	f.Add([]byte{4, 0, 0, 0, 1, 2, 3, 4}, uint8(0))
-	f.Add([]byte{0xff, 0xff, 0xff, 0x7f}, uint8(0))
+	f.Add(malloc.Bytes(), uint8(0), []byte(nil))
+	f.Add([]byte{4, 0, 0, 0, 1, 2, 3, 4}, uint8(0), []byte(nil))
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f}, uint8(0), []byte(nil))
 	// A frame big enough to be offered to the Lander, then one cut short.
 	bulk := binary.LittleEndian.AppendUint32(nil, LandFloor+8)
 	bulk = append(bulk, make([]byte, LandFloor+8)...)
-	f.Add(append(bulk, 16, 0, 0, 0, 1, 2, 3), uint8(45))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint8(0))
+	f.Add(append(bulk, 16, 0, 0, 0, 1, 2, 3), uint8(45), []byte(nil))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint8(0), []byte(nil))
 
-	f.Fuzz(func(t *testing.T, stream []byte, head uint8) {
+	frame := func(n int) []byte {
+		return append(binary.LittleEndian.AppendUint32(nil, uint32(n)), bytes.Repeat([]byte{byte(n)}, n)...)
+	}
+	cat := func(fs ...[]byte) []byte { return bytes.Join(fs, nil) }
+	// Frames exactly the size of the storage an idle read fills, one byte
+	// under and one over: the connection's own, then the 256-byte buffer
+	// kept from a 200-byte frame, which the schedule reads whole so that
+	// the reader it borrowed goes back.
+	own, kept := idleRecv-protocol.FrameHeaderSize, 256-protocol.FrameHeaderSize
+	for _, d := range []int{0, -1, 1} {
+		f.Add(cat(frame(own+d), frame(own+d)), uint8(0), []byte(nil))
+		f.Add(cat(frame(200), frame(kept+d), frame(kept+d)), uint8(0), []byte{idleRecv, 204 - idleRecv, 0})
+	}
+	// Two frames in one read.
+	f.Add(cat(frame(10), frame(20)), uint8(0), []byte(nil))
+	// A header split across reads.
+	f.Add(cat(frame(10), frame(300)), uint8(0), []byte{2, 3, 0})
+	// A truncation inside the first read.
+	f.Add(frame(100)[:40], uint8(0), []byte(nil))
+	// An oversized header inside the first read.
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3}, uint8(0), []byte(nil))
+
+	f.Fuzz(func(t *testing.T, stream []byte, head uint8, reads []byte) {
 		frames, end := splitFrames(stream)
 		for _, landing := range []bool{false, true} {
-			c := NewTCPConn(&streamConn{r: bytes.NewReader(stream)})
+			c := NewTCPConn(&streamConn{r: bytes.NewReader(stream), reads: reads})
 			var l Lander
 			var sl *scriptLander
 			if landing {

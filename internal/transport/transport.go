@@ -270,16 +270,16 @@ func isStreamEnd(err error) bool {
 type TCPConn struct {
 	counters
 	c         net.Conn
-	br        *bufio.Reader // pooled; see recvState for who may touch it
-	recvState atomic.Int32  // recvActive | recvClosed
-	opTimeout atomic.Int64  // nanoseconds; 0 disables deadlines
+	br        *lentReader  // on loan from readers, else nil; see recvState for who may touch it
+	recvState atomic.Int32 // recvActive | recvClosed
+	opTimeout atomic.Int64 // nanoseconds; 0 disables deadlines
 	// readArmed and writeArmed record a deadline the direction's last
 	// operation set, each touched only by that direction's goroutine.
 	readArmed, writeArmed bool
 
 	fw       protocol.FrameWriter // send-side framing state, reused across Sends
-	lastRecv []byte               // previous Recv's pooled payload buffer; see recvBuffer
-	small    [smallRecv]byte      // payload of a small frame; see frameBuffer
+	lastRecv []byte               // kept receive buffer; see recvBuffer and recvIdle
+	idle     [idleRecv]byte       // a small frame, header and all; see recvIdle
 }
 
 var (
@@ -317,29 +317,94 @@ func NewTCPConn(c net.Conn) *TCPConn {
 		// middleware must not depend on it.)
 		_ = tc.SetNoDelay(true)
 	}
-	br := readerPool.Get().(*bufio.Reader)
-	br.Reset(c)
-	return &TCPConn{c: c, br: br}
+	return &TCPConn{c: c}
 }
 
-// readerPool holds the LandFloor-sized socket readers of closed connections.
-// A reader belongs to its connection's receiving goroutine and goes back
-// exactly once: recvState's two bits decide whether Close returns it (no
-// receive in flight) or the receive that Close interrupted does, on its way
-// out. Nothing reads t.br after that.
-var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, LandFloor) }}
+// readers lends the LandFloor-sized socket readers. A connection borrows one
+// only for a receive its own storage cannot finish in one read (see
+// recvIdle) and gives it back when a receive leaves nothing buffered, so a
+// resting connection holds none. While lent, a reader belongs to its
+// connection's receiving goroutine and goes back exactly once: by that
+// receive, or after Close, where recvState's two bits decide whether Close
+// returns it (no receive in flight) or the receive that Close interrupted
+// does, on its way out. Nothing reads t.br after that.
+//
+// The list is a bounded stack, not a sync.Pool: readers are lent per frame,
+// and a pool would lose them to every GC cycle and strand them in one P's
+// private slot.
+var readers struct {
+	sync.Mutex
+	free [maxFreeReaders]*lentReader
+	n    int
+}
+
+// maxFreeReaders bounds the readers kept for the next loan: 1 MiB. A
+// reader given back to a full list is left to the GC.
+const maxFreeReaders = 16
+
+// lentReader is a socket reader on loan to one connection.
+type lentReader struct {
+	*bufio.Reader
+	src prefixed
+}
+
+// prefixed is what a lent reader reads: first the bytes the connection's
+// idle read already took from the socket, then the socket.
+type prefixed struct {
+	pre []byte
+	c   net.Conn
+}
+
+func (p *prefixed) Read(b []byte) (int, error) {
+	if len(p.pre) > 0 {
+		n := copy(b, p.pre)
+		p.pre = p.pre[n:]
+		return n, nil
+	}
+	return p.c.Read(b)
+}
+
+// lendReader takes a reader from the list, or makes one, for socket c whose
+// next bytes are pre. pre is in the reader's buffer when it returns, so its
+// storage is free for the frame.
+func lendReader(c net.Conn, pre []byte) *lentReader {
+	readers.Lock()
+	var r *lentReader
+	if readers.n > 0 {
+		readers.n--
+		r, readers.free[readers.n] = readers.free[readers.n], nil
+	}
+	readers.Unlock()
+	if r == nil {
+		r = new(lentReader)
+		r.Reader = bufio.NewReaderSize(&r.src, LandFloor)
+	}
+	r.src = prefixed{pre: pre, c: c}
+	_, _ = r.Peek(len(pre)) // one Read of r.src, which cannot fail
+	return r
+}
 
 const (
 	recvActive int32 = 1 << iota // a RecvLanding is between its two atomic updates
 	recvClosed                   // Close has run
 )
 
-// releaseReader hands the reader back, holding neither the dead socket nor
-// any byte of it.
+// releaseReader gives the connection's reader back, if it holds one, and
+// the reader holds neither the socket nor any byte of it.
 func (t *TCPConn) releaseReader() {
-	t.br.Reset(nil)
-	readerPool.Put(t.br)
+	r := t.br
+	if r == nil {
+		return
+	}
 	t.br = nil
+	r.src = prefixed{}
+	r.Reset(&r.src)
+	readers.Lock()
+	if readers.n < maxFreeReaders {
+		readers.free[readers.n] = r
+		readers.n++
+	}
+	readers.Unlock()
 }
 
 // SetOpTimeout bounds every subsequent Send and Recv individually; a hung
@@ -464,32 +529,80 @@ func (c *counters) recvBuffer(last *[]byte, n int) []byte {
 	return c.getBuffer(n)[:n]
 }
 
-// smallRecv bounds the frames a TCPConn receives into storage of its own
-// while it keeps no pooled buffer: every frame but the init of a session
-// that opens, allocates, frees and closes fits, on either end. A
+// idleRecv is the storage a TCPConn reads a frame into while it keeps no
+// buffer: a header and 60 payload bytes. Every frame but the init of a
+// session that opens, allocates, frees and closes fits, on either end. A
 // connection's last pooled buffer never goes back (see Close), so without
-// its own storage every connection would take one from the pool for good —
-// one allocation per connection end.
-const smallRecv = 32
+// storage of its own every connection would take one from the pool for
+// good — one allocation per connection end.
+const idleRecv = protocol.FrameHeaderSize + 60
 
 // frameBuffer returns the buffer for the next frame's n payload bytes and
-// whether it is the connection's own, which never goes to the pool. A small
-// frame goes there unless the kept buffer can take it; any other frame
-// takes recvBuffer's.
+// whether it is the connection's own, which never goes to the pool. A frame
+// that fits t.idle, header and all, goes there unless the kept buffer can
+// take it; any other frame takes recvBuffer's, sized for its header too so
+// that the next frame of its size arrives whole in recvIdle's one read.
 func (t *TCPConn) frameBuffer(n int) (buf []byte, own bool) {
-	if n <= smallRecv && (t.lastRecv == nil || cap(t.lastRecv) > keepRecv) {
+	if protocol.FrameHeaderSize+n <= idleRecv && (t.lastRecv == nil || cap(t.lastRecv) > keepRecv) {
 		PutBuffer(t.lastRecv)
 		t.lastRecv = nil
-		return t.small[:n], true
+		return t.idle[:n], true
 	}
-	return t.recvBuffer(&t.lastRecv, n), false
+	return t.recvBuffer(&t.lastRecv, protocol.FrameHeaderSize+n)[:n], false
 }
 
-// recvFrame is one receive on a reader this goroutine holds.
+// recvFrame is one receive by the connection's receiving goroutine. It
+// holds a reader only while a frame is unfinished or buffered: one that
+// starts with none reads the socket once through recvIdle, and a receive
+// that leaves nothing buffered gives its reader back.
 func (t *TCPConn) recvFrame(l Lander) (payload, landed []byte, err error) {
 	if err := t.armRead(); err != nil {
 		return nil, nil, err
 	}
+	if t.br == nil {
+		var done bool
+		if payload, done, err = t.recvIdle(); done {
+			return payload, nil, err
+		}
+	}
+	payload, landed, err = t.recvBuffered(l)
+	if t.br.Buffered() == 0 {
+		t.releaseReader()
+	}
+	return payload, landed, err
+}
+
+// recvIdle reads the socket once, into the kept buffer or, with none kept,
+// into t.idle. It is done when that read failed or holds exactly one whole
+// frame, which it returns where it lies: no reader and no copy. Any other
+// read — part of a frame, a frame bigger than the storage, more than one
+// frame — goes to a reader borrowed for the rest of the receive. An error
+// that comes with bytes is left for the next read of the socket to report.
+func (t *TCPConn) recvIdle() (payload []byte, done bool, err error) {
+	if cap(t.lastRecv) > keepRecv {
+		PutBuffer(t.lastRecv)
+		t.lastRecv = nil
+	}
+	s := t.idle[:]
+	if t.lastRecv != nil {
+		s = t.lastRecv[:cap(t.lastRecv)]
+	}
+	m, err := t.c.Read(s)
+	if m == 0 && err != nil {
+		return nil, true, err
+	}
+	if m >= protocol.FrameHeaderSize {
+		if n := m - protocol.FrameHeaderSize; binary.LittleEndian.Uint32(s) == uint32(n) {
+			t.onRecv(n)
+			return s[protocol.FrameHeaderSize:m], true, nil
+		}
+	}
+	t.br = lendReader(t.c, s[:m])
+	return nil, false, nil
+}
+
+// recvBuffered is the rest of a receive, read through the reader it holds.
+func (t *TCPConn) recvBuffered(l Lander) (payload, landed []byte, err error) {
 	// Peek the header through bufio instead of reading it into a local
 	// array through the io.Reader interface, which would make the array
 	// escape: one allocation per message.
