@@ -86,7 +86,9 @@ loc:
 # simulated deployment) under the race detector. The deterministic
 # fault-injection suite runs there once: its packages (faults among them)
 # are in the -race line, so verify does not also run `make chaos`, which
-# stays a target of its own. The device-service packages ride along for
+# stays a target of its own. The line runs with -count=1, as chaos does, so
+# a warm test cache cannot serve the seeded plans instead of running them
+# under the detector. The device-service packages ride along for
 # checkptr, which -race turns on: kernels view device memory through the one
 # unsafe conversion, and their misaligned, overlapping and end-of-allocation
 # cases must pass it. The simulated clock and the calibrated cost tables
@@ -109,7 +111,7 @@ loc:
 # the in-package witnesses DESIGN.md cites keep compiling and running.
 # The bubble check (below) rides along.
 verify: build test vet bubble
-	$(GO) test -race ./internal/protocol/... ./internal/transport/... ./internal/rcuda/... ./internal/faults/... ./internal/broker/... ./internal/sched/... ./internal/loadgen/... ./internal/workload/... \
+	$(GO) test -race -count=1 ./internal/protocol/... ./internal/transport/... ./internal/rcuda/... ./internal/faults/... ./internal/broker/... ./internal/sched/... ./internal/loadgen/... ./internal/workload/... \
 		./internal/report/... . \
 		./internal/blas/... ./internal/kernels/... ./internal/gpu/... ./internal/cudart/... \
 		./internal/vclock/... ./internal/calib/... ./internal/stats/... \

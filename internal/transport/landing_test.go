@@ -78,11 +78,14 @@ func TestLandingReassemblesWhatRecvReturns(t *testing.T) {
 			frames := make([][]byte, 40)
 			for i := range frames {
 				n := 1 + rng.Intn(2000)
-				switch rng.Intn(4) {
+				switch rng.Intn(5) {
 				case 0:
 					n = LandFloor + rng.Intn(200<<10)
 				case 1:
 					n = LandFloor - 1 + rng.Intn(3) // straddle the floor
+				case 2:
+					// Straddle the kept bound, with the header and without.
+					n = keepRecv - protocol.FrameHeaderSize + rng.Intn(protocol.FrameHeaderSize+2)
 				}
 				frames[i] = make([]byte, n)
 				rng.Read(frames[i])
@@ -98,17 +101,18 @@ func TestLandingReassemblesWhatRecvReturns(t *testing.T) {
 
 			sa, ra := mk()
 			go send(sa)
+			kept := 0
 			for i, f := range frames {
 				before := poolRequests(ra)
-				kept, header := keptRecv(ra)
 				got, err := ra.Recv()
 				if err != nil || !bytes.Equal(got, f) {
 					t.Fatalf("%s seed %d: frame %d received whole: %v", name, seed, i, err)
 				}
-				if !poolRequestsOK(name, kept, header, len(got), poolRequests(ra)-before) {
+				if !poolRequestsOK(name, kept, len(got), poolRequests(ra)-before) {
 					t.Fatalf("%s seed %d: frame %d of %d bytes after a %d-byte buffer: %d pool requests",
 						name, seed, i, len(got), kept, poolRequests(ra)-before)
 				}
+				kept = keptAfter(t, name, ra, kept, len(got))
 			}
 
 			sb, rb := mk()
@@ -125,10 +129,10 @@ func TestLandingReassemblesWhatRecvReturns(t *testing.T) {
 				}
 			}}
 			offered := 0
+			kept = 0
 			for i, f := range frames {
 				lander.mem = nil
 				before, requested := lander.asked, poolRequests(rb)
-				kept, header := keptRecv(rb)
 				payload, landed, _, err := rb.(LandingReceiver).RecvLanding(lander)
 				if err != nil {
 					t.Fatalf("%s seed %d: frame %d: %v", name, seed, i, err)
@@ -149,10 +153,11 @@ func TestLandingReassemblesWhatRecvReturns(t *testing.T) {
 					t.Fatalf("%s seed %d: frame %d (%d bytes, head %d, landed %d) does not reassemble",
 						name, seed, i, len(f), lander.head, len(landed))
 				}
-				if !poolRequestsOK(name, kept, header, len(payload), poolRequests(rb)-requested) {
+				if !poolRequestsOK(name, kept, len(payload), poolRequests(rb)-requested) {
 					t.Fatalf("%s seed %d: landed frame %d (%d bytes in the buffer) after a %d-byte buffer: %d pool requests",
 						name, seed, i, len(payload), kept, poolRequests(rb)-requested)
 				}
+				kept = keptAfter(t, name, rb, kept, len(payload))
 			}
 			if offered == 0 {
 				t.Fatalf("%s seed %d: no frame reached the lander", name, seed)
@@ -170,36 +175,69 @@ func poolRequests(c Conn) int64 {
 	return st.PoolHits + st.PoolMisses
 }
 
-// keptRecv is the capacity of the receive buffer a connection keeps: the
-// previous receive's buffer. On a socket it must hold the frame's header
-// too, so that the frame can arrive whole in one read.
-func keptRecv(c Conn) (capacity, header int) {
-	if f, ok := c.(*FaultyConn); ok {
-		c = f.inner
+// keptBuffer is the capacity of a socket's kept receive buffer that a frame
+// of need bytes in a buffer finds usable, given the capacity kept: none when
+// the buffer is too big to keep.
+func keptBuffer(kept int) int {
+	if kept > keepRecv {
+		return 0
 	}
-	switch c := c.(type) {
-	case *TCPConn:
-		return cap(c.lastRecv), protocol.FrameHeaderSize
-	case *PipeEnd:
-		return cap(c.lastRecv), 0
+	return kept
+}
+
+// frameWant is the size of the buffer a socket asks for a frame of need
+// bytes: room for the header too while that fits keepRecv.
+func frameWant(need int) int {
+	if want := protocol.FrameHeaderSize + need; want <= keepRecv {
+		return want
 	}
-	panic(fmt.Sprintf("keptRecv: %T", c))
+	return need
 }
 
 // poolRequestsOK is the receive-buffer rule: a receive that puts need bytes
-// in a buffer asks the pool for one exactly when the kept buffer, of
-// capacity kept, is too small for them or too big to keep — except on the
-// simulated pipe, where a frame that did not travel by reference arrives in
-// the sender's buffer and asks for none, and for a socket's frame that fits
-// idleRecv with its header, which goes to the connection's own storage then.
-func poolRequestsOK(name string, kept, header, need int, requests int64) bool {
+// in a buffer asks the pool for one exactly when the socket's kept buffer,
+// of capacity kept, is too small for the buffer the frame wants or too big
+// to keep — except for a frame that fits idleRecv with its header, which
+// goes to the connection's own storage then, and on the simulated pipe,
+// where a frame that did not travel by reference arrives in the sender's
+// buffer and asks for none.
+func poolRequestsOK(name string, kept, need int, requests int64) bool {
 	if strings.HasSuffix(name, "pipe") {
 		return requests == 0
 	}
-	if header+need <= kept && kept <= keepRecv || header+need <= idleRecv {
+	if k := keptBuffer(kept); k > 0 && frameWant(need) <= k || protocol.FrameHeaderSize+need <= idleRecv {
 		return requests == 0
 	}
 	return requests == 1
+}
+
+// keptAfter is the capacity of the buffer a socket keeps after a receive
+// that put need bytes in a buffer, given the capacity it kept before: its
+// kept buffer when the frame fits it, its own storage (0) when the frame
+// fits that with its header and no usable kept buffer takes it, and else a
+// pooled buffer of the class the frame wants. It checks the connection
+// keeps exactly that; the pipe keeps no model.
+func keptAfter(t *testing.T, name string, c Conn, kept, need int) int {
+	t.Helper()
+	if strings.HasSuffix(name, "pipe") {
+		return 0
+	}
+	want := frameWant(need)
+	k := keptBuffer(kept)
+	switch {
+	case k > 0 && want <= k:
+	case protocol.FrameHeaderSize+need <= idleRecv:
+		k = 0
+	default:
+		k = 1 << (poolClass(want) + minPoolClass)
+	}
+	if f, ok := c.(*FaultyConn); ok {
+		c = f.inner
+	}
+	if got := cap(c.(*TCPConn).lastRecv); got != k {
+		t.Fatalf("%s: after a frame of %d bytes in a buffer, the connection keeps %d bytes, want %d", name, need, got, k)
+	}
+	return k
 }
 
 // TestLandingRejectsImpossibleAnswers: a Lander that answers with a range

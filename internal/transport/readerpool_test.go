@@ -209,6 +209,20 @@ func TestIdleReceiveHoldsNoReader(t *testing.T) {
 		send(4, 10)
 		recv("small frame after it", 4, 10, 1)
 	}
+	// A frame of keepRecv payload bytes fits the kept bound only without
+	// its header: its buffer is kept at its own size, and the next frame of
+	// that size reuses it with no pool request, though it takes a reader.
+	for i := 0; i < 3; i++ {
+		requests := poolRequests(b)
+		send(7, keepRecv)
+		recv("keepRecv-byte frame", 7, keepRecv, 0)
+		if cap(b.lastRecv) != keepRecv {
+			t.Fatalf("a keepRecv-byte frame left a %d-byte buffer kept, want %d", cap(b.lastRecv), keepRecv)
+		}
+		if got := poolRequests(b) - requests; i > 0 && got != 0 {
+			t.Fatalf("a keepRecv-byte frame after one: %d pool requests, want 0", got)
+		}
+	}
 
 	// The pair: the init's module image is bigger than any storage a
 	// connection keeps, and the hello rides behind it.
@@ -226,5 +240,40 @@ func TestIdleReceiveHoldsNoReader(t *testing.T) {
 	recv("hello", 6, helloSize, 0)
 	if sock.reads != before {
 		t.Fatalf("the buffered hello took %d reads of the socket", sock.reads-before)
+	}
+}
+
+// TestReaderListKeepsItsPeak: the free list keeps every reader given back,
+// so a burst of receives that each hold a reader at once, repeated, borrows
+// the readers the first burst made and allocates nothing.
+func TestReaderListKeepsItsPeak(t *testing.T) {
+	const burst = 40
+	conns := make([]TCPConn, burst)
+	pre := []byte{1}
+	lendAll := func() {
+		for i := range conns {
+			conns[i].br = lendReader(nil, pre) // pre is all a reader reads here
+		}
+	}
+	releaseAll := func() {
+		for i := range conns {
+			conns[i].releaseReader()
+		}
+	}
+	lendAll()
+	made := make(map[*lentReader]bool, burst)
+	for i := range conns {
+		made[conns[i].br] = true
+	}
+	releaseAll()
+	if allocs := testing.AllocsPerRun(20, func() { lendAll(); releaseAll() }); allocs != 0 {
+		t.Fatalf("a repeated burst of %d loans allocates %v times, want 0", burst, allocs)
+	}
+	lendAll()
+	defer releaseAll()
+	for i := range conns {
+		if !made[conns[i].br] {
+			t.Fatalf("loan %d of a repeated burst made a reader", i)
+		}
 	}
 }

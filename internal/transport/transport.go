@@ -329,18 +329,17 @@ func NewTCPConn(c net.Conn) *TCPConn {
 // returns it (no receive in flight) or the receive that Close interrupted
 // does, on its way out. Nothing reads t.br after that.
 //
-// The list is a bounded stack, not a sync.Pool: readers are lent per frame,
-// and a pool would lose them to every GC cycle and strand them in one P's
-// private slot.
+// The list is a stack, not a sync.Pool: readers are lent per frame, and a
+// pool would lose them to every GC cycle and strand them in one P's private
+// slot. It keeps every reader given back, so its bound is the most readers
+// ever on loan at once: a loan makes a reader only when more receives hold
+// one than ever did before, and the list never holds more readers than the
+// connection ends that were open at that peak kept for life when each owned
+// its own.
 var readers struct {
 	sync.Mutex
-	free [maxFreeReaders]*lentReader
-	n    int
+	free []*lentReader
 }
-
-// maxFreeReaders bounds the readers kept for the next loan: 1 MiB. A
-// reader given back to a full list is left to the GC.
-const maxFreeReaders = 16
 
 // lentReader is a socket reader on loan to one connection.
 type lentReader struct {
@@ -370,9 +369,9 @@ func (p *prefixed) Read(b []byte) (int, error) {
 func lendReader(c net.Conn, pre []byte) *lentReader {
 	readers.Lock()
 	var r *lentReader
-	if readers.n > 0 {
-		readers.n--
-		r, readers.free[readers.n] = readers.free[readers.n], nil
+	if n := len(readers.free) - 1; n >= 0 {
+		r, readers.free[n] = readers.free[n], nil
+		readers.free = readers.free[:n]
 	}
 	readers.Unlock()
 	if r == nil {
@@ -400,10 +399,7 @@ func (t *TCPConn) releaseReader() {
 	r.src = prefixed{}
 	r.Reset(&r.src)
 	readers.Lock()
-	if readers.n < maxFreeReaders {
-		readers.free[readers.n] = r
-		readers.n++
-	}
+	readers.free = append(readers.free, r)
 	readers.Unlock()
 }
 
@@ -540,15 +536,22 @@ const idleRecv = protocol.FrameHeaderSize + 60
 // frameBuffer returns the buffer for the next frame's n payload bytes and
 // whether it is the connection's own, which never goes to the pool. A frame
 // that fits t.idle, header and all, goes there unless the kept buffer can
-// take it; any other frame takes recvBuffer's, sized for its header too so
-// that the next frame of its size arrives whole in recvIdle's one read.
+// take it; any other frame takes recvBuffer's. That buffer has room for the
+// header too when it still fits keepRecv with it, so that the next frame of
+// its size arrives whole in recvIdle's one read; a frame that fits keepRecv
+// only without its header is kept at its own size, and a bigger one, which
+// is never kept, gets no room for a header no read will put there.
 func (t *TCPConn) frameBuffer(n int) (buf []byte, own bool) {
-	if protocol.FrameHeaderSize+n <= idleRecv && (t.lastRecv == nil || cap(t.lastRecv) > keepRecv) {
+	want := protocol.FrameHeaderSize + n
+	if want <= idleRecv && (t.lastRecv == nil || cap(t.lastRecv) > keepRecv) {
 		PutBuffer(t.lastRecv)
 		t.lastRecv = nil
 		return t.idle[:n], true
 	}
-	return t.recvBuffer(&t.lastRecv, protocol.FrameHeaderSize+n)[:n], false
+	if want > keepRecv {
+		want = n
+	}
+	return t.recvBuffer(&t.lastRecv, want)[:n], false
 }
 
 // recvFrame is one receive by the connection's receiving goroutine. It
