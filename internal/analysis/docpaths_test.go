@@ -3,6 +3,7 @@ package analysis
 import (
 	"encoding/json"
 	"go/ast"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -67,10 +68,16 @@ func docPaths(line string) []string {
 // module (the root rcuda package included) must name a func, method, type,
 // var or const that package declares at top level, its test files included
 // — a trailing * reads as a prefix — or be a per_layer metric of
-// BENCHMARK.json.
+// BENCHMARK.json. A backticked Type.member, pkg.Type.member included, whose
+// Type a non-test file of the module declares (of that pkg, when named)
+// must name a field or method of it, promoted ones included; and an
+// unqualified Type.member whose Type the module does not declare must not
+// name a field or method of some other type: that Type was renamed or
+// removed.
 func TestDocsNameLiveIdentifiers(t *testing.T) {
 	root := moduleRoot(t)
 	decls := moduleDecls(t, root)
+	typeNames, members := moduleTypes(moduleUnit(t))
 	var bench struct {
 		PerLayer []struct{ Name string } `json:"per_layer"`
 	}
@@ -100,9 +107,62 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 					}
 					t.Errorf("%s:%d names %s.%s, which package %s does not declare", doc, i+1, pkg, name, pkg)
 				}
+				for _, m := range selectorName.FindAllStringSubmatch(span[1], -1) {
+					pkg, typ, member := m[1], m[2], m[3]
+					switch checked, ok := hasMember(typeNames[typ], pkg, member); {
+					case checked && !ok:
+						t.Errorf("%s:%d names %s.%s, which is no field or method of %s", doc, i+1, typ, member, typ)
+					case !checked && pkg == "" && members[member]:
+						t.Errorf("%s:%d names %s.%s, but the module declares no type %s", doc, i+1, typ, member, typ)
+					}
+				}
 			}
 		}
 	}
+}
+
+// moduleTypes maps every type name the module's non-test files declare at
+// package level to the declarations of that name, and returns the names of
+// the fields and methods those types declare.
+func moduleTypes(u *Unit) (map[string][]*types.TypeName, map[string]bool) {
+	out := make(map[string][]*types.TypeName)
+	members := make(map[string]bool)
+	for _, p := range u.Pkgs {
+		scope := p.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			out[name] = append(out[name], tn)
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := range st.NumFields() {
+					members[st.Field(i).Name()] = true
+				}
+			}
+			ms := types.NewMethodSet(types.NewPointer(tn.Type()))
+			for i := range ms.Len() {
+				members[ms.At(i).Obj().Name()] = true
+			}
+		}
+	}
+	return out, members
+}
+
+// hasMember reports whether one of decls, of package pkg when pkg is not
+// empty, has a field or method named member; checked is false when none
+// of decls is of pkg.
+func hasMember(decls []*types.TypeName, pkg, member string) (checked, ok bool) {
+	for _, tn := range decls {
+		if pkg != "" && tn.Pkg().Name() != pkg {
+			continue
+		}
+		checked = true
+		if obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, tn.Pkg(), member); obj != nil {
+			return true, true
+		}
+	}
+	return checked, false
 }
 
 var (
@@ -110,6 +170,9 @@ var (
 	// qualifiedName is pkg.Name not preceded by a selector, a path or a
 	// word, and not a file name.
 	qualifiedName = regexp.MustCompile(`(?:^|[^\w./])([a-z]\w*)\.(\w+\*?)`)
+	// selectorName is Type.member, or pkg.Type.member, not preceded by a
+	// selector, a path or a word.
+	selectorName = regexp.MustCompile(`(?:^|[^\w./])(?:([a-z]\w*)\.)?([A-Z]\w*)\.(\w+)`)
 )
 
 // declares reports whether names holds name, or, for a trailing *, a name

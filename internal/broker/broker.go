@@ -40,12 +40,16 @@ var ErrNoServers = errors.New("broker: no server available")
 type Endpoint struct {
 	// Name identifies the server in stats and errors.
 	Name string
-	// Dial opens a fresh session connection to the server.
+	// Dial opens a fresh connection to the server. The pool keeps one per
+	// endpoint between uses, and sessions and health probes both ride it
+	// (DESIGN.md §9 "Kept connections").
 	Dial func() (transport.Conn, error)
-	// ProbeDial, when set, opens health-probe connections instead of Dial —
-	// an out-of-band management network, or in the simulated experiments a
-	// pipe on a throwaway clock so probe traffic does not perturb the
-	// server's timeline. Nil falls back to Dial.
+	// ProbeDial, when set, opens a connection of its own for each health
+	// probe and the probe closes it after the reply, leaving the kept
+	// connection to sessions: an out-of-band management network, or in the
+	// simulated experiments a pipe on a throwaway clock so probe traffic
+	// does not perturb the server's timeline. Nil probes on the kept
+	// connection.
 	ProbeDial func() (transport.Conn, error)
 	// Link optionally characterizes the interconnect to this server; the
 	// network-aware policy ranks endpoints by estimated transfer time on it.
@@ -60,14 +64,9 @@ type endpointState struct {
 	// full marks an endpoint that refused admission (NoteSpill) until a
 	// probe or a released session (NoteRelease) says it may have room.
 	full bool
-	// probeStopped permanently shuts the probe slot (Pool only, under
-	// probeMu): the endpoint was retired or the pool closed, so returned
-	// connections are refused and closed instead of parked.
-	probeStopped bool
 	// fullMark mirrors full for the notes that read it without the placer
-	// mutex; both change together, under the mutex, in setFull. The four
-	// flags and the mirror share one word, which keeps the record in the
-	// 208-byte size class.
+	// mutex; both change together, under the mutex, in setFull. The three
+	// flags and the mirror share one word.
 	fullMark atomic.Bool
 	lastErr  error
 	// load is the last successful probe reply, nil before the first probe.
@@ -81,64 +80,11 @@ type endpointState struct {
 	// changed is the placer's change counter as of the last change to any
 	// of the fields above that a ranking key reads (see placerState.touch).
 	changed uint64
-	// probeMu guards the persistent probe-connection slot (Pool only). It
-	// is held only while checking the connection in or out of the slot —
-	// never across the wire exchange itself, so one endpoint stalled on
-	// the network cannot stall placements behind the placer mutex
-	// (enforced by rcuda-vet's locknet analyzer).
-	probeMu sync.Mutex
-	// probeConn is the persistent health-probe connection.
-	probeConn transport.Conn
 }
 
 func (st *endpointState) setFull(full bool) {
 	st.full = full
 	st.fullMark.Store(full)
-}
-
-// checkoutProbeConn takes the endpoint's persistent probe connection out
-// of its slot, dialing a fresh one when the slot is empty. The caller owns
-// the returned connection until it calls returnProbeConn or closes it.
-func (st *endpointState) checkoutProbeConn() (transport.Conn, error) {
-	st.probeMu.Lock()
-	conn := st.probeConn
-	st.probeConn = nil
-	st.probeMu.Unlock()
-	if conn != nil {
-		return conn, nil
-	}
-	dial := st.ep.ProbeDial
-	if dial == nil {
-		dial = st.ep.Dial
-	}
-	return dial()
-}
-
-// returnProbeConn parks a healthy connection back in the slot. The loser
-// of a return race — or a return after the slot was stopped — closes its
-// connection instead.
-func (st *endpointState) returnProbeConn(conn transport.Conn) {
-	st.probeMu.Lock()
-	if !st.probeStopped && st.probeConn == nil {
-		st.probeConn = conn
-		conn = nil
-	}
-	st.probeMu.Unlock()
-	if conn != nil {
-		_ = conn.Close()
-	}
-}
-
-// closeProbeConn permanently shuts the endpoint's probe slot.
-func (st *endpointState) closeProbeConn() {
-	st.probeMu.Lock()
-	st.probeStopped = true
-	conn := st.probeConn
-	st.probeConn = nil
-	st.probeMu.Unlock()
-	if conn != nil {
-		_ = conn.Close()
-	}
 }
 
 // JobSpec declares what a session is going to do, as far as the placement
@@ -174,11 +120,13 @@ type Pool struct {
 	rankMu  sync.Mutex
 	ranking *Ranking
 
-	// keptMu guards kept, the session connections closed sessions
-	// released, at most one per endpoint index, each waiting for the next
-	// session the pool opens there (DESIGN.md §9 "Kept connections").
-	// keptStopped refuses more once the pool closed. Like probeMu it is
-	// never held across a wire exchange.
+	// keptMu guards kept, at most one idle connection per endpoint index —
+	// released by a closed session or kept by a probe — waiting for the
+	// next session or probe there (DESIGN.md §9 "Kept connections").
+	// keptStopped refuses more once the pool closed. It is held only while
+	// a connection goes in or out of its slot, never across a wire
+	// exchange, so one endpoint stalled on the network stalls no other
+	// (enforced by rcuda-vet's locknet analyzer).
 	keptMu      sync.Mutex
 	kept        []transport.Conn
 	keptStopped bool
@@ -200,9 +148,8 @@ func (p *Pool) takeKept(idx int) transport.Conn {
 	return conn
 }
 
-// keep parks a released session connection in endpoint idx's slot. The
-// slot holds one: a connection that finds it taken, or the pool closed, is
-// closed.
+// keep parks an idle connection in endpoint idx's slot. The slot holds
+// one: a connection that finds it taken, or the pool closed, is closed.
 func (p *Pool) keep(idx int, conn transport.Conn) {
 	p.keptMu.Lock()
 	if !p.keptStopped {
@@ -259,21 +206,14 @@ func New(eps []Endpoint, opts ...Option) (*Pool, error) {
 	return p, nil
 }
 
-// Close stops the background prober and closes every probe connection and
-// every kept session connection. Sessions already opened through the pool
-// are unaffected; one closed later closes its connection.
+// Close stops the background prober and closes every kept connection.
+// Sessions already opened through the pool are unaffected; one closed
+// later closes its connection.
 func (p *Pool) Close() error {
 	if p.probeStop != nil {
 		close(p.probeStop)
 		<-p.probeDone
 		p.probeStop = nil
-	}
-	s := &p.pl.state
-	s.mu.Lock()
-	eps := append([]*endpointState(nil), s.eps...)
-	s.mu.Unlock()
-	for _, st := range eps {
-		st.closeProbeConn()
 	}
 	p.keptMu.Lock()
 	p.keptStopped = true
@@ -303,13 +243,12 @@ func (p *Pool) probeLoop(d time.Duration) {
 }
 
 // Refresh synchronously probes every non-retired endpoint once: it sends a
-// StatsQuery on the endpoint's persistent probe connection (dialing one if
-// needed), records the load reply, and marks the endpoint up. A failed
-// probe marks it down and drops the connection so the next round redials.
-// The placer mutex is never held across the wire exchange: the endpoint
-// set is snapshotted first, each probe runs against the endpoint's own
-// probe-connection slot, and the result is folded back under the lock — so
-// one server stalled on the network cannot stall placements.
+// StatsQuery on the endpoint's kept connection (dialing one if needed),
+// records the load reply, and marks the endpoint up. A failed probe marks
+// it down. The placer mutex is never held across the wire exchange: the
+// endpoint set is snapshotted first, each probe runs on its own
+// connection, and the result is folded back under the lock — so one
+// server stalled on the network cannot stall placements.
 func (p *Pool) Refresh() {
 	s := &p.pl.state
 	type target struct {
@@ -325,7 +264,7 @@ func (p *Pool) Refresh() {
 	}
 	s.mu.Unlock()
 	for _, t := range targets {
-		reply, err := t.st.probe()
+		reply, err := p.probe(t.idx, t.st.ep)
 		s.mu.Lock()
 		if !t.st.retired {
 			s.noteProbe(t.idx, reply, err)
@@ -334,35 +273,66 @@ func (p *Pool) Refresh() {
 	}
 }
 
-// probe performs the wire exchange for one probe. No pool or placer mutex
-// is held: the persistent connection is checked out of its slot (dialing a
-// fresh one when the slot is empty), used for the exchange, and returned
-// on success; a failed probe closes it so the next round redials.
-func (st *endpointState) probe() (*protocol.StatsReply, error) {
-	conn, err := st.checkoutProbeConn()
-	if err != nil {
-		return nil, fmt.Errorf("broker: probe dial %s: %w", st.ep.Name, err)
-	}
-	fail := func(err error) (*protocol.StatsReply, error) {
+// probe asks endpoint idx for its load on the connection the pool keeps
+// there, dialing one when the slot is empty, and keeps the connection for
+// the next session or probe after a good reply. A kept connection that
+// fails before the reply arrives was let go by the server — idle past its
+// watchdog, drained or restarted — so it is closed and the endpoint dialed
+// once, which counts no fault, as in tryOpen. Any reply is final. An
+// endpoint with ProbeDial is probed on a connection of its own, closed
+// after the reply. No pool or placer mutex is held across the exchange.
+func (p *Pool) probe(idx int, ep Endpoint) (*protocol.StatsReply, error) {
+	if ep.ProbeDial != nil {
+		conn, err := ep.ProbeDial()
+		if err != nil {
+			return nil, fmt.Errorf("broker: probe dial %s: %w", ep.Name, err)
+		}
+		reply, _, err := askStats(conn)
 		_ = conn.Close()
-		return nil, fmt.Errorf("broker: probe %s: %w", st.ep.Name, err)
+		if err != nil {
+			return nil, fmt.Errorf("broker: probe %s: %w", ep.Name, err)
+		}
+		return reply, nil
 	}
+	conn := p.takeKept(idx)
+	var (
+		reply    *protocol.StatsReply
+		answered bool
+		err      error
+	)
+	if conn != nil {
+		if reply, answered, err = askStats(conn); !answered {
+			_ = conn.Close()
+		}
+	}
+	if !answered {
+		if conn, err = ep.Dial(); err != nil {
+			return nil, fmt.Errorf("broker: probe dial %s: %w", ep.Name, err)
+		}
+		reply, _, err = askStats(conn)
+	}
+	if err != nil {
+		_ = conn.Close()
+		return nil, fmt.Errorf("broker: probe %s: %w", ep.Name, err)
+	}
+	p.keep(idx, conn)
+	return reply, nil
+}
+
+// askStats sends a StatsQuery on conn and reads the reply; answered is
+// false when the connection failed before one arrived.
+func askStats(conn transport.Conn) (reply *protocol.StatsReply, answered bool, err error) {
 	if err := conn.Send(&protocol.StatsQueryRequest{}); err != nil {
-		return fail(err)
+		return nil, false, err
 	}
 	payload, err := conn.Recv()
 	if err != nil {
-		return fail(err)
+		return nil, false, err
 	}
-	reply, err := protocol.DecodeStatsReply(payload)
-	if err != nil {
-		return fail(err)
+	if reply, err = protocol.DecodeStatsReply(payload); err == nil {
+		err = cudart.Error(reply.Err).AsError()
 	}
-	if cerr := cudart.Error(reply.Err).AsError(); cerr != nil {
-		return fail(cerr)
-	}
-	st.returnProbeConn(conn)
-	return reply, nil
+	return reply, true, err
 }
 
 // Session is a pool-placed rcuda session: a full cudart runtime plus where

@@ -82,8 +82,9 @@ func (r LiveResult) Delta() float64 {
 //   - Jobs are submitted sequentially in ready order with a probe round
 //     before each placement, so the policy sees up-to-date gauges —
 //     exactly the information the list scheduler has.
-//   - Probe connections run on throwaway clocks (Endpoint.ProbeDial), so
-//     monitoring does not perturb the timeline being measured.
+//   - Each probe runs on a connection of its own on a throwaway clock
+//     (Endpoint.ProbeDial), so monitoring does not perturb the timeline
+//     being measured.
 //
 // The live makespan and the prediction then differ only where the wire
 // protocol differs from the analytic network model (real framing and
@@ -185,9 +186,6 @@ func SimulateLive(link *netsim.Link, nServers int, jobs []SimJob) (LiveResult, e
 		}
 	}
 	res.Stats = pool.Stats()
-	// Close the pool first: its persistent probe connections would otherwise
-	// hold each server's drain open for the full close grace. (A drain
-	// closes the kept job connections at once.)
 	_ = pool.Close()
 	for _, srv := range servers {
 		_ = srv.Close()

@@ -13,6 +13,7 @@ import (
 	"rcuda/internal/calib"
 	"rcuda/internal/gpu"
 	"rcuda/internal/netsim"
+	"rcuda/internal/protocol"
 	"rcuda/internal/rcuda"
 	"rcuda/internal/transport"
 	"rcuda/internal/vclock"
@@ -33,6 +34,8 @@ type keptDaemon struct {
 	srv  *rcuda.Server
 	dial func() (transport.Conn, error)
 	stop func()
+	// dialed is every connection the endpoint's dials made.
+	dialed []transport.Conn
 }
 
 func newKeptDaemon(t *testing.T, tcp bool, opts ...rcuda.ServerOption) *keptDaemon {
@@ -108,8 +111,30 @@ func (d *keptDaemon) endpoint(name string) Endpoint {
 		d.mu.Lock()
 		dial := d.dial
 		d.mu.Unlock()
-		return dial()
+		conn, err := dial()
+		if err == nil {
+			d.mu.Lock()
+			d.dialed = append(d.dialed, conn)
+			d.mu.Unlock()
+		}
+		return conn, err
 	}}
+}
+
+// openConns counts the connections the endpoint's dials made that nobody
+// has closed: a frame still leaves on them. It sends a stats query on each
+// such connection, whose reply nobody reads, so it is a test's last look.
+func (d *keptDaemon) openConns() int {
+	d.mu.Lock()
+	dialed := append([]transport.Conn(nil), d.dialed...)
+	d.mu.Unlock()
+	n := 0
+	for _, conn := range dialed {
+		if conn.Send(&protocol.StatsQueryRequest{}) == nil {
+			n++
+		}
+	}
+	return n
 }
 
 // eachTransport runs f over loopback TCP and over SimDaemon.
@@ -308,6 +333,139 @@ func TestKeptConnFaultDrainClosesAtOnce(t *testing.T) {
 		}
 		if n := srv.Stats().ForcedCloses; n != 0 {
 			t.Errorf("drain forced %d closes, want 0", n)
+		}
+	})
+}
+
+// wantProbes fails unless the pool counted the given probes, none failed
+// and no endpoint was marked down.
+func wantProbes(t *testing.T, pool *Pool, probes int64) {
+	t.Helper()
+	if s := pool.Stats(); s.Probes != probes || s.ProbeFailures != 0 || s.Markdowns != 0 {
+		t.Errorf("pool stats %+v; want %d probes, none failed, no markdown", s, probes)
+	}
+	for _, ep := range pool.Endpoints() {
+		if !ep.Up {
+			t.Errorf("endpoint %s is down: %s", ep.Name, ep.LastErr)
+		}
+	}
+}
+
+// TestKeptConnProbeThenOpenDialsOnce: probes and the sessions after them
+// ride one connection. The pool dials the endpoint once, the daemon keeps
+// that one connection resting between uses, and each probe and each
+// session is an opening frame on it.
+func TestKeptConnProbeThenOpenDialsOnce(t *testing.T) {
+	eachTransport(t, func(t *testing.T, tcp bool) {
+		d := newKeptDaemon(t, tcp)
+		pool, err := New([]Endpoint{d.endpoint("a")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pool.Close()
+		srv := d.server()
+		pool.Refresh()
+		pool.Refresh()
+		waitRest(t, srv)
+		cycle(t, pool, moduleImage(t, calib.MM))
+		pool.Refresh()
+		wantProbes(t, pool, 3)
+		wantPoolStats(t, pool, 1, 0)
+		if n := d.dials.Load(); n != 1 {
+			t.Errorf("three probes and a session made %d dials, want 1", n)
+		}
+		if st := srv.Stats(); st.SessionsStarted != 4 || st.StatsQueries != 3 {
+			t.Errorf("daemon counted %d opening frames and %d stats queries, want 4 and 3", st.SessionsStarted, st.StatsQueries)
+		}
+		waitRest(t, srv)
+		if n := d.openConns(); n != 1 {
+			t.Errorf("%d connections open to the daemon, want the one kept", n)
+		}
+	})
+}
+
+// TestKeptConnProbeRedialsOnce: the daemon lets the kept connection go —
+// the watchdog closes it idle, a drain closes it, or the daemon restarts.
+// The next probe finds it dead before its reply and dials once more, which
+// counts no probe failure and no markdown.
+func TestKeptConnProbeRedialsOnce(t *testing.T) {
+	const deadline = 50 * time.Millisecond
+	eachTransport(t, func(t *testing.T, tcp bool) {
+		for _, fault := range []struct {
+			name  string
+			opts  []rcuda.ServerOption
+			apply func(*testing.T, *keptDaemon)
+		}{
+			{"watchdog", []rcuda.ServerOption{rcuda.WithRequestDeadline(deadline)}, func(*testing.T, *keptDaemon) {
+				time.Sleep(4 * deadline)
+			}},
+			{"drain", nil, func(t *testing.T, d *keptDaemon) {
+				if err := d.server().Drain(context.Background()); err != nil {
+					t.Errorf("drain: %v", err)
+				}
+				d.restart()
+			}},
+			{"restart", nil, func(_ *testing.T, d *keptDaemon) { d.restart() }},
+		} {
+			t.Run(fault.name, func(t *testing.T) {
+				d := newKeptDaemon(t, tcp, fault.opts...)
+				pool, err := New([]Endpoint{d.endpoint("a")})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer pool.Close()
+				pool.Refresh()
+				waitRest(t, d.server())
+				fault.apply(t, d)
+				pool.Refresh()
+				wantProbes(t, pool, 2)
+				if n := d.dials.Load(); n != 2 {
+					t.Errorf("%d dials, want one more once the kept connection was let go", n)
+				}
+				if st := d.server().Stats(); st.WatchdogKills != 0 {
+					t.Errorf("daemon counted %d watchdog kills, want 0", st.WatchdogKills)
+				}
+			})
+		}
+	})
+}
+
+// TestKeptConnProbeRacesOpen: probes and sessions on one endpoint at once
+// (run it under -race). Each takes the kept connection when it is free and
+// dials when it is not, and what is left is one idle connection.
+func TestKeptConnProbeRacesOpen(t *testing.T) {
+	const rounds = 50
+	eachTransport(t, func(t *testing.T, tcp bool) {
+		d := newKeptDaemon(t, tcp)
+		pool, err := New([]Endpoint{d.endpoint("a")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pool.Close()
+		img := moduleImage(t, calib.MM)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				pool.Refresh()
+			}
+		}()
+		for range rounds {
+			sess, err := pool.Open(img, JobSpec{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sess.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wg.Wait()
+		wantProbes(t, pool, rounds)
+		wantPoolStats(t, pool, rounds, 0)
+		waitRest(t, d.server())
+		if n := d.openConns(); n != 1 {
+			t.Errorf("%d connections open to the daemon after %d dials, want the one kept", n, d.dials.Load())
 		}
 	})
 }

@@ -691,13 +691,23 @@ func (s *Server) closeResting() {
 	}
 }
 
-// serveSession runs the handshake the opening frame payload starts and the
-// request loop of the session it opens. A connection that opened with a
-// stats probe or a restore has no session; handshake has already served it
-// to completion and returns nil for both values. finalized reports a
-// session its client finalized, after which the connection may carry
-// another.
+// serveSession serves the opening frame payload: a stats probe's reply, or
+// the handshake the frame starts and the request loop of the session it
+// opens. A connection that opened with a restore has no session; handshake
+// has already served it to completion and returns nil for both values.
+// finalized reports a probe answered or a session its client finalized,
+// after which the connection may carry another opening frame.
 func (s *Server) serveSession(conn transport.Conn, payload []byte, withinConnCap bool) (finalized bool, err error) {
+	// A stats probe is answered before any admission decision: monitoring
+	// must keep working on a server that is refusing new sessions, and a
+	// probe never consumes a session slot.
+	if _, isProbe := protocol.TryDecodeStatsQuery(payload); isProbe {
+		s.counters.StatsQueries.Add(1)
+		if err := conn.Send(s.statsReply()); err != nil {
+			return false, fmt.Errorf("rcuda: stats send: %w", err)
+		}
+		return true, nil
+	}
 	sess, err := s.handshake(conn, payload, withinConnCap)
 	if err != nil || sess == nil {
 		return false, err
@@ -926,12 +936,6 @@ func refuseBusy(conn transport.Conn, reattach bool) error {
 // pre-initialized context on the primary device. The daemon pre-initializes
 // the CUDA environment, so the client does not pay that delay.
 func (s *Server) handshake(conn transport.Conn, payload []byte, withinConnCap bool) (*session, error) {
-	// A stats probe is answered before any admission decision: monitoring
-	// must keep working on a server that is refusing new sessions, and a
-	// probe connection never consumes a session slot.
-	if _, isProbe := protocol.TryDecodeStatsQuery(payload); isProbe {
-		return nil, s.serveStatsConn(conn)
-	}
 	// An inbound migration stream from a peer daemon (see migrate.go). It
 	// is admitted like a fresh init — connection cap here, session slot
 	// inside — and never returns a session: the restored session parks

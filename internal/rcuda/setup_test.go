@@ -174,12 +174,15 @@ func TestOpenCloseBytesGate(t *testing.T) {
 
 // idleSocketSessionBytes and restingSocketBytes are the heap
 // TestIdleSocketFootprint reads per idle session and per resting kept
-// connection, both ends (3 251–3 257 B and 1 987–1 993 B over seven runs);
-// the test fails 30 % above either. When each end of a connection kept a
-// 64 KiB socket reader for life they read 134 386 B and 133 122 B.
+// connection, both ends (3 251–3 257 B and 1 987–1 993 B over seven runs),
+// and parkedSessionBytes per parked durable session, both ends (2 055–2 061 B
+// over seven runs); the test fails 30 % above any of them. When each end of
+// a connection kept a 64 KiB socket reader for life the first two read
+// 134 386 B and 133 122 B.
 const (
 	idleSocketSessionBytes = 3257
 	restingSocketBytes     = 1993
+	parkedSessionBytes     = 2061
 )
 
 // TestIdleSocketFootprint is TestIdleSessionFootprint over loopback TCP:
@@ -188,7 +191,11 @@ const (
 // reports the heap both ends retain per connection after a collection, and
 // fails when a change makes either figure grow more than 30 %: what a
 // daemon spends on a client that is connected but quiet bounds how many
-// tenants it can take.
+// tenants it can take. Then 1 000 connections that only carried stats
+// probes, as a broker's pool probes on the connection it keeps, must each
+// rest on the daemon; and 1 000 durable sessions whose connections drop
+// are parked, with the heap both ends retain per session held to its
+// figure in the same way.
 func TestIdleSocketFootprint(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector changes what a connection allocates")
@@ -205,10 +212,25 @@ func TestIdleSocketFootprint(t *testing.T) {
 		runtime.GC()
 		runtime.GC()
 		runtime.ReadMemStats(&m)
-		*stack = float64(m.StackInuse)
+		if stack != nil {
+			*stack = float64(m.StackInuse)
+		}
 		return float64(m.HeapAlloc)
 	}
 	before := heap(&stacks[0])
+	// Phases are measured from their own start: the harness keeps every
+	// server end it accepted, closed or not, so it forgets them between
+	// phases, and a phase begins once the daemon serves nothing.
+	settle := func() {
+		waitFor(t, "the daemon to let every connection go", 10*time.Second, func() bool {
+			lb.srv.mu.Lock()
+			defer lb.srv.mu.Unlock()
+			return len(lb.srv.conns) == 0
+		})
+		lb.mu.Lock()
+		lb.srvConn = nil
+		lb.mu.Unlock()
+	}
 	clients := make([]*Client, 0, n)
 	for i := 0; i < n; i++ {
 		conn, err := transport.DialTCP(lb.addr)
@@ -241,13 +263,77 @@ func TestIdleSocketFootprint(t *testing.T) {
 	for _, conn := range conns {
 		_ = conn.Close()
 	}
-	t.Logf("per connection, both ends: an idle session retains %.0f B of heap (committed: %d B) and %.0f B of stacks, a resting connection %.0f B (committed: %d B) and %.0f B",
-		idle, idleSocketSessionBytes, (stacks[1]-stacks[0])/n, resting, restingSocketBytes, (stacks[2]-stacks[0])/n)
+	settle()
+
+	// Probes only: each connection opens with a stats query and carries
+	// another, and rests after each reply.
+	conns = conns[:0]
+	for i := 0; i < n; i++ {
+		conn, err := transport.DialTCP(lb.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 2 {
+			if err := conn.Send(&protocol.StatsQueryRequest{}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := protocol.DecodeStatsReply(recvOn(t, conn)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		conns = append(conns, conn)
+	}
+	waitFor(t, "every probed connection to rest", 10*time.Second, func() bool { return lb.srv.Stats().SessionsActive == 0 })
+	lb.srv.mu.Lock()
+	probed, rested := len(lb.srv.conns), 0
+	for _, idle := range lb.srv.conns {
+		if idle {
+			rested++
+		}
+	}
+	lb.srv.mu.Unlock()
+	if probed != n || rested != n {
+		t.Errorf("%d connections that only probed: the daemon holds %d, %d of them resting; want %d resting", n, probed, rested, n)
+	}
+	for _, conn := range conns {
+		_ = conn.Close()
+	}
+	settle()
+
+	// Parked: durable sessions whose connections drop. The clients are
+	// kept, as an application that means to reattach keeps its own.
+	base := heap(nil)
+	for i := 0; i < n; i++ {
+		conn, err := transport.DialTCP(lb.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Open(conn, module, WithSchedClass(SchedBatch, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.DeviceSynchronize(); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.Close()
+		clients = append(clients, c)
+	}
+	waitFor(t, "every session to park", 10*time.Second, func() bool { return lb.srv.Stats().SessionsParked == n })
+	settle()
+	parked := (heap(nil) - base) / n
+	runtime.KeepAlive(clients)
+
+	t.Logf("per connection, both ends: an idle session retains %.0f B of heap (committed: %d B) and %.0f B of stacks, a resting connection %.0f B (committed: %d B) and %.0f B, a parked session %.0f B (committed: %d B)",
+		idle, idleSocketSessionBytes, (stacks[1]-stacks[0])/n, resting, restingSocketBytes, (stacks[2]-stacks[0])/n,
+		parked, parkedSessionBytes)
 	if limit := 1.3 * idleSocketSessionBytes; idle > limit {
 		t.Errorf("an idle session over TCP retains %.0f B, want at most %.0f B (%d B + 30 %%)", idle, limit, idleSocketSessionBytes)
 	}
 	if limit := 1.3 * restingSocketBytes; resting > limit {
 		t.Errorf("a resting connection retains %.0f B, want at most %.0f B (%d B + 30 %%)", resting, limit, restingSocketBytes)
+	}
+	if limit := 1.3 * parkedSessionBytes; parked > limit {
+		t.Errorf("a parked durable session retains %.0f B, want at most %.0f B (%d B + 30 %%)", parked, limit, parkedSessionBytes)
 	}
 }
 

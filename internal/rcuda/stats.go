@@ -1,27 +1,24 @@
 package rcuda
 
 import (
-	"errors"
-	"fmt"
-	"io"
 	"time"
 
 	"rcuda/internal/cudart"
 	"rcuda/internal/protocol"
 	"rcuda/internal/stats"
-	"rcuda/internal/transport"
 )
 
 // ServerCounts declares the daemon's cumulative counters once: ServerStats
 // is its snapshot and Server adds to a ServerCounts[atomic.Int64].
 type ServerCounts[T any] struct {
 	// SessionsStarted counts handshakes: the opening frames connections
-	// carried — one per session of a kept connection, one per stats probe
-	// or restore connection — including ones that failed or were refused.
+	// carried — one per session, one per stats probe, one per restore —
+	// including ones that failed or were refused.
 	SessionsStarted T
 	// SessionsActive counts connections currently being served: sessions,
-	// handshakes waiting for admission and stats probe connections alike.
-	// A connection a client kept, waiting between sessions, is not one.
+	// handshakes waiting for admission and stats probes being answered
+	// alike. A connection a client kept, waiting between sessions or
+	// probes, is not one.
 	SessionsActive T
 	// Requests counts post-handshake requests across all sessions.
 	Requests T
@@ -189,31 +186,6 @@ func (s *Server) statsReply() *protocol.StatsReply {
 		}
 	}
 	return r
-}
-
-// serveStatsConn serves a probe-only connection: one whose opening message
-// was a StatsQuery instead of an init or reattach payload. The connection
-// carries nothing but further stats queries — a broker keeps one open per
-// endpoint and polls it — and never touches session admission, so probing
-// works even on a server that is refusing new sessions. A clean close by
-// the prober ends the loop without error.
-func (s *Server) serveStatsConn(conn transport.Conn) error {
-	for {
-		s.counters.StatsQueries.Add(1)
-		if err := conn.Send(s.statsReply()); err != nil {
-			return fmt.Errorf("rcuda: stats send: %w", err)
-		}
-		payload, err := conn.Recv()
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, transport.ErrClosed) {
-				return nil
-			}
-			return fmt.Errorf("rcuda: stats recv: %w", err)
-		}
-		if _, ok := protocol.TryDecodeStatsQuery(payload); !ok {
-			return fmt.Errorf("rcuda: non-stats request on a stats connection")
-		}
-	}
 }
 
 // QueryStats asks the server this client's connection leads to for its

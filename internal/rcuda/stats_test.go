@@ -142,7 +142,8 @@ func TestStatsProbePersistentConnection(t *testing.T) {
 // TestSessionsLiveCountsSessionsNotConnections holds a probe connection open
 // beside one attached session: the snapshot an operator reads and the
 // reply the probe carries both count the one session, not the two
-// connections being served.
+// connections. The probe's connection is served only while it is answered;
+// then it rests, and SessionsActive counts the session's connection alone.
 func TestSessionsLiveCountsSessionsNotConnections(t *testing.T) {
 	clk := vclock.NewSim()
 	srv := NewServer(gpu.New(gpu.Config{Clock: clk}))
@@ -163,12 +164,9 @@ func TestSessionsLiveCountsSessionsNotConnections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := srv.StatsSnapshot()
-	if snap.SessionsLive != 1 || reply.SessionsLive != 1 {
+	waitFor(t, "the probe's connection to rest", 5*time.Second, func() bool { return srv.Stats().SessionsActive == 1 })
+	if snap := srv.StatsSnapshot(); snap.SessionsLive != 1 || reply.SessionsLive != 1 {
 		t.Errorf("SessionsLive: snapshot %d, probe reply %d, want 1 and 1", snap.SessionsLive, reply.SessionsLive)
-	}
-	if snap.SessionsActive != 2 {
-		t.Errorf("SessionsActive = %d, want 2 connections being served", snap.SessionsActive)
 	}
 	_ = probe.Close()
 	_ = client.Close()
@@ -221,18 +219,46 @@ func TestSessionsLiveCountsASessionBeforeItsReply(t *testing.T) {
 
 // TestStatsProbeServedPastConnCap checks monitoring keeps working on a
 // server whose connection cap is exhausted: the probe is answered where a
-// session handshake would be refused busy.
+// session handshake would be refused busy. The probe's connection then
+// rests and gives its slot back, so once the session ends, sessions on
+// that connection and on a new one are each admitted under the cap.
 func TestStatsProbeServedPastConnCap(t *testing.T) {
 	clk := vclock.NewSim()
 	srv := NewServer(gpu.New(gpu.Config{Clock: clk}), WithMaxConns(1))
+	d := NewSimDaemon(srv, netsim.IB40G(), clk, nil)
+	img := moduleImage(t, calib.MM)
 
 	// Occupy the single conn slot with a real session.
-	_, cleanup := openOn(t, NewSimDaemon(srv, netsim.IB40G(), clk, nil), moduleImage(t, calib.MM))
+	_, cleanup := openOn(t, d, img)
 	reply := probeStats(t, srv, clk)
 	if reply.SessionsLive != 1 {
 		t.Fatalf("over-cap probe: SessionsLive = %d, want 1", reply.SessionsLive)
 	}
+	probe, _ := d.Dial()
+	if err := probe.Send(&protocol.StatsQueryRequest{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := protocol.DecodeStatsReply(recvOn(t, probe)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the probe's connection to rest", 5*time.Second, func() bool { return srv.Stats().SessionsActive == 1 })
 	cleanup()
+	// Only the resting probe connection is left, and it holds no slot.
+	slotsFree := func() bool { return srv.guard.conns.Load() == 0 }
+	waitFor(t, "the connection slots to balance", 5*time.Second, slotsFree)
+	onProbe, err := Open(probe, img)
+	if err != nil {
+		t.Fatalf("a session on the rested probe connection: %v", err)
+	}
+	if err := onProbe.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the connection slots to balance", 5*time.Second, slotsFree)
+	_, cleanup = openOn(t, d, img)
+	cleanup()
+	if n := srv.Stats().RejectedConns; n != 0 {
+		t.Errorf("%d connections refused, want 0", n)
+	}
 	_ = srv.Close()
 }
 

@@ -244,12 +244,12 @@ An entry closes with a cause or a fix, and stays listed with it.
 				"A connection now keeps its receive buffer, and a launch passes its execution context by value, so nothing on the call path lives in a pool (DESIGN.md §4 and §7). " +
 				"`TestBatchedInferenceAllocatesNothingAfterGC` holds it at 0"},
 		{"Round-robin cursor parity with marked-down daemons and a blocked head", "DESIGN.md §10", "PR 14", "—",
-			"**gone with failed walks.** How many failed walks happened moved the cursor, and with it `Pool.Spills`, never the daemon a session landed on. " +
+			"**gone with failed walks.** How many failed walks happened moved the cursor, and with it `Result.Pool.Spills`, never the daemon a session landed on. " +
 				"A placement now walks only while some daemon has a free slot (DESIGN.md §10, \"Free slots\"), so every walk lands and only walks that land move the cursor"},
 		{"BENCH_batching.json batched `model_us` 80 µs under `elapsed_us` on GigaE, 0.65 %",
 			"BENCH_batching.json as first regenerated for PR 27, before the model priced the wait", "PR 27", "—",
 			"**closed by PR 27.** The synchronization that closes a frame waits on the server for the frame's input copy and 24 launches, 2.21 µs per request on the modeled C1060. " +
-				"A synchronization of its own used to overlap them with its own flight. `perfmodel` now prices the wait (`InferenceMsg.Wait`), and the committed gap is back to 9 µs (0.07 %)"},
+				"A synchronization of its own used to overlap them with its own flight. `perfmodel` now prices the wait (`Msg.Wait`), and the committed gap is back to 9 µs (0.07 %)"},
 	}
 	for _, r := range rows {
 		fmt.Fprintf(sb, "| %s |\n", strings.Join(r[:], " | "))
