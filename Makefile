@@ -19,7 +19,7 @@ help:
 	@echo "  lint         go vet + rcuda-vet invariant analyzers + gofmt diff check"
 	@echo "  vet          rcuda-vet only: seededrand/wiremsg/locknet/errcode invariants"
 	@echo "  loc          non-blank, non-comment, non-test Go lines per package (the count 'smaller' claims cite), the test lines outside bench/, and the non-test total outside bench/"
-	@echo "  chaos        fault-injection suite (scripted + 50 seeded plans), the broker's server-kill and failover runs, the typed-refusal checks of durable opens whose hello is in flight (loopback TCP; the broker must spill, not mark down) and the kept-connection faults (daemon restart or gone, watchdog, drain; loopback TCP and simulated pipes) for sessions and for the health probes that ride the same kept connection, under -race; a target of its own, since verify's race line runs these tests already"
+	@echo "  chaos        fault-injection suite (scripted + 50 seeded plans), the broker's server-kill and failover runs, the typed-refusal checks of durable opens whose hello is in flight (loopback TCP; the broker must spill, not mark down) and the kept-connection faults (daemon restart or gone, watchdog, drain; loopback TCP and simulated pipes) for sessions and for the health probes that ride the same kept connection, and a stalled daemon failing each call inside its retry budget (loopback TCP and simulated pipes), under -race; a target of its own, since verify's race line runs these tests already"
 	@echo "  migrate-chaos  live-migration suite: source killed at every protocol phase, the pinned checkpoint bytes, the session-state table and the TTL-vs-claim check, under -race"
 	@echo "  soak         10k mixed ops at ~1% fault rate, leak-checked, under -race"
 	@echo "  bench        run all benchmarks"
@@ -138,8 +138,10 @@ bubble:
 # ErrServerBusy, and a broker must spill off it without marking the daemon
 # down; and the faults of the connection a pool keeps per endpoint, which
 # its sessions and probes share — the daemon restarted or gone, the
-# watchdog, a drain — over loopback TCP and simulated pipes. -count=1 defeats the test cache so the seeds actually
-# rerun.
+# watchdog, a drain — over loopback TCP and simulated pipes; and a daemon
+# that stops answering after the hello, whose every call must fail inside
+# its retry budget (the Retry tests). -count=1 defeats the test cache so the
+# seeds actually rerun.
 chaos:
 	$(GO) test -race -count=1 \
 		-run 'Chaos|Faulty|Fault|Retry|Truncat|Reattach|Session|Plan|KeepFor|Refusal|KeptConn' \

@@ -462,7 +462,7 @@ func BenchmarkMemcpyPipeline(b *testing.B) {
 				if mode == "chunked+retry" {
 					// Measures the retry engine's bookkeeping on a
 					// fault-free path; the dialer is never invoked.
-					opts = append(opts, mw.WithRetry(4, 200*time.Microsecond), mw.WithReconnect(daemon.Dial))
+					opts = append(opts, mw.WithRetry(10*time.Second), mw.WithReconnect(daemon.Dial))
 				}
 				client, err := daemon.Open(img, opts...)
 				if err != nil {
@@ -514,7 +514,7 @@ func BenchmarkMemcpyPipeline(b *testing.B) {
 			if mode == "chunked+retry" {
 				addr := ln.Addr().String()
 				opts = append(opts,
-					mw.WithRetry(4, 200*time.Microsecond),
+					mw.WithRetry(10*time.Second),
 					mw.WithReconnect(func() (transport.Conn, error) { return transport.DialTCP(addr) }))
 			}
 			client, err := mw.Open(conn, img, opts...)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"rcuda/internal/calib"
+	"rcuda/internal/faults"
 	"rcuda/internal/gpu"
 	"rcuda/internal/netsim"
 	"rcuda/internal/protocol"
@@ -485,4 +486,99 @@ func TestKeptConnSimulateLiveIsDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("two runs differ:\n%+v\n%+v", a, b)
 	}
+}
+
+// lateDaemon serves a server over loopback TCP or over simulated pipes,
+// with the daemon's end of the first connection dialed through a
+// transport.FaultyConn on plan, and returns its endpoint; dials counts the
+// endpoint's dials.
+func lateDaemon(t *testing.T, tcp bool, plan *faults.Plan, dials *atomic.Int64) Endpoint {
+	t.Helper()
+	clk := vclock.NewSim()
+	srv := rcuda.NewServer(gpu.New(gpu.Config{Clock: clk}))
+	var wg sync.WaitGroup
+	serve := func(conn transport.Conn) {
+		if dials.Load() == 1 {
+			conn = transport.NewFaultyConn(conn, plan)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = srv.ServeConn(conn)
+			_ = conn.Close()
+		}()
+	}
+	dial := func() (transport.Conn, error) {
+		dials.Add(1)
+		cli, end := transport.Pipe(netsim.IB40G(), clk, nil)
+		serve(end)
+		return cli, nil
+	}
+	var ln net.Listener
+	if tcp {
+		var err error
+		if ln, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		accepted := make(chan transport.Conn)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				accepted <- transport.NewTCPConn(c)
+			}
+		}()
+		dial = func() (transport.Conn, error) {
+			dials.Add(1)
+			conn, err := transport.DialTCP(ln.Addr().String())
+			if err == nil {
+				serve(<-accepted)
+			}
+			return conn, err
+		}
+	}
+	t.Cleanup(func() {
+		if ln != nil {
+			_ = ln.Close()
+		}
+		_ = srv.Close()
+		wg.Wait()
+	})
+	return Endpoint{Name: "late", Dial: dial}
+}
+
+// TestKeptConnProbeAfterBudgetedSession: a session with a retry budget
+// leaves its connection to the pool with no operation timeout set. The
+// probe that follows on it, whose reply the daemon sends later than that
+// budget, succeeds there without a redial or a probe failure.
+func TestKeptConnProbeAfterBudgetedSession(t *testing.T) {
+	const budget, delay = 50 * time.Millisecond, 200 * time.Millisecond
+	eachTransport(t, func(t *testing.T, tcp bool) {
+		// The daemon's ops on the connection: the session's init, hello,
+		// malloc and free, each received and answered, its finalize and
+		// the probe received; op 10 is the probe's reply.
+		plan := faults.Script(faults.Injection{Op: 10, Dir: faults.DirSend,
+			Decision: faults.Decision{Kind: faults.KindLatency, Delay: delay}})
+		var dials atomic.Int64
+		pool, err := New([]Endpoint{lateDaemon(t, tcp, plan, &dials)}, withClientOptions(rcuda.WithRetry(budget)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pool.Close()
+		cycle(t, pool, moduleImage(t, calib.MM))
+		start := time.Now()
+		pool.Refresh()
+		took := time.Since(start)
+		if plan.Injected() != 1 || took < delay {
+			t.Fatalf("%d latency injections, probe took %v; want the reply %v late", plan.Injected(), took, delay)
+		}
+		wantProbes(t, pool, 1)
+		if n := dials.Load(); n != 1 {
+			t.Errorf("a session and a probe made %d dials, want the probe on the kept connection", n)
+		}
+	})
 }

@@ -154,7 +154,7 @@ func TestPoolMigrateUnderLoad(t *testing.T) {
 		// The default retry budget is sized for one redial, not for riding
 		// out a whole migration window; give the client room to keep
 		// retrying until the route is re-pointed.
-		withClientOptions(rcuda.WithRetry(20, 200*time.Microsecond)),
+		withClientOptions(rcuda.WithRetry(4*time.Second)),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -261,7 +261,7 @@ func TestChaosReconnectMidBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	client, err := Open(conn, moduleImage(t, calib.MM),
-		WithBatching(0, 0), WithRetry(4, 100*time.Microsecond), WithReconnect(dial))
+		WithBatching(0, 0), WithRetry(time.Second), WithReconnect(dial))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestChaosLostReplyOfFrameClosedByQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	client, err := Open(conn, moduleImage(t, calib.MM),
-		WithBatching(0, 0), WithRetry(4, 100*time.Microsecond), WithReconnect(dial))
+		WithBatching(0, 0), WithRetry(time.Second), WithReconnect(dial))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestChaosResetBeforeBatchSend(t *testing.T) {
 		t.Fatal(err)
 	}
 	client, err := Open(conn, moduleImage(t, calib.MM),
-		WithBatching(0, 0), WithRetry(4, 100*time.Microsecond), WithReconnect(dial))
+		WithBatching(0, 0), WithRetry(time.Second), WithReconnect(dial))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,7 +173,7 @@ func TestCachedQueriesFailAfterClose(t *testing.T) {
 			t.Fatal(err)
 		}
 		client, err := Open(transport.NewFaultyConn(conn, plan), moduleImage(t, calib.MM),
-			WithBatching(0, 0), WithRetry(3, 50*time.Microsecond), WithReconnect(faultyDialer(addr2, nil)))
+			WithBatching(0, 0), WithRetry(100*time.Millisecond), WithReconnect(faultyDialer(addr2, nil)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func TestCacheInvalidatedAcrossReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	client, err := Open(conn, moduleImage(t, calib.MM),
-		WithBatching(0, 0), WithRetry(4, 100*time.Microsecond), WithReconnect(dial))
+		WithBatching(0, 0), WithRetry(time.Second), WithReconnect(dial))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestChaosEventQueryAfterReconnect(t *testing.T) {
 			t.Fatal(err)
 		}
 		client, err := Open(conn, moduleImage(t, calib.MM),
-			WithBatching(0, 0), WithRetry(4, 100*time.Microsecond), WithReconnect(dial))
+			WithBatching(0, 0), WithRetry(time.Second), WithReconnect(dial))
 		if err != nil {
 			t.Fatal(err)
 		}

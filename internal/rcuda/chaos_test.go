@@ -35,7 +35,7 @@ func openChaosClient(t *testing.T, addr string, plan *faults.Plan, module []byte
 		}
 		client, err := Open(conn, module,
 			WithChunkedTransfers(1024, 512),
-			WithRetry(8, 200*time.Microsecond),
+			WithRetry(time.Second),
 			WithReconnect(dial))
 		if err == nil {
 			return client

@@ -401,7 +401,7 @@ func TestChunkedCopyCutByAFaultReleasesItsStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		client, err := Open(conn, module, WithReconnect(dial), WithRetry(4, 100*time.Microsecond),
+		client, err := Open(conn, module, WithReconnect(dial), WithRetry(time.Second),
 			WithChunkedTransfers(landTestSize, landTestChnk))
 		if err != nil {
 			t.Fatal(err)

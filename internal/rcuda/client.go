@@ -3,7 +3,6 @@ package rcuda
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync/atomic"
 	"time"
 
@@ -40,14 +39,12 @@ type Client struct {
 	// Retry/reconnect policy (see WithRetry and WithReconnect). The
 	// mutable connection state shares the Client's single-goroutine
 	// contract; only the counters are read concurrently via Stats.
-	retryMax     int
-	retryBackoff time.Duration
-	retryRNG     *rand.Rand // created by the first backoff; see jitter
-	dial         func() (transport.Conn, error)
-	sessionID    uint64
-	durable      bool
-	connBroken   bool
-	lost         bool
+	retryBudget time.Duration
+	dial        func() (transport.Conn, error)
+	sessionID   uint64
+	durable     bool
+	connBroken  bool
+	lost        bool
 	// faulted marks a connection an exchange failed on: Release does not
 	// hand it back, since it may be dead or out of step with the server.
 	faulted bool
@@ -453,8 +450,9 @@ func (c *Client) Close() error {
 // healthy: the finalize left on it and no exchange of the session failed
 // on it. The server then waits on it for the next session's handshake, so
 // Open may start one there without a dial (DESIGN.md §5 "Session set-up").
-// An unhealthy connection is closed and Release returns nil for it, as it
-// does after Close or an earlier Release.
+// The connection comes back with no operation timeout set, whatever the
+// retry budget armed. An unhealthy connection is closed and Release returns
+// nil for it, as it does after Close or an earlier Release.
 func (c *Client) Release() (transport.Conn, error) {
 	if !c.closed.CompareAndSwap(false, true) {
 		return nil, nil
@@ -464,7 +462,7 @@ func (c *Client) Release() (transport.Conn, error) {
 	// daemon shutdown. Best-effort: an unreachable server leaves the
 	// parked session to the daemon's own cleanup.
 	if c.connBroken && !c.lost {
-		if err := c.reconnect(); err != nil {
+		if err := c.reconnect(c.deadline()); err != nil {
 			c.lost = true
 		}
 	}
@@ -474,6 +472,9 @@ func (c *Client) Release() (transport.Conn, error) {
 	var flushErr error
 	if c.batching && !c.lost {
 		flushErr = c.syncPoint()
+	}
+	if dc, ok := c.conn.(transport.DeadlineCapable); ok && c.retryBudget > 0 {
+		dc.SetOpTimeout(0)
 	}
 	req := &protocol.FinalizeRequest{}
 	sendErr := c.conn.Send(req)

@@ -285,7 +285,7 @@ func inferenceOverScribbledFrames(t *testing.T, srvOpts ...ServerOption) {
 		{name: "unbatched"},
 		{name: "batched", opts: []ClientOption{WithBatching(0, 0)}},
 		{name: "batched, first reply lost", loseReply: true, wantReplays: 1,
-			opts: []ClientOption{WithBatching(0, 0), WithRetry(4, 100*time.Microsecond)}},
+			opts: []ClientOption{WithBatching(0, 0), WithRetry(time.Second)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

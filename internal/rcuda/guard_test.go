@@ -62,7 +62,7 @@ func openDurable(t *testing.T, addr string, opts ...ClientOption) (*Client, tran
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts = append([]ClientOption{WithRetry(6, 200*time.Microsecond), WithReconnect(dial)}, opts...)
+	opts = append([]ClientOption{WithRetry(time.Second), WithReconnect(dial)}, opts...)
 	client, err := Open(conn, moduleImage(t, calib.MM), opts...)
 	if err != nil {
 		t.Fatalf("open durable: %v", err)

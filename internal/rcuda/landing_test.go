@@ -384,7 +384,7 @@ func TestLandingSurvivesFaults(t *testing.T) {
 				}
 				opts := []ClientOption{WithReconnect(dial)}
 				if retry {
-					opts = append(opts, WithRetry(4, 100*time.Microsecond))
+					opts = append(opts, WithRetry(time.Second))
 				}
 				if lf.chunked {
 					opts = append(opts, WithChunkedTransfers(landTestSize, landTestChnk))

@@ -84,7 +84,7 @@ func openSwitchClient(t *testing.T, sw *switcher, module []byte, extra ...Client
 		t.Fatal(err)
 	}
 	opts := append([]ClientOption{
-		WithRetry(8, 200*time.Microsecond),
+		WithRetry(time.Second),
 		WithReconnect(sw.dial),
 	}, extra...)
 	client, err := Open(conn, module, opts...)
@@ -654,7 +654,7 @@ func TestMigrateRedirect(t *testing.T) {
 	dst, dstAddr, cleanupDst := startMigrateServer(t)
 	defer cleanupDst()
 	sw := newSwitcher(srcAddr)
-	client := openSwitchClient(t, sw, module, WithRetry(3, 100*time.Microsecond))
+	client := openSwitchClient(t, sw, module, WithRetry(50*time.Millisecond))
 	defer client.Close()
 
 	data := []byte{9, 8, 7, 6, 5, 4, 3, 2}

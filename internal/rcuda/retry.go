@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"os"
+	"syscall"
 	"time"
 
 	"rcuda/internal/cudart"
@@ -15,34 +15,40 @@ import (
 )
 
 // ErrSessionLost reports that a connection fault interrupted an operation
-// whose effects on the server are unknown, or that the session could not
-// be recovered at all. Idempotent calls are retried transparently and only
-// surface it after every attempt is exhausted; non-idempotent calls (a
-// kernel launch, an allocation) surface it immediately rather than risk
-// executing twice, and the caller decides whether to re-issue them — the
-// session itself heals on the next call if reconnection is possible.
+// whose effects on the server are unknown, or that the session could not be
+// recovered at all. Idempotent calls are retried transparently and only
+// surface it once the retry budget is spent or a redial is refused outright;
+// non-idempotent calls (a kernel launch, an allocation) surface it as soon as
+// a fault follows their send rather than risk executing twice, and the caller
+// decides whether to re-issue them — a durable session itself heals on the
+// next call if reconnection is possible.
 var ErrSessionLost = errors.New("rcuda: session lost")
 
-// maxBackoff caps the exponential retry backoff.
-const maxBackoff = 250 * time.Millisecond
+// The retry backoff starts at baseBackoff and doubles per retry up to
+// maxBackoff.
+const (
+	baseBackoff = 200 * time.Microsecond
+	maxBackoff  = 250 * time.Millisecond
+)
 
-// WithRetry enables transparent retry of idempotent operations after
-// connection faults: up to maxAttempts tries with exponential backoff
-// (base backoff, doubled per retry, capped, with deterministic ±50%
-// jitter). Non-idempotent operations are never retried; they fail with
-// ErrSessionLost instead. Pair with WithReconnect to actually survive a
-// dead connection — without it, retries can only exhaust.
-func WithRetry(maxAttempts int, backoff time.Duration) ClientOption {
-	return func(c *Client) {
-		if maxAttempts < 1 {
-			maxAttempts = 1
-		}
-		if backoff <= 0 {
-			backoff = 200 * time.Microsecond
-		}
-		c.retryMax = maxAttempts
-		c.retryBackoff = backoff
-	}
+// WithRetry gives every call a time budget: connection faults are retried
+// with exponential backoff (baseBackoff, doubled per retry, capped at
+// maxBackoff) while the budget lasts, and each send and each receive of an
+// attempt is bounded by what was left of the budget when the attempt
+// began, so a daemon that stops answering fails the call with
+// ErrSessionLost wrapping os.ErrDeadlineExceeded instead of blocking it.
+// The bound holds per send and receive, not per attempt: a chunked copy
+// whose daemon answers every chunk just in time can outrun the budget. A
+// failed reconnect is retried for every operation, since nothing was sent
+// on the new connection, unless the redial was refused outright (nothing
+// listens at the address); a fault after the send re-runs only idempotent
+// operations. Pair with WithReconnect to survive a dead connection:
+// without it, the first connection fault ends the session, since the
+// connection may still carry the reply the call gave up on, and every
+// later call fails with ErrSessionLost. A budget of zero or less leaves
+// the client as without the option: one attempt, unbounded.
+func WithRetry(budget time.Duration) ClientOption {
+	return func(c *Client) { c.retryBudget = max(budget, 0) }
 }
 
 // WithReconnect gives the client a way to replace a dead connection: dial
@@ -75,58 +81,72 @@ func isConnFault(err error) bool {
 	return errors.As(err, &ne)
 }
 
-// backoffSleep sleeps the exponential backoff for the given retry number
-// (1-based) with deterministic jitter from the client's seeded generator.
-func (c *Client) backoffSleep(retry int) {
-	d := c.retryBackoff << (retry - 1)
-	if d > maxBackoff || d <= 0 {
-		d = maxBackoff
+// backoff sleeps before the given retry (1-based) and reports true, or
+// reports false at once when the sleep would reach the budget's end.
+func backoff(retry int, end time.Time) bool {
+	d := min(baseBackoff<<min(retry-1, 11), maxBackoff)
+	if time.Until(end) <= d {
+		return false
 	}
-	time.Sleep(time.Duration(float64(d) * (0.5 + c.jitter())))
+	time.Sleep(d)
+	return true
 }
 
-// jitter draws the next backoff factor in [0, 1). The source is seeded, not
-// time-derived, so a fault scenario replays with identical backoff
-// decisions; it is created here, not in Open, because seeding costs more
-// than a null call and most sessions never retry.
-func (c *Client) jitter() float64 {
-	if c.retryRNG == nil {
-		c.retryRNG = rand.New(rand.NewSource(1))
+// arm bounds every send and receive on conn by what is left until end; a
+// zero end (no budget) arms nothing, and a spent one still arms a bound,
+// since zero would clear it.
+func arm(conn transport.Conn, end time.Time) {
+	if dc, ok := conn.(transport.DeadlineCapable); ok && !end.IsZero() {
+		dc.SetOpTimeout(max(time.Until(end), time.Nanosecond))
 	}
-	return c.retryRNG.Float64()
+}
+
+// deadline is the end of a call's budget starting now; zero without one.
+func (c *Client) deadline() (end time.Time) {
+	if c.retryBudget > 0 {
+		end = time.Now().Add(c.retryBudget)
+	}
+	return end
 }
 
 // runRetry executes fn under the client's retry policy. fn performs one
 // complete exchange (or one complete chunked transfer) on c.conn; runRetry
-// classifies its error, replaces the connection when it died, and re-runs
-// fn when the operation is idempotent.
+// arms the connection with what is left of the call's budget, classifies
+// fn's error, replaces the connection when it died, and re-runs fn when
+// the operation is idempotent — or runs it for the first time when only
+// the reconnect failed.
 func (c *Client) runRetry(op protocol.Op, fn func() error) error {
 	if c.lost {
 		return fmt.Errorf("rcuda: %v: %w", op, ErrSessionLost)
 	}
-	attempts := 1
-	if c.retryMax > 1 && op.Idempotent() {
-		attempts = c.retryMax
-	}
+	end := c.deadline()
 	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
+	for retry := 0; ; retry++ {
+		if retry > 0 {
+			if !backoff(retry, end) { // a zero end has no time left
+				break
+			}
 			c.cstats.Retries.Add(1)
-			c.backoffSleep(attempt)
 		}
 		if c.connBroken {
-			if err := c.reconnect(); err != nil {
+			if err := c.reconnect(end); err != nil {
 				if errors.Is(err, ErrSessionLost) {
 					c.lost = true
 					return fmt.Errorf("rcuda: %v: %w", op, err)
 				}
 				lastErr = err
+				if errors.Is(err, syscall.ECONNREFUSED) {
+					// Nothing listens there: unlike a busy refusal, waiting
+					// out the budget brings no daemon that holds the session.
+					break
+				}
 				continue
 			}
 		}
+		arm(c.conn, end)
 		err := fn()
 		if err == nil {
-			if attempt > 0 {
+			if retry > 0 {
 				c.cstats.Recovered.Add(1)
 			}
 			return nil
@@ -139,26 +159,39 @@ func (c *Client) runRetry(op protocol.Op, fn func() error) error {
 			return err
 		}
 		c.cstats.ConnFaults.Add(1)
-		if c.durable {
-			c.connBroken = true
-		}
 		lastErr = err
-	}
-	if c.retryMax > 1 {
-		if op.Idempotent() {
-			return fmt.Errorf("rcuda: %v failed after %d attempts: %w: %w", op, attempts, ErrSessionLost, lastErr)
+		if !c.durable {
+			if !end.IsZero() {
+				// A deadline may have left this attempt's reply on its way
+				// or cut it short, and there is no session to reattach: the
+				// connection ends with it, so no later call reads that reply.
+				_ = c.conn.Close()
+				c.lost = true
+			}
+			break
 		}
-		return fmt.Errorf("rcuda: %v interrupted: %w: %w", op, ErrSessionLost, lastErr)
+		c.connBroken = true
+		if !op.Idempotent() {
+			// It may have run: it is sent at most once.
+			break
+		}
 	}
-	return lastErr
+	switch {
+	case end.IsZero():
+		return lastErr
+	case op.Idempotent() && c.durable:
+		return fmt.Errorf("rcuda: %v failed within %v: %w: %w", op, c.retryBudget, ErrSessionLost, lastErr)
+	}
+	return fmt.Errorf("rcuda: %v interrupted: %w: %w", op, ErrSessionLost, lastErr)
 }
 
 // reconnect replaces a dead connection and reattaches to the durable
 // session. Transient failures (redial refused, new connection dying during
 // the reattach exchange) return a plain error so the retry loop can try
 // again; a server that explicitly refuses the reattach — the session is
-// gone — wraps ErrSessionLost, which latches the client as lost.
-func (c *Client) reconnect() error {
+// gone — wraps ErrSessionLost, which latches the client as lost. The
+// reattach exchange is bounded by end, as the call's attempts are.
+func (c *Client) reconnect(end time.Time) error {
 	if c.dial == nil || !c.durable {
 		return fmt.Errorf("rcuda: connection lost with no reconnect policy: %w", ErrSessionLost)
 	}
@@ -167,44 +200,11 @@ func (c *Client) reconnect() error {
 	if err != nil {
 		return fmt.Errorf("rcuda: redial: %w", err)
 	}
-	if err := conn.Send(&protocol.ReattachRequest{Session: c.sessionID}); err != nil {
-		_ = conn.Close()
-		return fmt.Errorf("rcuda: reattach send: %w", err)
-	}
-	payload, err := conn.Recv()
+	arm(conn, end)
+	resp, err := c.reattach(conn)
 	if err != nil {
 		_ = conn.Close()
-		return fmt.Errorf("rcuda: reattach recv: %w", err)
-	}
-	resp, err := protocol.DecodeReattachResponse(payload)
-	if err != nil {
-		_ = conn.Close()
-		return fmt.Errorf("rcuda: reattach decode: %w", err)
-	}
-	switch {
-	case resp.Err == protocol.CodeServerBusy:
-		// Transient: the server is over its connection cap or the old
-		// handler has not parked the session yet. Back off and redial —
-		// the session still exists, so this must NOT latch ErrSessionLost.
-		_ = conn.Close()
-		return fmt.Errorf("rcuda: reattach refused: %w", ErrServerBusy)
-	case resp.Err == protocol.CodeSessionMigrated:
-		// Redirect: the session was live-migrated and the broker has
-		// re-pointed this client's route, so the next redial lands on its
-		// new home with every allocation intact. Nothing is lost and
-		// nothing replays, so this must NOT latch ErrSessionLost.
-		_ = conn.Close()
-		c.cstats.Migrations.Add(1)
-		return fmt.Errorf("rcuda: reattach redirected: %w", ErrSessionMigrated)
-	case resp.Err == protocol.CodeSessionEvicted:
-		// Permanent: the parked-session GC reclaimed the session.
-		_ = conn.Close()
-		return fmt.Errorf("rcuda: reattach refused: %w: %w", ErrSessionEvicted, ErrSessionLost)
-	default:
-		if refuse := cudart.Error(resp.Err).AsError(); refuse != nil {
-			_ = conn.Close()
-			return fmt.Errorf("rcuda: server refused reattach (%v): %w", refuse, ErrSessionLost)
-		}
+		return err
 	}
 	c.conn = conn
 	c.capMajor, c.capMinor = resp.CapabilityMajor, resp.CapabilityMinor
@@ -214,4 +214,42 @@ func (c *Client) reconnect() error {
 	c.invalidateCache()
 	c.cstats.Reconnects.Add(1)
 	return nil
+}
+
+// reattach asks the server on conn to resume the session and returns its
+// acceptance; a refusal is an error, which wraps ErrSessionLost only when
+// the session is gone.
+func (c *Client) reattach(conn transport.Conn) (*protocol.ReattachResponse, error) {
+	if err := conn.Send(&protocol.ReattachRequest{Session: c.sessionID}); err != nil {
+		return nil, fmt.Errorf("rcuda: reattach send: %w", err)
+	}
+	payload, err := conn.Recv()
+	if err != nil {
+		return nil, fmt.Errorf("rcuda: reattach recv: %w", err)
+	}
+	resp, err := protocol.DecodeReattachResponse(payload)
+	if err != nil {
+		return nil, fmt.Errorf("rcuda: reattach decode: %w", err)
+	}
+	switch resp.Err {
+	case protocol.CodeServerBusy:
+		// Transient: the server is over its connection cap or the old
+		// handler has not parked the session yet. Back off and redial —
+		// the session still exists, so this must NOT latch ErrSessionLost.
+		return nil, fmt.Errorf("rcuda: reattach refused: %w", ErrServerBusy)
+	case protocol.CodeSessionMigrated:
+		// Redirect: the session was live-migrated and the broker has
+		// re-pointed this client's route, so the next redial lands on its
+		// new home with every allocation intact. Nothing is lost and
+		// nothing replays, so this must NOT latch ErrSessionLost.
+		c.cstats.Migrations.Add(1)
+		return nil, fmt.Errorf("rcuda: reattach redirected: %w", ErrSessionMigrated)
+	case protocol.CodeSessionEvicted:
+		// Permanent: the parked-session GC reclaimed the session.
+		return nil, fmt.Errorf("rcuda: reattach refused: %w: %w", ErrSessionEvicted, ErrSessionLost)
+	}
+	if refuse := cudart.Error(resp.Err).AsError(); refuse != nil {
+		return nil, fmt.Errorf("rcuda: server refused reattach (%v): %w", refuse, ErrSessionLost)
+	}
+	return resp, nil
 }

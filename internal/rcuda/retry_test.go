@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"os"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"rcuda/internal/calib"
 	"rcuda/internal/faults"
 	"rcuda/internal/gpu"
+	"rcuda/internal/netsim"
 	"rcuda/internal/protocol"
 	"rcuda/internal/transport"
 	"rcuda/internal/vclock"
@@ -73,7 +77,7 @@ func TestRetryRecoversIdempotentOpAfterReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	client, err := Open(conn, moduleImage(t, calib.MM),
-		WithRetry(4, 100*time.Microsecond), WithReconnect(dial))
+		WithRetry(time.Second), WithReconnect(dial))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +130,7 @@ func TestNonIdempotentSurfacesSessionLostThenHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	client, err := Open(conn, moduleImage(t, calib.MM),
-		WithRetry(4, 100*time.Microsecond), WithReconnect(dial))
+		WithRetry(time.Second), WithReconnect(dial))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +181,7 @@ func TestReattachRefusedLatchesSessionLost(t *testing.T) {
 		t.Fatal(err)
 	}
 	client, err := Open(transport.NewFaultyConn(conn, plan), moduleImage(t, calib.MM),
-		WithRetry(3, 50*time.Microsecond), WithReconnect(faultyDialer(addr2, nil)))
+		WithRetry(100*time.Millisecond), WithReconnect(faultyDialer(addr2, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,9 +233,10 @@ func TestBaselineErrorsUnchangedWithoutRetry(t *testing.T) {
 	}
 }
 
-// TestRetryWithoutReconnectExhausts runs retries with no dialer: the
-// attempts burn down against a dead connection and the call reports
-// ErrSessionLost after the configured attempt count.
+// TestRetryWithoutReconnectExhausts runs a budgeted client with no dialer:
+// with no session to reattach, the first connection fault ends the
+// session at once, without retries against the dead connection, and the
+// call and every later one report ErrSessionLost.
 func TestRetryWithoutReconnectExhausts(t *testing.T) {
 	_, addr, cleanup := startTCPServer(t)
 	defer cleanup()
@@ -243,18 +248,296 @@ func TestRetryWithoutReconnectExhausts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const budget = 100 * time.Millisecond
 	client, err := Open(transport.NewFaultyConn(conn, plan), moduleImage(t, calib.MM),
-		WithRetry(3, 50*time.Microsecond))
+		WithRetry(budget))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
 
+	start := time.Now()
 	if err := client.DeviceSynchronize(); !errors.Is(err, ErrSessionLost) {
-		t.Fatalf("got %v, want ErrSessionLost after exhaustion", err)
+		t.Fatalf("got %v, want ErrSessionLost", err)
 	}
-	if cs := client.Stats(); cs.Retries != 2 || cs.ConnFaults != 3 {
-		t.Fatalf("client stats %+v, want 2 retries over 3 attempts", cs)
+	if _, err := client.DeviceCount(); !errors.Is(err, ErrSessionLost) {
+		t.Fatalf("the next call: %v, want ErrSessionLost", err)
+	}
+	if took := time.Since(start); took > budget {
+		t.Errorf("the calls failed after %v, past their %v budget", took, budget)
+	}
+	if cs := client.Stats(); cs.Retries != 0 || cs.ConnFaults != 1 {
+		t.Fatalf("client stats %+v, want one fault and no retry", cs)
+	}
+}
+
+// TestRetryWithoutReconnectDropsALateReply: a client with a budget and no
+// dialer gives up on a reply the daemon sends later than the budget. The
+// connection ends with the session, so that reply, arrived since, is
+// never read as the next call's: the next call fails with ErrSessionLost.
+func TestRetryWithoutReconnectDropsALateReply(t *testing.T) {
+	const budget, delay = 100 * time.Millisecond, 300 * time.Millisecond
+	module := moduleImage(t, calib.MM)
+	for _, tcp := range []bool{true, false} {
+		t.Run(map[bool]string{true: "tcp", false: "pipe"}[tcp], func(t *testing.T) {
+			// The daemon's ops: the init received and answered, the first
+			// malloc received (op 2) and answered late (op 3).
+			plan := faults.Script(faults.Injection{Op: 3, Dir: faults.DirSend,
+				Decision: faults.Decision{Kind: faults.KindLatency, Delay: delay}})
+			dial := wrappedDaemon(t, tcp, func(c transport.Conn) transport.Conn {
+				return transport.NewFaultyConn(c, plan)
+			})
+			conn, err := dial()
+			if err != nil {
+				t.Fatal(err)
+			}
+			client, err := Open(conn, module, WithRetry(budget))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			if _, err := client.Malloc(64); !errors.Is(err, ErrSessionLost) || !errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("malloc answered late: %v, want ErrSessionLost and a deadline error", err)
+			}
+			time.Sleep(delay) // the late reply is sent meanwhile
+			if plan.Injected() != 1 {
+				t.Fatalf("%d latency injections, want the malloc's reply delayed", plan.Injected())
+			}
+			if ptr, err := client.Malloc(128); !errors.Is(err, ErrSessionLost) {
+				t.Fatalf("the next malloc: %#x, %v; want ErrSessionLost, not the late reply", ptr, err)
+			}
+		})
+	}
+}
+
+// TestRetryStopsAtARefusedRedial: a durable session's connection resets
+// and nothing listens at the daemon's address any more. An idempotent call
+// fails with ErrSessionLost at the first refused redial, not at the end of
+// its budget, since no redial within it could reach the session.
+func TestRetryStopsAtARefusedRedial(t *testing.T) {
+	const budget = time.Second
+	_, addr, cleanup := startTCPServer(t)
+	defer cleanup()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone := ln.Addr().String()
+	_ = ln.Close()
+	plan := faults.Script(
+		faults.Injection{Op: opsOpenDurable, Dir: faults.DirSend, Decision: faults.Decision{Kind: faults.KindReset}},
+	)
+	conn, err := transport.DialTCP(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := Open(transport.NewFaultyConn(conn, plan), moduleImage(t, calib.MM),
+		WithRetry(budget), WithReconnect(func() (transport.Conn, error) { return transport.DialTCP(gone) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	start := time.Now()
+	err = client.DeviceSynchronize()
+	if !errors.Is(err, ErrSessionLost) || !errors.Is(err, syscall.ECONNREFUSED) {
+		t.Fatalf("sync with its daemon gone: %v, want ErrSessionLost and a refused redial", err)
+	}
+	if took := time.Since(start); took > budget/10 {
+		t.Errorf("the call failed after %v, want it at the first refused redial", took)
+	}
+	if cs := client.Stats(); cs.Retries != 1 || cs.Reconnects != 0 {
+		t.Errorf("client stats %+v, want one redial and no reconnect", cs)
+	}
+}
+
+// stallConn is a daemon's end of a connection that hands the server the
+// first pass frames it receives and swallows every later one, so the
+// server never answers them: a daemon that stops replying mid-session.
+type stallConn struct {
+	transport.Conn
+	pass int
+}
+
+func (s *stallConn) Recv() ([]byte, error) {
+	if s.pass == 0 {
+		for {
+			if _, err := s.Conn.Recv(); err != nil {
+				return nil, err
+			}
+		}
+	}
+	s.pass--
+	return s.Conn.Recv()
+}
+
+// wrappedDaemon serves a server over loopback TCP or over simulated pipes,
+// the daemon's end of each connection wrapped by wrap, and returns its
+// dialer.
+func wrappedDaemon(t *testing.T, tcp bool, wrap func(transport.Conn) transport.Conn) func() (transport.Conn, error) {
+	t.Helper()
+	clk := vclock.NewSim()
+	srv := NewServer(gpu.New(gpu.Config{Clock: clk}))
+	var wg sync.WaitGroup
+	serve := func(conn transport.Conn) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = srv.ServeConn(wrap(conn))
+			_ = conn.Close()
+		}()
+	}
+	dial := func() (transport.Conn, error) {
+		cli, end := transport.Pipe(netsim.IB40G(), clk, nil)
+		serve(end)
+		return cli, nil
+	}
+	var ln net.Listener
+	if tcp {
+		var err error
+		if ln, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				serve(transport.NewTCPConn(c))
+			}
+		}()
+		dial = func() (transport.Conn, error) { return transport.DialTCP(ln.Addr().String()) }
+	}
+	t.Cleanup(func() {
+		if ln != nil {
+			_ = ln.Close()
+		}
+		_ = srv.Close()
+		wg.Wait()
+	})
+	return dial
+}
+
+// TestRetryBudgetBoundsAStalledDaemon: a daemon answers the init and the
+// hello and then never replies. An idempotent call, a non-idempotent one
+// and a chunked copy stalled at its second chunk each fail within their
+// budget, with an error that wraps both ErrSessionLost and the deadline.
+func TestRetryBudgetBoundsAStalledDaemon(t *testing.T) {
+	const budget = 200 * time.Millisecond
+	module := moduleImage(t, calib.MM)
+	calls := []struct {
+		name string
+		pass int // frames the daemon answers: the init, the hello, and more
+		call func(c *Client) error
+	}{
+		{"idempotent", 2, func(c *Client) error { return c.DeviceSynchronize() }},
+		{"non-idempotent", 2, func(c *Client) error { _, err := c.Malloc(64); return err }},
+		// A malloc and the copy's Begin are answered, its first chunk taken.
+		{"chunked copy", 5, func(c *Client) error {
+			ptr, err := c.Malloc(4096)
+			if err != nil {
+				return err
+			}
+			return c.MemcpyToDevice(ptr, make([]byte, 4096))
+		}},
+	}
+	for _, tcp := range []bool{true, false} {
+		for _, tc := range calls {
+			name := "pipe/" + tc.name
+			if tcp {
+				name = "tcp/" + tc.name
+			}
+			t.Run(name, func(t *testing.T) {
+				dial := wrappedDaemon(t, tcp, func(c transport.Conn) transport.Conn {
+					return &stallConn{Conn: c, pass: tc.pass}
+				})
+				conn, err := dial()
+				if err != nil {
+					t.Fatal(err)
+				}
+				client, err := Open(conn, module, WithRetry(budget), WithReconnect(dial),
+					WithChunkedTransfers(4096, 1024))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer client.Close()
+				start := time.Now()
+				err = tc.call(client)
+				took := time.Since(start)
+				if !errors.Is(err, ErrSessionLost) || !errors.Is(err, os.ErrDeadlineExceeded) {
+					t.Fatalf("call to a stalled daemon: %v, want ErrSessionLost and a deadline error", err)
+				}
+				if took > budget+100*time.Millisecond {
+					t.Errorf("the call failed after %v, want within its %v budget and 100 ms", took, budget)
+				}
+			})
+		}
+	}
+}
+
+// busyConn answers whatever is sent on it with a reattach refused as busy,
+// as a daemon does while the session's old handler has not parked it yet.
+type busyConn struct{}
+
+func (busyConn) Send(protocol.Message) error { return nil }
+func (busyConn) Recv() ([]byte, error) {
+	return (&protocol.ReattachResponse{Err: protocol.CodeServerBusy}).Encode(nil), nil
+}
+func (busyConn) Close() error           { return nil }
+func (busyConn) Stats() transport.Stats { return transport.Stats{} }
+
+// TestRetryRedialsARefusedReattachWithinBudget: a durable session's
+// connection resets, and the daemon refuses the next reattaches as busy. A
+// malloc, which is not idempotent, redials with backoff until a reattach
+// is taken, since nothing was sent on the refused connections, and is then
+// sent once: it succeeds within its budget and the device holds exactly
+// its allocation.
+func TestRetryRedialsARefusedReattachWithinBudget(t *testing.T) {
+	const budget, refusals, size = time.Second, 6, 4096
+	srv, addr, cleanup := startTCPServer(t)
+	defer cleanup()
+	// The first request after the open is reset before it leaves.
+	plan := faults.Script(
+		faults.Injection{Op: opsOpenDurable, Dir: faults.DirSend, Decision: faults.Decision{Kind: faults.KindReset}},
+	)
+	refused := 0
+	dial := func() (transport.Conn, error) {
+		if refused < refusals {
+			refused++
+			return busyConn{}, nil
+		}
+		return transport.DialTCP(addr)
+	}
+	conn, err := transport.DialTCP(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := Open(transport.NewFaultyConn(conn, plan), moduleImage(t, calib.MM),
+		WithRetry(budget), WithReconnect(dial))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, err := client.StreamCreate(); !errors.Is(err, ErrSessionLost) {
+		t.Fatalf("stream create through a reset: %v, want ErrSessionLost", err)
+	}
+	start := time.Now()
+	if _, err := client.Malloc(size); err != nil {
+		t.Fatalf("malloc through %d refused reattaches: %v", refusals, err)
+	}
+	if took := time.Since(start); took > budget {
+		t.Errorf("the malloc took %v, past its %v budget", took, budget)
+	}
+	if refused != refusals {
+		t.Errorf("%d reattaches refused, want %d", refused, refusals)
+	}
+	if inUse := srv.devs[0].MemoryInUse(); inUse != size {
+		t.Errorf("the device holds %d bytes, want the one %d-byte malloc", inUse, size)
+	}
+	if cs := client.Stats(); cs.Reconnects != 1 || cs.Retries < refusals || cs.Recovered != 1 {
+		t.Errorf("client stats %+v, want one reconnect after at least %d retries, recovered", cs, refusals)
 	}
 }
 

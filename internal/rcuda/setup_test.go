@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
-	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -17,8 +16,7 @@ import (
 )
 
 // Tests of session set-up: the init payload that aliases its frame, what a
-// hostile module image is answered with, what an open and close cost, and
-// the retry jitter source that is no longer made at Open.
+// hostile module image is answered with, and what an open and close cost.
 
 // initFrame is an initialization frame with the given length field, so a
 // case can declare a length the encoder would never produce.
@@ -334,22 +332,5 @@ func TestIdleSocketFootprint(t *testing.T) {
 	}
 	if limit := 1.3 * parkedSessionBytes; parked > limit {
 		t.Errorf("a parked durable session retains %.0f B, want at most %.0f B (%d B + 30 %%)", parked, limit, parkedSessionBytes)
-	}
-}
-
-// TestLazyJitterSourceReplaysTheSeededSequence: the jitter source made at
-// the first backoff draws what the one Open used to make drew, so every
-// fault scenario sleeps the same backoffs.
-func TestLazyJitterSourceReplaysTheSeededSequence(t *testing.T) {
-	client, _, _, stop := gateSession(t)
-	defer stop()
-	if client.retryRNG != nil {
-		t.Fatal("Open made a jitter source no retry has asked for")
-	}
-	want := rand.New(rand.NewSource(1))
-	for i := 0; i < 64; i++ {
-		if got, w := client.jitter(), want.Float64(); got != w {
-			t.Fatalf("backoff factor %d = %v, want %v", i, got, w)
-		}
 	}
 }

@@ -51,7 +51,7 @@ func TestSimDaemonWaitNamesParkedBytes(t *testing.T) {
 func TestSimDaemonReconnectReattaches(t *testing.T) {
 	d, _, _ := simDaemon(netsim.IB40G())
 	conn, _ := d.Dial()
-	client, err := Open(conn, moduleImage(t, calib.MM), WithRetry(4, 200*time.Microsecond), WithReconnect(d.Dial))
+	client, err := Open(conn, moduleImage(t, calib.MM), WithRetry(time.Second), WithReconnect(d.Dial))
 	if err != nil {
 		t.Fatal(err)
 	}

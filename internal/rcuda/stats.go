@@ -215,7 +215,9 @@ type ClientCounts[T any] struct {
 	// ConnFaults counts operations interrupted by a connection-level
 	// failure (reset, truncation, stall, EOF).
 	ConnFaults T
-	// Retries counts re-executions of idempotent operations after a fault.
+	// Retries counts the attempts after a call's first under WithRetry: an
+	// idempotent operation re-run after a fault, or a redial after a failed
+	// reconnect.
 	Retries T
 	// Reconnects counts successful redial-and-reattach cycles.
 	Reconnects T

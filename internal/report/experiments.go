@@ -538,7 +538,9 @@ func simCopyTime(c simCopy) (time.Duration, error) {
 		opts = append(opts, rcuda.WithChunkedTransfers(1, protocol.DefaultChunkSize))
 	}
 	if c.retrying {
-		opts = append(opts, rcuda.WithRetry(4, 200*time.Microsecond), rcuda.WithReconnect(daemon.Dial))
+		// The whole chunked copy takes up to 3.4 s of wall time under the
+		// race detector; no single send or receive of it took 0.2 s.
+		opts = append(opts, rcuda.WithRetry(10*time.Second), rcuda.WithReconnect(daemon.Dial))
 	}
 	client, err := daemon.Open(img, opts...)
 	if err != nil {

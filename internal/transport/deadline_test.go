@@ -1,12 +1,17 @@
 package transport
 
 import (
+	"errors"
 	"net"
+	"os"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"rcuda/internal/netsim"
 	"rcuda/internal/protocol"
+	"rcuda/internal/raceflag"
+	"rcuda/internal/vclock"
 )
 
 // deadlineCounter is a net.Conn that counts the deadline setters called on
@@ -93,6 +98,33 @@ func TestUnsetTimeoutArmsNoDeadline(t *testing.T) {
 	}
 }
 
+// TestArmedDeadlineServesLaterOps: operations that follow one another
+// within a sixteenth of the bound keep the deadline the first armed, so
+// they call no setter; a shorter bound re-arms at once and fires on time.
+func TestArmedDeadlineServesLaterOps(t *testing.T) {
+	cli, counted, peer := countedPair(t)
+	calls := func() (int64, int64) { return counted.reads.Load(), counted.writes.Load() }
+	cli.SetOpTimeout(time.Minute)
+	for i := 0; i < 3; i++ {
+		exchange(t, cli, peer)
+	}
+	if r, w := calls(); r != 1 || w != 1 {
+		t.Fatalf("three exchanges under a 1 min bound: %d read and %d write deadline calls, want one each", r, w)
+	}
+	const d = 20 * time.Millisecond
+	cli.SetOpTimeout(d)
+	start := time.Now()
+	if _, err := cli.Recv(); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("a receive with nothing sent under a %v bound: %v, want a deadline error", d, err)
+	}
+	if took := time.Since(start); took < d-d/16 || took > time.Second {
+		t.Errorf("the receive failed after %v, want about %v", took, d)
+	}
+	if r, _ := calls(); r != 2 {
+		t.Errorf("%d read deadline calls, want the shorter bound armed once more", r)
+	}
+}
+
 // TestClearedTimeoutLetsAReadWait: after SetOpTimeout(d) armed the
 // connection and SetOpTimeout(0) cleared it, a read that waits longer than
 // d still succeeds.
@@ -113,4 +145,52 @@ func TestClearedTimeoutLetsAReadWait(t *testing.T) {
 	if err := <-sent; err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestBoundedPipeRoundTripAllocatesNothing: with a timeout set on both
+// ends, a pipe round trip allocates nothing, since each direction of an end
+// keeps its one timer and resets it per operation. The reused timers still
+// fire: a receive with nothing sent fails with os.ErrDeadlineExceeded, and
+// the round trips after it see no stale expiry.
+func TestBoundedPipeRoundTripAllocatesNothing(t *testing.T) {
+	cli, srv := Pipe(netsim.IB40G(), vclock.NewSim(), nil)
+	defer cli.Close()
+	cli.SetOpTimeout(time.Minute)
+	srv.SetOpTimeout(time.Minute)
+	req, reply := &protocol.SyncRequest{}, &protocol.CodeResponse{}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			if _, err := srv.Recv(); err != nil {
+				return
+			}
+			if err := srv.Send(reply); err != nil {
+				return
+			}
+		}
+	}()
+	roundTrip := func() {
+		if err := cli.Send(req); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cli.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !raceflag.Enabled { // sync.Pool drops buffers under the race detector
+		if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
+			t.Errorf("a bounded pipe round trip allocates %v times, want 0", allocs)
+		}
+	}
+	cli.SetOpTimeout(10 * time.Millisecond)
+	if _, err := cli.Recv(); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("a receive with nothing sent: %v, want a deadline error", err)
+	}
+	cli.SetOpTimeout(time.Minute)
+	for i := 0; i < 3; i++ {
+		roundTrip()
+	}
+	_ = cli.Close()
+	<-done
 }

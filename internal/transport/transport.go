@@ -273,9 +273,10 @@ type TCPConn struct {
 	br        *lentReader  // on loan from readers, else nil; see recvState for who may touch it
 	recvState atomic.Int32 // recvActive | recvClosed
 	opTimeout atomic.Int64 // nanoseconds; 0 disables deadlines
-	// readArmed and writeArmed record a deadline the direction's last
-	// operation set, each touched only by that direction's goroutine.
-	readArmed, writeArmed bool
+	// readArmed and writeArmed record the deadline the direction's last
+	// setter call armed (zero for none), each touched only by that
+	// direction's goroutine.
+	readArmed, writeArmed time.Time
 
 	fw       protocol.FrameWriter // send-side framing state, reused across Sends
 	lastRecv []byte               // kept receive buffer; see recvBuffer and recvIdle
@@ -405,10 +406,12 @@ func (t *TCPConn) releaseReader() {
 
 // SetOpTimeout bounds every subsequent Send and Recv individually; a hung
 // peer then surfaces as a deadline error instead of blocking the
-// application forever. Zero (the default) disables deadlines: the next
-// operation of each direction clears the deadline the last one set, once.
-// Safe to call concurrently with in-flight operations; it affects
-// operations started afterwards.
+// application forever. An operation keeps the deadline the last one of its
+// direction armed while that falls short of d by less than d/16, so a
+// bound d lets it run for between 15/16 d and d. Zero (the default)
+// disables deadlines: the next operation of each direction clears the
+// deadline the last one set, once. Safe to call concurrently with
+// in-flight operations; it affects operations started afterwards.
 func (t *TCPConn) SetOpTimeout(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -417,9 +420,9 @@ func (t *TCPConn) SetOpTimeout(d time.Duration) {
 }
 
 // armRead and armWrite set their direction's per-op deadline while a
-// timeout is set. With none set they call no setter — each call takes the
-// poller's lock — except once after SetOpTimeout(0), to clear the deadline
-// the direction's last operation set.
+// timeout is set. Each setter call takes the poller's lock, so they make
+// none when the armed deadline still serves (see SetOpTimeout), and with
+// no timeout set none but the one that clears an armed deadline.
 func (t *TCPConn) armRead() error {
 	if d, ok := t.deadline(&t.readArmed); ok {
 		return t.c.SetReadDeadline(d)
@@ -435,16 +438,20 @@ func (t *TCPConn) armWrite() error {
 }
 
 // deadline returns the deadline the next operation of the direction whose
-// record armed is must set, false when it must set none.
-func (t *TCPConn) deadline(armed *bool) (time.Time, bool) {
+// armed deadline is *armed must set, false when it must set none.
+func (t *TCPConn) deadline(armed *time.Time) (time.Time, bool) {
 	d := time.Duration(t.opTimeout.Load())
 	if d == 0 {
-		set := *armed
-		*armed = false
+		set := !armed.IsZero()
+		*armed = time.Time{}
 		return time.Time{}, set
 	}
-	*armed = true
-	return time.Now().Add(d), true
+	now := time.Now()
+	if left := armed.Sub(now); left <= d && left > d-d/16 {
+		return time.Time{}, false
+	}
+	*armed = now.Add(d)
+	return *armed, true
 }
 
 // Send implements Conn. Segmented messages (bulk memcpy payloads) are
@@ -815,6 +822,8 @@ type PipeEnd struct {
 	sendHead  []byte         // head and tail of the last by-reference Send
 	peek      [LandPeek]byte // what a Lander sees of a by-reference frame
 	opTimeout atomic.Int64   // nanoseconds; 0 disables deadlines
+	sendTimer *time.Timer    // bounds a Send while opTimeout is set; see opDeadline
+	recvTimer *time.Timer    // the same for a receive
 	sentAt    atomic.Int64   // departure stamp of the last Send; -1 before the first
 	hand      atomic.Uint64  // hand-over state of the last by-reference Send
 	copied    chan struct{}  // the peer's receive has copied that Send's bulk out
@@ -851,15 +860,21 @@ func pipeDeadline(op string) error {
 	return fmt.Errorf("transport: pipe %s: %w", op, os.ErrDeadlineExceeded)
 }
 
-// opDeadline returns a channel that fires when the configured per-op bound
-// expires, plus the timer to stop; both are nil with deadlines disabled.
-func (p *PipeEnd) opDeadline() (<-chan time.Time, *time.Timer) {
+// opDeadline starts the direction's timer t for the configured per-op
+// bound and returns its channel, or nil with deadlines disabled; the caller
+// stops it. The first bounded operation of a direction makes its timer and
+// every later one resets it, so a bounded operation allocates nothing; a
+// stopped or reset timer delivers no stale tick (Go 1.23 timers).
+func (p *PipeEnd) opDeadline(t **time.Timer) <-chan time.Time {
 	d := time.Duration(p.opTimeout.Load())
 	if d == 0 {
-		return nil, nil
+		return nil
 	}
-	t := time.NewTimer(d)
-	return t.C, t
+	if *t == nil {
+		*t = time.NewTimer(d)
+	}
+	(*t).Reset(d)
+	return (*t).C
 }
 
 // Pipe creates a connected pair of simulated connection ends over the given
@@ -933,9 +948,9 @@ func (p *PipeEnd) transmit(msg pipeMsg) (err error) {
 	default:
 	}
 	p.clock.Sleep(wire)
-	expired, timer := p.opDeadline()
-	if timer != nil {
-		defer timer.Stop()
+	expired := p.opDeadline(&p.sendTimer)
+	if expired != nil {
+		defer p.sendTimer.Stop()
 	}
 	msg.at = p.clock.Now()
 	p.sentAt.Store(int64(msg.at))
@@ -997,9 +1012,9 @@ func (p *PipeEnd) RecvTimed() ([]byte, time.Duration, error) {
 // buffered frame is the receiver's already, and lands by copying its bulk
 // bytes out of it.
 func (p *PipeEnd) RecvLanding(l Lander) (payload, landed []byte, at time.Duration, err error) {
-	expired, timer := p.opDeadline()
-	if timer != nil {
-		defer timer.Stop()
+	expired := p.opDeadline(&p.recvTimer)
+	if expired != nil {
+		defer p.recvTimer.Stop()
 	}
 	var msg pipeMsg
 	for {

@@ -104,10 +104,11 @@ func WithChunkedTransfers(threshold, chunkSize int) ClientOption {
 	return mw.WithChunkedTransfers(threshold, chunkSize)
 }
 
-// WithRetry retries idempotent calls with exponential backoff after
-// transient transport faults.
-func WithRetry(maxAttempts int, backoff time.Duration) ClientOption {
-	return mw.WithRetry(maxAttempts, backoff)
+// WithRetry gives every call a time budget: transient transport faults
+// are retried with exponential backoff while it lasts, and a daemon that
+// stops answering fails the call once it is spent (DESIGN.md §6 "Retry").
+func WithRetry(budget time.Duration) ClientOption {
+	return mw.WithRetry(budget)
 }
 
 // WithReconnect redials through the given function and reattaches the
